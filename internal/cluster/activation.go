@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"msod/internal/server"
 )
@@ -35,55 +34,31 @@ import (
 // Both paths are idempotent (the shard skips instances already active)
 // and deny-safe (a spurious activation can only cause over-recording).
 
-// activationPeers snapshots the clients of every tracked shard that
-// may serve decisions now or later — everything except the answering
-// shard and shards already gone. Joining and syncing shards are
-// included deliberately: an activation that fires between their
-// admission and cutover would otherwise be missed by both the fan-out
-// and the join-time sync.
-func (g *Gateway) activationPeers(exclude string) map[string]*server.Client {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	peers := make(map[string]*server.Client)
-	for id, st := range g.states {
-		if id == exclude || st == ShardGone {
-			continue
-		}
-		peers[id] = g.clients[id]
-	}
-	return peers
-}
-
 // fanoutActivation tells every peer shard the named context instances
-// are now running. All peers are contacted concurrently; the first
-// failure is returned (the caller withholds the grant — partial
+// are now running: every tracked shard that may serve decisions now or
+// later — everything except the answering shard and shards already
+// gone. Joining and syncing shards are included deliberately: an
+// activation that fires between their admission and cutover would
+// otherwise be missed by both the fan-out and the join-time sync. The
+// first failure is returned (the caller withholds the grant — partial
 // activation is deny-safe but the PEP must not see the ack until the
 // whole cluster agrees the instance started).
 func (g *Gateway) fanoutActivation(ctx context.Context, answered string, contexts []string) error {
-	peers := g.activationPeers(answered)
-	if len(peers) == 0 {
-		return nil
+	peers := g.shards(serving)
+	for i, id := range peers {
+		if id == answered {
+			peers = append(peers[:i], peers[i+1:]...)
+			break
+		}
 	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	for id, c := range peers {
-		wg.Add(1)
-		go func(id string, c *server.Client) {
-			defer wg.Done()
-			if _, err := c.Activate(ctx, contexts); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = fmt.Errorf("shard %s: %w", id, err)
-				}
-				mu.Unlock()
-			}
-		}(id, c)
+	for _, res := range scatter(ctx, g, peers, func(ctx context.Context, _ string, c *server.Client) (server.ActivationResponse, error) {
+		return c.Activate(ctx, contexts)
+	}) {
+		if res.err != nil {
+			return fmt.Errorf("shard %s: %w", res.shard, res.err)
+		}
 	}
-	wg.Wait()
-	return first
+	return nil
 }
 
 // syncActivations seeds a joining shard with every context instance
@@ -94,16 +69,13 @@ func (g *Gateway) fanoutActivation(ctx context.Context, answered string, context
 // knowledge the gateway deliberately does not have.
 func (g *Gateway) syncActivations(ctx context.Context, joiner string) error {
 	union := make(map[string]bool)
-	for _, member := range g.ring.Members() {
-		c, ok := g.client(member)
-		if !ok {
-			return fmt.Errorf("shard %s has no client", member)
+	for _, res := range scatter(ctx, g, g.shards(authoritative), func(ctx context.Context, _ string, c *server.Client) ([]string, error) {
+		return c.ActiveContexts(ctx)
+	}) {
+		if res.err != nil {
+			return fmt.Errorf("shard %s active contexts: %w", res.shard, res.err)
 		}
-		contexts, err := c.ActiveContexts(ctx)
-		if err != nil {
-			return fmt.Errorf("shard %s active contexts: %w", member, err)
-		}
-		for _, inst := range contexts {
+		for _, inst := range res.val {
 			union[inst] = true
 		}
 	}

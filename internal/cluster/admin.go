@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"time"
-
-	"msod/internal/server"
 )
 
 // Cluster administration paths served by the gateway.
@@ -159,8 +157,7 @@ func (g *Gateway) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	// Probe before touching any state: the joiner must be alive and run
 	// the cluster's policy. A policy-mismatched shard imported history
 	// would evaluate it under different semantics.
-	probeClient := server.NewClient(req.URL, g.cfg.HTTPClient, server.WithTimeout(g.cfg.Timeout), server.WithShedRetries(0))
-	policy, err := probeClient.Health()
+	policy, err := g.newShardClient(req.URL).Health()
 	if err != nil {
 		errorJSON(w, http.StatusBadGateway, fmt.Sprintf("joining shard %s unreachable at %s: %v", req.ID, req.URL, err))
 		return
@@ -187,8 +184,7 @@ func (g *Gateway) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	g.checker.CheckNow()
 	g.setShardState(req.ID, ShardSyncing)
 	g.persistTopologyLogged()
-	g.handoffWG.Add(1)
-	go g.runHandoff(HandoffJoin, req.ID)
+	g.startHandoff(HandoffJoin, req.ID)
 	hs.Phase = PhasePlanning
 	writeJSON(w, http.StatusAccepted, ClusterChangeResponse{
 		Shard: req.ID, State: ShardSyncing.String(), Handoff: &hs,
@@ -230,8 +226,7 @@ func (g *Gateway) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	g.states[req.ID] = ShardDraining
 	g.mu.Unlock()
 	g.persistTopologyLogged()
-	g.handoffWG.Add(1)
-	go g.runHandoff(HandoffDrain, req.ID)
+	g.startHandoff(HandoffDrain, req.ID)
 	writeJSON(w, http.StatusAccepted, ClusterChangeResponse{
 		Shard: req.ID, State: ShardDraining.String(), Handoff: &hs,
 	})
@@ -288,7 +283,7 @@ func (g *Gateway) admitShard(id, baseURL string) error {
 		// Retry of a failed join: refresh the address.
 	}
 	g.addrs[id] = baseURL
-	g.clients[id] = server.NewClient(baseURL, g.cfg.HTTPClient, server.WithTimeout(g.cfg.Timeout), server.WithShedRetries(0))
+	g.clients[id] = g.newShardClient(baseURL)
 	g.states[id] = ShardJoining
 	g.checker.Add(id)
 	g.breaker.Add(id)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"msod/internal/credential"
+	"msod/internal/inspect"
 	"msod/internal/server"
 )
 
@@ -33,8 +34,11 @@ type elasticStub struct {
 	// instances marked running by the gateway's fan-out or join sync.
 	active map[string]bool
 
-	importDelay   time.Duration
-	importFail    bool
+	importDelay time.Duration
+	importFail  bool
+	// importOK, with importFail, lets that many imports succeed first —
+	// a handoff that fails part-way, leaving the imports it did make.
+	importOK      int
 	releaseFail   bool
 	snapshotDelay time.Duration
 	decisionDelay time.Duration
@@ -159,7 +163,11 @@ func newElasticStub(t *testing.T, policy string) *elasticStub {
 		if s.importDelay > 0 {
 			time.Sleep(s.importDelay)
 		}
-		if s.importFail {
+		s.mu.Lock()
+		fail := s.importFail && s.importOK <= 0
+		s.importOK--
+		s.mu.Unlock()
+		if fail {
 			http.Error(w, `{"error":"import refused by test"}`, http.StatusInternalServerError)
 			return
 		}
@@ -199,6 +207,15 @@ func newElasticStub(t *testing.T, policy string) *elasticStub {
 		}
 		s.mu.Unlock()
 		json.NewEncoder(w).Encode(resp)
+	})
+	mux.HandleFunc(server.StateContextsPath, func(w http.ResponseWriter, r *http.Request) {
+		// Every user this shard holds records for, owner or not — what a
+		// real shard's introspection reports after a failed handoff.
+		st := inspect.ContextState{Context: strings.TrimPrefix(r.URL.Path, server.StateContextsPath)}
+		for u := range s.userSet() {
+			st.Users = append(st.Users, inspect.UserState{User: u})
+		}
+		json.NewEncoder(w).Encode(st)
 	})
 	mux.HandleFunc(server.MetricsPath, func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "# HELP msod_decisions_total x\n# TYPE msod_decisions_total counter\nmsod_decisions_total 0")
@@ -579,6 +596,87 @@ func TestClusterJoinFailureLeavesDonorsAuthoritative(t *testing.T) {
 	}
 	if n := gw.ring.Size(); n != 3 {
 		t.Fatalf("ring has %d members after retried join, want 3", n)
+	}
+}
+
+// contextStateUsers asks the gateway for a context's state and returns
+// the users listed, in the order served.
+func contextStateUsers(t *testing.T, gts *httptest.Server) []string {
+	t.Helper()
+	st, err := server.NewClient(gts.URL, nil).ContextState("P=1")
+	if err != nil {
+		t.Fatalf("context state: %v", err)
+	}
+	users := make([]string, len(st.Users))
+	for i, u := range st.Users {
+		users[i] = u.User
+	}
+	return users
+}
+
+// TestClusterContextStateAfterFailedHandoff: a handoff that fails after
+// some imports leaves copies of users' history on shards that do not
+// own them — on the parked joiner after a failed join, on an active
+// recipient after a failed drain. Context state lists each user once,
+// from its ring owner, and a dead joiner awaiting removal does not fail
+// the query cluster-wide (management already ignores it).
+func TestClusterContextStateAfterFailedHandoff(t *testing.T) {
+	gw, gts, shards := newElasticCluster(t, 3, Config{FailAfter: 1})
+	users := seedUsers(t, gts, 60)
+	sort.Strings(users)
+	want := strings.Join(users, ",")
+
+	// Failed join: the first donor's users reach the joiner, the second
+	// import fails.
+	joiner := newElasticStub(t, "pol-1")
+	joiner.importFail, joiner.importOK = true, 1
+	resp := postJSON(t, gts.URL+ClusterJoinPath, ClusterMemberRequest{ID: "shard03", URL: joiner.ts.URL})
+	resp.Body.Close()
+	if last := waitHandoff(t, gw); last.Phase != PhaseFailed {
+		t.Fatalf("join ended %s, want failed", last.Phase)
+	}
+	if len(joiner.userSet()) == 0 {
+		t.Fatal("joiner imported nothing; the test needs a partly imported joiner")
+	}
+	if got := strings.Join(contextStateUsers(t, gts), ","); got != want {
+		t.Errorf("after failed join: users = %s\nwant each once: %s", got, want)
+	}
+
+	// The parked joiner dies. It owns nothing, so the query still answers.
+	joiner.ts.Close()
+	gw.Checker().CheckNow()
+	if gw.Checker().Up("shard03") {
+		t.Fatal("dead joiner still Up")
+	}
+	if got := strings.Join(contextStateUsers(t, gts), ","); got != want {
+		t.Errorf("with the dead joiner tracked: users = %s\nwant each once: %s", got, want)
+	}
+
+	// Failed drain: one active recipient imports, the next refuses.
+	for _, s := range shards[1:] {
+		s.mu.Lock()
+		s.importFail, s.importOK = true, 0
+		s.mu.Unlock()
+	}
+	shards[1].mu.Lock()
+	shards[1].importFail = false
+	shards[1].mu.Unlock()
+	resp = postJSON(t, gts.URL+ClusterDrainPath, ClusterMemberRequest{ID: "shard00"})
+	resp.Body.Close()
+	if last := waitHandoff(t, gw); last.Phase != PhaseFailed {
+		t.Fatalf("drain ended %s, want failed", last.Phase)
+	}
+	copies := 0
+	for u := range shards[1].userSet() {
+		if owner, _ := gw.ShardFor(u); owner != "shard01" {
+			copies++
+		}
+	}
+	if copies == 0 {
+		t.Fatal("no stale copies on the active recipient; the test needs a partly imported drain")
+	}
+	if got := strings.Join(contextStateUsers(t, gts), ","); got != want {
+		t.Errorf("after failed drain: users = %s\nwant each once: %s", got, want)
 	}
 }
 

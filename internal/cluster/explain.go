@@ -1,11 +1,10 @@
 package cluster
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 
 	"msod/internal/explain"
 	"msod/internal/server"
@@ -29,74 +28,19 @@ func (g *Gateway) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.metrics.explainQueries.Add(1)
-	shards := g.checker.Shards()
-	if len(shards) == 0 {
-		errorJSON(w, http.StatusServiceUnavailable, "no shards in ring")
-		return
-	}
-	for _, s := range shards {
-		if !g.checker.Up(s) {
-			g.metrics.unavailable.Add(1)
-			errorJSON(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("shard %s is down; explain requires the full cluster (the record may live on the down shard)", s))
-			return
-		}
-	}
-	type result struct {
-		shard string
-		rec   explain.Record
-		err   error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	fanCtx, cancel := timeoutContext(g.cfg.Timeout)
-	defer cancel()
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			c, _ := g.client(s)
-			rec, err := c.ExplainCtx(fanCtx, id)
-			results[i] = result{shard: s, rec: rec, err: err}
-		}(i, s)
-	}
-	wg.Wait()
-
+	hits := scatterLookup(g, w, r, lookup{
+		what:       "explain",
+		downWhy:    "the record may live on the down shard",
+		incomplete: "explain fan-out incomplete",
+		unproven:   "record absence unproven",
+		notFound:   fmt.Sprintf("no shard holds an explain record for request ID %s (rotated out of every ring, or never decided here)", id),
+	}, func(ctx context.Context, _ string, c *server.Client) (explain.Record, error) {
+		return c.ExplainCtx(ctx, id)
+	})
 	// Exactly one shard executed the decision, so at most one hit
 	// exists; misses (404) from the others are expected.
-	var transportErr error
-	var deliberate *server.APIError
-	deliberateShard := ""
-	for _, res := range results {
-		if res.err == nil {
-			w.Header().Set("X-Msod-Shard", res.shard)
-			writeJSON(w, http.StatusOK, res.rec)
-			return
-		}
-		var apiErr *server.APIError
-		switch {
-		case errors.As(res.err, &apiErr):
-			if apiErr.Status != http.StatusNotFound && deliberate == nil {
-				deliberate = apiErr
-				deliberateShard = res.shard
-			}
-		default:
-			g.checker.ReportFailure(res.shard, res.err)
-			if transportErr == nil {
-				transportErr = fmt.Errorf("shard %s: %w", res.shard, res.err)
-			}
-		}
-	}
-	switch {
-	case transportErr != nil:
-		// A shard that could hold the record did not answer: absence is
-		// unproven, so fail closed rather than report not-found.
-		g.metrics.unavailable.Add(1)
-		errorJSON(w, http.StatusBadGateway, fmt.Sprintf("explain fan-out incomplete (%v); record absence unproven", transportErr))
-	case deliberate != nil:
-		errorJSON(w, deliberate.Status, fmt.Sprintf("shard %s: %s", deliberateShard, deliberate.Message))
-	default:
-		errorJSON(w, http.StatusNotFound,
-			fmt.Sprintf("no shard holds an explain record for request ID %s (rotated out of every ring, or never decided here)", id))
+	if len(hits) > 0 {
+		w.Header().Set("X-Msod-Shard", hits[0].shard)
+		writeJSON(w, http.StatusOK, hits[0].val)
 	}
 }

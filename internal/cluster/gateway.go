@@ -258,10 +258,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("cluster: duplicate shard id %q", s.ID)
 		}
 		g.addrs[s.ID] = s.BaseURL
-		// Shed retries are off on shard clients: when a shard sheds load
-		// (503 + Retry-After), the gateway forwards the hint to the PEP
-		// instead of blocking a gateway worker on the shard's backlog.
-		g.clients[s.ID] = server.NewClient(s.BaseURL, cfg.HTTPClient, server.WithTimeout(cfg.Timeout), server.WithShedRetries(0))
+		g.clients[s.ID] = g.newShardClient(s.BaseURL)
 		state := cfg.States[s.ID] // zero value = ShardActive
 		g.states[s.ID] = state
 		// Only authoritative shards enter the ring: a restored topology
@@ -340,6 +337,14 @@ func (g *Gateway) probe(shard string) (string, error) {
 	return c.Health()
 }
 
+// newShardClient builds the deadline-bounded client for a shard at
+// baseURL. Shed retries are off on shard clients: when a shard sheds
+// load (503 + Retry-After), the gateway forwards the hint to the PEP
+// instead of blocking a gateway worker on the shard's backlog.
+func (g *Gateway) newShardClient(baseURL string) *server.Client {
+	return server.NewClient(baseURL, g.cfg.HTTPClient, server.WithTimeout(g.cfg.Timeout), server.WithShedRetries(0))
+}
+
 // client returns the current client for a shard.
 func (g *Gateway) client(shard string) (*server.Client, bool) {
 	g.mu.RLock()
@@ -359,7 +364,7 @@ func (g *Gateway) SetShardAddr(id, baseURL string) error {
 		return fmt.Errorf("cluster: unknown shard %q", id)
 	}
 	g.addrs[id] = baseURL
-	g.clients[id] = server.NewClient(baseURL, g.cfg.HTTPClient, server.WithTimeout(g.cfg.Timeout), server.WithShedRetries(0))
+	g.clients[id] = g.newShardClient(baseURL)
 	return nil
 }
 
@@ -500,33 +505,23 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 	if ok && record {
 		if reason, refuse := g.transitRefusal(key, shard, len(req.Credentials) > 0); refuse {
 			g.metrics.handoffRefusals.Add(1)
-			g.metrics.unavailable.Add(1)
-			g.logRefusal(traceID, key, shard, reason)
-			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterCeil(g.cfg.ShedRetryAfter))))
-			errorJSON(w, http.StatusServiceUnavailable, reason)
+			g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter, reason, reason)
 			return
 		}
 	}
 	ringV0 := g.ring.Version()
 	if !ok {
-		g.metrics.unavailable.Add(1)
-		g.logRefusal(traceID, key, "", "no shards in ring")
-		errorJSON(w, http.StatusServiceUnavailable, "no shards in ring")
+		g.refuse(w, traceID, key, "", http.StatusServiceUnavailable, 0, "no shards in ring", "no shards in ring")
 		return
 	}
 	if !g.checker.Up(shard) {
-		g.metrics.unavailable.Add(1)
-		g.logRefusal(traceID, key, shard, "owning shard down; failing closed")
-		errorJSON(w, http.StatusServiceUnavailable,
+		g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, 0, "owning shard down; failing closed",
 			fmt.Sprintf("shard %s (owner of user %q) is down; failing closed", shard, key))
 		return
 	}
 	if !g.breaker.Allow(shard) {
 		g.metrics.broken.Add(1)
-		g.metrics.unavailable.Add(1)
-		g.logRefusal(traceID, key, shard, "circuit breaker open; failing closed")
-		w.Header().Set("Retry-After", strconv.Itoa(int(g.breaker.RetryAfter(shard)/time.Second)))
-		errorJSON(w, http.StatusServiceUnavailable,
+		g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.breaker.RetryAfter(shard), "circuit breaker open; failing closed",
 			fmt.Sprintf("shard %s (owner of user %q) circuit open after repeated transport failures; failing closed", shard, key))
 		return
 	}
@@ -568,21 +563,17 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 			// add denials.
 			if g.resolvedInTransit(resp.User) || g.ring.Version() != ringV0 {
 				g.metrics.handoffRefusals.Add(1)
-				g.metrics.unavailable.Add(1)
-				g.logRefusal(traceID, key, shard,
-					fmt.Sprintf("answer withheld: resolved subject %q history in handoff transit", resp.User))
-				w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterCeil(g.cfg.ShedRetryAfter))))
-				errorJSON(w, http.StatusServiceUnavailable, fmt.Sprintf(
-					"user %q history is being moved between shards; withholding the answer rather than serving a partial history, retry after the hinted delay", resp.User))
+				g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
+					fmt.Sprintf("answer withheld: resolved subject %q history in handoff transit", resp.User),
+					fmt.Sprintf("user %q history is being moved between shards; withholding the answer rather than serving a partial history, retry after the hinted delay", resp.User))
 				return
 			}
 			if owner, ok := g.ring.Lookup(resp.User); resp.User == "" || !ok || owner != shard {
 				g.metrics.misrouted.Add(1)
-				g.logRefusal(traceID, key, shard,
-					fmt.Sprintf("answer withheld: shard resolved subject %q owned by %s", resp.User, owner))
-				errorJSON(w, http.StatusBadGateway, fmt.Sprintf(
-					"shard %s resolved the subject to %q (owner %s); withholding the answer: routing key %q was not the canonical subject, so the decision was evaluated against the wrong shard's history",
-					shard, resp.User, owner, key))
+				g.refuse(w, traceID, key, shard, http.StatusBadGateway, 0,
+					fmt.Sprintf("answer withheld: shard resolved subject %q owned by %s", resp.User, owner),
+					fmt.Sprintf("shard %s resolved the subject to %q (owner %s); withholding the answer: routing key %q was not the canonical subject, so the decision was evaluated against the wrong shard's history",
+						shard, resp.User, owner, key))
 				return
 			}
 			// A grant that STARTED a FirstStep-gated context instance is
@@ -597,13 +588,10 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 				g.metrics.activationFanouts.Add(1)
 				if ferr := g.fanoutActivation(ctx, shard, resp.Activated); ferr != nil {
 					g.metrics.activationWithheld.Add(1)
-					g.metrics.unavailable.Add(1)
-					g.logRefusal(traceID, key, shard,
-						fmt.Sprintf("grant withheld: context activation fan-out incomplete (%v)", ferr))
-					w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterCeil(g.cfg.ShedRetryAfter))))
-					errorJSON(w, http.StatusServiceUnavailable, fmt.Sprintf(
-						"decision started context instance(s) %v but not every shard acknowledged the activation (%v); withholding the grant fail-closed, retry after the hinted delay",
-						resp.Activated, ferr))
+					g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
+						fmt.Sprintf("grant withheld: context activation fan-out incomplete (%v)", ferr),
+						fmt.Sprintf("decision started context instance(s) %v but not every shard acknowledged the activation (%v); withholding the grant fail-closed, retry after the hinted delay",
+							resp.Activated, ferr))
 					return
 				}
 			}
@@ -627,9 +615,8 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 		g.checker.ReportFailure(shard, err)
 		g.breaker.Failure(shard)
 	}
-	g.metrics.unavailable.Add(1)
-	g.logRefusal(traceID, key, shard, fmt.Sprintf("shard unreachable (%v); failing closed", lastErr))
-	errorJSON(w, http.StatusServiceUnavailable,
+	g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, 0,
+		fmt.Sprintf("shard unreachable (%v); failing closed", lastErr),
 		fmt.Sprintf("shard %s unreachable (%v); failing closed", shard, lastErr))
 }
 
@@ -675,18 +662,26 @@ func (g *Gateway) logDecision(traceID obsv.TraceID, resp server.DecisionResponse
 		slog.Float64("seconds", elapsed.Seconds()))
 }
 
-// logRefusal emits a warning for every refusal the gateway itself
-// produced (fail-closed 503s, withheld misrouted answers) — these are
-// operational events regardless of any slow-log threshold.
-func (g *Gateway) logRefusal(traceID obsv.TraceID, key, shard, reason string) {
-	if g.cfg.Logger == nil {
-		return
+// refuse writes a refusal routeDecision itself produced — a fail-closed
+// 503 (counted in msodgw_unavailable_total) or a withheld misrouted
+// answer (502) — with the Retry-After hint when one is given, and logs
+// it as a warning: these are operational events regardless of any
+// slow-log threshold.
+func (g *Gateway) refuse(w http.ResponseWriter, traceID obsv.TraceID, key, shard string, status int, retryAfter time.Duration, reason, msg string) {
+	if status == http.StatusServiceUnavailable {
+		g.metrics.unavailable.Add(1)
 	}
-	g.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "refused",
-		slog.String("traceID", string(traceID)),
-		slog.String("user", key),
-		slog.String("shard", shard),
-		slog.String("reason", reason))
+	if g.cfg.Logger != nil {
+		g.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "refused",
+			slog.String("traceID", string(traceID)),
+			slog.String("user", key),
+			slog.String("shard", shard),
+			slog.String("reason", reason))
+	}
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(retryAfterCeil(retryAfter), 10))
+	}
+	errorJSON(w, status, msg)
 }
 
 // ManagementOutcome is one shard's result of a fanned-out management
@@ -743,38 +738,17 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 	if g.refuseDuringHandoff(w, "management") {
 		return
 	}
-	// Fan out to the authoritative shards only: a joining shard owns no
-	// users yet and a gone shard owns none anymore, so including either
-	// would fail the all-up precondition for membership that holds no
-	// history.
-	shards := g.authoritativeShards()
-	for _, s := range shards {
-		if !g.checker.Up(s) {
-			g.metrics.unavailable.Add(1)
-			errorJSON(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("shard %s is down; management requires the full cluster (a partial purge would silently keep records)", s))
-			return
-		}
+	// The authoritative shards only: a joining shard owns no users yet
+	// and a gone shard owns none anymore, so including either would fail
+	// the all-up precondition for membership that holds no history.
+	shards := g.shards(authoritative)
+	if !g.requireUp(w, shards, "management", "a partial purge would silently keep records") {
+		return
 	}
 	g.metrics.mgmtFanouts.Add(1)
-
-	type result struct {
-		shard string
-		resp  server.ManagementWireResponse
-		err   error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			c, _ := g.client(s)
-			resp, err := c.Manage(req)
-			results[i] = result{shard: s, resp: resp, err: err}
-		}(i, s)
-	}
-	wg.Wait()
+	results := scatter(r.Context(), g, shards, func(ctx context.Context, _ string, c *server.Client) (server.ManagementWireResponse, error) {
+		return c.ManageCtx(ctx, req)
+	})
 
 	var agg server.ManagementWireResponse
 	outcomes := make(map[string]ManagementOutcome, len(results))
@@ -785,26 +759,24 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 	for _, res := range results {
 		if res.err == nil {
 			outcomes[res.shard] = ManagementOutcome{
-				Applied: true, Removed: res.resp.Removed, Records: res.resp.Records,
+				Applied: true, Removed: res.val.Removed, Records: res.val.Records,
 			}
-			agg.Removed += res.resp.Removed
-			agg.Records += res.resp.Records
+			agg.Removed += res.val.Removed
+			agg.Records += res.val.Records
 			continue
 		}
 		failed++
 		if firstErr == "" {
 			firstErr = fmt.Sprintf("shard %s: %v", res.shard, res.err)
 		}
-		var apiErr *server.APIError
-		if errors.As(res.err, &apiErr) {
-			outcomes[res.shard] = ManagementOutcome{Status: apiErr.Status, Error: apiErr.Message}
+		if res.api != nil {
+			outcomes[res.shard] = ManagementOutcome{Status: res.api.Status, Error: res.api.Message}
 			if uniformStatus == 0 {
-				uniformStatus = apiErr.Status
-			} else if uniformStatus != apiErr.Status {
+				uniformStatus = res.api.Status
+			} else if uniformStatus != res.api.Status {
 				uniformStatus = -1
 			}
 		} else {
-			g.checker.ReportFailure(res.shard, res.err)
 			outcomes[res.shard] = ManagementOutcome{Error: res.err.Error()}
 			allDeliberate = false
 		}
@@ -907,27 +879,15 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if om {
 		accept = obsv.OpenMetricsContentType
 	}
-	shardIDs := g.checker.Shards()
-	ctx, cancel := timeoutContext(g.cfg.Timeout)
-	defer cancel()
-	bodies := make([][]byte, len(shardIDs))
-	var wg sync.WaitGroup
-	for i, shard := range shardIDs {
-		if !g.checker.Up(shard) {
-			continue
+	var live []string
+	for _, shard := range g.shards(tracked) {
+		if g.checker.Up(shard) {
+			live = append(live, shard)
 		}
-		wg.Add(1)
-		go func(i int, shard string) {
-			defer wg.Done()
-			body, err := g.scrapeShard(ctx, shard, accept)
-			if err != nil {
-				g.checker.ReportFailure(shard, err)
-				return
-			}
-			bodies[i] = body
-		}(i, shard)
 	}
-	wg.Wait()
+	bodies := scatter(r.Context(), g, live, func(ctx context.Context, shard string, _ *server.Client) ([]byte, error) {
+		return g.scrapeShard(ctx, shard, accept)
+	})
 
 	fams := make(map[string]*metricFamily)
 	var order []string
@@ -979,12 +939,12 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	scraped := 0
-	for i, body := range bodies {
-		if body == nil {
+	for _, body := range bodies {
+		if body.err != nil {
 			continue
 		}
 		scraped++
-		merge(string(body), shardIDs[i])
+		merge(string(body.val), body.shard)
 	}
 	// The gateway's own process identity and runtime health join the
 	// same families: its msod_go_* series merge unlabeled next to the
@@ -1014,14 +974,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if om {
 		obsv.WriteOpenMetricsEOF(w)
 	}
-}
-
-// timeoutContext bounds one gateway-originated request.
-func timeoutContext(d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return context.Background(), func() {}
-	}
-	return context.WithTimeout(context.Background(), d)
 }
 
 // scrapeShard fetches one shard's metrics body under the caller's

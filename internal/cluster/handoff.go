@@ -144,7 +144,14 @@ func (g *Gateway) handoffActive() (bool, time.Duration) {
 	return true, time.Since(g.currentHandoff.Started)
 }
 
-// runHandoff drives one handoff to completion in its own goroutine.
+// startHandoff runs the claimed handoff in its own goroutine; Close
+// cancels it through baseCtx and waits for it on handoffWG.
+func (g *Gateway) startHandoff(kind, shard string) {
+	g.handoffWG.Add(1)
+	go g.runHandoff(kind, shard)
+}
+
+// runHandoff drives one handoff to completion.
 func (g *Gateway) runHandoff(kind, shard string) {
 	defer g.handoffWG.Done()
 	ctx, cancel := context.WithTimeout(g.baseCtx, g.cfg.HandoffTimeout)

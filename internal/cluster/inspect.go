@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"msod/internal/inspect"
@@ -71,12 +70,12 @@ func (g *Gateway) handleStateUser(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleStateContext fans /v1/state/contexts/{bc} out to every shard
-// and merges the answers: a context instance spans shards whenever
-// different users act in it, so a single-shard answer would silently
-// hide participants. Like management, it requires the full cluster up —
-// a merged answer missing a down shard's users would misreport who is
-// close to a violation.
+// handleStateContext fans /v1/state/contexts/{bc} out to every
+// authoritative shard and merges the answers: a context instance spans
+// shards whenever different users act in it, so a single-shard answer
+// would silently hide participants. Like management, it requires the
+// full set up — a merged answer missing a down shard's users would
+// misreport who is close to a violation.
 func (g *Gateway) handleStateContext(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET required")
@@ -88,62 +87,46 @@ func (g *Gateway) handleStateContext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.metrics.stateQueries.Add(1)
-	shards := g.checker.Shards()
-	for _, s := range shards {
-		if !g.checker.Up(s) {
-			g.metrics.unavailable.Add(1)
-			errorJSON(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("shard %s is down; context state requires the full cluster (a partial answer would hide that shard's users)", s))
-			return
+	shards := g.shards(authoritative)
+	if !g.requireUp(w, shards, "context state", "a partial answer would hide that shard's users") {
+		return
+	}
+	results := scatter(r.Context(), g, shards, func(ctx context.Context, shard string, c *server.Client) (inspect.ContextState, error) {
+		// Each shard's slice comes from one of its replicas when a
+		// fresh one answers, so a cluster-wide query mostly reads
+		// replicas; the shard itself is only asked when its
+		// replicas cannot answer.
+		if st, ok := g.replicaContextState(ctx, shard, pattern); ok {
+			return st, nil
 		}
-	}
-	type result struct {
-		shard string
-		state inspect.ContextState
-		err   error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	fanCtx, cancel := requestTimeout(r.Context(), g.cfg.Timeout)
-	defer cancel()
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			// Each shard's slice comes from one of its replicas when a
-			// fresh one answers, so a cluster-wide query mostly reads
-			// replicas; the shard itself is only asked when its
-			// replicas cannot answer.
-			if st, ok := g.replicaContextState(fanCtx, s, pattern); ok {
-				results[i] = result{shard: s, state: st}
-				return
-			}
-			c, _ := g.client(s)
-			st, err := c.ContextState(pattern)
-			results[i] = result{shard: s, state: st, err: err}
-		}(i, s)
-	}
-	wg.Wait()
+		return c.ContextStateCtx(ctx, pattern)
+	})
 
 	merged := inspect.ContextState{Context: pattern}
 	instances := map[string]bool{}
 	for _, res := range results {
+		if res.api != nil {
+			errorJSON(w, res.api.Status, fmt.Sprintf("shard %s: %s", res.shard, res.api.Message))
+			return
+		}
 		if res.err != nil {
-			var apiErr *server.APIError
-			if errors.As(res.err, &apiErr) {
-				errorJSON(w, apiErr.Status, fmt.Sprintf("shard %s: %s", res.shard, apiErr.Message))
-				return
-			}
-			g.checker.ReportFailure(res.shard, res.err)
 			errorJSON(w, http.StatusBadGateway, fmt.Sprintf("shard %s: %v", res.shard, res.err))
 			return
 		}
-		merged.Context = res.state.Context // canonical form from the shards
-		for _, inst := range res.state.Instances {
+		merged.Context = res.val.Context // canonical form from the shards
+		for _, inst := range res.val.Instances {
 			instances[inst] = true
 		}
-		// Users never span shards, so concatenation has no duplicates.
-		merged.Users = append(merged.Users, res.state.Users...)
+		// A user's row counts only from the shard the ring names as the
+		// owner — the ownership rule the decision path's echo-check
+		// applies. A failed or unreleased handoff leaves deny-safe copies
+		// of a user's history on shards that do not own it; listing those
+		// rows too would show the user twice.
+		for _, u := range res.val.Users {
+			if owner, ok := g.ring.Lookup(u.User); ok && owner == res.shard {
+				merged.Users = append(merged.Users, u)
+			}
+		}
 	}
 	for inst := range instances {
 		merged.Instances = append(merged.Instances, inst)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync/atomic"
-	"time"
 
 	"msod/internal/inspect"
 	"msod/internal/obsv"
@@ -97,12 +96,27 @@ func forwardReplicaAnswer(w http.ResponseWriter, shard string, ans replicaAnswer
 	_, _ = w.Write(ans.body)
 }
 
-// requestTimeout bounds a replica read under the caller's context.
-func requestTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return context.WithCancel(parent)
+// askReplicas asks a shard's replicas in rotated order, under the
+// caller's context bounded by cfg.Timeout, and returns the first 200
+// whose body decodes as a T, raw and decoded. Only a 200 is ever used:
+// a replica's refusals (503 stale, 421) and errors are its own
+// business, and the owning shard remains the authority.
+func askReplicas[T any](ctx context.Context, g *Gateway, set *replicaSet, method, path string, traceID obsv.TraceID, body []byte) (replicaAnswer, T, bool) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
+	defer cancel()
+	for _, base := range set.ordered() {
+		ans, err := g.replicaDo(ctx, method, base+path, traceID, body)
+		if err != nil || ans.status != http.StatusOK {
+			continue
+		}
+		var v T
+		if json.Unmarshal(ans.body, &v) != nil {
+			continue
+		}
+		return ans, v, true
 	}
-	return context.WithTimeout(parent, d)
+	var none T
+	return replicaAnswer{}, none, false
 }
 
 // handleAdvice serves /v1/advice replica-first: when the owning shard
@@ -129,38 +143,26 @@ func (g *Gateway) handleAdvice(w http.ResponseWriter, r *http.Request) {
 	g.routeDecision(w, r, req, key, traceID, false, (*server.Client).AdviceCtx)
 }
 
-// tryReplicaAdvice asks the shard's replicas in rotated order and
-// forwards the first trustworthy 200. Only a 200 is ever forwarded:
-// a replica's refusals (503 stale, 421) and errors are its own
-// business — the owner remains the authority on every refusal, so the
-// caller sees the owner's verdict, not a replica's. The same ownership
-// echo-check as the owner path applies: an answer resolving a subject
-// the routed shard does not own is dropped, and the owner path decides
-// what that misroute means.
+// tryReplicaAdvice forwards the first trustworthy replica answer (see
+// askReplicas), so on any refusal the caller sees the owner's verdict,
+// not a replica's. The same ownership echo-check as the owner path
+// applies: an answer resolving a subject the routed shard does not own
+// is dropped, and the owner path decides what that misroute means.
 func (g *Gateway) tryReplicaAdvice(w http.ResponseWriter, r *http.Request, shard string, set *replicaSet, req server.DecisionRequest, traceID obsv.TraceID) bool {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return false
 	}
-	ctx, cancel := requestTimeout(r.Context(), g.cfg.Timeout)
-	defer cancel()
-	for _, base := range set.ordered() {
-		ans, err := g.replicaDo(ctx, http.MethodPost, base+server.AdvicePath, traceID, body)
-		if err != nil || ans.status != http.StatusOK {
-			continue
-		}
-		var resp server.DecisionResponse
-		if err := json.Unmarshal(ans.body, &resp); err != nil {
-			continue
-		}
-		if owner, ok := g.ring.Lookup(resp.User); resp.User == "" || !ok || owner != shard {
-			return false
-		}
-		g.metrics.replicaReads.Add(1)
-		forwardReplicaAnswer(w, shard, ans)
-		return true
+	ans, resp, ok := askReplicas[server.DecisionResponse](r.Context(), g, set, http.MethodPost, server.AdvicePath, traceID, body)
+	if !ok {
+		return false
 	}
-	return false
+	if owner, ok := g.ring.Lookup(resp.User); resp.User == "" || !ok || owner != shard {
+		return false
+	}
+	g.metrics.replicaReads.Add(1)
+	forwardReplicaAnswer(w, shard, ans)
+	return true
 }
 
 // tryReplicaStateUser proxies one /v1/state/users read to the shard's
@@ -170,19 +172,14 @@ func (g *Gateway) tryReplicaStateUser(w http.ResponseWriter, r *http.Request, sh
 	if set == nil {
 		return false
 	}
-	ctx, cancel := requestTimeout(r.Context(), g.cfg.Timeout)
-	defer cancel()
-	for _, base := range set.ordered() {
-		ans, err := g.replicaDo(ctx, http.MethodGet, base+server.StateUsersPath+url.PathEscape(user), "", nil)
-		if err != nil || ans.status != http.StatusOK {
-			continue
-		}
-		g.metrics.replicaReads.Add(1)
-		forwardReplicaAnswer(w, shard, ans)
-		return true
+	ans, _, ok := askReplicas[json.RawMessage](r.Context(), g, set, http.MethodGet, server.StateUsersPath+url.PathEscape(user), "", nil)
+	if !ok {
+		g.metrics.replicaFallbacks.Add(1)
+		return false
 	}
-	g.metrics.replicaFallbacks.Add(1)
-	return false
+	g.metrics.replicaReads.Add(1)
+	forwardReplicaAnswer(w, shard, ans)
+	return true
 }
 
 // replicaContextState fetches one shard's slice of a context-state
@@ -195,20 +192,13 @@ func (g *Gateway) replicaContextState(ctx context.Context, shard, pattern string
 	if set == nil {
 		return inspect.ContextState{}, false
 	}
-	for _, base := range set.ordered() {
-		ans, err := g.replicaDo(ctx, http.MethodGet, base+server.StateContextsPath+url.PathEscape(pattern), "", nil)
-		if err != nil || ans.status != http.StatusOK {
-			continue
-		}
-		var st inspect.ContextState
-		if err := json.Unmarshal(ans.body, &st); err != nil {
-			continue
-		}
-		g.metrics.replicaReads.Add(1)
-		return st, true
+	_, st, ok := askReplicas[inspect.ContextState](ctx, g, set, http.MethodGet, server.StateContextsPath+url.PathEscape(pattern), "", nil)
+	if !ok {
+		g.metrics.replicaFallbacks.Add(1)
+		return inspect.ContextState{}, false
 	}
-	g.metrics.replicaFallbacks.Add(1)
-	return inspect.ContextState{}, false
+	g.metrics.replicaReads.Add(1)
+	return st, true
 }
 
 // ReplicasFor reports the configured replica URLs for a shard (for

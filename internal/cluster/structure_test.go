@@ -1,0 +1,72 @@
+package cluster
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
+	"testing"
+)
+
+// goroutineOwners are the only functions in this package allowed to
+// contain a `go` statement, each with what stops and waits for what it
+// starts. A request fan-out is not on the list by design: it goes
+// through scatter, which owns the shard set's goroutines, the deadline
+// and the error classification once.
+var goroutineOwners = map[string]string{
+	"scatter":              "one goroutine per shard; scatter waits for all of them before returning",
+	"Gateway.handleEvents": "one /v1/events tailer per shard; each ends with the client's request context",
+	"Checker.Start":        "the periodic prober; Checker.Stop ends it",
+	"Gateway.startHandoff": "the one handoff runner; Gateway.Close cancels and waits for it",
+}
+
+// TestGoStatementsOnlyInOwners fails when a `go` statement appears in
+// non-test code outside goroutineOwners, so a seventh hand-rolled
+// fan-out loop — with its own shard set, deadline and fail-closed rule
+// to drift — cannot slip in beside scatter.
+func TestGoStatementsOnlyInOwners(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				name := fn.Name.Name
+				if fn.Recv != nil && len(fn.Recv.List) == 1 {
+					recv := fn.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if g, ok := n.(*ast.GoStmt); ok {
+						found[name] = true
+						if _, allowed := goroutineOwners[name]; !allowed {
+							t.Errorf("%s: `go` statement in %s; per-shard request fan-outs go through scatter (see scatter.go), and any other goroutine needs an owner listed in goroutineOwners",
+								fset.Position(g.Pos()), name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for name := range goroutineOwners {
+		if !found[name] {
+			t.Errorf("goroutineOwners lists %s, which no longer contains a `go` statement; drop the entry", name)
+		}
+	}
+}

@@ -1,12 +1,11 @@
 package cluster
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 
 	"msod/internal/server"
 	"msod/internal/trace"
@@ -33,91 +32,20 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.metrics.traceQueries.Add(1)
-	shards := g.checker.Shards()
-	if len(shards) == 0 {
-		errorJSON(w, http.StatusServiceUnavailable, "no shards in ring")
-		return
-	}
-	for _, s := range shards {
-		if !g.checker.Up(s) {
-			g.metrics.unavailable.Add(1)
-			errorJSON(w, http.StatusServiceUnavailable,
-				fmt.Sprintf("shard %s is down; trace assembly requires the full cluster (part of the tree may live on the down shard)", s))
-			return
-		}
-	}
-	type result struct {
-		shard string
-		rec   trace.Record
-		err   error
-	}
-	results := make([]result, len(shards))
-	var wg sync.WaitGroup
-	fanCtx, cancel := timeoutContext(g.cfg.Timeout)
-	defer cancel()
-	for i, s := range shards {
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			c, _ := g.client(s)
-			rec, err := c.TraceCtx(fanCtx, id)
-			results[i] = result{shard: s, rec: rec, err: err}
-		}(i, s)
-	}
-	wg.Wait()
-
-	var hits []result
-	var transportErr error
-	var deliberate *server.APIError
-	deliberateShard := ""
-	for _, res := range results {
-		if res.err == nil {
-			hits = append(hits, res)
-			continue
-		}
-		var apiErr *server.APIError
-		switch {
-		case errors.As(res.err, &apiErr):
-			if apiErr.Status != http.StatusNotFound && deliberate == nil {
-				deliberate = apiErr
-				deliberateShard = res.shard
-			}
-		default:
-			g.checker.ReportFailure(res.shard, res.err)
-			if transportErr == nil {
-				transportErr = fmt.Errorf("shard %s: %w", res.shard, res.err)
-			}
-		}
-	}
+	hits := scatterLookup(g, w, r, lookup{
+		what:       "trace assembly",
+		downWhy:    "part of the tree may live on the down shard",
+		incomplete: "trace fan-out incomplete",
+		unproven:   "trace absence unproven",
+		notFound:   fmt.Sprintf("no shard holds a trace for ID %s (not sampled, rotated out of every ring, or never decided here)", id),
+	}, func(ctx context.Context, _ string, c *server.Client) (trace.Record, error) {
+		return c.TraceCtx(ctx, id)
+	})
 	if len(hits) > 0 {
-		merged := make([]traceHit, len(hits))
-		for i, h := range hits {
-			merged[i] = traceHit{shard: h.shard, rec: h.rec}
-		}
-		assembled := assembleTrace(merged)
+		assembled := assembleTrace(hits)
 		w.Header().Set("X-Msod-Shard", strings.Join(assembled.Shards, ","))
 		writeJSON(w, http.StatusOK, assembled)
-		return
 	}
-	switch {
-	case transportErr != nil:
-		// A shard that could hold spans of this trace did not answer:
-		// absence is unproven, so fail closed rather than report
-		// not-found.
-		g.metrics.unavailable.Add(1)
-		errorJSON(w, http.StatusBadGateway, fmt.Sprintf("trace fan-out incomplete (%v); trace absence unproven", transportErr))
-	case deliberate != nil:
-		errorJSON(w, deliberate.Status, fmt.Sprintf("shard %s: %s", deliberateShard, deliberate.Message))
-	default:
-		errorJSON(w, http.StatusNotFound,
-			fmt.Sprintf("no shard holds a trace for ID %s (not sampled, rotated out of every ring, or never decided here)", id))
-	}
-}
-
-// traceHit is one shard's copy of (part of) a trace.
-type traceHit struct {
-	shard string
-	rec   trace.Record
 }
 
 // assembleTrace merges the span sets returned by every shard that saw
@@ -127,14 +55,14 @@ type traceHit struct {
 // the merged set is sorted by start offset so a waterfall renders in
 // execution order. In the common case exactly one shard decided and
 // the merge is the identity plus attribution.
-func assembleTrace(hits []traceHit) trace.Record {
+func assembleTrace(hits []shardResult[trace.Record]) trace.Record {
 	base := hits[0]
 	for _, h := range hits[1:] {
-		if h.rec.Time.Before(base.rec.Time) {
+		if h.val.Time.Before(base.val.Time) {
 			base = h
 		}
 	}
-	out := base.rec
+	out := base.val
 	out.Spans = nil
 	out.Shards = nil
 	seen := map[string]bool{}
@@ -145,8 +73,8 @@ func assembleTrace(hits []traceHit) trace.Record {
 		}
 		// Rebase onto the anchor's clock so spans from different
 		// shards order sensibly (modulo clock skew).
-		skew := h.rec.Time.Sub(base.rec.Time).Microseconds()
-		for _, sp := range h.rec.Spans {
+		skew := h.val.Time.Sub(base.val.Time).Microseconds()
+		for _, sp := range h.val.Spans {
 			sp.Shard = h.shard
 			sp.StartOffsetUS += skew
 			out.Spans = append(out.Spans, sp)

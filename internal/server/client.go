@@ -153,8 +153,14 @@ func (c *Client) AdviceCtx(ctx context.Context, req DecisionRequest) (DecisionRe
 
 // Manage submits a management request.
 func (c *Client) Manage(req ManagementWireRequest) (ManagementWireResponse, error) {
+	return c.ManageCtx(context.Background(), req)
+}
+
+// ManageCtx is Manage under the caller's context (the gateway fans one
+// operation out to every authoritative shard under a shared deadline).
+func (c *Client) ManageCtx(ctx context.Context, req ManagementWireRequest) (ManagementWireResponse, error) {
 	var resp ManagementWireResponse
-	if err := c.post(context.Background(), ManagementPath, req, &resp); err != nil {
+	if err := c.post(ctx, ManagementPath, req, &resp); err != nil {
 		return ManagementWireResponse{}, err
 	}
 	return resp, nil
@@ -220,8 +226,15 @@ func (c *Client) UserState(user string) (inspect.UserState, error) {
 // ContextState fetches state for a business-context pattern from
 // /v1/state/contexts.
 func (c *Client) ContextState(pattern string) (inspect.ContextState, error) {
+	return c.ContextStateCtx(context.Background(), pattern)
+}
+
+// ContextStateCtx is ContextState under the caller's context (the
+// gateway merges every authoritative shard's answer under a shared
+// deadline).
+func (c *Client) ContextStateCtx(ctx context.Context, pattern string) (inspect.ContextState, error) {
 	var out inspect.ContextState
-	err := c.get(context.Background(), StateContextsPath+url.PathEscape(pattern), &out)
+	err := c.get(ctx, StateContextsPath+url.PathEscape(pattern), &out)
 	return out, err
 }
 
