@@ -308,23 +308,6 @@ func (g *Gateway) shardState(id string) (ShardState, bool) {
 	return s, ok
 }
 
-// authoritativeShards lists the shards that own ring ranges (active or
-// draining), sorted — the fan-out set for management: joining and gone
-// shards own no history, so fanning a purge to them adds nothing and
-// requiring them up blocks administration on topology in motion.
-func (g *Gateway) authoritativeShards() []string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]string, 0, len(g.states))
-	for id, st := range g.states {
-		if st.Authoritative() {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // clusterPolicy is the policy ID the cluster runs, from the most
 // recent successful probes (empty when no shard has reported one yet).
 func (g *Gateway) clusterPolicy() string {

@@ -11,7 +11,6 @@ import (
 	"log/slog"
 	mrand "math/rand"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -1023,11 +1022,7 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msodgw_replica_fallbacks_total", "Reads with replicas configured that were answered by the owning shard instead.", g.metrics.replicaFallbacks.Load())
 	fmt.Fprintf(w, "# HELP msodgw_shard_up Shard availability (1 up, 0 down).\n# TYPE msodgw_shard_up gauge\n")
 	statuses := g.checker.Statuses()
-	ids := make([]string, 0, len(statuses))
-	for id := range statuses {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := g.shards(tracked)
 	for _, id := range ids {
 		up := 0
 		if statuses[id].State == Up {

@@ -179,7 +179,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	events := make(chan inspect.DecisionEvent, eventsFanInBuffer)
-	for _, shard := range g.checker.Shards() {
+	for _, shard := range g.shards(tracked) {
 		go g.tailShard(ctx, shard, opts, events)
 	}
 	heartbeat := time.NewTicker(15 * time.Second)
