@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -195,4 +196,56 @@ func (c *Checker) Start(interval time.Duration) {
 // Stop halts periodic probing (idempotent; safe if Start never ran).
 func (c *Checker) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
+}
+
+// handleHealth reports the gateway's own view: ok only when every
+// authoritative shard is up and all report the same policy. A shard
+// that is merely joining (or gone) owns no users, so its health cannot
+// degrade the cluster; while a handoff runs, an otherwise healthy
+// cluster reports "rebalancing" so operators see the window without
+// paging on it.
+func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
+	statuses := g.checker.Statuses()
+	overall := "ok"
+	policies := map[string]bool{}
+	type shardHealth struct {
+		State     string `json:"state"`
+		Lifecycle string `json:"lifecycle"`
+		Breaker   string `json:"breaker,omitempty"`
+		Policy    string `json:"policy,omitempty"`
+		LastErr   string `json:"lastError,omitempty"`
+		Failures  int    `json:"consecutiveFailures,omitempty"`
+	}
+	breakers := g.breaker.States()
+	shards := make(map[string]shardHealth, len(statuses))
+	for id, st := range statuses {
+		life, _ := g.shardState(id)
+		if life.Authoritative() {
+			if st.State != Up {
+				overall = "degraded"
+			}
+			if breakers[id] != BreakerClosed {
+				overall = "degraded"
+			}
+			if st.PolicyID != "" {
+				policies[st.PolicyID] = true
+			}
+		}
+		shards[id] = shardHealth{
+			State: st.State.String(), Lifecycle: life.String(),
+			Breaker: breakers[id].String(), Policy: st.PolicyID,
+			LastErr: st.LastErr, Failures: st.Consecutive,
+		}
+	}
+	if len(policies) > 1 {
+		overall = "degraded" // policy split-brain: shards disagree
+	}
+	if active, _ := g.handoffActive(); active && overall == "ok" {
+		overall = "rebalancing"
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"status": overall,
+		"role":   "gateway",
+		"shards": shards,
+	})
 }

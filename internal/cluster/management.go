@@ -1,0 +1,124 @@
+package cluster
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+
+	"msod/internal/server"
+)
+
+// ManagementOutcome is one shard's result of a fanned-out management
+// operation. The fan-out is not atomic — shards commit independently —
+// so on any failure the gateway reports exactly which shards applied
+// the operation and which did not, instead of an opaque error that
+// hides partial state from the administrator.
+type ManagementOutcome struct {
+	Applied bool   `json:"applied"`
+	Removed int    `json:"removed,omitempty"`
+	Records int    `json:"records,omitempty"`
+	Status  int    `json:"status,omitempty"` // shard's HTTP status for deliberate refusals
+	Error   string `json:"error,omitempty"`
+}
+
+// managementErrorResponse is the error payload of a failed fan-out: the
+// usual "error" field (so server.Client surfaces it as APIError.Message)
+// plus the per-shard outcomes an administrator needs to reconcile.
+type managementErrorResponse struct {
+	Error  string                       `json:"error"`
+	Shards map[string]ManagementOutcome `json:"shards"`
+}
+
+// handleManagement fans a §4.3 management operation out to every
+// shard and aggregates the results. It requires the whole cluster up
+// before starting: a purge that silently skipped a down shard would
+// leave history the administrator believes gone. That up-front check
+// races with failures during the fan-out, so any failure after it is
+// reported per shard (see ManagementOutcome) — never collapsed into an
+// error that implies nothing happened.
+func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
+		return
+	}
+	var req server.ManagementWireRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		g.metrics.badRequests.Add(1)
+		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("decode: %v", err))
+		return
+	}
+	release, admitted := g.admitCluster(w)
+	if !admitted {
+		return
+	}
+	defer release()
+	// Management holds the quiesce barrier too, so a handoff waits out
+	// in-flight fan-outs; and it is refused outright during a handoff —
+	// a purge racing the history stream could resurrect records the
+	// administrator believes gone (purged on the donor after export,
+	// reborn by the import on the recipient).
+	g.traffic.RLock()
+	defer g.traffic.RUnlock()
+	if g.refuseDuringHandoff(w, "management") {
+		return
+	}
+	// The authoritative shards only: a joining shard owns no users yet
+	// and a gone shard owns none anymore, so including either would fail
+	// the all-up precondition for membership that holds no history.
+	shards := g.shards(authoritative)
+	if !g.requireUp(w, shards, "management", "a partial purge would silently keep records") {
+		return
+	}
+	g.metrics.mgmtFanouts.Add(1)
+	results := scatter(r.Context(), g, shards, func(ctx context.Context, _ string, c *server.Client) (server.ManagementWireResponse, error) {
+		return c.ManageCtx(ctx, req)
+	})
+
+	var agg server.ManagementWireResponse
+	outcomes := make(map[string]ManagementOutcome, len(results))
+	failed := 0
+	allDeliberate := true
+	uniformStatus := 0 // -1 once refusal statuses diverge
+	var firstErr string
+	for _, res := range results {
+		if res.err == nil {
+			outcomes[res.shard] = ManagementOutcome{
+				Applied: true, Removed: res.val.Removed, Records: res.val.Records,
+			}
+			agg.Removed += res.val.Removed
+			agg.Records += res.val.Records
+			continue
+		}
+		failed++
+		if firstErr == "" {
+			firstErr = fmt.Sprintf("shard %s: %v", res.shard, res.err)
+		}
+		if res.api != nil {
+			outcomes[res.shard] = ManagementOutcome{Status: res.api.Status, Error: res.api.Message}
+			if uniformStatus == 0 {
+				uniformStatus = res.api.Status
+			} else if uniformStatus != res.api.Status {
+				uniformStatus = -1
+			}
+		} else {
+			outcomes[res.shard] = ManagementOutcome{Error: res.err.Error()}
+			allDeliberate = false
+		}
+	}
+	if failed == 0 {
+		writeJSON(w, http.StatusOK, agg)
+		return
+	}
+	status := http.StatusBadGateway
+	msg := fmt.Sprintf("management applied on %d of %d shards (%s); per-shard outcomes in \"shards\"",
+		len(results)-failed, len(results), firstErr)
+	if failed == len(results) && allDeliberate && uniformStatus > 0 {
+		// Every shard refused identically (e.g. the admin lacks the
+		// controller role): nothing was applied anywhere, so forward
+		// the shards' own verdict rather than a 502.
+		status = uniformStatus
+		msg = fmt.Sprintf("all %d shards refused (%s)", len(results), firstErr)
+	}
+	writeJSON(w, status, managementErrorResponse{Error: msg, Shards: outcomes})
+}

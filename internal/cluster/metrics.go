@@ -1,0 +1,263 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"sync/atomic"
+
+	"msod/internal/obsv"
+	"msod/internal/server"
+)
+
+// gwMetrics are the gateway's own counters, served alongside the
+// aggregated shard metrics.
+type gwMetrics struct {
+	routed      atomic.Int64 // decision/advice requests routed to a shard
+	unavailable atomic.Int64 // requests failed closed (503)
+	retries     atomic.Int64 // same-shard transport retries
+	misrouted   atomic.Int64 // answers withheld: resolved subject owned by another shard
+	broken      atomic.Int64 // requests refused by an open circuit breaker
+	badRequests atomic.Int64
+	mgmtFanouts atomic.Int64
+	// stateQueries counts /v1/state lookups (routed or fanned out);
+	// eventStreams counts /v1/events fan-in connections opened;
+	// explainQueries counts /v1/explain provenance fan-outs.
+	stateQueries   atomic.Int64
+	eventStreams   atomic.Int64
+	explainQueries atomic.Int64
+	// traceQueries counts /v1/traces assembly fan-outs.
+	traceQueries atomic.Int64
+	// replicaReads counts advisory/state answers served by a read
+	// replica; replicaFallbacks counts reads that had replicas
+	// configured but ended up answered by the owning shard.
+	replicaReads     atomic.Int64
+	replicaFallbacks atomic.Int64
+	// Handoff lifecycle counters (see handoff.go): handoffRefusals are
+	// the fail-closed 503s for in-transit users and credential-bearing
+	// requests on donors during the handoff window.
+	handoffStarted    atomic.Int64
+	handoffCompleted  atomic.Int64
+	handoffFailed     atomic.Int64
+	handoffRefusals   atomic.Int64
+	handoffUsersMoved atomic.Int64
+	// activationFanouts counts FirstStep activation fan-outs to peer
+	// shards; activationWithheld counts grants withheld fail-closed
+	// because a peer did not acknowledge the activation.
+	activationFanouts  atomic.Int64
+	activationWithheld atomic.Int64
+}
+
+// metricFamily is one metric family of the aggregated scrape: the
+// HELP/TYPE header from the first body that declared it, then every
+// body's sample lines in body order.
+type metricFamily struct {
+	header []string
+	series []string
+}
+
+// handleMetrics aggregates every live shard's /v1/metrics by
+// injecting a shard="<id>" label into each scraped series, so
+// per-shard load, latency and retained-ADI size stay visible through
+// one gateway scrape (summing across the cluster is the scraper's
+// job, and hides exactly the imbalance a sharded deployment must
+// watch). Families keep one HELP/TYPE header and stay contiguous.
+// Shards are scraped concurrently under ONE overall deadline —
+// scraping several slow shards sequentially would take shards×timeout
+// and blow a Prometheus scrape budget — and the bodies are merged in
+// shard order so the output stays deterministic. The gateway's own
+// msod_build_info / msod_uptime_seconds merge into the same families
+// (unlabelled); its msodgw_* counters follow at the end.
+func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	// The scraper's dialect is forwarded to the shards: an OpenMetrics
+	// scrape pulls exemplar-annotated histograms out of each shard, and
+	// ParseSeries carries the exemplars through the shard-label rewrite.
+	om := obsv.WantOpenMetrics(r.Header.Get("Accept"))
+	accept := ""
+	if om {
+		accept = obsv.OpenMetricsContentType
+	}
+	var live []string
+	for _, shard := range g.shards(tracked) {
+		if g.checker.Up(shard) {
+			live = append(live, shard)
+		}
+	}
+	bodies := scatter(r.Context(), g, live, func(ctx context.Context, shard string, _ *server.Client) ([]byte, error) {
+		return g.scrapeShard(ctx, shard, accept)
+	})
+
+	fams := make(map[string]*metricFamily)
+	var order []string
+	family := func(name string) *metricFamily {
+		f, ok := fams[name]
+		if !ok {
+			f = &metricFamily{}
+			fams[name] = f
+			order = append(order, name)
+		}
+		return f
+	}
+	// merge folds one exposition body in: headers claim the family for
+	// their samples (histogram _bucket/_sum/_count lines group under
+	// the family the preceding TYPE named), and every sample gains the
+	// shard label when one is given.
+	merge := func(body, shardID string) {
+		current := ""
+		for _, line := range strings.Split(body, "\n") {
+			line = strings.TrimSpace(line)
+			if line == "" {
+				continue
+			}
+			if strings.HasPrefix(line, "#") {
+				fields := strings.Fields(line)
+				if len(fields) >= 3 && (fields[1] == "HELP" || fields[1] == "TYPE") {
+					current = fields[2]
+					f := family(current)
+					if len(f.series) == 0 {
+						// Only the first body to declare the family
+						// contributes its header.
+						f.header = append(f.header, line)
+					}
+				}
+				continue
+			}
+			s, ok := obsv.ParseSeries(line)
+			if !ok {
+				continue
+			}
+			name := s.Name
+			if current != "" && (name == current || strings.HasPrefix(name, current+"_")) {
+				name = current
+			}
+			if shardID != "" {
+				s = s.WithLabel("shard", shardID)
+			}
+			family(name).series = append(family(name).series, s.String())
+		}
+	}
+	scraped := 0
+	for _, body := range bodies {
+		if body.err != nil {
+			continue
+		}
+		scraped++
+		merge(string(body.val), body.shard)
+	}
+	// The gateway's own process identity and runtime health join the
+	// same families: its msod_go_* series merge unlabeled next to the
+	// shard="..." series scraped from each shard.
+	var own strings.Builder
+	obsv.WriteBuildInfo(&own, "msodgw")
+	obsv.WriteUptime(&own, g.start)
+	g.runtime.Write(&own)
+	merge(own.String(), "")
+
+	if om {
+		w.Header().Set("Content-Type", obsv.OpenMetricsContentType)
+	} else {
+		w.Header().Set("Content-Type", obsv.TextContentType)
+	}
+	fmt.Fprintf(w, "# msodgw: aggregated over %d live shard(s); shard series carry a shard=\"<id>\" label\n", scraped)
+	for _, name := range order {
+		f := fams[name]
+		for _, h := range f.header {
+			fmt.Fprintln(w, h)
+		}
+		for _, s := range f.series {
+			fmt.Fprintln(w, s)
+		}
+	}
+	g.writeOwnMetrics(w)
+	if om {
+		obsv.WriteOpenMetricsEOF(w)
+	}
+}
+
+// scrapeShard fetches one shard's metrics body under the caller's
+// deadline, forwarding the negotiated Accept dialect when non-empty.
+func (g *Gateway) scrapeShard(ctx context.Context, shard, accept string) ([]byte, error) {
+	g.mu.RLock()
+	base := g.addrs[shard]
+	g.mu.RUnlock()
+	hc := g.cfg.HTTPClient
+	if hc == nil {
+		hc = http.DefaultClient
+	}
+	req, err := http.NewRequest(http.MethodGet, base+server.MetricsPath, nil)
+	if err != nil {
+		return nil, err
+	}
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := hc.Do(req.WithContext(ctx))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("metrics status %d", resp.StatusCode)
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// writeOwnMetrics emits the gateway's counters and per-shard gauges.
+// Each family name is a literal at the obsv call so msodvet's
+// metricname analyzer can vet naming, uniqueness and label stability.
+func (g *Gateway) writeOwnMetrics(w io.Writer) {
+	obsv.WriteCounter(w, "msodgw_routed_total", "Decision/advice requests routed to their owning shard.", g.metrics.routed.Load())
+	obsv.WriteCounter(w, "msodgw_unavailable_total", "Requests failed closed (503) because the owning shard could not answer.", g.metrics.unavailable.Load())
+	obsv.WriteCounter(w, "msodgw_retries_total", "Same-shard transport retries.", g.metrics.retries.Load())
+	obsv.WriteCounter(w, "msodgw_misrouted_total", "Answers withheld because the shard resolved a subject another shard owns.", g.metrics.misrouted.Load())
+	obsv.WriteCounter(w, "msodgw_bad_requests_total", "Requests rejected before routing (bad input, no subject).", g.metrics.badRequests.Load())
+	obsv.WriteCounter(w, "msodgw_management_fanouts_total", "Management operations fanned out to all shards.", g.metrics.mgmtFanouts.Load())
+	obsv.WriteCounter(w, "msodgw_state_queries_total", "Introspection state lookups served (routed or fanned out).", g.metrics.stateQueries.Load())
+	obsv.WriteCounter(w, "msodgw_event_streams_total", "Decision event fan-in streams opened.", g.metrics.eventStreams.Load())
+	obsv.WriteCounter(w, "msodgw_explain_queries_total", "Decision provenance (/v1/explain) queries fanned out to the cluster.", g.metrics.explainQueries.Load())
+	obsv.WriteCounter(w, "msodgw_trace_queries_total", "Trace assembly (/v1/traces) queries fanned out to the cluster.", g.metrics.traceQueries.Load())
+	obsv.WriteCounter(w, "msodgw_breaker_refused_total", "Requests refused by an open circuit breaker (also counted in msodgw_unavailable_total).", g.metrics.broken.Load())
+	obsv.WriteCounter(w, "msodgw_replica_reads_total", "Advisory/state reads served by a shard's read replica.", g.metrics.replicaReads.Load())
+	obsv.WriteCounter(w, "msodgw_replica_fallbacks_total", "Reads with replicas configured that were answered by the owning shard instead.", g.metrics.replicaFallbacks.Load())
+	fmt.Fprintf(w, "# HELP msodgw_shard_up Shard availability (1 up, 0 down).\n# TYPE msodgw_shard_up gauge\n")
+	statuses := g.checker.Statuses()
+	ids := g.shards(tracked)
+	for _, id := range ids {
+		up := 0
+		if statuses[id].State == Up {
+			up = 1
+		}
+		fmt.Fprintf(w, "msodgw_shard_up{shard=%q} %d\n", id, up)
+	}
+	fmt.Fprintf(w, "# HELP msodgw_breaker_state Per-shard circuit state (0 closed, 1 half-open, 2 open).\n# TYPE msodgw_breaker_state gauge\n")
+	states := g.breaker.States()
+	for _, id := range ids {
+		fmt.Fprintf(w, "msodgw_breaker_state{shard=%q} %d\n", id, states[id].GaugeValue())
+	}
+	obsv.WriteGauge(w, "msodgw_ring_epoch", "Ring membership changes applied since gateway boot.", float64(g.epoch.Load()))
+	obsv.WriteGauge(w, "msodgw_ring_members", "Authoritative shards currently on the hash ring.", float64(g.ring.Size()))
+	fmt.Fprintf(w, "# HELP msodgw_ring_shard_state Per-shard lifecycle (0 active, 1 joining, 2 syncing, 3 draining, 4 gone).\n# TYPE msodgw_ring_shard_state gauge\n")
+	for _, id := range ids {
+		life, _ := g.shardState(id)
+		fmt.Fprintf(w, "msodgw_ring_shard_state{shard=%q} %d\n", id, life.GaugeValue())
+	}
+	obsv.WriteGauge(w, "msodgw_admission_capacity", "Cluster-wide admission pool capacity (0 = unbounded).", float64(g.admission.Capacity()))
+	obsv.WriteGauge(w, "msodgw_admission_inflight", "Requests currently holding a cluster admission token.", float64(g.admission.Inflight()))
+	obsv.WriteCounter(w, "msodgw_admission_shed_total", "Requests shed because the cluster admission pool was exhausted.", g.admission.Shed())
+	active, age := 0.0, 0.0
+	if on, dur := g.handoffActive(); on {
+		active = 1
+		age = dur.Seconds()
+	}
+	obsv.WriteGauge(w, "msod_handoff_active", "Whether a membership handoff is in progress (0/1).", active)
+	obsv.WriteGauge(w, "msod_handoff_age_seconds", "Age of the in-progress handoff (0 when idle); alert when it exceeds the handoff timeout.", age)
+	obsv.WriteCounter(w, "msod_handoff_started_total", "Membership handoffs started (join and drain).", g.metrics.handoffStarted.Load())
+	obsv.WriteCounter(w, "msod_handoff_completed_total", "Membership handoffs completed through cutover.", g.metrics.handoffCompleted.Load())
+	obsv.WriteCounter(w, "msod_handoff_failed_total", "Membership handoffs aborted before cutover (donor stays authoritative).", g.metrics.handoffFailed.Load())
+	obsv.WriteCounter(w, "msod_handoff_refusals_total", "Decisions refused fail-closed during a handoff window (in-transit users, donor credentials, withheld answers).", g.metrics.handoffRefusals.Load())
+	obsv.WriteCounter(w, "msod_handoff_users_moved_total", "Users whose retained-ADI history was streamed to a new owner.", g.metrics.handoffUsersMoved.Load())
+	obsv.WriteCounter(w, "msodgw_ctx_activation_fanouts_total", "FirstStep context activations fanned out to peer shards before acking the grant.", g.metrics.activationFanouts.Load())
+	obsv.WriteCounter(w, "msodgw_ctx_activation_withheld_total", "Grants withheld fail-closed because a peer shard did not acknowledge a context activation.", g.metrics.activationWithheld.Load())
+}

@@ -1,0 +1,313 @@
+package cluster
+
+import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
+	mrand "math/rand"
+	"net/http"
+	"strconv"
+	"time"
+
+	"msod/internal/obsv"
+	"msod/internal/server"
+)
+
+// routingKey extracts the user identity a request routes by: the
+// pre-validated User, or the holder the credentials assert. The key is
+// a HINT, not the authority on the subject — when credentials are
+// present the shard's CVS (and identity linker) resolves the canonical
+// user itself and may disagree with an unvalidated Holder, a forged
+// leading credential, or an unlinked alias. handleRouted therefore
+// verifies after the fact that the subject the shard actually resolved
+// is owned by the routed shard, and withholds the answer otherwise.
+func routingKey(req server.DecisionRequest) string {
+	if req.User != "" {
+		return req.User
+	}
+	for _, c := range req.Credentials {
+		if c.Holder != "" {
+			return c.Holder
+		}
+	}
+	return ""
+}
+
+// newRequestID mints the idempotency ID attached to a decision before
+// its first send, so every retry reaches the shard under the same ID
+// and the decision commits at most once.
+func newRequestID() string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "" // no entropy: send without idempotency rather than fail
+	}
+	return hex.EncodeToString(b[:])
+}
+
+// handleRouted serves /v1/decision and /v1/advice: route to the owning
+// shard, retry transport errors against that same shard only, and fail
+// closed when the shard cannot answer. Re-routing is deliberately
+// impossible: serving user U from a second shard would evaluate MSoD
+// against a partial retained ADI and could grant what a complete
+// history denies.
+//
+// Two guards make the routing trustworthy:
+//
+//   - Ownership echo-check: the routing key is only a hint (see
+//     routingKey); the shard's CVS may resolve the credentials to a
+//     different canonical user. If the resolved subject in the
+//     response is not owned by the routed shard, the answer is
+//     withheld with a 502 — forwarding it would hand out a decision
+//     evaluated against the wrong shard's (partial) history. The
+//     stray evaluation can only over-count on a shard that never
+//     serves that user, which is deny-safe; the owner's retained ADI
+//     is untouched and the grant never reaches the PEP.
+//
+//   - Idempotent retries: decision requests (record=true) are stamped
+//     with a RequestID before the first send, so a retry after a
+//     timeout that struck post-commit replays the shard's committed
+//     response instead of double-recording ADI history.
+func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request, record bool, call func(*server.Client, context.Context, server.DecisionRequest) (server.DecisionResponse, error)) {
+	req, key, traceID, ok := g.admitRouted(w, r)
+	if !ok {
+		return
+	}
+	g.routeDecision(w, r, req, key, traceID, record, call)
+}
+
+// admitRouted performs the shared request admission for the routed
+// paths: method check, decode, routing-key extraction, and trace
+// adoption. A false return means the refusal has been written.
+func (g *Gateway) admitRouted(w http.ResponseWriter, r *http.Request) (server.DecisionRequest, string, obsv.TraceID, bool) {
+	if r.Method != http.MethodPost {
+		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
+		return server.DecisionRequest{}, "", "", false
+	}
+	var req server.DecisionRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		g.metrics.badRequests.Add(1)
+		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("decode: %v", err))
+		return server.DecisionRequest{}, "", "", false
+	}
+	key := routingKey(req)
+	if key == "" {
+		g.metrics.badRequests.Add(1)
+		errorJSON(w, http.StatusBadRequest, "request has no routable subject (user or credential holder)")
+		return server.DecisionRequest{}, "", "", false
+	}
+	// The gateway is where the trace is born: adopt the PEP's
+	// traceparent or mint one, and reuse the same trace (and so the
+	// same ID) across every retry — all attempts of one decision
+	// correlate under one key, and the shard stamps it into the
+	// DecisionResponse and the audit-trail record.
+	traceID, ok := obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader))
+	if !ok {
+		traceID = obsv.NewTraceID()
+	}
+	return req, key, traceID, true
+}
+
+// routeDecision is the owner-routed tail of handleRouted: everything
+// after admission, from ring lookup through retries to the response.
+func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req server.DecisionRequest, key string, traceID obsv.TraceID, record bool, call func(*server.Client, context.Context, server.DecisionRequest) (server.DecisionResponse, error)) {
+	trace := obsv.NewTrace(traceID)
+	ctx := obsv.WithTrace(r.Context(), trace)
+	start := time.Now()
+	release, admitted := g.admitCluster(w)
+	if !admitted {
+		return
+	}
+	defer release()
+	// The read side of the quiesce barrier: held for the request's full
+	// duration (retries included), so a handoff that has raised its
+	// transit marks can wait out every request admitted before them.
+	// The handoff-window checks below run AFTER this acquisition — a
+	// request that slept on the barrier re-reads the marks it missed.
+	g.traffic.RLock()
+	defer g.traffic.RUnlock()
+	shard, ok := g.ring.Lookup(key)
+	if ok && record {
+		if reason, refuse := g.transitRefusal(key, shard, len(req.Credentials) > 0); refuse {
+			g.metrics.handoffRefusals.Add(1)
+			g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter, reason, reason)
+			return
+		}
+	}
+	ringV0 := g.ring.Version()
+	if !ok {
+		g.refuse(w, traceID, key, "", http.StatusServiceUnavailable, 0, "no shards in ring", "no shards in ring")
+		return
+	}
+	if !g.checker.Up(shard) {
+		g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, 0, "owning shard down; failing closed",
+			fmt.Sprintf("shard %s (owner of user %q) is down; failing closed", shard, key))
+		return
+	}
+	if !g.breaker.Allow(shard) {
+		g.metrics.broken.Add(1)
+		g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.breaker.RetryAfter(shard), "circuit breaker open; failing closed",
+			fmt.Sprintf("shard %s (owner of user %q) circuit open after repeated transport failures; failing closed", shard, key))
+		return
+	}
+	client, _ := g.client(shard)
+	g.metrics.routed.Add(1)
+	if record && req.RequestID == "" {
+		req.RequestID = newRequestID()
+	}
+
+	var lastErr error
+	backoff := g.cfg.RetryBackoff
+	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
+		if attempt > 0 {
+			g.metrics.retries.Add(1)
+			// Context-aware, jittered backoff: a dead client connection
+			// stops retrying immediately, and the ±25% jitter keeps a
+			// recovering shard from being hit by a synchronized wave of
+			// retries from every waiting request.
+			if !sleepContext(ctx, jitterBackoff(backoff)) {
+				break
+			}
+			backoff *= 2
+			if !g.checker.Up(shard) || g.breaker.State(shard) == BreakerOpen {
+				break // went down while we backed off; stop hammering
+			}
+		}
+		resp, err := call(client, ctx, req)
+		if err == nil {
+			g.breaker.Success(shard)
+			// Handoff defense-in-depth: the routing-key check above could
+			// not see the subject the shard's CVS actually resolved. If
+			// THAT user is in transit — or the ring moved underneath the
+			// call — the shard may have answered from history that is
+			// mid-copy, so the answer is withheld fail-closed. Advisories
+			// are withheld too: a post-cutover release could be purging
+			// the donor's copy while it evaluates. Any record
+			// the shard committed stays deny-safe: the import replaces the
+			// donor's copy wholesale, and a stray copy elsewhere can only
+			// add denials.
+			if g.resolvedInTransit(resp.User) || g.ring.Version() != ringV0 {
+				g.metrics.handoffRefusals.Add(1)
+				g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
+					fmt.Sprintf("answer withheld: resolved subject %q history in handoff transit", resp.User),
+					fmt.Sprintf("user %q history is being moved between shards; withholding the answer rather than serving a partial history, retry after the hinted delay", resp.User))
+				return
+			}
+			if owner, ok := g.ring.Lookup(resp.User); resp.User == "" || !ok || owner != shard {
+				g.metrics.misrouted.Add(1)
+				g.refuse(w, traceID, key, shard, http.StatusBadGateway, 0,
+					fmt.Sprintf("answer withheld: shard resolved subject %q owned by %s", resp.User, owner),
+					fmt.Sprintf("shard %s resolved the subject to %q (owner %s); withholding the answer: routing key %q was not the canonical subject, so the decision was evaluated against the wrong shard's history",
+						shard, resp.User, owner, key))
+				return
+			}
+			// A grant that STARTED a FirstStep-gated context instance is
+			// acked only after every tracked peer shard has been told the
+			// instance is running (see activation.go): a peer that missed
+			// the activation would treat the instance as not started and
+			// grant its users' later operations unrecorded — under-counted
+			// history, a false grant. A failed fan-out withholds the ack
+			// fail-closed; the shard's committed opening record and any
+			// partial markers only ever add denials.
+			if record && len(resp.Activated) > 0 {
+				g.metrics.activationFanouts.Add(1)
+				if ferr := g.fanoutActivation(ctx, shard, resp.Activated); ferr != nil {
+					g.metrics.activationWithheld.Add(1)
+					g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
+						fmt.Sprintf("grant withheld: context activation fan-out incomplete (%v)", ferr),
+						fmt.Sprintf("decision started context instance(s) %v but not every shard acknowledged the activation (%v); withholding the grant fail-closed, retry after the hinted delay",
+							resp.Activated, ferr))
+					return
+				}
+			}
+			g.logDecision(traceID, resp, shard, attempt, time.Since(start))
+			writeJSON(w, http.StatusOK, resp)
+			return
+		}
+		var apiErr *server.APIError
+		if errors.As(err, &apiErr) {
+			// The shard answered deliberately (bad context, no subject,
+			// forbidden, shedding): forward its verdict — including any
+			// Retry-After hint — and do not retry.
+			g.breaker.Success(shard)
+			if apiErr.RetryAfter > 0 {
+				w.Header().Set("Retry-After", strconv.Itoa(int(apiErr.RetryAfter/time.Second)))
+			}
+			errorJSON(w, apiErr.Status, apiErr.Message)
+			return
+		}
+		lastErr = err
+		g.checker.ReportFailure(shard, err)
+		g.breaker.Failure(shard)
+	}
+	g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, 0,
+		fmt.Sprintf("shard unreachable (%v); failing closed", lastErr),
+		fmt.Sprintf("shard %s unreachable (%v); failing closed", shard, lastErr))
+}
+
+// jitterBackoff spreads one backoff delay uniformly over ±25%, so
+// retries from many concurrent requests against the same recovering
+// shard don't land as one synchronized wave.
+func jitterBackoff(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	return d*3/4 + time.Duration(mrand.Int63n(int64(d)/2+1))
+}
+
+// sleepContext waits out d unless the context ends first, reporting
+// whether the full wait completed.
+func sleepContext(ctx context.Context, d time.Duration) bool {
+	if d <= 0 {
+		return ctx.Err() == nil
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+// logDecision emits the structured per-decision line when the
+// decision was at least SlowLog slow (a zero threshold logs all).
+func (g *Gateway) logDecision(traceID obsv.TraceID, resp server.DecisionResponse, shard string, attempt int, elapsed time.Duration) {
+	if g.cfg.Logger == nil || elapsed < g.cfg.SlowLog {
+		return
+	}
+	g.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "decision",
+		slog.String("traceID", string(traceID)),
+		slog.String("shard", shard),
+		slog.String("user", resp.User),
+		slog.Bool("allowed", resp.Allowed),
+		slog.String("phase", resp.Phase),
+		slog.Int("attempts", attempt+1),
+		slog.Float64("seconds", elapsed.Seconds()))
+}
+
+// refuse writes a refusal routeDecision itself produced — a fail-closed
+// 503 (counted in msodgw_unavailable_total) or a withheld misrouted
+// answer (502) — with the Retry-After hint when one is given, and logs
+// it as a warning: these are operational events regardless of any
+// slow-log threshold.
+func (g *Gateway) refuse(w http.ResponseWriter, traceID obsv.TraceID, key, shard string, status int, retryAfter time.Duration, reason, msg string) {
+	if status == http.StatusServiceUnavailable {
+		g.metrics.unavailable.Add(1)
+	}
+	if g.cfg.Logger != nil {
+		g.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "refused",
+			slog.String("traceID", string(traceID)),
+			slog.String("user", key),
+			slog.String("shard", shard),
+			slog.String("reason", reason))
+	}
+	if retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(retryAfterCeil(retryAfter), 10))
+	}
+	errorJSON(w, status, msg)
+}
