@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench fuzz experiments cluster chaos elastic replica examples lint clean
+.PHONY: all build test test-race cover bench benchmark-check fuzz experiments cluster chaos elastic replica examples lint clean
 
 all: build test
 
@@ -21,6 +21,15 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# benchmark/ is its own module, so `go build ./... && go test ./...`
+# neither compiles nor tests it: this is what catches a change to the
+# packages it imports (internal/cluster, server, pdp, ...) breaking the
+# BENCHMARK.json gate. The smoke run drives every workload end to end
+# at a scaled-down size and checks every decision against the oracle.
+benchmark-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -smoke
 
 # Short fuzz pass over every fuzz target (seeds always run under `make test`).
 fuzz:
