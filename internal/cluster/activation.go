@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"msod/internal/server"
@@ -44,13 +45,7 @@ import (
 // activation is deny-safe but the PEP must not see the ack until the
 // whole cluster agrees the instance started).
 func (g *Gateway) fanoutActivation(ctx context.Context, answered string, contexts []string) error {
-	peers := g.shards(serving)
-	for i, id := range peers {
-		if id == answered {
-			peers = append(peers[:i], peers[i+1:]...)
-			break
-		}
-	}
+	peers := slices.DeleteFunc(g.shards(serving), func(id string) bool { return id == answered })
 	for _, res := range scatter(ctx, g, peers, func(ctx context.Context, _ string, c *server.Client) (server.ActivationResponse, error) {
 		return c.Activate(ctx, contexts)
 	}) {

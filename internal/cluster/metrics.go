@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -79,12 +80,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if om {
 		accept = obsv.OpenMetricsContentType
 	}
-	var live []string
-	for _, shard := range g.shards(tracked) {
-		if g.checker.Up(shard) {
-			live = append(live, shard)
-		}
-	}
+	live := slices.DeleteFunc(g.shards(tracked), func(s string) bool { return !g.checker.Up(s) })
 	bodies := scatter(r.Context(), g, live, func(ctx context.Context, shard string, _ *server.Client) ([]byte, error) {
 		return g.scrapeShard(ctx, shard, accept)
 	})

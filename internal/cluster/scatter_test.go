@@ -166,9 +166,8 @@ func TestScatterCallerCancellation(t *testing.T) {
 }
 
 // TestFanoutsHonourCallerCancellation drives the same property through
-// the handlers that used to mint a detached deadline (explain, traces,
-// metrics) or pass none (management, context state): a client that
-// hangs up stops the shard calls made on its behalf.
+// every handler that fans out: a client that hangs up stops the shard
+// calls made on its behalf.
 func TestFanoutsHonourCallerCancellation(t *testing.T) {
 	for _, tc := range []struct{ name, method, path, body string }{
 		{"explain", http.MethodGet, server.ExplainPath + "req-1", ""},
