@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench benchmark-check fuzz experiments cluster chaos elastic replica examples lint clean
+.PHONY: all build test test-race cover bench benchmark-check fuzz experiments chaos elastic replica examples lint clean
 
 all: build test
 
@@ -41,10 +41,6 @@ fuzz:
 # Regenerate every EXPERIMENTS.md table.
 experiments:
 	$(GO) run ./cmd/msodbench
-
-# Cluster-scale throughput experiment (sharded gateway, E16).
-cluster:
-	$(GO) run ./cmd/msodbench -e E16
 
 # Full fault-injection torture: power-loss crash-recovery schedules,
 # chaotic transport, overload shedding, degraded read-only mode.

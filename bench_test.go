@@ -13,7 +13,6 @@ import (
 	"net/http/httptest"
 
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +21,6 @@ import (
 	"msod/internal/audit"
 	"msod/internal/bctx"
 	"msod/internal/bertino"
-	"msod/internal/cluster"
 	"msod/internal/core"
 	"msod/internal/vo"
 	"msod/internal/workflow"
@@ -430,88 +428,6 @@ func BenchmarkE13Overhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkE14Striped compares the globally locked engine against the
-// striped engine + sharded store under RunParallel.
-func BenchmarkE14Striped(b *testing.B) {
-	pol := workload.BankPolicy()
-	pol.LastStep = nil
-	for _, cfg := range []struct {
-		name  string
-		store adi.Recorder
-		opts  []core.Option
-	}{
-		{"global", adi.NewStore(), nil},
-		{"striped", adi.NewShardedStore(16), []core.Option{core.WithStriping(16)}},
-	} {
-		eng, err := core.NewEngine(cfg.store, []core.Policy{pol}, cfg.opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(cfg.name, func(b *testing.B) {
-			b.RunParallel(func(pb *testing.PB) {
-				gen := workload.NewBank(workload.BankConfig{
-					Seed: 71, Users: 64, Branches: 8, Periods: 2, AuditorFraction: 0.3,
-				})
-				for pb.Next() {
-					if _, err := eng.Evaluate(gen.Next()); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkE16Cluster measures gateway-routed decisions against a
-// 4-shard in-process cluster under RunParallel (the E16 harness's
-// memory-ADI configuration, as a testing.B target).
-func BenchmarkE16Cluster(b *testing.B) {
-	pol, err := msod.ParsePolicy(benchPolicyXML())
-	if err != nil {
-		b.Fatal(err)
-	}
-	shards := make([]cluster.Shard, 4)
-	for i := range shards {
-		p, err := msod.NewPDP(msod.PDPConfig{Policy: pol})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(msod.NewServer(p))
-		defer ts.Close()
-		shards[i] = cluster.Shard{ID: fmt.Sprintf("shard%02d", i), BaseURL: ts.URL}
-	}
-	gw, err := cluster.New(cluster.Config{Shards: shards})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer gw.Close()
-	gwSrv := httptest.NewServer(gw)
-	defer gwSrv.Close()
-
-	var seq atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		client := msod.NewClient(gwSrv.URL)
-		gen := workload.NewBank(workload.BankConfig{
-			Seed: 100 + seq.Add(1), Users: 512, Branches: 8, Periods: 2,
-			AuditorFraction: 0.3, Zipf: true,
-		})
-		for pb.Next() {
-			r := gen.Next()
-			roles := make([]string, len(r.Roles))
-			for i, role := range r.Roles {
-				roles[i] = string(role)
-			}
-			if _, err := client.Decision(msod.DecisionRequest{
-				User: string(r.User), Roles: roles,
-				Operation: string(r.Operation), Target: string(r.Target),
-				Context: r.Context.String(),
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // remoteAdvisor adapts a server client to the PEP's Decider and

@@ -2,24 +2,22 @@
 //
 // Usage:
 //
-//	msodbench                        # run every experiment (E1..E17)
-//	msodbench -e E3                  # run one experiment
-//	msodbench -e E1,E4               # run a subset
-//	msodbench -list                  # list experiments
-//	msodbench -json out/             # also write machine-readable BENCH_<ID>.json files
-//	msodbench -trajectory BENCH_6.json  # bundle the run into one checked-in trajectory point
+//	msodbench          # run every experiment
+//	msodbench -e E3    # run one experiment
+//	msodbench -e E1,E4 # run a subset
+//	msodbench -list    # list experiments
 //
 // Scenario experiments (E1–E3, E11, E12) assert the paper's expected
 // outcomes and fail loudly on any mismatch; timing experiments report
 // machine-dependent numbers whose *shape* is what EXPERIMENTS.md
-// discusses.
+// discusses. Performance under load is not measured here: see
+// benchmark/ and BENCHMARK.json.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"msod/internal/bench"
@@ -27,10 +25,8 @@ import (
 
 func main() {
 	var (
-		exps       = flag.String("e", "", "comma-separated experiment IDs (default: all)")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		jsonDir    = flag.String("json", "", "also write BENCH_<ID>.json reports to this directory")
-		trajectory = flag.String("trajectory", "", "bundle the selected experiments' reports into this single JSON file (one checked-in perf trajectory point, e.g. BENCH_6.json)")
+		exps = flag.String("e", "", "comma-separated experiment IDs (default: all)")
+		list = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
 
@@ -57,7 +53,6 @@ func main() {
 	}
 
 	failed := 0
-	var tables []*bench.Table
 	for _, e := range selected {
 		tbl, err := e.Run()
 		if err != nil {
@@ -69,26 +64,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "msodbench: render %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		tables = append(tables, tbl)
-		if *jsonDir != "" {
-			path, err := tbl.WriteJSONFile(*jsonDir)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "msodbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "msodbench: wrote %s\n", path)
-		}
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "msodbench: %d experiment(s) failed\n", failed)
 		os.Exit(1)
-	}
-	if *trajectory != "" {
-		label := strings.TrimSuffix(filepath.Base(*trajectory), ".json")
-		if err := bench.WriteTrajectoryFile(*trajectory, label, tables); err != nil {
-			fmt.Fprintf(os.Stderr, "msodbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "msodbench: wrote %s\n", *trajectory)
 	}
 }

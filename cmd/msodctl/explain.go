@@ -6,7 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"msod"
+	"msod/internal/explain"
+	"msod/internal/server"
 )
 
 // cmdExplain fetches and renders one decision's provenance record
@@ -28,7 +29,7 @@ func cmdExplain(args []string) error {
 	if *rid == "" {
 		return fmt.Errorf("explain: -request <requestID> is required (a decision response's requestID field)")
 	}
-	client := msod.NewClient(*srv, msod.WithClientTimeout(*timeout))
+	client := server.NewClient(*srv, nil, server.WithTimeout(*timeout))
 	rec, err := client.Explain(*rid)
 	if err != nil {
 		return err
@@ -41,7 +42,7 @@ func cmdExplain(args []string) error {
 }
 
 // printExplain renders a provenance record for humans.
-func printExplain(rec msod.ExplainRecord) {
+func printExplain(rec explain.Record) {
 	fmt.Printf("%s user=%s op=%s target=%s ctx=%q\n",
 		strings.ToUpper(rec.Outcome), rec.User, rec.Operation, rec.Target, rec.Context)
 	fmt.Printf("  request %s  trace %s\n", rec.RequestID, rec.TraceID)
@@ -75,7 +76,7 @@ func printExplain(rec msod.ExplainRecord) {
 }
 
 // formatRuleEval renders one rule evaluation with its k-of-m movement.
-func formatRuleEval(ev msod.ExplainRuleEval) string {
+func formatRuleEval(ev explain.RuleEval) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%s] %s @ %q (policy %s): k %d -> %d of m %d",
 		ev.Kind, ev.Rule, ev.Bound, ev.Policy, ev.K, ev.KAfter, ev.M)

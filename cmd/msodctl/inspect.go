@@ -12,7 +12,8 @@ import (
 	"syscall"
 	"time"
 
-	"msod"
+	"msod/internal/inspect"
+	"msod/internal/server"
 )
 
 // cmdTail follows the decision event stream of a PDP or gateway
@@ -31,21 +32,21 @@ func cmdTail(args []string) error {
 
 	// Validate the filter locally for an immediate error message instead
 	// of a stream-open failure.
-	if _, err := msod.NewEventFilter(*user, *ctxPat, *outcome); err != nil {
+	if _, err := inspect.NewFilter(*user, *ctxPat, *outcome); err != nil {
 		return fmt.Errorf("tail: %w", err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	client := msod.NewClient(*srv)
+	client := server.NewClient(*srv, nil)
 	enc := json.NewEncoder(os.Stdout)
 	// FollowEvents reconnects dropped streams with sequence resume, so
 	// a server restart or network blip no longer silently skips the
 	// events published while the tail was down. Only an unrecoverable
 	// gap (events rotated past the server's retained ring) ends the
 	// command, with an explanation rather than a quiet hole.
-	err := client.FollowEvents(ctx, msod.FollowEventsOptions{
+	err := client.FollowEvents(ctx, server.FollowEventsOptions{
 		User: *user, Context: *ctxPat, Outcome: *outcome, Replay: *replay,
-	}, func(ev msod.DecisionEvent) error {
+	}, func(ev inspect.DecisionEvent) error {
 		if *jsonOut {
 			return enc.Encode(ev)
 		}
@@ -55,14 +56,14 @@ func cmdTail(args []string) error {
 	switch {
 	case errors.Is(err, context.Canceled):
 		return nil // interrupted: a clean exit for a follow command
-	case errors.Is(err, msod.ErrEventGap):
+	case errors.Is(err, server.ErrEventGap):
 		return fmt.Errorf("tail: the stream could not resume where it left off — events were dropped while disconnected and have rotated out of the server's retained ring: %w (re-run tail to rejoin live)", err)
 	}
 	return err
 }
 
 // formatEvent renders one decision event as a human-readable line.
-func formatEvent(ev msod.DecisionEvent) string {
+func formatEvent(ev inspect.DecisionEvent) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %-5s user=%s", ev.Time.Format(time.RFC3339), strings.ToUpper(ev.Effect), ev.User)
 	if len(ev.Roles) > 0 {
@@ -105,7 +106,7 @@ func cmdState(args []string) error {
 	if (*user == "") == (*ctxPat == "") {
 		return fmt.Errorf("state: exactly one of -user or -context is required")
 	}
-	client := msod.NewClient(*srv, msod.WithClientTimeout(*timeout))
+	client := server.NewClient(*srv, nil, server.WithTimeout(*timeout))
 
 	if *user != "" {
 		st, err := client.UserState(*user)
@@ -142,7 +143,7 @@ func printJSON(v any) error {
 }
 
 // printUserState renders one user's records and constraint progress.
-func printUserState(st msod.UserStateView, indent string) {
+func printUserState(st inspect.UserState, indent string) {
 	fmt.Printf("%suser %s: %d retained record(s), %d tracked constraint(s)\n",
 		indent, st.User, len(st.Records), len(st.Constraints))
 	for _, rec := range st.Records {

@@ -68,7 +68,11 @@ import (
 	"strings"
 	"time"
 
-	"msod"
+	"msod/internal/audit"
+	"msod/internal/pdp"
+	"msod/internal/policy"
+	"msod/internal/policycheck"
+	"msod/internal/server"
 )
 
 func main() {
@@ -133,7 +137,7 @@ func cmdLint(args []string) error {
 	}
 	// Full verification: declaration lint, the semantic model check, and
 	// the document's msod:ignore suppressions.
-	res, err := msod.VerifyPolicySource(raw)
+	res, err := policycheck.CheckSource(raw, policycheck.Config{})
 	if err != nil {
 		return err
 	}
@@ -170,7 +174,7 @@ func cmdValidate(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := msod.ParsePolicy(raw)
+	pol, err := policy.ParseRBACPolicy(raw)
 	if err != nil {
 		return err
 	}
@@ -211,7 +215,7 @@ func cmdVerifyTrail(args []string) error {
 	if err != nil {
 		return err
 	}
-	r, err := msod.NewAuditReader(*dir, []byte(strings.TrimSpace(string(key))))
+	r, err := audit.NewReader(*dir, []byte(strings.TrimSpace(string(key))))
 	if err != nil {
 		return err
 	}
@@ -243,12 +247,12 @@ func cmdReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	pol, err := msod.ParsePolicy(raw)
+	pol, err := policy.ParseRBACPolicy(raw)
 	if err != nil {
 		return err
 	}
-	rc := msod.RecoveryConfig{
-		Mode:         msod.RecoverFromTrail,
+	rc := pdp.RecoveryConfig{
+		Mode:         pdp.RecoverFromTrail,
 		TrailDir:     *dir,
 		TrailKey:     []byte(strings.TrimSpace(string(key))),
 		LastSegments: *lastN,
@@ -261,7 +265,7 @@ func cmdReplay(args []string) error {
 		rc.Since = t
 	}
 	start := time.Now()
-	store, stats, err := msod.Recover(pol, rc)
+	store, stats, err := pdp.Recover(pol, rc)
 	if err != nil {
 		return err
 	}
@@ -285,8 +289,8 @@ func cmdDecide(args []string) error {
 	timeout := fs.Duration("timeout", 10*time.Second, "request deadline (0 disables)")
 	fs.Parse(args)
 
-	client := msod.NewClient(*srv, msod.WithClientTimeout(*timeout))
-	wire := msod.DecisionRequest{
+	client := server.NewClient(*srv, nil, server.WithTimeout(*timeout))
+	wire := server.DecisionRequest{
 		RequestID: *reqID,
 		User:      *user,
 		Roles:     splitList(*roles),
@@ -295,7 +299,7 @@ func cmdDecide(args []string) error {
 		Context:   *ctx,
 	}
 	var (
-		resp msod.DecisionResponse
+		resp server.DecisionResponse
 		err  error
 	)
 	if *advise {
@@ -335,7 +339,7 @@ func cmdManage(args []string) error {
 	timeout := fs.Duration("timeout", 10*time.Second, "request deadline (0 disables)")
 	fs.Parse(args)
 
-	wire := msod.ManagementWireRequest{
+	wire := server.ManagementWireRequest{
 		User: *user, Roles: splitList(*roles), Operation: *op,
 		ContextPattern: *pattern, TargetUser: *targetUser,
 	}
@@ -346,7 +350,7 @@ func cmdManage(args []string) error {
 		}
 		wire.Before = &t
 	}
-	client := msod.NewClient(*srv, msod.WithClientTimeout(*timeout))
+	client := server.NewClient(*srv, nil, server.WithTimeout(*timeout))
 	res, err := client.Manage(wire)
 	if err != nil {
 		return err
@@ -360,7 +364,7 @@ func cmdHealth(args []string) error {
 	srv := fs.String("server", "http://127.0.0.1:8443", "PDP base URL")
 	timeout := fs.Duration("timeout", 10*time.Second, "request deadline (0 disables)")
 	fs.Parse(args)
-	client := msod.NewClient(*srv, msod.WithClientTimeout(*timeout))
+	client := server.NewClient(*srv, nil, server.WithTimeout(*timeout))
 	id, err := client.Health()
 	if err != nil {
 		return err

@@ -7,7 +7,12 @@ import (
 	"reflect"
 	"testing"
 
-	"msod"
+	"msod/internal/audit"
+	"msod/internal/bctx"
+	"msod/internal/pdp"
+	"msod/internal/policy"
+	"msod/internal/rbac"
+	"msod/internal/server"
 )
 
 func TestSplitList(t *testing.T) {
@@ -107,11 +112,11 @@ func TestCmdVerifyTrail(t *testing.T) {
 		t.Fatal(err)
 	}
 	trailDir := filepath.Join(dir, "trail")
-	w, err := msod.NewAuditWriter(trailDir, []byte("trail-key"), 0)
+	w, err := audit.NewWriter(trailDir, []byte("trail-key"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(msod.AuditEvent{User: "u", Operation: "op", Target: "t",
+	if _, err := w.Append(audit.Event{User: "u", Operation: "op", Target: "t",
 		Context: "A=1", Effect: "grant"}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,22 +145,22 @@ func TestCmdReplay(t *testing.T) {
 
 	// Build a trail by running a PDP.
 	trailDir := filepath.Join(dir, "trail")
-	w, err := msod.NewAuditWriter(trailDir, []byte("k"), 0)
+	w, err := audit.NewWriter(trailDir, []byte("k"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol, err := msod.ParsePolicy([]byte(ctlPolicyXML))
+	pol, err := policy.ParseRBACPolicy([]byte(ctlPolicyXML))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := msod.NewPDP(msod.PDPConfig{Policy: pol, Trail: w})
+	p, err := pdp.New(pdp.Config{Policy: pol, Trail: w})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decide(msod.Request{
-		User: "alice", Roles: []msod.RoleName{"Teller"},
+	if _, err := p.Decide(pdp.Request{
+		User: "alice", Roles: []rbac.RoleName{"Teller"},
 		Operation: "HandleCash", Target: "till",
-		Context: msod.MustContext("Branch=York, Period=2006"),
+		Context: bctx.MustParse("Branch=York, Period=2006"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,15 +180,15 @@ func TestCmdReplay(t *testing.T) {
 }
 
 func TestCmdDecideManageHealth(t *testing.T) {
-	pol, err := msod.ParsePolicy([]byte(ctlPolicyXML))
+	pol, err := policy.ParseRBACPolicy([]byte(ctlPolicyXML))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := msod.NewPDP(msod.PDPConfig{Policy: pol})
+	p, err := pdp.New(pdp.Config{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(msod.NewServer(p))
+	ts := httptest.NewServer(server.New(p))
 	t.Cleanup(ts.Close)
 
 	if err := cmdHealth([]string{"-server", ts.URL}); err != nil {

@@ -7,7 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"msod"
+	"msod/internal/server"
+	"msod/internal/trace"
 )
 
 // cmdTrace fetches a tail-sampled decision's span tree and renders it
@@ -31,7 +32,7 @@ func cmdTrace(args []string) error {
 	if *tid == "" {
 		return fmt.Errorf("trace: -trace <traceID> is required (a decision response's traceID field or a metric exemplar)")
 	}
-	client := msod.NewClient(*srv, msod.WithClientTimeout(*timeout))
+	client := server.NewClient(*srv, nil, server.WithTimeout(*timeout))
 	rec, err := client.Trace(*tid)
 	if err != nil {
 		return err
@@ -48,7 +49,7 @@ const barWidth = 32
 
 // printTrace renders a sampled trace for humans: envelope first, then
 // the span waterfall in execution order.
-func printTrace(rec msod.TraceRecord) {
+func printTrace(rec trace.Record) {
 	fmt.Printf("%s user=%s op=%s target=%s ctx=%q\n",
 		strings.ToUpper(rec.Outcome), rec.User, rec.Operation, rec.Target, rec.Context)
 	fmt.Printf("  trace %s", rec.TraceID)
@@ -72,7 +73,7 @@ func printTrace(rec msod.TraceRecord) {
 		return
 	}
 
-	spans := make([]msod.TraceSpan, len(rec.Spans))
+	spans := make([]trace.Span, len(rec.Spans))
 	copy(spans, rec.Spans)
 	sort.SliceStable(spans, func(i, j int) bool {
 		return spans[i].StartOffsetUS < spans[j].StartOffsetUS
@@ -115,8 +116,8 @@ func printTrace(rec msod.TraceRecord) {
 // spanDepth computes how deep a span nests by walking its parent
 // chain. Names can repeat across shards, so the walk is bounded by
 // the span count to stay safe against accidental cycles.
-func spanDepth(spans []msod.TraceSpan, sp msod.TraceSpan) int {
-	byName := make(map[string]msod.TraceSpan, len(spans))
+func spanDepth(spans []trace.Span, sp trace.Span) int {
+	byName := make(map[string]trace.Span, len(spans))
 	for _, s := range spans {
 		if _, ok := byName[s.Name]; !ok {
 			byName[s.Name] = s
@@ -139,7 +140,7 @@ func spanDepth(spans []msod.TraceSpan, sp msod.TraceSpan) int {
 // window as a fixed-width bar: dots for idle time, '=' while the span
 // ran. Every span gets at least one '=' so instantaneous spans stay
 // visible.
-func timelineBar(sp msod.TraceSpan, minStart, window int64) string {
+func timelineBar(sp trace.Span, minStart, window int64) string {
 	start := int((sp.StartOffsetUS - minStart) * barWidth / window)
 	width := int(int64(sp.DurationSeconds*1e6) * barWidth / window)
 	if width < 1 {

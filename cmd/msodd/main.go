@@ -63,8 +63,16 @@ import (
 	"syscall"
 	"time"
 
-	"msod"
+	"msod/internal/adi"
+	"msod/internal/audit"
+	"msod/internal/inspect"
 	"msod/internal/obsv"
+	"msod/internal/pdp"
+	"msod/internal/policy"
+	"msod/internal/policycheck"
+	"msod/internal/replica"
+	"msod/internal/server"
+	"msod/internal/trace"
 )
 
 // options are the parsed command-line settings.
@@ -165,13 +173,13 @@ func parseFlags(args []string) (*options, error) {
 // document's msod:ignore suppressions — and error-severity findings
 // refuse the policy (fail closed); the outcome lands in status when one
 // is supplied.
-func loadPolicy(path string, verify bool, status *msod.PolicyVerificationStatus, logf func(format string, args ...any)) (*msod.Policy, error) {
+func loadPolicy(path string, verify bool, status *server.VerificationStatus, logf func(format string, args ...any)) (*policy.RBACPolicy, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("read policy: %w", err)
 	}
 	if verify {
-		res, err := msod.VerifyPolicySource(raw)
+		res, err := policycheck.CheckSource(raw, policycheck.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("parse policy: %w", err)
 		}
@@ -186,12 +194,12 @@ func loadPolicy(path string, verify bool, status *msod.PolicyVerificationStatus,
 		}
 		return res.Policy, nil
 	}
-	pol, err := msod.ParsePolicy(raw)
+	pol, err := policy.ParseRBACPolicy(raw)
 	if err != nil {
 		return nil, fmt.Errorf("parse policy: %w", err)
 	}
 	// Surface lint findings; they do not block.
-	if findings, err := msod.LintPolicy(pol); err == nil {
+	if findings, err := policy.Lint(pol); err == nil {
 		for _, f := range findings {
 			logf("msodd: policy %s", f)
 		}
@@ -202,35 +210,35 @@ func loadPolicy(path string, verify bool, status *msod.PolicyVerificationStatus,
 // deps are the long-lived runtime dependencies a PDP is built over;
 // they survive policy hot-reloads.
 type deps struct {
-	store msod.ADIRecorder
-	trail *msod.AuditWriter
+	store adi.Recorder
+	trail *audit.Writer
 	// trailKey is retained for the audit-chain sentinel, which verifies
 	// the same trail the writer appends to.
 	trailKey []byte
 	// broker fans decision events out to /v1/events subscribers; it is
 	// always on and carries over policy reloads so subscribers keep
 	// their stream.
-	broker *msod.EventBroker
+	broker *inspect.Broker
 	// sentinel, when enabled, continuously verifies the audit chain.
-	sentinel *msod.AuditSentinel
+	sentinel *inspect.Sentinel
 	// verify, when -verify-policies is on, carries the latest boot-gate
 	// outcome to the server's health and metrics surfaces across
 	// reloads.
-	verify *msod.PolicyVerificationStatus
+	verify *server.VerificationStatus
 }
 
 // observer adapts the broker to the PDP's Observer hook.
-func (d *deps) observer() func(msod.DecisionEvent) {
-	return func(ev msod.DecisionEvent) { d.broker.Publish(ev) }
+func (d *deps) observer() func(inspect.DecisionEvent) {
+	return func(ev inspect.DecisionEvent) { d.broker.Publish(ev) }
 }
 
 // buildPDP assembles the PDP from options, returning the reusable
 // dependencies and a cleanup function that flushes stores and trails on
 // shutdown.
-func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *deps, func(), error) {
-	var verifyStatus *msod.PolicyVerificationStatus
+func buildPDP(o *options, logf func(format string, args ...any)) (*pdp.PDP, *deps, func(), error) {
+	var verifyStatus *server.VerificationStatus
 	if o.verifyPolicies {
-		verifyStatus = &msod.PolicyVerificationStatus{}
+		verifyStatus = &server.VerificationStatus{}
 	}
 	pol, err := loadPolicy(o.policyPath, o.verifyPolicies, verifyStatus, logf)
 	if err != nil {
@@ -243,7 +251,7 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 			cleanups[i]()
 		}
 	}
-	fail := func(err error) (*msod.PDP, *deps, func(), error) {
+	fail := func(err error) (*pdp.PDP, *deps, func(), error) {
 		cleanup()
 		return nil, nil, nil, err
 	}
@@ -257,7 +265,7 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 		trailKey = []byte(strings.TrimSpace(string(k)))
 	}
 
-	cfg := msod.PDPConfig{Policy: pol}
+	cfg := pdp.Config{Policy: pol}
 
 	if o.adiDir != "" {
 		if o.adiSecret == "" {
@@ -267,7 +275,7 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 		if err != nil {
 			return fail(fmt.Errorf("read ADI secret: %w", err))
 		}
-		ds, err := msod.OpenDurableADI(o.adiDir, secret, o.adiSync)
+		ds, err := adi.OpenDurable(o.adiDir, secret, o.adiSync)
 		if err != nil {
 			return fail(fmt.Errorf("open durable ADI: %w", err))
 		}
@@ -288,8 +296,8 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 			if o.trailDir == "" || len(trailKey) == 0 {
 				return fail(errors.New("-recover trail needs -trail and -trail-key-file"))
 			}
-			store, stats, err := msod.Recover(pol, msod.RecoveryConfig{
-				Mode: msod.RecoverFromTrail, TrailDir: o.trailDir, TrailKey: trailKey,
+			store, stats, err := pdp.Recover(pol, pdp.RecoveryConfig{
+				Mode: pdp.RecoverFromTrail, TrailDir: o.trailDir, TrailKey: trailKey,
 			})
 			if err != nil {
 				return fail(fmt.Errorf("trail recovery: %w", err))
@@ -305,12 +313,12 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 			if err != nil {
 				return fail(fmt.Errorf("read snapshot secret: %w", err))
 			}
-			snap, err := msod.NewADISecureStore(o.snapPath, secret)
+			snap, err := adi.NewSecureStore(o.snapPath, secret)
 			if err != nil {
 				return fail(fmt.Errorf("open snapshot: %w", err))
 			}
-			store, stats, err := msod.Recover(pol, msod.RecoveryConfig{
-				Mode: msod.RecoverFromSnapshot, Snapshot: snap,
+			store, stats, err := pdp.Recover(pol, pdp.RecoveryConfig{
+				Mode: pdp.RecoverFromSnapshot, Snapshot: snap,
 			})
 			if err != nil {
 				return fail(fmt.Errorf("snapshot recovery: %w", err))
@@ -326,7 +334,7 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 		if len(trailKey) == 0 {
 			return fail(errors.New("-trail needs -trail-key-file"))
 		}
-		w, err := msod.NewAuditWriter(o.trailDir, trailKey, o.segSize)
+		w, err := audit.NewWriter(o.trailDir, trailKey, o.segSize)
 		if err != nil {
 			return fail(fmt.Errorf("open trail: %w", err))
 		}
@@ -340,17 +348,17 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 
 	if cfg.Store == nil {
 		// Pin the store so policy hot-reloads keep the same history.
-		cfg.Store = msod.NewADIStore()
+		cfg.Store = adi.NewStore()
 	}
 	d := &deps{
 		store:    cfg.Store,
 		trail:    cfg.Trail,
 		trailKey: trailKey,
-		broker:   msod.NewEventBroker(0),
+		broker:   inspect.NewBroker(0),
 		verify:   verifyStatus,
 	}
 	cfg.Observer = d.observer()
-	p, err := msod.NewPDP(cfg)
+	p, err := pdp.New(cfg)
 	if err != nil {
 		return fail(fmt.Errorf("build PDP: %w", err))
 	}
@@ -362,12 +370,12 @@ func buildPDP(o *options, logf func(format string, args ...any)) (*msod.PDP, *de
 // ADI carries over, so history-dependent decisions are unaffected by
 // the policy swap (and a changed MSoD set applies to the existing
 // history immediately, as §5.2's restart semantics do).
-func reloadPDP(o *options, d *deps, logf func(format string, args ...any)) (*msod.PDP, error) {
+func reloadPDP(o *options, d *deps, logf func(format string, args ...any)) (*pdp.PDP, error) {
 	pol, err := loadPolicy(o.policyPath, o.verifyPolicies, d.verify, logf)
 	if err != nil {
 		return nil, err
 	}
-	return msod.NewPDP(msod.PDPConfig{
+	return pdp.New(pdp.Config{
 		Policy: pol, Store: d.store, Trail: d.trail, Observer: d.observer(),
 	})
 }
@@ -401,18 +409,18 @@ func serve(ctx context.Context, ln net.Listener, handler http.Handler, logf func
 // serverOptions assembles the server options shared by the initial
 // build and every SIGHUP reload: slow-decision logging and, when the
 // durable ADI is in use, its recovery-time and disk-usage gauges.
-func serverOptions(o *options, d *deps, logger *slog.Logger) []msod.ServerOption {
-	opts := []msod.ServerOption{msod.WithServerEventBroker(d.broker)}
+func serverOptions(o *options, d *deps, logger *slog.Logger) []server.Option {
+	opts := []server.Option{server.WithEventBroker(d.broker)}
 	if d.verify != nil {
-		opts = append(opts, msod.WithServerPolicyVerification(d.verify))
+		opts = append(opts, server.WithPolicyVerification(d.verify))
 	}
 	if o.explainCapacity != 0 {
-		opts = append(opts, msod.WithServerExplainCapacity(o.explainCapacity))
+		opts = append(opts, server.WithExplainCapacity(o.explainCapacity))
 	}
 	if o.traceCapacity >= 0 {
 		// One trace store per process: built here (not per reload) so
 		// retained span trees survive SIGHUP policy reloads.
-		opts = append(opts, msod.WithServerTraceStore(msod.NewTraceStore(msod.TraceStoreConfig{
+		opts = append(opts, server.WithTraceStore(trace.NewStore(trace.Config{
 			Capacity:      o.traceCapacity,
 			SampleEvery:   o.traceSample,
 			SlowThreshold: o.traceSlow,
@@ -421,28 +429,28 @@ func serverOptions(o *options, d *deps, logger *slog.Logger) []msod.ServerOption
 	if o.sloLatencyP99 > 0 {
 		// One SLO tracker per process: built here (not per reload) so the
 		// error-budget window survives SIGHUP policy reloads.
-		opts = append(opts, msod.WithServerSLO(msod.NewSLO(msod.SLOConfig{
+		opts = append(opts, server.WithSLO(obsv.NewSLO(obsv.SLOConfig{
 			Goal: o.sloGoal, Latency: o.sloLatencyP99, Window: o.sloWindow,
 		})))
 	}
 	if d.sentinel != nil {
-		opts = append(opts, msod.WithServerSentinel(d.sentinel, o.sentinelFailClosed))
+		opts = append(opts, server.WithSentinel(d.sentinel, o.sentinelFailClosed))
 	}
 	if o.slowLog > 0 {
-		opts = append(opts, msod.WithDecisionLog(logger, o.slowLog))
+		opts = append(opts, server.WithDecisionLog(logger, o.slowLog))
 	}
 	if o.maxInFlight > 0 {
-		opts = append(opts, msod.WithServerAdmissionLimit(o.maxInFlight, o.shedRetryAfter))
+		opts = append(opts, server.WithAdmissionLimit(o.maxInFlight, o.shedRetryAfter))
 	}
 	if o.handoff {
-		opts = append(opts, msod.WithServerHandoff())
+		opts = append(opts, server.WithHandoff())
 	}
-	if ds, ok := d.store.(*msod.ADIDurableStore); ok {
+	if ds, ok := d.store.(*adi.DurableStore); ok {
 		opts = append(opts,
-			msod.WithServerGauge("msod_adi_recovery_seconds",
+			server.WithGauge("msod_adi_recovery_seconds",
 				"Time spent recovering the durable retained ADI at startup.",
 				func() float64 { return ds.RecoveryDuration().Seconds() }),
-			msod.WithServerGauge("msod_adi_durable_bytes",
+			server.WithGauge("msod_adi_durable_bytes",
 				"On-disk size of the durable retained ADI (snapshot + WAL).",
 				func() float64 { return float64(ds.DiskUsage()) }),
 		)
@@ -477,7 +485,7 @@ func main() {
 		if o.trailDir == "" || len(d.trailKey) == 0 {
 			fatalf("msodd: -sentinel-interval needs -trail and -trail-key-file")
 		}
-		sent, err := msod.NewAuditSentinel(msod.AuditSentinelConfig{
+		sent, err := inspect.NewSentinel(inspect.SentinelConfig{
 			Dir: o.trailDir, Key: d.trailKey, Interval: o.sentinelInterval, Logger: logger,
 		})
 		if err != nil {
@@ -491,8 +499,8 @@ func main() {
 	}
 
 	srvOpts := serverOptions(o, d, logger)
-	var cur atomic.Pointer[msod.Server]
-	cur.Store(msod.NewServer(p, srvOpts...))
+	var cur atomic.Pointer[server.Server]
+	cur.Store(server.New(p, srvOpts...))
 
 	if o.pprofAddr != "" {
 		addr, warn, err := obsv.SanitizePprofAddr(o.pprofAddr, o.pprofAllowRemote)
@@ -526,7 +534,7 @@ func main() {
 				logf("msodd: policy reload failed, keeping previous: %v", err)
 				continue
 			}
-			cur.Store(msod.NewServer(np, srvOpts...))
+			cur.Store(server.New(np, srvOpts...))
 			logf("msodd: policy %q reloaded", np.PolicyID())
 		}
 	}()
@@ -557,7 +565,7 @@ func runReplica(o *options, logger *slog.Logger, logf func(string, ...any), fata
 	if err != nil {
 		fatalf("msodd: %v", err)
 	}
-	f, err := msod.NewReplicaFollower(msod.ReplicaConfig{
+	f, err := replica.New(replica.Config{
 		Owner:        o.replicaOf,
 		Policy:       pol,
 		MaxStaleness: o.maxStaleness,
@@ -584,7 +592,7 @@ func runReplica(o *options, logger *slog.Logger, logf func(string, ...any), fata
 	if err != nil {
 		fatalf("msodd: listen: %v", err)
 	}
-	if err := serve(ctx, ln, msod.NewReplicaServer(f), logf); err != nil {
+	if err := serve(ctx, ln, replica.NewServer(f), logf); err != nil {
 		fatalf("msodd: %v", err)
 	}
 }

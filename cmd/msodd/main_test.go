@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"msod"
+	"msod/internal/bctx"
+	"msod/internal/pdp"
+	"msod/internal/rbac"
+	"msod/internal/server"
 )
 
 const dPolicyXML = `
@@ -79,10 +82,10 @@ func TestBuildPDPVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decide(msod.Request{
-		User: "alice", Roles: []msod.RoleName{"Teller"},
+	if _, err := p.Decide(pdp.Request{
+		User: "alice", Roles: []rbac.RoleName{"Teller"},
 		Operation: "HandleCash", Target: "till",
-		Context: msod.MustContext("Branch=York, Period=2006"),
+		Context: bctx.MustParse("Branch=York, Period=2006"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +96,10 @@ func TestBuildPDPVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := p.Decide(msod.Request{
-		User: "alice", Roles: []msod.RoleName{"Auditor"},
+	dec, err := p.Decide(pdp.Request{
+		User: "alice", Roles: []rbac.RoleName{"Auditor"},
 		Operation: "Audit", Target: "ledger",
-		Context: msod.MustContext("Branch=York, Period=2006"),
+		Context: bctx.MustParse("Branch=York, Period=2006"),
 	})
 	if err != nil || dec.Allowed {
 		t.Fatalf("recovered msodd PDP lost history: %+v, %v", dec, err)
@@ -110,10 +113,10 @@ func TestBuildPDPVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decide(msod.Request{
-		User: "bob", Roles: []msod.RoleName{"Teller"},
+	if _, err := p.Decide(pdp.Request{
+		User: "bob", Roles: []rbac.RoleName{"Teller"},
 		Operation: "HandleCash", Target: "till",
-		Context: msod.MustContext("Branch=York, Period=2007"),
+		Context: bctx.MustParse("Branch=York, Period=2007"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +159,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	defer cleanup()
 
-	var cur atomic.Pointer[msod.Server]
-	cur.Store(msod.NewServer(p))
+	var cur atomic.Pointer[server.Server]
+	cur.Store(server.New(p))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +172,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	})
 	go func() { done <- serve(ctx, ln, handler, discardLog) }()
 
-	client := msod.NewClient("http://" + ln.Addr().String())
+	client := server.NewClient("http://"+ln.Addr().String(), nil)
 	deadline := time.Now().Add(5 * time.Second)
 	var id string
 	for {
@@ -182,7 +185,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil || id != "msodd-test" {
 		t.Fatalf("health = %q, %v", id, err)
 	}
-	resp, err := client.Decision(msod.DecisionRequest{
+	resp, err := client.Decision(server.DecisionRequest{
 		User: "alice", Roles: []string{"Teller"},
 		Operation: "HandleCash", Target: "till",
 		Context: "Branch=York, Period=2006",
@@ -220,10 +223,10 @@ func TestReloadPDPKeepsHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cleanup()
-	if _, err := p.Decide(msod.Request{
-		User: "alice", Roles: []msod.RoleName{"Teller"},
+	if _, err := p.Decide(pdp.Request{
+		User: "alice", Roles: []rbac.RoleName{"Teller"},
 		Operation: "HandleCash", Target: "till",
-		Context: msod.MustContext("Branch=York, Period=2006"),
+		Context: bctx.MustParse("Branch=York, Period=2006"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +236,10 @@ func TestReloadPDPKeepsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := p2.Decide(msod.Request{
-		User: "alice", Roles: []msod.RoleName{"Auditor"},
+	dec, err := p2.Decide(pdp.Request{
+		User: "alice", Roles: []rbac.RoleName{"Auditor"},
 		Operation: "Audit", Target: "ledger",
-		Context: msod.MustContext("Branch=York, Period=2006"),
+		Context: bctx.MustParse("Branch=York, Period=2006"),
 	})
 	if err != nil || dec.Allowed {
 		t.Fatalf("reload lost history: %+v, %v", dec, err)
@@ -250,10 +253,10 @@ func TestReloadPDPKeepsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err = p3.Decide(msod.Request{
-		User: "alice", Roles: []msod.RoleName{"Auditor"},
+	dec, err = p3.Decide(pdp.Request{
+		User: "alice", Roles: []rbac.RoleName{"Auditor"},
 		Operation: "Audit", Target: "ledger",
-		Context: msod.MustContext("Branch=York, Period=2006"),
+		Context: bctx.MustParse("Branch=York, Period=2006"),
 	})
 	if err != nil || !dec.Allowed {
 		t.Fatalf("constraint-free reload still denies: %+v, %v", dec, err)
@@ -301,7 +304,7 @@ func TestVerifyPoliciesGate(t *testing.T) {
 
 	// A clean policy passes the gate and publishes its outcome.
 	clean := writeFile(t, dir, "clean.xml", dPolicyXML)
-	status := &msod.PolicyVerificationStatus{}
+	status := &server.VerificationStatus{}
 	pol, err := loadPolicy(clean, true, status, discardLog)
 	if err != nil {
 		t.Fatalf("gated load of a clean policy refused: %v", err)

@@ -1,0 +1,80 @@
+package msod_test
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// daemonForbidden are the packages that exist for the experiments, the
+// baselines and the fault suites. A daemon that links one of them ships
+// a simulator to production; the usual way in is importing the root
+// msod facade, which re-exports the workflow API for library users.
+var daemonForbidden = []string{
+	"msod/internal/bench",
+	"msod/internal/bertino",
+	"msod/internal/vo",
+	"msod/internal/workflow",
+	"msod/internal/workload",
+	"msod/internal/fault",
+}
+
+// TestDaemonsLinkOnlyWhatTheyServe walks the non-test import graph of
+// each shipped daemon and of msodctl, and fails when the closure
+// reaches a forbidden package, naming the import chain.
+func TestDaemonsLinkOnlyWhatTheyServe(t *testing.T) {
+	for _, cmd := range []string{"msod/cmd/msodd", "msod/cmd/msodgw", "msod/cmd/msodctl"} {
+		via := map[string]string{cmd: ""} // package -> its first importer
+		for queue := []string{cmd}; len(queue) > 0; queue = queue[1:] {
+			pkg := queue[0]
+			for _, imp := range moduleImports(t, pkg) {
+				if _, seen := via[imp]; !seen {
+					via[imp] = pkg
+					queue = append(queue, imp)
+				}
+			}
+		}
+		for _, bad := range daemonForbidden {
+			if _, linked := via[bad]; !linked {
+				continue
+			}
+			chain := bad
+			for p := via[bad]; p != ""; p = via[p] {
+				chain = p + " -> " + chain
+			}
+			t.Errorf("%s links %s: %s", cmd, bad, chain)
+		}
+	}
+}
+
+// moduleImports returns the in-module packages that pkg's non-test
+// files import. Paths are module paths ("msod" is the repository root).
+func moduleImports(t *testing.T, pkg string) []string {
+	t.Helper()
+	dir := path.Join(".", strings.TrimPrefix(pkg, "msod"))
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatalf("%s: %v", pkg, err)
+	}
+	var out []string
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, spec := range f.Imports {
+				imp, err := strconv.Unquote(spec.Path.Value)
+				if err != nil {
+					t.Fatalf("%s: import %s: %v", pkg, spec.Path.Value, err)
+				}
+				if imp == "msod" || strings.HasPrefix(imp, "msod/") {
+					out = append(out, imp)
+				}
+			}
+		}
+	}
+	return out
+}

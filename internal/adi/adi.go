@@ -12,9 +12,11 @@
 //  5. business context instance, and
 //  6. time/date of the grant decision.
 //
-// Two implementations are provided: Store, indexed by user ID (the
-// production form), and LinearStore, an unindexed scan used as the
-// ablation baseline in experiment E4. Both satisfy Recorder.
+// Store, indexed by user ID, is the one in-memory implementation the
+// daemons run, and DurableStore puts a write-ahead log under it.
+// LinearStore, an unindexed scan, is the ablation baseline of
+// experiment E4 and the reference the tests compare Store against.
+// All three satisfy Recorder.
 package adi
 
 import (

@@ -9,9 +9,9 @@ import (
 
 // Browser is the read-only introspection surface of a retained-ADI
 // store: enough to enumerate who holds history in which context
-// instances without exposing any mutation path. All four store
-// implementations (Store, LinearStore, ShardedStore, DurableStore)
-// satisfy it; internal/inspect builds the /v1/state API on top.
+// instances without exposing any mutation path. All three store
+// implementations (Store, LinearStore, DurableStore) satisfy it;
+// internal/inspect builds the /v1/state API on top.
 type Browser interface {
 	// UserRecords returns copies of the user's records whose context
 	// instance falls within pattern, in insertion order.
@@ -26,7 +26,6 @@ type Browser interface {
 var (
 	_ Browser = (*Store)(nil)
 	_ Browser = (*LinearStore)(nil)
-	_ Browser = (*ShardedStore)(nil)
 	_ Browser = (*DurableStore)(nil)
 )
 
@@ -101,40 +100,6 @@ func (s *LinearStore) UserIDs() []rbac.UserID {
 	return out
 }
 
-// UserRecords implements Browser on the user's shard.
-func (s *ShardedStore) UserRecords(user rbac.UserID, pattern bctx.Name) []Record {
-	return s.shardFor(user).UserRecords(user, pattern)
-}
-
-// Instances implements Browser as the deduplicated union of every
-// shard's instances (an instance spans shards when different users act
-// in it).
-func (s *ShardedStore) Instances() []bctx.Name {
-	seen := make(map[string]bool)
-	var out []bctx.Name
-	for _, shard := range s.shards {
-		for _, n := range shard.Instances() {
-			if key := n.Key(); !seen[key] {
-				seen[key] = true
-				out = append(out, n)
-			}
-		}
-	}
-	sortInstances(out)
-	return out
-}
-
-// UserIDs implements Browser (user buckets never span shards, so the
-// concatenation has no duplicates).
-func (s *ShardedStore) UserIDs() []rbac.UserID {
-	var out []rbac.UserID
-	for _, shard := range s.shards {
-		out = append(out, shard.UserIDs()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // UserRecords implements Browser.
 func (ds *DurableStore) UserRecords(user rbac.UserID, pattern bctx.Name) []Record {
 	return ds.mem.UserRecords(user, pattern)
@@ -147,9 +112,8 @@ func (ds *DurableStore) Instances() []bctx.Name { return ds.mem.Instances() }
 func (ds *DurableStore) UserIDs() []rbac.UserID { return ds.mem.UserIDs() }
 
 // BrowserFor returns the introspection surface of a store, if it has
-// one: either the store implements Browser itself, or it is one of the
-// known wrappers. The second return is false for stores with no
-// read-only browse surface.
+// one (the store implements Browser itself). The second return is false
+// for stores with no read-only browse surface.
 func BrowserFor(store Recorder) (Browser, bool) {
 	b, ok := store.(Browser)
 	return b, ok

@@ -1,6 +1,10 @@
 package adi
 
-import "msod/internal/rbac"
+import (
+	"time"
+
+	"msod/internal/rbac"
+)
 
 // PurgeUserFrom removes one user's records from any store shipped with
 // the repo, papering over the signature split between the in-memory
@@ -13,10 +17,21 @@ func PurgeUserFrom(r Recorder, user rbac.UserID) (n int, ok bool, err error) {
 	switch s := r.(type) {
 	case *Store:
 		return s.PurgeUser(user), true, nil
-	case *ShardedStore:
-		return s.PurgeUser(user), true, nil
 	case *DurableStore:
 		n, err := s.PurgeUser(user)
+		return n, true, err
+	}
+	return 0, false, nil
+}
+
+// PurgeBeforeFrom removes every record granted strictly before t, with
+// the same signature bridge and the same ok contract as PurgeUserFrom.
+func PurgeBeforeFrom(r Recorder, t time.Time) (n int, ok bool, err error) {
+	switch s := r.(type) {
+	case *Store:
+		return s.PurgeBefore(t), true, nil
+	case *DurableStore:
+		n, err := s.PurgeBefore(t)
 		return n, true, err
 	}
 	return 0, false, nil

@@ -59,7 +59,7 @@ func TestPerfExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf experiments skipped in -short mode")
 	}
-	for _, id := range []string{"E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E14", "E15", "E16"} {
+	for _, id := range []string{"E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E15"} {
 		exp, ok := ByID(id)
 		if !ok {
 			t.Fatalf("experiment %s not registered", id)
@@ -75,19 +75,21 @@ func TestPerfExperimentsSmoke(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
+	// Listed explicitly so adding or removing an experiment is a
+	// visible diff here.
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9",
+		"E10", "E11", "E12", "E13", "E15", "E17"}
 	all := All()
-	if len(all) != 17 {
-		t.Fatalf("registered %d experiments", len(all))
+	if len(all) != len(want) {
+		t.Fatalf("registered %d experiments, want %d", len(all), len(want))
 	}
-	seen := map[string]bool{}
-	for _, e := range all {
-		if e.Run == nil || e.ID == "" || e.Title == "" {
+	for i, e := range all {
+		if e.ID != want[i] {
+			t.Errorf("experiment %d is %s, want %s", i, e.ID, want[i])
+		}
+		if e.Run == nil || e.Title == "" {
 			t.Errorf("experiment %+v incomplete", e)
 		}
-		if seen[e.ID] {
-			t.Errorf("duplicate id %s", e.ID)
-		}
-		seen[e.ID] = true
 	}
 	if _, ok := ByID("E99"); ok {
 		t.Error("unknown experiment found")

@@ -1,7 +1,9 @@
 // Package bench implements the experiment harness: each experiment of
-// EXPERIMENTS.md (E1–E17) is a function producing a Table that
-// cmd/msodbench renders. The same workloads back the testing.B
-// benchmarks in the repository root.
+// EXPERIMENTS.md (E1–E13, E15, E17) is a function producing a Table
+// that cmd/msodbench renders. The same workloads back the testing.B
+// benchmarks in the repository root. Throughput and latency under load
+// are not measured here: that is benchmark/ (BENCHMARK.json), which is
+// why the IDs have gaps.
 //
 // The paper contains no quantitative tables — its figures are model
 // diagrams and its evaluation is two worked examples plus scalability
@@ -106,9 +108,7 @@ func All() []Experiment {
 		{"E11", "Ablation: MMEP counting semantics", E11},
 		{"E12", "Ablation: MMER under role hierarchies", E12},
 		{"E13", "MSoD cost over plain RBAC", E13},
-		{"E14", "Concurrent throughput: global lock vs striped", E14},
 		{"E15", "Latency vs active context instances", E15},
-		{"E16", "Cluster throughput vs shard count", E16},
 		{"E17", "Advisory throughput vs replica count", E17},
 	}
 }

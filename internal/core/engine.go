@@ -127,11 +127,6 @@ type Engine struct {
 	now       func() time.Time
 	expand    func([]rbac.RoleName) []rbac.RoleName
 	naiveMMEP bool
-
-	// Striping (WithStriping): rw + stripes replace mu; nil stripes
-	// means the default single-mutex mode.
-	rw      sync.RWMutex
-	stripes []sync.Mutex
 }
 
 // Option configures an Engine.
@@ -255,8 +250,8 @@ func (e *Engine) evaluate(ctx context.Context, req Request, commit bool) (Decisi
 		// modified).
 		req.Roles = e.expand(req.Roles)
 	}
-	unlock := e.lockFor(req)
-	defer unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 
 	var (
 		dec     Decision
@@ -379,31 +374,6 @@ func (e *Engine) evaluatePolicy(p *Policy, bound bctx.Name, req Request, now tim
 		// step, or the policy defines none (enforcement starts with the
 		// first operation invoked inside the context).
 		if p.FirstStep == nil || p.FirstStep.matches(req.Operation, req.Target) {
-			if e.stripes != nil {
-				// Striping-mode guard: deny a request that activates a
-				// full conflicting role set even on the opening request,
-				// so cross-user commit order cannot change outcomes (see
-				// WithStriping).
-				if i, bad := selfConflict(p, req.Roles); bad {
-					if xr != nil {
-						xr.Rule(explain.RuleEval{
-							Policy: p.Context.String(), Bound: bound.String(),
-							Rule: fmt.Sprintf("MMER[%d]", i), Kind: explain.KindMMER,
-							K: 0, KAfter: 0, M: p.MMER[i].Cardinality,
-							Matched: roleStrings(req.Roles), Denied: true,
-						})
-					}
-					return nil, &Denial{
-						PolicyContext: p.Context,
-						BoundContext:  bound,
-						Rule:          fmt.Sprintf("MMER[%d]", i),
-						Held:          0,
-						Cardinality:   p.MMER[i].Cardinality,
-						Reason: fmt.Sprintf("user %q activates %d or more mutually exclusive roles in one request",
-							req.User, p.MMER[i].Cardinality),
-					}, nil
-				}
-			}
 			if isLast {
 				// First operation is also the last step: the instance
 				// terminates immediately; nothing to retain.

@@ -214,9 +214,8 @@ func TestLastTraceIDFromBroker(t *testing.T) {
 // store implementation and expects identical introspection answers.
 func TestBrowserConsistencyAcrossStores(t *testing.T) {
 	stores := map[string]adi.Recorder{
-		"store":   adi.NewStore(),
-		"linear":  adi.NewLinearStore(),
-		"sharded": adi.NewShardedStore(4),
+		"store":  adi.NewStore(),
+		"linear": adi.NewLinearStore(),
 	}
 	for name, store := range stores {
 		t.Run(name, func(t *testing.T) {

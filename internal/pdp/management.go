@@ -110,49 +110,24 @@ func (p *PDP) Manage(req ManagementRequest) (ManagementResult, error) {
 		if req.TargetUser == "" {
 			return ManagementResult{}, fmt.Errorf("%w: purgeUser needs a target user", ErrManagement)
 		}
-		p.commitMu.Lock()
-		n, ok, purgeErr := adi.PurgeUserFrom(p.store, req.TargetUser)
-		if ok && purgeErr == nil {
-			p.publishPurge(inspect.DecisionEvent{
-				Operation: string(OpPurgeUser),
-				Target:    string(RetainedADITarget),
-				User:      string(req.TargetUser),
-				Purged:    n,
-				Reason:    fmt.Sprintf("management purge by %q", user),
-			})
-		}
-		p.commitMu.Unlock()
-		if !ok {
-			return ManagementResult{}, fmt.Errorf("%w: store does not support purgeUser", ErrManagement)
-		}
-		if purgeErr != nil {
-			// A durable purge that failed mid-write surfaces the store's
-			// error chain (adi.ErrWriteFailed latches the server's
-			// degraded read-only mode).
-			return ManagementResult{}, fmt.Errorf("%w: %w", ErrManagement, purgeErr)
-		}
-		return ManagementResult{Removed: n, Records: p.store.Len()}, nil
+		return p.purgeBridged(inspect.DecisionEvent{
+			Operation: string(OpPurgeUser),
+			Target:    string(RetainedADITarget),
+			User:      string(req.TargetUser),
+			Reason:    fmt.Sprintf("management purge by %q", user),
+		}, func() (int, bool, error) { return adi.PurgeUserFrom(p.store, req.TargetUser) })
 
 	case OpPurgeBefore:
 		if req.Before.IsZero() {
 			return ManagementResult{}, fmt.Errorf("%w: purgeBefore needs a cutoff time", ErrManagement)
 		}
-		s, ok := p.store.(*adi.Store)
-		if !ok {
-			return ManagementResult{}, fmt.Errorf("%w: store does not support purgeBefore", ErrManagement)
-		}
 		before := req.Before
-		p.commitMu.Lock()
-		n := s.PurgeBefore(before)
-		p.publishPurge(inspect.DecisionEvent{
+		return p.purgeBridged(inspect.DecisionEvent{
 			Operation: string(OpPurgeBefore),
 			Target:    string(RetainedADITarget),
 			Before:    &before,
-			Purged:    n,
 			Reason:    fmt.Sprintf("management purge by %q", user),
-		})
-		p.commitMu.Unlock()
-		return ManagementResult{Removed: n, Records: p.store.Len()}, nil
+		}, func() (int, bool, error) { return adi.PurgeBeforeFrom(p.store, before) })
 
 	case OpStats:
 		return ManagementResult{Records: p.store.Len()}, nil
@@ -160,6 +135,30 @@ func (p *PDP) Manage(req ManagementRequest) (ManagementResult, error) {
 	default:
 		return ManagementResult{}, fmt.Errorf("%w: unknown operation %q", ErrManagement, req.Operation)
 	}
+}
+
+// purgeBridged runs a purge that reaches the store through one of adi's
+// signature bridges (PurgeUserFrom, PurgeBeforeFrom) and, when it
+// succeeded, publishes ev with the removed count — both under the
+// commit lock, like every management purge.
+func (p *PDP) purgeBridged(ev inspect.DecisionEvent, purge func() (n int, ok bool, err error)) (ManagementResult, error) {
+	p.commitMu.Lock()
+	n, ok, err := purge()
+	if ok && err == nil {
+		ev.Purged = n
+		p.publishPurge(ev)
+	}
+	p.commitMu.Unlock()
+	if !ok {
+		return ManagementResult{}, fmt.Errorf("%w: store does not support %s", ErrManagement, ev.Operation)
+	}
+	if err != nil {
+		// A durable purge that failed mid-write surfaces the store's
+		// error chain (adi.ErrWriteFailed latches the server's
+		// degraded read-only mode).
+		return ManagementResult{}, fmt.Errorf("%w: %w", ErrManagement, err)
+	}
+	return ManagementResult{Removed: n, Records: p.store.Len()}, nil
 }
 
 // publishPurge emits a management purge to the event stream; no-op

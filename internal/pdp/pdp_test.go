@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"msod/internal/adi"
 	"msod/internal/bctx"
 	"msod/internal/credential"
+	"msod/internal/inspect"
 	"msod/internal/policy"
 	"msod/internal/rbac"
 )
@@ -244,5 +246,62 @@ func TestPolicyID(t *testing.T) {
 	p := bankPDP(t)
 	if p.PolicyID() != "bank-1" {
 		t.Errorf("PolicyID = %q", p.PolicyID())
+	}
+}
+
+// TestPurgeBeforeOnDurableStore: purgeBefore is a WAL-logged operation
+// of the durable store, so the management port must accept it there —
+// removing the old records, publishing the purge event a mirror
+// replays, and keeping the removal across a reopen.
+func TestPurgeBeforeOnDurableStore(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, secret := t.TempDir(), []byte("purge-before")
+	store, err := adi.OpenDurable(dir, secret, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
+	var events []inspect.DecisionEvent
+	p, err := New(Config{Policy: pol, Store: store,
+		Clock:    func() time.Time { return now },
+		Observer: func(ev inspect.DecisionEvent) { events = append(events, ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []string{"a", "b", "c"} {
+		if u == "c" {
+			now = now.Add(48 * time.Hour)
+		}
+		if dec, err := p.Decide(bankReq(u, "Teller", "HandleCash", "till", "York", "2006")); err != nil || !dec.Allowed {
+			t.Fatalf("seed %s: %+v %v", u, dec, err)
+		}
+	}
+
+	cutoff := now.Add(-24 * time.Hour)
+	res, err := p.Manage(ManagementRequest{User: "root", Roles: []rbac.RoleName{"RetainedADIController"},
+		Operation: OpPurgeBefore, Before: cutoff})
+	if err != nil || res.Removed != 2 || res.Records != 1 {
+		t.Fatalf("purgeBefore = %+v, %v", res, err)
+	}
+	last := events[len(events)-1]
+	if last.Effect != inspect.OutcomePurge || last.Operation != string(OpPurgeBefore) ||
+		last.Purged != 2 || last.Before == nil || !last.Before.Equal(cutoff) {
+		t.Errorf("purge event = %+v", last)
+	}
+
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := adi.OpenDurable(dir, secret, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if reopened.Len() != 1 || len(reopened.UserRecords("c", bctx.Universal)) != 1 {
+		t.Errorf("after reopen: %d records, c has %d", reopened.Len(), len(reopened.UserRecords("c", bctx.Universal)))
 	}
 }

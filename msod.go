@@ -156,11 +156,6 @@ func WithRoleExpander(expand func([]RoleName) []RoleName) core.Option {
 // experiment E11).
 func WithNaiveMMEPCounting() core.Option { return core.WithNaiveMMEPCounting() }
 
-// WithStriping enables per-user lock striping in the engine (extension;
-// pair with NewShardedADIStore for full effect — see experiment E14 and
-// the WithStriping docs for the serialisability argument).
-func WithStriping(n int) core.Option { return core.WithStriping(n) }
-
 // CompileMSoD compiles a parsed MSoDPolicySet into engine policies.
 func CompileMSoD(set *MSoDPolicySet) ([]EnginePolicy, error) { return core.Compile(set) }
 
@@ -179,13 +174,7 @@ type (
 	// sealed to a write-ahead log and folded into snapshots by Compact,
 	// so a restarting PDP recovers without replaying audit trails.
 	ADIDurableStore = adi.DurableStore
-	// ADIShardedStore partitions the retained ADI by user, the storage
-	// companion of WithStriping.
-	ADIShardedStore = adi.ShardedStore
 )
-
-// NewShardedADIStore returns a retained-ADI store with n user shards.
-func NewShardedADIStore(n int) *ADIShardedStore { return adi.NewShardedStore(n) }
 
 // OpenDurableADI opens (creating if necessary) a durable retained-ADI
 // store in dir. With syncEveryWrite, each mutation is fsynced.
