@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race cover bench benchmark-check fuzz experiments chaos elastic replica examples lint clean
+.PHONY: all build test test-race allocs cover bench benchmark-check fuzz experiments chaos elastic replica examples lint clean
 
 all: build test
 
@@ -14,6 +14,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The allocation budgets of the §4.2 hot path (testing.AllocsPerRun
+# tables). `make test` runs them too; this target is the quick check
+# after touching core, adi, bctx or rbac. Never under -race: the
+# detector allocates, and the tests skip themselves there.
+allocs:
+	$(GO) test -run 'Allocs' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -12,8 +12,11 @@
 //  5. business context instance, and
 //  6. time/date of the grant decision.
 //
-// Store, indexed by user ID, is the one in-memory implementation the
-// daemons run, and DurableStore puts a write-ahead log under it.
+// Store is the one in-memory implementation the daemons run: records
+// bucketed by user ID for the per-user history queries, and one table
+// entry per distinct context instance for the activity check and the
+// context purge, so neither a query nor a purge pays for records it
+// does not concern. DurableStore puts a write-ahead log under it.
 // LinearStore, an unindexed scan, is the ablation baseline of
 // experiment E4 and the reference the tests compare Store against.
 // All three satisfy Recorder.
@@ -22,6 +25,7 @@ package adi
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
@@ -88,7 +92,8 @@ func (r Record) Validate() error {
 // retained-ADI implementation.
 type Recorder interface {
 	// Append stores granted-decision records. It is atomic: either all
-	// records are stored or none.
+	// records are stored or none. It copies what it keeps: recs and the
+	// Roles slices remain the caller's, who may share or reuse them.
 	Append(recs ...Record) error
 	// UserHasRole reports whether any record for the user whose context
 	// instance falls within pattern lists the role.
@@ -126,42 +131,99 @@ type CtxAppender interface {
 	AppendCtx(ctx context.Context, recs ...Record) error
 }
 
-// matchPattern reports whether the record's instance is within pattern.
-func matchPattern(pattern bctx.Name, rec Record) bool {
-	ok, err := bctx.MatchInstance(pattern, rec.Context)
+// within reports whether the context instance falls within pattern.
+func within(pattern, inst bctx.Name) bool {
+	ok, err := bctx.MatchInstance(pattern, inst)
 	return err == nil && ok
 }
 
-// Store is the indexed in-memory retained ADI: records are bucketed by
-// user ID so per-user history queries do not scan unrelated users, and a
-// per-context-instance reference count answers ContextActive without
-// scanning records. Store is safe for concurrent use.
+// Store is the indexed in-memory retained ADI. Records are bucketed by
+// user ID, so per-user history queries do not scan unrelated users, and
+// every distinct context instance with live records has one entry in an
+// instance table, so the step-3 activity check inspects instances and
+// not records, and a context purge visits only the users who hold
+// records in the instances it closes. Nothing in the index is a
+// formatted string: a query allocates nothing. Store is safe for
+// concurrent use.
 type Store struct {
 	mu     sync.RWMutex
-	byUser map[rbac.UserID][]Record
-	// ctxRef counts live records per exact context-instance key, so
-	// ContextActive only inspects distinct instances.
-	ctxRef  map[string]int
-	ctxName map[string]bctx.Name
-	// ctxComp indexes distinct instances by each positional component:
-	// "i|Type=Value" and "i|Type" -> set of instance keys. ContextActive
-	// probes the most selective bucket of the pattern instead of
-	// scanning every distinct instance (experiment E15 measures the
-	// difference).
-	ctxComp map[string]map[string]bool
-	n       int
+	byUser map[rbac.UserID][]entry
+	// insts finds an instance by the hash of its components; instances
+	// whose hashes collide are chained through instance.next.
+	insts map[uint64]*instance
+	seed  maphash.Seed
+	// comps lists the instances by each positional component, under its
+	// value and under any value. A pattern's candidates are the shortest
+	// list among its own components (experiment E15 measures the
+	// difference to scanning every instance).
+	comps map[compKey][]*instance
+	n     int
+}
+
+// entry is one retained record and the instance it belongs to. The
+// record's Context is the instance's name, so the records of an
+// instance share one name.
+type entry struct {
+	Record
+	inst *instance
+}
+
+// instance is one distinct context instance with live records.
+type instance struct {
+	name bctx.Name
+	hash uint64
+	// recs counts the live records; the instance leaves the table when
+	// it reaches zero.
+	recs int
+	// closing marks the instances a running PurgeContext matched: it
+	// drops their records wherever a holder's bucket has them, and takes
+	// them out of the table itself once all are dropped.
+	closing bool
+	// holders lists the users with records here — what a context purge
+	// visits. It is a superset: a user or age purge leaves the user
+	// listed (and a later append may list it twice) until the instance
+	// itself goes, which costs a purge one bucket scan that finds
+	// nothing, never a missed record.
+	holders []rbac.UserID
+	// slots[2*i] and slots[2*i+1] are this instance's positions in the
+	// two comps lists of its i'th component, so it leaves them by
+	// swapping with the last element.
+	slots []int
+	next  *instance
+	// The first holders and the slots of a name of up to two components
+	// live in the instance itself: instances are short-lived and many
+	// (one per branch and period, one per process), and this makes each
+	// a single allocation.
+	holderBuf [4]rbac.UserID
+	slotBuf   [4]int
+}
+
+// compKey names one comps list: the instances whose component at pos
+// has this type and value, or, with an empty value (which no component
+// can have), this type and any value.
+type compKey struct {
+	pos      int
+	typ, val string
+}
+
+func compKeys(c bctx.Component, pos int) [2]compKey {
+	return [2]compKey{{pos, c.Type, c.Value}, {pos, c.Type, ""}}
 }
 
 var _ Recorder = (*Store)(nil)
 
 // NewStore returns an empty indexed store.
 func NewStore() *Store {
-	return &Store{
-		byUser:  make(map[rbac.UserID][]Record),
-		ctxRef:  make(map[string]int),
-		ctxName: make(map[string]bctx.Name),
-		ctxComp: make(map[string]map[string]bool),
-	}
+	s := &Store{seed: maphash.MakeSeed()}
+	s.resetLocked()
+	return s
+}
+
+func (s *Store) resetLocked() {
+	s.byUser = make(map[rbac.UserID][]entry)
+	s.insts = make(map[uint64]*instance)
+	s.comps = make(map[compKey][]*instance)
+	s.n = 0
 }
 
 // Append implements Recorder.
@@ -174,82 +236,172 @@ func (s *Store) Append(recs ...Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range recs {
+		in := s.instanceLocked(r.Context)
+		bucket := s.byUser[r.User]
+		if !holds(bucket, in) {
+			in.holders = append(in.holders, r.User)
+		}
+		in.recs++
 		r.Roles = append([]rbac.RoleName(nil), r.Roles...)
-		s.byUser[r.User] = append(s.byUser[r.User], r)
-		s.addCtxRefLocked(r.Context)
+		r.Context = in.name
+		s.byUser[r.User] = append(bucket, entry{r, in})
 		s.n++
 	}
 	return nil
 }
 
-func (s *Store) addCtxRefLocked(ctx bctx.Name) {
-	key := ctx.Key()
-	if s.ctxRef[key] == 0 {
-		s.ctxName[key] = ctx
-		for _, ck := range componentKeys(ctx) {
-			set := s.ctxComp[ck]
-			if set == nil {
-				set = make(map[string]bool)
-				s.ctxComp[ck] = set
-			}
-			set[key] = true
+// holds reports whether the user's bucket has a record in the instance:
+// one pointer comparison per record of a bucket that the history queries
+// of the same decision have just walked component by component.
+func holds(bucket []entry, in *instance) bool {
+	for i := range bucket {
+		if bucket[i].inst == in {
+			return true
 		}
 	}
-	s.ctxRef[key]++
+	return false
 }
 
-func (s *Store) dropCtxRefLocked(ctx bctx.Name) {
-	key := ctx.Key()
-	if s.ctxRef[key]--; s.ctxRef[key] <= 0 {
-		delete(s.ctxRef, key)
-		delete(s.ctxName, key)
-		for _, ck := range componentKeys(ctx) {
-			if set := s.ctxComp[ck]; set != nil {
-				delete(set, key)
-				if len(set) == 0 {
-					delete(s.ctxComp, ck)
-				}
+// instanceLocked returns the table's entry for the context instance,
+// adding it to the table and the component lists if it is new.
+func (s *Store) instanceLocked(name bctx.Name) *instance {
+	// '=' and ',' cannot occur in a token, so distinct names hash
+	// distinct byte strings.
+	var h maphash.Hash
+	h.SetSeed(s.seed)
+	for i := 0; i < name.Len(); i++ {
+		c := name.At(i)
+		h.WriteString(c.Type)
+		h.WriteByte('=')
+		h.WriteString(c.Value)
+		h.WriteByte(',')
+	}
+	return s.instanceAtLocked(name, h.Sum64())
+}
+
+// instanceAtLocked is instanceLocked given the name's hash (apart, so
+// that a test can make names collide).
+func (s *Store) instanceAtLocked(name bctx.Name, hash uint64) *instance {
+	for in := s.insts[hash]; in != nil; in = in.next {
+		if in.name.Equal(name) {
+			return in
+		}
+	}
+	in := &instance{name: name, hash: hash, next: s.insts[hash]}
+	in.holders = in.holderBuf[:0]
+	if in.slots = in.slotBuf[:]; 2*name.Len() > len(in.slotBuf) {
+		in.slots = make([]int, 2*name.Len())
+	}
+	s.insts[hash] = in
+	for i := 0; i < name.Len(); i++ {
+		for j, k := range compKeys(name.At(i), i) {
+			in.slots[2*i+j] = len(s.comps[k])
+			s.comps[k] = append(s.comps[k], in)
+		}
+	}
+	return in
+}
+
+// releaseLocked accounts for one record of the instance going; with
+// its last one the instance leaves the table, unless a context purge is
+// closing it and will take it out itself.
+func (s *Store) releaseLocked(in *instance) {
+	if in.recs--; in.recs == 0 && !in.closing {
+		s.unlinkLocked(in)
+	}
+}
+
+// unlinkLocked takes the instance out of the table and the component
+// lists.
+func (s *Store) unlinkLocked(in *instance) {
+	if head := s.insts[in.hash]; head != in {
+		for head.next != in {
+			head = head.next
+		}
+		head.next = in.next
+	} else if in.next != nil {
+		s.insts[in.hash] = in.next
+	} else {
+		delete(s.insts, in.hash)
+	}
+	for i := 0; i < in.name.Len(); i++ {
+		for j, k := range compKeys(in.name.At(i), i) {
+			// The last instance of the list takes this one's place; it
+			// is listed under the same key, so its slot has the same
+			// index as ours.
+			list := s.comps[k]
+			last := len(list) - 1
+			list[in.slots[2*i+j]] = list[last]
+			list[last].slots[2*i+j] = in.slots[2*i+j]
+			list[last] = nil
+			if last == 0 {
+				delete(s.comps, k)
+			} else {
+				s.comps[k] = list[:last]
 			}
 		}
 	}
 }
 
-// componentKeys returns the index keys of an instance: per position, a
-// typed-value key and a type-only key.
-func componentKeys(ctx bctx.Name) []string {
-	comps := ctx.Components()
-	out := make([]string, 0, 2*len(comps))
-	for i, c := range comps {
-		out = append(out,
-			fmt.Sprintf("%d|%s=%s", i, c.Type, c.Value),
-			fmt.Sprintf("%d|%s", i, c.Type),
-		)
+// candidatesLocked returns a list that holds every instance within the
+// pattern, which is not the universal one: the shortest of the lists
+// its components name (a concrete component its value's list, a
+// wildcard its type's). It is nil as soon as one list is empty, for
+// then no instance carries that component.
+func (s *Store) candidatesLocked(pattern bctx.Name) []*instance {
+	var shortest []*instance
+	for i := 0; i < pattern.Len(); i++ {
+		c := pattern.At(i)
+		if c.IsWildcard() {
+			c.Value = ""
+		}
+		list := s.comps[compKey{i, c.Type, c.Value}]
+		if len(list) == 0 {
+			return nil
+		}
+		if shortest == nil || len(list) < len(shortest) {
+			shortest = list
+		}
 	}
-	return out
+	return shortest
+}
+
+// dropLocked removes from the user's bucket the entries drop selects,
+// keeping the order of the others, and returns how many went.
+func (s *Store) dropLocked(user rbac.UserID, drop func(*entry) bool) int {
+	bucket := s.byUser[user]
+	kept := bucket[:0]
+	for i := range bucket {
+		if drop(&bucket[i]) {
+			s.releaseLocked(bucket[i].inst)
+			continue
+		}
+		kept = append(kept, bucket[i])
+	}
+	removed := len(bucket) - len(kept)
+	if removed == 0 {
+		return 0
+	}
+	clear(bucket[len(kept):])
+	if len(kept) == 0 {
+		delete(s.byUser, user)
+	} else {
+		s.byUser[user] = kept
+	}
+	s.n -= removed
+	return removed
 }
 
 // UserHasRole implements Recorder.
 func (s *Store) UserHasRole(user rbac.UserID, pattern bctx.Name, role rbac.RoleName) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, rec := range s.byUser[user] {
-		if rec.HasRole(role) && matchPattern(pattern, rec) {
-			return true, nil
-		}
-	}
-	return false, nil
+	n, err := s.CountUserRole(user, pattern, role, 1)
+	return n > 0, err
 }
 
 // UserHasPrivilege implements Recorder.
 func (s *Store) UserHasPrivilege(user rbac.UserID, pattern bctx.Name, p rbac.Permission) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, rec := range s.byUser[user] {
-		if rec.Operation == p.Operation && rec.Target == p.Object && matchPattern(pattern, rec) {
-			return true, nil
-		}
-	}
-	return false, nil
+	n, err := s.CountUserPrivilege(user, pattern, p, 1)
+	return n > 0, err
 }
 
 // CountUserRole implements Recorder.
@@ -257,8 +409,9 @@ func (s *Store) CountUserRole(user rbac.UserID, pattern bctx.Name, role rbac.Rol
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, rec := range s.byUser[user] {
-		if rec.HasRole(role) && matchPattern(pattern, rec) {
+	bucket := s.byUser[user]
+	for i := range bucket {
+		if rec := &bucket[i].Record; rec.HasRole(role) && within(pattern, rec.Context) {
 			n++
 			if max > 0 && n >= max {
 				break
@@ -273,8 +426,9 @@ func (s *Store) CountUserPrivilege(user rbac.UserID, pattern bctx.Name, p rbac.P
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, rec := range s.byUser[user] {
-		if rec.Operation == p.Operation && rec.Target == p.Object && matchPattern(pattern, rec) {
+	bucket := s.byUser[user]
+	for i := range bucket {
+		if rec := &bucket[i].Record; rec.Operation == p.Operation && rec.Target == p.Object && within(pattern, rec.Context) {
 			n++
 			if max > 0 && n >= max {
 				break
@@ -284,69 +438,58 @@ func (s *Store) CountUserPrivilege(user rbac.UserID, pattern bctx.Name, p rbac.P
 	return n, nil
 }
 
-// ContextActive implements Recorder using the component index: the
-// pattern's most selective component picks a candidate bucket, and only
-// those candidates are fully matched. A universal pattern is active as
-// soon as any instance exists.
+// ContextActive implements Recorder from the instance table: only the
+// pattern's candidates are matched, and the universal pattern is active
+// as soon as any record exists.
 func (s *Store) ContextActive(pattern bctx.Name) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	comps := pattern.Components()
-	if len(comps) == 0 {
-		return len(s.ctxName) > 0, nil
+	if pattern.IsUniversal() {
+		return s.n > 0, nil
 	}
-	// Pick the smallest available bucket among the pattern's component
-	// keys (typed-value keys for concrete components, type-only keys for
-	// wildcards — instances must carry the type at that position either
-	// way).
-	var candidates map[string]bool
-	for i, c := range comps {
-		var key string
-		if c.IsWildcard() {
-			key = fmt.Sprintf("%d|%s", i, c.Type)
-		} else {
-			key = fmt.Sprintf("%d|%s=%s", i, c.Type, c.Value)
-		}
-		set := s.ctxComp[key]
-		if set == nil {
-			// No instance has this component at this position: nothing
-			// can match.
-			return false, nil
-		}
-		if candidates == nil || len(set) < len(candidates) {
-			candidates = set
-		}
-	}
-	for key := range candidates {
-		if ok, err := bctx.MatchInstance(pattern, s.ctxName[key]); err == nil && ok {
+	for _, in := range s.candidatesLocked(pattern) {
+		if within(pattern, in.name) {
 			return true, nil
 		}
 	}
 	return false, nil
 }
 
-// PurgeContext implements Recorder.
+// PurgeContext implements Recorder. Its cost follows what it removes —
+// the instances within pattern among the pattern's candidates, and the
+// buckets of the users holding records in them — not the store's size.
 func (s *Store) PurgeContext(pattern bctx.Name) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if pattern.IsUniversal() {
+		removed := s.n
+		s.resetLocked()
+		return removed, nil
+	}
+	// Every record of an instance within pattern goes, so the instances
+	// are marked first and each holder's bucket is then cleared of all of
+	// them in one pass — the holders of the branches of one period are
+	// largely the same users.
 	removed := 0
-	for user, recs := range s.byUser {
-		kept := recs[:0]
-		for _, rec := range recs {
-			if matchPattern(pattern, rec) {
-				s.dropCtxRefLocked(rec.Context)
-				removed++
-				continue
+	list := s.candidatesLocked(pattern)
+	for _, in := range list {
+		in.closing = within(pattern, in.name)
+	}
+	for _, in := range list {
+		for _, user := range in.holders {
+			if !in.closing || in.recs == 0 {
+				break
 			}
-			kept = append(kept, rec)
-		}
-		if len(kept) == 0 {
-			delete(s.byUser, user)
-		} else {
-			s.byUser[user] = kept
+			removed += s.dropLocked(user, func(e *entry) bool { return e.inst.closing })
 		}
 	}
-	s.n -= removed
+	// Backwards, because an instance leaves this very list by swapping
+	// with the last element — one already visited.
+	for i := len(list) - 1; i >= 0; i-- {
+		if in := list[i]; in.closing {
+			s.unlinkLocked(in)
+		}
+	}
 	return removed, nil
 }
 
@@ -355,13 +498,7 @@ func (s *Store) PurgeContext(pattern bctx.Name) (int, error) {
 func (s *Store) PurgeUser(user rbac.UserID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.byUser[user]
-	for _, rec := range recs {
-		s.dropCtxRefLocked(rec.Context)
-	}
-	delete(s.byUser, user)
-	s.n -= len(recs)
-	return len(recs)
+	return s.dropLocked(user, func(*entry) bool { return true })
 }
 
 // PurgeBefore deletes every record with a decision time strictly before
@@ -370,23 +507,9 @@ func (s *Store) PurgeBefore(t time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	removed := 0
-	for user, recs := range s.byUser {
-		kept := recs[:0]
-		for _, rec := range recs {
-			if rec.Time.Before(t) {
-				s.dropCtxRefLocked(rec.Context)
-				removed++
-				continue
-			}
-			kept = append(kept, rec)
-		}
-		if len(kept) == 0 {
-			delete(s.byUser, user)
-		} else {
-			s.byUser[user] = kept
-		}
+	for user := range s.byUser {
+		removed += s.dropLocked(user, func(e *entry) bool { return e.Time.Before(t) })
 	}
-	s.n -= removed
 	return removed
 }
 
@@ -403,9 +526,9 @@ func (s *Store) UserRecords(user rbac.UserID, pattern bctx.Name) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []Record
-	for _, rec := range s.byUser[user] {
-		if matchPattern(pattern, rec) {
-			out = append(out, rec)
+	for _, e := range s.byUser[user] {
+		if within(pattern, e.Context) {
+			out = append(out, e.Record)
 		}
 	}
 	return out
@@ -423,7 +546,9 @@ func (s *Store) All() []Record {
 	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 	out := make([]Record, 0, s.n)
 	for _, u := range users {
-		out = append(out, s.byUser[u]...)
+		for _, e := range s.byUser[u] {
+			out = append(out, e.Record)
+		}
 	}
 	return out
 }
@@ -439,11 +564,7 @@ func (s *Store) Users() int {
 func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byUser = make(map[rbac.UserID][]Record)
-	s.ctxRef = make(map[string]int)
-	s.ctxName = make(map[string]bctx.Name)
-	s.ctxComp = make(map[string]map[string]bool)
-	s.n = 0
+	s.resetLocked()
 }
 
 // LinearStore is an unindexed retained ADI: one flat slice scanned on
@@ -482,7 +603,7 @@ func (s *LinearStore) UserHasRole(user rbac.UserID, pattern bctx.Name, role rbac
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, rec := range s.recs {
-		if rec.User == user && rec.HasRole(role) && matchPattern(pattern, rec) {
+		if rec.User == user && rec.HasRole(role) && within(pattern, rec.Context) {
 			return true, nil
 		}
 	}
@@ -494,7 +615,7 @@ func (s *LinearStore) UserHasPrivilege(user rbac.UserID, pattern bctx.Name, p rb
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, rec := range s.recs {
-		if rec.User == user && rec.Operation == p.Operation && rec.Target == p.Object && matchPattern(pattern, rec) {
+		if rec.User == user && rec.Operation == p.Operation && rec.Target == p.Object && within(pattern, rec.Context) {
 			return true, nil
 		}
 	}
@@ -507,7 +628,7 @@ func (s *LinearStore) CountUserRole(user rbac.UserID, pattern bctx.Name, role rb
 	defer s.mu.RUnlock()
 	n := 0
 	for _, rec := range s.recs {
-		if rec.User == user && rec.HasRole(role) && matchPattern(pattern, rec) {
+		if rec.User == user && rec.HasRole(role) && within(pattern, rec.Context) {
 			n++
 			if max > 0 && n >= max {
 				break
@@ -523,7 +644,7 @@ func (s *LinearStore) CountUserPrivilege(user rbac.UserID, pattern bctx.Name, p 
 	defer s.mu.RUnlock()
 	n := 0
 	for _, rec := range s.recs {
-		if rec.User == user && rec.Operation == p.Operation && rec.Target == p.Object && matchPattern(pattern, rec) {
+		if rec.User == user && rec.Operation == p.Operation && rec.Target == p.Object && within(pattern, rec.Context) {
 			n++
 			if max > 0 && n >= max {
 				break
@@ -538,7 +659,7 @@ func (s *LinearStore) ContextActive(pattern bctx.Name) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, rec := range s.recs {
-		if matchPattern(pattern, rec) {
+		if within(pattern, rec.Context) {
 			return true, nil
 		}
 	}
@@ -552,7 +673,7 @@ func (s *LinearStore) PurgeContext(pattern bctx.Name) (int, error) {
 	kept := s.recs[:0]
 	removed := 0
 	for _, rec := range s.recs {
-		if matchPattern(pattern, rec) {
+		if within(pattern, rec.Context) {
 			removed++
 			continue
 		}

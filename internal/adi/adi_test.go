@@ -314,63 +314,23 @@ func TestConcurrentStore(t *testing.T) {
 
 // Property: the indexed store and the linear store answer every query
 // identically under random workloads (the E4 ablation must differ only
-// in speed).
+// in speed), and agree on everything observable — Len, users, records,
+// distinct instances, activity of every pattern — after every single
+// operation, management purges and activation markers included.
 func TestQuickStoreEquivalence(t *testing.T) {
-	users := []string{"u0", "u1", "u2"}
-	ctxs := []string{"A=1", "A=2", "A=1, B=x", "A=1, B=y"}
-	patterns := []string{"", "A=1", "A=*", "A=1, B=*", "A=2"}
-	roles := []string{"R0", "R1"}
-
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		idx, lin := NewStore(), NewLinearStore()
+		idx, lin := NewStore(), reference{NewLinearStore()}
 		for i := 0; i < int(n); i++ {
-			switch r.Intn(4) {
-			case 0, 1: // append
-				rc := rec(users[r.Intn(len(users))], roles[r.Intn(len(roles))],
-					fmt.Sprintf("op%d", r.Intn(3)), "t", ctxs[r.Intn(len(ctxs))])
-				if idx.Append(rc) != nil || lin.Append(rc) != nil {
-					return false
-				}
-			case 2: // purge
-				p := bctx.MustParse(patterns[r.Intn(len(patterns))])
-				n1, e1 := idx.PurgeContext(p)
-				n2, e2 := lin.PurgeContext(p)
-				if e1 != nil || e2 != nil || n1 != n2 {
-					return false
-				}
-			case 3: // query
-				u := rbac.UserID(users[r.Intn(len(users))])
-				p := bctx.MustParse(patterns[r.Intn(len(patterns))])
-				role := rbac.RoleName(roles[r.Intn(len(roles))])
-				a1, e1 := idx.UserHasRole(u, p, role)
-				a2, e2 := lin.UserHasRole(u, p, role)
-				if e1 != nil || e2 != nil || a1 != a2 {
-					return false
-				}
-				perm := rbac.Permission{Operation: rbac.Operation(fmt.Sprintf("op%d", r.Intn(3))), Object: "t"}
-				b1, e1 := idx.UserHasPrivilege(u, p, perm)
-				b2, e2 := lin.UserHasPrivilege(u, p, perm)
-				if e1 != nil || e2 != nil || b1 != b2 {
-					return false
-				}
-				c1, e1 := idx.CountUserRole(u, p, role, 0)
-				c2, e2 := lin.CountUserRole(u, p, role, 0)
-				if e1 != nil || e2 != nil || c1 != c2 {
-					return false
-				}
-				d1, e1 := idx.CountUserPrivilege(u, p, perm, 2)
-				d2, e2 := lin.CountUserPrivilege(u, p, perm, 2)
-				if e1 != nil || e2 != nil || d1 != d2 {
-					return false
-				}
-				x1, e1 := idx.ContextActive(p)
-				x2, e2 := lin.ContextActive(p)
-				if e1 != nil || e2 != nil || x1 != x2 {
-					return false
-				}
+			err := mutate(r, i, idx, lin)
+			if err == nil {
+				err = sameState(idx, lin)
 			}
-			if idx.Len() != lin.Len() {
+			if err == nil {
+				err = sameAnswers(r, idx, lin)
+			}
+			if err != nil {
+				t.Logf("seed %d, operation %d: %v", seed, i, err)
 				return false
 			}
 		}

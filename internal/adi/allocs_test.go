@@ -1,0 +1,139 @@
+package adi
+
+import (
+	"fmt"
+	"testing"
+
+	"msod/internal/bctx"
+	"msod/internal/race"
+	"msod/internal/rbac"
+)
+
+// populate fills the store with n records that no test pattern below
+// touches: 500 users over n/4 distinct "Branch=b, Period=p" instances.
+func populate(tb testing.TB, s *Store, n int) {
+	tb.Helper()
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = rec(fmt.Sprintf("u%d", i%500), "Teller", "HandleCash", "till",
+			fmt.Sprintf("Branch=b%d, Period=p%d", i%64, i%(n/4)))
+	}
+	if err := s.Append(recs...); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// process appends the three records of one tax-refund-like instance.
+func process(tb testing.TB, s *Store, i int) bctx.Name {
+	tb.Helper()
+	ctx := fmt.Sprintf("TaxOffice=o1, taxRefundProcess=x%d", i)
+	if err := s.Append(
+		rec("c1", "Clerk", "prepareCheck", "check", ctx),
+		rec("m1", "Manager", "approveCheck", "check", ctx),
+		rec("m2", "Manager", "approveCheck", "check", ctx),
+	); err != nil {
+		tb.Fatal(err)
+	}
+	return bctx.MustParse(ctx)
+}
+
+// TestStoreAllocs: the queries of a decision and the purge that closes
+// an instance allocate nothing, whatever the store holds, and an append
+// allocates what it retains.
+func TestStoreAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const allocRuns = 200
+	s := NewStore()
+	populate(t, s, 10_000)
+	open := make([]bctx.Name, allocRuns+1)
+	for i := range open {
+		open[i] = process(t, s, i)
+	}
+	// Appended during the measurement: known users, known instances.
+	more := make([]Record, allocRuns+1)
+	for i := range more {
+		more[i] = rec("u7", "Teller", "HandleCash", "till", "Branch=b7, Period=p7")
+	}
+	across := bctx.MustParse("Branch=*, Period=p7")
+	absent := bctx.MustParse("TaxOffice=o1, taxRefundProcess=none")
+	perm := rbac.Permission{Operation: "HandleCash", Object: "till"}
+
+	i := 0
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		fn     func()
+	}{
+		{"ContextActive", 0, func() {
+			if ok, _ := s.ContextActive(across); !ok {
+				t.Fatal("Branch=*, Period=p7 has records")
+			}
+		}},
+		{"ContextActive, no such instance", 0, func() {
+			if ok, _ := s.ContextActive(absent); ok {
+				t.Fatal("no such process")
+			}
+		}},
+		{"UserHasRole", 0, func() {
+			if ok, _ := s.UserHasRole("u7", across, "Teller"); !ok {
+				t.Fatal("u7 was a Teller in Period=p7")
+			}
+		}},
+		{"CountUserPrivilege", 0, func() {
+			if n, _ := s.CountUserPrivilege("u7", across, perm, 0); n == 0 {
+				t.Fatal("u7 handled cash in Period=p7")
+			}
+		}},
+		// Retained: the record's Roles copy (1). The user's bucket
+		// doubling is amortised below one per record.
+		{"Append of one record", 1, func() {
+			if err := s.Append(more[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}},
+		{"PurgeContext of a 3-record instance", 0, func() {
+			if n, _ := s.PurgeContext(open[i]); n != 3 {
+				t.Fatalf("purged %d records of %q, want 3", n, open[i])
+			}
+			i++
+		}},
+	} {
+		i = 0
+		if got := testing.AllocsPerRun(allocRuns, tc.fn); got != tc.budget {
+			t.Errorf("%s: %v allocations, budget %v", tc.name, got, tc.budget)
+		}
+	}
+}
+
+// BenchmarkPurgeContext opens and closes one 3-record instance in
+// stores of growing size (the three appends are timed with the purge:
+// stopping the timer around them costs more than either). Closing costs
+// what it removes, so ns/op is flat in the number of unrelated records;
+// it grew with it while the purge walked every record of every user.
+func BenchmarkPurgeContext(b *testing.B) {
+	ctx := bctx.MustParse("TaxOffice=o1, taxRefundProcess=x")
+	opening := []Record{
+		rec("c1", "Clerk", "prepareCheck", "check", ctx.String()),
+		rec("m1", "Manager", "approveCheck", "check", ctx.String()),
+		rec("m2", "Manager", "approveCheck", "check", ctx.String()),
+	}
+	for _, n := range []int{1_000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("records=%d", n), func(b *testing.B) {
+			s := NewStore()
+			populate(b, s, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.Append(opening...); err != nil {
+					b.Fatal(err)
+				}
+				if removed, _ := s.PurgeContext(ctx); removed != 3 {
+					b.Fatalf("purged %d records, want 3", removed)
+				}
+			}
+		})
+	}
+}

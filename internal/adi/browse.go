@@ -29,14 +29,16 @@ var (
 	_ Browser = (*DurableStore)(nil)
 )
 
-// Instances implements Browser from the context reference index, so it
-// never scans records.
+// Instances implements Browser from the instance table, so it never
+// scans records.
 func (s *Store) Instances() []bctx.Name {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]bctx.Name, 0, len(s.ctxName))
-	for _, n := range s.ctxName {
-		out = append(out, n)
+	out := make([]bctx.Name, 0, len(s.insts))
+	for _, in := range s.insts {
+		for ; in != nil; in = in.next {
+			out = append(out, in.name)
+		}
 	}
 	sortInstances(out)
 	return out
@@ -61,7 +63,7 @@ func (s *LinearStore) UserRecords(user rbac.UserID, pattern bctx.Name) []Record 
 	defer s.mu.RUnlock()
 	var out []Record
 	for _, rec := range s.recs {
-		if rec.User == user && matchPattern(pattern, rec) {
+		if rec.User == user && within(pattern, rec.Context) {
 			out = append(out, rec)
 		}
 	}

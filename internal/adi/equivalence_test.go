@@ -1,0 +1,207 @@
+package adi
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"msod/internal/bctx"
+	"msod/internal/rbac"
+)
+
+// The vocabulary of the store-equivalence properties. Instances reach
+// three components and share prefixes, and the patterns cover "*" and
+// "!" at every position, so one purge or activity check can hit several
+// instances at once while leaving siblings alone.
+var (
+	eqUsers = []string{"u0", "u1", "u2"}
+	eqRoles = []string{"R0", "R1"}
+	eqCtxs  = []string{
+		"A=1", "A=2", "A=1, B=x", "A=1, B=y", "A=2, B=x",
+		"A=1, B=x, C=p", "A=1, B=x, C=q", "A=2, B=y, C=p",
+	}
+	eqPatterns = []string{
+		"", "A=1", "A=2", "A=*", "A=!", "A=1, B=*", "A=*, B=x", "A=!, B=y",
+		"A=1, B=x, C=p", "A=*, B=*, C=p", "A=2, B=!, C=*", "A=3", "B=x",
+	}
+	eqEpoch = time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
+)
+
+// mutableStore is what the equivalence properties drive: the engine's
+// surface, the browse surface and the snapshot dump.
+type mutableStore interface {
+	Recorder
+	Browser
+	All() []Record
+}
+
+// reference is the unindexed store with the two §4.3 management purges
+// written as the plain scans they are; every answer of the indexed and
+// durable stores is compared against it.
+type reference struct{ *LinearStore }
+
+func (r reference) purge(drop func(Record) bool) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	kept := r.recs[:0]
+	for _, rec := range r.recs {
+		if !drop(rec) {
+			kept = append(kept, rec)
+		}
+	}
+	removed := len(r.recs) - len(kept)
+	r.recs = kept
+	return removed
+}
+
+// All orders the flat slice as Store.All does: by user, then insertion.
+func (r reference) All() []Record {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := append([]Record{}, r.recs...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].User < out[j].User })
+	return out
+}
+
+// mutate applies one random operation to both stores and reports the
+// first disagreement about its own result.
+func mutate(r *rand.Rand, step int, got mutableStore, want reference) error {
+	at := eqEpoch.Add(time.Duration(step) * time.Minute)
+	switch r.Intn(8) {
+	case 0, 1, 2: // append
+		rc := rec(eqUsers[r.Intn(len(eqUsers))], eqRoles[r.Intn(len(eqRoles))],
+			fmt.Sprintf("op%d", r.Intn(3)), "t", eqCtxs[r.Intn(len(eqCtxs))])
+		rc.Time = at
+		if e1, e2 := got.Append(rc), want.Append(rc); e1 != nil || e2 != nil {
+			return fmt.Errorf("append %v: %v / %v", rc, e1, e2)
+		}
+	case 3: // activation marker, only where the instance has no history
+		bound := bctx.MustParse(eqCtxs[r.Intn(len(eqCtxs))])
+		n1, e1 := EnsureActive(got, at, bound)
+		n2, e2 := EnsureActive(want, at, bound)
+		if e1 != nil || e2 != nil || n1 != n2 {
+			return fmt.Errorf("EnsureActive(%q) = %d, %v; want %d, %v", bound, n1, e1, n2, e2)
+		}
+	case 4, 5: // context purge
+		p := bctx.MustParse(eqPatterns[r.Intn(len(eqPatterns))])
+		n1, e1 := got.PurgeContext(p)
+		n2, e2 := want.PurgeContext(p)
+		if e1 != nil || e2 != nil || n1 != n2 {
+			return fmt.Errorf("PurgeContext(%q) = %d, %v; want %d, %v", p, n1, e1, n2, e2)
+		}
+	case 6: // user purge (markers included: their owner is a user too)
+		u := ActivationUser
+		if k := r.Intn(len(eqUsers) + 1); k < len(eqUsers) {
+			u = rbac.UserID(eqUsers[k])
+		}
+		n1, ok, err := PurgeUserFrom(got, u)
+		n2 := want.purge(func(rec Record) bool { return rec.User == u })
+		if err != nil || !ok || n1 != n2 {
+			return fmt.Errorf("PurgeUser(%q) = %d, %v, %v; want %d", u, n1, ok, err, n2)
+		}
+	case 7: // age purge
+		cut := eqEpoch.Add(time.Duration(r.Intn(step+1)) * time.Minute)
+		n1, ok, err := PurgeBeforeFrom(got, cut)
+		n2 := want.purge(func(rec Record) bool { return rec.Time.Before(cut) })
+		if err != nil || !ok || n1 != n2 {
+			return fmt.Errorf("PurgeBefore(%v) = %d, %v, %v; want %d", cut, n1, ok, err, n2)
+		}
+	}
+	return nil
+}
+
+// sameState compares everything observable about the two stores that
+// does not depend on a user: an index entry that outlives its last
+// record, or dies before it, shows here at the operation that caused it.
+func sameState(got mutableStore, want reference) error {
+	if g, w := got.Len(), want.Len(); g != w {
+		return fmt.Errorf("Len = %d, want %d", g, w)
+	}
+	if g, w := got.UserIDs(), want.UserIDs(); !sameSlice(g, w) {
+		return fmt.Errorf("UserIDs = %v, want %v", g, w)
+	}
+	if s, ok := got.(*Store); ok && s.Users() != len(want.UserIDs()) {
+		return fmt.Errorf("Users = %d, want %d", s.Users(), len(want.UserIDs()))
+	}
+	if g, w := got.All(), want.All(); !sameSlice(g, w) {
+		return fmt.Errorf("All = %v, want %v", g, w)
+	}
+	if g, w := got.Instances(), want.Instances(); !sameSlice(g, w) {
+		return fmt.Errorf("Instances = %v, want %v", g, w)
+	}
+	for _, ps := range eqPatterns {
+		p := bctx.MustParse(ps)
+		g, e1 := got.ContextActive(p)
+		w, e2 := want.ContextActive(p)
+		if e1 != nil || e2 != nil || g != w {
+			return fmt.Errorf("ContextActive(%q) = %v, %v; want %v, %v", p, g, e1, w, e2)
+		}
+	}
+	return nil
+}
+
+// sameAnswers compares the five history queries for one random user,
+// pattern, role and privilege.
+func sameAnswers(r *rand.Rand, got mutableStore, want reference) error {
+	u := rbac.UserID(eqUsers[r.Intn(len(eqUsers))])
+	p := bctx.MustParse(eqPatterns[r.Intn(len(eqPatterns))])
+	role := rbac.RoleName(eqRoles[r.Intn(len(eqRoles))])
+	perm := rbac.Permission{Operation: rbac.Operation(fmt.Sprintf("op%d", r.Intn(3))), Object: "t"}
+	for _, q := range []struct {
+		name string
+		ask  func(Recorder) (any, error)
+	}{
+		{"UserHasRole", func(s Recorder) (any, error) { return s.UserHasRole(u, p, role) }},
+		{"UserHasPrivilege", func(s Recorder) (any, error) { return s.UserHasPrivilege(u, p, perm) }},
+		{"CountUserRole", func(s Recorder) (any, error) { return s.CountUserRole(u, p, role, 0) }},
+		{"CountUserPrivilege", func(s Recorder) (any, error) { return s.CountUserPrivilege(u, p, perm, 2) }},
+	} {
+		g, e1 := q.ask(got)
+		w, e2 := q.ask(want)
+		if e1 != nil || e2 != nil || g != w {
+			return fmt.Errorf("%s(%q, %q) = %v, %v; want %v, %v", q.name, u, p, g, e1, w, e2)
+		}
+	}
+	if g, w := got.UserRecords(u, p), want.UserRecords(u, p); !sameSlice(g, w) {
+		return fmt.Errorf("UserRecords(%q, %q) = %v, want %v", u, p, g, w)
+	}
+	return nil
+}
+
+// sameSlice is reflect.DeepEqual that does not tell nil from empty.
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
+}
+
+// TestInstanceTableCollisions: instances whose names hash alike are
+// chained, and each leaves the chain without taking another with it,
+// whether it is the chain's head, middle or tail. (64-bit hashes of
+// real names never collide in a test, so the hash is given.)
+func TestInstanceTableCollisions(t *testing.T) {
+	names := []bctx.Name{bctx.MustParse("A=1"), bctx.MustParse("A=2"), bctx.MustParse("C=1, D=2"), bctx.MustParse("B=x")}
+	for gone := range names {
+		s := NewStore()
+		var ins []*instance
+		for _, n := range names {
+			in := s.instanceAtLocked(n, 7)
+			in.recs = 1
+			ins = append(ins, in)
+		}
+		s.releaseLocked(ins[gone])
+		for i, n := range names {
+			active, _ := s.ContextActive(n)
+			if active != (i != gone) {
+				t.Errorf("after %q left the chain, ContextActive(%q) = %v", names[gone], n, active)
+			}
+			if i != gone && s.instanceAtLocked(n, 7) != ins[i] {
+				t.Errorf("after %q left the chain, %q is no longer found", names[gone], n)
+			}
+		}
+		if got := len(s.Instances()); got != len(names)-1 {
+			t.Errorf("after %q left the chain, %d instances are listed", names[gone], got)
+		}
+	}
+}

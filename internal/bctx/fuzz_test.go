@@ -19,6 +19,8 @@ func FuzzParse(f *testing.F) {
 		"A=1,",
 		"=",
 		"A=\x00",
+		"Branch= York",
+		"A =\tb , C\u00a0=d",
 		strings.Repeat("A=1, ", 50),
 	} {
 		f.Add(seed)
@@ -46,6 +48,18 @@ func FuzzParse(f *testing.F) {
 		// Every name is subordinate to the universal context.
 		if !n.IsEqualOrSubordinateTo(Universal) {
 			t.Fatalf("%q not subordinate to universal", n)
+		}
+		// The same tokens untrimmed, as an embedding application might
+		// hand them to NewName: accepted only if the text carries them.
+		var raw []Component
+		for _, part := range strings.Split(in, ",") {
+			typ, val, _ := strings.Cut(part, "=")
+			raw = append(raw, Component{Type: typ, Value: val})
+		}
+		if built, err := NewName(raw...); err == nil {
+			if back, err := Parse(built.String()); err != nil || !back.Equal(built) {
+				t.Fatalf("NewName(%q) renders %q, which parses to %q, %v", raw, built.String(), back, err)
+			}
 		}
 	})
 }

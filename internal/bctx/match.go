@@ -49,21 +49,47 @@ func matchPrefix(pattern, name Name) bool {
 // Bind must only be called after MatchInstance(pattern, inst) reported
 // true; it returns an error otherwise.
 func Bind(pattern, inst Name) (Name, error) {
-	ok, err := MatchInstance(pattern, inst)
-	if err != nil {
-		return Name{}, err
+	if !inst.IsInstance() {
+		return Name{}, fmt.Errorf("bctx: %q is not a context instance (contains wildcards)", inst)
 	}
+	bound, ok := MatchBind(pattern, inst)
 	if !ok {
 		return Name{}, fmt.Errorf("bctx: instance %q does not match policy context %q", inst, pattern)
 	}
-	bound := make([]Component, len(pattern.components))
+	return bound, nil
+}
+
+// MatchBind is MatchInstance and Bind in one pass, for a caller that has
+// already checked inst.IsInstance (the engine validates a request once,
+// not once per policy). ok reports whether inst falls within pattern;
+// bound is then pattern with its "!" components bound to inst.
+//
+// Names are immutable, so two bindings need no new name: a pattern
+// without "!" is its own binding, and a pattern of inst's length
+// without "*" binds to inst itself. Only the mixed case allocates.
+func MatchBind(pattern, inst Name) (bound Name, ok bool) {
+	if !matchPrefix(pattern, inst) {
+		return Name{}, false
+	}
+	perInstance, anyInstance := false, false
+	for _, pc := range pattern.components {
+		perInstance = perInstance || pc.Value == PerInstance
+		anyInstance = anyInstance || pc.Value == AnyInstance
+	}
+	switch {
+	case !perInstance:
+		return pattern, true
+	case !anyInstance && len(pattern.components) == len(inst.components):
+		return inst, true
+	}
+	components := make([]Component, len(pattern.components))
 	for i, pc := range pattern.components {
 		if pc.Value == PerInstance {
 			pc.Value = inst.components[i].Value
 		}
-		bound[i] = pc
+		components[i] = pc
 	}
-	return Name{components: bound}, nil
+	return Name{components: components}, true
 }
 
 // Subsumes reports whether pattern a's scope includes pattern b's scope

@@ -67,8 +67,8 @@ type Name struct {
 var Universal = Name{}
 
 // NewName builds a Name from components. It returns an error if any
-// component has an empty type or value, or contains the reserved
-// characters '=' or ','.
+// component has an empty type or value, contains the reserved
+// characters '=' or ',', or starts or ends with whitespace.
 func NewName(components ...Component) (Name, error) {
 	for i, c := range components {
 		if err := checkToken(c.Type); err != nil {
@@ -91,12 +91,20 @@ func MustName(components ...Component) Name {
 	return n
 }
 
+// checkToken refuses what the textual form cannot carry: Parse trims
+// whitespace around every token, so a token with leading or trailing
+// whitespace would render to a String that parses back to a different
+// name — and a durable store recovering it from its log would hold a
+// different instance than the one the decision was recorded under.
 func checkToken(s string) error {
 	if s == "" {
 		return fmt.Errorf("empty token")
 	}
-	if strings.ContainsAny(s, "=,") {
+	if strings.IndexByte(s, '=') >= 0 || strings.IndexByte(s, ',') >= 0 {
 		return fmt.Errorf("token %q contains reserved character", s)
+	}
+	if strings.TrimSpace(s) != s {
+		return fmt.Errorf("token %q has leading or trailing whitespace", s)
 	}
 	return nil
 }
@@ -109,25 +117,37 @@ func Parse(s string) (Name, error) {
 	if s == "" {
 		return Universal, nil
 	}
-	parts := strings.Split(s, ",")
-	components := make([]Component, 0, len(parts))
-	for _, part := range parts {
+	// One pass over the text and one slice: the tokens are substrings
+	// of s, and the name takes the slice as it is. Cut and trimmed
+	// tokens are what checkToken demands, but for an '=' inside a value;
+	// the first such value is reported once every component has its
+	// shape, as when NewName checked them afterwards.
+	components := make([]Component, 0, strings.Count(s, ",")+1)
+	reserved := -1
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		if part == "" {
 			return Name{}, fmt.Errorf("bctx: empty component in %q", s)
 		}
-		eq := strings.IndexByte(part, '=')
-		if eq < 0 {
+		typ, val, ok := strings.Cut(part, "=")
+		if !ok {
 			return Name{}, fmt.Errorf("bctx: component %q missing '='", part)
 		}
-		typ := strings.TrimSpace(part[:eq])
-		val := strings.TrimSpace(part[eq+1:])
+		typ, val = strings.TrimSpace(typ), strings.TrimSpace(val)
 		if typ == "" || val == "" {
 			return Name{}, fmt.Errorf("bctx: component %q has empty type or value", part)
 		}
+		if reserved < 0 && strings.IndexByte(val, '=') >= 0 {
+			reserved = len(components)
+		}
 		components = append(components, Component{Type: typ, Value: val})
 	}
-	return NewName(components...)
+	if reserved >= 0 {
+		return Name{}, fmt.Errorf("bctx: component %d value: %w", reserved, checkToken(components[reserved].Value))
+	}
+	return Name{components: components}, nil
 }
 
 // MustParse is like Parse but panics on error.
@@ -145,12 +165,19 @@ func (n Name) String() string {
 	if len(n.components) == 0 {
 		return ""
 	}
+	size := 2 * (len(n.components) - 1)
+	for _, c := range n.components {
+		size += len(c.Type) + 1 + len(c.Value)
+	}
 	var b strings.Builder
+	b.Grow(size)
 	for i, c := range n.components {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(c.String())
+		b.WriteString(c.Type)
+		b.WriteByte('=')
+		b.WriteString(c.Value)
 	}
 	return b.String()
 }
@@ -163,6 +190,10 @@ func (n Name) Components() []Component {
 // Len returns the number of components (the depth below the universal
 // context).
 func (n Name) Len() int { return len(n.components) }
+
+// At returns the i'th component, 0 <= i < Len, without copying the name
+// as Components does.
+func (n Name) At(i int) Component { return n.components[i] }
 
 // IsUniversal reports whether the name is the universal (root) context.
 func (n Name) IsUniversal() bool { return len(n.components) == 0 }

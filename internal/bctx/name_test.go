@@ -185,6 +185,40 @@ func TestQuickParseStringInverse(t *testing.T) {
 	}
 }
 
+// Property: a name NewName accepts is a name its text carries —
+// Parse(n.String()) gives n back — for tokens with whitespace at either
+// end and inside. A durable store logs String() and recovers through
+// Parse, so a name that fails this comes back from a restart as a
+// different instance.
+func TestQuickNewNameRoundTrips(t *testing.T) {
+	tokens := []string{"a", "b c", " a", "a ", "\ta", "a\n", " ", "\u00a0a", "a\u2003", "*", "!", ""}
+	r := rand.New(rand.NewSource(4))
+	accepted := 0
+	f := func() bool {
+		comps := make([]Component, 1+r.Intn(3))
+		for i := range comps {
+			comps[i] = Component{Type: tokens[r.Intn(len(tokens))], Value: tokens[r.Intn(len(tokens))]}
+		}
+		n, err := NewName(comps...)
+		if err != nil {
+			return true
+		}
+		accepted++
+		parsed, err := Parse(n.String())
+		if err != nil || !parsed.Equal(n) {
+			t.Logf("NewName(%q) renders %q, which parses to %q, %v", comps, n.String(), parsed, err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if accepted == 0 {
+		t.Error("the generator never produced an acceptable name")
+	}
+}
+
 func TestQuickAncestryIsPrefix(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	f := func() bool {

@@ -15,7 +15,7 @@ import (
 // context instances* grows — the second growth axis of an unmanaged
 // retained ADI (§4.3). E4 grows records across few contexts; here the
 // record count is fixed while instances fan out, stressing the step-3
-// ContextActive scan over the store's instance index.
+// ContextActive lookup in the store's instance table.
 func E15() (*Table, error) {
 	t := &Table{
 		ID:      "E15",
@@ -68,7 +68,7 @@ func E15() (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"the store indexes distinct instances by positional component, so the step-3 activity check probes one bucket instead of scanning (a naive scan grew to ~180µs/decision at 10k instances on this host)",
+		"the store keeps one table entry per distinct instance and lists the entries by positional component, so the step-3 activity check walks the shortest list its pattern names instead of scanning (a naive scan grew to ~180µs/decision at 10k instances on this host)",
 		"the paper's mitigations still matter: last steps terminate instances, §4.3 purges remove them — both bound this set")
 	return t, nil
 }

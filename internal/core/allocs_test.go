@@ -1,0 +1,197 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"msod/internal/bctx"
+	"msod/internal/race"
+	"msod/internal/rbac"
+)
+
+// TestEvaluateAllocs holds an evaluation to what it returns or retains.
+// Every case names each allocation left; a budget that has to rise means
+// the hot path grew one, and the reason belongs next to the number.
+//
+// Each case runs allocRuns+1 requests, every one in a context instance
+// of its own (Period or process i) that prepare has put into the state
+// the case needs, so all of them take the same path. AllocsPerRun
+// reports the floor of the mean: growth that is amortised over many
+// requests (a user's record bucket doubling, the index lists and maps
+// of the store) does not reach one per request and is not budgeted.
+func TestEvaluateAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const allocRuns = 200
+	period := func(i int) string { return fmt.Sprintf("p%d", i) }
+	both := append(bankPolicies(), taxPolicies()...)
+
+	for _, tc := range []struct {
+		name     string
+		policies []Policy
+		prepare  func(e *Engine, i int) // brings instance i into the starting state
+		request  func(i int) Request
+		want     Effect
+		budget   float64
+	}{
+		{
+			// Step 1 finds no candidate policy for the first component
+			// type: no lock, no store call, nothing built.
+			name: "unmatched context", policies: both,
+			request: func(i int) Request {
+				r := bankReq("alice", "Teller", "HandleCash", "York", period(i))
+				r.Context = bctx.MustParse("Dept=d1, Project=" + period(i))
+				return r
+			},
+			want: Grant, budget: 0,
+		},
+		{
+			// Returned: nothing. Built: the bound name "Branch=*,
+			// Period=p" (1), the one-record slice handed to Append (1).
+			// Retained by the store: the record's Roles copy (1), the
+			// new instance (1), the list of its unique Period value (1).
+			name: "opening grant", policies: bankPolicies(),
+			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
+			want:    Grant, budget: 5,
+		},
+		{
+			// "TaxOffice=!, taxRefundProcess=!" binds to the request's
+			// own name (0). Returned: Decision.Activated (1). Built: the
+			// record slice (1). Retained: Roles copy (1), the instance
+			// (1), the list of its unique process value (1).
+			name: "opening grant, first step", policies: taxPolicies(),
+			request: func(i int) Request {
+				return taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i))
+			},
+			want: Grant, budget: 5,
+		},
+		{
+			// Built: bound name (1), record slice (1). Retained: the
+			// Roles copy (1) — the record's one-role slice is the rule's
+			// own until the store copies it.
+			name: "recorded grant under MMER", policies: bankPolicies(),
+			prepare: func(e *Engine, i int) {
+				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
+			},
+			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
+			want:    Grant, budget: 3,
+		},
+		{
+			// Built: record slice (1). Retained: Roles copy (1).
+			name: "recorded grant under MMEP", policies: taxPolicies(),
+			prepare: func(e *Engine, i int) {
+				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
+			},
+			request: func(i int) Request {
+				return taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", period(i))
+			},
+			want: Grant, budget: 2,
+		},
+		{
+			// Built: bound name (1), which the denial keeps. Returned:
+			// the Denial (1) and its Reason (1), formatted after the
+			// lock is released.
+			name: "MMER deny", policies: bankPolicies(),
+			prepare: func(e *Engine, i int) {
+				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
+			},
+			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "Leeds", period(i)) },
+			want:    Deny, budget: 3,
+		},
+		{
+			// Returned: the Denial (1) and its Reason (1).
+			name: "MMEP deny", policies: taxPolicies(),
+			prepare: func(e *Engine, i int) {
+				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
+				mustEvaluate(t, e, taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", period(i)), Grant)
+			},
+			request: func(i int) Request {
+				return taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", period(i))
+			},
+			want: Deny, budget: 2,
+		},
+		{
+			// Built: bound name (1). The purge itself allocates nothing.
+			name: "last-step purge", policies: bankPolicies(),
+			prepare: func(e *Engine, i int) {
+				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
+				mustEvaluate(t, e, bankReq("carol", "Teller", "HandleCash", "Leeds", period(i)), Grant)
+			},
+			request: func(i int) Request { return bankReq("bob", "Auditor", "CommitAudit", "York", period(i)) },
+			want:    Grant, budget: 1,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _ := newEngine(t, tc.policies)
+			reqs := make([]Request, allocRuns+1)
+			for i := range reqs {
+				if tc.prepare != nil {
+					tc.prepare(e, i)
+				}
+				reqs[i] = tc.request(i)
+			}
+			i := 0
+			got := testing.AllocsPerRun(allocRuns, func() {
+				dec, err := e.Evaluate(reqs[i])
+				if err != nil || dec.Effect != tc.want {
+					t.Fatalf("request %d: %v, %v; want %v", i, dec.Effect, err, tc.want)
+				}
+				i++
+			})
+			if got != tc.budget {
+				t.Errorf("%v allocations per evaluation, budget %v (lower it too when the path loses one)", got, tc.budget)
+			}
+		})
+	}
+}
+
+func mustEvaluate(t *testing.T, e *Engine, req Request, want Effect) {
+	t.Helper()
+	dec, err := e.Evaluate(req)
+	if err != nil || dec.Effect != want {
+		t.Fatalf("Evaluate(%+v) = %v, %v; want %v", req, dec.Effect, err, want)
+	}
+}
+
+// TestDenialTextIsFmtText pins the hand-built denial strings (they are
+// on the wire and in the HMAC trail) to the fmt verbs they replaced,
+// over operands that need quoting.
+func TestDenialTextIsFmtText(t *testing.T) {
+	for _, user := range []rbac.UserID{"alice", `a "quoted" user`, "tab\tnew\nline", "ünï©ode", "bad\xffutf8",
+		"a user ID far longer than the sixty-four bytes of stack scratch the quoting helper starts with"} {
+		e, _ := newEngine(t, append(bankPolicies(), taxPolicies()...))
+
+		req := bankReq(string(user), "Teller", "HandleCash", "York", "2006")
+		mustEvaluate(t, e, req, Grant)
+		req = bankReq(string(user), "Auditor", "Audit", `Le"eds`, "2006")
+		req.Roles = []rbac.RoleName{"Clerk", "Auditor"}
+		dec, err := e.Evaluate(req)
+		if err != nil || dec.Effect != Deny {
+			t.Fatalf("MMER: %v, %v", dec.Effect, err)
+		}
+		checkDenialText(t, dec.Denial, fmt.Sprintf("user %q activating %v already holds %d conflicting role(s) in this context (forbidden cardinality %d)",
+			user, []rbac.RoleName{"Auditor"}, 1, 2))
+
+		mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", "p1"), Grant)
+		req = taxReq(string(user), "Manager", "approve/disapproveCheck", checkTarget, "Leeds", "p1")
+		mustEvaluate(t, e, req, Grant)
+		dec, err = e.Evaluate(req)
+		if err != nil || dec.Effect != Deny {
+			t.Fatalf("MMEP: %v, %v", dec.Effect, err)
+		}
+		checkDenialText(t, dec.Denial, fmt.Sprintf("user %q requesting %v already exercised %d conflicting privilege(s) in this context (forbidden cardinality %d)",
+			user, rbac.Permission{Operation: req.Operation, Object: req.Target}, 1, 2))
+	}
+}
+
+func checkDenialText(t *testing.T, d *Denial, reason string) {
+	t.Helper()
+	if d.Reason != reason {
+		t.Errorf("Reason = %q, want %q", d.Reason, reason)
+	}
+	want := fmt.Sprintf("msod: denied by %s of policy %q (bound %q): %s", d.Rule, d.PolicyContext, d.BoundContext, d.Reason)
+	if got := d.Error(); got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
+}

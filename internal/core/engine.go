@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -82,8 +84,33 @@ type Denial struct {
 
 // Error renders the denial; Denial satisfies error so PEPs can surface it.
 func (d *Denial) Error() string {
-	return fmt.Sprintf("msod: denied by %s of policy %q (bound %q): %s",
-		d.Rule, d.PolicyContext, d.BoundContext, d.Reason)
+	policy, bound := d.PolicyContext.String(), d.BoundContext.String()
+	var t text
+	t.Grow(len("msod: denied by  of policy \"\" (bound \"\"): ") + len(d.Rule) + len(policy) + len(bound) + len(d.Reason))
+	t.WriteString("msod: denied by ")
+	t.WriteString(d.Rule)
+	t.WriteString(" of policy ")
+	t.quote(policy)
+	t.WriteString(" (bound ")
+	t.quote(bound)
+	t.WriteString("): ")
+	t.WriteString(d.Reason)
+	return t.String()
+}
+
+// text builds the denial strings, which are on the wire and in the
+// audit trail of every refused request, in one buffer: quote and int
+// write what fmt's %q and %d would, without boxing the operands.
+type text struct{ strings.Builder }
+
+func (t *text) quote(s string) {
+	var buf [64]byte // on the stack; longer strings fall back to the heap
+	t.Write(strconv.AppendQuote(buf[:0], s))
+}
+
+func (t *text) int(n int) {
+	var buf [20]byte
+	t.Write(strconv.AppendInt(buf[:0], int64(n), 10))
 }
 
 // Decision is the result of evaluating a request against the MSoD policy
@@ -115,18 +142,27 @@ type Decision struct {
 }
 
 // Engine evaluates requests against a compiled MSoD policy set and a
-// retained-ADI store. Evaluations are serialised by an internal mutex so
-// the read-check-append sequence of the §4.2 algorithm is atomic with
+// retained-ADI store. The part of an evaluation that reads or writes
+// the store is serialised by an internal mutex, so the
+// read-check-append sequence of the §4.2 algorithm is atomic with
 // respect to concurrent requests (two in-flight conflicting requests
 // cannot both pass their history checks and both record).
 type Engine struct {
-	mu        sync.Mutex
-	policies  []Policy
-	store     adi.Recorder
-	ctxStore  adi.CtxAppender // non-nil when store supports ctx-aware appends
-	now       func() time.Time
-	expand    func([]rbac.RoleName) []rbac.RoleName
-	naiveMMEP bool
+	mu       sync.Mutex
+	policies []Policy
+	// programs holds what NewEngine derived from each policy, and
+	// candidates the programs step 1 has to try for a request, by the
+	// type of the request context's first component: the policies whose
+	// context starts with that type and the universal-context ones, in
+	// policy order. universal serves every other request.
+	programs   []program
+	candidates map[string][]*program
+	universal  []*program
+	store      adi.Recorder
+	ctxStore   adi.CtxAppender // non-nil when store supports ctx-aware appends
+	now        func() time.Time
+	expand     func([]rbac.RoleName) []rbac.RoleName
+	naiveMMEP  bool
 }
 
 // Option configures an Engine.
@@ -165,7 +201,7 @@ func WithRoleExpander(expand func([]rbac.RoleName) []rbac.RoleName) Option {
 }
 
 // NewEngine builds an engine over the given store and policies. Policies
-// are validated; the store must be non-nil.
+// are validated and compiled (see program); the store must be non-nil.
 func NewEngine(store adi.Recorder, policies []Policy, opts ...Option) (*Engine, error) {
 	if store == nil {
 		return nil, fmt.Errorf("core: nil retained-ADI store")
@@ -176,9 +212,28 @@ func NewEngine(store adi.Recorder, policies []Policy, opts ...Option) (*Engine, 
 		}
 	}
 	e := &Engine{
-		policies: append([]Policy(nil), policies...),
-		store:    store,
-		now:      time.Now,
+		policies:   append([]Policy(nil), policies...),
+		programs:   make([]program, len(policies)),
+		candidates: make(map[string][]*program),
+		store:      store,
+		now:        time.Now,
+	}
+	for i := range e.policies {
+		e.programs[i] = compileProgram(&e.policies[i])
+		if ctx := e.policies[i].Context; !ctx.IsUniversal() {
+			e.candidates[ctx.At(0).Type] = nil
+		}
+	}
+	for i := range e.programs {
+		pr := &e.programs[i]
+		if pr.Context.IsUniversal() {
+			e.universal = append(e.universal, pr)
+		}
+		for typ := range e.candidates {
+			if pr.Context.IsUniversal() || pr.Context.At(0).Type == typ {
+				e.candidates[typ] = append(e.candidates[typ], pr)
+			}
+		}
 	}
 	// Resolved once here so the commit path pays no per-decision
 	// type assertion.
@@ -189,6 +244,56 @@ func NewEngine(store adi.Recorder, policies []Policy, opts ...Option) (*Engine, 
 	return e, nil
 }
 
+// program is one policy as NewEngine compiled it: everything an
+// evaluation needs that follows from the policy alone, so a request
+// derives none of it.
+type program struct {
+	*Policy
+	// context is Policy.Context rendered, for explain records, and span
+	// the name of the policy's trace span.
+	context, span string
+	// mmer[i] names rule i of Policy.MMER ("MMER[i]").
+	mmer []string
+	mmep []mmepProgram
+}
+
+// mmepProgram is one MMEP rule with its privilege multiset counted.
+type mmepProgram struct {
+	name        string // "MMEP[i]"
+	cardinality int
+	// positions are the rule's distinct privileges, in order of first
+	// listing, each with the number of times the rule lists it.
+	positions []position
+}
+
+type position struct {
+	priv rbac.Permission
+	n    int
+}
+
+func compileProgram(p *Policy) program {
+	pr := program{Policy: p, context: p.Context.String()}
+	pr.span = "msod.policy:" + pr.context
+	for i := range p.MMER {
+		pr.mmer = append(pr.mmer, fmt.Sprintf("MMER[%d]", i))
+	}
+	for i, rule := range p.MMEP {
+		mp := mmepProgram{name: fmt.Sprintf("MMEP[%d]", i), cardinality: rule.Cardinality}
+	listed:
+		for _, priv := range rule.Privileges {
+			for k := range mp.positions {
+				if mp.positions[k].priv == priv {
+					mp.positions[k].n++
+					continue listed
+				}
+			}
+			mp.positions = append(mp.positions, position{priv, 1})
+		}
+		pr.mmep = append(pr.mmep, mp)
+	}
+	return pr
+}
+
 // Policies returns a copy of the engine's compiled policies.
 func (e *Engine) Policies() []Policy {
 	return append([]Policy(nil), e.policies...)
@@ -197,13 +302,72 @@ func (e *Engine) Policies() []Policy {
 // Store returns the engine's retained-ADI store.
 func (e *Engine) Store() adi.Recorder { return e.store }
 
-// action is one deferred store mutation, applied in policy order only if
-// the overall result is Grant.
+// matched is one policy step 1 selected, with its context bound to the
+// request's instance.
+type matched struct {
+	*program
+	bound bctx.Name
+}
+
+// action is the deferred store mutation of one matched policy, applied
+// in policy order only if the overall result is Grant: a purge of the
+// bound context, or an append of records. The zero action does nothing.
 type action struct {
 	purge     bool
-	pattern   bctx.Name    // purge pattern
-	records   []adi.Record // appends
-	activated *bctx.Name   // bound context a FirstStep opening record starts
+	bound     bctx.Name
+	records   []adi.Record
+	activates bool // records open an instance of a FirstStep-gated policy
+}
+
+// refusal is the constraint that denied a request, as the locked part
+// of an evaluation found it; the denial's text is formatted from it
+// once the lock is released.
+type refusal struct {
+	denied      bool
+	in          matched
+	rule        string
+	mmer        *MMERRule // the violated MMER rule, nil for an MMEP one
+	held        int
+	cardinality int
+}
+
+func (r refusal) denial(req Request) *Denial {
+	var t text
+	t.Grow(128 + len(req.User) + len(req.Operation) + len(req.Target))
+	t.WriteString("user ")
+	t.quote(string(req.User))
+	if r.mmer != nil {
+		t.WriteString(" activating [")
+		sep := ""
+		for _, role := range r.mmer.Roles {
+			if containsRole(req.Roles, role) {
+				t.WriteString(sep)
+				t.WriteString(string(role))
+				sep = " "
+			}
+		}
+		t.WriteString("] already holds ")
+		t.int(r.held)
+		t.WriteString(" conflicting role(s) in this context (forbidden cardinality ")
+	} else {
+		t.WriteString(" requesting ")
+		t.WriteString(string(req.Operation))
+		t.WriteByte('@')
+		t.WriteString(string(req.Target))
+		t.WriteString(" already exercised ")
+		t.int(r.held)
+		t.WriteString(" conflicting privilege(s) in this context (forbidden cardinality ")
+	}
+	t.int(r.cardinality)
+	t.WriteByte(')')
+	return &Denial{
+		PolicyContext: r.in.Context,
+		BoundContext:  r.in.bound,
+		Rule:          r.rule,
+		Held:          r.held,
+		Cardinality:   r.cardinality,
+		Reason:        t.String(),
+	}
 }
 
 // Evaluate runs the §4.2 enforcement algorithm. The request must already
@@ -250,62 +414,85 @@ func (e *Engine) evaluate(ctx context.Context, req Request, commit bool) (Decisi
 		// modified).
 		req.Roles = e.expand(req.Roles)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-
-	var (
-		dec     Decision
-		actions []action
-		now     = e.now()
-		// tr is resolved once; all per-policy and store span
-		// bookkeeping is skipped when the request is untraced. xr is
-		// the decision's explain record (nil when the request is not
-		// being explained — advisories, and servers without a
-		// recorder); per-rule counter capture is skipped entirely then.
-		tr = obsv.TraceFrom(ctx)
-		xr = explain.FromContext(ctx)
-	)
 
 	// Step 1: select the policies whose business context matches the
-	// request's context instance, binding "!" components.
-	for pi := range e.policies {
-		p := &e.policies[pi]
-		matched, err := bctx.MatchInstance(p.Context, req.Context)
-		if err != nil {
-			return Decision{}, err
-		}
-		if !matched {
-			continue
-		}
-		dec.MatchedPolicies++
-		bound, err := bctx.Bind(p.Context, req.Context)
-		if err != nil {
-			return Decision{}, err
-		}
+	// request's context instance, binding "!" components. It consults
+	// only the immutable policies, so it runs before the lock; a
+	// request no policy matches never takes it.
+	var buf [4]matched
+	matches := e.match(req.Context, buf[:0])
+	if len(matches) == 0 {
+		return Decision{Effect: Grant}, nil
+	}
+	dec, refused, err := e.decide(ctx, req, matches, commit)
+	if err != nil {
+		return Decision{}, err
+	}
+	if refused.denied {
+		dec.Denial = refused.denial(req)
+	}
+	return dec, nil
+}
 
+// match appends to out, in policy order, the candidate policies whose
+// context the (validated) instance falls within.
+func (e *Engine) match(inst bctx.Name, out []matched) []matched {
+	candidates := e.universal
+	if !inst.IsUniversal() {
+		if byType, ok := e.candidates[inst.At(0).Type]; ok {
+			candidates = byType
+		}
+	}
+	for _, pr := range candidates {
+		if bound, ok := bctx.MatchBind(pr.Context, inst); ok {
+			out = append(out, matched{pr, bound})
+		}
+	}
+	return out
+}
+
+// decide runs steps 3–7 for every matched policy and then the commit
+// phase, all under the engine lock: what one request reads of the
+// retained ADI cannot change before what it decides to write is written.
+func (e *Engine) decide(ctx context.Context, req Request, matches []matched, commit bool) (Decision, refusal, error) {
+	// tr is resolved once; all per-policy and store span bookkeeping is
+	// skipped when the request is untraced. xr is the decision's
+	// explain record (nil when the request is not being explained —
+	// advisories, and servers without a recorder); per-rule counter
+	// capture is skipped entirely then.
+	tr := obsv.TraceFrom(ctx)
+	xr := explain.FromContext(ctx)
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	now := e.now()
+	var buf [4]action
+	actions := buf[:0]
+	for i := range matches {
 		var endPolicy func()
 		if tr != nil {
-			endPolicy = tr.StartSpan("msod.policy:" + p.Context.String())
+			endPolicy = tr.StartSpan(matches[i].span)
 		}
-		act, denial, err := e.evaluatePolicy(p, bound, req, now, xr)
+		act, refused, err := e.evaluatePolicy(&matches[i], req, now, xr)
 		if endPolicy != nil {
 			endPolicy()
 		}
 		if err != nil {
-			return Decision{}, err
+			return Decision{}, refusal{}, err
 		}
-		if denial != nil {
+		if refused.denied {
 			// Deny exits immediately; no retained-ADI mutation at all.
-			return Decision{Effect: Deny, Denial: denial, MatchedPolicies: dec.MatchedPolicies}, nil
+			return Decision{Effect: Deny, MatchedPolicies: i + 1}, refused, nil
 		}
-		if act != nil {
-			actions = append(actions, *act)
+		if act.purge || len(act.records) > 0 {
+			actions = append(actions, act)
 		}
 	}
 
 	// Commit phase: every matched policy granted, apply mutations in
 	// policy order. In advisory mode (Peek) the mutations are only
 	// counted, never applied.
+	dec := Decision{Effect: Grant, MatchedPolicies: len(matches)}
 	if tr != nil && commit && len(actions) > 0 {
 		endStore := tr.StartSpan(obsv.StageStore)
 		defer endStore()
@@ -313,116 +500,115 @@ func (e *Engine) evaluate(ctx context.Context, req Request, commit bool) (Decisi
 	for _, act := range actions {
 		if act.purge {
 			if commit {
-				n, err := e.store.PurgeContext(act.pattern)
+				n, err := e.store.PurgeContext(act.bound)
 				if err != nil {
-					return Decision{}, fmt.Errorf("core: purge %q: %w", act.pattern, err)
+					return Decision{}, refusal{}, fmt.Errorf("core: purge %q: %w", act.bound, err)
 				}
 				dec.Purged += n
 				if xr != nil {
 					// Recorded at commit (not evaluation) time so a
 					// later policy's denial cannot leave a phantom
 					// termination in the explain record.
-					xr.Terminate(act.pattern.String())
+					xr.Terminate(act.bound.String())
 				}
 			}
 			continue
 		}
-		if len(act.records) > 0 {
-			if commit {
-				var err error
-				if e.ctxStore != nil {
-					// Context-aware stores (the durable ADI) record the
-					// WAL round trip as a sub-span of the store stage.
-					err = e.ctxStore.AppendCtx(ctx, act.records...)
-				} else {
-					err = e.store.Append(act.records...)
-				}
-				if err != nil {
-					return Decision{}, fmt.Errorf("core: record decision: %w", err)
-				}
+		if commit {
+			var err error
+			if e.ctxStore != nil {
+				// Context-aware stores (the durable ADI) record the
+				// WAL round trip as a sub-span of the store stage.
+				err = e.ctxStore.AppendCtx(ctx, act.records...)
+			} else {
+				err = e.store.Append(act.records...)
 			}
-			dec.Recorded += len(act.records)
-			if commit && act.activated != nil {
-				dec.Activated = append(dec.Activated, *act.activated)
+			if err != nil {
+				return Decision{}, refusal{}, fmt.Errorf("core: record decision: %w", err)
 			}
 		}
+		dec.Recorded += len(act.records)
+		if commit && act.activates {
+			dec.Activated = append(dec.Activated, act.bound)
+		}
 	}
-	dec.Effect = Grant
-	return dec, nil
+	return dec, refusal{}, nil
 }
 
 // evaluatePolicy runs steps 3–7 for one matched policy with its bound
-// context. It returns the deferred store action for a grant, or a denial.
-// When xr is non-nil, every consulted constraint is appended to the
-// explain record with its k-of-m counter state before and after.
-func (e *Engine) evaluatePolicy(p *Policy, bound bctx.Name, req Request, now time.Time, xr *explain.Record) (*action, *Denial, error) {
+// context. It returns the deferred store action for a grant, or the
+// refusing constraint. When xr is non-nil, every consulted constraint is
+// appended to the explain record with its k-of-m counter state before
+// and after.
+func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr *explain.Record) (action, refusal, error) {
 	// Step 7 precheck: a granted last step terminates the context
 	// instance — the §4.2 text orders this after the constraint checks,
 	// and the PERMIS implementation (§5.2) flushes on recording the
 	// granted last step. Constraint checks still apply to the last step
 	// itself (it may be one of the mutually exclusive privileges).
-	isLast := p.LastStep.matches(req.Operation, req.Target)
+	isLast := m.LastStep.matches(req.Operation, req.Target)
 
 	// Step 3: has this bound context instance any retained history?
-	active, err := e.store.ContextActive(bound)
+	active, err := e.store.ContextActive(m.bound)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: context query: %w", err)
+		return action{}, refusal{}, fmt.Errorf("core: context query: %w", err)
 	}
 
 	if !active {
 		// Step 4: no history. Record only if this is the policy's first
 		// step, or the policy defines none (enforcement starts with the
 		// first operation invoked inside the context).
-		if p.FirstStep == nil || p.FirstStep.matches(req.Operation, req.Target) {
-			if isLast {
-				// First operation is also the last step: the instance
-				// terminates immediately; nothing to retain.
-				return &action{purge: true, pattern: bound}, nil, nil
-			}
-			if xr != nil {
-				// The opening record seeds the k-of-m counters that
-				// later requests are judged against, so the provenance
-				// trace shows which constraints now track this context
-				// and where their counters land (k 0 -> nr).
-				explainOpening(p, bound, req, xr)
-			}
-			act := &action{records: []adi.Record{newRecord(req, now)}}
-			if p.FirstStep != nil {
-				// An explicit first step starting the instance is the
-				// activation other nodes of a distributed PDP must hear
-				// about (see Decision.Activated).
-				b := bound
-				act.activated = &b
-			}
-			return act, nil, nil
+		if m.FirstStep != nil && !m.FirstStep.matches(req.Operation, req.Target) {
+			// Context has not started: MSoD does not yet apply.
+			return action{}, refusal{}, nil
 		}
-		// Context has not started: MSoD does not yet apply.
-		return nil, nil, nil
+		if isLast {
+			// First operation is also the last step: the instance
+			// terminates immediately; nothing to retain.
+			return action{purge: true, bound: m.bound}, refusal{}, nil
+		}
+		if xr != nil {
+			// The opening record seeds the k-of-m counters that
+			// later requests are judged against, so the provenance
+			// trace shows which constraints now track this context
+			// and where their counters land (k 0 -> nr).
+			explainOpening(m, req, xr)
+		}
+		// An explicit first step starting the instance is the
+		// activation other nodes of a distributed PDP must hear
+		// about (see Decision.Activated).
+		return action{
+			bound:     m.bound,
+			records:   []adi.Record{newRecord(req, req.Roles, now)},
+			activates: m.FirstStep != nil,
+		}, refusal{}, nil
 	}
 
-	pending := make([]adi.Record, 0, 2)
+	// records counts what a grant retains: one record per matched role
+	// of every MMER rule (step 5.iv) and one per MMEP rule listing the
+	// requested privilege.
+	records := 0
 
 	// Step 5: MMER constraints.
-	for i, rule := range p.MMER {
+	for i := range m.MMER {
+		rule := &m.MMER[i]
 		nr := 0
-		var matchedRoles []rbac.RoleName
-		remaining := make([]rbac.RoleName, 0, len(rule.Roles))
 		for _, role := range rule.Roles {
 			if containsRole(req.Roles, role) {
 				nr++
-				matchedRoles = append(matchedRoles, role)
-			} else {
-				remaining = append(remaining, role)
 			}
 		}
 		if nr == 0 {
 			continue
 		}
 		count := 0
-		for _, role := range remaining {
-			ok, err := e.store.UserHasRole(req.User, bound, role)
+		for _, role := range rule.Roles {
+			if containsRole(req.Roles, role) {
+				continue
+			}
+			ok, err := e.store.UserHasRole(req.User, m.bound, role)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: role history query: %w", err)
+				return action{}, refusal{}, fmt.Errorf("core: role history query: %w", err)
 			}
 			if ok {
 				count++
@@ -437,107 +623,122 @@ func (e *Engine) evaluatePolicy(p *Policy, bound bctx.Name, req Request, now tim
 				after = count + nr
 			}
 			xr.Rule(explain.RuleEval{
-				Policy: p.Context.String(), Bound: bound.String(),
-				Rule: fmt.Sprintf("MMER[%d]", i), Kind: explain.KindMMER,
+				Policy: m.context, Bound: m.bound.String(),
+				Rule: m.mmer[i], Kind: explain.KindMMER,
 				K: count, KAfter: after, M: rule.Cardinality,
-				Matched: roleStrings(matchedRoles), Denied: denied,
+				Matched: roleStrings(activated(rule, req.Roles)), Denied: denied,
 			})
 		}
 		if denied {
-			return nil, &Denial{
-				PolicyContext: p.Context,
-				BoundContext:  bound,
-				Rule:          fmt.Sprintf("MMER[%d]", i),
-				Held:          count,
-				Cardinality:   rule.Cardinality,
-				Reason: fmt.Sprintf("user %q activating %v already holds %d conflicting role(s) in this context (forbidden cardinality %d)",
-					req.User, matchedRoles, count, rule.Cardinality),
-			}, nil
+			return action{}, refusal{denied: true, in: *m, rule: m.mmer[i], mmer: rule, held: count, cardinality: rule.Cardinality}, nil
 		}
-		// Step 5.iv: one new record per currently matched role.
-		for _, role := range matchedRoles {
-			rec := newRecord(req, now)
-			rec.Roles = []rbac.RoleName{role}
-			pending = append(pending, rec)
-		}
+		records += nr
 	}
 
 	// Step 6: MMEP constraints.
 	reqPriv := rbac.Permission{Operation: req.Operation, Object: req.Target}
-	for i, rule := range p.MMEP {
-		// Positions equal to the requested privilege; one occurrence is
-		// the current request and is ignored from counting.
-		positions := make(map[rbac.Permission]int, len(rule.Privileges))
-		reqPositions := 0
-		for _, priv := range rule.Privileges {
-			if priv == reqPriv {
-				reqPositions++
-			} else {
-				positions[priv]++
-			}
-		}
-		if reqPositions == 0 {
+	for i := range m.mmep {
+		rule := &m.mmep[i]
+		if !rule.lists(reqPriv) {
 			continue
-		}
-		if reqPositions > 1 {
-			// The privilege is listed multiple times: the occurrences
-			// beyond the current request remain countable positions, so
-			// prior executions of the same privilege are conflicts (this
-			// is the MMEP({p,p},2) repetition cap of §2.4/§3).
-			positions[reqPriv] = reqPositions - 1
 		}
 		// Multiset matching (default): each remaining position needs a
 		// distinct supporting ADI record of the same privilege. Naive
 		// mode counts a position whenever any matching record exists
 		// (the E11 ablation).
 		count := 0
-		for priv, nPos := range positions {
+		for _, pos := range rule.positions {
+			nPos := pos.n
+			if pos.priv == reqPriv {
+				// One occurrence of the requested privilege is the
+				// current request and is ignored from counting. When it
+				// is listed multiple times, the occurrences beyond it
+				// remain countable positions, so prior executions of
+				// the same privilege are conflicts (this is the
+				// MMEP({p,p},2) repetition cap of §2.4/§3).
+				if nPos--; nPos == 0 {
+					continue
+				}
+			}
 			limit := nPos
 			if e.naiveMMEP {
 				limit = 1
 			}
-			n, err := e.store.CountUserPrivilege(req.User, bound, priv, limit)
+			n, err := e.store.CountUserPrivilege(req.User, m.bound, pos.priv, limit)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: privilege history query: %w", err)
+				return action{}, refusal{}, fmt.Errorf("core: privilege history query: %w", err)
 			}
 			if e.naiveMMEP && n > 0 {
 				n = nPos
 			}
 			count += n
 		}
-		denied := count >= rule.Cardinality-1
+		denied := count >= rule.cardinality-1
 		if xr != nil {
 			after := count
 			if !denied {
 				after = count + 1 // this request consumes one position
 			}
 			xr.Rule(explain.RuleEval{
-				Policy: p.Context.String(), Bound: bound.String(),
-				Rule: fmt.Sprintf("MMEP[%d]", i), Kind: explain.KindMMEP,
-				K: count, KAfter: after, M: rule.Cardinality,
+				Policy: m.context, Bound: m.bound.String(),
+				Rule: rule.name, Kind: explain.KindMMEP,
+				K: count, KAfter: after, M: rule.cardinality,
 				Matched: []string{fmt.Sprint(reqPriv)}, Denied: denied,
 			})
 		}
 		if denied {
-			return nil, &Denial{
-				PolicyContext: p.Context,
-				BoundContext:  bound,
-				Rule:          fmt.Sprintf("MMEP[%d]", i),
-				Held:          count,
-				Cardinality:   rule.Cardinality,
-				Reason: fmt.Sprintf("user %q requesting %v already exercised %d conflicting privilege(s) in this context (forbidden cardinality %d)",
-					req.User, reqPriv, count, rule.Cardinality),
-			}, nil
+			return action{}, refusal{denied: true, in: *m, rule: rule.name, held: count, cardinality: rule.cardinality}, nil
 		}
-		pending = append(pending, newRecord(req, now))
+		records++
 	}
 
 	// Step 7: a granted last step terminates the bound context instance;
-	// otherwise the pending records are retained.
+	// otherwise the records are retained.
 	if isLast {
-		return &action{purge: true, pattern: bound}, nil, nil
+		return action{purge: true, bound: m.bound}, refusal{}, nil
 	}
-	return &action{records: pending}, nil, nil
+	if records == 0 {
+		return action{}, refusal{}, nil
+	}
+	act := action{bound: m.bound, records: make([]adi.Record, 0, records)}
+	for i := range m.MMER {
+		// Step 5.iv: one new record per currently matched role. Its
+		// one-role slice is the rule's own; the store copies what it
+		// keeps (see adi.Recorder).
+		for k, role := range m.MMER[i].Roles {
+			if containsRole(req.Roles, role) {
+				act.records = append(act.records, newRecord(req, m.MMER[i].Roles[k:k+1:k+1], now))
+			}
+		}
+	}
+	for i := range m.mmep {
+		if m.mmep[i].lists(reqPriv) {
+			act.records = append(act.records, newRecord(req, req.Roles, now))
+		}
+	}
+	return act, refusal{}, nil
+}
+
+// lists reports whether the rule lists the privilege.
+func (r *mmepProgram) lists(p rbac.Permission) bool {
+	for _, pos := range r.positions {
+		if pos.priv == p {
+			return true
+		}
+	}
+	return false
+}
+
+// activated returns the rule's roles the request activates, in rule
+// order — for denial text and explain records only.
+func activated(rule *MMERRule, roles []rbac.RoleName) []rbac.RoleName {
+	var out []rbac.RoleName
+	for _, role := range rule.Roles {
+		if containsRole(roles, role) {
+			out = append(out, role)
+		}
+	}
+	return out
 }
 
 // explainOpening appends the rule evaluations of a context-opening
@@ -546,40 +747,28 @@ func (e *Engine) evaluatePolicy(p *Policy, bound bctx.Name, req Request, now tim
 // CountUserPrivilege counts, so KAfter reflects the state the grant
 // leaves behind: nr matched roles for MMER, one consumed position for
 // MMEP.
-func explainOpening(p *Policy, bound bctx.Name, req Request, xr *explain.Record) {
-	for i, rule := range p.MMER {
-		var matched []rbac.RoleName
-		for _, role := range rule.Roles {
-			if containsRole(req.Roles, role) {
-				matched = append(matched, role)
-			}
-		}
+func explainOpening(m *matched, req Request, xr *explain.Record) {
+	for i := range m.MMER {
+		matched := activated(&m.MMER[i], req.Roles)
 		if len(matched) == 0 {
 			continue
 		}
 		xr.Rule(explain.RuleEval{
-			Policy: p.Context.String(), Bound: bound.String(),
-			Rule: fmt.Sprintf("MMER[%d]", i), Kind: explain.KindMMER,
-			K: 0, KAfter: len(matched), M: rule.Cardinality,
+			Policy: m.context, Bound: m.bound.String(),
+			Rule: m.mmer[i], Kind: explain.KindMMER,
+			K: 0, KAfter: len(matched), M: m.MMER[i].Cardinality,
 			Matched: roleStrings(matched),
 		})
 	}
 	reqPriv := rbac.Permission{Operation: req.Operation, Object: req.Target}
-	for i, rule := range p.MMEP {
-		listed := false
-		for _, priv := range rule.Privileges {
-			if priv == reqPriv {
-				listed = true
-				break
-			}
-		}
-		if !listed {
+	for i := range m.mmep {
+		if !m.mmep[i].lists(reqPriv) {
 			continue
 		}
 		xr.Rule(explain.RuleEval{
-			Policy: p.Context.String(), Bound: bound.String(),
-			Rule: fmt.Sprintf("MMEP[%d]", i), Kind: explain.KindMMEP,
-			K: 0, KAfter: 1, M: rule.Cardinality,
+			Policy: m.context, Bound: m.bound.String(),
+			Rule: m.mmep[i].name, Kind: explain.KindMMEP,
+			K: 0, KAfter: 1, M: m.mmep[i].cardinality,
 			Matched: []string{fmt.Sprint(reqPriv)},
 		})
 	}
@@ -587,11 +776,12 @@ func explainOpening(p *Policy, bound bctx.Name, req Request, xr *explain.Record)
 
 // newRecord builds the §4.2 six-tuple for the request. The stored
 // context is the request's concrete instance, so that future policies
-// binding different patterns can still match it.
-func newRecord(req Request, now time.Time) adi.Record {
+// binding different patterns can still match it. roles is not copied:
+// adi.Recorder's Append copies what it keeps.
+func newRecord(req Request, roles []rbac.RoleName, now time.Time) adi.Record {
 	return adi.Record{
 		User:      req.User,
-		Roles:     append([]rbac.RoleName(nil), req.Roles...),
+		Roles:     roles,
 		Operation: req.Operation,
 		Target:    req.Target,
 		Context:   req.Context,

@@ -304,15 +304,29 @@ func (m *Model) rolesPermitLocked(roles map[RoleName]bool, p Permission) bool {
 // RolesPermit reports whether any of the given roles grants the
 // permission, considering inheritance. This is the stateless role-based
 // check the PDP uses when it is handed validated roles rather than a
-// session.
+// session, once per decision, so it builds no role set: seen is both
+// the visited list and the work queue of a walk down the hierarchy,
+// and stays on the stack for hierarchies of ordinary size.
 func (m *Model) RolesPermit(roles []RoleName, p Permission) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	set := make(map[RoleName]bool, len(roles))
-	for _, r := range roles {
-		set[r] = true
+	var buf [16]RoleName
+	seen := append(buf[:0], roles...)
+	for i := 0; i < len(seen); i++ {
+		if m.pa[seen[i]][p] {
+			return true
+		}
+	juniors:
+		for j := range m.juniors[seen[i]] {
+			for _, r := range seen {
+				if r == j {
+					continue juniors
+				}
+			}
+			seen = append(seen, j)
+		}
 	}
-	return m.rolesPermitLocked(set, p)
+	return false
 }
 
 // AddSSD registers a static SoD constraint set. Existing UA assignments

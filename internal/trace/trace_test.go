@@ -218,7 +218,10 @@ func TestPoolReuseLeakFree(t *testing.T) {
 					t.Errorf("pooled record not reset: %+v", rec)
 					return
 				}
-				rec.TraceID = fmt.Sprintf("%08x%024x", g, i)
+				// Commit and Discard hand rec to the store and the pool:
+				// another goroutine may hold it by the time Get runs.
+				id := fmt.Sprintf("%08x%024x", g, i)
+				rec.TraceID = id
 				rec.Time = time.Now()
 				rec.Spans = append(rec.Spans, Span{Name: obsv.StageCVS})
 				if i%3 == 0 {
@@ -227,7 +230,7 @@ func TestPoolReuseLeakFree(t *testing.T) {
 					st.Commit(rec)
 				}
 				if i%5 == 0 {
-					if r, ok := st.Get(rec.TraceID); ok && r.TraceID == "" {
+					if r, ok := st.Get(id); ok && r.TraceID == "" {
 						t.Errorf("empty record served")
 						return
 					}
