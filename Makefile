@@ -15,12 +15,16 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The allocation budgets of the §4.2 hot path (testing.AllocsPerRun
-# tables). `make test` runs them too; this target is the quick check
-# after touching core, adi, bctx or rbac. Never under -race: the
-# detector allocates, and the tests skip themselves there.
+# The allocation budgets of a served decision (testing.AllocsPerRun
+# tables, every allocation named): the §4.2 hot path (core, adi, bctx,
+# rbac) and the layers around it — spans (obsv), the trail append
+# (audit) and the whole handler with and without the default telemetry
+# (server). `make test` runs them too; this target is the quick check
+# after touching any of them. Never under -race: the detector
+# allocates, and the tests skip themselves there.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac
+	$(GO) test -run 'Allocs' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
+		./internal/obsv ./internal/audit ./internal/server
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

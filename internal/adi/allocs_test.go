@@ -137,3 +137,36 @@ func BenchmarkPurgeContext(b *testing.B) {
 		})
 	}
 }
+
+// TestDurableAppendAllocs: a logged append allocates the wire form it
+// writes and the record it retains; sealing (nonce, ciphertext, base64
+// line) runs in the store's own scratch. The eleven, for one record:
+// the wire-record slice (1) with its Roles as strings (1) and its
+// context's text (1); the one json.Marshal — the entry moved to the
+// heap (1), the two time texts, the record's and the entry's unused
+// Before (2), the result (1); and the deliberate re-parse that keeps
+// live and recovered state one code path (applyEntry → fromWire): the
+// record slice (1), the parsed context (1), its Roles (1), the memory
+// store's retained Roles copy (1).
+func TestDurableAppendAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ds, err := OpenDurable(t.TempDir(), []byte("allocs"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	r := rec("u7", "Teller", "HandleCash", "till", "Branch=b7, Period=p7")
+	if err := ds.Append(r); err != nil { // opens the instance, sizes the scratch
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if err := ds.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 11 {
+		t.Fatalf("DurableStore.Append: %v allocs, budget 11", got)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -63,6 +64,11 @@ type DurableStore struct {
 	// the restart cost an operator watches (exposed as the
 	// msod_adi_recovery_seconds gauge by msodd).
 	recoveryDur time.Duration
+
+	// sealed and line are sealEntry's scratch (nonce‖ciphertext, then
+	// its base64 line), reused under mu: a logged mutation allocates
+	// its JSON and nothing else of the sealing.
+	sealed, line []byte
 }
 
 // walEntry is one logged mutation.
@@ -281,20 +287,24 @@ func (ds *DurableStore) applyEntry(e walEntry) error {
 	}
 }
 
-// sealEntry encrypts one WAL entry to a base64 line.
+// sealEntry encrypts one WAL entry to a base64 line, with room behind
+// it for the newline logLocked appends. The line is the store's
+// scratch: valid until the next sealEntry, so callers hold mu (or, at
+// open, own the store) until it is written.
 func (ds *DurableStore) sealEntry(e walEntry) ([]byte, error) {
-	plain, err := json.Marshal(e)
+	plain, err := json.Marshal(&e)
 	if err != nil {
 		return nil, fmt.Errorf("adi: marshal wal entry: %w", err)
 	}
-	nonce := make([]byte, ds.aead.NonceSize())
+	ns := ds.aead.NonceSize()
+	nonce := slices.Grow(ds.sealed[:0], ns)[:ns]
 	if _, err := rand.Read(nonce); err != nil {
 		return nil, fmt.Errorf("adi: wal nonce: %w", err)
 	}
-	sealed := ds.aead.Seal(nonce, nonce, plain, nil)
-	out := make([]byte, base64.StdEncoding.EncodedLen(len(sealed)))
-	base64.StdEncoding.Encode(out, sealed)
-	return out, nil
+	ds.sealed = ds.aead.Seal(nonce, nonce, plain, nil)
+	ds.line = slices.Grow(ds.line[:0], base64.StdEncoding.EncodedLen(len(ds.sealed))+1)
+	ds.line = base64.StdEncoding.AppendEncode(ds.line, ds.sealed)
+	return ds.line, nil
 }
 
 // openEntry decrypts one WAL line.
@@ -352,7 +362,7 @@ func (ds *DurableStore) logLocked(e walEntry) error {
 // trace can tell WAL latency apart from in-memory commit work.
 // Untraced contexts pay a single nil check.
 func (ds *DurableStore) AppendCtx(ctx context.Context, recs ...Record) error {
-	defer obsv.StartSpan(ctx, obsv.SpanStoreWAL)()
+	defer obsv.StartSpan(ctx, obsv.SpanStoreWAL).End()
 	return ds.Append(recs...)
 }
 

@@ -16,7 +16,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
+	"hash"
 	"time"
 )
 
@@ -52,10 +52,35 @@ type Event struct {
 	TraceID string `json:"trace,omitempty"`
 }
 
-// entry is the on-disk line: the event plus its chain MAC.
+// entry is the on-disk line as the verifiers read it: the event's JSON
+// exactly as the writer marshalled it — the bytes the chain MAC covers —
+// and the MAC. (Verifying a re-marshal of the parsed event instead would
+// refuse a trail the writer itself produced whenever the two encodings
+// differ: an invalid UTF-8 byte is written as the escape \ufffd and
+// re-marshalled as the character.) The writer assembles the line by hand
+// around its one marshalled event: appendEntry.
 type entry struct {
-	Event Event  `json:"event"`
-	MAC   string `json:"mac"`
+	Event json.RawMessage `json:"event"`
+	MAC   string          `json:"mac"`
+}
+
+// decode parses the line's event.
+func (e *entry) decode() (Event, error) {
+	var ev Event
+	err := json.Unmarshal(e.Event, &ev)
+	return ev, err
+}
+
+// appendEntry appends the on-disk line of an entry to dst, given the
+// event's own JSON and its chain MAC: byte for byte what json.Marshal
+// of struct{Event Event "event"; MAC string "mac"} gives, plus the
+// newline. Hex needs no JSON escaping.
+func appendEntry(dst, payload, mac []byte) []byte {
+	dst = append(dst, `{"event":`...)
+	dst = append(dst, payload...)
+	dst = append(dst, `,"mac":"`...)
+	dst = hex.AppendEncode(dst, mac)
+	return append(dst, "\"}\n"...)
 }
 
 // Errors returned by verification.
@@ -72,29 +97,30 @@ var (
 	ErrTruncated = errors.New("audit: trail truncated mid-entry")
 )
 
-// chainMAC computes the entry MAC: HMAC-SHA256(key, prevMAC || canonical
-// event JSON). The previous MAC links entries into a chain; the first
-// entry of a trail chains from the genesis value.
-func chainMAC(key, prevMAC []byte, ev Event) ([]byte, error) {
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		return nil, fmt.Errorf("audit: marshal event: %w", err)
-	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(prevMAC)
-	mac.Write(payload)
-	return mac.Sum(nil), nil
+// newChain returns the keyed hash a writer or verifier owns for its
+// lifetime: HMAC-SHA256 under the trail key, Reset between entries
+// (after the first Reset the keyed state is restored, not recomputed,
+// and nothing is allocated).
+func newChain(key []byte) hash.Hash { return hmac.New(sha256.New, key) }
+
+// chainMAC computes the entry MAC, HMAC-SHA256(key, prevMAC || payload)
+// with payload the canonical event JSON, appended to sum[:0]. The
+// previous MAC links entries into a chain; the first entry of a trail
+// chains from the genesis value. sum may share prevMAC's array: prevMAC
+// is consumed before sum is written.
+func chainMAC(h hash.Hash, prevMAC, payload, sum []byte) []byte {
+	h.Reset()
+	h.Write(prevMAC)
+	h.Write(payload)
+	return h.Sum(sum[:0])
 }
 
 // genesisMAC is the chain seed for sequence 1, derived from the key so
 // two trails with different keys cannot be spliced.
-func genesisMAC(key []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write([]byte("msod-audit-genesis"))
-	return mac.Sum(nil)
+func genesisMAC(h hash.Hash) []byte {
+	return chainMAC(h, nil, []byte("msod-audit-genesis"), nil)
 }
 
-func encodeMAC(mac []byte) string { return hex.EncodeToString(mac) }
 func decodeMAC(s string) ([]byte, error) {
 	return hex.DecodeString(s)
 }

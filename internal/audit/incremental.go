@@ -2,8 +2,10 @@ package audit
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -26,13 +28,14 @@ import (
 // IncrementalVerifier is not safe for concurrent use; the sentinel
 // serialises calls.
 type IncrementalVerifier struct {
-	dir string
-	key []byte
+	dir   string
+	chain hash.Hash // keyed with the trail key, Reset per entry
 
 	segIdx  int   // segment holding the checkpoint (0 = nothing verified)
 	off     int64 // verified byte offset within that segment
 	lastMAC []byte
 	lastSeq uint64
+	sum     [sha256.Size]byte // the MAC under test; lastMAC moves only on a match
 }
 
 // NewIncrementalVerifier starts a verifier at the genesis of the trail
@@ -42,8 +45,8 @@ func NewIncrementalVerifier(dir string, key []byte) (*IncrementalVerifier, error
 	if len(key) == 0 {
 		return nil, fmt.Errorf("audit: empty trail key")
 	}
-	key = append([]byte(nil), key...)
-	return &IncrementalVerifier{dir: dir, key: key, lastMAC: genesisMAC(key)}, nil
+	chain := newChain(key)
+	return &IncrementalVerifier{dir: dir, chain: chain, lastMAC: genesisMAC(chain)}, nil
 }
 
 // VerifiedSeq returns the sequence number of the last entry the chain
@@ -145,22 +148,23 @@ func (v *IncrementalVerifier) advanceSegment(seg string, idx int, startOff int64
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return count, fmt.Errorf("%w: %s at byte %d: %v", ErrTampered, seg, off, err)
 		}
-		want, err := chainMAC(v.key, v.lastMAC, e.Event)
+		ev, err := e.decode()
 		if err != nil {
-			return count, err
+			return count, fmt.Errorf("%w: %s at byte %d: %v", ErrTampered, seg, off, err)
 		}
+		want := chainMAC(v.chain, v.lastMAC, e.Event, v.sum[:])
 		got, err := decodeMAC(e.MAC)
 		if err != nil {
 			return count, fmt.Errorf("%w: %s at byte %d: bad mac encoding", ErrTampered, seg, off)
 		}
 		if !macEqual(want, got) {
-			return count, fmt.Errorf("%w: %s at byte %d (seq %d)", ErrTampered, seg, off, e.Event.Seq)
+			return count, fmt.Errorf("%w: %s at byte %d (seq %d)", ErrTampered, seg, off, ev.Seq)
 		}
-		if e.Event.Seq != v.lastSeq+1 {
-			return count, fmt.Errorf("%w: %s at byte %d: seq %d after %d", ErrBadSequence, seg, off, e.Event.Seq, v.lastSeq)
+		if ev.Seq != v.lastSeq+1 {
+			return count, fmt.Errorf("%w: %s at byte %d: seq %d after %d", ErrBadSequence, seg, off, ev.Seq, v.lastSeq)
 		}
-		v.lastMAC = want
-		v.lastSeq = e.Event.Seq
+		copy(v.lastMAC, want)
+		v.lastSeq = ev.Seq
 		off += lineLen
 		count++
 	}

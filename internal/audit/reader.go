@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -104,8 +105,12 @@ func (r *Reader) verifyAllDetail() ([]Event, []byte, *tornTail, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	prev := genesisMAC(r.key)
+	// One keyed hash per verification pass: a Reader may be shared, a
+	// pass is not.
+	chain := newChain(r.key)
+	prev := genesisMAC(chain)
 	var (
+		sum     [sha256.Size]byte
 		events  []Event
 		lastSeq uint64
 		torn    *tornTail
@@ -146,23 +151,24 @@ func (r *Reader) verifyAllDetail() ([]Event, []byte, *tornTail, error) {
 			if err := json.Unmarshal(raw, &e); err != nil {
 				return nil, nil, nil, fmt.Errorf("%w: %s line %d: %v", ErrTampered, seg, line, err)
 			}
-			want, err := chainMAC(r.key, prev, e.Event)
+			ev, err := e.decode()
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, nil, fmt.Errorf("%w: %s line %d: %v", ErrTampered, seg, line, err)
 			}
+			want := chainMAC(chain, prev, e.Event, sum[:])
 			got, err := decodeMAC(e.MAC)
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("%w: %s line %d: bad mac encoding", ErrTampered, seg, line)
 			}
 			if !macEqual(want, got) {
-				return nil, nil, nil, fmt.Errorf("%w: %s line %d (seq %d)", ErrTampered, seg, line, e.Event.Seq)
+				return nil, nil, nil, fmt.Errorf("%w: %s line %d (seq %d)", ErrTampered, seg, line, ev.Seq)
 			}
-			if e.Event.Seq != lastSeq+1 {
-				return nil, nil, nil, fmt.Errorf("%w: %s line %d: seq %d after %d", ErrBadSequence, seg, line, e.Event.Seq, lastSeq)
+			if ev.Seq != lastSeq+1 {
+				return nil, nil, nil, fmt.Errorf("%w: %s line %d: seq %d after %d", ErrBadSequence, seg, line, ev.Seq, lastSeq)
 			}
-			lastSeq = e.Event.Seq
-			prev = want
-			events = append(events, e.Event)
+			lastSeq = ev.Seq
+			copy(prev, want)
+			events = append(events, ev)
 			off += lineLen
 		}
 	}

@@ -3,8 +3,10 @@ package audit
 import (
 	"bufio"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,16 +27,22 @@ import (
 type Writer struct {
 	mu      sync.Mutex
 	dir     string
-	key     []byte
 	segSize int
 	fs      fsx.FS
 
 	f       fsx.File
-	w       *bufio.Writer
 	seq     uint64 // last sequence number written
 	lastMAC []byte
 	inSeg   int // entries in the current segment
 	segIdx  int // index of the current segment
+
+	// Owned scratch, used under mu: the keyed chain hash, the MAC being
+	// computed (lastMAC only advances once the entry is written) and the
+	// line being assembled, handed to the segment file in one Write. An
+	// append allocates the event's JSON and nothing else of its own.
+	chain hash.Hash
+	sum   [sha256.Size]byte
+	line  []byte
 }
 
 // DefaultSegmentSize is the rotation threshold used when NewWriter is
@@ -61,7 +69,8 @@ func NewWriterFS(dir string, key []byte, segmentSize int, fs fsx.FS) (*Writer, e
 	if err := fs.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("audit: create trail dir: %w", err)
 	}
-	w := &Writer{dir: dir, key: append([]byte(nil), key...), segSize: segmentSize, fs: fs, lastMAC: genesisMAC(key)}
+	w := &Writer{dir: dir, segSize: segmentSize, fs: fs, chain: newChain(key)}
+	w.lastMAC = genesisMAC(w.chain)
 
 	segs, err := Segments(dir)
 	if err != nil {
@@ -72,7 +81,7 @@ func NewWriterFS(dir string, key []byte, segmentSize int, fs fsx.FS) (*Writer, e
 		// chain seed of segment k is the last MAC of segment k-1, so full
 		// resumption verifies from genesis; we verify all segments to
 		// guarantee a consistent restart (cost measured in E5/E9).
-		r := &Reader{dir: dir, key: w.key}
+		r := &Reader{dir: dir, key: key}
 		events, tail, torn, err := r.verifyAllDetail()
 		if err != nil {
 			return nil, err
@@ -86,7 +95,7 @@ func NewWriterFS(dir string, key []byte, segmentSize int, fs fsx.FS) (*Writer, e
 				return nil, fmt.Errorf("audit: discard torn entry in %s: %w", torn.seg, err)
 			}
 		}
-		w.lastMAC = tail
+		copy(w.lastMAC, tail)
 		if n := len(events); n > 0 {
 			w.seq = events[n-1].Seq
 		}
@@ -101,7 +110,7 @@ func NewWriterFS(dir string, key []byte, segmentSize int, fs fsx.FS) (*Writer, e
 }
 
 // Append logs one event, assigning it the next sequence number (the
-// caller's Seq field is overwritten). The entry is flushed to the OS
+// caller's Seq field is overwritten). The entry is written to the OS
 // before Append returns.
 func (w *Writer) Append(ev Event) (uint64, error) {
 	return w.append(context.Background(), ev)
@@ -125,26 +134,24 @@ func (w *Writer) append(ctx context.Context, ev Event) (uint64, error) {
 	}
 	w.seq++
 	ev.Seq = w.seq
-	mac, err := chainMAC(w.key, w.lastMAC, ev)
+	// The one marshal of an append. By pointer: encoding/json then
+	// calls Time.MarshalJSON on the field in place instead of boxing a
+	// copy of it.
+	payload, err := json.Marshal(&ev)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("audit: marshal event: %w", err)
 	}
-	line, err := json.Marshal(entry{Event: ev, MAC: encodeMAC(mac)})
-	if err != nil {
-		return 0, fmt.Errorf("audit: marshal entry: %w", err)
-	}
-	if _, err := w.w.Write(append(line, '\n')); err != nil {
+	mac := chainMAC(w.chain, w.lastMAC, payload, w.sum[:])
+	w.line = appendEntry(w.line[:0], payload, mac)
+	if _, err := w.f.Write(w.line); err != nil {
 		return 0, fmt.Errorf("audit: write entry: %w", err)
 	}
-	if err := w.w.Flush(); err != nil {
-		return 0, fmt.Errorf("audit: flush entry: %w", err)
-	}
-	w.lastMAC = mac
+	copy(w.lastMAC, mac)
 	w.inSeg++
 	if w.inSeg >= w.segSize {
 		endRotate := obsv.StartSpan(ctx, obsv.SpanAuditRotate)
 		err := w.rotateLocked()
-		endRotate()
+		endRotate.End()
 		if err != nil {
 			return 0, err
 		}
@@ -159,7 +166,7 @@ func (w *Writer) Rotate() error {
 	return w.rotateLocked()
 }
 
-// Close flushes and closes the current segment.
+// Close syncs and closes the current segment.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -188,7 +195,6 @@ func (w *Writer) ensureSegmentLocked() error {
 		return fmt.Errorf("audit: open segment %s: %w", name, err)
 	}
 	w.f = f
-	w.w = bufio.NewWriter(f)
 	return nil
 }
 
@@ -204,9 +210,6 @@ func (w *Writer) closeSegmentLocked() error {
 	if w.f == nil {
 		return nil
 	}
-	if err := w.w.Flush(); err != nil {
-		return fmt.Errorf("audit: flush segment: %w", err)
-	}
 	// Sealing is a durability point: once the writer moves on to the
 	// next segment, this one is never appended to again, and a power
 	// loss that tore its un-fsynced tail would read as tampering (an
@@ -217,7 +220,7 @@ func (w *Writer) closeSegmentLocked() error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("audit: close segment: %w", err)
 	}
-	w.f, w.w = nil, nil
+	w.f = nil
 	return nil
 }
 

@@ -469,14 +469,12 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 	var buf [4]action
 	actions := buf[:0]
 	for i := range matches {
-		var endPolicy func()
+		var endPolicy obsv.SpanEnd
 		if tr != nil {
 			endPolicy = tr.StartSpan(matches[i].span)
 		}
 		act, refused, err := e.evaluatePolicy(&matches[i], req, now, xr)
-		if endPolicy != nil {
-			endPolicy()
-		}
+		endPolicy.End()
 		if err != nil {
 			return Decision{}, refusal{}, err
 		}
@@ -494,8 +492,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 	// counted, never applied.
 	dec := Decision{Effect: Grant, MatchedPolicies: len(matches)}
 	if tr != nil && commit && len(actions) > 0 {
-		endStore := tr.StartSpan(obsv.StageStore)
-		defer endStore()
+		defer tr.StartSpan(obsv.StageStore).End()
 	}
 	for _, act := range actions {
 		if act.purge {

@@ -86,15 +86,18 @@ func initFallbackNonce() {
 // recovers.
 func NewTraceID() TraceID {
 	var b [16]byte
-	if _, err := randRead(b[:]); err == nil {
-		return TraceID(hex.EncodeToString(b[:]))
+	if _, err := randRead(b[:]); err != nil {
+		fallbackOnce.Do(initFallbackNonce)
+		copy(b[:8], fallbackNonce[:])
+		// The counter starts at 1, so the low 8 bytes are never all zero
+		// and the ID always passes Valid even with an all-zero nonce.
+		binary.BigEndian.PutUint64(b[8:], fallbackCtr.Add(1))
 	}
-	fallbackOnce.Do(initFallbackNonce)
-	copy(b[:8], fallbackNonce[:])
-	// The counter starts at 1, so the low 8 bytes are never all zero
-	// and the ID always passes Valid even with an all-zero nonce.
-	binary.BigEndian.PutUint64(b[8:], fallbackCtr.Add(1))
-	return TraceID(hex.EncodeToString(b[:]))
+	// Encoded on the stack: the ID costs the string it is returned as
+	// (and b, which escapes through the swappable randRead).
+	var id [32]byte
+	hex.Encode(id[:], b[:])
+	return TraceID(id[:])
 }
 
 // Valid reports whether the ID is 32 lowercase hex chars and non-zero.
@@ -159,6 +162,14 @@ type Span struct {
 	Duration time.Duration
 }
 
+// inlineSpans is how many spans (completed, and open at once) a Trace
+// holds inside its own allocation. A durable one-policy decision
+// records seven — cvs, rbac, msod, its msod.policy span, store,
+// store.wal, audit — so eight keeps every served decision to the one
+// allocation of the Trace itself; a request matching more policies
+// spills into ordinary append growth.
+const inlineSpans = 8
+
 // Trace is the span collection of one decision. It is safe for
 // concurrent use; spans are appended in completion order. Parent
 // attribution assumes the spans of one trace nest on a single
@@ -170,13 +181,18 @@ type Trace struct {
 	start time.Time
 
 	mu     sync.Mutex
-	spans  []Span
-	active []string // open span names, innermost last
+	spans  []Span   // completed; backed by spanBuf until it overflows
+	active []string // open span names, innermost last; backed by activeBuf
+
+	spanBuf   [inlineSpans]Span
+	activeBuf [inlineSpans]string
 }
 
 // NewTrace starts a trace under the given ID.
 func NewTrace(id TraceID) *Trace {
-	return &Trace{id: id, start: time.Now()}
+	t := &Trace{id: id, start: time.Now()}
+	t.spans, t.active = t.spanBuf[:0], t.activeBuf[:0]
+	return t
 }
 
 // ID returns the trace ID.
@@ -185,10 +201,17 @@ func (t *Trace) ID() TraceID { return t.id }
 // Start returns when the trace began.
 func (t *Trace) Start() time.Time { return t.start }
 
-// StartSpan begins a named span and returns the function that ends
-// it. The span is recorded only when the end function runs; its parent
-// is the innermost span still open at start time.
-func (t *Trace) StartSpan(name string) func() {
+// SpanEnd is an open span: a value, not a closure, so starting a span
+// allocates nothing. The zero SpanEnd ends nothing.
+type SpanEnd struct {
+	t    *Trace
+	span Span // Duration is filled by End
+}
+
+// StartSpan begins a named span. The span is recorded only when End is
+// called on the returned value; its parent is the innermost span still
+// open at start time.
+func (t *Trace) StartSpan(name string) SpanEnd {
 	t.mu.Lock()
 	parent := ""
 	if n := len(t.active); n > 0 {
@@ -196,26 +219,37 @@ func (t *Trace) StartSpan(name string) func() {
 	}
 	t.active = append(t.active, name)
 	t.mu.Unlock()
-	start := time.Now()
-	return func() {
-		d := time.Since(start)
-		t.mu.Lock()
-		for i := len(t.active) - 1; i >= 0; i-- {
-			if t.active[i] == name {
-				t.active = append(t.active[:i], t.active[i+1:]...)
-				break
-			}
-		}
-		t.spans = append(t.spans, Span{Name: name, Parent: parent, Start: start, Duration: d})
-		t.mu.Unlock()
-	}
+	return SpanEnd{t: t, span: Span{Name: name, Parent: parent, Start: time.Now()}}
 }
 
-// Spans returns a copy of the completed spans.
+// End completes the span and records it on its trace.
+func (e SpanEnd) End() {
+	t := e.t
+	if t == nil {
+		return
+	}
+	e.span.Duration = time.Since(e.span.Start)
+	t.mu.Lock()
+	for i := len(t.active) - 1; i >= 0; i-- {
+		if t.active[i] == e.span.Name {
+			t.active = append(t.active[:i], t.active[i+1:]...)
+			break
+		}
+	}
+	t.spans = append(t.spans, e.span)
+	t.mu.Unlock()
+}
+
+// Spans returns the completed spans, in completion order, as a
+// read-only view: a completed span is never modified or moved, so the
+// view stays valid (and race-free) while the trace records more, and
+// its capacity is clipped so that appending to it copies. Callers that
+// keep spans past the request copy them out (trace.Record.SetSpans
+// does), or they would retain the whole Trace.
 func (t *Trace) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
+	return t.spans[:len(t.spans):len(t.spans)]
 }
 
 // SpanDuration sums the durations of all completed spans with the
@@ -254,15 +288,12 @@ func TraceIDFrom(ctx context.Context) TraceID {
 	return ""
 }
 
-// noopEnd is the shared no-op span terminator for untraced contexts.
-func noopEnd() {}
-
 // StartSpan begins a span on the context's trace; without a trace it
-// returns a shared no-op so untraced callers pay only a context
+// returns the zero SpanEnd, so untraced callers pay only a context
 // lookup.
-func StartSpan(ctx context.Context, name string) func() {
+func StartSpan(ctx context.Context, name string) SpanEnd {
 	if t := TraceFrom(ctx); t != nil {
 		return t.StartSpan(name)
 	}
-	return noopEnd
+	return SpanEnd{}
 }

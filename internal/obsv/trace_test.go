@@ -50,8 +50,8 @@ func TestTraceSpansAndContext(t *testing.T) {
 
 	end := StartSpan(ctx, StageCVS)
 	time.Sleep(time.Millisecond)
-	end()
-	StartSpan(ctx, StageRBAC)() // immediate end still records
+	end.End()
+	StartSpan(ctx, StageRBAC).End() // immediate end still records
 
 	spans := tr.Spans()
 	if len(spans) != 2 || spans[0].Name != StageCVS || spans[1].Name != StageRBAC {
@@ -65,7 +65,7 @@ func TestTraceSpansAndContext(t *testing.T) {
 	if TraceFrom(context.Background()) != nil || TraceIDFrom(context.Background()) != "" {
 		t.Fatal("empty context must carry no trace")
 	}
-	StartSpan(context.Background(), "x")() // must not panic
+	StartSpan(context.Background(), "x").End() // must not panic
 }
 
 func TestNewTraceIDEntropyFallback(t *testing.T) {
@@ -99,11 +99,11 @@ func TestNewTraceIDEntropyFallback(t *testing.T) {
 func TestTraceSpanParents(t *testing.T) {
 	tr := NewTrace(NewTraceID())
 	endMSoD := tr.StartSpan(StageMSoD)
-	tr.StartSpan("msod.policy:ctx1")()
+	tr.StartSpan("msod.policy:ctx1").End()
 	endStore := tr.StartSpan(StageStore)
-	endStore()
-	endMSoD()
-	tr.StartSpan(StageAudit)()
+	endStore.End()
+	endMSoD.End()
+	tr.StartSpan(StageAudit).End()
 
 	parents := map[string]string{}
 	for _, s := range tr.Spans() {
@@ -176,8 +176,8 @@ func TestLoggerAndSpanAttrs(t *testing.T) {
 	var buf bytes.Buffer
 	logger := NewLogger(&buf, "msodd")
 	tr := NewTrace(NewTraceID())
-	tr.StartSpan(StageCVS)()
-	tr.StartSpan(StageMSoD)()
+	tr.StartSpan(StageCVS).End()
+	tr.StartSpan(StageMSoD).End()
 	logger.Info("decision", "traceID", string(tr.ID()), SpanAttrs(tr))
 
 	var rec map[string]any

@@ -218,7 +218,7 @@ func (p *PDP) Decide(req Request) (Decision, error) {
 func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 	endCVS := obsv.StartSpan(ctx, obsv.StageCVS)
 	user, roles, err := p.subject(req)
-	endCVS()
+	endCVS.End()
 	if err != nil {
 		return Decision{}, err
 	}
@@ -227,7 +227,7 @@ func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 	perm := rbac.Permission{Operation: req.Operation, Object: req.Target}
 	endRBAC := obsv.StartSpan(ctx, obsv.StageRBAC)
 	permitted := p.model.RolesPermit(roles, perm)
-	endRBAC()
+	endRBAC.End()
 	if !permitted {
 		dec.Allowed = false
 		dec.Phase = PhaseRBAC
@@ -265,7 +265,7 @@ func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 		if locked {
 			p.commitMu.Unlock()
 		}
-		endMSoD()
+		endMSoD.End()
 		return Decision{}, err
 	}
 	dec.MSoD = &mdec
@@ -285,7 +285,7 @@ func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 		p.publish(ev, dec)
 		p.commitMu.Unlock()
 	}
-	endMSoD()
+	endMSoD.End()
 	if p.trail != nil {
 		p.appendTrail(ctx, ev)
 	}
@@ -320,7 +320,7 @@ func (p *PDP) Advise(req Request) (Decision, error) {
 func (p *PDP) AdviseCtx(ctx context.Context, req Request) (Decision, error) {
 	endCVS := obsv.StartSpan(ctx, obsv.StageCVS)
 	user, roles, err := p.subject(req)
-	endCVS()
+	endCVS.End()
 	if err != nil {
 		return Decision{}, err
 	}
@@ -328,7 +328,7 @@ func (p *PDP) AdviseCtx(ctx context.Context, req Request) (Decision, error) {
 	perm := rbac.Permission{Operation: req.Operation, Object: req.Target}
 	endRBAC := obsv.StartSpan(ctx, obsv.StageRBAC)
 	permitted := p.model.RolesPermit(roles, perm)
-	endRBAC()
+	endRBAC.End()
 	if !permitted {
 		dec.Phase = PhaseRBAC
 		dec.Reason = fmt.Sprintf("no activated role grants %s", perm)
@@ -339,7 +339,7 @@ func (p *PDP) AdviseCtx(ctx context.Context, req Request) (Decision, error) {
 		User: user, Roles: roles,
 		Operation: req.Operation, Target: req.Target, Context: req.Context,
 	})
-	endMSoD()
+	endMSoD.End()
 	if err != nil {
 		return Decision{}, err
 	}
@@ -440,5 +440,5 @@ func (p *PDP) appendTrail(ctx context.Context, ev audit.Event) {
 	if _, err := p.trail.AppendCtx(ctx, ev); err != nil {
 		p.trailErrs.Add(1)
 	}
-	endAudit()
+	endAudit.End()
 }

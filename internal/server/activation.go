@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"time"
@@ -53,8 +52,8 @@ func (s *Server) handleActivation(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var req ActivationRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode: %v", err)})
+		if status, err := decodeBody(w, r, &req); err != nil {
+			writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
 			return
 		}
 		if len(req.Contexts) == 0 {

@@ -1,0 +1,260 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"testing"
+	"time"
+
+	"msod/internal/credential"
+	"msod/internal/inspect"
+	"msod/internal/pdp"
+	"msod/internal/policy"
+	"msod/internal/race"
+	"msod/internal/trace"
+)
+
+const bankPolicyXML = `
+<RBACPolicy id="bank-1">
+  <RoleList><Role value="Teller"/><Role value="Auditor"/></RoleList>
+  <RoleAssignmentPolicy>
+    <Assignment soa="bank.example" role="Teller"/>
+  </RoleAssignmentPolicy>
+  <TargetAccessPolicy>
+    <Grant role="Teller" operation="HandleCash" target="till"/>
+    <Grant role="Auditor" operation="Audit" target="ledger"/>
+  </TargetAccessPolicy>
+  <MSoDPolicySet>
+    <MSoDPolicy BusinessContext="Branch=*, Period=!">
+      <MMER ForbiddenCardinality="2">
+        <Role type="e" value="Teller"/>
+        <Role type="e" value="Auditor"/>
+      </MMER>
+    </MSoDPolicy>
+  </MSoDPolicySet>
+</RBACPolicy>`
+
+// memoryWriter is an http.ResponseWriter that keeps the response in
+// memory and is reused across requests, so a measured ServeHTTP pays
+// for the handler and nothing of the connection.
+type memoryWriter struct {
+	header http.Header
+	body   bytes.Buffer
+	status int
+}
+
+func (w *memoryWriter) Header() http.Header         { return w.header }
+func (w *memoryWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
+
+// TestServeDecisionAllocs is the handler's allocation budget: what
+// Server.ServeHTTP allocates for one POST /v1/decision, request already
+// built, response into memory. Each kind of decision is served by two
+// servers over a memory ADI: "default" as msodd assembles it with every
+// flag at its default (event broker fed by the PDP's observer, explain
+// ring, trace store), and "bare" (no observer, no broker, no trace
+// store, explain off). Both trace every request — the spans feed the
+// stage histograms — so the difference between the two columns is what
+// the retained telemetry costs (the benchmark's server.telemetry_allocs)
+// and the bare column is decode, decide, encode and the spans.
+//
+// Budgets are exact; a change that moves one edits the table and names
+// the allocation. The rings are sized below the number of warm-up
+// requests, so the measured requests run in the steady state of a
+// long-lived shard: every explain and trace record is a recycled one.
+//
+// What every case pays, for a body naming a user and one role (23):
+//
+//	decode 13   the body, read into one slice of its Content-Length (1);
+//	            the DecisionRequest, on the heap for Unmarshal (1);
+//	            encoding/json's decodeState (1), its parse stack at
+//	            depth 1 and 2 (2), its error context and field stack (2);
+//	            the five strings (5) and the Roles slice (1) it fills
+//	request 6   the parsed context name (1), Roles as []rbac.RoleName (1),
+//	            the trace ID's random bytes and its string (2), the
+//	            Trace with its spans inline (1), the context carrying it (1)
+//	respond 4   the latency exemplar (1), Roles as []string (1), the
+//	            Content-Type value (1), the response boxed for the encoder (1)
+//
+// and, per case, what the PDP allocates (internal/core/allocs_test.go
+// names the engine's share) and what the default telemetry adds:
+//
+//	explain 5   the context value carrying the record (1); per evaluated
+//	            rule the bound context's text (1), the activated roles (1)
+//	            and their strings (1); the governing rule's copy (1)
+//	event 2     the observer's DecisionEvent: Roles as []string (1), the
+//	            request context's text (1)
+//
+// A retained trace (every denial is one) adds nothing: its record is
+// recycled and SetSpans copies the spans into the record's own array.
+func TestServeDecisionAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		allocRuns = 200
+		ringSize  = 32
+		warm      = 2 * ringSize
+	)
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	soa, err := credential.NewAuthority("bank.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	cred, err := soa.IssueRole("alice", "Teller", now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(req DecisionRequest) []byte {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ctx := func(i int) string { return fmt.Sprintf("Branch=York, Period=p%d", i) }
+	teller := func(user string, i int) DecisionRequest {
+		return DecisionRequest{User: user, Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
+	}
+
+	for _, tc := range []struct {
+		name    string
+		prepare func(i int) *DecisionRequest // served first, to bring instance i into the starting state
+		request func(i int) DecisionRequest
+		allowed bool
+		phase   string
+		budget  map[string]float64
+	}{
+		{
+			// 23 + the validated roles (1), the engine's decision moved
+			// to the heap as Decision.MSoD (1), and the engine's three:
+			// bound name, record slice, the store's Roles copy (3).
+			// Default: + explain 5 + event 2.
+			name:    "MMER grant",
+			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
+			request: func(i int) DecisionRequest { return teller("alice", i) },
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 35, "bare": 28},
+		},
+		{
+			// 23 + the validated roles (1), Decision.MSoD (1), the bound
+			// name (1), the Denial (1) and the two texts the answer and
+			// the trail carry: Denial.Reason (1) and Denial.Error — the
+			// policy context's text, the bound context's, the sentence
+			// (3). Default: + explain 5 + event 2.
+			name:    "MSoD deny",
+			prepare: func(i int) *DecisionRequest { r := teller("alice", i); return &r },
+			request: func(i int) DecisionRequest {
+				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
+			},
+			allowed: false, phase: "msod",
+			budget: map[string]float64{"default": 38, "bare": 31},
+		},
+		{
+			// 23 + the validated roles (1) and the reason: the permission
+			// boxed for Sprintf (1), its text (1), the sentence (1). The
+			// engine never runs, so default adds the explain context
+			// value (1) + event 2.
+			name: "RBAC deny",
+			request: func(i int) DecisionRequest {
+				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
+			},
+			allowed: false, phase: "rbac",
+			budget: map[string]float64{"default": 30, "bare": 27},
+		},
+		{
+			// No user or roles in the body but one signed credential, so
+			// decode is 21 (the credential's strings, attribute slice and
+			// signature, a parse stack four deep), request 5 (no Roles
+			// to convert) and respond 4: 30. The CVS adds 6 — the signed
+			// payload re-marshalled for the Ed25519 check (credential
+			// boxed, two time texts, the result: 4), the validated roles
+			// (1), the rejection map (1) — then Decision.MSoD (1) and the
+			// engine's three. Default: + explain 5 + event 2.
+			name:    "credential-bearing grant",
+			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
+			request: func(i int) DecisionRequest {
+				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
+			},
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 47, "bare": 40},
+		},
+	} {
+		for _, kind := range []string{"default", "bare"} {
+			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				cfg := pdp.Config{Policy: pol}
+				opts := []Option{WithExplainCapacity(-1)}
+				if kind == "default" {
+					broker := inspect.NewBroker(ringSize)
+					cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
+					opts = []Option{
+						WithEventBroker(broker),
+						WithExplainCapacity(ringSize),
+						WithTraceStore(trace.NewStore(trace.Config{Capacity: ringSize})),
+					}
+				}
+				p, err := pdp.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := p.TrustAuthority(soa); err != nil {
+					t.Fatal(err)
+				}
+				srv := New(p, opts...)
+				w := &memoryWriter{header: http.Header{}}
+				serve := func(req DecisionRequest) DecisionResponse {
+					r, err := http.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body(req)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					w.body.Reset()
+					srv.ServeHTTP(w, r)
+					var resp DecisionResponse
+					if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil || w.status != http.StatusOK {
+						t.Fatalf("status %d, %v: %s", w.status, err, w.body.Bytes())
+					}
+					return resp
+				}
+				reqs := make([]*http.Request, 0, warm+allocRuns+1)
+				for i := 0; i < cap(reqs); i++ {
+					if tc.prepare != nil {
+						if resp := serve(*tc.prepare(i)); !resp.Allowed {
+							t.Fatalf("prepare %d: %+v", i, resp)
+						}
+					}
+					r, err := http.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body(tc.request(i))))
+					if err != nil {
+						t.Fatal(err)
+					}
+					reqs = append(reqs, r)
+				}
+				i := 0
+				one := func() {
+					w.body.Reset()
+					srv.ServeHTTP(w, reqs[i])
+					i++
+				}
+				for i < warm {
+					one()
+				}
+				got := testing.AllocsPerRun(allocRuns, one)
+				var resp DecisionResponse
+				if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil {
+					t.Fatalf("%v: %s", err, w.body.Bytes())
+				}
+				if w.status != http.StatusOK || resp.Allowed != tc.allowed || resp.Phase != tc.phase {
+					t.Fatalf("status %d, answer %+v; want allowed=%v phase=%s", w.status, resp, tc.allowed, tc.phase)
+				}
+				if got != tc.budget[kind] {
+					t.Fatalf("%v allocs, budget %v", got, tc.budget[kind])
+				}
+			})
+		}
+	}
+}

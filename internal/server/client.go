@@ -183,7 +183,7 @@ func (c *Client) Health() (string, error) {
 	// server may answer with an empty or non-JSON body, and the status
 	// code must survive that so callers (the gateway's health checker,
 	// msodctl) still see a typed *APIError.
-	raw, _ := io.ReadAll(io.LimitReader(httpResp.Body, 1<<20))
+	raw, _ := io.ReadAll(io.LimitReader(httpResp.Body, maxBodyBytes))
 	var body map[string]string
 	decodeErr := json.Unmarshal(raw, &body)
 	if httpResp.StatusCode != http.StatusOK {

@@ -1,11 +1,18 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
+	"time"
+
+	"msod/internal/pdp"
+	"msod/internal/policy"
 )
 
 // TestDecisionIdempotentReplay: the same RequestID decides once; the
@@ -144,5 +151,78 @@ func TestClientHealthStatusBeforeBody(t *testing.T) {
 				t.Errorf("status = %d, want %d", apiErr.Status, tc.status)
 			}
 		})
+	}
+}
+
+// TestDecisionPanicReleasesRequestID: a decide that panics (net/http
+// recovers it and drops the connection) must not leave its RequestID
+// in flight — nothing evicts an in-flight entry, so every retry under
+// the same ID, which is exactly what the gateway sends after a
+// transport error, would block until its own timeout.
+func TestDecisionPanicReleasesRequestID(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(taxPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pdp.New(pdp.Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p)
+	body, err := json.Marshal(DecisionRequest{
+		User: "c1", Roles: []string{"Clerk"},
+		Operation: "prepareCheck", Target: "http://www.myTaxOffice.com/Check",
+		Context:   "TaxOffice=Leeds, taxRefundProcess=p1",
+		RequestID: "panics-once",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body))
+	}
+	before := len(s.idem.entries)
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panic did not propagate to net/http")
+			}
+		}()
+		s.serveDecision(httptest.NewRecorder(), post(), func(context.Context, pdp.Request) (pdp.Decision, error) {
+			panic("decide blew up")
+		}, false)
+	}()
+	if n := len(s.idem.entries); n != before {
+		t.Fatalf("idempotency cache holds %d entries after the panic, want %d", n, before)
+	}
+
+	// The retry re-executes and answers; a stranded entry would hang it.
+	answered := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		w := httptest.NewRecorder()
+		s.serveDecision(w, post(), p.DecideCtx, false)
+		answered <- w
+	}()
+	select {
+	case w := <-answered:
+		var resp DecisionResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK || !resp.Allowed {
+			t.Fatalf("retry = %d %s (%v)", w.Code, w.Body.Bytes(), err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("retry under the same RequestID is still waiting on the panicked attempt")
+	}
+	if n := p.Store().Len(); n != 1 {
+		t.Fatalf("retained ADI has %d records, want the retry's 1", n)
+	}
+	// Committed now: the ID replays instead of deciding a third time.
+	w := httptest.NewRecorder()
+	s.serveDecision(w, post(), func(context.Context, pdp.Request) (pdp.Decision, error) {
+		t.Error("a committed RequestID was decided again")
+		return pdp.Decision{}, nil
+	}, false)
+	if w.Code != http.StatusOK {
+		t.Fatalf("replay = %d %s", w.Code, w.Body.Bytes())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync/atomic"
@@ -289,9 +290,9 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		return
 	}
 	var wire DecisionRequest
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
+	if status, err := decodeBody(w, r, &wire); err != nil {
 		s.metrics.requestErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode: %v", err)})
+		writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
 		return
 	}
 	ctx, err := bctx.Parse(wire.Context)
@@ -303,7 +304,10 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	// Idempotency: a duplicate RequestID replays the committed response
 	// rather than re-deciding — re-execution would double-record ADI
 	// history and re-run last-step purges.
-	ownsID := false
+	var (
+		committed   DecisionResponse
+		committedOK bool
+	)
 	if !advisory && wire.RequestID != "" {
 		if cached, replay := s.idem.begin(wire.RequestID); replay {
 			s.metrics.idempotentReplays.Add(1)
@@ -314,7 +318,12 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 			writeJSON(w, http.StatusOK, cached)
 			return
 		}
-		ownsID = true
+		// The claim is resolved on every way out, a panic in decide
+		// included (net/http recovers it and drops the connection): an
+		// entry left in flight is never evicted and would hang every
+		// retry under the same ID. Until a response is committed below,
+		// resolving releases the ID so a retry re-executes.
+		defer func() { s.idem.finish(wire.RequestID, committed, committedOK) }()
 	}
 	req := pdp.Request{
 		Credentials: wire.Credentials,
@@ -362,10 +371,6 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		// the error log investigates.
 		s.recordTrace(trace, &wire, rid, "error", err.Error(), advisory, false, true, elapsed)
 		s.slo.Observe(elapsed, true)
-		if ownsID {
-			// Nothing committed: release the ID so a retry re-executes.
-			s.idem.finish(wire.RequestID, DecisionResponse{}, false)
-		}
 		s.metrics.requestErrors.Add(1)
 		if s.slowLogEnabled(elapsed) {
 			s.log.LogAttrs(r.Context(), slog.LevelWarn, "decision error",
@@ -430,9 +435,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		s.explain.Commit(xrec)
 		resp.RequestID = rid
 	}
-	if ownsID {
-		s.idem.finish(wire.RequestID, resp, true)
-	}
+	committed, committedOK = resp, true
 	outcome := "deny"
 	if resp.Allowed {
 		outcome = "grant"
@@ -472,8 +475,8 @@ func (s *Server) handleManagement(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var wire ManagementWireRequest
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode: %v", err)})
+	if status, err := decodeBody(w, r, &wire); err != nil {
+		writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
 		return
 	}
 	req := pdp.ManagementRequest{
@@ -520,6 +523,41 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		body["policyVerification"] = "verified"
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// maxBodyBytes bounds every JSON body this package reads whole: the
+// request bodies of the decision, advice, management and activation
+// handlers, and the health response on the client side.
+const maxBodyBytes = 1 << 20
+
+// decodeBody reads a request body into one slice — of the declared
+// length when there is one, never past maxBodyBytes — and unmarshals it
+// into v. A failure comes with the status to answer: 413 past the cap,
+// 400 for anything else (short or malformed body, and bytes after the
+// first JSON value, which a streaming Decoder would have ignored).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	var body []byte
+	var err error
+	switch n := r.ContentLength; {
+	case n > maxBodyBytes:
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", n, maxBodyBytes)
+	case n >= 0:
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	default: // chunked: the length is known only by reading
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
+	if err == nil {
+		err = json.Unmarshal(body, v)
+	}
+	if err == nil {
+		return 0, nil
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

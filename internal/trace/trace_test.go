@@ -244,8 +244,8 @@ func TestPoolReuseLeakFree(t *testing.T) {
 func TestSetSpansConvertsOffsets(t *testing.T) {
 	tr := obsv.NewTrace("0af7651916cd43dd8448eb211c80319c")
 	end := tr.StartSpan(obsv.StageMSoD)
-	tr.StartSpan(obsv.StageStore)()
-	end()
+	tr.StartSpan(obsv.StageStore).End()
+	end.End()
 
 	st := NewStore(Config{})
 	rec := st.Begin()
