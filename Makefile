@@ -18,13 +18,14 @@ test-race:
 # The allocation budgets of a served decision (testing.AllocsPerRun
 # tables, every allocation named): the §4.2 hot path (core, adi, bctx,
 # rbac) and the layers around it — spans (obsv), the trail append
-# (audit) and the whole handler with and without the default telemetry
-# (server). `make test` runs them too; this target is the quick check
+# (audit), the whole handler with and without the default telemetry
+# (server) and the gateway in front of it, ring lookup included
+# (cluster). `make test` runs them too; this target is the quick check
 # after touching any of them. Never under -race: the detector
 # allocates, and the tests skip themselves there.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
-		./internal/obsv ./internal/audit ./internal/server
+		./internal/obsv ./internal/audit ./internal/server ./internal/cluster
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMatchBind -fuzztime=30s ./internal/bctx
 	$(GO) test -fuzz=FuzzParseMSoDPolicySet -fuzztime=30s ./internal/policy
 	$(GO) test -fuzz=FuzzParseRBACPolicy -fuzztime=30s ./internal/policy
+	$(GO) test -fuzz=FuzzDecodeDecisionRequest -fuzztime=30s ./internal/server
 
 # Regenerate every EXPERIMENTS.md table.
 experiments:

@@ -124,14 +124,9 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeMember parses the admin request body.
-func decodeMember(w http.ResponseWriter, r *http.Request) (ClusterMemberRequest, bool) {
-	if r.Method != http.MethodPost {
-		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
-		return ClusterMemberRequest{}, false
-	}
+func (g *Gateway) decodeMember(w http.ResponseWriter, r *http.Request) (ClusterMemberRequest, bool) {
 	var req ClusterMemberRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("decode: %v", err))
+	if !g.decodePOST(w, r, &req) {
 		return ClusterMemberRequest{}, false
 	}
 	if req.ID == "" {
@@ -146,7 +141,7 @@ func decodeMember(w http.ResponseWriter, r *http.Request) (ClusterMemberRequest,
 // → cutover. The response is a 202: the handoff runs asynchronously
 // and its progress is on GET /v1/cluster.
 func (g *Gateway) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeMember(w, r)
+	req, ok := g.decodeMember(w, r)
 	if !ok {
 		return
 	}
@@ -193,7 +188,7 @@ func (g *Gateway) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 
 // handleClusterDrain starts moving every user off an active shard.
 func (g *Gateway) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeMember(w, r)
+	req, ok := g.decodeMember(w, r)
 	if !ok {
 		return
 	}
@@ -238,7 +233,7 @@ func (g *Gateway) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 // their history, and decisions from that missing history could grant
 // what the full history denies. Drain first.
 func (g *Gateway) handleClusterRemove(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeMember(w, r)
+	req, ok := g.decodeMember(w, r)
 	if !ok {
 		return
 	}

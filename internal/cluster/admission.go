@@ -70,15 +70,15 @@ func (p *admitPool) Shed() int64 { return p.shed.Load() }
 // admitCluster claims a cluster-wide admission token, shedding the
 // request with 503 + Retry-After (the same contract as a shard's own
 // admission control, so server.Client retries transparently) when the
-// pool is exhausted. On true the caller must invoke release exactly
-// once.
-func (g *Gateway) admitCluster(w http.ResponseWriter) (release func(), ok bool) {
+// pool is exhausted. On true the caller must invoke
+// g.admission.release exactly once.
+func (g *Gateway) admitCluster(w http.ResponseWriter) bool {
 	if g.admission.acquire() {
-		return g.admission.release, true
+		return true
 	}
 	g.metrics.unavailable.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(int(retryAfterCeil(g.cfg.ShedRetryAfter))))
 	errorJSON(w, http.StatusServiceUnavailable,
 		"cluster admission pool exhausted; shedding load, retry after the hinted delay")
-	return nil, false
+	return false
 }

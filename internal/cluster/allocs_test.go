@@ -1,0 +1,190 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
+	"testing"
+	"time"
+
+	"msod/internal/credential"
+	"msod/internal/race"
+	"msod/internal/server"
+)
+
+// memoryWriter is an http.ResponseWriter that keeps the response in
+// memory and is reused across requests, so a measured ServeHTTP pays
+// for the gateway and nothing of the connection.
+type memoryWriter struct {
+	header http.Header
+	body   bytes.Buffer
+	status int
+}
+
+func (w *memoryWriter) Header() http.Header         { return w.header }
+func (w *memoryWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
+
+// cannedShards answers the i-th POST it sees with the i-th prepared
+// response, so the shard side of the hop allocates nothing while the
+// gateway is measured.
+type cannedShards struct {
+	answers []*http.Response
+	next    int
+}
+
+func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp := c.answers[c.next]
+	c.next++
+	resp.Request = r
+	return resp, nil
+}
+
+// TestRouteDecisionAllocs is the gateway's allocation budget: what
+// Gateway.ServeHTTP allocates for one POST /v1/decision, request already
+// built, shard answer already built, response into memory. Budgets are
+// exact; a change that moves one edits the table and names the
+// allocation.
+//
+// What a plain decision pays (28), 18 of it context's and net/http's
+// price of one POST through http.Client (counted with the Go 1.24
+// toolchain, whose crypto/rand.Read keeps a caller's array on the stack):
+//
+//	admit 6     the body, read into one slice of its Content-Length with
+//	            room for the requestID (1); the routing key as a string
+//	            (1); the trace ID's random bytes and its string (2); the
+//	            Trace (1) and the context carrying it (1)
+//	requestID 0 the ID's random bytes and hex text stay on the stack and
+//	            the splice lands in the body's spare capacity
+//	post 20     the client's deadline — context.WithTimeout's timerCtx,
+//	            its timer, the timer's callback and the cancel func (4);
+//	            the URL text (1); http.NewRequestWithContext — the
+//	            Request, its parsed URL, its Header, the body's reader,
+//	            its NopCloser and the GetBody closure (6); the
+//	            Content-Type and Traceparent values, the Header's first
+//	            bucket and the traceparent text (4); http.Client.Do,
+//	            which clones the headers in case of a redirect (5)
+//	answer 2    the answer, read into one slice of its Content-Length
+//	            (1), and the Content-Type value it is forwarded under (1).
+//	            The resolved user costs nothing: it is the routing key
+//
+// and what the other cases pay instead or on top:
+//
+//	requestID 1 a PEP-supplied one is read as a string by the peek
+//	credentials no routing key to copy (-1): the subject is the first
+//	            holder, which the peek decodes — with the credentials
+//	            array, into holder-only elements, through encoding/json
+//	            (9: the slice header it decodes through, the decodeState,
+//	            its parse stack three deep, its error context, the
+//	            element slice, the holder)
+//	activated 9 the Activated slice and its string (2); the fan-out's
+//	            peer list, its closure, scatter's result slice and its
+//	            deadline (1 + 1 + 1 + 4) — the test gateway has one
+//	            shard, so there is nobody to post to
+func TestRouteDecisionAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		allocRuns = 200
+		warm      = 16
+	)
+	soa, err := credential.NewAuthority("bank.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	cred, err := soa.IssueRole("alice", "Teller", now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := server.DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"}
+	withID := plain
+	withID.RequestID = "0123456789abcdef0123456789abcdef"
+	granted := server.DecisionResponse{Allowed: true, Phase: "granted", User: "alice", Roles: []string{"Teller"}, Recorded: 1, MatchedPolicies: 1,
+		TraceID: "0123456789abcdef0123456789abcdef", RequestID: "0123456789abcdef0123456789abcdef"}
+	opened := granted
+	opened.Activated = []string{"Branch=York, Period=p1"}
+
+	for _, tc := range []struct {
+		name    string
+		request server.DecisionRequest
+		answer  server.DecisionResponse
+		budget  float64
+	}{
+		{name: "plain decision", request: plain, answer: granted, budget: 28},
+		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 29},
+		{name: "credential-bearing", answer: granted, budget: 36,
+			request: server.DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"}},
+		{name: "answer with activated", request: plain, answer: opened, budget: 37},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := json.Marshal(tc.request)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer, err := json.Marshal(tc.answer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer = append(answer, '\n') // as the shard's Encoder ends it
+			shards := &cannedShards{}
+			gw, err := New(Config{Shards: []Shard{{ID: "s0", BaseURL: "http://s0.invalid"}}, HTTPClient: &http.Client{Transport: shards}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			reqs := make([]*http.Request, warm+allocRuns+1)
+			for i := range reqs {
+				if reqs[i], err = http.NewRequest(http.MethodPost, server.DecisionPath, bytes.NewReader(body)); err != nil {
+					t.Fatal(err)
+				}
+				shards.answers = append(shards.answers, &http.Response{
+					StatusCode: http.StatusOK, Status: "200 OK", Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+					Header:        http.Header{"Content-Type": {"application/json"}},
+					Body:          io.NopCloser(bytes.NewReader(answer)),
+					ContentLength: int64(len(answer)),
+				})
+			}
+			w := &memoryWriter{header: http.Header{}}
+			i := 0
+			one := func() {
+				w.body.Reset()
+				gw.ServeHTTP(w, reqs[i])
+				i++
+			}
+			for i < warm {
+				one()
+			}
+			got := testing.AllocsPerRun(allocRuns, one)
+			if w.status != http.StatusOK || !bytes.Equal(w.body.Bytes(), answer) {
+				t.Fatalf("status %d, answer %s; want the shard's bytes", w.status, w.body.Bytes())
+			}
+			if got != tc.budget {
+				t.Fatalf("%v allocs, budget %v", got, tc.budget)
+			}
+		})
+	}
+}
+
+// TestRingLookupAllocs: what a routed decision asks of the ring — two
+// lookups and two version reads — allocates nothing; the version is
+// computed when membership changes, not when it is read.
+func TestRingLookupAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	r := NewRing(0)
+	for _, id := range []string{"s0", "s1", "s2"} {
+		r.Add(id)
+	}
+	key := "a-user-id-longer-than-a-small-string-buffer-0042"
+	if got := testing.AllocsPerRun(200, func() {
+		if _, ok := r.Lookup(key); !ok || r.Version() == 0 {
+			t.Fatal("no owner, or no version")
+		}
+	}); got != 0 {
+		t.Fatalf("Lookup + Version: %v allocs, want 0", got)
+	}
+}

@@ -1,0 +1,142 @@
+package cluster
+
+import (
+	"io"
+	"net/http"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"msod/internal/server"
+)
+
+// gatewayBodyCap is the shards' cap (server.ReadBody's), which the
+// gateway now reads under too.
+const gatewayBodyCap = 1 << 20
+
+// filler is a request body of left more 'x' bytes, sent chunked (a
+// reader net/http knows no length of); sent counts what the HTTP client
+// took of it before the gateway stopped reading (it may still be
+// reading when the answer is already back).
+type filler struct {
+	left int
+	sent atomic.Int64
+}
+
+func (f *filler) Read(p []byte) (int, error) {
+	if f.left == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), f.left)
+	for i := range p[:n] {
+		p[i] = 'x'
+	}
+	f.left -= n
+	f.sent.Add(int64(n))
+	return n, nil
+}
+
+// bodyReadingPaths are the gateway's handlers that read a request body.
+var bodyReadingPaths = []string{server.DecisionPath, server.AdvicePath, server.ManagementPath, ClusterJoinPath, ClusterDrainPath, ClusterRemovePath}
+
+// TestGatewayBodyCap: every gateway handler that reads a body refuses
+// one past the cap with a 413 — by its declared length without reading
+// it, or, chunked, without buffering past the cap — counts it as a bad
+// request, and bothers no shard; a body exactly at the cap is routed
+// (an advisory: a decision's spliced requestID would count against the
+// shard's own cap).
+func TestGatewayBodyCap(t *testing.T) {
+	_, gts, shards := newRecordingCluster(t, 2, Config{})
+	// Valid JSON all the way, so only the size can be what is refused.
+	oversize := `{"user":"` + strings.Repeat("x", gatewayBodyCap) + `"}`
+	for _, path := range bodyReadingPaths {
+		if status, text := post(t, gts.URL+path, oversize); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s, declared length: %d %.200s; want 413", path, status, text)
+		}
+		// 64 times the cap is on offer. The gateway answers once it has
+		// read the cap and stops reading: the client gets rid of what the
+		// connection's buffers absorb, never of the whole body.
+		body := &filler{left: 64 * gatewayBodyCap}
+		resp, err := http.Post(gts.URL+path, "application/json", io.MultiReader(strings.NewReader(`{"user":"`), body))
+		if err != nil {
+			t.Fatalf("%s, chunked: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s, chunked: %d; want 413", path, resp.StatusCode)
+		}
+		if sent := body.sent.Load(); sent > 32*gatewayBodyCap {
+			t.Errorf("%s, chunked: the gateway let %d bytes of a body capped at %d be sent", path, sent, gatewayBodyCap)
+		}
+	}
+	if got := gatewayCounter(t, gts.URL, "msodgw_bad_requests_total"); got != "12" {
+		t.Errorf("msodgw_bad_requests_total = %s after twelve oversize bodies, want 12", got)
+	}
+	atCap := `{"user":"` + strings.Repeat("x", gatewayBodyCap-len(`{"user":""}`)) + `"}`
+	if status, text := post(t, gts.URL+server.AdvicePath, atCap); status != http.StatusBadGateway || !strings.Contains(text, "resolved the subject") {
+		// Routed and answered (the stub answers for "alice", so the
+		// ownership check withholds it): the body was read whole.
+		t.Errorf("advice at the cap: %d %.200s; want it routed", status, text)
+	}
+	seen := 0
+	for _, s := range shards {
+		seen += len(s.received(server.DecisionPath)) + len(s.received(server.ManagementPath))
+		for _, body := range s.received(server.AdvicePath) {
+			if seen++; len(body) != gatewayBodyCap {
+				t.Errorf("a shard received an advice body of %d bytes", len(body))
+			}
+		}
+	}
+	if seen != 1 {
+		t.Errorf("shards saw %d bodies, want only the one at the cap", seen)
+	}
+}
+
+// TestGatewayChunkedBodyRouted: a body of undeclared length takes the
+// capped ReadAll path, is routed and — read with no spare capacity —
+// still gets its requestID.
+func TestGatewayChunkedBodyRouted(t *testing.T) {
+	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	const body = `{"user":"alice","operation":"op","target":"t","context":"P=1"}`
+	resp, err := http.Post(gts.URL+server.DecisionPath, "application/json", io.MultiReader(strings.NewReader(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(answer) != aliceGranted {
+		t.Fatalf("chunked decision = %d %s", resp.StatusCode, answer)
+	}
+	bodies := shards[0].received(server.DecisionPath)
+	if len(bodies) != 1 || !strings.HasPrefix(string(bodies[0]), body[:len(body)-1]+`,"requestID":"`) {
+		t.Fatalf("shard received %q, want the chunked body with a requestID", bodies)
+	}
+}
+
+// TestGatewayTrailingBytesRejected: anything but white space after the
+// JSON value is a 400 at the gateway, on every handler that reads a
+// body (a streaming Decoder used to ignore it; forwarded, it would only
+// be refused a hop later).
+func TestGatewayTrailingBytesRejected(t *testing.T) {
+	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	const body = `{"user":"alice","id":"shard09","operation":"op","target":"t","context":"P=1"}`
+	for _, path := range bodyReadingPaths {
+		for _, tail := range []string{`{}`, `x`, "\n" + body} {
+			if status, text := post(t, gts.URL+path, body+tail); status != http.StatusBadRequest {
+				t.Errorf("%s with %q after the value: %d %s; want 400", path, tail, status, text)
+			}
+		}
+	}
+	if got := gatewayCounter(t, gts.URL, "msodgw_bad_requests_total"); got != "18" {
+		t.Errorf("msodgw_bad_requests_total = %s after eighteen bodies with trailing bytes, want 18", got)
+	}
+	for _, path := range []string{server.DecisionPath, server.AdvicePath, server.ManagementPath} {
+		if bodies := shards[0].received(path); len(bodies) != 0 {
+			t.Errorf("%s: a refused body reached the shard: %q", path, bodies)
+		}
+	}
+	// Trailing white space is not trailing data.
+	if status, text := post(t, gts.URL+server.DecisionPath, body+" \r\n\t"); status != http.StatusOK {
+		t.Fatalf("trailing white space: %d %s; want 200", status, text)
+	}
+}

@@ -1,0 +1,341 @@
+package cluster
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"msod/internal/server"
+)
+
+// recordingShard is an httptest shard (or replica) that keeps the bytes
+// of every body POSTed to it, per path and in order, and answers with
+// whatever its script says — by default a minimal grant for "alice".
+type recordingShard struct {
+	ts *httptest.Server
+
+	mu     sync.Mutex
+	bodies map[string][][]byte
+	// answer scripts the n-th (from 0) request to path: a status and a
+	// body, or drop to close the connection without answering.
+	answer func(path string, n int) (status int, body string, drop bool)
+}
+
+const aliceGranted = `{"allowed":true,"phase":"granted","user":"alice"}`
+
+func newRecordingShard(t *testing.T) *recordingShard {
+	t.Helper()
+	s := &recordingShard{bodies: make(map[string][][]byte)}
+	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("shard read: %v", err)
+		}
+		s.mu.Lock()
+		n := len(s.bodies[r.URL.Path])
+		s.bodies[r.URL.Path] = append(s.bodies[r.URL.Path], body)
+		script := s.answer
+		s.mu.Unlock()
+		status, answer, drop := http.StatusOK, aliceGranted, false
+		if r.URL.Path == server.ActivationPath {
+			answer = `{"contexts":[],"added":1}`
+		}
+		if script != nil {
+			status, answer, drop = script(r.URL.Path, n)
+		}
+		if drop {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Errorf("hijack: %v", err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		io.WriteString(w, answer)
+	}))
+	t.Cleanup(s.ts.Close)
+	return s
+}
+
+// received returns the bodies POSTed to path so far.
+func (s *recordingShard) received(path string) [][]byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([][]byte(nil), s.bodies[path]...)
+}
+
+func (s *recordingShard) script(answer func(path string, n int) (int, string, bool)) {
+	s.mu.Lock()
+	s.answer = answer
+	s.mu.Unlock()
+}
+
+// newRecordingCluster puts n recording shards behind a gateway.
+func newRecordingCluster(t *testing.T, n int, cfg Config) (*Gateway, *httptest.Server, []*recordingShard) {
+	t.Helper()
+	shards := make([]*recordingShard, n)
+	for i := range shards {
+		shards[i] = newRecordingShard(t)
+		cfg.Shards = append(cfg.Shards, Shard{ID: fmt.Sprintf("shard%02d", i), BaseURL: shards[i].ts.URL})
+	}
+	gw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	gts := httptest.NewServer(gw)
+	t.Cleanup(gts.Close)
+	return gw, gts, shards
+}
+
+// post sends raw bytes to the gateway and returns the status and the
+// raw bytes of the answer.
+func post(t *testing.T, url string, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(answer)
+}
+
+// A PEP's body as no encoder of ours would spell it: its own member
+// order, white space, a folded key, a member DecisionRequest does not
+// declare.
+const aliceAsks = "{ \"context\":\"Branch=York, Period=p1\",\n  \"extension\":{\"pep\":[1,\"}\"]}, \"User\" : \"alice\"," +
+	"\"operation\":\"HandleCash\",\"target\":\"till\",\"roles\":[\"Teller\"] }\n"
+
+var splicedID = regexp.MustCompile(`^,"requestID":"[0-9a-f]{32}"$`)
+
+// TestGatewayForwardsThePEPsBytes: the shard receives exactly what the
+// PEP sent plus a requestID spliced in front of the closing brace, and
+// the PEP receives exactly what the shard answered — a member
+// DecisionResponse does not declare and the missing newline included.
+func TestGatewayForwardsThePEPsBytes(t *testing.T) {
+	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	const answer = `{"allowed":true,"phase":"granted","user":"alice","obligations":["log A"],"matchedPolicies":1}`
+	shards[0].script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
+
+	status, got := post(t, gts.URL+server.DecisionPath, aliceAsks)
+	if status != http.StatusOK || got != answer {
+		t.Fatalf("PEP received %d %q, want the shard's bytes %q", status, got, answer)
+	}
+	bodies := shards[0].received(server.DecisionPath)
+	if len(bodies) != 1 {
+		t.Fatalf("shard saw %d decision bodies, want 1", len(bodies))
+	}
+	brace := strings.LastIndexByte(aliceAsks, '}')
+	head, tail := aliceAsks[:brace], aliceAsks[brace:]
+	sent := string(bodies[0])
+	if !strings.HasPrefix(sent, head) || !strings.HasSuffix(sent, tail) || !splicedID.MatchString(sent[len(head):len(sent)-len(tail)]) {
+		t.Fatalf("shard received %q, want %q + a spliced requestID + %q", sent, head, tail)
+	}
+
+	// An advisory has no side effect to make idempotent: not a byte is
+	// added.
+	if status, _ := post(t, gts.URL+server.AdvicePath, aliceAsks); status != http.StatusOK {
+		t.Fatalf("advice = %d", status)
+	}
+	if bodies := shards[0].received(server.AdvicePath); len(bodies) != 1 || string(bodies[0]) != aliceAsks {
+		t.Fatalf("shard received advice bodies %q, want exactly the PEP's bytes", bodies)
+	}
+}
+
+// TestGatewayKeepsThePEPsRequestID: a PEP-supplied requestID — under
+// any spelling encoding/json would take for the field — leaves the
+// bytes identical; an empty or null one does not count as supplied.
+func TestGatewayKeepsThePEPsRequestID(t *testing.T) {
+	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	for _, tc := range []struct {
+		member  string
+		spliced bool
+	}{
+		{`"requestID":"pep-chosen-id"`, false},
+		{`"REQUESTID":"pep-chosen-id"`, false},
+		{`"requestID":""`, true},
+		{`"requestID":null`, true},
+		{`"requestID":"first","requestID":""`, true},
+	} {
+		body := `{"user":"alice",` + tc.member + `,"operation":"op","target":"t","context":"P=1"}`
+		before := len(shards[0].received(server.DecisionPath))
+		if status, answer := post(t, gts.URL+server.DecisionPath, body); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", tc.member, status, answer)
+		}
+		sent := string(shards[0].received(server.DecisionPath)[before])
+		if !tc.spliced && sent != body {
+			t.Errorf("%s: shard received %q, want the PEP's bytes untouched", tc.member, sent)
+		}
+		if tc.spliced {
+			var decoded server.DecisionRequest
+			if err := server.DecodeDecisionRequest([]byte(sent), &decoded); err != nil || len(decoded.RequestID) != 32 {
+				t.Errorf("%s: shard received %q, which decodes to requestID %q (%v); want a minted one", tc.member, sent, decoded.RequestID, err)
+			}
+		}
+	}
+}
+
+// TestGatewayRetriesCarryIdenticalBytes: every attempt of a retried
+// decision is the same bytes, so the shard's idempotency cache sees one
+// requestID.
+func TestGatewayRetriesCarryIdenticalBytes(t *testing.T) {
+	_, gts, shards := newRecordingCluster(t, 1, Config{Retries: 2, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
+	shards[0].script(func(_ string, n int) (int, string, bool) { return http.StatusOK, aliceGranted, n < 2 })
+	if status, answer := post(t, gts.URL+server.DecisionPath, aliceAsks); status != http.StatusOK || answer != aliceGranted {
+		t.Fatalf("decision after two dropped attempts = %d %s", status, answer)
+	}
+	bodies := shards[0].received(server.DecisionPath)
+	if len(bodies) != 3 {
+		t.Fatalf("shard saw %d attempts, want 3", len(bodies))
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Equal(bodies[1], bodies[2]) || !bytes.Contains(bodies[0], []byte(`,"requestID":"`)) {
+		t.Fatalf("attempts differ, or carry no requestID:\n%q\n%q\n%q", bodies[0], bodies[1], bodies[2])
+	}
+}
+
+// TestGatewayNeverForwardsAnUnreadableAnswer: a 200 that is not one
+// well-formed JSON object, or whose user or activated has the wrong
+// type, is a shard failure — retried under the same bytes, reported to
+// the checker, ended 503 — and none of it reaches the PEP.
+func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
+	for _, answer := range []string{
+		`<html>it works</html>`,
+		``,
+		`{"allowed":true,"phase":"granted","user":"alice"`,
+		`{"allowed":true,"phase":"granted","user":"alice"} trailing`,
+		`[{"allowed":true,"user":"alice"}]`,
+		`{"allowed":true,"phase":"granted","user":["alice"]}`,
+		`{"allowed":true,"phase":"granted","user":"alice","activated":"Branch=York"}`,
+		`{"allowed":true,"phase":"granted","user":"alice","recorded":01}`,
+	} {
+		gw, gts, shards := newRecordingCluster(t, 1, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
+		shards[0].script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
+		status, got := post(t, gts.URL+server.DecisionPath, aliceAsks)
+		if status != http.StatusServiceUnavailable || !strings.Contains(got, "decode response") {
+			t.Errorf("answer %q: PEP received %d %q, want a fail-closed 503 naming the decode failure", answer, status, got)
+		}
+		if answer != "" && strings.Contains(got, answer) {
+			t.Errorf("answer %q reached the PEP: %q", answer, got)
+		}
+		bodies := shards[0].received(server.DecisionPath)
+		if len(bodies) != 2 || !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("answer %q: shard saw %d attempts (%q), want 2 identical ones", answer, len(bodies), bodies)
+		}
+		if st := gw.Checker().Statuses()["shard00"]; st.Consecutive != 2 || !strings.Contains(st.LastErr, "decode response") {
+			t.Errorf("answer %q: checker holds %+v, want 2 decode failures of the shard", answer, st)
+		}
+	}
+}
+
+// TestGatewayWithholdsAnswersItCannotAttribute: a well-formed answer
+// that names no user, or a user another shard owns, is still a 502.
+func TestGatewayWithholdsAnswersItCannotAttribute(t *testing.T) {
+	gw, gts, shards := newRecordingCluster(t, 2, Config{})
+	var onOther string
+	owner, _ := gw.ShardFor("alice")
+	for i := 0; onOther == ""; i++ {
+		if s, _ := gw.ShardFor(fmt.Sprintf("user%05d", i)); s != owner {
+			onOther = fmt.Sprintf("user%05d", i)
+		}
+	}
+	for _, answer := range []string{
+		`{"allowed":true,"phase":"granted"}`,
+		`{"allowed":true,"phase":"granted","user":""}`,
+		`{"allowed":true,"phase":"granted","user":null}`,
+		`{"allowed":true,"phase":"granted","user":"` + onOther + `"}`,
+		`{"allowed":true,"phase":"granted","user":"alice","USER":"` + onOther + `"}`,
+	} {
+		for _, s := range shards {
+			s.script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
+		}
+		for _, path := range []string{server.DecisionPath, server.AdvicePath} {
+			if status, got := post(t, gts.URL+path, aliceAsks); status != http.StatusBadGateway || strings.Contains(got, `"allowed"`) {
+				t.Errorf("%s answered %q: PEP received %d %q, want a withheld 502", path, answer, status, got)
+			}
+		}
+	}
+}
+
+// TestGatewayAdviceReplicaGetsThePEPsBytes: a replica is asked with the
+// original bytes too, and its answer is forwarded verbatim.
+func TestGatewayAdviceReplicaGetsThePEPsBytes(t *testing.T) {
+	rep := newRecordingShard(t)
+	owner := newRecordingShard(t)
+	gw, err := New(Config{
+		Shards:   []Shard{{ID: "shard00", BaseURL: owner.ts.URL}},
+		Replicas: map[string][]string{"shard00": {rep.ts.URL}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	gts := httptest.NewServer(gw)
+	t.Cleanup(gts.Close)
+	const answer = `{"allowed":false,"phase":"advisory","user":"alice","mirror":{"seq":42}}`
+	rep.script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
+
+	resp, err := http.Post(gts.URL+server.AdvicePath, "application/json", strings.NewReader(aliceAsks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || string(got) != answer || resp.Header.Get("X-Msod-Shard") != "shard00" {
+		t.Fatalf("PEP received %d %q (shard %q), want the replica's bytes", resp.StatusCode, got, resp.Header.Get("X-Msod-Shard"))
+	}
+	if bodies := rep.received(server.AdvicePath); len(bodies) != 1 || string(bodies[0]) != aliceAsks {
+		t.Fatalf("replica received %q, want exactly the PEP's bytes", bodies)
+	}
+	if bodies := owner.received(server.AdvicePath); len(bodies) != 0 {
+		t.Fatalf("the owner was asked although its replica answered: %q", bodies)
+	}
+}
+
+// TestGatewayFansOutBeforeForwardingAFirstStep: an answer that reports
+// activated instances reaches the PEP only after the peer shard was
+// told — and is then the shard's bytes.
+func TestGatewayFansOutBeforeForwardingAFirstStep(t *testing.T) {
+	gw, gts, shards := newRecordingCluster(t, 2, Config{Retries: -1})
+	const answer = `{"allowed":true,"phase":"granted","user":"alice","recorded":1,"activated":["Branch=York, Period=p1"]}`
+	for _, s := range shards {
+		s.script(func(path string, _ int) (int, string, bool) {
+			if path == server.ActivationPath {
+				return http.StatusOK, `{"contexts":[],"added":1}`, false
+			}
+			return http.StatusOK, answer, false
+		})
+	}
+	status, got := post(t, gts.URL+server.DecisionPath, aliceAsks)
+	if status != http.StatusOK || got != answer {
+		t.Fatalf("PEP received %d %q, want the shard's bytes", status, got)
+	}
+	owner, _ := gw.ShardFor("alice")
+	peer := shards[0]
+	if owner == "shard00" {
+		peer = shards[1]
+	}
+	activations := peer.received(server.ActivationPath)
+	if len(activations) != 1 || !bytes.Contains(activations[0], []byte(`"Branch=York, Period=p1"`)) {
+		t.Fatalf("peer received activations %q, want the one instance, before the ack", activations)
+	}
+	// A peer that cannot be told withholds the grant: the fan-out still
+	// gates the ack.
+	peer.ts.Close()
+	if status, got := post(t, gts.URL+server.DecisionPath, aliceAsks); status != http.StatusServiceUnavailable || strings.Contains(got, `"allowed"`) {
+		t.Fatalf("with the peer gone the PEP received %d %q, want the grant withheld", status, got)
+	}
+}

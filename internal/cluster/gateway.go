@@ -247,7 +247,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.breaker = NewBreaker(ids, cfg.BreakerAfter, cfg.BreakerCooldown)
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc(server.DecisionPath, func(w http.ResponseWriter, r *http.Request) {
-		g.handleRouted(w, r, true, (*server.Client).DecisionCtx)
+		g.handleRouted(w, r, server.DecisionPath)
 	})
 	g.mux.HandleFunc(server.AdvicePath, g.handleAdvice)
 	g.mux.HandleFunc(server.ManagementPath, g.handleManagement)
@@ -329,6 +329,27 @@ func (g *Gateway) ShardFor(key string) (string, bool) { return g.ring.Lookup(key
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
+}
+
+// decodePOST admits a POST whose body is one JSON value, read under the
+// shards' own size cap (server.ReadBody), and unmarshals it into v. A
+// false return means the refusal has been written: 405, or a 413 or 400
+// counted in msodgw_bad_requests_total.
+func (g *Gateway) decodePOST(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.Method != http.MethodPost {
+		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
+		return false
+	}
+	body, status, err := server.ReadBody(w, r, 0)
+	if err == nil {
+		status, err = http.StatusBadRequest, json.Unmarshal(body, v)
+	}
+	if err != nil {
+		g.metrics.badRequests.Add(1)
+		errorJSON(w, status, fmt.Sprintf("decode: %v", err))
+		return false
+	}
+	return true
 }
 
 // errorJSON mirrors the server's errorResponse shape.

@@ -6,6 +6,8 @@ import (
 	"log/slog"
 	"sort"
 	"time"
+
+	"msod/internal/obsv"
 )
 
 // Handoff phases, in order. A handoff is the only way ring membership
@@ -76,7 +78,8 @@ func (g *Gateway) beginHandoff(kind, shard string) (HandoffStatus, error) {
 			g.currentHandoff.ID, g.currentHandoff.Kind, g.currentHandoff.Shard, g.currentHandoff.Phase)
 	}
 	hs := &HandoffStatus{
-		ID: newRequestID(), Kind: kind, Shard: shard,
+		// Any unique 32-hex-digit token serves as a handoff's ID.
+		ID: string(obsv.NewTraceID()), Kind: kind, Shard: shard,
 		Phase: PhasePlanning, Started: time.Now(),
 	}
 	g.currentHandoff = hs

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -38,21 +37,14 @@ type managementErrorResponse struct {
 // reported per shard (see ManagementOutcome) — never collapsed into an
 // error that implies nothing happened.
 func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req server.ManagementWireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		g.metrics.badRequests.Add(1)
-		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("decode: %v", err))
+	if !g.decodePOST(w, r, &req) {
 		return
 	}
-	release, admitted := g.admitCluster(w)
-	if !admitted {
+	if !g.admitCluster(w) {
 		return
 	}
-	defer release()
+	defer g.admission.release()
 	// Management holds the quiesce barrier too, so a handoff waits out
 	// in-flight fan-outs; and it is refused outright during a handoff —
 	// a purge racing the history stream could resurrect records the

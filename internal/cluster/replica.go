@@ -91,9 +91,7 @@ func forwardReplicaAnswer(w http.ResponseWriter, shard string, ans replicaAnswer
 		w.Header().Set(replica.ReplicaLagHeader, v)
 	}
 	w.Header().Set("X-Msod-Shard", shard)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(ans.body)
+	writeAnswer(w, ans.body)
 }
 
 // askReplicas asks a shard's replicas in rotated order, under the
@@ -128,19 +126,19 @@ func askReplicas[T any](ctx context.Context, g *Gateway, set *replicaSet, method
 // /v1/decision routes to the owner unconditionally, because a replica
 // grant would be a false grant.
 func (g *Gateway) handleAdvice(w http.ResponseWriter, r *http.Request) {
-	req, key, traceID, ok := g.admitRouted(w, r)
+	body, peek, traceID, ok := g.admitRouted(w, r)
 	if !ok {
 		return
 	}
-	if shard, ok := g.ring.Lookup(key); ok {
+	if shard, ok := g.ring.Lookup(peek.Subject); ok {
 		if set := g.replicas[shard]; set != nil {
-			if g.tryReplicaAdvice(w, r, shard, set, req, traceID) {
+			if g.tryReplicaAdvice(w, r, shard, set, body, traceID) {
 				return
 			}
 			g.metrics.replicaFallbacks.Add(1)
 		}
 	}
-	g.routeDecision(w, r, req, key, traceID, false, (*server.Client).AdviceCtx)
+	g.routeDecision(w, r, body, peek, traceID, server.AdvicePath)
 }
 
 // tryReplicaAdvice forwards the first trustworthy replica answer (see
@@ -148,11 +146,7 @@ func (g *Gateway) handleAdvice(w http.ResponseWriter, r *http.Request) {
 // not a replica's. The same ownership echo-check as the owner path
 // applies: an answer resolving a subject the routed shard does not own
 // is dropped, and the owner path decides what that misroute means.
-func (g *Gateway) tryReplicaAdvice(w http.ResponseWriter, r *http.Request, shard string, set *replicaSet, req server.DecisionRequest, traceID obsv.TraceID) bool {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
+func (g *Gateway) tryReplicaAdvice(w http.ResponseWriter, r *http.Request, shard string, set *replicaSet, body []byte, traceID obsv.TraceID) bool {
 	ans, resp, ok := askReplicas[server.DecisionResponse](r.Context(), g, set, http.MethodPost, server.AdvicePath, traceID, body)
 	if !ok {
 		return false

@@ -50,6 +50,7 @@ type Ring struct {
 	vnodes  int
 	members map[string]bool
 	points  []point // sorted by (hash, shard)
+	version uint64  // hash of vnodes and the sorted members; see Version
 }
 
 // NewRing builds an empty ring with the given number of virtual nodes
@@ -58,7 +59,9 @@ func NewRing(vnodes int) *Ring {
 	if vnodes < 1 {
 		vnodes = DefaultVirtualNodes
 	}
-	return &Ring{vnodes: vnodes, members: make(map[string]bool)}
+	r := &Ring{vnodes: vnodes, members: make(map[string]bool)}
+	r.rebuildLocked()
+	return r
 }
 
 // hashKey hashes a routing key or virtual-node label onto the ring.
@@ -108,8 +111,10 @@ func (r *Ring) Remove(shard string) {
 	r.rebuildLocked()
 }
 
-// rebuildLocked regenerates the point set from the member set. The
-// points depend only on the members, never on mutation history. The
+// rebuildLocked regenerates the point set and the version from the
+// member set. Both depend only on the members, never on mutation
+// history, and neither is computed anywhere else: Lookup and Version run
+// on every routed decision and only read them. The
 // member iteration runs over the SORTED member list, and the points go
 // into a fresh slice rather than reusing the old backing array: a
 // reader that raced an earlier rebuild can never observe a
@@ -117,8 +122,13 @@ func (r *Ring) Remove(shard string) {
 // produce byte-identical point sequences regardless of how many
 // Add/Remove cycles each one went through.
 func (r *Ring) rebuildLocked() {
-	points := make([]point, 0, len(r.members)*r.vnodes)
-	for _, shard := range r.membersLocked() {
+	members := r.membersLocked()
+	version := fnv.New64a()
+	fmt.Fprintf(version, "vnodes=%d", r.vnodes)
+	points := make([]point, 0, len(members)*r.vnodes)
+	for _, shard := range members {
+		version.Write([]byte{0})
+		version.Write([]byte(shard))
 		for i := 0; i < r.vnodes; i++ {
 			points = append(points, point{
 				hash:  hashKey(fmt.Sprintf("%s#%d", shard, i)),
@@ -135,6 +145,7 @@ func (r *Ring) rebuildLocked() {
 		return points[i].shard < points[j].shard
 	})
 	r.points = points
+	r.version = version.Sum64()
 }
 
 // membersLocked returns the member IDs sorted; callers hold r.mu.
@@ -184,17 +195,7 @@ func (r *Ring) Members() []string {
 func (r *Ring) Version() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.versionLocked()
-}
-
-func (r *Ring) versionLocked() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "vnodes=%d", r.vnodes)
-	for _, m := range r.membersLocked() {
-		h.Write([]byte{0})
-		h.Write([]byte(m))
-	}
-	return h.Sum64()
+	return r.version
 }
 
 // Snapshot returns the sorted member list and the version hash in one
@@ -205,7 +206,7 @@ func (r *Ring) versionLocked() uint64 {
 func (r *Ring) Snapshot() ([]string, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.membersLocked(), r.versionLocked()
+	return r.membersLocked(), r.version
 }
 
 // Clone returns an independent ring with the same vnode count and

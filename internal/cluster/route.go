@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -17,37 +16,6 @@ import (
 	"msod/internal/server"
 )
 
-// routingKey extracts the user identity a request routes by: the
-// pre-validated User, or the holder the credentials assert. The key is
-// a HINT, not the authority on the subject — when credentials are
-// present the shard's CVS (and identity linker) resolves the canonical
-// user itself and may disagree with an unvalidated Holder, a forged
-// leading credential, or an unlinked alias. handleRouted therefore
-// verifies after the fact that the subject the shard actually resolved
-// is owned by the routed shard, and withholds the answer otherwise.
-func routingKey(req server.DecisionRequest) string {
-	if req.User != "" {
-		return req.User
-	}
-	for _, c := range req.Credentials {
-		if c.Holder != "" {
-			return c.Holder
-		}
-	}
-	return ""
-}
-
-// newRequestID mints the idempotency ID attached to a decision before
-// its first send, so every retry reaches the shard under the same ID
-// and the decision commits at most once.
-func newRequestID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "" // no entropy: send without idempotency rather than fail
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // handleRouted serves /v1/decision and /v1/advice: route to the owning
 // shard, retry transport errors against that same shard only, and fail
 // closed when the shard cannot answer. Re-routing is deliberately
@@ -55,11 +23,15 @@ func newRequestID() string {
 // against a partial retained ADI and could grant what a complete
 // history denies.
 //
+// The gateway forwards the PEP's bytes and the shard's answer as they
+// are (see admitRouted); it reads of either only what routing needs.
 // Two guards make the routing trustworthy:
 //
-//   - Ownership echo-check: the routing key is only a hint (see
-//     routingKey); the shard's CVS may resolve the credentials to a
-//     different canonical user. If the resolved subject in the
+//   - Ownership echo-check: the routing key is only a hint — the
+//     pre-validated user, or the holder the credentials assert — and the
+//     shard's CVS (and identity linker) may resolve the credentials to a
+//     different canonical user: an unvalidated holder, a forged leading
+//     credential, an unlinked alias. If the resolved subject in the
 //     response is not owned by the routed shard, the answer is
 //     withheld with a 502 — forwarding it would hand out a decision
 //     evaluated against the wrong shard's (partial) history. The
@@ -67,37 +39,49 @@ func newRequestID() string {
 //     serves that user, which is deny-safe; the owner's retained ADI
 //     is untouched and the grant never reaches the PEP.
 //
-//   - Idempotent retries: decision requests (record=true) are stamped
-//     with a RequestID before the first send, so a retry after a
-//     timeout that struck post-commit replays the shard's committed
-//     response instead of double-recording ADI history.
-func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request, record bool, call func(*server.Client, context.Context, server.DecisionRequest) (server.DecisionResponse, error)) {
-	req, key, traceID, ok := g.admitRouted(w, r)
+//   - Idempotent retries: a decision (path server.DecisionPath) that
+//     carries no requestID gets one spliced in before the first send,
+//     so every retry reaches the shard under the same ID and a retry
+//     after a timeout that struck post-commit replays the shard's
+//     committed response instead of double-recording ADI history.
+func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request, path string) {
+	body, peek, traceID, ok := g.admitRouted(w, r)
 	if !ok {
 		return
 	}
-	g.routeDecision(w, r, req, key, traceID, record, call)
+	g.routeDecision(w, r, body, peek, traceID, path)
 }
 
+// requestIDSpare is the capacity a read body keeps free for the
+// requestID member routeDecision may splice in: its name, 32 hex
+// digits, the quotes.
+const requestIDSpare = 64
+
 // admitRouted performs the shared request admission for the routed
-// paths: method check, decode, routing-key extraction, and trace
+// paths: method check, the bounded read of the body, the peek at it
+// for the routing key (through the scanner the shard decodes with, so
+// the two cannot disagree about which member is the user), and trace
 // adoption. A false return means the refusal has been written.
-func (g *Gateway) admitRouted(w http.ResponseWriter, r *http.Request) (server.DecisionRequest, string, obsv.TraceID, bool) {
+func (g *Gateway) admitRouted(w http.ResponseWriter, r *http.Request) ([]byte, server.RequestPeek, obsv.TraceID, bool) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
-		return server.DecisionRequest{}, "", "", false
+		return nil, server.RequestPeek{}, "", false
 	}
-	var req server.DecisionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, status, err := server.ReadBody(w, r, requestIDSpare)
+	var peek server.RequestPeek
+	if err == nil {
+		status = http.StatusBadRequest
+		peek, err = server.PeekDecisionRequest(body)
+	}
+	if err != nil {
 		g.metrics.badRequests.Add(1)
-		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("decode: %v", err))
-		return server.DecisionRequest{}, "", "", false
+		errorJSON(w, status, fmt.Sprintf("decode: %v", err))
+		return nil, server.RequestPeek{}, "", false
 	}
-	key := routingKey(req)
-	if key == "" {
+	if peek.Subject == "" {
 		g.metrics.badRequests.Add(1)
 		errorJSON(w, http.StatusBadRequest, "request has no routable subject (user or credential holder)")
-		return server.DecisionRequest{}, "", "", false
+		return nil, server.RequestPeek{}, "", false
 	}
 	// The gateway is where the trace is born: adopt the PEP's
 	// traceparent or mint one, and reuse the same trace (and so the
@@ -108,20 +92,22 @@ func (g *Gateway) admitRouted(w http.ResponseWriter, r *http.Request) (server.De
 	if !ok {
 		traceID = obsv.NewTraceID()
 	}
-	return req, key, traceID, true
+	return body, peek, traceID, true
 }
 
 // routeDecision is the owner-routed tail of handleRouted: everything
 // after admission, from ring lookup through retries to the response.
-func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req server.DecisionRequest, key string, traceID obsv.TraceID, record bool, call func(*server.Client, context.Context, server.DecisionRequest) (server.DecisionResponse, error)) {
+// Every attempt POSTs the same bytes to path; a decision records, an
+// advisory (server.AdvicePath) does not.
+func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []byte, peek server.RequestPeek, traceID obsv.TraceID, path string) {
+	key, record := peek.Subject, path == server.DecisionPath
 	trace := obsv.NewTrace(traceID)
 	ctx := obsv.WithTrace(r.Context(), trace)
 	start := time.Now()
-	release, admitted := g.admitCluster(w)
-	if !admitted {
+	if !g.admitCluster(w) {
 		return
 	}
-	defer release()
+	defer g.admission.release()
 	// The read side of the quiesce barrier: held for the request's full
 	// duration (retries included), so a handoff that has raised its
 	// transit marks can wait out every request admitted before them.
@@ -131,7 +117,7 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 	defer g.traffic.RUnlock()
 	shard, ok := g.ring.Lookup(key)
 	if ok && record {
-		if reason, refuse := g.transitRefusal(key, shard, len(req.Credentials) > 0); refuse {
+		if reason, refuse := g.transitRefusal(key, shard, peek.HasCredentials); refuse {
 			g.metrics.handoffRefusals.Add(1)
 			g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter, reason, reason)
 			return
@@ -155,8 +141,15 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 	}
 	client, _ := g.client(shard)
 	g.metrics.routed.Add(1)
-	if record && req.RequestID == "" {
-		req.RequestID = newRequestID()
+	if record && !peek.HasRequestID {
+		// Without entropy the decision goes out without an ID rather than
+		// fail: retries are then not idempotent, as for a PEP without one.
+		var id [16]byte
+		if _, err := rand.Read(id[:]); err == nil {
+			var text [2 * len(id)]byte
+			hex.Encode(text[:], id[:])
+			body = peek.SpliceRequestID(body, string(text[:]))
+		}
 	}
 
 	var lastErr error
@@ -176,7 +169,16 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 				break // went down while we backed off; stop hammering
 			}
 		}
-		resp, err := call(client, ctx, req)
+		answer, err := client.PostRaw(ctx, path, body)
+		var resp server.AnswerPeek
+		if err == nil {
+			// An answer the gateway cannot read is a shard that failed, not
+			// a verdict: it is never forwarded, and the retry below asks
+			// again under the same requestID.
+			if resp, err = server.PeekDecisionAnswer(answer, key); err != nil {
+				err = fmt.Errorf("server: decode response: %w", err)
+			}
+		}
 		if err == nil {
 			g.breaker.Success(shard)
 			// Handoff defense-in-depth: the routing-key check above could
@@ -224,7 +226,7 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 				}
 			}
 			g.logDecision(traceID, resp, shard, attempt, time.Since(start))
-			writeJSON(w, http.StatusOK, resp)
+			writeAnswer(w, answer)
 			return
 		}
 		var apiErr *server.APIError
@@ -246,6 +248,13 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, req serv
 	g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, 0,
 		fmt.Sprintf("shard unreachable (%v); failing closed", lastErr),
 		fmt.Sprintf("shard %s unreachable (%v); failing closed", shard, lastErr))
+}
+
+// writeAnswer forwards a shard's (or replica's) 200 body as it came.
+func writeAnswer(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // jitterBackoff spreads one backoff delay uniformly over ±25%, so
@@ -276,16 +285,17 @@ func sleepContext(ctx context.Context, d time.Duration) bool {
 
 // logDecision emits the structured per-decision line when the
 // decision was at least SlowLog slow (a zero threshold logs all).
-func (g *Gateway) logDecision(traceID obsv.TraceID, resp server.DecisionResponse, shard string, attempt int, elapsed time.Duration) {
+func (g *Gateway) logDecision(traceID obsv.TraceID, resp server.AnswerPeek, shard string, attempt int, elapsed time.Duration) {
 	if g.cfg.Logger == nil || elapsed < g.cfg.SlowLog {
 		return
 	}
+	allowed, phase := resp.Verdict()
 	g.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "decision",
 		slog.String("traceID", string(traceID)),
 		slog.String("shard", shard),
 		slog.String("user", resp.User),
-		slog.Bool("allowed", resp.Allowed),
-		slog.String("phase", resp.Phase),
+		slog.Bool("allowed", allowed),
+		slog.String("phase", phase),
 		slog.Int("attempts", attempt+1),
 		slog.Float64("seconds", elapsed.Seconds()))
 }

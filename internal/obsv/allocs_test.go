@@ -82,6 +82,12 @@ func TestTraceAllocs(t *testing.T) {
 			run:    func() { _ = NewTraceID() },
 			budget: 2,
 		},
+		{
+			// The header value returned (1): a gateway pays it per hop.
+			name:   "Traceparent",
+			run:    func() { _ = id.Traceparent() },
+			budget: 1,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(200, tc.run); got != tc.budget {

@@ -129,7 +129,14 @@ func (id TraceID) Traceparent() string {
 	if _, err := rand.Read(span[:]); err != nil {
 		span = [8]byte{0, 0, 0, 0, 0, 0, 0, 1}
 	}
-	return "00-" + string(id) + "-" + hex.EncodeToString(span[:]) + "-01"
+	// Assembled on the stack: the value costs the string it is returned as.
+	b := make([]byte, 0, 64)
+	b = append(b, "00-"...)
+	b = append(b, id...)
+	b = append(b, '-')
+	b = hex.AppendEncode(b, span[:])
+	b = append(b, "-01"...)
+	return string(b)
 }
 
 // ParseTraceparent extracts the trace ID from a traceparent header

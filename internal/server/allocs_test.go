@@ -65,13 +65,15 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 // requests, so the measured requests run in the steady state of a
 // long-lived shard: every explain and trace record is a recycled one.
 //
-// What every case pays, for a body naming a user and one role (23):
+// What every case pays, for a body naming a user and one role (17):
 //
-//	decode 13   the body, read into one slice of its Content-Length (1);
-//	            the DecisionRequest, on the heap for Unmarshal (1);
-//	            encoding/json's decodeState (1), its parse stack at
-//	            depth 1 and 2 (2), its error context and field stack (2);
-//	            the five strings (5) and the Roles slice (1) it fills
+//	decode 7    the body, read into one slice of its Content-Length (1);
+//	            the five strings (5) and the Roles slice (1) that
+//	            DecodeDecisionRequest fills. It was 13 while encoding/json
+//	            decoded the whole body: gone are the DecisionRequest moved
+//	            to the heap for Unmarshal (1), the decodeState (1), its
+//	            parse stack at depth 1 and 2 (2), its error context and
+//	            field stack (2)
 //	request 6   the parsed context name (1), Roles as []rbac.RoleName (1),
 //	            the trace ID's random bytes and its string (2), the
 //	            Trace with its spans inline (1), the context carrying it (1)
@@ -132,7 +134,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 		budget  map[string]float64
 	}{
 		{
-			// 23 + the validated roles (1), the engine's decision moved
+			// 17 + the validated roles (1), the engine's decision moved
 			// to the heap as Decision.MSoD (1), and the engine's three:
 			// bound name, record slice, the store's Roles copy (3).
 			// Default: + explain 5 + event 2.
@@ -140,10 +142,10 @@ func TestServeDecisionAllocs(t *testing.T) {
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 35, "bare": 28},
+			budget: map[string]float64{"default": 29, "bare": 22},
 		},
 		{
-			// 23 + the validated roles (1), Decision.MSoD (1), the bound
+			// 17 + the validated roles (1), Decision.MSoD (1), the bound
 			// name (1), the Denial (1) and the two texts the answer and
 			// the trail carry: Denial.Reason (1) and Denial.Error — the
 			// policy context's text, the bound context's, the sentence
@@ -154,10 +156,10 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "msod",
-			budget: map[string]float64{"default": 38, "bare": 31},
+			budget: map[string]float64{"default": 32, "bare": 25},
 		},
 		{
-			// 23 + the validated roles (1) and the reason: the permission
+			// 17 + the validated roles (1) and the reason: the permission
 			// boxed for Sprintf (1), its text (1), the sentence (1). The
 			// engine never runs, so default adds the explain context
 			// value (1) + event 2.
@@ -166,13 +168,18 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "rbac",
-			budget: map[string]float64{"default": 30, "bare": 27},
+			budget: map[string]float64{"default": 24, "bare": 21},
 		},
 		{
 			// No user or roles in the body but one signed credential, so
-			// decode is 21 (the credential's strings, attribute slice and
-			// signature, a parse stack four deep), request 5 (no Roles
-			// to convert) and respond 4: 30. The CVS adds 6 — the signed
+			// decode is 19 — the body (1), three strings (3), and
+			// encoding/json over the credentials array alone (15: the
+			// slice header it decodes through, its decodeState, a parse
+			// stack three deep under the array, its error context, the
+			// credential's strings, attribute slice and signature); it
+			// was 21 with the DecisionRequest on the heap and the stack
+			// one level deeper — request 5 (no Roles to convert) and
+			// respond 4: 28. The CVS adds 6 — the signed
 			// payload re-marshalled for the Ed25519 check (credential
 			// boxed, two time texts, the result: 4), the validated roles
 			// (1), the rejection map (1) — then Decision.MSoD (1) and the
@@ -183,7 +190,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 47, "bare": 40},
+			budget: map[string]float64{"default": 45, "bare": 38},
 		},
 	} {
 		for _, kind := range []string{"default", "bare"} {

@@ -531,25 +531,43 @@ func (c *Client) get(parent context.Context, path string, out any) error {
 // hinted.
 const maxShedWait = 10 * time.Second
 
-// post performs a POST under the client timeout. A response the server
-// shed (429/503 with a Retry-After hint) is waited out and retried up
-// to the shed-retry budget; every other outcome — success, transport
-// failure, or a deliberate verdict including a hint-less 503 — returns
-// immediately.
+// post marshals in, POSTs it (see PostRaw) and unmarshals the answer
+// into out.
 func (c *Client) post(parent context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("server: marshal request: %w", err)
 	}
+	answer, err := c.PostRaw(parent, path, body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(answer, out); err != nil {
+		return fmt.Errorf("server: decode response: %w", err)
+	}
+	return nil
+}
+
+// PostRaw POSTs body as it is and returns the bytes of the 200 answer,
+// under the client timeout: the gateway forwards a PEP's request and a
+// shard's answer this way without decoding either. A response the
+// server shed (429/503 with a Retry-After hint) is waited out and
+// retried up to the shed-retry budget; every other outcome — success,
+// transport failure, or a deliberate verdict (*APIError) including a
+// hint-less 503 — returns immediately.
+func (c *Client) PostRaw(parent context.Context, path string, body []byte) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		err := c.postOnce(parent, path, body, out)
+		answer, err := c.postOnce(parent, path, body)
+		if err == nil {
+			return answer, nil
+		}
 		var apiErr *APIError
-		if err == nil || !errors.As(err, &apiErr) {
-			return err
+		if !errors.As(err, &apiErr) {
+			return nil, err
 		}
 		shed := apiErr.Status == http.StatusTooManyRequests || apiErr.Status == http.StatusServiceUnavailable
 		if !shed || apiErr.RetryAfter <= 0 || attempt >= c.shedRetries {
-			return err
+			return nil, err
 		}
 		wait := apiErr.RetryAfter
 		if wait > maxShedWait {
@@ -559,19 +577,20 @@ func (c *Client) post(parent context.Context, path string, in, out any) error {
 		select {
 		case <-parent.Done():
 			t.Stop()
-			return err
+			return nil, err
 		case <-t.C:
 		}
 	}
 }
 
-// postOnce sends one POST attempt.
-func (c *Client) postOnce(parent context.Context, path string, body []byte, out any) error {
+// postOnce sends one POST attempt and reads the 200 answer whole, into
+// a slice of its declared length when it has a sane one.
+func (c *Client) postOnce(parent context.Context, path string, body []byte) ([]byte, error) {
 	ctx, cancel := c.reqContext(parent)
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("server: post %s: %w", path, err)
+		return nil, fmt.Errorf("server: post %s: %w", path, err)
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
 	if id := obsv.TraceIDFrom(parent); id.Valid() {
@@ -579,14 +598,21 @@ func (c *Client) postOnce(parent context.Context, path string, body []byte, out 
 	}
 	httpResp, err := c.http.Do(httpReq)
 	if err != nil {
-		return fmt.Errorf("server: post %s: %w", path, err)
+		return nil, fmt.Errorf("server: post %s: %w", path, err)
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
-		return newAPIError(path, httpResp)
+		return nil, newAPIError(path, httpResp)
 	}
-	if err := json.NewDecoder(httpResp.Body).Decode(out); err != nil {
-		return fmt.Errorf("server: decode response: %w", err)
+	var answer []byte
+	if n := httpResp.ContentLength; n >= 0 && n <= maxBodyBytes {
+		answer = make([]byte, n)
+		_, err = io.ReadFull(httpResp.Body, answer)
+	} else {
+		answer, err = io.ReadAll(httpResp.Body)
 	}
-	return nil
+	if err != nil {
+		return nil, fmt.Errorf("server: post %s: read response: %w", path, err)
+	}
+	return answer, nil
 }

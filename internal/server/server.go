@@ -290,7 +290,11 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		return
 	}
 	var wire DecisionRequest
-	if status, err := decodeBody(w, r, &wire); err != nil {
+	body, status, err := ReadBody(w, r, 0)
+	if err == nil {
+		status, err = http.StatusBadRequest, DecodeDecisionRequest(body, &wire)
+	}
+	if err != nil {
 		s.metrics.requestErrors.Add(1)
 		writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
 		return
@@ -530,34 +534,45 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // handlers, and the health response on the client side.
 const maxBodyBytes = 1 << 20
 
-// decodeBody reads a request body into one slice — of the declared
-// length when there is one, never past maxBodyBytes — and unmarshals it
-// into v. A failure comes with the status to answer: 413 past the cap,
-// 400 for anything else (short or malformed body, and bytes after the
-// first JSON value, which a streaming Decoder would have ignored).
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+// ReadBody reads a request body into one slice — of the declared length
+// when there is one, never past maxBodyBytes, with spare bytes of
+// capacity beyond it for a caller that will append. A failure comes with
+// the status to answer: 413 past the cap, 400 for a body that ends
+// short of its declared length.
+func ReadBody(w http.ResponseWriter, r *http.Request, spare int) ([]byte, int, error) {
 	var body []byte
 	var err error
 	switch n := r.ContentLength; {
 	case n > maxBodyBytes:
-		return http.StatusRequestEntityTooLarge, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", n, maxBodyBytes)
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body of %d bytes exceeds the %d-byte limit", n, maxBodyBytes)
 	case n >= 0:
-		body = make([]byte, n)
+		body = make([]byte, n, int(n)+spare)
 		_, err = io.ReadFull(r.Body, body)
 	default: // chunked: the length is known only by reading
 		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	}
 	if err == nil {
-		err = json.Unmarshal(body, v)
-	}
-	if err == nil {
-		return 0, nil
+		return body, 0, nil
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		return http.StatusRequestEntityTooLarge, err
+		return nil, http.StatusRequestEntityTooLarge, err
 	}
-	return http.StatusBadRequest, err
+	return nil, http.StatusBadRequest, err
+}
+
+// decodeBody reads a request body (see ReadBody) and unmarshals it into
+// v; anything wrong with the JSON — bytes after the first value
+// included, which a streaming Decoder would have ignored — is a 400.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	body, status, err := ReadBody(w, r, 0)
+	if err != nil {
+		return status, err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,0 +1,438 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+)
+
+// This file is the one reader of decision requests and answers as
+// bytes: a scanner over the top-level members of a JSON object, and its
+// three consumers — the shard's request decoder, and the gateway's peek
+// at a request (routing key, credentials, requestID) and at an answer
+// (resolved subject, activations, verdict). The scanner finds where each
+// member's value ends; what a value MEANS is encoding/json's business
+// wherever it is anything but a plain ASCII string, an array of them or
+// a bare literal: every other value is handed to json.Valid or, for a
+// declared field, to json.Unmarshal into that field. So which duplicate
+// wins, how keys fold, what null does and how a repeated array merges
+// are encoding/json's rules, not a reimplementation of them — and
+// FuzzDecodeDecisionRequest holds the result to json.Unmarshal of the
+// whole body. Gateway and shard match keys through the same field(), so
+// they cannot disagree about which member is the user.
+
+// maxNesting is encoding/json's nesting limit. It counts the enclosing
+// object, so a member's value may itself nest maxNesting-1 deep.
+const maxNesting = 10000
+
+// member is one top-level member of a scanned object.
+type member struct {
+	key   []byte // unquoted
+	value []byte // raw: one well-formed JSON value
+	// plain says value is a string that is its own content between the
+	// quotes: printable ASCII, no escapes.
+	plain bool
+}
+
+// members walks the top-level members of the one JSON object in data.
+type members struct {
+	data []byte
+	off  int // the next unread byte
+	n    int // members returned so far
+	end  int // offset of the closing brace, once next has reported it
+}
+
+func skipSpace(d []byte, i int) int {
+	for i < len(d) && (d[i] == ' ' || d[i] == '\t' || d[i] == '\r' || d[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// delimits reports whether c ends a literal or a number.
+func delimits(c byte) bool {
+	switch c {
+	case ',', '}', ']', ' ', '\t', '\r', '\n':
+		return true
+	}
+	return false
+}
+
+func syntaxError(d []byte, i int, want string) error {
+	if i >= len(d) {
+		return errors.New("unexpected end of JSON input")
+	}
+	return fmt.Errorf("invalid character %q at offset %d, expected %s", d[i], i, want)
+}
+
+// scanObject opens the object that must be data's one value.
+func scanObject(data []byte) (members, error) {
+	i := skipSpace(data, 0)
+	if i >= len(data) || data[i] != '{' {
+		return members{}, syntaxError(data, i, "a JSON object")
+	}
+	return members{data: data, off: i + 1}, nil
+}
+
+// scanString returns the offset just past the string opening at d[i],
+// or -1 when it never closes. A string that is not plain still has to
+// be validated (escapes, control characters) by whoever takes it.
+func scanString(d []byte, i int) (end int, plain bool) {
+	plain = true
+	for i++; i < len(d); i++ {
+		switch c := d[i]; {
+		case c == '"':
+			return i + 1, plain
+		case c == '\\':
+			plain = false
+			i++
+		case c < 0x20 || c >= 0x80:
+			plain = false
+		}
+	}
+	return -1, false
+}
+
+// skipNested returns the offset just past the object or array opening
+// at d[i], judged by brackets and strings alone, or -1 when it never
+// closes. Whether what is in between is JSON is for json.Valid to say.
+func skipNested(d []byte, i int) (int, error) {
+	for depth := 0; i < len(d); i++ {
+		switch d[i] {
+		case '"':
+			end, _ := scanString(d, i)
+			if end < 0 {
+				return -1, nil
+			}
+			i = end - 1
+		case '{', '[':
+			if depth++; depth >= maxNesting {
+				return -1, errors.New("exceeded max depth")
+			}
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1, nil
+			}
+		}
+	}
+	return -1, nil
+}
+
+// next returns the next member, or ok false after the last one — by
+// then the object has closed at m.end and only white space followed.
+// Every value it returns has been validated as one JSON value.
+func (m *members) next() (mem member, ok bool, err error) {
+	d := m.data
+	i := skipSpace(d, m.off)
+	switch {
+	case i < len(d) && d[i] == '}':
+		m.end = i
+		if i = skipSpace(d, i+1); i < len(d) {
+			return member{}, false, syntaxError(d, i, "nothing after the top-level value")
+		}
+		return member{}, false, nil
+	case m.n > 0:
+		if i >= len(d) || d[i] != ',' {
+			return member{}, false, syntaxError(d, i, "a comma or the closing brace")
+		}
+		i = skipSpace(d, i+1)
+	}
+	if i >= len(d) || d[i] != '"' {
+		return member{}, false, syntaxError(d, i, "a member name")
+	}
+	end, plain := scanString(d, i)
+	if end < 0 {
+		return member{}, false, syntaxError(d, len(d), "")
+	}
+	mem.key = d[i+1 : end-1]
+	if !plain {
+		var key string
+		if err := json.Unmarshal(d[i:end], &key); err != nil {
+			return member{}, false, err
+		}
+		mem.key = []byte(key)
+	}
+	if i = skipSpace(d, end); i >= len(d) || d[i] != ':' {
+		return member{}, false, syntaxError(d, i, "a colon after the member name")
+	}
+	i = skipSpace(d, i+1)
+	end = i
+	switch {
+	case i >= len(d):
+	case d[i] == '"':
+		end, mem.plain = scanString(d, i)
+	case d[i] == '{' || d[i] == '[':
+		if end, err = skipNested(d, i); err != nil {
+			return member{}, false, err
+		}
+	default: // a literal or a number runs to the next delimiter
+		for end < len(d) && !delimits(d[end]) {
+			end++
+		}
+	}
+	if end < 0 || end == len(d) {
+		return member{}, false, syntaxError(d, len(d), "")
+	}
+	mem.value = d[i:end]
+	if !mem.plain {
+		switch string(mem.value) {
+		case "true", "false", "null":
+		default:
+			if !json.Valid(mem.value) {
+				return member{}, false, fmt.Errorf("invalid value at offset %d for member %q", i, mem.key)
+			}
+		}
+	}
+	m.off, m.n = end, m.n+1
+	return mem, true, nil
+}
+
+// field returns which of the named struct fields a member key sets —
+// the exact name, else the one it equals under the simple case folding
+// encoding/json applies — or "".
+func field(names []string, key []byte) string {
+	for _, name := range names {
+		if string(key) == name {
+			return name
+		}
+	}
+	for _, name := range names {
+		if bytes.EqualFold(key, []byte(name)) {
+			return name
+		}
+	}
+	return ""
+}
+
+// delegate has encoding/json decode raw into *into, exactly as it
+// would have when it met the member inside the whole body: into keeps
+// what earlier members left there. It decodes through a copy so that
+// the struct into belongs to need not move to the heap for the sake of
+// values that never take this path.
+func delegate[T any](raw []byte, into *T) error {
+	v := *into
+	err := json.Unmarshal(raw, &v)
+	*into = v
+	return err
+}
+
+// text is the content of a plain string member.
+func (mem member) text() []byte { return mem.value[1 : len(mem.value)-1] }
+
+// str stores a string member.
+func (mem member) str(into *string) error {
+	if mem.plain {
+		*into = string(mem.text())
+		return nil
+	}
+	return delegate(mem.value, into)
+}
+
+// strs stores an array-of-strings member. It takes the array itself
+// only when nothing is stored yet and every element is a plain string;
+// an empty array, a null element or a second array over the first are
+// encoding/json's to interpret (it reuses the slice it is given, and
+// elements past the new length can come back).
+func (mem member) strs(into *[]string) error {
+	if *into != nil || mem.value[0] != '[' {
+		return delegate(mem.value, into)
+	}
+	d := mem.value
+	out := make([]string, 0, bytes.Count(d, []byte{','})+1)
+	for i := 1; ; {
+		if i = skipSpace(d, i); d[i] != '"' {
+			return delegate(d, into)
+		}
+		end, plain := scanString(d, i)
+		if !plain {
+			return delegate(d, into)
+		}
+		out = append(out, string(d[i+1:end-1]))
+		if i = skipSpace(d, end); d[i] == ']' {
+			*into = out
+			return nil
+		}
+		i++ // the comma: d is known to be well formed
+	}
+}
+
+// requestFields are DecisionRequest's JSON names.
+var requestFields = []string{"user", "roles", "credentials", "operation", "target", "context", "environment", "requestID"}
+
+// DecodeDecisionRequest decodes a request body into req (which should
+// be zero) as json.Unmarshal would: it accepts the bodies Unmarshal
+// accepts, bar a top-level null, and leaves req as Unmarshal would.
+func DecodeDecisionRequest(body []byte, req *DecisionRequest) error {
+	ms, err := scanObject(body)
+	if err != nil {
+		return err
+	}
+	for {
+		mem, ok, err := ms.next()
+		if err != nil || !ok {
+			return err
+		}
+		switch field(requestFields, mem.key) {
+		case "user":
+			err = mem.str(&req.User)
+		case "roles":
+			err = mem.strs(&req.Roles)
+		case "credentials":
+			err = delegate(mem.value, &req.Credentials)
+		case "operation":
+			err = mem.str(&req.Operation)
+		case "target":
+			err = mem.str(&req.Target)
+		case "context":
+			err = mem.str(&req.Context)
+		case "environment":
+			err = delegate(mem.value, &req.Environment)
+		case "requestID":
+			err = mem.str(&req.RequestID)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// RequestPeek is what the gateway needs of a decision request it is
+// about to forward as the bytes it was given.
+type RequestPeek struct {
+	// Subject is the routing key: the user, else the first non-empty
+	// credential holder, else empty. A hint — the shard's CVS resolves
+	// the canonical subject, and the gateway checks the answer.
+	Subject string
+	// HasCredentials and HasRequestID say whether the decoded request
+	// would carry any credential and a non-empty requestID.
+	HasCredentials, HasRequestID bool
+
+	end   int  // offset of the body's closing brace
+	empty bool // the object has no members
+}
+
+// PeekDecisionRequest reads from a request body what routing needs,
+// agreeing with DecodeDecisionRequest on every body that one accepts.
+// It may accept a body the decoder refuses (a credential whose issuer
+// is a number): the shard refuses it then.
+func PeekDecisionRequest(body []byte) (RequestPeek, error) {
+	ms, err := scanObject(body)
+	if err != nil {
+		return RequestPeek{}, err
+	}
+	var user, requestID string
+	var holders []struct {
+		Holder string `json:"holder"`
+	}
+	for {
+		mem, ok, err := ms.next()
+		if err != nil {
+			return RequestPeek{}, err
+		}
+		if !ok {
+			break
+		}
+		switch field(requestFields, mem.key) {
+		case "user":
+			err = mem.str(&user)
+		case "credentials":
+			err = delegate(mem.value, &holders)
+		case "requestID":
+			err = mem.str(&requestID)
+		}
+		if err != nil {
+			return RequestPeek{}, err
+		}
+	}
+	peek := RequestPeek{Subject: user, HasCredentials: len(holders) > 0, HasRequestID: requestID != "", end: ms.end, empty: ms.n == 0}
+	for i := 0; peek.Subject == "" && i < len(holders); i++ {
+		peek.Subject = holders[i].Holder
+	}
+	return peek, nil
+}
+
+// requestIDMember is how a requestID is spelled when spliced in: the
+// bytes json.Marshal writes for DecisionRequest's last field.
+const requestIDMember = `,"requestID":"`
+
+// SpliceRequestID returns body with a requestID member set in front of
+// the closing brace p found, so it is the last member and the one every
+// decoder keeps. body must be the slice p was peeked from, and id needs
+// no escaping; the splice happens in place when body has the spare
+// capacity.
+func (p RequestPeek) SpliceRequestID(body []byte, id string) []byte {
+	name := requestIDMember
+	if p.empty {
+		name = name[1:] // no member to put a comma after
+	}
+	n := len(name) + len(id) + 1
+	tail := len(body) - p.end
+	body = append(body, make([]byte, n)...)
+	copy(body[p.end+n:], body[p.end:p.end+tail])
+	at := p.end + copy(body[p.end:], name)
+	at += copy(body[at:], id)
+	body[at] = '"'
+	return body
+}
+
+// answerFields are the members of a decision answer the gateway reads.
+var answerFields = []string{"user", "activated", "allowed", "phase"}
+
+// AnswerPeek is what the gateway checks of a shard's answer before
+// forwarding it verbatim.
+type AnswerPeek struct {
+	// User is the subject the shard resolved, Activated the context
+	// instances the decision started.
+	User      string
+	Activated []string
+
+	allowed, phase []byte // raw, for Verdict
+}
+
+// PeekDecisionAnswer reads them from a 200 body. An error means the
+// body is not one well-formed JSON object, or user or activated has
+// the wrong type: an answer nobody can act on. subject is the routing
+// key the request went out under: an answer that names it, as nearly
+// every one does, gets that string as its User instead of a copy.
+func PeekDecisionAnswer(body []byte, subject string) (AnswerPeek, error) {
+	var peek AnswerPeek
+	ms, err := scanObject(body)
+	if err != nil {
+		return AnswerPeek{}, err
+	}
+	for {
+		mem, ok, err := ms.next()
+		if err != nil {
+			return AnswerPeek{}, err
+		}
+		if !ok {
+			return peek, nil
+		}
+		switch field(answerFields, mem.key) {
+		case "user":
+			if mem.plain && string(mem.text()) == subject {
+				peek.User = subject
+			} else {
+				err = mem.str(&peek.User)
+			}
+		case "activated":
+			err = mem.strs(&peek.Activated)
+		case "allowed":
+			peek.allowed = mem.value
+		case "phase":
+			peek.phase = mem.value
+		}
+		if err != nil {
+			return AnswerPeek{}, err
+		}
+	}
+}
+
+// Verdict decodes the outcome for a log line; the checks never need it.
+// A member of the wrong type reads as its zero value.
+func (p AnswerPeek) Verdict() (allowed bool, phase string) {
+	_ = json.Unmarshal(p.allowed, &allowed)
+	_ = json.Unmarshal(p.phase, &phase)
+	return allowed, phase
+}
