@@ -18,14 +18,14 @@ test-race:
 # The allocation budgets of a served decision (testing.AllocsPerRun
 # tables, every allocation named): the §4.2 hot path (core, adi, bctx,
 # rbac) and the layers around it — spans (obsv), the trail append
-# (audit), the whole handler with and without the default telemetry
-# (server) and the gateway in front of it, ring lookup included
-# (cluster). `make test` runs them too; this target is the quick check
+# (audit), the PDP's pipeline around the engine (pdp), the whole handler
+# with and without the default telemetry (server) and the gateway in
+# front of it, ring lookup included (cluster). `make test` runs them too; this target is the quick check
 # after touching any of them. Never under -race: the detector
 # allocates, and the tests skip themselves there.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
-		./internal/obsv ./internal/audit ./internal/server ./internal/cluster
+		./internal/obsv ./internal/audit ./internal/pdp ./internal/server ./internal/cluster
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

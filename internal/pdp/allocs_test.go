@@ -1,0 +1,151 @@
+package pdp
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"msod/internal/audit"
+	"msod/internal/inspect"
+	"msod/internal/policy"
+	"msod/internal/race"
+)
+
+// TestDecideAllocs is the budget of PDP.DecideCtx and PDP.AdviseCtx
+// around the engine — the benchmark's pdp.decide_allocs as a table. The
+// context carries no trace and no explain record, so spans cost nothing
+// here; internal/core/allocs_test.go names the engine's share and
+// internal/audit/allocs_test.go the trail append's.
+//
+// Every decision that reaches RBAC pays the validated subject (1): the
+// copy of the caller's Roles that the Decision returns. "bare" is a PDP
+// with neither observer nor trail; "observed" has both, and then every
+// decision also pays the event (2: Roles as []string, the request
+// context's text — built once, shared by the stream event and the trail
+// entry) and the trail append (3: see TestAppendAllocs).
+//
+// Budgets are exact; a change that moves one edits the table and names
+// the allocation.
+func TestDecideAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const allocRuns = 200
+	period := func(i int) string { return fmt.Sprintf("p%d", i) }
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		advise  bool
+		prepare func(p *PDP, i int) // brings instance i into the starting state
+		request func(i int) Request
+		allowed bool
+		phase   Phase
+		budget  map[string]float64
+	}{
+		{
+			// Subject (1), the engine's decision moved to the heap as
+			// Decision.MSoD (1), and the engine's three for a recorded
+			// grant under MMER: bound name, record slice, the store's
+			// Roles copy (3). Observed: + event 2 + append 3.
+			name: "grant",
+			prepare: func(p *PDP, i int) {
+				mustDecide(t, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
+			},
+			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
+			allowed: true, phase: PhaseGranted,
+			budget: map[string]float64{"bare": 5, "observed": 10},
+		},
+		{
+			// Subject (1), Decision.MSoD (1), the engine's three for an
+			// MMER denial — bound name, the Denial, its Reason (3) — and
+			// Decision.Reason: Denial.Error's two context texts and the
+			// sentence (3). Observed: + event 2 + append 3.
+			name: "MSoD deny",
+			prepare: func(p *PDP, i int) {
+				mustDecide(t, p, bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)), true)
+			},
+			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "ledger", "Leeds", period(i)) },
+			allowed: false, phase: PhaseMSoD,
+			budget: map[string]float64{"bare": 8, "observed": 13},
+		},
+		{
+			// Subject (1) and Decision.Reason: the permission boxed for
+			// Sprintf (1), its text (1), the sentence (1). The engine
+			// never runs. Observed: + event 2 + append 3.
+			name:    "RBAC deny",
+			request: func(i int) Request { return bankReq("alice", "Teller", "Audit", "ledger", "York", period(i)) },
+			allowed: false, phase: PhaseRBAC,
+			budget: map[string]float64{"bare": 4, "observed": 9},
+		},
+		{
+			// An advisory builds what the decision would — subject (1),
+			// Decision.MSoD (1), the bound name (1), the record slice
+			// that Recorded counts (1) — and stops before the store
+			// copies anything; it publishes and appends nothing, so both
+			// columns are the same.
+			name:   "advisory grant",
+			advise: true,
+			prepare: func(p *PDP, i int) {
+				mustDecide(t, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
+			},
+			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
+			allowed: true, phase: PhaseGranted,
+			budget: map[string]float64{"bare": 4, "observed": 4},
+		},
+	} {
+		for _, kind := range []string{"bare", "observed"} {
+			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				cfg := Config{Policy: pol}
+				if kind == "observed" {
+					trail, err := audit.NewWriter(t.TempDir(), []byte("allocs-key"), 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer trail.Close()
+					broker := inspect.NewBroker(32)
+					cfg.Trail = trail
+					cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
+				}
+				p, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decide := p.DecideCtx
+				if tc.advise {
+					decide = p.AdviseCtx
+				}
+				reqs := make([]Request, allocRuns+1)
+				for i := range reqs {
+					if tc.prepare != nil {
+						tc.prepare(p, i)
+					}
+					reqs[i] = tc.request(i)
+				}
+				ctx := context.Background()
+				i := 0
+				got := testing.AllocsPerRun(allocRuns, func() {
+					dec, err := decide(ctx, reqs[i])
+					if err != nil || dec.Allowed != tc.allowed || dec.Phase != tc.phase {
+						t.Fatalf("request %d: %+v, %v; want allowed=%v phase=%s", i, dec, err, tc.allowed, tc.phase)
+					}
+					i++
+				})
+				if got != tc.budget[kind] {
+					t.Errorf("%v allocations per decision, budget %v (lower it too when the path loses one)", got, tc.budget[kind])
+				}
+			})
+		}
+	}
+}
+
+func mustDecide(t *testing.T, p *PDP, req Request, allowed bool) {
+	t.Helper()
+	dec, err := p.Decide(req)
+	if err != nil || dec.Allowed != allowed {
+		t.Fatalf("Decide(%+v) = %+v, %v; want allowed=%v", req, dec, err, allowed)
+	}
+}
