@@ -51,6 +51,15 @@ func TestDaemonsLinkOnlyWhatTheyServe(t *testing.T) {
 	}
 }
 
+// TestRingImportsNothingOfTheModule: internal/ring is the bounded
+// retention every telemetry layer files into, so it sits under all of
+// them and may import none.
+func TestRingImportsNothingOfTheModule(t *testing.T) {
+	if imps := moduleImports(t, "msod/internal/ring"); len(imps) > 0 {
+		t.Errorf("msod/internal/ring imports %v; it must stay dependency-free", imps)
+	}
+}
+
 // moduleImports returns the in-module packages that pkg's non-test
 // files import. Paths are module paths ("msod" is the repository root).
 func moduleImports(t *testing.T, pkg string) []string {

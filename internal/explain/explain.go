@@ -8,8 +8,8 @@
 // answerable from the request alone; this package answers it without
 // replaying the audit trail by hand.
 //
-// The hot path stays cheap two ways: records are pooled (sync.Pool)
-// and reused when they rotate out of the retention ring, and the
+// The hot path stays cheap two ways: records are pooled and reused
+// when they rotate out of the retention ring (ring.Keyed), and the
 // engine pays a single context lookup plus a nil check per decision
 // when no recorder is attached (the same contract as obsv.TraceFrom).
 package explain

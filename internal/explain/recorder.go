@@ -1,10 +1,14 @@
 package explain
 
-import "sync"
+import "msod/internal/ring"
 
 // DefaultCapacity is the ring size used when NewRecorder is given a
 // non-positive capacity.
 const DefaultCapacity = 1024
+
+// keyed is the pooled ring of records under a Recorder: Begin, Discard,
+// Get, Len, Capacity and Evicted are its methods (see ring.Keyed).
+type keyed = ring.Keyed[Record]
 
 // Recorder retains the most recent decision records in a fixed ring
 // keyed by requestID, handing out pooled records for the hot path:
@@ -13,43 +17,15 @@ const DefaultCapacity = 1024
 // to the pool for reuse. Recorder is safe for concurrent use; a
 // record handed out by Begin must not be shared across goroutines
 // until committed.
-type Recorder struct {
-	mu      sync.Mutex
-	ring    []*Record
-	head    int // index of the oldest retained record
-	size    int
-	byID    map[string]*Record
-	evicted int64
-	pool    sync.Pool
-}
+type Recorder struct{ *keyed }
 
 // NewRecorder returns a recorder retaining up to capacity records.
 func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{
-		ring: make([]*Record, capacity),
-		byID: make(map[string]*Record, capacity),
-		pool: sync.Pool{New: func() any { return new(Record) }},
-	}
-}
-
-// Begin returns a reset record from the pool. Every Begin must be
-// balanced by exactly one Commit or Discard.
-func (rc *Recorder) Begin() *Record {
-	rec := rc.pool.Get().(*Record)
-	rec.reset()
-	return rec
-}
-
-// Discard returns an uncommitted record to the pool — the path for a
-// decision that errored before producing an answer worth retaining.
-func (rc *Recorder) Discard(rec *Record) {
-	if rec == nil {
-		return
-	}
-	rc.pool.Put(rec)
+	return &Recorder{ring.NewKeyed(capacity,
+		func(r *Record) string { return r.RequestID }, (*Record).reset, (*Record).clone, nil)}
 }
 
 // Commit finalizes the record (deriving its governing constraint) and
@@ -62,54 +38,5 @@ func (rc *Recorder) Commit(rec *Record) {
 		return
 	}
 	rec.finalize()
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.size < len(rc.ring) {
-		rc.ring[(rc.head+rc.size)%len(rc.ring)] = rec
-		rc.size++
-	} else {
-		old := rc.ring[rc.head]
-		rc.ring[rc.head] = rec
-		rc.head = (rc.head + 1) % len(rc.ring)
-		// Identity check: a duplicate commit under the same ID may have
-		// replaced the map entry already; only drop it if it is still
-		// this record.
-		if rc.byID[old.RequestID] == old {
-			delete(rc.byID, old.RequestID)
-		}
-		rc.evicted++
-		rc.pool.Put(old)
-	}
-	rc.byID[rec.RequestID] = rec
-}
-
-// Get returns a deep copy of the retained record for a requestID. The
-// copy shares nothing with the pooled record, so it stays valid (and
-// race-free) after the original rotates out and is reused.
-func (rc *Recorder) Get(requestID string) (Record, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	rec, ok := rc.byID[requestID]
-	if !ok {
-		return Record{}, false
-	}
-	return rec.clone(), true
-}
-
-// Len reports how many records are currently retained.
-func (rc *Recorder) Len() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.size
-}
-
-// Capacity reports the ring size.
-func (rc *Recorder) Capacity() int { return len(rc.ring) }
-
-// Evicted reports how many committed records have rotated out of the
-// ring since the recorder started.
-func (rc *Recorder) Evicted() int64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.evicted
+	rc.keyed.Commit(rec)
 }

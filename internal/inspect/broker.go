@@ -10,11 +10,13 @@ package inspect
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"msod/internal/bctx"
+	"msod/internal/ring"
 )
 
 // Decision outcomes as they appear in events and filters (matching the
@@ -165,9 +167,7 @@ const DefaultBrokerCapacity = 1024
 // blocks on consumers. Broker is safe for concurrent use.
 type Broker struct {
 	mu     sync.Mutex
-	ring   []DecisionEvent
-	head   int // index of the oldest retained event
-	size   int
+	ring   ring.FIFO[DecisionEvent]
 	seq    uint64
 	subs   map[*Subscriber]struct{}
 	closed bool
@@ -182,7 +182,7 @@ func NewBroker(capacity int) *Broker {
 		capacity = DefaultBrokerCapacity
 	}
 	return &Broker{
-		ring: make([]DecisionEvent, capacity),
+		ring: ring.NewFIFO[DecisionEvent](capacity),
 		subs: make(map[*Subscriber]struct{}),
 		now:  time.Now,
 	}
@@ -213,13 +213,7 @@ func (b *Broker) Publish(ev DecisionEvent) uint64 {
 	if ev.Time.IsZero() {
 		ev.Time = b.now()
 	}
-	if b.size < len(b.ring) {
-		b.ring[(b.head+b.size)%len(b.ring)] = ev
-		b.size++
-	} else {
-		b.ring[b.head] = ev
-		b.head = (b.head + 1) % len(b.ring)
-	}
+	b.ring.Push(ev)
 	for s := range b.subs {
 		if !s.filter.Match(ev) {
 			continue
@@ -240,8 +234,8 @@ func (b *Broker) Subscribe(f Filter, replay int) *Subscriber {
 	if replay < 0 {
 		replay = 0
 	}
-	if replay > len(b.ring) {
-		replay = len(b.ring)
+	if replay > b.ring.Cap() {
+		replay = b.ring.Cap()
 	}
 	buf := replay + 64
 	s := &Subscriber{ch: make(chan DecisionEvent, buf), filter: f}
@@ -252,16 +246,8 @@ func (b *Broker) Subscribe(f Filter, replay int) *Subscriber {
 		return s
 	}
 	if replay > 0 {
-		// Collect the newest `replay` matches, then enqueue oldest first.
-		matches := make([]DecisionEvent, 0, replay)
-		for i := b.size - 1; i >= 0 && len(matches) < replay; i-- {
-			ev := b.ring[(b.head+i)%len(b.ring)]
-			if f.Match(ev) {
-				matches = append(matches, ev)
-			}
-		}
-		for i := len(matches) - 1; i >= 0; i-- {
-			s.ch <- matches[i]
+		for _, ev := range b.recentLocked(f, replay) {
+			s.ch <- ev
 		}
 	}
 	b.subs[s] = struct{}{}
@@ -290,13 +276,13 @@ func (b *Broker) SubscribeFrom(f Filter, afterSeq uint64) (*Subscriber, error) {
 			ErrGap, afterSeq, b.seq)
 	}
 	pending := b.seq - afterSeq
-	if pending > uint64(b.size) {
+	if pending > uint64(b.ring.Len()) {
 		return nil, fmt.Errorf("%w: resume after seq %d needs %d events but only %d are retained (oldest retained seq %d)",
-			ErrGap, afterSeq, pending, b.size, b.seq-uint64(b.size)+1)
+			ErrGap, afterSeq, pending, b.ring.Len(), b.seq-uint64(b.ring.Len())+1)
 	}
 	s := &Subscriber{ch: make(chan DecisionEvent, int(pending)+64), filter: f}
-	for i := b.size - int(pending); i < b.size; i++ {
-		ev := b.ring[(b.head+i)%len(b.ring)]
+	for i := b.ring.Len() - int(pending); i < b.ring.Len(); i++ {
+		ev := b.ring.At(i)
 		if f.Match(ev) {
 			s.ch <- ev
 		}
@@ -335,19 +321,22 @@ func (b *Broker) Close() {
 func (b *Broker) Recent(f Filter, n int) []DecisionEvent {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if n <= 0 || n > b.size {
-		n = b.size
+	if n <= 0 || n > b.ring.Len() {
+		n = b.ring.Len()
 	}
+	return b.recentLocked(f, n)
+}
+
+// recentLocked collects the newest n matches and returns them oldest
+// first. The caller holds mu.
+func (b *Broker) recentLocked(f Filter, n int) []DecisionEvent {
 	matches := make([]DecisionEvent, 0, n)
-	for i := b.size - 1; i >= 0 && len(matches) < n; i-- {
-		ev := b.ring[(b.head+i)%len(b.ring)]
-		if f.Match(ev) {
+	for i := b.ring.Len() - 1; i >= 0 && len(matches) < n; i-- {
+		if ev := b.ring.At(i); f.Match(ev) {
 			matches = append(matches, ev)
 		}
 	}
-	for i, j := 0, len(matches)-1; i < j; i, j = i+1, j-1 {
-		matches[i], matches[j] = matches[j], matches[i]
-	}
+	slices.Reverse(matches)
 	return matches
 }
 
@@ -356,8 +345,8 @@ func (b *Broker) Recent(f Filter, n int) []DecisionEvent {
 func (b *Broker) LastMatch(match func(DecisionEvent) bool) (DecisionEvent, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := b.size - 1; i >= 0; i-- {
-		ev := b.ring[(b.head+i)%len(b.ring)]
+	for i := b.ring.Len() - 1; i >= 0; i-- {
+		ev := b.ring.At(i)
 		if match(ev) {
 			return ev, true
 		}

@@ -88,29 +88,21 @@ func (p *PDP) Manage(req ManagementRequest) (ManagementResult, error) {
 		if err != nil {
 			return ManagementResult{}, fmt.Errorf("%w: %v", ErrManagement, err)
 		}
-		var n int
-		p.commitMu.Lock()
-		n, err = p.store.PurgeContext(pattern)
-		if err == nil {
-			p.publishPurge(inspect.DecisionEvent{
-				Operation: string(OpPurgeContext),
-				Target:    string(RetainedADITarget),
-				Context:   pattern.String(),
-				Purged:    n,
-				Reason:    fmt.Sprintf("management purge by %q", user),
-			})
-		}
-		p.commitMu.Unlock()
-		if err != nil {
-			return ManagementResult{}, fmt.Errorf("%w: %v", ErrManagement, err)
-		}
-		return ManagementResult{Removed: n, Records: p.store.Len()}, nil
+		return p.purge(inspect.DecisionEvent{
+			Operation: string(OpPurgeContext),
+			Target:    string(RetainedADITarget),
+			Context:   pattern.String(),
+			Reason:    fmt.Sprintf("management purge by %q", user),
+		}, func() (int, bool, error) {
+			n, err := p.store.PurgeContext(pattern)
+			return n, true, err
+		})
 
 	case OpPurgeUser:
 		if req.TargetUser == "" {
 			return ManagementResult{}, fmt.Errorf("%w: purgeUser needs a target user", ErrManagement)
 		}
-		return p.purgeBridged(inspect.DecisionEvent{
+		return p.purge(inspect.DecisionEvent{
 			Operation: string(OpPurgeUser),
 			Target:    string(RetainedADITarget),
 			User:      string(req.TargetUser),
@@ -122,7 +114,7 @@ func (p *PDP) Manage(req ManagementRequest) (ManagementResult, error) {
 			return ManagementResult{}, fmt.Errorf("%w: purgeBefore needs a cutoff time", ErrManagement)
 		}
 		before := req.Before
-		return p.purgeBridged(inspect.DecisionEvent{
+		return p.purge(inspect.DecisionEvent{
 			Operation: string(OpPurgeBefore),
 			Target:    string(RetainedADITarget),
 			Before:    &before,
@@ -137,11 +129,12 @@ func (p *PDP) Manage(req ManagementRequest) (ManagementResult, error) {
 	}
 }
 
-// purgeBridged runs a purge that reaches the store through one of adi's
-// signature bridges (PurgeUserFrom, PurgeBeforeFrom) and, when it
-// succeeded, publishes ev with the removed count — both under the
-// commit lock, like every management purge.
-func (p *PDP) purgeBridged(ev inspect.DecisionEvent, purge func() (n int, ok bool, err error)) (ManagementResult, error) {
+// purge runs a management purge — the store's own PurgeContext,
+// or one that reaches it through adi's signature bridges (PurgeUserFrom,
+// PurgeBeforeFrom; !ok: the store has no such surface) — and, when it
+// succeeded, publishes ev with the removed count, both under the commit
+// lock.
+func (p *PDP) purge(ev inspect.DecisionEvent, purge func() (n int, ok bool, err error)) (ManagementResult, error) {
 	p.commitMu.Lock()
 	n, ok, err := purge()
 	if ok && err == nil {

@@ -216,6 +216,14 @@ func (p *PDP) Decide(req Request) (Decision, error) {
 // the msod span), and the trace ID is stamped into the audit-trail
 // event so the durable record correlates with the gateway's log line.
 func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
+	return p.run(ctx, req, true)
+}
+
+// run is the one CVS → RBAC → MSoD pipeline behind DecideCtx and
+// AdviseCtx. commit selects the engine call — EvaluateCtx, which
+// records a grant, or PeekCtx, which does not — and whether the outcome
+// is published to the observer and appended to the trail.
+func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, error) {
 	endCVS := obsv.StartSpan(ctx, obsv.StageCVS)
 	user, roles, err := p.subject(req)
 	endCVS.End()
@@ -223,27 +231,6 @@ func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 		return Decision{}, err
 	}
 	dec := Decision{User: user, Roles: roles}
-
-	perm := rbac.Permission{Operation: req.Operation, Object: req.Target}
-	endRBAC := obsv.StartSpan(ctx, obsv.StageRBAC)
-	permitted := p.model.RolesPermit(roles, perm)
-	endRBAC.End()
-	if !permitted {
-		dec.Allowed = false
-		dec.Phase = PhaseRBAC
-		dec.Reason = fmt.Sprintf("no activated role grants %s", perm)
-		// RBAC denials never touch the store, so they need no commit
-		// ordering: publish and append directly.
-		if p.trail != nil || p.observer != nil {
-			ev := p.event(ctx, req, user, roles, dec, nil)
-			if p.observer != nil {
-				p.publish(ev, dec)
-			}
-			p.appendTrail(ctx, ev)
-		}
-		return dec, nil
-	}
-
 	msodReq := core.Request{
 		User:      user,
 		Roles:     roles,
@@ -251,18 +238,46 @@ func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 		Target:    req.Target,
 		Context:   req.Context,
 	}
+	observed := commit && p.observer != nil
+	trailed := commit && p.trail != nil
+
+	perm := rbac.Permission{Operation: req.Operation, Object: req.Target}
+	endRBAC := obsv.StartSpan(ctx, obsv.StageRBAC)
+	permitted := p.model.RolesPermit(roles, perm)
+	endRBAC.End()
+	if !permitted {
+		dec.Phase = PhaseRBAC
+		dec.Reason = fmt.Sprintf("no activated role grants %s", perm)
+		// RBAC denials never touch the store, so they need no commit
+		// ordering: publish and append directly.
+		if observed || trailed {
+			ev := p.event(ctx, msodReq, dec)
+			if observed {
+				p.publish(ev, dec)
+			}
+			if trailed {
+				p.appendTrail(ctx, ev)
+			}
+		}
+		return dec, nil
+	}
+
 	endMSoD := obsv.StartSpan(ctx, obsv.StageMSoD)
 	// The commit lock spans evaluation (which may commit a record) and
 	// event publication — see the commitMu field comment. The audit
 	// append stays outside: durable I/O under the lock would gate every
 	// decision's latency on disk, and the trail has its own ordering.
-	locked := p.observer != nil
-	if locked {
+	if observed {
 		p.commitMu.Lock()
 	}
-	mdec, err := p.engine.EvaluateCtx(ctx, msodReq)
+	var mdec core.Decision
+	if commit {
+		mdec, err = p.engine.EvaluateCtx(ctx, msodReq)
+	} else {
+		mdec, err = p.engine.PeekCtx(ctx, msodReq)
+	}
 	if err != nil {
-		if locked {
+		if observed {
 			p.commitMu.Unlock()
 		}
 		endMSoD.End()
@@ -270,7 +285,6 @@ func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 	}
 	dec.MSoD = &mdec
 	if mdec.Effect == core.Deny {
-		dec.Allowed = false
 		dec.Phase = PhaseMSoD
 		dec.Reason = mdec.Denial.Error()
 	} else {
@@ -278,15 +292,15 @@ func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 		dec.Phase = PhaseGranted
 	}
 	var ev audit.Event
-	if locked || p.trail != nil {
-		ev = p.event(ctx, req, user, roles, dec, &mdec)
+	if observed || trailed {
+		ev = p.event(ctx, msodReq, dec)
 	}
-	if locked {
+	if observed {
 		p.publish(ev, dec)
 		p.commitMu.Unlock()
 	}
 	endMSoD.End()
-	if p.trail != nil {
+	if trailed {
 		p.appendTrail(ctx, ev)
 	}
 	return dec, nil
@@ -318,40 +332,7 @@ func (p *PDP) Advise(req Request) (Decision, error) {
 // traces record cvs/rbac/msod spans but never audit or store — the
 // path has no side effects.
 func (p *PDP) AdviseCtx(ctx context.Context, req Request) (Decision, error) {
-	endCVS := obsv.StartSpan(ctx, obsv.StageCVS)
-	user, roles, err := p.subject(req)
-	endCVS.End()
-	if err != nil {
-		return Decision{}, err
-	}
-	dec := Decision{User: user, Roles: roles}
-	perm := rbac.Permission{Operation: req.Operation, Object: req.Target}
-	endRBAC := obsv.StartSpan(ctx, obsv.StageRBAC)
-	permitted := p.model.RolesPermit(roles, perm)
-	endRBAC.End()
-	if !permitted {
-		dec.Phase = PhaseRBAC
-		dec.Reason = fmt.Sprintf("no activated role grants %s", perm)
-		return dec, nil
-	}
-	endMSoD := obsv.StartSpan(ctx, obsv.StageMSoD)
-	mdec, err := p.engine.PeekCtx(ctx, core.Request{
-		User: user, Roles: roles,
-		Operation: req.Operation, Target: req.Target, Context: req.Context,
-	})
-	endMSoD.End()
-	if err != nil {
-		return Decision{}, err
-	}
-	dec.MSoD = &mdec
-	if mdec.Effect == core.Deny {
-		dec.Phase = PhaseMSoD
-		dec.Reason = mdec.Denial.Error()
-	} else {
-		dec.Allowed = true
-		dec.Phase = PhaseGranted
-	}
-	return dec, nil
+	return p.run(ctx, req, false)
 }
 
 // subject resolves the request's initiator: CVS-validated credentials
@@ -375,19 +356,15 @@ func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
 
 // event builds the audit record for a decision, stamping the context's
 // trace ID so the durable record and the live event stream correlate.
-func (p *PDP) event(ctx context.Context, req Request, user rbac.UserID, roles []rbac.RoleName, dec Decision, mdec *core.Decision) audit.Event {
-	coreReq := core.Request{
-		User: user, Roles: roles,
-		Operation: req.Operation, Target: req.Target, Context: req.Context,
-	}
+func (p *PDP) event(ctx context.Context, req core.Request, dec Decision) audit.Event {
 	var cd core.Decision
-	if mdec != nil {
-		cd = *mdec
+	if dec.MSoD != nil {
+		cd = *dec.MSoD
 	}
 	if !dec.Allowed {
 		cd.Effect = core.Deny
 	}
-	ev := audit.NewEvent(coreReq, cd, p.clock())
+	ev := audit.NewEvent(req, cd, p.clock())
 	ev.TraceID = string(obsv.TraceIDFrom(ctx))
 	return ev
 }
@@ -428,14 +405,11 @@ func (p *PDP) publish(ev audit.Event, dec Decision) {
 	p.observer(out)
 }
 
-// appendTrail writes the decision to the audit trail if one is
-// configured. Trail write failures must not flip an access decision;
-// the PDP surfaces them via the event error counter instead (a
-// production system would fail-stop; the paper does not specify).
+// appendTrail writes the decision to the audit trail (the caller has
+// checked there is one). Trail write failures must not flip an access
+// decision; the PDP surfaces them via the event error counter instead
+// (a production system would fail-stop; the paper does not specify).
 func (p *PDP) appendTrail(ctx context.Context, ev audit.Event) {
-	if p.trail == nil {
-		return
-	}
 	endAudit := obsv.StartSpan(ctx, obsv.StageAudit)
 	if _, err := p.trail.AppendCtx(ctx, ev); err != nil {
 		p.trailErrs.Add(1)

@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"msod/internal/bctx"
 	"msod/internal/inspect"
 	"msod/internal/obsv"
 	"msod/internal/pdp"
-	"msod/internal/rbac"
 	"msod/internal/server"
 )
 
@@ -57,8 +54,8 @@ func NewServer(f *Follower) *Server {
 		start:     time.Now(),
 	}
 	s.mux.HandleFunc(server.AdvicePath, s.handleAdvice)
-	s.mux.HandleFunc(server.StateUsersPath, s.handleStateUser)
-	s.mux.HandleFunc(server.StateContextsPath, s.handleStateContext)
+	s.mux.HandleFunc(server.StateUsersPath, s.handleState)
+	s.mux.HandleFunc(server.StateContextsPath, s.handleState)
 	s.mux.HandleFunc(server.HealthPath, s.handleHealth)
 	s.mux.HandleFunc(server.MetricsPath, s.handleMetrics)
 	s.mux.HandleFunc(server.DecisionPath, s.refuseAuthoritative)
@@ -131,40 +128,20 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 	if s.refuseStale(w) {
 		return
 	}
-	var wire server.DecisionRequest
-	if err := json.NewDecoder(r.Body).Decode(&wire); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("decode: %v", err)})
+	// The shard's read stage: same body cap, same decoder, same 413/400s.
+	var call server.DecisionCall
+	if status, err := server.ReadDecisionCall(w, r, &call); err != nil {
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return
 	}
-	ctxName, err := bctx.Parse(wire.Context)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("context: %v", err)})
-		return
-	}
-	roles := make([]rbac.RoleName, len(wire.Roles))
-	for i, rr := range wire.Roles {
-		roles[i] = rbac.RoleName(rr)
-	}
-	traceID, ok := obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader))
-	if !ok {
-		traceID = obsv.NewTraceID()
-	}
-	dec, err := s.follower.Advise(pdp.Request{
-		Credentials: wire.Credentials,
-		User:        rbac.UserID(wire.User),
-		Roles:       roles,
-		Operation:   rbac.Operation(wire.Operation),
-		Target:      rbac.Object(wire.Target),
-		Context:     ctxName,
-		Environment: wire.Environment,
-	})
+	dec, err := s.follower.Advise(call.Request)
 	if err != nil {
 		status := http.StatusInternalServerError
 		switch {
-		case isStale(err):
+		case errors.Is(err, ErrStale):
 			s.staleRefusals.Add(1)
 			status = http.StatusServiceUnavailable
-		case isNoSubject(err):
+		case errors.Is(err, pdp.ErrNoSubject):
 			status = http.StatusBadRequest
 		}
 		s.stamp(w)
@@ -172,65 +149,21 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.advisories.Add(1)
-	resp := server.DecisionResponse{
-		Allowed: dec.Allowed,
-		Phase:   string(dec.Phase),
-		Reason:  dec.Reason,
-		User:    string(dec.User),
-		Roles:   make([]string, len(dec.Roles)),
-		TraceID: string(traceID),
-	}
-	for i, rr := range dec.Roles {
-		resp.Roles[i] = string(rr)
-	}
-	if dec.MSoD != nil {
-		resp.Recorded = dec.MSoD.Recorded
-		resp.Purged = dec.MSoD.Purged
-		resp.MatchedPolicies = dec.MSoD.MatchedPolicies
-	}
 	s.stamp(w)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, call.Response(dec))
 }
 
-func (s *Server) handleStateUser(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET required"})
-		return
-	}
+// handleState serves both state endpoints as the shard does (method,
+// path and answer), behind this replica's staleness refusal and under
+// its stamp.
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	if s.refuseStale(w) {
 		return
 	}
-	user := strings.TrimPrefix(r.URL.Path, server.StateUsersPath)
-	if user == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "user ID required: GET " + server.StateUsersPath + "{user}"})
-		return
-	}
-	s.stateQueries.Add(1)
 	s.stamp(w)
-	writeJSON(w, http.StatusOK, s.inspector.UserState(rbac.UserID(user)))
-}
-
-func (s *Server) handleStateContext(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET required"})
-		return
+	if server.ServeState(w, r, s.inspector) {
+		s.stateQueries.Add(1)
 	}
-	if s.refuseStale(w) {
-		return
-	}
-	raw := strings.TrimPrefix(r.URL.Path, server.StateContextsPath)
-	if raw == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "context pattern required: GET " + server.StateContextsPath + "{bc}"})
-		return
-	}
-	pattern, err := bctx.Parse(raw)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("context: %v", err)})
-		return
-	}
-	s.stateQueries.Add(1)
-	s.stamp(w)
-	writeJSON(w, http.StatusOK, s.inspector.ContextState(pattern))
 }
 
 // handleHealth reports the replica role explicitly so load balancers
@@ -305,10 +238,6 @@ func boolGauge(b bool) float64 {
 	}
 	return 0
 }
-
-func isStale(err error) bool { return errors.Is(err, ErrStale) }
-
-func isNoSubject(err error) bool { return errors.Is(err, pdp.ErrNoSubject) }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -48,7 +48,7 @@ func (s *Server) handleActivation(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	case http.MethodPost:
-		if s.refuseTampered(w) || s.refuseReadOnly(w) {
+		if !s.gate(w, gateTampered|gateReadOnly) {
 			return
 		}
 		var req ActivationRequest

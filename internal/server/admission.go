@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"msod/internal/adi"
+	"msod/internal/pdp"
 )
 
 // Graceful degradation under overload and storage failure. Two
@@ -46,35 +47,70 @@ func WithAdmissionLimit(maxInFlight int, retryAfter time.Duration) Option {
 	}
 }
 
-// admit claims an in-flight slot, shedding the request with 503 +
-// Retry-After when the server is at capacity. On ok the caller must
-// defer release; on !ok the response has been written.
-func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
-	if s.maxInFlight <= 0 {
-		return func() {}, true
-	}
-	if s.inFlight.Add(1) > int64(s.maxInFlight) {
-		s.inFlight.Add(-1)
+// gateCheck names a refusal a handler asks the gate for.
+type gateCheck uint8
+
+const (
+	// gateAdmit sheds past the in-flight limit (503 + Retry-After); a
+	// handler that passes it defers release once it is let through.
+	gateAdmit gateCheck = 1 << iota
+	// gateTampered refuses (503) once the fail-closed sentinel has
+	// latched: a history that no longer verifies is neither answered
+	// from nor handed on.
+	gateTampered
+	// gateReadOnly refuses (503, no Retry-After) once read-only mode
+	// has latched.
+	gateReadOnly
+)
+
+// gate is where a handler refuses a request for the server's own state
+// rather than the request's: the checks asked for run in the order they
+// are declared, and the first that fails writes the refusal.
+func (s *Server) gate(w http.ResponseWriter, checks gateCheck) bool {
+	admitted := checks&gateAdmit != 0 && s.maxInFlight > 0
+	full := admitted && s.inFlight.Add(1) > int64(s.maxInFlight)
+	switch {
+	case full:
 		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.shedRetryAfter/time.Second)))
 		writeJSON(w, http.StatusServiceUnavailable,
 			errorResponse{"server at capacity; request shed, retry after the hinted delay"})
-		return nil, false
+	case checks&gateTampered != 0 && s.sentinel != nil && s.sentinelFailClosed && s.sentinel.Tampered():
+		s.metrics.sentinelRefusals.Add(1)
+		writeJSON(w, http.StatusServiceUnavailable,
+			errorResponse{"audit chain tamper detected; refusing decisions (fail-closed)"})
+	case checks&gateReadOnly != 0 && s.degraded.Load():
+		writeJSON(w, http.StatusServiceUnavailable,
+			errorResponse{"PDP degraded to read-only: a durable retained-ADI write failed; decisions and management are refused until the store is repaired and the daemon restarted (advisories and introspection still served)"})
+	default:
+		return true
 	}
-	return func() { s.inFlight.Add(-1) }, true
+	if admitted {
+		s.release()
+	}
+	return false
 }
 
-// refuseReadOnly refuses the request when degraded read-only mode has
-// latched, reporting whether it wrote the refusal. Deliberately no
-// Retry-After: the failure needs operator intervention, so the client
-// should surface the error rather than retry into it.
-func (s *Server) refuseReadOnly(w http.ResponseWriter) bool {
-	if !s.degraded.Load() {
-		return false
+// release frees the slot gateAdmit claimed.
+func (s *Server) release() {
+	if s.maxInFlight > 0 {
+		s.inFlight.Add(-1)
 	}
-	writeJSON(w, http.StatusServiceUnavailable,
-		errorResponse{"PDP degraded to read-only: a durable retained-ADI write failed; decisions and management are refused until the store is repaired and the daemon restarted (advisories and introspection still served)"})
-	return true
+}
+
+// failureStatus is the status a PDP error is answered with: 400 for a
+// request that names no subject; 503 for a failed durable write, which
+// also latches read-only mode — the request committed nothing (a store
+// write is atomic) and the gate refuses the ones after it; otherwise
+// the handler's fallback.
+func (s *Server) failureStatus(err error, fallback int) int {
+	switch {
+	case errors.Is(err, pdp.ErrNoSubject):
+		return http.StatusBadRequest
+	case s.noteWriteFailure(err):
+		return http.StatusServiceUnavailable
+	}
+	return fallback
 }
 
 // noteWriteFailure latches degraded read-only mode when err is (or

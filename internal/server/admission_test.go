@@ -228,6 +228,66 @@ func TestDegradedReadOnlyLatch(t *testing.T) {
 	}
 }
 
+// TestDegradedReadOnlyLatchOnPurge: the first write failure may be a
+// management purge rather than a decision. purgeContext's store error
+// keeps its chain like the other purges', so the purge answers a
+// terminal 503 (it used to be a 403, as if the administrator lacked the
+// permission) and latches read-only: the next decision is refused up
+// front.
+func TestDegradedReadOnlyLatchOnPurge(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(taxPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := fault.NewFS(fsx.OS, 7)
+	ds, err := adi.OpenDurableFS(t.TempDir(), []byte("degraded-secret"), true, ffs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	p, err := pdp.New(pdp.Config{Policy: pol, Store: ds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(p)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	cli := NewClient(ts.URL, nil)
+
+	prepare := DecisionRequest{
+		User: "c1", Roles: []string{"Clerk"},
+		Operation: "prepareCheck", Target: "http://www.myTaxOffice.com/Check",
+		Context: "TaxOffice=Leeds, taxRefundProcess=p1",
+	}
+	if resp, err := cli.Decision(prepare); err != nil || !resp.Allowed {
+		t.Fatalf("healthy decision: %+v, %v", resp, err)
+	}
+
+	// The next mutating disk operation — the purge hitting the WAL —
+	// fails with EIO.
+	ffs.InjectAt(ffs.Ops()+1, fault.EIO)
+	_, err = cli.Manage(ManagementWireRequest{
+		User: "a1", Roles: []string{"RetainedADIController"},
+		Operation: "purgeContext", ContextPattern: "TaxOffice=Leeds, taxRefundProcess=*",
+	})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+		t.Fatalf("write-failure purge: err = %v, want 503", err)
+	}
+	if apiErr.RetryAfter != 0 {
+		t.Fatalf("write-failure 503 carries Retry-After %v; it must be terminal", apiErr.RetryAfter)
+	}
+	if !srv.Degraded() {
+		t.Fatal("the failed purge did not latch read-only mode")
+	}
+
+	prepare.User, prepare.Context = "c2", "TaxOffice=Leeds, taxRefundProcess=p2"
+	_, err = cli.Decision(prepare)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || !strings.Contains(apiErr.Message, "read-only") {
+		t.Fatalf("decision after the failed purge: err = %v, want the read-only 503", err)
+	}
+}
+
 func metricsBody(t *testing.T, base string) string {
 	t.Helper()
 	resp, err := http.Get(base + MetricsPath)

@@ -99,7 +99,7 @@ func (s *Server) handleHandoffUsers(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{"handoff needs state introspection (store exposes no browse surface)"})
 		return
 	}
-	if s.refuseTampered(w) {
+	if !s.gate(w, gateTampered) {
 		return
 	}
 	resp := HandoffUsersResponse{Policy: s.pdp.PolicyID(), Users: []string{}}
@@ -128,7 +128,7 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	if s.refuseHandoffDisabled(w) {
 		return
 	}
-	if s.refuseTampered(w) || s.refuseReadOnly(w) {
+	if !s.gate(w, gateTampered|gateReadOnly) {
 		return
 	}
 	var snap ReplicaSnapshot
@@ -215,7 +215,7 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 	if s.refuseHandoffDisabled(w) {
 		return
 	}
-	if s.refuseReadOnly(w) {
+	if !s.gate(w, gateReadOnly) {
 		return
 	}
 	var req HandoffReleaseRequest

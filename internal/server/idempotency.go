@@ -1,6 +1,10 @@
 package server
 
-import "sync"
+import (
+	"sync"
+
+	"msod/internal/ring"
+)
 
 // idemCacheSize bounds the idempotency cache. Committed responses are
 // evicted FIFO past this size, so the window in which a duplicate ID is
@@ -25,15 +29,14 @@ type idemEntry struct {
 // and replays the committed response instead of re-deciding.
 type idemCache struct {
 	mu      sync.Mutex
-	max     int
 	entries map[string]*idemEntry
-	// order lists committed IDs oldest-first for FIFO eviction;
-	// in-flight entries are never evicted.
-	order []string
+	// order holds the committed IDs, so the oldest is the one evicted;
+	// in-flight entries are not in it and are never evicted.
+	order ring.FIFO[string]
 }
 
 func newIdemCache(max int) *idemCache {
-	return &idemCache{max: max, entries: make(map[string]*idemEntry)}
+	return &idemCache{entries: make(map[string]*idemEntry), order: ring.NewFIFO[string](max)}
 }
 
 // begin claims an ID. It returns (resp, true) when a committed response
@@ -72,10 +75,8 @@ func (c *idemCache) finish(id string, resp DecisionResponse, ok bool) {
 	}
 	e.resp, e.ok = resp, ok
 	if ok {
-		c.order = append(c.order, id)
-		for len(c.order) > c.max {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
+		if oldest, evicted := c.order.Push(id); evicted {
+			delete(c.entries, oldest)
 		}
 	} else {
 		delete(c.entries, id)

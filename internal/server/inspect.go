@@ -57,9 +57,8 @@ func WithEventBroker(b *inspect.Broker) Option {
 
 // WithSentinel attaches an audit-chain integrity sentinel: its metric
 // families join /v1/metrics, and with failClosed the server refuses
-// decision and advisory requests (503) once tampering has latched —
-// a shard whose history's source of truth is compromised cannot be
-// trusted to answer history-dependent questions.
+// decision and advisory requests (503) once tampering has latched
+// (gateTampered).
 func WithSentinel(sentinel *inspect.Sentinel, failClosed bool) Option {
 	return func(s *Server) {
 		s.sentinel = sentinel
@@ -67,55 +66,39 @@ func WithSentinel(sentinel *inspect.Sentinel, failClosed bool) Option {
 	}
 }
 
-// refuseTampered answers true after writing the 503 when the sentinel
-// has latched and the server is fail-closed.
-func (s *Server) refuseTampered(w http.ResponseWriter) bool {
-	if s.sentinel == nil || !s.sentinelFailClosed || !s.sentinel.Tampered() {
-		return false
-	}
-	s.metrics.sentinelRefusals.Add(1)
-	writeJSON(w, http.StatusServiceUnavailable,
-		errorResponse{"audit chain tamper detected; refusing decisions (fail-closed)"})
-	return true
+func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
+	ServeState(w, r, s.inspector)
 }
 
-func (s *Server) handleStateUser(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
-		return
-	}
-	if s.inspector == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"state introspection not available"})
-		return
-	}
-	user := strings.TrimPrefix(r.URL.Path, StateUsersPath)
-	if user == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"user ID required: GET " + StateUsersPath + "{user}"})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.inspector.UserState(rbac.UserID(user)))
-}
-
-func (s *Server) handleStateContext(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
-		return
-	}
-	if s.inspector == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"state introspection not available"})
-		return
-	}
+// ServeState answers GET /v1/state/users/{user} and
+// GET /v1/state/contexts/{bc} from in, the way a shard does; a replica
+// answers from its mirror's inspector through the same code. It reports
+// whether it served the state (else it wrote the 405, 404 or 400).
+func ServeState(w http.ResponseWriter, r *http.Request, in *inspect.Inspector) bool {
+	user, byUser := strings.CutPrefix(r.URL.Path, StateUsersPath)
 	raw := strings.TrimPrefix(r.URL.Path, StateContextsPath)
-	if raw == "" {
+	switch {
+	case r.Method != http.MethodGet:
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+	case in == nil:
+		writeJSON(w, http.StatusNotFound, errorResponse{"state introspection not available"})
+	case byUser && user == "":
+		writeJSON(w, http.StatusBadRequest, errorResponse{"user ID required: GET " + StateUsersPath + "{user}"})
+	case byUser:
+		writeJSON(w, http.StatusOK, in.UserState(rbac.UserID(user)))
+		return true
+	case raw == "":
 		writeJSON(w, http.StatusBadRequest, errorResponse{"context pattern required: GET " + StateContextsPath + "{bc}"})
-		return
+	default:
+		pattern, err := bctx.Parse(raw)
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context: %v", err)})
+			return false
+		}
+		writeJSON(w, http.StatusOK, in.ContextState(pattern))
+		return true
 	}
-	pattern, err := bctx.Parse(raw)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context: %v", err)})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.inspector.ContextState(pattern))
+	return false
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

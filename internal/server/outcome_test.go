@@ -229,10 +229,10 @@ func TestDecisionOutcomes(t *testing.T) {
 			body:   `{"roles":["Teller"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`,
 			status: http.StatusBadRequest,
 			counters: served(map[string]int64{
-				"msod_request_errors_total":                 1,
-				`msod_trace_sampled_total{reason="error"}`:  1,
-				"msod_slo_requests_total":                   1,
-				`msod_slo_errors_total{slo="availability"}`: 1,
+				"msod_request_errors_total":                1,
+				`msod_trace_sampled_total{reason="error"}`: 1,
+				// Not msod_slo_requests_total: a caller's error is not an
+				// availability event, and like the other 400s is not scored.
 			}),
 			handed:   true,
 			traced:   tracedAs{SampledFor: trace.ReasonError, Outcome: "error", RequestID: outcomeTraceID},

@@ -1,0 +1,275 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"time"
+
+	"msod/internal/bctx"
+	"msod/internal/explain"
+	"msod/internal/obsv"
+	"msod/internal/pdp"
+	"msod/internal/rbac"
+)
+
+// The shard's decision pipeline: POST /v1/decision and /v1/advice run
+//
+//	gate → read → claim → decide → publish → respond
+//
+// over one per-request value, in serveDecision. The read stage and the
+// decision's wire form are exported: the replica's advice endpoint runs
+// them too. DESIGN.md § "The shard's decision pipeline" has the why of
+// the order.
+
+// DecisionCall is what the read stage makes of one POST to the decision
+// or advice path.
+type DecisionCall struct {
+	// Wire is the request as decoded.
+	Wire DecisionRequest
+	// Request is Wire as the PDP takes it: context parsed, roles typed.
+	Request pdp.Request
+	// TraceID is the caller's traceparent trace ID (the gateway's, or a
+	// PEP's own), or one minted here: every request is traced, so the
+	// response, the slow-log line and the audit-trail record share a
+	// correlation key.
+	TraceID obsv.TraceID
+}
+
+// ReadDecisionCall is the read stage: the bounded body (ReadBody), the
+// wire decode with its trailing-bytes check (DecodeDecisionRequest),
+// the context parse, the role conversion and the trace ID. A failure
+// comes with the status and the message to answer: 413 past the body
+// cap, 400 for anything else wrong with what the caller sent.
+func ReadDecisionCall(w http.ResponseWriter, r *http.Request, c *DecisionCall) (int, error) {
+	body, status, err := ReadBody(w, r, 0)
+	if err == nil {
+		status, err = http.StatusBadRequest, DecodeDecisionRequest(body, &c.Wire)
+	}
+	if err != nil {
+		return status, fmt.Errorf("decode: %v", err)
+	}
+	ctx, err := bctx.Parse(c.Wire.Context)
+	if err != nil {
+		return http.StatusBadRequest, fmt.Errorf("context: %v", err)
+	}
+	c.Request = pdp.Request{
+		Credentials: c.Wire.Credentials,
+		User:        rbac.UserID(c.Wire.User),
+		Roles:       toRoles(c.Wire.Roles),
+		Operation:   rbac.Operation(c.Wire.Operation),
+		Target:      rbac.Object(c.Wire.Target),
+		Context:     ctx,
+		Environment: c.Wire.Environment,
+	}
+	var ok bool
+	if c.TraceID, ok = obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader)); !ok {
+		c.TraceID = obsv.NewTraceID()
+	}
+	return 0, nil
+}
+
+// Response is the wire form of the PDP's decision on this call. The
+// RequestID is the caller's to set: only an explained decision has one.
+func (c *DecisionCall) Response(dec pdp.Decision) DecisionResponse {
+	resp := DecisionResponse{
+		Allowed: dec.Allowed,
+		Phase:   string(dec.Phase),
+		Reason:  dec.Reason,
+		User:    string(dec.User),
+		Roles:   fromRoles(dec.Roles),
+		TraceID: string(c.TraceID),
+	}
+	if dec.MSoD != nil {
+		resp.Recorded = dec.MSoD.Recorded
+		resp.Purged = dec.MSoD.Purged
+		resp.MatchedPolicies = dec.MSoD.MatchedPolicies
+		for _, bound := range dec.MSoD.Activated {
+			resp.Activated = append(resp.Activated, bound.String())
+		}
+	}
+	return resp
+}
+
+// decisionCall is the pipeline's per-request value: each stage reads
+// what the stages before it left and fills in its own part.
+type decisionCall struct {
+	DecisionCall
+	advisory bool
+
+	trace *obsv.Trace
+	// rid keys the decision's provenance and its retained trace: the
+	// caller's idempotency RequestID when one was sent, the trace ID
+	// otherwise — echoed in the response, so the caller (or msodctl)
+	// can fetch GET /v1/explain/{requestID}.
+	rid string
+	// xrec is the explain record the engine fills; nil on advisories
+	// and with explain off.
+	xrec *explain.Record
+	// The outcome: when the PDP started and how long it took, then
+	// either err with the status it is answered with, or resp.
+	start   time.Time
+	elapsed time.Duration
+	err     error
+	status  int
+	resp    DecisionResponse
+}
+
+func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide func(context.Context, pdp.Request) (pdp.Decision, error), advisory bool) {
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		return
+	}
+	// gate. Fail-closed on a tampered trail: a history that no longer
+	// verifies cannot back any history-dependent answer, advisories
+	// included. Read-only is for decisions alone: a PDP that cannot
+	// record grants must not grant, but advisories are side-effect-free
+	// and read the (intact, in-memory) retained ADI.
+	checks := gateAdmit | gateTampered
+	if !advisory {
+		checks |= gateReadOnly
+	}
+	if !s.gate(w, checks) {
+		s.score(http.StatusServiceUnavailable, 0)
+		return
+	}
+	defer s.release()
+	// read. What is wrong with the caller's bytes is counted, not scored.
+	c := decisionCall{advisory: advisory}
+	if status, err := ReadDecisionCall(w, r, &c.DecisionCall); err != nil {
+		s.metrics.requestErrors.Add(1)
+		writeJSON(w, status, errorResponse{err.Error()})
+		return
+	}
+	// claim. A duplicate RequestID replays the committed response rather
+	// than re-deciding — re-execution would double-record ADI history
+	// and re-run last-step purges.
+	if id := c.Wire.RequestID; !advisory && id != "" {
+		if cached, replay := s.idem.begin(id); replay {
+			// A replay serves the committed execution's response (and its
+			// explain record stays the queryable one); it still counts as
+			// a served request for the SLO.
+			s.metrics.idempotentReplays.Add(1)
+			s.score(http.StatusOK, 0)
+			writeJSON(w, http.StatusOK, cached)
+			return
+		}
+		// The claim is resolved on every way out, a panic in decide
+		// included (net/http recovers it and drops the connection): an
+		// entry left in flight is never evicted and would hang every
+		// retry under the same ID. Without a committed response,
+		// resolving releases the ID so a retry re-executes.
+		defer func() { s.idem.finish(id, c.resp, c.status == http.StatusOK) }()
+	}
+	s.decide(r.Context(), &c, decide)
+	s.publish(r.Context(), &c)
+	if c.err != nil { // respond
+		writeJSON(w, c.status, errorResponse{c.err.Error()})
+		return
+	}
+	writeJSON(w, http.StatusOK, c.resp)
+}
+
+// decide runs the PDP under the request's trace and explain record and
+// leaves the outcome in c: the answer, or the error and its status.
+func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(context.Context, pdp.Request) (pdp.Decision, error)) {
+	c.trace = obsv.NewTrace(c.TraceID)
+	c.rid = c.Wire.RequestID
+	if c.rid == "" {
+		c.rid = string(c.TraceID)
+	}
+	ctx = obsv.WithTrace(ctx, c.trace)
+	if !c.advisory && s.explain != nil {
+		c.xrec = s.explain.Begin()
+		ctx = explain.WithRecord(ctx, c.xrec)
+	}
+	c.start = time.Now()
+	dec, err := pdpDecide(ctx, c.Request)
+	c.elapsed = time.Since(c.start)
+	if c.err = err; err != nil {
+		c.status = s.failureStatus(err, http.StatusInternalServerError)
+		return
+	}
+	c.status = http.StatusOK
+	c.resp = c.Response(dec)
+	if c.xrec != nil {
+		c.resp.RequestID = c.rid
+	}
+}
+
+// publish shows one decided request — error or answer — to every sink,
+// in the one order they are fed: the latency and stage histograms, the
+// explain ring, the trace store, the SLO, the counters, the slow log.
+func (s *Server) publish(ctx context.Context, c *decisionCall) {
+	s.metrics.duration.ObserveExemplar(c.elapsed, string(c.TraceID))
+	s.metrics.observeStages(c.trace)
+
+	outcome, reason := explain.OutcomeDeny, c.resp.Reason
+	switch {
+	case c.err != nil:
+		outcome, reason = "error", c.err.Error()
+	case c.resp.Allowed:
+		outcome = explain.OutcomeGrant
+	}
+	switch x := c.xrec; {
+	case x == nil:
+	case c.err != nil:
+		// Nothing to explain: the pooled record goes back unpublished.
+		s.explain.Discard(x)
+	default:
+		// The engine filled the rule evaluations during decide; the
+		// request/response envelope is stamped here, then Commit derives
+		// the governing constraint and publishes the record.
+		x.RequestID, x.TraceID, x.Time = c.rid, string(c.TraceID), c.start
+		x.User, x.Roles = c.resp.User, c.resp.Roles
+		x.Operation, x.Target, x.Context = c.Wire.Operation, c.Wire.Target, c.Wire.Context
+		x.Outcome, x.Phase, x.Reason = outcome, c.resp.Phase, reason
+		x.MatchedPolicies, x.Recorded, x.Purged = c.resp.MatchedPolicies, c.resp.Recorded, c.resp.Purged
+		x.ElapsedSeconds = c.elapsed.Seconds()
+		s.explain.Commit(x)
+	}
+	// Errored decisions are always retained by the tail sampler — they
+	// are exactly what an operator holding the trace ID from the error
+	// log investigates.
+	s.recordTrace(c, outcome, reason)
+	s.score(c.status, c.elapsed)
+	if c.err != nil {
+		s.metrics.requestErrors.Add(1)
+	} else {
+		s.metrics.observe(c.resp, c.advisory)
+	}
+	if !s.slowLogEnabled(c.elapsed) {
+		return
+	}
+	level, msg := slog.LevelInfo, "decision"
+	attrs := append(make([]slog.Attr, 0, 10), slog.String("traceID", string(c.TraceID)))
+	if c.err != nil {
+		level, msg = slog.LevelWarn, "decision error"
+		attrs = append(attrs,
+			slog.String("user", c.Wire.User),
+			slog.Bool("advisory", c.advisory),
+			slog.String("error", reason))
+	} else {
+		attrs = append(attrs,
+			slog.String("user", c.resp.User),
+			slog.String("operation", c.Wire.Operation),
+			slog.String("target", c.Wire.Target),
+			slog.String("context", c.Wire.Context),
+			slog.Bool("allowed", c.resp.Allowed),
+			slog.String("phase", c.resp.Phase),
+			slog.Bool("advisory", c.advisory))
+	}
+	attrs = append(attrs, slog.Float64("seconds", c.elapsed.Seconds()), obsv.SpanAttrs(c.trace))
+	s.log.LogAttrs(ctx, level, msg, attrs...)
+}
+
+// score is the SLO's one rule: an answer below 400 is a good request (a
+// slow one still spends the latency budget), a 5xx is an availability
+// error, and a 4xx — the caller's error — is not an availability event
+// and is not counted at all.
+func (s *Server) score(status int, elapsed time.Duration) {
+	if status < 400 || status >= 500 {
+		s.slo.Observe(elapsed, status >= 500)
+	}
+}

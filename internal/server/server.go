@@ -6,7 +6,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"time"
 
 	"msod/internal/adi"
-	"msod/internal/bctx"
 	"msod/internal/credential"
 	"msod/internal/explain"
 	"msod/internal/inspect"
@@ -238,8 +236,8 @@ func New(p *pdp.PDP, opts ...Option) *Server {
 	s.mux.HandleFunc(ManagementPath, s.handleManagement)
 	s.mux.HandleFunc(HealthPath, s.handleHealth)
 	s.mux.HandleFunc(MetricsPath, s.handleMetrics)
-	s.mux.HandleFunc(StateUsersPath, s.handleStateUser)
-	s.mux.HandleFunc(StateContextsPath, s.handleStateContext)
+	s.mux.HandleFunc(StateUsersPath, s.handleState)
+	s.mux.HandleFunc(StateContextsPath, s.handleState)
 	s.mux.HandleFunc(EventsPath, s.handleEvents)
 	s.mux.HandleFunc(ExplainPath, s.handleExplain)
 	s.mux.HandleFunc(TracesPath, s.handleTraces)
@@ -264,220 +262,17 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 	s.serveDecision(w, r, s.pdp.AdviseCtx, true)
 }
 
-func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide func(context.Context, pdp.Request) (pdp.Decision, error), advisory bool) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
-		return
-	}
-	release, admitted := s.admit(w)
-	if !admitted {
-		s.slo.Observe(0, true)
-		return
-	}
-	defer release()
-	if s.refuseTampered(w) {
-		// Fail-closed: a trail that no longer verifies means the retained
-		// history cannot be trusted, so neither can any history-dependent
-		// answer (advisories included).
-		s.slo.Observe(0, true)
-		return
-	}
-	if !advisory && s.refuseReadOnly(w) {
-		// Degraded read-only: a PDP that cannot record grants must not
-		// grant. Advisories stay up — they are side-effect-free and read
-		// the (intact, in-memory) retained ADI.
-		s.slo.Observe(0, true)
-		return
-	}
-	var wire DecisionRequest
-	body, status, err := ReadBody(w, r, 0)
-	if err == nil {
-		status, err = http.StatusBadRequest, DecodeDecisionRequest(body, &wire)
-	}
-	if err != nil {
-		s.metrics.requestErrors.Add(1)
-		writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
-		return
-	}
-	ctx, err := bctx.Parse(wire.Context)
-	if err != nil {
-		s.metrics.requestErrors.Add(1)
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context: %v", err)})
-		return
-	}
-	// Idempotency: a duplicate RequestID replays the committed response
-	// rather than re-deciding — re-execution would double-record ADI
-	// history and re-run last-step purges.
-	var (
-		committed   DecisionResponse
-		committedOK bool
-	)
-	if !advisory && wire.RequestID != "" {
-		if cached, replay := s.idem.begin(wire.RequestID); replay {
-			s.metrics.idempotentReplays.Add(1)
-			// A replay serves the committed execution's response (and its
-			// explain record stays the queryable one); it still counts as a
-			// served request for the SLO.
-			s.slo.Observe(0, false)
-			writeJSON(w, http.StatusOK, cached)
-			return
-		}
-		// The claim is resolved on every way out, a panic in decide
-		// included (net/http recovers it and drops the connection): an
-		// entry left in flight is never evicted and would hang every
-		// retry under the same ID. Until a response is committed below,
-		// resolving releases the ID so a retry re-executes.
-		defer func() { s.idem.finish(wire.RequestID, committed, committedOK) }()
-	}
-	req := pdp.Request{
-		Credentials: wire.Credentials,
-		User:        rbac.UserID(wire.User),
-		Roles:       toRoles(wire.Roles),
-		Operation:   rbac.Operation(wire.Operation),
-		Target:      rbac.Object(wire.Target),
-		Context:     ctx,
-		Environment: wire.Environment,
-	}
-	// Every request is traced: adopt the caller's traceparent trace ID
-	// (the gateway's, or a PEP's own) or mint one, so the response, the
-	// slow-log line and the audit-trail record share a correlation key.
-	traceID, ok := obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader))
-	if !ok {
-		traceID = obsv.NewTraceID()
-	}
-	trace := obsv.NewTrace(traceID)
-	// The decision's provenance is keyed by the caller's idempotency
-	// RequestID when one was sent, by the trace ID otherwise — either
-	// way the response echoes the key so the caller (or msodctl) can
-	// fetch GET /v1/explain/{requestID}.
-	rid := wire.RequestID
-	if rid == "" {
-		rid = string(traceID)
-	}
-	reqCtx := obsv.WithTrace(r.Context(), trace)
-	var xrec *explain.Record
-	if !advisory && s.explain != nil {
-		xrec = s.explain.Begin()
-		reqCtx = explain.WithRecord(reqCtx, xrec)
-	}
-	start := time.Now()
-	dec, err := decide(reqCtx, req)
-	elapsed := time.Since(start)
-	s.metrics.duration.ObserveExemplar(elapsed, string(traceID))
-	s.metrics.observeStages(trace)
-	if err != nil {
-		if xrec != nil {
-			// Nothing to explain: return the pooled record unpublished.
-			s.explain.Discard(xrec)
-		}
-		// Errored decisions are always retained by the tail sampler —
-		// they are exactly what an operator holding the trace ID from
-		// the error log investigates.
-		s.recordTrace(trace, &wire, rid, "error", err.Error(), advisory, false, true, elapsed)
-		s.slo.Observe(elapsed, true)
-		s.metrics.requestErrors.Add(1)
-		if s.slowLogEnabled(elapsed) {
-			s.log.LogAttrs(r.Context(), slog.LevelWarn, "decision error",
-				slog.String("traceID", string(traceID)),
-				slog.String("user", wire.User),
-				slog.Bool("advisory", advisory),
-				slog.String("error", err.Error()),
-				slog.Float64("seconds", elapsed.Seconds()),
-				obsv.SpanAttrs(trace))
-		}
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, pdp.ErrNoSubject):
-			status = http.StatusBadRequest
-		case s.noteWriteFailure(err):
-			// The write failure that latches degraded mode: this request
-			// committed nothing (Append is atomic), and subsequent ones
-			// are refused up front by refuseReadOnly.
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, errorResponse{err.Error()})
-		return
-	}
-	resp := DecisionResponse{
-		Allowed: dec.Allowed,
-		Phase:   string(dec.Phase),
-		Reason:  dec.Reason,
-		User:    string(dec.User),
-		Roles:   fromRoles(dec.Roles),
-		TraceID: string(traceID),
-	}
-	if dec.MSoD != nil {
-		resp.Recorded = dec.MSoD.Recorded
-		resp.Purged = dec.MSoD.Purged
-		resp.MatchedPolicies = dec.MSoD.MatchedPolicies
-		for _, bound := range dec.MSoD.Activated {
-			resp.Activated = append(resp.Activated, bound.String())
-		}
-	}
-	if xrec != nil {
-		// The engine filled the rule evaluations during decide; the
-		// request/response envelope is stamped here, then Commit derives
-		// the governing constraint and publishes the record.
-		xrec.RequestID = rid
-		xrec.TraceID = string(traceID)
-		xrec.Time = start
-		xrec.User = resp.User
-		xrec.Roles = resp.Roles
-		xrec.Operation = wire.Operation
-		xrec.Target = wire.Target
-		xrec.Context = wire.Context
-		xrec.Outcome = explain.OutcomeDeny
-		if resp.Allowed {
-			xrec.Outcome = explain.OutcomeGrant
-		}
-		xrec.Phase = resp.Phase
-		xrec.Reason = resp.Reason
-		xrec.MatchedPolicies = resp.MatchedPolicies
-		xrec.Recorded = resp.Recorded
-		xrec.Purged = resp.Purged
-		xrec.ElapsedSeconds = elapsed.Seconds()
-		s.explain.Commit(xrec)
-		resp.RequestID = rid
-	}
-	committed, committedOK = resp, true
-	outcome := "deny"
-	if resp.Allowed {
-		outcome = "grant"
-	}
-	s.recordTrace(trace, &wire, rid, outcome, resp.Reason, advisory, !resp.Allowed, false, elapsed)
-	s.slo.Observe(elapsed, false)
-	s.metrics.observe(resp, advisory)
-	if s.slowLogEnabled(elapsed) {
-		s.log.LogAttrs(r.Context(), slog.LevelInfo, "decision",
-			slog.String("traceID", string(traceID)),
-			slog.String("user", resp.User),
-			slog.String("operation", wire.Operation),
-			slog.String("target", wire.Target),
-			slog.String("context", wire.Context),
-			slog.Bool("allowed", resp.Allowed),
-			slog.String("phase", resp.Phase),
-			slog.Bool("advisory", advisory),
-			slog.Float64("seconds", elapsed.Seconds()),
-			obsv.SpanAttrs(trace))
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleManagement(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
 		return
 	}
-	release, admitted := s.admit(w)
-	if !admitted {
+	// Management mutates the retained ADI (purges), so it shares the
+	// decision path's read-only refusal.
+	if !s.gate(w, gateAdmit|gateReadOnly) {
 		return
 	}
-	defer release()
-	if s.refuseReadOnly(w) {
-		// Management mutates the retained ADI (purges), so it shares the
-		// decision path's read-only refusal.
-		return
-	}
+	defer s.release()
 	var wire ManagementWireRequest
 	if status, err := decodeBody(w, r, &wire); err != nil {
 		writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
@@ -497,14 +292,7 @@ func (s *Server) handleManagement(w http.ResponseWriter, r *http.Request) {
 	res, err := s.pdp.Manage(req)
 	s.metrics.managementOps.Add(1)
 	if err != nil {
-		status := http.StatusForbidden
-		switch {
-		case errors.Is(err, pdp.ErrNoSubject):
-			status = http.StatusBadRequest
-		case s.noteWriteFailure(err):
-			status = http.StatusServiceUnavailable
-		}
-		writeJSON(w, status, errorResponse{err.Error()})
+		writeJSON(w, s.failureStatus(err, http.StatusForbidden), errorResponse{err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, ManagementWireResponse{Removed: res.Removed, Records: res.Records})

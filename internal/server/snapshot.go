@@ -50,13 +50,9 @@ func (sr SnapshotRecord) ADIRecord() (adi.Record, error) {
 	if err != nil {
 		return adi.Record{}, err
 	}
-	roles := make([]rbac.RoleName, len(sr.Roles))
-	for i, r := range sr.Roles {
-		roles[i] = rbac.RoleName(r)
-	}
 	return adi.Record{
 		User:      rbac.UserID(sr.User),
-		Roles:     roles,
+		Roles:     toRoles(sr.Roles),
 		Operation: rbac.Operation(sr.Operation),
 		Target:    rbac.Object(sr.Target),
 		Context:   ctxName,
@@ -114,7 +110,7 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{"replica snapshots need state introspection and an event broker"})
 		return
 	}
-	if s.refuseTampered(w) {
+	if !s.gate(w, gateTampered) {
 		// A tampered owner must not seed replicas with history it cannot
 		// vouch for.
 		return

@@ -3,9 +3,7 @@ package server
 import (
 	"net/http"
 	"strings"
-	"time"
 
-	"msod/internal/obsv"
 	"msod/internal/trace"
 )
 
@@ -57,33 +55,32 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// recordTrace runs the tail-sampling decision for a completed request
-// and, when the sampler keeps it, files the span tree in the store.
-// Called after the stage histograms are fed, on both the error and
-// the answer path; a nil store costs one comparison.
-func (s *Server) recordTrace(tr *obsv.Trace, wire *DecisionRequest, rid, outcome, reason string, advisory, refused, errored bool, elapsed time.Duration) {
+// recordTrace runs the tail-sampling decision for a decided request
+// and, when the sampler keeps it, files the span tree in the store. A
+// nil store costs one comparison.
+func (s *Server) recordTrace(c *decisionCall, outcome, reason string) {
 	if s.traces == nil {
 		return
 	}
-	sampledFor, keep := s.traces.Sample(string(tr.ID()), refused, errored, elapsed)
+	sampledFor, keep := s.traces.Sample(string(c.TraceID), c.err == nil && !c.resp.Allowed, c.err != nil, c.elapsed)
 	if !keep {
 		return
 	}
 	rec := s.traces.Begin()
-	rec.TraceID = string(tr.ID())
-	if !advisory {
-		rec.RequestID = rid
+	rec.TraceID = string(c.TraceID)
+	if !c.advisory {
+		rec.RequestID = c.rid
 	}
-	rec.Time = tr.Start()
-	rec.User = wire.User
-	rec.Operation = wire.Operation
-	rec.Target = wire.Target
-	rec.Context = wire.Context
+	rec.Time = c.trace.Start()
+	rec.User = c.Wire.User
+	rec.Operation = c.Wire.Operation
+	rec.Target = c.Wire.Target
+	rec.Context = c.Wire.Context
 	rec.Outcome = outcome
 	rec.Reason = reason
 	rec.SampledFor = sampledFor
-	rec.Advisory = advisory
-	rec.ElapsedSeconds = elapsed.Seconds()
-	rec.SetSpans(tr.Spans())
+	rec.Advisory = c.advisory
+	rec.ElapsedSeconds = c.elapsed.Seconds()
+	rec.SetSpans(c.trace.Spans())
 	s.traces.Commit(rec)
 }

@@ -4,8 +4,8 @@
 // the events an operator holding a trace ID from an exemplar, an
 // audit record, or msodctl tail actually investigates — plus a
 // deterministic 1-in-N sample of fast grants for baseline comparison.
-// Sampled trees live in a bounded ring keyed by trace ID with
-// sync.Pool-backed records, mirroring internal/explain: old traces
+// Sampled trees live in a bounded ring keyed by trace ID with pooled
+// records (internal/ring, as internal/explain's are): old traces
 // rotate out, and a shard only holds traces for decisions it executed
 // itself, which is why the gateway fans a trace query out across the
 // cluster and merges the span sets it gets back.
@@ -13,11 +13,11 @@ package trace
 
 import (
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"msod/internal/obsv"
+	"msod/internal/ring"
 )
 
 // DefaultCapacity is the ring size used when Config.Capacity is
@@ -111,6 +111,10 @@ type Config struct {
 	SlowThreshold time.Duration
 }
 
+// keyed is the pooled ring of records under a Store: Begin, Discard,
+// Get, Len, Capacity and Evicted are its methods (see ring.Keyed).
+type keyed = ring.Keyed[Record]
+
 // Store retains sampled span trees in a fixed ring keyed by trace ID,
 // handing out pooled records for the hot path: Begin takes a record
 // from the pool, the server fills it, Commit files it in the ring, and
@@ -118,17 +122,10 @@ type Config struct {
 // use; a record handed out by Begin must not be shared across
 // goroutines until committed.
 type Store struct {
+	*keyed
 	cfg Config
 
-	mu      sync.Mutex
-	ring    []*Record
-	head    int // index of the oldest retained record
-	size    int
-	byID    map[string]*Record
-	spans   int // spans currently held across the ring
-	evicted int64
-	pool    sync.Pool
-
+	spans   atomic.Int64    // spans currently held across the ring
 	sampled [4]atomic.Int64 // per-reason keep decisions, indexed as Reasons
 	dropped atomic.Int64    // fast grants the sampler let go
 }
@@ -138,12 +135,11 @@ func NewStore(cfg Config) *Store {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	return &Store{
-		cfg:  cfg,
-		ring: make([]*Record, cfg.Capacity),
-		byID: make(map[string]*Record, cfg.Capacity),
-		pool: sync.Pool{New: func() any { return new(Record) }},
-	}
+	st := &Store{cfg: cfg}
+	st.keyed = ring.NewKeyed(cfg.Capacity,
+		func(r *Record) string { return r.TraceID }, (*Record).reset, (*Record).clone,
+		func(old *Record) { st.spans.Add(-int64(len(old.Spans))) })
+	return st
 }
 
 // Sample is the tail-sampling decision, taken after the decision
@@ -180,23 +176,6 @@ func hashID(id string) uint64 {
 	return h.Sum64()
 }
 
-// Begin returns a reset record from the pool. Every Begin must be
-// balanced by exactly one Commit or Discard.
-func (st *Store) Begin() *Record {
-	rec := st.pool.Get().(*Record)
-	rec.reset()
-	return rec
-}
-
-// Discard returns an uncommitted record to the pool — the path for a
-// trace the sampler decided not to keep.
-func (st *Store) Discard(rec *Record) {
-	if rec == nil {
-		return
-	}
-	st.pool.Put(rec)
-}
-
 // Commit files the record in the ring under its TraceID. The caller
 // must not touch the record afterwards: once filed it may be served,
 // evicted and reused at any time. Committing a duplicate TraceID
@@ -205,67 +184,13 @@ func (st *Store) Commit(rec *Record) {
 	if rec == nil {
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.size < len(st.ring) {
-		st.ring[(st.head+st.size)%len(st.ring)] = rec
-		st.size++
-	} else {
-		old := st.ring[st.head]
-		st.ring[st.head] = rec
-		st.head = (st.head + 1) % len(st.ring)
-		// Identity check: a duplicate commit under the same ID may
-		// have replaced the map entry already; only drop it if it is
-		// still this record.
-		if st.byID[old.TraceID] == old {
-			delete(st.byID, old.TraceID)
-		}
-		st.spans -= len(old.Spans)
-		st.evicted++
-		st.pool.Put(old)
-	}
-	st.byID[rec.TraceID] = rec
-	st.spans += len(rec.Spans)
+	st.spans.Add(int64(len(rec.Spans)))
+	st.keyed.Commit(rec)
 }
-
-// Get returns a deep copy of the retained trace for a trace ID. The
-// copy shares nothing with the pooled record, so it stays valid (and
-// race-free) after the original rotates out and is reused.
-func (st *Store) Get(traceID string) (Record, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	rec, ok := st.byID[traceID]
-	if !ok {
-		return Record{}, false
-	}
-	return rec.clone(), true
-}
-
-// Len reports how many traces are currently retained.
-func (st *Store) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.size
-}
-
-// Capacity reports the ring size.
-func (st *Store) Capacity() int { return len(st.ring) }
 
 // SpanCount reports how many spans the retained traces hold in total
 // — the msod_trace_store_spans gauge.
-func (st *Store) SpanCount() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.spans
-}
-
-// Evicted reports how many committed traces have rotated out of the
-// ring since the store started.
-func (st *Store) Evicted() int64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.evicted
-}
+func (st *Store) SpanCount() int { return int(st.spans.Load()) }
 
 // SampledTotal reports how many keep decisions the sampler has taken
 // for the given reason (one of Reasons; unknown reasons report zero).
