@@ -124,7 +124,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.BoolVar(&o.adiSync, "adi-sync", false, "fsync every durable-ADI mutation")
 	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "shed decision/management requests beyond this many in flight (0 = unbounded)")
 	fs.DurationVar(&o.shedRetryAfter, "shed-retry-after", time.Second, "Retry-After hint on shed (503) responses")
-	fs.BoolVar(&o.handoff, "handoff", false, "serve the resharding handoff endpoints (for shards behind an msodgw gateway; the import endpoint replaces per-user history)")
+	fs.BoolVar(&o.handoff, "handoff", false, "trust an msodgw gateway with the retained ADI: serve the resharding handoff endpoints (the import endpoint replaces per-user history) and close the context instances its requests name in the Msod-Close header")
 	fs.DurationVar(&o.slowLog, "slowlog", 0, "log decisions slower than this (0 disables; 1ns logs every decision)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (empty disables; binds loopback unless -pprof-allow-remote)")
 	fs.BoolVar(&o.pprofAllowRemote, "pprof-allow-remote", false, "allow -pprof to bind a non-loopback address (profiling endpoints expose process internals)")

@@ -61,8 +61,15 @@ func (g *Gateway) fanoutActivation(ctx context.Context, answered string, context
 // recording holds on it from its first owned decision. The union is
 // over full instance lists (any retained history, marker or real):
 // over-activation is deny-safe, and filtering here would need policy
-// knowledge the gateway deliberately does not have.
+// knowledge the gateway deliberately does not have. An instance that has
+// been closed has no history left anywhere (closes.go), so the union is
+// the instances still open, not every instance there ever was. Closes
+// are excluded while it is taken and applied (g.closing, as for a
+// handoff copy): an instance closed in between would be re-activated on
+// the joiner after the joiner had already been told to close it.
 func (g *Gateway) syncActivations(ctx context.Context, joiner string) error {
+	g.closing.Lock()
+	defer g.closing.Unlock()
 	union := make(map[string]bool)
 	for _, res := range scatter(ctx, g, g.shards(authoritative), func(ctx context.Context, _ string, c *server.Client) ([]string, error) {
 		return c.ActiveContexts(ctx)

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"time"
+
+	"msod/internal/server"
 )
 
 // Cluster administration paths served by the gateway.
@@ -152,7 +154,7 @@ func (g *Gateway) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	// Probe before touching any state: the joiner must be alive and run
 	// the cluster's policy. A policy-mismatched shard imported history
 	// would evaluate it under different semantics.
-	policy, err := g.newShardClient(req.URL).Health()
+	policy, err := g.newShardClient(req.URL, nil).Health()
 	if err != nil {
 		errorJSON(w, http.StatusBadGateway, fmt.Sprintf("joining shard %s unreachable at %s: %v", req.ID, req.URL, err))
 		return
@@ -277,8 +279,12 @@ func (g *Gateway) admitShard(id, baseURL string) error {
 		}
 		// Retry of a failed join: refresh the address.
 	}
+	outbox := server.NewOutbox(&g.closes)
+	if c, ok := g.clients[id]; ok {
+		outbox = c.Outbox // what a failed join imported is closed like any other history
+	}
 	g.addrs[id] = baseURL
-	g.clients[id] = g.newShardClient(baseURL)
+	g.clients[id] = g.newShardClient(baseURL, outbox)
 	g.states[id] = ShardJoining
 	g.checker.Add(id)
 	g.breaker.Add(id)

@@ -32,6 +32,7 @@ type stubShard struct {
 	healthy      atomic.Bool
 	mgmtFail     atomic.Bool // management drops the connection (transport error)
 	echoUser     string
+	closed       []string // reported as Closed by every decision: a granted LastStep
 	policy       string
 	explainID    string // requestID this shard holds a provenance record for
 }
@@ -64,7 +65,7 @@ func newStubShard(t *testing.T, policy string) *stubShard {
 				}
 			}
 		}
-		json.NewEncoder(w).Encode(server.DecisionResponse{Allowed: true, Phase: "granted", User: resolved})
+		json.NewEncoder(w).Encode(server.DecisionResponse{Allowed: true, Phase: "granted", User: resolved, Closed: s.closed})
 	}
 	mux.HandleFunc(server.DecisionPath, decide)
 	mux.HandleFunc(server.AdvicePath, decide)

@@ -208,8 +208,8 @@ func TestGatewayRetriesCarryIdenticalBytes(t *testing.T) {
 }
 
 // TestGatewayNeverForwardsAnUnreadableAnswer: a 200 that is not one
-// well-formed JSON object, or whose user or activated has the wrong
-// type, is a shard failure — retried under the same bytes, reported to
+// well-formed JSON object, or whose user, activated or closed has the
+// wrong type, is a shard failure — retried under the same bytes, reported to
 // the checker, ended 503 — and none of it reaches the PEP.
 func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
 	for _, answer := range []string{
@@ -220,6 +220,8 @@ func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
 		`[{"allowed":true,"user":"alice"}]`,
 		`{"allowed":true,"phase":"granted","user":["alice"]}`,
 		`{"allowed":true,"phase":"granted","user":"alice","activated":"Branch=York"}`,
+		`{"allowed":true,"phase":"granted","user":"alice","closed":"Branch=*, Period=p1"}`,
+		`{"allowed":true,"phase":"granted","user":"alice","closed":[{"context":"Branch=*, Period=p1"}]}`,
 		`{"allowed":true,"phase":"granted","user":"alice","recorded":01}`,
 	} {
 		gw, gts, shards := newRecordingCluster(t, 1, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})

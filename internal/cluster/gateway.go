@@ -153,6 +153,12 @@ type Gateway struct {
 	currentHandoff *HandoffStatus
 	lastHandoff    *HandoffStatus
 
+	// closes counts the context-instance closes queued on the shard
+	// clients' outboxes (see closes.go). closing orders them against a
+	// handoff's copies: enqueueCloses holds it shared, a copy exclusively.
+	closes  server.CloseStats
+	closing sync.RWMutex
+
 	// baseCtx parents every handoff; Close cancels it and waits.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -213,7 +219,7 @@ func New(cfg Config) (*Gateway, error) {
 			return nil, fmt.Errorf("cluster: duplicate shard id %q", s.ID)
 		}
 		g.addrs[s.ID] = s.BaseURL
-		g.clients[s.ID] = g.newShardClient(s.BaseURL)
+		g.clients[s.ID] = g.newShardClient(s.BaseURL, server.NewOutbox(&g.closes))
 		state := cfg.States[s.ID] // zero value = ShardActive
 		g.states[s.ID] = state
 		// Only authoritative shards enter the ring: a restored topology
@@ -293,11 +299,14 @@ func (g *Gateway) probe(shard string) (string, error) {
 }
 
 // newShardClient builds the deadline-bounded client for a shard at
-// baseURL. Shed retries are off on shard clients: when a shard sheds
-// load (503 + Retry-After), the gateway forwards the hint to the PEP
-// instead of blocking a gateway worker on the shard's backlog.
-func (g *Gateway) newShardClient(baseURL string) *server.Client {
-	return server.NewClient(baseURL, g.cfg.HTTPClient, server.WithTimeout(g.cfg.Timeout), server.WithShedRetries(0))
+// baseURL, carrying the closes queued in outbox (nil for a shard that is
+// only being probed). Shed retries are off on shard clients: when a
+// shard sheds load (503 + Retry-After), the gateway forwards the hint to
+// the PEP instead of blocking a gateway worker on the shard's backlog.
+func (g *Gateway) newShardClient(baseURL string, outbox *server.Outbox) *server.Client {
+	c := server.NewClient(baseURL, g.cfg.HTTPClient, server.WithTimeout(g.cfg.Timeout), server.WithShedRetries(0))
+	c.Outbox = outbox
+	return c
 }
 
 // client returns the current client for a shard.
@@ -319,7 +328,7 @@ func (g *Gateway) SetShardAddr(id, baseURL string) error {
 		return fmt.Errorf("cluster: unknown shard %q", id)
 	}
 	g.addrs[id] = baseURL
-	g.clients[id] = g.newShardClient(baseURL)
+	g.clients[id] = g.newShardClient(baseURL, g.clients[id].Outbox)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"msod/internal/obsv"
+	"msod/internal/server"
 )
 
 // Handoff phases, in order. A handoff is the only way ring membership
@@ -437,6 +438,15 @@ func (g *Gateway) resolvedInTransit(user string) bool {
 // subtree-scoped snapshot exported under the donor's commit lock, then
 // imported with per-user replace semantics. The donors are quiesced
 // for all moving users, so the snapshots cannot miss a commit.
+//
+// A copy excludes closes (g.closing): a LastStep granted meanwhile by a
+// user who is not moving would otherwise be queued for the target before
+// its import and for the donor after its export, and the import would
+// carry the closed instance's records back in. Held exclusively per
+// pair, a close is queued for both before the export request — which
+// then carries it, so the donor exports what is left — or for both
+// after the import. LastStep answers wait out the copy; nothing else
+// does.
 func (g *Gateway) stream(ctx context.Context, plan *handoffPlan) error {
 	for _, donor := range plan.donors() {
 		groups := make(map[string][]string)
@@ -455,19 +465,30 @@ func (g *Gateway) stream(ctx context.Context, plan *handoffPlan) error {
 		for _, target := range targets {
 			users := groups[target]
 			sort.Strings(users)
-			snap, err := donorClient.ReplicaSnapshotUsers(ctx, users)
-			if err != nil {
-				return fmt.Errorf("export %d user(s) from %s: %w", len(users), donor, err)
-			}
 			targetClient, ok := g.client(target)
 			if !ok {
 				return fmt.Errorf("target %s has no client", target)
 			}
-			if _, err := targetClient.HandoffImport(ctx, snap); err != nil {
-				return fmt.Errorf("import %d user(s) into %s: %w", len(users), target, err)
+			if err := g.copyUsers(ctx, donor, donorClient, target, targetClient, users); err != nil {
+				return err
 			}
 			g.noteMoved(len(users))
 		}
+	}
+	return nil
+}
+
+// copyUsers is one export and its import, with no close queued between
+// the two (see stream).
+func (g *Gateway) copyUsers(ctx context.Context, donor string, from *server.Client, target string, to *server.Client, users []string) error {
+	g.closing.Lock()
+	defer g.closing.Unlock()
+	snap, err := from.ReplicaSnapshotUsers(ctx, users)
+	if err != nil {
+		return fmt.Errorf("export %d user(s) from %s: %w", len(users), donor, err)
+	}
+	if _, err := to.HandoffImport(ctx, snap); err != nil {
+		return fmt.Errorf("import %d user(s) into %s: %w", len(users), target, err)
 	}
 	return nil
 }

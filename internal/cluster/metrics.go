@@ -256,4 +256,9 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msod_handoff_users_moved_total", "Users whose retained-ADI history was streamed to a new owner.", g.metrics.handoffUsersMoved.Load())
 	obsv.WriteCounter(w, "msodgw_ctx_activation_fanouts_total", "FirstStep context activations fanned out to peer shards before acking the grant.", g.metrics.activationFanouts.Load())
 	obsv.WriteCounter(w, "msodgw_ctx_activation_withheld_total", "Grants withheld fail-closed because a peer shard did not acknowledge a context activation.", g.metrics.activationWithheld.Load())
+	obsv.WriteCounter(w, "msodgw_closes_enqueued_total", "LastStep context-instance closes queued for a peer shard, to ride the next request sent to it (one per close and peer).", g.closes.Enqueued.Load())
+	fmt.Fprintf(w, "# HELP msodgw_closes_dropped_total Closes given up, by reason: transport (the carrying request failed; may have been applied, never re-sent), overflow (oldest dropped from a full outbox: the shard answers nothing), unsendable (no requestID, or too large to carry). A dropped close leaves deny-safe leftovers on that shard.\n# TYPE msodgw_closes_dropped_total counter\n")
+	fmt.Fprintf(w, "msodgw_closes_dropped_total{reason=%q} %d\n", "transport", g.closes.Lost.Load())
+	fmt.Fprintf(w, "msodgw_closes_dropped_total{reason=%q} %d\n", "overflow", g.closes.Overflowed.Load())
+	fmt.Fprintf(w, "msodgw_closes_dropped_total{reason=%q} %d\n", "unsendable", g.closes.Unsendable.Load())
 }

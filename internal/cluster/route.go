@@ -35,9 +35,14 @@ import (
 //     response is not owned by the routed shard, the answer is
 //     withheld with a 502 — forwarding it would hand out a decision
 //     evaluated against the wrong shard's (partial) history. The
-//     stray evaluation can only over-count on a shard that never
-//     serves that user, which is deny-safe; the owner's retained ADI
-//     is untouched and the grant never reaches the PEP.
+//     owner's retained ADI is untouched and the grant never reaches
+//     the PEP. What the stray evaluation committed stays on the stray
+//     shard: a record there over-counts on a shard that never serves
+//     that user, which is deny-safe — but a granted LastStep has
+//     already purged that shard's own slice of the context instance,
+//     and history its users had in it is gone. The damage stops
+//     there: the closes of a withheld answer are never queued for the
+//     other shards (enqueueCloses runs where writeAnswer does).
 //
 //   - Idempotent retries: a decision (path server.DecisionPath) that
 //     carries no requestID gets one spliced in before the first send,
@@ -141,14 +146,17 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 	}
 	client, _ := g.client(shard)
 	g.metrics.routed.Add(1)
-	if record && !peek.HasRequestID {
+	// minted is the requestID spliced in for a PEP that sent none.
+	var minted [32]byte
+	haveMinted := false
+	if record && peek.RequestID == "" {
 		// Without entropy the decision goes out without an ID rather than
 		// fail: retries are then not idempotent, as for a PEP without one.
-		var id [16]byte
+		var id [len(minted) / 2]byte
 		if _, err := rand.Read(id[:]); err == nil {
-			var text [2 * len(id)]byte
-			hex.Encode(text[:], id[:])
-			body = peek.SpliceRequestID(body, string(text[:]))
+			hex.Encode(minted[:], id[:])
+			body = peek.SpliceRequestID(body, string(minted[:]))
+			haveMinted = true
 		}
 	}
 
@@ -224,6 +232,17 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 							resp.Activated, ferr))
 					return
 				}
+			}
+			// A granted LastStep closed its context instances on this
+			// shard only; the others are told on the next request each is
+			// sent (closes.go). Here and nowhere earlier: an answer that
+			// was withheld above queues nothing.
+			if record && len(resp.Closed) > 0 {
+				requestID := peek.RequestID
+				if haveMinted {
+					requestID = string(minted[:])
+				}
+				g.enqueueCloses(shard, requestID, resp.Closed)
 			}
 			g.logDecision(traceID, resp, shard, attempt, time.Since(start))
 			writeAnswer(w, answer)

@@ -23,6 +23,24 @@ package cluster
 //	                                                                       merge is unchanged
 //	join activation    authoritative                  none                 the join handoff fails, donors stay
 //	sync (handoff)                                                         authoritative
+//	close              serving (not gone), minus the  none: queued for     never withholds the grant. NOT a fan-out:
+//	(NOT a fan-out)    answering shard                every one, Down      queued per shard, carried by the next
+//	                                                  too                  request sent to it, whatever that is
+//	                                                                       (closes.go). A carrying request that fails
+//	                                                                       in transport drops what it carried — never
+//	                                                                       re-sent; past a fixed bound a shard that
+//	                                                                       answers nothing loses its oldest. Every
+//	                                                                       drop is counted
+//
+// The last row is the one lifecycle event that does not go through
+// scatter, because its failure rule is the opposite of activation's. A
+// missed activation is a false grant, so opening an instance is
+// synchronous and a failure withholds the ack. A missed close leaves
+// records of a finished instance on one shard — extra denials at worst,
+// never a false grant — so closing costs no post and can never fail a
+// decision; what it must never do is happen twice (the instance may
+// have been re-opened in between), which is why a close in doubt is
+// dropped and counted instead of retried.
 //
 // Why the sets differ. History lives only on authoritative shards, so
 // management and context state ask exactly those: a joining shard owns

@@ -70,3 +70,84 @@ func TestGoStatementsOnlyInOwners(t *testing.T) {
 		}
 	}
 }
+
+// funcName is a declaration's name, "Type.Method" for a method, as
+// TestGoStatementsOnlyInOwners spells it.
+func funcName(fn *ast.FuncDecl) string {
+	name := fn.Name.Name
+	if fn.Recv != nil && len(fn.Recv.List) == 1 {
+		recv := fn.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			name = id.Name + "." + name
+		}
+	}
+	return name
+}
+
+// requestBuilders are the only functions in this package allowed to
+// build an HTTP request or a shard client themselves, each with why its
+// requests need not go through a shard's server.Client. Everything else
+// reaches a shard through the client Gateway.client returns — which is
+// what carries the shard's pending context-instance closes (closes.go):
+// a request built around it could read a retained ADI in which an
+// instance the gateway has already acknowledged as ended is still open.
+var requestBuilders = map[string]string{
+	"Gateway.newShardClient": "builds the server.Client every other shard request goes through",
+	"Gateway.scrapeShard":    "GET /v1/metrics: reads counters, no retained ADI",
+	"Gateway.replicaDo":      "asks a read replica, which holds no retained ADI of its own: it mirrors its owner's event stream, closes included",
+}
+
+// TestShardRequestsOnlyThroughClient fails when non-test code outside
+// requestBuilders calls one of net/http's request constructors or
+// senders, or server.NewClient.
+func TestShardRequestsOnlyThroughClient(t *testing.T) {
+	builders := map[string]map[string]bool{
+		"http":   {"NewRequest": true, "NewRequestWithContext": true, "Get": true, "Head": true, "Post": true, "PostForm": true},
+		"server": {"NewClient": true},
+	}
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				name := funcName(fn)
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if pkg, ok := sel.X.(*ast.Ident); ok && builders[pkg.Name][sel.Sel.Name] {
+						found[name] = true
+						if _, allowed := requestBuilders[name]; !allowed {
+							t.Errorf("%s: %s.%s in %s; a request to a shard goes through its server.Client (Gateway.client), which carries the shard's pending closes — or the function needs an entry in requestBuilders saying why not",
+								fset.Position(call.Pos()), pkg.Name, sel.Sel.Name, name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for name := range requestBuilders {
+		if !found[name] {
+			t.Errorf("requestBuilders lists %s, which no longer builds a request; drop the entry", name)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"msod/internal/bctx"
 	"msod/internal/race"
@@ -57,7 +58,7 @@ func TestEvaluateAllocs(t *testing.T) {
 		},
 		{
 			// "TaxOffice=!, taxRefundProcess=!" binds to the request's
-			// own name (0). Returned: Decision.Activated (1). Built: the
+			// own name (0). Returned: Decision.Activated() (1). Built: the
 			// record slice (1). Retained: Roles copy (1), the instance
 			// (1), the list of its unique process value (1).
 			name: "opening grant, first step", policies: taxPolicies(),
@@ -112,14 +113,16 @@ func TestEvaluateAllocs(t *testing.T) {
 			want: Deny, budget: 2,
 		},
 		{
-			// Built: bound name (1). The purge itself allocates nothing.
+			// Built: bound name (1). Returned: Decision.Closed() (1), what
+			// a cluster's other nodes are told to close. The purge itself
+			// allocates nothing.
 			name: "last-step purge", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
 				mustEvaluate(t, e, bankReq("carol", "Teller", "HandleCash", "Leeds", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("bob", "Auditor", "CommitAudit", "York", period(i)) },
-			want:    Grant, budget: 1,
+			want:    Grant, budget: 2,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,6 +146,18 @@ func TestEvaluateAllocs(t *testing.T) {
 				t.Errorf("%v allocations per evaluation, budget %v (lower it too when the path loses one)", got, tc.budget)
 			}
 		})
+	}
+}
+
+// TestDecisionSize: pdp.Decision.MSoD points at a heap copy of every
+// Decision, so its size class is paid once per decision on every
+// deployment shape. 64 bytes is a class of its own; one more field is
+// the 96-byte class, which measured +5% alloc_bytes_per_decision on the
+// in-process workload. The instances a grant started and the ones it
+// terminated therefore share one slice (Activated, Closed).
+func TestDecisionSize(t *testing.T) {
+	if got := unsafe.Sizeof(Decision{}); got != 64 {
+		t.Fatalf("Decision is %d bytes, want exactly 64", got)
 	}
 }
 

@@ -43,8 +43,9 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// Effect is the outcome of an MSoD evaluation.
-type Effect int
+// Effect is the outcome of an MSoD evaluation. It is a byte so that
+// Decision stays in one size class (see Decision).
+type Effect uint8
 
 const (
 	// Grant means no MSoD constraint was violated; the decision has been
@@ -114,9 +115,15 @@ func (t *text) int(n int) {
 }
 
 // Decision is the result of evaluating a request against the MSoD policy
-// set.
+// set. It is exactly 64 bytes — pdp.Decision.MSoD points at a heap copy
+// of every one, and a 65th byte would move that copy to the 96-byte size
+// class (TestDecisionSize) — which is why Effect is a byte and the
+// started and terminated instances share one slice.
 type Decision struct {
 	Effect Effect
+	// split divides bounds: the instances the grant started come first,
+	// the ones it terminated after them.
+	split uint32
 	// Denial is set when Effect is Deny.
 	Denial *Denial
 	// MatchedPolicies counts how many policies' contexts matched the
@@ -127,19 +134,46 @@ type Decision struct {
 	// Purged counts retained-ADI records deleted because the request was
 	// a granted last step.
 	Purged int
-	// Activated lists the bound context instances this grant started
-	// for FirstStep-gated policies (the opening record committed).
-	// Distributed deployments need it: §4.2 step 4 skips recording
-	// while a context has no local history UNLESS the operation is the
-	// first step, so a PDP holding a slice of the user population must
-	// be told when some OTHER node saw the first step — otherwise its
-	// users' operations in the now-running instance pass unrecorded
-	// and a later k-of-m check under-counts (a false grant). Policies
-	// without a FirstStep never appear here: their opening branch
-	// matches every operation, so each node activates independently
-	// without losing records.
-	Activated []bctx.Name
+	bounds []bctx.Name
 }
+
+// Activated lists the bound context instances whose FirstStep this grant
+// was, for FirstStep-gated policies: the opening record committed, or —
+// the instance was already running on this node — the step was granted
+// in it. Distributed deployments need it: §4.2 step 4 skips recording
+// while a context has no local history UNLESS the operation is the
+// first step, so a PDP holding a slice of the user population must be
+// told when some OTHER node saw the first step — otherwise its users'
+// operations in the now-running instance pass unrecorded and a later
+// k-of-m check under-counts (a false grant). A first step in a running
+// instance is reported too because "running here" proves nothing about
+// the other nodes: this node may hold leftovers of an instance that
+// ended everywhere else (it missed the close, see Closed), and then this
+// first step is what starts the next one for all of them. Telling a
+// node that already knows is a no-op there. Policies without a
+// FirstStep never appear here: their opening branch matches every
+// operation, so each node activates independently without losing
+// records.
+func (d *Decision) Activated() []bctx.Name { return d.bounds[:d.split:d.split] }
+
+// Closed lists the bound context instances this grant terminated: the
+// request was the granted last step of their policy and step 7 purged
+// them here. A PDP holding a slice of the user population purged only
+// its own users' records; the other nodes hold the rest of the instance
+// and must be told to close it too (Engine.Close), or they retain — and
+// keep judging their users by — history the paper's single PDP deleted.
+func (d *Decision) Closed() []bctx.Name { return d.bounds[d.split:] }
+
+// started files a bound instance under Activated, closed one under
+// Closed; both keep policy order within their half.
+func (d *Decision) started(bound bctx.Name) {
+	d.bounds = append(d.bounds, bctx.Name{})
+	copy(d.bounds[d.split+1:], d.bounds[d.split:])
+	d.bounds[d.split] = bound
+	d.split++
+}
+
+func (d *Decision) closed(bound bctx.Name) { d.bounds = append(d.bounds, bound) }
 
 // Engine evaluates requests against a compiled MSoD policy set and a
 // retained-ADI store. The part of an evaluation that reads or writes
@@ -316,7 +350,7 @@ type action struct {
 	purge     bool
 	bound     bctx.Name
 	records   []adi.Record
-	activates bool // records open an instance of a FirstStep-gated policy
+	activates bool // the request is the granted first step of a FirstStep-gated policy
 }
 
 // refusal is the constraint that denied a request, as the locked part
@@ -404,6 +438,19 @@ func (e *Engine) PeekCtx(ctx context.Context, req Request) (Decision, error) {
 	return e.evaluate(ctx, req, false)
 }
 
+// Close is step 7 for a last step that was granted on another node (see
+// Decision.Closed): it purges the bound context instance from this
+// node's store and reports how many records went. It takes the engine
+// lock, so an evaluation in the same instance runs wholly before the
+// close (what it recorded is purged) or wholly after it (it finds the
+// instance not started) — never between its history checks and its
+// append.
+func (e *Engine) Close(bound bctx.Name) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.store.PurgeContext(bound)
+}
+
 func (e *Engine) evaluate(ctx context.Context, req Request, commit bool) (Decision, error) {
 	if err := req.Validate(); err != nil {
 		return Decision{}, err
@@ -482,7 +529,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 			// Deny exits immediately; no retained-ADI mutation at all.
 			return Decision{Effect: Deny, MatchedPolicies: i + 1}, refused, nil
 		}
-		if act.purge || len(act.records) > 0 {
+		if act.purge || act.activates || len(act.records) > 0 {
 			actions = append(actions, act)
 		}
 	}
@@ -502,6 +549,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 					return Decision{}, refusal{}, fmt.Errorf("core: purge %q: %w", act.bound, err)
 				}
 				dec.Purged += n
+				dec.closed(act.bound)
 				if xr != nil {
 					// Recorded at commit (not evaluation) time so a
 					// later policy's denial cannot leave a phantom
@@ -511,7 +559,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 			}
 			continue
 		}
-		if commit {
+		if commit && len(act.records) > 0 {
 			var err error
 			if e.ctxStore != nil {
 				// Context-aware stores (the durable ADI) record the
@@ -526,7 +574,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 		}
 		dec.Recorded += len(act.records)
 		if commit && act.activates {
-			dec.Activated = append(dec.Activated, act.bound)
+			dec.started(act.bound)
 		}
 	}
 	return dec, refusal{}, nil
@@ -694,10 +742,13 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr *expl
 	if isLast {
 		return action{purge: true, bound: m.bound}, refusal{}, nil
 	}
+	// The first step, granted in an instance that is running here, is
+	// reported like the one that started it (see Decision.Activated).
+	act := action{bound: m.bound, activates: m.FirstStep != nil && m.FirstStep.matches(req.Operation, req.Target)}
 	if records == 0 {
-		return action{}, refusal{}, nil
+		return act, refusal{}, nil
 	}
-	act := action{bound: m.bound, records: make([]adi.Record, 0, records)}
+	act.records = make([]adi.Record, 0, records)
 	for i := range m.MMER {
 		// Step 5.iv: one new record per currently matched role. Its
 		// one-role slice is the rule's own; the store copies what it

@@ -507,3 +507,74 @@ func TestDenialError(t *testing.T) {
 		t.Error("Effect.String broken")
 	}
 }
+
+// TestDecisionStartedAndTerminated: a grant reports the instances it
+// started and the ones it terminated separately, each in policy order,
+// whichever order the policies produced them in; Close is the same
+// termination asked for from outside, and a Peek reports neither.
+func TestDecisionStartedAndTerminated(t *testing.T) {
+	rule := []MMERRule{{Roles: []rbac.RoleName{"Teller", "Auditor"}, Cardinality: 2}}
+	step := &Step{Operation: "go", Target: "t"}
+	e, store := newEngine(t, []Policy{
+		{Context: bctx.MustParse("A=!"), LastStep: step, MMER: rule},
+		{Context: bctx.MustParse("A=!, B=*"), FirstStep: step, MMER: rule},
+		{Context: bctx.MustParse("A=*, B=!"), LastStep: step, MMER: rule},
+		{Context: bctx.MustParse("A=!, B=!"), FirstStep: step, MMER: rule},
+	})
+	req := Request{User: "alice", Roles: []rbac.RoleName{"Teller"}, Operation: "go", Target: "t", Context: bctx.MustParse("A=1, B=2")}
+	names := func(bounds []bctx.Name) string {
+		var out []string
+		for _, b := range bounds {
+			out = append(out, b.String())
+		}
+		return strings.Join(out, "; ")
+	}
+	peek, err := e.Peek(req)
+	if err != nil || len(peek.Activated())+len(peek.Closed()) != 0 {
+		t.Fatalf("Peek started %q, terminated %q, %v; it commits nothing", names(peek.Activated()), names(peek.Closed()), err)
+	}
+	dec := grant(t, e, req)
+	if got, want := names(dec.Activated()), "A=1, B=*; A=1, B=2"; got != want {
+		t.Errorf("Activated() = %q, want %q", got, want)
+	}
+	if got, want := names(dec.Closed()), "A=1; A=*, B=2"; got != want {
+		t.Errorf("Closed() = %q, want %q", got, want)
+	}
+	if a := append(dec.Activated(), bctx.Universal); names(dec.Closed()) != "A=1; A=*, B=2" || len(a) != 3 {
+		t.Errorf("appending to Activated() reached Closed(): %q", names(dec.Closed()))
+	}
+
+	// Mutations apply in policy order, so the third policy's purge took
+	// the second's opening record with it; the fourth's is left.
+	if store.Len() != 1 {
+		t.Fatalf("one opening record expected, store holds %d", store.Len())
+	}
+	if n, err := e.Close(bctx.MustParse("A=1, B=*")); err != nil || n != 1 || store.Len() != 0 {
+		t.Fatalf("Close removed %d (%v), store holds %d; want the record gone", n, err, store.Len())
+	}
+}
+
+// TestFirstStepInRunningInstanceIsReported: a node of a sharded PDP that
+// missed an instance's close still holds its records, so the next first
+// step looks to it like one more step of a running instance. It is
+// reported as an activation all the same — the other nodes closed the
+// instance, and would let their users' steps in the new one pass
+// unrecorded if nobody told them it had started.
+func TestFirstStepInRunningInstanceIsReported(t *testing.T) {
+	e, _ := newEngine(t, taxPolicies())
+	first := grant(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", "p1"))
+	if len(first.Activated()) != 1 {
+		t.Fatalf("opening first step: Activated() = %v", first.Activated())
+	}
+	mid := grant(t, e, taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", "p1"))
+	if len(mid.Activated()) != 0 {
+		t.Fatalf("a later step reports Activated() = %v", mid.Activated())
+	}
+	again := grant(t, e, taxReq("c2", "Clerk", "prepareCheck", checkTarget, "Leeds", "p1"))
+	if len(again.Activated()) != 1 || again.Activated()[0].String() != "TaxOffice=Leeds, taxRefundProcess=p1" || again.Recorded != 1 {
+		t.Fatalf("first step in the running instance = %+v, want it recorded and reported as an activation", again)
+	}
+	if peek, err := e.Peek(taxReq("c3", "Clerk", "prepareCheck", checkTarget, "Leeds", "p1")); err != nil || len(peek.Activated()) != 0 {
+		t.Fatalf("Peek reports Activated() = %v, %v; it commits nothing", peek.Activated(), err)
+	}
+}

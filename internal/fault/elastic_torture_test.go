@@ -18,6 +18,7 @@ import (
 	"msod/internal/inspect"
 	"msod/internal/pdp"
 	"msod/internal/policy"
+	"msod/internal/rbac"
 	"msod/internal/server"
 )
 
@@ -30,10 +31,22 @@ import (
 // acknowledged decision and across a final full probe grid is
 // one-sided, matching the paper's fail-closed stance: anything the
 // cluster GRANTS, an in-memory shadow PDP that absorbed exactly the
-// acknowledged decisions must also grant. The cluster may refuse (503)
+// acknowledged grants must also grant. The cluster may refuse (503)
 // or over-deny during and after the window — a commit whose ack was
 // withheld leaves deny-safe extra history — but one grant the shadow
 // denies means resharding split or lost someone's retained ADI.
+//
+// One step in six is the policy's LastStep, and traffic keeps flowing
+// while the handoff runs and the fault fires: the closes of those
+// LastSteps ride whatever the gateway sends next — a decision, the
+// donor's export, the joiner's import, a probe of a shard that is dying
+// — are queued for the joiner before it owns anything, and are dropped
+// when the request carrying them dies. A close lost that way leaves
+// records behind (more denials); a close applied twice, or to the wrong
+// side of an export, would show up here as a false grant. Every step
+// carries a requestID and a step that was not acknowledged is retried
+// under it before anything later is sent, as a PEP that must not lose a
+// LastStep does: the retry is answered by the replay, closes and all.
 
 // chaosProxy fronts one shard. Arm kills the shard after n more
 // requests: that request and all later ones abort at the TCP level
@@ -89,11 +102,34 @@ func newElasticVictim(t *testing.T, pol *policy.RBACPolicy) *elasticVictim {
 	return &elasticVictim{proxy: proxy, srv: srv}
 }
 
+// lastStepsAcked counts the torture's acknowledged LastSteps that closed
+// an instance, over all seeds: the suite must not pass because the
+// schedules stopped drawing any.
+var lastStepsAcked atomic.Int64
+
+// withLastSteps turns one step in every `every` into the LastStep, by a
+// manager, of the instance the step was in.
+func withLastSteps(rng *rand.Rand, steps []tortureStep, every int) []tortureStep {
+	managers := []rbac.UserID{"m0", "m1", "m2"}
+	for i := range steps {
+		if rng.Intn(every) == 0 {
+			steps[i] = tortureStep{user: managers[rng.Intn(len(managers))], role: "Manager",
+				op: "archiveCase", tgt: "http://secret.location.com/archive", inst: steps[i].inst}
+		}
+	}
+	return steps
+}
+
 func TestElasticReshardTorture(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 8
 	}
+	t.Cleanup(func() {
+		if lastStepsAcked.Load() == 0 {
+			t.Error("no schedule had a LastStep that closed an instance acknowledged")
+		}
+	})
 	for seed := 1; seed <= seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
@@ -158,40 +194,62 @@ func elasticTortureOne(t *testing.T, seed int64) {
 			Context: "TaxOffice=Leeds, taxRefundProcess=" + s.inst,
 		}
 	}
+	// numbered gives the i-th step of a stage the requestID every attempt
+	// at it is sent under.
+	numbered := func(stage string, i int, s tortureStep) server.DecisionRequest {
+		req := wire(s)
+		req.RequestID = fmt.Sprintf("seed%d-%s-%d", seed, stage, i)
+		return req
+	}
+	// check holds one acknowledged decision against the shadow. The
+	// shadow absorbs what the cluster granted and nothing else: a step the
+	// cluster refused — rightly, or over-denying on leftovers of a close
+	// it lost — was not performed, and a shadow that recorded it anyway
+	// would later deny, on history that does not exist, what the cluster
+	// rightly grants.
+	check := func(stage string, s tortureStep, vd server.DecisionResponse) {
+		t.Helper()
+		if !vd.Allowed {
+			return
+		}
+		sd, serr := shadow.Decide(s.request())
+		if serr != nil {
+			t.Fatalf("%s: shadow decide: %v", stage, serr)
+		}
+		if !sd.Allowed {
+			t.Fatalf("%s: FALSE GRANT: cluster granted %s %s for %s/%s, shadow denies (%s)",
+				stage, s.op, s.inst, s.user, s.role, sd.Reason)
+		}
+		if len(vd.Closed) > 0 {
+			lastStepsAcked.Add(1)
+		}
+	}
 	// decideAcked routes one step, riding out fail-closed 503s (the
 	// handoff window, a dying shard before its probe) like a PEP would.
-	decideAcked := func(stage string, s tortureStep) server.DecisionResponse {
+	decideAcked := func(stage string, req server.DecisionRequest) server.DecisionResponse {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			resp, err := c.Decision(wire(s))
+			resp, err := c.Decision(req)
 			if err == nil {
 				return resp
 			}
 			var apiErr *server.APIError
 			if !errors.As(err, &apiErr) || apiErr.Status != 503 || time.Now().After(deadline) {
-				t.Fatalf("%s: decision %+v: %v", stage, s, err)
+				t.Fatalf("%s: decision %+v: %v", stage, req, err)
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	runSteps := func(stage string, steps []tortureStep) {
+	runSteps := func(stage string, steps []tortureStep, from int) {
 		t.Helper()
-		for _, s := range steps {
-			vd := decideAcked(stage, s)
-			sd, serr := shadow.Decide(s.request())
-			if serr != nil {
-				t.Fatalf("%s: shadow decide: %v", stage, serr)
-			}
-			if vd.Allowed && !sd.Allowed {
-				t.Fatalf("%s: FALSE GRANT: cluster granted %s %s for %s/%s, shadow denies (%s)",
-					stage, s.op, s.inst, s.user, s.role, sd.Reason)
-			}
+		for i := from; i < len(steps); i++ {
+			check(stage, steps[i], decideAcked(stage, numbered(stage, i, steps[i])))
 		}
 	}
 
-	steps := genWorkload(rng, 80)
-	runSteps("pre-reshard", steps[:40])
+	steps := withLastSteps(rng, genWorkload(rng, 80), 6)
+	runSteps("pre-reshard", steps[:40], 0)
 
 	// Scale out under fire: shard-c joins while a seeded fault fires.
 	joiner := newElasticVictim(t, pol)
@@ -243,6 +301,20 @@ func elasticTortureOne(t *testing.T, seed int64) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("join status %d", resp.StatusCode)
+	}
+	// Traffic during the handoff, one step in three a LastStep, each sent
+	// once: the first step that is not acknowledged — its user in transit,
+	// its shard dying — stops the flow, and is where it resumes, under the
+	// same requestID, once the cluster has healed.
+	during := withLastSteps(rng, genWorkload(rng, 16), 3)
+	impatient := server.NewClient(gwSrv.URL, nil, server.WithShedRetries(0))
+	resumeAt := 0
+	for ; resumeAt < len(during); resumeAt++ {
+		vd, err := impatient.Decision(numbered("mid-reshard", resumeAt, during[resumeAt]))
+		if err != nil {
+			break
+		}
+		check("mid-reshard", during[resumeAt], vd)
 	}
 	if kind == 2 {
 		// Kill the gateway while the handoff is (very likely still)
@@ -297,9 +369,11 @@ func elasticTortureOne(t *testing.T, seed int64) {
 		}
 	}
 
-	// Post-reshard workload, then the full probe grid: one cluster
-	// grant the shadow denies is a reshard-induced false grant.
-	runSteps("post-reshard", steps[40:])
+	// The rest of the interrupted traffic, the post-reshard workload,
+	// then the full probe grid: one cluster grant the shadow denies is a
+	// reshard-induced false grant.
+	runSteps("mid-reshard", during, resumeAt)
+	runSteps("post-reshard", steps[40:], 0)
 	for _, probe := range probeSteps() {
 		vd, verr := c.Advice(wire(probe))
 		if verr != nil {

@@ -38,7 +38,9 @@ import (
 // crash between the two is a (documented) atomicity gap of the
 // purge+append pair, not of single-entry commits. The durable store
 // commits each Append as one sealed WAL line, so the invariant here
-// is exact equality.
+// is exact equality. (The policy has a last step, archiveCase, for the
+// elastic resharding torture, which shares it; genWorkload never draws
+// it.)
 
 const torturePolicyXML = `
 <RBACPolicy id="torture-1">
@@ -54,10 +56,12 @@ const torturePolicyXML = `
     <Grant role="Clerk" operation="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
     <Grant role="Manager" operation="approveCheck" target="http://www.myTaxOffice.com/Check"/>
     <Grant role="Manager" operation="combineResults" target="http://secret.location.com/results"/>
+    <Grant role="Manager" operation="archiveCase" target="http://secret.location.com/archive"/>
   </TargetAccessPolicy>
   <MSoDPolicySet>
     <MSoDPolicy BusinessContext="TaxOffice=!, taxRefundProcess=!">
       <FirstStep operation="prepareCheck" targetURI="http://www.myTaxOffice.com/Check"/>
+      <LastStep operation="archiveCase" targetURI="http://secret.location.com/archive"/>
       <MMEP ForbiddenCardinality="2">
         <Operation value="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
         <Operation value="approveCheck" target="http://www.myTaxOffice.com/Check"/>

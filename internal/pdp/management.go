@@ -129,6 +129,27 @@ func (p *PDP) Manage(req ManagementRequest) (ManagementResult, error) {
 	}
 }
 
+// CloseContext is §4.2 step 7 for a last step that was granted on
+// another node of a user-sharded deployment (core.Decision.Closed): this
+// node's slice of the bound context instance is purged through the
+// engine (core.Engine.Close), with no authorisation of its own — the
+// caller vouches that the last step was granted — and published as the
+// OutcomePurge event an administrative purgeContext of the same
+// instance publishes, so a mirror replaying the stream closes it too.
+// by names the granted last step in the event.
+func (p *PDP) CloseContext(bound bctx.Name, by string) (int, error) {
+	res, err := p.purge(inspect.DecisionEvent{
+		Operation: string(OpPurgeContext),
+		Target:    string(RetainedADITarget),
+		Context:   bound.String(),
+		Reason:    "closed by last step " + by + " granted on another shard",
+	}, func() (int, bool, error) {
+		n, err := p.engine.Close(bound)
+		return n, true, err
+	})
+	return res.Removed, err
+}
+
 // purge runs a management purge — the store's own PurgeContext,
 // or one that reaches it through adi's signature bridges (PurgeUserFrom,
 // PurgeBeforeFrom; !ok: the store has no such surface) — and, when it

@@ -606,3 +606,71 @@ func TestReplicaServerContract(t *testing.T) {
 		}
 	}
 }
+
+// TestFollowerDropsClosedInstance: a context instance closed on the
+// owner by a close the gateway's request carried (a LastStep granted on
+// another shard) is published as a purge event like an administrative
+// purge, so the replica's mirror closes it too and stops refusing what
+// the owner now allows.
+func TestFollowerDropsClosedInstance(t *testing.T) {
+	broker := inspect.NewBroker(64)
+	p, err := pdp.New(pdp.Config{
+		Policy:   testPolicy(t),
+		Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(p, server.WithEventBroker(broker), server.WithHandoff()))
+	t.Cleanup(ts.Close)
+	grant(t, p, "alice", "Teller", "HandleCash", "till", "Branch=York, Period=2006")
+	grant(t, p, "bob", "Teller", "HandleCash", "till", "Branch=York, Period=2007")
+
+	f, err := New(Config{
+		Owner: ts.URL, Policy: testPolicy(t),
+		ReconnectBackoff: 10 * time.Millisecond, ResyncBackoff: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = f.Run(ctx) }()
+	waitConverged(t, f, broker)
+	probe := pdp.Request{
+		User: "alice", Roles: []rbac.RoleName{"Auditor"},
+		Operation: "Audit", Target: "ledger",
+		Context: bctx.MustParse("Branch=York, Period=2006"),
+	}
+	if dec, err := f.Advise(probe); err != nil || dec.Allowed {
+		t.Fatalf("replica before the close: %+v, %v; want the MMER denial", dec, err)
+	}
+
+	entry, ok := server.EncodeClose("last-step-1", []string{"Branch=*, Period=2006"})
+	if !ok {
+		t.Fatal("EncodeClose refused")
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+server.HealthPath, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header[server.CloseHeader] = []string{entry}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if p.Store().Len() != 1 {
+		t.Fatalf("owner holds %d records after the carried close, want Period=2007's one", p.Store().Len())
+	}
+	waitConverged(t, f, broker)
+	if f.Mirror().Records() != 1 {
+		t.Fatalf("mirror holds %d records after the owner closed Period=2006, want 1", f.Mirror().Records())
+	}
+	if dec, err := f.Advise(probe); err != nil || !dec.Allowed {
+		t.Fatalf("replica after the close: %+v, %v; want the grant the owner now gives", dec, err)
+	}
+	if got := f.Status().Resyncs; got != 1 {
+		t.Errorf("resyncs = %d, want the bootstrap's 1: the close must replay, not diverge", got)
+	}
+}

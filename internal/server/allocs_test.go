@@ -129,6 +129,11 @@ func TestServeDecisionAllocs(t *testing.T) {
 		name    string
 		prepare func(i int) *DecisionRequest // served first, to bring instance i into the starting state
 		request func(i int) DecisionRequest
+		// handoff serves the case on a shard run with -handoff, as every
+		// shard behind a gateway is; carry, when set, is the CloseHeader
+		// the gateway's request i arrives with.
+		handoff bool
+		carry   func(i int) string
 		allowed bool
 		phase   string
 		budget  map[string]float64
@@ -143,6 +148,34 @@ func TestServeDecisionAllocs(t *testing.T) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
 			budget: map[string]float64{"default": 29, "bare": 22},
+		},
+		{
+			// The same on a shard behind a gateway, the request carrying
+			// no close: looking for the header costs nothing.
+			name:    "MMER grant, no close carried",
+			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
+			request: func(i int) DecisionRequest { return teller("alice", i) },
+			handoff: true,
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 29, "bare": 22},
+		},
+		{
+			// The same, the request carrying one close — of another
+			// period, which holds nothing on this shard. On top of the
+			// grant's 29 / 22: the closed instance's name parsed (1) and
+			// rendered into the purge event (1), the event's reason (1),
+			// and the last step's requestID cloned out of the header for
+			// the applied ring (1).
+			name:    "MMER grant carrying one close",
+			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
+			request: func(i int) DecisionRequest { return teller("alice", i) },
+			handoff: true,
+			carry: func(i int) string {
+				entry, _ := EncodeClose(fmt.Sprintf("%032x", i), []string{fmt.Sprintf("Branch=*, Period=closed%d", i)})
+				return entry
+			},
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 33, "bare": 26},
 		},
 		{
 			// 17 + the validated roles (1), Decision.MSoD (1), the bound
@@ -206,6 +239,9 @@ func TestServeDecisionAllocs(t *testing.T) {
 						WithTraceStore(trace.NewStore(trace.Config{Capacity: ringSize})),
 					}
 				}
+				if tc.handoff {
+					opts = append(opts, WithHandoff())
+				}
 				p, err := pdp.New(cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -239,6 +275,9 @@ func TestServeDecisionAllocs(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					if tc.carry != nil {
+						r.Header[CloseHeader] = []string{tc.carry(i)}
+					}
 					reqs = append(reqs, r)
 				}
 				i := 0
@@ -257,6 +296,9 @@ func TestServeDecisionAllocs(t *testing.T) {
 				}
 				if w.status != http.StatusOK || resp.Allowed != tc.allowed || resp.Phase != tc.phase {
 					t.Fatalf("status %d, answer %+v; want allowed=%v phase=%s", w.status, resp, tc.allowed, tc.phase)
+				}
+				if applied := srv.metrics.closesApplied.Load(); tc.carry != nil && applied != int64(i) {
+					t.Fatalf("%d closes applied over %d requests carrying one each", applied, i)
 				}
 				if got != tc.budget[kind] {
 					t.Fatalf("%v allocs, budget %v", got, tc.budget[kind])

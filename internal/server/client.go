@@ -95,10 +95,17 @@ type Client struct {
 	// Credentials, when set, are attached to every decision request
 	// (the PEP presenting the user's signed attributes).
 	Credentials []credential.Credential
+	// Outbox, when set, holds the context-instance closes still to be
+	// told to the server this client talks to (closes.go): every request
+	// carries what is pending. The cluster gateway sets one on each of
+	// its shard clients; a PEP's client has none.
+	Outbox *Outbox
 }
 
 // NewClient builds a client for the PDP at base (e.g.
 // "http://127.0.0.1:8443"). A nil httpClient uses http.DefaultClient.
+// Of httpClient, every request but the event stream uses the Transport
+// and the Timeout only (see send).
 func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
@@ -110,13 +117,62 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 	return c
 }
 
-// reqContext derives the context bounding one request from the
-// caller's context.
+// reqContext derives the context bounding one unary request from the
+// caller's context: the shorter of the client's timeout (WithTimeout)
+// and the Timeout of the http.Client it was built over.
 func (c *Client) reqContext(parent context.Context) (context.Context, context.CancelFunc) {
-	if c.timeout <= 0 {
+	d := c.timeout
+	if t := c.http.Timeout; t > 0 && (d <= 0 || t < d) {
+		d = t
+	}
+	if d <= 0 {
 		return parent, func() {}
 	}
-	return context.WithTimeout(parent, c.timeout)
+	return context.WithTimeout(parent, d)
+}
+
+// send is the one way a request leaves the client — and so the one
+// place the Outbox's pending closes are attached to it and, when it
+// ends, settled: delivered once the server answered at all, given up
+// when the transport failed (see Outbox.settle). The caller closes the
+// response body.
+//
+// A unary request (everything but the event stream) goes straight to
+// the RoundTripper, bounded by reqContext: http.Client.Do would first
+// prepare for a redirect this API never sends — a clone of the headers
+// and the means to copy them onto the next request, five allocations a
+// hop. What Do did that matters is kept: a URL's userinfo becomes basic
+// auth, the client's Timeout is in reqContext, and a 3xx comes back as
+// a response like any other non-200 — an *APIError to every caller. The
+// client's Jar and CheckRedirect are not consulted. The event stream is
+// long-lived and keeps Do.
+func (c *Client) send(req *http.Request, unary bool) (*http.Response, error) {
+	var carried uint64
+	if c.Outbox != nil {
+		var header []string
+		if header, carried = c.Outbox.attach(); header != nil {
+			req.Header[CloseHeader] = header
+		}
+	}
+	var resp *http.Response
+	var err error
+	if unary {
+		rt := c.http.Transport
+		if rt == nil {
+			rt = http.DefaultTransport
+		}
+		if u := req.URL.User; u != nil {
+			password, _ := u.Password()
+			req.SetBasicAuth(u.Username(), password)
+		}
+		resp, err = rt.RoundTrip(req)
+	} else {
+		resp, err = c.http.Do(req)
+	}
+	if carried != 0 {
+		c.Outbox.settle(carried, err == nil)
+	}
+	return resp, err
 }
 
 // Decision submits a decision request.
@@ -174,7 +230,7 @@ func (c *Client) Health() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("server: health: %w", err)
 	}
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(httpReq, true)
 	if err != nil {
 		return "", fmt.Errorf("server: health: %w", err)
 	}
@@ -418,7 +474,7 @@ func (c *Client) streamOnce(ctx context.Context, q url.Values, resume *uint64, s
 	if resume != nil {
 		httpReq.Header.Set(LastEventIDHeader, strconv.FormatUint(*resume, 10))
 	}
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(httpReq, false)
 	if err != nil {
 		return fmt.Errorf("server: events: %w", err)
 	}
@@ -513,7 +569,7 @@ func (c *Client) get(parent context.Context, path string, out any) error {
 	if err != nil {
 		return fmt.Errorf("server: get %s: %w", path, err)
 	}
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(httpReq, true)
 	if err != nil {
 		return fmt.Errorf("server: get %s: %w", path, err)
 	}
@@ -596,7 +652,7 @@ func (c *Client) postOnce(parent context.Context, path string, body []byte) ([]b
 	if id := obsv.TraceIDFrom(parent); id.Valid() {
 		httpReq.Header.Set(obsv.TraceparentHeader, id.Traceparent())
 	}
-	httpResp, err := c.http.Do(httpReq)
+	httpResp, err := c.send(httpReq, true)
 	if err != nil {
 		return nil, fmt.Errorf("server: post %s: %w", path, err)
 	}

@@ -51,6 +51,9 @@ type metrics struct {
 	handoffImports   atomic.Int64
 	handoffRecordsIn atomic.Int64
 	handoffReleases  atomic.Int64
+	// closesApplied counts last steps granted on other shards whose
+	// context instances this shard closed (closes.go), each once.
+	closesApplied atomic.Int64
 	// duration observes the PDP evaluation time of every decision and
 	// advisory request (not transport or JSON handling); stages breaks
 	// the same time down by pipeline stage from the request's trace.
@@ -174,6 +177,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obsv.WriteCounter(w, "msod_handoff_releases_total",
 		"Post-cutover handoff releases executed (moved users purged from the donor).",
 		s.metrics.handoffReleases.Load())
+	obsv.WriteCounter(w, "msod_closes_applied_total",
+		"Last steps granted on other shards whose context instances were closed here, each applied once (carried on the gateway's requests; needs -handoff).",
+		s.metrics.closesApplied.Load())
 	obsv.WriteCounter(w, "msod_shed_total",
 		"Requests shed by admission control with 503 + Retry-After (server at its in-flight cap).",
 		s.metrics.shed.Load())

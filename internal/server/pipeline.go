@@ -85,11 +85,23 @@ func (c *DecisionCall) Response(dec pdp.Decision) DecisionResponse {
 		resp.Recorded = dec.MSoD.Recorded
 		resp.Purged = dec.MSoD.Purged
 		resp.MatchedPolicies = dec.MSoD.MatchedPolicies
-		for _, bound := range dec.MSoD.Activated {
-			resp.Activated = append(resp.Activated, bound.String())
-		}
+		resp.Activated = boundNames(dec.MSoD.Activated())
+		resp.Closed = boundNames(dec.MSoD.Closed())
 	}
 	return resp
+}
+
+// boundNames renders bound context instances for the wire; none is nil,
+// so the member is omitted.
+func boundNames(bounds []bctx.Name) []string {
+	if len(bounds) == 0 {
+		return nil
+	}
+	out := make([]string, len(bounds))
+	for i, bound := range bounds {
+		out[i] = bound.String()
+	}
+	return out
 }
 
 // decisionCall is the pipeline's per-request value: each stage reads

@@ -71,6 +71,12 @@ type DecisionResponse struct {
 	// cluster gateway fans each one out to every other shard before
 	// acknowledging, so FirstStep-gated recording holds cluster-wide.
 	Activated []string `json:"activated,omitempty"`
+	// Closed lists bound context instances this grant TERMINATED (the
+	// LastStep of an MSoD policy was granted and this shard purged its
+	// slice of them; Purged counts this shard's records only). The
+	// cluster gateway tells every other shard to close them too, on the
+	// next request it sends each (see closes.go).
+	Closed []string `json:"closed,omitempty"`
 	// MatchedPolicies is how many MSoD policies applied.
 	MatchedPolicies int `json:"matchedPolicies,omitempty"`
 	// TraceID correlates this response with the server's slow-log
@@ -171,8 +177,10 @@ type Server struct {
 	degraded atomic.Bool
 
 	// handoff enables the resharding handoff surface (see handoff.go /
-	// WithHandoff); off by default.
+	// WithHandoff) and, with it, the closes a gateway's requests carry
+	// (closes.go); off by default.
 	handoff bool
+	closes  appliedCloses
 }
 
 // Option configures a Server.
@@ -249,8 +257,16 @@ func New(p *pdp.PDP, opts ...Option) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. On a handoff-capable shard the
+// closes a gateway's request carries (closes.go) are applied first,
+// whatever the request is: the handler then reads a retained ADI in
+// which those context instances have ended.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.handoff {
+		for _, header := range r.Header[CloseHeader] {
+			s.applyCloses(header)
+		}
+	}
 	s.mux.ServeHTTP(w, r)
 }
 

@@ -11,8 +11,9 @@ import (
 // bytes: a scanner over the top-level members of a JSON object, and its
 // three consumers — the shard's request decoder, and the gateway's peek
 // at a request (routing key, credentials, requestID) and at an answer
-// (resolved subject, activations, verdict). The scanner finds where each
-// member's value ends; what a value MEANS is encoding/json's business
+// (resolved subject, activations, closes, verdict). The scanner finds
+// where each member's value ends; what a value MEANS is encoding/json's
+// business
 // wherever it is anything but a plain ASCII string, an array of them or
 // a bare literal: every other value is handed to json.Valid or, for a
 // declared field, to json.Unmarshal into that field. So which duplicate
@@ -304,9 +305,10 @@ type RequestPeek struct {
 	// credential holder, else empty. A hint — the shard's CVS resolves
 	// the canonical subject, and the gateway checks the answer.
 	Subject string
-	// HasCredentials and HasRequestID say whether the decoded request
-	// would carry any credential and a non-empty requestID.
-	HasCredentials, HasRequestID bool
+	// HasCredentials says whether the decoded request would carry any
+	// credential; RequestID is the requestID it would carry.
+	HasCredentials bool
+	RequestID      string
 
 	end   int  // offset of the body's closing brace
 	empty bool // the object has no members
@@ -345,7 +347,7 @@ func PeekDecisionRequest(body []byte) (RequestPeek, error) {
 			return RequestPeek{}, err
 		}
 	}
-	peek := RequestPeek{Subject: user, HasCredentials: len(holders) > 0, HasRequestID: requestID != "", end: ms.end, empty: ms.n == 0}
+	peek := RequestPeek{Subject: user, HasCredentials: len(holders) > 0, RequestID: requestID, end: ms.end, empty: ms.n == 0}
 	for i := 0; peek.Subject == "" && i < len(holders); i++ {
 		peek.Subject = holders[i].Holder
 	}
@@ -377,22 +379,23 @@ func (p RequestPeek) SpliceRequestID(body []byte, id string) []byte {
 }
 
 // answerFields are the members of a decision answer the gateway reads.
-var answerFields = []string{"user", "activated", "allowed", "phase"}
+var answerFields = []string{"user", "activated", "closed", "allowed", "phase"}
 
 // AnswerPeek is what the gateway checks of a shard's answer before
 // forwarding it verbatim.
 type AnswerPeek struct {
 	// User is the subject the shard resolved, Activated the context
-	// instances the decision started.
+	// instances the decision started and Closed the ones it terminated.
 	User      string
 	Activated []string
+	Closed    []string
 
 	allowed, phase []byte // raw, for Verdict
 }
 
 // PeekDecisionAnswer reads them from a 200 body. An error means the
-// body is not one well-formed JSON object, or user or activated has
-// the wrong type: an answer nobody can act on. subject is the routing
+// body is not one well-formed JSON object, or user, activated or closed
+// has the wrong type: an answer nobody can act on. subject is the routing
 // key the request went out under: an answer that names it, as nearly
 // every one does, gets that string as its User instead of a copy.
 func PeekDecisionAnswer(body []byte, subject string) (AnswerPeek, error) {
@@ -418,6 +421,8 @@ func PeekDecisionAnswer(body []byte, subject string) (AnswerPeek, error) {
 			}
 		case "activated":
 			err = mem.strs(&peek.Activated)
+		case "closed":
+			err = mem.strs(&peek.Closed)
 		case "allowed":
 			peek.allowed = mem.value
 		case "phase":

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -86,6 +87,12 @@ func wireCorpus(t testing.TB) []string {
 		`{"roles":["a",]}`,
 		`{"roles":["a" "b"]}`,
 		`{"roles":[,"a"]}`,
+		// Answers: the members the gateway's answer peek reads.
+		`{"allowed":true,"phase":"granted","user":"alice","purged":3,"closed":["Branch=*, Period=p1"]}`,
+		`{"user":"alice","activated":["TaxOffice=o1, taxRefundProcess=p2"],"closed":["A=1","B=\u0032"],"closed":null}`,
+		`{"user":"alice","closed":"A=1"}`,
+		`{"user":"alice","closed":["A=1",2]}`,
+		`{"user":"alice","CLOSED":[{"context":"A=1"}]}`,
 		// Unknown members: validated and skipped.
 		`{"unknown":{"nested":"} \" ] [","deeper":[{"x":"}"}]},"user":"after"}`,
 		`{"unknown":[1,2.5,-3e+7,true,false,null,"s"],"user":"after"}`,
@@ -200,7 +207,7 @@ func checkPeek(t testing.TB, body []byte) {
 	for i := 0; subject == "" && i < len(req.Credentials); i++ {
 		subject = req.Credentials[i].Holder
 	}
-	if peek.Subject != subject || peek.HasCredentials != (len(req.Credentials) > 0) || peek.HasRequestID != (req.RequestID != "") {
+	if peek.Subject != subject || peek.HasCredentials != (len(req.Credentials) > 0) || peek.RequestID != req.RequestID {
 		t.Fatalf("%q: peeked %+v; decoded subject %q, %d credentials, requestID %q", body, peek, subject, len(req.Credentials), req.RequestID)
 	}
 }
@@ -250,7 +257,33 @@ func FuzzDecodeDecisionRequest(f *testing.F) {
 		checkDecode(t, body)
 		checkPeek(t, body)
 		checkSplice(t, body)
+		checkAnswerPeek(t, body)
 	})
+}
+
+// checkAnswerPeek holds the gateway's peek at an answer to
+// json.Unmarshal into the members it reads, on one body: both refuse it
+// or neither does (bar a top-level null, which only Unmarshal takes),
+// and what they read is the same. A closed or activated member the peek
+// misread would close, or fail to open, an instance on every shard.
+func checkAnswerPeek(t testing.TB, body []byte) {
+	t.Helper()
+	var want struct {
+		User      string   `json:"user"`
+		Activated []string `json:"activated"`
+		Closed    []string `json:"closed"`
+	}
+	wantErr := json.Unmarshal(body, &want)
+	if wantErr == nil && string(bytes.TrimSpace(body)) == "null" {
+		wantErr = errors.New("null is not an answer")
+	}
+	got, err := PeekDecisionAnswer(body, "alice")
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%q: json.Unmarshal says %v, the answer peek says %v", body, wantErr, err)
+	}
+	if err == nil && (got.User != want.User || !reflect.DeepEqual(got.Activated, want.Activated) || !reflect.DeepEqual(got.Closed, want.Closed)) {
+		t.Fatalf("%q: peeked %+v, want %+v", body, got, want)
+	}
 }
 
 // wireRequest is a generated DecisionRequest for testing/quick.
@@ -395,8 +428,10 @@ func TestSpliceRequestID(t *testing.T) {
 
 // TestPeekDecisionAnswer: what the gateway reads of an answer is what
 // json.Unmarshal into a DecisionResponse reads, and an answer that is
-// not one well-formed object, or whose user or activated member has the
-// wrong type, is an error.
+// not one well-formed object, or whose user, activated or closed member
+// has the wrong type, is an error: the gateway fails closed on it, and
+// for closed that is what keeps a half-read answer from being forwarded
+// with its instances left open on every other shard.
 func TestPeekDecisionAnswer(t *testing.T) {
 	for _, body := range []string{
 		`{"allowed":true,"phase":"granted","user":"alice"}`,
@@ -405,6 +440,10 @@ func TestPeekDecisionAnswer(t *testing.T) {
 		`{"user":"alice","activated":["Branch=York, Period=p1","Branch=Leeds, Period=p1"]}`,
 		`{"user":"alice","activated":[]}`,
 		`{"user":"alice","activated":null}`,
+		`{"user":"alice","closed":["Branch=*, Period=p1"],"purged":3}`,
+		`{"user":"alice","activated":["TaxOffice=o1, taxRefundProcess=p2"],"closed":["Branch=*, Period=p1","A=1"]}`,
+		`{"user":"alice","closed":[]}`,
+		`{"user":"alice","closed":null,"Closed":["\u0041=1"]}`,
 		`{"user":"a","USER":"b"}`,
 		`{"user":"\u0061lice","Activated":["\u0041"]}`,
 		`{"user":null}`,
@@ -416,6 +455,10 @@ func TestPeekDecisionAnswer(t *testing.T) {
 		`{"user":5}`,
 		`{"user":"alice","activated":"x"}`,
 		`{"user":"alice","activated":[1]}`,
+		`{"user":"alice","closed":"Branch=*, Period=p1"}`,
+		`{"user":"alice","closed":[{"context":"A=1"}]}`,
+		`{"user":"alice","closed":["A=1",2]}`,
+		`{"user":"alice","closed":{"A":"1"}}`,
 		`{"user":"alice"`,
 		`{"user":"alice"}x`,
 		`{"user":"alice","extension":tru}`,
@@ -435,7 +478,7 @@ func TestPeekDecisionAnswer(t *testing.T) {
 				continue
 			}
 			allowed, phase := got.Verdict()
-			if got.User != want.User || !reflect.DeepEqual(got.Activated, want.Activated) || allowed != want.Allowed || phase != want.Phase {
+			if got.User != want.User || !reflect.DeepEqual(got.Activated, want.Activated) || !reflect.DeepEqual(got.Closed, want.Closed) || allowed != want.Allowed || phase != want.Phase {
 				t.Fatalf("%q: peeked %+v %v %q, want %+v", body, got, allowed, phase, want)
 			}
 		}
