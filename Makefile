@@ -63,11 +63,12 @@ chaos:
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster
 
 # Elastic membership smoke: the join/drain/remove lifecycle and
-# activation fan-out unit suite, the live 2→3→2 scale-out/drain
-# integration against real shards, and the 60-seed reshard torture
-# (random join/drain/crash schedules checked against a shadow PDP).
+# activation fan-out unit suite (with the re-activation after a user or
+# age purge), the live 2→3→2 scale-out/drain integration against real
+# shards, and the 60-seed reshard torture (random join/drain/crash
+# schedules checked against a shadow PDP).
 elastic:
-	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics)|TestActivation|TestJoinSeeds' ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics|Purge)|TestActivation|TestJoinSeeds' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestElastic' ./internal/integration
 	$(GO) test -race -count=1 -run 'TestElasticReshardTorture' ./internal/fault
 

@@ -7,53 +7,59 @@ import (
 	"msod/internal/rbac"
 )
 
-// Context-activation markers. §4.2 step 3 asks "has this bound context
-// instance any retained history?" — per-store state. When the user
-// population is partitioned across stores (the cluster gateway shards
-// by user), the node holding the first-stepper activates the instance
-// locally, but every OTHER node would still answer "no history" and,
-// for a FirstStep-gated policy, skip recording its own users'
-// operations in the running instance — under-counted history, the one
-// failure mode MSoD must never have. Activation markers close the gap:
-// a marker is an ordinary retained-ADI record under a reserved user
-// ID, so ContextActive turns true on any store holding one, the WAL
-// persists it like any history, and a context-pattern purge (the
-// administrative closure) removes it with the history it covered.
+// Context activation. §4.2 step 3 asks "has this bound context
+// instance started?" — per-store state. When the user population is
+// partitioned across stores (the cluster gateway shards by user), the
+// node holding the first-stepper activates the instance locally, but
+// every OTHER node would still answer "not started" and, for a
+// FirstStep-gated policy, skip recording its own users' operations in
+// the running instance — under-counted history, the one failure mode
+// MSoD must never have. EnsureActive closes the gap: it activates the
+// instance in the store's instance table, so ContextActive turns true
+// without a record of any user. A context purge (the close) clears the
+// activation, an age purge clears it once it is older than the cutoff,
+// and a user purge never touches it.
 //
-// Markers are deny-safe by construction: they belong to a user that
-// never issues requests, so no k-of-m counter ever counts them; a
-// spurious marker can only cause over-recording (over-counting denies,
-// never grants), and a missing one is repaired idempotently by
+// An activation enters a store through Recorder.Append, encoded as a
+// record of a reserved (user, operation, target) triple: that record is
+// what the WAL, the compacted snapshot and a full replica snapshot hold,
+// and every store decodes it into its instance table on the way in,
+// never into a user's history. Only this package knows the triple.
+//
+// Activation is deny-safe by construction: it counts toward no user's
+// k-of-m; a spurious one can only cause over-recording (over-counting
+// denies, never grants), and a missing one is repaired idempotently by
 // EnsureActive.
 const (
-	// ActivationUser owns every activation marker. The "msod:" prefix
-	// cannot collide with subjects resolved from credentials in any
-	// shipped CVS, and the cluster handoff planner skips it — markers
-	// are node-local infrastructure state, not user history to move.
-	ActivationUser rbac.UserID = "msod:ctx-activation"
-	// ActivationOp/ActivationTarget make markers self-describing in
-	// state dumps; no TargetAccessPolicy ever grants them, so the pair
-	// can never count toward a privilege check.
-	ActivationOp     rbac.Operation = "msod:activate"
-	ActivationTarget rbac.Object    = "msod:ctx"
+	// The "msod:" prefix cannot collide with subjects resolved from
+	// credentials in any shipped CVS, and no TargetAccessPolicy grants
+	// the pair, so a decision never records the whole triple.
+	activationUser   rbac.UserID    = "msod:ctx-activation"
+	activationOp     rbac.Operation = "msod:activate"
+	activationTarget rbac.Object    = "msod:ctx"
 )
 
-// NewActivationRecord builds the marker record for one bound context.
-func NewActivationRecord(bound bctx.Name, now time.Time) Record {
+// newActivationRecord encodes the activation of one bound context.
+func newActivationRecord(bound bctx.Name, at time.Time) Record {
 	return Record{
-		User:      ActivationUser,
-		Operation: ActivationOp,
-		Target:    ActivationTarget,
+		User:      activationUser,
+		Operation: activationOp,
+		Target:    activationTarget,
 		Context:   bound,
-		Time:      now,
+		Time:      at,
 	}
 }
 
-// EnsureActive idempotently marks the bound contexts active on the
-// store: a marker is appended only where ContextActive is still false,
-// so replays and overlapping fan-outs cannot pile up markers. Returns
-// how many markers were appended. Callers serialise against decisions
-// (the PDP commit lock) themselves.
+// isActivation reports whether the record encodes an activation.
+func (r Record) isActivation() bool {
+	return r.User == activationUser && r.Operation == activationOp && r.Target == activationTarget
+}
+
+// EnsureActive idempotently activates the bound contexts on the store:
+// an activation is appended only where ContextActive is still false, so
+// replays and overlapping fan-outs append nothing. Returns how many were
+// appended. Callers serialise against decisions (the PDP commit lock)
+// themselves.
 func EnsureActive(store Recorder, now time.Time, bounds ...bctx.Name) (int, error) {
 	added := 0
 	for _, bound := range bounds {
@@ -64,10 +70,24 @@ func EnsureActive(store Recorder, now time.Time, bounds ...bctx.Name) (int, erro
 		if active {
 			continue
 		}
-		if err := store.Append(NewActivationRecord(bound, now)); err != nil {
+		if err := store.Append(newActivationRecord(bound, now)); err != nil {
 			return added, err
 		}
 		added++
 	}
 	return added, nil
+}
+
+// Activations returns the store's activations in the encoding Append
+// takes, for a full replica snapshot: a mirror that appends them
+// alongside the records holds the same activity. It is nil for a store
+// that cannot list them.
+func Activations(store Recorder) []Record {
+	switch s := store.(type) {
+	case *Store:
+		return s.activations()
+	case *DurableStore:
+		return s.mem.activations()
+	}
+	return nil
 }

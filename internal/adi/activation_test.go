@@ -1,6 +1,10 @@
 package adi
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,7 +22,7 @@ func TestEnsureActiveIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if added != 2 {
-		t.Fatalf("added = %d, want 2 markers", added)
+		t.Fatalf("added = %d, want 2 activations", added)
 	}
 	for _, b := range []bctx.Name{p1, p2} {
 		if active, _ := store.ContextActive(b); !active {
@@ -26,7 +30,7 @@ func TestEnsureActiveIdempotent(t *testing.T) {
 		}
 	}
 
-	// Replays and overlapping fan-outs must not pile up markers.
+	// Replays and overlapping fan-outs must not append again.
 	added, err = EnsureActive(store, now, p1, p2)
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +38,8 @@ func TestEnsureActiveIdempotent(t *testing.T) {
 	if added != 0 {
 		t.Fatalf("second EnsureActive added %d, want 0", added)
 	}
-	if got := store.Len(); got != 2 {
-		t.Fatalf("store holds %d records, want exactly 2 markers", got)
+	if got := len(Activations(store)); got != 2 || store.Len() != 0 || store.Users() != 0 {
+		t.Fatalf("store holds %d activations, %d records of %d users; want 2 and no history", got, store.Len(), store.Users())
 	}
 }
 
@@ -67,6 +71,115 @@ func TestActivationMarkerPurgedWithContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	if active, _ := store.ContextActive(bound); active {
-		t.Fatal("marker survived the administrative context purge")
+		t.Fatal("activation survived the administrative context purge")
 	}
+}
+
+// TestActivationOutlivesUserPurges: an activation belongs to its
+// instance, not to a user — purging the reserved user ID removes
+// nothing, and a user purge that takes an instance's last record leaves
+// it running. An age purge clears it once it is older than the cutoff.
+func TestActivationOutlivesUserPurges(t *testing.T) {
+	epoch := time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
+	bound := bctx.MustParse("Proc=p1")
+	store := NewStore()
+	if _, err := EnsureActive(store, epoch, bound); err != nil {
+		t.Fatal(err)
+	}
+	r := rec("alice", "Clerk", "prepare", "claim", "Proc=p1")
+	r.Time = epoch.Add(time.Minute)
+	if err := store.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.PurgeUser(activationUser); n != 0 {
+		t.Fatalf("purging the reserved user ID removed %d records", n)
+	}
+	if n := store.PurgeUser("alice"); n != 1 {
+		t.Fatalf("PurgeUser(alice) = %d, want 1", n)
+	}
+	if active, _ := store.ContextActive(bound); !active {
+		t.Fatal("a user purge ended the instance's activation")
+	}
+	if n := store.PurgeBefore(epoch); n != 0 {
+		t.Fatalf("PurgeBefore(activation time) = %d", n)
+	}
+	if active, _ := store.ContextActive(bound); !active {
+		t.Fatal("an age purge at the activation time cleared it (the cutoff is strict)")
+	}
+	store.PurgeBefore(epoch.Add(time.Second))
+	if active, _ := store.ContextActive(bound); active || len(store.Instances()) != 0 {
+		t.Fatal("an activation older than the cutoff survived the age purge")
+	}
+}
+
+// TestReservedUserKeepsItsHistory: only the whole reserved triple
+// encodes an activation; a grant recorded for a user who happens to
+// carry the reserved ID is that user's history like any other.
+func TestReservedUserKeepsItsHistory(t *testing.T) {
+	store := NewStore()
+	r := rec(string(activationUser), "Clerk", "prepare", "claim", "Proc=p1")
+	if err := store.Append(r); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := store.CountUserRole(activationUser, bctx.Universal, "Clerk", 0); n != 1 || len(Activations(store)) != 0 {
+		t.Fatalf("the reserved user's grant counts %d, activations %d; want 1 and 0", n, len(Activations(store)))
+	}
+}
+
+// TestParentWrittenStoreReopens: testdata/parent-activations/store was
+// written by the commit before activations left the user buckets — a
+// snapshot holding two records and two markers, then a WAL of marker
+// appends, a record, a purgeBefore that takes both snapshot records and
+// one snapshot marker, a purgeContext that takes one WAL marker, and a
+// no-op activation — with the answers that store gave recorded beside
+// it. The same bytes reopen to the same activity and the same history,
+// and, compacted and reopened, still do.
+func TestParentWrittenStoreReopens(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent-activations", "golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{durableKeyCheckName, durableSnapshotName, durableWALName} {
+		b, err := os.ReadFile(filepath.Join("testdata", "parent-activations", "store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(ds *DurableStore) {
+		t.Helper()
+		var got strings.Builder
+		for _, ps := range eqPatterns {
+			active, err := ds.ContextActive(bctx.MustParse(ps))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&got, "active\t%s\t%v\n", ps, active)
+		}
+		for _, r := range ds.All() {
+			fmt.Fprintf(&got, "record\t%s\n", r)
+		}
+		if got.String() != string(golden) {
+			t.Fatalf("reopened store answers\n%s\nthe parent's store answered\n%s", got.String(), golden)
+		}
+	}
+	ds, err := OpenDurable(dir, []byte("parent-secret"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ds)
+	if err := ds.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = OpenDurable(dir, []byte("parent-secret"), false); err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	check(ds)
 }

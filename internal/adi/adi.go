@@ -14,9 +14,10 @@
 //
 // Store is the one in-memory implementation the daemons run: records
 // bucketed by user ID for the per-user history queries, and one table
-// entry per distinct context instance for the activity check and the
-// context purge, so neither a query nor a purge pays for records it
-// does not concern. DurableStore puts a write-ahead log under it.
+// entry per open context instance (one with records, or activated: see
+// EnsureActive) for the activity check and the context purge, so
+// neither a query nor a purge pays for records it does not concern.
+// DurableStore puts a write-ahead log under it.
 // LinearStore, an unindexed scan, is the ablation baseline of
 // experiment E4 and the reference the tests compare Store against.
 // All three satisfy Recorder.
@@ -26,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -110,13 +112,14 @@ type Recorder interface {
 	// cap), for §4.2 step 6.iii.
 	CountUserPrivilege(user rbac.UserID, pattern bctx.Name, p rbac.Permission, max int) (int, error)
 	// ContextActive reports whether any record (for any user) has a
-	// context instance within pattern — §4.2 step 3's "match the policy
-	// business context against the business context instances stored in
-	// the retained ADI".
+	// context instance within pattern, or any such instance is activated
+	// — §4.2 step 3's "match the policy business context against the
+	// business context instances stored in the retained ADI".
 	ContextActive(pattern bctx.Name) (bool, error)
 	// PurgeContext deletes every record whose context instance is equal
-	// or subordinate to pattern (step 7 of the §4.2 algorithm). It
-	// returns the number of records removed.
+	// or subordinate to pattern (step 7 of the §4.2 algorithm), and the
+	// activations of those instances. It returns the number of records
+	// removed.
 	PurgeContext(pattern bctx.Name) (int, error)
 	// Len returns the number of retained records.
 	Len() int
@@ -139,10 +142,10 @@ func within(pattern, inst bctx.Name) bool {
 
 // Store is the indexed in-memory retained ADI. Records are bucketed by
 // user ID, so per-user history queries do not scan unrelated users, and
-// every distinct context instance with live records has one entry in an
-// instance table, so the step-3 activity check inspects instances and
-// not records, and a context purge visits only the users who hold
-// records in the instances it closes. Nothing in the index is a
+// every open context instance — one with live records, or activated —
+// has one entry in an instance table, so the step-3 activity check
+// inspects instances and not records, and a context purge visits only
+// the users who hold records in the instances it closes. Nothing in the index is a
 // formatted string: a query allocates nothing. Store is safe for
 // concurrent use.
 type Store struct {
@@ -168,13 +171,19 @@ type entry struct {
 	inst *instance
 }
 
-// instance is one distinct context instance with live records.
+// instance is one open context instance: it has live records, or it
+// is activated.
 type instance struct {
 	name bctx.Name
 	hash uint64
 	// recs counts the live records; the instance leaves the table when
-	// it reaches zero.
+	// it reaches zero and the instance is not activated.
 	recs int
+	// activatedAt is when the instance was activated, the latest time
+	// if it was more than once: an age purge clears the activation only
+	// when every one it stands for is older than the cutoff.
+	activatedAt time.Time
+	activated   bool
 	// closing marks the instances a running PurgeContext matched: it
 	// drops their records wherever a holder's bucket has them, and takes
 	// them out of the table itself once all are dropped.
@@ -237,6 +246,10 @@ func (s *Store) Append(recs ...Record) error {
 	defer s.mu.Unlock()
 	for _, r := range recs {
 		in := s.instanceLocked(r.Context)
+		if r.isActivation() {
+			in.activate(r.Time)
+			continue
+		}
 		bucket := s.byUser[r.User]
 		if !holds(bucket, in) {
 			in.holders = append(in.holders, r.User)
@@ -248,6 +261,13 @@ func (s *Store) Append(recs ...Record) error {
 		s.n++
 	}
 	return nil
+}
+
+// activate records an activation of the instance at t.
+func (in *instance) activate(t time.Time) {
+	if !in.activated || t.After(in.activatedAt) {
+		in.activated, in.activatedAt = true, t
+	}
 }
 
 // holds reports whether the user's bucket has a record in the instance:
@@ -303,10 +323,10 @@ func (s *Store) instanceAtLocked(name bctx.Name, hash uint64) *instance {
 }
 
 // releaseLocked accounts for one record of the instance going; with
-// its last one the instance leaves the table, unless a context purge is
-// closing it and will take it out itself.
+// its last one the instance leaves the table, unless it is activated or
+// a context purge is closing it and will take it out itself.
 func (s *Store) releaseLocked(in *instance) {
-	if in.recs--; in.recs == 0 && !in.closing {
+	if in.recs--; in.recs == 0 && !in.activated && !in.closing {
 		s.unlinkLocked(in)
 	}
 }
@@ -440,12 +460,12 @@ func (s *Store) CountUserPrivilege(user rbac.UserID, pattern bctx.Name, p rbac.P
 
 // ContextActive implements Recorder from the instance table: only the
 // pattern's candidates are matched, and the universal pattern is active
-// as soon as any record exists.
+// as soon as any instance is open.
 func (s *Store) ContextActive(pattern bctx.Name) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if pattern.IsUniversal() {
-		return s.n > 0, nil
+		return len(s.insts) > 0, nil
 	}
 	for _, in := range s.candidatesLocked(pattern) {
 		if within(pattern, in.name) {
@@ -494,7 +514,8 @@ func (s *Store) PurgeContext(pattern bctx.Name) (int, error) {
 }
 
 // PurgeUser deletes every record for the user (a §4.3 management
-// operation). It returns the number removed.
+// operation); activations are no user's and stay. It returns the number
+// removed.
 func (s *Store) PurgeUser(user rbac.UserID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -502,7 +523,8 @@ func (s *Store) PurgeUser(user rbac.UserID) int {
 }
 
 // PurgeBefore deletes every record with a decision time strictly before
-// t (a §4.3 management operation). It returns the number removed.
+// t (a §4.3 management operation), and clears the activations older
+// than t. It returns the number of records removed.
 func (s *Store) PurgeBefore(t time.Time) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -510,10 +532,38 @@ func (s *Store) PurgeBefore(t time.Time) int {
 	for user := range s.byUser {
 		removed += s.dropLocked(user, func(e *entry) bool { return e.Time.Before(t) })
 	}
+	var stale []*instance
+	for _, in := range s.insts {
+		for ; in != nil; in = in.next {
+			if in.activated && in.activatedAt.Before(t) {
+				stale = append(stale, in)
+			}
+		}
+	}
+	for _, in := range stale {
+		if in.activated = false; in.recs == 0 {
+			s.unlinkLocked(in)
+		}
+	}
 	return removed
 }
 
-// Len implements Recorder.
+// activations encodes the activated instances as Append takes them.
+func (s *Store) activations() []Record {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []Record
+	for _, in := range s.insts {
+		for ; in != nil; in = in.next {
+			if in.activated {
+				out = append(out, newActivationRecord(in.name, in.activatedAt))
+			}
+		}
+	}
+	return out
+}
+
+// Len implements Recorder: the records, not the activations.
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -570,11 +620,13 @@ func (s *Store) Reset() {
 // LinearStore is an unindexed retained ADI: one flat slice scanned on
 // every query. It exists as the ablation baseline for experiment E4
 // (decision latency vs retained-ADI size) and deliberately mirrors the
-// naive implementation the paper warns about in §4.3.
+// naive implementation the paper warns about in §4.3. Activations are
+// kept as the records that encode them, apart from the history.
 // LinearStore is safe for concurrent use.
 type LinearStore struct {
 	mu   sync.RWMutex
 	recs []Record
+	acts []Record
 }
 
 var _ Recorder = (*LinearStore)(nil)
@@ -592,6 +644,10 @@ func (s *LinearStore) Append(recs ...Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, r := range recs {
+		if r.isActivation() {
+			s.acts = append(s.acts, r)
+			continue
+		}
 		r.Roles = append([]rbac.RoleName(nil), r.Roles...)
 		s.recs = append(s.recs, r)
 	}
@@ -654,33 +710,32 @@ func (s *LinearStore) CountUserPrivilege(user rbac.UserID, pattern bctx.Name, p 
 	return n, nil
 }
 
-// ContextActive implements Recorder by scanning every record.
+// ContextActive implements Recorder by scanning every record and
+// activation.
 func (s *LinearStore) ContextActive(pattern bctx.Name) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, rec := range s.recs {
-		if within(pattern, rec.Context) {
-			return true, nil
+	return anyWithin(pattern, s.recs) || anyWithin(pattern, s.acts), nil
+}
+
+func anyWithin(pattern bctx.Name, recs []Record) bool {
+	for i := range recs {
+		if within(pattern, recs[i].Context) {
+			return true
 		}
 	}
-	return false, nil
+	return false
 }
 
 // PurgeContext implements Recorder.
 func (s *LinearStore) PurgeContext(pattern bctx.Name) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	kept := s.recs[:0]
-	removed := 0
-	for _, rec := range s.recs {
-		if within(pattern, rec.Context) {
-			removed++
-			continue
-		}
-		kept = append(kept, rec)
-	}
-	s.recs = kept
-	return removed, nil
+	drop := func(rec Record) bool { return within(pattern, rec.Context) }
+	removed := len(s.recs)
+	s.recs = slices.DeleteFunc(s.recs, drop)
+	s.acts = slices.DeleteFunc(s.acts, drop)
+	return removed - len(s.recs), nil
 }
 
 // Len implements Recorder.

@@ -303,6 +303,16 @@ func TestConcurrentStore(t *testing.T) {
 						return
 					}
 				}
+				if i%10 == 9 {
+					// Activations older than every record, so the age
+					// purge clears them and keeps the records.
+					if _, err := EnsureActive(s, eqEpoch.AddDate(-1, 0, 0), bctx.MustParse(fmt.Sprintf("B=%d", i%3))); err != nil {
+						t.Error(err)
+						return
+					}
+					_ = Activations(s)
+					s.PurgeBefore(eqEpoch)
+				}
 			}
 		}(g)
 	}
@@ -316,7 +326,7 @@ func TestConcurrentStore(t *testing.T) {
 // identically under random workloads (the E4 ablation must differ only
 // in speed), and agree on everything observable — Len, users, records,
 // distinct instances, activity of every pattern — after every single
-// operation, management purges and activation markers included.
+// operation, management purges and activations included.
 func TestQuickStoreEquivalence(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -1,6 +1,7 @@
 package adi
 
 import (
+	"slices"
 	"sort"
 
 	"msod/internal/bctx"
@@ -16,8 +17,8 @@ type Browser interface {
 	// UserRecords returns copies of the user's records whose context
 	// instance falls within pattern, in insertion order.
 	UserRecords(user rbac.UserID, pattern bctx.Name) []Record
-	// Instances returns the distinct context instances that currently
-	// hold retained records, sorted by name.
+	// Instances returns the open context instances — those holding
+	// retained records or activated — sorted by name.
 	Instances() []bctx.Name
 	// UserIDs returns the distinct users with retained records, sorted.
 	UserIDs() []rbac.UserID
@@ -76,7 +77,7 @@ func (s *LinearStore) Instances() []bctx.Name {
 	defer s.mu.RUnlock()
 	seen := make(map[string]bool)
 	var out []bctx.Name
-	for _, rec := range s.recs {
+	for _, rec := range slices.Concat(s.recs, s.acts) {
 		if key := rec.Context.Key(); !seen[key] {
 			seen[key] = true
 			out = append(out, rec.Context)

@@ -483,7 +483,8 @@ func (ds *DurableStore) DiskUsage() int64 {
 	return total
 }
 
-// Compact folds the log into the snapshot: the current state is sealed
+// Compact folds the log into the snapshot: the current state — the
+// records, and the activations encoded as Append takes them — is sealed
 // to snapshot.sealed (atomically) and the WAL is truncated. Recovery
 // after Compact reads only the snapshot.
 func (ds *DurableStore) Compact() error {
@@ -492,7 +493,7 @@ func (ds *DurableStore) Compact() error {
 	if err := ds.w.Flush(); err != nil {
 		return fmt.Errorf("%w: flush before compact: %w", ErrWriteFailed, err)
 	}
-	if err := ds.snap.Save(ds.mem.All()); err != nil {
+	if err := ds.snap.Save(append(ds.mem.All(), ds.mem.activations()...)); err != nil {
 		return fmt.Errorf("%w: %w", ErrWriteFailed, err)
 	}
 	// Snapshot durably installed; the log can be reset.

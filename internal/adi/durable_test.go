@@ -281,7 +281,7 @@ func TestDurableHistoryMatchesAfterReopen(t *testing.T) {
 }
 
 // TestQuickDurableEquivalence: under random mutate/compact/reopen
-// sequences — context, user and age purges and activation markers
+// sequences — context, user and age purges and activations
 // included — the durable store agrees with the unindexed reference on
 // everything observable after every operation.
 func TestQuickDurableEquivalence(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -39,22 +40,18 @@ type mutableStore interface {
 }
 
 // reference is the unindexed store with the two §4.3 management purges
-// written as the plain scans they are; every answer of the indexed and
-// durable stores is compared against it.
+// written as the plain scans they are, over the records and the records
+// that encode activations alike; every answer of the indexed and durable
+// stores is compared against it.
 type reference struct{ *LinearStore }
 
 func (r reference) purge(drop func(Record) bool) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	kept := r.recs[:0]
-	for _, rec := range r.recs {
-		if !drop(rec) {
-			kept = append(kept, rec)
-		}
-	}
-	removed := len(r.recs) - len(kept)
-	r.recs = kept
-	return removed
+	removed := len(r.recs)
+	r.recs = slices.DeleteFunc(r.recs, drop)
+	r.acts = slices.DeleteFunc(r.acts, drop)
+	return removed - len(r.recs)
 }
 
 // All orders the flat slice as Store.All does: by user, then insertion.
@@ -78,7 +75,7 @@ func mutate(r *rand.Rand, step int, got mutableStore, want reference) error {
 		if e1, e2 := got.Append(rc), want.Append(rc); e1 != nil || e2 != nil {
 			return fmt.Errorf("append %v: %v / %v", rc, e1, e2)
 		}
-	case 3: // activation marker, only where the instance has no history
+	case 3: // activation, only where the instance is not running
 		bound := bctx.MustParse(eqCtxs[r.Intn(len(eqCtxs))])
 		n1, e1 := EnsureActive(got, at, bound)
 		n2, e2 := EnsureActive(want, at, bound)
@@ -92,11 +89,8 @@ func mutate(r *rand.Rand, step int, got mutableStore, want reference) error {
 		if e1 != nil || e2 != nil || n1 != n2 {
 			return fmt.Errorf("PurgeContext(%q) = %d, %v; want %d, %v", p, n1, e1, n2, e2)
 		}
-	case 6: // user purge (markers included: their owner is a user too)
-		u := ActivationUser
-		if k := r.Intn(len(eqUsers) + 1); k < len(eqUsers) {
-			u = rbac.UserID(eqUsers[k])
-		}
+	case 6: // user purge
+		u := rbac.UserID(eqUsers[r.Intn(len(eqUsers))])
 		n1, ok, err := PurgeUserFrom(got, u)
 		n2 := want.purge(func(rec Record) bool { return rec.User == u })
 		if err != nil || !ok || n1 != n2 {
@@ -117,6 +111,9 @@ func mutate(r *rand.Rand, step int, got mutableStore, want reference) error {
 // does not depend on a user: an index entry that outlives its last
 // record, or dies before it, shows here at the operation that caused it.
 func sameState(got mutableStore, want reference) error {
+	if err := noActivationRecords(got); err != nil {
+		return err
+	}
 	if g, w := got.Len(), want.Len(); g != w {
 		return fmt.Errorf("Len = %d, want %d", g, w)
 	}
@@ -139,6 +136,28 @@ func sameState(got mutableStore, want reference) error {
 		if e1 != nil || e2 != nil || g != w {
 			return fmt.Errorf("ContextActive(%q) = %v, %v; want %v, %v", p, g, e1, w, e2)
 		}
+	}
+	return nil
+}
+
+// noActivationRecords: an activation is a property of its instance and
+// of no user, so no browse or count surface shows the record that
+// encodes it.
+func noActivationRecords(s mutableStore) error {
+	all := s.All()
+	if len(all) != s.Len() {
+		return fmt.Errorf("All has %d records, Len says %d", len(all), s.Len())
+	}
+	for _, rec := range all {
+		if rec.User == activationUser {
+			return fmt.Errorf("All returns %v", rec)
+		}
+	}
+	if slices.Contains(s.UserIDs(), activationUser) {
+		return fmt.Errorf("UserIDs lists %q", activationUser)
+	}
+	if recs := s.UserRecords(activationUser, bctx.Universal); len(recs) != 0 {
+		return fmt.Errorf("UserRecords(%q) = %v", activationUser, recs)
 	}
 	return nil
 }

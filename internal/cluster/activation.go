@@ -22,17 +22,23 @@ import (
 //     to the PEP only after every tracked peer shard accepted the
 //     activation (fanoutActivation). A failed fan-out withholds the
 //     grant fail-closed; the answering shard's committed record and
-//     any partial markers are deny-safe (extra history only ever adds
+//     any partial activations are deny-safe (extra history only ever adds
 //     denials), and the PEP's retry re-converges.
 //
 //   - A joining shard missed every fan-out from before it was
 //     admitted, so the join handoff seeds it with the union of the
 //     authoritative shards' running instances (syncActivations) before
-//     cutover. Markers alone cannot be streamed: on the first-stepper's
-//     own shard the activation is the real opening record, not a
-//     marker.
+//     cutover. Activations alone cannot be streamed: on the
+//     first-stepper's own shard the instance runs because of the real
+//     opening record, not an activation.
 //
-// Both paths are idempotent (the shard skips instances already active)
+//   - A management user or age purge can take the last record of a
+//     running instance off one shard, or its activation, while another
+//     shard still holds some of the instance: the first would then grant
+//     its users' steps unrecorded. So every such purge is followed by the
+//     same sync over every authoritative shard (handleManagement).
+//
+// All paths are idempotent (the shard skips instances already active)
 // and deny-safe (a spurious activation can only cause over-recording).
 
 // fanoutActivation tells every peer shard the named context instances
@@ -56,18 +62,18 @@ func (g *Gateway) fanoutActivation(ctx context.Context, answered string, context
 	return nil
 }
 
-// syncActivations seeds a joining shard with every context instance
-// the authoritative shards consider running, so FirstStep-gated
-// recording holds on it from its first owned decision. The union is
-// over full instance lists (any retained history, marker or real):
-// over-activation is deny-safe, and filtering here would need policy
-// knowledge the gateway deliberately does not have. An instance that has
-// been closed has no history left anywhere (closes.go), so the union is
-// the instances still open, not every instance there ever was. Closes
-// are excluded while it is taken and applied (g.closing, as for a
-// handoff copy): an instance closed in between would be re-activated on
-// the joiner after the joiner had already been told to close it.
-func (g *Gateway) syncActivations(ctx context.Context, joiner string) error {
+// syncActivations activates on every target shard each context
+// instance the authoritative shards consider running, so FirstStep-gated
+// recording holds there from the next decision. The union is over full
+// instance lists (retained history or activation): over-activation is
+// deny-safe, and filtering here would need policy knowledge the gateway
+// deliberately does not have. An instance that has been closed has no
+// history left anywhere (closes.go), so the union is the instances
+// still open, not every instance there ever was. Closes are excluded
+// while it is taken and applied (g.closing, as for a handoff copy): an
+// instance closed in between would be re-activated on a target after
+// the target had already been told to close it.
+func (g *Gateway) syncActivations(ctx context.Context, targets []string) error {
 	g.closing.Lock()
 	defer g.closing.Unlock()
 	union := make(map[string]bool)
@@ -89,12 +95,12 @@ func (g *Gateway) syncActivations(ctx context.Context, joiner string) error {
 		all = append(all, inst)
 	}
 	sort.Strings(all)
-	jc, ok := g.client(joiner)
-	if !ok {
-		return fmt.Errorf("joiner %s has no client", joiner)
-	}
-	if _, err := jc.Activate(ctx, all); err != nil {
-		return fmt.Errorf("activate on %s: %w", joiner, err)
+	for _, res := range scatter(ctx, g, targets, func(ctx context.Context, _ string, c *server.Client) (server.ActivationResponse, error) {
+		return c.Activate(ctx, all)
+	}) {
+		if res.err != nil {
+			return fmt.Errorf("activate on %s: %w", res.shard, res.err)
+		}
 	}
 	return nil
 }

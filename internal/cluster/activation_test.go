@@ -80,7 +80,7 @@ func TestActivationFanoutFailureWithholdsGrant(t *testing.T) {
 
 // TestJoinSeedsActivations: the join handoff seeds the joiner with the
 // union of the members' running instances — both instances with real
-// history and marker-only activations.
+// history and instances only activated.
 func TestJoinSeedsActivations(t *testing.T) {
 	gw, gts, shards := newElasticCluster(t, 2, Config{})
 	seedUsers(t, gts, 20)

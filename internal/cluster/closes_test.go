@@ -25,13 +25,16 @@ import (
 
 // closesPolicyXML is the two policies internal/workload's generators
 // exercise (workload.BankPolicy, workload.TaxPolicy) with the target
-// access policy their requests need.
+// access policy their requests need, and the two management purges.
 const closesPolicyXML = `
 <RBACPolicy id="closes-1">
   <RoleList>
     <Role value="Teller"/><Role value="Auditor"/><Role value="Clerk"/><Role value="Manager"/>
+    <Role value="RetainedADIController"/>
   </RoleList>
   <TargetAccessPolicy>
+    <Grant role="RetainedADIController" operation="purgeUser" target="msod:retainedADI"/>
+    <Grant role="RetainedADIController" operation="purgeBefore" target="msod:retainedADI"/>
     <Grant role="Teller" operation="HandleCash" target="till"/>
     <Grant role="Auditor" operation="Audit" target="ledger"/>
     <Grant role="Auditor" operation="CommitAudit" target="audit"/>
@@ -148,16 +151,11 @@ func outbox(t *testing.T, gw *Gateway, shard string) *server.Outbox {
 }
 
 // retained lists a store's records — user, roles, privilege, context;
-// not the time — sorted, without the activation markers a shard keeps
-// under adi.ActivationUser (per-shard infrastructure a single PDP has no
-// counterpart of).
+// not the time — sorted.
 func retained(stores ...*adi.Store) []string {
 	var out []string
 	for _, s := range stores {
 		for _, u := range s.UserIDs() {
-			if u == adi.ActivationUser {
-				continue
-			}
 			for _, r := range s.UserRecords(u, bctx.Universal) {
 				out = append(out, fmt.Sprintf("%s %v %s@%s in %s", r.User, r.Roles, r.Operation, r.Target, r.Context))
 			}
@@ -314,6 +312,117 @@ func TestClusterRetainedADIEqualsOnePDP(t *testing.T) {
 	if lost := gw.closes.Lost.Load() + gw.closes.Overflowed.Load() + gw.closes.Unsendable.Load(); lost != 0 || gw.closes.Enqueued.Load() != int64(2*lastSteps) {
 		t.Fatalf("%d closes queued for %d last steps on 3 shards, %d given up; want %d and 0", gw.closes.Enqueued.Load(), lastSteps, lost, 2*lastSteps)
 	}
+}
+
+// onePDP runs every step through the cluster and through one reference
+// PDP and fails at the first answer they disagree on.
+type onePDP struct {
+	t   *testing.T
+	c   *server.Client
+	ref *pdp.PDP
+}
+
+func newOnePDP(t *testing.T, c *server.Client) *onePDP {
+	ref, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: adi.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &onePDP{t: t, c: c, ref: ref}
+}
+
+func (o *onePDP) decide(req server.DecisionRequest) {
+	o.t.Helper()
+	want, err := o.ref.Decide(shadowRequest(req))
+	if err != nil {
+		o.t.Fatal(err)
+	}
+	mustDecide(o.t, o.c, req, want.Allowed)
+}
+
+func (o *onePDP) manage(req server.ManagementWireRequest) {
+	o.t.Helper()
+	req.User, req.Roles = "root", []string{string(pdp.RetainedADIController)}
+	if _, err := o.c.Manage(req); err != nil {
+		o.t.Fatal(err)
+	}
+	mreq := pdp.ManagementRequest{User: "root", Roles: []rbac.RoleName{pdp.RetainedADIController},
+		Operation: rbac.Operation(req.Operation), TargetUser: rbac.UserID(req.TargetUser)}
+	if req.Before != nil {
+		mreq.Before = *req.Before
+	}
+	if _, err := o.ref.Manage(mreq); err != nil {
+		o.t.Fatal(err)
+	}
+}
+
+// TestClusterPurgeBeforeKeepsRunningInstancesActive: an age purge takes
+// the first step of p1 and the activation b was told of, while a still
+// holds a newer record of p1 — one PDP still has p1 running. So must
+// b: its manager's approval is recorded, and the combine that one PDP
+// refuses after it is refused.
+func TestClusterPurgeBeforeKeepsRunningInstancesActive(t *testing.T) {
+	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
+	o := newOnePDP(t, c)
+	clerk, managerA, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "mgr", 0), userOn(t, gw, "b", "mgr", 0)
+
+	o.decide(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""))
+	time.Sleep(2 * time.Millisecond)
+	cut := time.Now()
+	time.Sleep(2 * time.Millisecond)
+	o.decide(taxStep(managerA, "Manager", "approve/disapproveCheck", checkTarget, "p1", ""))
+	o.manage(server.ManagementWireRequest{Operation: string(pdp.OpPurgeBefore), Before: &cut})
+
+	o.decide(taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p1", ""))
+	o.decide(taxStep(managerB, "Manager", "combineResults", "http://secret.location.com/results", "p1", ""))
+	if got, want := retained(shards[0].store, shards[1].store, shards[2].store), retained(o.ref.Store().(*adi.Store)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the shards retain %q, one PDP %q", got, want)
+	}
+}
+
+// TestClusterPurgeUserKeepsRunningInstancesActive: a user purge takes
+// the first step of p1, a's only record of it (the shard that answers a
+// first step is told of no activation: it has the record), while b holds
+// its manager's approval — one PDP still has p1 running. So must a.
+func TestClusterPurgeUserKeepsRunningInstancesActive(t *testing.T) {
+	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
+	o := newOnePDP(t, c)
+	clerk, managerA, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "mgr", 0), userOn(t, gw, "b", "mgr", 0)
+
+	o.decide(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""))
+	o.decide(taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p1", ""))
+	o.manage(server.ManagementWireRequest{Operation: string(pdp.OpPurgeUser), TargetUser: clerk})
+
+	o.decide(taxStep(managerA, "Manager", "approve/disapproveCheck", checkTarget, "p1", ""))
+	o.decide(taxStep(managerA, "Manager", "combineResults", "http://secret.location.com/results", "p1", ""))
+	if got, want := retained(shards[0].store, shards[1].store, shards[2].store), retained(o.ref.Store().(*adi.Store)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the shards retain %q, one PDP %q", got, want)
+	}
+}
+
+// TestClusterJoinReleaseKeepsDonorInstancesActive: a join moves a
+// clerk's history — the first step of a running process, the donor's
+// only record of it — to the joiner, and the release purges it from
+// the donor. The process is still running (on the joiner), so the donor
+// must keep recording its own manager's steps in it: one PDP refuses the
+// combine after the approval.
+func TestClusterJoinReleaseKeepsDonorInstancesActive(t *testing.T) {
+	gw, c, _ := newCloseCluster(t, 2, Config{}, nil)
+	o := newOnePDP(t, c)
+	var clerks []string
+	for i := 0; i < 40; i++ {
+		clerks = append(clerks, userOn(t, gw, "a", "clerk", i))
+		o.decide(taxStep(clerks[i], "Clerk", "prepareCheck", checkTarget, fmt.Sprintf("p%d", i), ""))
+	}
+	join(t, gw, "c")
+	manager := userOn(t, gw, "a", "mgr", 0)
+	for i, clerk := range clerks {
+		if owner, _ := gw.ShardFor(clerk); owner == "c" {
+			o.decide(taxStep(manager, "Manager", "approve/disapproveCheck", checkTarget, fmt.Sprintf("p%d", i), ""))
+			o.decide(taxStep(manager, "Manager", "combineResults", "http://secret.location.com/results", fmt.Sprintf("p%d", i), ""))
+			return
+		}
+	}
+	t.Fatal("the join moved no clerk; the test needs a released first step")
 }
 
 // answerLoser forwards every request and, when armed, loses the answer

@@ -30,8 +30,8 @@ type elasticStub struct {
 
 	mu      sync.Mutex
 	records map[string][]server.SnapshotRecord
-	// active mirrors the real server's activation markers: context
-	// instances marked running by the gateway's fan-out or join sync.
+	// active mirrors the real server's activations: context instances
+	// marked running by the gateway's fan-out or join sync.
 	active map[string]bool
 
 	importDelay time.Duration

@@ -235,7 +235,7 @@ func (g *Gateway) runJoin(ctx context.Context, joiner string) error {
 	// was admitted (see activation.go): seed it with the union of the
 	// authoritative shards' running instances, or its first owned
 	// decision in a FirstStep-gated instance would go unrecorded.
-	if err := g.syncActivations(ctx, joiner); err != nil {
+	if err := g.syncActivations(ctx, []string{joiner}); err != nil {
 		g.setShardState(joiner, ShardJoining)
 		g.persistTopologyLogged()
 		return fmt.Errorf("activation sync: %w", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"msod/internal/pdp"
 	"msod/internal/server"
 )
 
@@ -49,9 +50,17 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 	// in-flight fan-outs; and it is refused outright during a handoff —
 	// a purge racing the history stream could resurrect records the
 	// administrator believes gone (purged on the donor after export,
-	// reborn by the import on the recipient).
-	g.traffic.RLock()
-	defer g.traffic.RUnlock()
+	// reborn by the import on the recipient). A user or age purge holds
+	// it exclusively, because it re-activates what is still running
+	// (below) and no decision may run in between.
+	resync := req.Operation == string(pdp.OpPurgeUser) || req.Operation == string(pdp.OpPurgeBefore)
+	if resync {
+		g.traffic.Lock()
+		defer g.traffic.Unlock()
+	} else {
+		g.traffic.RLock()
+		defer g.traffic.RUnlock()
+	}
 	if g.refuseDuringHandoff(w, "management") {
 		return
 	}
@@ -96,6 +105,19 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 		} else {
 			outcomes[res.shard] = ManagementOutcome{Error: res.err.Error()}
 			allDeliberate = false
+		}
+	}
+	if failed == 0 && resync {
+		// The purge may have taken the last record of a running instance
+		// off one shard, or its activation, while another shard holds
+		// some of it; without re-activation the first would grant its
+		// users' steps in it unrecorded.
+		if err := g.syncActivations(r.Context(), shards); err != nil {
+			writeJSON(w, http.StatusBadGateway, managementErrorResponse{
+				Error:  fmt.Sprintf("purge applied on all %d shards, but re-activating the instances still running failed (%v); repeat the purge", len(results), err),
+				Shards: outcomes,
+			})
+			return
 		}
 	}
 	if failed == 0 {

@@ -221,7 +221,7 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 			// grant its users' later operations unrecorded — under-counted
 			// history, a false grant. A failed fan-out withholds the ack
 			// fail-closed; the shard's committed opening record and any
-			// partial markers only ever add denials.
+			// partial activations only ever add denials.
 			if record && len(resp.Activated) > 0 {
 				g.metrics.activationFanouts.Add(1)
 				if ferr := g.fanoutActivation(ctx, shard, resp.Activated); ferr != nil {

@@ -21,8 +21,9 @@ package cluster
 //	                                                                       a deliberate refusal, or 404
 //	metrics scrape     tracked, and Up                none: skip Down      that shard's body is missing; the family
 //	                                                                       merge is unchanged
-//	join activation    authoritative                  none                 the join handoff fails, donors stay
-//	sync (handoff)                                                         authoritative
+//	activation sync    authoritative asked, then the  none (a purge has    a join fails, donors stay authoritative;
+//	(a join; a user    joiner, or every authoritative passed management's  a purge answers 502 — the administrator
+//	or age purge)      shard, activated               all-Up check)        repeats it
 //	close              serving (not gone), minus the  none: queued for     never withholds the grant. NOT a fan-out:
 //	(NOT a fan-out)    answering shard                every one, Down      queued per shard, carried by the next
 //	                                                  too                  request sent to it, whatever that is

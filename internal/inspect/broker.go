@@ -20,13 +20,15 @@ import (
 )
 
 // Decision outcomes as they appear in events and filters (matching the
-// audit trail's effect vocabulary). OutcomePurge extends it: management
-// purges mutate the retained ADI without being decisions, and a mirror
-// replaying the stream must see them or silently diverge.
+// audit trail's effect vocabulary). OutcomePurge and OutcomeActivate
+// extend it: management purges, carried closes and a cluster's context
+// activations mutate the retained ADI without being decisions, and a
+// mirror replaying the stream must see them or silently diverge.
 const (
-	OutcomeGrant = "grant"
-	OutcomeDeny  = "deny"
-	OutcomePurge = "purge"
+	OutcomeGrant    = "grant"
+	OutcomeDeny     = "deny"
+	OutcomePurge    = "purge"
+	OutcomeActivate = "activate"
 )
 
 // ErrGap reports that a sequence-resumed subscription cannot be
@@ -55,7 +57,8 @@ type DecisionEvent struct {
 	Operation string   `json:"op"`
 	Target    string   `json:"target"`
 	Context   string   `json:"ctx"`
-	// Effect is OutcomeGrant or OutcomeDeny.
+	// Effect is OutcomeGrant, OutcomeDeny, OutcomePurge or
+	// OutcomeActivate.
 	Effect string `json:"effect"`
 	// Stage names the pipeline stage that denied (cvs, rbac, msod);
 	// empty on grants.
@@ -92,7 +95,7 @@ type DecisionEvent struct {
 type Filter struct {
 	// User, when non-empty, matches only that user's decisions.
 	User string
-	// Outcome, when non-empty, is OutcomeGrant or OutcomeDeny.
+	// Outcome, when non-empty, is one of the Outcome* effects.
 	Outcome string
 
 	ctx    bctx.Name
@@ -105,9 +108,9 @@ type Filter struct {
 func NewFilter(user, ctxPattern, outcome string) (Filter, error) {
 	f := Filter{User: user, Outcome: outcome}
 	switch outcome {
-	case "", OutcomeGrant, OutcomeDeny, OutcomePurge:
+	case "", OutcomeGrant, OutcomeDeny, OutcomePurge, OutcomeActivate:
 	default:
-		return Filter{}, fmt.Errorf("inspect: outcome %q is not %q, %q or %q", outcome, OutcomeGrant, OutcomeDeny, OutcomePurge)
+		return Filter{}, fmt.Errorf("inspect: outcome %q is not %q, %q, %q or %q", outcome, OutcomeGrant, OutcomeDeny, OutcomePurge, OutcomeActivate)
 	}
 	if ctxPattern != "" {
 		pat, err := bctx.Parse(ctxPattern)

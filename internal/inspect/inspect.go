@@ -71,8 +71,8 @@ type ContextState struct {
 
 // Summary feeds the derived gauges on /v1/metrics.
 type Summary struct {
-	// InstancesOpen is the number of distinct context instances with
-	// retained records (msod_context_instances_open).
+	// InstancesOpen is the number of open context instances — with
+	// retained records, or activated (msod_context_instances_open).
 	InstancesOpen int `json:"instances_open"`
 	// ConstraintsTracked counts (user, policy, bound context, rule)
 	// tuples with k >= 1 (msod_constraints_tracked).
@@ -293,9 +293,6 @@ func (in *Inspector) ContextState(pattern bctx.Name) ContextState {
 	}
 	pairs := in.boundPairs(pattern, true)
 	for _, user := range in.browser.UserIDs() {
-		if user == adi.ActivationUser {
-			continue // cluster activation markers are infrastructure, not user state
-		}
 		recs := in.browser.UserRecords(user, pattern)
 		cons := in.progressFor(user, pairs)
 		if len(recs) == 0 && len(cons) == 0 {

@@ -181,16 +181,11 @@ func TestClusterScenariosAcrossShards(t *testing.T) {
 
 	// The hard invariant behind fail-closed routing: no user's history
 	// is ever split across shards, and each user's records sit on the
-	// shard the ring names as owner. The activation sentinel is exempt
-	// by design: every shard keeps its own marker set (that is the
-	// point — FirstStep activation must be visible cluster-wide).
+	// shard the ring names as owner.
 	owners := map[string]string{}
 	for id, s := range shards {
 		for _, rec := range s.store.All() {
 			user := string(rec.User)
-			if user == string(adi.ActivationUser) {
-				continue
-			}
 			if prev, ok := owners[user]; ok && prev != id {
 				t.Fatalf("user %s has retained ADI on both %s and %s", user, prev, id)
 			}

@@ -150,6 +150,82 @@ func (p *PDP) CloseContext(bound bctx.Name, by string) (int, error) {
 	return res.Removed, err
 }
 
+// Activate is the other half of a user-sharded deployment's context
+// lifecycle: the bound context instances have started on another node,
+// so this node activates them (adi.EnsureActive) — with no authorisation
+// of its own, as for CloseContext — and publishes each one it activated
+// as an OutcomeActivate event, both under the commit lock, so a mirror
+// replaying the stream activates it too. Instances already active here
+// are skipped. Returns how many it activated.
+func (p *PDP) Activate(bounds ...bctx.Name) (int, error) {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	return p.activateLocked("started on another shard", bounds)
+}
+
+// activateLocked is Activate for a caller holding commitMu; reason goes
+// into the events.
+func (p *PDP) activateLocked(reason string, bounds []bctx.Name) (int, error) {
+	now := p.clock()
+	added := 0
+	for _, bound := range bounds {
+		n, err := adi.EnsureActive(p.store, now, bound)
+		if err != nil {
+			return added, err
+		}
+		if added += n; n > 0 && p.observer != nil {
+			p.observer(inspect.DecisionEvent{
+				Effect:  inspect.OutcomeActivate,
+				Time:    now,
+				Target:  string(RetainedADITarget),
+				Context: bound.String(),
+				Reason:  reason,
+			})
+		}
+	}
+	return added, nil
+}
+
+// Release is the donor's half of a resharding handoff. The users'
+// history has moved to another shard, so it is purged here — each user
+// published as the purgeUser event a management purge publishes — and
+// every instance they held records of that is left with none here is
+// activated, as Activate does, all under the commit lock: the instance
+// is still running on the shard the history moved to, and without the
+// activation this shard would grant its own users' steps in it
+// unrecorded. It returns the records removed, and false, with nothing
+// released, when the store has no per-user purge or cannot list what
+// the users held.
+func (p *PDP) Release(users []rbac.UserID) (int, bool, error) {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	browser, ok := adi.BrowserFor(p.store)
+	if !ok {
+		return 0, false, nil
+	}
+	removed := 0
+	var held []bctx.Name
+	for _, u := range users {
+		for _, rec := range browser.UserRecords(u, bctx.Universal) {
+			held = append(held, rec.Context)
+		}
+		n, ok, err := adi.PurgeUserFrom(p.store, u)
+		if !ok || err != nil {
+			return removed, ok, err
+		}
+		removed += n
+		p.publishPurge(inspect.DecisionEvent{
+			Operation: string(OpPurgeUser),
+			Target:    string(RetainedADITarget),
+			User:      string(u),
+			Purged:    n,
+			Reason:    "released by a resharding handoff",
+		})
+	}
+	_, err := p.activateLocked("still running where a resharding handoff moved its history", held)
+	return removed, true, err
+}
+
 // purge runs a management purge — the store's own PurgeContext,
 // or one that reaches it through adi's signature bridges (PurgeUserFrom,
 // PurgeBeforeFrom; !ok: the store has no such surface) — and, when it

@@ -38,7 +38,8 @@ var ErrDiverged = errors.New("replica: mirror diverged from owner")
 // timestamp, so the mirror commits exactly the records the owner did —
 // and proves it by comparing its recorded/purged counts against the
 // owner's echoes in every event. Denials never mutate and are skipped;
-// management purges arrive as their own events.
+// management purges and a cluster's context activations arrive as
+// their own events.
 //
 // The mirror is the advisory decision surface too: Advise answers
 // "would the owner grant this?" from local state with zero side
@@ -130,6 +131,8 @@ func (m *Mirror) Apply(ev inspect.DecisionEvent) error {
 		err = m.applyGrant(ev)
 	case inspect.OutcomePurge:
 		err = m.applyPurge(ev)
+	case inspect.OutcomeActivate:
+		err = m.applyActivate(ev)
 	default:
 		err = fmt.Errorf("%w: unknown effect %q at seq %d", ErrDiverged, ev.Effect, ev.Seq)
 	}
@@ -200,6 +203,24 @@ func (m *Mirror) applyPurge(ev inspect.DecisionEvent) error {
 	if n != ev.Purged {
 		return fmt.Errorf("%w: purge seq %d removed %d records on the mirror, %d on the owner",
 			ErrDiverged, ev.Seq, n, ev.Purged)
+	}
+	return nil
+}
+
+// applyActivate activates the instance as the owner did, at the owner's
+// time. The owner publishes only an instance it found not running, so
+// one the mirror finds running already is a divergence.
+func (m *Mirror) applyActivate(ev inspect.DecisionEvent) error {
+	bound, err := bctx.Parse(ev.Context)
+	if err != nil {
+		return fmt.Errorf("%w: activation seq %d has unparseable context %q: %v", ErrDiverged, ev.Seq, ev.Context, err)
+	}
+	n, err := adi.EnsureActive(m.store, ev.Time, bound)
+	if err != nil {
+		return fmt.Errorf("replica: apply activation seq %d: %w", ev.Seq, err)
+	}
+	if n != 1 {
+		return fmt.Errorf("%w: activation seq %d of %q: the mirror has it running already", ErrDiverged, ev.Seq, ev.Context)
 	}
 	return nil
 }

@@ -674,3 +674,86 @@ func TestFollowerDropsClosedInstance(t *testing.T) {
 		t.Errorf("resyncs = %d, want the bootstrap's 1: the close must replay, not diverge", got)
 	}
 }
+
+const firstStepPolicyXML = `
+<RBACPolicy id="replica-first-step">
+  <RoleList><Role value="Clerk"/><Role value="Manager"/></RoleList>
+  <TargetAccessPolicy>
+    <Grant role="Clerk" operation="prepareCheck" target="check"/>
+    <Grant role="Manager" operation="approve" target="check"/>
+    <Grant role="Manager" operation="combine" target="results"/>
+  </TargetAccessPolicy>
+  <MSoDPolicySet>
+    <MSoDPolicy BusinessContext="TaxOffice=!, taxRefundProcess=!">
+      <FirstStep operation="prepareCheck" targetURI="check"/>
+      <MMEP ForbiddenCardinality="2">
+        <Operation value="approve" target="check"/>
+        <Operation value="combine" target="results"/>
+      </MMEP>
+    </MSoDPolicy>
+  </MSoDPolicySet>
+</RBACPolicy>`
+
+// TestFollowerReplaysActivation: an instance the gateway activates on
+// the owner (its first step was granted on another shard) is published
+// as an activate event, so the mirror records the owner's next step in
+// it as the owner does instead of diverging and resyncing; a replica
+// bootstrapped after the activation gets it in the snapshot; and a
+// handoff release that leaves an instance without records on the owner
+// is followed the same way.
+func TestFollowerReplaysActivation(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(firstStepPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	broker := inspect.NewBroker(64)
+	p, err := pdp.New(pdp.Config{Policy: pol, Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(p, server.WithEventBroker(broker)))
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	follow := func() *Follower {
+		f, err := New(Config{Owner: ts.URL, Policy: pol, ReconnectBackoff: 10 * time.Millisecond, ResyncBackoff: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = f.Run(ctx) }()
+		waitConverged(t, f, broker)
+		return f
+	}
+	early := follow()
+
+	const inst = "TaxOffice=Leeds, taxRefundProcess=p1"
+	if act, err := server.NewClient(ts.URL, nil).Activate(ctx, []string{inst}); err != nil || act.Added != 1 {
+		t.Fatalf("activate = %+v, %v", act, err)
+	}
+	late := follow()
+	if dec := grant(t, p, "m1", "Manager", "approve", "check", inst); !dec.Allowed || dec.MSoD.Recorded != 1 {
+		t.Fatalf("approve in the activated instance = %+v, want a recorded grant", dec)
+	}
+	// p2's first step was taken here by a clerk whose history a handoff
+	// then moved away: p2 runs on, and so does the recording.
+	const released = "TaxOffice=Leeds, taxRefundProcess=p2"
+	grant(t, p, "c1", "Clerk", "prepareCheck", "check", released)
+	if n, ok, err := p.Release([]rbac.UserID{"c1"}); n != 1 || !ok || err != nil {
+		t.Fatalf("release = %d, %v, %v", n, ok, err)
+	}
+	if dec := grant(t, p, "m1", "Manager", "approve", "check", released); !dec.Allowed || dec.MSoD.Recorded != 1 {
+		t.Fatalf("approve in the released instance = %+v, want a recorded grant", dec)
+	}
+	for name, f := range map[string]*Follower{"following": early, "bootstrapped after the activation": late} {
+		waitConverged(t, f, broker)
+		if st := f.Status(); st.Divergences != 0 || st.Resyncs != 1 {
+			t.Errorf("%s replica: %d divergences, %d resyncs; want 0 and the bootstrap's 1", name, st.Divergences, st.Resyncs)
+		}
+		for _, ctx := range []string{inst, released} {
+			probe := pdp.Request{User: "m1", Roles: []rbac.RoleName{"Manager"}, Operation: "combine", Target: "results", Context: bctx.MustParse(ctx)}
+			if dec, err := f.Advise(probe); err != nil || dec.Allowed {
+				t.Errorf("%s replica advises %+v, %v in %s; want the MMEP denial the owner gives", name, dec, err, ctx)
+			}
+		}
+	}
+}

@@ -4,15 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
-	"msod/internal/adi"
 	"msod/internal/bctx"
 )
 
 // Context-activation surface. A sharded deployment must agree on which
-// FirstStep-gated context instances are running (see adi's activation
-// markers): the gateway POSTs here to tell a shard "these instances
+// FirstStep-gated context instances are running (see adi.EnsureActive):
+// the gateway POSTs here to tell a shard "these instances
 // have started elsewhere", and GETs the shard's own view when seeding
 // a joining shard. The surface is always on — a spurious activation is
 // deny-safe (it can only cause over-recording), so unlike the handoff
@@ -27,10 +25,11 @@ type ActivationRequest struct {
 // ActivationResponse reports the POST's effect (GET returns the active
 // instance list instead).
 type ActivationResponse struct {
-	// Contexts is, on GET, every context instance with retained
-	// history on this shard; on POST it echoes the request.
+	// Contexts is, on GET, every context instance open on this shard
+	// (with retained history, or activated); on POST it echoes the
+	// request.
 	Contexts []string `json:"contexts"`
-	// Added is how many markers the POST appended (instances already
+	// Added is how many instances the POST activated (instances already
 	// active are skipped — the endpoint is idempotent).
 	Added int `json:"added,omitempty"`
 }
@@ -69,17 +68,13 @@ func (s *Server) handleActivation(w http.ResponseWriter, r *http.Request) {
 			}
 			bounds = append(bounds, bound)
 		}
-		resp := ActivationResponse{Contexts: req.Contexts}
-		var ensureErr error
-		s.pdp.WithCommitLock(func() {
-			resp.Added, ensureErr = adi.EnsureActive(s.pdp.Store(), time.Now(), bounds...)
-		})
-		if ensureErr != nil {
-			s.noteWriteFailure(ensureErr)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("activation failed: %v", ensureErr)})
+		added, err := s.pdp.Activate(bounds...)
+		if err != nil {
+			s.noteWriteFailure(err)
+			writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("activation failed: %v", err)})
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSON(w, http.StatusOK, ActivationResponse{Contexts: req.Contexts, Added: added})
 	default:
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET or POST required"})
 	}
@@ -95,9 +90,31 @@ func (c *Client) ActiveContexts(ctx context.Context) ([]string, error) {
 }
 
 // Activate idempotently marks the named context instances active on
-// the shard.
+// the shard, in as many requests as the shard's body bound needs.
 func (c *Client) Activate(ctx context.Context, contexts []string) (ActivationResponse, error) {
-	var out ActivationResponse
-	err := c.post(ctx, ActivationPath, ActivationRequest{Contexts: contexts}, &out)
-	return out, err
+	total := ActivationResponse{Contexts: contexts}
+	for {
+		n := activationChunk(contexts)
+		var out ActivationResponse
+		if err := c.post(ctx, ActivationPath, ActivationRequest{Contexts: contexts[:n]}, &out); err != nil {
+			return total, err
+		}
+		total.Added += out.Added
+		if contexts = contexts[n:]; len(contexts) == 0 {
+			return total, nil
+		}
+	}
+}
+
+// activationChunk is how many of the contexts, from the first, fit one
+// activation request under maxBodyBytes, each counted at the most JSON
+// can make of it (every byte escaped as \u00XX); at least one.
+func activationChunk(contexts []string) int {
+	size := len(`{"contexts":[]}`)
+	for i, c := range contexts {
+		if size += 6*len(c) + 3; size > maxBodyBytes && i > 0 {
+			return i
+		}
+	}
+	return len(contexts)
 }

@@ -2,7 +2,14 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
+
+	"msod/internal/pdp"
+	"msod/internal/policy"
 )
 
 // TestDecisionReportsActivated: a grant that commits a FirstStep
@@ -73,7 +80,7 @@ func TestActivationEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if act.Added != 1 {
-		t.Fatalf("activate added = %d, want 1 marker", act.Added)
+		t.Fatalf("activate added = %d, want 1", act.Added)
 	}
 	// Idempotent: a replayed fan-out adds nothing.
 	if act, err = c.Activate(context.Background(), []string{inst}); err != nil || act.Added != 0 {
@@ -101,8 +108,43 @@ func TestActivationEndpoint(t *testing.T) {
 	if r := approve("m2", "p1"); r.Allowed {
 		t.Fatalf("second approve by m2 = %+v, want MMEP denial from recorded history", r)
 	}
-	if p.Store().Len() == 0 {
-		t.Fatal("store empty after activation and recorded grants")
+	if n := p.Store().Len(); n != 1 {
+		t.Fatalf("store holds %d records after the activation and one recorded grant, want 1: an activation is no record", n)
+	}
+}
+
+// TestActivateSplitsAtTheBodyBound: more instances than one request can
+// carry under the shard's body bound — a join's or a purge's sync on a
+// busy cluster — go in several requests, and every one is activated.
+func TestActivateSplitsAtTheBodyBound(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(taxPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pdp.New(pdp.Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(p)
+	var posts atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == ActivationPath && r.ContentLength > maxBodyBytes {
+			t.Errorf("activation request of %d bytes", r.ContentLength)
+		}
+		posts.Add(1)
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	contexts := make([]string, 10000)
+	for i := range contexts {
+		contexts[i] = fmt.Sprintf("TaxOffice=Leeds, taxRefundProcess=p%06d", i)
+	}
+	act, err := NewClient(ts.URL, nil).Activate(context.Background(), contexts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if act.Added != len(contexts) || posts.Load() < 2 {
+		t.Fatalf("activated %d of %d instances in %d requests; want all, in more than one", act.Added, len(contexts), posts.Load())
 	}
 }
 

@@ -307,3 +307,73 @@ func TestServeDecisionAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestServeActivationAllocs is the budget of one POST /v1/ctx/activation
+// naming one instance not yet running — what a gateway's FirstStep
+// fan-out costs each peer — on a shard with the event broker fed by the
+// PDP's observer ("default", as msodd runs) and without ("bare"):
+//
+//	decode 9    the request moved to the heap for Unmarshal (1), the body
+//	            (1), encoding/json's decodeState, object state and parse
+//	            stack (5), the Contexts slice and its string (2)
+//	activate 5  the parsed name (1), the bounds slice (1), the encoded
+//	            activation Append is handed (1), the instance-table entry
+//	            (1) and its slot in a component list (1)
+//	respond 2   the answer boxed for the encoder (1), the Content-Type
+//	            value (1)
+//	event 1     default only: the instance's text in the activate event
+//	            a replica follows the activation by (pdp.PDP.Activate)
+func TestServeActivationAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const allocRuns = 200
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, budget := range map[string]float64{"default": 17, "bare": 16} {
+		t.Run(kind, func(t *testing.T) {
+			cfg := pdp.Config{Policy: pol}
+			var opts []Option
+			if kind == "default" {
+				broker := inspect.NewBroker(32)
+				cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
+				opts = append(opts, WithEventBroker(broker))
+			}
+			p, err := pdp.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(p, opts...)
+			w := &memoryWriter{header: http.Header{}}
+			reqs := make([]*http.Request, 2*allocRuns+1)
+			for i := range reqs {
+				b, err := json.Marshal(ActivationRequest{Contexts: []string{fmt.Sprintf("Branch=York, Period=p%d", i)}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if reqs[i], err = http.NewRequest(http.MethodPost, ActivationPath, bytes.NewReader(b)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			i := 0
+			one := func() {
+				w.body.Reset()
+				srv.ServeHTTP(w, reqs[i])
+				i++
+			}
+			for i < allocRuns {
+				one()
+			}
+			got := testing.AllocsPerRun(allocRuns, one)
+			var resp ActivationResponse
+			if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil || w.status != http.StatusOK || resp.Added != 1 {
+				t.Fatalf("status %d, answer %s (%v); want one instance activated", w.status, w.body.Bytes(), err)
+			}
+			if got != budget {
+				t.Fatalf("%v allocs, budget %v", got, budget)
+			}
+		})
+	}
+}

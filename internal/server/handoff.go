@@ -25,8 +25,9 @@ import (
 //     over-counts deny, but an import must be exact, and replace makes
 //     it idempotent).
 //   - POST /v1/handoff/release  — the donor purges the moved users
-//     after cutover. Failure here is deny-safe: leftover copies on a
-//     shard that no longer owns the users only ever add denials.
+//     after cutover, keeping running the instances they leave
+//     (pdp.PDP.Release). Failure here is deny-safe: leftover copies on
+//     a shard that no longer owns the users only ever add denials.
 //
 // The whole surface is opt-in (WithHandoff / msodd -handoff): import
 // and release mutate the retained ADI without the management port's
@@ -104,12 +105,6 @@ func (s *Server) handleHandoffUsers(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := HandoffUsersResponse{Policy: s.pdp.PolicyID(), Users: []string{}}
 	for _, u := range s.browser.UserIDs() {
-		if u == adi.ActivationUser {
-			// Activation markers are per-shard infrastructure state —
-			// every shard keeps its own set — not user history to move,
-			// and release must never purge a donor's markers.
-			continue
-		}
 		resp.Users = append(resp.Users, string(u))
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -227,27 +222,14 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"release requires at least one user"})
 		return
 	}
-	store := s.pdp.Store()
-	resp := HandoffReleaseResponse{Users: len(req.Users)}
-	var releaseErr error
-	unsupported := false
-	s.pdp.WithCommitLock(func() {
-		for _, u := range req.Users {
-			n, ok, err := adi.PurgeUserFrom(store, rbac.UserID(u))
-			if !ok {
-				unsupported = true
-				return
-			}
-			if err != nil {
-				releaseErr = err
-				return
-			}
-			resp.Purged += n
-		}
-	})
-	if unsupported {
+	users := make([]rbac.UserID, len(req.Users))
+	for i, u := range req.Users {
+		users[i] = rbac.UserID(u)
+	}
+	purged, ok, releaseErr := s.pdp.Release(users)
+	if !ok {
 		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{"store exposes no per-user purge; release unsupported"})
+			errorResponse{"store exposes no per-user purge or browse surface; release unsupported"})
 		return
 	}
 	if releaseErr != nil {
@@ -256,7 +238,7 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.handoffReleases.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, HandoffReleaseResponse{Users: len(users), Purged: purged})
 }
 
 // HandoffUsers fetches a donor's retained-ADI user list.

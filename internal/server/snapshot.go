@@ -76,7 +76,9 @@ type ReplicaSnapshot struct {
 	// Records holds exactly these users' retained ADI (some may have no
 	// records at all). Empty on a full dump.
 	Users []string `json:"users,omitempty"`
-	// Records is the retained ADI at Seq (full, or scoped to Users).
+	// Records is the retained ADI at Seq (full, or scoped to Users). A
+	// full dump also carries the activated context instances, encoded as
+	// the records adi appends them as (adi.Activations).
 	Records []SnapshotRecord `json:"records"`
 }
 
@@ -121,6 +123,9 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 		snap.Seq = s.broker.Seq()
 		if users == nil {
 			snap.Records = dumpRecords(s.browser)
+			for _, rec := range adi.Activations(s.pdp.Store()) {
+				snap.Records = append(snap.Records, NewSnapshotRecord(rec))
+			}
 		} else {
 			snap.Records = dumpUserRecords(s.browser, users)
 		}
