@@ -56,19 +56,22 @@ experiments:
 	$(GO) run ./cmd/msodbench
 
 # Full fault-injection torture: power-loss crash-recovery schedules,
-# chaotic transport, overload shedding, degraded read-only mode.
+# chaotic transport (with carried activations and closes), overload
+# shedding, degraded read-only mode.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -run 'TestAdmission|TestClientRetriesShedRequest|TestDegradedReadOnlyLatch' ./internal/server
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster
 
 # Elastic membership smoke: the join/drain/remove lifecycle and
-# activation fan-out unit suite (with the re-activation after a user or
-# age purge), the live 2→3→2 scale-out/drain integration against real
-# shards, and the 60-seed reshard torture (random join/drain/crash
-# schedules checked against a shadow PDP).
+# context-activation unit suite (the activation carried to each peer,
+# a FirstStep acked with a peer Down, a gateway restarted with
+# activations pending, the re-activation after a user or age purge), the
+# live 2→3→2 scale-out/drain integration against real shards, and the
+# 60-seed reshard torture (random join/drain/crash schedules checked
+# against a shadow PDP).
 elastic:
-	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics|Purge)|TestActivation|TestJoinSeeds' ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics|Purge|FirstStepWithPeerDown|GatewayRestart)|TestActivation|TestJoinSeeds' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestElastic' ./internal/integration
 	$(GO) test -race -count=1 -run 'TestElasticReshardTorture' ./internal/fault
 

@@ -165,6 +165,15 @@ func parseFlags(args []string) (*options, error) {
 			return nil, errors.New("msodd: -replica-of conflicts with -handoff (replicas hold no authoritative history to stream)")
 		}
 	}
+	if o.handoff && o.recover == "trail" && o.adiDir == "" {
+		// A cluster shard's retained ADI also changes by what the gateway
+		// tells it — peers' activations and closes, handoff imports and
+		// releases, management purges — and the trail records none of it:
+		// replay re-evaluates granted decisions only, so the shard would come
+		// back without the instances its peers opened, and grant in them
+		// unrecorded. -adi (which overrides -recover) keeps all of it.
+		return nil, errors.New("msodd: -recover trail conflicts with -handoff (trail replay restores granted decisions only, not the activations, closes and handoffs a cluster shard is told of; use -adi)")
+	}
 	return o, nil
 }
 

@@ -58,6 +58,37 @@ func TestParseFlags(t *testing.T) {
 	}
 }
 
+// TestParseFlagsConflicts: flag pairs that cannot both hold are refused
+// at start-up, naming the pair; the pairs that can are accepted.
+func TestParseFlagsConflicts(t *testing.T) {
+	for _, tc := range []struct {
+		args     []string
+		conflict string // "" when the flags are accepted
+	}{
+		{[]string{"-replica-of", "http://owner", "-trail", "t"}, "-replica-of conflicts with -trail"},
+		{[]string{"-replica-of", "http://owner", "-adi", "a"}, "-replica-of conflicts with -adi"},
+		{[]string{"-replica-of", "http://owner", "-recover", "trail"}, "-replica-of conflicts with -recover"},
+		{[]string{"-replica-of", "http://owner", "-handoff"}, "-replica-of conflicts with -handoff"},
+		{[]string{"-replica-of", "http://owner"}, ""},
+		// A cluster shard recovered from its trail would come back without
+		// the instances its peers opened: a false-grant path.
+		{[]string{"-handoff", "-recover", "trail", "-trail", "t"}, "-recover trail conflicts with -handoff"},
+		// -adi overrides -recover: the durable store keeps what the trail
+		// lacks.
+		{[]string{"-handoff", "-recover", "trail", "-trail", "t", "-adi", "a"}, ""},
+		{[]string{"-handoff", "-recover", "snapshot"}, ""},
+		{[]string{"-recover", "trail", "-trail", "t"}, ""},
+	} {
+		_, err := parseFlags(append([]string{"-policy", "p.xml"}, tc.args...))
+		switch {
+		case tc.conflict == "" && err != nil:
+			t.Errorf("%q refused: %v", tc.args, err)
+		case tc.conflict != "" && (err == nil || !strings.Contains(err.Error(), tc.conflict)):
+			t.Errorf("%q = %v, want the %q refusal", tc.args, err, tc.conflict)
+		}
+	}
+}
+
 func TestBuildPDPVariants(t *testing.T) {
 	dir := t.TempDir()
 	policyPath := writeFile(t, dir, "policy.xml", dPolicyXML)

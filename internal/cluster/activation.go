@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 
 	"msod/internal/server"
@@ -18,16 +17,26 @@ import (
 // ADI, the one failure mode MSoD must never have. The gateway closes
 // the gap at the only place that sees both the grant and the topology:
 //
-//   - Every decision whose response names Activated instances is acked
-//     to the PEP only after every tracked peer shard accepted the
-//     activation (fanoutActivation). A failed fan-out withholds the
-//     grant fail-closed; the answering shard's committed record and
-//     any partial activations are deny-safe (extra history only ever adds
-//     denials), and the PEP's retry re-converges.
+//   - Every decision whose response names Activated instances queues
+//     the activation for every serving peer shard (enqueueLifecycle), in
+//     the same per-shard log as closes, and is acked to the PEP at once:
+//     each peer applies it before the next request the gateway sends it,
+//     and every request that can read the instance there is one. The
+//     activation stays queued until the peer's own answer acknowledges
+//     it, and a peer leaves Down only once it has (probe). An activation
+//     that cannot be queued withholds the grant fail-closed; the
+//     answering shard's committed record and any activations queued for
+//     other peers are deny-safe (extra history only ever adds denials),
+//     and the PEP's retry re-converges.
 //
-//   - A joining shard missed every fan-out from before it was
-//     admitted, so the join handoff seeds it with the union of the
-//     authoritative shards' running instances (syncActivations) before
+//   - The queue lives in the gateway's memory; the shards' stores are the
+//     durable copy. A gateway that stops with activations queued loses
+//     them, so a gateway syncs every serving shard with the union of the
+//     authoritative shards' running instances (syncActivations) before it
+//     routes its first decision (bootSync).
+//
+//   - A joining shard missed every activation from before it was
+//     admitted, so the join handoff seeds it with the same union before
 //     cutover. Activations alone cannot be streamed: on the
 //     first-stepper's own shard the instance runs because of the real
 //     opening record, not an activation.
@@ -41,24 +50,23 @@ import (
 // All paths are idempotent (the shard skips instances already active)
 // and deny-safe (a spurious activation can only cause over-recording).
 
-// fanoutActivation tells every peer shard the named context instances
-// are now running: every tracked shard that may serve decisions now or
-// later — everything except the answering shard and shards already
-// gone. Joining and syncing shards are included deliberately: an
-// activation that fires between their admission and cutover would
-// otherwise be missed by both the fan-out and the join-time sync. The
-// first failure is returned (the caller withholds the grant — partial
-// activation is deny-safe but the PEP must not see the ack until the
-// whole cluster agrees the instance started).
-func (g *Gateway) fanoutActivation(ctx context.Context, answered string, contexts []string) error {
-	peers := slices.DeleteFunc(g.shards(serving), func(id string) bool { return id == answered })
-	for _, res := range scatter(ctx, g, peers, func(ctx context.Context, _ string, c *server.Client) (server.ActivationResponse, error) {
-		return c.Activate(ctx, contexts)
-	}) {
-		if res.err != nil {
-			return fmt.Errorf("shard %s: %w", res.shard, res.err)
-		}
+// bootSync runs syncActivations over every serving shard once, before
+// the first recording decision this gateway routes: the activations the
+// gateway that ran before it had queued but not delivered are in no
+// outbox any more, but each started instance is still running on the
+// shard that granted its FirstStep. Until a sync succeeds every caller
+// gets its error, and the next caller tries again; callers wait for one
+// another rather than sync twice.
+func (g *Gateway) bootSync(ctx context.Context) error {
+	g.bootMu.Lock()
+	defer g.bootMu.Unlock()
+	if g.booted.Load() {
+		return nil
 	}
+	if err := g.syncActivations(ctx, g.shards(serving)); err != nil {
+		return err
+	}
+	g.booted.Store(true)
 	return nil
 }
 
@@ -69,10 +77,10 @@ func (g *Gateway) fanoutActivation(ctx context.Context, answered string, context
 // deny-safe, and filtering here would need policy knowledge the gateway
 // deliberately does not have. An instance that has been closed has no
 // history left anywhere (closes.go), so the union is the instances
-// still open, not every instance there ever was. Closes are excluded
-// while it is taken and applied (g.closing, as for a handoff copy): an
-// instance closed in between would be re-activated on a target after
-// the target had already been told to close it.
+// still open, not every instance there ever was. Opens and closes are
+// excluded while it is taken and applied (g.closing, as for a handoff
+// copy): an instance closed in between would be re-activated on a target
+// after the target had already been told to close it.
 func (g *Gateway) syncActivations(ctx context.Context, targets []string) error {
 	g.closing.Lock()
 	defer g.closing.Unlock()

@@ -1,81 +1,135 @@
 package cluster
 
 import (
+	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"msod/internal/adi"
+	"msod/internal/fault"
+	"msod/internal/pdp"
 	"msod/internal/server"
+	"msod/internal/workload"
 )
 
-// peerOf returns the stub that did NOT answer for the given routing
-// key in a two-shard elastic cluster.
-func peerOf(t *testing.T, gw *Gateway, shards []*elasticStub, key string) *elasticStub {
+// activeOn lists the context instances a shard considers running, asked
+// directly rather than through the gateway (so nothing queued rides it).
+func activeOn(t *testing.T, sh *closeShard) []string {
 	t.Helper()
-	owner, ok := gw.ShardFor(key)
-	if !ok {
-		t.Fatalf("no owner for %s", key)
-	}
-	if owner == "shard00" {
-		return shards[1]
-	}
-	return shards[0]
-}
-
-// TestActivationFanoutBeforeAck: a grant that starts a FirstStep-gated
-// instance is acked only after the peer shard was told the instance is
-// running.
-func TestActivationFanoutBeforeAck(t *testing.T) {
-	gw, gts, shards := newElasticCluster(t, 2, Config{Retries: -1, FailAfter: 1})
-	for _, s := range shards {
-		s.mu.Lock()
-		s.activateOnOp = "start"
-		s.mu.Unlock()
-	}
-	c := server.NewClient(gts.URL, nil)
-	resp, err := c.Decision(server.DecisionRequest{User: "u1", Operation: "start", Target: "t", Context: "Proc=p1"})
+	got, err := server.NewClient(sh.ts.URL, nil).ActiveContexts(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Allowed || len(resp.Activated) != 1 {
-		t.Fatalf("decision = %+v, want a grant reporting one activated instance", resp)
+	return got
+}
+
+// countingPaths forwards every request and counts them by method and
+// path.
+type countingPaths struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (c *countingPaths) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	if c.seen == nil {
+		c.seen = map[string]int{}
 	}
-	peer := peerOf(t, gw, shards, "u1")
-	peer.mu.Lock()
-	active := peer.active["Proc=p1"]
-	peer.mu.Unlock()
-	if !active {
-		t.Fatal("grant acked but the peer shard was never told Proc=p1 started")
+	c.seen[r.Method+" "+r.URL.Path]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+func (c *countingPaths) count(key string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.seen[key]
+}
+
+// TestActivationRidesTheNextRequest: a grant that starts a
+// FirstStep-gated instance is acked at once, with no request of its own
+// to the peer shards; each peer is told on the next request it is sent,
+// before that request is served, and only then.
+func TestActivationRidesTheNextRequest(t *testing.T) {
+	net := &countingPaths{}
+	gw, c, shards := newCloseCluster(t, 2, Config{}, net)
+	b := shards[1]
+	clerk := userOn(t, gw, "a", "clerk", 0)
+	resp := mustDecide(t, c, taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""), true)
+	if len(resp.Activated) != 1 {
+		t.Fatalf("first step = %+v, want one activated instance", resp)
+	}
+	const p1 = "TaxOffice=Leeds, taxRefundProcess=p1"
+	if n := net.count(http.MethodPost + " " + server.ActivationPath); n != 0 {
+		t.Fatalf("%d activation posts on the way to the ack, want none", n)
+	}
+	if got := activeOn(t, b); len(got) != 0 || outbox(t, gw, "b").Pending() != 1 {
+		t.Fatalf("before b is sent anything: it runs %q, %d queued for it; want nothing running and the activation queued", got, outbox(t, gw, "b").Pending())
+	}
+	gw.Checker().CheckNow()
+	if got := activeOn(t, b); !slices.Equal(got, []string{p1}) || outbox(t, gw, "b").Pending() != 0 {
+		t.Fatalf("after one probe: b runs %q, %d queued for it; want [%s] and nothing queued", got, outbox(t, gw, "b").Pending(), p1)
+	}
+	if gw.metrics.activationFanouts.Load() != 1 || gw.metrics.activationWithheld.Load() != 0 {
+		t.Fatalf("activations queued %d, withheld %d; want 1 and 0", gw.metrics.activationFanouts.Load(), gw.metrics.activationWithheld.Load())
 	}
 }
 
-// TestActivationFanoutFailureWithholdsGrant: if a peer cannot
-// acknowledge the activation, the grant is withheld fail-closed (503 +
-// Retry-After) — an unreachable peer that silently missed it would
-// later grant operations in the instance unrecorded.
-func TestActivationFanoutFailureWithholdsGrant(t *testing.T) {
-	gw, gts, shards := newElasticCluster(t, 2, Config{Retries: -1, FailAfter: 1})
-	for _, s := range shards {
-		s.mu.Lock()
-		s.activateOnOp = "start"
-		s.mu.Unlock()
+// TestActivationWithheldWhenItCannotBeQueued: an activation that cannot
+// wait in a peer's outbox — it is full of activations the peer has not
+// acknowledged, or the activation has no carriable requestID — withholds
+// the grant fail-closed (503 + Retry-After); no queued activation is ever
+// dropped to make room, and decisions that start nothing still flow.
+func TestActivationWithheldWhenItCannotBeQueued(t *testing.T) {
+	gw, _, _ := newCloseCluster(t, 2, Config{Retries: -1}, nil)
+	gts := httptest.NewServer(gw)
+	defer gts.Close()
+	c := server.NewClient(gts.URL, nil, server.WithShedRetries(0))
+	clerk := userOn(t, gw, "a", "clerk", 0)
+	withheld := func(req server.DecisionRequest) {
+		t.Helper()
+		_, err := c.Decision(req)
+		var apiErr *server.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || apiErr.RetryAfter <= 0 {
+			t.Fatalf("%s in %s = %v, want the grant withheld with 503 + Retry-After", req.Operation, req.Context, err)
+		}
 	}
-	peerOf(t, gw, shards, "u1").ts.Close()
 
-	c := server.NewClient(gts.URL, nil)
-	_, err := c.Decision(server.DecisionRequest{User: "u1", Operation: "start", Target: "t", Context: "Proc=p1"})
-	var apiErr *server.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
-		t.Fatalf("activating decision with a dead peer = %v, want fail-closed 503", err)
+	// The PEP chose a requestID too long to carry.
+	withheld(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p0", strings.Repeat("r", 2048)))
+
+	// b's outbox fills with activations b never acknowledged, to the last
+	// few bytes.
+	filled := 0
+	for _, width := range []int{900, 1} {
+		for ; ; filled++ {
+			entry, ok := server.EncodeActivation(fmt.Sprintf("%0*d", width, filled), []string{fmt.Sprintf("P=%d", filled)})
+			if !ok {
+				t.Fatal("EncodeActivation refused")
+			}
+			if !outbox(t, gw, "b").Enqueue(entry) {
+				break
+			}
+			if filled > 1<<12 {
+				t.Fatal("b's outbox takes activations past its bound")
+			}
+		}
 	}
-	if apiErr.RetryAfter <= 0 {
-		t.Fatalf("withheld grant carries no Retry-After hint: %+v", apiErr)
+	withheld(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""))
+	if n := outbox(t, gw, "b").Pending(); n != filled {
+		t.Fatalf("b's outbox holds %d, want the %d activations it was full of", n, filled)
 	}
-	// Decisions that start nothing still flow: the dead peer only
-	// matters when there is an activation it must acknowledge.
-	if _, err := c.Decision(server.DecisionRequest{User: "u1", Operation: "op", Target: "t", Context: "Proc=p1"}); err != nil {
-		t.Fatalf("non-activating decision should still be served: %v", err)
+	if n := gw.metrics.activationWithheld.Load(); n != 2 {
+		t.Fatalf("msodgw_ctx_activation_withheld_total = %d, want 2", n)
 	}
+	mustDecide(t, c, taxStep(userOn(t, gw, "a", "mgr", 0), "Manager", "approve/disapproveCheck", checkTarget, "p9", ""), true)
 }
 
 // TestJoinSeedsActivations: the join handoff seeds the joiner with the
@@ -103,5 +157,271 @@ func TestJoinSeedsActivations(t *testing.T) {
 		if !joiner.active[want] {
 			t.Errorf("joiner missing activation for %s (has %v)", want, joiner.active)
 		}
+	}
+}
+
+// switchboard forwards requests, except to the hosts it is told are
+// down (a refused connection), and strips the activation acknowledgement
+// from the answers of the hosts it is told are behind a proxy.
+type switchboard struct {
+	mu      sync.Mutex
+	down    map[string]bool
+	proxied map[string]bool
+}
+
+func (s *switchboard) set(host string, down, proxied bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.down == nil {
+		s.down, s.proxied = map[string]bool{}, map[string]bool{}
+	}
+	s.down[host], s.proxied[host] = down, proxied
+}
+
+func (s *switchboard) RoundTrip(r *http.Request) (*http.Response, error) {
+	s.mu.Lock()
+	down, proxied := s.down[r.URL.Host], s.proxied[r.URL.Host]
+	s.mu.Unlock()
+	if down {
+		if r.Body != nil {
+			r.Body.Close()
+		}
+		return nil, errors.New("switchboard: connection refused")
+	}
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil && proxied {
+		resp.Header.Del(server.ActivationAckHeader)
+	}
+	return resp, err
+}
+
+func host(sh *closeShard) string { return sh.ts.Listener.Addr().String() }
+
+// TestClusterFirstStepWithPeerDown: a FirstStep granted while a peer is
+// Down is acked — its activation waits in the peer's outbox. The peer
+// turns Up only on a probe the peer itself answered, acknowledging what
+// was queued for it (an answer from something in its place is not
+// enough), and then grants exactly what one PDP grants.
+func TestClusterFirstStepWithPeerDown(t *testing.T) {
+	net := &switchboard{}
+	gw, c, shards := newCloseCluster(t, 3, Config{Retries: -1, FailAfter: 1}, net)
+	o := newOnePDP(t, c)
+	b := shards[1]
+	clerk, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "b", "mgr", 0)
+	o.decide(taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p0", ""))
+
+	net.set(host(b), true, false)
+	gw.Checker().CheckNow()
+	if gw.Checker().Up("b") {
+		t.Fatal("b is Up although it answers nothing")
+	}
+	o.decide(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""))
+	if n := gw.metrics.activationWithheld.Load(); n != 0 || outbox(t, gw, "b").Pending() != 1 {
+		t.Fatalf("with b Down: %d grants withheld, %d queued for b; want 0 and the activation", n, outbox(t, gw, "b").Pending())
+	}
+
+	net.set(host(b), false, true)
+	gw.Checker().CheckNow()
+	if gw.Checker().Up("b") || outbox(t, gw, "b").Pending() != 1 {
+		t.Fatalf("after a probe answered without the acknowledgement: up=%v, %d queued; want Down and the activation kept",
+			gw.Checker().Up("b"), outbox(t, gw, "b").Pending())
+	}
+
+	net.set(host(b), false, false)
+	gw.Checker().CheckNow()
+	if !gw.Checker().Up("b") || outbox(t, gw, "b").Pending() != 0 {
+		t.Fatalf("after b's own probe answer: up=%v, %d queued; want Up and nothing queued", gw.Checker().Up("b"), outbox(t, gw, "b").Pending())
+	}
+	o.decide(taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p1", ""))
+	o.decide(taxStep(managerB, "Manager", "combineResults", "http://secret.location.com/results", "p1", ""))
+	gw.Checker().CheckNow()
+	if got, want := retained(shards[0].store, b.store, shards[2].store), retained(o.ref.Store().(*adi.Store)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the shards retain %q, one PDP %q", got, want)
+	}
+}
+
+// TestClusterGatewayRestartWithActivationsPending: a gateway acks
+// FirstSteps and stops before any request carried their activations to
+// the peers. Its queue died with it; the gateway started in its place
+// syncs the shards before its first decision — refusing decisions while
+// a shard cannot be asked — and from then on every decision is the one
+// one PDP makes.
+func TestClusterGatewayRestartWithActivationsPending(t *testing.T) {
+	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
+	o := newOnePDP(t, c)
+	clerk, managerB, managerC := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "b", "mgr", 0), userOn(t, gw, "c", "mgr", 0)
+	const processes = 3
+	for i := 0; i < processes; i++ {
+		o.decide(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, fmt.Sprintf("p%d", i), ""))
+	}
+	if n := outbox(t, gw, "b").Pending(); n != processes {
+		t.Fatalf("%d activations queued for b, want %d", n, processes)
+	}
+	gw.Close()
+
+	net := &switchboard{}
+	net.set(host(shards[2]), true, false)
+	var topo []Shard
+	for _, sh := range shards {
+		topo = append(topo, Shard{ID: sh.id, BaseURL: sh.ts.URL})
+	}
+	next, err := New(Config{Shards: topo, Retries: -1, HTTPClient: &http.Client{Transport: net}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.Checker().CheckNow()
+	gts := httptest.NewServer(next)
+	t.Cleanup(func() {
+		gts.Close()
+		next.Close()
+	})
+	o.c = server.NewClient(gts.URL, nil, server.WithShedRetries(0))
+
+	// c cannot be asked which instances it runs: nothing records.
+	_, err = o.c.Decision(taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p0", ""))
+	var apiErr *server.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || !strings.Contains(apiErr.Message, "not yet synced") {
+		t.Fatalf("a decision before the sync could reach every shard = %v, want 503", err)
+	}
+	net.set(host(shards[2]), false, false)
+	next.Checker().CheckNow()
+	for i := 0; i < processes; i++ {
+		instance := fmt.Sprintf("p%d", i)
+		for _, m := range []string{managerB, managerC} {
+			o.decide(taxStep(m, "Manager", "approve/disapproveCheck", checkTarget, instance, ""))
+			o.decide(taxStep(m, "Manager", "combineResults", "http://secret.location.com/results", instance, ""))
+		}
+	}
+	if got, want := retained(shards[0].store, shards[1].store, shards[2].store), retained(o.ref.Store().(*adi.Store)); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the shards retain %q, one PDP %q", got, want)
+	}
+}
+
+// TestBootSyncRunsOnce: decisions that arrive together at a gateway that
+// has not synced yet wait for one sync — every shard is asked once — and
+// are then all decided.
+func TestBootSyncRunsOnce(t *testing.T) {
+	net := &countingPaths{}
+	gw, c, _ := newCloseCluster(t, 3, Config{}, net)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		manager := userOn(t, gw, "a", "mgr", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			decide(t, c, taxStep(manager, "Manager", "approve/disapproveCheck", checkTarget, "p0", ""), true)
+		}()
+	}
+	wg.Wait()
+	if n := net.count(http.MethodGet + " " + server.ActivationPath); n != 3 {
+		t.Fatalf("%d shards asked for their running instances, want each of the 3 once", n)
+	}
+}
+
+// answerDropper forwards every request and loses a seeded share of the
+// answers after the shard has served them.
+type answerDropper struct {
+	mu   sync.Mutex
+	rng  *rand.Rand
+	rate float64
+}
+
+func (d *answerDropper) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	d.mu.Lock()
+	lose := err == nil && d.rng.Float64() < d.rate
+	d.mu.Unlock()
+	if lose {
+		resp.Body.Close()
+		return nil, errors.New("answerDropper: connection reset after the request was served")
+	}
+	return resp, err
+}
+
+func (d *answerDropper) setRate(rate float64) {
+	d.mu.Lock()
+	d.rate = rate
+	d.mu.Unlock()
+}
+
+// TestClusterChaoticTransportKeepsCarriedActivations: tax processes,
+// every instance name run twice, through three shards over a transport
+// that resets requests before they leave, loses answers after the shard
+// served them, and answers in a shard's place with a 503. Activations are
+// carried until acknowledged and closes dropped when in doubt; a shadow
+// PDP absorbs every grant the cluster acknowledged, and the cluster never
+// grants what the shadow refuses — on the way, and after one clean probe
+// round delivered what was left.
+func TestClusterChaoticTransportKeepsCarriedActivations(t *testing.T) {
+	lossy := &answerDropper{rng: rand.New(rand.NewSource(5))}
+	rt := fault.NewRoundTripper(lossy, 3)
+	gw, c, _ := newCloseCluster(t, 3, Config{Retries: 2, RetryBackoff: 1, FailAfter: 1 << 20, BreakerAfter: 1 << 20}, rt)
+	shadow, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: adi.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var script []server.DecisionRequest
+	for pass := 0; pass < 2; pass++ {
+		tax := workload.NewTax(workload.TaxConfig{Seed: 17, Clerks: 9, Managers: 9, Offices: 2})
+		for round := 0; round < 12; round++ {
+			open := [][]workload.TaxStep{tax.NextProcess(), tax.NextProcess(), tax.NextProcess()}
+			for step := 0; step < len(open[0]); step++ {
+				for _, process := range open {
+					script = append(script, wireRequest(process[step].Request))
+				}
+			}
+		}
+	}
+
+	lossy.setRate(0.1)
+	rt.InjectRate(0.15, fault.Trip{Kind: fault.Trip5xx})
+	var wrong []string
+	granted, failed := 0, 0
+	for _, req := range script {
+		want, err := shadow.Advise(shadowRequest(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Decision(req)
+		if err != nil {
+			failed++
+			continue
+		}
+		if got.Allowed && !want.Allowed {
+			wrong = append(wrong, fmt.Sprintf("%s by %s in %s (%s)", req.Operation, req.User, req.Context, want.Reason))
+		}
+		if got.Allowed {
+			granted++
+			if _, err := shadow.Decide(shadowRequest(req)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(wrong) != 0 {
+		t.Fatalf("FALSE GRANTS under a chaotic transport: %q", wrong)
+	}
+	if failed == 0 || granted < len(script)/2 || gw.metrics.activationFanouts.Load() == 0 {
+		t.Fatalf("%d of %d decisions granted, %d failed, %d activations queued; the transport is meant to fail some and the script to open instances",
+			granted, len(script), failed, gw.metrics.activationFanouts.Load())
+	}
+
+	lossy.setRate(0)
+	rt.InjectRate(0, fault.Trip{})
+	gw.Checker().CheckNow()
+	for _, id := range []string{"a", "b", "c"} {
+		if n := outbox(t, gw, id).Pending(); n != 0 {
+			t.Fatalf("shard %s: %d entries still queued after a clean probe round", id, n)
+		}
+	}
+	var probes []server.DecisionRequest
+	for _, req := range script {
+		for _, op := range [][2]string{{"approve/disapproveCheck", checkTarget}, {"combineResults", "http://secret.location.com/results"}} {
+			probe := req
+			probe.Roles, probe.Operation, probe.Target = []string{"Manager"}, op[0], op[1]
+			probes = append(probes, probe)
+		}
+	}
+	if bad := falseGrants(t, c, shadow, probes); len(bad) != 0 {
+		t.Fatalf("FALSE GRANTS after the chaos: %q", bad)
 	}
 }

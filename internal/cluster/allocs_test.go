@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,13 +29,19 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 
 // cannedShards answers the i-th POST it sees with the i-th prepared
 // response, so the shard side of the hop allocates nothing while the
-// gateway is measured.
+// gateway is measured. A GET — the activation sync before the first
+// decision — is told no instance is running.
 type cannedShards struct {
 	answers []*http.Response
 	next    int
 }
 
 func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet {
+		const none = `{"contexts":[]}`
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+			Body: io.NopCloser(strings.NewReader(none)), ContentLength: int64(len(none))}, nil
+	}
 	resp := c.answers[c.next]
 	c.next++
 	resp.Request = r
@@ -83,10 +90,13 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 //	            (9: the slice header it decodes through, the decodeState,
 //	            its parse stack three deep, its error context, the
 //	            element slice, the holder)
-//	activated 9 the Activated slice and its string (2); the fan-out's
-//	            peer list, its closure, scatter's result slice and its
-//	            deadline (1 + 1 + 1 + 4) — the test gateway has one
-//	            shard, so there is nobody to post to
+//	activated 5 the Activated slice and its string (2); the activation
+//	            encoded once for all peers, its buffer and its text (2);
+//	            the peer list (1) — the test gateway has one shard, so
+//	            there is no outbox entry and no header to rebuild. It was
+//	            9 while the grant waited for a fan-out: gone are its
+//	            closure, scatter's result slice and its deadline
+//	            (1 + 1 + 4), come is the encoded entry (2)
 //	closed      the Closed slice and its string (2); the close encoded
 //	            once for all peers, its buffer and its text (2); the
 //	            peer list (1) — again there is no peer, and so no outbox
@@ -129,7 +139,7 @@ func TestRouteDecisionAllocs(t *testing.T) {
 		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 24},
 		{name: "credential-bearing", answer: granted, budget: 31,
 			request: server.DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"}},
-		{name: "answer with activated", request: plain, answer: opened, budget: 32},
+		{name: "answer with activated", request: plain, answer: opened, budget: 28},
 		{name: "answer with closed", request: plain, answer: closed, budget: 28},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

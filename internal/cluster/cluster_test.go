@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,11 +38,18 @@ type stubShard struct {
 	explainID    string // requestID this shard holds a provenance record for
 }
 
+// noInstances answers the gateway's activation sync before its first
+// decision the way a shard that has started no context instance does.
+func noInstances(w http.ResponseWriter, _ *http.Request) {
+	json.NewEncoder(w).Encode(server.ActivationResponse{Contexts: []string{}})
+}
+
 func newStubShard(t *testing.T, policy string) *stubShard {
 	t.Helper()
 	s := &stubShard{users: make(chan string, 1024), policy: policy}
 	s.healthy.Store(true)
 	mux := http.NewServeMux()
+	mux.HandleFunc(server.ActivationPath, noInstances)
 	decide := func(w http.ResponseWriter, r *http.Request) {
 		var req server.DecisionRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -213,6 +221,12 @@ func TestGatewayRoutesByCredentialHolder(t *testing.T) {
 func TestGatewayFailsClosedOnDownShard(t *testing.T) {
 	gw, gts, shards := newTestCluster(t, 3, Config{FailAfter: 1})
 	c := server.NewClient(gts.URL, nil)
+	// The shard dies after the gateway's activation sync: a gateway that
+	// starts with a shard down routes no decision at all
+	// (TestClusterGatewayRestartWithActivationsPending).
+	if err := gw.bootSync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	// Find one user per shard.
 	userOn := map[string]string{} // shard id -> user
@@ -329,6 +343,7 @@ func TestGatewayRetriesSameShard(t *testing.T) {
 	mux.HandleFunc(server.HealthPath, func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "ok", "policy": "p"})
 	})
+	mux.HandleFunc(server.ActivationPath, noInstances)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 
@@ -368,6 +383,7 @@ func TestGatewayForwardsShardVerdicts(t *testing.T) {
 	mux.HandleFunc(server.HealthPath, func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
 	})
+	mux.HandleFunc(server.ActivationPath, noInstances)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	gw, err := New(Config{Shards: []Shard{{ID: "only", BaseURL: ts.URL}}})

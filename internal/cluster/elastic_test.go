@@ -31,7 +31,7 @@ type elasticStub struct {
 	mu      sync.Mutex
 	records map[string][]server.SnapshotRecord
 	// active mirrors the real server's activations: context instances
-	// marked running by the gateway's fan-out or join sync.
+	// marked running by the gateway's activation sync.
 	active map[string]bool
 
 	importDelay time.Duration
@@ -42,10 +42,6 @@ type elasticStub struct {
 	releaseFail   bool
 	snapshotDelay time.Duration
 	decisionDelay time.Duration
-	// activateOnOp, when set, makes recorded grants of that operation
-	// report the request's context in Activated — the FirstStep shape
-	// that triggers the gateway's activation fan-out.
-	activateOnOp string
 }
 
 func newElasticStub(t *testing.T, policy string) *elasticStub {
@@ -82,13 +78,7 @@ func newElasticStub(t *testing.T, policy string) *elasticStub {
 				})
 				s.mu.Unlock()
 			}
-			resp := server.DecisionResponse{Allowed: true, Phase: "granted", User: user}
-			s.mu.Lock()
-			if record && s.activateOnOp != "" && req.Operation == s.activateOnOp {
-				resp.Activated = []string{req.Context}
-			}
-			s.mu.Unlock()
-			json.NewEncoder(w).Encode(resp)
+			json.NewEncoder(w).Encode(server.DecisionResponse{Allowed: true, Phase: "granted", User: user})
 		}
 	}
 	mux.HandleFunc(server.DecisionPath, decide(true))

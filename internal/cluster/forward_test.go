@@ -23,6 +23,10 @@ type recordingShard struct {
 
 	mu     sync.Mutex
 	bodies map[string][][]byte
+	// carried is every CloseHeader value a request brought, in order;
+	// with ack set, an answer acknowledges the activations it carried.
+	carried []string
+	ack     bool
 	// answer scripts the n-th (from 0) request to path: a status and a
 	// body, or drop to close the connection without answering.
 	answer func(path string, n int) (status int, body string, drop bool)
@@ -34,6 +38,10 @@ func newRecordingShard(t *testing.T) *recordingShard {
 	t.Helper()
 	s := &recordingShard{bodies: make(map[string][][]byte)}
 	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == server.ActivationPath {
+			noInstances(w, r)
+			return
+		}
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
 			t.Errorf("shard read: %v", err)
@@ -41,12 +49,13 @@ func newRecordingShard(t *testing.T) *recordingShard {
 		s.mu.Lock()
 		n := len(s.bodies[r.URL.Path])
 		s.bodies[r.URL.Path] = append(s.bodies[r.URL.Path], body)
+		s.carried = append(s.carried, r.Header[server.CloseHeader]...)
+		if s.ack && len(r.Header[server.CloseHeader]) > 0 {
+			w.Header().Set(server.ActivationAckHeader, "1")
+		}
 		script := s.answer
 		s.mu.Unlock()
 		status, answer, drop := http.StatusOK, aliceGranted, false
-		if r.URL.Path == server.ActivationPath {
-			answer = `{"contexts":[],"added":1}`
-		}
 		if script != nil {
 			status, answer, drop = script(r.URL.Path, n)
 		}
@@ -307,16 +316,20 @@ func TestGatewayAdviceReplicaGetsThePEPsBytes(t *testing.T) {
 	}
 }
 
-// TestGatewayFansOutBeforeForwardingAFirstStep: an answer that reports
-// activated instances reaches the PEP only after the peer shard was
-// told — and is then the shard's bytes.
-func TestGatewayFansOutBeforeForwardingAFirstStep(t *testing.T) {
-	gw, gts, shards := newRecordingCluster(t, 2, Config{Retries: -1})
+// TestGatewayQueuesAFirstStepsActivation: an answer that reports
+// activated instances reaches the PEP at once, as the shard's bytes, and
+// no request of its own goes to the peer shard: the activation waits in
+// the peer's outbox for the next request sent there, the health probe
+// here. An answer that does not acknowledge it — what something
+// answering in the shard's place sends — leaves it pending and the peer
+// Down; the shard's own acknowledgement settles it.
+func TestGatewayQueuesAFirstStepsActivation(t *testing.T) {
+	gw, gts, shards := newRecordingCluster(t, 2, Config{Retries: -1, FailAfter: 1})
 	const answer = `{"allowed":true,"phase":"granted","user":"alice","recorded":1,"activated":["Branch=York, Period=p1"]}`
 	for _, s := range shards {
 		s.script(func(path string, _ int) (int, string, bool) {
-			if path == server.ActivationPath {
-				return http.StatusOK, `{"contexts":[],"added":1}`, false
+			if path == server.HealthPath {
+				return http.StatusOK, `{"status":"ok","policy":"p"}`, false
 			}
 			return http.StatusOK, answer, false
 		})
@@ -326,18 +339,39 @@ func TestGatewayFansOutBeforeForwardingAFirstStep(t *testing.T) {
 		t.Fatalf("PEP received %d %q, want the shard's bytes", status, got)
 	}
 	owner, _ := gw.ShardFor("alice")
-	peer := shards[0]
+	peer, peerID := shards[0], "shard00"
 	if owner == "shard00" {
-		peer = shards[1]
+		peer, peerID = shards[1], "shard01"
 	}
-	activations := peer.received(server.ActivationPath)
-	if len(activations) != 1 || !bytes.Contains(activations[0], []byte(`"Branch=York, Period=p1"`)) {
-		t.Fatalf("peer received activations %q, want the one instance, before the ack", activations)
+	if posts := peer.received(server.ActivationPath); len(posts) != 0 {
+		t.Fatalf("the peer was posted %q, want no request before the ack", posts)
 	}
-	// A peer that cannot be told withholds the grant: the fan-out still
-	// gates the ack.
-	peer.ts.Close()
-	if status, got := post(t, gts.URL+server.DecisionPath, aliceAsks); status != http.StatusServiceUnavailable || strings.Contains(got, `"allowed"`) {
-		t.Fatalf("with the peer gone the PEP received %d %q, want the grant withheld", status, got)
+	if n := outbox(t, gw, peerID).Pending(); n != 1 {
+		t.Fatalf("%d entries queued for the peer, want the activation", n)
+	}
+
+	carried := func() []string {
+		peer.mu.Lock()
+		defer peer.mu.Unlock()
+		return append([]string(nil), peer.carried...)
+	}
+	gw.Checker().CheckNow()
+	if got := carried(); len(got) != 1 || !strings.HasPrefix(got[0], "|") || !strings.HasSuffix(got[0], "|Branch=York, Period=p1") {
+		t.Fatalf("the probe carried %q, want the one activation", got)
+	}
+	if gw.Checker().Up(peerID) || outbox(t, gw, peerID).Pending() != 1 {
+		t.Fatalf("after a probe answered without the acknowledgement: up=%v, %d pending; want Down and the activation kept",
+			gw.Checker().Up(peerID), outbox(t, gw, peerID).Pending())
+	}
+	peer.mu.Lock()
+	peer.ack = true
+	peer.mu.Unlock()
+	gw.Checker().CheckNow()
+	if got := carried(); len(got) != 2 || got[1] != got[0] {
+		t.Fatalf("the probes carried %q, want the same activation twice", got)
+	}
+	if !gw.Checker().Up(peerID) || outbox(t, gw, peerID).Pending() != 0 {
+		t.Fatalf("after an acknowledged probe: up=%v, %d pending; want Up and nothing pending",
+			gw.Checker().Up(peerID), outbox(t, gw, peerID).Pending())
 	}
 }

@@ -154,10 +154,16 @@ type Gateway struct {
 	lastHandoff    *HandoffStatus
 
 	// closes counts the context-instance closes queued on the shard
-	// clients' outboxes (see closes.go). closing orders them against a
-	// handoff's copies: enqueueCloses holds it shared, a copy exclusively.
+	// clients' outboxes (see closes.go). closing orders the opens and
+	// closes queued there against a handoff's copies and an activation
+	// sync: enqueueLifecycle holds it shared, a copy or a sync exclusively.
 	closes  server.CloseStats
 	closing sync.RWMutex
+
+	// booted is set once bootSync has synced the shards' activations;
+	// bootMu makes the callers that find it unset sync one at a time.
+	booted atomic.Bool
+	bootMu sync.Mutex
 
 	// baseCtx parents every handoff; Close cancels it and waits.
 	baseCtx    context.Context
@@ -289,13 +295,22 @@ func (g *Gateway) Close() {
 }
 
 // probe is the Checker's probe: the shard's /v1/health via its
-// deadline-bounded client.
+// deadline-bounded client, which carries what the shard's outbox holds.
+// It passes only if every activation queued before it is acknowledged
+// by then — so a shard leaves Down only once it has applied them, and a
+// shard whose answers never acknowledge one (something in between
+// answers for it) goes Down.
 func (g *Gateway) probe(shard string) (string, error) {
 	c, ok := g.client(shard)
 	if !ok {
 		return "", fmt.Errorf("cluster: unknown shard %q", shard)
 	}
-	return c.Health()
+	mark := c.Outbox.Mark()
+	policy, err := c.Health()
+	if n := c.Outbox.Unacknowledged(mark); err == nil && n > 0 {
+		err = fmt.Errorf("cluster: shard %s answered the probe without acknowledging %d context activation(s)", shard, n)
+	}
+	return policy, err
 }
 
 // newShardClient builds the deadline-bounded client for a shard at

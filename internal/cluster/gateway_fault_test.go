@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -16,7 +17,9 @@ import (
 // newFaultCluster wires one stub shard behind a gateway whose shard
 // traffic runs through a fault-injecting transport. Retries are
 // disabled and the Checker threshold set high so the breaker — not the
-// retry loop or the health checker — is the mechanism under test.
+// retry loop or the health checker — is the mechanism under test. The
+// gateway has run its activation sync, so the next shard request is the
+// first decision's.
 func newFaultCluster(t *testing.T, cooldown time.Duration) (*Gateway, string, *fault.RoundTripper, *stubShard) {
 	t.Helper()
 	rt := fault.NewRoundTripper(nil, 1)
@@ -33,6 +36,9 @@ func newFaultCluster(t *testing.T, cooldown time.Duration) (*Gateway, string, *f
 		t.Fatal(err)
 	}
 	t.Cleanup(gw.Close)
+	if err := gw.bootSync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	gts := httptest.NewServer(gw)
 	t.Cleanup(gts.Close)
 	return gw, gts.URL, rt, shard
@@ -54,9 +60,10 @@ func decisionReq(user string) server.DecisionRequest {
 // half-open recovery once the transport heals.
 func TestGatewayBreakerTripsOnResets(t *testing.T) {
 	gw, gts, rt, shard := newFaultCluster(t, 300*time.Millisecond)
-	// First three shard requests die as connection resets.
+	// The first three decision requests die as connection resets.
+	synced := rt.Requests()
 	for i := 1; i <= 3; i++ {
-		rt.InjectAt(i, fault.Trip{Kind: fault.TripReset})
+		rt.InjectAt(synced+i, fault.Trip{Kind: fault.TripReset})
 	}
 	// Shed retries off: the raw 503s are the thing under test.
 	cli := server.NewClient(gts, nil, server.WithShedRetries(0))
@@ -125,8 +132,9 @@ func TestGatewayBreakerTripsOnResets(t *testing.T) {
 // the decision once the circuit admits its probe.
 func TestClientWaitsOutBreakerRetryAfter(t *testing.T) {
 	gw, gts, rt, _ := newFaultCluster(t, 500*time.Millisecond)
+	synced := rt.Requests()
 	for i := 1; i <= 3; i++ {
-		rt.InjectAt(i, fault.Trip{Kind: fault.TripReset})
+		rt.InjectAt(synced+i, fault.Trip{Kind: fault.TripReset})
 	}
 	cli := server.NewClient(gts, nil, server.WithShedRetries(0))
 	for i := 0; i < 3; i++ {

@@ -231,8 +231,8 @@ func (g *Gateway) runJoin(ctx context.Context, joiner string) error {
 		return fmt.Errorf("stream: %w", err)
 	}
 
-	// The joiner missed every context-activation fan-out from before it
-	// was admitted (see activation.go): seed it with the union of the
+	// The joiner missed every context activation from before it was
+	// admitted (see activation.go): seed it with the union of the
 	// authoritative shards' running instances, or its first owned
 	// decision in a FirstStep-gated instance would go unrecorded.
 	if err := g.syncActivations(ctx, []string{joiner}); err != nil {

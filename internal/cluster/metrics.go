@@ -44,9 +44,9 @@ type gwMetrics struct {
 	handoffFailed     atomic.Int64
 	handoffRefusals   atomic.Int64
 	handoffUsersMoved atomic.Int64
-	// activationFanouts counts FirstStep activation fan-outs to peer
-	// shards; activationWithheld counts grants withheld fail-closed
-	// because a peer did not acknowledge the activation.
+	// activationFanouts counts FirstStep grants whose activation is owed
+	// to the peer shards; activationWithheld counts those withheld
+	// fail-closed because it could not be queued for one of them.
 	activationFanouts  atomic.Int64
 	activationWithheld atomic.Int64
 }
@@ -254,8 +254,8 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msod_handoff_failed_total", "Membership handoffs aborted before cutover (donor stays authoritative).", g.metrics.handoffFailed.Load())
 	obsv.WriteCounter(w, "msod_handoff_refusals_total", "Decisions refused fail-closed during a handoff window (in-transit users, donor credentials, withheld answers).", g.metrics.handoffRefusals.Load())
 	obsv.WriteCounter(w, "msod_handoff_users_moved_total", "Users whose retained-ADI history was streamed to a new owner.", g.metrics.handoffUsersMoved.Load())
-	obsv.WriteCounter(w, "msodgw_ctx_activation_fanouts_total", "FirstStep context activations fanned out to peer shards before acking the grant.", g.metrics.activationFanouts.Load())
-	obsv.WriteCounter(w, "msodgw_ctx_activation_withheld_total", "Grants withheld fail-closed because a peer shard did not acknowledge a context activation.", g.metrics.activationWithheld.Load())
+	obsv.WriteCounter(w, "msodgw_ctx_activation_fanouts_total", "FirstStep grants that started a context instance: its activation is queued for every peer shard, to ride the next request sent to it, or the grant is withheld.", g.metrics.activationFanouts.Load())
+	obsv.WriteCounter(w, "msodgw_ctx_activation_withheld_total", "FirstStep grants withheld fail-closed because the activation could not be queued for a peer shard: its outbox is full of activations it has not acknowledged, or the activation has no requestID or is too large to carry.", g.metrics.activationWithheld.Load())
 	obsv.WriteCounter(w, "msodgw_closes_enqueued_total", "LastStep context-instance closes queued for a peer shard, to ride the next request sent to it (one per close and peer).", g.closes.Enqueued.Load())
 	fmt.Fprintf(w, "# HELP msodgw_closes_dropped_total Closes given up, by reason: transport (the carrying request failed; may have been applied, never re-sent), overflow (oldest dropped from a full outbox: the shard answers nothing), unsendable (no requestID, or too large to carry). A dropped close leaves deny-safe leftovers on that shard.\n# TYPE msodgw_closes_dropped_total counter\n")
 	fmt.Fprintf(w, "msodgw_closes_dropped_total{reason=%q} %d\n", "transport", g.closes.Lost.Load())

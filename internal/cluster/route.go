@@ -120,6 +120,16 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 	// request that slept on the barrier re-reads the marks it missed.
 	g.traffic.RLock()
 	defer g.traffic.RUnlock()
+	// Nothing records before the shards agree on which instances run: the
+	// activations a previous gateway queued died with it (activation.go).
+	if record && !g.booted.Load() {
+		if err := g.bootSync(ctx); err != nil {
+			g.refuse(w, traceID, key, "", http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
+				fmt.Sprintf("activation sync before the first decision failed (%v); failing closed", err),
+				fmt.Sprintf("the gateway has not yet synced the shards' running context instances (%v); failing closed, retry after the hinted delay", err))
+			return
+		}
+	}
 	shard, ok := g.ring.Lookup(key)
 	if ok && record {
 		if reason, refuse := g.transitRefusal(key, shard, peek.HasCredentials); refuse {
@@ -214,35 +224,30 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 						shard, resp.User, owner, key))
 				return
 			}
-			// A grant that STARTED a FirstStep-gated context instance is
-			// acked only after every tracked peer shard has been told the
-			// instance is running (see activation.go): a peer that missed
-			// the activation would treat the instance as not started and
-			// grant its users' later operations unrecorded — under-counted
-			// history, a false grant. A failed fan-out withholds the ack
-			// fail-closed; the shard's committed opening record and any
-			// partial activations only ever add denials.
-			if record && len(resp.Activated) > 0 {
-				g.metrics.activationFanouts.Add(1)
-				if ferr := g.fanoutActivation(ctx, shard, resp.Activated); ferr != nil {
-					g.metrics.activationWithheld.Add(1)
-					g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
-						fmt.Sprintf("grant withheld: context activation fan-out incomplete (%v)", ferr),
-						fmt.Sprintf("decision started context instance(s) %v but not every shard acknowledged the activation (%v); withholding the grant fail-closed, retry after the hinted delay",
-							resp.Activated, ferr))
-					return
-				}
-			}
-			// A granted LastStep closed its context instances on this
-			// shard only; the others are told on the next request each is
-			// sent (closes.go). Here and nowhere earlier: an answer that
-			// was withheld above queues nothing.
-			if record && len(resp.Closed) > 0 {
+			// A granted FirstStep started its context instances, a granted
+			// LastStep closed them, on this shard only; the others are told
+			// on the next request each is sent (closes.go). A peer that
+			// missed an activation would treat the instance as not started
+			// and grant its users' later operations unrecorded — a false
+			// grant — so an activation that cannot be queued withholds the
+			// grant fail-closed (see activation.go). Here and nowhere
+			// earlier: an answer that was withheld above queues nothing.
+			if record && (len(resp.Activated) > 0 || len(resp.Closed) > 0) {
 				requestID := peek.RequestID
 				if haveMinted {
 					requestID = string(minted[:])
 				}
-				g.enqueueCloses(shard, requestID, resp.Closed)
+				if len(resp.Activated) > 0 {
+					g.metrics.activationFanouts.Add(1)
+				}
+				if qerr := g.enqueueLifecycle(shard, requestID, resp.Activated, resp.Closed); qerr != nil {
+					g.metrics.activationWithheld.Add(1)
+					g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
+						fmt.Sprintf("grant withheld: context activation not queued (%v)", qerr),
+						fmt.Sprintf("decision started context instance(s) %v but %v; withholding the grant fail-closed, retry after the hinted delay",
+							resp.Activated, qerr))
+					return
+				}
 			}
 			g.logDecision(traceID, resp, shard, attempt, time.Since(start))
 			writeAnswer(w, answer)

@@ -12,8 +12,6 @@ package cluster
 //
 //	fan-out            shard set                      all-Up precondition  on partial failure
 //	-----------------  -----------------------------  -------------------  ------------------------------------------
-//	activation         serving (not gone), minus the  none: dial, and any  first failure, shard-stamped; the grant is
-//	                   answering shard                failure withholds    withheld with a 503
 //	management         authoritative                  yes → 503            per-shard ManagementOutcome; a uniform
 //	                                                                       refusal is forwarded
 //	context state      authoritative                  yes → 503            first failure's status
@@ -23,25 +21,37 @@ package cluster
 //	                                                                       merge is unchanged
 //	activation sync    authoritative asked, then the  none (a purge has    a join fails, donors stay authoritative;
 //	(a join; a user    joiner, or every authoritative passed management's  a purge answers 502 — the administrator
-//	or age purge)      shard, activated               all-Up check)        repeats it
-//	close              serving (not gone), minus the  none: queued for     never withholds the grant. NOT a fan-out:
-//	(NOT a fan-out)    answering shard                every one, Down      queued per shard, carried by the next
-//	                                                  too                  request sent to it, whatever that is
-//	                                                                       (closes.go). A carrying request that fails
-//	                                                                       in transport drops what it carried — never
-//	                                                                       re-sent; past a fixed bound a shard that
-//	                                                                       answers nothing loses its oldest. Every
-//	                                                                       drop is counted
+//	or age purge; the  or serving shard, activated    all-Up check; the    repeats it; until the gateway's first sync
+//	gateway's first                                   rest dial)           succeeds, every recording decision is a 503
+//	decision)
+//	open, close        serving (not gone), minus the  none: queued for     NOT a fan-out: queued per shard in one
+//	(NOT a fan-out)    answering shard                every one, Down      ordered log, carried by the next request
+//	                                                  too                  sent to it, whatever that is (closes.go).
+//	                                                                       An open is carried until the shard's own
+//	                                                                       answer acknowledges it and is never
+//	                                                                       dropped: one that cannot be queued
+//	                                                                       withholds the grant with a 503, and a
+//	                                                                       shard leaves Down only once it has
+//	                                                                       acknowledged its opens. A close never
+//	                                                                       withholds the grant; one in doubt is
+//	                                                                       dropped — never re-sent — and past a
+//	                                                                       fixed bound a shard that answers nothing
+//	                                                                       loses its oldest. Every drop is counted
 //
-// The last row is the one lifecycle event that does not go through
-// scatter, because its failure rule is the opposite of activation's. A
-// missed activation is a false grant, so opening an instance is
-// synchronous and a failure withholds the ack. A missed close leaves
-// records of a finished instance on one shard — extra denials at worst,
-// never a false grant — so closing costs no post and can never fail a
-// decision; what it must never do is happen twice (the instance may
-// have been re-opened in between), which is why a close in doubt is
-// dropped and counted instead of retried.
+// The last row is the lifecycle of a context instance, and it does not go
+// through scatter: no request of its own is sent, so a FirstStep or a
+// LastStep costs no post. Opens and closes share the carrier and the
+// order — an instance name used again is opened and closed on every shard
+// in the order one PDP saw — but not the failure rule, because losing one
+// costs the opposite way. A missed open is a false grant, so an open is
+// re-sent until acknowledged, never dropped, and an open the gateway
+// cannot hold withholds the ack. A missed close leaves records of a
+// finished instance on one shard — extra denials at worst, never a false
+// grant — so a close can never fail a decision; what it must never do is
+// happen twice (the instance may have been re-opened in between), which
+// is why a close in doubt is dropped and counted instead of retried.
+// Neither happens twice on a shard: each is applied once by its kind and
+// requestID.
 //
 // Why the sets differ. History lives only on authoritative shards, so
 // management and context state ask exactly those: a joining shard owns
@@ -49,10 +59,10 @@ package cluster
 // gone shard owns nothing any more. A decision's provenance record and
 // spans stay in the ring of the shard that executed it whatever that
 // shard's lifecycle state is today, so explain and traces ask every
-// tracked shard. An activation must reach every shard that serves
+// tracked shard. An open or a close must reach every shard that serves
 // decisions now or may later — joining and syncing shards included, or
-// an activation between admission and cutover is missed by both the
-// fan-out and the join-time sync.
+// one between admission and cutover is missed by both the queue and the
+// join-time sync.
 
 import (
 	"context"

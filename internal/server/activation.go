@@ -9,10 +9,12 @@ import (
 )
 
 // Context-activation surface. A sharded deployment must agree on which
-// FirstStep-gated context instances are running (see adi.EnsureActive):
-// the gateway POSTs here to tell a shard "these instances
-// have started elsewhere", and GETs the shard's own view when seeding
-// a joining shard. The surface is always on — a spurious activation is
+// FirstStep-gated context instances are running (see adi.EnsureActive).
+// A FirstStep granted on one shard reaches the others on the requests the
+// gateway sends them (closes.go); this surface is the gateway's
+// re-synchronisation: it GETs every shard's own view and POSTs the union
+// here — to seed a joining shard, after a user or age purge, and before
+// its first decision. The surface is always on — a spurious activation is
 // deny-safe (it can only cause over-recording), so unlike the handoff
 // import it needs no opt-in flag.
 const ActivationPath = "/v1/ctx/activation"

@@ -82,7 +82,7 @@ func TestActivationEndpoint(t *testing.T) {
 	if act.Added != 1 {
 		t.Fatalf("activate added = %d, want 1", act.Added)
 	}
-	// Idempotent: a replayed fan-out adds nothing.
+	// Idempotent: a repeated activation adds nothing.
 	if act, err = c.Activate(context.Background(), []string{inst}); err != nil || act.Added != 0 {
 		t.Fatalf("replayed activate = %+v, %v, want Added 0", act, err)
 	}

@@ -178,6 +178,28 @@ func TestServeDecisionAllocs(t *testing.T) {
 			budget: map[string]float64{"default": 33, "bare": 26},
 		},
 		{
+			// The same, the request carrying one activation — of another
+			// period, not running on this shard. On top of the grant's
+			// 29 / 22: the instance's name parsed (1), the encoded
+			// activation adi.EnsureActive hands Append (1), the
+			// instance-table entry and its slot in a component list (2),
+			// and the first step's requestID cloned out of the header for
+			// the applied ring (1); default adds the instance's text in the
+			// activate event (1). The acknowledgement is a shared value
+			// (the writer here keeps its header map, so its map slot is
+			// not counted).
+			name:    "MMER grant carrying one activation",
+			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
+			request: func(i int) DecisionRequest { return teller("alice", i) },
+			handoff: true,
+			carry: func(i int) string {
+				entry, _ := EncodeActivation(fmt.Sprintf("%032x", i), []string{fmt.Sprintf("Branch=York, Period=opened%d", i)})
+				return entry
+			},
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 35, "bare": 27},
+		},
+		{
 			// 17 + the validated roles (1), Decision.MSoD (1), the bound
 			// name (1), the Denial (1) and the two texts the answer and
 			// the trail carry: Denial.Reason (1) and Denial.Error — the
@@ -297,7 +319,13 @@ func TestServeDecisionAllocs(t *testing.T) {
 				if w.status != http.StatusOK || resp.Allowed != tc.allowed || resp.Phase != tc.phase {
 					t.Fatalf("status %d, answer %+v; want allowed=%v phase=%s", w.status, resp, tc.allowed, tc.phase)
 				}
-				if applied := srv.metrics.closesApplied.Load(); tc.carry != nil && applied != int64(i) {
+				switch applied := srv.metrics.closesApplied.Load(); {
+				case tc.carry == nil:
+				case isOpen(tc.carry(0)):
+					if len(w.header[ActivationAckHeader]) == 0 || applied != 0 {
+						t.Fatalf("the activation was not acknowledged, or %d closes applied", applied)
+					}
+				case applied != int64(i):
 					t.Fatalf("%d closes applied over %d requests carrying one each", applied, i)
 				}
 				if got != tc.budget[kind] {

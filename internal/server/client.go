@@ -95,10 +95,10 @@ type Client struct {
 	// Credentials, when set, are attached to every decision request
 	// (the PEP presenting the user's signed attributes).
 	Credentials []credential.Credential
-	// Outbox, when set, holds the context-instance closes still to be
-	// told to the server this client talks to (closes.go): every request
-	// carries what is pending. The cluster gateway sets one on each of
-	// its shard clients; a PEP's client has none.
+	// Outbox, when set, holds the context-instance opens and closes still
+	// to be told to the server this client talks to (closes.go): every
+	// request carries what is pending. The cluster gateway sets one on
+	// each of its shard clients; a PEP's client has none.
 	Outbox *Outbox
 }
 
@@ -132,10 +132,11 @@ func (c *Client) reqContext(parent context.Context) (context.Context, context.Ca
 }
 
 // send is the one way a request leaves the client — and so the one
-// place the Outbox's pending closes are attached to it and, when it
-// ends, settled: delivered once the server answered at all, given up
-// when the transport failed (see Outbox.settle). The caller closes the
-// response body.
+// place the Outbox's pending opens and closes are attached to it and,
+// when it ends, settled (Outbox.settle): a close is delivered once the
+// server answered, given up when the transport failed; an open is
+// delivered once the answer acknowledges it, and carried again
+// otherwise. The caller closes the response body.
 //
 // A unary request (everything but the event stream) goes straight to
 // the RoundTripper, bounded by reqContext: http.Client.Do would first
@@ -148,9 +149,10 @@ func (c *Client) reqContext(parent context.Context) (context.Context, context.Ca
 // long-lived and keeps Do.
 func (c *Client) send(req *http.Request, unary bool) (*http.Response, error) {
 	var carried uint64
+	var opens bool
 	if c.Outbox != nil {
 		var header []string
-		if header, carried = c.Outbox.attach(); header != nil {
+		if header, carried, opens = c.Outbox.attach(); header != nil {
 			req.Header[CloseHeader] = header
 		}
 	}
@@ -170,7 +172,10 @@ func (c *Client) send(req *http.Request, unary bool) (*http.Response, error) {
 		resp, err = c.http.Do(req)
 	}
 	if carried != 0 {
-		c.Outbox.settle(carried, err == nil)
+		// A request that carried opens was answered by the shard itself only
+		// if the answer acknowledges them; otherwise its closes are in doubt.
+		acked := err == nil && len(resp.Header[ActivationAckHeader]) > 0
+		c.Outbox.settle(carried, err == nil && (acked || !opens), acked)
 	}
 	return resp, err
 }
@@ -565,7 +570,9 @@ func (c *Client) ReplicaSnapshot(ctx context.Context) (ReplicaSnapshot, error) {
 func (c *Client) get(parent context.Context, path string, out any) error {
 	ctx, cancel := c.reqContext(parent)
 	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	// An explicit empty body: a RoundTripper that reads every request's
+	// body (a canned shard) reads nothing instead of a nil Body.
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, http.NoBody)
 	if err != nil {
 		return fmt.Errorf("server: get %s: %w", path, err)
 	}

@@ -9,76 +9,121 @@ import (
 	"msod/internal/ring"
 )
 
-// Cluster-wide close of a context instance. §4.2 step 7 purges the
-// retained ADI of a bound context instance when a policy's last step is
-// granted; a user-sharded cluster holds that instance in slices, one per
-// shard, and the shard that granted the last step can purge only its
-// own. Its answer therefore names what it closed (DecisionResponse.Closed)
+// The lifecycle of a context instance across shards. §4.2 step 3 asks
+// whether a bound context instance has started, and step 7 purges its
+// retained ADI when a policy's last step is granted; a user-sharded
+// cluster holds that instance in slices, one per shard, and the shard
+// that granted the first or the last step can start or end only its own
+// slice. Its answer therefore names what it started
+// (DecisionResponse.Activated) and what it closed (DecisionResponse.Closed),
 // and the gateway tells every other shard — not with a post of its own,
-// but on the requests it already sends them. A close has to reach shard B
-// only before the next request that reads B's retained ADI, and every
-// such request passes the gateway's Client for B: so the gateway queues
-// the close in B's Outbox, the Client attaches every pending close to
-// every request it sends B as one header, and B applies them before the
-// handler runs (Server.ServeHTTP). A request sent after the last step
-// was acknowledged either carries the close or follows a request that
-// did and was answered; it cannot overtake it.
+// but on the requests it already sends them. Shard B has to know only
+// before the next request that reads B's retained ADI, and every such
+// request passes the gateway's Client for B: so the gateway queues the
+// open or close in B's Outbox, one ordered log of both, the Client
+// attaches every pending entry to every request it sends B as one header,
+// and B applies them in order before the handler runs (Server.ServeHTTP).
+// A request sent after the step was acknowledged either carries the entry
+// or follows a request whose answer settled it; it cannot overtake it.
 //
-// Two rules make that exact rather than merely eventual:
+// Opens and closes share the carrier and the order — an instance name
+// used again is opened, closed and opened again on every shard in the
+// order one PDP saw — but not the failure rule, because losing one costs
+// the opposite way:
 //
-//   - At most once. The same close rides every request until one is
-//     answered, so B sees duplicates, and a replayed last-step answer
-//     (idempotency.go) queues it again; B applies a close once, by the
-//     last step's requestID, remembered in a bounded ring. Applying it
-//     twice is the one thing that is not deny-safe: the instance may
-//     have been re-opened in between, and the second purge would delete
-//     live history.
-//   - Never re-sent. A close whose carrying request failed in transport
-//     may or may not have been applied; it is dropped and counted, not
-//     retried: a lost close leaves B with records of a finished instance
+//   - At most once, both. An entry rides every request until one settles
+//     it, a replayed answer (idempotency.go) queues it again, and an open
+//     is carried again after a failed request, so B sees duplicates; it
+//     applies each entry once by its kind and the requestID of the step
+//     that produced it, remembered in a bounded ring. A second
+//     application is not what one PDP does: the instance may have been
+//     closed or re-opened in between, and a second close would delete
+//     live history, a second open start again an instance that has ended.
+//   - A close is never re-sent. A close whose carrying request failed in
+//     transport may or may not have been applied; it is dropped and
+//     counted: a lost close leaves B with records of a finished instance
 //     (extra denials at worst, and only if the instance name is used
 //     again), a late one is a second application waiting to happen once
 //     the ring has forgotten it.
+//   - An open is never dropped. A lost open is a false grant: B would not
+//     record its users' steps in a running instance. So an open stays
+//     pending until B's own answer acknowledges it (ActivationAckHeader),
+//     which B sets only once every open its request carried is applied —
+//     not on any HTTP answer, which something in between can give. A full
+//     outbox makes room by dropping closes, never opens; an open that does
+//     not fit is refused, and the gateway withholds the grant that
+//     started the instance.
 //
-// Opening an instance is the opposite case and stays a synchronous
-// fan-out (activation.go): a lost activation is a false grant.
-//
-// The shard side rides the -handoff opt-in (WithHandoff): like a handoff
-// release, a close deletes history on the gateway's word alone. A shard
-// without it ignores the header.
+// A close rides the -handoff opt-in (WithHandoff): like a handoff release,
+// it deletes history on the gateway's word alone, and a shard without
+// the opt-in ignores it. An open can only make a shard record more
+// (deny-safe), so every shard applies it, as it serves
+// POST /v1/ctx/activation.
 
-// CloseHeader carries the pending closes of the shard a request is sent
-// to: entries separated by ';', each the requestID of the granted last
-// step followed by the bound context instances it terminated, separated
-// by '|', every field percent-escaped (appendEscaped).
+// CloseHeader carries the pending opens and closes of the shard a
+// request is sent to, oldest first, separated by ';'. A close is the
+// requestID of the granted last step followed by the bound context
+// instances it terminated, separated by '|'; an open is the same for a
+// first step and the instances it started, behind a leading '|' — an
+// empty first field, which no close has (EncodeClose refuses an empty
+// requestID), so a shard that predates opens skips one as malformed and
+// does not acknowledge it. Every field is percent-escaped
+// (appendEscaped).
 const CloseHeader = "Msod-Close"
 
-// closeEntryMax bounds one encoded close, far above any the gateway
-// mints an ID for and far below closeOutboxMax.
-const closeEntryMax = 1024
+// ActivationAckHeader is set on the answer to a request that carried
+// opens, once the shard has applied every one of them (now, or on an
+// earlier request). Its absence leaves them pending at the gateway.
+const ActivationAckHeader = "Msod-Activation-Ack"
+
+// activationAck is the ActivationAckHeader value, shared by every answer
+// that carries it.
+var activationAck = []string{"1"}
+
+// entryMax bounds one encoded open or close, far above any the gateway
+// mints an ID for and far below outboxMax.
+const entryMax = 1024
 
 // EncodeClose renders one close for Outbox.Enqueue: the last step's
 // requestID and the instances it terminated. It reports false for a
 // close that cannot be carried — no identity to apply it once by,
-// nothing to close, or an encoding past closeEntryMax (a PEP chose a
+// nothing to close, or an encoding past entryMax (a PEP chose a
 // requestID the size of a request body).
 func EncodeClose(requestID string, contexts []string) (string, bool) {
+	return encodeEntry(false, requestID, contexts)
+}
+
+// EncodeActivation renders one open for Outbox.Enqueue: the first step's
+// requestID and the instances it started. It refuses what EncodeClose
+// refuses.
+func EncodeActivation(requestID string, contexts []string) (string, bool) {
+	return encodeEntry(true, requestID, contexts)
+}
+
+func encodeEntry(open bool, requestID string, contexts []string) (string, bool) {
 	if requestID == "" || len(contexts) == 0 {
 		return "", false
 	}
-	n := len(requestID)
+	n := 1 + len(requestID)
 	for _, c := range contexts {
 		n += 1 + len(c)
 	}
-	b := appendEscaped(make([]byte, 0, n), requestID, true)
+	b := make([]byte, 0, n)
+	if open {
+		b = append(b, '|')
+	}
+	b = appendEscaped(b, requestID, true)
 	for _, c := range contexts {
 		b = appendEscaped(append(b, '|'), c, false)
 	}
-	if len(b) > closeEntryMax {
+	if len(b) > entryMax {
 		return "", false
 	}
 	return string(b), true
 }
+
+// isOpen reports whether an encoded entry is an open.
+func isOpen(entry string) bool { return strings.HasPrefix(entry, "|") }
 
 // appendEscaped appends s with every byte the header cannot carry as
 // itself written %XX: the two separators and the escape, what net/http
@@ -86,7 +131,7 @@ func EncodeClose(requestID string, contexts []string) (string, bool) {
 // (bytes outside ASCII), and — in a requestID, which a PEP chooses —
 // the spaces a header value loses at its ends. Unlike net/url's
 // escapers it leaves alone the '=', ',' and inner spaces every context
-// name has, so an ordinary close is its own text and the shard parses
+// name has, so an ordinary entry is its own text and the shard parses
 // it without copying.
 func appendEscaped(b []byte, s string, spaces bool) []byte {
 	const hex = "0123456789ABCDEF"
@@ -102,7 +147,7 @@ func appendEscaped(b []byte, s string, spaces bool) []byte {
 }
 
 // unescape undoes appendEscaped. A field without an escape — every
-// field of an ordinary close — is returned as it is.
+// field of an ordinary entry — is returned as it is.
 func unescape(s string) (string, bool) {
 	if strings.IndexByte(s, '%') < 0 {
 		return s, true
@@ -140,38 +185,49 @@ func unhex(c byte) int {
 // shards, over all of their outboxes. Every close given up is in Lost,
 // Overflowed or Unsendable; Lost can count a close that did arrive (the
 // same close was on another request that was answered), never one that
-// is still pending.
+// is still pending. Opens are not counted here: none is ever given up.
 type CloseStats struct {
 	// Enqueued counts closes queued, once per peer shard.
 	Enqueued atomic.Int64
 	// Lost counts closes dropped because the request carrying them failed
-	// in transport: applied or not, they are not sent again.
+	// in transport, or was answered without the acknowledgement its opens
+	// asked for: applied or not, they are not sent again.
 	Lost atomic.Int64
 	// Overflowed counts closes dropped, oldest first, from an outbox that
-	// was full: the shard is answering nothing (Down, or never asked).
+	// was full, and closes refused by one full of opens: the shard is
+	// answering nothing (Down, or never asked).
 	Overflowed atomic.Int64
 	// Unsendable counts closes EncodeClose refused, per shard they were
 	// owed to; the gateway adds to it, no outbox does.
 	Unsendable atomic.Int64
 }
 
-// Outbox holds the closes still to be told to one shard, oldest first.
-// The gateway enqueues; the shard's Client (Client.Outbox) attaches what
-// is pending to every request and settles it when the request ends.
-// Safe for concurrent use.
+// Outbox holds the opens and closes still to be told to one shard, oldest
+// first, in one log. The gateway enqueues; the shard's Client
+// (Client.Outbox) attaches what is pending to every request and settles
+// it when the request ends. Safe for concurrent use.
 type Outbox struct {
 	stats *CloseStats
 
 	mu      sync.Mutex
-	entries []string // encoded closes (EncodeClose)
-	size    int      // their bytes, against closeOutboxMax
-	// first is the sequence number of entries[0]: a request remembers the
-	// sequence its header ended at, so settling it drops exactly what it
-	// carried however the outbox moved meanwhile.
-	first uint64
+	entries []outboxEntry
+	size    int // bytes of every pending entry, against outboxMax
+	opens   int // bytes of the pending opens, which nothing drops
+	// next is the sequence number the next entry gets. A request
+	// remembers the sequence its header ended at, so settling it touches
+	// exactly what it carried however the outbox moved meanwhile.
+	next uint64
 	// header is the CloseHeader value carrying all of entries, built once
 	// per change of them; nil when there is none or it is stale.
 	header []string
+}
+
+// outboxEntry is one pending open or close, as EncodeActivation or
+// EncodeClose rendered it.
+type outboxEntry struct {
+	seq  uint64
+	open bool
+	text string
 }
 
 // NewOutbox returns an empty outbox counting into stats.
@@ -179,137 +235,248 @@ func NewOutbox(stats *CloseStats) *Outbox {
 	return &Outbox{stats: stats}
 }
 
-// Enqueue queues one encoded close. Past closeOutboxMax bytes pending,
-// the oldest closes are dropped to make room, and counted.
-func (o *Outbox) Enqueue(entry string) {
-	o.stats.Enqueued.Add(1)
+// Enqueue queues one encoded open or close and reports whether it did.
+// Past outboxMax bytes pending, the oldest closes are dropped to make
+// room, and counted. An open is never dropped, so when the pending opens
+// leave no room the new entry is refused: a close is counted as
+// overflowed, an open is its caller's to withhold the grant for.
+func (o *Outbox) Enqueue(entry string) bool {
+	open := isOpen(entry)
+	if !open {
+		o.stats.Enqueued.Add(1)
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	n := 0
-	for left := o.size; left > closeOutboxMax-len(entry); n++ {
-		left -= len(o.entries[n])
+	if o.opens+len(entry) > outboxMax {
+		if !open {
+			o.stats.Overflowed.Add(1)
+		}
+		return false
 	}
-	o.drop(n)
-	o.stats.Overflowed.Add(int64(n))
-	o.entries = append(o.entries, entry)
+	if excess := o.size + len(entry) - outboxMax; excess > 0 {
+		kept := o.entries[:0]
+		for _, e := range o.entries {
+			if excess > 0 && !e.open {
+				excess -= len(e.text)
+				o.size -= len(e.text)
+				o.stats.Overflowed.Add(1)
+				continue
+			}
+			kept = append(kept, e)
+		}
+		o.entries = o.shrink(kept)
+	}
+	o.entries = append(o.entries, outboxEntry{seq: o.next, open: open, text: entry})
+	o.next++
 	o.size += len(entry)
+	if open {
+		o.opens += len(entry)
+	}
 	o.header = nil
+	return true
 }
 
-// Pending reports how many closes are waiting for a request to carry.
+// shrink makes kept, a prefix-compacted copy of entries in the same
+// array, the pending entries, letting go of the texts past it.
+func (o *Outbox) shrink(kept []outboxEntry) []outboxEntry {
+	clear(o.entries[len(kept):])
+	o.header = nil
+	return kept
+}
+
+// Pending reports how many opens and closes are waiting for a request to
+// carry them.
 func (o *Outbox) Pending() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return len(o.entries)
 }
 
-// drop removes the n oldest entries, keeping the backing array.
-func (o *Outbox) drop(n int) {
-	for _, entry := range o.entries[:n] {
-		o.size -= len(entry)
-	}
-	o.entries = o.entries[:copy(o.entries, o.entries[n:])]
-	o.first += uint64(n)
-	o.header = nil
+// Mark is the sequence number the next entry will get: every entry queued
+// so far comes before it.
+func (o *Outbox) Mark() uint64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.next
 }
 
-// attach returns the header value carrying every pending close and the
-// sequence number it ends at, or nil when nothing is pending. The slice
-// is shared by every request sent until the outbox changes; nobody
-// writes to it.
-func (o *Outbox) attach() ([]string, uint64) {
+// Unacknowledged reports how many opens queued before mark are still
+// pending.
+func (o *Outbox) Unacknowledged(mark uint64) int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	n := 0
+	for _, e := range o.entries {
+		if e.seq >= mark {
+			break
+		}
+		if e.open {
+			n++
+		}
+	}
+	return n
+}
+
+// attach returns the header value carrying every pending entry, the
+// sequence number it ends at and whether it carries an open, or nil when
+// nothing is pending. The slice is shared by every request sent until the
+// outbox changes; nobody writes to it.
+func (o *Outbox) attach() ([]string, uint64, bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if len(o.entries) == 0 {
-		return nil, 0
+		return nil, 0, false
 	}
 	if o.header == nil {
-		o.header = []string{strings.Join(o.entries, ";")}
+		var b strings.Builder
+		b.Grow(o.size + len(o.entries) - 1)
+		for i, e := range o.entries {
+			if i > 0 {
+				b.WriteByte(';')
+			}
+			b.WriteString(e.text)
+		}
+		o.header = []string{b.String()}
 	}
-	return o.header, o.first + uint64(len(o.entries))
+	return o.header, o.next, o.opens > 0
 }
 
-// settle ends a request that carried the closes up to sequence end:
-// whatever of them is still pending is dropped — delivered if the shard
-// answered (any status: Server.ServeHTTP applied them before it looked
-// at the request), lost and counted if the transport failed.
-func (o *Outbox) settle(end uint64, answered bool) {
+// settle ends a request that carried the entries before sequence end.
+// Whatever close of them is still pending is dropped — delivered if the
+// shard answered, lost and counted if not (see Client.send for what
+// counts as answered). An open is dropped only when the shard's answer
+// acknowledged it (acked); otherwise the next request carries it again.
+func (o *Outbox) settle(end uint64, answered, acked bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if end <= o.first {
-		return
+	kept := o.entries[:0]
+	for i, e := range o.entries {
+		if e.seq >= end {
+			kept = append(kept, o.entries[i:]...)
+			break
+		}
+		if e.open && !acked {
+			kept = append(kept, e)
+			continue
+		}
+		o.size -= len(e.text)
+		if e.open {
+			o.opens -= len(e.text)
+		} else if !answered {
+			o.stats.Lost.Add(1)
+		}
 	}
-	n := int(end - o.first)
-	o.drop(n)
-	if !answered {
-		o.stats.Lost.Add(int64(n))
+	if len(kept) != len(o.entries) {
+		o.entries = o.shrink(kept)
 	}
 }
 
-// appliedCloses remembers the last steps whose closes this shard has
-// applied, newest appliedClosesSize of them. The zero value is ready;
-// the ring is made when the first close arrives.
-type appliedCloses struct {
+// appliedEntries remembers the opens and closes this shard has applied,
+// newest appliedSize of them. The zero value is ready; the ring is made
+// when the first entry arrives.
+type appliedEntries struct {
 	// mu also serialises application itself: of two requests carrying
-	// the same close, the second waits until the first has applied it.
+	// the same entry, the second waits until the first has applied it.
 	mu    sync.Mutex
-	seen  map[string]struct{}
-	order ring.FIFO[string]
+	seen  map[appliedKey]struct{}
+	order ring.FIFO[appliedKey]
 }
 
-// applyCloses applies one CloseHeader value: every close in it not
-// applied before, in order, each bound instance through
-// pdp.PDP.CloseContext — under the commit lock, published as the purge
-// event a mirror replays. An entry that does not parse is skipped: the
-// gateway encodes what shards told it, and a close not applied is
-// deny-safe. A store that fails the purge latches read-only mode as for
-// any other write; the close is not tried again.
-func (s *Server) applyCloses(header string) {
-	a := &s.closes
+// appliedKey names one entry: its kind and the requestID of the step
+// that produced it. A decision that both starts and ends instances
+// produces one of each under one requestID.
+type appliedKey struct {
+	open bool
+	id   string
+}
+
+// applyCarried applies the opens and closes a request carries (its
+// CloseHeader values, in order) and reports whether the answer
+// acknowledges its opens: true when it carried at least one and every
+// one is now applied. Closes are skipped on a shard without -handoff.
+func (s *Server) applyCarried(headers []string) bool {
+	a := &s.applied
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.seen == nil {
-		a.seen, a.order = make(map[string]struct{}), ring.NewFIFO[string](appliedClosesSize)
-	}
-	for rest, more := header, true; more; {
-		var entry string
-		entry, rest, more = strings.Cut(rest, ";")
-		field, contexts, ok := strings.Cut(entry, "|")
-		if !ok {
-			continue
-		}
-		id, ok := unescape(field)
-		if !ok || id == "" {
-			continue
-		}
-		if _, dup := a.seen[id]; dup {
-			continue
-		}
-		applied := true
-		for ctxs, more := contexts, true; more; {
-			field, ctxs, more = strings.Cut(ctxs, "|")
-			text, ok := unescape(field)
-			if !ok {
-				applied = false
+	opens, ack := false, true
+	for _, header := range headers {
+		for rest, more := header, true; more; {
+			var entry string
+			entry, rest, more = strings.Cut(rest, ";")
+			open := isOpen(entry)
+			if open {
+				entry, opens = entry[1:], true
+			} else if !s.handoff {
 				continue
 			}
-			bound, err := bctx.Parse(text)
-			if err == nil {
-				_, err = s.pdp.CloseContext(bound, id)
+			if !s.applyEntry(open, entry) && open {
+				ack = false
 			}
-			if err != nil {
-				s.noteWriteFailure(err)
-				applied = false
-			}
-		}
-		// The header's string is the request's; the ring outlives it.
-		id = strings.Clone(id)
-		a.seen[id] = struct{}{}
-		if oldest, evicted := a.order.Push(id); evicted {
-			delete(a.seen, oldest)
-		}
-		if applied {
-			s.metrics.closesApplied.Add(1)
 		}
 	}
+	return opens && ack
+}
+
+// applyEntry applies one open or close not applied before, each bound
+// instance through pdp.PDP.Activate or pdp.PDP.CloseContext — under the
+// commit lock, published as the event a mirror replays — and reports
+// whether it is applied (now or before). The caller holds s.applied.mu.
+//
+// A close that does not parse is skipped: the gateway encodes what shards
+// told it, and a close not applied is deny-safe; it is remembered, and a
+// close a failed store write left unapplied is not tried again (the
+// write latched read-only mode, as for any other write). An open that
+// does not parse or does not apply is not remembered: it goes
+// unacknowledged, and the next request that carries it tries again.
+func (s *Server) applyEntry(open bool, entry string) bool {
+	a := &s.applied
+	field, contexts, ok := strings.Cut(entry, "|")
+	if !ok {
+		return false
+	}
+	id, ok := unescape(field)
+	if !ok || id == "" {
+		return false
+	}
+	key := appliedKey{open: open, id: id}
+	if _, dup := a.seen[key]; dup {
+		return true
+	}
+	applied := true
+	for ctxs, more := contexts, true; more; {
+		field, ctxs, more = strings.Cut(ctxs, "|")
+		text, ok := unescape(field)
+		if !ok {
+			applied = false
+			continue
+		}
+		bound, err := bctx.Parse(text)
+		if err == nil {
+			if open {
+				_, err = s.pdp.Activate(bound)
+			} else {
+				_, err = s.pdp.CloseContext(bound, id)
+			}
+		}
+		if err != nil {
+			s.noteWriteFailure(err)
+			applied = false
+		}
+	}
+	if open && !applied {
+		return false
+	}
+	if a.seen == nil {
+		a.seen, a.order = make(map[appliedKey]struct{}), ring.NewFIFO[appliedKey](appliedSize)
+	}
+	// The header's string is the request's; the ring outlives it.
+	key.id = strings.Clone(id)
+	a.seen[key] = struct{}{}
+	if oldest, evicted := a.order.Push(key); evicted {
+		delete(a.seen, oldest)
+	}
+	if applied && !open {
+		s.metrics.closesApplied.Add(1)
+	}
+	return applied
 }

@@ -114,7 +114,7 @@ func TestCloseEncoding(t *testing.T) {
 	}{
 		"no requestID": {"", []string{"A=1"}},
 		"no context":   {"id", nil},
-		"oversize":     {strings.Repeat("x", closeEntryMax), []string{"A=1"}},
+		"oversize":     {strings.Repeat("x", entryMax), []string{"A=1"}},
 	} {
 		if entry, ok := EncodeClose(tc.id, tc.contexts); ok {
 			t.Errorf("%s: EncodeClose accepted it as %d bytes", name, len(entry))
@@ -128,36 +128,36 @@ func TestCloseEncoding(t *testing.T) {
 func TestOutbox(t *testing.T) {
 	var stats CloseStats
 	o := NewOutbox(&stats)
-	if h, end := o.attach(); h != nil || end != 0 {
+	if h, end, opens := o.attach(); h != nil || end != 0 || opens {
 		t.Fatalf("empty outbox attaches %q up to %d", h, end)
 	}
 	o.Enqueue("a|A=1")
 	o.Enqueue("b|A=2")
-	first, firstEnd := o.attach()
-	again, _ := o.attach()
+	first, firstEnd, _ := o.attach()
+	again, _, _ := o.attach()
 	if len(first) != 1 || first[0] != "a|A=1;b|A=2" || &first[0] != &again[0] {
 		t.Fatalf("attach = %q then %q, want one shared value carrying both", first, again)
 	}
 	o.Enqueue("c|A=3")
-	second, secondEnd := o.attach()
+	second, secondEnd, _ := o.attach()
 	if second[0] != "a|A=1;b|A=2;c|A=3" || first[0] != "a|A=1;b|A=2" {
 		t.Fatalf("after a third close: %q (and the value already on the wire: %q)", second, first)
 	}
 	// The first request is answered: c stays, and a duplicate settle of
 	// the same request changes nothing.
-	o.settle(firstEnd, true)
-	o.settle(firstEnd, false)
-	if h, _ := o.attach(); len(h) != 1 || h[0] != "c|A=3" || stats.Lost.Load() != 0 {
+	o.settle(firstEnd, true, false)
+	o.settle(firstEnd, false, false)
+	if h, _, _ := o.attach(); len(h) != 1 || h[0] != "c|A=3" || stats.Lost.Load() != 0 {
 		t.Fatalf("after the first answer: %q pending, %d lost; want c alone, none lost", h, stats.Lost.Load())
 	}
 	// The second request, which carried all three, fails: only c was
 	// still pending, so only c is lost.
-	o.settle(secondEnd, false)
+	o.settle(secondEnd, false, false)
 	if o.Pending() != 0 || stats.Lost.Load() != 1 {
 		t.Fatalf("after the failure: %d pending, %d lost; want 0 and 1", o.Pending(), stats.Lost.Load())
 	}
 	// A full outbox makes room, oldest first, by bytes.
-	big := strings.Repeat("x", closeOutboxMax/4)
+	big := strings.Repeat("x", outboxMax/4)
 	for _, id := range []string{"1", "2", "3", "4"} {
 		o.Enqueue(id + big[1:])
 	}
@@ -166,12 +166,12 @@ func TestOutbox(t *testing.T) {
 	}
 	o.Enqueue("y|A=1")
 	o.Enqueue("5" + big[1:])
-	if h, _ := o.attach(); o.Pending() != 4 || stats.Overflowed.Load() != 2 || !strings.HasPrefix(h[0], "3x") || len(h[0]) > closeOutboxMax+3 {
+	if h, _, _ := o.attach(); o.Pending() != 4 || stats.Overflowed.Load() != 2 || !strings.HasPrefix(h[0], "3x") || len(h[0]) > outboxMax+3 {
 		t.Fatalf("after two more: %d pending, %d overflowed, header of %d bytes starting %.2q; want 4, 2 and the two oldest gone",
 			o.Pending(), stats.Overflowed.Load(), len(h[0]), h[0])
 	}
-	_, end := o.attach()
-	o.settle(end, true)
+	_, end, _ := o.attach()
+	o.settle(end, true, false)
 	o.Enqueue(big)
 	if o.Pending() != 1 || stats.Overflowed.Load() != 2 {
 		t.Fatalf("a settled outbox has room again: %d pending, %d overflowed; want 1 and 2", o.Pending(), stats.Overflowed.Load())
@@ -315,11 +315,13 @@ func TestCloseContext(t *testing.T) {
 }
 
 // lossy is a RoundTripper that fails the requests it is told to, before
-// or after the server has seen them.
+// or after the server has seen them, or answers them without the
+// activation acknowledgement, as something in front of the server would.
 type lossy struct {
 	base       http.RoundTripper
 	failBefore bool // the next request never reaches the server
 	failAfter  bool // the next request's answer is lost
+	stripAck   bool // the next answer loses its acknowledgement
 }
 
 func (l *lossy) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -332,6 +334,10 @@ func (l *lossy) RoundTrip(r *http.Request) (*http.Response, error) {
 		l.failAfter = false
 		resp.Body.Close()
 		return nil, errors.New("lossy: connection reset")
+	}
+	if err == nil && l.stripAck {
+		l.stripAck = false
+		resp.Header.Del(ActivationAckHeader)
 	}
 	return resp, err
 }
@@ -465,5 +471,171 @@ func TestClientUnaryRequests(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("returned after %v despite the 50ms Timeout", elapsed)
+	}
+}
+
+const otherInstance = "TaxOffice=Leeds, taxRefundProcess=p2"
+
+// running lists the instances the server considers running; the GET
+// carries nothing.
+func running(t *testing.T, ts *httptest.Server) []string {
+	t.Helper()
+	got, err := NewClient(ts.URL, nil).ActiveContexts(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// activation encodes one open, failing the test if it cannot be.
+func activation(t *testing.T, requestID string, contexts ...string) string {
+	t.Helper()
+	entry, ok := EncodeActivation(requestID, contexts)
+	if !ok {
+		t.Fatalf("EncodeActivation(%q, %q) refused", requestID, contexts)
+	}
+	return entry
+}
+
+// outboxClient is a client over transport whose outbox holds entries.
+func outboxClient(ts *httptest.Server, transport http.RoundTripper, stats *CloseStats, entries ...string) *Client {
+	c := NewClient(ts.URL, &http.Client{Transport: transport})
+	c.Outbox = NewOutbox(stats)
+	for _, e := range entries {
+		c.Outbox.Enqueue(e)
+	}
+	return c
+}
+
+// TestShardAppliesCarriedActivation: a request carrying an activation
+// has it applied before its handler runs — on a shard without -handoff
+// too, since an activation can only make a shard record more — and the
+// answer acknowledges it, which settles it. Carried again under the same
+// requestID it is applied once: an instance closed in between stays
+// closed, and only another first step's activation starts it again.
+func TestShardAppliesCarriedActivation(t *testing.T) {
+	ts, p := startServer(t)
+	var stats CloseStats
+	c := outboxClient(ts, http.DefaultTransport, &stats, activation(t, "first-step-1", closesInstance))
+	if r := approveIn(t, c, "m1", closesInstance); !r.Allowed || r.Recorded != 1 {
+		t.Fatalf("the approval carrying the activation = %+v, want it recorded in the running instance", r)
+	}
+	if n := c.Outbox.Pending(); n != 0 {
+		t.Fatalf("%d entries pending after the acknowledged answer, want 0", n)
+	}
+
+	if _, err := p.CloseContext(bctx.MustParse(closesInstance), "test"); err != nil {
+		t.Fatal(err)
+	}
+	c.Outbox.Enqueue(activation(t, "first-step-1", closesInstance))
+	if _, err := c.Health(); err != nil || c.Outbox.Pending() != 0 {
+		t.Fatalf("health carrying the same activation again: %v, %d pending; want it acknowledged", err, c.Outbox.Pending())
+	}
+	if got := running(t, ts); len(got) != 0 {
+		t.Fatalf("the closed instance runs again after its old activation was carried again: %q", got)
+	}
+	c.Outbox.Enqueue(activation(t, "first-step-2", closesInstance))
+	if _, err := c.Health(); err != nil {
+		t.Fatal(err)
+	}
+	if got := running(t, ts); len(got) != 1 || got[0] != closesInstance {
+		t.Fatalf("after another first step's activation the shard runs %q, want [%s]", got, closesInstance)
+	}
+}
+
+// TestCarriedOpenThenCloseResentAfterALostAnswer: a request carries an
+// instance's activation and then its close; the shard applies both and
+// the answer is lost. The close is given up, the activation carried
+// again — and not applied again: the instance stays closed.
+func TestCarriedOpenThenCloseResentAfterALostAnswer(t *testing.T) {
+	ts, _ := startHandoffServer(t)
+	var stats CloseStats
+	close, _ := EncodeClose("last-step-1", []string{closesInstance})
+	net := &lossy{base: http.DefaultTransport, failAfter: true}
+	c := outboxClient(ts, net, &stats, activation(t, "first-step-1", closesInstance), close)
+	if _, err := c.Health(); err == nil {
+		t.Fatal("the probe whose answer was lost succeeded")
+	}
+	if c.Outbox.Pending() != 1 || stats.Lost.Load() != 1 {
+		t.Fatalf("after the lost answer: %d pending, %d closes lost; want the activation kept and the close given up", c.Outbox.Pending(), stats.Lost.Load())
+	}
+	if _, err := c.Health(); err != nil || c.Outbox.Pending() != 0 {
+		t.Fatalf("carrying the activation again: %v, %d pending; want it acknowledged", err, c.Outbox.Pending())
+	}
+	if got := running(t, ts); len(got) != 0 {
+		t.Fatalf("the instance runs after [open, close] and the open again: %q", got)
+	}
+}
+
+// TestActivationPendingUntilAcknowledged: an answer without the
+// acknowledgement — something in front of the shard answered — leaves
+// the activation pending and gives up the closes it carried; a transport
+// failure does the same; the shard's own answer settles it.
+func TestActivationPendingUntilAcknowledged(t *testing.T) {
+	ts, _ := startHandoffServer(t)
+	var stats CloseStats
+	net := &lossy{base: http.DefaultTransport}
+	c := outboxClient(ts, net, &stats, activation(t, "first-step-1", closesInstance))
+	for _, step := range []struct {
+		name string
+		arm  func()
+		fail bool
+	}{
+		{"answer without the acknowledgement", func() { net.stripAck = true }, false},
+		{"request lost", func() { net.failBefore = true }, true},
+	} {
+		lost := stats.Lost.Load()
+		close, _ := EncodeClose("last-step-"+step.name, []string{otherInstance})
+		c.Outbox.Enqueue(close)
+		step.arm()
+		if _, err := c.Health(); (err != nil) != step.fail {
+			t.Fatalf("%s: health = %v", step.name, err)
+		}
+		if c.Outbox.Pending() != 1 || c.Outbox.Unacknowledged(c.Outbox.Mark()) != 1 || stats.Lost.Load() != lost+1 {
+			t.Fatalf("%s: %d pending (%d activations), %d closes lost; want the activation alone kept and the close lost",
+				step.name, c.Outbox.Pending(), c.Outbox.Unacknowledged(c.Outbox.Mark()), stats.Lost.Load()-lost)
+		}
+	}
+	if _, err := c.Health(); err != nil || c.Outbox.Pending() != 0 {
+		t.Fatalf("the shard's own answer: %v, %d pending; want the activation acknowledged", err, c.Outbox.Pending())
+	}
+	if got := running(t, ts); len(got) != 1 || got[0] != closesInstance {
+		t.Fatalf("the shard runs %q, want [%s]", got, closesInstance)
+	}
+}
+
+// TestOutboxNeverDropsAnActivation: a full outbox makes room by dropping
+// its oldest closes only; when its activations alone leave no room, a
+// new activation is refused (the caller withholds its grant) and a new
+// close is dropped, counted, like any overflowing close.
+func TestOutboxNeverDropsAnActivation(t *testing.T) {
+	var stats CloseStats
+	o := NewOutbox(&stats)
+	o.Enqueue("|first|A=1")
+	o.Enqueue("c0|A=1")
+	opens := 1
+	for _, size := range []int{entryMax, 1} {
+		for o.Enqueue("|" + strings.Repeat("o", size-1)) {
+			if opens++; opens > outboxMax {
+				t.Fatal("the outbox takes activations past its bound")
+			}
+		}
+	}
+	h, _, _ := o.attach()
+	if o.Unacknowledged(o.Mark()) != opens || stats.Overflowed.Load() != 1 || o.Pending() != opens || !strings.HasPrefix(h[0], "|first|A=1;") {
+		t.Fatalf("filled with %d activations: %d of them pending, %d entries, %d closes overflowed, header starting %.12q; want every activation, the oldest first, and the one close dropped",
+			opens, o.Unacknowledged(o.Mark()), o.Pending(), stats.Overflowed.Load(), h[0])
+	}
+	if o.Enqueue("c1|A=1") || stats.Overflowed.Load() != 2 || o.Pending() != opens {
+		t.Fatalf("a close into an outbox full of activations: %d pending, %d overflowed; want it refused and counted", o.Pending(), stats.Overflowed.Load())
+	}
+	_, end, carriesOpens := o.attach()
+	o.settle(end, true, false)
+	if o.Pending() != opens || !carriesOpens {
+		t.Fatalf("an unacknowledged request took %d of %d activations with it", opens-o.Pending(), opens)
+	}
+	o.settle(end, true, true)
+	if o.Pending() != 0 || !o.Enqueue("c2|A=1") {
+		t.Fatalf("after the acknowledgement: %d pending, want room again", o.Pending())
 	}
 }

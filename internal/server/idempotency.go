@@ -12,21 +12,22 @@ import (
 // sane retry horizon — without unbounded growth.
 const idemCacheSize = 4096
 
-// appliedClosesSize bounds the ring of applied closes (closes.go). A
-// close arrives a second time as a duplicate carry, within one client
-// timeout of the first, or because the last step's answer was replayed
-// — and a replay comes out of an idemCache of this size.
-const appliedClosesSize = idemCacheSize
+// appliedSize bounds the ring of applied opens and closes (closes.go).
+// An entry arrives a second time as a duplicate carry, within one client
+// timeout of the first, or because the step's answer was replayed — and a
+// replay comes out of an idemCache of this size.
+const appliedSize = idemCacheSize
 
-// closeOutboxMax bounds, in bytes of encoded closes, what a gateway
+// outboxMax bounds, in bytes of encoded opens and closes, what a gateway
 // holds for one shard (Outbox) — and so the header one request carries,
 // which must stay under the megabyte net/http reads of a request's
-// headers. It is some four thousand closes under gateway-minted IDs. A
+// headers. It is some four thousand entries under gateway-minted IDs. A
 // shard that answers anything drains its outbox with that answer, so
 // only a shard sent nothing for that long — Down, or idle between two
 // health probes of a very busy cluster — gets near it; past it the
-// oldest closes are dropped and counted.
-const closeOutboxMax = 256 << 10
+// oldest closes are dropped and counted, and an open that does not fit
+// is refused.
+const outboxMax = 256 << 10
 
 // idemEntry tracks one RequestID: in flight until done is closed, then
 // either a committed response to replay (ok) or a failed attempt whose

@@ -68,8 +68,9 @@ type DecisionResponse struct {
 	Purged   int `json:"purged,omitempty"`
 	// Activated lists bound context instances this grant STARTED (the
 	// FirstStep of an MSoD policy committed its opening record). The
-	// cluster gateway fans each one out to every other shard before
-	// acknowledging, so FirstStep-gated recording holds cluster-wide.
+	// cluster gateway tells every other shard to open them too, on the
+	// next request it sends each (see closes.go), so FirstStep-gated
+	// recording holds cluster-wide.
 	Activated []string `json:"activated,omitempty"`
 	// Closed lists bound context instances this grant TERMINATED (the
 	// LastStep of an MSoD policy was granted and this shard purged its
@@ -178,9 +179,10 @@ type Server struct {
 
 	// handoff enables the resharding handoff surface (see handoff.go /
 	// WithHandoff) and, with it, the closes a gateway's requests carry
-	// (closes.go); off by default.
+	// (closes.go); off by default. applied remembers the opens and closes
+	// applied.
 	handoff bool
-	closes  appliedCloses
+	applied appliedEntries
 }
 
 // Option configures a Server.
@@ -257,15 +259,14 @@ func New(p *pdp.PDP, opts ...Option) *Server {
 	return s
 }
 
-// ServeHTTP implements http.Handler. On a handoff-capable shard the
-// closes a gateway's request carries (closes.go) are applied first,
-// whatever the request is: the handler then reads a retained ADI in
-// which those context instances have ended.
+// ServeHTTP implements http.Handler. The opens and closes a gateway's
+// request carries (closes.go) are applied first, whatever the request is
+// — closes on a handoff-capable shard only — and the answer acknowledges
+// the opens once all are applied: the handler then reads a retained ADI
+// in which those context instances have started or ended.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.handoff {
-		for _, header := range r.Header[CloseHeader] {
-			s.applyCloses(header)
-		}
+	if carried := r.Header[CloseHeader]; len(carried) > 0 && s.applyCarried(carried) {
+		w.Header()[ActivationAckHeader] = activationAck
 	}
 	s.mux.ServeHTTP(w, r)
 }
