@@ -67,15 +67,21 @@ chaos:
 # context-activation unit suite (the activation carried to each peer,
 # a FirstStep acked with a peer Down, a gateway restarted with
 # activations pending, the re-activation after a user or age purge), the
+# shard's handoff import and release (an import releases before it
+# records, so the instances it empties keep running), the check that
+# every out-of-band store change goes through pdp.PDP.Apply, the
 # live 2→3→2 scale-out/drain integration against real shards, and the
 # 60-seed reshard torture (random join/drain/crash schedules checked
 # against a shadow PDP).
 elastic:
 	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics|Purge|FirstStepWithPeerDown|GatewayRestart)|TestActivation|TestJoinSeeds' ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestHandoff' ./internal/server
+	$(GO) test -race -count=1 -run 'TestStoreMutatedOnlyThroughOneEntry' .
 	$(GO) test -race -count=1 -run 'TestElastic' ./internal/integration
 	$(GO) test -race -count=1 -run 'TestElasticReshardTorture' ./internal/fault
 
-# Advisory read-replica tier smoke: deterministic mirror replay and the
+# Advisory read-replica tier smoke: deterministic mirror replay (every
+# non-grant event is an op's, a handoff import's a resync) and the
 # bounded-staleness contract (unit + gateway routing + integration),
 # the embedded PEP preflight, and the replica-fed advisory experiment.
 replica:

@@ -25,7 +25,7 @@ func cmdTail(args []string) error {
 	srv := fs.String("server", "http://127.0.0.1:8443", "PDP or gateway base URL")
 	user := fs.String("user", "", "only this user's decisions")
 	ctxPat := fs.String("context", "", "only decisions in contexts matching this pattern (wildcards allowed)")
-	outcome := fs.String("outcome", "", "only this outcome: grant | deny | purge | activate")
+	outcome := fs.String("outcome", "", "only this outcome: grant | deny | purge | activate | import")
 	replay := fs.Int("replay", 0, "start with up to N recent retained events")
 	jsonOut := fs.Bool("json", false, "print events as JSON lines")
 	fs.Parse(args)

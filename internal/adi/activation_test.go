@@ -11,13 +11,27 @@ import (
 	"msod/internal/bctx"
 )
 
+// activate applies an OpActivate of each bound at one time and returns
+// how many it activated.
+func activate(store Recorder, at time.Time, bounds ...bctx.Name) (int, error) {
+	added := 0
+	for _, b := range bounds {
+		eff, err := Apply(store, Op{Kind: OpActivate, Bound: b, Time: at})
+		if err != nil {
+			return added, err
+		}
+		added += eff.Activated
+	}
+	return added, nil
+}
+
 func TestEnsureActiveIdempotent(t *testing.T) {
 	store := NewStore()
 	now := time.Now()
 	p1 := bctx.MustParse("Proc=p1")
 	p2 := bctx.MustParse("Proc=p2")
 
-	added, err := EnsureActive(store, now, p1, p2)
+	added, err := activate(store, now, p1, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,17 +40,17 @@ func TestEnsureActiveIdempotent(t *testing.T) {
 	}
 	for _, b := range []bctx.Name{p1, p2} {
 		if active, _ := store.ContextActive(b); !active {
-			t.Fatalf("%s not active after EnsureActive", b)
+			t.Fatalf("%s not active after OpActivate", b)
 		}
 	}
 
 	// Replays and overlapping fan-outs must not append again.
-	added, err = EnsureActive(store, now, p1, p2)
+	added, err = activate(store, now, p1, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if added != 0 {
-		t.Fatalf("second EnsureActive added %d, want 0", added)
+		t.Fatalf("second OpActivate added %d, want 0", added)
 	}
 	if got := len(Activations(store)); got != 2 || store.Len() != 0 || store.Users() != 0 {
 		t.Fatalf("store holds %d activations, %d records of %d users; want 2 and no history", got, store.Len(), store.Users())
@@ -52,7 +66,7 @@ func TestEnsureActiveSkipsContextsWithRealHistory(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	added, err := EnsureActive(store, time.Now(), bound)
+	added, err := activate(store, time.Now(), bound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +78,7 @@ func TestEnsureActiveSkipsContextsWithRealHistory(t *testing.T) {
 func TestActivationMarkerPurgedWithContext(t *testing.T) {
 	store := NewStore()
 	bound := bctx.MustParse("Proc=p1")
-	if _, err := EnsureActive(store, time.Now(), bound); err != nil {
+	if _, err := activate(store, time.Now(), bound); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.PurgeContext(bctx.MustParse("Proc=*")); err != nil {
@@ -83,7 +97,7 @@ func TestActivationOutlivesUserPurges(t *testing.T) {
 	epoch := time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
 	bound := bctx.MustParse("Proc=p1")
 	store := NewStore()
-	if _, err := EnsureActive(store, epoch, bound); err != nil {
+	if _, err := activate(store, epoch, bound); err != nil {
 		t.Fatal(err)
 	}
 	r := rec("alice", "Clerk", "prepare", "claim", "Proc=p1")

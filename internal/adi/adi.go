@@ -15,7 +15,7 @@
 // Store is the one in-memory implementation the daemons run: records
 // bucketed by user ID for the per-user history queries, and one table
 // entry per open context instance (one with records, or activated: see
-// EnsureActive) for the activity check and the context purge, so
+// OpActivate) for the activity check and the context purge, so
 // neither a query nor a purge pays for records it does not concern.
 // DurableStore puts a write-ahead log under it.
 // LinearStore, an unindexed scan, is the ablation baseline of
@@ -729,13 +729,28 @@ func anyWithin(pattern bctx.Name, recs []Record) bool {
 
 // PurgeContext implements Recorder.
 func (s *LinearStore) PurgeContext(pattern bctx.Name) (int, error) {
+	return s.purge(func(rec Record) bool { return within(pattern, rec.Context) }), nil
+}
+
+// PurgeUser is Store.PurgeUser by a scan.
+func (s *LinearStore) PurgeUser(user rbac.UserID) int {
+	return s.purge(func(rec Record) bool { return rec.User == user && !rec.isActivation() })
+}
+
+// PurgeBefore is Store.PurgeBefore by a scan.
+func (s *LinearStore) PurgeBefore(t time.Time) int {
+	return s.purge(func(rec Record) bool { return rec.Time.Before(t) })
+}
+
+// purge deletes the records and activations drop selects and returns
+// how many records went.
+func (s *LinearStore) purge(drop func(Record) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	drop := func(rec Record) bool { return within(pattern, rec.Context) }
 	removed := len(s.recs)
 	s.recs = slices.DeleteFunc(s.recs, drop)
 	s.acts = slices.DeleteFunc(s.acts, drop)
-	return removed - len(s.recs), nil
+	return removed - len(s.recs)
 }
 
 // Len implements Recorder.

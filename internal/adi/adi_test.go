@@ -306,7 +306,7 @@ func TestConcurrentStore(t *testing.T) {
 				if i%10 == 9 {
 					// Activations older than every record, so the age
 					// purge clears them and keeps the records.
-					if _, err := EnsureActive(s, eqEpoch.AddDate(-1, 0, 0), bctx.MustParse(fmt.Sprintf("B=%d", i%3))); err != nil {
+					if _, err := activate(s, eqEpoch.AddDate(-1, 0, 0), bctx.MustParse(fmt.Sprintf("B=%d", i%3))); err != nil {
 						t.Error(err)
 						return
 					}

@@ -258,33 +258,35 @@ func trailingContent(sc *bufio.Scanner) (bool, error) {
 
 // applyEntry replays one mutation into the in-memory store.
 func (ds *DurableStore) applyEntry(e walEntry) error {
+	op, err := e.op()
+	if err == nil {
+		_, err = Apply(ds.mem, op)
+	}
+	return err
+}
+
+// op decodes the Op the entry logs.
+func (e walEntry) op() (Op, error) {
 	switch e.Op {
 	case "append":
 		recs := make([]Record, len(e.Records))
 		for i, w := range e.Records {
 			r, err := fromWire(w)
 			if err != nil {
-				return err
+				return Op{}, err
 			}
 			recs[i] = r
 		}
-		return ds.mem.Append(recs...)
+		return Op{Kind: OpRecord, Records: recs}, nil
 	case "purgeContext":
 		pattern, err := bctx.Parse(e.Pattern)
-		if err != nil {
-			return err
-		}
-		_, err = ds.mem.PurgeContext(pattern)
-		return err
+		return Op{Kind: OpClose, Bound: pattern}, err
 	case "purgeUser":
-		ds.mem.PurgeUser(rbac.UserID(e.User))
-		return nil
+		return Op{Kind: OpPurgeUser, User: rbac.UserID(e.User)}, nil
 	case "purgeBefore":
-		ds.mem.PurgeBefore(e.Before)
-		return nil
-	default:
-		return fmt.Errorf("unknown wal op %q", e.Op)
+		return Op{Kind: OpPurgeBefore, Time: e.Before}, nil
 	}
+	return Op{}, fmt.Errorf("unknown wal op %q", e.Op)
 }
 
 // sealEntry encrypts one WAL entry to a base64 line, with room behind
@@ -387,32 +389,25 @@ func (ds *DurableStore) Append(recs ...Record) error {
 
 // PurgeContext implements Recorder.
 func (ds *DurableStore) PurgeContext(pattern bctx.Name) (int, error) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	before := ds.mem.Len()
-	if err := ds.logLocked(walEntry{Op: "purgeContext", Pattern: pattern.String()}); err != nil {
-		return 0, err
-	}
-	return before - ds.mem.Len(), nil
+	return ds.purge(walEntry{Op: "purgeContext", Pattern: pattern.String()})
 }
 
 // PurgeUser durably removes one user's records.
 func (ds *DurableStore) PurgeUser(user rbac.UserID) (int, error) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	before := ds.mem.Len()
-	if err := ds.logLocked(walEntry{Op: "purgeUser", User: string(user)}); err != nil {
-		return 0, err
-	}
-	return before - ds.mem.Len(), nil
+	return ds.purge(walEntry{Op: "purgeUser", User: string(user)})
 }
 
 // PurgeBefore durably removes records older than t.
 func (ds *DurableStore) PurgeBefore(t time.Time) (int, error) {
+	return ds.purge(walEntry{Op: "purgeBefore", Before: t})
+}
+
+// purge logs one purge and returns the records it removed.
+func (ds *DurableStore) purge(e walEntry) (int, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	before := ds.mem.Len()
-	if err := ds.logLocked(walEntry{Op: "purgeBefore", Before: t}); err != nil {
+	if err := ds.logLocked(e); err != nil {
 		return 0, err
 	}
 	return before - ds.mem.Len(), nil

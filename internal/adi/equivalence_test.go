@@ -39,20 +39,9 @@ type mutableStore interface {
 	All() []Record
 }
 
-// reference is the unindexed store with the two §4.3 management purges
-// written as the plain scans they are, over the records and the records
-// that encode activations alike; every answer of the indexed and durable
-// stores is compared against it.
+// reference is the unindexed store every answer of the indexed and
+// durable stores is compared against.
 type reference struct{ *LinearStore }
-
-func (r reference) purge(drop func(Record) bool) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	removed := len(r.recs)
-	r.recs = slices.DeleteFunc(r.recs, drop)
-	r.acts = slices.DeleteFunc(r.acts, drop)
-	return removed - len(r.recs)
-}
 
 // All orders the flat slice as Store.All does: by user, then insertion.
 func (r reference) All() []Record {
@@ -63,46 +52,38 @@ func (r reference) All() []Record {
 	return out
 }
 
-// mutate applies one random operation to both stores and reports the
-// first disagreement about its own result.
-func mutate(r *rand.Rand, step int, got mutableStore, want reference) error {
+// randomOp draws one op of any kind, releases included.
+func randomOp(r *rand.Rand, step int) Op {
 	at := eqEpoch.Add(time.Duration(step) * time.Minute)
-	switch r.Intn(8) {
-	case 0, 1, 2: // append
-		rc := rec(eqUsers[r.Intn(len(eqUsers))], eqRoles[r.Intn(len(eqRoles))],
+	user := rbac.UserID(eqUsers[r.Intn(len(eqUsers))])
+	switch r.Intn(9) {
+	case 0, 1, 2:
+		rc := rec(string(user), eqRoles[r.Intn(len(eqRoles))],
 			fmt.Sprintf("op%d", r.Intn(3)), "t", eqCtxs[r.Intn(len(eqCtxs))])
 		rc.Time = at
-		if e1, e2 := got.Append(rc), want.Append(rc); e1 != nil || e2 != nil {
-			return fmt.Errorf("append %v: %v / %v", rc, e1, e2)
-		}
-	case 3: // activation, only where the instance is not running
-		bound := bctx.MustParse(eqCtxs[r.Intn(len(eqCtxs))])
-		n1, e1 := EnsureActive(got, at, bound)
-		n2, e2 := EnsureActive(want, at, bound)
-		if e1 != nil || e2 != nil || n1 != n2 {
-			return fmt.Errorf("EnsureActive(%q) = %d, %v; want %d, %v", bound, n1, e1, n2, e2)
-		}
-	case 4, 5: // context purge
-		p := bctx.MustParse(eqPatterns[r.Intn(len(eqPatterns))])
-		n1, e1 := got.PurgeContext(p)
-		n2, e2 := want.PurgeContext(p)
-		if e1 != nil || e2 != nil || n1 != n2 {
-			return fmt.Errorf("PurgeContext(%q) = %d, %v; want %d, %v", p, n1, e1, n2, e2)
-		}
-	case 6: // user purge
-		u := rbac.UserID(eqUsers[r.Intn(len(eqUsers))])
-		n1, ok, err := PurgeUserFrom(got, u)
-		n2 := want.purge(func(rec Record) bool { return rec.User == u })
-		if err != nil || !ok || n1 != n2 {
-			return fmt.Errorf("PurgeUser(%q) = %d, %v, %v; want %d", u, n1, ok, err, n2)
-		}
-	case 7: // age purge
-		cut := eqEpoch.Add(time.Duration(r.Intn(step+1)) * time.Minute)
-		n1, ok, err := PurgeBeforeFrom(got, cut)
-		n2 := want.purge(func(rec Record) bool { return rec.Time.Before(cut) })
-		if err != nil || !ok || n1 != n2 {
-			return fmt.Errorf("PurgeBefore(%v) = %d, %v, %v; want %d", cut, n1, ok, err, n2)
-		}
+		return Op{Kind: OpRecord, Records: []Record{rc}}
+	case 3: // an activation applies only where the instance is not open
+		return Op{Kind: OpActivate, Bound: bctx.MustParse(eqCtxs[r.Intn(len(eqCtxs))]), Time: at}
+	case 4, 5:
+		return Op{Kind: OpClose, Bound: bctx.MustParse(eqPatterns[r.Intn(len(eqPatterns))])}
+	case 6:
+		return Op{Kind: OpPurgeUser, User: user}
+	case 7:
+		return Op{Kind: OpPurgeBefore, Time: eqEpoch.Add(time.Duration(r.Intn(step+1)) * time.Minute)}
+	default:
+		return Op{Kind: OpRelease, User: user, Time: at}
+	}
+}
+
+// mutate applies one random op to both stores through Apply and reports
+// the first disagreement about its effect.
+func mutate(r *rand.Rand, step int, got mutableStore, want reference) error {
+	op := randomOp(r, step)
+	g, e1 := Apply(got, op)
+	w, e2 := Apply(want, op)
+	if e1 != nil || e2 != nil || g.Added != w.Added || g.Removed != w.Removed || g.Activated != w.Activated ||
+		fmt.Sprint(g.Kept) != fmt.Sprint(w.Kept) {
+		return fmt.Errorf("Apply(%v %+v) = %+v, %v; want %+v, %v", op.Kind, op, g, e1, w, e2)
 	}
 	return nil
 }

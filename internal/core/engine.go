@@ -160,8 +160,9 @@ func (d *Decision) Activated() []bctx.Name { return d.bounds[:d.split:d.split] }
 // request was the granted last step of their policy and step 7 purged
 // them here. A PDP holding a slice of the user population purged only
 // its own users' records; the other nodes hold the rest of the instance
-// and must be told to close it too (Engine.Close), or they retain — and
-// keep judging their users by — history the paper's single PDP deleted.
+// and must be told to close it too (an adi.OpClose through Engine.Apply),
+// or they retain — and keep judging their users by — history the
+// paper's single PDP deleted.
 func (d *Decision) Closed() []bctx.Name { return d.bounds[d.split:] }
 
 // started files a bound instance under Activated, closed one under
@@ -438,17 +439,30 @@ func (e *Engine) PeekCtx(ctx context.Context, req Request) (Decision, error) {
 	return e.evaluate(ctx, req, false)
 }
 
-// Close is step 7 for a last step that was granted on another node (see
-// Decision.Closed): it purges the bound context instance from this
-// node's store and reports how many records went. It takes the engine
-// lock, so an evaluation in the same instance runs wholly before the
-// close (what it recorded is purged) or wholly after it (it finds the
-// instance not started) — never between its history checks and its
-// append.
-func (e *Engine) Close(bound bctx.Name) (int, error) {
+// Apply is the engine's one change to its store that is not a
+// decision's own commit (adi.Op): it applies ops in order, handing each
+// one's effect to applied — a failed op's too when it changed something
+// (adi.Apply) — and stops at the first error. It holds the engine lock
+// throughout, so an evaluation runs wholly before the batch or wholly
+// after it, never between its history checks and its append. An
+// activate or release op with no Time is stamped with the engine's
+// clock, as a grant's records are. applied runs under the lock.
+func (e *Engine) Apply(ops []adi.Op, applied func(adi.Op, adi.Effect)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.store.PurgeContext(bound)
+	for _, op := range ops {
+		if op.Time.IsZero() && (op.Kind == adi.OpActivate || op.Kind == adi.OpRelease) {
+			op.Time = e.now()
+		}
+		eff, err := adi.Apply(e.store, op)
+		if err == nil || eff.Removed > 0 || eff.Activated > 0 {
+			applied(op, eff)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (e *Engine) evaluate(ctx context.Context, req Request, commit bool) (Decision, error) {

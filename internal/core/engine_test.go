@@ -549,8 +549,10 @@ func TestDecisionStartedAndTerminated(t *testing.T) {
 	if store.Len() != 1 {
 		t.Fatalf("one opening record expected, store holds %d", store.Len())
 	}
-	if n, err := e.Close(bctx.MustParse("A=1, B=*")); err != nil || n != 1 || store.Len() != 0 {
-		t.Fatalf("Close removed %d (%v), store holds %d; want the record gone", n, err, store.Len())
+	n := 0
+	err = e.Apply([]adi.Op{{Kind: adi.OpClose, Bound: bctx.MustParse("A=1, B=*")}}, func(_ adi.Op, eff adi.Effect) { n += eff.Removed })
+	if err != nil || n != 1 || store.Len() != 0 {
+		t.Fatalf("the close removed %d (%v), store holds %d; want the record gone", n, err, store.Len())
 	}
 }
 

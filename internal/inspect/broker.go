@@ -20,15 +20,19 @@ import (
 )
 
 // Decision outcomes as they appear in events and filters (matching the
-// audit trail's effect vocabulary). OutcomePurge and OutcomeActivate
-// extend it: management purges, carried closes and a cluster's context
-// activations mutate the retained ADI without being decisions, and a
-// mirror replaying the stream must see them or silently diverge.
+// audit trail's effect vocabulary). OutcomePurge, OutcomeActivate and
+// OutcomeImport extend it: management purges, carried closes, a
+// cluster's context activations and a resharding handoff's release and
+// import mutate the retained ADI without being decisions (pdp.PDP.Apply
+// publishes each), and a mirror replaying the stream must see them or
+// silently diverge. An import's event carries how many records it
+// appended, not the records: a mirror resyncs from a snapshot after it.
 const (
 	OutcomeGrant    = "grant"
 	OutcomeDeny     = "deny"
 	OutcomePurge    = "purge"
 	OutcomeActivate = "activate"
+	OutcomeImport   = "import"
 )
 
 // ErrGap reports that a sequence-resumed subscription cannot be
@@ -57,8 +61,8 @@ type DecisionEvent struct {
 	Operation string   `json:"op"`
 	Target    string   `json:"target"`
 	Context   string   `json:"ctx"`
-	// Effect is OutcomeGrant, OutcomeDeny, OutcomePurge or
-	// OutcomeActivate.
+	// Effect is OutcomeGrant, OutcomeDeny, OutcomePurge, OutcomeActivate
+	// or OutcomeImport.
 	Effect string `json:"effect"`
 	// Stage names the pipeline stage that denied (cvs, rbac, msod);
 	// empty on grants.
@@ -108,9 +112,9 @@ type Filter struct {
 func NewFilter(user, ctxPattern, outcome string) (Filter, error) {
 	f := Filter{User: user, Outcome: outcome}
 	switch outcome {
-	case "", OutcomeGrant, OutcomeDeny, OutcomePurge, OutcomeActivate:
+	case "", OutcomeGrant, OutcomeDeny, OutcomePurge, OutcomeActivate, OutcomeImport:
 	default:
-		return Filter{}, fmt.Errorf("inspect: outcome %q is not %q, %q, %q or %q", outcome, OutcomeGrant, OutcomeDeny, OutcomePurge, OutcomeActivate)
+		return Filter{}, fmt.Errorf("inspect: outcome %q is not %q, %q, %q, %q or %q", outcome, OutcomeGrant, OutcomeDeny, OutcomePurge, OutcomeActivate, OutcomeImport)
 	}
 	if ctxPattern != "" {
 		pat, err := bctx.Parse(ctxPattern)

@@ -77,187 +77,119 @@ func (p *PDP) Manage(req ManagementRequest) (ManagementResult, error) {
 		return ManagementResult{}, fmt.Errorf("%w: user %q roles %v not permitted %s", ErrManagement, user, roles, perm)
 	}
 
-	// Purges mutate the retained ADI outside the decision path, so each
-	// one publishes an OutcomePurge event under the commit lock — the
-	// mutation and its event are atomic with respect to decisions, and
-	// a mirror replaying the stream applies the same purge at the same
-	// point (without these events it would silently diverge).
+	var op adi.Op
 	switch req.Operation {
 	case OpPurgeContext:
 		pattern, err := bctx.Parse(req.ContextPattern)
 		if err != nil {
 			return ManagementResult{}, fmt.Errorf("%w: %v", ErrManagement, err)
 		}
-		return p.purge(inspect.DecisionEvent{
-			Operation: string(OpPurgeContext),
-			Target:    string(RetainedADITarget),
-			Context:   pattern.String(),
-			Reason:    fmt.Sprintf("management purge by %q", user),
-		}, func() (int, bool, error) {
-			n, err := p.store.PurgeContext(pattern)
-			return n, true, err
-		})
-
+		op = adi.Op{Kind: adi.OpClose, Bound: pattern}
 	case OpPurgeUser:
 		if req.TargetUser == "" {
 			return ManagementResult{}, fmt.Errorf("%w: purgeUser needs a target user", ErrManagement)
 		}
-		return p.purge(inspect.DecisionEvent{
-			Operation: string(OpPurgeUser),
-			Target:    string(RetainedADITarget),
-			User:      string(req.TargetUser),
-			Reason:    fmt.Sprintf("management purge by %q", user),
-		}, func() (int, bool, error) { return adi.PurgeUserFrom(p.store, req.TargetUser) })
-
+		op = adi.Op{Kind: adi.OpPurgeUser, User: req.TargetUser}
 	case OpPurgeBefore:
 		if req.Before.IsZero() {
 			return ManagementResult{}, fmt.Errorf("%w: purgeBefore needs a cutoff time", ErrManagement)
 		}
-		before := req.Before
-		return p.purge(inspect.DecisionEvent{
-			Operation: string(OpPurgeBefore),
-			Target:    string(RetainedADITarget),
-			Before:    &before,
-			Reason:    fmt.Sprintf("management purge by %q", user),
-		}, func() (int, bool, error) { return adi.PurgeBeforeFrom(p.store, before) })
-
+		op = adi.Op{Kind: adi.OpPurgeBefore, Time: req.Before}
 	case OpStats:
 		return ManagementResult{Records: p.store.Len()}, nil
-
 	default:
 		return ManagementResult{}, fmt.Errorf("%w: unknown operation %q", ErrManagement, req.Operation)
 	}
-}
-
-// CloseContext is §4.2 step 7 for a last step that was granted on
-// another node of a user-sharded deployment (core.Decision.Closed): this
-// node's slice of the bound context instance is purged through the
-// engine (core.Engine.Close), with no authorisation of its own — the
-// caller vouches that the last step was granted — and published as the
-// OutcomePurge event an administrative purgeContext of the same
-// instance publishes, so a mirror replaying the stream closes it too.
-// by names the granted last step in the event.
-func (p *PDP) CloseContext(bound bctx.Name, by string) (int, error) {
-	res, err := p.purge(inspect.DecisionEvent{
-		Operation: string(OpPurgeContext),
-		Target:    string(RetainedADITarget),
-		Context:   bound.String(),
-		Reason:    "closed by last step " + by + " granted on another shard",
-	}, func() (int, bool, error) {
-		n, err := p.engine.Close(bound)
-		return n, true, err
-	})
-	return res.Removed, err
-}
-
-// Activate is the other half of a user-sharded deployment's context
-// lifecycle: the bound context instances have started on another node,
-// so this node activates them (adi.EnsureActive) — with no authorisation
-// of its own, as for CloseContext — and publishes each one it activated
-// as an OutcomeActivate event, both under the commit lock, so a mirror
-// replaying the stream activates it too. Instances already active here
-// are skipped. Returns how many it activated.
-func (p *PDP) Activate(bounds ...bctx.Name) (int, error) {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	return p.activateLocked("started on another shard", bounds)
-}
-
-// activateLocked is Activate for a caller holding commitMu; reason goes
-// into the events.
-func (p *PDP) activateLocked(reason string, bounds []bctx.Name) (int, error) {
-	now := p.clock()
-	added := 0
-	for _, bound := range bounds {
-		n, err := adi.EnsureActive(p.store, now, bound)
-		if err != nil {
-			return added, err
-		}
-		if added += n; n > 0 && p.observer != nil {
-			p.observer(inspect.DecisionEvent{
-				Effect:  inspect.OutcomeActivate,
-				Time:    now,
-				Target:  string(RetainedADITarget),
-				Context: bound.String(),
-				Reason:  reason,
-			})
-		}
-	}
-	return added, nil
-}
-
-// Release is the donor's half of a resharding handoff. The users'
-// history has moved to another shard, so it is purged here — each user
-// published as the purgeUser event a management purge publishes — and
-// every instance they held records of that is left with none here is
-// activated, as Activate does, all under the commit lock: the instance
-// is still running on the shard the history moved to, and without the
-// activation this shard would grant its own users' steps in it
-// unrecorded. It returns the records removed, and false, with nothing
-// released, when the store has no per-user purge or cannot list what
-// the users held.
-func (p *PDP) Release(users []rbac.UserID) (int, bool, error) {
-	p.commitMu.Lock()
-	defer p.commitMu.Unlock()
-	browser, ok := adi.BrowserFor(p.store)
-	if !ok {
-		return 0, false, nil
-	}
-	removed := 0
-	var held []bctx.Name
-	for _, u := range users {
-		for _, rec := range browser.UserRecords(u, bctx.Universal) {
-			held = append(held, rec.Context)
-		}
-		n, ok, err := adi.PurgeUserFrom(p.store, u)
-		if !ok || err != nil {
-			return removed, ok, err
-		}
-		removed += n
-		p.publishPurge(inspect.DecisionEvent{
-			Operation: string(OpPurgeUser),
-			Target:    string(RetainedADITarget),
-			User:      string(u),
-			Purged:    n,
-			Reason:    "released by a resharding handoff",
-		})
-	}
-	_, err := p.activateLocked("still running where a resharding handoff moved its history", held)
-	return removed, true, err
-}
-
-// purge runs a management purge — the store's own PurgeContext,
-// or one that reaches it through adi's signature bridges (PurgeUserFrom,
-// PurgeBeforeFrom; !ok: the store has no such surface) — and, when it
-// succeeded, publishes ev with the removed count, both under the commit
-// lock.
-func (p *PDP) purge(ev inspect.DecisionEvent, purge func() (n int, ok bool, err error)) (ManagementResult, error) {
-	p.commitMu.Lock()
-	n, ok, err := purge()
-	if ok && err == nil {
-		ev.Purged = n
-		p.publishPurge(ev)
-	}
-	p.commitMu.Unlock()
-	if !ok {
-		return ManagementResult{}, fmt.Errorf("%w: store does not support %s", ErrManagement, ev.Operation)
-	}
+	eff, err := p.Apply(fmt.Sprintf("management purge by %q", user), op)
 	if err != nil {
-		// A durable purge that failed mid-write surfaces the store's
-		// error chain (adi.ErrWriteFailed latches the server's
-		// degraded read-only mode).
+		// adi.ErrUnsupported for a store without the purge; a durable
+		// purge that failed mid-write keeps adi.ErrWriteFailed in the
+		// chain, which latches the server's degraded read-only mode.
 		return ManagementResult{}, fmt.Errorf("%w: %w", ErrManagement, err)
 	}
-	return ManagementResult{Removed: n, Records: p.store.Len()}, nil
+	return ManagementResult{Removed: eff.Removed, Records: p.store.Len()}, nil
 }
 
-// publishPurge emits a management purge to the event stream; no-op
-// without an observer. The caller holds commitMu.
-func (p *PDP) publishPurge(ev inspect.DecisionEvent) {
-	if p.observer == nil {
-		return
+// Apply is the PDP's one entry for a change to the retained ADI that is
+// not a decision's own commit (adi.Op), with no authorisation of its
+// own: the caller (Manage, a cluster shard's server) vouches for it. The
+// ops are applied in order through core.Engine.Apply, under the engine
+// lock, while the commit lock is held, and each applied op is published
+// (opEvent, with reason) so the stream orders it among the decisions as
+// the store did. It returns the effects summed; on an error the ops
+// before the failing one stay applied and published.
+func (p *PDP) Apply(reason string, ops ...adi.Op) (adi.Effect, error) {
+	p.commitMu.Lock()
+	defer p.commitMu.Unlock()
+	var total adi.Effect
+	err := p.engine.Apply(ops, func(op adi.Op, eff adi.Effect) {
+		total.Added += eff.Added
+		total.Removed += eff.Removed
+		total.Activated += eff.Activated
+		if p.observer == nil {
+			return
+		}
+		now := p.clock()
+		switch {
+		case op.Kind == adi.OpRelease:
+			// Published as what it is made of, which a mirror replays.
+			p.observer(opEvent(adi.Op{Kind: adi.OpPurgeUser, User: op.User}, eff, reason, now))
+			for _, bound := range eff.Kept {
+				p.observer(opEvent(adi.Op{Kind: adi.OpActivate, Bound: bound, Time: op.Time}, adi.Effect{}, reason, now))
+			}
+		case op.Kind != adi.OpActivate || eff.Activated > 0:
+			p.observer(opEvent(op, eff, reason, now))
+		}
+	})
+	return total, err
+}
+
+// opEvent renders an applied op as the event a mirror replays, EventOp
+// its inverse: an activation as OutcomeActivate at the time it took
+// effect, a close or a §4.3 purge as OutcomePurge with the records it
+// removed, and a handoff import's records as OutcomeImport, which
+// carries their number only.
+func opEvent(op adi.Op, eff adi.Effect, reason string, now time.Time) inspect.DecisionEvent {
+	ev := inspect.DecisionEvent{Effect: inspect.OutcomePurge, Time: now, Target: string(RetainedADITarget), Reason: reason, Purged: eff.Removed}
+	switch op.Kind {
+	case adi.OpActivate:
+		ev.Effect, ev.Time, ev.Context = inspect.OutcomeActivate, op.Time, op.Bound.String()
+	case adi.OpClose:
+		ev.Operation, ev.Context = string(OpPurgeContext), op.Bound.String()
+	case adi.OpPurgeUser:
+		ev.Operation, ev.User = string(OpPurgeUser), string(op.User)
+	case adi.OpPurgeBefore:
+		before := op.Time // a copy, so that op stays on its caller's stack
+		ev.Operation, ev.Before = string(OpPurgeBefore), &before
+	case adi.OpRecord:
+		ev.Effect, ev.Recorded = inspect.OutcomeImport, eff.Added
 	}
-	ev.Effect = inspect.OutcomePurge
-	ev.Time = p.clock()
-	p.observer(ev)
+	return ev
+}
+
+// EventOp is the op an OutcomeActivate or OutcomePurge event stands for,
+// which a mirror applies in its place. Other events stand for none: a
+// decision is re-evaluated, and an import's records are not in the
+// stream.
+func EventOp(ev inspect.DecisionEvent) (adi.Op, error) {
+	switch ev.Effect {
+	case inspect.OutcomeActivate:
+		bound, err := bctx.Parse(ev.Context)
+		return adi.Op{Kind: adi.OpActivate, Bound: bound, Time: ev.Time}, err
+	case inspect.OutcomePurge:
+		switch rbac.Operation(ev.Operation) {
+		case OpPurgeContext:
+			pattern, err := bctx.Parse(ev.Context)
+			return adi.Op{Kind: adi.OpClose, Bound: pattern}, err
+		case OpPurgeUser:
+			return adi.Op{Kind: adi.OpPurgeUser, User: rbac.UserID(ev.User)}, nil
+		case OpPurgeBefore:
+			if ev.Before == nil {
+				return adi.Op{}, fmt.Errorf("purgeBefore event carries no cutoff")
+			}
+			return adi.Op{Kind: adi.OpPurgeBefore, Time: *ev.Before}, nil
+		}
+		return adi.Op{}, fmt.Errorf("unknown purge operation %q", ev.Operation)
+	}
+	return adi.Op{}, fmt.Errorf("a %q event stands for no op", ev.Effect)
 }

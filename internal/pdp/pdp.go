@@ -75,11 +75,12 @@ type PDP struct {
 	trail    *audit.Writer
 	observer func(inspect.DecisionEvent)
 	clock    func() time.Time
-	// commitMu makes a decision's store commit and its event
-	// publication atomic with respect to other decisions, so broker
-	// sequence order equals store commit order — the invariant that
-	// lets a replica replay the stream in seq order and reconstruct the
-	// exact store state. Taken only when an Observer is attached.
+	// commitMu makes a store change and its event publication atomic
+	// with respect to other changes, so broker sequence order equals
+	// store commit order — the invariant that lets a replica replay the
+	// stream in seq order and reconstruct the exact store state. A
+	// decision takes it only when an Observer is attached; Apply always
+	// does, and takes the engine lock inside it.
 	commitMu  sync.Mutex
 	trailErrs atomic.Int64
 }
@@ -306,14 +307,12 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	return dec, nil
 }
 
-// WithCommitLock runs fn while holding the decision commit lock: no
-// decision can sit between its store commit and its event publication
-// while fn runs. The replica snapshot endpoint uses this to capture a
-// store dump and a broker sequence number that are consistent with
-// each other. Keep fn short — decisions block for its duration. The
-// guarantee is meaningful only when the PDP has an Observer (without
-// one, decisions skip the lock — and there is no event stream to be
-// consistent with).
+// WithCommitLock runs fn while holding the commit lock, so that no
+// change sits between its store commit and its event publication: the
+// replica snapshot endpoint captures a store dump and a broker sequence
+// number consistent with each other. Keep fn short — decisions block
+// for its duration. Without an Observer there is no stream to be
+// consistent with, and decisions skip the lock.
 func (p *PDP) WithCommitLock(fn func()) {
 	p.commitMu.Lock()
 	defer p.commitMu.Unlock()

@@ -2,6 +2,7 @@ package pdp
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -303,5 +304,80 @@ func TestPurgeBeforeOnDurableStore(t *testing.T) {
 	defer reopened.Close()
 	if reopened.Len() != 1 || len(reopened.UserRecords("c", bctx.Universal)) != 1 {
 		t.Errorf("after reopen: %d records, c has %d", reopened.Len(), len(reopened.UserRecords("c", bctx.Universal)))
+	}
+}
+
+// TestApplyPublishesWhatAMirrorReplays: every op Apply takes is
+// published so that EventOp turns the events back into ops which, applied
+// to a copy of the store, leave it equal to the original and echo the
+// same effects — a release as its purgeUser and the activations it kept,
+// an activation only where it activated. An import's records are counted
+// in their event, not carried, so that event maps to no op.
+func TestApplyPublishesWhatAMirrorReplays(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch := time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return epoch }
+	var events []inspect.DecisionEvent
+	owner, err := New(Config{Policy: pol, Clock: clock, Observer: func(ev inspect.DecisionEvent) { events = append(events, ev) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror, err := New(Config{Policy: pol, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(user, period string, age time.Duration) adi.Record {
+		return adi.Record{User: rbac.UserID(user), Roles: []rbac.RoleName{"Teller"}, Operation: "HandleCash", Target: "till",
+			Context: bctx.MustParse("Branch=York, Period=" + period), Time: epoch.Add(-age)}
+	}
+	seed := adi.Op{Kind: adi.OpRecord, Records: []adi.Record{
+		rec("a", "p1", time.Hour), rec("a", "p2", 0), rec("b", "p2", 0), rec("c", "p3", 48*time.Hour), rec("d", "p4", 0),
+	}}
+	for _, p := range []*PDP{owner, mirror} {
+		if _, err := p.Apply("seed", seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(events) != 1 || events[0].Effect != inspect.OutcomeImport || events[0].Recorded != 5 {
+		t.Fatalf("record published %+v, want one import event counting 5 records", events)
+	}
+	if _, err := EventOp(events[0]); err == nil {
+		t.Fatal("EventOp maps an import event to an op; its records are not in it")
+	}
+	events = nil
+
+	p5 := bctx.MustParse("Branch=York, Period=p5")
+	eff, err := owner.Apply("test",
+		adi.Op{Kind: adi.OpActivate, Bound: p5},
+		adi.Op{Kind: adi.OpActivate, Bound: bctx.MustParse("Branch=York, Period=p2")}, // open already
+		adi.Op{Kind: adi.OpClose, Bound: bctx.MustParse("Branch=*, Period=p4")},
+		adi.Op{Kind: adi.OpRelease, User: "a"}, // p1 kept running, p2 still held by b
+		adi.Op{Kind: adi.OpPurgeBefore, Time: epoch.Add(-24 * time.Hour)},
+		adi.Op{Kind: adi.OpPurgeUser, User: "b"},
+	)
+	if err != nil || eff.Removed != 5 || eff.Activated != 2 {
+		t.Fatalf("Apply = %+v, %v; want 5 records removed, p5 and p1 activated", eff, err)
+	}
+	var kinds []string
+	for _, ev := range events {
+		kinds = append(kinds, ev.Effect+":"+ev.Operation)
+		op, err := EventOp(ev)
+		if err != nil {
+			t.Fatalf("EventOp(%+v): %v", ev, err)
+		}
+		got, err := mirror.Apply("replay", op)
+		if err != nil || got.Removed != ev.Purged || (op.Kind == adi.OpActivate) != (got.Activated == 1) {
+			t.Fatalf("replaying %+v: %+v, %v", ev, got, err)
+		}
+	}
+	if want := "activate: purge:purgeContext purge:purgeUser activate: purge:purgeBefore purge:purgeUser"; strings.Join(kinds, " ") != want {
+		t.Errorf("published %s, want %s", strings.Join(kinds, " "), want)
+	}
+	ob, mb := owner.Store().(adi.Browser), mirror.Store().(adi.Browser)
+	if o, m := fmt.Sprint(ob.Instances(), owner.Store().(*adi.Store).All()), fmt.Sprint(mb.Instances(), mirror.Store().(*adi.Store).All()); o != m {
+		t.Errorf("owner holds %s, the replayed copy %s", o, m)
 	}
 }

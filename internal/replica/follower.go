@@ -240,11 +240,12 @@ func (f *Follower) Run(ctx context.Context) error {
 		switch {
 		case ctx.Err() != nil:
 			return ctx.Err()
-		case errors.Is(err, server.ErrEventGap):
+		case errors.Is(err, server.ErrEventGap), errors.Is(err, ErrResync):
 			// Events rotated past the resume point (or the owner
-			// restarted): the mirror has a hole it cannot stream over.
+			// restarted), or one did not carry its records: the mirror
+			// has a hole it cannot stream over.
 			f.syncing.Store(true)
-			f.log.Warn("replica stream gap; forcing full resync", "owner", f.cfg.Owner, "appliedSeq", f.mirror.AppliedSeq())
+			f.log.Warn("replica cannot stream on; forcing full resync", "owner", f.cfg.Owner, "appliedSeq", f.mirror.AppliedSeq(), "error", err)
 		case errors.Is(err, ErrDiverged):
 			f.syncing.Store(true)
 			f.divergences.Add(1)

@@ -32,14 +32,19 @@ import (
 // the follower does exactly that. Test with errors.Is.
 var ErrDiverged = errors.New("replica: mirror diverged from owner")
 
+// ErrResync reports an event whose records the stream does not carry (a
+// handoff import's): the mirror catches up from a snapshot taken after
+// it, as after a stream gap; it has not diverged. Test with errors.Is.
+var ErrResync = errors.New("replica: event needs a snapshot to follow")
+
 // Mirror is a local retained-ADI copy maintained by deterministic
 // replay: grant events are re-evaluated through an engine compiled
 // from the same policy, with the clock pinned to each event's
 // timestamp, so the mirror commits exactly the records the owner did —
 // and proves it by comparing its recorded/purged counts against the
 // owner's echoes in every event. Denials never mutate and are skipped;
-// management purges and a cluster's context activations arrive as
-// their own events.
+// every other change arrives as the event of an adi.Op (pdp.PDP.Apply),
+// which the mirror applies through its own PDP and checks the same way.
 //
 // The mirror is the advisory decision surface too: Advise answers
 // "would the owner grant this?" from local state with zero side
@@ -129,12 +134,10 @@ func (m *Mirror) Apply(ev inspect.DecisionEvent) error {
 		// Denials never touch the retained ADI.
 	case inspect.OutcomeGrant:
 		err = m.applyGrant(ev)
-	case inspect.OutcomePurge:
-		err = m.applyPurge(ev)
-	case inspect.OutcomeActivate:
-		err = m.applyActivate(ev)
+	case inspect.OutcomeImport:
+		err = fmt.Errorf("%w: seq %d imported %d records the stream does not carry", ErrResync, ev.Seq, ev.Recorded)
 	default:
-		err = fmt.Errorf("%w: unknown effect %q at seq %d", ErrDiverged, ev.Effect, ev.Seq)
+		err = m.applyOp(ev)
 	}
 	if err != nil {
 		return err
@@ -178,49 +181,25 @@ func (m *Mirror) applyGrant(ev inspect.DecisionEvent) error {
 	return nil
 }
 
-func (m *Mirror) applyPurge(ev inspect.DecisionEvent) error {
-	var n int
-	switch rbac.Operation(ev.Operation) {
-	case pdp.OpPurgeContext:
-		pattern, err := bctx.Parse(ev.Context)
-		if err != nil {
-			return fmt.Errorf("%w: purge seq %d has unparseable pattern %q: %v", ErrDiverged, ev.Seq, ev.Context, err)
-		}
-		n, err = m.store.PurgeContext(pattern)
-		if err != nil {
-			return fmt.Errorf("replica: apply purge seq %d: %w", ev.Seq, err)
-		}
-	case pdp.OpPurgeUser:
-		n = m.store.PurgeUser(rbac.UserID(ev.User))
-	case pdp.OpPurgeBefore:
-		if ev.Before == nil {
-			return fmt.Errorf("%w: purgeBefore event seq %d carries no cutoff", ErrDiverged, ev.Seq)
-		}
-		n = m.store.PurgeBefore(*ev.Before)
-	default:
-		return fmt.Errorf("%w: unknown purge operation %q at seq %d", ErrDiverged, ev.Operation, ev.Seq)
-	}
-	if n != ev.Purged {
-		return fmt.Errorf("%w: purge seq %d removed %d records on the mirror, %d on the owner",
-			ErrDiverged, ev.Seq, n, ev.Purged)
-	}
-	return nil
-}
-
-// applyActivate activates the instance as the owner did, at the owner's
-// time. The owner publishes only an instance it found not running, so
-// one the mirror finds running already is a divergence.
-func (m *Mirror) applyActivate(ev inspect.DecisionEvent) error {
-	bound, err := bctx.Parse(ev.Context)
+// applyOp applies the op an event stands for (pdp.EventOp) as the owner
+// did, and checks its effect against the owner's echo: the records a
+// purge removed, and for an activation that the mirror did not find the
+// instance running already (the owner publishes only one it activated).
+func (m *Mirror) applyOp(ev inspect.DecisionEvent) error {
+	op, err := pdp.EventOp(ev)
 	if err != nil {
-		return fmt.Errorf("%w: activation seq %d has unparseable context %q: %v", ErrDiverged, ev.Seq, ev.Context, err)
+		return fmt.Errorf("%w: seq %d: %v", ErrDiverged, ev.Seq, err)
 	}
-	n, err := adi.EnsureActive(m.store, ev.Time, bound)
+	eff, err := m.pdp.Apply("", op)
 	if err != nil {
-		return fmt.Errorf("replica: apply activation seq %d: %w", ev.Seq, err)
+		return fmt.Errorf("replica: apply seq %d: %w", ev.Seq, err)
 	}
-	if n != 1 {
+	if op.Kind == adi.OpActivate && eff.Activated != 1 {
 		return fmt.Errorf("%w: activation seq %d of %q: the mirror has it running already", ErrDiverged, ev.Seq, ev.Context)
+	}
+	if eff.Removed != ev.Purged {
+		return fmt.Errorf("%w: %s seq %d removed %d records on the mirror, %d on the owner",
+			ErrDiverged, ev.Operation, ev.Seq, eff.Removed, ev.Purged)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"msod/internal/adi"
 	"msod/internal/bctx"
 	"msod/internal/inspect"
 	"msod/internal/pdp"
@@ -738,8 +740,8 @@ func TestFollowerReplaysActivation(t *testing.T) {
 	// then moved away: p2 runs on, and so does the recording.
 	const released = "TaxOffice=Leeds, taxRefundProcess=p2"
 	grant(t, p, "c1", "Clerk", "prepareCheck", "check", released)
-	if n, ok, err := p.Release([]rbac.UserID{"c1"}); n != 1 || !ok || err != nil {
-		t.Fatalf("release = %d, %v, %v", n, ok, err)
+	if eff, err := p.Apply("test", adi.Op{Kind: adi.OpRelease, User: "c1"}); eff.Removed != 1 || err != nil {
+		t.Fatalf("release = %+v, %v", eff, err)
 	}
 	if dec := grant(t, p, "m1", "Manager", "approve", "check", released); !dec.Allowed || dec.MSoD.Recorded != 1 {
 		t.Fatalf("approve in the released instance = %+v, want a recorded grant", dec)
@@ -755,5 +757,123 @@ func TestFollowerReplaysActivation(t *testing.T) {
 				t.Errorf("%s replica advises %+v, %v in %s; want the MMEP denial the owner gives", name, dec, err, ctx)
 			}
 		}
+	}
+}
+
+// TestFollowerServesImportedHistory: a resharding handoff's import on
+// the owner is published — its release's events, then one import event
+// that counts the records without carrying them — so a follower, which
+// cannot replay the import event, resyncs on it and then serves the
+// imported history as the owner does. It is not a divergence.
+func TestFollowerServesImportedHistory(t *testing.T) {
+	broker := inspect.NewBroker(64)
+	p, err := pdp.New(pdp.Config{Policy: testPolicy(t), Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(server.New(p, server.WithHandoff(), server.WithEventBroker(broker)))
+	t.Cleanup(ts.Close)
+	f, err := New(Config{Owner: ts.URL, Policy: testPolicy(t), ReconnectBackoff: 10 * time.Millisecond, ResyncBackoff: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { _ = f.Run(ctx) }()
+	waitConverged(t, f, broker)
+
+	snap := server.ReplicaSnapshot{Policy: p.PolicyID(), Users: []string{"alice"}, Records: []server.SnapshotRecord{{
+		User: "alice", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till",
+		Context: "Branch=York, Period=2006", Time: time.Unix(1136160000, 0),
+	}}}
+	if imp, err := server.NewClient(ts.URL, nil).HandoffImport(ctx, snap); err != nil || imp.Records != 1 {
+		t.Fatalf("import = %+v, %v", imp, err)
+	}
+	waitConverged(t, f, broker)
+	probe := pdp.Request{User: "alice", Roles: []rbac.RoleName{"Auditor"}, Operation: "Audit", Target: "ledger",
+		Context: bctx.MustParse("Branch=York, Period=2006")}
+	if dec, err := f.Advise(probe); err != nil || dec.Allowed {
+		t.Fatalf("replica advises %+v, %v after the import; want the MMER denial the imported history gives", dec, err)
+	}
+	if st := f.Status(); st.Records != 1 || st.Divergences != 0 || st.Resyncs != 2 {
+		t.Errorf("replica holds %d records after %d divergences and %d resyncs; want 1, 0 and the bootstrap's and the import's 2",
+			st.Records, st.Divergences, st.Resyncs)
+	}
+}
+
+// TestMirrorFollowsConcurrentOps: decisions and out-of-band ops racing
+// on the owner are published in the order the store applied them, so a
+// mirror replaying the stream ends with the owner's records and open
+// instances. Run it under -race.
+func TestMirrorFollowsConcurrentOps(t *testing.T) {
+	pol := testPolicy(t)
+	epoch := time.Unix(1136160000, 0)
+	var events []inspect.DecisionEvent // appended under the owner's commit lock
+	owner, err := pdp.New(pdp.Config{Policy: pol, Clock: func() time.Time { return epoch },
+		Observer: func(ev inspect.DecisionEvent) {
+			ev.Seq = uint64(len(events) + 1)
+			events = append(events, ev)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := []string{"u0", "u1", "u2"}
+	ctxName := func(r *rand.Rand) string { return fmt.Sprintf("Branch=B%d, Period=P%d", r.Intn(2), r.Intn(3)) }
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 200; i++ {
+				u := rbac.UserID(users[r.Intn(len(users))])
+				if g > 0 { // two deciders
+					role, op, target := rbac.RoleName("Teller"), rbac.Operation("HandleCash"), rbac.Object("till")
+					if r.Intn(2) == 0 {
+						role, op, target = "Auditor", "Audit", "ledger"
+					}
+					if _, err := owner.Decide(pdp.Request{User: u, Roles: []rbac.RoleName{role}, Operation: op, Target: target,
+						Context: bctx.MustParse(ctxName(r))}); err != nil {
+						t.Error(err)
+						return
+					}
+					continue
+				}
+				var op adi.Op
+				switch r.Intn(4) {
+				case 0:
+					op = adi.Op{Kind: adi.OpClose, Bound: bctx.MustParse(fmt.Sprintf("Branch=*, Period=P%d", r.Intn(3)))}
+				case 1:
+					op = adi.Op{Kind: adi.OpActivate, Bound: bctx.MustParse(ctxName(r))}
+				case 2:
+					op = adi.Op{Kind: adi.OpRelease, User: u}
+				default:
+					op = adi.Op{Kind: adi.OpPurgeUser, User: u}
+				}
+				if _, err := owner.Apply("test", op); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	m, err := NewMirror(pol, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if err := m.Apply(ev); err != nil {
+			t.Fatalf("replaying %+v: %v", ev, err)
+		}
+	}
+	ob := owner.Store().(adi.Browser)
+	for _, u := range users {
+		if o, r := fmt.Sprint(ob.UserRecords(rbac.UserID(u), bctx.Universal)), fmt.Sprint(m.Browser().UserRecords(rbac.UserID(u), bctx.Universal)); o != r {
+			t.Errorf("%s: owner holds %s, the mirror %s", u, o, r)
+		}
+	}
+	if o, r := fmt.Sprint(ob.Instances()), fmt.Sprint(m.Browser().Instances()); o != r {
+		t.Errorf("owner has %s open, the mirror %s", o, r)
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"net/http"
 
+	"msod/internal/adi"
 	"msod/internal/bctx"
 )
 
 // Context-activation surface. A sharded deployment must agree on which
-// FirstStep-gated context instances are running (see adi.EnsureActive).
+// FirstStep-gated context instances are running (see adi.OpActivate).
 // A FirstStep granted on one shard reaches the others on the requests the
 // gateway sends them (closes.go); this surface is the gateway's
 // re-synchronisation: it GETs every shard's own view and POSTs the union
@@ -61,22 +62,18 @@ func (s *Server) handleActivation(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorResponse{"activation requires at least one context instance"})
 			return
 		}
-		bounds := make([]bctx.Name, 0, len(req.Contexts))
+		ops := make([]adi.Op, 0, len(req.Contexts))
 		for _, c := range req.Contexts {
 			bound, err := bctx.Parse(c)
 			if err != nil {
 				writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context %q: %v", c, err)})
 				return
 			}
-			bounds = append(bounds, bound)
+			ops = append(ops, adi.Op{Kind: adi.OpActivate, Bound: bound})
 		}
-		added, err := s.pdp.Activate(bounds...)
-		if err != nil {
-			s.noteWriteFailure(err)
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("activation failed: %v", err)})
-			return
+		if eff, ok := s.applyOps(w, "activation", "started on another shard", ops); ok {
+			writeJSON(w, http.StatusOK, ActivationResponse{Contexts: req.Contexts, Added: eff.Activated})
 		}
-		writeJSON(w, http.StatusOK, ActivationResponse{Contexts: req.Contexts, Added: added})
 	default:
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET or POST required"})
 	}

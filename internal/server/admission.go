@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -124,6 +125,24 @@ func (s *Server) noteWriteFailure(err error) bool {
 			"error", err.Error())
 	}
 	return true
+}
+
+// applyOps runs ops through the PDP's one entry for changes that are
+// not decisions and reports whether all of them applied. When not, it
+// has answered: 501 for a store without the surface, 503 for anything
+// else (a failed durable write latches read-only mode).
+func (s *Server) applyOps(w http.ResponseWriter, what, reason string, ops []adi.Op) (adi.Effect, bool) {
+	eff, err := s.pdp.Apply(reason, ops...)
+	switch {
+	case err == nil:
+		return eff, true
+	case errors.Is(err, adi.ErrUnsupported):
+		writeJSON(w, http.StatusNotImplemented, errorResponse{fmt.Sprintf("%s unsupported: %v", what, err)})
+	default:
+		s.noteWriteFailure(err)
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("%s failed: %v", what, err)})
+	}
+	return eff, false
 }
 
 // Degraded reports whether the server has latched read-only mode.

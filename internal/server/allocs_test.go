@@ -162,10 +162,10 @@ func TestServeDecisionAllocs(t *testing.T) {
 		{
 			// The same, the request carrying one close — of another
 			// period, which holds nothing on this shard. On top of the
-			// grant's 29 / 22: the closed instance's name parsed (1) and
-			// rendered into the purge event (1), the event's reason (1),
-			// and the last step's requestID cloned out of the header for
-			// the applied ring (1).
+			// grant's 29 / 22: the closed instance's name parsed (1), the
+			// event's reason (1), and the last step's requestID cloned
+			// out of the header for the applied ring (1); default adds
+			// the instance's text in the purge event (1).
 			name:    "MMER grant carrying one close",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
@@ -175,13 +175,13 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 33, "bare": 26},
+			budget: map[string]float64{"default": 33, "bare": 25},
 		},
 		{
 			// The same, the request carrying one activation — of another
 			// period, not running on this shard. On top of the grant's
 			// 29 / 22: the instance's name parsed (1), the encoded
-			// activation adi.EnsureActive hands Append (1), the
+			// activation adi.OpActivate hands Append (1), the
 			// instance-table entry and its slot in a component list (2),
 			// and the first step's requestID cloned out of the header for
 			// the applied ring (1); default adds the instance's text in the
@@ -344,13 +344,13 @@ func TestServeDecisionAllocs(t *testing.T) {
 //	decode 9    the request moved to the heap for Unmarshal (1), the body
 //	            (1), encoding/json's decodeState, object state and parse
 //	            stack (5), the Contexts slice and its string (2)
-//	activate 5  the parsed name (1), the bounds slice (1), the encoded
+//	activate 5  the parsed name (1), the ops slice (1), the encoded
 //	            activation Append is handed (1), the instance-table entry
 //	            (1) and its slot in a component list (1)
 //	respond 2   the answer boxed for the encoder (1), the Content-Type
 //	            value (1)
 //	event 1     default only: the instance's text in the activate event
-//	            a replica follows the activation by (pdp.PDP.Activate)
+//	            a replica follows the activation by (pdp.PDP.Apply)
 func TestServeActivationAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")

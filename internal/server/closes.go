@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"msod/internal/adi"
 	"msod/internal/bctx"
 	"msod/internal/ring"
 )
@@ -418,9 +419,9 @@ func (s *Server) applyCarried(headers []string) bool {
 }
 
 // applyEntry applies one open or close not applied before, each bound
-// instance through pdp.PDP.Activate or pdp.PDP.CloseContext — under the
-// commit lock, published as the event a mirror replays — and reports
-// whether it is applied (now or before). The caller holds s.applied.mu.
+// instance as an adi.OpActivate or adi.OpClose through pdp.PDP.Apply,
+// and reports whether it is applied (now or before). The caller holds
+// s.applied.mu.
 //
 // A close that does not parse is skipped: the gateway encodes what shards
 // told it, and a close not applied is deny-safe; it is remembered, and a
@@ -453,9 +454,9 @@ func (s *Server) applyEntry(open bool, entry string) bool {
 		bound, err := bctx.Parse(text)
 		if err == nil {
 			if open {
-				_, err = s.pdp.Activate(bound)
+				_, err = s.pdp.Apply("started on another shard", adi.Op{Kind: adi.OpActivate, Bound: bound})
 			} else {
-				_, err = s.pdp.CloseContext(bound, id)
+				_, err = s.pdp.Apply("closed by last step "+id+" granted on another shard", adi.Op{Kind: adi.OpClose, Bound: bound})
 			}
 		}
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"msod/internal/adi"
 	"msod/internal/bctx"
 	"msod/internal/inspect"
 	"msod/internal/pdp"
@@ -301,16 +302,16 @@ func TestShardWithoutHandoffIgnoresCloses(t *testing.T) {
 	}
 }
 
-// TestCloseContext: closing an instance through the PDP takes the
-// engine's lock path (core.Engine.Close) and reports what it removed.
+// TestCloseContext: closing an instance through the PDP's one entry
+// (pdp.PDP.Apply, under the engine lock) reports what it removed.
 func TestCloseContext(t *testing.T) {
 	ts, p := startHandoffServer(t)
 	c := NewClient(ts.URL, nil)
 	prepare(t, c, "c1", "p1")
 	prepare(t, c, "c1", "p2")
-	n, err := p.CloseContext(bctx.MustParse(closesInstance), "test")
-	if err != nil || n != 1 || p.Store().Len() != 1 {
-		t.Fatalf("CloseContext removed %d (%v), store holds %d; want 1 and 1", n, err, p.Store().Len())
+	eff, err := p.Apply("test", adi.Op{Kind: adi.OpClose, Bound: bctx.MustParse(closesInstance)})
+	if err != nil || eff.Removed != 1 || p.Store().Len() != 1 {
+		t.Fatalf("the close removed %d (%v), store holds %d; want 1 and 1", eff.Removed, err, p.Store().Len())
 	}
 }
 
@@ -524,7 +525,7 @@ func TestShardAppliesCarriedActivation(t *testing.T) {
 		t.Fatalf("%d entries pending after the acknowledged answer, want 0", n)
 	}
 
-	if _, err := p.CloseContext(bctx.MustParse(closesInstance), "test"); err != nil {
+	if _, err := p.Apply("test", adi.Op{Kind: adi.OpClose, Bound: bctx.MustParse(closesInstance)}); err != nil {
 		t.Fatal(err)
 	}
 	c.Outbox.Enqueue(activation(t, "first-step-1", closesInstance))

@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"strings"
+	"sync/atomic"
 
 	"msod/internal/explain"
 	"msod/internal/obsv"
@@ -38,25 +39,52 @@ func WithSLO(slo *obsv.SLO) Option {
 // for the embedding daemon and tests; HTTP callers use ExplainPath.
 func (s *Server) Explain() *explain.Recorder { return s.explain }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+// explainLookup serves ExplainPath from the explain ring.
+func (s *Server) explainLookup() http.Handler {
+	l := ringLookup[explain.Record]{
+		path:    ExplainPath,
+		usage:   "request ID required: GET " + ExplainPath + "{requestID}",
+		off:     "explain recording disabled on this server",
+		miss:    [2]string{"no explain record for request ID ", " on this shard (rotated out, or decided elsewhere)"},
+		queries: &s.metrics.explainQueries, misses: &s.metrics.explainMisses,
+	}
+	if s.explain != nil {
+		l.get = s.explain.Get
+	}
+	return l
+}
+
+// ringLookup is GET path{id} over a keyed ring of per-decision records
+// (explain records, trace trees), counting every lookup and miss.
+type ringLookup[R any] struct {
+	path  string
+	usage string    // the 400 for a path without an ID
+	off   string    // the 404 when the server keeps no such ring (get nil)
+	miss  [2]string // the 404 for a miss is miss[0] + id + miss[1]
+	get   func(id string) (R, bool)
+
+	queries, misses *atomic.Int64
+}
+
+func (l ringLookup[R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
 		return
 	}
-	if s.explain == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"explain recording disabled on this server"})
+	if l.get == nil {
+		writeJSON(w, http.StatusNotFound, errorResponse{l.off})
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, ExplainPath)
+	id := strings.TrimPrefix(r.URL.Path, l.path)
 	if id == "" || strings.Contains(id, "/") {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"request ID required: GET " + ExplainPath + "{requestID}"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{l.usage})
 		return
 	}
-	s.metrics.explainQueries.Add(1)
-	rec, ok := s.explain.Get(id)
+	l.queries.Add(1)
+	rec, ok := l.get(id)
 	if !ok {
-		s.metrics.explainMisses.Add(1)
-		writeJSON(w, http.StatusNotFound, errorResponse{"no explain record for request ID " + id + " on this shard (rotated out, or decided elsewhere)"})
+		l.misses.Add(1)
+		writeJSON(w, http.StatusNotFound, errorResponse{l.miss[0] + id + l.miss[1]})
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)

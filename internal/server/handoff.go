@@ -19,15 +19,18 @@ import (
 //   - GET  /v1/handoff/users    — the donor's retained-ADI user list,
 //     so the coordinator can compute which users change owner.
 //   - POST /v1/handoff/import   — the recipient loads a subtree-scoped
-//     ReplicaSnapshot with per-user REPLACE semantics: whatever the
-//     recipient already held for each user in scope is purged first,
-//     so a retried import can never double-count history (MSoD
-//     over-counts deny, but an import must be exact, and replace makes
-//     it idempotent).
-//   - POST /v1/handoff/release  — the donor purges the moved users
-//     after cutover, keeping running the instances they leave
-//     (pdp.PDP.Release). Failure here is deny-safe: leftover copies on
-//     a shard that no longer owns the users only ever add denials.
+//     ReplicaSnapshot with per-user REPLACE semantics: each user in
+//     scope is released first (adi.OpRelease), so a retried import can
+//     never double-count history (MSoD over-counts deny, but an import
+//     must be exact, and replace makes it idempotent), then the copy is
+//     recorded (adi.OpRecord).
+//   - POST /v1/handoff/release  — the donor releases the moved users
+//     after cutover: their records go, the instances they leave keep
+//     running. Failure here is deny-safe: leftover copies on a shard
+//     that no longer owns the users only ever add denials.
+//
+// Both are one batch of ops through pdp.PDP.Apply, atomic with respect
+// to decisions and published (an import ends with an OutcomeImport).
 //
 // The whole surface is opt-in (WithHandoff / msodd -handoff): import
 // and release mutate the retained ADI without the management port's
@@ -111,10 +114,9 @@ func (s *Server) handleHandoffUsers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHandoffImport loads a subtree-scoped snapshot with per-user
-// replace semantics, atomically with respect to decisions (commit
-// lock). Refusals are fail-closed and precise: policy mismatch is 409
-// (same records, different semantics), a tampered or read-only shard is
-// 503, an unscoped or out-of-scope snapshot is 400.
+// replace semantics. Refusals are fail-closed and precise: policy
+// mismatch is 409 (same records, different semantics), a tampered or
+// read-only shard is 503, an unscoped or out-of-scope snapshot is 400.
 func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
@@ -140,9 +142,15 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"import requires an explicitly user-scoped snapshot (Users non-empty)"})
 		return
 	}
+	// Replace: release every in-scope user first, so records from a
+	// previous partial or duplicate import cannot survive alongside the
+	// fresh copies, and an instance a released record was the last trace
+	// of keeps running here, as it does on the shard the copy came from.
 	scope := make(map[rbac.UserID]bool, len(snap.Users))
+	ops := make([]adi.Op, 0, len(snap.Users)+1)
 	for _, u := range snap.Users {
 		scope[rbac.UserID(u)] = true
+		ops = append(ops, adi.Op{Kind: adi.OpRelease, User: rbac.UserID(u)})
 	}
 	recs := make([]adi.Record, 0, len(snap.Records))
 	for _, sr := range snap.Records {
@@ -160,48 +168,21 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 		}
 		recs = append(recs, rec)
 	}
-	store := s.pdp.Store()
-	resp := HandoffImportResponse{Users: len(snap.Users), Records: len(recs)}
-	var importErr error
-	unsupported := false
-	s.pdp.WithCommitLock(func() {
-		// Replace: purge every in-scope user first, so records from a
-		// previous partial or duplicate import cannot survive alongside
-		// the fresh copies.
-		for u := range scope {
-			n, ok, err := adi.PurgeUserFrom(store, u)
-			if !ok {
-				unsupported = true
-				return
-			}
-			if err != nil {
-				importErr = err
-				return
-			}
-			resp.Replaced += n
-		}
-		if len(recs) > 0 {
-			importErr = store.Append(recs...)
-		}
-	})
-	if unsupported {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{"store exposes no per-user purge; replace-semantics import unsupported"})
-		return
+	if len(recs) > 0 {
+		ops = append(ops, adi.Op{Kind: adi.OpRecord, Records: recs})
 	}
-	if importErr != nil {
-		s.noteWriteFailure(importErr)
-		// Either way 503: the import did not land whole, and the
-		// coordinator must treat the recipient as not having the users.
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("import failed: %v", importErr)})
+	// A failed import did not land whole: the coordinator must treat the
+	// recipient as not having the users.
+	eff, ok := s.applyOps(w, "import", "replaced by a resharding handoff import", ops)
+	if !ok {
 		return
 	}
 	s.metrics.handoffImports.Add(1)
 	s.metrics.handoffRecordsIn.Add(int64(len(recs)))
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, HandoffImportResponse{Users: len(snap.Users), Records: len(recs), Replaced: eff.Removed})
 }
 
-// handleHandoffRelease purges moved users on the donor after cutover.
+// handleHandoffRelease releases moved users on the donor after cutover.
 func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
@@ -222,23 +203,16 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"release requires at least one user"})
 		return
 	}
-	users := make([]rbac.UserID, len(req.Users))
+	ops := make([]adi.Op, len(req.Users))
 	for i, u := range req.Users {
-		users[i] = rbac.UserID(u)
+		ops[i] = adi.Op{Kind: adi.OpRelease, User: rbac.UserID(u)}
 	}
-	purged, ok, releaseErr := s.pdp.Release(users)
+	eff, ok := s.applyOps(w, "release", "released by a resharding handoff", ops)
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented,
-			errorResponse{"store exposes no per-user purge or browse surface; release unsupported"})
-		return
-	}
-	if releaseErr != nil {
-		s.noteWriteFailure(releaseErr)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("release failed: %v", releaseErr)})
 		return
 	}
 	s.metrics.handoffReleases.Add(1)
-	writeJSON(w, http.StatusOK, HandoffReleaseResponse{Users: len(users), Purged: purged})
+	writeJSON(w, http.StatusOK, HandoffReleaseResponse{Users: len(req.Users), Purged: eff.Removed})
 }
 
 // HandoffUsers fetches a donor's retained-ADI user list.

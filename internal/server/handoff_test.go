@@ -6,7 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"msod/internal/bctx"
 	"msod/internal/inspect"
 	"msod/internal/pdp"
 	"msod/internal/policy"
@@ -237,5 +239,34 @@ func TestHandoffRelease(t *testing.T) {
 	}
 	if len(out.Users) != 1 || out.Users[0] != "c2" {
 		t.Fatalf("post-release list = %v", out.Users)
+	}
+}
+
+// TestHandoffImportKeepsRunningInstancesActive: an import releases what
+// the recipient held of its users before recording the copy, so an
+// instance a stale record of theirs was the only trace of keeps running
+// here. The stale record had made the instance's carried activation a
+// no-op (it was open already); were the import's replace a bare user
+// purge, it would take the instance's only trace with it, and this
+// shard would then grant its own users' steps in it unrecorded.
+func TestHandoffImportKeepsRunningInstancesActive(t *testing.T) {
+	ts, p := startHandoffServer(t)
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	const running = "TaxOffice=Leeds, taxRefundProcess=x"
+	prepare(t, c, "u", "x")
+	if act, err := c.Activate(ctx, []string{running}); err != nil || act.Added != 0 {
+		t.Fatalf("carried activation of %s = %+v, %v; want a no-op beside the stale record", running, act, err)
+	}
+	snap := ReplicaSnapshot{Policy: "tax-1", Users: []string{"u"}, Records: []SnapshotRecord{{
+		User: "u", Roles: []string{"Clerk"}, Operation: "prepareCheck", Target: "http://www.myTaxOffice.com/Check",
+		Context: "TaxOffice=Leeds, taxRefundProcess=y", Time: time.Now(),
+	}}}
+	imp, err := c.HandoffImport(ctx, snap)
+	if err != nil || imp.Replaced != 1 || imp.Records != 1 {
+		t.Fatalf("import = %+v, %v; want the stale record replaced by the copy", imp, err)
+	}
+	if active, err := p.Store().ContextActive(bctx.MustParse(running)); err != nil || !active {
+		t.Fatalf("ContextActive(%s) = %v, %v after the import; want it still running", running, active, err)
 	}
 }

@@ -249,8 +249,8 @@ func New(p *pdp.PDP, opts ...Option) *Server {
 	s.mux.HandleFunc(StateUsersPath, s.handleState)
 	s.mux.HandleFunc(StateContextsPath, s.handleState)
 	s.mux.HandleFunc(EventsPath, s.handleEvents)
-	s.mux.HandleFunc(ExplainPath, s.handleExplain)
-	s.mux.HandleFunc(TracesPath, s.handleTraces)
+	s.mux.Handle(ExplainPath, s.explainLookup())
+	s.mux.Handle(TracesPath, s.tracesLookup())
 	s.mux.HandleFunc(ReplicaSnapshotPath, s.handleReplicaSnapshot)
 	s.mux.HandleFunc(HandoffUsersPath, s.handleHandoffUsers)
 	s.mux.HandleFunc(HandoffImportPath, s.handleHandoffImport)

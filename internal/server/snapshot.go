@@ -101,8 +101,8 @@ func parseUsersParam(v string) []string {
 // lock, so the captured broker sequence number and store contents are
 // consistent with each other — no decision can commit between the two
 // reads. Decisions block for the duration of the dump; resyncs are
-// rare (bootstrap, stream gap, divergence) and handoff exports are
-// subtree-scoped, so the trade is acceptable.
+// rare (bootstrap, stream gap, divergence, handoff import) and handoff
+// exports are subtree-scoped, so the trade is acceptable.
 func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
@@ -119,42 +119,21 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	users := parseUsersParam(r.URL.Query().Get("users"))
 	snap := ReplicaSnapshot{Policy: s.pdp.PolicyID(), Users: users}
+	var recs []adi.Record
 	s.pdp.WithCommitLock(func() {
 		snap.Seq = s.broker.Seq()
 		if users == nil {
-			snap.Records = dumpRecords(s.browser)
-			for _, rec := range adi.Activations(s.pdp.Store()) {
-				snap.Records = append(snap.Records, NewSnapshotRecord(rec))
+			for _, u := range s.browser.UserIDs() {
+				recs = append(recs, s.browser.UserRecords(u, bctx.Universal)...)
 			}
-		} else {
-			snap.Records = dumpUserRecords(s.browser, users)
+			recs = append(recs, adi.Activations(s.pdp.Store())...)
+		}
+		for _, u := range users { // users with no records contribute nothing
+			recs = append(recs, s.browser.UserRecords(rbac.UserID(u), bctx.Universal)...)
 		}
 	})
+	for _, rec := range recs {
+		snap.Records = append(snap.Records, NewSnapshotRecord(rec))
+	}
 	writeJSON(w, http.StatusOK, snap)
-}
-
-func dumpRecords(b adi.Browser) []SnapshotRecord {
-	var out []SnapshotRecord
-	for _, user := range b.UserIDs() {
-		out = append(out, userRecords(b, user)...)
-	}
-	return out
-}
-
-// dumpUserRecords dumps exactly the listed users' subtrees (users with
-// no records contribute nothing).
-func dumpUserRecords(b adi.Browser, users []string) []SnapshotRecord {
-	var out []SnapshotRecord
-	for _, user := range users {
-		out = append(out, userRecords(b, rbac.UserID(user))...)
-	}
-	return out
-}
-
-func userRecords(b adi.Browser, user rbac.UserID) []SnapshotRecord {
-	var out []SnapshotRecord
-	for _, rec := range b.UserRecords(user, bctx.Universal) {
-		out = append(out, NewSnapshotRecord(rec))
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strings"
 
 	"msod/internal/trace"
 )
@@ -31,28 +30,19 @@ func WithTraceStore(st *trace.Store) Option {
 // the embedding daemon and tests; HTTP callers use TracesPath.
 func (s *Server) Traces() *trace.Store { return s.traces }
 
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
-		return
+// tracesLookup serves TracesPath from the trace store.
+func (s *Server) tracesLookup() http.Handler {
+	l := ringLookup[trace.Record]{
+		path:    TracesPath,
+		usage:   "trace ID required: GET " + TracesPath + "{traceID}",
+		off:     "trace retention disabled on this server",
+		miss:    [2]string{"no trace for ID ", " on this shard (not sampled, rotated out, or decided elsewhere)"},
+		queries: &s.metrics.traceQueries, misses: &s.metrics.traceMisses,
 	}
-	if s.traces == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"trace retention disabled on this server"})
-		return
+	if s.traces != nil {
+		l.get = s.traces.Get
 	}
-	id := strings.TrimPrefix(r.URL.Path, TracesPath)
-	if id == "" || strings.Contains(id, "/") {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"trace ID required: GET " + TracesPath + "{traceID}"})
-		return
-	}
-	s.metrics.traceQueries.Add(1)
-	rec, ok := s.traces.Get(id)
-	if !ok {
-		s.metrics.traceMisses.Add(1)
-		writeJSON(w, http.StatusNotFound, errorResponse{"no trace for ID " + id + " on this shard (not sampled, rotated out, or decided elsewhere)"})
-		return
-	}
-	writeJSON(w, http.StatusOK, rec)
+	return l
 }
 
 // recordTrace runs the tail-sampling decision for a decided request

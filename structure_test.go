@@ -4,9 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"strings"
 	"testing"
+
+	"msod/internal/analysis"
 )
 
 // bodyReaders are the only functions of the HTTP-serving packages
@@ -109,4 +112,76 @@ func isHTTPRequestPtr(e ast.Expr) bool {
 	}
 	pkg, ok := sel.X.(*ast.Ident)
 	return ok && pkg.Name == "http"
+}
+
+// storeMutators are the only places allowed to change a retained-ADI
+// store, each with the reason: to call a method named Append,
+// AppendCtx, PurgeContext, PurgeUser or PurgeBefore that internal/adi
+// declares (on a store or on Recorder), or adi.Apply. A function is
+// "dir.Type.Method"; a directory alone allows its whole package. Every
+// other change is an adi.Op through pdp.PDP.Apply, which takes the
+// commit lock and then the engine lock, and publishes the op.
+var storeMutators = map[string]string{
+	"internal/adi":                  "the stores themselves, and adi.Apply, which maps an op onto one",
+	"internal/core.Engine.decide":   "the grant commit: §4.2 steps 5.iv and 7, under the engine lock",
+	"internal/core.Engine.Apply":    "the engine's one out-of-band apply, under the engine lock",
+	"internal/replica.Mirror.Reset": "reloads the mirror's private store from a snapshot while the follower serves nothing",
+	"internal/bench":                "experiments seed and measure stores of their own; no daemon links the package (TestDaemonsLinkOnlyWhatTheyServe)",
+}
+
+// TestStoreMutatedOnlyThroughOneEntry fails when non-test code outside
+// storeMutators changes a retained-ADI store, and when an entry no
+// longer does: a seventh entry point with its own lock discipline, its
+// own event or none, cannot slip in beside the one.
+func TestStoreMutatedOnlyThroughOneEntry(t *testing.T) {
+	loader, err := analysis.NewLoader(".", "msod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutators := map[string]bool{"Append": true, "AppendCtx": true, "PurgeContext": true, "PurgeUser": true, "PurgeBefore": true, "Apply": true}
+	found := map[string]bool{}
+	for _, pkg := range pkgs {
+		if strings.HasPrefix(pkg.RelPath, "benchmark") {
+			continue // a module of its own
+		}
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				name := pkg.RelPath + "." + funcName(fn)
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					f, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+					if !ok || f.Pkg() == nil || f.Pkg().Path() != "msod/internal/adi" || !mutators[f.Name()] {
+						return true
+					}
+					entry := name
+					if _, ok := storeMutators[entry]; !ok {
+						entry = pkg.RelPath
+					}
+					if _, ok := storeMutators[entry]; !ok {
+						t.Errorf("%s: %s calls %s; a change to the retained ADI is an adi.Op through pdp.PDP.Apply, or the function needs an entry in storeMutators saying why not",
+							loader.Fset().Position(sel.Pos()), name, f.FullName())
+						return true
+					}
+					found[entry] = true
+					return true
+				})
+			}
+		}
+	}
+	for name := range storeMutators {
+		if !found[name] {
+			t.Errorf("storeMutators lists %s, which no longer changes a store; drop the entry", name)
+		}
+	}
 }
