@@ -28,27 +28,50 @@ var daemonForbidden = []string{
 // reaches a forbidden package, naming the import chain.
 func TestDaemonsLinkOnlyWhatTheyServe(t *testing.T) {
 	for _, cmd := range []string{"msod/cmd/msodd", "msod/cmd/msodgw", "msod/cmd/msodctl"} {
-		via := map[string]string{cmd: ""} // package -> its first importer
-		for queue := []string{cmd}; len(queue) > 0; queue = queue[1:] {
-			pkg := queue[0]
-			for _, imp := range moduleImports(t, pkg) {
-				if _, seen := via[imp]; !seen {
-					via[imp] = pkg
-					queue = append(queue, imp)
-				}
-			}
-		}
+		via := importClosure(t, cmd)
 		for _, bad := range daemonForbidden {
-			if _, linked := via[bad]; !linked {
-				continue
+			if _, linked := via[bad]; linked {
+				t.Errorf("%s links %s: %s", cmd, bad, importChain(via, bad))
 			}
-			chain := bad
-			for p := via[bad]; p != ""; p = via[p] {
-				chain = p + " -> " + chain
-			}
-			t.Errorf("%s links %s: %s", cmd, bad, chain)
 		}
 	}
+}
+
+// TestCoreDoesNotReachExplain: the engine hands an explained decision's
+// rules to core.Explainer as the values it holds, and internal/explain
+// renders them. core reaching explain, directly or through any package
+// it imports, would put the rendering back on the engine's side of the
+// seam.
+func TestCoreDoesNotReachExplain(t *testing.T) {
+	via := importClosure(t, "msod/internal/core")
+	if _, reached := via["msod/internal/explain"]; reached {
+		t.Errorf("msod/internal/core reaches msod/internal/explain: %s", importChain(via, "msod/internal/explain"))
+	}
+}
+
+// importClosure walks the non-test import graph of the module from pkg
+// and maps every package it reaches to its first importer (pkg to "").
+func importClosure(t *testing.T, pkg string) map[string]string {
+	t.Helper()
+	via := map[string]string{pkg: ""}
+	for queue := []string{pkg}; len(queue) > 0; queue = queue[1:] {
+		for _, imp := range moduleImports(t, queue[0]) {
+			if _, seen := via[imp]; !seen {
+				via[imp] = queue[0]
+				queue = append(queue, imp)
+			}
+		}
+	}
+	return via
+}
+
+// importChain names the import path importClosure found to pkg.
+func importChain(via map[string]string, pkg string) string {
+	chain := pkg
+	for p := via[pkg]; p != ""; p = via[p] {
+		chain = p + " -> " + chain
+	}
+	return chain
 }
 
 // TestRingImportsNothingOfTheModule: internal/ring is the bounded

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"msod/internal/adi"
-	"msod/internal/bctx"
 	"msod/internal/core"
-	"msod/internal/rbac"
 )
 
 // ReplayStats summarises a retained-ADI reconstruction.
@@ -68,21 +66,7 @@ func Replay(events []Event, policies []core.Policy, store adi.Recorder) (ReplayS
 
 // eventRequest converts a logged event back into an engine request.
 func eventRequest(ev Event) (core.Request, error) {
-	ctx, err := bctx.Parse(ev.Context)
-	if err != nil {
-		return core.Request{}, err
-	}
-	roles := make([]rbac.RoleName, len(ev.Roles))
-	for i, r := range ev.Roles {
-		roles[i] = rbac.RoleName(r)
-	}
-	return core.Request{
-		User:      rbac.UserID(ev.User),
-		Roles:     roles,
-		Operation: rbac.Operation(ev.Operation),
-		Target:    rbac.Object(ev.Target),
-		Context:   ctx,
-	}, nil
+	return core.LoggedRequest(ev.User, ev.Roles, ev.Operation, ev.Target, ev.Context)
 }
 
 // NewEvent builds a trail event from an engine request and decision.

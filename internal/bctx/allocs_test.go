@@ -7,7 +7,9 @@ import (
 )
 
 // TestNameAllocs: parsing a name allocates its component slice and
-// nothing else, matching allocates nothing, and binding allocates a new
+// nothing else, spelling it canonically allocates only when the text it
+// was parsed from is not already canonical, matching allocates
+// nothing, and binding allocates a new
 // name only when neither the pattern nor the instance already is the
 // bound context.
 func TestNameAllocs(t *testing.T) {
@@ -21,6 +23,11 @@ func TestNameAllocs(t *testing.T) {
 		}
 	}); got != 1 {
 		t.Errorf("Parse of a two-component name: %v allocations, budget 1", got)
+	}
+	for s, budget := range map[string]float64{"Branch=York, Period=2006": 0, "Branch=York,Period=2006": 1} {
+		if got := testing.AllocsPerRun(100, func() { inst.Spelled(s) }); got != budget {
+			t.Errorf("Spelled(%q): %v allocations, budget %v", s, got, budget)
+		}
 	}
 	for _, tc := range []struct {
 		pattern, bound Name

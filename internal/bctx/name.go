@@ -182,6 +182,28 @@ func (n Name) String() string {
 	return b.String()
 }
 
+// Spelled returns the name's canonical text (String), reusing s — the
+// text it was parsed from — when s already is that text, so a caller
+// that spells names canonically pays no allocation.
+func (n Name) Spelled(s string) string {
+	rest := s
+	for i, c := range n.components {
+		if i > 0 && !cutPrefix(&rest, ", ") || !cutPrefix(&rest, c.Type) || !cutPrefix(&rest, "=") || !cutPrefix(&rest, c.Value) {
+			return n.String()
+		}
+	}
+	if rest != "" {
+		return n.String()
+	}
+	return s
+}
+
+func cutPrefix(s *string, prefix string) bool {
+	rest, ok := strings.CutPrefix(*s, prefix)
+	*s = rest
+	return ok
+}
+
 // Components returns a copy of the name's components.
 func (n Name) Components() []Component {
 	return append([]Component(nil), n.components...)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseRoundTrip(t *testing.T) {
@@ -295,5 +296,44 @@ func TestTextMarshalling(t *testing.T) {
 	}
 	if !p2.Ctx.Equal(n) {
 		t.Errorf("json round trip = %q", p2.Ctx)
+	}
+}
+
+// TestSpelled: Spelled gives String's text for every spelling Parse
+// accepts, and hands the caller's own text back, the same string, when
+// it already is the canonical one.
+func TestSpelled(t *testing.T) {
+	for _, s := range []string{
+		"Branch=York, Period=p1", "Branch=York,Period=p1", " Branch = York , Period=p1", "Branch=York, Period=p1 ",
+		"Branch=York,  Period=p1", "Branch=York, Period=p", "Branch=York, Period=p12", "Branch=York", "", "  ",
+	} {
+		n, err := Parse(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := n.Spelled(s)
+		if got != n.String() {
+			t.Errorf("Spelled(%q) = %q, want %q", s, got, n.String())
+		}
+		if s == n.String() && s != "" && unsafe.StringData(got) != unsafe.StringData(s) {
+			t.Errorf("Spelled(%q) rendered a copy of text already canonical", s)
+		}
+	}
+}
+
+func TestQuickSpelledIsString(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	f := func() bool {
+		n := genName(r, 4, true)
+		text := n.String()
+		for _, s := range []string{text, strings.ReplaceAll(text, ", ", ","), text + " "} {
+			if parsed := MustParse(s); parsed.Spelled(s) != text {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
 	}
 }

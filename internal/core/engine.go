@@ -10,7 +10,6 @@ import (
 
 	"msod/internal/adi"
 	"msod/internal/bctx"
-	"msod/internal/explain"
 	"msod/internal/obsv"
 	"msod/internal/rbac"
 )
@@ -30,6 +29,21 @@ type Request struct {
 	// Context is the current business context instance, supplied by the
 	// PEP with every request.
 	Context bctx.Name
+}
+
+// LoggedRequest converts a decision as the audit trail and the event
+// stream log it — its strings — back into the request it was.
+func LoggedRequest(user string, roles []string, op, target, context string) (Request, error) {
+	ctx, err := bctx.Parse(context)
+	if err != nil {
+		return Request{}, err
+	}
+	req := Request{User: rbac.UserID(user), Roles: make([]rbac.RoleName, len(roles)),
+		Operation: rbac.Operation(op), Target: rbac.Object(target), Context: ctx}
+	for i, r := range roles {
+		req.Roles[i] = rbac.RoleName(r)
+	}
+	return req, nil
 }
 
 // Validate checks the request can be evaluated.
@@ -175,6 +189,47 @@ func (d *Decision) started(bound bctx.Name) {
 }
 
 func (d *Decision) closed(bound bctx.Name) { d.bounds = append(d.bounds, bound) }
+
+// Explainer is the sink an explained evaluation hands each constraint
+// it consults to, in evaluation order, as the values the engine holds:
+// the engine renders nothing, the one that serves the explanation does
+// (internal/explain). Rule runs under the engine lock; what it is handed
+// is read-only. The instances a grant terminated are its Closed.
+type Explainer interface{ Rule(RuleEval) }
+
+// RuleEval is one constraint an explained evaluation consulted: the
+// policy's context (as compiled) and the bound instance that scoped it,
+// the rule's name ("MMER[i]", "MMEP[i]") and its k-of-m counters. K is
+// the conflict count before the request, KAfter the count a grant
+// leaves (K on a deny), M the forbidden cardinality.
+type RuleEval struct {
+	Policy string
+	Bound  bctx.Name
+	Rule   string
+	// MMER is the rule when it is an MMER one, with Roles the roles the
+	// request activated (expanded under a hierarchy-aware engine); an
+	// MMEP rule has MMER nil and the requested Privilege.
+	MMER         *MMERRule
+	Roles        []rbac.RoleName
+	Privilege    rbac.Permission
+	K, KAfter, M int
+	Denied       bool
+}
+
+type explainerKey struct{}
+
+// WithExplainer attaches an explanation sink to ctx; EvaluateCtx hands
+// it every constraint it consults.
+func WithExplainer(ctx context.Context, x Explainer) context.Context {
+	return context.WithValue(ctx, explainerKey{}, x)
+}
+
+// ExplainerFrom returns ctx's explanation sink, or nil. Like
+// obsv.TraceFrom, an unexplained request pays exactly this lookup.
+func ExplainerFrom(ctx context.Context) Explainer {
+	x, _ := ctx.Value(explainerKey{}).(Explainer)
+	return x
+}
 
 // Engine evaluates requests against a compiled MSoD policy set and a
 // retained-ADI store. The part of an evaluation that reads or writes
@@ -518,11 +573,11 @@ func (e *Engine) match(inst bctx.Name, out []matched) []matched {
 func (e *Engine) decide(ctx context.Context, req Request, matches []matched, commit bool) (Decision, refusal, error) {
 	// tr is resolved once; all per-policy and store span bookkeeping is
 	// skipped when the request is untraced. xr is the decision's
-	// explain record (nil when the request is not being explained —
-	// advisories, and servers without a recorder); per-rule counter
-	// capture is skipped entirely then.
+	// explanation sink (nil when the request is not being explained —
+	// advisories, and servers without an explain ring); per-rule
+	// counter capture is skipped entirely then.
 	tr := obsv.TraceFrom(ctx)
-	xr := explain.FromContext(ctx)
+	xr := ExplainerFrom(ctx)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -564,12 +619,6 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 				}
 				dec.Purged += n
 				dec.closed(act.bound)
-				if xr != nil {
-					// Recorded at commit (not evaluation) time so a
-					// later policy's denial cannot leave a phantom
-					// termination in the explain record.
-					xr.Terminate(act.bound.String())
-				}
 			}
 			continue
 		}
@@ -597,9 +646,8 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 // evaluatePolicy runs steps 3–7 for one matched policy with its bound
 // context. It returns the deferred store action for a grant, or the
 // refusing constraint. When xr is non-nil, every consulted constraint is
-// appended to the explain record with its k-of-m counter state before
-// and after.
-func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr *explain.Record) (action, refusal, error) {
+// handed to it with its k-of-m counter state before and after.
+func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Explainer) (action, refusal, error) {
 	// Step 7 precheck: a granted last step terminates the context
 	// instance — the §4.2 text orders this after the constraint checks,
 	// and the PERMIS implementation (§5.2) flushes on recording the
@@ -651,12 +699,7 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr *expl
 	// Step 5: MMER constraints.
 	for i := range m.MMER {
 		rule := &m.MMER[i]
-		nr := 0
-		for _, role := range rule.Roles {
-			if containsRole(req.Roles, role) {
-				nr++
-			}
-		}
+		nr := rule.activated(req.Roles)
 		if nr == 0 {
 			continue
 		}
@@ -681,11 +724,9 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr *expl
 				// user then holds all of them in the bound context.
 				after = count + nr
 			}
-			xr.Rule(explain.RuleEval{
-				Policy: m.context, Bound: m.bound.String(),
-				Rule: m.mmer[i], Kind: explain.KindMMER,
-				K: count, KAfter: after, M: rule.Cardinality,
-				Matched: roleStrings(activated(rule, req.Roles)), Denied: denied,
+			xr.Rule(RuleEval{
+				Policy: m.context, Bound: m.bound, Rule: m.mmer[i], MMER: rule, Roles: req.Roles,
+				K: count, KAfter: after, M: rule.Cardinality, Denied: denied,
 			})
 		}
 		if denied {
@@ -738,11 +779,9 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr *expl
 			if !denied {
 				after = count + 1 // this request consumes one position
 			}
-			xr.Rule(explain.RuleEval{
-				Policy: m.context, Bound: m.bound.String(),
-				Rule: rule.name, Kind: explain.KindMMEP,
-				K: count, KAfter: after, M: rule.cardinality,
-				Matched: []string{fmt.Sprint(reqPriv)}, Denied: denied,
+			xr.Rule(RuleEval{
+				Policy: m.context, Bound: m.bound, Rule: rule.name, Privilege: reqPriv,
+				K: count, KAfter: after, M: rule.cardinality, Denied: denied,
 			})
 		}
 		if denied {
@@ -781,6 +820,17 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr *expl
 	return act, refusal{}, nil
 }
 
+// activated counts the rule's roles the request activates (nr).
+func (r *MMERRule) activated(roles []rbac.RoleName) int {
+	nr := 0
+	for _, role := range r.Roles {
+		if containsRole(roles, role) {
+			nr++
+		}
+	}
+	return nr
+}
+
 // lists reports whether the rule lists the privilege.
 func (r *mmepProgram) lists(p rbac.Permission) bool {
 	for _, pos := range r.positions {
@@ -791,48 +841,24 @@ func (r *mmepProgram) lists(p rbac.Permission) bool {
 	return false
 }
 
-// activated returns the rule's roles the request activates, in rule
-// order — for denial text and explain records only.
-func activated(rule *MMERRule, roles []rbac.RoleName) []rbac.RoleName {
-	var out []rbac.RoleName
-	for _, role := range rule.Roles {
-		if containsRole(roles, role) {
-			out = append(out, role)
-		}
-	}
-	return out
-}
-
-// explainOpening appends the rule evaluations of a context-opening
+// explainOpening hands xr the rule evaluations of a context-opening
 // grant (step 4: no retained history, so every consulted counter is
 // zero). The opening record supports later UserHasRole /
 // CountUserPrivilege counts, so KAfter reflects the state the grant
 // leaves behind: nr matched roles for MMER, one consumed position for
 // MMEP.
-func explainOpening(m *matched, req Request, xr *explain.Record) {
+func explainOpening(m *matched, req Request, xr Explainer) {
 	for i := range m.MMER {
-		matched := activated(&m.MMER[i], req.Roles)
-		if len(matched) == 0 {
-			continue
+		rule := &m.MMER[i]
+		if nr := rule.activated(req.Roles); nr > 0 {
+			xr.Rule(RuleEval{Policy: m.context, Bound: m.bound, Rule: m.mmer[i], MMER: rule, Roles: req.Roles, KAfter: nr, M: rule.Cardinality})
 		}
-		xr.Rule(explain.RuleEval{
-			Policy: m.context, Bound: m.bound.String(),
-			Rule: m.mmer[i], Kind: explain.KindMMER,
-			K: 0, KAfter: len(matched), M: m.MMER[i].Cardinality,
-			Matched: roleStrings(matched),
-		})
 	}
 	reqPriv := rbac.Permission{Operation: req.Operation, Object: req.Target}
 	for i := range m.mmep {
-		if !m.mmep[i].lists(reqPriv) {
-			continue
+		if rule := &m.mmep[i]; rule.lists(reqPriv) {
+			xr.Rule(RuleEval{Policy: m.context, Bound: m.bound, Rule: rule.name, Privilege: reqPriv, KAfter: 1, M: rule.cardinality})
 		}
-		xr.Rule(explain.RuleEval{
-			Policy: m.context, Bound: m.bound.String(),
-			Rule: m.mmep[i].name, Kind: explain.KindMMEP,
-			K: 0, KAfter: 1, M: m.mmep[i].cardinality,
-			Matched: []string{fmt.Sprint(reqPriv)},
-		})
 	}
 }
 
@@ -849,17 +875,6 @@ func newRecord(req Request, roles []rbac.RoleName, now time.Time) adi.Record {
 		Context:   req.Context,
 		Time:      now,
 	}
-}
-
-// roleStrings renders a role list for an explain record; only called
-// on the explained path, so unexplained decisions never pay the
-// conversion.
-func roleStrings(roles []rbac.RoleName) []string {
-	out := make([]string, len(roles))
-	for i, r := range roles {
-		out[i] = string(r)
-	}
-	return out
 }
 
 func containsRole(roles []rbac.RoleName, r rbac.RoleName) bool {

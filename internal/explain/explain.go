@@ -8,15 +8,18 @@
 // answerable from the request alone; this package answers it without
 // replaying the audit trail by hand.
 //
-// The hot path stays cheap two ways: records are pooled and reused
-// when they rotate out of the retention ring (ring.Keyed), and the
-// engine pays a single context lookup plus a nil check per decision
-// when no recorder is attached (the same contract as obsv.TraceFrom).
+// The hot path stays cheap three ways: the engine hands over the values
+// it holds and renders nothing (core.Explainer), the entries holding
+// them are pooled and reused when they rotate out of the retention
+// ring (ring.Keyed), and the text of a Record is rendered only when
+// GET /v1/explain serves it.
 package explain
 
 import (
-	"context"
+	"slices"
 	"time"
+
+	"msod/internal/core"
 )
 
 // Outcomes as they appear in explain records (matching the audit
@@ -65,10 +68,8 @@ type RuleEval struct {
 }
 
 // Record is the provenance of one decision, served at
-// /v1/explain/{requestID}. Records are pooled — every field must be
-// reset between uses (see reset), and readers receive deep copies
-// (see Recorder.Get) so ring rotation can never mutate a served
-// answer.
+// /v1/explain/{requestID}: Recorder.Get renders it from the retained
+// Entry, so ring rotation can never mutate a served answer.
 type Record struct {
 	// RequestID keys the record: the idempotency ID the gateway minted
 	// (or the PEP supplied), falling back to the trace ID for direct
@@ -117,102 +118,91 @@ type Record struct {
 	Governing *RuleEval `json:"governing,omitempty"`
 }
 
-// Rule appends one constraint evaluation. Safe on a nil receiver so
-// the engine can call it unconditionally on the context lookup result;
-// callers that build the RuleEval eagerly should still nil-check to
-// avoid the argument allocations on unexplained requests.
-func (r *Record) Rule(ev RuleEval) {
-	if r == nil {
-		return
-	}
-	r.Rules = append(r.Rules, ev)
-}
-
-// Terminate notes a bound context instance purged by a granted last
-// step. Safe on a nil receiver.
-func (r *Record) Terminate(bound string) {
-	if r == nil {
-		return
-	}
-	r.Terminated = append(r.Terminated, bound)
-}
-
-// finalize derives Governing from the collected rule evaluations;
-// called once by Recorder.Commit.
+// finalize derives Governing, a copy, from the rendered rule
+// evaluations.
 func (r *Record) finalize() {
 	r.Governing = nil
-	var best *RuleEval
 	bestScore := -1.0
-	for i := range r.Rules {
-		ev := &r.Rules[i]
+	for _, ev := range r.Rules {
 		if ev.Denied {
-			g := *ev
-			r.Governing = &g
+			r.Governing = &ev
 			return
 		}
-		if ev.M > 0 {
-			if score := float64(ev.KAfter) / float64(ev.M); score > bestScore {
-				best, bestScore = ev, score
+		if score := float64(ev.KAfter) / float64(ev.M); ev.M > 0 && score > bestScore {
+			r.Governing, bestScore = &ev, score
+		}
+	}
+}
+
+// Decision is the shard's one description of a decided request: the
+// server fills it once, and the explain record, the retained trace and
+// the decision log line each render their view of it.
+type Decision struct {
+	// RequestID keys the explain record (empty on an advisory, which
+	// has none); TraceID correlates every view of the decision.
+	RequestID, TraceID string
+	// Time is when the PDP began evaluating, Elapsed how long it took.
+	Time    time.Time
+	Elapsed time.Duration
+	// User and Roles are the subject the PDP resolved (the request's
+	// claim when it resolved none); Context is the instance in its
+	// canonical spelling.
+	User                       string
+	Roles                      []string
+	Operation, Target, Context string
+	// Outcome is OutcomeGrant, OutcomeDeny or "error"; Reason is the
+	// denial or the error.
+	Outcome, Phase, Reason            string
+	MatchedPolicies, Recorded, Purged int
+	Advisory                          bool
+	Terminated                        []string // the answer's Closed
+}
+
+// Entry is one explained decision as the ring keeps it: the shard's
+// Decision and the rules the engine consulted, as the engine's own
+// values (it is the core.Explainer the engine hands them to). Nothing
+// is rendered until Get serves it as a Record.
+type Entry struct {
+	Decision
+	rules []core.RuleEval
+}
+
+// Rule implements core.Explainer.
+func (e *Entry) Rule(ev core.RuleEval) { e.rules = append(e.rules, ev) }
+
+// reset clears the entry for reuse, keeping its rules' backing array so
+// a pooled entry stops allocating once warm.
+func (e *Entry) reset() { *e = Entry{rules: e.rules[:0]} }
+
+// record renders the entry as served, governing rule included. The
+// record shares no slice with the entry, so it stays valid after the
+// entry rotates out and is reused.
+func (e *Entry) record() Record {
+	d := &e.Decision
+	r := Record{
+		RequestID: d.RequestID, TraceID: d.TraceID, Time: d.Time,
+		User: d.User, Roles: slices.Clone(d.Roles), Terminated: slices.Clone(d.Terminated),
+		Operation: d.Operation, Target: d.Target, Context: d.Context,
+		Outcome: d.Outcome, Phase: d.Phase, Reason: d.Reason,
+		MatchedPolicies: d.MatchedPolicies, Recorded: d.Recorded, Purged: d.Purged,
+		ElapsedSeconds: d.Elapsed.Seconds(),
+	}
+	for i := range e.rules {
+		ev := &e.rules[i]
+		out := RuleEval{Policy: ev.Policy, Bound: ev.Bound.String(), Rule: ev.Rule, Kind: KindMMEP,
+			K: ev.K, KAfter: ev.KAfter, M: ev.M, Denied: ev.Denied}
+		if ev.MMER == nil {
+			out.Matched = []string{ev.Privilege.String()}
+		} else {
+			out.Kind = KindMMER
+			for _, role := range ev.MMER.Roles { // the rule's roles the request activated
+				if slices.Contains(ev.Roles, role) {
+					out.Matched = append(out.Matched, string(role))
+				}
 			}
 		}
+		r.Rules = append(r.Rules, out)
 	}
-	if best != nil {
-		g := *best
-		r.Governing = &g
-	}
-}
-
-// reset clears the record for reuse, keeping the Rules backing array
-// so a pooled record stops allocating once warm.
-func (r *Record) reset() {
-	rules := r.Rules[:0]
-	terminated := r.Terminated[:0]
-	*r = Record{Rules: rules, Terminated: terminated}
-}
-
-// clone returns a deep copy safe to hold after the original rotates
-// out of the ring and is reused: no slice or pointer is shared with
-// the pooled record.
-func (r *Record) clone() Record {
-	out := *r
-	out.Roles = cloneStrings(r.Roles)
-	out.Terminated = cloneStrings(r.Terminated)
-	if len(r.Rules) > 0 {
-		out.Rules = make([]RuleEval, len(r.Rules))
-		for i, ev := range r.Rules {
-			ev.Matched = cloneStrings(ev.Matched)
-			out.Rules[i] = ev
-		}
-	} else {
-		out.Rules = nil
-	}
-	if r.Governing != nil {
-		g := *r.Governing
-		g.Matched = cloneStrings(g.Matched)
-		out.Governing = &g
-	}
-	return out
-}
-
-func cloneStrings(in []string) []string {
-	if len(in) == 0 {
-		return nil
-	}
-	return append([]string(nil), in...)
-}
-
-// ctxKey carries a *Record through a decision's context.
-type ctxKey struct{}
-
-// WithRecord attaches an explain record to the context; the engine
-// fills it in as it evaluates constraints.
-func WithRecord(ctx context.Context, r *Record) context.Context {
-	return context.WithValue(ctx, ctxKey{}, r)
-}
-
-// FromContext returns the context's explain record, or nil. Like
-// obsv.TraceFrom, an unexplained request pays exactly this lookup.
-func FromContext(ctx context.Context) *Record {
-	r, _ := ctx.Value(ctxKey{}).(*Record)
+	r.finalize()
 	return r
 }

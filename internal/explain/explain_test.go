@@ -3,25 +3,38 @@ package explain
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
+
+	"msod/internal/bctx"
+	"msod/internal/core"
+	"msod/internal/rbac"
 )
 
 func TestRecorderRoundtrip(t *testing.T) {
 	rc := NewRecorder(8)
 	rec := rc.Begin()
-	rec.RequestID = "req-1"
-	rec.User = "alice"
-	rec.Rule(RuleEval{Policy: "P", Bound: "B", Rule: "MMEP[0]", Kind: KindMMEP, K: 1, KAfter: 1, M: 2, Denied: true})
-	rc.Commit(rec)
+	teller := &core.MMERRule{Roles: []rbac.RoleName{"Teller", "Auditor"}, Cardinality: 2}
+	rec.Rule(core.RuleEval{Policy: "P=!", Bound: bctx.MustParse("P=1"), Rule: "MMER[0]", MMER: teller,
+		Roles: []rbac.RoleName{"Auditor", "Clerk", "Teller"}, K: 0, KAfter: 2, M: 2})
+	rec.Rule(core.RuleEval{Policy: "P=!", Bound: bctx.MustParse("P=1"), Rule: "MMEP[0]",
+		Privilege: rbac.Permission{Operation: "op", Object: "t"}, K: 1, KAfter: 1, M: 2, Denied: true})
+	rc.Commit(rec, &Decision{RequestID: "req-1", User: "alice", Terminated: []string{"P=1"}})
 
 	got, ok := rc.Get("req-1")
 	if !ok {
 		t.Fatal("committed record not found")
 	}
-	if got.User != "alice" || len(got.Rules) != 1 {
+	if got.User != "alice" || len(got.Rules) != 2 || !reflect.DeepEqual(got.Terminated, []string{"P=1"}) {
 		t.Fatalf("got %+v", got)
+	}
+	want := []RuleEval{
+		{Policy: "P=!", Bound: "P=1", Rule: "MMER[0]", Kind: KindMMER, K: 0, KAfter: 2, M: 2, Matched: []string{"Teller", "Auditor"}},
+		{Policy: "P=!", Bound: "P=1", Rule: "MMEP[0]", Kind: KindMMEP, K: 1, KAfter: 1, M: 2, Matched: []string{"op@t"}, Denied: true},
+	}
+	if !reflect.DeepEqual(got.Rules, want) {
+		t.Fatalf("rules rendered as %+v, want %+v", got.Rules, want)
 	}
 	if got.Governing == nil || got.Governing.Rule != "MMEP[0]" || !got.Governing.Denied {
 		t.Fatalf("governing = %+v, want the denying rule", got.Governing)
@@ -35,10 +48,11 @@ func TestRecorderRoundtrip(t *testing.T) {
 }
 
 func TestGoverningPicksTightestOnGrant(t *testing.T) {
-	rec := &Record{}
-	rec.Rule(RuleEval{Rule: "MMER[0]", K: 0, KAfter: 1, M: 4}) // 0.25
-	rec.Rule(RuleEval{Rule: "MMEP[0]", K: 1, KAfter: 2, M: 3}) // 0.667 <- tightest
-	rec.Rule(RuleEval{Rule: "MMEP[1]", K: 0, KAfter: 1, M: 2}) // 0.5
+	rec := &Record{Rules: []RuleEval{
+		{Rule: "MMER[0]", K: 0, KAfter: 1, M: 4}, // 0.25
+		{Rule: "MMEP[0]", K: 1, KAfter: 2, M: 3}, // 0.667 <- tightest
+		{Rule: "MMEP[1]", K: 0, KAfter: 1, M: 2}, // 0.5
+	}}
 	rec.finalize()
 	if rec.Governing == nil || rec.Governing.Rule != "MMEP[0]" {
 		t.Fatalf("governing = %+v, want MMEP[0] (highest kAfter/m)", rec.Governing)
@@ -60,10 +74,7 @@ func TestRingEviction(t *testing.T) {
 	const capacity = 4
 	rc := NewRecorder(capacity)
 	for i := 0; i < 10; i++ {
-		rec := rc.Begin()
-		rec.RequestID = fmt.Sprintf("req-%d", i)
-		rec.User = fmt.Sprintf("user-%d", i)
-		rc.Commit(rec)
+		rc.Commit(rc.Begin(), &Decision{RequestID: fmt.Sprintf("req-%d", i), User: fmt.Sprintf("user-%d", i)})
 	}
 	if rc.Len() != capacity {
 		t.Fatalf("len = %d, want %d", rc.Len(), capacity)
@@ -108,17 +119,16 @@ func TestPooledReuseNoLeakage(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				id := fmt.Sprintf("w%d-r%d", w, i)
 				rec := rc.Begin()
-				if rec.RequestID != "" || len(rec.Rules) != 0 || len(rec.Terminated) != 0 || rec.Governing != nil {
-					errs <- fmt.Errorf("Begin returned a dirty record: %+v", rec)
+				if rec.RequestID != "" || len(rec.rules) != 0 || len(rec.Terminated) != 0 {
+					errs <- fmt.Errorf("Begin returned a dirty entry: %+v", rec)
 					return
 				}
-				rec.RequestID = id
-				rec.User = id
 				nrules := w%3 + 1
+				rule := &core.MMERRule{Roles: []rbac.RoleName{rbac.RoleName(id)}, Cardinality: 5}
 				for r := 0; r < nrules; r++ {
-					rec.Rule(RuleEval{Rule: fmt.Sprintf("%s-rule-%d", id, r), K: r, KAfter: r + 1, M: 5, Matched: []string{id}})
+					rec.Rule(core.RuleEval{Rule: fmt.Sprintf("%s-rule-%d", id, r), MMER: rule, Roles: rule.Roles, K: r, KAfter: r + 1, M: 5})
 				}
-				rc.Commit(rec)
+				rc.Commit(rec, &Decision{RequestID: id, User: id})
 				got, ok := rc.Get(id)
 				if !ok {
 					continue // evicted by concurrent commits: fine
@@ -146,18 +156,18 @@ func TestPooledReuseNoLeakage(t *testing.T) {
 func TestGetReturnsDeepCopy(t *testing.T) {
 	rc := NewRecorder(4)
 	rec := rc.Begin()
-	rec.RequestID = "req-1"
-	rec.Roles = []string{"Clerk"}
-	rec.Rule(RuleEval{Rule: "MMEP[0]", M: 2, Matched: []string{"prepareCheck"}})
-	rc.Commit(rec)
+	rec.Rule(core.RuleEval{Rule: "MMEP[0]", M: 2, Privilege: rbac.Permission{Operation: "prepareCheck", Object: "check"}})
+	rc.Commit(rec, &Decision{RequestID: "req-1", Roles: []string{"Clerk"}, Terminated: []string{"P=1"}})
 
 	a, _ := rc.Get("req-1")
 	a.Roles[0] = "CLOBBERED"
+	a.Terminated[0] = "CLOBBERED"
 	a.Rules[0].Matched[0] = "CLOBBERED"
 	a.Rules[0].Rule = "CLOBBERED"
+	a.Governing.Matched[0] = "CLOBBERED"
 
 	b, _ := rc.Get("req-1")
-	if b.Roles[0] != "Clerk" || b.Rules[0].Matched[0] != "prepareCheck" || b.Rules[0].Rule != "MMEP[0]" {
+	if b.Roles[0] != "Clerk" || b.Terminated[0] != "P=1" || b.Rules[0].Matched[0] != "prepareCheck@check" || b.Rules[0].Rule != "MMEP[0]" || b.Governing.Matched[0] != "prepareCheck@check" {
 		t.Fatalf("mutating a served copy reached the retained record: %+v", b)
 	}
 }
@@ -166,13 +176,13 @@ func TestDiscardReturnsCleanRecord(t *testing.T) {
 	rc := NewRecorder(4)
 	rec := rc.Begin()
 	rec.RequestID = "doomed"
-	rec.Rule(RuleEval{Rule: "MMER[0]"})
+	rec.Rule(core.RuleEval{Rule: "MMEP[0]"})
 	rc.Discard(rec)
 	if _, ok := rc.Get("doomed"); ok {
 		t.Fatal("discarded record is queryable")
 	}
 	fresh := rc.Begin()
-	if fresh.RequestID != "" || len(fresh.Rules) != 0 {
+	if fresh.RequestID != "" || len(fresh.rules) != 0 {
 		t.Fatalf("Begin after Discard returned a dirty record: %+v", fresh)
 	}
 }
@@ -180,10 +190,7 @@ func TestDiscardReturnsCleanRecord(t *testing.T) {
 func TestDuplicateRequestIDNewestWins(t *testing.T) {
 	rc := NewRecorder(2)
 	for _, user := range []string{"first", "second"} {
-		rec := rc.Begin()
-		rec.RequestID = "dup"
-		rec.User = user
-		rc.Commit(rec)
+		rc.Commit(rc.Begin(), &Decision{RequestID: "dup", User: user})
 	}
 	got, ok := rc.Get("dup")
 	if !ok || got.User != "second" {
@@ -192,24 +199,21 @@ func TestDuplicateRequestIDNewestWins(t *testing.T) {
 	// Rotate both duplicates out; the identity check must not delete the
 	// newer map entry while evicting the older ring slot prematurely.
 	for i := 0; i < 2; i++ {
-		rec := rc.Begin()
-		rec.RequestID = fmt.Sprintf("filler-%d", i)
-		rc.Commit(rec)
+		rc.Commit(rc.Begin(), &Decision{RequestID: fmt.Sprintf("filler-%d", i)})
 	}
 	if _, ok := rc.Get("dup"); ok {
 		t.Fatal("fully rotated duplicate still queryable")
 	}
 }
 
+// TestNilSafety: a context without an entry hands the engine a nil
+// sink, which it skips; one with an entry hands it that entry.
 func TestNilSafety(t *testing.T) {
-	var r *Record
-	r.Rule(RuleEval{Rule: "MMER[0]"}) // must not panic
-	r.Terminate("B")                  // must not panic
-	if FromContext(context.Background()) != nil {
-		t.Fatal("FromContext on a bare context returned a record")
+	if core.ExplainerFrom(context.Background()) != nil {
+		t.Fatal("ExplainerFrom on a bare context returned a sink")
 	}
-	rec := &Record{Time: time.Now()}
-	if got := FromContext(WithRecord(context.Background(), rec)); got != rec {
-		t.Fatalf("FromContext = %p, want %p", got, rec)
+	rec := &Entry{}
+	if got := core.ExplainerFrom(core.WithExplainer(context.Background(), rec)); got != rec {
+		t.Fatalf("ExplainerFrom = %v, want %p", got, rec)
 	}
 }

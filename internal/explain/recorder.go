@@ -6,17 +6,19 @@ import "msod/internal/ring"
 // non-positive capacity.
 const DefaultCapacity = 1024
 
-// keyed is the pooled ring of records under a Recorder: Begin, Discard,
-// Get, Len, Capacity and Evicted are its methods (see ring.Keyed).
-type keyed = ring.Keyed[Record]
+// keyed is the pooled ring of entries under a Recorder, served as
+// Records: Begin, Discard, Get, Len, Capacity and Evicted are its
+// methods (see ring.Keyed).
+type keyed = ring.Keyed[Entry, Record]
 
-// Recorder retains the most recent decision records in a fixed ring
-// keyed by requestID, handing out pooled records for the hot path:
-// Begin takes a record from the pool, the decision pipeline fills it,
-// Commit files it in the ring, and the record a commit evicts returns
-// to the pool for reuse. Recorder is safe for concurrent use; a
-// record handed out by Begin must not be shared across goroutines
-// until committed.
+// Recorder retains the most recent explained decisions in a fixed ring
+// keyed by requestID, handing out pooled entries for the hot path:
+// Begin takes an entry from the pool, the engine hands it the rules it
+// consults, Commit files it in the ring with the shard's Decision, and
+// the entry a commit evicts returns to the pool for reuse. Get renders
+// the Record it serves. Recorder is safe for concurrent use; an entry
+// handed out by Begin must not be shared across goroutines until
+// committed.
 type Recorder struct{ *keyed }
 
 // NewRecorder returns a recorder retaining up to capacity records.
@@ -25,18 +27,15 @@ func NewRecorder(capacity int) *Recorder {
 		capacity = DefaultCapacity
 	}
 	return &Recorder{ring.NewKeyed(capacity,
-		func(r *Record) string { return r.RequestID }, (*Record).reset, (*Record).clone, nil)}
+		func(e *Entry) string { return e.RequestID }, (*Entry).reset, (*Entry).record, nil)}
 }
 
-// Commit finalizes the record (deriving its governing constraint) and
-// files it in the ring under its RequestID. The caller must not touch
-// the record afterwards: once filed it may be served, evicted and
-// reused at any time. Committing a duplicate RequestID retains both
-// ring slots but the newer record wins lookups.
-func (rc *Recorder) Commit(rec *Record) {
-	if rec == nil {
-		return
-	}
-	rec.finalize()
-	rc.keyed.Commit(rec)
+// Commit files the entry in the ring under d's RequestID, with d as
+// its Decision. The caller must not touch the entry afterwards: once
+// filed it may be served, evicted and reused at any time. Committing a
+// duplicate RequestID retains both ring slots but the newer entry wins
+// lookups.
+func (rc *Recorder) Commit(e *Entry, d *Decision) {
+	e.Decision = *d
+	rc.keyed.Commit(e)
 }

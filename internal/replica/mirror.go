@@ -17,12 +17,10 @@ import (
 	"time"
 
 	"msod/internal/adi"
-	"msod/internal/bctx"
 	"msod/internal/core"
 	"msod/internal/inspect"
 	"msod/internal/pdp"
 	"msod/internal/policy"
-	"msod/internal/rbac"
 	"msod/internal/server"
 )
 
@@ -149,24 +147,14 @@ func (m *Mirror) Apply(ev inspect.DecisionEvent) error {
 }
 
 func (m *Mirror) applyGrant(ev inspect.DecisionEvent) error {
-	ctxName, err := bctx.Parse(ev.Context)
+	req, err := core.LoggedRequest(ev.User, ev.Roles, ev.Operation, ev.Target, ev.Context)
 	if err != nil {
 		return fmt.Errorf("%w: seq %d has unparseable context %q: %v", ErrDiverged, ev.Seq, ev.Context, err)
 	}
 	t := ev.Time
 	m.applyTime.Store(&t)
 	defer m.applyTime.Store((*time.Time)(nil))
-	roles := make([]rbac.RoleName, len(ev.Roles))
-	for i, r := range ev.Roles {
-		roles[i] = rbac.RoleName(r)
-	}
-	dec, err := m.pdp.Engine().Evaluate(core.Request{
-		User:      rbac.UserID(ev.User),
-		Roles:     roles,
-		Operation: rbac.Operation(ev.Operation),
-		Target:    rbac.Object(ev.Target),
-		Context:   ctxName,
-	})
+	dec, err := m.pdp.Engine().Evaluate(req)
 	if err != nil {
 		return fmt.Errorf("replica: apply seq %d: %w", ev.Seq, err)
 	}

@@ -45,15 +45,15 @@ func (f *FIFO[T]) Len() int { return f.size }
 func (f *FIFO[T]) Cap() int { return len(f.buf) }
 
 // Keyed retains the most recent committed records in a FIFO, served by
-// key, and hands out pooled records for the hot path: Begin takes a
-// record from the pool, the caller fills it, Commit files it, and the
-// record a commit evicts returns to the pool for reuse. Safe for
-// concurrent use; a record handed out by Begin must not be shared
-// across goroutines until committed.
-type Keyed[R any] struct {
+// key as a view V of the record, and hands out pooled records for the
+// hot path: Begin takes a record from the pool, the caller fills it,
+// Commit files it, and the record a commit evicts returns to the pool
+// for reuse. Safe for concurrent use; a record handed out by Begin must
+// not be shared across goroutines until committed.
+type Keyed[R, V any] struct {
 	key   func(*R) string
 	reset func(*R)
-	clone func(*R) R
+	view  func(*R) V
 	evict func(*R)
 
 	mu      sync.Mutex
@@ -65,12 +65,13 @@ type Keyed[R any] struct {
 
 // NewKeyed returns a ring retaining up to capacity (> 0) records. key
 // reads the key a record is filed under; reset clears a record for
-// reuse (keeping whatever backing arrays it wants to keep); clone makes
-// the deep copy Get serves. evict, when non-nil, sees each record as it
-// rotates out, under the ring's lock, before the record is recycled.
-func NewKeyed[R any](capacity int, key func(*R) string, reset func(*R), clone func(*R) R, evict func(*R)) *Keyed[R] {
-	return &Keyed[R]{
-		key: key, reset: reset, clone: clone, evict: evict,
+// reuse (keeping whatever backing arrays it wants to keep); view makes
+// what Get serves, sharing nothing with the record (a deep copy, or a
+// rendering). evict, when non-nil, sees each record as it rotates out,
+// under the ring's lock, before the record is recycled.
+func NewKeyed[R, V any](capacity int, key func(*R) string, reset func(*R), view func(*R) V, evict func(*R)) *Keyed[R, V] {
+	return &Keyed[R, V]{
+		key: key, reset: reset, view: view, evict: evict,
 		fifo:  NewFIFO[*R](capacity),
 		byKey: make(map[string]*R, capacity),
 		pool:  sync.Pool{New: func() any { return new(R) }},
@@ -79,14 +80,14 @@ func NewKeyed[R any](capacity int, key func(*R) string, reset func(*R), clone fu
 
 // Begin returns a reset record from the pool. Every Begin must be
 // balanced by exactly one Commit or Discard.
-func (k *Keyed[R]) Begin() *R {
+func (k *Keyed[R, V]) Begin() *R {
 	rec := k.pool.Get().(*R)
 	k.reset(rec)
 	return rec
 }
 
 // Discard returns an uncommitted record to the pool.
-func (k *Keyed[R]) Discard(rec *R) {
+func (k *Keyed[R, V]) Discard(rec *R) {
 	if rec != nil {
 		k.pool.Put(rec)
 	}
@@ -96,7 +97,7 @@ func (k *Keyed[R]) Discard(rec *R) {
 // record afterwards: once filed it may be served, evicted and reused at
 // any time. Committing a duplicate key retains both slots, but the
 // newer record wins lookups.
-func (k *Keyed[R]) Commit(rec *R) {
+func (k *Keyed[R, V]) Commit(rec *R) {
 	if rec == nil {
 		return
 	}
@@ -118,33 +119,34 @@ func (k *Keyed[R]) Commit(rec *R) {
 	k.byKey[k.key(rec)] = rec
 }
 
-// Get returns a deep copy of the record retained under key. The copy
-// shares nothing with the pooled record, so it stays valid (and
-// race-free) after the original rotates out and is reused.
-func (k *Keyed[R]) Get(key string) (R, bool) {
+// Get returns the view of the record retained under key, made under
+// the ring's lock. The view shares nothing with the pooled record, so
+// it stays valid (and race-free) after the original rotates out and is
+// reused.
+func (k *Keyed[R, V]) Get(key string) (V, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	rec, ok := k.byKey[key]
 	if !ok {
-		var zero R
+		var zero V
 		return zero, false
 	}
-	return k.clone(rec), true
+	return k.view(rec), true
 }
 
 // Len reports how many records are currently retained.
-func (k *Keyed[R]) Len() int {
+func (k *Keyed[R, V]) Len() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.fifo.Len()
 }
 
 // Capacity reports the ring size.
-func (k *Keyed[R]) Capacity() int { return k.fifo.Cap() }
+func (k *Keyed[R, V]) Capacity() int { return k.fifo.Cap() }
 
 // Evicted reports how many committed records have rotated out since
 // the ring was built.
-func (k *Keyed[R]) Evicted() int64 {
+func (k *Keyed[R, V]) Evicted() int64 {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.evicted

@@ -15,7 +15,7 @@ type rec struct {
 	Tags []int
 }
 
-func newRecRing(capacity int, evict func(*rec)) *Keyed[rec] {
+func newRecRing(capacity int, evict func(*rec)) *Keyed[rec, rec] {
 	return NewKeyed(capacity,
 		func(r *rec) string { return r.Key },
 		func(r *rec) { *r = rec{Tags: r.Tags[:0]} },

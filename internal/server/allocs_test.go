@@ -51,14 +51,19 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 
 // TestServeDecisionAllocs is the handler's allocation budget: what
 // Server.ServeHTTP allocates for one POST /v1/decision, request already
-// built, response into memory. Each kind of decision is served by two
+// built, response into memory. Each kind of decision is served by three
 // servers over a memory ADI: "default" as msodd assembles it with every
 // flag at its default (event broker fed by the PDP's observer, explain
-// ring, trace store), and "bare" (no observer, no broker, no trace
-// store, explain off). Both trace every request — the spans feed the
-// stage histograms — so the difference between the two columns is what
-// the retained telemetry costs (the benchmark's server.telemetry_allocs)
-// and the bare column is decode, decide, encode and the spans.
+// ring, trace store), "bare" (no observer, no broker, no trace store,
+// explain off), and "all-on": default with the trace store keeping every
+// grant (SampleEvery 1) and a live subscriber draining the broker. All
+// trace every request — the spans feed the stage histograms — so the
+// difference between default and bare is what the retained telemetry
+// costs (the benchmark's server.telemetry_allocs) and the bare column is
+// decode, decide, encode and the spans. All-on costs what default does:
+// a kept grant's trace recycles its record as a denial's does, the
+// sampling hash allocates nothing, and the subscriber receives a copy of
+// the event through its buffered channel.
 //
 // Budgets are exact; a change that moves one edits the table and names
 // the allocation. The rings are sized below the number of warm-up
@@ -83,14 +88,22 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 // and, per case, what the PDP allocates (internal/core/allocs_test.go
 // names the engine's share) and what the default telemetry adds:
 //
-//	explain 5   the context value carrying the record (1); per evaluated
-//	            rule the bound context's text (1), the activated roles (1)
-//	            and their strings (1); the governing rule's copy (1)
+//	explain 1   the context value carrying the explain entry (1). The
+//	            engine hands each rule over as the values it holds and
+//	            the entry keeps them; their text is rendered only when
+//	            GET /v1/explain serves the record. It was 5 while the
+//	            engine rendered it: per evaluated rule the bound
+//	            context's text (1), the activated roles (1) and their
+//	            strings (1); the governing rule's copy (1)
 //	event 2     the observer's DecisionEvent: Roles as []string (1), the
 //	            request context's text (1)
 //
 // A retained trace (every denial is one) adds nothing: its record is
-// recycled and SetSpans copies the spans into the record's own array.
+// recycled, Describe shares the strings the decision's description
+// holds, and SetSpans copies the spans into the record's own array. The
+// description itself allocates nothing here because every case spells
+// its context canonically; a caller who does not pays for the
+// canonical text (1).
 func TestServeDecisionAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -142,12 +155,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 			// 17 + the validated roles (1), the engine's decision moved
 			// to the heap as Decision.MSoD (1), and the engine's three:
 			// bound name, record slice, the store's Roles copy (3).
-			// Default: + explain 5 + event 2.
+			// Default: + explain 1 + event 2.
 			name:    "MMER grant",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 29, "bare": 22},
+			budget: map[string]float64{"default": 25, "bare": 22, "all-on": 25},
 		},
 		{
 			// The same on a shard behind a gateway, the request carrying
@@ -157,12 +170,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			handoff: true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 29, "bare": 22},
+			budget: map[string]float64{"default": 25, "bare": 22, "all-on": 25},
 		},
 		{
 			// The same, the request carrying one close — of another
 			// period, which holds nothing on this shard. On top of the
-			// grant's 29 / 22: the closed instance's name parsed (1), the
+			// grant's 25 / 22: the closed instance's name parsed (1), the
 			// event's reason (1), and the last step's requestID cloned
 			// out of the header for the applied ring (1); default adds
 			// the instance's text in the purge event (1).
@@ -175,12 +188,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 33, "bare": 25},
+			budget: map[string]float64{"default": 29, "bare": 25, "all-on": 29},
 		},
 		{
 			// The same, the request carrying one activation — of another
 			// period, not running on this shard. On top of the grant's
-			// 29 / 22: the instance's name parsed (1), the encoded
+			// 25 / 22: the instance's name parsed (1), the encoded
 			// activation adi.OpActivate hands Append (1), the
 			// instance-table entry and its slot in a component list (2),
 			// and the first step's requestID cloned out of the header for
@@ -197,21 +210,21 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 35, "bare": 27},
+			budget: map[string]float64{"default": 31, "bare": 27, "all-on": 31},
 		},
 		{
 			// 17 + the validated roles (1), Decision.MSoD (1), the bound
 			// name (1), the Denial (1) and the two texts the answer and
 			// the trail carry: Denial.Reason (1) and Denial.Error — the
 			// policy context's text, the bound context's, the sentence
-			// (3). Default: + explain 5 + event 2.
+			// (3). Default: + explain 1 + event 2.
 			name:    "MSoD deny",
 			prepare: func(i int) *DecisionRequest { r := teller("alice", i); return &r },
 			request: func(i int) DecisionRequest {
 				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "msod",
-			budget: map[string]float64{"default": 32, "bare": 25},
+			budget: map[string]float64{"default": 28, "bare": 25, "all-on": 28},
 		},
 		{
 			// 17 + the validated roles (1) and the reason: the permission
@@ -223,7 +236,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "rbac",
-			budget: map[string]float64{"default": 24, "bare": 21},
+			budget: map[string]float64{"default": 24, "bare": 21, "all-on": 24},
 		},
 		{
 			// No user or roles in the body but one signed credential, so
@@ -238,27 +251,46 @@ func TestServeDecisionAllocs(t *testing.T) {
 			// payload re-marshalled for the Ed25519 check (credential
 			// boxed, two time texts, the result: 4), the validated roles
 			// (1), the rejection map (1) — then Decision.MSoD (1) and the
-			// engine's three. Default: + explain 5 + event 2.
+			// engine's three. Default: + explain 1 + event 2.
 			name:    "credential-bearing grant",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest {
 				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 45, "bare": 38},
+			budget: map[string]float64{"default": 41, "bare": 38, "all-on": 41},
 		},
 	} {
-		for _, kind := range []string{"default", "bare"} {
+		for _, kind := range []string{"default", "bare", "all-on"} {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
 				cfg := pdp.Config{Policy: pol}
 				opts := []Option{WithExplainCapacity(-1)}
-				if kind == "default" {
+				if kind != "bare" {
 					broker := inspect.NewBroker(ringSize)
 					cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
+					traces := trace.Config{Capacity: ringSize}
+					if kind == "all-on" {
+						traces.SampleEvery = 1
+						sub := broker.Subscribe(inspect.Filter{}, 0)
+						drained := make(chan int)
+						go func() {
+							n := 0
+							for range sub.Events() {
+								n++
+							}
+							drained <- n
+						}()
+						t.Cleanup(func() {
+							broker.Unsubscribe(sub)
+							if n := <-drained; n == 0 {
+								t.Error("the subscriber received no event")
+							}
+						})
+					}
 					opts = []Option{
 						WithEventBroker(broker),
 						WithExplainCapacity(ringSize),
-						WithTraceStore(trace.NewStore(trace.Config{Capacity: ringSize})),
+						WithTraceStore(trace.NewStore(traces)),
 					}
 				}
 				if tc.handoff {
@@ -327,6 +359,11 @@ func TestServeDecisionAllocs(t *testing.T) {
 					}
 				case applied != int64(i):
 					t.Fatalf("%d closes applied over %d requests carrying one each", applied, i)
+				}
+				if kind == "all-on" {
+					if _, kept := srv.Traces().Get(resp.TraceID); !kept {
+						t.Fatalf("the last decision's trace was not kept with SampleEvery 1")
+					}
 				}
 				if got != tc.budget[kind] {
 					t.Fatalf("%v allocs, budget %v", got, tc.budget[kind])

@@ -20,6 +20,7 @@ import (
 
 	"msod/internal/adi"
 	"msod/internal/audit"
+	"msod/internal/core"
 	"msod/internal/explain"
 	"msod/internal/fault"
 	"msod/internal/fsx"
@@ -45,9 +46,9 @@ type outcomeEnv struct {
 	trailDir string            // sentinel rows only
 	trail    *audit.Writer     // sentinel rows only
 	sentinel *inspect.Sentinel // sentinel rows only
-	// handed is the explain record the last decide found in its context
+	// handed is the explain entry the last decide found in its context
 	// (nil when the handler attached none).
-	handed *explain.Record
+	handed core.Explainer
 }
 
 type outcomeRow struct {
@@ -430,7 +431,7 @@ func (e *outcomeEnv) serve(body string, advisory bool, traceID obsv.TraceID) *ht
 	}
 	w := httptest.NewRecorder()
 	e.srv.serveDecision(w, r, func(ctx context.Context, req pdp.Request) (pdp.Decision, error) {
-		e.handed = explain.FromContext(ctx)
+		e.handed = core.ExplainerFrom(ctx)
 		return decide(ctx, req)
 	}, advisory)
 	return w

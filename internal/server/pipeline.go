@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"msod/internal/bctx"
+	"msod/internal/core"
 	"msod/internal/explain"
 	"msod/internal/obsv"
 	"msod/internal/pdp"
@@ -111,21 +112,17 @@ type decisionCall struct {
 	advisory bool
 
 	trace *obsv.Trace
-	// rid keys the decision's provenance and its retained trace: the
-	// caller's idempotency RequestID when one was sent, the trace ID
-	// otherwise — echoed in the response, so the caller (or msodctl)
-	// can fetch GET /v1/explain/{requestID}.
-	rid string
-	// xrec is the explain record the engine fills; nil on advisories
+	// xrec is the explain entry the engine fills; nil on advisories
 	// and with explain off.
-	xrec *explain.Record
-	// The outcome: when the PDP started and how long it took, then
-	// either err with the status it is answered with, or resp.
-	start   time.Time
-	elapsed time.Duration
-	err     error
-	status  int
-	resp    DecisionResponse
+	xrec *explain.Entry
+	// The outcome: either err with the status it is answered with, or
+	// resp.
+	err    error
+	status int
+	resp   DecisionResponse
+	// d is the one description of the decision (describe) that the
+	// explain ring, the trace store and the decision log render.
+	d explain.Decision
 }
 
 func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide func(context.Context, pdp.Request) (pdp.Decision, error), advisory bool) {
@@ -183,96 +180,105 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	writeJSON(w, http.StatusOK, c.resp)
 }
 
-// decide runs the PDP under the request's trace and explain record and
-// leaves the outcome in c: the answer, or the error and its status.
+// decide runs the PDP under the request's trace and explain entry and
+// leaves the outcome in c: the answer, or the error and its status; and
+// the description of either.
 func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(context.Context, pdp.Request) (pdp.Decision, error)) {
 	c.trace = obsv.NewTrace(c.TraceID)
-	c.rid = c.Wire.RequestID
-	if c.rid == "" {
-		c.rid = string(c.TraceID)
-	}
 	ctx = obsv.WithTrace(ctx, c.trace)
 	if !c.advisory && s.explain != nil {
 		c.xrec = s.explain.Begin()
-		ctx = explain.WithRecord(ctx, c.xrec)
+		ctx = core.WithExplainer(ctx, c.xrec)
 	}
-	c.start = time.Now()
+	start := time.Now()
 	dec, err := pdpDecide(ctx, c.Request)
-	c.elapsed = time.Since(c.start)
+	elapsed := time.Since(start)
 	if c.err = err; err != nil {
 		c.status = s.failureStatus(err, http.StatusInternalServerError)
-		return
+	} else {
+		c.status, c.resp = http.StatusOK, c.Response(dec)
 	}
-	c.status = http.StatusOK
-	c.resp = c.Response(dec)
-	if c.xrec != nil {
-		c.resp.RequestID = c.rid
+	c.describe(start, elapsed)
+	if c.xrec != nil && err == nil {
+		c.resp.RequestID = c.d.RequestID
+	}
+}
+
+// describe fills c.d, the decision's one description: the subject the
+// PDP resolved (the claim when it resolved none), the context in its
+// canonical spelling, and the outcome. The request ID keys the
+// decision's provenance: the caller's idempotency RequestID when one
+// was sent, the trace ID otherwise — echoed in the response, so the
+// caller (or msodctl) can fetch GET /v1/explain/{requestID}. An
+// advisory has none.
+func (c *decisionCall) describe(start time.Time, elapsed time.Duration) {
+	r := &c.resp
+	c.d = explain.Decision{
+		TraceID: string(c.TraceID), Time: start, Elapsed: elapsed,
+		User: r.User, Roles: r.Roles,
+		Operation: c.Wire.Operation, Target: c.Wire.Target, Context: c.Request.Context.Spelled(c.Wire.Context),
+		Outcome: explain.OutcomeDeny, Phase: r.Phase, Reason: r.Reason,
+		MatchedPolicies: r.MatchedPolicies, Recorded: r.Recorded, Purged: r.Purged,
+		Advisory: c.advisory, Terminated: r.Closed,
+	}
+	if !c.advisory {
+		if c.d.RequestID = c.Wire.RequestID; c.d.RequestID == "" {
+			c.d.RequestID = c.d.TraceID
+		}
+	}
+	switch {
+	case c.err != nil:
+		c.d.User, c.d.Outcome, c.d.Reason = c.Wire.User, "error", c.err.Error()
+	case r.Allowed:
+		c.d.Outcome = explain.OutcomeGrant
 	}
 }
 
 // publish shows one decided request — error or answer — to every sink,
 // in the one order they are fed: the latency and stage histograms, the
 // explain ring, the trace store, the SLO, the counters, the slow log.
+// The rings and the log line render c.d; none builds a description of
+// its own.
 func (s *Server) publish(ctx context.Context, c *decisionCall) {
-	s.metrics.duration.ObserveExemplar(c.elapsed, string(c.TraceID))
+	d := &c.d
+	s.metrics.duration.ObserveExemplar(d.Elapsed, d.TraceID)
 	s.metrics.observeStages(c.trace)
-
-	outcome, reason := explain.OutcomeDeny, c.resp.Reason
-	switch {
-	case c.err != nil:
-		outcome, reason = "error", c.err.Error()
-	case c.resp.Allowed:
-		outcome = explain.OutcomeGrant
-	}
 	switch x := c.xrec; {
 	case x == nil:
 	case c.err != nil:
-		// Nothing to explain: the pooled record goes back unpublished.
+		// Nothing to explain: the pooled entry goes back unpublished.
 		s.explain.Discard(x)
 	default:
-		// The engine filled the rule evaluations during decide; the
-		// request/response envelope is stamped here, then Commit derives
-		// the governing constraint and publishes the record.
-		x.RequestID, x.TraceID, x.Time = c.rid, string(c.TraceID), c.start
-		x.User, x.Roles = c.resp.User, c.resp.Roles
-		x.Operation, x.Target, x.Context = c.Wire.Operation, c.Wire.Target, c.Wire.Context
-		x.Outcome, x.Phase, x.Reason = outcome, c.resp.Phase, reason
-		x.MatchedPolicies, x.Recorded, x.Purged = c.resp.MatchedPolicies, c.resp.Recorded, c.resp.Purged
-		x.ElapsedSeconds = c.elapsed.Seconds()
-		s.explain.Commit(x)
+		s.explain.Commit(x, d)
 	}
 	// Errored decisions are always retained by the tail sampler — they
 	// are exactly what an operator holding the trace ID from the error
 	// log investigates.
-	s.recordTrace(c, outcome, reason)
-	s.score(c.status, c.elapsed)
+	s.recordTrace(c)
+	s.score(c.status, d.Elapsed)
 	if c.err != nil {
 		s.metrics.requestErrors.Add(1)
 	} else {
 		s.metrics.observe(c.resp, c.advisory)
 	}
-	if !s.slowLogEnabled(c.elapsed) {
+	if !s.slowLogEnabled(d.Elapsed) {
 		return
 	}
 	level, msg := slog.LevelInfo, "decision"
-	attrs := append(make([]slog.Attr, 0, 10), slog.String("traceID", string(c.TraceID)))
+	attrs := append(make([]slog.Attr, 0, 10), slog.String("traceID", d.TraceID), slog.String("user", d.User))
 	if c.err != nil {
 		level, msg = slog.LevelWarn, "decision error"
-		attrs = append(attrs,
-			slog.String("user", c.Wire.User),
-			slog.Bool("advisory", c.advisory),
-			slog.String("error", reason))
+		attrs = append(attrs, slog.Bool("advisory", d.Advisory), slog.String("error", d.Reason))
 	} else {
 		attrs = append(attrs,
-			slog.String("user", c.resp.User),
-			slog.String("operation", c.Wire.Operation),
-			slog.String("target", c.Wire.Target),
-			slog.String("context", c.Wire.Context),
+			slog.String("operation", d.Operation),
+			slog.String("target", d.Target),
+			slog.String("context", d.Context),
 			slog.Bool("allowed", c.resp.Allowed),
-			slog.String("phase", c.resp.Phase),
-			slog.Bool("advisory", c.advisory))
+			slog.String("phase", d.Phase),
+			slog.Bool("advisory", d.Advisory))
 	}
-	attrs = append(attrs, slog.Float64("seconds", c.elapsed.Seconds()), obsv.SpanAttrs(c.trace))
+	attrs = append(attrs, slog.Float64("seconds", d.Elapsed.Seconds()), obsv.SpanAttrs(c.trace))
 	s.log.LogAttrs(ctx, level, msg, attrs...)
 }
 

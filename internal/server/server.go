@@ -218,11 +218,7 @@ func New(p *pdp.PDP, opts ...Option) *Server {
 		opt(s)
 	}
 	if s.explainCap >= 0 {
-		capacity := s.explainCap
-		if capacity == 0 {
-			capacity = explain.DefaultCapacity
-		}
-		s.explain = explain.NewRecorder(capacity)
+		s.explain = explain.NewRecorder(s.explainCap)
 	}
 	if s.browser == nil {
 		// Every store shipped with the repo exposes the read-only browse

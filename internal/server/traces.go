@@ -48,29 +48,15 @@ func (s *Server) tracesLookup() http.Handler {
 // recordTrace runs the tail-sampling decision for a decided request
 // and, when the sampler keeps it, files the span tree in the store. A
 // nil store costs one comparison.
-func (s *Server) recordTrace(c *decisionCall, outcome, reason string) {
+func (s *Server) recordTrace(c *decisionCall) {
 	if s.traces == nil {
 		return
 	}
-	sampledFor, keep := s.traces.Sample(string(c.TraceID), c.err == nil && !c.resp.Allowed, c.err != nil, c.elapsed)
+	sampledFor, keep := s.traces.Sample(c.d.TraceID, c.err == nil && !c.resp.Allowed, c.err != nil, c.d.Elapsed)
 	if !keep {
 		return
 	}
 	rec := s.traces.Begin()
-	rec.TraceID = string(c.TraceID)
-	if !c.advisory {
-		rec.RequestID = c.rid
-	}
-	rec.Time = c.trace.Start()
-	rec.User = c.Wire.User
-	rec.Operation = c.Wire.Operation
-	rec.Target = c.Wire.Target
-	rec.Context = c.Wire.Context
-	rec.Outcome = outcome
-	rec.Reason = reason
-	rec.SampledFor = sampledFor
-	rec.Advisory = c.advisory
-	rec.ElapsedSeconds = c.elapsed.Seconds()
-	rec.SetSpans(c.trace.Spans())
+	rec.Describe(&c.d, sampledFor, c.trace.Spans())
 	s.traces.Commit(rec)
 }

@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"msod/internal/explain"
 	"msod/internal/obsv"
 	"msod/internal/ring"
 )
@@ -67,11 +68,7 @@ type Record struct {
 }
 
 // reset clears the record for reuse, keeping backing arrays.
-func (r *Record) reset() {
-	shards, spans := r.Shards[:0], r.Spans[:0]
-	*r = Record{}
-	r.Shards, r.Spans = shards, spans
-}
+func (r *Record) reset() { *r = Record{Shards: r.Shards[:0], Spans: r.Spans[:0]} }
 
 // clone deep-copies the record so it stays valid after the pooled
 // original rotates out and is reused.
@@ -80,6 +77,16 @@ func (r *Record) clone() Record {
 	out.Shards = append([]string(nil), r.Shards...)
 	out.Spans = append([]Span(nil), r.Spans...)
 	return out
+}
+
+// Describe fills a reset record from the shard's one description of
+// the decision, the reason the sampler kept it, and its span tree. The
+// record names no request ID for an advisory.
+func (r *Record) Describe(d *explain.Decision, sampledFor string, spans []obsv.Span) {
+	r.TraceID, r.RequestID, r.Time, r.SampledFor = d.TraceID, d.RequestID, d.Time, sampledFor
+	r.User, r.Operation, r.Target, r.Context = d.User, d.Operation, d.Target, d.Context
+	r.Outcome, r.Reason, r.Advisory, r.ElapsedSeconds = d.Outcome, d.Reason, d.Advisory, d.Elapsed.Seconds()
+	r.SetSpans(spans)
 }
 
 // SetSpans converts a completed obsv span set into the record's wire
@@ -113,7 +120,7 @@ type Config struct {
 
 // keyed is the pooled ring of records under a Store: Begin, Discard,
 // Get, Len, Capacity and Evicted are its methods (see ring.Keyed).
-type keyed = ring.Keyed[Record]
+type keyed = ring.Keyed[Record, Record]
 
 // Store retains sampled span trees in a fixed ring keyed by trace ID,
 // handing out pooled records for the hot path: Begin takes a record
