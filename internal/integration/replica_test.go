@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"msod"
 	"msod/internal/adi"
 	"msod/internal/cluster"
+	"msod/internal/core"
 	"msod/internal/server"
+	"msod/internal/workload"
 )
 
 // replicaShard is one owning shard plus its advisory tier: a durable
@@ -206,6 +211,86 @@ func TestClusterReplicaTierServesConvergedAdvice(t *testing.T) {
 				user, len(viaReplica.Records), len(ownerState.Records))
 		}
 	}
+
+	// Under concurrent load too: seed a bank history through the
+	// gateway, let the mirrors converge, then 8 advisory clients at
+	// once. Every answer is replica-served and is the owner's own.
+	seed := workload.NewBank(workload.BankConfig{
+		Seed: 1700, Users: 256, Branches: 8, Periods: 2, AuditorFraction: 0.3, Zipf: true,
+	})
+	for _, r := range seed.Stream(1_000) {
+		if _, err := c.Decision(wireRequest(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainLag(t, shards)
+	var wg sync.WaitGroup
+	var denied atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			gen := workload.NewBank(workload.BankConfig{
+				Seed: int64(1710 + w), Users: 256, Branches: 8, Periods: 2, AuditorFraction: 0.3, Zipf: true,
+			})
+			for _, r := range gen.Stream(50) {
+				allowed, err := adviceIsOwners(gw, gwSrv.URL, shards, wireRequest(r))
+				if err != nil {
+					t.Errorf("client %d: %v", w, err)
+					return
+				}
+				if !allowed {
+					denied.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if denied.Load() == 0 {
+		t.Error("no advisory answer under load was a denial: the seeded history constrains nothing")
+	}
+}
+
+// wireRequest is a generated request as a client sends it.
+func wireRequest(r core.Request) server.DecisionRequest {
+	roles := make([]string, len(r.Roles))
+	for i, role := range r.Roles {
+		roles[i] = string(role)
+	}
+	return server.DecisionRequest{
+		User: string(r.User), Roles: roles, Operation: string(r.Operation),
+		Target: string(r.Target), Context: r.Context.String(),
+	}
+}
+
+// adviceIsOwners asks the gateway for advice and fails unless a replica
+// answered (the seq stamp) with what the owning shard itself advises;
+// it returns whether the advice allows the request.
+func adviceIsOwners(gw *cluster.Gateway, gwURL string, shards map[string]*replicaShard, req server.DecisionRequest) (bool, error) {
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(gwURL+server.AdvicePath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return false, err
+	}
+	var got server.DecisionResponse
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if err != nil {
+		return false, err
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(msod.ReplicaSeqHeader) == "" {
+		return false, fmt.Errorf("advice for %s: status %d, seq %q; want a replica's 200", req.User, resp.StatusCode, resp.Header.Get(msod.ReplicaSeqHeader))
+	}
+	owner, _ := gw.ShardFor(req.User)
+	want, err := server.NewClient(shards[owner].srv.URL, nil).AdviceCtx(context.Background(), req)
+	if err != nil {
+		return false, err
+	}
+	if got.Allowed != want.Allowed || got.Phase != want.Phase || got.Reason != want.Reason {
+		return false, fmt.Errorf("DIVERGED: %s %s in %s via replica %v/%s/%q, owner %v/%s/%q", req.User, req.Operation, req.Context,
+			got.Allowed, got.Phase, got.Reason, want.Allowed, want.Phase, want.Reason)
+	}
+	return got.Allowed, nil
 }
 
 // TestClusterReplicaNeverFalseGrants drives the tier through its
