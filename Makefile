@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race allocs cover bench benchmark-check fuzz experiments chaos elastic replica examples lint clean
+.PHONY: all build test test-race allocs cover bench benchmark-check fuzz chaos elastic replica examples lint clean
 
 all: build test
 
@@ -51,10 +51,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseRBACPolicy -fuzztime=30s ./internal/policy
 	$(GO) test -fuzz=FuzzDecodeDecisionRequest -fuzztime=30s ./internal/server
 
-# Regenerate every EXPERIMENTS.md table.
-experiments:
-	$(GO) run ./cmd/msodbench
-
 # Full fault-injection torture: power-loss crash-recovery schedules,
 # chaotic transport (with carried activations and closes), overload
 # shedding, degraded read-only mode.
@@ -83,13 +79,14 @@ elastic:
 # Advisory read-replica tier smoke: deterministic mirror replay (every
 # non-grant event is an op's, a handoff import's a resync) and the
 # bounded-staleness contract (unit + gateway routing + integration),
-# the embedded PEP preflight, and the replica-fed advisory experiment.
+# the embedded PEP preflight, and replica-served advice under 8
+# concurrent clients after a seeded bank history, every answer the
+# owner's own (TestClusterReplicaTierServesConvergedAdvice).
 replica:
 	$(GO) test -race -count=1 ./internal/replica
 	$(GO) test -race -count=1 -run 'TestGatewayAdvice|TestGatewayReplicaPool|TestGatewayStateUserReplica|TestGatewayDecisionsNeverRoute|TestConfigReplica' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestPreflight' ./internal/pep
 	$(GO) test -race -count=1 -run 'TestClusterReplica' ./internal/integration
-	$(GO) run ./cmd/msodbench -e E17
 
 examples:
 	$(GO) run ./examples/quickstart

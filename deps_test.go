@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-// daemonForbidden are the packages that exist for the experiments, the
-// baselines and the fault suites. A daemon that links one of them ships
-// a simulator to production; the usual way in is importing the root
-// msod facade, which re-exports the workflow API for library users.
+// daemonForbidden are the reference baselines, the workload generators
+// and the fault suites the tests compare against. A daemon that links
+// one of them ships a simulator to production; the usual way in is
+// importing the root msod facade, which re-exports the workflow API for
+// library users.
 var daemonForbidden = []string{
-	"msod/internal/bench",
 	"msod/internal/bertino",
 	"msod/internal/vo",
 	"msod/internal/workflow",

@@ -18,8 +18,8 @@
 // OpActivate) for the activity check and the context purge, so
 // neither a query nor a purge pays for records it does not concern.
 // DurableStore puts a write-ahead log under it.
-// LinearStore, an unindexed scan, is the ablation baseline of
-// experiment E4 and the reference the tests compare Store against.
+// LinearStore, an unindexed scan, is the naive store of experiment E4
+// and the reference the tests compare Store against.
 // All three satisfy Recorder.
 package adi
 
@@ -157,8 +157,8 @@ type Store struct {
 	seed  maphash.Seed
 	// comps lists the instances by each positional component, under its
 	// value and under any value. A pattern's candidates are the shortest
-	// list among its own components (experiment E15 measures the
-	// difference to scanning every instance).
+	// list among its own components (TestActivityCheckWalksOneCandidate
+	// counts the difference to scanning every instance: experiment E15).
 	comps map[compKey][]*instance
 	n     int
 }
@@ -618,9 +618,9 @@ func (s *Store) Reset() {
 }
 
 // LinearStore is an unindexed retained ADI: one flat slice scanned on
-// every query. It exists as the ablation baseline for experiment E4
-// (decision latency vs retained-ADI size) and deliberately mirrors the
-// naive implementation the paper warns about in §4.3. Activations are
+// every query. It is the ablation baseline of experiment E4 (what a
+// history query walks as the retained ADI grows) and deliberately
+// mirrors the naive implementation the paper warns about in §4.3. Activations are
 // kept as the records that encode them, apart from the history.
 // LinearStore is safe for concurrent use.
 type LinearStore struct {

@@ -16,13 +16,9 @@ import (
 // visits rather than as times.
 
 // growthRecord is the i'th record of a synthetic history spread over
-// 200 users and the given context instances of Branch × Period.
-func growthRecord(i, instances int, branchOnly bool) Record {
+// 200 users and the given number of instances (Branch=bk, Period=pk).
+func growthRecord(i, instances int) Record {
 	k := i % instances
-	period := fmt.Sprintf("p%d", k)
-	if branchOnly {
-		period = "p0"
-	}
 	return Record{
 		User:      rbac.UserID(fmt.Sprintf("user%03d", i%200)),
 		Roles:     []rbac.RoleName{"Teller"},
@@ -30,7 +26,7 @@ func growthRecord(i, instances int, branchOnly bool) Record {
 		Target:    "till",
 		Context: bctx.MustName(
 			bctx.Component{Type: "Branch", Value: fmt.Sprintf("b%d", k)},
-			bctx.Component{Type: "Period", Value: period},
+			bctx.Component{Type: "Period", Value: fmt.Sprintf("p%d", k)},
 		),
 		Time: time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Second),
 	}
@@ -43,14 +39,14 @@ func growthRecord(i, instances int, branchOnly bool) Record {
 // them. Both answer the same.
 func TestHistoryQueryWalksOnlyTheUsersRecords(t *testing.T) {
 	const own = 4
-	pattern := bctx.MustParse("Branch=*, Period=p0")
+	pattern := bctx.MustParse("Branch=*, Period=*")
 	for _, size := range []int{100, 1_000, 10_000, 100_000} {
 		recs := make([]Record, 0, size)
 		for i := 0; len(recs) < size-own; i++ {
-			recs = append(recs, growthRecord(i, 16, true))
+			recs = append(recs, growthRecord(i, 16))
 		}
 		for i := 0; i < own; i++ {
-			r := growthRecord(i, 16, true)
+			r := growthRecord(i, 16)
 			r.User = "probe"
 			recs = append(recs, r)
 		}
@@ -92,7 +88,7 @@ func TestActivityCheckWalksOneCandidate(t *testing.T) {
 		s := NewStore()
 		recs := make([]Record, records)
 		for i := range recs {
-			recs[i] = growthRecord(i, instances, false)
+			recs[i] = growthRecord(i, instances)
 		}
 		if err := s.Append(recs...); err != nil {
 			t.Fatal(err)

@@ -18,7 +18,8 @@ import (
 // encrypted, integrity-protected file. It plays the role of the "secure
 // relational database" the paper proposes as its next implementation
 // (§6): instead of replaying audit trails at start-up, the PDP loads one
-// sealed snapshot. Experiment E5 compares the two recovery paths.
+// sealed snapshot. TestRecoveryPathsAgree (audit) checks that both
+// recovery paths restore the same records (experiment E5).
 type SecureStore struct {
 	path string
 	aead cipher.AEAD

@@ -80,7 +80,8 @@ func NewWriterFS(dir string, key []byte, segmentSize int, fs fsx.FS) (*Writer, e
 		// Resume: verify the newest segment to find the chain head. The
 		// chain seed of segment k is the last MAC of segment k-1, so full
 		// resumption verifies from genesis; we verify all segments to
-		// guarantee a consistent restart (cost measured in E5/E9).
+		// guarantee a consistent restart (the shard_durable workload's
+		// audit.verify_ms measures the cost).
 		r := &Reader{dir: dir, key: key}
 		events, tail, torn, err := r.verifyAllDetail()
 		if err != nil {

@@ -109,19 +109,26 @@ func drainLag(t *testing.T, shards map[string]*replicaShard) {
 // response headers are visible.
 func rawAdvice(t *testing.T, gwURL, user, role, op, target, bc string) (*http.Response, server.DecisionResponse) {
 	t.Helper()
-	body, _ := json.Marshal(server.DecisionRequest{
+	resp, dec, err := postAdvice(gwURL, server.DecisionRequest{
 		User: user, Roles: []string{role}, Operation: op, Target: target, Context: bc,
 	})
-	resp, err := http.Post(gwURL+server.AdvicePath, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var dec server.DecisionResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dec); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 	return resp, dec
+}
+
+// postAdvice is rawAdvice for any goroutine.
+func postAdvice(gwURL string, req server.DecisionRequest) (*http.Response, server.DecisionResponse, error) {
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(gwURL+server.AdvicePath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, server.DecisionResponse{}, err
+	}
+	defer resp.Body.Close()
+	var dec server.DecisionResponse
+	err = json.NewDecoder(resp.Body).Decode(&dec)
+	return resp, dec, err
 }
 
 // TestClusterReplicaTierServesConvergedAdvice is the acceptance test
@@ -267,14 +274,7 @@ func wireRequest(r core.Request) server.DecisionRequest {
 // answered (the seq stamp) with what the owning shard itself advises;
 // it returns whether the advice allows the request.
 func adviceIsOwners(gw *cluster.Gateway, gwURL string, shards map[string]*replicaShard, req server.DecisionRequest) (bool, error) {
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(gwURL+server.AdvicePath, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	var got server.DecisionResponse
-	err = json.NewDecoder(resp.Body).Decode(&got)
-	resp.Body.Close()
+	resp, got, err := postAdvice(gwURL, req)
 	if err != nil {
 		return false, err
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // DefaultDurationBuckets are the fixed upper bounds (seconds) of the
-// decision-latency histograms. They span the measured range of
-// EXPERIMENTS.md: a few µs in-process through tens of ms for
-// durable-store grants.
+// decision-latency histograms. They span the range the benchmark
+// measures: a few µs in-process through tens of ms for durable-store
+// grants.
 var DefaultDurationBuckets = []float64{
 	10e-6, 25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 1,

@@ -4,7 +4,7 @@
 // retained-ADI record populations for store-scaling measurements.
 //
 // All generators are seeded; the same configuration always produces the
-// same stream, so experiment tables are reproducible run to run.
+// same stream, so the counts the tests pin are reproducible run to run.
 package workload
 
 import (
@@ -126,9 +126,9 @@ func (b *Bank) Stream(n int) []core.Request {
 }
 
 // Records generates n synthetic retained-ADI records spread over the
-// given numbers of users and context instances, for direct store-scaling
-// measurements (experiment E4). Timestamps advance one second per
-// record from a fixed epoch.
+// given numbers of users and context instances, for seeding a store
+// directly. Timestamps advance one second per record from a fixed
+// epoch.
 func Records(seed int64, n, users, contexts int) []adi.Record {
 	if users < 1 {
 		users = 1

@@ -1,11 +1,16 @@
 package msod_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -126,7 +131,6 @@ var storeMutators = map[string]string{
 	"internal/core.Engine.decide":   "the grant commit: §4.2 steps 5.iv and 7, under the engine lock",
 	"internal/core.Engine.Apply":    "the engine's one out-of-band apply, under the engine lock",
 	"internal/replica.Mirror.Reset": "reloads the mirror's private store from a snapshot while the follower serves nothing",
-	"internal/bench":                "experiments seed and measure stores of their own; no daemon links the package (TestDaemonsLinkOnlyWhatTheyServe)",
 }
 
 // TestStoreMutatedOnlyThroughOneEntry fails when non-test code outside
@@ -184,4 +188,128 @@ func TestStoreMutatedOnlyThroughOneEntry(t *testing.T) {
 			t.Errorf("storeMutators lists %s, which no longer changes a store; drop the entry", name)
 		}
 	}
+}
+
+// TestExperimentsNameLiveTests holds EXPERIMENTS.md to the code. Every
+// row of its claim table names its checker in the "Checked by" column:
+// at most one test, which must exist in the module; failing that, the
+// BENCHMARK.json workload and metric that measure the claim, or the
+// ROADMAP item it waits for. The `go test -run` line above the table
+// runs exactly the tests the table names.
+func TestExperimentsNameLiveTests(t *testing.T) {
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type named []struct{ Name string }
+	var bench struct {
+		Workloads named `json:"workloads"`
+		EndToEnd  named `json:"end_to_end"`
+		PerLayer  named `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	measured := map[string]bool{}
+	for _, list := range []named{bench.Workloads, bench.EndToEnd, bench.PerLayer} {
+		for _, x := range list {
+			measured[x.Name] = true
+		}
+	}
+	defined := moduleTests(t)
+
+	ticked := regexp.MustCompile("`([^`]+)`")
+	runLine := regexp.MustCompile(`go test -run '\^\(([^)]*)\)\$'`)
+	tested, runs := map[string]bool{}, map[string]bool{}
+	checkedBy, rows := -1, 0
+	for _, line := range strings.Split(string(doc), "\n") {
+		if m := runLine.FindStringSubmatch(line); m != nil {
+			for _, name := range strings.Split(m[1], "|") {
+				runs[name] = true
+			}
+		}
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "| "), " | ")
+		if checkedBy < 0 {
+			checkedBy = slices.Index(cells, "Checked by")
+			continue
+		}
+		if !strings.HasPrefix(cells[0], "E") {
+			continue // the separator row
+		}
+		rows++
+		cell := cells[checkedBy]
+		tests := 0
+		for _, m := range ticked.FindAllStringSubmatch(cell, -1) {
+			name := m[1]
+			switch {
+			case strings.HasPrefix(name, "Test"):
+				tests++
+				tested[name] = true
+				if !defined[name] {
+					t.Errorf("%s names %s, which no test file in the module defines", cells[0], name)
+				}
+			case !measured[name]:
+				t.Errorf("%s names %q, which is neither a test nor a BENCHMARK.json workload or metric", cells[0], name)
+			}
+		}
+		if tests > 1 || (tests == 0 && !strings.Contains(cell, "`") && !strings.Contains(cell, "ROADMAP")) {
+			t.Errorf("%s is checked by %q; name one test, the workload metric that measures it, or the ROADMAP item it waits for", cells[0], cell)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("EXPERIMENTS.md has no claim table with a \"Checked by\" column")
+	}
+	for name := range tested {
+		if !runs[name] {
+			t.Errorf("the claim table names %s, which the go test -run line does not run", name)
+		}
+	}
+	for name := range runs {
+		if !tested[name] {
+			t.Errorf("the go test -run line runs %s, which the claim table does not name", name)
+		}
+	}
+}
+
+// moduleTests returns the names of the top-level Test functions in the
+// module's test files (benchmark/ is a module of its own).
+func moduleTests(t *testing.T) map[string]bool {
+	t.Helper()
+	out := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p != "." && (strings.HasPrefix(d.Name(), ".") || p == "benchmark" || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Test") {
+				out[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
