@@ -17,8 +17,9 @@ test-race:
 
 # The allocation budgets of a served decision (testing.AllocsPerRun
 # tables, every allocation named): the §4.2 hot path (core, adi, bctx,
-# rbac) and the layers around it — spans (obsv), the trail append
-# (audit), the PDP's pipeline around the engine (pdp), the whole handler
+# rbac), the durable store's logged append (adi: the retained record
+# only) and the layers around it — spans (obsv), the trail append
+# (audit: none), the PDP's pipeline around the engine (pdp), the whole handler
 # with and without the default telemetry (server) and the gateway in
 # front of it, ring lookup included (cluster). `make test` runs them too; this target is the quick check
 # after touching any of them. Never under -race: the detector
@@ -43,13 +44,21 @@ benchmark-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -smoke
 
-# Short fuzz pass over every fuzz target (seeds always run under `make test`).
+# A short fuzz pass over every fuzz target, FUZZTIME each (seeds always
+# run under `make test`). FuzzAppendWALEntry and FuzzAppendEvent hold the
+# hand-written WAL and trail lines to json.Marshal's bytes.
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/bctx
-	$(GO) test -fuzz=FuzzMatchBind -fuzztime=30s ./internal/bctx
-	$(GO) test -fuzz=FuzzParseMSoDPolicySet -fuzztime=30s ./internal/policy
-	$(GO) test -fuzz=FuzzParseRBACPolicy -fuzztime=30s ./internal/policy
-	$(GO) test -fuzz=FuzzDecodeDecisionRequest -fuzztime=30s ./internal/server
+	$(GO) test -run '^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/bctx
+	$(GO) test -run '^$$' -fuzz='^FuzzMatchBind$$' -fuzztime=$(FUZZTIME) ./internal/bctx
+	$(GO) test -run '^$$' -fuzz='^FuzzParseMSoDPolicySet$$' -fuzztime=$(FUZZTIME) ./internal/policy
+	$(GO) test -run '^$$' -fuzz='^FuzzParseRBACPolicy$$' -fuzztime=$(FUZZTIME) ./internal/policy
+	$(GO) test -run '^$$' -fuzz='^FuzzDecodeDecisionRequest$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz='^FuzzEvaluate$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run '^$$' -fuzz='^FuzzPolicyCheck$$' -fuzztime=$(FUZZTIME) ./internal/policycheck
+	$(GO) test -run '^$$' -fuzz='^FuzzAppendWALEntry$$' -fuzztime=$(FUZZTIME) ./internal/adi
+	$(GO) test -run '^$$' -fuzz='^FuzzAppendEvent$$' -fuzztime=$(FUZZTIME) ./internal/audit
 
 # Full fault-injection torture: power-loss crash-recovery schedules,
 # chaotic transport (with carried activations and closes), overload

@@ -83,6 +83,15 @@ func TestRingImportsNothingOfTheModule(t *testing.T) {
 	}
 }
 
+// TestJSONXImportsNothingOfTheModule: internal/jsonx writes the lines
+// of both durable logs, the retained ADI's WAL and the audit trail, so
+// it sits under both and may import neither.
+func TestJSONXImportsNothingOfTheModule(t *testing.T) {
+	if imps := moduleImports(t, "msod/internal/jsonx"); len(imps) > 0 {
+		t.Errorf("msod/internal/jsonx imports %v; it must stay dependency-free", imps)
+	}
+}
+
 // moduleImports returns the in-module packages that pkg's non-test
 // files import. Paths are module paths ("msod" is the repository root).
 func moduleImports(t *testing.T, pkg string) []string {

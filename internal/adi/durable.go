@@ -2,6 +2,7 @@ package adi
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
@@ -65,24 +66,10 @@ type DurableStore struct {
 	// msod_adi_recovery_seconds gauge by msodd).
 	recoveryDur time.Duration
 
-	// sealed and line are sealEntry's scratch (nonce‖ciphertext, then
-	// its base64 line), reused under mu: a logged mutation allocates
-	// its JSON and nothing else of the sealing.
-	sealed, line []byte
-}
-
-// walEntry is one logged mutation.
-type walEntry struct {
-	// Op is "append", "purgeContext", "purgeUser" or "purgeBefore".
-	Op string `json:"op"`
-	// Records carries the appended records (wire form).
-	Records []wireRecord `json:"records,omitempty"`
-	// Pattern is the purgeContext scope.
-	Pattern string `json:"pattern,omitempty"`
-	// User is the purgeUser subject.
-	User string `json:"user,omitempty"`
-	// Before is the purgeBefore cutoff.
-	Before time.Time `json:"before,omitempty"`
+	// plain, sealed and line are a logged mutation's scratch, reused
+	// under mu: its JSON (appendWALEntry), nonce‖ciphertext, and the
+	// base64 line. Logging allocates nothing of its own.
+	plain, sealed, line []byte
 }
 
 const (
@@ -157,7 +144,7 @@ func (ds *DurableStore) checkKey() error {
 	path := filepath.Join(ds.dir, durableKeyCheckName)
 	sealed, err := ds.fs.ReadFile(path)
 	if os.IsNotExist(err) {
-		line, serr := ds.sealEntry(walEntry{Op: "keycheck"})
+		line, serr := ds.seal([]byte(keycheckEntry))
 		if serr != nil {
 			return serr
 		}
@@ -204,6 +191,15 @@ func (ds *DurableStore) recover() error {
 
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 8<<20)
+	// A final line without its newline is torn even when every byte of
+	// the entry survived: the write that logged it carried the newline,
+	// so an acknowledged entry has one on disk.
+	var unterminated bool
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		unterminated = atEOF && tok != nil && bytes.IndexByte(data[:adv], '\n') < 0
+		return adv, tok, err
+	})
 	var (
 		goodBytes int64
 		lineNo    int
@@ -216,6 +212,9 @@ func (ds *DurableStore) recover() error {
 			continue
 		}
 		entry, err := ds.openEntry(line)
+		if err == nil && unterminated {
+			err = errors.New("adi: wal record lacks its newline")
+		}
 		if err != nil {
 			// Only the final record may be torn; check whether anything
 			// non-blank follows.
@@ -233,7 +232,11 @@ func (ds *DurableStore) recover() error {
 			ds.walOps = lineNo - 1
 			return nil
 		}
-		if err := ds.applyEntry(entry); err != nil {
+		op, err := entry.op()
+		if err == nil {
+			_, err = Apply(ds.mem, op)
+		}
+		if err != nil {
 			return fmt.Errorf("adi: wal line %d: %w", lineNo, err)
 		}
 		goodBytes += int64(len(line)) + 1
@@ -256,48 +259,11 @@ func trailingContent(sc *bufio.Scanner) (bool, error) {
 	return false, sc.Err()
 }
 
-// applyEntry replays one mutation into the in-memory store.
-func (ds *DurableStore) applyEntry(e walEntry) error {
-	op, err := e.op()
-	if err == nil {
-		_, err = Apply(ds.mem, op)
-	}
-	return err
-}
-
-// op decodes the Op the entry logs.
-func (e walEntry) op() (Op, error) {
-	switch e.Op {
-	case "append":
-		recs := make([]Record, len(e.Records))
-		for i, w := range e.Records {
-			r, err := fromWire(w)
-			if err != nil {
-				return Op{}, err
-			}
-			recs[i] = r
-		}
-		return Op{Kind: OpRecord, Records: recs}, nil
-	case "purgeContext":
-		pattern, err := bctx.Parse(e.Pattern)
-		return Op{Kind: OpClose, Bound: pattern}, err
-	case "purgeUser":
-		return Op{Kind: OpPurgeUser, User: rbac.UserID(e.User)}, nil
-	case "purgeBefore":
-		return Op{Kind: OpPurgeBefore, Time: e.Before}, nil
-	}
-	return Op{}, fmt.Errorf("unknown wal op %q", e.Op)
-}
-
-// sealEntry encrypts one WAL entry to a base64 line, with room behind
-// it for the newline logLocked appends. The line is the store's
-// scratch: valid until the next sealEntry, so callers hold mu (or, at
-// open, own the store) until it is written.
-func (ds *DurableStore) sealEntry(e walEntry) ([]byte, error) {
-	plain, err := json.Marshal(&e)
-	if err != nil {
-		return nil, fmt.Errorf("adi: marshal wal entry: %w", err)
-	}
+// seal encrypts one WAL entry's JSON to a base64 line, with room
+// behind it for the newline logLocked appends. The line is the store's
+// scratch: valid until the next seal, so callers hold mu (or, at open,
+// own the store) until it is written.
+func (ds *DurableStore) seal(plain []byte) ([]byte, error) {
 	ns := ds.aead.NonceSize()
 	nonce := slices.Grow(ds.sealed[:0], ns)[:ns]
 	if _, err := rand.Read(nonce); err != nil {
@@ -331,30 +297,40 @@ func (ds *DurableStore) openEntry(line []byte) (walEntry, error) {
 	return e, nil
 }
 
-// logLocked seals and writes one entry, then applies it in memory.
+// logLocked writes op's entry to the log, then applies op in memory
+// with Apply — what recovery does with the entry it decodes.
 // Durability first: the mutation reaches the log before the store state
 // changes, so a crash never loses an acknowledged write.
-func (ds *DurableStore) logLocked(e walEntry) error {
-	line, err := ds.sealEntry(e)
+func (ds *DurableStore) logLocked(op Op) (Effect, error) {
+	if err := loggable(op); err != nil {
+		return Effect{}, err
+	}
+	plain, err := appendWALEntry(ds.plain[:0], op)
 	if err != nil {
-		return err
+		return Effect{}, fmt.Errorf("adi: marshal wal entry: %w", err)
+	}
+	ds.plain = plain
+	line, err := ds.seal(plain)
+	if err != nil {
+		return Effect{}, err
 	}
 	if _, err := ds.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("%w: write wal: %w", ErrWriteFailed, err)
+		return Effect{}, fmt.Errorf("%w: write wal: %w", ErrWriteFailed, err)
 	}
 	if err := ds.w.Flush(); err != nil {
-		return fmt.Errorf("%w: flush wal: %w", ErrWriteFailed, err)
+		return Effect{}, fmt.Errorf("%w: flush wal: %w", ErrWriteFailed, err)
 	}
 	if ds.sync {
 		if err := ds.wal.Sync(); err != nil {
-			return fmt.Errorf("%w: sync wal: %w", ErrWriteFailed, err)
+			return Effect{}, fmt.Errorf("%w: sync wal: %w", ErrWriteFailed, err)
 		}
 	}
-	if err := ds.applyEntry(e); err != nil {
-		return err
+	eff, err := Apply(ds.mem, op)
+	if err != nil {
+		return eff, err
 	}
 	ds.walOps++
-	return nil
+	return eff, nil
 }
 
 // AppendCtx is Append carrying a context: when the context holds an
@@ -380,37 +356,31 @@ func (ds *DurableStore) Append(recs ...Record) error {
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	wire := make([]wireRecord, len(recs))
-	for i, r := range recs {
-		wire[i] = toWire(r)
-	}
-	return ds.logLocked(walEntry{Op: "append", Records: wire})
+	_, err := ds.logLocked(Op{Kind: OpRecord, Records: recs})
+	return err
 }
 
 // PurgeContext implements Recorder.
 func (ds *DurableStore) PurgeContext(pattern bctx.Name) (int, error) {
-	return ds.purge(walEntry{Op: "purgeContext", Pattern: pattern.String()})
+	return ds.purge(Op{Kind: OpClose, Bound: pattern})
 }
 
 // PurgeUser durably removes one user's records.
 func (ds *DurableStore) PurgeUser(user rbac.UserID) (int, error) {
-	return ds.purge(walEntry{Op: "purgeUser", User: string(user)})
+	return ds.purge(Op{Kind: OpPurgeUser, User: user})
 }
 
 // PurgeBefore durably removes records older than t.
 func (ds *DurableStore) PurgeBefore(t time.Time) (int, error) {
-	return ds.purge(walEntry{Op: "purgeBefore", Before: t})
+	return ds.purge(Op{Kind: OpPurgeBefore, Time: t})
 }
 
 // purge logs one purge and returns the records it removed.
-func (ds *DurableStore) purge(e walEntry) (int, error) {
+func (ds *DurableStore) purge(op Op) (int, error) {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	before := ds.mem.Len()
-	if err := ds.logLocked(e); err != nil {
-		return 0, err
-	}
-	return before - ds.mem.Len(), nil
+	eff, err := ds.logLocked(op)
+	return eff.Removed, err
 }
 
 // Read-side methods delegate to the in-memory index.

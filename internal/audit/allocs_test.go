@@ -8,17 +8,11 @@ import (
 	"msod/internal/race"
 )
 
-// TestAppendAllocs holds a trail append to the one thing it produces:
-// the event's JSON. The keyed hash, the MAC and the line are the
-// writer's own and are reused; the budget is exact, and a change that
-// moves it edits this list.
-//
-// The three allocations of Writer.AppendCtx for a one-role grant
-// event, all for the single json.Marshal: the event moved to the heap
-// so that Marshal can take its address (1) — by pointer, or encoding/json
-// boxes a copy of the time.Time as well; the RFC 3339 text
-// time.Time.MarshalJSON returns (1); the copy of the encoder's buffer
-// Marshal returns, which is the payload that is MACed and written (1).
+// TestAppendAllocs holds a trail append to nothing of its own: the
+// keyed hash, the MAC, the event's JSON (appendEvent, written straight
+// into the writer's buffer) and the line are the writer's own and are
+// reused. The budget is exact, and a change that moves it edits this
+// list: a one-role grant event with a trace ID allocates nothing.
 func TestAppendAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -39,8 +33,8 @@ func TestAppendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got != 3 {
-		t.Fatalf("AppendCtx: %v allocs, budget 3", got)
+	if got != 0 {
+		t.Fatalf("AppendCtx: %v allocs, budget 0", got)
 	}
 }
 

@@ -17,7 +17,10 @@ import (
 	"encoding/json"
 	"errors"
 	"hash"
+	"strconv"
 	"time"
+
+	"msod/internal/jsonx"
 )
 
 // Effect mirrors the decision outcome in a log entry.
@@ -53,15 +56,59 @@ type Event struct {
 }
 
 // entry is the on-disk line as the verifiers read it: the event's JSON
-// exactly as the writer marshalled it — the bytes the chain MAC covers —
+// exactly as the writer encoded it — the bytes the chain MAC covers —
 // and the MAC. (Verifying a re-marshal of the parsed event instead would
 // refuse a trail the writer itself produced whenever the two encodings
 // differ: an invalid UTF-8 byte is written as the escape \ufffd and
 // re-marshalled as the character.) The writer assembles the line by hand
-// around its one marshalled event: appendEntry.
+// around the event's JSON: appendEvent, then appendEntry.
 type entry struct {
 	Event json.RawMessage `json:"event"`
 	MAC   string          `json:"mac"`
+}
+
+// appendEvent appends the event's JSON to dst: byte for byte what
+// json.Marshal(ev) gives, errors included (FuzzAppendEvent compares
+// them). On an error — a time JSON cannot spell — dst is returned
+// unchanged.
+func appendEvent(dst []byte, ev *Event) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, ev.Seq, 10)
+	dst = append(dst, `,"time":`...)
+	dst, err := jsonx.AppendTime(dst, ev.Time)
+	if err != nil {
+		return dst[:n0], jsonx.FieldError("time.Time", err)
+	}
+	dst = append(dst, `,"user":`...)
+	dst = jsonx.AppendString(dst, ev.User)
+	if len(ev.Roles) > 0 {
+		dst = append(dst, `,"roles":[`...)
+		for i, role := range ev.Roles {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = jsonx.AppendString(dst, role)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"op":`...)
+	dst = jsonx.AppendString(dst, ev.Operation)
+	dst = append(dst, `,"target":`...)
+	dst = jsonx.AppendString(dst, ev.Target)
+	dst = append(dst, `,"ctx":`...)
+	dst = jsonx.AppendString(dst, ev.Context)
+	dst = append(dst, `,"effect":`...)
+	dst = jsonx.AppendString(dst, ev.Effect)
+	if ev.MatchedPolicies != 0 {
+		dst = append(dst, `,"matched":`...)
+		dst = strconv.AppendInt(dst, int64(ev.MatchedPolicies), 10)
+	}
+	if ev.TraceID != "" {
+		dst = append(dst, `,"trace":`...)
+		dst = jsonx.AppendString(dst, ev.TraceID)
+	}
+	return append(dst, '}'), nil
 }
 
 // decode parses the line's event.

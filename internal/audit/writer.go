@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"os"
@@ -37,12 +36,13 @@ type Writer struct {
 	segIdx  int // index of the current segment
 
 	// Owned scratch, used under mu: the keyed chain hash, the MAC being
-	// computed (lastMAC only advances once the entry is written) and the
-	// line being assembled, handed to the segment file in one Write. An
-	// append allocates the event's JSON and nothing else of its own.
-	chain hash.Hash
-	sum   [sha256.Size]byte
-	line  []byte
+	// computed (lastMAC only advances once the entry is written), the
+	// event's JSON and the line being assembled around it, handed to the
+	// segment file in one Write. An append allocates nothing of its own.
+	chain   hash.Hash
+	sum     [sha256.Size]byte
+	payload []byte
+	line    []byte
 }
 
 // DefaultSegmentSize is the rotation threshold used when NewWriter is
@@ -133,15 +133,15 @@ func (w *Writer) append(ctx context.Context, ev Event) (uint64, error) {
 	if err := w.ensureSegmentLocked(); err != nil {
 		return 0, err
 	}
-	w.seq++
-	ev.Seq = w.seq
-	// The one marshal of an append. By pointer: encoding/json then
-	// calls Time.MarshalJSON on the field in place instead of boxing a
-	// copy of it.
-	payload, err := json.Marshal(&ev)
+	// The sequence number advances only with an event that encodes: a
+	// refused one leaves no gap in the trail.
+	ev.Seq = w.seq + 1
+	payload, err := appendEvent(w.payload[:0], &ev)
 	if err != nil {
 		return 0, fmt.Errorf("audit: marshal event: %w", err)
 	}
+	w.payload = payload
+	w.seq = ev.Seq
 	mac := chainMAC(w.chain, w.lastMAC, payload, w.sum[:])
 	w.line = appendEntry(w.line[:0], payload, mac)
 	if _, err := w.f.Write(w.line); err != nil {

@@ -259,10 +259,24 @@ func (n Name) Equal(o Name) bool {
 // String but documents intent at call sites.
 func (n Name) Key() string { return n.String() }
 
+// AppendText implements encoding.TextAppender: it appends the canonical
+// string form (String) to b. It never fails.
+func (n Name) AppendText(b []byte) ([]byte, error) {
+	for i, c := range n.components {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, c.Type...)
+		b = append(b, '=')
+		b = append(b, c.Value...)
+	}
+	return b, nil
+}
+
 // MarshalText implements encoding.TextMarshaler using the canonical
 // string form, so Names embed naturally in JSON/XML payloads.
 func (n Name) MarshalText() ([]byte, error) {
-	return []byte(n.String()), nil
+	return n.AppendText(nil)
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler via Parse.

@@ -337,3 +337,15 @@ func TestQuickSpelledIsString(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendText: AppendText appends String's text after what the
+// buffer held, the universal context's empty text included.
+func TestAppendText(t *testing.T) {
+	for _, s := range []string{"", "Branch=York", "Branch=*, Period=!", "TaxOffice=o1, taxRefundProcess=x<&>"} {
+		n := MustParse(s)
+		got, err := n.AppendText([]byte("xx"))
+		if err != nil || string(got) != "xx"+n.String() {
+			t.Errorf("AppendText(%q) = %q, %v", s, got, err)
+		}
+	}
+}

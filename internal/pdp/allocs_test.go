@@ -22,7 +22,8 @@ import (
 // with neither observer nor trail; "observed" has both, and then every
 // decision also pays the event (2: Roles as []string, the request
 // context's text — built once, shared by the stream event and the trail
-// entry) and the trail append (3: see TestAppendAllocs).
+// entry). The trail append itself allocates nothing (TestAppendAllocs);
+// it was 3 while encoding/json marshalled the entry.
 //
 // Budgets are exact; a change that moves one edits the table and names
 // the allocation.
@@ -50,36 +51,36 @@ func TestDecideAllocs(t *testing.T) {
 			// Subject (1), the engine's decision moved to the heap as
 			// Decision.MSoD (1), and the engine's three for a recorded
 			// grant under MMER: bound name, record slice, the store's
-			// Roles copy (3). Observed: + event 2 + append 3.
+			// Roles copy (3). Observed: + event 2.
 			name: "grant",
 			prepare: func(p *PDP, i int) {
 				mustDecide(t, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 5, "observed": 10},
+			budget: map[string]float64{"bare": 5, "observed": 7},
 		},
 		{
 			// Subject (1), Decision.MSoD (1), the engine's three for an
 			// MMER denial — bound name, the Denial, its Reason (3) — and
 			// Decision.Reason: Denial.Error's two context texts and the
-			// sentence (3). Observed: + event 2 + append 3.
+			// sentence (3). Observed: + event 2.
 			name: "MSoD deny",
 			prepare: func(p *PDP, i int) {
 				mustDecide(t, p, bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "ledger", "Leeds", period(i)) },
 			allowed: false, phase: PhaseMSoD,
-			budget: map[string]float64{"bare": 8, "observed": 13},
+			budget: map[string]float64{"bare": 8, "observed": 10},
 		},
 		{
 			// Subject (1) and Decision.Reason: the permission boxed for
 			// Sprintf (1), its text (1), the sentence (1). The engine
-			// never runs. Observed: + event 2 + append 3.
+			// never runs. Observed: + event 2.
 			name:    "RBAC deny",
 			request: func(i int) Request { return bankReq("alice", "Teller", "Audit", "ledger", "York", period(i)) },
 			allowed: false, phase: PhaseRBAC,
-			budget: map[string]float64{"bare": 4, "observed": 9},
+			budget: map[string]float64{"bare": 4, "observed": 6},
 		},
 		{
 			// An advisory builds what the decision would — subject (1),
