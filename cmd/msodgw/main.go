@@ -14,25 +14,9 @@
 // are the stable sharding identity: restart a shard elsewhere under
 // the same ID and its users follow it.
 //
-// Endpoints (same wire protocol as msodd, so PEPs and msodctl are
-// unchanged):
-//
-//	POST /v1/decision              routed to the owning shard
-//	POST /v1/advice                routed to the owning shard
-//	POST /v1/management            fanned out to all shards (requires full cluster)
-//	GET  /v1/health                gateway + per-shard health
-//	GET  /v1/metrics               aggregated shard counters + msodgw_* series
-//	GET  /v1/state/users/{user}    routed to the owning shard
-//	GET  /v1/state/contexts/{bc}   fanned out and merged (requires full cluster)
-//	GET  /v1/events                all live shards' event streams fanned in,
-//	                               each event re-labelled with its shard ID
-//	GET  /v1/explain/{requestID}   fanned out; the shard holding the record answers
-//	GET  /v1/traces/{traceID}      fanned out; per-shard span sets merged into one
-//	                               tree with X-Msod-Shard attribution
-//	GET  /v1/cluster               ring membership, lifecycle states, handoff status
-//	POST /v1/cluster/join          admit a new shard; stream its future users in live
-//	POST /v1/cluster/drain         move every user off a shard, then drop it from the ring
-//	POST /v1/cluster/remove        drop a shard that owns nothing (joining/gone)
+// It serves msod's wire protocol, so PEPs and msodctl are unchanged,
+// plus the /v1/cluster membership endpoints (README.md, "HTTP
+// endpoints").
 //
 // Membership is elastic: join and drain run a fail-closed handoff that
 // streams the affected users' retained-ADI subtrees to their new
@@ -48,7 +32,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -56,31 +39,9 @@ import (
 	"time"
 
 	"msod/internal/cluster"
+	"msod/internal/node"
 	"msod/internal/obsv"
 )
-
-// options are the parsed command-line settings.
-type options struct {
-	addr             string
-	shards           []cluster.Shard
-	replicas         map[string][]string
-	vnodes           int
-	timeout          time.Duration
-	retries          int
-	backoff          time.Duration
-	probe            time.Duration
-	failAfter        int
-	breakerAfter     int
-	breakerCooldown  time.Duration
-	slowLog          time.Duration
-	maxInflight      int
-	shedRetryAfter   time.Duration
-	stateFile        string
-	handoffTimeout   time.Duration
-	states           map[string]cluster.ShardState
-	pprofAddr        string
-	pprofAllowRemote bool
-}
 
 // parseShards parses "id=url,id=url" (or bare URLs) into a topology.
 func parseShards(spec string) ([]cluster.Shard, error) {
@@ -111,217 +72,88 @@ func parseShards(spec string) ([]cluster.Shard, error) {
 	return out, nil
 }
 
-// repeatedFlag collects every occurrence of a repeatable flag.
-type repeatedFlag []string
-
-func (r *repeatedFlag) String() string     { return strings.Join(*r, ",") }
-func (r *repeatedFlag) Set(v string) error { *r = append(*r, v); return nil }
-
-// parseReplicas parses -replicas values ("shardID=replicaURL", comma
-// separated, flag repeatable; repeat a shard ID to give it several
-// replicas) into the gateway's replica map. Shard-ID validation
-// happens in cluster.New, where the topology is known.
-func parseReplicas(specs []string) (map[string][]string, error) {
-	out := map[string][]string{}
-	for _, spec := range specs {
-		for _, entry := range strings.Split(spec, ",") {
-			entry = strings.TrimSpace(entry)
-			if entry == "" {
-				continue
-			}
-			id, url, ok := strings.Cut(entry, "=")
-			id, url = strings.TrimSpace(id), strings.TrimSpace(url)
-			if !ok || id == "" || url == "" {
-				return nil, fmt.Errorf("msodgw: malformed replica entry %q (want shardID=url)", entry)
-			}
-			out[id] = append(out[id], url)
+// addReplicas adds one -replicas value ("shardID=replicaURL", comma
+// separated; repeat a shard ID to give it several replicas) to the
+// gateway's replica map. Shard-ID validation happens in cluster.New,
+// where the topology is known.
+func addReplicas(out map[string][]string, spec string) error {
+	for _, entry := range strings.Split(spec, ",") {
+		entry = strings.TrimSpace(entry)
+		if entry == "" {
+			continue
 		}
-	}
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-func parseFlags(args []string) (*options, error) {
-	fs := flag.NewFlagSet("msodgw", flag.ContinueOnError)
-	o := &options{}
-	var shardSpec string
-	var replicaSpecs repeatedFlag
-	fs.StringVar(&o.addr, "addr", ":8440", "listen address")
-	fs.StringVar(&shardSpec, "shards", "", "comma-separated shard list, id=url each (required)")
-	fs.Var(&replicaSpecs, "replicas", "advisory read replicas, shardID=url each (comma separated; repeatable; repeat a shard ID for several replicas)")
-	fs.IntVar(&o.vnodes, "vnodes", cluster.DefaultVirtualNodes, "virtual nodes per shard on the hash ring")
-	fs.DurationVar(&o.timeout, "timeout", 5*time.Second, "per-request deadline for shard calls")
-	fs.IntVar(&o.retries, "retries", 2, "same-shard retries after a transport error (-1 disables)")
-	fs.DurationVar(&o.backoff, "retry-backoff", 25*time.Millisecond, "initial retry backoff (doubles per attempt)")
-	fs.DurationVar(&o.probe, "probe", 5*time.Second, "health-probe interval")
-	fs.IntVar(&o.failAfter, "fail-after", 2, "consecutive failures before a shard is marked down")
-	fs.IntVar(&o.breakerAfter, "breaker-after", 5, "consecutive transport failures before a shard's circuit breaker opens")
-	fs.DurationVar(&o.breakerCooldown, "breaker-cooldown", 5*time.Second, "how long an open circuit refuses traffic before a half-open probe")
-	fs.DurationVar(&o.slowLog, "slowlog", 0, "log routed decisions slower than this (0 disables; 1ns logs every decision)")
-	fs.IntVar(&o.maxInflight, "max-inflight", 0, "cluster-wide admission bound: shed routed requests beyond this many in flight (0 = unbounded)")
-	fs.DurationVar(&o.shedRetryAfter, "shed-retry-after", time.Second, "Retry-After hint on admission sheds and handoff-window refusals")
-	fs.StringVar(&o.stateFile, "state-file", "", "persist the live topology here after every membership change; restored on boot in preference to -shards")
-	fs.DurationVar(&o.handoffTimeout, "handoff-timeout", 2*time.Minute, "end-to-end bound on one membership handoff")
-	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (empty disables; binds loopback unless -pprof-allow-remote)")
-	fs.BoolVar(&o.pprofAllowRemote, "pprof-allow-remote", false, "allow -pprof to bind a non-loopback address (profiling endpoints expose process internals)")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	if err := resolveTopology(o, shardSpec); err != nil {
-		return nil, err
-	}
-	replicas, err := parseReplicas(replicaSpecs)
-	if err != nil {
-		return nil, err
-	}
-	o.replicas = replicas
-	return o, nil
-}
-
-// resolveTopology picks the boot topology: the -state-file, when it
-// exists, wins over -shards — after a membership change the state file
-// is what matches where the retained history actually lives, and a
-// stale -shards flag could route moved users to a released donor. A
-// missing state file falls back to -shards (first boot); a corrupt one
-// is an error, never silently ignored.
-func resolveTopology(o *options, shardSpec string) error {
-	if o.stateFile != "" {
-		persisted, err := cluster.LoadTopology(o.stateFile)
-		switch {
-		case err == nil:
-			o.states = make(map[string]cluster.ShardState, len(persisted))
-			for _, s := range persisted {
-				state, perr := cluster.ParseShardState(s.State)
-				if perr != nil {
-					return fmt.Errorf("msodgw: state file %s: %w", o.stateFile, perr)
-				}
-				o.shards = append(o.shards, cluster.Shard{ID: s.ID, BaseURL: s.URL})
-				o.states[s.ID] = state
-			}
-			return nil
-		case os.IsNotExist(err):
-			// First boot: no state yet, use the flag.
-		default:
-			return fmt.Errorf("msodgw: %w", err)
+		id, url, ok := strings.Cut(entry, "=")
+		id, url = strings.TrimSpace(id), strings.TrimSpace(url)
+		if !ok || id == "" || url == "" {
+			return fmt.Errorf("msodgw: malformed replica entry %q (want shardID=url)", entry)
 		}
+		out[id] = append(out[id], url)
 	}
-	shards, err := parseShards(shardSpec)
-	if err != nil {
-		return err
-	}
-	o.shards = shards
 	return nil
 }
 
-// serve runs the gateway on the listener until ctx is cancelled, then
-// shuts down gracefully.
-func serve(ctx context.Context, ln net.Listener, gw *cluster.Gateway, logf func(string, ...any)) error {
-	srv := &http.Server{Handler: gw}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(ln) }()
-	logf("msodgw: listening on %s", ln.Addr())
-
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		logf("msodgw: shutting down")
-		if err := srv.Shutdown(shutCtx); err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		<-errCh // Serve has returned ErrServerClosed
-		return nil
-	case err := <-errCh:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
+func parseFlags(args []string) (node.GatewayConfig, error) {
+	fs := flag.NewFlagSet("msodgw", flag.ContinueOnError)
+	c := node.GatewayConfig{Replicas: map[string][]string{}}
+	fs.StringVar(&c.Addr, "addr", ":8440", "listen address")
+	fs.Func("shards", "comma-separated shard list, id=url each (required)", func(v string) (err error) {
+		c.Shards, err = parseShards(v)
 		return err
+	})
+	fs.Func("replicas", "advisory read replicas, shardID=url each (comma separated; repeatable; repeat a shard ID for several replicas)", func(v string) error {
+		return addReplicas(c.Replicas, v)
+	})
+	fs.DurationVar(&c.Timeout, "timeout", 5*time.Second, "per-request deadline for shard calls")
+	fs.IntVar(&c.Retries, "retries", 2, "same-shard retries after a transport error (-1 disables)")
+	fs.DurationVar(&c.RetryBackoff, "retry-backoff", 25*time.Millisecond, "initial retry backoff (doubles per attempt)")
+	fs.DurationVar(&c.Probe, "probe", 5*time.Second, "health-probe interval")
+	fs.IntVar(&c.FailAfter, "fail-after", 2, "consecutive failures before a shard is marked down")
+	fs.IntVar(&c.BreakerAfter, "breaker-after", 5, "consecutive transport failures before a shard's circuit breaker opens")
+	fs.DurationVar(&c.BreakerCooldown, "breaker-cooldown", 5*time.Second, "how long an open circuit refuses traffic before a half-open probe")
+	fs.DurationVar(&c.SlowLog, "slowlog", 0, "log routed decisions slower than this (0 disables; 1ns logs every decision)")
+	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "cluster-wide admission bound: shed routed requests beyond this many in flight (0 = unbounded)")
+	fs.DurationVar(&c.ShedRetryAfter, "shed-retry-after", time.Second, "Retry-After hint on admission sheds and handoff-window refusals")
+	fs.StringVar(&c.StateFile, "state-file", "", "persist the live topology here after every membership change; restored on boot in preference to -shards")
+	fs.DurationVar(&c.HandoffTimeout, "handoff-timeout", 2*time.Minute, "end-to-end bound on one membership handoff")
+	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (empty disables; binds loopback unless -pprof-allow-remote)")
+	fs.BoolVar(&c.PprofAllowRemote, "pprof-allow-remote", false, "allow -pprof to bind a non-loopback address (profiling endpoints expose process internals)")
+	if err := fs.Parse(args); err != nil {
+		return c, err
 	}
+	if err := c.Validate(); err != nil {
+		return c, fmt.Errorf("msodgw: %w", err)
+	}
+	return c, nil
 }
 
 func main() {
-	o, err := parseFlags(os.Args[1:])
+	cfg, err := parseFlags(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	logger := obsv.NewLogger(os.Stderr, "msodgw")
-	logf := func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) }
-	fatalf := func(format string, args ...any) {
-		logger.Error(fmt.Sprintf(format, args...))
-		os.Exit(1)
-	}
-	// The logger is always wired in so refusals (fail-closed 503s,
-	// misrouted 502s) surface as warnings; per-decision lines are gated
-	// by -slowlog, with 0 pushing the threshold out of reach.
-	slow := o.slowLog
-	if slow <= 0 {
-		slow = time.Duration(1<<63 - 1)
-	}
-	if o.states != nil {
-		logf("msodgw: topology restored from state file %s (%d shard(s)); -shards ignored", o.stateFile, len(o.shards))
-	}
-	gw, err := cluster.New(cluster.Config{
-		Shards:          o.shards,
-		States:          o.states,
-		Replicas:        o.replicas,
-		VirtualNodes:    o.vnodes,
-		Timeout:         o.timeout,
-		Retries:         o.retries,
-		RetryBackoff:    o.backoff,
-		FailAfter:       o.failAfter,
-		BreakerAfter:    o.breakerAfter,
-		BreakerCooldown: o.breakerCooldown,
-		Logger:          logger,
-		SlowLog:         slow,
-		MaxInflight:     o.maxInflight,
-		ShedRetryAfter:  o.shedRetryAfter,
-		StatePath:       o.stateFile,
-		HandoffTimeout:  o.handoffTimeout,
-	})
-	if err != nil {
-		fatalf("msodgw: %v", err)
-	}
-	defer gw.Close()
-
-	if o.pprofAddr != "" {
-		addr, warn, err := obsv.SanitizePprofAddr(o.pprofAddr, o.pprofAllowRemote)
-		if err != nil {
-			fatalf("msodgw: %v", err)
-		}
-		if warn {
-			logger.Warn("pprof bound to a non-loopback address; profiling endpoints expose process internals",
-				slog.String("addr", addr))
-		}
-		pln, err := net.Listen("tcp", addr)
-		if err != nil {
-			fatalf("msodgw: pprof listen: %v", err)
-		}
-		logf("msodgw: pprof on %s", pln.Addr())
-		go func() {
-			if err := http.Serve(pln, obsv.PprofHandler()); err != nil {
-				logf("msodgw: pprof server stopped: %v", err)
-			}
-		}()
-	}
-
-	// One synchronous probe round before serving, so the first requests
-	// already see real shard state, then periodic probing.
-	gw.Checker().CheckNow()
-	for id, st := range gw.Checker().Statuses() {
-		logf("msodgw: shard %s %s (policy %q)", id, st.State, st.PolicyID)
-	}
-	gw.Checker().Start(o.probe)
-
-	ln, err := net.Listen("tcp", o.addr)
-	if err != nil {
-		fatalf("msodgw: listen: %v", err)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := serve(ctx, ln, gw, logf); err != nil {
-		fatalf("msodgw: %v", err)
+	ln, err := net.Listen("tcp", cfg.Addr)
+	if err == nil {
+		err = run(ctx, cfg, ln, logger)
 	}
+	if err != nil {
+		logger.Error(fmt.Sprintf("msodgw: %v", err))
+		os.Exit(1)
+	}
+}
+
+// run serves the gateway on ln until ctx ends.
+func run(ctx context.Context, cfg node.GatewayConfig, ln net.Listener, logger *slog.Logger) error {
+	gw, err := node.NewGateway(cfg, logger)
+	if err != nil {
+		return err
+	}
+	defer gw.Close()
+	if err := node.StartPprof(cfg.Pprof, cfg.PprofAllowRemote, logger); err != nil {
+		return err
+	}
+	return node.Serve(ctx, ln, gw, logger)
 }

@@ -4,14 +4,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
-	"msod"
 	"msod/internal/cluster"
+	"msod/internal/node"
 	"msod/internal/server"
 )
 
@@ -59,49 +63,54 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.shards) != 1 || o.retries != -1 || o.addr != ":0" {
+	if len(o.Shards) != 1 || o.Retries != -1 || o.Addr != ":0" {
 		t.Errorf("options = %+v", o)
 	}
-	if _, err := parseFlags([]string{"-addr", ":0"}); err == nil {
-		t.Error("missing -shards accepted")
+	// -vnodes is gone: the state file does not record the count, so a
+	// restart with another one would move users off their history.
+	for _, args := range [][]string{
+		{"-addr", ":0"},
+		{"-shards", "a=http://h:1", "-vnodes", "64"},
+		{"-shards", "a=http://h:1", "-probe", "0"},
+	} {
+		if _, err := parseFlags(args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }
 
-// TestServeSmoke boots a real gateway over one in-process PDP shard and
-// drives a decision through the serve loop, then shuts it down.
+// TestServeSmoke boots msodgw's run over one in-process shard, drives
+// a decision through it, then shuts it down.
 func TestServeSmoke(t *testing.T) {
-	pol, err := msod.ParsePolicy([]byte(`
+	policyPath := filepath.Join(t.TempDir(), "policy.xml")
+	if err := os.WriteFile(policyPath, []byte(`
 <RBACPolicy id="gw-smoke">
   <RoleList><Role value="Teller"/></RoleList>
   <TargetAccessPolicy>
     <Grant role="Teller" operation="HandleCash" target="till"/>
   </TargetAccessPolicy>
-</RBACPolicy>`))
+</RBACPolicy>`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	sh, err := node.NewShard(node.Config{Policy: policyPath}, quiet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := msod.NewPDP(msod.PDPConfig{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := httptest.NewServer(msod.NewServer(p))
+	shard := httptest.NewServer(sh)
 	defer shard.Close()
-
-	gw, err := cluster.New(cluster.Config{Shards: []cluster.Shard{{ID: "s0", BaseURL: shard.URL}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	gw.Checker().CheckNow()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg, err := parseFlags([]string{"-shards", "s0=" + shard.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- serve(ctx, ln, gw, func(string, ...any) {}) }()
-
+	go func() { done <- run(ctx, cfg, ln, quiet) }()
 	base := fmt.Sprintf("http://%s", ln.Addr())
 	resp, err := server.NewClient(base, nil, server.WithTimeout(5*time.Second)).Decision(server.DecisionRequest{
 		User: "alice", Roles: []string{"Teller"},

@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"strconv"
 	"strings"
@@ -34,6 +35,45 @@ func TestDaemonsLinkOnlyWhatTheyServe(t *testing.T) {
 				t.Errorf("%s links %s: %s", cmd, bad, importChain(via, bad))
 			}
 		}
+	}
+}
+
+// TestDaemonsAssembleThroughNode: msodd and msodgw are flag parsing,
+// signals and a listener over internal/node, which builds what they
+// serve; a daemon importing a layer of the shard itself would be a
+// second assembly. node is the daemons' alone: no other non-test
+// package outside cmd/ imports it.
+func TestDaemonsAssembleThroughNode(t *testing.T) {
+	assembled := []string{"adi", "audit", "pdp", "server", "inspect", "trace", "replica", "policy", "policycheck"}
+	for _, cmd := range []string{"msod/cmd/msodd", "msod/cmd/msodgw"} {
+		for _, imp := range moduleImports(t, cmd) {
+			for _, layer := range assembled {
+				if imp == "msod/internal/"+layer {
+					t.Errorf("%s imports %s; it belongs behind msod/internal/node", cmd, imp)
+				}
+			}
+		}
+	}
+	err := fs.WalkDir(os.DirFS("."), ".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if dir != "." && (dir == "cmd" || dir == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return fs.SkipDir
+		}
+		pkg := path.Join("msod", dir)
+		if dir == "." {
+			pkg = "msod"
+		}
+		for _, imp := range moduleImports(t, pkg) {
+			if imp == "msod/internal/node" {
+				t.Errorf("%s imports msod/internal/node; only the daemons under cmd/ may", pkg)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -15,7 +18,7 @@ import (
 
 	"msod/internal/adi"
 	"msod/internal/cluster"
-	"msod/internal/inspect"
+	"msod/internal/node"
 	"msod/internal/pdp"
 	"msod/internal/policy"
 	"msod/internal/rbac"
@@ -84,23 +87,27 @@ type elasticVictim struct {
 	srv   *httptest.Server
 }
 
-func newElasticVictim(t *testing.T, pol *policy.RBACPolicy) *elasticVictim {
+// newElasticVictim serves `msodd -policy P -handoff` behind its chaos
+// proxy.
+func newElasticVictim(t *testing.T, policyPath string) *elasticVictim {
 	t.Helper()
-	broker := inspect.NewBroker(64)
-	p, err := pdp.New(pdp.Config{
-		Policy:   pol,
-		Store:    adi.NewStore(),
-		Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) },
-	})
+	sh, err := node.NewShard(node.Config{Policy: policyPath, Handoff: true}, quiet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := &chaosProxy{inner: server.New(p, server.WithHandoff(), server.WithEventBroker(broker))}
+	proxy := &chaosProxy{inner: sh}
 	proxy.Heal()
 	srv := httptest.NewServer(proxy)
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() {
+		srv.Close()
+		if err := sh.Close(); err != nil {
+			t.Errorf("close victim: %v", err)
+		}
+	})
 	return &elasticVictim{proxy: proxy, srv: srv}
 }
+
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 
 // lastStepsAcked counts the torture's acknowledged LastSteps that closed
 // an instance, over all seeds: the suite must not pass because the
@@ -144,33 +151,39 @@ func elasticTortureOne(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	policyPath := filepath.Join(t.TempDir(), "policy.xml")
+	if err := os.WriteFile(policyPath, []byte(torturePolicyXML), 0o600); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(seed))
-	statePath := filepath.Join(t.TempDir(), "topology.json")
 
 	victims := map[string]*elasticVictim{
-		"shard-a": newElasticVictim(t, pol),
-		"shard-b": newElasticVictim(t, pol),
+		"shard-a": newElasticVictim(t, policyPath),
+		"shard-b": newElasticVictim(t, policyPath),
 	}
-	newGateway := func(shards []cluster.Shard, states map[string]cluster.ShardState) (*cluster.Gateway, *httptest.Server) {
-		gw, err := cluster.New(cluster.Config{
-			Shards:         shards,
-			States:         states,
-			Retries:        -1,
-			FailAfter:      1,
-			StatePath:      statePath,
-			HandoffTimeout: 10 * time.Second,
-		})
+	// newGateway boots `msodgw -shards … -state-file F` as msodgw does:
+	// once the state file exists, it wins over the shard list. The
+	// periodic probe is an hour apart; the torture runs probe rounds
+	// itself.
+	gwCfg := node.GatewayConfig{
+		Shards: []cluster.Shard{
+			{ID: "shard-a", BaseURL: victims["shard-a"].srv.URL},
+			{ID: "shard-b", BaseURL: victims["shard-b"].srv.URL},
+		},
+		Retries:        -1,
+		FailAfter:      1,
+		Probe:          time.Hour,
+		StateFile:      filepath.Join(t.TempDir(), "topology.json"),
+		HandoffTimeout: 10 * time.Second,
+	}
+	newGateway := func() (*cluster.Gateway, *httptest.Server) {
+		gw, err := node.NewGateway(gwCfg, quiet)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw.Checker().CheckNow()
-		srv := httptest.NewServer(gw)
-		return gw, srv
+		return gw, httptest.NewServer(gw)
 	}
-	gw, gwSrv := newGateway([]cluster.Shard{
-		{ID: "shard-a", BaseURL: victims["shard-a"].srv.URL},
-		{ID: "shard-b", BaseURL: victims["shard-b"].srv.URL},
-	}, nil)
+	gw, gwSrv := newGateway()
 	closed := false
 	t.Cleanup(func() {
 		if !closed {
@@ -252,7 +265,7 @@ func elasticTortureOne(t *testing.T, seed int64) {
 	runSteps("pre-reshard", steps[:40], 0)
 
 	// Scale out under fire: shard-c joins while a seeded fault fires.
-	joiner := newElasticVictim(t, pol)
+	joiner := newElasticVictim(t, policyPath)
 	victims["shard-c"] = joiner
 	kind := rng.Intn(3)
 	switch kind {
@@ -324,21 +337,10 @@ func elasticTortureOne(t *testing.T, seed int64) {
 		// owner that actually holds every user's history.
 		gwSrv.Close()
 		gw.Close()
-		persisted, err := cluster.LoadTopology(statePath)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := cluster.LoadTopology(gwCfg.StateFile); err != nil {
+			t.Fatal(err) // the restart must boot from the persisted topology
 		}
-		shards := make([]cluster.Shard, 0, len(persisted))
-		states := make(map[string]cluster.ShardState, len(persisted))
-		for _, s := range persisted {
-			state, perr := cluster.ParseShardState(s.State)
-			if perr != nil {
-				t.Fatal(perr)
-			}
-			shards = append(shards, cluster.Shard{ID: s.ID, BaseURL: s.URL})
-			states[s.ID] = state
-		}
-		gw, gwSrv = newGateway(shards, states)
+		gw, gwSrv = newGateway()
 		t.Cleanup(func() { gwSrv.Close(); gw.Close() })
 		closed = true
 		c = server.NewClient(gwSrv.URL, nil)

@@ -2,83 +2,121 @@ package integration
 
 import (
 	"errors"
+	"io"
+	"log/slog"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
-	"msod"
 	"msod/internal/adi"
 	"msod/internal/cluster"
+	"msod/internal/node"
 	"msod/internal/server"
 )
 
-// clusterShard is one in-process PDP backend with a durable retained
-// ADI: an httptest server the gateway can kill and a WAL directory a
-// restart recovers from.
+// clusterShard is one shard as msodd assembles it, served in process:
+// an httptest server the test can kill, and the configuration — its
+// directories — a restart recovers from.
 type clusterShard struct {
-	id    string
-	dir   string
-	store *adi.DurableStore
-	srv   *httptest.Server
+	id     string
+	cfg    node.Config
+	node   *node.Shard
+	srv    *httptest.Server
+	killed bool
 }
 
-var clusterShardKey = []byte("cluster-shard-secret")
+var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// startShard opens (or reopens) the durable store in dir and serves a
-// fresh PDP on it. Reopening replays the WAL, so by the time the
-// server is listening — and can answer a health probe — the retained
-// ADI already holds the full pre-crash history.
-func startShard(t *testing.T, pol *msod.Policy, id, dir string) *clusterShard {
+func writeTestFile(t *testing.T, dir, name, content string) string {
 	t.Helper()
-	store, err := adi.OpenDurable(dir, clusterShardKey, false)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o700); err != nil {
 		t.Fatal(err)
 	}
-	p, err := msod.NewPDP(msod.PDPConfig{Policy: pol, Store: store})
-	if err != nil {
-		store.Close()
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte(content), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	return &clusterShard{id: id, dir: dir, store: store, srv: httptest.NewServer(msod.NewServer(p))}
+	return path
 }
+
+// policyConfig is `msodd -policy P` over the VO policy, written to dir.
+func policyConfig(t *testing.T, dir string) node.Config {
+	return node.Config{Policy: writeTestFile(t, dir, "policy.xml", voPolicyXML)}
+}
+
+// shardConfig is `msodd -policy P -adi DIR -adi-secret-file F`, all of
+// it in dir.
+func shardConfig(t *testing.T, dir string) node.Config {
+	cfg := policyConfig(t, dir)
+	cfg.ADI = filepath.Join(dir, "adi")
+	cfg.ADISecretFile = writeTestFile(t, dir, "adi.secret", "cluster-shard-secret")
+	return cfg
+}
+
+// startShard builds cfg's shard as msodd does and serves it. A durable
+// shard has replayed its WAL before the server is listening, so by the
+// time it can answer a health probe its retained ADI already holds the
+// full pre-crash history.
+func startShard(t *testing.T, id string, cfg node.Config) *clusterShard {
+	t.Helper()
+	sh, err := node.NewShard(cfg, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &clusterShard{id: id, cfg: cfg, node: sh, srv: httptest.NewServer(sh)}
+	t.Cleanup(func() {
+		s.srv.Close()
+		if !s.killed {
+			if err := s.node.Close(); err != nil {
+				t.Errorf("close shard %s: %v", id, err)
+			}
+		}
+	})
+	return s
+}
+
+// store is the shard's durable retained ADI.
+func (s *clusterShard) store() *adi.DurableStore { return s.node.Store().(*adi.DurableStore) }
 
 // kill simulates a crash: the HTTP listener and the WAL handle go away
-// but the directory — the durable state — survives.
+// without the compaction of a clean shutdown, but the directory — the
+// durable state — survives.
 func (s *clusterShard) kill() {
+	s.killed = true
 	s.srv.Close()
-	s.store.Close()
+	s.store().Close()
+}
+
+// startGateway builds cfg's gateway as msodgw does and serves it. Its
+// periodic probe is an hour apart: the tests run probe rounds
+// themselves.
+func startGateway(t *testing.T, cfg node.GatewayConfig) (*cluster.Gateway, *httptest.Server) {
+	t.Helper()
+	cfg.Probe = time.Hour
+	gw, err := node.NewGateway(cfg, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(gw)
+	t.Cleanup(func() { srv.Close(); gw.Close() })
+	return gw, srv
 }
 
 // newCluster builds n durable shards behind a gateway and returns the
 // gateway's own httptest server plus the shards by ID.
 func newCluster(t *testing.T, n int) (*cluster.Gateway, *httptest.Server, map[string]*clusterShard) {
 	t.Helper()
-	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
 	shards := make(map[string]*clusterShard, n)
 	topo := make([]cluster.Shard, 0, n)
 	for i := 0; i < n; i++ {
 		id := []string{"shard-a", "shard-b", "shard-c", "shard-d"}[i]
-		s := startShard(t, pol, id, filepath.Join(t.TempDir(), id))
+		s := startShard(t, id, shardConfig(t, filepath.Join(t.TempDir(), id)))
 		shards[id] = s
 		topo = append(topo, cluster.Shard{ID: id, BaseURL: s.srv.URL})
 	}
-	gw, err := cluster.New(cluster.Config{Shards: topo, Retries: -1, FailAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.Checker().CheckNow()
-	gwSrv := httptest.NewServer(gw)
-	t.Cleanup(func() {
-		gwSrv.Close()
-		gw.Close()
-		for _, s := range shards {
-			s.srv.Close()
-			s.store.Close()
-		}
-	})
+	gw, gwSrv := startGateway(t, node.GatewayConfig{Shards: topo, Retries: -1, FailAfter: 1})
 	return gw, gwSrv, shards
 }
 
@@ -173,7 +211,7 @@ func TestClusterScenariosAcrossShards(t *testing.T) {
 	}
 	total := 0
 	for _, s := range shards {
-		total += s.store.Len()
+		total += s.store().Len()
 	}
 	if res.Records != total {
 		t.Errorf("fanout stats = %d, shard sum = %d", res.Records, total)
@@ -184,7 +222,7 @@ func TestClusterScenariosAcrossShards(t *testing.T) {
 	// shard the ring names as owner.
 	owners := map[string]string{}
 	for id, s := range shards {
-		for _, rec := range s.store.All() {
+		for _, rec := range s.store().All() {
 			user := string(rec.User)
 			if prev, ok := owners[user]; ok && prev != id {
 				t.Fatalf("user %s has retained ADI on both %s and %s", user, prev, id)
@@ -255,14 +293,9 @@ func TestClusterShardKillRestartNoFalseGrants(t *testing.T) {
 	}
 
 	// Restart the shard from its surviving WAL directory on a NEW
-	// address. OpenDurable replays the log before the listener exists,
+	// address. The shard replays the log before the listener exists,
 	// so a reachable shard is by construction a recovered shard.
-	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reborn := startShard(t, pol, owner, shards[owner].dir)
-	t.Cleanup(func() { reborn.srv.Close(); reborn.store.Close() })
+	reborn := startShard(t, owner, shards[owner].cfg)
 	if err := gw.SetShardAddr(owner, reborn.srv.URL); err != nil {
 		t.Fatal(err)
 	}

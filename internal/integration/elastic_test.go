@@ -11,65 +11,34 @@ import (
 	"testing"
 	"time"
 
-	"msod"
 	"msod/internal/cluster"
+	"msod/internal/node"
 	"msod/internal/server"
 )
 
-// startElasticShard is startShard plus the two capabilities live
-// resharding needs: the handoff surface and the event broker backing
-// subtree-scoped snapshots. This is exactly what `msodd -handoff` runs.
-func startElasticShard(t *testing.T, pol *msod.Policy, id, dir string) *clusterShard {
+// startElasticShard is `msodd -handoff` over a durable ADI in dir: the
+// handoff surface live resharding needs, beside the event broker every
+// shard runs.
+func startElasticShard(t *testing.T, id, dir string) *clusterShard {
 	t.Helper()
-	store, err := msod.OpenDurableADI(dir, clusterShardKey, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := msod.NewEventBroker(64)
-	p, err := msod.NewPDP(msod.PDPConfig{
-		Policy:   pol,
-		Store:    store,
-		Observer: func(ev msod.DecisionEvent) { broker.Publish(ev) },
-	})
-	if err != nil {
-		store.Close()
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(msod.NewServer(p,
-		msod.WithServerHandoff(), msod.WithServerEventBroker(broker)))
-	return &clusterShard{id: id, dir: dir, store: store, srv: srv}
+	cfg := shardConfig(t, dir)
+	cfg.Handoff = true
+	return startShard(t, id, cfg)
 }
 
 // newElasticCluster builds n handoff-capable durable shards behind a
 // gateway.
 func newElasticCluster(t *testing.T, n int) (*cluster.Gateway, *httptest.Server, map[string]*clusterShard) {
 	t.Helper()
-	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
 	shards := make(map[string]*clusterShard, n)
 	topo := make([]cluster.Shard, 0, n)
 	for i := 0; i < n; i++ {
 		id := []string{"shard-a", "shard-b", "shard-c", "shard-d"}[i]
-		s := startElasticShard(t, pol, id, filepath.Join(t.TempDir(), id))
+		s := startElasticShard(t, id, filepath.Join(t.TempDir(), id))
 		shards[id] = s
 		topo = append(topo, cluster.Shard{ID: id, BaseURL: s.srv.URL})
 	}
-	gw, err := cluster.New(cluster.Config{Shards: topo, Retries: -1, FailAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.Checker().CheckNow()
-	gwSrv := httptest.NewServer(gw)
-	t.Cleanup(func() {
-		gwSrv.Close()
-		gw.Close()
-		for _, s := range shards {
-			s.srv.Close()
-			s.store.Close()
-		}
-	})
+	gw, gwSrv := startGateway(t, node.GatewayConfig{Shards: topo, Retries: -1, FailAfter: 1})
 	return gw, gwSrv, shards
 }
 
@@ -130,7 +99,7 @@ func assertNoSplitHistory(t *testing.T, gw *cluster.Gateway, shards map[string]*
 	t.Helper()
 	owners := map[string]string{}
 	for id, s := range shards {
-		for _, rec := range s.store.All() {
+		for _, rec := range s.store().All() {
 			user := string(rec.User)
 			if prev, ok := owners[user]; ok && prev != id {
 				t.Fatalf("user %s has retained ADI on both %s and %s", user, prev, id)
@@ -193,12 +162,7 @@ func TestElasticScaleOutAndDrainNoFalseGrants(t *testing.T) {
 
 	// Scale out: shard-c joins live and the gateway streams the moving
 	// users' subtrees into it.
-	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	joiner := startElasticShard(t, pol, "shard-c", filepath.Join(t.TempDir(), "shard-c"))
-	t.Cleanup(func() { joiner.srv.Close(); joiner.store.Close() })
+	joiner := startElasticShard(t, "shard-c", filepath.Join(t.TempDir(), "shard-c"))
 	shards["shard-c"] = joiner
 
 	h := changeMembership(t, gwSrv.URL, cluster.ClusterJoinPath,
@@ -206,8 +170,8 @@ func TestElasticScaleOutAndDrainNoFalseGrants(t *testing.T) {
 	if h.Phase != cluster.PhaseDone {
 		t.Fatalf("join handoff = %+v", h)
 	}
-	if h.Moved == 0 || joiner.store.Len() == 0 {
-		t.Fatalf("join moved %d users, joiner holds %d records — nothing actually moved", h.Moved, joiner.store.Len())
+	if h.Moved == 0 || joiner.store().Len() == 0 {
+		t.Fatalf("join moved %d users, joiner holds %d records — nothing actually moved", h.Moved, joiner.store().Len())
 	}
 	// Audit checks above appended Auditor denials nowhere (denied ops
 	// record nothing), so the histories are exactly the seeds; the MMER
@@ -222,8 +186,8 @@ func TestElasticScaleOutAndDrainNoFalseGrants(t *testing.T) {
 	if h.Phase != cluster.PhaseDone {
 		t.Fatalf("drain handoff = %+v", h)
 	}
-	if joiner.store.Len() != 0 {
-		t.Fatalf("drained shard still holds %d records", joiner.store.Len())
+	if joiner.store().Len() != 0 {
+		t.Fatalf("drained shard still holds %d records", joiner.store().Len())
 	}
 	checkGrants("drain")
 	delete(shards, "shard-c")
@@ -278,13 +242,8 @@ func TestElasticJoinerCrashMidHandoffDonorAuthoritative(t *testing.T) {
 		}
 	}
 
-	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	joiner := startElasticShard(t, pol, "shard-c", filepath.Join(t.TempDir(), "shard-c"))
-	t.Cleanup(func() { joiner.srv.Close(); joiner.store.Close() })
-	proxy := &crashableProxy{inner: joiner.srv.Config.Handler}
+	joiner := startElasticShard(t, "shard-c", filepath.Join(t.TempDir(), "shard-c"))
+	proxy := &crashableProxy{inner: joiner.node}
 	proxy.armed.Store(true)
 	proxySrv := httptest.NewServer(proxy)
 	t.Cleanup(proxySrv.Close)

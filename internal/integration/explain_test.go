@@ -4,16 +4,26 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
 	"msod"
 	"msod/internal/cluster"
+	"msod/internal/node"
 	"msod/internal/server"
 )
 
 var explainAuditKey = []byte("explain-audit-secret")
+
+// auditedConfig is `msodd -policy P -trail DIR -trail-key-file K
+// -trail-segment 1048576`, all of it in dir.
+func auditedConfig(t *testing.T, dir string, key []byte) node.Config {
+	cfg := policyConfig(t, dir)
+	cfg.Trail = filepath.Join(dir, "trail")
+	cfg.TrailKeyFile = writeTestFile(t, dir, "trail.key", string(key))
+	cfg.TrailSegment = 1 << 20
+	return cfg
+}
 
 // TestClusterExplainMatchesAuditTrail is the provenance acceptance
 // run: three audited shards behind a gateway, the paper's tax workflow
@@ -24,42 +34,14 @@ var explainAuditKey = []byte("explain-audit-secret")
 // denial must name its governing rule with the k-of-m counters, and
 // the trail itself must still verify.
 func TestClusterExplainMatchesAuditTrail(t *testing.T) {
-	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type auditedShard struct {
-		id    string
-		dir   string
-		trail *msod.AuditWriter
-		srv   *httptest.Server
-	}
-	shards := make([]*auditedShard, 3)
+	shards := make([]*clusterShard, 3)
 	topo := make([]cluster.Shard, 0, len(shards))
 	for i := range shards {
 		id := fmt.Sprintf("shard-%c", 'a'+i)
-		dir := filepath.Join(t.TempDir(), id)
-		trail, err := msod.NewAuditWriter(dir, explainAuditKey, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := msod.NewPDP(msod.PDPConfig{Policy: pol, Trail: trail})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := &auditedShard{id: id, dir: dir, trail: trail, srv: httptest.NewServer(msod.NewServer(p))}
-		t.Cleanup(s.srv.Close)
-		shards[i] = s
-		topo = append(topo, cluster.Shard{ID: id, BaseURL: s.srv.URL})
+		shards[i] = startShard(t, id, auditedConfig(t, filepath.Join(t.TempDir(), id), explainAuditKey))
+		topo = append(topo, cluster.Shard{ID: id, BaseURL: shards[i].srv.URL})
 	}
-	gw, err := cluster.New(cluster.Config{Shards: topo, FailAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gw.Checker().CheckNow()
-	gwSrv := httptest.NewServer(gw)
-	t.Cleanup(gwSrv.Close)
+	_, gwSrv := startGateway(t, node.GatewayConfig{Shards: topo, FailAfter: 1})
 	c := server.NewClient(gwSrv.URL, nil)
 
 	const taxCtx = "TaxOffice=Leeds, taxRefundProcess=p1"
@@ -135,10 +117,10 @@ func TestClusterExplainMatchesAuditTrail(t *testing.T) {
 	}
 	byTrace := make(map[string]auditProjection)
 	for _, s := range shards {
-		if err := s.trail.Close(); err != nil {
+		if err := s.node.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := msod.NewAuditReader(s.dir, explainAuditKey)
+		r, err := msod.NewAuditReader(s.cfg.Trail, explainAuditKey)
 		if err != nil {
 			t.Fatal(err)
 		}

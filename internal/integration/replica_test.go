@@ -14,28 +14,25 @@ import (
 	"time"
 
 	"msod"
-	"msod/internal/adi"
 	"msod/internal/cluster"
 	"msod/internal/core"
+	"msod/internal/node"
 	"msod/internal/server"
 	"msod/internal/workload"
 )
 
 // replicaShard is one owning shard plus its advisory tier: a durable
-// PDP publishing decision events through a broker, and a replica
-// follower serving the mirror over HTTP.
+// shard as msodd runs it, whose event broker feeds a replica follower
+// serving the mirror over HTTP.
 type replicaShard struct {
-	id     string
-	store  *adi.DurableStore
-	pdp    *msod.PDP
-	broker *msod.EventBroker
-	srv    *httptest.Server // owner
-	fol    *msod.ReplicaFollower
-	rsrv   *httptest.Server // replica
+	*clusterShard // owner
+	fol           *msod.ReplicaFollower
+	rsrv          *httptest.Server // replica
 }
 
 // newReplicaCluster builds n owner shards, one event-fed replica each,
-// and a gateway configured to read advisory state replica-first.
+// and a gateway configured to read advisory state replica-first. The
+// followers are built by hand: their 10 ms backoffs are no flag.
 func newReplicaCluster(t *testing.T, n int) (*cluster.Gateway, *httptest.Server, map[string]*replicaShard) {
 	t.Helper()
 	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
@@ -48,21 +45,9 @@ func newReplicaCluster(t *testing.T, n int) (*cluster.Gateway, *httptest.Server,
 	replicas := make(map[string][]string, n)
 	for i := 0; i < n; i++ {
 		id := []string{"shard-a", "shard-b", "shard-c"}[i]
-		store, err := adi.OpenDurable(filepath.Join(t.TempDir(), id), clusterShardKey, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		broker := msod.NewEventBroker(256)
-		p, err := msod.NewPDP(msod.PDPConfig{
-			Policy: pol, Store: store,
-			Observer: func(ev msod.DecisionEvent) { broker.Publish(ev) },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(msod.NewServer(p, msod.WithServerEventBroker(broker)))
+		owner := startShard(t, id, shardConfig(t, filepath.Join(t.TempDir(), id)))
 		fol, err := msod.NewReplicaFollower(msod.ReplicaConfig{
-			Owner: srv.URL, Policy: pol,
+			Owner: owner.srv.URL, Policy: pol,
 			ReconnectBackoff: 10 * time.Millisecond, ResyncBackoff: 10 * time.Millisecond,
 		})
 		if err != nil {
@@ -70,19 +55,12 @@ func newReplicaCluster(t *testing.T, n int) (*cluster.Gateway, *httptest.Server,
 		}
 		go func() { _ = fol.Run(ctx) }()
 		rsrv := httptest.NewServer(msod.NewReplicaServer(fol))
-		s := &replicaShard{id: id, store: store, pdp: p, broker: broker, srv: srv, fol: fol, rsrv: rsrv}
-		shards[id] = s
-		topo = append(topo, cluster.Shard{ID: id, BaseURL: srv.URL})
+		t.Cleanup(rsrv.Close)
+		shards[id] = &replicaShard{clusterShard: owner, fol: fol, rsrv: rsrv}
+		topo = append(topo, cluster.Shard{ID: id, BaseURL: owner.srv.URL})
 		replicas[id] = []string{rsrv.URL}
-		t.Cleanup(func() { rsrv.Close(); srv.Close(); store.Close() })
 	}
-	gw, err := cluster.New(cluster.Config{Shards: topo, Retries: -1, FailAfter: 1, Replicas: replicas})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.Checker().CheckNow()
-	gwSrv := httptest.NewServer(gw)
-	t.Cleanup(func() { gwSrv.Close(); gw.Close() })
+	gw, gwSrv := startGateway(t, node.GatewayConfig{Shards: topo, Retries: -1, FailAfter: 1, Replicas: replicas})
 	// Registered last so it runs FIRST at teardown (cleanups are LIFO):
 	// the followers' SSE streams must end before the owner servers
 	// close, or srv.Close blocks on the live event connections.
@@ -96,7 +74,7 @@ func drainLag(t *testing.T, shards map[string]*replicaShard) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
 	for _, s := range shards {
-		for s.fol.Mirror().AppliedSeq() < s.broker.Seq() || !s.fol.Fresh() {
+		for s.fol.Mirror().AppliedSeq() < s.node.Broker().Seq() || !s.fol.Fresh() {
 			if time.Now().After(deadline) {
 				t.Fatalf("replica of %s never converged: %+v", s.id, s.fol.Status())
 			}

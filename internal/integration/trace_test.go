@@ -4,13 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"msod"
 	"msod/internal/cluster"
+	"msod/internal/node"
 	"msod/internal/server"
 )
 
@@ -27,47 +27,19 @@ var traceAuditKey = []byte("trace-audit-secret")
 // shard down the fan-out must fail closed with 503 rather than
 // misreport a partial tree.
 func TestClusterTraceAssembly(t *testing.T) {
-	pol, err := msod.ParsePolicy([]byte(voPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type tracedShard struct {
-		id    string
-		dir   string
-		trail *msod.AuditWriter
-		srv   *httptest.Server
-	}
-	shards := make([]*tracedShard, 3)
+	shards := make([]*clusterShard, 3)
 	topo := make([]cluster.Shard, 0, len(shards))
 	for i := range shards {
 		id := fmt.Sprintf("shard-%c", 'a'+i)
-		dir := filepath.Join(t.TempDir(), id)
-		trail, err := msod.NewAuditWriter(dir, traceAuditKey, 1<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := msod.NewPDP(msod.PDPConfig{Policy: pol, Trail: trail})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// SampleEvery 1 retains every fast grant too, so each decision in
+		// -trace-sample 1 retains every fast grant too, so each decision in
 		// the workflow has a retrievable trace; refusals would be kept
 		// regardless.
-		st := msod.NewTraceStore(msod.TraceStoreConfig{SampleEvery: 1})
-		s := &tracedShard{id: id, dir: dir, trail: trail,
-			srv: httptest.NewServer(msod.NewServer(p, msod.WithServerTraceStore(st)))}
-		t.Cleanup(s.srv.Close)
-		shards[i] = s
-		topo = append(topo, cluster.Shard{ID: id, BaseURL: s.srv.URL})
+		cfg := auditedConfig(t, filepath.Join(t.TempDir(), id), traceAuditKey)
+		cfg.TraceSample = 1
+		shards[i] = startShard(t, id, cfg)
+		topo = append(topo, cluster.Shard{ID: id, BaseURL: shards[i].srv.URL})
 	}
-	gw, err := cluster.New(cluster.Config{Shards: topo, FailAfter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gw.Checker().CheckNow()
-	gwSrv := httptest.NewServer(gw)
-	t.Cleanup(gwSrv.Close)
+	gw, gwSrv := startGateway(t, node.GatewayConfig{Shards: topo, FailAfter: 1})
 	c := server.NewClient(gwSrv.URL, nil)
 
 	const taxCtx = "TaxOffice=Leeds, taxRefundProcess=p1"
@@ -164,10 +136,10 @@ func TestClusterTraceAssembly(t *testing.T) {
 	// attests for that decision.
 	attested := map[string]bool{}
 	for _, s := range shards {
-		if err := s.trail.Close(); err != nil {
+		if err := s.node.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r, err := msod.NewAuditReader(s.dir, traceAuditKey)
+		r, err := msod.NewAuditReader(s.cfg.Trail, traceAuditKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +165,7 @@ func TestClusterTraceAssembly(t *testing.T) {
 	// 503 — even for traces whose spans all live on healthy shards.
 	shards[2].srv.Close()
 	gw.Checker().CheckNow()
-	_, err = c.Trace(refusalTraces[0])
+	_, err := c.Trace(refusalTraces[0])
 	var apiErr *server.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("trace with a shard down: err = %v, want APIError 503", err)
