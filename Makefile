@@ -62,10 +62,12 @@ fuzz:
 
 # Full fault-injection torture: power-loss crash-recovery schedules,
 # chaotic transport (with carried activations and closes), overload
-# shedding, degraded read-only mode.
+# shedding, degraded read-only mode, and the idempotency cache's waiters
+# (ten times over).
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -run 'TestAdmission|TestClientRetriesShedRequest|TestDegradedReadOnlyLatch' ./internal/server
+	$(GO) test -race -count=10 -run 'Idem|Idempotency' ./internal/server
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster
 
 # Elastic membership smoke: the join/drain/remove lifecycle and

@@ -103,7 +103,7 @@ func parseFlags(args []string) (node.GatewayConfig, error) {
 	fs.Func("replicas", "advisory read replicas, shardID=url each (comma separated; repeatable; repeat a shard ID for several replicas)", func(v string) error {
 		return addReplicas(c.Replicas, v)
 	})
-	fs.DurationVar(&c.Timeout, "timeout", 5*time.Second, "per-request deadline for shard calls")
+	fs.DurationVar(&c.Timeout, "timeout", 5*time.Second, "deadline for shard calls: one routed decision's, retries included, or one fan-out's")
 	fs.IntVar(&c.Retries, "retries", 2, "same-shard retries after a transport error (-1 disables)")
 	fs.DurationVar(&c.RetryBackoff, "retry-backoff", 25*time.Millisecond, "initial retry backoff (doubles per attempt)")
 	fs.DurationVar(&c.Probe, "probe", 5*time.Second, "health-probe interval")

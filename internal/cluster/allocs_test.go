@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"msod/internal/credential"
+	"msod/internal/obsv"
 	"msod/internal/race"
 	"msod/internal/server"
 )
@@ -29,11 +30,13 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 
 // cannedShards answers the i-th POST it sees with the i-th prepared
 // response, so the shard side of the hop allocates nothing while the
-// gateway is measured. A GET — the activation sync before the first
-// decision — is told no instance is running.
+// gateway is measured, and keeps the last POST's traceparent. A GET —
+// the activation sync before the first decision — is told no instance is
+// running.
 type cannedShards struct {
-	answers []*http.Response
-	next    int
+	answers     []*http.Response
+	next        int
+	traceparent string
 }
 
 func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -42,6 +45,7 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
 			Body: io.NopCloser(strings.NewReader(none)), ContentLength: int64(len(none))}, nil
 	}
+	c.traceparent = r.Header.Get(obsv.TraceparentHeader)
 	resp := c.answers[c.next]
 	c.next++
 	resp.Request = r
@@ -54,36 +58,49 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 // exact; a change that moves one edits the table and names the
 // allocation.
 //
-// What a plain decision pays (23), 13 of it context's and net/http's
-// price of one POST handed to the RoundTripper (counted with the Go 1.24
-// toolchain, whose crypto/rand.Read keeps a caller's array on the stack):
+// What a plain decision pays (16), 12 of it context's and net/http's
+// price of one deadline and one POST handed to the RoundTripper
+// (counted with the Go 1.24 toolchain, whose crypto/rand.Read keeps a
+// caller's array on the stack):
 //
-//	admit 6     the body, read into one slice of its Content-Length with
+//	admit 3     the body, read into one slice of its Content-Length with
 //	            room for the requestID (1); the routing key as a string
-//	            (1); the trace ID's random bytes and its string (2); the
-//	            Trace (1) and the context carrying it (1)
+//	            (1); the traceparent minted for a PEP that sent none,
+//	            whose substring is the trace ID (1). It was 6 while the
+//	            trace ID was minted apart from the traceparent — its
+//	            random bytes, which escaped (1), and its string (1) — and
+//	            an empty Trace (1) and the context carrying it (1) were
+//	            built for spans the gateway never records
 //	requestID 0 the ID's random bytes and hex text stay on the stack and
 //	            the splice lands in the body's spare capacity
-//	post 15     the client's deadline — context.WithTimeout's timerCtx,
-//	            its timer, the timer's callback and the cancel func (4);
-//	            the URL text (1); http.NewRequestWithContext — the
-//	            Request, its parsed URL, its Header, the body's reader,
-//	            its NopCloser and the GetBody closure (6); the
-//	            Content-Type and Traceparent values, the Header's first
-//	            bucket and the traceparent text (4). It was 20 through
+//	deadline 4  the decision's one deadline, shared by every attempt:
+//	            context.WithTimeout's timerCtx, its timer, the timer's
+//	            callback and the cancel func. The shard client's own
+//	            timeout is no shorter, so under it the client sets none;
+//	            the same 4 used to be the client's, paid per attempt
+//	post 8      http.NewRequestWithContext — the Request, its parsed
+//	            URL, its Header, the body's reader, its NopCloser and the
+//	            GetBody closure (6); the Traceparent value and the
+//	            Header's first bucket (2). The URL text is built once per
+//	            shard client, the Content-Type value is shared, and the
+//	            traceparent is the one admit holds: it was 11 with those
+//	            three built per attempt. It was 13 more through
 //	            http.Client.Do, which prepares for a redirect that never
 //	            comes: the list of requests made so far (1), the closure
 //	            that would copy the headers onto the next one (1) and
 //	            the clone it copies from — the Header, its bucket and the
 //	            one backing slice of its values (3). Looking in the
 //	            shard's outbox, empty here, costs nothing
-//	answer 2    the answer, read into one slice of its Content-Length
-//	            (1), and the Content-Type value it is forwarded under (1).
-//	            The resolved user costs nothing: it is the routing key
+//	answer 1    the answer, read into one slice of its Content-Length
+//	            (1); it is forwarded under the shared Content-Type value
+//	            (it was 2 with the value built per answer). The resolved
+//	            user costs nothing: it is the routing key
 //
 // and what the other cases pay instead or on top:
 //
 //	requestID 1 a PEP-supplied one is read as a string by the peek
+//	traceparent a PEP-supplied valid one costs nothing (-1): it goes to the
+//	            shard as it came, and the trace ID is its substring
 //	credentials no routing key to copy (-1): the subject is the first
 //	            holder, which the peek decodes — with the credentials
 //	            array, into holder-only elements, through encoding/json
@@ -129,18 +146,21 @@ func TestRouteDecisionAllocs(t *testing.T) {
 	closed := granted
 	closed.Closed = []string{"Branch=*, Period=p1"}
 
+	const pepTraceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	for _, tc := range []struct {
-		name    string
-		request server.DecisionRequest
-		answer  server.DecisionResponse
-		budget  float64
+		name        string
+		request     server.DecisionRequest
+		traceparent string // the PEP's, when it sends one
+		answer      server.DecisionResponse
+		budget      float64
 	}{
-		{name: "plain decision", request: plain, answer: granted, budget: 23},
-		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 24},
-		{name: "credential-bearing", answer: granted, budget: 31,
+		{name: "plain decision", request: plain, answer: granted, budget: 16},
+		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 17},
+		{name: "PEP-supplied traceparent", request: plain, traceparent: pepTraceparent, answer: granted, budget: 15},
+		{name: "credential-bearing", answer: granted, budget: 24,
 			request: server.DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"}},
-		{name: "answer with activated", request: plain, answer: opened, budget: 28},
-		{name: "answer with closed", request: plain, answer: closed, budget: 28},
+		{name: "answer with activated", request: plain, answer: opened, budget: 21},
+		{name: "answer with closed", request: plain, answer: closed, budget: 21},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body, err := json.Marshal(tc.request)
@@ -163,6 +183,9 @@ func TestRouteDecisionAllocs(t *testing.T) {
 				if reqs[i], err = http.NewRequest(http.MethodPost, server.DecisionPath, bytes.NewReader(body)); err != nil {
 					t.Fatal(err)
 				}
+				if tc.traceparent != "" {
+					reqs[i].Header.Set(obsv.TraceparentHeader, tc.traceparent)
+				}
 				shards.answers = append(shards.answers, &http.Response{
 					StatusCode: http.StatusOK, Status: "200 OK", Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
 					Header:        http.Header{"Content-Type": {"application/json"}},
@@ -183,6 +206,9 @@ func TestRouteDecisionAllocs(t *testing.T) {
 			got := testing.AllocsPerRun(allocRuns, one)
 			if w.status != http.StatusOK || !bytes.Equal(w.body.Bytes(), answer) {
 				t.Fatalf("status %d, answer %s; want the shard's bytes", w.status, w.body.Bytes())
+			}
+			if _, valid := obsv.ParseTraceparent(shards.traceparent); !valid || tc.traceparent != "" && shards.traceparent != tc.traceparent {
+				t.Fatalf("the shard received traceparent %q; want the PEP's %q, or a valid minted one", shards.traceparent, tc.traceparent)
 			}
 			if got != tc.budget {
 				t.Fatalf("%v allocs, budget %v", got, tc.budget)

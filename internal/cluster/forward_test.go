@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"msod/internal/obsv"
 	"msod/internal/server"
 )
 
@@ -23,6 +24,8 @@ type recordingShard struct {
 
 	mu     sync.Mutex
 	bodies map[string][][]byte
+	// traceparents is the Traceparent header of every POST, in order.
+	traceparents []string
 	// carried is every CloseHeader value a request brought, in order;
 	// with ack set, an answer acknowledges the activations it carried.
 	carried []string
@@ -49,6 +52,9 @@ func newRecordingShard(t *testing.T) *recordingShard {
 		s.mu.Lock()
 		n := len(s.bodies[r.URL.Path])
 		s.bodies[r.URL.Path] = append(s.bodies[r.URL.Path], body)
+		if r.Method == http.MethodPost {
+			s.traceparents = append(s.traceparents, r.Header.Get(obsv.TraceparentHeader))
+		}
 		s.carried = append(s.carried, r.Header[server.CloseHeader]...)
 		if s.ack && len(r.Header[server.CloseHeader]) > 0 {
 			w.Header().Set(server.ActivationAckHeader, "1")
@@ -87,6 +93,13 @@ func (s *recordingShard) script(answer func(path string, n int) (int, string, bo
 	s.mu.Lock()
 	s.answer = answer
 	s.mu.Unlock()
+}
+
+// sentTraceparents returns the Traceparent header of every POST so far.
+func (s *recordingShard) sentTraceparents() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]string(nil), s.traceparents...)
 }
 
 // newRecordingCluster puts n recording shards behind a gateway.
@@ -218,9 +231,12 @@ func TestGatewayRetriesCarryIdenticalBytes(t *testing.T) {
 
 // TestGatewayNeverForwardsAnUnreadableAnswer: a 200 that is not one
 // well-formed JSON object, or whose user, activated or closed has the
-// wrong type, is a shard failure — retried under the same bytes, reported to
-// the checker, ended 503 — and none of it reaches the PEP.
+// wrong type, or that is longer than the client reads (chunked, so
+// nothing announces its length), is a shard failure — retried under the
+// same bytes, reported to the checker, ended 503 — and none of it
+// reaches the PEP.
 func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
+	oversized := aliceGranted + strings.Repeat(" ", 1<<20)
 	for _, answer := range []string{
 		`<html>it works</html>`,
 		``,
@@ -232,21 +248,26 @@ func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
 		`{"allowed":true,"phase":"granted","user":"alice","closed":"Branch=*, Period=p1"}`,
 		`{"allowed":true,"phase":"granted","user":"alice","closed":[{"context":"Branch=*, Period=p1"}]}`,
 		`{"allowed":true,"phase":"granted","user":"alice","recorded":01}`,
+		oversized,
 	} {
+		failure := "decode response"
+		if answer == oversized {
+			failure = "limit"
+		}
 		gw, gts, shards := newRecordingCluster(t, 1, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
 		shards[0].script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
 		status, got := post(t, gts.URL+server.DecisionPath, aliceAsks)
-		if status != http.StatusServiceUnavailable || !strings.Contains(got, "decode response") {
-			t.Errorf("answer %q: PEP received %d %q, want a fail-closed 503 naming the decode failure", answer, status, got)
+		if status != http.StatusServiceUnavailable || !strings.Contains(got, failure) {
+			t.Errorf("answer %.80q: PEP received %d %q, want a fail-closed 503 naming %q", answer, status, got, failure)
 		}
 		if answer != "" && strings.Contains(got, answer) {
-			t.Errorf("answer %q reached the PEP: %q", answer, got)
+			t.Errorf("answer %.80q reached the PEP: %q", answer, got)
 		}
 		bodies := shards[0].received(server.DecisionPath)
 		if len(bodies) != 2 || !bytes.Equal(bodies[0], bodies[1]) {
-			t.Errorf("answer %q: shard saw %d attempts (%q), want 2 identical ones", answer, len(bodies), bodies)
+			t.Errorf("answer %.80q: shard saw %d attempts (%q), want 2 identical ones", answer, len(bodies), bodies)
 		}
-		if st := gw.Checker().Statuses()["shard00"]; st.Consecutive != 2 || !strings.Contains(st.LastErr, "decode response") {
+		if st := gw.Checker().Statuses()["shard00"]; st.Consecutive != 2 || !strings.Contains(st.LastErr, failure) {
 			t.Errorf("answer %q: checker holds %+v, want 2 decode failures of the shard", answer, st)
 		}
 	}
@@ -373,5 +394,110 @@ func TestGatewayQueuesAFirstStepsActivation(t *testing.T) {
 	if !gw.Checker().Up(peerID) || outbox(t, gw, peerID).Pending() != 0 {
 		t.Fatalf("after an acknowledged probe: up=%v, %d pending; want Up and nothing pending",
 			gw.Checker().Up(peerID), outbox(t, gw, peerID).Pending())
+	}
+}
+
+// postTraced is post with the PEP's Traceparent header.
+func postTraced(t *testing.T, url, body, traceparent string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(obsv.TraceparentHeader, traceparent)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	answer, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(answer)
+}
+
+// TestGatewayPassesOnThePEPsTraceparent: a PEP's valid traceparent
+// reaches the shard byte for byte, on a decision and on an advisory; a
+// missing or malformed one is replaced by one the gateway mints, which
+// every attempt of the decision carries.
+func TestGatewayPassesOnThePEPsTraceparent(t *testing.T) {
+	_, gts, shards := newRecordingCluster(t, 1, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
+	const pep = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	for _, path := range []string{server.DecisionPath, server.AdvicePath} {
+		if status, answer := postTraced(t, gts.URL+path, aliceAsks, pep); status != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, status, answer)
+		}
+	}
+	if sent := shards[0].sentTraceparents(); len(sent) != 2 || sent[0] != pep || sent[1] != pep {
+		t.Fatalf("shard received traceparents %q, want the PEP's %q twice", sent, pep)
+	}
+
+	// The first attempt is dropped: the retry carries the same minted value.
+	shards[0].script(func(_ string, n int) (int, string, bool) { return http.StatusOK, aliceGranted, n == 1 })
+	for _, pep := range []string{"", "00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01"} {
+		before := len(shards[0].sentTraceparents())
+		if status, answer := postTraced(t, gts.URL+server.DecisionPath, aliceAsks, pep); status != http.StatusOK {
+			t.Fatalf("traceparent %q: %d %s", pep, status, answer)
+		}
+		sent := shards[0].sentTraceparents()[before:]
+		if _, ok := obsv.ParseTraceparent(sent[0]); !ok || sent[0] == pep {
+			t.Fatalf("PEP's traceparent %q: shard received %q, want a minted valid one", pep, sent)
+		}
+		if len(sent) == 2 && sent[1] != sent[0] {
+			t.Fatalf("attempts carried traceparents %q, want one per decision", sent)
+		}
+	}
+}
+
+// TestGatewayOneDeadlinePerDecision: the attempts of a decision share one
+// Timeout. A shard that stalls past it sees one attempt, not Retries+1:
+// the retry would start with no time left, so the PEP gets the
+// fail-closed 503 at once.
+func TestGatewayOneDeadlinePerDecision(t *testing.T) {
+	var mu sync.Mutex
+	attempts := 0
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == server.ActivationPath {
+			noInstances(w, r)
+			return
+		}
+		if r.URL.Path != server.DecisionPath {
+			return
+		}
+		mu.Lock()
+		attempts++
+		mu.Unlock()
+		io.Copy(io.Discard, r.Body)
+		select { // until the gateway gives up on the attempt
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(stalled.Close)
+	t.Cleanup(func() { close(release) })
+	gw, err := New(Config{Shards: []Shard{{ID: "s0", BaseURL: stalled.URL}}, Timeout: 200 * time.Millisecond,
+		Retries: 2, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	gts := httptest.NewServer(gw)
+	t.Cleanup(gts.Close)
+
+	for i := 1; i <= 2; i++ {
+		if status, answer := post(t, gts.URL+server.DecisionPath, aliceAsks); status != http.StatusServiceUnavailable {
+			t.Fatalf("decision %d = %d %s, want the fail-closed 503", i, status, answer)
+		}
+		mu.Lock()
+		n := attempts
+		mu.Unlock()
+		if n != i {
+			t.Fatalf("shard saw %d attempts after %d decisions, want one each", n, i)
+		}
+	}
+	if n := gw.metrics.retries.Load(); n != 0 {
+		t.Fatalf("msodgw_retries_total = %d, want 0: no retry was sent", n)
 	}
 }

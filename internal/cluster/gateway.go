@@ -45,15 +45,19 @@ type Config struct {
 	Replicas map[string][]string
 	// VirtualNodes per shard on the ring (DefaultVirtualNodes if < 1).
 	VirtualNodes int
-	// Timeout bounds every request to a shard (default 5s).
+	// Timeout bounds every request to a shard (default 5s). For a routed
+	// decision or advisory it is the deadline of all its shard calls
+	// together — retries and their backoff included — counted from the
+	// first attempt.
 	Timeout time.Duration
 	// Retries is how many times a decision is re-sent to the SAME
 	// shard after a transport error (default 2; -1 disables retries).
 	// Retries never change the target shard, and every retry of a
 	// decision carries the same idempotency RequestID the gateway
-	// minted before the first send — a timeout that struck after the
-	// shard committed replays the committed response instead of
-	// double-recording ADI history.
+	// minted before the first send — a transport failure that struck
+	// after the shard committed replays the committed response instead
+	// of double-recording ADI history. A retry is sent only while the
+	// decision's Timeout has not run out.
 	Retries int
 	// RetryBackoff is the initial delay between retries, doubling each
 	// attempt (default 25ms).
@@ -378,13 +382,13 @@ func (g *Gateway) decodePOST(w http.ResponseWriter, r *http.Request, v any) bool
 
 // errorJSON mirrors the server's errorResponse shape.
 func errorJSON(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
+	server.SetJSONContentType(w.Header())
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	server.SetJSONContentType(w.Header())
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }

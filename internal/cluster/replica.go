@@ -49,7 +49,7 @@ type replicaAnswer struct {
 // transport or read error just disqualifies this replica for this
 // read — replicas are an optimisation, never a dependency, so errors
 // here are not reported to the shard checker or breaker.
-func (g *Gateway) replicaDo(ctx context.Context, method, rawURL string, traceID obsv.TraceID, body []byte) (replicaAnswer, error) {
+func (g *Gateway) replicaDo(ctx context.Context, method, rawURL, traceparent string, body []byte) (replicaAnswer, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -59,10 +59,10 @@ func (g *Gateway) replicaDo(ctx context.Context, method, rawURL string, traceID 
 		return replicaAnswer{}, err
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+		server.SetJSONContentType(req.Header)
 	}
-	if traceID.Valid() {
-		req.Header.Set(obsv.TraceparentHeader, traceID.Traceparent())
+	if traceparent != "" {
+		req.Header[obsv.TraceparentHeader] = []string{traceparent}
 	}
 	hc := g.cfg.HTTPClient
 	if hc == nil {
@@ -96,14 +96,15 @@ func forwardReplicaAnswer(w http.ResponseWriter, shard string, ans replicaAnswer
 
 // askReplicas asks a shard's replicas in rotated order, under the
 // caller's context bounded by cfg.Timeout, and returns the first 200
-// whose body decodes as a T, raw and decoded. Only a 200 is ever used:
+// whose body decodes as a T, raw and decoded. A non-empty traceparent is
+// sent as it is. Only a 200 is ever used:
 // a replica's refusals (503 stale, 421) and errors are its own
 // business, and the owning shard remains the authority.
-func askReplicas[T any](ctx context.Context, g *Gateway, set *replicaSet, method, path string, traceID obsv.TraceID, body []byte) (replicaAnswer, T, bool) {
+func askReplicas[T any](ctx context.Context, g *Gateway, set *replicaSet, method, path, traceparent string, body []byte) (replicaAnswer, T, bool) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.Timeout)
 	defer cancel()
 	for _, base := range set.ordered() {
-		ans, err := g.replicaDo(ctx, method, base+path, traceID, body)
+		ans, err := g.replicaDo(ctx, method, base+path, traceparent, body)
 		if err != nil || ans.status != http.StatusOK {
 			continue
 		}
@@ -126,19 +127,19 @@ func askReplicas[T any](ctx context.Context, g *Gateway, set *replicaSet, method
 // /v1/decision routes to the owner unconditionally, because a replica
 // grant would be a false grant.
 func (g *Gateway) handleAdvice(w http.ResponseWriter, r *http.Request) {
-	body, peek, traceID, ok := g.admitRouted(w, r)
+	body, peek, traceparent, ok := g.admitRouted(w, r)
 	if !ok {
 		return
 	}
 	if shard, ok := g.ring.Lookup(peek.Subject); ok {
 		if set := g.replicas[shard]; set != nil {
-			if g.tryReplicaAdvice(w, r, shard, set, body, traceID) {
+			if g.tryReplicaAdvice(w, r, shard, set, body, traceparent) {
 				return
 			}
 			g.metrics.replicaFallbacks.Add(1)
 		}
 	}
-	g.routeDecision(w, r, body, peek, traceID, server.AdvicePath)
+	g.routeDecision(w, r, body, peek, traceparent, server.AdvicePath)
 }
 
 // tryReplicaAdvice forwards the first trustworthy replica answer (see
@@ -146,8 +147,8 @@ func (g *Gateway) handleAdvice(w http.ResponseWriter, r *http.Request) {
 // not a replica's. The same ownership echo-check as the owner path
 // applies: an answer resolving a subject the routed shard does not own
 // is dropped, and the owner path decides what that misroute means.
-func (g *Gateway) tryReplicaAdvice(w http.ResponseWriter, r *http.Request, shard string, set *replicaSet, body []byte, traceID obsv.TraceID) bool {
-	ans, resp, ok := askReplicas[server.DecisionResponse](r.Context(), g, set, http.MethodPost, server.AdvicePath, traceID, body)
+func (g *Gateway) tryReplicaAdvice(w http.ResponseWriter, r *http.Request, shard string, set *replicaSet, body []byte, traceparent string) bool {
+	ans, resp, ok := askReplicas[server.DecisionResponse](r.Context(), g, set, http.MethodPost, server.AdvicePath, traceparent, body)
 	if !ok {
 		return false
 	}

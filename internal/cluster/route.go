@@ -47,14 +47,20 @@ import (
 //   - Idempotent retries: a decision (path server.DecisionPath) that
 //     carries no requestID gets one spliced in before the first send,
 //     so every retry reaches the shard under the same ID and a retry
-//     after a timeout that struck post-commit replays the shard's
-//     committed response instead of double-recording ADI history.
+//     after a transport failure that struck post-commit replays the
+//     shard's committed response instead of double-recording ADI
+//     history.
+//
+// A decision's shard calls share one deadline, cfg.Timeout from the
+// first attempt, retries and their backoff included: an attempt that
+// times out leaves no time for another, and a PEP is answered within
+// about that bound whatever Retries is.
 func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request, path string) {
-	body, peek, traceID, ok := g.admitRouted(w, r)
+	body, peek, traceparent, ok := g.admitRouted(w, r)
 	if !ok {
 		return
 	}
-	g.routeDecision(w, r, body, peek, traceID, path)
+	g.routeDecision(w, r, body, peek, traceparent, path)
 }
 
 // requestIDSpare is the capacity a read body keeps free for the
@@ -65,9 +71,10 @@ const requestIDSpare = 64
 // admitRouted performs the shared request admission for the routed
 // paths: method check, the bounded read of the body, the peek at it
 // for the routing key (through the scanner the shard decodes with, so
-// the two cannot disagree about which member is the user), and trace
-// adoption. A false return means the refusal has been written.
-func (g *Gateway) admitRouted(w http.ResponseWriter, r *http.Request) ([]byte, server.RequestPeek, obsv.TraceID, bool) {
+// the two cannot disagree about which member is the user), and the
+// decision's traceparent. A false return means the refusal has been
+// written.
+func (g *Gateway) admitRouted(w http.ResponseWriter, r *http.Request) ([]byte, server.RequestPeek, string, bool) {
 	if r.Method != http.MethodPost {
 		errorJSON(w, http.StatusMethodNotAllowed, "POST required")
 		return nil, server.RequestPeek{}, "", false
@@ -88,26 +95,26 @@ func (g *Gateway) admitRouted(w http.ResponseWriter, r *http.Request) ([]byte, s
 		errorJSON(w, http.StatusBadRequest, "request has no routable subject (user or credential holder)")
 		return nil, server.RequestPeek{}, "", false
 	}
-	// The gateway is where the trace is born: adopt the PEP's
-	// traceparent or mint one, and reuse the same trace (and so the
-	// same ID) across every retry — all attempts of one decision
-	// correlate under one key, and the shard stamps it into the
-	// DecisionResponse and the audit-trail record.
-	traceID, ok := obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader))
-	if !ok {
-		traceID = obsv.NewTraceID()
+	// The gateway is where the trace is born: a PEP's valid traceparent
+	// is passed on as it came (W3C passthrough), any other is replaced
+	// by one minted here. Every attempt of the decision carries the same
+	// value, so all of them correlate under one trace ID, which the
+	// shard stamps into the DecisionResponse and the audit-trail record.
+	traceparent := r.Header.Get(obsv.TraceparentHeader)
+	if _, ok := obsv.ParseTraceparent(traceparent); !ok {
+		traceparent = obsv.NewTraceparent()
 	}
-	return body, peek, traceID, true
+	return body, peek, traceparent, true
 }
 
 // routeDecision is the owner-routed tail of handleRouted: everything
 // after admission, from ring lookup through retries to the response.
-// Every attempt POSTs the same bytes to path; a decision records, an
-// advisory (server.AdvicePath) does not.
-func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []byte, peek server.RequestPeek, traceID obsv.TraceID, path string) {
+// Every attempt POSTs the same bytes under the same traceparent to
+// path; a decision records, an advisory (server.AdvicePath) does not.
+func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []byte, peek server.RequestPeek, traceparent, path string) {
 	key, record := peek.Subject, path == server.DecisionPath
-	trace := obsv.NewTrace(traceID)
-	ctx := obsv.WithTrace(r.Context(), trace)
+	// admitRouted validated the traceparent: its trace ID is a substring.
+	traceID, _ := obsv.ParseTraceparent(traceparent)
 	start := time.Now()
 	if !g.admitCluster(w) {
 		return
@@ -123,7 +130,8 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 	// Nothing records before the shards agree on which instances run: the
 	// activations a previous gateway queued died with it (activation.go).
 	if record && !g.booted.Load() {
-		if err := g.bootSync(ctx); err != nil {
+		// The sync's own requests carry the decision's trace ID.
+		if err := g.bootSync(obsv.WithTrace(r.Context(), obsv.NewTrace(traceID))); err != nil {
 			g.refuse(w, traceID, key, "", http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
 				fmt.Sprintf("activation sync before the first decision failed (%v); failing closed", err),
 				fmt.Sprintf("the gateway has not yet synced the shards' running context instances (%v); failing closed, retry after the hinted delay", err))
@@ -170,15 +178,20 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 		}
 	}
 
+	// The decision's one deadline starts with its first attempt: what it
+	// waited for above — the admission pool, the quiesce barrier, the
+	// activation sync — is not charged to it. The shard client's own
+	// timeout is as long, so it adds no timer (Client.reqContext).
+	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
+	defer cancel()
 	var lastErr error
 	backoff := g.cfg.RetryBackoff
 	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			g.metrics.retries.Add(1)
-			// Context-aware, jittered backoff: a dead client connection
-			// stops retrying immediately, and the ±25% jitter keeps a
-			// recovering shard from being hit by a synchronized wave of
-			// retries from every waiting request.
+			// Context-aware, jittered backoff: a spent deadline or a dead
+			// client connection stops retrying immediately, and the ±25%
+			// jitter keeps a recovering shard from being hit by a
+			// synchronized wave of retries from every waiting request.
 			if !sleepContext(ctx, jitterBackoff(backoff)) {
 				break
 			}
@@ -186,8 +199,9 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 			if !g.checker.Up(shard) || g.breaker.State(shard) == BreakerOpen {
 				break // went down while we backed off; stop hammering
 			}
+			g.metrics.retries.Add(1) // counted once it is sent
 		}
-		answer, err := client.PostRaw(ctx, path, body)
+		answer, err := client.PostRaw(ctx, path, traceparent, body)
 		var resp server.AnswerPeek
 		if err == nil {
 			// An answer the gateway cannot read is a shard that failed, not
@@ -276,7 +290,7 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 
 // writeAnswer forwards a shard's (or replica's) 200 body as it came.
 func writeAnswer(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	server.SetJSONContentType(w.Header())
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

@@ -18,7 +18,7 @@ type GatewayConfig struct {
 	Addr             string              // -addr (the daemon listens; node does not)
 	Shards           []cluster.Shard     // -shards: the topology of a first boot
 	Replicas         map[string][]string // -replicas: advisory replica URLs by shard ID
-	Timeout          time.Duration       // -timeout
+	Timeout          time.Duration       // -timeout: one routed decision's shard calls, retries included
 	Retries          int                 // -retries
 	RetryBackoff     time.Duration       // -retry-backoff
 	Probe            time.Duration       // -probe (required: > 0)

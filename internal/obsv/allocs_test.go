@@ -76,14 +76,23 @@ func TestTraceAllocs(t *testing.T) {
 			budget: 0,
 		},
 		{
-			// The 16 random bytes, which escape through the swappable
-			// entropy source (1), and the ID string returned (1).
+			// The ID string returned (1): the random bytes and their hex
+			// text stay on the stack.
 			name:   "NewTraceID",
 			run:    func() { _ = NewTraceID() },
-			budget: 2,
+			budget: 1,
 		},
 		{
-			// The header value returned (1): a gateway pays it per hop.
+			// The header value returned (1), whose substring is the trace
+			// ID: a gateway pays it once per decision a PEP sent without
+			// a traceparent.
+			name:   "NewTraceparent",
+			run:    func() { _ = NewTraceparent() },
+			budget: 1,
+		},
+		{
+			// The header value returned (1): a client pays it per call
+			// whose context carries a trace.
 			name:   "Traceparent",
 			run:    func() { _ = id.Traceparent() },
 			budget: 1,

@@ -6,9 +6,9 @@
 // gateway. It depends only on the standard library.
 //
 // The trace ID is the correlation key of the whole deployment: the
-// gateway mints one per routed decision (or adopts the PEP's, see
-// ParseTraceparent), forwards it to the owning shard in a
-// W3C-traceparent-style header, and the shard stamps it into both the
+// gateway forwards a PEP's valid W3C traceparent to the owning shard as
+// it came (ParseTraceparent) or mints one per routed decision
+// (NewTraceparent), and the shard stamps its trace ID into both the
 // DecisionResponse and the durable audit-trail record — so one ID
 // links the gateway's log line, the shard's answer, and the
 // tamper-evident history the decision was evaluated against.
@@ -52,11 +52,6 @@ const (
 // TraceID is a W3C trace-id: 32 lowercase hex characters, non-zero.
 type TraceID string
 
-// randRead is the entropy source behind NewTraceID, swappable so tests
-// can exercise the fallback path without breaking the process's real
-// entropy.
-var randRead = rand.Read
-
 // Fallback trace-ID state: a per-process boot nonce mixed with a
 // monotonic counter, used only when the entropy source fails. IDs from
 // the fallback are valid and unique within the process (the counter)
@@ -79,22 +74,34 @@ func initFallbackNonce() {
 	binary.BigEndian.PutUint64(fallbackNonce[:], uint64(time.Now().UnixNano())^uint64(os.Getpid())<<32)
 }
 
-// NewTraceID mints a random trace ID. On entropy failure it falls back
-// to a process-local monotonic counter mixed with the boot nonce — a
-// valid, unique ID — rather than returning the empty invalid ID and
-// silently breaking correlation for every decision until entropy
-// recovers.
-func NewTraceID() TraceID {
+// newTraceBytes draws the 16 bytes of a trace ID. On entropy failure it
+// falls back (fallbackTraceBytes) rather than returning the all-zero,
+// invalid ID and silently breaking correlation for every decision until
+// entropy recovers. The array stays on the caller's stack.
+func newTraceBytes() [16]byte {
 	var b [16]byte
-	if _, err := randRead(b[:]); err != nil {
-		fallbackOnce.Do(initFallbackNonce)
-		copy(b[:8], fallbackNonce[:])
-		// The counter starts at 1, so the low 8 bytes are never all zero
-		// and the ID always passes Valid even with an all-zero nonce.
-		binary.BigEndian.PutUint64(b[8:], fallbackCtr.Add(1))
+	if _, err := rand.Read(b[:]); err != nil {
+		return fallbackTraceBytes()
 	}
-	// Encoded on the stack: the ID costs the string it is returned as
-	// (and b, which escapes through the swappable randRead).
+	return b
+}
+
+// fallbackTraceBytes is a trace ID's bytes without entropy: the boot
+// nonce, then the counter. The counter starts at 1, so the low 8 bytes
+// are never all zero and the ID always passes Valid even with an
+// all-zero nonce.
+func fallbackTraceBytes() [16]byte {
+	fallbackOnce.Do(initFallbackNonce)
+	var b [16]byte
+	copy(b[:8], fallbackNonce[:])
+	binary.BigEndian.PutUint64(b[8:], fallbackCtr.Add(1))
+	return b
+}
+
+// NewTraceID mints a random trace ID (see newTraceBytes for what it
+// does without entropy). It costs the string it is returned as.
+func NewTraceID() TraceID {
+	b := newTraceBytes()
 	var id [32]byte
 	hex.Encode(id[:], b[:])
 	return TraceID(id[:])
@@ -125,18 +132,35 @@ const TraceparentHeader = "Traceparent"
 // Traceparent renders a version-00 traceparent value for this trace
 // ID with a fresh parent span ID and the sampled flag set.
 func (id TraceID) Traceparent() string {
-	var span [8]byte
-	if _, err := rand.Read(span[:]); err != nil {
-		span = [8]byte{0, 0, 0, 0, 0, 0, 0, 1}
-	}
 	// Assembled on the stack: the value costs the string it is returned as.
 	b := make([]byte, 0, 64)
 	b = append(b, "00-"...)
 	b = append(b, id...)
+	return string(appendParentSpan(b))
+}
+
+// NewTraceparent mints the traceparent value of a new trace: a fresh
+// trace ID (as NewTraceID) and parent span ID, sampled. It costs the
+// one string; the trace ID is its substring [3:35], which
+// ParseTraceparent returns without copying.
+func NewTraceparent() string {
+	raw := newTraceBytes()
+	b := make([]byte, 0, 64)
+	b = append(b, "00-"...)
+	b = hex.AppendEncode(b, raw[:])
+	return string(appendParentSpan(b))
+}
+
+// appendParentSpan ends a traceparent value after its trace ID: a fresh
+// random parent span ID and the sampled flag.
+func appendParentSpan(b []byte) []byte {
+	var span [8]byte
+	if _, err := rand.Read(span[:]); err != nil {
+		span = [8]byte{0, 0, 0, 0, 0, 0, 0, 1}
+	}
 	b = append(b, '-')
 	b = hex.AppendEncode(b, span[:])
-	b = append(b, "-01"...)
-	return string(b)
+	return append(b, "-01"...)
 }
 
 // ParseTraceparent extracts the trace ID from a traceparent header

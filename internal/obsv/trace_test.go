@@ -3,8 +3,9 @@ package obsv
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,15 @@ func TestTraceIDAndTraceparentRoundTrip(t *testing.T) {
 	parsed, ok := ParseTraceparent(id.Traceparent())
 	if !ok || parsed != id {
 		t.Fatalf("round trip: got %q ok=%v, want %q", parsed, ok, id)
+	}
+	// A minted traceparent carries its trace ID at [3:35], and two are
+	// two traces.
+	tp := NewTraceparent()
+	if parsed, ok := ParseTraceparent(tp); !ok || string(parsed) != tp[3:35] || len(tp) != 55 || !strings.HasSuffix(tp, "-01") {
+		t.Fatalf("NewTraceparent() = %q, parses to %q (%v)", tp, parsed, ok)
+	}
+	if other := NewTraceparent(); other[3:35] == tp[3:35] {
+		t.Fatalf("two traceparents share trace ID %q", tp[3:35])
 	}
 }
 
@@ -68,13 +78,14 @@ func TestTraceSpansAndContext(t *testing.T) {
 	StartSpan(context.Background(), "x").End() // must not panic
 }
 
+// TestNewTraceIDEntropyFallback: without entropy a trace ID is the boot
+// nonce and a counter — valid, unique, monotonic under one nonce.
 func TestNewTraceIDEntropyFallback(t *testing.T) {
-	real := randRead
-	randRead = func([]byte) (int, error) { return 0, errors.New("entropy exhausted") }
-	defer func() { randRead = real }()
-
-	a := NewTraceID()
-	b := NewTraceID()
+	id := func() TraceID {
+		b := fallbackTraceBytes()
+		return TraceID(hex.EncodeToString(b[:]))
+	}
+	a, b := id(), id()
 	if !a.Valid() || !b.Valid() {
 		t.Fatalf("fallback IDs must stay valid: %q %q", a, b)
 	}
@@ -88,11 +99,11 @@ func TestNewTraceIDEntropyFallback(t *testing.T) {
 	if !(string(a[16:]) < string(b[16:])) {
 		t.Fatalf("fallback counter not monotonic: %q then %q", a, b)
 	}
-
-	// Entropy recovers: real randomness resumes without restart.
-	randRead = real
-	if c := NewTraceID(); !c.Valid() {
-		t.Fatalf("post-recovery ID invalid: %q", c)
+	// An all-zero nonce still yields a valid ID: the counter is never 0.
+	var zero [16]byte
+	binary.BigEndian.PutUint64(zero[8:], 1)
+	if !TraceID(hex.EncodeToString(zero[:])).Valid() {
+		t.Fatal("a zero nonce with counter 1 is not a valid ID")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"msod/internal/credential"
 	"msod/internal/inspect"
+	"msod/internal/obsv"
 	"msod/internal/pdp"
 	"msod/internal/policy"
 	"msod/internal/race"
@@ -70,7 +71,7 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 // requests, so the measured requests run in the steady state of a
 // long-lived shard: every explain and trace record is a recycled one.
 //
-// What every case pays, for a body naming a user and one role (17):
+// What every case pays, for a body naming a user and one role (15):
 //
 //	decode 7    the body, read into one slice of its Content-Length (1);
 //	            the five strings (5) and the Roles slice (1) that
@@ -79,11 +80,16 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 //	            to the heap for Unmarshal (1), the decodeState (1), its
 //	            parse stack at depth 1 and 2 (2), its error context and
 //	            field stack (2)
-//	request 6   the parsed context name (1), Roles as []rbac.RoleName (1),
-//	            the trace ID's random bytes and its string (2), the
+//	request 5   the parsed context name (1), Roles as []rbac.RoleName (1),
+//	            the trace ID minted for a request without a traceparent —
+//	            its string; its random bytes stay on the stack (1) — the
 //	            Trace with its spans inline (1), the context carrying it (1)
-//	respond 4   the latency exemplar (1), Roles as []string (1), the
-//	            Content-Type value (1), the response boxed for the encoder (1)
+//	respond 3   the latency exemplar (1), Roles as []string (1), the
+//	            response on the heap for the encoder (1), which under a
+//	            requestID is also what the idempotency cache keeps. The
+//	            Content-Type value is shared. It was 17 while the trace
+//	            ID's random bytes escaped (1) and the Content-Type value
+//	            was built per answer (1)
 //
 // and, per case, what the PDP allocates (internal/core/allocs_test.go
 // names the engine's share) and what the default telemetry adds:
@@ -147,12 +153,15 @@ func TestServeDecisionAllocs(t *testing.T) {
 		// the gateway's request i arrives with.
 		handoff bool
 		carry   func(i int) string
+		// routed sends the request as a gateway does: under a requestID
+		// (request i's own) and a traceparent.
+		routed  bool
 		allowed bool
 		phase   string
 		budget  map[string]float64
 	}{
 		{
-			// 17 + the validated roles (1), the engine's decision moved
+			// 15 + the validated roles (1), the engine's decision moved
 			// to the heap as Decision.MSoD (1), and the engine's three:
 			// bound name, record slice, the store's Roles copy (3).
 			// Default: + explain 1 + event 2.
@@ -160,7 +169,24 @@ func TestServeDecisionAllocs(t *testing.T) {
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 25, "bare": 22, "all-on": 25},
+			budget: map[string]float64{"default": 23, "bare": 20, "all-on": 23},
+		},
+		{
+			// The same under a requestID and a traceparent, as every
+			// decision a gateway routes arrives: + the requestID string
+			// (1), - the trace ID minted (1): the traceparent's is a
+			// substring of the header. Claiming the requestID costs
+			// nothing: the cache keeps the one response the encoder is
+			// handed, and its map and eviction ring are at their steady
+			// size. It was 26 while the claim was an entry and a channel
+			// (2) beside the response boxed for the encoder, and the
+			// Content-Type value was built per answer (1).
+			name:    "MMER grant under a requestID",
+			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
+			request: func(i int) DecisionRequest { return teller("alice", i) },
+			routed:  true,
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 23, "bare": 20, "all-on": 23},
 		},
 		{
 			// The same on a shard behind a gateway, the request carrying
@@ -170,12 +196,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			handoff: true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 25, "bare": 22, "all-on": 25},
+			budget: map[string]float64{"default": 23, "bare": 20, "all-on": 23},
 		},
 		{
 			// The same, the request carrying one close — of another
 			// period, which holds nothing on this shard. On top of the
-			// grant's 25 / 22: the closed instance's name parsed (1), the
+			// grant's 23 / 20: the closed instance's name parsed (1), the
 			// event's reason (1), and the last step's requestID cloned
 			// out of the header for the applied ring (1); default adds
 			// the instance's text in the purge event (1).
@@ -188,12 +214,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 29, "bare": 25, "all-on": 29},
+			budget: map[string]float64{"default": 27, "bare": 23, "all-on": 27},
 		},
 		{
 			// The same, the request carrying one activation — of another
 			// period, not running on this shard. On top of the grant's
-			// 25 / 22: the instance's name parsed (1), the encoded
+			// 23 / 20: the instance's name parsed (1), the encoded
 			// activation adi.OpActivate hands Append (1), the
 			// instance-table entry and its slot in a component list (2),
 			// and the first step's requestID cloned out of the header for
@@ -210,10 +236,10 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 31, "bare": 27, "all-on": 31},
+			budget: map[string]float64{"default": 29, "bare": 25, "all-on": 29},
 		},
 		{
-			// 17 + the validated roles (1), Decision.MSoD (1), the bound
+			// 15 + the validated roles (1), Decision.MSoD (1), the bound
 			// name (1), the Denial (1) and the two texts the answer and
 			// the trail carry: Denial.Reason (1) and Denial.Error — the
 			// policy context's text, the bound context's, the sentence
@@ -224,10 +250,10 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "msod",
-			budget: map[string]float64{"default": 28, "bare": 25, "all-on": 28},
+			budget: map[string]float64{"default": 26, "bare": 23, "all-on": 26},
 		},
 		{
-			// 17 + the validated roles (1) and the reason: the permission
+			// 15 + the validated roles (1) and the reason: the permission
 			// boxed for Sprintf (1), its text (1), the sentence (1). The
 			// engine never runs, so default adds the explain context
 			// value (1) + event 2.
@@ -236,7 +262,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "rbac",
-			budget: map[string]float64{"default": 24, "bare": 21, "all-on": 24},
+			budget: map[string]float64{"default": 22, "bare": 19, "all-on": 22},
 		},
 		{
 			// No user or roles in the body but one signed credential, so
@@ -246,8 +272,8 @@ func TestServeDecisionAllocs(t *testing.T) {
 			// stack three deep under the array, its error context, the
 			// credential's strings, attribute slice and signature); it
 			// was 21 with the DecisionRequest on the heap and the stack
-			// one level deeper — request 5 (no Roles to convert) and
-			// respond 4: 28. The CVS adds 6 — the signed
+			// one level deeper — request 4 (no Roles to convert) and
+			// respond 3: 26. The CVS adds 6 — the signed
 			// payload re-marshalled for the Ed25519 check (credential
 			// boxed, two time texts, the result: 4), the validated roles
 			// (1), the rejection map (1) — then Decision.MSoD (1) and the
@@ -258,7 +284,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 41, "bare": 38, "all-on": 41},
+			budget: map[string]float64{"default": 39, "bare": 36, "all-on": 39},
 		},
 	} {
 		for _, kind := range []string{"default", "bare", "all-on"} {
@@ -325,9 +351,16 @@ func TestServeDecisionAllocs(t *testing.T) {
 							t.Fatalf("prepare %d: %+v", i, resp)
 						}
 					}
-					r, err := http.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body(tc.request(i))))
+					req := tc.request(i)
+					if tc.routed {
+						req.RequestID = fmt.Sprintf("%032x", i)
+					}
+					r, err := http.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body(req)))
 					if err != nil {
 						t.Fatal(err)
+					}
+					if tc.routed {
+						r.Header.Set(obsv.TraceparentHeader, obsv.NewTraceparent())
 					}
 					if tc.carry != nil {
 						r.Header[CloseHeader] = []string{tc.carry(i)}
@@ -384,8 +417,8 @@ func TestServeDecisionAllocs(t *testing.T) {
 //	activate 5  the parsed name (1), the ops slice (1), the encoded
 //	            activation Append is handed (1), the instance-table entry
 //	            (1) and its slot in a component list (1)
-//	respond 2   the answer boxed for the encoder (1), the Content-Type
-//	            value (1)
+//	respond 1   the answer boxed for the encoder (1); the Content-Type
+//	            value is shared
 //	event 1     default only: the instance's text in the activate event
 //	            a replica follows the activation by (pdp.PDP.Apply)
 func TestServeActivationAllocs(t *testing.T) {
@@ -397,7 +430,7 @@ func TestServeActivationAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kind, budget := range map[string]float64{"default": 17, "bare": 16} {
+	for kind, budget := range map[string]float64{"default": 16, "bare": 15} {
 		t.Run(kind, func(t *testing.T) {
 			cfg := pdp.Config{Policy: pol}
 			var opts []Option

@@ -52,11 +52,12 @@ func (e *APIError) Error() string {
 }
 
 // newAPIError builds the typed error for a non-2xx response, decoding
-// the errorResponse body and the Retry-After header (whole seconds).
+// the errorResponse body (no more than maxBodyBytes of it) and the
+// Retry-After header (whole seconds).
 func newAPIError(path string, resp *http.Response) *APIError {
 	apiErr := &APIError{Path: path, Status: resp.StatusCode}
 	var e errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err == nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&e); err == nil {
 		apiErr.Message = e.Error
 	}
 	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
@@ -88,7 +89,11 @@ func WithShedRetries(n int) ClientOption {
 // management requests over HTTP and satisfies workflow.Decider, so the
 // workflow engine can run against a remote PDP unchanged.
 type Client struct {
-	base        string
+	base string
+	// decisionURL and adviceURL are base+DecisionPath and base+AdvicePath,
+	// built once: a gateway posts every routed decision to one of them.
+	decisionURL string
+	adviceURL   string
 	http        *http.Client
 	timeout     time.Duration
 	shedRetries int
@@ -110,7 +115,7 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	c := &Client{base: base, http: httpClient, shedRetries: 2}
+	c := &Client{base: base, decisionURL: base + DecisionPath, adviceURL: base + AdvicePath, http: httpClient, shedRetries: 2}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -119,16 +124,37 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 
 // reqContext derives the context bounding one unary request from the
 // caller's context: the shorter of the client's timeout (WithTimeout)
-// and the Timeout of the http.Client it was built over.
+// and the Timeout of the http.Client it was built over. A caller whose
+// own deadline comes no later — a gateway's one deadline per routed
+// decision, a fan-out's shared one — is bounded by that alone: a second
+// timer would never fire first.
 func (c *Client) reqContext(parent context.Context) (context.Context, context.CancelFunc) {
 	d := c.timeout
 	if t := c.http.Timeout; t > 0 && (d <= 0 || t < d) {
 		d = t
 	}
 	if d <= 0 {
-		return parent, func() {}
+		return parent, noCancel
+	}
+	if deadline, ok := parent.Deadline(); ok && time.Until(deadline) <= d {
+		return parent, noCancel
 	}
 	return context.WithTimeout(parent, d)
+}
+
+// noCancel is the CancelFunc of a request bounded by its caller's
+// context alone.
+func noCancel() {}
+
+// url is the text of path's URL on this client's server.
+func (c *Client) url(path string) string {
+	switch path {
+	case DecisionPath:
+		return c.decisionURL
+	case AdvicePath:
+		return c.adviceURL
+	}
+	return c.base + path
 }
 
 // send is the one way a request leaves the client — and so the one
@@ -595,13 +621,18 @@ func (c *Client) get(parent context.Context, path string, out any) error {
 const maxShedWait = 10 * time.Second
 
 // post marshals in, POSTs it (see PostRaw) and unmarshals the answer
-// into out.
+// into out. When the context carries an obsv trace, the request carries
+// its trace ID in a traceparent.
 func (c *Client) post(parent context.Context, path string, in, out any) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("server: marshal request: %w", err)
 	}
-	answer, err := c.PostRaw(parent, path, body)
+	var traceparent string
+	if id := obsv.TraceIDFrom(parent); id.Valid() {
+		traceparent = id.Traceparent()
+	}
+	answer, err := c.PostRaw(parent, path, traceparent, body)
 	if err != nil {
 		return err
 	}
@@ -613,14 +644,16 @@ func (c *Client) post(parent context.Context, path string, in, out any) error {
 
 // PostRaw POSTs body as it is and returns the bytes of the 200 answer,
 // under the client timeout: the gateway forwards a PEP's request and a
-// shard's answer this way without decoding either. A response the
+// shard's answer this way without decoding either. A non-empty
+// traceparent is sent as the request's Traceparent header, as it is:
+// the gateway passes on a PEP's, or the one it minted. A response the
 // server shed (429/503 with a Retry-After hint) is waited out and
 // retried up to the shed-retry budget; every other outcome — success,
 // transport failure, or a deliberate verdict (*APIError) including a
 // hint-less 503 — returns immediately.
-func (c *Client) PostRaw(parent context.Context, path string, body []byte) ([]byte, error) {
+func (c *Client) PostRaw(parent context.Context, path, traceparent string, body []byte) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
-		answer, err := c.postOnce(parent, path, body)
+		answer, err := c.postOnce(parent, path, traceparent, body)
 		if err == nil {
 			return answer, nil
 		}
@@ -647,17 +680,19 @@ func (c *Client) PostRaw(parent context.Context, path string, body []byte) ([]by
 }
 
 // postOnce sends one POST attempt and reads the 200 answer whole, into
-// a slice of its declared length when it has a sane one.
-func (c *Client) postOnce(parent context.Context, path string, body []byte) ([]byte, error) {
+// a slice of its declared length when it has a sane one. An answer
+// longer than maxBodyBytes is a failed exchange, not a verdict: it is
+// never read past the limit, and the error is no *APIError.
+func (c *Client) postOnce(parent context.Context, path, traceparent string, body []byte) ([]byte, error) {
 	ctx, cancel := c.reqContext(parent)
 	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(path), bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("server: post %s: %w", path, err)
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if id := obsv.TraceIDFrom(parent); id.Valid() {
-		httpReq.Header.Set(obsv.TraceparentHeader, id.Traceparent())
+	SetJSONContentType(httpReq.Header)
+	if traceparent != "" {
+		httpReq.Header[obsv.TraceparentHeader] = []string{traceparent}
 	}
 	httpResp, err := c.send(httpReq, true)
 	if err != nil {
@@ -668,14 +703,22 @@ func (c *Client) postOnce(parent context.Context, path string, body []byte) ([]b
 		return nil, newAPIError(path, httpResp)
 	}
 	var answer []byte
-	if n := httpResp.ContentLength; n >= 0 && n <= maxBodyBytes {
+	switch n := httpResp.ContentLength; {
+	case n > maxBodyBytes:
+		err = errAnswerTooLarge
+	case n >= 0:
 		answer = make([]byte, n)
 		_, err = io.ReadFull(httpResp.Body, answer)
-	} else {
-		answer, err = io.ReadAll(httpResp.Body)
+	default: // chunked: the length is known only by reading
+		if answer, err = io.ReadAll(io.LimitReader(httpResp.Body, maxBodyBytes+1)); err == nil && len(answer) > maxBodyBytes {
+			err = errAnswerTooLarge
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("server: post %s: read response: %w", path, err)
 	}
 	return answer, nil
 }
+
+// errAnswerTooLarge is an answer postOnce will not read whole.
+var errAnswerTooLarge = fmt.Errorf("answer exceeds the %d-byte limit", maxBodyBytes)

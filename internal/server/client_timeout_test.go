@@ -1,9 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -99,4 +103,74 @@ func TestClientAPIErrorTyping(t *testing.T) {
 			t.Errorf("transport failure typed as APIError: %v", apiErr)
 		}
 	})
+}
+
+// roundTripFunc is a RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestClientReusesASoonerCallerDeadline: a call whose context ends
+// before the client's own timeout would is sent under the caller's
+// deadline itself; a later caller deadline is cut to the client's
+// timeout.
+func TestClientReusesASoonerCallerDeadline(t *testing.T) {
+	var got context.Context
+	rt := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		got = r.Context()
+		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
+			Body: io.NopCloser(strings.NewReader(`{}`)), ContentLength: 2}, nil
+	})
+	c := NewClient("http://pdp.invalid", &http.Client{Transport: rt}, WithTimeout(time.Hour))
+
+	sooner, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := c.PostRaw(sooner, DecisionPath, "", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := sooner.Deadline()
+	if got != sooner {
+		deadline, ok := got.Deadline()
+		t.Fatalf("sent under a context of its own (deadline %v, %v); want the caller's, ending %v", deadline, ok, want)
+	}
+
+	later, cancel := context.WithTimeout(context.Background(), 2*time.Hour)
+	defer cancel()
+	before := time.Now()
+	if _, err := c.PostRaw(later, DecisionPath, "", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if deadline, ok := got.Deadline(); !ok || deadline.After(time.Now().Add(time.Hour)) || deadline.Before(before.Add(time.Hour)) {
+		t.Fatalf("sent with deadline %v (%v); want the client's hour from the call", deadline, ok)
+	}
+}
+
+// TestClientBoundsWhatItReads: a 200 answer longer than maxBodyBytes —
+// chunked, so no Content-Length announces it — is a failed exchange,
+// never a verdict; an error answer's body is decoded no further than
+// the limit.
+func TestClientBoundsWhatItReads(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == AdvicePath {
+			w.WriteHeader(http.StatusBadRequest)
+			io.WriteString(w, `{"error":"`+strings.Repeat("x", maxBodyBytes)+`"}`)
+			return
+		}
+		w.Write(bytes.Repeat([]byte(" "), maxBodyBytes/2))
+		w.(http.Flusher).Flush() // chunked from here: no Content-Length
+		w.Write(bytes.Repeat([]byte(" "), maxBodyBytes/2+1))
+	}))
+	t.Cleanup(ts.Close)
+	c := NewClient(ts.URL, nil)
+
+	answer, err := c.PostRaw(context.Background(), DecisionPath, "", []byte(`{}`))
+	var apiErr *APIError
+	if err == nil || errors.As(err, &apiErr) || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("an answer of %d bytes = %d bytes, %v; want a failure that is no *APIError", maxBodyBytes+1, len(answer), err)
+	}
+
+	_, err = c.PostRaw(context.Background(), AdvicePath, "", []byte(`{}`))
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Message != "" {
+		t.Fatalf("an oversized error body = %v; want a 400 *APIError without its message", err)
+	}
 }

@@ -29,15 +29,6 @@ const appliedSize = idemCacheSize
 // is refused.
 const outboxMax = 256 << 10
 
-// idemEntry tracks one RequestID: in flight until done is closed, then
-// either a committed response to replay (ok) or a failed attempt whose
-// retry may safely re-execute (no side effects happened).
-type idemEntry struct {
-	done chan struct{}
-	resp DecisionResponse
-	ok   bool
-}
-
 // idemCache deduplicates decision requests by RequestID. A decision is
 // not idempotent — a grant commits retained-ADI records and last-step
 // purges — so a client retrying after a transport timeout cannot know
@@ -45,59 +36,64 @@ type idemEntry struct {
 // first arrival of an ID executes, every later arrival waits for it
 // and replays the committed response instead of re-deciding.
 type idemCache struct {
-	mu      sync.Mutex
-	entries map[string]*idemEntry
+	mu sync.Mutex
+	// entries maps an ID to its committed response — the one the
+	// executing request encoded — or to nil while it is in flight.
+	entries map[string]*DecisionResponse
+	// settled is broadcast each time an in-flight ID resolves; the
+	// requests waiting on one look again.
+	settled sync.Cond
 	// order holds the committed IDs, so the oldest is the one evicted;
 	// in-flight entries are not in it and are never evicted.
 	order ring.FIFO[string]
 }
 
 func newIdemCache(max int) *idemCache {
-	return &idemCache{entries: make(map[string]*idemEntry), order: ring.NewFIFO[string](max)}
+	c := &idemCache{entries: make(map[string]*DecisionResponse), order: ring.NewFIFO[string](max)}
+	c.settled.L = &c.mu
+	return c
 }
 
 // begin claims an ID. It returns (resp, true) when a committed response
 // must be replayed — waiting out a concurrent in-flight attempt if
-// necessary — or (zero, false) when the caller owns execution and must
+// necessary — or (nil, false) when the caller owns execution and must
 // call finish exactly once.
-func (c *idemCache) begin(id string) (DecisionResponse, bool) {
+func (c *idemCache) begin(id string) (*DecisionResponse, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	for {
-		c.mu.Lock()
-		if e, ok := c.entries[id]; ok {
-			c.mu.Unlock()
-			<-e.done
-			if e.ok {
-				return e.resp, true
-			}
-			// The attempt we waited on failed before committing;
-			// loop to claim ownership of the re-execution.
-			continue
+		resp, ok := c.entries[id]
+		if !ok {
+			c.entries[id] = nil
+			return nil, false
 		}
-		e := &idemEntry{done: make(chan struct{})}
-		c.entries[id] = e
-		c.mu.Unlock()
-		return DecisionResponse{}, false
+		if resp != nil {
+			return resp, true
+		}
+		// In flight. If that attempt fails before committing, the ID is
+		// released and the first waiter to look again claims the
+		// re-execution; the others wait on it in turn.
+		c.settled.Wait()
 	}
 }
 
-// finish resolves an ID begin handed to the caller: ok caches the
-// committed response for replay; !ok (the decision errored, nothing
-// committed) releases the ID so a retry re-executes.
-func (c *idemCache) finish(id string, resp DecisionResponse, ok bool) {
+// finish resolves an ID begin handed to the caller: a committed response
+// is cached for replay; nil (the decision errored, nothing committed)
+// releases the ID so a retry re-executes. The response is the caller's
+// to encode, never to change.
+func (c *idemCache) finish(id string, resp *DecisionResponse) {
 	c.mu.Lock()
-	e := c.entries[id]
-	if e == nil {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if _, ok := c.entries[id]; !ok {
 		return
 	}
-	e.resp, e.ok = resp, ok
-	if ok {
+	if resp != nil {
+		c.entries[id] = resp
 		if oldest, evicted := c.order.Push(id); evicted {
 			delete(c.entries, oldest)
 		}
 	} else {
 		delete(c.entries, id)
 	}
-	c.mu.Unlock()
-	close(e.done)
+	c.settled.Broadcast()
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -92,6 +94,83 @@ func TestDecisionIdempotencyConcurrent(t *testing.T) {
 	}
 }
 
+// TestDecisionIdempotencyContention: several requests wait on an
+// in-flight RequestID whose attempt fails before committing. Exactly one
+// of them re-executes; every other replays that commit, byte for byte.
+// The waiters are given a moment to queue behind the failing attempt;
+// the assertions hold however many of them made it in time.
+func TestDecisionIdempotencyContention(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(taxPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pdp.New(pdp.Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p)
+	body, err := json.Marshal(DecisionRequest{
+		User: "c1", Roles: []string{"Clerk"},
+		Operation: "prepareCheck", Target: "http://www.myTaxOffice.com/Check",
+		Context:   "TaxOffice=Leeds, taxRefundProcess=p1",
+		RequestID: "contended",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(decide func(context.Context, pdp.Request) (pdp.Decision, error)) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.serveDecision(w, httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body)), decide, false)
+		return w
+	}
+	var executions atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	decide := func(ctx context.Context, req pdp.Request) (pdp.Decision, error) {
+		if executions.Add(1) == 1 {
+			close(started)
+			<-release
+			return pdp.Decision{}, errors.New("the first attempt fails before committing")
+		}
+		return p.DecideCtx(ctx, req)
+	}
+
+	failed := make(chan *httptest.ResponseRecorder, 1)
+	go func() { failed <- serve(decide) }()
+	<-started
+	const waiters = 6
+	answers := make(chan *httptest.ResponseRecorder, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() { answers <- serve(decide) }()
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+
+	if w := <-failed; w.Code == http.StatusOK {
+		t.Fatalf("the failing attempt answered 200: %s", w.Body.Bytes())
+	}
+	var committed []byte
+	for i := 0; i < waiters; i++ {
+		w := <-answers
+		if w.Code != http.StatusOK {
+			t.Fatalf("waiter answered %d: %s", w.Code, w.Body.Bytes())
+		}
+		if committed == nil {
+			committed = w.Body.Bytes()
+		} else if !bytes.Equal(w.Body.Bytes(), committed) {
+			t.Fatalf("waiter answered %s, another %s", w.Body.Bytes(), committed)
+		}
+	}
+	if n := executions.Load(); n != 2 {
+		t.Fatalf("decided %d times, want 2: the failed attempt and one re-execution", n)
+	}
+	if n := s.metrics.idempotentReplays.Load(); n != waiters-1 {
+		t.Fatalf("%d replays, want %d", n, waiters-1)
+	}
+	if n := p.Store().Len(); n != 1 {
+		t.Fatalf("retained ADI has %d records, want the one commit's 1", n)
+	}
+}
+
 // TestIdemCacheOwnership: a failed attempt releases its ID for
 // re-execution; committed IDs are evicted FIFO past the cache bound.
 func TestIdemCacheOwnership(t *testing.T) {
@@ -100,11 +179,11 @@ func TestIdemCacheOwnership(t *testing.T) {
 		t.Fatal("fresh ID replayed")
 	}
 	// Failure releases the ID: the retry owns execution again.
-	c.finish("a", DecisionResponse{}, false)
+	c.finish("a", nil)
 	if _, replay := c.begin("a"); replay {
 		t.Fatal("released ID replayed")
 	}
-	c.finish("a", DecisionResponse{User: "a"}, true)
+	c.finish("a", &DecisionResponse{User: "a"})
 	if resp, replay := c.begin("a"); !replay || resp.User != "a" {
 		t.Fatalf("committed ID begin = %+v, %v", resp, replay)
 	}
@@ -113,12 +192,12 @@ func TestIdemCacheOwnership(t *testing.T) {
 		if _, replay := c.begin(id); replay {
 			t.Fatalf("fresh ID %q replayed", id)
 		}
-		c.finish(id, DecisionResponse{User: id}, true)
+		c.finish(id, &DecisionResponse{User: id})
 	}
 	if _, replay := c.begin("a"); replay {
 		t.Fatal("evicted ID still replayed")
 	}
-	c.finish("a", DecisionResponse{}, false)
+	c.finish("a", nil)
 	if resp, replay := c.begin("c"); !replay || resp.User != "c" {
 		t.Fatalf("retained ID begin = %+v, %v", resp, replay)
 	}

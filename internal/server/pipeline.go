@@ -151,6 +151,10 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		writeJSON(w, status, errorResponse{err.Error()})
 		return
 	}
+	// answer is the response once the decision committed: one heap copy
+	// that the encoder and, under a RequestID, the idempotency cache
+	// share.
+	var answer *DecisionResponse
 	// claim. A duplicate RequestID replays the committed response rather
 	// than re-deciding — re-execution would double-record ADI history
 	// and re-run last-step purges.
@@ -169,15 +173,19 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		// entry left in flight is never evicted and would hang every
 		// retry under the same ID. Without a committed response,
 		// resolving releases the ID so a retry re-executes.
-		defer func() { s.idem.finish(id, c.resp, c.status == http.StatusOK) }()
+		defer func() { s.idem.finish(id, answer) }()
 	}
 	s.decide(r.Context(), &c, decide)
+	if c.err == nil {
+		answer = new(DecisionResponse)
+		*answer = c.resp
+	}
 	s.publish(r.Context(), &c)
 	if c.err != nil { // respond
 		writeJSON(w, c.status, errorResponse{c.err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, c.resp)
+	writeJSON(w, http.StatusOK, answer)
 }
 
 // decide runs the PDP under the request's trace and explain entry and

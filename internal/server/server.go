@@ -332,7 +332,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // maxBodyBytes bounds every JSON body this package reads whole: the
 // request bodies of the decision, advice, management and activation
-// handlers, and the health response on the client side.
+// handlers, and on the client side the health response, a POST's answer
+// and an error answer's body.
 const maxBodyBytes = 1 << 20
 
 // ReadBody reads a request body into one slice — of the declared length
@@ -376,8 +377,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
 	return 0, nil
 }
 
+// jsonContentType is the Content-Type value of every JSON body the
+// shard answers with, its client sends and the gateway forwards: one
+// shared value, never rebuilt per request. SetJSONContentType hands it
+// out capacity-clipped, so a header that gains a second value copies
+// instead of writing into it.
+var jsonContentType = [1]string{"application/json"}
+
+// SetJSONContentType marks h as carrying JSON, with the shared value.
+func SetJSONContentType(h http.Header) { h["Content-Type"] = jsonContentType[:1:1] }
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	SetJSONContentType(w.Header())
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
