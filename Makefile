@@ -46,7 +46,10 @@ benchmark-check:
 
 # A short fuzz pass over every fuzz target, FUZZTIME each (seeds always
 # run under `make test`). FuzzAppendWALEntry and FuzzAppendEvent hold the
-# hand-written WAL and trail lines to json.Marshal's bytes.
+# hand-written WAL and trail lines to json.Marshal's bytes; FuzzEvaluate
+# is differential too: the reference model (internal/refmodel) sees every
+# request the engine evaluates, and the effect and the retained-record
+# count must agree after each.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -79,7 +82,7 @@ chaos:
 # every out-of-band store change goes through pdp.PDP.Apply, the
 # live 2→3→2 scale-out/drain integration against real shards, and the
 # 60-seed reshard torture (random join/drain/crash schedules checked
-# against a shadow PDP).
+# against the reference model as the shadow).
 elastic:
 	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics|Purge|FirstStepWithPeerDown|GatewayRestart)|TestActivation|TestJoinSeeds' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestHandoff' ./internal/server

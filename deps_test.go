@@ -11,8 +11,8 @@ import (
 	"testing"
 )
 
-// daemonForbidden are the reference baselines, the workload generators
-// and the fault suites the tests compare against. A daemon that links
+// daemonForbidden are the reference model and baselines, the workload
+// generators and the fault suites the tests compare against. A daemon that links
 // one of them ships a simulator to production; the usual way in is
 // importing the root msod facade, which re-exports the workflow API for
 // library users.
@@ -22,6 +22,7 @@ var daemonForbidden = []string{
 	"msod/internal/workflow",
 	"msod/internal/workload",
 	"msod/internal/fault",
+	"msod/internal/refmodel",
 }
 
 // TestDaemonsLinkOnlyWhatTheyServe walks the non-test import graph of
@@ -129,6 +130,20 @@ func TestRingImportsNothingOfTheModule(t *testing.T) {
 func TestJSONXImportsNothingOfTheModule(t *testing.T) {
 	if imps := moduleImports(t, "msod/internal/jsonx"); len(imps) > 0 {
 		t.Errorf("msod/internal/jsonx imports %v; it must stay dependency-free", imps)
+	}
+}
+
+// TestRefmodelImportsOnlyTheVocabulary: internal/refmodel is the
+// reference every implementation of §4.2 is checked against, so it
+// shares no code with any of them. It may import the names (bctx,
+// rbac) and the policy format it is built from, and nothing else of
+// the module.
+func TestRefmodelImportsOnlyTheVocabulary(t *testing.T) {
+	allowed := map[string]bool{"msod/internal/bctx": true, "msod/internal/rbac": true, "msod/internal/policy": true}
+	for _, imp := range moduleImports(t, "msod/internal/refmodel") {
+		if !allowed[imp] {
+			t.Errorf("msod/internal/refmodel imports %s; it may import only bctx, rbac and policy", imp)
+		}
 	}
 }
 

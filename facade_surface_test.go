@@ -46,9 +46,8 @@ func TestFacadeSurface(t *testing.T) {
 		t.Fatalf("compile = %v, %v", compiled, err)
 	}
 
-	// Engine with hierarchy expansion and naive counting options.
-	eng, err := msod.NewEngine(msod.NewADIStore(), compiled,
-		msod.WithRoleExpander(m.Closure), msod.WithNaiveMMEPCounting())
+	// Engine with the hierarchy expansion option.
+	eng, err := msod.NewEngine(msod.NewADIStore(), compiled, msod.WithRoleExpander(m.Closure))
 	if err != nil {
 		t.Fatal(err)
 	}

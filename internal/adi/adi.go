@@ -17,17 +17,15 @@
 // entry per open context instance (one with records, or activated: see
 // OpActivate) for the activity check and the context purge, so
 // neither a query nor a purge pays for records it does not concern.
-// DurableStore puts a write-ahead log under it.
-// LinearStore, an unindexed scan, is the naive store of experiment E4
-// and the reference the tests compare Store against.
-// All three satisfy Recorder.
+// DurableStore puts a write-ahead log under it. Both satisfy Recorder;
+// the tests hold them to internal/refmodel, the naive reference that
+// scans one flat slice.
 package adi
 
 import (
 	"context"
 	"fmt"
 	"hash/maphash"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -615,147 +613,4 @@ func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.resetLocked()
-}
-
-// LinearStore is an unindexed retained ADI: one flat slice scanned on
-// every query. It is the ablation baseline of experiment E4 (what a
-// history query walks as the retained ADI grows) and deliberately
-// mirrors the naive implementation the paper warns about in §4.3. Activations are
-// kept as the records that encode them, apart from the history.
-// LinearStore is safe for concurrent use.
-type LinearStore struct {
-	mu   sync.RWMutex
-	recs []Record
-	acts []Record
-}
-
-var _ Recorder = (*LinearStore)(nil)
-
-// NewLinearStore returns an empty linear store.
-func NewLinearStore() *LinearStore { return &LinearStore{} }
-
-// Append implements Recorder.
-func (s *LinearStore) Append(recs ...Record) error {
-	for _, r := range recs {
-		if err := r.Validate(); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range recs {
-		if r.isActivation() {
-			s.acts = append(s.acts, r)
-			continue
-		}
-		r.Roles = append([]rbac.RoleName(nil), r.Roles...)
-		s.recs = append(s.recs, r)
-	}
-	return nil
-}
-
-// UserHasRole implements Recorder by scanning every record.
-func (s *LinearStore) UserHasRole(user rbac.UserID, pattern bctx.Name, role rbac.RoleName) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, rec := range s.recs {
-		if rec.User == user && rec.HasRole(role) && within(pattern, rec.Context) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// UserHasPrivilege implements Recorder by scanning every record.
-func (s *LinearStore) UserHasPrivilege(user rbac.UserID, pattern bctx.Name, p rbac.Permission) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, rec := range s.recs {
-		if rec.User == user && rec.Operation == p.Operation && rec.Target == p.Object && within(pattern, rec.Context) {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// CountUserRole implements Recorder by scanning every record.
-func (s *LinearStore) CountUserRole(user rbac.UserID, pattern bctx.Name, role rbac.RoleName, max int) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, rec := range s.recs {
-		if rec.User == user && rec.HasRole(role) && within(pattern, rec.Context) {
-			n++
-			if max > 0 && n >= max {
-				break
-			}
-		}
-	}
-	return n, nil
-}
-
-// CountUserPrivilege implements Recorder by scanning every record.
-func (s *LinearStore) CountUserPrivilege(user rbac.UserID, pattern bctx.Name, p rbac.Permission, max int) (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, rec := range s.recs {
-		if rec.User == user && rec.Operation == p.Operation && rec.Target == p.Object && within(pattern, rec.Context) {
-			n++
-			if max > 0 && n >= max {
-				break
-			}
-		}
-	}
-	return n, nil
-}
-
-// ContextActive implements Recorder by scanning every record and
-// activation.
-func (s *LinearStore) ContextActive(pattern bctx.Name) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return anyWithin(pattern, s.recs) || anyWithin(pattern, s.acts), nil
-}
-
-func anyWithin(pattern bctx.Name, recs []Record) bool {
-	for i := range recs {
-		if within(pattern, recs[i].Context) {
-			return true
-		}
-	}
-	return false
-}
-
-// PurgeContext implements Recorder.
-func (s *LinearStore) PurgeContext(pattern bctx.Name) (int, error) {
-	return s.purge(func(rec Record) bool { return within(pattern, rec.Context) }), nil
-}
-
-// PurgeUser is Store.PurgeUser by a scan.
-func (s *LinearStore) PurgeUser(user rbac.UserID) int {
-	return s.purge(func(rec Record) bool { return rec.User == user && !rec.isActivation() })
-}
-
-// PurgeBefore is Store.PurgeBefore by a scan.
-func (s *LinearStore) PurgeBefore(t time.Time) int {
-	return s.purge(func(rec Record) bool { return rec.Time.Before(t) })
-}
-
-// purge deletes the records and activations drop selects and returns
-// how many records went.
-func (s *LinearStore) purge(drop func(Record) bool) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	removed := len(s.recs)
-	s.recs = slices.DeleteFunc(s.recs, drop)
-	s.acts = slices.DeleteFunc(s.acts, drop)
-	return removed - len(s.recs)
-}
-
-// Len implements Recorder.
-func (s *LinearStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.recs)
 }

@@ -27,12 +27,11 @@ func rec(user, roles, op, target, ctx string) Record {
 	}
 }
 
-// stores returns both Recorder implementations so every behavioural test
-// runs against each.
+// stores returns the in-memory Recorder every behavioural test runs
+// against; TestQuickStoreEquivalence holds it to the reference model.
 func stores() map[string]Recorder {
 	return map[string]Recorder{
 		"indexed": NewStore(),
-		"linear":  NewLinearStore(),
 	}
 }
 
@@ -322,15 +321,15 @@ func TestConcurrentStore(t *testing.T) {
 	}
 }
 
-// Property: the indexed store and the linear store answer every query
-// identically under random workloads (the E4 ablation must differ only
-// in speed), and agree on everything observable — Len, users, records,
-// distinct instances, activity of every pattern — after every single
-// operation, management purges and activations included.
+// Property: the indexed store and the reference model (internal/refmodel)
+// answer every query identically under random workloads, and agree on
+// everything observable — Len, users, records, distinct instances,
+// activity of every pattern — after every single operation, management
+// purges, activations and releases included.
 func TestQuickStoreEquivalence(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		idx, lin := NewStore(), reference{NewLinearStore()}
+		idx, lin := NewStore(), newReference()
 		for i := 0; i < int(n); i++ {
 			err := mutate(r, i, idx, lin)
 			if err == nil {

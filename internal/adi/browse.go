@@ -1,7 +1,6 @@
 package adi
 
 import (
-	"slices"
 	"sort"
 
 	"msod/internal/bctx"
@@ -10,9 +9,9 @@ import (
 
 // Browser is the read-only introspection surface of a retained-ADI
 // store: enough to enumerate who holds history in which context
-// instances without exposing any mutation path. All three store
-// implementations (Store, LinearStore, DurableStore) satisfy it;
-// internal/inspect builds the /v1/state API on top.
+// instances without exposing any mutation path. Both store
+// implementations (Store, DurableStore) satisfy it; internal/inspect
+// builds the /v1/state API on top.
 type Browser interface {
 	// UserRecords returns copies of the user's records whose context
 	// instance falls within pattern, in insertion order.
@@ -26,7 +25,6 @@ type Browser interface {
 
 var (
 	_ Browser = (*Store)(nil)
-	_ Browser = (*LinearStore)(nil)
 	_ Browser = (*DurableStore)(nil)
 )
 
@@ -52,52 +50,6 @@ func (s *Store) UserIDs() []rbac.UserID {
 	out := make([]rbac.UserID, 0, len(s.byUser))
 	for u := range s.byUser {
 		out = append(out, u)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// UserRecords implements Browser by scanning every record (the linear
-// store has no per-user index to use).
-func (s *LinearStore) UserRecords(user rbac.UserID, pattern bctx.Name) []Record {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []Record
-	for _, rec := range s.recs {
-		if rec.User == user && within(pattern, rec.Context) {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// Instances implements Browser.
-func (s *LinearStore) Instances() []bctx.Name {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := make(map[string]bool)
-	var out []bctx.Name
-	for _, rec := range slices.Concat(s.recs, s.acts) {
-		if key := rec.Context.Key(); !seen[key] {
-			seen[key] = true
-			out = append(out, rec.Context)
-		}
-	}
-	sortInstances(out)
-	return out
-}
-
-// UserIDs implements Browser.
-func (s *LinearStore) UserIDs() []rbac.UserID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	seen := make(map[rbac.UserID]bool)
-	var out []rbac.UserID
-	for _, rec := range s.recs {
-		if !seen[rec.User] {
-			seen[rec.User] = true
-			out = append(out, rec.User)
-		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

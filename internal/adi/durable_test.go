@@ -282,7 +282,7 @@ func TestDurableHistoryMatchesAfterReopen(t *testing.T) {
 
 // TestQuickDurableEquivalence: under random mutate/compact/reopen
 // sequences — context, user and age purges and activations
-// included — the durable store agrees with the unindexed reference on
+// included — the durable store agrees with the reference model on
 // everything observable after every operation.
 func TestQuickDurableEquivalence(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
@@ -297,7 +297,7 @@ func TestQuickDurableEquivalence(t *testing.T) {
 			return false
 		}
 		defer func() { ds.Close() }()
-		want := reference{NewLinearStore()}
+		want := newReference()
 
 		for i := 0; i < int(n); i++ {
 			switch r.Intn(8) {

@@ -5,12 +5,12 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"time"
 
 	"msod/internal/bctx"
 	"msod/internal/rbac"
+	"msod/internal/refmodel"
 )
 
 // The vocabulary of the store-equivalence properties. Instances reach
@@ -39,17 +39,54 @@ type mutableStore interface {
 	All() []Record
 }
 
-// reference is the unindexed store every answer of the indexed and
-// durable stores is compared against.
-type reference struct{ *LinearStore }
+// reference is internal/refmodel's flat slice, which every answer of
+// the indexed and durable stores is compared against.
+type reference struct{ *refmodel.Model }
 
-// All orders the flat slice as Store.All does: by user, then insertion.
-func (r reference) All() []Record {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]Record{}, r.recs...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].User < out[j].User })
+func newReference() reference {
+	m, _ := refmodel.New(nil)
+	return reference{m}
+}
+
+// All returns the model's records as Store.All orders them.
+func (r reference) All() []Record { return fromModel(r.Model.All()) }
+
+// UserRecords returns the model's records of the user within pattern.
+func (r reference) UserRecords(user rbac.UserID, pattern bctx.Name) []Record {
+	return fromModel(r.Model.UserRecords(user, pattern))
+}
+
+func fromModel(recs []refmodel.Record) []Record {
+	var out []Record
+	for _, rec := range recs {
+		out = append(out, Record(rec))
+	}
 	return out
+}
+
+// apply is Apply on the model.
+func (r reference) apply(op Op) (Effect, error) {
+	var eff refmodel.Effect
+	var err error
+	switch op.Kind {
+	case OpRecord:
+		recs := make([]refmodel.Record, len(op.Records))
+		for i, rec := range op.Records {
+			recs[i] = refmodel.Record(rec)
+		}
+		eff, err = r.Record(recs...)
+	case OpActivate:
+		eff, err = r.Activate(op.Bound, op.Time)
+	case OpClose:
+		eff = r.Close(op.Bound)
+	case OpPurgeUser:
+		eff = r.PurgeUser(op.User)
+	case OpPurgeBefore:
+		eff = r.PurgeBefore(op.Time)
+	case OpRelease:
+		eff = r.Release(op.User, op.Time)
+	}
+	return Effect(eff), err
 }
 
 // randomOp draws one op of any kind, releases included.
@@ -80,7 +117,7 @@ func randomOp(r *rand.Rand, step int) Op {
 func mutate(r *rand.Rand, step int, got mutableStore, want reference) error {
 	op := randomOp(r, step)
 	g, e1 := Apply(got, op)
-	w, e2 := Apply(want, op)
+	w, e2 := want.apply(op)
 	if e1 != nil || e2 != nil || g.Added != w.Added || g.Removed != w.Removed || g.Activated != w.Activated ||
 		fmt.Sprint(g.Kept) != fmt.Sprint(w.Kept) {
 		return fmt.Errorf("Apply(%v %+v) = %+v, %v; want %+v, %v", op.Kind, op, g, e1, w, e2)
@@ -112,10 +149,8 @@ func sameState(got mutableStore, want reference) error {
 	}
 	for _, ps := range eqPatterns {
 		p := bctx.MustParse(ps)
-		g, e1 := got.ContextActive(p)
-		w, e2 := want.ContextActive(p)
-		if e1 != nil || e2 != nil || g != w {
-			return fmt.Errorf("ContextActive(%q) = %v, %v; want %v, %v", p, g, e1, w, e2)
+		if g, err := got.ContextActive(p); err != nil || g != want.ContextActive(p) {
+			return fmt.Errorf("ContextActive(%q) = %v, %v; want %v", p, g, err, want.ContextActive(p))
 		}
 	}
 	return nil
@@ -150,19 +185,25 @@ func sameAnswers(r *rand.Rand, got mutableStore, want reference) error {
 	p := bctx.MustParse(eqPatterns[r.Intn(len(eqPatterns))])
 	role := rbac.RoleName(eqRoles[r.Intn(len(eqRoles))])
 	perm := rbac.Permission{Operation: rbac.Operation(fmt.Sprintf("op%d", r.Intn(3))), Object: "t"}
+	roles := 0
+	for _, rec := range want.UserRecords(u, p) {
+		if rec.HasRole(role) {
+			roles++
+		}
+	}
+	privs := want.CountUserPrivilege(u, p, perm)
 	for _, q := range []struct {
 		name string
-		ask  func(Recorder) (any, error)
+		ask  func() (any, error)
+		want any
 	}{
-		{"UserHasRole", func(s Recorder) (any, error) { return s.UserHasRole(u, p, role) }},
-		{"UserHasPrivilege", func(s Recorder) (any, error) { return s.UserHasPrivilege(u, p, perm) }},
-		{"CountUserRole", func(s Recorder) (any, error) { return s.CountUserRole(u, p, role, 0) }},
-		{"CountUserPrivilege", func(s Recorder) (any, error) { return s.CountUserPrivilege(u, p, perm, 2) }},
+		{"UserHasRole", func() (any, error) { return got.UserHasRole(u, p, role) }, want.UserHasRole(u, p, role)},
+		{"UserHasPrivilege", func() (any, error) { return got.UserHasPrivilege(u, p, perm) }, privs > 0},
+		{"CountUserRole", func() (any, error) { return got.CountUserRole(u, p, role, 0) }, roles},
+		{"CountUserPrivilege", func() (any, error) { return got.CountUserPrivilege(u, p, perm, 2) }, min(privs, 2)},
 	} {
-		g, e1 := q.ask(got)
-		w, e2 := q.ask(want)
-		if e1 != nil || e2 != nil || g != w {
-			return fmt.Errorf("%s(%q, %q) = %v, %v; want %v, %v", q.name, u, p, g, e1, w, e2)
+		if g, err := q.ask(); err != nil || g != q.want {
+			return fmt.Errorf("%s(%q, %q) = %v, %v; want %v", q.name, u, p, g, err, q.want)
 		}
 	}
 	if g, w := got.UserRecords(u, p), want.UserRecords(u, p); !sameSlice(g, w) {

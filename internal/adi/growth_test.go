@@ -7,6 +7,7 @@ import (
 
 	"msod/internal/bctx"
 	"msod/internal/rbac"
+	"msod/internal/refmodel"
 )
 
 // The §4.3 warning is that an unmanaged retained ADI "will get too large
@@ -35,8 +36,9 @@ func growthRecord(i, instances int) Record {
 // TestHistoryQueryWalksOnlyTheUsersRecords (E4): as the store grows
 // from 10² to 10⁵ records, a probe user's history query walks that
 // user's bucket, which holds the probe's own 4 records at every size.
-// LinearStore, the naive store the paper warns about, walks all of
-// them. Both answer the same.
+// The reference model (internal/refmodel), the naive store the paper
+// warns about, scans its one slice of all of them. Both answer the
+// same.
 func TestHistoryQueryWalksOnlyTheUsersRecords(t *testing.T) {
 	const own = 4
 	pattern := bctx.MustParse("Branch=*, Period=*")
@@ -50,28 +52,27 @@ func TestHistoryQueryWalksOnlyTheUsersRecords(t *testing.T) {
 			r.User = "probe"
 			recs = append(recs, r)
 		}
-		s, l := NewStore(), NewLinearStore()
-		for _, store := range []Recorder{s, l} {
-			if err := store.Append(recs...); err != nil {
+		s, naive := NewStore(), newReference()
+		if err := s.Append(recs...); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if _, err := naive.Record(refmodel.Record(r)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got := len(s.byUser["probe"]); got != own {
 			t.Errorf("%d records: Store's query walks %d entries, want the probe's %d", size, got, own)
 		}
-		if got := len(l.recs); got != size {
-			t.Errorf("%d records: LinearStore's query walks %d entries, want %d", size, got, size)
+		if got := naive.Len(); got != size {
+			t.Errorf("%d records: the model's query scans %d entries, want %d", size, got, size)
 		}
 		indexed, err := s.CountUserRole("probe", pattern, "Teller", own+1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		linear, err := l.CountUserRole("probe", pattern, "Teller", own+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if indexed != own || linear != own {
-			t.Errorf("%d records: probe's Teller count %d indexed, %d linear; want %d", size, indexed, linear, own)
+		if linear := len(naive.UserRecords("probe", pattern)); indexed != own || linear != own {
+			t.Errorf("%d records: probe's Teller count %d indexed, %d naive; want %d", size, indexed, linear, own)
 		}
 	}
 }

@@ -44,8 +44,7 @@ const (
 )
 
 // ErrUnsupported reports an Op the store has no surface for: only
-// Store, LinearStore and DurableStore take the ones Recorder cannot
-// express. Nothing was changed. Test with errors.Is.
+// Store and DurableStore take the ones Recorder cannot express. Nothing was changed. Test with errors.Is.
 var ErrUnsupported = errors.New("adi: operation unsupported by the store")
 
 // Effect is what applying one Op changed: the records appended and
@@ -89,12 +88,6 @@ func Apply(store Recorder, op Op) (Effect, error) {
 	return Effect{}, fmt.Errorf("adi: unknown op kind %d", op.Kind)
 }
 
-// purgeStore is the §4.3 purges of the in-memory stores.
-type purgeStore interface {
-	PurgeUser(rbac.UserID) int
-	PurgeBefore(time.Time) int
-}
-
 // purge runs an OpPurgeUser or OpPurgeBefore.
 func purge(store Recorder, op Op) (int, error) {
 	switch s := store.(type) {
@@ -103,7 +96,7 @@ func purge(store Recorder, op Op) (int, error) {
 			return s.PurgeUser(op.User)
 		}
 		return s.PurgeBefore(op.Time)
-	case purgeStore:
+	case *Store:
 		if op.Kind == OpPurgeUser {
 			return s.PurgeUser(op.User), nil
 		}

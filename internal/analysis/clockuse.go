@@ -20,9 +20,10 @@ type Clockuse struct {
 }
 
 // DefaultClockusePackages are the packages whose outputs land in the
-// retained ADI, the audit trail, or the decision event stream.
+// retained ADI, the audit trail, or the decision event stream, and the
+// reference model, whose schedules a checker replays.
 var DefaultClockusePackages = []string{
-	"internal/pdp", "internal/core", "internal/adi", "internal/audit", "internal/inspect",
+	"internal/pdp", "internal/core", "internal/adi", "internal/audit", "internal/inspect", "internal/refmodel",
 }
 
 func (*Clockuse) Name() string { return "clockuse" }

@@ -252,7 +252,6 @@ type Engine struct {
 	ctxStore   adi.CtxAppender // non-nil when store supports ctx-aware appends
 	now        func() time.Time
 	expand     func([]rbac.RoleName) []rbac.RoleName
-	naiveMMEP  bool
 }
 
 // Option configures an Engine.
@@ -262,19 +261,6 @@ type Option func(*Engine)
 // retained-ADI timestamps in tests and experiments).
 func WithClock(now func() time.Time) Option {
 	return func(e *Engine) { e.now = now }
-}
-
-// WithNaiveMMEPCounting switches MMEP evaluation from multiset counting
-// (each remaining rule position needs a distinct supporting ADI record)
-// to the literal any-record reading of §4.2 step 6.iii (a remaining
-// position counts if *any* matching record exists). The two coincide on
-// every constraint in the paper, including MMEP({p,p},2); they diverge
-// only when a privilege is listed three or more times — naive counting
-// then under-allows (MMEP({p,p,p},3) caps p at one execution instead of
-// two). Experiment E11 is the ablation; the engine defaults to multiset
-// counting (see DESIGN.md §5).
-func WithNaiveMMEPCounting() Option {
-	return func(e *Engine) { e.naiveMMEP = true }
 }
 
 // WithRoleExpander makes MMER constraints hierarchy-aware: activated
@@ -742,10 +728,9 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 		if !rule.lists(reqPriv) {
 			continue
 		}
-		// Multiset matching (default): each remaining position needs a
-		// distinct supporting ADI record of the same privilege. Naive
-		// mode counts a position whenever any matching record exists
-		// (the E11 ablation).
+		// Multiset matching: each remaining position needs a distinct
+		// supporting ADI record of the same privilege (the literal
+		// any-record reading is internal/refmodel's E11 ablation).
 		count := 0
 		for _, pos := range rule.positions {
 			nPos := pos.n
@@ -760,16 +745,9 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 					continue
 				}
 			}
-			limit := nPos
-			if e.naiveMMEP {
-				limit = 1
-			}
-			n, err := e.store.CountUserPrivilege(req.User, m.bound, pos.priv, limit)
+			n, err := e.store.CountUserPrivilege(req.User, m.bound, pos.priv, nPos)
 			if err != nil {
 				return action{}, refusal{}, fmt.Errorf("core: privilege history query: %w", err)
-			}
-			if e.naiveMMEP && n > 0 {
-				n = nPos
 			}
 			count += n
 		}

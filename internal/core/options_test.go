@@ -9,8 +9,8 @@ import (
 	"msod/internal/rbac"
 )
 
-// TestAllOptionsCompose wires every engine option together — clock,
-// hierarchy expander, naive counting — and checks the composed engine
+// TestAllOptionsCompose wires every engine option together — clock and
+// hierarchy expander — and checks the composed engine
 // still enforces the examples correctly.
 func TestAllOptionsCompose(t *testing.T) {
 	model := rbac.NewModel()
@@ -27,7 +27,6 @@ func TestAllOptionsCompose(t *testing.T) {
 	e, err := NewEngine(store, bankPolicies(),
 		WithClock(fixedTestClock),
 		WithRoleExpander(model.Closure),
-		WithNaiveMMEPCounting(),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -16,10 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"msod/internal/adi"
 	"msod/internal/cluster"
 	"msod/internal/node"
-	"msod/internal/pdp"
 	"msod/internal/policy"
 	"msod/internal/rbac"
 	"msod/internal/server"
@@ -33,11 +31,12 @@ import (
 // completion, and the workload resumed. The invariant checked at every
 // acknowledged decision and across a final full probe grid is
 // one-sided, matching the paper's fail-closed stance: anything the
-// cluster GRANTS, an in-memory shadow PDP that absorbed exactly the
-// acknowledged grants must also grant. The cluster may refuse (503)
-// or over-deny during and after the window — a commit whose ack was
-// withheld leaves deny-safe extra history — but one grant the shadow
-// denies means resharding split or lost someone's retained ADI.
+// cluster GRANTS, the reference model (internal/refmodel) as a shadow
+// that absorbed exactly the acknowledged grants must also grant. The
+// cluster may refuse (503) or over-deny during and after the window — a
+// commit whose ack was withheld leaves deny-safe extra history — but
+// one grant the shadow denies means resharding split or lost someone's
+// retained ADI.
 //
 // One step in six is the policy's LastStep, and traffic keeps flowing
 // while the handoff runs and the fault fires: the closes of those
@@ -108,6 +107,10 @@ func newElasticVictim(t *testing.T, policyPath string) *elasticVictim {
 }
 
 var quiet = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+// shadowEpoch stamps the shadow's records: nothing in this torture
+// purges by age, so one time serves every step.
+var shadowEpoch = time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
 
 // lastStepsAcked counts the torture's acknowledged LastSteps that closed
 // an instance, over all seeds: the suite must not pass because the
@@ -194,10 +197,7 @@ func elasticTortureOne(t *testing.T, seed int64) {
 
 	// The shadow sees exactly the acknowledged decisions, on state no
 	// fault can touch.
-	shadow, err := pdp.New(pdp.Config{Policy: pol, Store: adi.NewStore()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shadow := newShadow(t, pol)
 
 	c := server.NewClient(gwSrv.URL, nil)
 	wire := func(s tortureStep) server.DecisionRequest {
@@ -225,13 +225,13 @@ func elasticTortureOne(t *testing.T, seed int64) {
 		if !vd.Allowed {
 			return
 		}
-		sd, serr := shadow.Decide(s.request())
+		sd, serr := shadow.Evaluate(s.shadowed(), shadowEpoch)
 		if serr != nil {
 			t.Fatalf("%s: shadow decide: %v", stage, serr)
 		}
-		if !sd.Allowed {
-			t.Fatalf("%s: FALSE GRANT: cluster granted %s %s for %s/%s, shadow denies (%s)",
-				stage, s.op, s.inst, s.user, s.role, sd.Reason)
+		if !sd.Grant {
+			t.Fatalf("%s: FALSE GRANT: cluster granted %s %s for %s/%s, shadow denies (%s in %s holding %d)",
+				stage, s.op, s.inst, s.user, s.role, sd.Rule, sd.Bound, sd.Held)
 		}
 		if len(vd.Closed) > 0 {
 			lastStepsAcked.Add(1)
@@ -381,13 +381,13 @@ func elasticTortureOne(t *testing.T, seed int64) {
 		if verr != nil {
 			t.Fatalf("probe %+v: %v", probe, verr)
 		}
-		sd, serr := shadow.Advise(probe.request())
+		sd, serr := shadow.Peek(probe.shadowed())
 		if serr != nil {
 			t.Fatalf("probe %+v: shadow: %v", probe, serr)
 		}
-		if vd.Allowed && !sd.Allowed {
-			t.Fatalf("probe %+v: FALSE GRANT after reshard torture (kind %d): cluster grants, shadow denies (%s)",
-				probe, kind, sd.Reason)
+		if vd.Allowed && !sd.Grant {
+			t.Fatalf("probe %+v: FALSE GRANT after reshard torture (kind %d): cluster grants, shadow denies (%s in %s holding %d)",
+				probe, kind, sd.Rule, sd.Bound, sd.Held)
 		}
 	}
 }

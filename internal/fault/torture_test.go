@@ -16,6 +16,7 @@ import (
 	"msod/internal/pdp"
 	"msod/internal/policy"
 	"msod/internal/rbac"
+	"msod/internal/refmodel"
 )
 
 // The crash-recovery torture: a PDP over the durable store and audit
@@ -23,13 +24,15 @@ import (
 // seeded workload until a crash cuts power at a random disk operation.
 // The surviving bytes are reopened with the plain filesystem — the
 // restart after the outage — and the recovered PDP is checked against
-// a shadow PDP that saw exactly the acknowledged decisions:
+// the reference model (internal/refmodel) as the shadow, which saw
+// exactly the acknowledged decisions:
 //
 //   - the recovered retained ADI holds exactly the acknowledged
-//     grants' records (no lost acks, no phantom half-writes), and
-//   - every probe request gets the same answer from both PDPs — in
-//     particular, nothing the shadow denies is granted after recovery
-//     (zero false grants), and
+//     grants' records, record for record (no lost acks, no phantom
+//     half-writes), and
+//   - every probe request gets the same answer from the recovered PDP
+//     and the model — in particular, nothing the shadow denies is
+//     granted after recovery (zero false grants), and
 //   - the audit chain verifies, or is a clean truncation that the
 //     next writer repairs to a verifying chain.
 //
@@ -91,6 +94,45 @@ func (s tortureStep) request() pdp.Request {
 		Target:    s.tgt,
 		Context:   bctx.MustParse("TaxOffice=Leeds, taxRefundProcess=" + s.inst),
 	}
+}
+
+// shadowed is the step as the reference model takes it. Every step's
+// role is assigned and granted its operation, so the RBAC phase never
+// denies one and the model's MSoD decision is the whole answer.
+func (s tortureStep) shadowed() refmodel.Request {
+	r := s.request()
+	return refmodel.Request{User: r.User, Roles: r.Roles, Operation: r.Operation, Target: r.Target, Context: r.Context}
+}
+
+// newShadow is the reference model of the torture policy.
+func newShadow(t *testing.T, pol *policy.RBACPolicy) *refmodel.Model {
+	t.Helper()
+	shadow, err := refmodel.New(pol.MSoD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shadow
+}
+
+// sameRetained fails unless the store holds the shadow's records,
+// record for record in the order both list them.
+func sameRetained(t *testing.T, when string, store *adi.DurableStore, shadow *refmodel.Model) {
+	t.Helper()
+	got, want := store.All(), shadow.All()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d retained-ADI records, shadow has %d", when, len(got), len(want))
+	}
+	for i := range got {
+		if g, w := got[i].String(), adi.Record(want[i]).String(); g != w {
+			t.Fatalf("%s: record %d is %s, shadow's is %s", when, i, g, w)
+		}
+	}
+}
+
+// agrees reports whether a PDP's answer is the model's: the same
+// effect, and a denial only from the MSoD phase.
+func agrees(d pdp.Decision, m refmodel.Decision) bool {
+	return d.Allowed == m.Grant && (d.Allowed || d.Phase == pdp.PhaseMSoD)
 }
 
 // genWorkload draws n seeded steps over a small population of clerks
@@ -186,13 +228,9 @@ func tortureOne(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The shadow PDP sees exactly the acknowledged decisions, on an
-	// in-memory store no fault can touch.
-	shadowStore := adi.NewStore()
-	shadow, err := pdp.New(pdp.Config{Policy: pol, Store: shadowStore, Clock: clock})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The shadow model sees exactly the acknowledged decisions, in
+	// memory no fault can touch.
+	shadow := newShadow(t, pol)
 
 	// Arm the crash at a random mutating disk operation ahead — it may
 	// land on a WAL write, flush, fsync or a trail append, whichever
@@ -214,13 +252,12 @@ func tortureOne(t *testing.T, seed int64) {
 			break
 		}
 		// Acknowledged: the shadow must agree and absorb the same step.
-		sd, serr := shadow.Decide(step.request())
+		sd, serr := shadow.Evaluate(step.shadowed(), clock())
 		if serr != nil {
 			t.Fatalf("step %d: shadow decision failed: %v", i, serr)
 		}
-		if vd.Allowed != sd.Allowed || vd.Phase != sd.Phase {
-			t.Fatalf("step %d: victim %v/%s, shadow %v/%s — nondeterministic PDP",
-				i, vd.Allowed, vd.Phase, sd.Allowed, sd.Phase)
+		if !agrees(vd, sd) {
+			t.Fatalf("step %d: victim %v/%s, shadow grant %v (%s)", i, vd.Allowed, vd.Phase, sd.Grant, sd.Rule)
 		}
 	}
 	// A crash during a trail append is swallowed (the decision is
@@ -241,9 +278,7 @@ func tortureOne(t *testing.T, seed int64) {
 	}
 	defer recovered.Close()
 
-	if got, want := recovered.Len(), shadowStore.Len(); got != want {
-		t.Fatalf("recovered %d retained-ADI records, shadow has %d (acked writes lost or phantom writes surfaced)", got, want)
-	}
+	sameRetained(t, "after recovery (acked writes lost or phantom writes surfaced)", recovered, shadow)
 	recPDP, err := pdp.New(pdp.Config{Policy: pol, Store: recovered, Clock: clock})
 	if err != nil {
 		t.Fatal(err)
@@ -253,13 +288,13 @@ func tortureOne(t *testing.T, seed int64) {
 	// the shadow denies but the recovered PDP grants is a false grant.
 	for _, probe := range probeSteps() {
 		rd, rerr := recPDP.Advise(probe.request())
-		sd, serr := shadow.Advise(probe.request())
+		sd, serr := shadow.Peek(probe.shadowed())
 		if rerr != nil || serr != nil {
 			t.Fatalf("probe %+v: advise errors %v / %v", probe, rerr, serr)
 		}
-		if rd.Allowed != sd.Allowed || rd.Phase != sd.Phase {
-			t.Fatalf("probe %+v: recovered %v/%s, shadow %v/%s after crash recovery",
-				probe, rd.Allowed, rd.Phase, sd.Allowed, sd.Phase)
+		if !agrees(rd, sd) {
+			t.Fatalf("probe %+v: recovered %v/%s, shadow grant %v (%s) after crash recovery",
+				probe, rd.Allowed, rd.Phase, sd.Grant, sd.Rule)
 		}
 	}
 
@@ -267,15 +302,17 @@ func tortureOne(t *testing.T, seed int64) {
 	// PEP's retry) on the recovered PDP; it must track the shadow.
 	for i, step := range steps[resume:] {
 		rd, rerr := recPDP.Decide(step.request())
-		sd, serr := shadow.Decide(step.request())
+		sd, serr := shadow.Evaluate(step.shadowed(), clock())
 		if rerr != nil || serr != nil {
 			t.Fatalf("resumed step %d: decide errors %v / %v", i, rerr, serr)
 		}
-		if rd.Allowed != sd.Allowed || rd.Phase != sd.Phase {
-			t.Fatalf("resumed step %d: recovered %v/%s, shadow %v/%s",
-				i, rd.Allowed, rd.Phase, sd.Allowed, sd.Phase)
+		if !agrees(rd, sd) {
+			t.Fatalf("resumed step %d: recovered %v/%s, shadow grant %v (%s)",
+				i, rd.Allowed, rd.Phase, sd.Grant, sd.Rule)
 		}
 	}
+
+	sameRetained(t, "after the resumed workload", recovered, shadow)
 
 	// The audit chain either verifies or was torn mid-entry by the
 	// crash; a torn tail must be repaired by the next writer so the

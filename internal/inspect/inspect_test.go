@@ -210,12 +210,17 @@ func TestLastTraceIDFromBroker(t *testing.T) {
 	}
 }
 
-// TestBrowserConsistencyAcrossStores runs the same scenario over every
-// store implementation and expects identical introspection answers.
+// TestBrowserConsistencyAcrossStores runs the same scenario over both
+// store implementations and expects identical introspection answers.
 func TestBrowserConsistencyAcrossStores(t *testing.T) {
+	durable, err := adi.OpenDurable(t.TempDir(), []byte("k"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
 	stores := map[string]adi.Recorder{
-		"store":  adi.NewStore(),
-		"linear": adi.NewLinearStore(),
+		"store":   adi.NewStore(),
+		"durable": durable,
 	}
 	for name, store := range stores {
 		t.Run(name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package workload generates deterministic synthetic request streams
 // for the experiments: bank-style MMER workloads over a Branch × Period
-// context grid, tax-refund-style MMEP process streams, and raw
-// retained-ADI record populations for store-scaling measurements.
+// context grid and tax-refund-style MMEP process streams.
 //
 // All generators are seeded; the same configuration always produces the
 // same stream, so the counts the tests pin are reproducible run to run.
@@ -10,9 +9,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
-	"msod/internal/adi"
 	"msod/internal/bctx"
 	"msod/internal/core"
 	"msod/internal/rbac"
@@ -121,40 +118,6 @@ func (b *Bank) Stream(n int) []core.Request {
 	out := make([]core.Request, n)
 	for i := range out {
 		out[i] = b.Next()
-	}
-	return out
-}
-
-// Records generates n synthetic retained-ADI records spread over the
-// given numbers of users and context instances, for seeding a store
-// directly. Timestamps advance one second per record from a fixed
-// epoch.
-func Records(seed int64, n, users, contexts int) []adi.Record {
-	if users < 1 {
-		users = 1
-	}
-	if contexts < 1 {
-		contexts = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	epoch := time.Date(2006, 1, 1, 0, 0, 0, 0, time.UTC)
-	out := make([]adi.Record, n)
-	for i := range out {
-		role := rbac.RoleName("Teller")
-		if rng.Intn(2) == 0 {
-			role = "Auditor"
-		}
-		out[i] = adi.Record{
-			User:      rbac.UserID(fmt.Sprintf("user%04d", rng.Intn(users))),
-			Roles:     []rbac.RoleName{role},
-			Operation: rbac.Operation(fmt.Sprintf("op%d", rng.Intn(8))),
-			Target:    "t",
-			Context: bctx.MustName(
-				bctx.Component{Type: "Branch", Value: fmt.Sprintf("b%d", rng.Intn(contexts))},
-				bctx.Component{Type: "Period", Value: "p0"},
-			),
-			Time: epoch.Add(time.Duration(i) * time.Second),
-		}
 	}
 	return out
 }

@@ -69,26 +69,6 @@ func TestBankZipfSkew(t *testing.T) {
 	}
 }
 
-func TestRecordsValidAndDeterministic(t *testing.T) {
-	a := Records(11, 300, 20, 5)
-	b := Records(11, 300, 20, 5)
-	if len(a) != 300 {
-		t.Fatalf("len = %d", len(a))
-	}
-	store := adi.NewStore()
-	if err := store.Append(a...); err != nil {
-		t.Fatalf("generated records rejected: %v", err)
-	}
-	for i := range a {
-		if a[i].User != b[i].User || !a[i].Context.Equal(b[i].Context) {
-			t.Fatalf("records diverge at %d", i)
-		}
-		if i > 0 && !a[i].Time.After(a[i-1].Time) {
-			t.Fatalf("timestamps not increasing at %d", i)
-		}
-	}
-}
-
 // TestTaxProcessesAreValid: every generated process instance must be
 // granted end to end by an engine running the Example 2 policy.
 func TestTaxProcessesAreValid(t *testing.T) {
@@ -145,8 +125,5 @@ func TestConfigNormalisation(t *testing.T) {
 	gen := NewTax(TaxConfig{Seed: 1})
 	if len(gen.NextProcess()) != 5 {
 		t.Error("minimal tax config broken")
-	}
-	if got := Records(1, 10, 0, 0); len(got) != 10 {
-		t.Errorf("records with zero users/contexts: %d", len(got))
 	}
 }

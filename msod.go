@@ -151,11 +151,6 @@ func WithRoleExpander(expand func([]RoleName) []RoleName) core.Option {
 	return core.WithRoleExpander(expand)
 }
 
-// WithNaiveMMEPCounting selects the literal any-record counting of §4.2
-// step 6.iii instead of the default multiset counting (ablation; see
-// experiment E11).
-func WithNaiveMMEPCounting() core.Option { return core.WithNaiveMMEPCounting() }
-
 // CompileMSoD compiles a parsed MSoDPolicySet into engine policies.
 func CompileMSoD(set *MSoDPolicySet) ([]EnginePolicy, error) { return core.Compile(set) }
 
