@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"msod/internal/adi"
@@ -424,4 +427,66 @@ func TestClusterChaoticTransportKeepsCarriedActivations(t *testing.T) {
 	if bad := falseGrants(t, c, shadow, probes); len(bad) != 0 {
 		t.Fatalf("FALSE GRANTS after the chaos: %q", bad)
 	}
+}
+
+// hangUp forwards every request. The one decision POST it is armed for
+// it forwards whole — the shard serves and commits it — and then hangs
+// up the PEP that decision came from; it hands back the answer only if
+// the hop's own context is still live, as net/http's Transport does,
+// which abandons an exchange whose context ends before the answer is
+// read.
+type hangUp struct {
+	pep atomic.Pointer[context.CancelFunc]
+}
+
+func (h *hangUp) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err != nil || r.Method != http.MethodPost || r.URL.Path != server.DecisionPath {
+		return resp, err
+	}
+	if cancel := h.pep.Swap(nil); cancel != nil {
+		(*cancel)()
+		if err := r.Context().Err(); err != nil {
+			resp.Body.Close()
+			return nil, err
+		}
+	}
+	return resp, nil
+}
+
+// TestClusterPEPHangUpAfterFirstStep: a PEP that hangs up after the
+// owner shard committed its FirstStep does not lose the activation. The
+// decision runs to its answer under the gateway's own deadline, the
+// activation is queued for the peer, and the peer's Manager cannot
+// approve twice in the instance the FirstStep started — which it could
+// if the peer never learned the instance runs. The hang-up is not the
+// shard's failure: it stays Up with its breaker closed.
+func TestClusterPEPHangUpAfterFirstStep(t *testing.T) {
+	rt := &hangUp{}
+	gw, c, _ := newCloseCluster(t, 2, Config{FailAfter: 1, BreakerAfter: 1}, rt)
+	clerk, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "b", "mgr", 0)
+
+	body, err := json.Marshal(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pep, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rt.pep.Store(&cancel)
+	w := httptest.NewRecorder()
+	gw.ServeHTTP(w, httptest.NewRequest(http.MethodPost, server.DecisionPath, bytes.NewReader(body)).WithContext(pep))
+	if pep.Err() == nil {
+		t.Fatal("the transport never hung up the PEP")
+	}
+	if w.Code != http.StatusOK {
+		t.Errorf("the FirstStep's answer to the PEP: status %d %s; want 200", w.Code, w.Body.Bytes())
+	}
+	if n := outbox(t, gw, "b").Pending(); n != 1 {
+		t.Errorf("%d activations queued for b, want the FirstStep's", n)
+	}
+	if !gw.Checker().Up("a") || gw.Breaker().State("a") != BreakerClosed {
+		t.Errorf("after the PEP hung up: a up=%v, breaker %v; want Up and closed", gw.Checker().Up("a"), gw.Breaker().State("a"))
+	}
+	mustDecide(t, c, taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p1", ""), true)
+	mustDecide(t, c, taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p1", ""), false)
 }
