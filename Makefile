@@ -72,6 +72,8 @@ chaos:
 	$(GO) test -race -run 'TestAdmission|TestClientRetriesShedRequest|TestDegradedReadOnlyLatch' ./internal/server
 	$(GO) test -race -count=10 -run 'Idem|Idempotency' ./internal/server
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster
+	$(GO) test -race -count=20 -run 'TestClusterPEPHangUpAfterFirstStep' ./internal/cluster
+	$(GO) test -race -count=20 -run 'TestObserveExemplarConcurrent' ./internal/obsv
 
 # Elastic membership smoke: the join/drain/remove lifecycle and
 # context-activation unit suite (the activation carried to each peer,

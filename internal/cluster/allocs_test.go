@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -54,11 +55,12 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 
 // TestRouteDecisionAllocs is the gateway's allocation budget: what
 // Gateway.ServeHTTP allocates for one POST /v1/decision, request already
-// built, shard answer already built, response into memory. Budgets are
-// exact; a change that moves one edits the table and names the
-// allocation.
+// built under a context of its own that a hang-up would cancel (as
+// net/http's server serves it), shard answer already built, response
+// into memory. Budgets are exact; a change that moves one edits the
+// table and names the allocation.
 //
-// What a plain decision pays (16), 12 of it context's and net/http's
+// What a plain decision pays (15), 11 of it context's and net/http's
 // price of one deadline and one POST handed to the RoundTripper
 // (counted with the Go 1.24 toolchain, whose crypto/rand.Read keeps a
 // caller's array on the stack):
@@ -73,18 +75,28 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 //	            built for spans the gateway never records
 //	requestID 0 the ID's random bytes and hex text stay on the stack and
 //	            the splice lands in the body's spare capacity
-//	deadline 4  the decision's one deadline, shared by every attempt:
+//	deadline 5  the decision's one deadline, shared by every attempt: the
+//	            request's context without its cancellation (1), and
 //	            context.WithTimeout's timerCtx, its timer, the timer's
-//	            callback and the cancel func. The shard client's own
-//	            timeout is no shorter, so under it the client sets none;
-//	            the same 4 used to be the client's, paid per attempt
-//	post 8      http.NewRequestWithContext — the Request, its parsed
-//	            URL, its Header, the body's reader, its NopCloser and the
-//	            GetBody closure (6); the Traceparent value and the
-//	            Header's first bucket (2). The URL text is built once per
-//	            shard client, the Content-Type value is shared, and the
-//	            traceparent is the one admit holds: it was 11 with those
-//	            three built per attempt. It was 13 more through
+//	            callback and the cancel func (4). Hung off the request's
+//	            context itself it cost 7: that context's Done channel (1)
+//	            and its map of children with the map's first group (2) —
+//	            and a PEP that hung up cancelled the decision. The shard
+//	            client's own timeout is no shorter, so under it the
+//	            client sets none; the 4 used to be the client's, paid per
+//	            attempt
+//	post 6      the Request, copied by WithContext from a template on the
+//	            stack (1); its Header and the Header's first group (2);
+//	            the attempt — the body's reader and the Traceparent value
+//	            in one object (1); the reader's NopCloser (1) and the
+//	            GetBody that rewinds it (1). The URL is parsed once per
+//	            shard client, the Content-Type, Accept-Encoding and
+//	            User-Agent values are shared, and the traceparent is the
+//	            one admit holds. It was 8 through
+//	            http.NewRequestWithContext, which parsed the URL (1) and
+//	            allocated the reader and the Traceparent value apart (1);
+//	            11 with the URL text, the Content-Type value and the
+//	            traceparent built per attempt; 13 more through
 //	            http.Client.Do, which prepares for a redirect that never
 //	            comes: the list of requests made so far (1), the closure
 //	            that would copy the headers onto the next one (1) and
@@ -154,13 +166,13 @@ func TestRouteDecisionAllocs(t *testing.T) {
 		answer      server.DecisionResponse
 		budget      float64
 	}{
-		{name: "plain decision", request: plain, answer: granted, budget: 16},
-		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 17},
-		{name: "PEP-supplied traceparent", request: plain, traceparent: pepTraceparent, answer: granted, budget: 15},
-		{name: "credential-bearing", answer: granted, budget: 24,
+		{name: "plain decision", request: plain, answer: granted, budget: 15},
+		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 16},
+		{name: "PEP-supplied traceparent", request: plain, traceparent: pepTraceparent, answer: granted, budget: 14},
+		{name: "credential-bearing", answer: granted, budget: 23,
 			request: server.DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"}},
-		{name: "answer with activated", request: plain, answer: opened, budget: 21},
-		{name: "answer with closed", request: plain, answer: closed, budget: 21},
+		{name: "answer with activated", request: plain, answer: opened, budget: 20},
+		{name: "answer with closed", request: plain, answer: closed, budget: 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body, err := json.Marshal(tc.request)
@@ -180,7 +192,11 @@ func TestRouteDecisionAllocs(t *testing.T) {
 			defer gw.Close()
 			reqs := make([]*http.Request, warm+allocRuns+1)
 			for i := range reqs {
-				if reqs[i], err = http.NewRequest(http.MethodPost, server.DecisionPath, bytes.NewReader(body)); err != nil {
+				// Each request under a context of its own that a hang-up
+				// would cancel, as net/http's server serves it.
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if reqs[i], err = http.NewRequestWithContext(ctx, http.MethodPost, server.DecisionPath, bytes.NewReader(body)); err != nil {
 					t.Fatal(err)
 				}
 				if tc.traceparent != "" {

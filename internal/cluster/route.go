@@ -54,7 +54,9 @@ import (
 // A decision's shard calls share one deadline, cfg.Timeout from the
 // first attempt, retries and their backoff included: an attempt that
 // times out leaves no time for another, and a PEP is answered within
-// about that bound whatever Retries is.
+// about that bound whatever Retries is. A PEP that hangs up does not
+// cut them short: the answer, and the activations and closes it
+// carries, still reach the outbox (see routeDecision).
 func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request, path string) {
 	body, peek, traceparent, ok := g.admitRouted(w, r)
 	if !ok {
@@ -182,16 +184,24 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 	// waited for above — the admission pool, the quiesce barrier, the
 	// activation sync — is not charged to it. The shard client's own
 	// timeout is as long, so it adds no timer (Client.reqContext).
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.Timeout)
+	//
+	// Once admitted, a decision runs to its answer whether or not the PEP
+	// is still connected: the deadline hangs off the request's values, not
+	// its cancellation. A PEP that hangs up after the shard committed a
+	// FirstStep would otherwise abandon the answer, and with it the
+	// activation the peers must be told of — they would grant, unrecorded,
+	// what the started instance forbids — and the abandoned attempt would
+	// be charged to the shard as a transport failure.
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), g.cfg.Timeout)
 	defer cancel()
 	var lastErr error
 	backoff := g.cfg.RetryBackoff
 	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
 		if attempt > 0 {
-			// Context-aware, jittered backoff: a spent deadline or a dead
-			// client connection stops retrying immediately, and the ±25%
-			// jitter keeps a recovering shard from being hit by a
-			// synchronized wave of retries from every waiting request.
+			// Context-aware, jittered backoff: a spent deadline stops
+			// retrying immediately, and the ±25% jitter keeps a
+			// recovering shard from being hit by a synchronized wave of
+			// retries from every waiting request.
 			if !sleepContext(ctx, jitterBackoff(backoff)) {
 				break
 			}

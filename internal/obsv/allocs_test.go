@@ -3,6 +3,7 @@ package obsv
 import (
 	"context"
 	"testing"
+	"time"
 
 	"msod/internal/race"
 )
@@ -30,6 +31,7 @@ func TestTraceAllocs(t *testing.T) {
 	}
 	id := NewTraceID()
 	base := context.Background()
+	hist := NewHistogram(DefaultDurationBuckets)
 
 	for _, tc := range []struct {
 		name   string
@@ -96,6 +98,14 @@ func TestTraceAllocs(t *testing.T) {
 			name:   "Traceparent",
 			run:    func() { _ = id.Traceparent() },
 			budget: 1,
+		},
+		{
+			// The bucket's exemplar is written in place: the trace ID is
+			// the caller's string. It was 1 while every observation
+			// stored a new Exemplar behind an atomic pointer.
+			name:   "ObserveExemplar",
+			run:    func() { hist.ObserveExemplar(30*time.Microsecond, string(id)) },
+			budget: 0,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,10 @@
 package obsv
 
 import (
+	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -31,6 +34,74 @@ func TestObserveExemplarRetained(t *testing.T) {
 	}
 	if _, ok := h.BucketExemplar(99); ok {
 		t.Fatal("out-of-range bucket returned an exemplar")
+	}
+}
+
+// TestObserveExemplarConcurrent: writers racing into one bucket while a
+// reader scrapes it never leave a torn exemplar behind. Every exemplar
+// read back, through BucketExemplar or the exposition, is a (trace ID,
+// value) pair one writer stored.
+func TestObserveExemplarConcurrent(t *testing.T) {
+	const writers, each = 8, 500
+	h := NewHistogram(DefaultDurationBuckets)
+	// Writer w's k-th observation is (w*each+k+1) ns under the trace ID
+	// naming that value, all of them in the first bucket.
+	ids := make([]string, writers*each+1)
+	for ns := 1; ns < len(ids); ns++ {
+		ids[ns] = fmt.Sprintf("%032x", ns)
+	}
+	stored := func(e Exemplar) bool {
+		ns := int(math.Round(e.Value * 1e9))
+		return ns >= 1 && ns < len(ids) && e.TraceID == ids[ns]
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				ns := w*each + k + 1
+				h.ObserveExemplar(time.Duration(ns), ids[ns])
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	read := 0 // exemplars read back through the exposition
+	for scraping := true; scraping; {
+		select {
+		case <-done:
+			scraping = false
+		default:
+		}
+		if e, ok := h.BucketExemplar(0); ok && !stored(e) {
+			t.Fatalf("BucketExemplar read %+v, which no writer stored", e)
+		}
+		var om strings.Builder
+		h.WriteExposition(&om, "msod_test_seconds", "t", true)
+		for _, line := range strings.Split(om.String(), "\n") {
+			s, ok := ParseSeries(line)
+			if !ok || s.Exemplar == "" {
+				continue
+			}
+			var e Exemplar
+			if _, err := fmt.Sscanf(s.Exemplar, "{trace_id=%q} %g", &e.TraceID, &e.Value); err != nil || !stored(e) {
+				t.Fatalf("the exposition carries exemplar %q, which no writer stored (%v)", s.Exemplar, err)
+			}
+			read++
+		}
+	}
+	if read == 0 {
+		t.Fatal("no scrape read an exemplar back")
+	}
+	if h.Count() != writers*each {
+		t.Fatalf("count = %d, want %d", h.Count(), writers*each)
+	}
+	if e, ok := h.BucketExemplar(0); !ok || !stored(e) {
+		t.Fatalf("after the writers: exemplar %+v ok=%v", e, ok)
 	}
 }
 

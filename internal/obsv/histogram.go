@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -28,11 +29,37 @@ type Histogram struct {
 	counts   []atomic.Int64
 	sumNanos atomic.Int64
 	// exemplars[i] is the most recent traced observation that fell in
-	// bucket i (nil until one lands there): one lock-free pointer store
-	// per ObserveExemplar, emitted as an OpenMetrics exemplar
+	// bucket i, written in place, emitted as an OpenMetrics exemplar
 	// (`# {trace_id="..."} value`) so a dashboard can jump from a slow
 	// bucket to a concrete trace.
-	exemplars []atomic.Pointer[Exemplar]
+	exemplars []exemplarSlot
+}
+
+// exemplarSlot is one bucket's retained exemplar. A writer stores the
+// trace ID it was handed and the value under the slot's lock, so
+// ObserveExemplar allocates nothing; a writer that finds the lock taken
+// skips, because the exemplar being written is as recent as its own.
+// Readers wait for the lock, and so never see half of one write.
+type exemplarSlot struct {
+	mu sync.Mutex
+	// e is the exemplar; its empty TraceID means none landed yet.
+	e Exemplar
+}
+
+// store retains e unless another writer holds the slot.
+func (s *exemplarSlot) store(e Exemplar) {
+	if s.mu.TryLock() {
+		s.e = e
+		s.mu.Unlock()
+	}
+}
+
+// load returns the retained exemplar, ok false until one landed.
+func (s *exemplarSlot) load() (Exemplar, bool) {
+	s.mu.Lock()
+	e := s.e
+	s.mu.Unlock()
+	return e, e.TraceID != ""
 }
 
 // Exemplar is one concrete traced observation attached to a histogram
@@ -59,7 +86,7 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:    append([]float64(nil), bounds...),
 		counts:    make([]atomic.Int64, len(bounds)+1),
-		exemplars: make([]atomic.Pointer[Exemplar], len(bounds)+1),
+		exemplars: make([]exemplarSlot, len(bounds)+1),
 	}
 }
 
@@ -71,8 +98,8 @@ func (h *Histogram) Observe(d time.Duration) {
 
 // ObserveExemplar records one duration and retains it as the bucket's
 // exemplar under the given trace ID (an empty ID observes without an
-// exemplar). The exemplar store is a single atomic pointer swap, so
-// the hot path cost over Observe is one small allocation.
+// exemplar). The exemplar is written into the bucket's slot in place:
+// the hot path costs no allocation over Observe.
 func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
 	h.observe(d, traceID)
 }
@@ -86,7 +113,7 @@ func (h *Histogram) observe(d time.Duration, traceID string) {
 	h.counts[i].Add(1)
 	h.sumNanos.Add(int64(d))
 	if traceID != "" {
-		h.exemplars[i].Store(&Exemplar{TraceID: traceID, Value: s})
+		h.exemplars[i].store(Exemplar{TraceID: traceID, Value: s})
 	}
 }
 
@@ -97,10 +124,7 @@ func (h *Histogram) BucketExemplar(i int) (Exemplar, bool) {
 	if i < 0 || i >= len(h.exemplars) {
 		return Exemplar{}, false
 	}
-	if e := h.exemplars[i].Load(); e != nil {
-		return *e, true
-	}
-	return Exemplar{}, false
+	return h.exemplars[i].load()
 }
 
 // Count returns the total number of observations.
@@ -146,8 +170,8 @@ func (h *Histogram) writeSeries(w io.Writer, name, labels string, withExemplars 
 		if !withExemplars {
 			return ""
 		}
-		e := h.exemplars[i].Load()
-		if e == nil {
+		e, ok := h.exemplars[i].load()
+		if !ok {
 			return ""
 		}
 		return fmt.Sprintf(" # {trace_id=%q} %s", e.TraceID, FormatValue(e.Value))

@@ -91,9 +91,10 @@ func WithShedRetries(n int) ClientOption {
 type Client struct {
 	base string
 	// decisionURL and adviceURL are base+DecisionPath and base+AdvicePath,
-	// built once: a gateway posts every routed decision to one of them.
-	decisionURL string
-	adviceURL   string
+	// parsed once (nil when they do not parse, and the error is then the
+	// call's): a gateway posts every routed decision to one of them.
+	decisionURL *url.URL
+	adviceURL   *url.URL
 	http        *http.Client
 	timeout     time.Duration
 	shedRetries int
@@ -115,7 +116,9 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	c := &Client{base: base, decisionURL: base + DecisionPath, adviceURL: base + AdvicePath, http: httpClient, shedRetries: 2}
+	c := &Client{base: base, http: httpClient, shedRetries: 2}
+	c.decisionURL, _ = url.Parse(base + DecisionPath)
+	c.adviceURL, _ = url.Parse(base + AdvicePath)
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -146,15 +149,82 @@ func (c *Client) reqContext(parent context.Context) (context.Context, context.Ca
 // context alone.
 func noCancel() {}
 
-// url is the text of path's URL on this client's server.
-func (c *Client) url(path string) string {
-	switch path {
-	case DecisionPath:
-		return c.decisionURL
-	case AdvicePath:
-		return c.adviceURL
+// postURL is path's URL on this client's server: the one parsed when the
+// client was built for a decision or an advisory, parsed now for any
+// other path. Requests share it, and no RoundTripper may modify it.
+func (c *Client) postURL(path string) (*url.URL, error) {
+	switch {
+	case path == DecisionPath && c.decisionURL != nil:
+		return c.decisionURL, nil
+	case path == AdvicePath && c.adviceURL != nil:
+		return c.adviceURL, nil
 	}
-	return c.base + path
+	return url.Parse(c.base + path)
+}
+
+// identityEncoding and noUserAgent are header values every POST shares.
+// An Accept-Encoding of the request's own keeps the Transport from
+// adding its gzip offer through a header map of its own: a shard never
+// compresses its answer. An empty User-Agent is sent as no header at
+// all: a shard never reads it.
+var (
+	identityEncoding = [1]string{"identity"}
+	noUserAgent      = [1]string{""}
+)
+
+// postAttempt is what one POST attempt allocates besides the Request,
+// its Header, the body's closer and its rewind: the reader over the
+// body and the Traceparent value, in one object.
+type postAttempt struct {
+	body        []byte
+	reader      bytes.Reader
+	traceparent [1]string
+}
+
+// getBody rewinds the attempt's body: the Transport calls it to resend
+// a request whose reused connection failed before it was written.
+func (a *postAttempt) getBody() (io.ReadCloser, error) {
+	return io.NopCloser(bytes.NewReader(a.body)), nil
+}
+
+// newPost builds one POST of body to path under ctx: what
+// http.NewRequestWithContext builds, over a URL the client parsed once,
+// with the JSON Content-Type, the traceparent when there is one, and
+// the two headers that keep the Transport from adding its own.
+//
+// The body stays an io.NopCloser over a *bytes.Reader: net/http
+// recognises that as a known in-memory body and sends it with the
+// headers in one write, where any other ReadCloser is copied through a
+// buffer of its own.
+func (c *Client) newPost(ctx context.Context, path, traceparent string, body []byte) (*http.Request, error) {
+	u, err := c.postURL(path)
+	if err != nil {
+		return nil, err
+	}
+	a := &postAttempt{body: body, traceparent: [1]string{traceparent}}
+	a.reader.Reset(body)
+	h := make(http.Header, 4)
+	SetJSONContentType(h)
+	h["Accept-Encoding"] = identityEncoding[:1:1]
+	h["User-Agent"] = noUserAgent[:1:1]
+	if traceparent != "" {
+		h[obsv.TraceparentHeader] = a.traceparent[:]
+	}
+	// The Request's context is unexported: WithContext copies this
+	// template, on the stack, into the one Request the attempt allocates.
+	tmpl := http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        h,
+		Body:          io.NopCloser(&a.reader),
+		GetBody:       a.getBody,
+		ContentLength: int64(len(body)),
+		Host:          u.Host,
+	}
+	return tmpl.WithContext(ctx), nil
 }
 
 // send is the one way a request leaves the client — and so the one
@@ -686,13 +756,9 @@ func (c *Client) PostRaw(parent context.Context, path, traceparent string, body 
 func (c *Client) postOnce(parent context.Context, path, traceparent string, body []byte) ([]byte, error) {
 	ctx, cancel := c.reqContext(parent)
 	defer cancel()
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.url(path), bytes.NewReader(body))
+	httpReq, err := c.newPost(ctx, path, traceparent, body)
 	if err != nil {
 		return nil, fmt.Errorf("server: post %s: %w", path, err)
-	}
-	SetJSONContentType(httpReq.Header)
-	if traceparent != "" {
-		httpReq.Header[obsv.TraceparentHeader] = []string{traceparent}
 	}
 	httpResp, err := c.send(httpReq, true)
 	if err != nil {

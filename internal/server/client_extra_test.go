@@ -1,9 +1,15 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -107,5 +113,58 @@ func TestServerMethodAndBodyErrors(t *testing.T) {
 		Context: "TaxOffice=Leeds, taxRefundProcess=p1",
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientPostWireShape: a POST reaches the server with exactly the
+// headers the client set and the two net/http cannot leave out — no
+// User-Agent, and no gzip offer from the Transport — whether its URL was
+// parsed with the client (a decision, an advisory) or at the call, and
+// the GetBody the Transport would rewind with yields the bytes sent.
+func TestClientPostWireShape(t *testing.T) {
+	const traceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
+	body := []byte(`{"user":"alice","roles":["Teller"]}`)
+	var (
+		mu      sync.Mutex
+		headers http.Header
+		got     []byte
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		headers, got = r.Header.Clone(), b
+		mu.Unlock()
+		w.Write([]byte(`{}`))
+	}))
+	t.Cleanup(ts.Close)
+	var rewound []byte
+	rt := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		rewound = nil
+		if r.GetBody != nil {
+			if rc, err := r.GetBody(); err == nil {
+				rewound, _ = io.ReadAll(rc)
+			}
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})
+	c := NewClient(ts.URL, &http.Client{Transport: rt})
+	for _, path := range []string{DecisionPath, AdvicePath, ManagementPath} {
+		if _, err := c.PostRaw(context.Background(), path, traceparent, body); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		mu.Lock()
+		want := http.Header{
+			"Content-Type":    {"application/json"},
+			"Content-Length":  {strconv.Itoa(len(body))},
+			"Traceparent":     {traceparent},
+			"Accept-Encoding": {"identity"},
+		}
+		if !reflect.DeepEqual(headers, want) || !bytes.Equal(got, body) {
+			t.Errorf("%s: the server read headers %v and body %s; want %v and %s", path, headers, got, want, body)
+		}
+		mu.Unlock()
+		if !bytes.Equal(rewound, body) {
+			t.Errorf("%s: GetBody yields %q, want the bytes sent", path, rewound)
+		}
 	}
 }
