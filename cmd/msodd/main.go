@@ -1,11 +1,11 @@
 // Command msodd runs an MSoD-enforcing PDP as an HTTP service: the
 // distributed deployment of §4/§5. It loads an RBACPolicy XML document
 // (with its embedded MSoDPolicySet), recovers or opens the retained ADI
-// (audit-trail replay, encrypted snapshot, or the self-recovering
-// durable store), and serves the decision, advice and management
-// endpoints until SIGINT/SIGTERM, shutting down gracefully. SIGHUP
-// hot-reloads the policy file over the live retained ADI; a failed
-// reload keeps the previous policy serving.
+// (audit-trail replay, or the self-recovering durable store), and
+// serves the decision, advice and management endpoints until
+// SIGINT/SIGTERM, shutting down gracefully. SIGHUP hot-reloads the
+// policy file over the live retained ADI; a failed reload keeps the
+// previous policy serving.
 //
 // Usage:
 //
@@ -55,9 +55,7 @@ func parseFlags(args []string) (node.Config, error) {
 	fs.StringVar(&c.Addr, "addr", ":8443", "listen address")
 	fs.StringVar(&c.Trail, "trail", "", "audit trail directory (empty disables the trail)")
 	fs.StringVar(&c.TrailKeyFile, "trail-key-file", "", "file holding the trail HMAC key")
-	fs.StringVar(&c.Recover, "recover", "none", "retained-ADI recovery: none | trail | snapshot")
-	fs.StringVar(&c.Snapshot, "snapshot", "", "encrypted snapshot path (for -recover snapshot)")
-	fs.StringVar(&c.SnapshotSecretFile, "snapshot-secret-file", "", "file holding the snapshot secret")
+	fs.StringVar(&c.Recover, "recover", "none", "retained-ADI recovery: none | trail")
 	fs.IntVar(&c.TrailSegment, "trail-segment", 4096, "audit trail entries per segment")
 	fs.StringVar(&c.ADI, "adi", "", "durable retained-ADI directory, synced on every write (self-recovering; overrides -recover)")
 	fs.StringVar(&c.ADISecretFile, "adi-secret-file", "", "file holding the durable ADI secret")

@@ -14,8 +14,9 @@ func TestParseFlags(t *testing.T) {
 		t.Errorf("parse = %+v, %v", o, err)
 	}
 	// -adi always syncs every mutation: there is no knob to ack a grant
-	// before it is durable.
-	for _, args := range [][]string{{"-nonsense"}, {"-adi-sync"}} {
+	// before it is durable, and no sealed snapshot that nothing writes.
+	for _, args := range [][]string{{"-nonsense"}, {"-adi-sync"},
+		{"-snapshot", "adi.sealed"}, {"-snapshot-secret-file", "secret"}} {
 		if _, err := parseFlags(append([]string{"-policy", "p.xml"}, args...)); err == nil {
 			t.Errorf("%q accepted", args)
 		}
@@ -40,7 +41,9 @@ func TestParseFlagsConflicts(t *testing.T) {
 		// -adi overrides -recover: the durable store keeps what the trail
 		// lacks.
 		{[]string{"-handoff", "-recover", "trail", "-trail", "t", "-adi", "a"}, ""},
-		{[]string{"-handoff", "-recover", "snapshot"}, ""},
+		// There is no snapshot mode: nothing wrote the sealed snapshot it
+		// loaded, so a restart forgot the grants acked since boot.
+		{[]string{"-handoff", "-recover", "snapshot"}, `-recover "snapshot": want none or trail`},
 		{[]string{"-recover", "trail", "-trail", "t"}, ""},
 	} {
 		_, err := parseFlags(append([]string{"-policy", "p.xml"}, tc.args...))

@@ -36,10 +36,12 @@ func (s BreakerState) String() string {
 func (s BreakerState) GaugeValue() int { return int(s) }
 
 // Breaker is a per-shard circuit breaker on the gateway's request
-// path. It complements the health Checker: the Checker's slow probe
-// loop decides membership, while the breaker trips within a handful of
-// requests when a shard starts failing, shedding load off it instantly
-// instead of timing out every routed decision until the next probe.
+// path. The health Checker sees the same transport failures (the
+// request path reports each through Checker.ReportFailure), so with
+// the Checker's threshold below the breaker's, as by default, a
+// failing shard is marked Down before its circuit opens. The breaker
+// sheds load only off a shard whose probes pass while its decisions
+// fail, or when the Checker's threshold is set above its own.
 //
 // Transitions: Closed --threshold consecutive failures--> Open
 // --cooldown--> HalfOpen (one probe) --success--> Closed, or

@@ -67,8 +67,11 @@ type Config struct {
 	FailAfter int
 	// BreakerAfter is the consecutive transport-failure threshold that
 	// opens a shard's circuit breaker on the request path (default 5).
-	// The breaker trips faster than the probe-driven Checker and sheds
-	// load off a failing shard between probes.
+	// The Checker counts the same failures through ReportFailure, so
+	// with FailAfter below BreakerAfter (the defaults: 2 and 5) the
+	// shard is Down before its breaker opens. The breaker acts only for
+	// a shard whose probes pass while its decisions fail, or when
+	// FailAfter is set above BreakerAfter.
 	BreakerAfter int
 	// BreakerCooldown is how long an open circuit refuses traffic
 	// before admitting a half-open probe request (default 5s).

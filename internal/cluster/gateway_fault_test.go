@@ -126,6 +126,52 @@ func TestGatewayBreakerTripsOnResets(t *testing.T) {
 	}
 }
 
+// TestGatewayDefaultsMarkDownBeforeBreaker pins what the breaker adds
+// under msodgw's defaults (retries 2, fail-after 2, breaker-after 5):
+// nothing on a shard whose every request resets. The health checker
+// counts the same transport failures through ReportFailure, so the
+// shard goes Down on the second failed attempt of the first decision,
+// three failures before the breaker's threshold, and later decisions
+// are refused as down without reaching the shard.
+func TestGatewayDefaultsMarkDownBeforeBreaker(t *testing.T) {
+	rt := fault.NewRoundTripper(nil, 1)
+	shard := newStubShard(t, "pol-1")
+	gw, err := New(Config{
+		Shards:     []Shard{{ID: "shard00", BaseURL: shard.ts.URL}},
+		HTTPClient: &http.Client{Transport: rt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(gw.Close)
+	if err := gw.bootSync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw)
+	t.Cleanup(gts.Close)
+	rt.InjectRate(1, fault.Trip{Kind: fault.TripReset})
+	cli := server.NewClient(gts.URL, nil, server.WithShedRetries(0))
+
+	before := rt.Requests()
+	for i, want := range []string{"unreachable", "is down"} {
+		_, err := cli.Decision(decisionReq("alice"))
+		var apiErr *server.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable ||
+			!strings.Contains(apiErr.Message, want) {
+			t.Fatalf("decision %d: err = %v, want a 503 saying %q", i, err, want)
+		}
+	}
+	if got := rt.Requests() - before; got != 2 {
+		t.Errorf("shard requests = %d, want 2: the first decision's two attempts, none for the second", got)
+	}
+	if gw.Checker().Up("shard00") {
+		t.Error("shard still up after two failed attempts")
+	}
+	if st := gw.Breaker().State("shard00"); st != BreakerClosed {
+		t.Errorf("breaker = %v, want closed: the checker refuses first", st)
+	}
+}
+
 // TestClientWaitsOutBreakerRetryAfter is the shed-retry satellite end
 // to end: a client with its default shed-retry budget sees the
 // breaker's 503 + Retry-After, waits it out, and transparently gets

@@ -34,9 +34,7 @@ type Config struct {
 	Trail              string        // -trail: audit trail directory ("" disables the trail)
 	TrailKeyFile       string        // -trail-key-file
 	TrailSegment       int           // -trail-segment: entries per segment (0: audit.DefaultSegmentSize)
-	Recover            string        // -recover: "none" (or ""), "trail" or "snapshot"
-	Snapshot           string        // -snapshot
-	SnapshotSecretFile string        // -snapshot-secret-file
+	Recover            string        // -recover: "none" (or "") or "trail"
 	ADI                string        // -adi: durable retained ADI, synced on every write; overrides Recover
 	ADISecretFile      string        // -adi-secret-file
 	MaxInflight        int           // -max-inflight (0: unbounded)
@@ -69,6 +67,9 @@ func (c Config) Validate() error {
 	if c.Policy == "" {
 		return errors.New("-policy is required")
 	}
+	if c.Recover != "" && c.Recover != "none" && c.Recover != "trail" {
+		return fmt.Errorf("-recover %q: want none or trail (-adi keeps a durable retained ADI)", c.Recover)
+	}
 	if c.ReplicaOf != "" {
 		// A replica holds no authority and writes nothing: every flag
 		// implying authoritative state is a configuration error, not a
@@ -80,8 +81,6 @@ func (c Config) Validate() error {
 			return errors.New("-replica-of conflicts with -adi (the mirror is rebuilt from the owner, never persisted)")
 		case c.Recover != "" && c.Recover != "none":
 			return errors.New("-replica-of conflicts with -recover (replicas bootstrap from the owner's snapshot)")
-		case c.Snapshot != "" || c.SnapshotSecretFile != "":
-			return errors.New("-replica-of conflicts with -snapshot")
 		case c.SentinelInterval > 0:
 			return errors.New("-replica-of conflicts with -sentinel-interval (replicas hold no trail to verify)")
 		case c.Handoff:
@@ -237,44 +236,21 @@ func (s *Shard) openStore(pol *policy.RBACPolicy, trailKey []byte) (adi.Recorder
 		infof(s.logger, "durable retained ADI open with %d records", ds.Len())
 		return ds, nil
 	}
-	switch cfg.Recover {
-	case "", "none":
+	if cfg.Recover != "trail" {
 		return adi.NewStore(), nil
-	case "trail":
-		if cfg.Trail == "" || len(trailKey) == 0 {
-			return nil, errors.New("-recover trail needs -trail and -trail-key-file")
-		}
-		store, stats, err := pdp.Recover(pol, pdp.RecoveryConfig{
-			Mode: pdp.RecoverFromTrail, TrailDir: cfg.Trail, TrailKey: trailKey,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("trail recovery: %w", err)
-		}
-		infof(s.logger, "recovered %d retained-ADI records from %d events (%d diverged)",
-			stats.Records, stats.Events, stats.Diverged)
-		return store, nil
-	case "snapshot":
-		if cfg.Snapshot == "" || cfg.SnapshotSecretFile == "" {
-			return nil, errors.New("-recover snapshot needs -snapshot and -snapshot-secret-file")
-		}
-		secret, err := os.ReadFile(cfg.SnapshotSecretFile)
-		if err != nil {
-			return nil, fmt.Errorf("read snapshot secret: %w", err)
-		}
-		snap, err := adi.NewSecureStore(cfg.Snapshot, secret)
-		if err != nil {
-			return nil, fmt.Errorf("open snapshot: %w", err)
-		}
-		store, stats, err := pdp.Recover(pol, pdp.RecoveryConfig{
-			Mode: pdp.RecoverFromSnapshot, Snapshot: snap,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("snapshot recovery: %w", err)
-		}
-		infof(s.logger, "loaded %d retained-ADI records from snapshot", stats.Records)
-		return store, nil
 	}
-	return nil, fmt.Errorf("unknown -recover mode %q", cfg.Recover)
+	if cfg.Trail == "" || len(trailKey) == 0 {
+		return nil, errors.New("-recover trail needs -trail and -trail-key-file")
+	}
+	store, stats, err := pdp.Recover(pol, pdp.RecoveryConfig{
+		Mode: pdp.RecoverFromTrail, TrailDir: cfg.Trail, TrailKey: trailKey,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("trail recovery: %w", err)
+	}
+	infof(s.logger, "recovered %d retained-ADI records from %d events (%d diverged)",
+		stats.Records, stats.Events, stats.Diverged)
+	return store, nil
 }
 
 // loadPolicy reads, parses and lints the policy file. With

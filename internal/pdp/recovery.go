@@ -20,9 +20,6 @@ const (
 	// its policy, and then processes the last n audit trails starting
 	// from time t").
 	RecoverFromTrail
-	// RecoverFromSnapshot loads the encrypted snapshot store (the §6
-	// "secure relational database" successor design).
-	RecoverFromSnapshot
 )
 
 // RecoveryConfig parameterises start-up recovery.
@@ -35,13 +32,11 @@ type RecoveryConfig struct {
 	// of §5.2 (zero values mean everything).
 	Since        time.Time
 	LastSegments int
-	// Snapshot is the sealed store for RecoverFromSnapshot.
-	Snapshot *adi.SecureStore
 }
 
 // Recover rebuilds a retained ADI according to the recovery
 // configuration and the current policy's MSoD set, returning the
-// populated store and replay statistics (zero stats for snapshot/none).
+// populated store and replay statistics (zero stats for none).
 func Recover(pol *policy.RBACPolicy, rc RecoveryConfig) (*adi.Store, audit.ReplayStats, error) {
 	store := adi.NewStore()
 	switch rc.Mode {
@@ -69,16 +64,6 @@ func Recover(pol *policy.RBACPolicy, rc RecoveryConfig) (*adi.Store, audit.Repla
 			return nil, audit.ReplayStats{}, fmt.Errorf("pdp: recovery: %w", err)
 		}
 		return store, stats, nil
-
-	case RecoverFromSnapshot:
-		if rc.Snapshot == nil {
-			return nil, audit.ReplayStats{}, fmt.Errorf("pdp: recovery: nil snapshot store")
-		}
-		n, err := rc.Snapshot.LoadInto(store)
-		if err != nil {
-			return nil, audit.ReplayStats{}, fmt.Errorf("pdp: recovery: %w", err)
-		}
-		return store, audit.ReplayStats{Records: n}, nil
 
 	default:
 		return nil, audit.ReplayStats{}, fmt.Errorf("pdp: recovery: unknown mode %d", rc.Mode)

@@ -1,11 +1,9 @@
 package pdp
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
-	"msod/internal/adi"
 	"msod/internal/audit"
 	"msod/internal/policy"
 )
@@ -89,47 +87,6 @@ func TestRestartCycle(t *testing.T) {
 	}
 }
 
-func TestRecoverFromSnapshot(t *testing.T) {
-	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First life: no trail, but a snapshot at shutdown.
-	p1, err := New(Config{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p1.Decide(bankReq("alice", "Teller", "HandleCash", "till", "York", "2006")); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := adi.NewSecureStore(filepath.Join(t.TempDir(), "adi.sealed"), []byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Save(p1.Store().(*adi.Store).All()); err != nil {
-		t.Fatal(err)
-	}
-
-	store, stats, err := Recover(pol, RecoveryConfig{Mode: RecoverFromSnapshot, Snapshot: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Records != 1 || store.Len() != 1 {
-		t.Fatalf("stats=%+v len=%d", stats, store.Len())
-	}
-	p2, err := New(Config{Policy: pol, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := p2.Decide(bankReq("alice", "Auditor", "Audit", "ledger", "York", "2006"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Allowed {
-		t.Error("snapshot recovery lost alice's Teller history")
-	}
-}
-
 func TestRecoverModes(t *testing.T) {
 	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
 	if err != nil {
@@ -138,9 +95,6 @@ func TestRecoverModes(t *testing.T) {
 	store, stats, err := Recover(pol, RecoveryConfig{Mode: RecoverNone})
 	if err != nil || store.Len() != 0 || stats.Records != 0 {
 		t.Errorf("RecoverNone = %v %v %v", store.Len(), stats, err)
-	}
-	if _, _, err := Recover(pol, RecoveryConfig{Mode: RecoverFromSnapshot}); err == nil {
-		t.Error("snapshot mode without snapshot accepted")
 	}
 	if _, _, err := Recover(pol, RecoveryConfig{Mode: RecoveryMode(99)}); err == nil {
 		t.Error("unknown mode accepted")

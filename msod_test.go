@@ -52,7 +52,7 @@ func TestQuickstartFlow(t *testing.T) {
 		Operation: "HandleCash", Target: "till",
 		Context: msod.MustContext("Branch=York, Period=2006"),
 	})
-	if err != nil || !dec.Allowed || dec.Phase != msod.PhaseGranted {
+	if err != nil || !dec.Allowed || dec.Phase != "granted" {
 		t.Fatalf("teller decision = %+v, %v", dec, err)
 	}
 	dec, err = p.Decide(msod.Request{
@@ -60,7 +60,7 @@ func TestQuickstartFlow(t *testing.T) {
 		Operation: "Audit", Target: "ledger",
 		Context: msod.MustContext("Branch=Leeds, Period=2006"),
 	})
-	if err != nil || dec.Allowed || dec.Phase != msod.PhaseMSoD {
+	if err != nil || dec.Allowed || dec.Phase != "msod" {
 		t.Fatalf("auditor decision = %+v, %v", dec, err)
 	}
 }
@@ -70,30 +70,30 @@ func TestEngineOnlyFlow(t *testing.T) {
 	store := msod.NewADIStore()
 	eng, err := msod.NewEngine(store, []msod.EnginePolicy{{
 		Context: msod.MustContext("P=!"),
-		MMER: []msod.MMERRule{{
-			Roles:       []msod.RoleName{"A", "B"},
+		MMEP: []msod.MMEPRule{{
+			Privileges: []msod.Permission{
+				{Operation: "open", Object: "t"}, {Operation: "close", Object: "t"}},
 			Cardinality: 2,
 		}},
-	}}, msod.WithClock(func() time.Time { return time.Unix(42, 0) }))
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dec, err := eng.Evaluate(msod.EngineRequest{
 		User: "u", Roles: []msod.RoleName{"A"},
-		Operation: "op", Target: "t", Context: msod.MustContext("P=1"),
+		Operation: "open", Target: "t", Context: msod.MustContext("P=1"),
 	})
-	if err != nil || dec.Effect != msod.Grant {
+	if err != nil || dec.Denial != nil {
 		t.Fatalf("first = %+v, %v", dec, err)
 	}
 	dec, err = eng.Evaluate(msod.EngineRequest{
-		User: "u", Roles: []msod.RoleName{"B"},
-		Operation: "op", Target: "t", Context: msod.MustContext("P=1"),
+		User: "u", Roles: []msod.RoleName{"A"},
+		Operation: "close", Target: "t", Context: msod.MustContext("P=1"),
 	})
-	if err != nil || dec.Effect != msod.Deny {
+	if err != nil || dec.Denial == nil {
 		t.Fatalf("second = %+v, %v", dec, err)
 	}
-	recs := store.UserRecords("u", msod.MustContext("P=1"))
-	if len(recs) != 1 || !recs[0].Time.Equal(time.Unix(42, 0)) {
+	if recs := store.UserRecords("u", msod.MustContext("P=1")); len(recs) != 1 {
 		t.Fatalf("records = %v", recs)
 	}
 }
@@ -165,6 +165,13 @@ func TestRecoveryFlow(t *testing.T) {
 	if err != nil || stats.Records != 1 || store.Len() != 1 {
 		t.Fatalf("recover = %+v, len=%d, %v", stats, store.Len(), err)
 	}
+	r, err := msod.NewAuditReader(dir, []byte("k"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := r.Verify(); err != nil || n != 1 {
+		t.Fatalf("verify = %d, %v", n, err)
+	}
 }
 
 // TestPEPFlow: the application-side enforcer through the facade.
@@ -208,17 +215,6 @@ func TestWorkflowFacade(t *testing.T) {
 	if ready := inst.ReadyTasks(); len(ready) != 1 || ready[0] != "T1" {
 		t.Errorf("ready = %v", ready)
 	}
-	xmlDef, err := msod.ParseWorkflowDefinition([]byte(`
-		<WorkflowDefinition name="two-step">
-			<Task name="a" operation="op1" target="t" role="R"/>
-			<Task name="b" operation="op2" target="t" role="R" dependsOn="a"/>
-		</WorkflowDefinition>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(xmlDef.Tasks) != 2 {
-		t.Errorf("xml def = %+v", xmlDef)
-	}
 }
 
 func TestContextHelpers(t *testing.T) {
@@ -233,8 +229,5 @@ func TestContextHelpers(t *testing.T) {
 	h.Touch(msod.MustContext("Branch=York, Period=2006"))
 	if !h.Active(msod.MustContext("Branch=York")) {
 		t.Error("hierarchy missing ancestor")
-	}
-	if msod.AnyInstance != "*" || msod.PerInstance != "!" {
-		t.Error("wildcard constants wrong")
 	}
 }
