@@ -116,6 +116,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/msodvet ./...
 	$(GO) run ./cmd/msodvet -policies policies
+	$(GO) test -count=1 -run '^(TestModuleLayers|TestDaemonsLinkOnlyWhatTheyServe|TestDaemonsAssembleThroughNode)$$' .
 
 clean:
 	rm -f cover.out

@@ -82,9 +82,6 @@ func NewLoader(root, modulePath string) (*Loader, error) {
 // Fset returns the shared file set (for position rendering).
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Root returns the absolute module root.
-func (l *Loader) Root() string { return l.root }
-
 // scan indexes every directory containing non-test Go files.
 func (l *Loader) scan() error {
 	return filepath.WalkDir(l.root, func(path string, d os.DirEntry, err error) error {

@@ -27,7 +27,6 @@ func (g *Gateway) handleExplain(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "request ID required: GET "+server.ExplainPath+"{requestID}")
 		return
 	}
-	g.metrics.explainQueries.Add(1)
 	hits := scatterLookup(g, w, r, lookup{
 		what:       "explain",
 		downWhy:    "the record may live on the down shard",

@@ -36,7 +36,6 @@ func (g *Gateway) handleStateUser(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "user ID required: GET "+server.StateUsersPath+"{user}")
 		return
 	}
-	g.metrics.stateQueries.Add(1)
 	shard, ok := g.ring.Lookup(user)
 	if !ok {
 		errorJSON(w, http.StatusServiceUnavailable, "no shards in ring")
@@ -86,7 +85,6 @@ func (g *Gateway) handleStateContext(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "context pattern required: GET "+server.StateContextsPath+"{bc}")
 		return
 	}
-	g.metrics.stateQueries.Add(1)
 	shards := g.shards(authoritative)
 	if !g.requireUp(w, shards, "context state", "a partial answer would hide that shard's users") {
 		return
@@ -152,10 +150,11 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts := server.StreamEventsOptions{
-		User:    q.Get("user"),
-		Context: q.Get("context"),
-		Outcome: q.Get("outcome"),
+	opts := server.FollowEventsOptions{
+		User:             q.Get("user"),
+		Context:          q.Get("context"),
+		Outcome:          q.Get("outcome"),
+		ReconnectBackoff: eventsReconnectBackoff,
 	}
 	if v := q.Get("replay"); v != "" {
 		replay, err := strconv.Atoi(v)
@@ -170,7 +169,6 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	g.metrics.eventStreams.Add(1)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
@@ -209,21 +207,13 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 // tailShard keeps one shard's event stream flowing into out until the
 // consumer's context ends. FollowEvents reconnects transport drops
 // internally with sequence resume, so a shard restart or network blip
-// no longer loses the events published while the tail was down — the
-// old StreamEvents loop reconnected without resume and silently
-// skipped them. The last sequence seen here carries across outer
-// retries too (a deliberate shard refusal ends FollowEvents entirely);
-// only a resume gap — events rotated past the owner's ring, or the
-// shard restarted its broker — drops the cursor, because the history
-// is genuinely gone and rejoining live beats never rejoining.
-func (g *Gateway) tailShard(ctx context.Context, shard string, opts server.StreamEventsOptions, out chan<- inspect.DecisionEvent) {
-	fopts := server.FollowEventsOptions{
-		User:             opts.User,
-		Context:          opts.Context,
-		Outcome:          opts.Outcome,
-		Replay:           opts.Replay,
-		ReconnectBackoff: eventsReconnectBackoff,
-	}
+// does not lose the events published while the tail was down. The
+// last sequence seen here carries across outer retries too (a
+// deliberate shard refusal ends FollowEvents entirely); only a resume
+// gap — events rotated past the owner's ring, or the shard restarted
+// its broker — drops the cursor, because the history is genuinely gone
+// and rejoining live beats never rejoining.
+func (g *Gateway) tailShard(ctx context.Context, shard string, opts server.FollowEventsOptions, out chan<- inspect.DecisionEvent) {
 	for ctx.Err() == nil {
 		if !g.checker.Up(shard) {
 			select {
@@ -237,10 +227,10 @@ func (g *Gateway) tailShard(ctx context.Context, shard string, opts server.Strea
 		if !ok {
 			return
 		}
-		err := c.FollowEvents(ctx, fopts, func(ev inspect.DecisionEvent) error {
+		err := c.FollowEvents(ctx, opts, func(ev inspect.DecisionEvent) error {
 			if ev.Seq > 0 {
-				fopts.Resume = true
-				fopts.ResumeAfter = ev.Seq
+				opts.Resume = true
+				opts.ResumeAfter = ev.Seq
 			}
 			ev.Shard = shard
 			select {
@@ -258,14 +248,14 @@ func (g *Gateway) tailShard(ctx context.Context, shard string, opts server.Strea
 			// The resume point rotated out of the shard's ring (or the
 			// shard restarted): the missed events are unrecoverable, so
 			// rejoin live rather than stay disconnected.
-			fopts.Resume = false
-			fopts.ResumeAfter = 0
+			opts.Resume = false
+			opts.ResumeAfter = 0
 		case err != nil:
 			g.checker.ReportFailure(shard, err)
 		}
 		// Replay is a first-connection courtesy only; an outer retry
 		// re-replaying history would duplicate events already delivered.
-		fopts.Replay = 0
+		opts.Replay = 0
 		select {
 		case <-ctx.Done():
 			return

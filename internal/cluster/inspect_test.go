@@ -263,7 +263,7 @@ func TestClusterTailObservesDenialWithAuditTrace(t *testing.T) {
 	denials := make(chan inspect.DecisionEvent, 16)
 	streamErr := make(chan error, 1)
 	go func() {
-		streamErr <- c.StreamEvents(ctx, server.StreamEventsOptions{Outcome: "deny", Replay: 16},
+		streamErr <- c.FollowEvents(ctx, server.FollowEventsOptions{Outcome: "deny", Replay: 16},
 			func(ev inspect.DecisionEvent) error {
 				denials <- ev
 				return nil

@@ -71,7 +71,6 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 	if !g.requireUp(w, shards, "management", "a partial purge would silently keep records") {
 		return
 	}
-	g.metrics.mgmtFanouts.Add(1)
 	results := scatter(r.Context(), g, shards, func(ctx context.Context, _ string, c *server.Client) (server.ManagementWireResponse, error) {
 		return c.ManageCtx(ctx, req)
 	})

@@ -22,15 +22,6 @@ type gwMetrics struct {
 	misrouted   atomic.Int64 // answers withheld: resolved subject owned by another shard
 	broken      atomic.Int64 // requests refused by an open circuit breaker
 	badRequests atomic.Int64
-	mgmtFanouts atomic.Int64
-	// stateQueries counts /v1/state lookups (routed or fanned out);
-	// eventStreams counts /v1/events fan-in connections opened;
-	// explainQueries counts /v1/explain provenance fan-outs.
-	stateQueries   atomic.Int64
-	eventStreams   atomic.Int64
-	explainQueries atomic.Int64
-	// traceQueries counts /v1/traces assembly fan-outs.
-	traceQueries atomic.Int64
 	// replicaReads counts advisory/state answers served by a read
 	// replica; replicaFallbacks counts reads that had replicas
 	// configured but ended up answered by the owning shard.
@@ -209,11 +200,6 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msodgw_retries_total", "Same-shard transport retries.", g.metrics.retries.Load())
 	obsv.WriteCounter(w, "msodgw_misrouted_total", "Answers withheld because the shard resolved a subject another shard owns.", g.metrics.misrouted.Load())
 	obsv.WriteCounter(w, "msodgw_bad_requests_total", "Requests rejected before routing (bad input, no subject).", g.metrics.badRequests.Load())
-	obsv.WriteCounter(w, "msodgw_management_fanouts_total", "Management operations fanned out to all shards.", g.metrics.mgmtFanouts.Load())
-	obsv.WriteCounter(w, "msodgw_state_queries_total", "Introspection state lookups served (routed or fanned out).", g.metrics.stateQueries.Load())
-	obsv.WriteCounter(w, "msodgw_event_streams_total", "Decision event fan-in streams opened.", g.metrics.eventStreams.Load())
-	obsv.WriteCounter(w, "msodgw_explain_queries_total", "Decision provenance (/v1/explain) queries fanned out to the cluster.", g.metrics.explainQueries.Load())
-	obsv.WriteCounter(w, "msodgw_trace_queries_total", "Trace assembly (/v1/traces) queries fanned out to the cluster.", g.metrics.traceQueries.Load())
 	obsv.WriteCounter(w, "msodgw_breaker_refused_total", "Requests refused by an open circuit breaker (also counted in msodgw_unavailable_total).", g.metrics.broken.Load())
 	obsv.WriteCounter(w, "msodgw_replica_reads_total", "Advisory/state reads served by a shard's read replica.", g.metrics.replicaReads.Load())
 	obsv.WriteCounter(w, "msodgw_replica_fallbacks_total", "Reads with replicas configured that were answered by the owning shard instead.", g.metrics.replicaFallbacks.Load())

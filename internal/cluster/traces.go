@@ -31,7 +31,6 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, "trace ID required: GET "+server.TracesPath+"{traceID}")
 		return
 	}
-	g.metrics.traceQueries.Add(1)
 	hits := scatterLookup(g, w, r, lookup{
 		what:       "trace assembly",
 		downWhy:    "part of the tree may live on the down shard",

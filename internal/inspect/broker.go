@@ -178,10 +178,12 @@ type Broker struct {
 	seq    uint64
 	subs   map[*Subscriber]struct{}
 	closed bool
-	// now stamps events published without a time; injectable so the
-	// event stream stays deterministic under replay (see SetClock).
-	now func() time.Time
 }
+
+// wallClock stamps an event published without a time. The PDP stamps
+// every event it publishes from its injected clock, so only a publisher
+// without one reaches it.
+var wallClock = time.Now
 
 // NewBroker returns a broker retaining up to capacity events.
 func NewBroker(capacity int) *Broker {
@@ -191,18 +193,6 @@ func NewBroker(capacity int) *Broker {
 	return &Broker{
 		ring: ring.NewFIFO[DecisionEvent](capacity),
 		subs: make(map[*Subscriber]struct{}),
-		now:  time.Now,
-	}
-}
-
-// SetClock replaces the time source used to stamp events published
-// without an explicit Time. The PDP passes its injected clock through
-// so trail records and streamed events carry the same timestamps.
-func (b *Broker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if now != nil {
-		b.now = now
 	}
 }
 
@@ -218,7 +208,7 @@ func (b *Broker) Publish(ev DecisionEvent) uint64 {
 	b.seq++
 	ev.Seq = b.seq
 	if ev.Time.IsZero() {
-		ev.Time = b.now()
+		ev.Time = wallClock()
 	}
 	b.ring.Push(ev)
 	for s := range b.subs {

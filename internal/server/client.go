@@ -395,27 +395,6 @@ func (c *Client) ContextStateCtx(ctx context.Context, pattern string) (inspect.C
 	return out, err
 }
 
-// StreamEventsOptions filter a /v1/events subscription.
-type StreamEventsOptions struct {
-	// User, Context, Outcome become the server-side filter parameters.
-	User    string
-	Context string
-	Outcome string
-	// Replay asks for up to that many recent retained events first.
-	Replay int
-}
-
-// StreamEvents subscribes to the server's decision event stream and
-// calls fn for each event until the context is cancelled, the server
-// closes the stream, or fn returns an error (which StreamEvents then
-// returns). The client's request timeout deliberately does not apply —
-// the stream is long-lived; bound it with the context. StreamEvents
-// makes a single connection; use FollowEvents for a stream that
-// survives reconnects without losing events.
-func (c *Client) StreamEvents(ctx context.Context, opts StreamEventsOptions, fn func(inspect.DecisionEvent) error) error {
-	return unwrapCallback(c.streamOnce(ctx, eventsQuery(opts.User, opts.Context, opts.Outcome, opts.Replay), nil, nil, nil, fn))
-}
-
 // ErrEventGap reports that a resumed event stream cannot be continued
 // without loss: the events after the resume point have left the
 // server's ring buffer (or the server restarted and renumbered).
@@ -454,15 +433,17 @@ type FollowEventsOptions struct {
 	OnHeartbeat func()
 }
 
-// FollowEvents streams decision events like StreamEvents but survives
-// broken connections: after a transport failure or server-side close
-// it reconnects (waiting ReconnectBackoff between attempts) and
-// resumes just after the last sequence number it delivered, so no
-// event is lost or duplicated across reconnects. It returns when the
-// context is cancelled (ctx.Err()), fn returns an error (that error),
-// the resume span has left the server's ring (ErrEventGap, wrapped),
-// or the server rejects the stream outright (*APIError — e.g. events
-// not enabled).
+// FollowEvents subscribes to the server's decision event stream and
+// calls fn for each event. The client's request timeout deliberately
+// does not apply — the stream is long-lived; bound it with the context.
+// It survives broken connections: after a transport failure or
+// server-side close it reconnects (waiting ReconnectBackoff between
+// attempts) and resumes just after the last sequence number it
+// delivered, so no event is lost or duplicated across reconnects. It
+// returns when the context is cancelled (ctx.Err()), fn returns an
+// error (that error), the resume span has left the server's ring
+// (ErrEventGap, wrapped), or the server rejects the stream outright
+// (*APIError — e.g. events not enabled, or a bad filter).
 func (c *Client) FollowEvents(ctx context.Context, opts FollowEventsOptions, fn func(inspect.DecisionEvent) error) error {
 	backoff := opts.ReconnectBackoff
 	if backoff <= 0 {
@@ -471,7 +452,7 @@ func (c *Client) FollowEvents(ctx context.Context, opts FollowEventsOptions, fn 
 	st := &streamState{last: opts.ResumeAfter, resuming: opts.Resume}
 	first := true
 	for {
-		q := eventsQuery(opts.User, opts.Context, opts.Outcome, 0)
+		q := eventsQuery(opts.User, opts.Context, opts.Outcome)
 		var resume *uint64
 		switch {
 		case st.resuming:
@@ -541,7 +522,7 @@ type streamState struct {
 }
 
 // eventsQuery builds the /v1/events filter parameters.
-func eventsQuery(user, context, outcome string, replay int) url.Values {
+func eventsQuery(user, context, outcome string) url.Values {
 	q := url.Values{}
 	if user != "" {
 		q.Set("user", user)
@@ -552,16 +533,13 @@ func eventsQuery(user, context, outcome string, replay int) url.Values {
 	if outcome != "" {
 		q.Set("outcome", outcome)
 	}
-	if replay > 0 {
-		q.Set("replay", strconv.Itoa(replay))
-	}
 	return q
 }
 
 // streamOnce makes one connection to /v1/events and pumps it until it
-// ends. resume, when non-nil, is sent as the Last-Event-ID header; st,
-// when non-nil, records the last delivered sequence number; fn errors
-// come back wrapped as callbackError.
+// ends. resume, when non-nil, is sent as the Last-Event-ID header; st
+// records the last delivered sequence number; fn errors come back
+// wrapped as callbackError.
 func (c *Client) streamOnce(ctx context.Context, q url.Values, resume *uint64, st *streamState, onHeartbeat func(), fn func(inspect.DecisionEvent) error) error {
 	target := c.base + EventsPath
 	if len(q) > 0 {
@@ -596,7 +574,7 @@ func (c *Client) streamOnce(ctx context.Context, q url.Values, resume *uint64, s
 			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 				return fmt.Errorf("server: events decode: %w", err)
 			}
-			if st != nil && ev.Seq > 0 {
+			if ev.Seq > 0 {
 				st.last, st.resuming = ev.Seq, true
 			}
 			if onHeartbeat != nil {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"msod/internal/adi"
 	"msod/internal/bctx"
 	"msod/internal/inspect"
 	"msod/internal/rbac"
@@ -38,14 +37,6 @@ const eventsHeartbeat = 15 * time.Second
 // span has left the ring, telling the client its copy of history is
 // unrecoverable through the stream (a replica must resync).
 const LastEventIDHeader = "Last-Event-ID"
-
-// WithIntrospection overrides the retained-ADI browse surface backing
-// /v1/state. Without this option, New derives it from the PDP's store
-// automatically (every store shipped with the repo supports browsing),
-// so the option exists for tests and exotic Recorder implementations.
-func WithIntrospection(b adi.Browser) Option {
-	return func(s *Server) { s.browser = b }
-}
 
 // WithEventBroker attaches a decision event broker: /v1/events streams
 // it, and state answers gain last-trace correlation. The caller is

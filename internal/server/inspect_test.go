@@ -136,7 +136,7 @@ func TestEventsStreamDeliversDecisions(t *testing.T) {
 	defer cancel()
 	var events []inspect.DecisionEvent
 	errDone := errors.New("done")
-	err := c.StreamEvents(ctx, StreamEventsOptions{Replay: 10}, func(ev inspect.DecisionEvent) error {
+	err := c.FollowEvents(ctx, FollowEventsOptions{Replay: 10}, func(ev inspect.DecisionEvent) error {
 		events = append(events, ev)
 		if len(events) == 2 {
 			return errDone
@@ -144,7 +144,7 @@ func TestEventsStreamDeliversDecisions(t *testing.T) {
 		return nil
 	})
 	if !errors.Is(err, errDone) {
-		t.Fatalf("StreamEvents = %v", err)
+		t.Fatalf("FollowEvents = %v", err)
 	}
 	if events[0].Effect != inspect.OutcomeGrant || events[1].Effect != inspect.OutcomeDeny {
 		t.Fatalf("replayed effects = %s, %s", events[0].Effect, events[1].Effect)
@@ -169,19 +169,19 @@ func TestEventsStreamFilters(t *testing.T) {
 	defer cancel()
 	errDone := errors.New("done")
 	var got []inspect.DecisionEvent
-	err := c.StreamEvents(ctx, StreamEventsOptions{Outcome: "deny", Replay: 10}, func(ev inspect.DecisionEvent) error {
+	err := c.FollowEvents(ctx, FollowEventsOptions{Outcome: "deny", Replay: 10}, func(ev inspect.DecisionEvent) error {
 		got = append(got, ev)
 		return errDone
 	})
 	if !errors.Is(err, errDone) {
-		t.Fatalf("StreamEvents = %v", err)
+		t.Fatalf("FollowEvents = %v", err)
 	}
 	if len(got) != 1 || got[0].Effect != inspect.OutcomeDeny {
 		t.Fatalf("filtered events = %+v", got)
 	}
 
 	// Invalid filters are rejected before the stream starts.
-	err = c.StreamEvents(ctx, StreamEventsOptions{Outcome: "bogus"}, func(inspect.DecisionEvent) error { return nil })
+	err = c.FollowEvents(ctx, FollowEventsOptions{Outcome: "bogus"}, func(inspect.DecisionEvent) error { return nil })
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
 		t.Fatalf("bogus outcome error = %v", err)

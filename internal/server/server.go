@@ -151,7 +151,7 @@ type Server struct {
 	verify *VerificationStatus
 
 	// Introspection surface: the browser backs /v1/state (derived from
-	// the PDP's store unless overridden), the broker backs /v1/events,
+	// the PDP's store), the broker backs /v1/events,
 	// and the sentinel guards the audit chain (see internal/inspect).
 	browser            adi.Browser
 	inspector          *inspect.Inspector
@@ -220,22 +220,17 @@ func New(p *pdp.PDP, opts ...Option) *Server {
 	if s.explainCap >= 0 {
 		s.explain = explain.NewRecorder(s.explainCap)
 	}
-	if s.browser == nil {
-		// Every store shipped with the repo exposes the read-only browse
-		// surface, so introspection is on by default; a custom Recorder
-		// without it loses /v1/state — surfaced, not silent.
-		browser, ok := adi.BrowserFor(p.Store())
-		if ok {
-			s.browser = browser
-		} else {
-			s.introspectionDegraded = true
-			if s.log != nil {
-				s.log.Warn("introspection degraded: PDP store exposes no browse surface; /v1/state and context gauges disabled")
-			}
-		}
-	}
-	if s.browser != nil {
+	// Every store shipped with the repo exposes the read-only browse
+	// surface, so introspection is on by default; a custom Recorder
+	// without it loses /v1/state — surfaced, not silent.
+	if browser, ok := adi.BrowserFor(p.Store()); ok {
+		s.browser = browser
 		s.inspector = inspect.NewInspector(p.Engine(), s.browser, s.broker)
+	} else {
+		s.introspectionDegraded = true
+		if s.log != nil {
+			s.log.Warn("introspection degraded: PDP store exposes no browse surface; /v1/state and context gauges disabled")
+		}
 	}
 	s.mux.HandleFunc(DecisionPath, s.handleDecision)
 	s.mux.HandleFunc(AdvicePath, s.handleAdvice)
