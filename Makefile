@@ -22,10 +22,13 @@ test-race:
 # (audit: none), the PDP's pipeline around the engine (pdp), the whole handler
 # with and without the default telemetry (server) and the gateway in
 # front of it, ring lookup included (cluster). `make test` runs them too; this target is the quick check
-# after touching any of them. Never under -race: the detector
+# after touching any of them. It also pins the bytes that hand-built
+# text saves allocations on (TestDenialTextIsFmtText: a denial's text is
+# fmt's) and the 64-byte Decision the PDP copies to the heap
+# (TestDecisionSize). Never under -race: the detector
 # allocates, and the tests skip themselves there.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
+	$(GO) test -run 'Allocs|^TestDenialTextIsFmtText$$|^TestDecisionSize$$' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
 		./internal/obsv ./internal/audit ./internal/pdp ./internal/server ./internal/cluster
 
 cover:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -91,8 +92,9 @@ func TestEvaluateAllocs(t *testing.T) {
 		},
 		{
 			// Built: bound name (1), which the denial keeps. Returned:
-			// the Denial (1) and its Reason (1), formatted after the
-			// lock is released.
+			// the Denial (1) and its one text (1), formatted after the
+			// lock is released: Error returns it, and Reason is its
+			// tail.
 			name: "MMER deny", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
@@ -101,7 +103,7 @@ func TestEvaluateAllocs(t *testing.T) {
 			want:    Deny, budget: 3,
 		},
 		{
-			// Returned: the Denial (1) and its Reason (1).
+			// Returned: the Denial (1) and its one text (1).
 			name: "MMEP deny", policies: taxPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
@@ -198,8 +200,54 @@ func TestDenialTextIsFmtText(t *testing.T) {
 		checkDenialText(t, dec.Denial, fmt.Sprintf("user %q requesting %v already exercised %d conflicting privilege(s) in this context (forbidden cardinality %d)",
 			user, rbac.Permission{Operation: req.Operation, Object: req.Target}, 1, 2))
 	}
+
+	// Context types and values that need quoting — a '"', a tab,
+	// non-ASCII, invalid UTF-8, a value past the 64 bytes of stack
+	// scratch — in the policies' own text and in the names bound under
+	// "*" and "!", with "*" first in one policy and "!" first in the
+	// other.
+	long := strings.Repeat("é", 33) + "\xff\"" // 68 bytes
+	e, _ := newEngine(t, []Policy{
+		{
+			Context: bctx.MustParse("Re\"gion=tab\there, Br\tanch=*, P\xffériod=!"),
+			MMER:    []MMERRule{{Roles: []rbac.RoleName{"Teller", "Auditor"}, Cardinality: 2}},
+		},
+		{
+			Context: bctx.MustParse("Öff\"ice=!, pro\tcess=*"),
+			MMEP: []MMEPRule{{Privileges: []rbac.Permission{
+				{Operation: "prepare", Object: "check"}, {Operation: "approve", Object: "check"},
+			}, Cardinality: 2}},
+		},
+	})
+	mmer := func(role, period string) Request {
+		return Request{User: "u", Roles: []rbac.RoleName{rbac.RoleName(role)}, Operation: "op", Target: "t",
+			Context: bctx.MustParse("Re\"gion=tab\there, Br\tanch=ünï\"code, P\xffériod=" + period)}
+	}
+	mustEvaluate(t, e, mmer("Teller", long), Grant)
+	dec, err := e.Evaluate(mmer("Auditor", long))
+	if err != nil || dec.Effect != Deny {
+		t.Fatalf("MMER over quoted contexts: %v, %v", dec.Effect, err)
+	}
+	checkDenialText(t, dec.Denial, fmt.Sprintf("user %q activating %v already holds %d conflicting role(s) in this context (forbidden cardinality %d)",
+		"u", []rbac.RoleName{"Auditor"}, 1, 2))
+
+	mmep := func(op string) Request {
+		return Request{User: "u", Roles: []rbac.RoleName{"Clerk"}, Operation: rbac.Operation(op), Target: "check",
+			Context: bctx.MustParse("Öff\"ice=" + long + ", pro\tcess=p\t1")}
+	}
+	mustEvaluate(t, e, mmep("prepare"), Grant)
+	req := mmep("approve")
+	dec, err = e.Evaluate(req)
+	if err != nil || dec.Effect != Deny {
+		t.Fatalf("MMEP over quoted contexts: %v, %v", dec.Effect, err)
+	}
+	checkDenialText(t, dec.Denial, fmt.Sprintf("user %q requesting %v already exercised %d conflicting privilege(s) in this context (forbidden cardinality %d)",
+		"u", rbac.Permission{Operation: req.Operation, Object: req.Target}, 1, 2))
 }
 
+// checkDenialText holds an engine-built denial to its fmt text, and a
+// Denial built from the same fields — one with no text written by the
+// engine — to the same Error.
 func checkDenialText(t *testing.T, d *Denial, reason string) {
 	t.Helper()
 	if d.Reason != reason {
@@ -208,5 +256,16 @@ func checkDenialText(t *testing.T, d *Denial, reason string) {
 	want := fmt.Sprintf("msod: denied by %s of policy %q (bound %q): %s", d.Rule, d.PolicyContext, d.BoundContext, d.Reason)
 	if got := d.Error(); got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
+	}
+	literal := Denial{
+		PolicyContext: d.PolicyContext,
+		BoundContext:  d.BoundContext,
+		Rule:          d.Rule,
+		Held:          d.Held,
+		Cardinality:   d.Cardinality,
+		Reason:        d.Reason,
+	}
+	if got := literal.Error(); got != want {
+		t.Errorf("a literal Denial's Error() = %q, want %q", got, want)
 	}
 }

@@ -95,32 +95,86 @@ type Denial struct {
 	Cardinality int
 	// Reason is a human-readable explanation.
 	Reason string
+	// text is what Error returns when the engine built the denial: it
+	// wrote the whole text once, and Reason is its tail. A Denial built
+	// elsewhere has none, and Error renders it from the fields.
+	text string
 }
 
 // Error renders the denial; Denial satisfies error so PEPs can surface it.
 func (d *Denial) Error() string {
-	policy, bound := d.PolicyContext.String(), d.BoundContext.String()
+	if d.text != "" {
+		return d.text
+	}
+	policy := d.PolicyContext.String()
 	var t text
-	t.Grow(len("msod: denied by  of policy \"\" (bound \"\"): ") + len(d.Rule) + len(policy) + len(bound) + len(d.Reason))
-	t.WriteString("msod: denied by ")
-	t.WriteString(d.Rule)
-	t.WriteString(" of policy ")
-	t.quote(policy)
-	t.WriteString(" (bound ")
-	t.quote(bound)
-	t.WriteString("): ")
+	t.Grow(deniedLen + len(d.Rule) + len(policy) + nameLen(d.BoundContext) + len(d.Reason))
+	t.denied(d.Rule, policy, d.BoundContext)
 	t.WriteString(d.Reason)
 	return t.String()
 }
 
+// deniedLen is the length of the text denied writes around its operands.
+const deniedLen = len("msod: denied by  of policy \"\" (bound \"\"): ")
+
 // text builds the denial strings, which are on the wire and in the
-// audit trail of every refused request, in one buffer: quote and int
-// write what fmt's %q and %d would, without boxing the operands.
+// audit trail of every refused request, in one buffer: quote, quoteName
+// and int write what fmt's %q and %d would, without boxing the operands
+// or rendering a name first.
 type text struct{ strings.Builder }
 
+// denied writes Error's text up to the sentence: the rule, the policy's
+// context text quoted and the bound name quoted.
+func (t *text) denied(rule, policy string, bound bctx.Name) {
+	t.WriteString("msod: denied by ")
+	t.WriteString(rule)
+	t.WriteString(" of policy ")
+	t.quote(policy)
+	t.WriteString(" (bound ")
+	t.quoteName(bound)
+	t.WriteString("): ")
+}
+
 func (t *text) quote(s string) {
+	t.WriteByte('"')
+	t.escape(s)
+	t.WriteByte('"')
+}
+
+// quoteName writes n's text quoted, one component at a time: a name's
+// separators are ASCII, so quoting the pieces is quoting the whole.
+func (t *text) quoteName(n bctx.Name) {
+	t.WriteByte('"')
+	for i := range n.Len() {
+		c := n.At(i)
+		if i > 0 {
+			t.WriteString(", ")
+		}
+		t.escape(c.Type)
+		t.WriteByte('=')
+		t.escape(c.Value)
+	}
+	t.WriteByte('"')
+}
+
+// escape writes s as %q would between its quotes.
+func (t *text) escape(s string) {
 	var buf [64]byte // on the stack; longer strings fall back to the heap
-	t.Write(strconv.AppendQuote(buf[:0], s))
+	q := strconv.AppendQuote(buf[:0], s)
+	t.Write(q[1 : len(q)-1])
+}
+
+// nameLen is the length of n's text.
+func nameLen(n bctx.Name) int {
+	size := 0
+	for i := range n.Len() {
+		if i > 0 {
+			size += len(", ")
+		}
+		c := n.At(i)
+		size += len(c.Type) + len("=") + len(c.Value)
+	}
+	return size
 }
 
 func (t *text) int(n int) {
@@ -409,7 +463,10 @@ type refusal struct {
 
 func (r refusal) denial(req Request) *Denial {
 	var t text
-	t.Grow(128 + len(req.User) + len(req.Operation) + len(req.Target))
+	t.Grow(deniedLen + len(r.rule) + len(r.in.context) + nameLen(r.in.bound) +
+		128 + len(req.User) + len(req.Operation) + len(req.Target))
+	t.denied(r.rule, r.in.context, r.in.bound)
+	head := t.Len()
 	t.WriteString("user ")
 	t.quote(string(req.User))
 	if r.mmer != nil {
@@ -436,13 +493,15 @@ func (r refusal) denial(req Request) *Denial {
 	}
 	t.int(r.cardinality)
 	t.WriteByte(')')
+	all := t.String()
 	return &Denial{
 		PolicyContext: r.in.Context,
 		BoundContext:  r.in.bound,
 		Rule:          r.rule,
 		Held:          r.held,
 		Cardinality:   r.cardinality,
-		Reason:        t.String(),
+		Reason:        all[head:],
+		text:          all,
 	}
 }
 

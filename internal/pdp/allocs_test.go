@@ -17,8 +17,10 @@ import (
 // here; internal/core/allocs_test.go names the engine's share and
 // internal/audit/allocs_test.go the trail append's.
 //
-// Every decision that reaches RBAC pays the validated subject (1): the
-// copy of the caller's Roles that the Decision returns. "bare" is a PDP
+// The validated subject costs nothing: Decision.Roles is the caller's
+// Request.Roles, and the store copies what it retains
+// (TestRetainedHistoryOwnsItsRoles). It was 1 more on every decision
+// while the PDP copied the roles into the Decision. "bare" is a PDP
 // with neither observer nor trail; "observed" has both, and then every
 // decision also pays the event (2: Roles as []string, the request
 // context's text — built once, shared by the stream event and the trail
@@ -48,42 +50,45 @@ func TestDecideAllocs(t *testing.T) {
 		budget  map[string]float64
 	}{
 		{
-			// Subject (1), the engine's decision moved to the heap as
-			// Decision.MSoD (1), and the engine's three for a recorded
-			// grant under MMER: bound name, record slice, the store's
-			// Roles copy (3). Observed: + event 2.
+			// The engine's decision moved to the heap as Decision.MSoD
+			// (1), and the engine's three for a recorded grant under
+			// MMER: bound name, record slice, the store's Roles copy (3).
+			// Observed: + event 2.
 			name: "grant",
 			prepare: func(p *PDP, i int) {
 				mustDecide(t, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 5, "observed": 7},
+			budget: map[string]float64{"bare": 4, "observed": 6},
 		},
 		{
-			// Subject (1), Decision.MSoD (1), the engine's three for an
-			// MMER denial — bound name, the Denial, its Reason (3) — and
-			// Decision.Reason: Denial.Error's two context texts and the
-			// sentence (3). Observed: + event 2.
+			// Decision.MSoD (1) and the engine's three for an MMER
+			// denial: bound name, the Denial, its one text (3), which is
+			// Denial.Error and, as its tail, Denial.Reason; so
+			// Decision.Reason costs nothing. It was 8 while the subject
+			// was copied (1) and Denial.Error rendered the two context
+			// texts and the sentence again (3). Observed: + event 2.
 			name: "MSoD deny",
 			prepare: func(p *PDP, i int) {
 				mustDecide(t, p, bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "ledger", "Leeds", period(i)) },
 			allowed: false, phase: PhaseMSoD,
-			budget: map[string]float64{"bare": 8, "observed": 10},
-		},
-		{
-			// Subject (1) and Decision.Reason: the permission boxed for
-			// Sprintf (1), its text (1), the sentence (1). The engine
-			// never runs. Observed: + event 2.
-			name:    "RBAC deny",
-			request: func(i int) Request { return bankReq("alice", "Teller", "Audit", "ledger", "York", period(i)) },
-			allowed: false, phase: PhaseRBAC,
 			budget: map[string]float64{"bare": 4, "observed": 6},
 		},
 		{
-			// An advisory builds what the decision would — subject (1),
+			// Decision.Reason, one concatenation (1). The engine never
+			// runs. It was 4 while the subject was copied (1) and the
+			// reason was Sprintf's: the permission boxed (1), its text
+			// (1), the sentence (1). Observed: + event 2.
+			name:    "RBAC deny",
+			request: func(i int) Request { return bankReq("alice", "Teller", "Audit", "ledger", "York", period(i)) },
+			allowed: false, phase: PhaseRBAC,
+			budget: map[string]float64{"bare": 1, "observed": 3},
+		},
+		{
+			// An advisory builds what the decision would —
 			// Decision.MSoD (1), the bound name (1), the record slice
 			// that Recorded counts (1) — and stops before the store
 			// copies anything; it publishes and appends nothing, so both
@@ -95,7 +100,7 @@ func TestDecideAllocs(t *testing.T) {
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 4, "observed": 4},
+			budget: map[string]float64{"bare": 3, "observed": 3},
 		},
 	} {
 		for _, kind := range []string{"bare", "observed"} {

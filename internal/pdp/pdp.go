@@ -200,6 +200,9 @@ type Decision struct {
 	// Reason is a human-readable explanation for denials.
 	Reason string
 	// User and Roles are the validated subject used for the decision.
+	// Roles is the request's own slice when the subject came from
+	// Request.Roles (the CVS's when from credentials): the decision does
+	// not copy it, and the retained ADI keeps a copy of its own.
 	User  rbac.UserID
 	Roles []rbac.RoleName
 	// MSoD carries the engine's decision details when MSoD ran.
@@ -248,7 +251,7 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	endRBAC.End()
 	if !permitted {
 		dec.Phase = PhaseRBAC
-		dec.Reason = fmt.Sprintf("no activated role grants %s", perm)
+		dec.Reason = "no activated role grants " + string(perm.Operation) + "@" + string(perm.Object)
 		// RBAC denials never touch the store, so they need no commit
 		// ordering: publish and append directly.
 		if observed || trailed {
@@ -335,7 +338,8 @@ func (p *PDP) AdviseCtx(ctx context.Context, req Request) (Decision, error) {
 }
 
 // subject resolves the request's initiator: CVS-validated credentials
-// take precedence; otherwise the pre-validated user/roles are used.
+// take precedence; otherwise the pre-validated user/roles are used as
+// they are.
 func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
 	if len(req.Credentials) > 0 {
 		v, err := p.cvs.Validate(req.Credentials, p.clock())
@@ -350,7 +354,7 @@ func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
 	if req.User == "" {
 		return "", nil, ErrNoSubject
 	}
-	return req.User, append([]rbac.RoleName(nil), req.Roles...), nil
+	return req.User, req.Roles, nil
 }
 
 // event builds the audit record for a decision, stamping the context's

@@ -307,6 +307,71 @@ func TestPurgeBeforeOnDurableStore(t *testing.T) {
 	}
 }
 
+// TestRetainedHistoryOwnsItsRoles: the PDP hands the engine the
+// caller's Roles slice as it is (Decision.Roles shares it), and the
+// record an opening grant retains carries the request's roles, so what
+// the retained ADI keeps must be its own copy — the adi.Recorder
+// contract. A caller that overwrites its slice after a grant changes
+// neither the retained record nor the decisions it backs, in memory or
+// in a durable store after a reopen.
+func TestRetainedHistoryOwnsItsRoles(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, store adi.Recorder) {
+		t.Helper()
+		recs := store.(adi.Browser).UserRecords("alice", bctx.Universal)
+		if len(recs) != 1 || len(recs[0].Roles) != 1 || recs[0].Roles[0] != "Teller" {
+			t.Fatalf("alice's retained history = %+v, want one record with roles [Teller]", recs)
+		}
+		p, err := New(Config{Policy: pol, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := p.Decide(bankReq("alice", "Auditor", "Audit", "ledger", "Leeds", "2006"))
+		if err != nil || dec.Allowed || dec.Phase != PhaseMSoD {
+			t.Errorf("the conflicting Audit: %+v, %v; want an MSoD denial", dec, err)
+		}
+	}
+	grant := func(t *testing.T, store adi.Recorder) {
+		t.Helper()
+		p, err := New(Config{Policy: pol, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := bankReq("alice", "Teller", "HandleCash", "till", "York", "2006")
+		if dec, err := p.Decide(req); err != nil || !dec.Allowed {
+			t.Fatalf("grant: %+v, %v", dec, err)
+		}
+		req.Roles[0] = "Auditor"
+	}
+
+	t.Run("memory", func(t *testing.T) {
+		store := adi.NewStore()
+		grant(t, store)
+		check(t, store)
+	})
+	t.Run("durable", func(t *testing.T) {
+		dir, secret := t.TempDir(), []byte("owns-roles")
+		store, err := adi.OpenDurable(dir, secret, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant(t, store)
+		check(t, store)
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopened, err := adi.OpenDurable(dir, secret, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer reopened.Close()
+		check(t, reopened)
+	})
+}
+
 // TestApplyPublishesWhatAMirrorReplays: every op Apply takes is
 // published so that EventOp turns the events back into ops which, applied
 // to a copy of the store, leave it equal to the original and echo the

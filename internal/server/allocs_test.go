@@ -71,7 +71,7 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 // requests, so the measured requests run in the steady state of a
 // long-lived shard: every explain and trace record is a recycled one.
 //
-// What every case pays, for a body naming a user and one role (14):
+// What every case pays, for a body naming a user and one role (13):
 //
 //	decode 7    the body, read into one slice of its Content-Length (1);
 //	            the five strings (5) and the Roles slice (1) that
@@ -84,14 +84,18 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 //	            the trace ID minted for a request without a traceparent —
 //	            its string; its random bytes stay on the stack (1) — the
 //	            Trace with its spans inline (1), the context carrying it (1)
-//	respond 2   Roles as []string (1), the response on the heap for the
-//	            encoder (1), which under a requestID is also what the
-//	            idempotency cache keeps. The Content-Type value is shared,
-//	            and the latency exemplar is written into its bucket's slot
-//	            in place. It was 17 while the trace ID's random bytes
-//	            escaped (1) and the Content-Type value was built per
-//	            answer (1), and 15 while every observation stored a new
-//	            Exemplar (1)
+//	respond 1   the response on the heap for the encoder (1), which
+//	            under a requestID is also what the idempotency cache
+//	            keeps. Its Roles are the decoded ones, and the PDP's
+//	            Decision.Roles is the request's slice, so neither the
+//	            subject nor the answer converts roles again. The
+//	            Content-Type value is shared, and the latency exemplar is
+//	            written into its bucket's slot in place. It was 17 while
+//	            the trace ID's random bytes escaped (1) and the
+//	            Content-Type value was built per answer (1), 15 while
+//	            every observation stored a new Exemplar (1), and 14 while
+//	            the PDP copied the roles (1) and the answer converted
+//	            them back to []string (1)
 //
 // and, per case, what the PDP allocates (internal/core/allocs_test.go
 // names the engine's share) and what the default telemetry adds:
@@ -163,15 +167,15 @@ func TestServeDecisionAllocs(t *testing.T) {
 		budget  map[string]float64
 	}{
 		{
-			// 14 + the validated roles (1), the engine's decision moved
-			// to the heap as Decision.MSoD (1), and the engine's three:
-			// bound name, record slice, the store's Roles copy (3).
-			// Default: + explain 1 + event 2.
+			// 13 + the engine's decision moved to the heap as
+			// Decision.MSoD (1), and the engine's three: bound name,
+			// record slice, the store's Roles copy (3). Default: +
+			// explain 1 + event 2.
 			name:    "MMER grant",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 22, "bare": 19, "all-on": 22},
+			budget: map[string]float64{"default": 20, "bare": 17, "all-on": 20},
 		},
 		{
 			// The same under a requestID and a traceparent, as every
@@ -188,7 +192,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			routed:  true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 22, "bare": 19, "all-on": 22},
+			budget: map[string]float64{"default": 20, "bare": 17, "all-on": 20},
 		},
 		{
 			// The same on a shard behind a gateway, the request carrying
@@ -198,12 +202,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			handoff: true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 22, "bare": 19, "all-on": 22},
+			budget: map[string]float64{"default": 20, "bare": 17, "all-on": 20},
 		},
 		{
 			// The same, the request carrying one close — of another
 			// period, which holds nothing on this shard. On top of the
-			// grant's 22 / 19: the closed instance's name parsed (1), the
+			// grant's 20 / 17: the closed instance's name parsed (1), the
 			// event's reason (1), and the last step's requestID cloned
 			// out of the header for the applied ring (1); default adds
 			// the instance's text in the purge event (1).
@@ -216,12 +220,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 26, "bare": 22, "all-on": 26},
+			budget: map[string]float64{"default": 24, "bare": 20, "all-on": 24},
 		},
 		{
 			// The same, the request carrying one activation — of another
 			// period, not running on this shard. On top of the grant's
-			// 22 / 19: the instance's name parsed (1), the encoded
+			// 20 / 17: the instance's name parsed (1), the encoded
 			// activation adi.OpActivate hands Append (1), the
 			// instance-table entry and its slot in a component list (2),
 			// and the first step's requestID cloned out of the header for
@@ -238,33 +242,36 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 28, "bare": 24, "all-on": 28},
+			budget: map[string]float64{"default": 26, "bare": 22, "all-on": 26},
 		},
 		{
-			// 14 + the validated roles (1), Decision.MSoD (1), the bound
-			// name (1), the Denial (1) and the two texts the answer and
-			// the trail carry: Denial.Reason (1) and Denial.Error — the
-			// policy context's text, the bound context's, the sentence
-			// (3). Default: + explain 1 + event 2.
+			// 13 + Decision.MSoD (1), the bound name (1), the Denial (1)
+			// and its one text (1): Denial.Error, which the answer and
+			// the trail carry as the reason, with Denial.Reason its
+			// tail. It was 25 / 22 while the roles were copied and
+			// converted back (2) and Denial.Error rendered the policy
+			// context's text, the bound context's and the sentence
+			// again (3). Default: + explain 1 + event 2.
 			name:    "MSoD deny",
 			prepare: func(i int) *DecisionRequest { r := teller("alice", i); return &r },
 			request: func(i int) DecisionRequest {
 				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "msod",
-			budget: map[string]float64{"default": 25, "bare": 22, "all-on": 25},
+			budget: map[string]float64{"default": 20, "bare": 17, "all-on": 20},
 		},
 		{
-			// 14 + the validated roles (1) and the reason: the permission
-			// boxed for Sprintf (1), its text (1), the sentence (1). The
-			// engine never runs, so default adds the explain context
-			// value (1) + event 2.
+			// 13 + the reason, one concatenation (1). It was 21 / 18
+			// while the roles were copied and converted back (2) and
+			// the reason was Sprintf's: the permission boxed (1), its
+			// text (1), the sentence (1). The engine never runs, so
+			// default adds the explain context value (1) + event 2.
 			name: "RBAC deny",
 			request: func(i int) DecisionRequest {
 				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "rbac",
-			budget: map[string]float64{"default": 21, "bare": 18, "all-on": 21},
+			budget: map[string]float64{"default": 17, "bare": 14, "all-on": 17},
 		},
 		{
 			// No user or roles in the body but one signed credential, so
@@ -275,7 +282,8 @@ func TestServeDecisionAllocs(t *testing.T) {
 			// credential's strings, attribute slice and signature); it
 			// was 21 with the DecisionRequest on the heap and the stack
 			// one level deeper — request 4 (no Roles to convert) and
-			// respond 2: 25. The CVS adds 6 — the signed
+			// respond 2, the answer converting the CVS's roles to
+			// []string (1) beside the response (1): 25. The CVS adds 6 — the signed
 			// payload re-marshalled for the Ed25519 check (credential
 			// boxed, two time texts, the result: 4), the validated roles
 			// (1), the rejection map (1) — then Decision.MSoD (1) and the

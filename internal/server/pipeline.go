@@ -73,14 +73,19 @@ func ReadDecisionCall(w http.ResponseWriter, r *http.Request, c *DecisionCall) (
 
 // Response is the wire form of the PDP's decision on this call. The
 // RequestID is the caller's to set: only an explained decision has one.
+// A subject from the body answers the roles decoded from it, which are
+// the ones the PDP decided on; one from credentials answers the CVS's.
 func (c *DecisionCall) Response(dec pdp.Decision) DecisionResponse {
 	resp := DecisionResponse{
 		Allowed: dec.Allowed,
 		Phase:   string(dec.Phase),
 		Reason:  dec.Reason,
 		User:    string(dec.User),
-		Roles:   fromRoles(dec.Roles),
+		Roles:   c.Wire.Roles,
 		TraceID: string(c.TraceID),
+	}
+	if len(c.Request.Credentials) > 0 {
+		resp.Roles = fromRoles(dec.Roles)
 	}
 	if dec.MSoD != nil {
 		resp.Recorded = dec.MSoD.Recorded

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"msod/internal/bctx"
 	"msod/internal/credential"
+	"msod/internal/obsv"
 	"msod/internal/pdp"
 	"msod/internal/policy"
 	"msod/internal/rbac"
@@ -277,5 +280,71 @@ func TestWorkflowOverRemotePDP(t *testing.T) {
 	}
 	if !inst.Complete() {
 		t.Error("workflow incomplete")
+	}
+}
+
+// TestResponseRolesAreTheSubjects pins the answer's roles, byte for
+// byte: a subject from the body answers the roles decoded from it, in
+// their order; one from credentials answers the CVS's, whatever roles
+// the body also names; a body with no "roles" member answers none.
+func TestResponseRolesAreTheSubjects(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pdp.New(pdp.Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	soa, err := credential.NewAuthority("bank.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrustAuthority(soa); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	cred, err := soa.IssueRole("alice", "Teller", now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	credJSON, err := json.Marshal(cred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(p, WithExplainCapacity(-1))
+	const traceID = "0af7651916cd43dd8448eb211c80319c"
+
+	for _, tc := range []struct{ name, body, want string }{
+		{
+			name: "body subject",
+			body: `{"user":"bob","roles":["Teller","Guest"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`,
+			want: `{"allowed":true,"phase":"granted","user":"bob","roles":["Teller","Guest"],"recorded":1,"matchedPolicies":1,"traceID":"` + traceID + `"}`,
+		},
+		{
+			name: "credentials, no body roles",
+			body: `{"credentials":[` + string(credJSON) + `],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p2"}`,
+			want: `{"allowed":true,"phase":"granted","user":"alice","roles":["Teller"],"recorded":1,"matchedPolicies":1,"traceID":"` + traceID + `"}`,
+		},
+		{
+			name: "credentials, body roles ignored",
+			body: `{"user":"mallory","roles":["Auditor","Teller"],"credentials":[` + string(credJSON) + `],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p3"}`,
+			want: `{"allowed":true,"phase":"granted","user":"alice","roles":["Teller"],"recorded":1,"matchedPolicies":1,"traceID":"` + traceID + `"}`,
+		},
+		{
+			name: "no roles member",
+			body: `{"user":"carol","operation":"HandleCash","target":"till","context":"Branch=York, Period=p4"}`,
+			want: `{"allowed":false,"phase":"rbac","reason":"no activated role grants HandleCash@till","user":"carol","traceID":"` + traceID + `"}`,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := httptest.NewRequest(http.MethodPost, DecisionPath, strings.NewReader(tc.body))
+			r.Header.Set(obsv.TraceparentHeader, "00-"+traceID+"-b7ad6b7169203331-01")
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, r)
+			if got := strings.TrimSuffix(w.Body.String(), "\n"); w.Code != http.StatusOK || got != tc.want {
+				t.Errorf("status %d, answer\n%s\nwant\n%s", w.Code, got, tc.want)
+			}
+		})
 	}
 }
