@@ -17,8 +17,9 @@ test-race:
 
 # The allocation budgets of a served decision (testing.AllocsPerRun
 # tables, every allocation named): the §4.2 hot path (core, adi, bctx,
-# rbac), the durable store's logged append (adi: the retained record
-# only) and the layers around it — spans (obsv), the trail append
+# rbac), the durable store's logged append (adi: only the variadic slice
+# a direct call builds — the record's one role is the store's shared
+# slice) and the layers around it — spans (obsv), the trail append
 # (audit: none), the PDP's pipeline around the engine (pdp), the whole handler
 # with and without the default telemetry (server) and the gateway in
 # front of it, ring lookup included (cluster). `make test` runs them too; this target is the quick check
@@ -68,8 +69,9 @@ fuzz:
 
 # Full fault-injection torture: power-loss crash-recovery schedules,
 # chaotic transport (with carried activations and closes), overload
-# shedding, degraded read-only mode, and the idempotency cache's waiters
-# (ten times over).
+# shedding, degraded read-only mode, the idempotency cache's waiters
+# (ten times over), and the engine's commit buffer, which every decision
+# reuses, under concurrent decisions, advisories and ops (twenty times).
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -run 'TestAdmission|TestClientRetriesShedRequest|TestDegradedReadOnlyLatch' ./internal/server
@@ -77,6 +79,7 @@ chaos:
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestClusterPEPHangUpAfterFirstStep' ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestObserveExemplarConcurrent' ./internal/obsv
+	$(GO) test -race -count=20 -run 'TestConcurrentCommitBuffer' ./internal/core
 
 # Elastic membership smoke: the join/drain/remove lifecycle and
 # context-activation unit suite (the activation carried to each peer,

@@ -40,6 +40,9 @@ type Record struct {
 	// User is the requester's stable identifier.
 	User rbac.UserID
 	// Roles are the roles the user had activated for the granted request.
+	// In a record read back from a store (UserRecords, All, a Browser)
+	// they are the store's own, shared with other records, and
+	// read-only.
 	Roles []rbac.RoleName
 	// Operation is the granted operation.
 	Operation rbac.Operation
@@ -92,8 +95,12 @@ func (r Record) Validate() error {
 // retained-ADI implementation.
 type Recorder interface {
 	// Append stores granted-decision records. It is atomic: either all
-	// records are stored or none. It copies what it keeps: recs and the
-	// Roles slices remain the caller's, who may share or reuse them.
+	// records are stored or none. It keeps nothing of the caller's: recs
+	// and the Roles slices remain the caller's, who may share or reuse
+	// them. The Roles a store keeps may be shared between its records —
+	// Store gives every one-role record its role's one slice — so the
+	// records read back through UserRecords, All and a Browser are
+	// read-only.
 	Append(recs ...Record) error
 	// UserHasRole reports whether any record for the user whose context
 	// instance falls within pattern lists the role.
@@ -158,6 +165,10 @@ type Store struct {
 	// list among its own components (TestActivityCheckWalksOneCandidate
 	// counts the difference to scanning every instance: experiment E15).
 	comps map[compKey][]*instance
+	// roles holds one one-role slice per role name, its capacity capped
+	// at its length: every retained record of one role shares its
+	// role's slice, and an append to a record's Roles copies.
+	roles map[rbac.RoleName][]rbac.RoleName
 	n     int
 }
 
@@ -230,6 +241,7 @@ func (s *Store) resetLocked() {
 	s.byUser = make(map[rbac.UserID][]entry)
 	s.insts = make(map[uint64]*instance)
 	s.comps = make(map[compKey][]*instance)
+	s.roles = make(map[rbac.RoleName][]rbac.RoleName)
 	s.n = 0
 }
 
@@ -253,12 +265,27 @@ func (s *Store) Append(recs ...Record) error {
 			in.holders = append(in.holders, r.User)
 		}
 		in.recs++
-		r.Roles = append([]rbac.RoleName(nil), r.Roles...)
+		r.Roles = s.rolesLocked(r.Roles)
 		r.Context = in.name
 		s.byUser[r.User] = append(bucket, entry{r, in})
 		s.n++
 	}
 	return nil
+}
+
+// rolesLocked returns the store's own slice of the roles: the role's
+// shared slice for one role, which it adds to the table the first time,
+// and a copy for any other number.
+func (s *Store) rolesLocked(roles []rbac.RoleName) []rbac.RoleName {
+	if len(roles) != 1 {
+		return append([]rbac.RoleName(nil), roles...)
+	}
+	shared, ok := s.roles[roles[0]]
+	if !ok {
+		shared = []rbac.RoleName{roles[0]}
+		s.roles[roles[0]] = shared
+	}
+	return shared
 }
 
 // activate records an activation of the instance at t.
@@ -569,7 +596,7 @@ func (s *Store) Len() int {
 }
 
 // UserRecords returns copies of the user's records whose context matches
-// pattern, in insertion order.
+// pattern, in insertion order. Their Roles are the store's, read-only.
 func (s *Store) UserRecords(user rbac.UserID, pattern bctx.Name) []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -583,7 +610,8 @@ func (s *Store) UserRecords(user rbac.UserID, pattern bctx.Name) []Record {
 }
 
 // All returns a copy of every record, ordered by user then insertion
-// order, suitable for snapshots.
+// order, suitable for snapshots. Their Roles are the store's,
+// read-only.
 func (s *Store) All() []Record {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -14,7 +14,8 @@ import (
 // builds the /v1/state API on top.
 type Browser interface {
 	// UserRecords returns copies of the user's records whose context
-	// instance falls within pattern, in insertion order.
+	// instance falls within pattern, in insertion order. Their Roles are
+	// shared with the store and read-only.
 	UserRecords(user rbac.UserID, pattern bctx.Name) []Record
 	// Instances returns the open context instances — those holding
 	// retained records or activated — sorted by name.

@@ -50,37 +50,42 @@ func TestEvaluateAllocs(t *testing.T) {
 		},
 		{
 			// Returned: nothing. Built: the bound name "Branch=*,
-			// Period=p" (1), the one-record slice handed to Append (1).
-			// Retained by the store: the record's Roles copy (1), the
-			// new instance (1), the list of its unique Period value (1).
+			// Period=p" (1). Retained by the store: the new instance
+			// (1), the list of its unique Period value (1). The record
+			// goes to Append from the engine's commit buffer, and its
+			// one role is the store's shared "Teller" slice: it was 5
+			// with a one-record slice (1) and a Roles copy (1).
 			name: "opening grant", policies: bankPolicies(),
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 5,
+			want:    Grant, budget: 3,
 		},
 		{
 			// "TaxOffice=!, taxRefundProcess=!" binds to the request's
-			// own name (0). Returned: Decision.Activated() (1). Built: the
-			// record slice (1). Retained: Roles copy (1), the instance
-			// (1), the list of its unique process value (1).
+			// own name (0). Returned: Decision.Activated() (1).
+			// Retained: the instance (1), the list of its unique
+			// process value (1). It was 5 with the record slice (1) and
+			// the Roles copy (1).
 			name: "opening grant, first step", policies: taxPolicies(),
 			request: func(i int) Request {
 				return taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i))
 			},
-			want: Grant, budget: 5,
+			want: Grant, budget: 3,
 		},
 		{
-			// Built: bound name (1), record slice (1). Retained: the
-			// Roles copy (1) — the record's one-role slice is the rule's
-			// own until the store copies it.
+			// Built: bound name (1). It was 3 with the record slice (1)
+			// and the store's copy of the record's one-role slice, the
+			// rule's own (1); the store now gives the record its shared
+			// "Teller" slice.
 			name: "recorded grant under MMER", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 3,
+			want:    Grant, budget: 1,
 		},
 		{
-			// Built: record slice (1). Retained: Roles copy (1).
+			// Nothing. It was 2 with the record slice (1) and the Roles
+			// copy (1).
 			name: "recorded grant under MMEP", policies: taxPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
@@ -88,7 +93,20 @@ func TestEvaluateAllocs(t *testing.T) {
 			request: func(i int) Request {
 				return taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", period(i))
 			},
-			want: Grant, budget: 2,
+			want: Grant, budget: 0,
+		},
+		{
+			// Two policies record: the MMEP one over "Branch=York,
+			// Period=p", which binds to the request's own name (0), and
+			// the MMER one over "Branch=*, Period=p" (bound name, 1).
+			// The commit buffer holds both actions' records, one each,
+			// and each goes to Append as its slice of the buffer.
+			name: "recorded grant under two policies", policies: cashPolicies(),
+			prepare: func(e *Engine, i int) {
+				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
+			},
+			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
+			want:    Grant, budget: 1,
 		},
 		{
 			// Built: bound name (1), which the denial keeps. Returned:

@@ -306,6 +306,11 @@ type Engine struct {
 	ctxStore   adi.CtxAppender // non-nil when store supports ctx-aware appends
 	now        func() time.Time
 	expand     func([]rbac.RoleName) []rbac.RoleName
+	// recs is the commit buffer: the records a decision's grant would
+	// retain, each matched policy's after the one before it (see
+	// action). It is used only under mu, and decide empties it before
+	// it releases mu, so it holds nothing of a past request.
+	recs []adi.Record
 }
 
 // Option configures an Engine.
@@ -441,11 +446,12 @@ type matched struct {
 
 // action is the deferred store mutation of one matched policy, applied
 // in policy order only if the overall result is Grant: a purge of the
-// bound context, or an append of records. The zero action does nothing.
+// bound context, or an append of the records recs[from:to] of the
+// engine's commit buffer. The zero action does nothing.
 type action struct {
 	purge     bool
 	bound     bctx.Name
-	records   []adi.Record
+	from, to  int
 	activates bool // the request is the granted first step of a FirstStep-gated policy
 }
 
@@ -626,6 +632,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer e.dropRecords()
 	now := e.now()
 	var buf [4]action
 	actions := buf[:0]
@@ -643,7 +650,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 			// Deny exits immediately; no retained-ADI mutation at all.
 			return Decision{Effect: Deny, MatchedPolicies: i + 1}, refused, nil
 		}
-		if act.purge || act.activates || len(act.records) > 0 {
+		if act.purge || act.activates || act.to > act.from {
 			actions = append(actions, act)
 		}
 	}
@@ -667,20 +674,21 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 			}
 			continue
 		}
-		if commit && len(act.records) > 0 {
+		recs := e.recs[act.from:act.to]
+		if commit && len(recs) > 0 {
 			var err error
 			if e.ctxStore != nil {
 				// Context-aware stores (the durable ADI) record the
 				// WAL round trip as a sub-span of the store stage.
-				err = e.ctxStore.AppendCtx(ctx, act.records...)
+				err = e.ctxStore.AppendCtx(ctx, recs...)
 			} else {
-				err = e.store.Append(act.records...)
+				err = e.store.Append(recs...)
 			}
 			if err != nil {
 				return Decision{}, refusal{}, fmt.Errorf("core: record decision: %w", err)
 			}
 		}
-		dec.Recorded += len(act.records)
+		dec.Recorded += len(recs)
 		if commit && act.activates {
 			dec.started(act.bound)
 		}
@@ -688,10 +696,18 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 	return dec, refusal{}, nil
 }
 
+// dropRecords empties the commit buffer, zeroing the records a decision
+// put there, so that the engine keeps no reference to its request.
+func (e *Engine) dropRecords() {
+	clear(e.recs)
+	e.recs = e.recs[:0]
+}
+
 // evaluatePolicy runs steps 3–7 for one matched policy with its bound
-// context. It returns the deferred store action for a grant, or the
-// refusing constraint. When xr is non-nil, every consulted constraint is
-// handed to it with its k-of-m counter state before and after.
+// context. It returns the deferred store action for a grant, whose
+// records it appends to the commit buffer, or the refusing constraint.
+// When xr is non-nil, every consulted constraint is handed to it with
+// its k-of-m counter state before and after.
 func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Explainer) (action, refusal, error) {
 	// Step 7 precheck: a granted last step terminates the context
 	// instance — the §4.2 text orders this after the constraint checks,
@@ -729,17 +745,15 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 		// An explicit first step starting the instance is the
 		// activation other nodes of a distributed PDP must hear
 		// about (see Decision.Activated).
+		from := len(e.recs)
+		e.recs = append(e.recs, newRecord(req, req.Roles, now))
 		return action{
 			bound:     m.bound,
-			records:   []adi.Record{newRecord(req, req.Roles, now)},
+			from:      from,
+			to:        len(e.recs),
 			activates: m.FirstStep != nil,
 		}, refusal{}, nil
 	}
-
-	// records counts what a grant retains: one record per matched role
-	// of every MMER rule (step 5.iv) and one per MMEP rule listing the
-	// requested privilege.
-	records := 0
 
 	// Step 5: MMER constraints.
 	for i := range m.MMER {
@@ -777,7 +791,6 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 		if denied {
 			return action{}, refusal{denied: true, in: *m, rule: m.mmer[i], mmer: rule, held: count, cardinality: rule.Cardinality}, nil
 		}
-		records += nr
 	}
 
 	// Step 6: MMEP constraints.
@@ -824,7 +837,6 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 		if denied {
 			return action{}, refusal{denied: true, in: *m, rule: rule.name, held: count, cardinality: rule.cardinality}, nil
 		}
-		records++
 	}
 
 	// Step 7: a granted last step terminates the bound context instance;
@@ -834,26 +846,24 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 	}
 	// The first step, granted in an instance that is running here, is
 	// reported like the one that started it (see Decision.Activated).
-	act := action{bound: m.bound, activates: m.FirstStep != nil && m.FirstStep.matches(req.Operation, req.Target)}
-	if records == 0 {
-		return act, refusal{}, nil
-	}
-	act.records = make([]adi.Record, 0, records)
+	act := action{bound: m.bound, activates: m.FirstStep != nil && m.FirstStep.matches(req.Operation, req.Target), from: len(e.recs)}
 	for i := range m.MMER {
 		// Step 5.iv: one new record per currently matched role. Its
-		// one-role slice is the rule's own; the store copies what it
-		// keeps (see adi.Recorder).
+		// one-role slice is the rule's own; the store keeps its own
+		// (see adi.Recorder).
 		for k, role := range m.MMER[i].Roles {
 			if containsRole(req.Roles, role) {
-				act.records = append(act.records, newRecord(req, m.MMER[i].Roles[k:k+1:k+1], now))
+				e.recs = append(e.recs, newRecord(req, m.MMER[i].Roles[k:k+1:k+1], now))
 			}
 		}
 	}
+	// One record per MMEP rule listing the requested privilege.
 	for i := range m.mmep {
 		if m.mmep[i].lists(reqPriv) {
-			act.records = append(act.records, newRecord(req, req.Roles, now))
+			e.recs = append(e.recs, newRecord(req, req.Roles, now))
 		}
 	}
+	act.to = len(e.recs)
 	return act, refusal{}, nil
 }
 
@@ -902,7 +912,7 @@ func explainOpening(m *matched, req Request, xr Explainer) {
 // newRecord builds the §4.2 six-tuple for the request. The stored
 // context is the request's concrete instance, so that future policies
 // binding different patterns can still match it. roles is not copied:
-// adi.Recorder's Append copies what it keeps.
+// adi.Recorder's Append keeps its own.
 func newRecord(req Request, roles []rbac.RoleName, now time.Time) adi.Record {
 	return adi.Record{
 		User:      req.User,

@@ -24,6 +24,24 @@ func bankPolicies() []Policy {
 	}}
 }
 
+// cashPolicies returns two policies that both record a teller's
+// HandleCash: an MMEP one over each branch's period ("Branch=!,
+// Period=!": handling a till and auditing it), listed first, and the
+// bank's MMER policy over the whole period. A recorded grant under both
+// retains one record for each.
+func cashPolicies() []Policy {
+	return append([]Policy{{
+		Context: bctx.MustParse("Branch=!, Period=!"),
+		MMEP: []MMEPRule{{
+			Privileges: []rbac.Permission{
+				{Operation: "HandleCash", Object: "http://bank.example/till"},
+				{Operation: "Audit", Object: "http://bank.example/till"},
+			},
+			Cardinality: 2,
+		}},
+	}}, bankPolicies()...)
+}
+
 const (
 	checkTarget   = rbac.Object("http://www.myTaxOffice.com/Check")
 	auditTarget   = rbac.Object("http://secret.location.com/audit")

@@ -178,6 +178,109 @@ func TestConcurrentEvaluateAtomicity(t *testing.T) {
 	}
 }
 
+// TestConcurrentCommitBuffer mixes Evaluate, Peek and Apply from many
+// goroutines over two policies that both record (cashPolicies), so each
+// grant's records pass through the engine's one commit buffer, which
+// decisions share one after another. Every granted decision's two
+// records must be in the store under its own user, with its own role,
+// operation and context. A denial, whose first policy has put a record
+// in the buffer before the second refuses, and an advisory leave
+// nothing; a record an Apply imports is there as imported. Each
+// request's Roles slice is overwritten once its decision returns, which
+// changes nothing retained.
+func TestConcurrentCommitBuffer(t *testing.T) {
+	store := adi.NewStore()
+	e, err := NewEngine(store, cashPolicies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines, rounds = 8, 40
+	granted := make([][]Request, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				user := fmt.Sprintf("g%d.%d", g, i)
+				branch, period := fmt.Sprintf("b%d", g%3), fmt.Sprintf("p%d", i%4)
+				role, op, other, otherOp := "Teller", "HandleCash", "Auditor", "Audit"
+				if i%2 == 1 {
+					role, op, other, otherOp = other, otherOp, role, op
+				}
+
+				if dec, err := e.Peek(bankReq(user+".peek", role, op, branch, period)); err != nil || dec.Effect != Grant || dec.Recorded != 2 {
+					t.Errorf("Peek for %s: %+v, %v; want a grant recording 2", user, dec, err)
+					return
+				}
+				req := bankReq(user, role, op, branch, period)
+				if dec, err := e.Evaluate(req); err != nil || dec.Effect != Grant || dec.Recorded != 2 {
+					t.Errorf("Evaluate for %s: %+v, %v; want a grant recording 2", user, dec, err)
+					return
+				}
+				kept := req
+				kept.Roles = []rbac.RoleName{req.Roles[0]}
+				granted[g] = append(granted[g], kept)
+				req.Roles[0] = "Overwritten"
+
+				// The MMEP policy opens "Branch=x, Period=p" in the
+				// buffer; the MMER policy then refuses the other role.
+				if dec, err := e.Evaluate(bankReq(user, other, otherOp, "x", period)); err != nil || dec.Effect != Deny {
+					t.Errorf("conflicting Evaluate for %s: %+v, %v; want a denial", user, dec, err)
+					return
+				}
+
+				imported := adi.Record{
+					User: rbac.UserID(user + ".import"), Roles: []rbac.RoleName{"Clerk"}, Operation: "Import", Target: "t",
+					Context: bctx.MustParse("Branch=import, Period=" + period), Time: time.Now(),
+				}
+				ops := []adi.Op{
+					{Kind: adi.OpActivate, Bound: bctx.MustParse(fmt.Sprintf("Branch=a, Period=q%d.%d", g, i))},
+					{Kind: adi.OpRecord, Records: []adi.Record{imported}},
+				}
+				if err := e.Apply(ops, func(adi.Op, adi.Effect) {}); err != nil {
+					t.Errorf("Apply for %s: %v", user, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	n := 0
+	for _, reqs := range granted {
+		for _, req := range reqs {
+			n++
+			recs := store.UserRecords(req.User, bctx.Universal)
+			if len(recs) != 2 {
+				t.Errorf("%s holds %d records, want the 2 of its grant: %v", req.User, len(recs), recs)
+				continue
+			}
+			for _, r := range recs {
+				if r.User != req.User || len(r.Roles) != 1 || r.Roles[0] != req.Roles[0] ||
+					r.Operation != req.Operation || r.Target != req.Target || !r.Context.Equal(req.Context) {
+					t.Errorf("%s's record %v, want %s's %s@%s in %q as %s", req.User, r, req.User, req.Operation, req.Target, req.Context, req.Roles[0])
+				}
+			}
+			if recs := store.UserRecords(req.User+".peek", bctx.Universal); len(recs) != 0 {
+				t.Errorf("%s.peek, only ever advised, holds %v", req.User, recs)
+			}
+			if recs := store.UserRecords(req.User+".import", bctx.Universal); len(recs) != 1 {
+				t.Errorf("%s.import holds %v, want the one imported record", req.User, recs)
+			}
+		}
+	}
+	if n != goroutines*rounds {
+		t.Fatalf("%d grants recorded, want %d", n, goroutines*rounds)
+	}
+	if got, want := store.Len(), 3*n; got != want {
+		t.Errorf("store holds %d records, want %d: two per grant, one per import", got, want)
+	}
+}
+
 // TestQuickLastStepAlwaysClearsInstance: whatever happened before, a
 // granted last step leaves zero records in the bound instance.
 func TestQuickLastStepAlwaysClearsInstance(t *testing.T) {

@@ -181,6 +181,34 @@ func TestLinkerResolvesAliases(t *testing.T) {
 	}
 }
 
+// TestLinkerKeysPairsApart: a link names one (issuer, holder) pair and
+// no other, even when the names contain the characters a joined key
+// would have used as its separator.
+func TestLinkerKeysPairsApart(t *testing.T) {
+	linker := NewLinker()
+	linker.Link("a", "b|c", "alice")
+	if got := linker.Resolve("a|b", "c"); got != "c" {
+		t.Errorf("Resolve(a|b, c) = %q, want the unlinked holder c", got)
+	}
+	if got := linker.Resolve("a", "b|c"); got != "alice" {
+		t.Errorf("Resolve(a, b|c) = %q, want alice", got)
+	}
+
+	// The same through validation: a trusted issuer "a|b" asserting
+	// holder "c" is user c.
+	ab := newAuthority(t, "a|b")
+	cvs := NewCVS(map[string]map[rbac.RoleName]bool{"a|b": {"Teller": true}}, linker)
+	cvs.RegisterAuthority(ab)
+	c, _ := ab.IssueRole("c", "Teller", tBefore, tAfter)
+	got, err := cvs.Validate([]Credential{c}, tNow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.User != "c" {
+		t.Errorf("user = %q, want c", got.User)
+	}
+}
+
 func TestLinkerWithoutLinkSeparatesUsers(t *testing.T) {
 	// Without identity linking, the same physical person under two IDs
 	// is two users — exactly the MSoD evasion the paper warns about.

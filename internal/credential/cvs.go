@@ -17,12 +17,17 @@ import (
 // single-identity assumption).
 type Linker struct {
 	mu    sync.RWMutex
-	alias map[string]rbac.UserID // "issuer|holder" -> local ID
+	alias map[aliasKey]rbac.UserID
 }
+
+// aliasKey is an (issuer, holder) pair. Both are free-form strings, so
+// the pair is kept as two fields rather than joined into one key that
+// two different pairs could spell the same way.
+type aliasKey struct{ issuer, holder string }
 
 // NewLinker returns an empty identity linker.
 func NewLinker() *Linker {
-	return &Linker{alias: make(map[string]rbac.UserID)}
+	return &Linker{alias: make(map[aliasKey]rbac.UserID)}
 }
 
 // Link registers that the holder identity used by the issuer refers to
@@ -30,7 +35,7 @@ func NewLinker() *Linker {
 func (l *Linker) Link(issuer, holder string, local rbac.UserID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.alias[issuer+"|"+holder] = local
+	l.alias[aliasKey{issuer, holder}] = local
 }
 
 // Resolve maps an (issuer, holder) pair to the local user ID, defaulting
@@ -41,7 +46,7 @@ func (l *Linker) Resolve(issuer, holder string) rbac.UserID {
 	}
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if local, ok := l.alias[issuer+"|"+holder]; ok {
+	if local, ok := l.alias[aliasKey{issuer, holder}]; ok {
 		return local
 	}
 	return rbac.UserID(holder)

@@ -18,7 +18,8 @@ import (
 // internal/audit/allocs_test.go the trail append's.
 //
 // The validated subject costs nothing: Decision.Roles is the caller's
-// Request.Roles, and the store copies what it retains
+// Request.Roles, and the store keeps its own roles: one shared slice
+// per role name, a copy of a multi-role set
 // (TestRetainedHistoryOwnsItsRoles). It was 1 more on every decision
 // while the PDP copied the roles into the Decision. "bare" is a PDP
 // with neither observer nor trail; "observed" has both, and then every
@@ -51,16 +52,17 @@ func TestDecideAllocs(t *testing.T) {
 	}{
 		{
 			// The engine's decision moved to the heap as Decision.MSoD
-			// (1), and the engine's three for a recorded grant under
-			// MMER: bound name, record slice, the store's Roles copy (3).
-			// Observed: + event 2.
+			// (1), and the engine's one for a recorded grant under MMER:
+			// the bound name (1). It was 4 / 6 while the engine built a
+			// record slice for the store (1) and the store copied the
+			// record's one role (1). Observed: + event 2.
 			name: "grant",
 			prepare: func(p *PDP, i int) {
 				mustDecide(t, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 4, "observed": 6},
+			budget: map[string]float64{"bare": 2, "observed": 4},
 		},
 		{
 			// Decision.MSoD (1) and the engine's three for an MMER
@@ -89,10 +91,10 @@ func TestDecideAllocs(t *testing.T) {
 		},
 		{
 			// An advisory builds what the decision would —
-			// Decision.MSoD (1), the bound name (1), the record slice
-			// that Recorded counts (1) — and stops before the store
-			// copies anything; it publishes and appends nothing, so both
-			// columns are the same.
+			// Decision.MSoD (1), the bound name (1) — and counts the
+			// records in the engine's commit buffer; it was 3 while they
+			// were a slice of their own (1). It publishes and appends
+			// nothing, so both columns are the same.
 			name:   "advisory grant",
 			advise: true,
 			prepare: func(p *PDP, i int) {
@@ -100,7 +102,7 @@ func TestDecideAllocs(t *testing.T) {
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 3, "observed": 3},
+			budget: map[string]float64{"bare": 2, "observed": 2},
 		},
 	} {
 		for _, kind := range []string{"bare", "observed"} {
