@@ -20,7 +20,8 @@ test-race:
 # rbac), the durable store's logged append (adi: only the variadic slice
 # a direct call builds — the record's one role is the store's shared
 # slice) and the layers around it — spans (obsv), the trail append
-# (audit: none), the PDP's pipeline around the engine (pdp), the whole handler
+# (audit: none), the CVS's check of one credential (credential: only the
+# validated roles), the PDP's pipeline around the engine (pdp), the whole handler
 # with and without the default telemetry (server) and the gateway in
 # front of it, ring lookup included (cluster). `make test` runs them too; this target is the quick check
 # after touching any of them. It also pins the bytes that hand-built
@@ -30,7 +31,7 @@ test-race:
 # allocates, and the tests skip themselves there.
 allocs:
 	$(GO) test -run 'Allocs|^TestDenialTextIsFmtText$$|^TestDecisionSize$$' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
-		./internal/obsv ./internal/audit ./internal/pdp ./internal/server ./internal/cluster
+		./internal/obsv ./internal/audit ./internal/credential ./internal/pdp ./internal/server ./internal/cluster
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...
@@ -50,7 +51,8 @@ benchmark-check:
 
 # A short fuzz pass over every fuzz target, FUZZTIME each (seeds always
 # run under `make test`). FuzzAppendWALEntry and FuzzAppendEvent hold the
-# hand-written WAL and trail lines to json.Marshal's bytes; FuzzEvaluate
+# hand-written WAL and trail lines to json.Marshal's bytes,
+# FuzzCredentialPayload the signed credential payload; FuzzEvaluate
 # is differential too: the reference model (internal/refmodel) sees every
 # request the engine evaluates, and the effect and the retained-record
 # count must agree after each.
@@ -66,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzPolicyCheck$$' -fuzztime=$(FUZZTIME) ./internal/policycheck
 	$(GO) test -run '^$$' -fuzz='^FuzzAppendWALEntry$$' -fuzztime=$(FUZZTIME) ./internal/adi
 	$(GO) test -run '^$$' -fuzz='^FuzzAppendEvent$$' -fuzztime=$(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz='^FuzzCredentialPayload$$' -fuzztime=$(FUZZTIME) ./internal/credential
 
 # Full fault-injection torture: power-loss crash-recovery schedules,
 # chaotic transport (with carried activations and closes), overload

@@ -114,11 +114,14 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 //	traceparent a PEP-supplied valid one costs nothing (-1): it goes to the
 //	            shard as it came, and the trace ID is its substring
 //	credentials no routing key to copy (-1): the subject is the first
-//	            holder, which the peek decodes — with the credentials
-//	            array, into holder-only elements, through encoding/json
-//	            (9: the slice header it decodes through, the decodeState,
-//	            its parse stack three deep, its error context, the
-//	            element slice, the holder)
+//	            holder, which the peek reads by hand with the shard's
+//	            credential reader, its string (1) the only allocation:
+//	            so a credential-bearing decision pays what a plain one
+//	            does, admit 3, deadline 5, post 6, answer 1. It was 9
+//	            while encoding/json decoded the credentials array into
+//	            holder-only elements: the slice header it decodes
+//	            through, the decodeState, its parse stack three deep,
+//	            its error context, the element slice, the holder
 //	activated 5 the Activated slice and its string (2); the activation
 //	            encoded once for all peers, its buffer and its text (2);
 //	            the peer list (1) — the test gateway has one shard, so
@@ -169,7 +172,7 @@ func TestRouteDecisionAllocs(t *testing.T) {
 		{name: "plain decision", request: plain, answer: granted, budget: 15},
 		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 16},
 		{name: "PEP-supplied traceparent", request: plain, traceparent: pepTraceparent, answer: granted, budget: 14},
-		{name: "credential-bearing", answer: granted, budget: 23,
+		{name: "credential-bearing", answer: granted, budget: 15,
 			request: server.DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"}},
 		{name: "answer with activated", request: plain, answer: opened, budget: 20},
 		{name: "answer with closed", request: plain, answer: closed, budget: 20},

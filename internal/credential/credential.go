@@ -15,11 +15,11 @@ package credential
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
+	"msod/internal/jsonx"
 	"msod/internal/rbac"
 )
 
@@ -37,6 +37,10 @@ var (
 	// ErrUntrustedAssignment is returned when the issuer is not trusted
 	// to assign a role the credential carries.
 	ErrUntrustedAssignment = errors.New("credential: issuer not trusted for role")
+	// ErrDistinctUsers is returned when the valid credentials of one
+	// request resolve to more than one local user: the caller's mistake,
+	// since the PDP cannot mix two users' histories.
+	ErrDistinctUsers = errors.New("credential: credentials for distinct users")
 )
 
 // Attribute is one typed attribute in a credential, e.g.
@@ -63,15 +67,49 @@ type Credential struct {
 	Signature []byte `json:"signature,omitempty"`
 }
 
-// payload returns the canonical signed bytes: the credential JSON with
-// the signature cleared.
-func (c Credential) payload() ([]byte, error) {
-	c.Signature = nil
-	b, err := json.Marshal(c)
-	if err != nil {
-		return nil, fmt.Errorf("credential: marshal payload: %w", err)
+// payload appends the canonical signed bytes to dst: the credential as
+// json.Marshal writes it with the signature cleared — the signature is
+// omitempty, so it is left out — byte for byte, errors included
+// (FuzzCredentialPayload). Into a caller's stack buffer it allocates
+// nothing, so a check can verify a signature without allocating.
+func (c *Credential) payload(dst []byte) ([]byte, error) {
+	dst = append(dst, `{"holder":`...)
+	dst = jsonx.AppendString(dst, c.Holder)
+	dst = append(dst, `,"issuer":`...)
+	dst = jsonx.AppendString(dst, c.Issuer)
+	dst = append(dst, `,"attributes":`...)
+	if c.Attributes == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, a := range c.Attributes {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"type":`...)
+			dst = jsonx.AppendString(dst, a.Type)
+			dst = append(dst, `,"value":`...)
+			dst = jsonx.AppendString(dst, a.Value)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
 	}
-	return b, nil
+	var err error
+	dst = append(dst, `,"notBefore":`...)
+	if dst, err = jsonx.AppendTime(dst, c.NotBefore); err != nil {
+		return nil, payloadError(err)
+	}
+	dst = append(dst, `,"notAfter":`...)
+	if dst, err = jsonx.AppendTime(dst, c.NotAfter); err != nil {
+		return nil, payloadError(err)
+	}
+	return append(dst, '}'), nil
+}
+
+// payloadError is the error of a payload json.Marshal cannot write: a
+// validity bound RFC 3339 cannot spell.
+func payloadError(err error) error {
+	return fmt.Errorf("credential: marshal payload: %w", jsonx.FieldError("time.Time", err))
 }
 
 // Roles extracts the credential's attribute values as role names.
@@ -125,7 +163,7 @@ func (a *Authority) Issue(holder string, attrs []Attribute, notBefore, notAfter 
 		NotBefore:  notBefore,
 		NotAfter:   notAfter,
 	}
-	payload, err := c.payload()
+	payload, err := c.payload(nil)
 	if err != nil {
 		return Credential{}, err
 	}

@@ -151,8 +151,8 @@ func TestValidateMixedUsersFails(t *testing.T) {
 	cvs.RegisterAuthority(hr)
 	c1, _ := hr.IssueRole("alice", "Teller", tBefore, tAfter)
 	c2, _ := hr.IssueRole("bob", "Auditor", tBefore, tAfter)
-	if _, err := cvs.Validate([]Credential{c1, c2}, tNow); err == nil {
-		t.Error("credentials for two users accepted in one validation")
+	if _, err := cvs.Validate([]Credential{c1, c2}, tNow); !errors.Is(err, ErrDistinctUsers) {
+		t.Errorf("credentials for two users validated with %v, want ErrDistinctUsers", err)
 	}
 }
 

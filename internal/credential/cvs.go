@@ -107,34 +107,44 @@ type Validated struct {
 	Roles []rbac.RoleName
 	// Rejected records credentials (by index into the input) that failed
 	// validation, with the cause; the PDP proceeds with the valid subset,
-	// as PERMIS does.
+	// as PERMIS does. It is nil when none failed.
 	Rejected map[int]error
+}
+
+// reject records that credential i failed validation with err.
+func (out *Validated) reject(i int, err error) {
+	if out.Rejected == nil {
+		out.Rejected = make(map[int]error)
+	}
+	out.Rejected[i] = err
 }
 
 // Validate checks each credential at the given time and aggregates the
 // valid roles. All credentials must resolve to the same local user; a
-// mismatch is an error (the PDP cannot mix histories of two users).
+// mismatch is ErrDistinctUsers (the PDP cannot mix histories of two
+// users). The signature of every credential is verified on every call.
 func (v *CVS) Validate(creds []Credential, at time.Time) (Validated, error) {
-	out := Validated{Rejected: make(map[int]error)}
+	var out Validated
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 
 	seen := make(map[rbac.RoleName]bool)
-	for i, c := range creds {
+	for i := range creds {
+		c := &creds[i]
 		if err := v.validateOne(c, at); err != nil {
-			out.Rejected[i] = err
+			out.reject(i, err)
 			continue
 		}
 		local := v.linker.Resolve(c.Issuer, c.Holder)
 		if out.User == "" {
 			out.User = local
 		} else if out.User != local {
-			return Validated{}, fmt.Errorf("credential: credentials for distinct users %q and %q", out.User, local)
+			return Validated{}, fmt.Errorf("%w %q and %q", ErrDistinctUsers, out.User, local)
 		}
 		for _, a := range c.Attributes {
 			role := rbac.RoleName(a.Value)
 			if !v.trust[c.Issuer][role] {
-				out.Rejected[i] = fmt.Errorf("%w: %q may not assign %q", ErrUntrustedAssignment, c.Issuer, role)
+				out.reject(i, fmt.Errorf("%w: %q may not assign %q", ErrUntrustedAssignment, c.Issuer, role))
 				continue
 			}
 			if !seen[role] {
@@ -146,13 +156,15 @@ func (v *CVS) Validate(creds []Credential, at time.Time) (Validated, error) {
 	return out, nil
 }
 
-// validateOne checks signature and validity window.
-func (v *CVS) validateOne(c Credential, at time.Time) error {
+// validateOne checks signature and validity window. The payload is
+// built in a buffer on the stack that fits a credential of a few roles.
+func (v *CVS) validateOne(c *Credential, at time.Time) error {
 	key, ok := v.keys[c.Issuer]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownIssuer, c.Issuer)
 	}
-	payload, err := c.payload()
+	var buf [512]byte
+	payload, err := c.payload(buf[:0])
 	if err != nil {
 		return err
 	}

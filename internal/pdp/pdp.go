@@ -36,7 +36,9 @@ var (
 	// ErrConfig tags PDP construction failures.
 	ErrConfig = errors.New("pdp: config")
 	// ErrNoSubject is returned when a request carries neither credentials
-	// nor a pre-validated user.
+	// nor a pre-validated user, when none of its credentials is valid, or
+	// when its valid credentials name distinct users
+	// (credential.ErrDistinctUsers, which it wraps too).
 	ErrNoSubject = errors.New("pdp: request has no subject")
 )
 
@@ -343,6 +345,9 @@ func (p *PDP) AdviseCtx(ctx context.Context, req Request) (Decision, error) {
 func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
 	if len(req.Credentials) > 0 {
 		v, err := p.cvs.Validate(req.Credentials, p.clock())
+		if errors.Is(err, credential.ErrDistinctUsers) {
+			return "", nil, fmt.Errorf("%w: %w", ErrNoSubject, err)
+		}
 		if err != nil {
 			return "", nil, fmt.Errorf("pdp: credential validation: %w", err)
 		}

@@ -157,6 +157,21 @@ func TestDecideWithCredentials(t *testing.T) {
 	if !errors.Is(err, ErrNoSubject) {
 		t.Errorf("forged credential: %v", err)
 	}
+
+	// Valid credentials for two users name no one subject either: the
+	// caller's mistake, which the shard and a replica answer 400.
+	bob, err := hr.IssueRole("bob", "Teller", now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Decide(Request{
+		Credentials: []credential.Credential{cred, bob},
+		Operation:   "HandleCash", Target: "till",
+		Context: bctx.MustParse("Branch=York, Period=2006"),
+	})
+	if !errors.Is(err, ErrNoSubject) || !errors.Is(err, credential.ErrDistinctUsers) {
+		t.Errorf("credentials for two users: %v", err)
+	}
 }
 
 func TestDecideNoSubject(t *testing.T) {

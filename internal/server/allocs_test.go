@@ -278,19 +278,25 @@ func TestServeDecisionAllocs(t *testing.T) {
 		},
 		{
 			// No user or roles in the body but one signed credential, so
-			// decode is 19 — the body (1), three strings (3), and
-			// encoding/json over the credentials array alone (15: the
-			// slice header it decodes through, its decodeState, a parse
-			// stack three deep under the array, its error context, the
-			// credential's strings, attribute slice and signature); it
-			// was 21 with the DecisionRequest on the heap and the stack
-			// one level deeper — request 4 (no Roles to convert) and
-			// respond 2, the answer converting the CVS's roles to
-			// []string (1) beside the response (1): 25. The CVS adds 6 — the signed
-			// payload re-marshalled for the Ed25519 check (credential
-			// boxed, two time texts, the result: 4), the validated roles
-			// (1), the rejection map (1) — then Decision.MSoD (1) and the
-			// engine's one, the bound name. It was 38 / 35 with the
+			// decode is 11 — the body (1), three strings (3), and the
+			// credentials array read by hand (7: the slice, the
+			// credential's holder and issuer (2), its attribute slice
+			// and that attribute's type and value (3), the signature
+			// (1)). It was 19 while encoding/json decoded the array (15:
+			// the slice header it decodes through, its decodeState, a
+			// parse stack three deep under the array, its error context
+			// beside the same 7), 21 with the DecisionRequest on the
+			// heap and the stack one level deeper. Then request 4 (no
+			// Roles to convert) and respond 2, the answer converting the
+			// CVS's roles to []string (1) beside the response (1): 17.
+			// The CVS adds 1, the validated roles: the signed payload is
+			// built on the stack and verified there, and no rejection
+			// map is made for a credential that passes. It added 6 while
+			// json.Marshal re-marshalled the payload for the Ed25519
+			// check (credential boxed, two time texts, the result: 4)
+			// and every call made the map (1). Then Decision.MSoD (1)
+			// and the engine's one, the bound name. It was 36 / 33
+			// through encoding/json and json.Marshal, 38 / 35 with the
 			// engine's record slice and the store's Roles copy (2).
 			// Default: + explain 1 + event 2.
 			name:    "credential-bearing grant",
@@ -299,7 +305,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 36, "bare": 33, "all-on": 36},
+			budget: map[string]float64{"default": 23, "bare": 20, "all-on": 23},
 		},
 	} {
 		for _, kind := range []string{"default", "bare", "all-on"} {

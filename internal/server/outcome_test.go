@@ -21,6 +21,7 @@ import (
 	"msod/internal/adi"
 	"msod/internal/audit"
 	"msod/internal/core"
+	"msod/internal/credential"
 	"msod/internal/explain"
 	"msod/internal/fault"
 	"msod/internal/fsx"
@@ -134,6 +135,22 @@ func TestDecisionOutcomes(t *testing.T) {
 		}
 		return out
 	}
+	soa, err := credential.NewAuthority("bank.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twoCreds []credential.Credential
+	for _, user := range []string{"alice", "bob"} {
+		c, err := soa.IssueRole(user, "Teller", time.Now().Add(-time.Hour), time.Now().Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		twoCreds = append(twoCreds, c)
+	}
+	twoUsers, err := json.Marshal(DecisionRequest{Credentials: twoCreds, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows := []outcomeRow{
 		{
 			name:   "MMER grant",
@@ -234,6 +251,22 @@ func TestDecisionOutcomes(t *testing.T) {
 				`msod_trace_sampled_total{reason="error"}`: 1,
 				// Not msod_slo_requests_total: a caller's error is not an
 				// availability event, and like the other 400s is not scored.
+			}),
+			handed:   true,
+			traced:   tracedAs{SampledFor: trace.ReasonError, Outcome: "error", RequestID: outcomeTraceID},
+			logLevel: "WARN", logMsg: "decision error", logSpans: []string{"cvs"},
+		},
+		{
+			// Valid credentials naming two users are the caller's
+			// mistake like a missing subject, not the shard's failure:
+			// 400, unscored. It was a 500 charged to availability.
+			name:   "decide error 400 (credentials for distinct users)",
+			setup:  func(e *outcomeEnv) { e.trust(soa) },
+			body:   string(twoUsers),
+			status: http.StatusBadRequest,
+			counters: served(map[string]int64{
+				"msod_request_errors_total":                1,
+				`msod_trace_sampled_total{reason="error"}`: 1,
 			}),
 			handed:   true,
 			traced:   tracedAs{SampledFor: trace.ReasonError, Outcome: "error", RequestID: outcomeTraceID},
@@ -435,6 +468,14 @@ func (e *outcomeEnv) serve(body string, advisory bool, traceID obsv.TraceID) *ht
 		return decide(ctx, req)
 	}, advisory)
 	return w
+}
+
+// trust has the PDP's CVS trust the authority's credentials.
+func (e *outcomeEnv) trust(soa *credential.Authority) {
+	e.t.Helper()
+	if err := e.pdp.TrustAuthority(soa); err != nil {
+		e.t.Fatal(err)
+	}
 }
 
 // holdSlot occupies the server's one admission slot with a decision

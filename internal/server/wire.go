@@ -2,9 +2,13 @@ package server
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"time"
+
+	"msod/internal/credential"
 )
 
 // This file is the one reader of decision requests and answers as
@@ -13,9 +17,10 @@ import (
 // at a request (routing key, credentials, requestID) and at an answer
 // (resolved subject, activations, closes, verdict). The scanner finds
 // where each member's value ends; what a value MEANS is encoding/json's
-// business
-// wherever it is anything but a plain ASCII string, an array of them or
-// a bare literal: every other value is handed to json.Valid or, for a
+// business wherever it is anything but a plain ASCII string, an array
+// of them, a bare literal, or a credentials array of the plain shape
+// (whose times and signature go through the functions encoding/json
+// itself calls): every other value is handed to json.Valid or, for a
 // declared field, to json.Unmarshal into that field. So which duplicate
 // wins, how keys fold, what null does and how a repeated array merges
 // are encoding/json's rules, not a reimplementation of them — and
@@ -120,6 +125,26 @@ func skipNested(d []byte, i int) (int, error) {
 	return -1, nil
 }
 
+// valueEnd returns the offset just past the value starting at d[i],
+// judged as scanString, skipNested and delimits judge it, -1 when it
+// never closes; plain is scanString's.
+func valueEnd(d []byte, i int) (end int, plain bool, err error) {
+	switch {
+	case i >= len(d):
+		return i, false, nil
+	case d[i] == '"':
+		end, plain = scanString(d, i)
+		return end, plain, nil
+	case d[i] == '{' || d[i] == '[':
+		end, err = skipNested(d, i)
+		return end, false, err
+	}
+	// A literal or a number runs to the next delimiter.
+	for end = i; end < len(d) && !delimits(d[end]); end++ {
+	}
+	return end, false, nil
+}
+
 // next returns the next member, or ok false after the last one — by
 // then the object has closed at m.end and only white space followed.
 // Every value it returns has been validated as one JSON value.
@@ -158,19 +183,8 @@ func (m *members) next() (mem member, ok bool, err error) {
 		return member{}, false, syntaxError(d, i, "a colon after the member name")
 	}
 	i = skipSpace(d, i+1)
-	end = i
-	switch {
-	case i >= len(d):
-	case d[i] == '"':
-		end, mem.plain = scanString(d, i)
-	case d[i] == '{' || d[i] == '[':
-		if end, err = skipNested(d, i); err != nil {
-			return member{}, false, err
-		}
-	default: // a literal or a number runs to the next delimiter
-		for end < len(d) && !delimits(d[end]) {
-			end++
-		}
+	if end, mem.plain, err = valueEnd(d, i); err != nil {
+		return member{}, false, err
 	}
 	if end < 0 || end == len(d) {
 		return member{}, false, syntaxError(d, len(d), "")
@@ -193,17 +207,25 @@ func (m *members) next() (mem member, ok bool, err error) {
 // the exact name, else the one it equals under the simple case folding
 // encoding/json applies — or "".
 func field(names []string, key []byte) string {
-	for _, name := range names {
-		if string(key) == name {
-			return name
-		}
-	}
-	for _, name := range names {
-		if bytes.EqualFold(key, []byte(name)) {
-			return name
-		}
+	if i := fieldIndex(names, key); i >= 0 {
+		return names[i]
 	}
 	return ""
+}
+
+// fieldIndex is field's answer as an index into names, or -1.
+func fieldIndex(names []string, key []byte) int {
+	for i, name := range names {
+		if string(key) == name {
+			return i
+		}
+	}
+	for i, name := range names {
+		if bytes.EqualFold(key, []byte(name)) {
+			return i
+		}
+	}
+	return -1
 }
 
 // delegate has encoding/json decode raw into *into, exactly as it
@@ -258,6 +280,151 @@ func (mem member) strs(into *[]string) error {
 	}
 }
 
+// plainText returns the content of a member's raw value when it is a
+// plain string — empty but not nil for "" — and nil when the member is
+// absent (raw nil); ok is false for any other value.
+func plainText(raw []byte) (text []byte, ok bool) {
+	if raw == nil {
+		return nil, true
+	}
+	if raw[0] != '"' {
+		return nil, false
+	}
+	if _, plain := scanString(raw, 0); !plain {
+		return nil, false
+	}
+	return raw[1 : len(raw)-1], true
+}
+
+// credentialFields are credential.Credential's JSON names and
+// attributeFields credential.Attribute's, in the order of the raw
+// values eachObject splits an element into.
+var (
+	credentialFields = [...]string{"holder", "issuer", "attributes", "notBefore", "notAfter", "signature"}
+	attributeFields  = [...]string{"type", "value"}
+)
+
+// eachObject is the credential reader's walk over the array d, known
+// to be well formed. It splits each element into vals — the raw value
+// of each member at its field's index in names, nil where there is no
+// such member — and calls take. It reports false, take having seen
+// some elements or none, when d is a shape it leaves to encoding/json:
+// not an array, an empty one, an element that is not an object, a key
+// that is not plain or names no field, a field named twice, or an
+// element take refuses.
+func eachObject(d []byte, names []string, vals [][]byte, take func() bool) bool {
+	if d[0] != '[' {
+		return false
+	}
+	for i := 1; ; {
+		if i = skipSpace(d, i); d[i] != '{' {
+			return false
+		}
+		clear(vals)
+		for i = skipSpace(d, i+1); d[i] != '}'; {
+			end, plain := scanString(d, i)
+			f := fieldIndex(names, d[i+1:end-1])
+			if !plain || f < 0 || vals[f] != nil {
+				return false
+			}
+			i = skipSpace(d, skipSpace(d, end)+1) // past the colon
+			end, _, _ = valueEnd(d, i)
+			vals[f] = d[i:end]
+			if i = skipSpace(d, end); d[i] == ',' {
+				i = skipSpace(d, i+1)
+			}
+		}
+		if !take() {
+			return false
+		}
+		if i = skipSpace(d, i+1); d[i] == ']' {
+			return true
+		}
+		i++ // the comma
+	}
+}
+
+// credentials stores a credentials member. Like strs, it takes the
+// array itself only when nothing is stored yet and it is of the plain
+// shape: objects whose members each name a field once, holder and
+// issuer plain strings, attributes a non-empty array of such objects
+// of plain strings, validity bounds plain strings that
+// (*time.Time).UnmarshalJSON — what encoding/json calls — takes, and a
+// plain base64 signature, decoded into a buffer sized as encoding/json
+// sizes it. Every other shape — escapes, a null, a repeated member, a
+// second array — is encoding/json's.
+func (mem member) credentials(into *[]credential.Credential) error {
+	if *into == nil {
+		var out []credential.Credential
+		var v [len(credentialFields)][]byte
+		if eachObject(mem.value, credentialFields[:], v[:], func() bool {
+			c, ok := plainCredential(&v)
+			out = append(out, c)
+			return ok
+		}) {
+			*into = out
+			return nil
+		}
+	}
+	return delegate(mem.value, into)
+}
+
+// plainCredential builds a credential from the raw values of its
+// members, in credentialFields' order, as encoding/json would, or
+// reports false for a shape it leaves to encoding/json.
+func plainCredential(v *[len(credentialFields)][]byte) (c credential.Credential, ok bool) {
+	holder, okHolder := plainText(v[0])
+	issuer, okIssuer := plainText(v[1])
+	sig, okSig := plainText(v[5])
+	if !okHolder || !okIssuer || !okSig {
+		return c, false
+	}
+	for i, bound := range [...]*time.Time{&c.NotBefore, &c.NotAfter} {
+		if raw := v[3+i]; raw != nil {
+			if _, ok := plainText(raw); !ok || bound.UnmarshalJSON(raw) != nil {
+				return c, false
+			}
+		}
+	}
+	if sig != nil {
+		c.Signature = make([]byte, base64.StdEncoding.DecodedLen(len(sig)))
+		n, err := base64.StdEncoding.Decode(c.Signature, sig)
+		if err != nil {
+			return c, false
+		}
+		c.Signature = c.Signature[:n]
+	}
+	if v[2] != nil {
+		var a [len(attributeFields)][]byte
+		if !eachObject(v[2], attributeFields[:], a[:], func() bool {
+			typ, okType := plainText(a[0])
+			value, okValue := plainText(a[1])
+			c.Attributes = append(c.Attributes, credential.Attribute{Type: string(typ), Value: string(value)})
+			return okType && okValue
+		}) {
+			return c, false
+		}
+	}
+	c.Holder, c.Issuer = string(holder), string(issuer)
+	return c, true
+}
+
+// credentialHolder reads a credentials array of the plain shape as
+// encoding/json decodes it into holder-only elements: it has at least
+// one, and holder is the first non-empty one (nil when there is none).
+// ok is false for any other shape.
+func credentialHolder(d []byte) (holder []byte, ok bool) {
+	var v [len(credentialFields)][]byte
+	ok = eachObject(d, credentialFields[:], v[:], func() bool {
+		h, plain := plainText(v[0])
+		if len(holder) == 0 {
+			holder = h
+		}
+		return plain
+	})
+	return holder, ok
+}
+
 // requestFields are DecisionRequest's JSON names.
 var requestFields = []string{"user", "roles", "credentials", "operation", "target", "context", "environment", "requestID"}
 
@@ -280,7 +447,7 @@ func DecodeDecisionRequest(body []byte, req *DecisionRequest) error {
 		case "roles":
 			err = mem.strs(&req.Roles)
 		case "credentials":
-			err = delegate(mem.value, &req.Credentials)
+			err = mem.credentials(&req.Credentials)
 		case "operation":
 			err = mem.str(&req.Operation)
 		case "target":
@@ -324,6 +491,7 @@ func PeekDecisionRequest(body []byte) (RequestPeek, error) {
 		return RequestPeek{}, err
 	}
 	var user, requestID string
+	var creds []byte // the first credentials member, until a second one comes
 	var holders []struct {
 		Holder string `json:"holder"`
 	}
@@ -339,7 +507,16 @@ func PeekDecisionRequest(body []byte) (RequestPeek, error) {
 		case "user":
 			err = mem.str(&user)
 		case "credentials":
-			err = delegate(mem.value, &holders)
+			if creds == nil && holders == nil {
+				creds = mem.value
+				break
+			}
+			if creds != nil { // a second array merges into what the first left
+				err, creds = delegate(creds, &holders), nil
+			}
+			if err == nil {
+				err = delegate(mem.value, &holders)
+			}
 		case "requestID":
 			err = mem.str(&requestID)
 		}
@@ -347,7 +524,20 @@ func PeekDecisionRequest(body []byte) (RequestPeek, error) {
 			return RequestPeek{}, err
 		}
 	}
-	peek := RequestPeek{Subject: user, HasCredentials: len(holders) > 0, RequestID: requestID, end: ms.end, empty: ms.n == 0}
+	peek := RequestPeek{Subject: user, RequestID: requestID, end: ms.end, empty: ms.n == 0}
+	if creds != nil {
+		if holder, ok := credentialHolder(creds); ok {
+			peek.HasCredentials = true
+			if peek.Subject == "" {
+				peek.Subject = string(holder)
+			}
+			return peek, nil
+		}
+		if err := delegate(creds, &holders); err != nil {
+			return RequestPeek{}, err
+		}
+	}
+	peek.HasCredentials = len(holders) > 0
 	for i := 0; peek.Subject == "" && i < len(holders); i++ {
 		peek.Subject = holders[i].Holder
 	}

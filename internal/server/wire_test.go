@@ -155,6 +155,41 @@ func wireCorpus(t testing.TB) []string {
 		`{"credentials":[]}`,
 		`{"credentials":[],"user":"u"}`,
 		`{"credentials":[null]}`,
+		// The credential reader: its plain shape, spaced and reordered,
+		// and each shape it leaves to encoding/json.
+		`{"credentials":[ { "signature" : "c2lnbmVk" , "notAfter":"2007-04-15T10:00:00Z","attributes":[ {"value":"Teller" ,"type":"role"} , {"type":"","value":""} ],"issuer":"i","holder":"alice" } , {} ]}`,
+		`{"credentials":[{"holder":"","issuer":"i"},{"holder":"second"},{"holder":"third"}],"user":""}`,
+		`{"credentials":[{"holder":"alice","signature":""}]}`,
+		`{"credentials":[{"holder":"\u0061lice","issuer":"i"}]}`,
+		`{"credentials":[{"holder":"alice","issuer":"i\n"}]}`,
+		`{"credentials":[{"holder":"alice","attributes":[{"type":"role","value":"Tell\u0065r"}]}]}`,
+		`{"credentials":[{"holder":"alice","attributes":null}]}`,
+		`{"credentials":[{"holder":"alice","attributes":[]}]}`,
+		`{"credentials":[{"holder":"alice","attributes":[null]}]}`,
+		`{"credentials":[{"holder":"alice","attributes":[{"type":"a","type":"b"}]}]}`,
+		`{"credentials":[{"holder":"alice","attributes":[{"type":"a","role":"b"}]}]}`,
+		`{"credentials":[{"holder":"alice","attributes":[{"Type":"a","VALUE":5}]}]}`,
+		`{"credentials":[{"holder":"alice","attributes":{"type":"a"}}]}`,
+		`{"credentials":[{"holder":"a","holder":"b"}]}`,
+		`{"credentials":[{"holder":"alice","attributes":[{"type":"a","value":"1"},{"type":"b"}],"attributes":[{"value":"2"}]}]}`,
+		`{"credentials":[{"holder":"alice","notBefore":"yesterday","notBefore":"2007-04-15T09:00:00Z"}]}`,
+		`{"credentials":[{"holder":"alice","signature":"not base64!","signature":"c2ln"}]}`,
+		`{"credentials":[{"holder":"a","issuer":"i"}],"credentials":[{"issuer":"j"},{"holder":"b"}]}`,
+		`{"credentials":[{"holder":"a"},{"holder":"b"}],"credentials":null,"credentials":[{}]}`,
+		`{"credentials":[{"Holder":"alice"}]}`,
+		`{"credentials":[{"HOLDER":"alice","Issuer":"i","NOTBEFORE":"2007-04-15T09:00:00Z"}]}`,
+		`{"credentials":[{"holder":"alice","extension":{"x":[1]}}]}`,
+		`{"credentials":[{"holder":"alice","issuer":7}]}`,
+		`{"credentials":[{"holder":5,"issuer":"i"}],"user":"u"}`,
+		`{"credentials":[{"holder":"alice","signature":"YQ"}]}`,
+		`{"credentials":[{"holder":"alice","signature":"not base64!"}],"user":"u"}`,
+		`{"credentials":[{"holder":"alice","signature":null}]}`,
+		`{"credentials":[{"holder":"alice","notBefore":"2007-04-15T09:00:00.123456789+02:00","notAfter":"2007-04-15T09:00:00-07:30"}]}`,
+		`{"credentials":[{"holder":"alice","notAfter":"2007-04-15T25:00:00Z"}]}`,
+		`{"credentials":[{"holder":"alice","notAfter":null}]}`,
+		`{"credentials":[{"holder":"alice","notBefore":5}]}`,
+		`{"credentials":[{"holder":"alice"},null]}`,
+		`{"credentials":[{"holder":"alice"},"x"]}`,
 		`{"environment":{"time":"09:00","ip":"10.0.0.1"}}`,
 		`{"environment":{"a":"1"},"environment":{"b":"2"},"environment":{"a":"3"}}`,
 		`{"environment":{}}`,
