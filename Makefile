@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race allocs cover bench benchmark-check fuzz chaos elastic replica examples lint clean
+.PHONY: all build test test-race allocs cover bench benchmark-check fuzz chaos elastic advisory examples lint clean
 
 all: build test
 
@@ -101,17 +101,12 @@ elastic:
 	$(GO) test -race -count=1 -run 'TestElastic' ./internal/integration
 	$(GO) test -race -count=1 -run 'TestElasticReshardTorture' ./internal/fault
 
-# Advisory read-replica tier smoke: deterministic mirror replay (every
-# non-grant event is an op's, a handoff import's a resync) and the
-# bounded-staleness contract (unit + gateway routing + integration),
-# the embedded PEP preflight, and replica-served advice under 8
-# concurrent clients after a seeded bank history, every answer the
-# owner's own (TestClusterReplicaTierServesConvergedAdvice).
-replica:
-	$(GO) test -race -count=1 ./internal/replica
-	$(GO) test -race -count=1 -run 'TestGatewayAdvice|TestGatewayReplicaPool|TestGatewayStateUserReplica|TestGatewayDecisionsNeverRoute|TestConfigReplica' ./internal/cluster
-	$(GO) test -race -count=1 -run 'TestPreflight' ./internal/pep
-	$(GO) test -race -count=1 -run 'TestClusterReplica' ./internal/integration
+# Advisory path: owner-served, side-effect free. Advice is answered by
+# the owning shard's PDP alone, over the client, through the gateway
+# with the PEP's bytes, and as a PEP's Preflight; it records nothing,
+# explains nothing and purges nothing.
+advisory:
+	$(GO) test -race -count=1 -run '^(TestRemoteAdvice|TestExplainAdvisoryNotRecorded|TestAdviseHasNoSideEffects|TestGatewayForwardsThePEPsBytes)$$|^TestPreflight' ./internal/server ./internal/pdp ./internal/cluster ./internal/pep
 
 examples:
 	$(GO) run ./examples/quickstart

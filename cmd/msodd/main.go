@@ -67,8 +67,6 @@ func parseFlags(args []string) (node.Config, error) {
 	fs.BoolVar(&c.PprofAllowRemote, "pprof-allow-remote", false, "allow -pprof to bind a non-loopback address (profiling endpoints expose process internals)")
 	fs.DurationVar(&c.SentinelInterval, "sentinel-interval", 0, "audit-chain sentinel check interval (0 disables; needs -trail)")
 	fs.BoolVar(&c.SentinelFailClosed, "sentinel-fail-closed", false, "refuse decisions once the sentinel detects audit-chain tampering")
-	fs.StringVar(&c.ReplicaOf, "replica-of", "", "run as an advisory read replica of the shard at this base URL (no authoritative decisions)")
-	fs.DurationVar(&c.MaxStaleness, "max-staleness", 0, "replica staleness bound: refuse answers once the owner has been silent this long (0 = 30s default; negative disables)")
 	fs.IntVar(&c.ExplainCapacity, "explain-capacity", 0, "decision provenance records retained for /v1/explain (0 = 1024 default; negative disables explain)")
 	fs.IntVar(&c.TraceCapacity, "trace-capacity", 0, "tail-sampled span trees retained for /v1/traces (0 = 1024 default; negative disables trace retention)")
 	fs.IntVar(&c.TraceSample, "trace-sample", 0, "keep a deterministic 1-in-N sample of fast grants' span trees (0 keeps none; refusals, errors and slow decisions are always kept)")
@@ -126,5 +124,5 @@ func run(cfg node.Config, logger *slog.Logger) (err error) {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	return sh.Serve(ctx, ln)
+	return node.Serve(ctx, ln, sh, logger)
 }

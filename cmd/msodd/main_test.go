@@ -15,8 +15,10 @@ func TestParseFlags(t *testing.T) {
 	}
 	// -adi always syncs every mutation: there is no knob to ack a grant
 	// before it is durable, and no sealed snapshot that nothing writes.
+	// Nor is there a read-replica mode: only the owner's PDP answers.
 	for _, args := range [][]string{{"-nonsense"}, {"-adi-sync"},
-		{"-snapshot", "adi.sealed"}, {"-snapshot-secret-file", "secret"}} {
+		{"-snapshot", "adi.sealed"}, {"-snapshot-secret-file", "secret"},
+		{"-replica-of", "http://owner"}, {"-max-staleness", "1s"}} {
 		if _, err := parseFlags(append([]string{"-policy", "p.xml"}, args...)); err == nil {
 			t.Errorf("%q accepted", args)
 		}
@@ -30,11 +32,6 @@ func TestParseFlagsConflicts(t *testing.T) {
 		args     []string
 		conflict string // "" when the flags are accepted
 	}{
-		{[]string{"-replica-of", "http://owner", "-trail", "t"}, "-replica-of conflicts with -trail"},
-		{[]string{"-replica-of", "http://owner", "-adi", "a"}, "-replica-of conflicts with -adi"},
-		{[]string{"-replica-of", "http://owner", "-recover", "trail"}, "-replica-of conflicts with -recover"},
-		{[]string{"-replica-of", "http://owner", "-handoff"}, "-replica-of conflicts with -handoff"},
-		{[]string{"-replica-of", "http://owner"}, ""},
 		// A cluster shard recovered from its trail would come back without
 		// the instances its peers opened: a false-grant path.
 		{[]string{"-handoff", "-recover", "trail", "-trail", "t"}, "-recover trail conflicts with -handoff"},

@@ -72,36 +72,13 @@ func parseShards(spec string) ([]cluster.Shard, error) {
 	return out, nil
 }
 
-// addReplicas adds one -replicas value ("shardID=replicaURL", comma
-// separated; repeat a shard ID to give it several replicas) to the
-// gateway's replica map. Shard-ID validation happens in cluster.New,
-// where the topology is known.
-func addReplicas(out map[string][]string, spec string) error {
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(entry, "=")
-		id, url = strings.TrimSpace(id), strings.TrimSpace(url)
-		if !ok || id == "" || url == "" {
-			return fmt.Errorf("msodgw: malformed replica entry %q (want shardID=url)", entry)
-		}
-		out[id] = append(out[id], url)
-	}
-	return nil
-}
-
 func parseFlags(args []string) (node.GatewayConfig, error) {
 	fs := flag.NewFlagSet("msodgw", flag.ContinueOnError)
-	c := node.GatewayConfig{Replicas: map[string][]string{}}
+	var c node.GatewayConfig
 	fs.StringVar(&c.Addr, "addr", ":8440", "listen address")
 	fs.Func("shards", "comma-separated shard list, id=url each (required)", func(v string) (err error) {
 		c.Shards, err = parseShards(v)
 		return err
-	})
-	fs.Func("replicas", "advisory read replicas, shardID=url each (comma separated; repeatable; repeat a shard ID for several replicas)", func(v string) error {
-		return addReplicas(c.Replicas, v)
 	})
 	fs.DurationVar(&c.Timeout, "timeout", 5*time.Second, "deadline for shard calls: one routed decision's, retries included, or one fan-out's")
 	fs.IntVar(&c.Retries, "retries", 2, "same-shard retries after a transport error (-1 disables)")

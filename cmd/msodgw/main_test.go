@@ -68,9 +68,11 @@ func TestParseFlags(t *testing.T) {
 	}
 	// -vnodes is gone: the state file does not record the count, so a
 	// restart with another one would move users off their history.
+	// -replicas is gone: advice is the owning shard's alone.
 	for _, args := range [][]string{
 		{"-addr", ":0"},
 		{"-shards", "a=http://h:1", "-vnodes", "64"},
+		{"-shards", "a=http://h:1", "-replicas", "a=http://r:1"},
 		{"-shards", "a=http://h:1", "-probe", "0"},
 	} {
 		if _, err := parseFlags(args); err == nil {

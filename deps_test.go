@@ -46,7 +46,7 @@ func TestDaemonsLinkOnlyWhatTheyServe(t *testing.T) {
 // second assembly. node is the daemons' alone: no other non-test
 // package outside cmd/ imports it.
 func TestDaemonsAssembleThroughNode(t *testing.T) {
-	assembled := []string{"adi", "audit", "pdp", "server", "inspect", "trace", "replica", "policy", "policycheck"}
+	assembled := []string{"adi", "audit", "pdp", "server", "inspect", "trace", "policy", "policycheck"}
 	for _, cmd := range []string{"msod/cmd/msodd", "msod/cmd/msodgw"} {
 		for _, imp := range moduleImports(t, cmd) {
 			for _, layer := range assembled {

@@ -126,7 +126,7 @@ func TestFacadeVerifySurface(t *testing.T) {
 // facadeUnreached lists the exported facade names that no caller names
 // and no survivor's signature carries, each with why it stays.
 var facadeUnreached = map[string]string{
-	"NewEnforcer":  "docs/OPERATIONS.md attaches NewAdvisoryMirror through Enforcer.WithAdvisory",
+	"NewEnforcer":  "the one constructor of the PEP's Enforcer (Figure 3's AEF); TestPEPFlow guards Do through it",
 	"ErrDenied":    "Enforcer.Do returns it on a denial; callers test it with errors.Is",
 	"ParseContext": "the non-panicking parse of a context from input; ExampleParseContext documents it",
 }

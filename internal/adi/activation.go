@@ -19,7 +19,7 @@ import (
 //
 // An activation enters a store through Recorder.Append, encoded as a
 // record of a reserved (user, operation, target) triple: that record is
-// what the WAL, the compacted snapshot and a full replica snapshot hold,
+// what the WAL and the compacted snapshot hold,
 // and every store decodes it into its instance table on the way in,
 // never into a user's history. Only this package knows the triple. It
 // is deny-safe: it counts toward no user's k-of-m, so a spurious one
@@ -50,9 +50,8 @@ func (r Record) isActivation() bool {
 }
 
 // Activations returns the store's activations in the encoding Append
-// takes, for a full replica snapshot: a mirror that appends them
-// alongside the records holds the same activity. It is nil for a store
-// that cannot list them.
+// takes: a store that appends them alongside the records holds the same
+// activity. It is nil for a store that cannot list them.
 func Activations(store Recorder) []Record {
 	switch s := store.(type) {
 	case *Store:

@@ -24,7 +24,7 @@ type Ctxflow struct {
 // request path: every call under them is (transitively) serving a
 // client request that can be cancelled or time out.
 var DefaultCtxflowPackages = []string{
-	"internal/server", "internal/cluster", "internal/replica", "internal/pdp",
+	"internal/server", "internal/cluster", "internal/pdp",
 }
 
 func (*Ctxflow) Name() string { return "ctxflow" }

@@ -140,3 +140,22 @@ func TestGatewayTrailingBytesRejected(t *testing.T) {
 		t.Fatalf("trailing white space: %d %s; want 200", status, text)
 	}
 }
+
+// gatewayCounter reads one of the gateway's own counters off its
+// metrics scrape.
+func gatewayCounter(t *testing.T, gtsURL, name string) string {
+	t.Helper()
+	resp, err := http.Get(gtsURL + server.MetricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(line, name+" ") {
+			return strings.TrimPrefix(line, name+" ")
+		}
+	}
+	t.Fatalf("gateway metrics missing %s", name)
+	return ""
+}

@@ -16,7 +16,7 @@ import (
 	"msod/internal/server"
 )
 
-// recordingShard is an httptest shard (or replica) that keeps the bytes
+// recordingShard is an httptest shard that keeps the bytes
 // of every body POSTed to it, per path and in order, and answers with
 // whatever its script says — by default a minimal grant for "alice".
 type recordingShard struct {
@@ -299,41 +299,6 @@ func TestGatewayWithholdsAnswersItCannotAttribute(t *testing.T) {
 				t.Errorf("%s answered %q: PEP received %d %q, want a withheld 502", path, answer, status, got)
 			}
 		}
-	}
-}
-
-// TestGatewayAdviceReplicaGetsThePEPsBytes: a replica is asked with the
-// original bytes too, and its answer is forwarded verbatim.
-func TestGatewayAdviceReplicaGetsThePEPsBytes(t *testing.T) {
-	rep := newRecordingShard(t)
-	owner := newRecordingShard(t)
-	gw, err := New(Config{
-		Shards:   []Shard{{ID: "shard00", BaseURL: owner.ts.URL}},
-		Replicas: map[string][]string{"shard00": {rep.ts.URL}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
-	const answer = `{"allowed":false,"phase":"advisory","user":"alice","mirror":{"seq":42}}`
-	rep.script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
-
-	resp, err := http.Post(gts.URL+server.AdvicePath, "application/json", strings.NewReader(aliceAsks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	got, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK || string(got) != answer || resp.Header.Get("X-Msod-Shard") != "shard00" {
-		t.Fatalf("PEP received %d %q (shard %q), want the replica's bytes", resp.StatusCode, got, resp.Header.Get("X-Msod-Shard"))
-	}
-	if bodies := rep.received(server.AdvicePath); len(bodies) != 1 || string(bodies[0]) != aliceAsks {
-		t.Fatalf("replica received %q, want exactly the PEP's bytes", bodies)
-	}
-	if bodies := owner.received(server.AdvicePath); len(bodies) != 0 {
-		t.Fatalf("the owner was asked although its replica answered: %q", bodies)
 	}
 }
 

@@ -36,13 +36,6 @@ type Config struct {
 	// topology: only authoritative states (active, draining→active)
 	// enter the ring; joining shards are tracked but own nothing.
 	States map[string]ShardState
-	// Replicas maps a shard ID to the base URLs of its advisory read
-	// replicas (msodd -replica-of instances following that shard).
-	// Optional. When present, advisory and state reads for users owned
-	// by that shard are served replica-first with owner fallback;
-	// decisions and management are NEVER routed to a replica — a
-	// replica holds no authority and refuses them with 421 anyway.
-	Replicas map[string][]string
 	// VirtualNodes per shard on the ring (DefaultVirtualNodes if < 1).
 	VirtualNodes int
 	// Timeout bounds every request to a shard (default 5s). For a routed
@@ -123,10 +116,6 @@ type Gateway struct {
 	mux     *http.ServeMux
 	metrics gwMetrics
 	start   time.Time
-
-	// replicas maps shard ID to its advisory replica set; read-only
-	// after New.
-	replicas map[string]*replicaSet
 
 	// runtime samples the gateway's own Go runtime health
 	// (goroutines, heap, GC pauses) on every metrics scrape.
@@ -246,29 +235,14 @@ func New(cfg Config) (*Gateway, error) {
 	if authoritative == 0 {
 		return nil, errors.New("cluster: no authoritative (active) shard in the topology")
 	}
-	g.replicas = make(map[string]*replicaSet)
-	for shardID, urls := range cfg.Replicas {
-		if _, ok := g.addrs[shardID]; !ok {
-			return nil, fmt.Errorf("cluster: replicas configured for unknown shard %q", shardID)
-		}
-		set := &replicaSet{}
-		for _, u := range urls {
-			if u == "" {
-				return nil, fmt.Errorf("cluster: empty replica URL for shard %q", shardID)
-			}
-			set.urls = append(set.urls, u)
-		}
-		if len(set.urls) > 0 {
-			g.replicas[shardID] = set
-		}
-	}
 	g.checker = NewChecker(ids, g.probe, cfg.FailAfter)
 	g.breaker = NewBreaker(ids, cfg.BreakerAfter, cfg.BreakerCooldown)
 	g.mux = http.NewServeMux()
-	g.mux.HandleFunc(server.DecisionPath, func(w http.ResponseWriter, r *http.Request) {
-		g.handleRouted(w, r, server.DecisionPath)
-	})
-	g.mux.HandleFunc(server.AdvicePath, g.handleAdvice)
+	for _, path := range []string{server.DecisionPath, server.AdvicePath} {
+		g.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
+			g.handleRouted(w, r, path)
+		})
+	}
 	g.mux.HandleFunc(server.ManagementPath, g.handleManagement)
 	g.mux.HandleFunc(server.MetricsPath, g.handleMetrics)
 	g.mux.HandleFunc(server.HealthPath, g.handleHealth)

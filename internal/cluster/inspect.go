@@ -41,12 +41,6 @@ func (g *Gateway) handleStateUser(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusServiceUnavailable, "no shards in ring")
 		return
 	}
-	// Replica-first: a fresh replica of the owning shard answers the
-	// read (stamped with its applied seq and lag); any replica failure
-	// falls through to the owner below.
-	if g.tryReplicaStateUser(w, r, shard, user) {
-		return
-	}
 	if !g.checker.Up(shard) {
 		g.metrics.unavailable.Add(1)
 		errorJSON(w, http.StatusServiceUnavailable,
@@ -89,14 +83,7 @@ func (g *Gateway) handleStateContext(w http.ResponseWriter, r *http.Request) {
 	if !g.requireUp(w, shards, "context state", "a partial answer would hide that shard's users") {
 		return
 	}
-	results := scatter(r.Context(), g, shards, func(ctx context.Context, shard string, c *server.Client) (inspect.ContextState, error) {
-		// Each shard's slice comes from one of its replicas when a
-		// fresh one answers, so a cluster-wide query mostly reads
-		// replicas; the shard itself is only asked when its
-		// replicas cannot answer.
-		if st, ok := g.replicaContextState(ctx, shard, pattern); ok {
-			return st, nil
-		}
+	results := scatter(r.Context(), g, shards, func(ctx context.Context, _ string, c *server.Client) (inspect.ContextState, error) {
 		return c.ContextStateCtx(ctx, pattern)
 	})
 

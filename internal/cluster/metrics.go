@@ -22,11 +22,6 @@ type gwMetrics struct {
 	misrouted   atomic.Int64 // answers withheld: resolved subject owned by another shard
 	broken      atomic.Int64 // requests refused by an open circuit breaker
 	badRequests atomic.Int64
-	// replicaReads counts advisory/state answers served by a read
-	// replica; replicaFallbacks counts reads that had replicas
-	// configured but ended up answered by the owning shard.
-	replicaReads     atomic.Int64
-	replicaFallbacks atomic.Int64
 	// Handoff lifecycle counters (see handoff.go): handoffRefusals are
 	// the fail-closed 503s for in-transit users and credential-bearing
 	// requests on donors during the handoff window.
@@ -201,8 +196,6 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msodgw_misrouted_total", "Answers withheld because the shard resolved a subject another shard owns.", g.metrics.misrouted.Load())
 	obsv.WriteCounter(w, "msodgw_bad_requests_total", "Requests rejected before routing (bad input, no subject).", g.metrics.badRequests.Load())
 	obsv.WriteCounter(w, "msodgw_breaker_refused_total", "Requests refused by an open circuit breaker (also counted in msodgw_unavailable_total).", g.metrics.broken.Load())
-	obsv.WriteCounter(w, "msodgw_replica_reads_total", "Advisory/state reads served by a shard's read replica.", g.metrics.replicaReads.Load())
-	obsv.WriteCounter(w, "msodgw_replica_fallbacks_total", "Reads with replicas configured that were answered by the owning shard instead.", g.metrics.replicaFallbacks.Load())
 	fmt.Fprintf(w, "# HELP msodgw_shard_up Shard availability (1 up, 0 down).\n# TYPE msodgw_shard_up gauge\n")
 	statuses := g.checker.Statuses()
 	ids := g.shards(tracked)

@@ -298,7 +298,7 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 		fmt.Sprintf("shard %s unreachable (%v); failing closed", shard, lastErr))
 }
 
-// writeAnswer forwards a shard's (or replica's) 200 body as it came.
+// writeAnswer forwards a shard's 200 body as it came.
 func writeAnswer(w http.ResponseWriter, body []byte) {
 	server.SetJSONContentType(w.Header())
 	w.WriteHeader(http.StatusOK)

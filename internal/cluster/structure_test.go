@@ -97,7 +97,6 @@ func funcName(fn *ast.FuncDecl) string {
 var requestBuilders = map[string]string{
 	"Gateway.newShardClient": "builds the server.Client every other shard request goes through",
 	"Gateway.scrapeShard":    "GET /v1/metrics: reads counters, no retained ADI",
-	"Gateway.replicaDo":      "asks a read replica, which holds no retained ADI of its own: it mirrors its owner's event stream, closes included",
 }
 
 // TestShardRequestsOnlyThroughClient fails when non-test code outside

@@ -24,9 +24,8 @@ import (
 // OutcomeImport extend it: management purges, carried closes, a
 // cluster's context activations and a resharding handoff's release and
 // import mutate the retained ADI without being decisions (pdp.PDP.Apply
-// publishes each), and a mirror replaying the stream must see them or
-// silently diverge. An import's event carries how many records it
-// appended, not the records: a mirror resyncs from a snapshot after it.
+// publishes each), so the stream tells every change to it. An import's
+// event carries how many records it appended, not the records.
 const (
 	OutcomeGrant    = "grant"
 	OutcomeDeny     = "deny"
@@ -81,8 +80,7 @@ type DecisionEvent struct {
 	MatchedPolicies int `json:"matched,omitempty"`
 	// Recorded and Purged echo the decision's retained-ADI effects
 	// (records appended, records removed by a last-step or management
-	// purge). A mirror replaying the stream compares its own effects
-	// against these to detect divergence instead of drifting silently.
+	// purge).
 	Recorded int `json:"recorded,omitempty"`
 	Purged   int `json:"purged,omitempty"`
 	// Before is the cutoff of a purge-before management event; nil

@@ -15,23 +15,22 @@ import (
 // in its comment. The zero value of a field is the flag's default
 // unless its comment says otherwise.
 type GatewayConfig struct {
-	Addr             string              // -addr (the daemon listens; node does not)
-	Shards           []cluster.Shard     // -shards: the topology of a first boot
-	Replicas         map[string][]string // -replicas: advisory replica URLs by shard ID
-	Timeout          time.Duration       // -timeout: one routed decision's shard calls, retries included
-	Retries          int                 // -retries
-	RetryBackoff     time.Duration       // -retry-backoff
-	Probe            time.Duration       // -probe (required: > 0)
-	FailAfter        int                 // -fail-after
-	BreakerAfter     int                 // -breaker-after
-	BreakerCooldown  time.Duration       // -breaker-cooldown
-	SlowLog          time.Duration       // -slowlog (0 disables)
-	MaxInflight      int                 // -max-inflight (0: unbounded)
-	ShedRetryAfter   time.Duration       // -shed-retry-after
-	StateFile        string              // -state-file
-	HandoffTimeout   time.Duration       // -handoff-timeout
-	Pprof            string              // -pprof
-	PprofAllowRemote bool                // -pprof-allow-remote
+	Addr             string          // -addr (the daemon listens; node does not)
+	Shards           []cluster.Shard // -shards: the topology of a first boot
+	Timeout          time.Duration   // -timeout: one routed decision's shard calls, retries included
+	Retries          int             // -retries
+	RetryBackoff     time.Duration   // -retry-backoff
+	Probe            time.Duration   // -probe (required: > 0)
+	FailAfter        int             // -fail-after
+	BreakerAfter     int             // -breaker-after
+	BreakerCooldown  time.Duration   // -breaker-cooldown
+	SlowLog          time.Duration   // -slowlog (0 disables)
+	MaxInflight      int             // -max-inflight (0: unbounded)
+	ShedRetryAfter   time.Duration   // -shed-retry-after
+	StateFile        string          // -state-file
+	HandoffTimeout   time.Duration   // -handoff-timeout
+	Pprof            string          // -pprof
+	PprofAllowRemote bool            // -pprof-allow-remote
 }
 
 // Validate refuses a gateway with no probe interval, no topology to
@@ -100,7 +99,6 @@ func NewGateway(cfg GatewayConfig, logger *slog.Logger) (*cluster.Gateway, error
 	gw, err := cluster.New(cluster.Config{
 		Shards:          shards,
 		States:          states,
-		Replicas:        cfg.Replicas,
 		Timeout:         cfg.Timeout,
 		Retries:         cfg.Retries,
 		RetryBackoff:    cfg.RetryBackoff,

@@ -1,6 +1,5 @@
-// Package node assembles what the daemons serve: msodd's shard (an
-// authoritative PDP over its retained ADI, or with ReplicaOf an
-// advisory replica of another shard) and msodgw's gateway. Each is
+// Package node assembles what the daemons serve: msodd's shard (one
+// PDP over its retained ADI) and msodgw's gateway. Each is
 // built from one config whose fields are the daemon's flags, and whose
 // Validate holds every rule refusing a combination of them. The mains
 // parse flags, handle signals and listen; in-process tests build the

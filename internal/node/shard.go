@@ -1,11 +1,9 @@
 package node
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -20,7 +18,6 @@ import (
 	"msod/internal/pdp"
 	"msod/internal/policy"
 	"msod/internal/policycheck"
-	"msod/internal/replica"
 	"msod/internal/server"
 	"msod/internal/trace"
 )
@@ -45,8 +42,6 @@ type Config struct {
 	PprofAllowRemote   bool          // -pprof-allow-remote
 	SentinelInterval   time.Duration // -sentinel-interval (0 disables)
 	SentinelFailClosed bool          // -sentinel-fail-closed
-	ReplicaOf          string        // -replica-of: serve as an advisory replica of this owner
-	MaxStaleness       time.Duration // -max-staleness
 	ExplainCapacity    int           // -explain-capacity
 	TraceCapacity      int           // -trace-capacity
 	TraceSample        int           // -trace-sample
@@ -70,23 +65,6 @@ func (c Config) Validate() error {
 	if c.Recover != "" && c.Recover != "none" && c.Recover != "trail" {
 		return fmt.Errorf("-recover %q: want none or trail (-adi keeps a durable retained ADI)", c.Recover)
 	}
-	if c.ReplicaOf != "" {
-		// A replica holds no authority and writes nothing: every flag
-		// implying authoritative state is a configuration error, not a
-		// silent no-op.
-		switch {
-		case c.Trail != "":
-			return errors.New("-replica-of conflicts with -trail (replicas write no audit trail)")
-		case c.ADI != "":
-			return errors.New("-replica-of conflicts with -adi (the mirror is rebuilt from the owner, never persisted)")
-		case c.Recover != "" && c.Recover != "none":
-			return errors.New("-replica-of conflicts with -recover (replicas bootstrap from the owner's snapshot)")
-		case c.SentinelInterval > 0:
-			return errors.New("-replica-of conflicts with -sentinel-interval (replicas hold no trail to verify)")
-		case c.Handoff:
-			return errors.New("-replica-of conflicts with -handoff (replicas hold no authoritative history to stream)")
-		}
-	}
 	if c.Handoff && c.Recover == "trail" && c.ADI == "" {
 		// A cluster shard's retained ADI also changes by what the gateway
 		// tells it — peers' activations and closes, handoff imports and
@@ -100,8 +78,8 @@ func (c Config) Validate() error {
 }
 
 // Shard is what msodd serves: the HTTP surface of one PDP over its
-// retained ADI, trail and telemetry, or with ReplicaOf an advisory
-// replica's. Reload swaps the PDP under a live handler.
+// retained ADI, trail and telemetry. Reload swaps the PDP under a live
+// handler.
 type Shard struct {
 	cfg    Config
 	logger *slog.Logger
@@ -117,10 +95,6 @@ type Shard struct {
 	verify *server.VerificationStatus
 	// closers release what the shard opened, in reverse on Close.
 	closers []func() error
-
-	// follower and replica replace cur in replica mode.
-	follower *replica.Follower
-	replica  http.Handler
 }
 
 // NewShard builds the shard cfg describes: it loads the policy (and
@@ -140,17 +114,6 @@ func NewShard(cfg Config, logger *slog.Logger) (*Shard, error) {
 	pol, err := s.loadPolicy()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ReplicaOf != "" {
-		f, err := replica.New(replica.Config{
-			Owner: cfg.ReplicaOf, Policy: pol, MaxStaleness: cfg.MaxStaleness, Logger: logger,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("replica: %w", err)
-		}
-		s.follower, s.replica = f, replica.NewServer(f)
-		infof(logger, "replica of %s (policy %q, max staleness %s)", cfg.ReplicaOf, pol.ID, f.MaxStaleness())
-		return s, nil
 	}
 	if err := s.build(pol); err != nil {
 		return nil, errors.Join(err, s.Close())
@@ -355,9 +318,6 @@ func (s *Shard) serverOptions() []server.Option {
 // restart does; a policy that fails to load or verify leaves the
 // previous one serving.
 func (s *Shard) Reload() error {
-	if s.follower != nil {
-		return errors.New("a replica takes a new policy only by restarting")
-	}
 	pol, err := s.loadPolicy()
 	if err != nil {
 		return err
@@ -372,41 +332,14 @@ func (s *Shard) Reload() error {
 
 // ServeHTTP serves the shard's endpoints.
 func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.replica != nil {
-		s.replica.ServeHTTP(w, r)
-		return
-	}
 	s.cur.Load().ServeHTTP(w, r)
 }
 
-// Serve serves the shard on ln until ctx ends (see the package's
-// Serve). A replica follows its owner while it serves, and stops
-// serving when the follower fails for good (the owner runs another
-// policy): answering from alien history would be wrong.
-func (s *Shard) Serve(ctx context.Context, ln net.Listener) error {
-	if s.follower == nil {
-		return Serve(ctx, ln, s, s.logger)
-	}
-	ctx, stop := context.WithCancel(ctx)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := s.follower.Run(ctx); err != nil && ctx.Err() == nil {
-			s.logger.Error(fmt.Sprintf("replica follower stopped: %v", err))
-			stop()
-		}
-	}()
-	err := Serve(ctx, ln, s, s.logger)
-	stop()
-	<-done
-	return err
-}
-
-// Store is the shard's retained ADI (nil for a replica).
+// Store is the shard's retained ADI.
 func (s *Shard) Store() adi.Recorder { return s.store }
 
-// Broker is the shard's decision event stream, the one a replica of it
-// tails (nil for a replica).
+// Broker is the shard's decision event stream, the one msodctl tail
+// and the gateway's /v1/events fan-in follow.
 func (s *Shard) Broker() *inspect.Broker { return s.broker }
 
 // Close stops the sentinel, closes the trail, and compacts and closes

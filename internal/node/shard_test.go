@@ -200,7 +200,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- sh.Serve(ctx, ln) }()
+	go func() { done <- Serve(ctx, ln, sh, quiet) }()
 
 	client := server.NewClient("http://"+ln.Addr().String(), nil)
 	deadline := time.Now().Add(5 * time.Second)
@@ -330,63 +330,5 @@ func TestVerifyPoliciesReloadKeepsPrevious(t *testing.T) {
 	}
 	if got := policyID(t, c); got != "msodd-test" {
 		t.Fatalf("serving policy = %q, want msodd-test", got)
-	}
-}
-
-// TestReplicaShardFollowsOwner: -replica-of serves the owner's history
-// as advice, refuses authoritative requests, and keeps its policy
-// across a reload request.
-func TestReplicaShardFollowsOwner(t *testing.T) {
-	dir := t.TempDir()
-	policyPath := writeFile(t, dir, "policy.xml", dPolicyXML)
-	owner, err := NewShard(Config{Policy: policyPath}, quiet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
-	ownerSrv := httptest.NewServer(owner)
-	defer ownerSrv.Close()
-	decide(t, server.NewClient(ownerSrv.URL, nil), "alice", "Teller", "2006")
-
-	rep, err := NewShard(Config{Policy: policyPath, ReplicaOf: ownerSrv.URL}, quiet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Reload(); err == nil {
-		t.Error("a replica reloaded its policy")
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- rep.Serve(ctx, ln) }()
-	defer func() {
-		cancel()
-		if err := <-done; err != nil {
-			t.Errorf("replica serve: %v", err)
-		}
-	}()
-
-	rc := server.NewClient("http://"+ln.Addr().String(), nil)
-	audit := server.DecisionRequest{User: "alice", Roles: []string{"Auditor"},
-		Operation: "Audit", Target: "ledger", Context: "Branch=York, Period=2006"}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		adv, err := rc.Advice(audit)
-		if err == nil {
-			if adv.Allowed {
-				t.Fatalf("replica advises a grant the owner's history forbids: %+v", adv)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replica never answered: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if _, err := rc.Decision(audit); err == nil {
-		t.Fatal("replica answered an authoritative decision")
 	}
 }

@@ -44,9 +44,8 @@ var Stages = []string{StageCVS, StageRBAC, StageMSoD, StageStore, StageAudit}
 // when the corresponding subsystem is active. They appear in retained
 // traces, not as histogram labels.
 const (
-	SpanStoreWAL     = "store.wal"     // durable-ADI WAL round trip, nested in store
-	SpanAuditRotate  = "audit.rotate"  // audit segment rotation, nested in audit
-	SpanReplicaApply = "replica.apply" // mirror event-apply on a read replica
+	SpanStoreWAL    = "store.wal"    // durable-ADI WAL round trip, nested in store
+	SpanAuditRotate = "audit.rotate" // audit segment rotation, nested in audit
 )
 
 // TraceID is a W3C trace-id: 32 lowercase hex characters, non-zero.

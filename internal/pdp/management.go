@@ -132,7 +132,8 @@ func (p *PDP) Apply(reason string, ops ...adi.Op) (adi.Effect, error) {
 		now := p.clock()
 		switch {
 		case op.Kind == adi.OpRelease:
-			// Published as what it is made of, which a mirror replays.
+			// Published as what it is made of: a user purge, then each
+			// instance it leaves running, activated again.
 			p.observer(opEvent(adi.Op{Kind: adi.OpPurgeUser, User: op.User}, eff, reason, now))
 			for _, bound := range eff.Kept {
 				p.observer(opEvent(adi.Op{Kind: adi.OpActivate, Bound: bound, Time: op.Time}, adi.Effect{}, reason, now))
@@ -144,11 +145,11 @@ func (p *PDP) Apply(reason string, ops ...adi.Op) (adi.Effect, error) {
 	return total, err
 }
 
-// opEvent renders an applied op as the event a mirror replays, EventOp
-// its inverse: an activation as OutcomeActivate at the time it took
-// effect, a close or a §4.3 purge as OutcomePurge with the records it
-// removed, and a handoff import's records as OutcomeImport, which
-// carries their number only.
+// opEvent renders an applied op as the event it stands for: an
+// activation as OutcomeActivate at the time it took effect, a close or
+// a §4.3 purge as OutcomePurge with the records it removed, and a
+// handoff import's records as OutcomeImport, which carries their
+// number only.
 func opEvent(op adi.Op, eff adi.Effect, reason string, now time.Time) inspect.DecisionEvent {
 	ev := inspect.DecisionEvent{Effect: inspect.OutcomePurge, Time: now, Target: string(RetainedADITarget), Reason: reason, Purged: eff.Removed}
 	switch op.Kind {
@@ -165,31 +166,4 @@ func opEvent(op adi.Op, eff adi.Effect, reason string, now time.Time) inspect.De
 		ev.Effect, ev.Recorded = inspect.OutcomeImport, eff.Added
 	}
 	return ev
-}
-
-// EventOp is the op an OutcomeActivate or OutcomePurge event stands for,
-// which a mirror applies in its place. Other events stand for none: a
-// decision is re-evaluated, and an import's records are not in the
-// stream.
-func EventOp(ev inspect.DecisionEvent) (adi.Op, error) {
-	switch ev.Effect {
-	case inspect.OutcomeActivate:
-		bound, err := bctx.Parse(ev.Context)
-		return adi.Op{Kind: adi.OpActivate, Bound: bound, Time: ev.Time}, err
-	case inspect.OutcomePurge:
-		switch rbac.Operation(ev.Operation) {
-		case OpPurgeContext:
-			pattern, err := bctx.Parse(ev.Context)
-			return adi.Op{Kind: adi.OpClose, Bound: pattern}, err
-		case OpPurgeUser:
-			return adi.Op{Kind: adi.OpPurgeUser, User: rbac.UserID(ev.User)}, nil
-		case OpPurgeBefore:
-			if ev.Before == nil {
-				return adi.Op{}, fmt.Errorf("purgeBefore event carries no cutoff")
-			}
-			return adi.Op{Kind: adi.OpPurgeBefore, Time: *ev.Before}, nil
-		}
-		return adi.Op{}, fmt.Errorf("unknown purge operation %q", ev.Operation)
-	}
-	return adi.Op{}, fmt.Errorf("a %q event stands for no op", ev.Effect)
 }

@@ -79,10 +79,11 @@ type PDP struct {
 	clock    func() time.Time
 	// commitMu makes a store change and its event publication atomic
 	// with respect to other changes, so broker sequence order equals
-	// store commit order — the invariant that lets a replica replay the
-	// stream in seq order and reconstruct the exact store state. A
-	// decision takes it only when an Observer is attached; Apply always
-	// does, and takes the engine lock inside it.
+	// store commit order: the stream tells the changes in the order they
+	// were made, and a handoff export's sequence number marks exactly
+	// the changes its dump holds. A decision takes it only when an
+	// Observer is attached; Apply always does, and takes the engine lock
+	// inside it.
 	commitMu  sync.Mutex
 	trailErrs atomic.Int64
 }
@@ -314,8 +315,8 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 
 // WithCommitLock runs fn while holding the commit lock, so that no
 // change sits between its store commit and its event publication: the
-// replica snapshot endpoint captures a store dump and a broker sequence
-// number consistent with each other. Keep fn short — decisions block
+// handoff export captures a store dump and a broker sequence number
+// consistent with each other. Keep fn short — decisions block
 // for its duration. Without an Observer there is no stream to be
 // consistent with, and decisions skip the lock.
 func (p *PDP) WithCommitLock(fn func()) {
@@ -378,8 +379,8 @@ func (p *PDP) event(ctx context.Context, req core.Request, dec Decision) audit.E
 }
 
 // publish converts the audit record to a stream event — with the
-// decision's retained-ADI effects echoed for mirror divergence checks —
-// and hands it to the observer. For decisions that can commit, the
+// decision's retained-ADI effects echoed — and hands it to the
+// observer. For decisions that can commit, the
 // caller holds commitMu so sequence numbers are assigned in commit
 // order.
 func (p *PDP) publish(ev audit.Event, dec Decision) {

@@ -47,8 +47,6 @@ type Enforcer struct {
 	pdp     Decider
 	subject Subject
 	ctx     bctx.Name
-	// advisory, when set (WithAdvisory), serves Preflight locally.
-	advisory Advisor
 }
 
 // New builds an enforcer for the subject within the context instance.

@@ -1,163 +1,37 @@
 package pep
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"log/slog"
-	"net/http"
-	"time"
 
 	"msod/internal/pdp"
-	"msod/internal/policy"
 	"msod/internal/rbac"
-	"msod/internal/replica"
 )
 
-// ErrAdvisoryStale re-exports the replica staleness refusal so PEP
-// callers can test Preflight errors without importing the replica
-// package.
-var ErrAdvisoryStale = replica.ErrStale
-
 // Advisor answers side-effect-free "would this be granted right now?"
-// queries. *pdp.PDP satisfies it directly (its advisory path), and
-// AdvisoryMirror serves it from an in-process event-fed mirror.
+// queries. *pdp.PDP satisfies it directly (its advisory path).
 type Advisor interface {
 	Advise(req pdp.Request) (pdp.Decision, error)
 }
 
-// AdvisoryMirrorConfig configures an embedded advisory mirror.
-type AdvisoryMirrorConfig struct {
-	// Owner is the owning shard's base URL. Required.
-	Owner string
-	// Policy must be the document the owner runs. Required.
-	Policy *policy.RBACPolicy
-	// HierarchyAwareMSoD mirrors the owner's setting.
-	HierarchyAwareMSoD bool
-	// MaxStaleness bounds answer freshness
-	// (default replica.DefaultMaxStaleness).
-	MaxStaleness time.Duration
-	// HTTPClient overrides the transport.
-	HTTPClient *http.Client
-	// Logger receives follower lifecycle events.
-	Logger *slog.Logger
-}
-
-// AdvisoryMirror hosts a replica follower in-process: Advise answers
-// from local memory — no network round trip, sub-microsecond once the
-// mirror is warm — while commit-point decisions still go wherever the
-// enforcer's Decider points (the cluster). The bounded-staleness
-// contract carries over: a mirror that cannot prove freshness returns
-// ErrAdvisoryStale instead of a stale answer.
-type AdvisoryMirror struct {
-	follower *Follower
-	cancel   context.CancelFunc
-	done     chan struct{}
-}
-
-// Follower is re-exported so AdvisoryMirror users can reach replica
-// status without importing the replica package.
-type Follower = replica.Follower
-
-// NewAdvisoryMirror builds the mirror and starts its follower
-// goroutine immediately (bootstrap snapshot, then event tailing).
-// Close releases it. Advise refuses until the bootstrap completes;
-// callers that need a warm mirror poll Status or WaitFresh first.
-func NewAdvisoryMirror(cfg AdvisoryMirrorConfig) (*AdvisoryMirror, error) {
-	f, err := replica.New(replica.Config{
-		Owner:              cfg.Owner,
-		Policy:             cfg.Policy,
-		HierarchyAwareMSoD: cfg.HierarchyAwareMSoD,
-		MaxStaleness:       cfg.MaxStaleness,
-		HTTPClient:         cfg.HTTPClient,
-		Logger:             cfg.Logger,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	am := &AdvisoryMirror{follower: f, cancel: cancel, done: make(chan struct{})}
-	go func() {
-		defer close(am.done)
-		_ = f.Run(ctx)
-	}()
-	return am, nil
-}
-
-// Advise implements Advisor from the in-process mirror.
-func (am *AdvisoryMirror) Advise(req pdp.Request) (pdp.Decision, error) {
-	return am.follower.Advise(req)
-}
-
-// Status reports the underlying follower's state.
-func (am *AdvisoryMirror) Status() replica.Status { return am.follower.Status() }
-
-// WaitFresh blocks until the mirror can serve (bootstrap done, within
-// the staleness bound) or the context ends.
-func (am *AdvisoryMirror) WaitFresh(ctx context.Context) error {
-	for !am.follower.Fresh() {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	return nil
-}
-
-// Close stops the follower and waits for it to exit.
-func (am *AdvisoryMirror) Close() {
-	am.cancel()
-	<-am.done
-}
-
-// WithAdvisory returns a copy of the enforcer whose Preflight is
-// served by the advisor — typically an AdvisoryMirror — instead of the
-// commit-point Decider. Do and Check are unchanged: authority stays
-// with the cluster.
-func (e *Enforcer) WithAdvisory(a Advisor) *Enforcer {
-	ne := *e
-	ne.advisory = a
-	return &ne
-}
-
 // Preflight answers "would Do grant this right now?" with zero side
 // effects: nothing is recorded, nothing is purged, no audit event is
-// written. The answer comes from the attached advisory mirror when one
-// is present; a stale mirror falls back to the Decider's own advisory
-// path if it has one (asking the owner), and otherwise surfaces
-// ErrAdvisoryStale — never a stale answer presented as fresh. Without
-// a mirror, the Decider must implement Advisor (a *pdp.PDP does).
+// written. The answer is the Decider's own advisory path, so it comes
+// from the PDP that holds the subject's retained ADI; a Decider that
+// does not implement Advisor is a configuration error.
 //
-// The usual advisory TOCTOU caveat applies (see core.Engine.Peek), and
-// a mirror answer may additionally trail the owner by up to its
-// staleness bound: treat a Grant as "worth trying", never as
-// authorisation to skip Do.
+// The usual advisory TOCTOU caveat applies (see core.Engine.Peek):
+// treat a Grant as "worth trying", never as authorisation to skip Do.
 func (e *Enforcer) Preflight(op rbac.Operation, target rbac.Object) (pdp.Decision, error) {
-	req := pdp.Request{
+	a, ok := e.pdp.(Advisor)
+	if !ok {
+		return pdp.Decision{}, fmt.Errorf("pep: no advisory path: decider %T implements no Advise", e.pdp)
+	}
+	return a.Advise(pdp.Request{
 		User:        e.subject.User,
 		Roles:       e.subject.Roles,
 		Credentials: e.subject.Credentials,
 		Operation:   op,
 		Target:      target,
 		Context:     e.ctx,
-	}
-	if e.advisory != nil {
-		dec, err := e.advisory.Advise(req)
-		if err == nil {
-			return dec, nil
-		}
-		if !errors.Is(err, ErrAdvisoryStale) {
-			return pdp.Decision{}, err
-		}
-		// Stale mirror: fail toward asking the owner.
-		if a, ok := e.pdp.(Advisor); ok {
-			return a.Advise(req)
-		}
-		return pdp.Decision{}, err
-	}
-	if a, ok := e.pdp.(Advisor); ok {
-		return a.Advise(req)
-	}
-	return pdp.Decision{}, fmt.Errorf("pep: no advisory path: decider %T implements no Advise and no advisory mirror is attached", e.pdp)
+	})
 }

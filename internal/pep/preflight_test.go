@@ -1,19 +1,12 @@
 package pep
 
 import (
-	"context"
-	"errors"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"msod/internal/bctx"
-	"msod/internal/inspect"
 	"msod/internal/pdp"
-	"msod/internal/policy"
 	"msod/internal/rbac"
-	"msod/internal/server"
 )
 
 // decideOnly wraps a PDP but hides its advisory path, modelling a
@@ -22,62 +15,23 @@ type decideOnly struct{ p *pdp.PDP }
 
 func (d decideOnly) Decide(req pdp.Request) (pdp.Decision, error) { return d.p.Decide(req) }
 
-// mirrorFixture stands up an owning shard and a warm in-process
-// advisory mirror following it.
-func mirrorFixture(t *testing.T, maxStaleness time.Duration) (*pdp.PDP, *AdvisoryMirror) {
-	t.Helper()
-	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := inspect.NewBroker(64)
-	p, err := pdp.New(pdp.Config{
-		Policy:   pol,
-		Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.New(p, server.WithEventBroker(broker)))
-	t.Cleanup(ts.Close)
-	// Seed history before the mirror bootstraps: alice is a teller in
-	// York 2006, so her auditor preflights must come back denied.
+// TestPreflightFromOwner: through a *pdp.PDP Decider, Preflight
+// returns the owner's own advice and records nothing.
+func TestPreflightFromOwner(t *testing.T) {
+	p := bankPDP(t)
+	bc := bctx.MustParse("Branch=York, Period=2006")
+	// alice is a teller in York 2006, so her auditor preflight must
+	// come back denied.
 	if _, err := p.Decide(pdp.Request{
 		User: "alice", Roles: []rbac.RoleName{"Teller"},
-		Operation: "HandleCash", Target: "till",
-		Context: bctx.MustParse("Branch=York, Period=2006"),
+		Operation: "HandleCash", Target: "till", Context: bc,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	am, err := NewAdvisoryMirror(AdvisoryMirrorConfig{
-		Owner: ts.URL, Policy: pol, MaxStaleness: maxStaleness,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(am.Close)
-	// A sub-millisecond bound can never stay fresh; those tests warm up
-	// on sequence instead.
-	if maxStaleness == 0 || maxStaleness > time.Millisecond {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := am.WaitFresh(ctx); err != nil {
-			t.Fatalf("mirror never warmed: %v (status %+v)", err, am.Status())
-		}
-	}
-	return p, am
-}
-
-// TestPreflightFromMirror: with a warm mirror attached, Preflight
-// answers match the owner's advisory path and record nothing.
-func TestPreflightFromMirror(t *testing.T) {
-	p, am := mirrorFixture(t, 0)
-	bc := bctx.MustParse("Branch=York, Period=2006")
 	alice, err := New(p, Subject{User: "alice", Roles: []rbac.RoleName{"Auditor"}}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alice = alice.WithAdvisory(am)
 
 	before := p.Store().Len()
 	dec, err := alice.Preflight("Audit", "ledger")
@@ -91,61 +45,24 @@ func TestPreflightFromMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Allowed != ownerDec.Allowed || dec.Allowed {
-		t.Errorf("preflight allowed=%v, owner advisory allowed=%v, want both denied (MMER)",
-			dec.Allowed, ownerDec.Allowed)
+	if dec.Allowed != ownerDec.Allowed || dec.Allowed || dec.Reason != ownerDec.Reason {
+		t.Errorf("preflight = %+v, owner advisory = %+v, want both the same MMER denial", dec, ownerDec)
 	}
-	if p.Store().Len() != before {
-		t.Errorf("preflight recorded state: store %d → %d", before, p.Store().Len())
-	}
-	// A preflight the policy allows.
+	// A preflight the policy allows records nothing either.
 	bob, err := New(p, Subject{User: "bob", Roles: []rbac.RoleName{"Auditor"}}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec, err := bob.WithAdvisory(am).Preflight("Audit", "ledger"); err != nil || !dec.Allowed {
+	if dec, err := bob.Preflight("Audit", "ledger"); err != nil || !dec.Allowed {
 		t.Errorf("clean-history preflight = %+v, %v, want grant", dec, err)
 	}
-}
-
-// TestPreflightStaleFallsBack: a mirror past its staleness bound makes
-// Preflight ask the decider's own advisory path; if the decider has
-// none, ErrAdvisoryStale surfaces — never a stale answer.
-func TestPreflightStaleFallsBack(t *testing.T) {
-	p, am := mirrorFixture(t, time.Nanosecond)
-	// Let the follower make contact, then let the 1ns bound lapse.
-	deadline := time.Now().Add(10 * time.Second)
-	for am.Status().AppliedSeq == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("mirror never bootstrapped: %+v", am.Status())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	time.Sleep(10 * time.Millisecond)
-	bc := bctx.MustParse("Branch=York, Period=2006")
-
-	// Decider implements Advisor (*pdp.PDP): fall back to the owner.
-	alice, err := New(p, Subject{User: "alice", Roles: []rbac.RoleName{"Auditor"}}, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := alice.WithAdvisory(am).Preflight("Audit", "ledger")
-	if err != nil || dec.Allowed {
-		t.Errorf("stale-mirror fallback = %+v, %v, want owner's denial", dec, err)
-	}
-
-	// Decider without Advise: the staleness refusal surfaces.
-	alice2, err := New(decideOnly{p}, Subject{User: "alice", Roles: []rbac.RoleName{"Auditor"}}, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := alice2.WithAdvisory(am).Preflight("Audit", "ledger"); !errors.Is(err, ErrAdvisoryStale) {
-		t.Errorf("stale mirror with no fallback = %v, want ErrAdvisoryStale", err)
+	if p.Store().Len() != before {
+		t.Errorf("preflight recorded state: store %d → %d", before, p.Store().Len())
 	}
 }
 
-// TestPreflightWithoutAdvisoryPath: no mirror and a Decider with no
-// Advise is a configuration error, reported as such.
+// TestPreflightWithoutAdvisoryPath: a Decider with no Advise is a
+// configuration error, reported as such.
 func TestPreflightWithoutAdvisoryPath(t *testing.T) {
 	p := bankPDP(t)
 	bc := bctx.MustParse("Branch=York, Period=2006")
@@ -159,7 +76,7 @@ func TestPreflightWithoutAdvisoryPath(t *testing.T) {
 		t.Errorf("direct advisory = %+v, %v", dec, err)
 	}
 
-	// Advise-less decider, no mirror: explicit error.
+	// Advise-less decider: explicit error.
 	blind, err := New(decideOnly{p}, Subject{User: "alice", Roles: []rbac.RoleName{"Teller"}}, bc)
 	if err != nil {
 		t.Fatal(err)

@@ -441,7 +441,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 //	respond 1   the answer boxed for the encoder (1); the Content-Type
 //	            value is shared
 //	event 1     default only: the instance's text in the activate event
-//	            a replica follows the activation by (pdp.PDP.Apply)
+//	            the stream tells the activation by (pdp.PDP.Apply)
 func TestServeActivationAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")

@@ -398,9 +398,8 @@ func (c *Client) ContextStateCtx(ctx context.Context, pattern string) (inspect.C
 // ErrEventGap reports that a resumed event stream cannot be continued
 // without loss: the events after the resume point have left the
 // server's ring buffer (or the server restarted and renumbered).
-// A consumer mirroring state from the stream must fall back to a full
-// resync; a consumer that only tails can restart live, knowing events
-// were missed. Returned wrapped; test with errors.Is.
+// A consumer can only restart live, knowing events were missed.
+// Returned wrapped; test with errors.Is.
 var ErrEventGap = errors.New("server: event stream gap: resume point no longer retained")
 
 // defaultStreamBackoff is the reconnect pause FollowEvents uses when
@@ -628,15 +627,6 @@ func (c *Client) Trace(traceID string) (trace.Record, error) {
 func (c *Client) TraceCtx(ctx context.Context, traceID string) (trace.Record, error) {
 	var out trace.Record
 	err := c.get(ctx, TracesPath+url.PathEscape(traceID), &out)
-	return out, err
-}
-
-// ReplicaSnapshot fetches the consistent retained-ADI dump a replica
-// bootstraps from. The snapshot can be large; the client's request
-// timeout applies, so size it generously on followers of big shards.
-func (c *Client) ReplicaSnapshot(ctx context.Context) (ReplicaSnapshot, error) {
-	var out ReplicaSnapshot
-	err := c.get(ctx, ReplicaSnapshotPath, &out)
 	return out, err
 }
 

@@ -204,6 +204,12 @@ func TestHandoffImportRefusals(t *testing.T) {
 	if _, err := c.HandoffImport(ctx, snap); apiStatus(t, err) != 400 {
 		t.Errorf("out-of-scope record: %v", err)
 	}
+
+	// The export is scoped or refused: a dump of the whole store would
+	// hold the commit lock for as long as the store is large.
+	if err := donor.get(ctx, ReplicaSnapshotPath, &ReplicaSnapshot{}); apiStatus(t, err) != 400 {
+		t.Errorf("unscoped export: %v", err)
+	}
 	out, err := c.HandoffUsers(ctx)
 	if err != nil {
 		t.Fatal(err)

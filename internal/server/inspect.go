@@ -35,7 +35,7 @@ const eventsHeartbeat = 15 * time.Second
 // reconnecting to EventsPath sends the last sequence number it saw and
 // the stream resumes gap-free after it — or answers 410 Gone when that
 // span has left the ring, telling the client its copy of history is
-// unrecoverable through the stream (a replica must resync).
+// unrecoverable through the stream.
 const LastEventIDHeader = "Last-Event-ID"
 
 // WithEventBroker attaches a decision event broker: /v1/events streams
@@ -57,15 +57,10 @@ func WithSentinel(sentinel *inspect.Sentinel, failClosed bool) Option {
 	}
 }
 
+// handleState answers GET /v1/state/users/{user} and
+// GET /v1/state/contexts/{bc} from the shard's inspector.
 func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
-	ServeState(w, r, s.inspector)
-}
-
-// ServeState answers GET /v1/state/users/{user} and
-// GET /v1/state/contexts/{bc} from in, the way a shard does; a replica
-// answers from its mirror's inspector through the same code. It reports
-// whether it served the state (else it wrote the 405, 404 or 400).
-func ServeState(w http.ResponseWriter, r *http.Request, in *inspect.Inspector) bool {
+	in := s.inspector
 	user, byUser := strings.CutPrefix(r.URL.Path, StateUsersPath)
 	raw := strings.TrimPrefix(r.URL.Path, StateContextsPath)
 	switch {
@@ -77,19 +72,16 @@ func ServeState(w http.ResponseWriter, r *http.Request, in *inspect.Inspector) b
 		writeJSON(w, http.StatusBadRequest, errorResponse{"user ID required: GET " + StateUsersPath + "{user}"})
 	case byUser:
 		writeJSON(w, http.StatusOK, in.UserState(rbac.UserID(user)))
-		return true
 	case raw == "":
 		writeJSON(w, http.StatusBadRequest, errorResponse{"context pattern required: GET " + StateContextsPath + "{bc}"})
 	default:
 		pattern, err := bctx.Parse(raw)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context: %v", err)})
-			return false
+			return
 		}
 		writeJSON(w, http.StatusOK, in.ContextState(pattern))
-		return true
 	}
-	return false
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -19,14 +19,12 @@ import (
 //
 //	gate → read → claim → decide → publish → respond
 //
-// over one per-request value, in serveDecision. The read stage and the
-// decision's wire form are exported: the replica's advice endpoint runs
-// them too. DESIGN.md § "The shard's decision pipeline" has the why of
-// the order.
+// over one per-request value, in serveDecision. DESIGN.md § "The
+// shard's decision pipeline" has the why of the order.
 
-// DecisionCall is what the read stage makes of one POST to the decision
-// or advice path.
-type DecisionCall struct {
+// decisionCall is the pipeline's per-request value: each stage reads
+// what the stages before it left and fills in its own part.
+type decisionCall struct {
 	// Wire is the request as decoded.
 	Wire DecisionRequest
 	// Request is Wire as the PDP takes it: context parsed, roles typed.
@@ -35,15 +33,29 @@ type DecisionCall struct {
 	// PEP's own), or one minted here: every request is traced, so the
 	// response, the slow-log line and the audit-trail record share a
 	// correlation key.
-	TraceID obsv.TraceID
+	TraceID  obsv.TraceID
+	advisory bool
+
+	trace *obsv.Trace
+	// xrec is the explain entry the engine fills; nil on advisories
+	// and with explain off.
+	xrec *explain.Entry
+	// The outcome: either err with the status it is answered with, or
+	// resp.
+	err    error
+	status int
+	resp   DecisionResponse
+	// d is the one description of the decision (describe) that the
+	// explain ring, the trace store and the decision log render.
+	d explain.Decision
 }
 
-// ReadDecisionCall is the read stage: the bounded body (ReadBody), the
+// readDecisionCall is the read stage: the bounded body (ReadBody), the
 // wire decode with its trailing-bytes check (DecodeDecisionRequest),
 // the context parse, the role conversion and the trace ID. A failure
 // comes with the status and the message to answer: 413 past the body
 // cap, 400 for anything else wrong with what the caller sent.
-func ReadDecisionCall(w http.ResponseWriter, r *http.Request, c *DecisionCall) (int, error) {
+func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (int, error) {
 	body, status, err := ReadBody(w, r, 0)
 	if err == nil {
 		status, err = http.StatusBadRequest, DecodeDecisionRequest(body, &c.Wire)
@@ -71,11 +83,11 @@ func ReadDecisionCall(w http.ResponseWriter, r *http.Request, c *DecisionCall) (
 	return 0, nil
 }
 
-// Response is the wire form of the PDP's decision on this call. The
+// response is the wire form of the PDP's decision on this call. The
 // RequestID is the caller's to set: only an explained decision has one.
 // A subject from the body answers the roles decoded from it, which are
 // the ones the PDP decided on; one from credentials answers the CVS's.
-func (c *DecisionCall) Response(dec pdp.Decision) DecisionResponse {
+func (c *decisionCall) response(dec pdp.Decision) DecisionResponse {
 	resp := DecisionResponse{
 		Allowed: dec.Allowed,
 		Phase:   string(dec.Phase),
@@ -110,26 +122,6 @@ func boundNames(bounds []bctx.Name) []string {
 	return out
 }
 
-// decisionCall is the pipeline's per-request value: each stage reads
-// what the stages before it left and fills in its own part.
-type decisionCall struct {
-	DecisionCall
-	advisory bool
-
-	trace *obsv.Trace
-	// xrec is the explain entry the engine fills; nil on advisories
-	// and with explain off.
-	xrec *explain.Entry
-	// The outcome: either err with the status it is answered with, or
-	// resp.
-	err    error
-	status int
-	resp   DecisionResponse
-	// d is the one description of the decision (describe) that the
-	// explain ring, the trace store and the decision log render.
-	d explain.Decision
-}
-
 func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide func(context.Context, pdp.Request) (pdp.Decision, error), advisory bool) {
 	if r.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
@@ -151,7 +143,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	defer s.release()
 	// read. What is wrong with the caller's bytes is counted, not scored.
 	c := decisionCall{advisory: advisory}
-	if status, err := ReadDecisionCall(w, r, &c.DecisionCall); err != nil {
+	if status, err := readDecisionCall(w, r, &c); err != nil {
 		s.metrics.requestErrors.Add(1)
 		writeJSON(w, status, errorResponse{err.Error()})
 		return
@@ -209,7 +201,7 @@ func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(con
 	if c.err = err; err != nil {
 		c.status = s.failureStatus(err, http.StatusInternalServerError)
 	} else {
-		c.status, c.resp = http.StatusOK, c.Response(dec)
+		c.status, c.resp = http.StatusOK, c.response(dec)
 	}
 	c.describe(start, elapsed)
 	if c.xrec != nil && err == nil {

@@ -176,7 +176,8 @@ func (st *Store) Sample(traceID string, refused, errored bool, elapsed time.Dura
 }
 
 // hashID is FNV-1a over the trace ID: stable across processes and
-// restarts, so replicas of the same decision stream sample alike.
+// restarts, so every shard a trace ID reaches, before and after a
+// restart, samples it alike.
 func hashID(id string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(id))

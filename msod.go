@@ -49,7 +49,6 @@ import (
 	// policy.Lint, so LintPolicy also returns its semantic findings.
 	_ "msod/internal/policycheck"
 	"msod/internal/rbac"
-	"msod/internal/replica"
 	"msod/internal/server"
 	"msod/internal/workflow"
 )
@@ -280,45 +279,6 @@ type (
 	// and after, and the constraint that governed the outcome.
 	ExplainRecord = explain.Record
 )
-
-// Advisory read-replica types: event-fed retained-ADI mirrors serving
-// the advisory and state surfaces under a bounded-staleness contract.
-// Authoritative decisions stay single-writer on the owning shard; a
-// replica that cannot prove freshness refuses rather than answering
-// stale. See docs/OPERATIONS.md for the deployment runbook.
-type (
-	// ReplicaConfig assembles a ReplicaFollower.
-	ReplicaConfig = replica.Config
-	// ReplicaFollower keeps a local retained-ADI mirror converged with
-	// its owning shard (snapshot bootstrap, then resumable event
-	// tailing) and answers advisory decisions from it.
-	ReplicaFollower = replica.Follower
-	// ReplicaServer is the replica's HTTP surface: the shard's advisory
-	// and state paths with staleness stamps, plus explicit refusals for
-	// everything authoritative.
-	ReplicaServer = replica.Server
-	// AdvisoryMirror embeds a replica follower in a PEP process so
-	// Enforcer.Preflight answers from local memory.
-	AdvisoryMirror = pep.AdvisoryMirror
-	// AdvisoryMirrorConfig assembles an AdvisoryMirror.
-	AdvisoryMirrorConfig = pep.AdvisoryMirrorConfig
-)
-
-// ReplicaSeqHeader carries the owner sequence a replica answer reflects.
-const ReplicaSeqHeader = replica.ReplicaSeqHeader
-
-// NewReplicaFollower builds (but does not start) a replica follower;
-// call Run to bootstrap and tail the owner.
-func NewReplicaFollower(cfg ReplicaConfig) (*ReplicaFollower, error) { return replica.New(cfg) }
-
-// NewReplicaServer wraps a follower in the replica HTTP surface.
-func NewReplicaServer(f *ReplicaFollower) *ReplicaServer { return replica.NewServer(f) }
-
-// NewAdvisoryMirror builds an embedded advisory mirror and starts its
-// follower; attach it with Enforcer.WithAdvisory and call Preflight.
-func NewAdvisoryMirror(cfg AdvisoryMirrorConfig) (*AdvisoryMirror, error) {
-	return pep.NewAdvisoryMirror(cfg)
-}
 
 // PEP types (the application-side enforcement function of Figure 3).
 type (

@@ -29,13 +29,13 @@ var bodyReaders = map[string]string{
 }
 
 // TestRequestBodiesAreReadInOnePlace fails when non-test code of the
-// shard, the replica or the gateway reads the Body of an *http.Request
-// outside bodyReaders: a handler with its own json.NewDecoder(r.Body)
-// has no size cap and ignores trailing bytes, and it is how the
-// replica's advice endpoint missed both fixes the shard's got.
+// shard or the gateway reads the Body of an *http.Request outside
+// bodyReaders: a handler with its own json.NewDecoder(r.Body) has no
+// size cap and ignores trailing bytes, and it is how a second advice
+// endpoint once missed both fixes the shard's got.
 func TestRequestBodiesAreReadInOnePlace(t *testing.T) {
 	found := map[string]bool{}
-	for _, dir := range []string{"internal/server", "internal/replica", "internal/cluster"} {
+	for _, dir := range []string{"internal/server", "internal/cluster"} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 			return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -127,10 +127,9 @@ func isHTTPRequestPtr(e ast.Expr) bool {
 // other change is an adi.Op through pdp.PDP.Apply, which takes the
 // commit lock and then the engine lock, and publishes the op.
 var storeMutators = map[string]string{
-	"internal/adi":                  "the stores themselves, and adi.Apply, which maps an op onto one",
-	"internal/core.Engine.decide":   "the grant commit: §4.2 steps 5.iv and 7, under the engine lock",
-	"internal/core.Engine.Apply":    "the engine's one out-of-band apply, under the engine lock",
-	"internal/replica.Mirror.Reset": "reloads the mirror's private store from a snapshot while the follower serves nothing",
+	"internal/adi":                "the stores themselves, and adi.Apply, which maps an op onto one",
+	"internal/core.Engine.decide": "the grant commit: §4.2 steps 5.iv and 7, under the engine lock",
+	"internal/core.Engine.Apply":  "the engine's one out-of-band apply, under the engine lock",
 }
 
 // TestStoreMutatedOnlyThroughOneEntry fails when non-test code outside
