@@ -56,7 +56,7 @@ func parseFlags(args []string) (node.Config, error) {
 	fs.StringVar(&c.Trail, "trail", "", "audit trail directory (empty disables the trail)")
 	fs.StringVar(&c.TrailKeyFile, "trail-key-file", "", "file holding the trail HMAC key")
 	fs.StringVar(&c.Recover, "recover", "none", "retained-ADI recovery: none | trail")
-	fs.IntVar(&c.TrailSegment, "trail-segment", 4096, "audit trail entries per segment")
+	fs.IntVar(&c.TrailSegment, "trail-segment", node.DefaultTrailSegment, "audit trail entries per segment, fsynced when sealed: what a power loss can drop")
 	fs.StringVar(&c.ADI, "adi", "", "durable retained-ADI directory, synced on every write (self-recovering; overrides -recover)")
 	fs.StringVar(&c.ADISecretFile, "adi-secret-file", "", "file holding the durable ADI secret")
 	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "shed decision/management requests beyond this many in flight (0 = unbounded)")

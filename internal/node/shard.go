@@ -22,6 +22,9 @@ import (
 	"msod/internal/trace"
 )
 
+// DefaultTrailSegment is -trail-segment's default.
+const DefaultTrailSegment = audit.DefaultSegmentSize
+
 // Config is msodd's configuration: one field per flag, named in its
 // comment, plus the filesystem seam. The zero value of a field is the
 // flag's default unless its comment says otherwise.

@@ -143,11 +143,17 @@ func (id TraceID) Traceparent() string {
 // one string; the trace ID is its substring [3:35], which
 // ParseTraceparent returns without copying.
 func NewTraceparent() string {
-	raw := newTraceBytes()
 	b := make([]byte, 0, 64)
 	b = append(b, "00-"...)
-	b = hex.AppendEncode(b, raw[:])
-	return string(appendParentSpan(b))
+	return string(appendParentSpan(AppendTraceID(b)))
+}
+
+// AppendTraceID appends the 32 characters of a freshly minted trace ID
+// (as NewTraceID) to b, for a caller that wants it inside a string of
+// its own making.
+func AppendTraceID(b []byte) []byte {
+	raw := newTraceBytes()
+	return hex.AppendEncode(b, raw[:])
 }
 
 // appendParentSpan ends a traceparent value after its trace ID: a fresh

@@ -71,19 +71,22 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 // requests, so the measured requests run in the steady state of a
 // long-lived shard: every explain and trace record is a recycled one.
 //
-// What every case pays, for a body naming a user and one role (13):
+// What every case pays, for a body naming a user and one role (8):
 //
-//	decode 7    the body, read into one slice of its Content-Length (1);
-//	            the five strings (5) and the Roles slice (1) that
-//	            DecodeDecisionRequest fills. It was 13 while encoding/json
-//	            decoded the whole body: gone are the DecisionRequest moved
-//	            to the heap for Unmarshal (1), the decodeState (1), its
-//	            parse stack at depth 1 and 2 (2), its error context and
-//	            field stack (2)
-//	request 5   the parsed context name (1), Roles as []rbac.RoleName (1),
-//	            the trace ID minted for a request without a traceparent —
-//	            its string; its random bytes stay on the stack (1) — the
-//	            Trace with its spans inline (1), the context carrying it (1)
+//	decode 3    the body, read into one slice of its Content-Length (1);
+//	            the one string DecodeDecisionRequest copies the text of
+//	            the user, operation, target, context and role into, each
+//	            a substring of it, ending with the trace ID minted for a
+//	            request without a traceparent (1); the Roles slice (1).
+//	            It was 7 while the five strings were each their own (4)
+//	            and the minted trace ID was one more, under request (1);
+//	            13 while encoding/json decoded the whole body: gone are the
+//	            DecisionRequest moved to the heap for Unmarshal (1), the
+//	            decodeState (1), its parse stack at depth 1 and 2 (2), its
+//	            error context and field stack (2)
+//	request 4   the parsed context name (1), Roles as []rbac.RoleName (1),
+//	            the Trace with its spans inline (1), the context carrying
+//	            it (1)
 //	respond 1   the response on the heap for the encoder (1), which
 //	            under a requestID is also what the idempotency cache
 //	            keeps. Its Roles are the decoded ones, and the PDP's
@@ -120,71 +123,153 @@ func TestServeDecisionAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const (
-		allocRuns = 200
-		ringSize  = 32
-		warm      = 2 * ringSize
-	)
-	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
-	if err != nil {
-		t.Fatal(err)
+	const allocRuns = 200
+	cases, soa := serveCases(t)
+	for _, tc := range cases {
+		for _, kind := range []string{"default", "bare", "all-on"} {
+			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				f := newServeFixture(t, tc, kind, soa)
+				reqs := make([]*http.Request, 0, serveWarm+allocRuns+1)
+				for len(reqs) < cap(reqs) {
+					reqs = append(reqs, f.request(t))
+				}
+				i := 0
+				one := func() {
+					f.serve(reqs[i])
+					i++
+				}
+				for i < serveWarm {
+					one()
+				}
+				got := testing.AllocsPerRun(allocRuns, one)
+				resp := f.check(t)
+				switch applied := f.srv.metrics.closesApplied.Load(); {
+				case tc.carry == nil:
+				case isOpen(tc.carry(0)):
+					if len(f.w.header[ActivationAckHeader]) == 0 || applied != 0 {
+						t.Fatalf("the activation was not acknowledged, or %d closes applied", applied)
+					}
+				case applied != int64(i):
+					t.Fatalf("%d closes applied over %d requests carrying one each", applied, i)
+				}
+				if kind == "all-on" {
+					if _, kept := f.srv.Traces().Get(resp.TraceID); !kept {
+						t.Fatalf("the last decision's trace was not kept with SampleEvery 1")
+					}
+				}
+				if got != tc.budget[kind] {
+					t.Fatalf("%v allocs, budget %v", got, tc.budget[kind])
+				}
+			})
+		}
 	}
+}
+
+// BenchmarkServeDecision serves each of TestServeDecisionAllocs' rows
+// on a server with msodd's default telemetry, so -benchmem reports the
+// bytes of a served decision beside the allocations the test pins. The
+// requests are built, and their prepares served, in batches outside the
+// timer.
+func BenchmarkServeDecision(b *testing.B) {
+	cases, soa := serveCases(b)
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			f := newServeFixture(b, tc, "default", soa)
+			buf := make([]*http.Request, 256)
+			var reqs []*http.Request
+			batch := func() {
+				for j := range buf {
+					buf[j] = f.request(b)
+				}
+				reqs = buf
+			}
+			batch()
+			for _, r := range reqs[:serveWarm] {
+				f.serve(r)
+			}
+			reqs = reqs[serveWarm:]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				if len(reqs) == 0 {
+					b.StopTimer()
+					batch()
+					b.StartTimer()
+				}
+				f.serve(reqs[0])
+				reqs = reqs[1:]
+			}
+			b.StopTimer()
+			f.check(b)
+		})
+	}
+}
+
+// serveCase is one row of TestServeDecisionAllocs.
+type serveCase struct {
+	name    string
+	prepare func(i int) *DecisionRequest // served first, to bring instance i into the starting state
+	request func(i int) DecisionRequest
+	// handoff serves the case on a shard run with -handoff, as every
+	// shard behind a gateway is; carry, when set, is the CloseHeader
+	// the gateway's request i arrives with.
+	handoff bool
+	carry   func(i int) string
+	// routed sends the request as a gateway does: under a requestID
+	// (request i's own) and a traceparent.
+	routed  bool
+	allowed bool
+	phase   string
+	budget  map[string]float64
+}
+
+// The rings are sized below the number of warm-up requests, so the
+// measured requests run in the steady state of a long-lived shard.
+const (
+	serveRing = 32
+	serveWarm = 2 * serveRing
+)
+
+// serveCases returns TestServeDecisionAllocs' rows, and the SOA that
+// signed the credential row's credential.
+func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 	soa, err := credential.NewAuthority("bank.example")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	now := time.Now()
 	cred, err := soa.IssueRole("alice", "Teller", now.Add(-time.Hour), now.Add(time.Hour))
 	if err != nil {
-		t.Fatal(err)
-	}
-	body := func(req DecisionRequest) []byte {
-		b, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		tb.Fatal(err)
 	}
 	ctx := func(i int) string { return fmt.Sprintf("Branch=York, Period=p%d", i) }
 	teller := func(user string, i int) DecisionRequest {
 		return DecisionRequest{User: user, Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 	}
-
-	for _, tc := range []struct {
-		name    string
-		prepare func(i int) *DecisionRequest // served first, to bring instance i into the starting state
-		request func(i int) DecisionRequest
-		// handoff serves the case on a shard run with -handoff, as every
-		// shard behind a gateway is; carry, when set, is the CloseHeader
-		// the gateway's request i arrives with.
-		handoff bool
-		carry   func(i int) string
-		// routed sends the request as a gateway does: under a requestID
-		// (request i's own) and a traceparent.
-		routed  bool
-		allowed bool
-		phase   string
-		budget  map[string]float64
-	}{
+	return []serveCase{
 		{
-			// 13 + the engine's decision moved to the heap as
+			// 8 + the engine's decision moved to the heap as
 			// Decision.MSoD (1), and the engine's one: the bound name
-			// (1). It was 20 / 17 while the engine built a record slice
-			// for the store (1) and the store copied the record's one
-			// role (1); the records go through the engine's commit
-			// buffer, and the store shares one slice per role name.
+			// (1). It was 18 / 15 while the request's five strings and
+			// the minted trace ID were six, 20 / 17 while the engine
+			// built a record slice for the store (1) and the store
+			// copied the record's one role (1); the records go through
+			// the engine's commit buffer, and the store shares one slice
+			// per role name.
 			// Default: + explain 1 + event 2.
 			name:    "MMER grant",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 18, "bare": 15, "all-on": 18},
+			budget: map[string]float64{"default": 13, "bare": 10, "all-on": 13},
 		},
 		{
 			// The same under a requestID and a traceparent, as every
-			// decision a gateway routes arrives: + the requestID string
-			// (1), - the trace ID minted (1): the traceparent's is a
-			// substring of the header. Claiming the requestID costs
+			// decision a gateway routes arrives: the requestID's text
+			// joins the one string in place of the trace ID, which is
+			// not minted: the traceparent's is a substring of the header.
+			// It was 18 / 15 while the five strings and the requestID
+			// were each their own. Claiming the requestID costs
 			// nothing: the cache keeps the one response the encoder is
 			// handed, and its map and eviction ring are at their steady
 			// size. It was 26 while the claim was an entry and a channel
@@ -195,7 +280,7 @@ func TestServeDecisionAllocs(t *testing.T) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			routed:  true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 18, "bare": 15, "all-on": 18},
+			budget: map[string]float64{"default": 13, "bare": 10, "all-on": 13},
 		},
 		{
 			// The same on a shard behind a gateway, the request carrying
@@ -205,12 +290,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			handoff: true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 18, "bare": 15, "all-on": 18},
+			budget: map[string]float64{"default": 13, "bare": 10, "all-on": 13},
 		},
 		{
 			// The same, the request carrying one close — of another
 			// period, which holds nothing on this shard. On top of the
-			// grant's 18 / 15: the closed instance's name parsed (1), the
+			// grant's 13 / 10: the closed instance's name parsed (1), the
 			// event's reason (1), and the last step's requestID cloned
 			// out of the header for the applied ring (1); default adds
 			// the instance's text in the purge event (1).
@@ -223,12 +308,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 22, "bare": 18, "all-on": 22},
+			budget: map[string]float64{"default": 17, "bare": 13, "all-on": 17},
 		},
 		{
 			// The same, the request carrying one activation — of another
 			// period, not running on this shard. On top of the grant's
-			// 18 / 15: the instance's name parsed (1), the encoded
+			// 13 / 10: the instance's name parsed (1), the encoded
 			// activation adi.OpActivate hands Append (1), the
 			// instance-table entry and its slot in a component list (2),
 			// and the first step's requestID cloned out of the header for
@@ -245,13 +330,14 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 24, "bare": 20, "all-on": 24},
+			budget: map[string]float64{"default": 19, "bare": 15, "all-on": 19},
 		},
 		{
-			// 13 + Decision.MSoD (1), the bound name (1), the Denial (1)
+			// 8 + Decision.MSoD (1), the bound name (1), the Denial (1)
 			// and its one text (1): Denial.Error, which the answer and
 			// the trail carry as the reason, with Denial.Reason its
-			// tail. It was 25 / 22 while the roles were copied and
+			// tail. It was 20 / 17 while the request's strings and the
+			// trace ID were apart, 25 / 22 while the roles were copied and
 			// converted back (2) and Denial.Error rendered the policy
 			// context's text, the bound context's and the sentence
 			// again (3). Default: + explain 1 + event 2.
@@ -261,11 +347,12 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "msod",
-			budget: map[string]float64{"default": 20, "bare": 17, "all-on": 20},
+			budget: map[string]float64{"default": 15, "bare": 12, "all-on": 15},
 		},
 		{
-			// 13 + the reason, one concatenation (1). It was 21 / 18
-			// while the roles were copied and converted back (2) and
+			// 8 + the reason, one concatenation (1). It was 17 / 14
+			// while the request's strings and the trace ID were apart,
+			// 21 / 18 while the roles were copied and converted back (2) and
 			// the reason was Sprintf's: the permission boxed (1), its
 			// text (1), the sentence (1). The engine never runs, so
 			// default adds the explain context value (1) + event 2.
@@ -274,157 +361,161 @@ func TestServeDecisionAllocs(t *testing.T) {
 				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "rbac",
-			budget: map[string]float64{"default": 17, "bare": 14, "all-on": 17},
+			budget: map[string]float64{"default": 12, "bare": 9, "all-on": 12},
 		},
 		{
 			// No user or roles in the body but one signed credential, so
-			// decode is 11 — the body (1), three strings (3), and the
-			// credentials array read by hand (7: the slice, the
-			// credential's holder and issuer (2), its attribute slice
-			// and that attribute's type and value (3), the signature
-			// (1)). It was 19 while encoding/json decoded the array (15:
-			// the slice header it decodes through, its decodeState, a
-			// parse stack three deep under the array, its error context
-			// beside the same 7), 21 with the DecisionRequest on the
-			// heap and the stack one level deeper. Then request 4 (no
-			// Roles to convert) and respond 2, the answer converting the
-			// CVS's roles to []string (1) beside the response (1): 17.
-			// The CVS adds 1, the validated roles: the signed payload is
-			// built on the stack and verified there, and no rejection
-			// map is made for a credential that passes. It added 6 while
-			// json.Marshal re-marshalled the payload for the Ed25519
-			// check (credential boxed, two time texts, the result: 4)
-			// and every call made the map (1). Then Decision.MSoD (1)
-			// and the engine's one, the bound name. It was 36 / 33
-			// through encoding/json and json.Marshal, 38 / 35 with the
-			// engine's record slice and the store's Roles copy (2).
-			// Default: + explain 1 + event 2.
+			// decode is 5 — the body (1), the one string (1), now holding
+			// the text of three members, the credential's holder and
+			// issuer and its attribute's type and value beside the
+			// minted trace ID, and the credentials array read by hand
+			// (3: the slice, its attribute slice, the signature). It was
+			// 11 while the seven strings were each their own (6), 19
+			// while encoding/json decoded the array (the slice header it
+			// decodes through, its decodeState, a parse stack three deep
+			// under the array, its error context), 21 with the
+			// DecisionRequest on the heap and the stack one level
+			// deeper. Then request 3 (no Roles to convert) and respond
+			// 2, the answer converting the CVS's roles to []string (1)
+			// beside the response (1): 10. The CVS adds 1, the validated
+			// roles: the signed payload is built on the stack and
+			// verified there, and no rejection map is made for a
+			// credential that passes. It added 6 while json.Marshal
+			// re-marshalled the payload for the Ed25519 check
+			// (credential boxed, two time texts, the result: 4) and
+			// every call made the map (1). Then Decision.MSoD (1) and
+			// the engine's one, the bound name. It was 23 / 20 with the
+			// request's strings and the trace ID apart, 36 / 33 through
+			// encoding/json and json.Marshal, 38 / 35 with the engine's
+			// record slice and the store's Roles copy (2). Default: +
+			// explain 1 + event 2.
 			name:    "credential-bearing grant",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest {
 				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 23, "bare": 20, "all-on": 23},
+			budget: map[string]float64{"default": 16, "bare": 13, "all-on": 16},
 		},
-	} {
-		for _, kind := range []string{"default", "bare", "all-on"} {
-			t.Run(tc.name+"/"+kind, func(t *testing.T) {
-				cfg := pdp.Config{Policy: pol}
-				opts := []Option{WithExplainCapacity(-1)}
-				if kind != "bare" {
-					broker := inspect.NewBroker(ringSize)
-					cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
-					traces := trace.Config{Capacity: ringSize}
-					if kind == "all-on" {
-						traces.SampleEvery = 1
-						sub := broker.Subscribe(inspect.Filter{}, 0)
-						drained := make(chan int)
-						go func() {
-							n := 0
-							for range sub.Events() {
-								n++
-							}
-							drained <- n
-						}()
-						t.Cleanup(func() {
-							broker.Unsubscribe(sub)
-							if n := <-drained; n == 0 {
-								t.Error("the subscriber received no event")
-							}
-						})
-					}
-					opts = []Option{
-						WithEventBroker(broker),
-						WithExplainCapacity(ringSize),
-						WithTraceStore(trace.NewStore(traces)),
-					}
+	}, soa
+}
+
+// serveFixture is one row served by one kind of TestServeDecisionAllocs'
+// servers over a memory ADI, its responses written into memory.
+type serveFixture struct {
+	tc  serveCase
+	srv *Server
+	w   *memoryWriter
+	i   int // requests built
+}
+
+func newServeFixture(tb testing.TB, tc serveCase, kind string, soa *credential.Authority) *serveFixture {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := pdp.Config{Policy: pol}
+	opts := []Option{WithExplainCapacity(-1)}
+	if kind != "bare" {
+		broker := inspect.NewBroker(serveRing)
+		cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
+		traces := trace.Config{Capacity: serveRing}
+		if kind == "all-on" {
+			traces.SampleEvery = 1
+			sub := broker.Subscribe(inspect.Filter{}, 0)
+			drained := make(chan int)
+			go func() {
+				n := 0
+				for range sub.Events() {
+					n++
 				}
-				if tc.handoff {
-					opts = append(opts, WithHandoff())
-				}
-				p, err := pdp.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := p.TrustAuthority(soa); err != nil {
-					t.Fatal(err)
-				}
-				srv := New(p, opts...)
-				w := &memoryWriter{header: http.Header{}}
-				serve := func(req DecisionRequest) DecisionResponse {
-					r, err := http.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body(req)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					w.body.Reset()
-					srv.ServeHTTP(w, r)
-					var resp DecisionResponse
-					if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil || w.status != http.StatusOK {
-						t.Fatalf("status %d, %v: %s", w.status, err, w.body.Bytes())
-					}
-					return resp
-				}
-				reqs := make([]*http.Request, 0, warm+allocRuns+1)
-				for i := 0; i < cap(reqs); i++ {
-					if tc.prepare != nil {
-						if resp := serve(*tc.prepare(i)); !resp.Allowed {
-							t.Fatalf("prepare %d: %+v", i, resp)
-						}
-					}
-					req := tc.request(i)
-					if tc.routed {
-						req.RequestID = fmt.Sprintf("%032x", i)
-					}
-					r, err := http.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body(req)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if tc.routed {
-						r.Header.Set(obsv.TraceparentHeader, obsv.NewTraceparent())
-					}
-					if tc.carry != nil {
-						r.Header[CloseHeader] = []string{tc.carry(i)}
-					}
-					reqs = append(reqs, r)
-				}
-				i := 0
-				one := func() {
-					w.body.Reset()
-					srv.ServeHTTP(w, reqs[i])
-					i++
-				}
-				for i < warm {
-					one()
-				}
-				got := testing.AllocsPerRun(allocRuns, one)
-				var resp DecisionResponse
-				if err := json.Unmarshal(w.body.Bytes(), &resp); err != nil {
-					t.Fatalf("%v: %s", err, w.body.Bytes())
-				}
-				if w.status != http.StatusOK || resp.Allowed != tc.allowed || resp.Phase != tc.phase {
-					t.Fatalf("status %d, answer %+v; want allowed=%v phase=%s", w.status, resp, tc.allowed, tc.phase)
-				}
-				switch applied := srv.metrics.closesApplied.Load(); {
-				case tc.carry == nil:
-				case isOpen(tc.carry(0)):
-					if len(w.header[ActivationAckHeader]) == 0 || applied != 0 {
-						t.Fatalf("the activation was not acknowledged, or %d closes applied", applied)
-					}
-				case applied != int64(i):
-					t.Fatalf("%d closes applied over %d requests carrying one each", applied, i)
-				}
-				if kind == "all-on" {
-					if _, kept := srv.Traces().Get(resp.TraceID); !kept {
-						t.Fatalf("the last decision's trace was not kept with SampleEvery 1")
-					}
-				}
-				if got != tc.budget[kind] {
-					t.Fatalf("%v allocs, budget %v", got, tc.budget[kind])
+				drained <- n
+			}()
+			tb.Cleanup(func() {
+				broker.Unsubscribe(sub)
+				if n := <-drained; n == 0 {
+					tb.Error("the subscriber received no event")
 				}
 			})
 		}
+		opts = []Option{
+			WithEventBroker(broker),
+			WithExplainCapacity(serveRing),
+			WithTraceStore(trace.NewStore(traces)),
+		}
 	}
+	if tc.handoff {
+		opts = append(opts, WithHandoff())
+	}
+	p, err := pdp.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.TrustAuthority(soa); err != nil {
+		tb.Fatal(err)
+	}
+	return &serveFixture{tc: tc, srv: New(p, opts...), w: &memoryWriter{header: http.Header{}}}
+}
+
+// request serves the next request's prepare, if the row has one, and
+// returns the request built as the row sends it.
+func (f *serveFixture) request(tb testing.TB) *http.Request {
+	i := f.i
+	f.i++
+	if f.tc.prepare != nil {
+		f.serve(f.post(tb, *f.tc.prepare(i)))
+		if resp := f.answer(tb); !resp.Allowed {
+			tb.Fatalf("prepare %d: %+v", i, resp)
+		}
+	}
+	req := f.tc.request(i)
+	if f.tc.routed {
+		req.RequestID = fmt.Sprintf("%032x", i)
+	}
+	r := f.post(tb, req)
+	if f.tc.routed {
+		r.Header.Set(obsv.TraceparentHeader, obsv.NewTraceparent())
+	}
+	if f.tc.carry != nil {
+		r.Header[CloseHeader] = []string{f.tc.carry(i)}
+	}
+	return r
+}
+
+func (f *serveFixture) post(tb testing.TB, req DecisionRequest) *http.Request {
+	b, err := json.Marshal(req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := http.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(b))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
+// serve serves r into the reused writer.
+func (f *serveFixture) serve(r *http.Request) {
+	f.w.body.Reset()
+	f.srv.ServeHTTP(f.w, r)
+}
+
+// answer decodes the last response, which must be a 200.
+func (f *serveFixture) answer(tb testing.TB) DecisionResponse {
+	var resp DecisionResponse
+	if err := json.Unmarshal(f.w.body.Bytes(), &resp); err != nil || f.w.status != http.StatusOK {
+		tb.Fatalf("status %d, %v: %s", f.w.status, err, f.w.body.Bytes())
+	}
+	return resp
+}
+
+// check holds the last response to the row's outcome.
+func (f *serveFixture) check(tb testing.TB) DecisionResponse {
+	resp := f.answer(tb)
+	if resp.Allowed != f.tc.allowed || resp.Phase != f.tc.phase {
+		tb.Fatalf("answer %+v; want allowed=%v phase=%s", resp, f.tc.allowed, f.tc.phase)
+	}
+	return resp
 }
 
 // TestServeActivationAllocs is the budget of one POST /v1/ctx/activation

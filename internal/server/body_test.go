@@ -78,8 +78,9 @@ func TestChunkedBodyDecodes(t *testing.T) {
 // TestTrailingBytesRejected pins the one visible change of decoding a
 // whole body instead of streaming its first value: anything but white
 // space after the JSON value is a 400 (it used to be ignored), on every
-// handler that reads a body. Only direct-to-shard callers can see it —
-// the gateway re-encodes what it forwards.
+// handler that reads a body. Only direct-to-shard callers can see it:
+// the gateway forwards the PEP's bytes, but its own peek refuses
+// trailing bytes first (TestGatewayTrailingBytesRejected).
 func TestTrailingBytesRejected(t *testing.T) {
 	ts, p := startServer(t)
 	for _, path := range []string{DecisionPath, AdvicePath, ManagementPath, ActivationPath} {

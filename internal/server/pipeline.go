@@ -50,15 +50,19 @@ type decisionCall struct {
 	d explain.Decision
 }
 
-// readDecisionCall is the read stage: the bounded body (ReadBody), the
-// wire decode with its trailing-bytes check (DecodeDecisionRequest),
-// the context parse, the role conversion and the trace ID. A failure
-// comes with the status and the message to answer: 413 past the body
-// cap, 400 for anything else wrong with what the caller sent.
+// readDecisionCall is the read stage: the trace ID, the bounded body
+// (ReadBody), the wire decode with its trailing-bytes check
+// (DecodeDecisionRequest; a trace ID minted for a request without a
+// traceparent ends the string its text is decoded into), the context
+// parse and the role conversion. A failure comes with the status and
+// the message to answer: 413 past the body cap, 400 for anything else
+// wrong with what the caller sent.
 func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (int, error) {
+	traceID, traced := obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader))
 	body, status, err := ReadBody(w, r, 0)
 	if err == nil {
-		status, err = http.StatusBadRequest, DecodeDecisionRequest(body, &c.Wire)
+		status = http.StatusBadRequest
+		c.TraceID, err = decodeRequest(body, &c.Wire, !traced)
 	}
 	if err != nil {
 		return status, fmt.Errorf("decode: %v", err)
@@ -76,9 +80,8 @@ func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (
 		Context:     ctx,
 		Environment: c.Wire.Environment,
 	}
-	var ok bool
-	if c.TraceID, ok = obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader)); !ok {
-		c.TraceID = obsv.NewTraceID()
+	if traced {
+		c.TraceID = traceID
 	}
 	return 0, nil
 }

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"msod/internal/credential"
+	"msod/internal/obsv"
 )
 
 // This file is the one reader of decision requests and answers as
@@ -258,25 +260,33 @@ func (mem member) str(into *string) error {
 // encoding/json's to interpret (it reuses the slice it is given, and
 // elements past the new length can come back).
 func (mem member) strs(into *[]string) error {
-	if *into != nil || mem.value[0] != '[' {
-		return delegate(mem.value, into)
-	}
-	d := mem.value
-	out := make([]string, 0, bytes.Count(d, []byte{','})+1)
-	for i := 1; ; {
-		if i = skipSpace(d, i); d[i] != '"' {
-			return delegate(d, into)
-		}
-		end, plain := scanString(d, i)
-		if !plain {
-			return delegate(d, into)
-		}
-		out = append(out, string(d[i+1:end-1]))
-		if i = skipSpace(d, end); d[i] == ']' {
+	if *into == nil && mem.value[0] == '[' {
+		out := make([]string, 0, bytes.Count(mem.value, []byte{','})+1)
+		if plainStrings(mem.value, func(text []byte) { out = append(out, string(text)) }) {
 			*into = out
 			return nil
 		}
-		i++ // the comma: d is known to be well formed
+	}
+	return delegate(mem.value, into)
+}
+
+// plainStrings calls take with the text of each element of the array
+// d, known to be well formed, while they are plain strings, and reports
+// whether all of them were (an empty array's none is not).
+func plainStrings(d []byte, take func(text []byte)) bool {
+	for i := 1; ; {
+		if i = skipSpace(d, i); d[i] != '"' {
+			return false
+		}
+		end, plain := scanString(d, i)
+		if !plain {
+			return false
+		}
+		take(d[i+1 : end-1])
+		if i = skipSpace(d, end); d[i] == ']' {
+			return true
+		}
+		i++ // the comma
 	}
 }
 
@@ -344,17 +354,17 @@ func eachObject(d []byte, names []string, vals [][]byte, take func() bool) bool 
 	}
 }
 
-// credentials stores a credentials member. Like strs, it takes the
-// array itself only when nothing is stored yet and it is of the plain
-// shape: objects whose members each name a field once, holder and
-// issuer plain strings, attributes a non-empty array of such objects
+// takeCredentials stores a credentials member. Like strs, it takes the
+// array itself, its strings left to gather, only when nothing is stored
+// yet and it is of the plain shape: objects whose members each name a
+// field once, holder and issuer plain strings, attributes a non-empty array of such objects
 // of plain strings, validity bounds plain strings that
 // (*time.Time).UnmarshalJSON — what encoding/json calls — takes, and a
 // plain base64 signature, decoded into a buffer sized as encoding/json
 // sizes it. Every other shape — escapes, a null, a repeated member, a
 // second array — is encoding/json's.
-func (mem member) credentials(into *[]credential.Credential) error {
-	if *into == nil {
+func (t *texts) takeCredentials(mem member, req *DecisionRequest) error {
+	if req.Credentials == nil {
 		var out []credential.Credential
 		var v [len(credentialFields)][]byte
 		if eachObject(mem.value, credentialFields[:], v[:], func() bool {
@@ -362,19 +372,22 @@ func (mem member) credentials(into *[]credential.Credential) error {
 			out = append(out, c)
 			return ok
 		}) {
-			*into = out
+			req.Credentials, t.creds = out, mem.value
 			return nil
 		}
 	}
-	return delegate(mem.value, into)
+	if t.creds != nil { // the array merges into their strings
+		t.gather(req, false)
+	}
+	return delegate(mem.value, &req.Credentials)
 }
 
 // plainCredential builds a credential from the raw values of its
-// members, in credentialFields' order, as encoding/json would, or
-// reports false for a shape it leaves to encoding/json.
+// members, in credentialFields' order, as encoding/json would bar its
+// strings, or reports false for a shape it leaves to encoding/json.
 func plainCredential(v *[len(credentialFields)][]byte) (c credential.Credential, ok bool) {
-	holder, okHolder := plainText(v[0])
-	issuer, okIssuer := plainText(v[1])
+	_, okHolder := plainText(v[0])
+	_, okIssuer := plainText(v[1])
 	sig, okSig := plainText(v[5])
 	if !okHolder || !okIssuer || !okSig {
 		return c, false
@@ -397,15 +410,14 @@ func plainCredential(v *[len(credentialFields)][]byte) (c credential.Credential,
 	if v[2] != nil {
 		var a [len(attributeFields)][]byte
 		if !eachObject(v[2], attributeFields[:], a[:], func() bool {
-			typ, okType := plainText(a[0])
-			value, okValue := plainText(a[1])
-			c.Attributes = append(c.Attributes, credential.Attribute{Type: string(typ), Value: string(value)})
+			_, okType := plainText(a[0])
+			_, okValue := plainText(a[1])
+			c.Attributes = append(c.Attributes, credential.Attribute{})
 			return okType && okValue
 		}) {
 			return c, false
 		}
 	}
-	c.Holder, c.Issuer = string(holder), string(issuer)
 	return c, true
 }
 
@@ -430,39 +442,137 @@ var requestFields = []string{"user", "roles", "credentials", "operation", "targe
 
 // DecodeDecisionRequest decodes a request body into req (which should
 // be zero) as json.Unmarshal would: it accepts the bodies Unmarshal
-// accepts, bar a top-level null, and leaves req as Unmarshal would.
+// accepts, bar a top-level null, and leaves an accepted body's req as
+// Unmarshal would, the strings it takes from plain members substrings
+// of one string of their text alone (DESIGN §5c).
 func DecodeDecisionRequest(body []byte, req *DecisionRequest) error {
+	_, err := decodeRequest(body, req, false)
+	return err
+}
+
+// decodeRequest is DecodeDecisionRequest; with traceID, the one string
+// ends with a trace ID minted for the request, which it returns.
+func decodeRequest(body []byte, req *DecisionRequest, traceID bool) (obsv.TraceID, error) {
 	ms, err := scanObject(body)
-	if err != nil {
-		return err
-	}
-	for {
-		mem, ok, err := ms.next()
-		if err != nil || !ok {
-			return err
+	var t texts
+	for more := err == nil; more; more = err == nil {
+		var mem member
+		if mem, more, err = ms.next(); err != nil || !more {
+			break
 		}
 		switch field(requestFields, mem.key) {
 		case "user":
-			err = mem.str(&req.User)
+			err = mem.pending(&t.user, &req.User)
 		case "roles":
-			err = mem.strs(&req.Roles)
+			err = t.takeRoles(mem, req)
 		case "credentials":
-			err = mem.credentials(&req.Credentials)
+			err = t.takeCredentials(mem, req)
 		case "operation":
-			err = mem.str(&req.Operation)
+			err = mem.pending(&t.operation, &req.Operation)
 		case "target":
-			err = mem.str(&req.Target)
+			err = mem.pending(&t.target, &req.Target)
 		case "context":
-			err = mem.str(&req.Context)
+			err = mem.pending(&t.context, &req.Context)
 		case "environment":
 			err = delegate(mem.value, &req.Environment)
 		case "requestID":
-			err = mem.str(&req.RequestID)
-		}
-		if err != nil {
-			return err
+			err = mem.pending(&t.requestID, &req.RequestID)
 		}
 	}
+	if err != nil {
+		return "", err
+	}
+	return t.gather(req, traceID), nil
+}
+
+// texts is what a decode has taken from plain members and not yet
+// copied out of the body, nil where it has taken nothing: the text of a
+// string member, and the raw value of a roles or credentials array
+// taken whole, whose elements the request holds without their strings.
+type texts struct {
+	user, operation, target, context, requestID []byte
+	roles, creds                                []byte
+}
+
+// pending stores a string member: a plain one's text waits in *text,
+// and any other value but a null (a no-op) is encoding/json's.
+func (mem member) pending(text *[]byte, into *string) error {
+	if mem.plain {
+		*text = mem.text()
+		return nil
+	}
+	if string(mem.value) != "null" {
+		*text = nil
+	}
+	return delegate(mem.value, into)
+}
+
+// takeRoles stores a roles member as strs does, leaving the strings of an
+// array it takes to gather.
+func (t *texts) takeRoles(mem member, req *DecisionRequest) error {
+	n := 0
+	if req.Roles == nil && mem.value[0] == '[' && plainStrings(mem.value, func([]byte) { n++ }) {
+		req.Roles, t.roles = make([]string, n), mem.value
+		return nil
+	}
+	if t.roles != nil { // the array merges into their strings
+		t.gather(req, false)
+	}
+	return delegate(mem.value, &req.Roles)
+}
+
+// each sets every string t holds the text of to what set returns for
+// that text, in one order.
+func (t *texts) each(req *DecisionRequest, set func(text []byte) string) {
+	texts := [...][]byte{t.user, t.operation, t.target, t.context, t.requestID}
+	for i, into := range [...]*string{&req.User, &req.Operation, &req.Target, &req.Context, &req.RequestID} {
+		if texts[i] != nil {
+			*into = set(texts[i])
+		}
+	}
+	if t.roles != nil {
+		i := 0
+		plainStrings(t.roles, func(text []byte) { req.Roles[i] = set(text); i++ })
+	}
+	if t.creds != nil {
+		content := func(raw []byte) []byte { text, _ := plainText(raw); return text }
+		var v [len(credentialFields)][]byte
+		var a [len(attributeFields)][]byte
+		k := 0
+		eachObject(t.creds, credentialFields[:], v[:], func() bool {
+			c := &req.Credentials[k]
+			c.Holder, c.Issuer = set(content(v[0])), set(content(v[1]))
+			k++
+			j := 0
+			return v[2] == nil || eachObject(v[2], attributeFields[:], a[:], func() bool {
+				c.Attributes[j] = credential.Attribute{Type: set(content(a[0])), Value: set(content(a[1]))}
+				j++
+				return true
+			})
+		})
+	}
+}
+
+// gather copies every text t holds into one string, sets each string it
+// is for to its substring and empties t. With traceID the string ends
+// with a trace ID minted into it, which it returns.
+func (t *texts) gather(req *DecisionRequest, traceID bool) obsv.TraceID {
+	var id []byte
+	if traceID {
+		id = obsv.AppendTraceID(make([]byte, 0, 32))
+	}
+	n := len(id)
+	t.each(req, func(text []byte) string { n += len(text); return "" })
+	var b strings.Builder
+	b.Grow(n)
+	substring := func(text []byte) string {
+		b.Write(text)
+		s := b.String()
+		return s[len(s)-len(text):]
+	}
+	t.each(req, substring)
+	*t = texts{}
+	return obsv.TraceID(substring(id))
 }
 
 // RequestPeek is what the gateway needs of a decision request it is

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"msod/internal/credential"
 )
@@ -209,21 +211,73 @@ func isTopLevelNull(body []byte) bool {
 }
 
 // checkDecode holds the decoder to json.Unmarshal on one body: the same
-// bodies accepted, the same struct out. It returns the decoded request
-// of an accepted body.
+// bodies accepted, the same struct out — and still the same after every
+// byte of the body is overwritten, so no decoded string aliases it (the
+// gateway splices into its own body in place, and a retained decision
+// would keep a whole body alive). It returns the decoded request of an
+// accepted body.
 func checkDecode(t testing.TB, body []byte) (DecisionRequest, bool) {
 	t.Helper()
 	var want, got DecisionRequest
 	wantErr := json.Unmarshal(body, &want)
-	gotErr := DecodeDecisionRequest(body, &got)
+	own := bytes.Clone(body)
+	gotErr := DecodeDecisionRequest(own, &got)
 	if (wantErr == nil) != (gotErr == nil) && !(isTopLevelNull(body) && wantErr == nil) {
 		t.Fatalf("%q: json.Unmarshal says %v, DecodeDecisionRequest says %v", body, wantErr, gotErr)
 	}
 	if gotErr == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q:\n decoded %#v\n    want %#v", body, got, want)
 	}
+	for i := range own {
+		own[i] = '#'
+	}
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: overwriting the body changed what was decoded from it:\n decoded %#v\n    want %#v", body, got, want)
+	}
 	return got, gotErr == nil
 }
+
+// TestDecodedTextIsOneString pins what a decoded request keeps alive:
+// the strings of a gateway-spliced bank body lie end to end in one
+// string that holds nothing else — no key, no punctuation — and an
+// unrouted body's string ends with the trace ID minted for it.
+func TestDecodedTextIsOneString(t *testing.T) {
+	const bank = `{"user":"alice","roles":["Teller","Auditor"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`
+	peek, err := PeekDecisionRequest([]byte(bank))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spliced := peek.SpliceRequestID([]byte(bank), "0123456789abcdef0123456789abcdef")
+	for _, tc := range []struct {
+		body    []byte
+		traceID bool
+	}{{spliced, false}, {[]byte(bank), true}} {
+		var req DecisionRequest
+		id, err := decodeRequest(tc.body, &req, tc.traceID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts := append([]string{req.User, req.Operation, req.Target, req.Context}, req.Roles...)
+		if req.RequestID != "" {
+			texts = append(texts, req.RequestID)
+		}
+		if tc.traceID != id.Valid() {
+			t.Fatalf("%s: minted trace ID %q with traceID %v", tc.body, id, tc.traceID)
+		}
+		sort.Slice(texts, func(i, j int) bool { return textStart(texts[i]) < textStart(texts[j]) })
+		for i := 1; i < len(texts); i++ {
+			if textStart(texts[i]) != textStart(texts[i-1])+uintptr(len(texts[i-1])) {
+				t.Fatalf("%s: %q does not start where %q ends", tc.body, texts[i], texts[i-1])
+			}
+		}
+		if last := texts[len(texts)-1]; id != "" && textStart(string(id)) != textStart(last)+uintptr(len(last)) {
+			t.Fatalf("%s: the trace ID does not end the string after %q", tc.body, last)
+		}
+	}
+}
+
+// textStart is where a string's bytes are.
+func textStart(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
 
 // checkPeek holds the gateway's peek to the decoder on one body: every
 // body the shard would decode is peeked, and says what the decoded
