@@ -7,12 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"msod/internal/adi"
+	"msod/internal/audit"
 	"msod/internal/obsv"
 	"msod/internal/pdp"
 	"msod/internal/policy"
+	"msod/internal/trace"
 )
 
 // startObservedServer builds a server with decision logging at
@@ -148,5 +152,100 @@ func TestWithGaugeAppearsOnMetrics(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(raw), "msod_test_gauge 42") {
 		t.Errorf("metrics missing registered gauge:\n%s", raw)
+	}
+}
+
+// TestServedSpanTree pins the span tree of a served decision as
+// GET /v1/traces/{id} shows it: a durable one-policy grant and an MSoD
+// denial on a shard with a WAL-backed store and a trail, every trace
+// kept. Spans are in completion order; the engine's policy and store
+// spans nest under msod and the WAL's under store; each child lies
+// inside its parent. A start offset is truncated to the microsecond, so
+// a child may end up to 1µs past its parent's shown end.
+func TestServedSpanTree(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := adi.OpenDurable(t.TempDir(), []byte("span-tree"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	trail, err := audit.NewWriter(t.TempDir(), []byte("span-tree-trail"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { trail.Close() })
+	p, err := pdp.New(pdp.Config{Policy: pol, Store: store, Trail: trail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(p, WithTraceStore(trace.NewStore(trace.Config{SampleEvery: 1})))
+
+	const policySpan = "msod.policy:Branch=*, Period=!"
+	for _, tc := range []struct {
+		name    string
+		req     DecisionRequest
+		allowed bool
+		spans   [][2]string // name, parent
+	}{
+		{
+			name:    "durable grant",
+			req:     DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"},
+			allowed: true,
+			spans: [][2]string{
+				{obsv.StageCVS, ""}, {obsv.StageRBAC, ""}, {policySpan, obsv.StageMSoD},
+				{"store.wal", obsv.StageStore}, {obsv.StageStore, obsv.StageMSoD},
+				{obsv.StageMSoD, ""}, {obsv.StageAudit, ""},
+			},
+		},
+		{
+			name: "MSoD denial",
+			req:  DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: "Branch=York, Period=p1"},
+			spans: [][2]string{
+				{obsv.StageCVS, ""}, {obsv.StageRBAC, ""}, {policySpan, obsv.StageMSoD},
+				{obsv.StageMSoD, ""}, {obsv.StageAudit, ""},
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, _ := json.Marshal(tc.req)
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body)))
+			var resp DecisionResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.Allowed != tc.allowed {
+				t.Fatalf("answer %d %s (%v), want allowed=%v", w.Code, w.Body, err, tc.allowed)
+			}
+			w = httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, TracesPath+resp.TraceID, nil))
+			var rec trace.Record
+			if err := json.Unmarshal(w.Body.Bytes(), &rec); err != nil {
+				t.Fatalf("GET trace: %d %s (%v)", w.Code, w.Body, err)
+			}
+			got := make([][2]string, len(rec.Spans))
+			byName := map[string]trace.Span{}
+			for i, s := range rec.Spans {
+				got[i] = [2]string{s.Name, s.Parent}
+				byName[s.Name] = s
+			}
+			if !reflect.DeepEqual(got, tc.spans) {
+				t.Fatalf("spans (name, parent) in completion order:\n got %q\nwant %q", got, tc.spans)
+			}
+			end := func(s trace.Span) float64 { return float64(s.StartOffsetUS) + s.DurationSeconds*1e6 }
+			for _, s := range rec.Spans {
+				if s.StartOffsetUS < 0 || s.DurationSeconds < 0 {
+					t.Errorf("span %q starts at %dµs for %vs", s.Name, s.StartOffsetUS, s.DurationSeconds)
+				}
+				if s.Parent == "" {
+					continue
+				}
+				p := byName[s.Parent]
+				if s.StartOffsetUS < p.StartOffsetUS || end(s) > end(p)+1 {
+					t.Errorf("span %q [%dµs, %.3fµs] is not inside its parent %q [%dµs, %.3fµs]",
+						s.Name, s.StartOffsetUS, end(s), p.Name, p.StartOffsetUS, end(p))
+				}
+			}
+		})
 	}
 }
