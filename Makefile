@@ -26,11 +26,12 @@ test-race:
 # front of it, ring lookup included (cluster). `make test` runs them too; this target is the quick check
 # after touching any of them. It also pins the bytes that hand-built
 # text saves allocations on (TestDenialTextIsFmtText: a denial's text is
-# fmt's) and the 64-byte Decision the PDP copies to the heap
-# (TestDecisionSize). Never under -race: the detector
-# allocates, and the tests skip themselves there.
+# fmt's), the 64-byte Decision the PDP copies to the heap
+# (TestDecisionSize) and the shard's one per-decision context in its
+# 384-byte size class (TestDecisionContextSize). Never under -race: the
+# detector allocates, and the tests skip themselves there.
 allocs:
-	$(GO) test -run 'Allocs|^TestDenialTextIsFmtText$$|^TestDecisionSize$$' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
+	$(GO) test -run 'Allocs|^TestDenialTextIsFmtText$$|^TestDecisionSize$$|^TestDecisionContextSize$$' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
 		./internal/obsv ./internal/audit ./internal/credential ./internal/pdp ./internal/server ./internal/cluster
 
 cover:
@@ -73,8 +74,10 @@ fuzz:
 # Full fault-injection torture: power-loss crash-recovery schedules,
 # chaotic transport (with carried activations and closes), overload
 # shedding, degraded read-only mode, the idempotency cache's waiters
-# (ten times over), and the engine's commit buffer, which every decision
-# reuses, under concurrent decisions, advisories and ops (twenty times).
+# (ten times over), and, twenty times each, the exemplar slots and the
+# trace's span bookkeeping under concurrent writers, and the engine's
+# commit buffer, which every decision reuses, under concurrent
+# decisions, advisories and ops.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -run 'TestAdmission|TestClientRetriesShedRequest|TestDegradedReadOnlyLatch' ./internal/server
@@ -82,6 +85,7 @@ chaos:
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestClusterPEPHangUpAfterFirstStep' ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestObserveExemplarConcurrent' ./internal/obsv
+	$(GO) test -race -count=20 -run '^(TestTraceEndFromOtherGoroutines|TestTraceMatchesReferenceOnScripts)$$' ./internal/obsv
 	$(GO) test -race -count=20 -run 'TestConcurrentCommitBuffer' ./internal/core
 
 # Elastic membership smoke: the join/drain/remove lifecycle and

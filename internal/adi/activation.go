@@ -48,16 +48,3 @@ func newActivationRecord(bound bctx.Name, at time.Time) Record {
 func (r Record) isActivation() bool {
 	return r.User == activationUser && r.Operation == activationOp && r.Target == activationTarget
 }
-
-// Activations returns the store's activations in the encoding Append
-// takes: a store that appends them alongside the records holds the same
-// activity. It is nil for a store that cannot list them.
-func Activations(store Recorder) []Record {
-	switch s := store.(type) {
-	case *Store:
-		return s.activations()
-	case *DurableStore:
-		return s.mem.activations()
-	}
-	return nil
-}

@@ -52,7 +52,7 @@ func TestEnsureActiveIdempotent(t *testing.T) {
 	if added != 0 {
 		t.Fatalf("second OpActivate added %d, want 0", added)
 	}
-	if got := len(Activations(store)); got != 2 || store.Len() != 0 || store.Users() != 0 {
+	if got := len(store.activations()); got != 2 || store.Len() != 0 || store.Users() != 0 {
 		t.Fatalf("store holds %d activations, %d records of %d users; want 2 and no history", got, store.Len(), store.Users())
 	}
 }
@@ -135,8 +135,8 @@ func TestReservedUserKeepsItsHistory(t *testing.T) {
 	if err := store.Append(r); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := store.CountUserRole(activationUser, bctx.Universal, "Clerk", 0); n != 1 || len(Activations(store)) != 0 {
-		t.Fatalf("the reserved user's grant counts %d, activations %d; want 1 and 0", n, len(Activations(store)))
+	if n, _ := store.CountUserRole(activationUser, bctx.Universal, "Clerk", 0); n != 1 || len(store.activations()) != 0 {
+		t.Fatalf("the reserved user's grant counts %d, activations %d; want 1 and 0", n, len(store.activations()))
 	}
 }
 

@@ -132,12 +132,29 @@ type Recorder interface {
 
 // CtxAppender is the optional context-aware extension of Recorder: a
 // store that implements it gets the decision's context (and so its
-// obsv.Trace) on the commit path, letting it record sub-spans like the
+// Tracer) on the commit path, letting it record sub-spans like the
 // durable WAL round trip. The engine type-asserts once and falls back
 // to plain Append for stores that don't.
 type CtxAppender interface {
 	AppendCtx(ctx context.Context, recs ...Record) error
 }
+
+// Tracer takes a traced append's span: OpenSpan starts the named one
+// and returns the handle CloseSpan ends it by. A store finds it in the
+// context under TracerKey, which a context value of the caller's own
+// answers, as the shard's per-decision context does.
+type Tracer interface {
+	OpenSpan(name string) int
+	CloseSpan(span int)
+}
+
+type contextKey struct{ name string }
+
+// TracerKey is the context key AppendCtx reads a Tracer under.
+var TracerKey = &contextKey{"adi tracer"}
+
+// SpanWAL names the span around a durable append's WAL round trip.
+const SpanWAL = "store.wal"
 
 // within reports whether the context instance falls within pattern.
 func within(pattern, inst bctx.Name) bool {

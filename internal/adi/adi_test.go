@@ -309,7 +309,7 @@ func TestConcurrentStore(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					_ = Activations(s)
+					_ = s.activations()
 					s.PurgeBefore(eqEpoch)
 				}
 			}

@@ -1,6 +1,7 @@
 package adi
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -148,7 +149,9 @@ func BenchmarkPurgeContext(b *testing.B) {
 // copy of its own (1). The one left: the variadic slice the call
 // builds, which escapes because Apply hands the records on through the
 // Recorder interface (1) — the engine passes a slice of its commit
-// buffer and pays nothing here.
+// buffer and pays nothing here. Under a traced context the WAL span
+// costs nothing more: the Tracer is looked up and called through its
+// interface, and the deferred close is open-coded.
 func TestDurableAppendAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -162,12 +165,34 @@ func TestDurableAppendAllocs(t *testing.T) {
 	if err := ds.Append(r); err != nil { // opens the instance, sizes the scratch
 		t.Fatal(err)
 	}
-	got := testing.AllocsPerRun(200, func() {
-		if err := ds.Append(r); err != nil {
-			t.Fatal(err)
+	spans := &walSpans{}
+	traced := context.WithValue(context.Background(), TracerKey, Tracer(spans))
+	for _, tc := range []struct {
+		name   string
+		append func() error
+	}{
+		{"Append", func() error { return ds.Append(r) }},
+		{"AppendCtx, traced", func() error { return ds.AppendCtx(traced, r) }},
+	} {
+		got := testing.AllocsPerRun(200, func() {
+			if err := tc.append(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("%s: %v allocs, budget 1", tc.name, got)
 		}
-	})
-	if got != 1 {
-		t.Fatalf("DurableStore.Append: %v allocs, budget 1", got)
+	}
+	if spans.opened != 201 || spans.closed != spans.opened || spans.name != SpanWAL {
+		t.Fatalf("traced appends opened %d %q spans and closed %d, want 201 of %q", spans.opened, spans.name, spans.closed, SpanWAL)
 	}
 }
+
+// walSpans is a Tracer that counts the spans it is handed.
+type walSpans struct {
+	opened, closed int
+	name           string
+}
+
+func (w *walSpans) OpenSpan(name string) int { w.opened++; w.name = name; return w.opened }
+func (w *walSpans) CloseSpan(int)            { w.closed++ }

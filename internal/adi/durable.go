@@ -21,7 +21,6 @@ import (
 
 	"msod/internal/bctx"
 	"msod/internal/fsx"
-	"msod/internal/obsv"
 	"msod/internal/rbac"
 )
 
@@ -333,14 +332,16 @@ func (ds *DurableStore) logLocked(op Op) (Effect, error) {
 	return eff, nil
 }
 
-// AppendCtx is Append carrying a context: when the context holds an
-// obsv.Trace, the whole WAL round trip (seal, write, flush, optional
-// fsync, in-memory apply) is recorded as a SpanStoreWAL span — nested
-// inside the engine's store span, so an operator reading a retained
-// trace can tell WAL latency apart from in-memory commit work.
-// Untraced contexts pay a single nil check.
+// AppendCtx is Append carrying a context: when the context holds a
+// Tracer, the whole WAL round trip (seal, write, flush, optional fsync,
+// in-memory apply) is recorded as a SpanWAL span — nested inside the
+// engine's store span, so an operator reading a retained trace can
+// tell WAL latency apart from in-memory commit work. Untraced contexts
+// pay a single lookup.
 func (ds *DurableStore) AppendCtx(ctx context.Context, recs ...Record) error {
-	defer obsv.StartSpan(ctx, obsv.SpanStoreWAL).End()
+	if tr, ok := ctx.Value(TracerKey).(Tracer); ok {
+		defer tr.CloseSpan(tr.OpenSpan(SpanWAL))
+	}
 	return ds.Append(recs...)
 }
 

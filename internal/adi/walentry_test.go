@@ -263,7 +263,7 @@ func TestOnlyPurgeBeforeLinesCarryBefore(t *testing.T) {
 // liveAndActivations returns the store's records and its activations,
 // ordered by instance.
 func liveAndActivations(ds *DurableStore) ([]Record, []Record) {
-	acts := Activations(ds)
+	acts := ds.mem.activations()
 	sort.Slice(acts, func(i, j int) bool { return acts[i].Context.Key() < acts[j].Context.Key() })
 	return ds.All(), acts
 }
@@ -316,8 +316,8 @@ func TestLiveStateIsReopenedState(t *testing.T) {
 	dir := t.TempDir()
 	live := openDurable(t, dir)
 	applyHistory(t, live, ops, len(ops)/2)
-	if live.Len() == 0 || len(Activations(live)) == 0 {
-		t.Fatalf("history leaves %d records and %d activations; want some of each", live.Len(), len(Activations(live)))
+	if live.Len() == 0 || len(live.mem.activations()) == 0 {
+		t.Fatalf("history leaves %d records and %d activations; want some of each", live.Len(), len(live.mem.activations()))
 	}
 	reopened, err := OpenDurable(dir, []byte("durable-secret"), false)
 	if err != nil {

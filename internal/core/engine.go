@@ -10,7 +10,6 @@ import (
 
 	"msod/internal/adi"
 	"msod/internal/bctx"
-	"msod/internal/obsv"
 	"msod/internal/rbac"
 )
 
@@ -270,18 +269,32 @@ type RuleEval struct {
 	Denied       bool
 }
 
-type explainerKey struct{}
-
-// WithExplainer attaches an explanation sink to ctx; EvaluateCtx hands
-// it every constraint it consults.
-func WithExplainer(ctx context.Context, x Explainer) context.Context {
-	return context.WithValue(ctx, explainerKey{}, x)
+// Tracer takes a traced evaluation's spans: OpenSpan starts the named
+// one and returns the handle CloseSpan ends it by. The engine records
+// one span per matched policy and a SpanStore span around a grant's
+// commit.
+type Tracer interface {
+	OpenSpan(name string) int
+	CloseSpan(span int)
 }
 
-// ExplainerFrom returns ctx's explanation sink, or nil. Like
-// obsv.TraceFrom, an unexplained request pays exactly this lookup.
+// SpanStore names the span around a grant's retained-ADI commit.
+const SpanStore = "store"
+
+type contextKey struct{ name string }
+
+// The context keys EvaluateCtx and PeekCtx read a request's Tracer and
+// Explainer under. A context value of the caller's own answers them, as
+// the shard's per-decision context does.
+var (
+	TracerKey    = &contextKey{"core tracer"}
+	ExplainerKey = &contextKey{"core explainer"}
+)
+
+// ExplainerFrom returns ctx's explanation sink, or nil: an unexplained
+// request pays exactly this lookup.
 func ExplainerFrom(ctx context.Context) Explainer {
-	x, _ := ctx.Value(explainerKey{}).(Explainer)
+	x, _ := ctx.Value(ExplainerKey).(Explainer)
 	return x
 }
 
@@ -520,9 +533,10 @@ func (e *Engine) Evaluate(req Request) (Decision, error) {
 }
 
 // EvaluateCtx is Evaluate carrying a context: when the context holds
-// an obsv.Trace, the engine records one span per matched policy and
-// an obsv.StageStore span around the retained-ADI commit phase.
-// Untraced contexts pay a single nil check.
+// a Tracer, the engine records one span per matched policy and a
+// SpanStore span around the retained-ADI commit phase; when it holds
+// an Explainer, every consulted constraint. Untraced contexts pay a
+// single nil check.
 func (e *Engine) EvaluateCtx(ctx context.Context, req Request) (Decision, error) {
 	return e.evaluate(ctx, req, true)
 }
@@ -627,7 +641,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 	// explanation sink (nil when the request is not being explained —
 	// advisories, and servers without an explain ring); per-rule
 	// counter capture is skipped entirely then.
-	tr := obsv.TraceFrom(ctx)
+	tr, _ := ctx.Value(TracerKey).(Tracer)
 	xr := ExplainerFrom(ctx)
 
 	e.mu.Lock()
@@ -637,12 +651,14 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 	var buf [4]action
 	actions := buf[:0]
 	for i := range matches {
-		var endPolicy obsv.SpanEnd
+		var span int
 		if tr != nil {
-			endPolicy = tr.StartSpan(matches[i].span)
+			span = tr.OpenSpan(matches[i].span)
 		}
 		act, refused, err := e.evaluatePolicy(&matches[i], req, now, xr)
-		endPolicy.End()
+		if tr != nil {
+			tr.CloseSpan(span)
+		}
 		if err != nil {
 			return Decision{}, refusal{}, err
 		}
@@ -660,7 +676,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 	// counted, never applied.
 	dec := Decision{Effect: Grant, MatchedPolicies: len(matches)}
 	if tr != nil && commit && len(actions) > 0 {
-		defer tr.StartSpan(obsv.StageStore).End()
+		defer tr.CloseSpan(tr.OpenSpan(SpanStore))
 	}
 	for _, act := range actions {
 		if act.purge {

@@ -213,7 +213,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("ExplainerFrom on a bare context returned a sink")
 	}
 	rec := &Entry{}
-	if got := core.ExplainerFrom(core.WithExplainer(context.Background(), rec)); got != rec {
+	if got := core.ExplainerFrom(context.WithValue(context.Background(), core.ExplainerKey, rec)); got != rec {
 		t.Fatalf("ExplainerFrom = %v, want %p", got, rec)
 	}
 }

@@ -15,13 +15,14 @@ func NewLogger(w io.Writer, component string) *slog.Logger {
 	return slog.New(slog.NewJSONHandler(w, nil)).With(slog.String("component", component))
 }
 
-// SpanAttrs renders a trace's span breakdown as one slog group attr:
-// span name → seconds (durations of same-named spans summed). It is
-// the "where did the time go" payload of a slow-decision log line.
-func SpanAttrs(t *Trace) slog.Attr {
+// SpanAttrs renders a trace's span breakdown (AppendSpans) as one slog
+// group attr: span name → seconds (durations of same-named spans
+// summed). It is the "where did the time go" payload of a
+// slow-decision log line.
+func SpanAttrs(spans []Span) slog.Attr {
 	sums := make(map[string]float64)
 	var order []string
-	for _, s := range t.Spans() {
+	for _, s := range spans {
 		if _, seen := sums[s.Name]; !seen {
 			order = append(order, s.Name)
 		}

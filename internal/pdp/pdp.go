@@ -219,9 +219,10 @@ func (p *PDP) Decide(req Request) (Decision, error) {
 
 // DecideCtx is Decide carrying a context. When the context holds an
 // obsv.Trace, each pipeline stage records a span (obsv.StageCVS,
-// StageRBAC, StageMSoD, StageAudit; the engine adds StageStore inside
-// the msod span), and the trace ID is stamped into the audit-trail
-// event so the durable record correlates with the gateway's log line.
+// StageRBAC, StageMSoD, StageAudit; the engine adds its own inside the
+// msod span when the context answers core's Tracer key too), and the
+// trace ID is stamped into the audit-trail event so the durable record
+// correlates with the gateway's log line.
 func (p *PDP) DecideCtx(ctx context.Context, req Request) (Decision, error) {
 	return p.run(ctx, req, true)
 }

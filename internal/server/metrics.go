@@ -91,10 +91,10 @@ func (m *metrics) observe(resp DecisionResponse, advisory bool) {
 }
 
 // observeStages feeds the per-stage histograms from a completed
-// trace; span names outside the canonical stage set (per-policy
-// engine spans) stay trace-only detail.
-func (m *metrics) observeStages(t *obsv.Trace) {
-	for _, span := range t.Spans() {
+// trace's spans; span names outside the canonical stage set
+// (per-policy engine spans) stay trace-only detail.
+func (m *metrics) observeStages(spans []obsv.Span) {
+	for _, span := range spans {
 		m.stages.Observe(span.Name, span.Duration)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"msod/internal/adi"
 	"msod/internal/bctx"
 	"msod/internal/core"
 	"msod/internal/explain"
@@ -36,10 +37,9 @@ type decisionCall struct {
 	TraceID  obsv.TraceID
 	advisory bool
 
-	trace *obsv.Trace
-	// xrec is the explain entry the engine fills; nil on advisories
-	// and with explain off.
-	xrec *explain.Entry
+	// dc is the context the decision ran under (decide), with its trace
+	// and the explain entry the engine fills.
+	dc *decisionContext
 	// The outcome: either err with the status it is answered with, or
 	// resp.
 	err    error
@@ -188,18 +188,39 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	writeJSON(w, http.StatusOK, answer)
 }
 
+// decisionContext is the context a decision runs under: the request's,
+// with the decision's trace and explain entry, in one allocation. The
+// trace answers the key of every layer that records spans into it:
+// obsv's, and the Tracer keys of core and adi, which cannot import obsv.
+type decisionContext struct {
+	context.Context
+	trace obsv.Trace
+	xrec  *explain.Entry // nil on advisories and with explain off
+}
+
+func (c *decisionContext) Value(key any) any {
+	switch key {
+	case obsv.TraceKey, core.TracerKey, adi.TracerKey:
+		return &c.trace
+	case core.ExplainerKey:
+		if c.xrec != nil {
+			return c.xrec
+		}
+	}
+	return c.Context.Value(key)
+}
+
 // decide runs the PDP under the request's trace and explain entry and
 // leaves the outcome in c: the answer, or the error and its status; and
 // the description of either.
 func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(context.Context, pdp.Request) (pdp.Decision, error)) {
-	c.trace = obsv.NewTrace(c.TraceID)
-	ctx = obsv.WithTrace(ctx, c.trace)
+	c.dc = &decisionContext{Context: ctx}
+	c.dc.trace.Init(c.TraceID)
 	if !c.advisory && s.explain != nil {
-		c.xrec = s.explain.Begin()
-		ctx = core.WithExplainer(ctx, c.xrec)
+		c.dc.xrec = s.explain.Begin()
 	}
 	start := time.Now()
-	dec, err := pdpDecide(ctx, c.Request)
+	dec, err := pdpDecide(c.dc, c.Request)
 	elapsed := time.Since(start)
 	if c.err = err; err != nil {
 		c.status = s.failureStatus(err, http.StatusInternalServerError)
@@ -207,7 +228,7 @@ func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(con
 		c.status, c.resp = http.StatusOK, c.response(dec)
 	}
 	c.describe(start, elapsed)
-	if c.xrec != nil && err == nil {
+	if c.dc.xrec != nil && err == nil {
 		c.resp.RequestID = c.d.RequestID
 	}
 }
@@ -249,9 +270,10 @@ func (c *decisionCall) describe(start time.Time, elapsed time.Duration) {
 // its own.
 func (s *Server) publish(ctx context.Context, c *decisionCall) {
 	d := &c.d
+	spans := c.dc.trace.AppendSpans(make([]obsv.Span, 0, 8)) // on the stack
 	s.metrics.duration.ObserveExemplar(d.Elapsed, d.TraceID)
-	s.metrics.observeStages(c.trace)
-	switch x := c.xrec; {
+	s.metrics.observeStages(spans)
+	switch x := c.dc.xrec; {
 	case x == nil:
 	case c.err != nil:
 		// Nothing to explain: the pooled entry goes back unpublished.
@@ -262,7 +284,7 @@ func (s *Server) publish(ctx context.Context, c *decisionCall) {
 	// Errored decisions are always retained by the tail sampler — they
 	// are exactly what an operator holding the trace ID from the error
 	// log investigates.
-	s.recordTrace(c)
+	s.recordTrace(c, spans)
 	s.score(c.status, d.Elapsed)
 	if c.err != nil {
 		s.metrics.requestErrors.Add(1)
@@ -286,7 +308,7 @@ func (s *Server) publish(ctx context.Context, c *decisionCall) {
 			slog.String("phase", d.Phase),
 			slog.Bool("advisory", d.Advisory))
 	}
-	attrs = append(attrs, slog.Float64("seconds", d.Elapsed.Seconds()), obsv.SpanAttrs(c.trace))
+	attrs = append(attrs, slog.Float64("seconds", d.Elapsed.Seconds()), obsv.SpanAttrs(spans))
 	s.log.LogAttrs(ctx, level, msg, attrs...)
 }
 

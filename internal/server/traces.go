@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 
+	"msod/internal/obsv"
 	"msod/internal/trace"
 )
 
@@ -48,7 +49,7 @@ func (s *Server) tracesLookup() http.Handler {
 // recordTrace runs the tail-sampling decision for a decided request
 // and, when the sampler keeps it, files the span tree in the store. A
 // nil store costs one comparison.
-func (s *Server) recordTrace(c *decisionCall) {
+func (s *Server) recordTrace(c *decisionCall, spans []obsv.Span) {
 	if s.traces == nil {
 		return
 	}
@@ -57,6 +58,6 @@ func (s *Server) recordTrace(c *decisionCall) {
 		return
 	}
 	rec := s.traces.Begin()
-	rec.Describe(&c.d, sampledFor, c.trace.Spans())
+	rec.Describe(&c.d, sampledFor, spans)
 	s.traces.Commit(rec)
 }
