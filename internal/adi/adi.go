@@ -132,9 +132,10 @@ type Recorder interface {
 
 // CtxAppender is the optional context-aware extension of Recorder: a
 // store that implements it gets the decision's context (and so its
-// Tracer) on the commit path, letting it record sub-spans like the
-// durable WAL round trip. The engine type-asserts once and falls back
-// to plain Append for stores that don't.
+// Tracer and SyncWaiter) on the commit path, letting it record
+// sub-spans like the durable WAL round trip and leave its sync to the
+// decision. The engine type-asserts once and falls back to plain Append
+// for stores that don't.
 type CtxAppender interface {
 	AppendCtx(ctx context.Context, recs ...Record) error
 }
@@ -150,11 +151,19 @@ type Tracer interface {
 
 type contextKey struct{ name string }
 
-// TracerKey is the context key AppendCtx reads a Tracer under.
-var TracerKey = &contextKey{"adi tracer"}
+// The context keys AppendCtx reads a Tracer and a *SyncWaiter under.
+var (
+	TracerKey = &contextKey{"adi tracer"}
+	SyncKey   = &contextKey{"adi sync"}
+)
 
-// SpanWAL names the span around a durable append's WAL round trip.
-const SpanWAL = "store.wal"
+// SpanWAL names the span around a durable append's WAL round trip, and
+// SpanSync the span around a decision's wait for the WAL sync that
+// covers what it wrote (SyncWaiter.Wait).
+const (
+	SpanWAL  = "store.wal"
+	SpanSync = "store.sync"
+)
 
 // within reports whether the context instance falls within pattern.
 func within(pattern, inst bctx.Name) bool {

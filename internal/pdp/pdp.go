@@ -272,9 +272,10 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 
 	endMSoD := obsv.StartSpan(ctx, obsv.StageMSoD)
 	// The commit lock spans evaluation (which may commit a record) and
-	// event publication — see the commitMu field comment. The audit
-	// append stays outside: durable I/O under the lock would gate every
-	// decision's latency on disk, and the trail has its own ordering.
+	// event publication — see the commitMu field comment. The WAL sync
+	// a durable grant waits on (waitSynced) and the audit append stay
+	// outside: durable I/O under the lock would gate every decision's
+	// latency on disk, and the trail has its own ordering.
 	if observed {
 		p.commitMu.Lock()
 	}
@@ -308,10 +309,34 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 		p.commitMu.Unlock()
 	}
 	endMSoD.End()
+	if commit {
+		if err := waitSynced(ctx); err != nil {
+			return Decision{}, err
+		}
+	}
 	if trailed {
 		p.appendTrail(ctx, ev)
 	}
 	return dec, nil
+}
+
+// waitSynced returns once a WAL sync covers every entry the decision
+// wrote under the adi.SyncWaiter its context carries (adi.SyncKey), in
+// an adi.SpanSync span; without a waiter, or with nothing written under
+// it, at once. The decision holds no lock here, so the flush delays its
+// own answer and no other decision. A failed sync fails the decision:
+// it is not trailed or answered, though its event is published already
+// and its records stay in memory — deny-safe, since nothing
+// acknowledges them.
+func waitSynced(ctx context.Context) error {
+	w, _ := ctx.Value(adi.SyncKey).(*adi.SyncWaiter)
+	if !w.Pending() {
+		return nil
+	}
+	endSync := obsv.StartSpan(ctx, adi.SpanSync)
+	err := w.Wait()
+	endSync.End()
+	return err
 }
 
 // WithCommitLock runs fn while holding the commit lock, so that no

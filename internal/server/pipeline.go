@@ -189,19 +189,24 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 }
 
 // decisionContext is the context a decision runs under: the request's,
-// with the decision's trace and explain entry, in one allocation. The
-// trace answers the key of every layer that records spans into it:
-// obsv's, and the Tracer keys of core and adi, which cannot import obsv.
+// with the decision's trace, explain entry and WAL sync waiter, in one
+// allocation. The trace answers the key of every layer that records
+// spans into it: obsv's, and the Tracer keys of core and adi, which
+// cannot import obsv. The waiter takes a durable grant's sync out of
+// the engine and commit locks; the PDP waits on it before answering.
 type decisionContext struct {
 	context.Context
 	trace obsv.Trace
 	xrec  *explain.Entry // nil on advisories and with explain off
+	sync  adi.SyncWaiter
 }
 
 func (c *decisionContext) Value(key any) any {
 	switch key {
 	case obsv.TraceKey, core.TracerKey, adi.TracerKey:
 		return &c.trace
+	case adi.SyncKey:
+		return &c.sync
 	case core.ExplainerKey:
 		if c.xrec != nil {
 			return c.xrec
