@@ -46,9 +46,13 @@ bench:
 # packages it imports (internal/cluster, server, pdp, ...) breaking the
 # BENCHMARK.json gate. The smoke run drives every workload end to end
 # at a scaled-down size and checks every decision against the oracle.
+# Both steps always run — a failing module test does not hide the
+# smoke's verdict — and the target fails if either fails.
 benchmark-check:
-	cd benchmark && $(GO) vet ./... && $(GO) test ./...
-	bash benchmark/run.sh -smoke
+	@status=0; \
+	(cd benchmark && $(GO) vet ./... && $(GO) test ./...) || status=1; \
+	bash benchmark/run.sh -smoke || status=1; \
+	exit $$status
 
 # A short fuzz pass over every fuzz target, FUZZTIME each (seeds always
 # run under `make test`). FuzzAppendWALEntry and FuzzAppendEvent hold the
@@ -71,8 +75,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzAppendEvent$$' -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz='^FuzzCredentialPayload$$' -fuzztime=$(FUZZTIME) ./internal/credential
 
-# Full fault-injection torture: power-loss crash-recovery schedules,
-# chaotic transport (with carried activations and closes), overload
+# Full fault-injection torture: power-loss crash-recovery schedules
+# (sequential, and four deciders whose WAL syncs overlap — three more
+# times over, for more interleavings), chaotic transport (with carried activations and closes), overload
 # shedding, degraded read-only mode, the idempotency cache's waiters
 # (ten times over), and, twenty times each, the exemplar slots and the
 # trace's span bookkeeping under concurrent writers, and the engine's
@@ -80,6 +85,7 @@ fuzz:
 # decisions, advisories and ops.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
+	$(GO) test -race -count=3 -run 'TestConcurrentCrashTorture' ./internal/fault
 	$(GO) test -race -run 'TestAdmission|TestClientRetriesShedRequest|TestDegradedReadOnlyLatch' ./internal/server
 	$(GO) test -race -count=10 -run 'Idem|Idempotency' ./internal/server
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster

@@ -158,9 +158,11 @@ func TestWithGaugeAppearsOnMetrics(t *testing.T) {
 // TestServedSpanTree pins the span tree of a served decision as
 // GET /v1/traces/{id} shows it: a durable one-policy grant and an MSoD
 // denial on a shard with a WAL-backed store and a trail, every trace
-// kept. Spans are in completion order; the engine's policy and store
-// spans nest under msod and the WAL's under store; each child lies
-// inside its parent. A start offset is truncated to the microsecond, so
+// kept, and a grant on a shard whose WAL syncs, where the wait for the
+// sync is its own span after msod's (eight spans: none spills). Spans
+// are in completion order; the engine's policy and store spans nest
+// under msod and the WAL's under store; each child lies inside its
+// parent. A start offset is truncated to the microsecond, so
 // a child may end up to 1µs past its parent's shown end.
 func TestServedSpanTree(t *testing.T) {
 	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
@@ -182,10 +184,21 @@ func TestServedSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(p, WithTraceStore(trace.NewStore(trace.Config{SampleEvery: 1})))
+	syncedStore, err := adi.OpenDurable(t.TempDir(), []byte("span-tree-synced"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { syncedStore.Close() })
+	syncedPDP, err := pdp.New(pdp.Config{Policy: pol, Store: syncedStore, Trail: trail})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synced := New(syncedPDP, WithTraceStore(trace.NewStore(trace.Config{SampleEvery: 1})))
 
 	const policySpan = "msod.policy:Branch=*, Period=!"
 	for _, tc := range []struct {
 		name    string
+		srv     *Server // srv when nil
 		req     DecisionRequest
 		allowed bool
 		spans   [][2]string // name, parent
@@ -208,8 +221,23 @@ func TestServedSpanTree(t *testing.T) {
 				{obsv.StageMSoD, ""}, {obsv.StageAudit, ""},
 			},
 		},
+		{
+			name:    "synced durable grant",
+			srv:     synced,
+			req:     DecisionRequest{User: "carol", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"},
+			allowed: true,
+			spans: [][2]string{
+				{obsv.StageCVS, ""}, {obsv.StageRBAC, ""}, {policySpan, obsv.StageMSoD},
+				{"store.wal", obsv.StageStore}, {obsv.StageStore, obsv.StageMSoD},
+				{obsv.StageMSoD, ""}, {"store.sync", ""}, {obsv.StageAudit, ""},
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			srv := srv
+			if tc.srv != nil {
+				srv = tc.srv
+			}
 			body, _ := json.Marshal(tc.req)
 			w := httptest.NewRecorder()
 			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body)))
