@@ -3,9 +3,11 @@ package adi
 import (
 	"context"
 	"fmt"
+	"io/fs"
 	"testing"
 
 	"msod/internal/bctx"
+	"msod/internal/fsx"
 	"msod/internal/race"
 	"msod/internal/rbac"
 )
@@ -187,6 +189,52 @@ func TestDurableAppendAllocs(t *testing.T) {
 		t.Fatalf("traced appends opened %d %q spans and closed %d, want 201 of %q", spans.opened, spans.name, spans.closed, SpanWAL)
 	}
 }
+
+// TestDeferredSyncAllocs: on a store that syncs, an append whose sync a
+// decision's waiter takes allocates what Append does, and the Sync it
+// waits for nothing.
+func TestDeferredSyncAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ds, err := OpenDurableFS(t.TempDir(), []byte("allocs"), true, noSyncFS{fsx.OS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	r := rec("u7", "Teller", "HandleCash", "till", "Branch=b7, Period=p7")
+	if err := ds.Append(r); err != nil { // opens the instance, sizes the scratch
+		t.Fatal(err)
+	}
+	w := &SyncWaiter{}
+	ctx := context.WithValue(context.Background(), SyncKey, w)
+	got := testing.AllocsPerRun(200, func() {
+		if err := ds.AppendCtx(ctx, r); err != nil || !w.Pending() {
+			t.Fatalf("append = %v (pending %v)", err, w.Pending())
+		}
+		if err := w.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("%v allocs, budget 1", got)
+	}
+}
+
+// noSyncFS is the real filesystem with every Sync a no-op.
+type noSyncFS struct{ fsx.FS }
+
+func (n noSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (fsx.File, error) {
+	f, err := n.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
+type noSyncFile struct{ fsx.File }
+
+func (noSyncFile) Sync() error { return nil }
 
 // walSpans is a Tracer that counts the spans it is handed.
 type walSpans struct {
