@@ -130,6 +130,44 @@ func TestDurableFailedFsyncRefusesWrite(t *testing.T) {
 	ds.Close()
 }
 
+// TestRefusedPurgeStaysRefused: a purge whose WAL Sync fails is
+// refused, and stays refused after the store is reopened without Close,
+// whether the process died (its written bytes survive) or the power
+// failed (only synced bytes survive). Reopened, the store still holds
+// the record the purge would have removed.
+func TestRefusedPurgeStaysRefused(t *testing.T) {
+	for _, powerLoss := range []bool{false, true} {
+		dir := t.TempDir()
+		ffs := fault.NewFS(fsx.OS, 7)
+		ds, err := openDurableFS(t, dir, ffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ds.Append(rec("alice", "Teller", "op", "t", "Branch=York, Period=2006")); err != nil {
+			t.Fatal(err)
+		}
+		// The purge: op+1 is its WAL write, op+2 the fsync.
+		ffs.InjectAt(ffs.Ops()+2, fault.SyncFail)
+		if _, err := ds.PurgeContext(bctx.MustParse("Branch=*, Period=2006")); !errors.Is(err, ErrWriteFailed) {
+			t.Fatalf("purge whose Sync failed = %v, want ErrWriteFailed", err)
+		}
+		if ds.Len() != 1 {
+			t.Fatalf("%d records after the refused purge, want 1", ds.Len())
+		}
+		if powerLoss {
+			ffs.CrashNow()
+		}
+		reopened, err := OpenDurable(dir, []byte("durable-secret"), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := reopened.Len(); n != 1 {
+			t.Errorf("power loss %v: reopened with %d records, want 1: the refused purge took effect", powerLoss, n)
+		}
+		reopened.Close()
+	}
+}
+
 // TestDurableTornFinalRecordResumed writes a torn final WAL record the
 // way a crash would (a prefix of a sealed line, no trailing newline)
 // and checks recovery truncates it and the store resumes appending —
