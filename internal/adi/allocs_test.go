@@ -59,6 +59,13 @@ func TestStoreAllocs(t *testing.T) {
 	for i := range more {
 		more[i] = rec("u7", "Teller", "HandleCash", "till", "Branch=b7, Period=p7")
 	}
+	// Opened and closed during the measurement: each a user with no
+	// other record, in a process of its own.
+	churn := make([]Record, allocRuns+1)
+	for i := range churn {
+		churn[i] = rec(fmt.Sprintf("n%d", i), "Clerk", "prepareCheck", "check",
+			fmt.Sprintf("TaxOffice=o1, taxRefundProcess=n%d", i))
+	}
 	across := bctx.MustParse("Branch=*, Period=p7")
 	absent := bctx.MustParse("TaxOffice=o1, taxRefundProcess=none")
 	perm := rbac.Permission{Operation: "HandleCash", Object: "till"}
@@ -104,6 +111,20 @@ func TestStoreAllocs(t *testing.T) {
 			}
 			i++
 		}},
+		// Nothing: the new user's bucket, the new instance and the four
+		// lists it is the only one in (each component under its value
+		// and under any value: the row above closed every other process)
+		// are the ones the previous run's purge freed. It was 6 when the
+		// store threw them away.
+		{"Append of a new user's record in a new instance, then its purge", 0, func() {
+			if err := s.Append(churn[i]); err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := s.PurgeContext(churn[i].Context); n != 1 {
+				t.Fatalf("purged %d records of %q, want 1", n, churn[i].Context)
+			}
+			i++
+		}},
 	} {
 		i = 0
 		if got := testing.AllocsPerRun(allocRuns, tc.fn); got != tc.budget {
@@ -139,6 +160,35 @@ func BenchmarkPurgeContext(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkStoreChurn opens and closes 3-record instances whose users
+// hold nothing else, in a store of 10,000 unrelated records: the
+// retained ADI's steady state under §4.2 step 7, where most of what an
+// opening grant needs is what the last closing one freed.
+func BenchmarkStoreChurn(b *testing.B) {
+	const ring = 256
+	opening := make([][]Record, ring)
+	closing := make([]bctx.Name, ring)
+	for i := range opening {
+		ctx := fmt.Sprintf("TaxOffice=o1, taxRefundProcess=c%d", i)
+		for _, u := range []string{"c", "m", "n"} {
+			opening[i] = append(opening[i], rec(fmt.Sprintf("%s%d", u, i), "Clerk", "prepareCheck", "check", ctx))
+		}
+		closing[i] = bctx.MustParse(ctx)
+	}
+	s := NewStore()
+	populate(b, s, 10_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Append(opening[i%ring]...); err != nil {
+			b.Fatal(err)
+		}
+		if removed, _ := s.PurgeContext(closing[i%ring]); removed != 3 {
+			b.Fatalf("purged %d records, want 3", removed)
+		}
 	}
 }
 

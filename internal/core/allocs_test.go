@@ -25,7 +25,7 @@ func TestEvaluateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	const allocRuns = 200
+	const allocRuns, churnRuns = 200, 50
 	period := func(i int) string { return fmt.Sprintf("p%d", i) }
 	both := append(bankPolicies(), taxPolicies()...)
 
@@ -36,6 +36,7 @@ func TestEvaluateAllocs(t *testing.T) {
 		request  func(i int) Request
 		want     Effect
 		budget   float64
+		runs     int // allocRuns when 0
 	}{
 		{
 			// Step 1 finds no candidate policy for the first component
@@ -144,10 +145,36 @@ func TestEvaluateAllocs(t *testing.T) {
 			request: func(i int) Request { return bankReq("bob", "Auditor", "CommitAudit", "York", period(i)) },
 			want:    Grant, budget: 2,
 		},
+		{
+			// Built: bound name (1). Retained: nothing the store does
+			// not hold already, where "opening grant" retains 2, because
+			// last steps closed as many instances first: the instance,
+			// the list of its Period value and alice's emptied bucket are
+			// ones those purges freed. The store keeps 64 of each, so
+			// the row runs fewer requests than that.
+			name: "opening grant after a last step closed the previous instance", policies: bankPolicies(),
+			prepare: func(e *Engine, i int) {
+				if i > 0 {
+					return
+				}
+				for j := range churnRuns + 1 {
+					mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", "closed"+period(j)), Grant)
+				}
+				for j := range churnRuns + 1 {
+					mustEvaluate(t, e, bankReq("bob", "Auditor", "CommitAudit", "York", "closed"+period(j)), Grant)
+				}
+			},
+			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
+			want:    Grant, budget: 1, runs: churnRuns,
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, _ := newEngine(t, tc.policies)
-			reqs := make([]Request, allocRuns+1)
+			runs := allocRuns
+			if tc.runs != 0 {
+				runs = tc.runs
+			}
+			reqs := make([]Request, runs+1)
 			for i := range reqs {
 				if tc.prepare != nil {
 					tc.prepare(e, i)
@@ -155,7 +182,7 @@ func TestEvaluateAllocs(t *testing.T) {
 				reqs[i] = tc.request(i)
 			}
 			i := 0
-			got := testing.AllocsPerRun(allocRuns, func() {
+			got := testing.AllocsPerRun(runs, func() {
 				dec, err := e.Evaluate(reqs[i])
 				if err != nil || dec.Effect != tc.want {
 					t.Fatalf("request %d: %v, %v; want %v", i, dec.Effect, err, tc.want)
