@@ -64,15 +64,23 @@ type DurableStore struct {
 	// walSyncFiles of them on a store that syncs; a Sync takes one and
 	// gives it back (see syncFile).
 	syncFiles chan fsx.File
-	// written numbers the entries written to the log (raised under mu),
-	// and synced is the highest of them a completed Sync covers. syncErr
-	// is the first Sync that failed: from then on no Sync is trusted.
-	// syncs counts the waits for a Sync outside mu, which Close waits
-	// out.
-	written atomic.Uint64
-	synced  atomic.Uint64
-	syncErr atomic.Pointer[error]
-	syncs   sync.WaitGroup
+	// written numbers the entries written to the log, and walBytes is
+	// the log's length; both are raised under mu, walBytes first. synced
+	// is the highest entry a completed Sync covers, and syncedBytes the
+	// length of log it covers. syncErr is the first Sync that failed:
+	// from then on no Sync is trusted, and the log is cut back to
+	// syncedBytes (dropUnsyncedLocked; dropped records it). syncMu orders
+	// the raising of synced and syncedBytes against the recording of
+	// syncErr, so no Sync raises them after a failure. syncs counts the
+	// waits for a Sync outside mu, which Close and Compact wait out.
+	written     atomic.Uint64
+	walBytes    atomic.Int64
+	synced      atomic.Uint64
+	syncErr     atomic.Pointer[error]
+	syncMu      sync.Mutex
+	syncedBytes int64
+	dropped     bool
+	syncs       sync.WaitGroup
 	// walOps counts mutations since the last compaction.
 	walOps int
 	// recoveryDur is how long snapshot+WAL recovery took at open —
@@ -148,6 +156,14 @@ func OpenDurableFS(dir string, secret []byte, syncEveryWrite bool, fs fsx.FS) (*
 	if err != nil {
 		return nil, fmt.Errorf("adi: open wal: %w", err)
 	}
+	// What recovery read is what the log holds: a later failed Sync cuts
+	// it back no further.
+	fi, err := fs.Stat(walPath)
+	if err != nil {
+		return nil, errors.Join(fmt.Errorf("adi: stat wal: %w", err), wal.Close())
+	}
+	ds.walBytes.Store(fi.Size())
+	ds.syncedBytes = fi.Size()
 	if syncEveryWrite {
 		ds.syncFiles = make(chan fsx.File, walSyncFiles)
 		for range walSyncFiles {
@@ -334,13 +350,14 @@ func (ds *DurableStore) openEntry(line []byte) (walEntry, error) {
 // that syncs, the entry is synced before it is applied — unless w takes
 // the sync: then w notes the entry, and the mutation is acknowledged
 // only when w.Wait returns. Once a Sync has failed, every mutation is
-// refused before it is written.
+// refused before it is written, and the log is cut back to what the
+// last good Sync covered.
 func (ds *DurableStore) logLocked(op Op, w *SyncWaiter) (Effect, error) {
 	if err := loggable(op); err != nil {
 		return Effect{}, err
 	}
 	if err := ds.syncFailed(); err != nil {
-		return Effect{}, err
+		return Effect{}, errors.Join(err, ds.dropUnsyncedLocked())
 	}
 	plain, err := appendWALEntry(ds.plain[:0], op)
 	if err != nil {
@@ -357,12 +374,13 @@ func (ds *DurableStore) logLocked(op Op, w *SyncWaiter) (Effect, error) {
 	if err := ds.w.Flush(); err != nil {
 		return Effect{}, fmt.Errorf("%w: flush wal: %w", ErrWriteFailed, err)
 	}
+	ds.walBytes.Add(int64(len(line)) + 1)
 	seq := ds.written.Add(1)
 	if ds.sync {
 		if w != nil {
 			w.store, w.seq = ds, seq
 		} else if err := ds.syncOn(seq); err != nil {
-			return Effect{}, err
+			return Effect{}, errors.Join(err, ds.dropUnsyncedLocked())
 		}
 	}
 	eff, err := Apply(ds.mem, op)
@@ -460,9 +478,10 @@ func (w *SyncWaiter) Wait() error {
 }
 
 // syncThrough returns once a Sync covers log entry seq: at once when an
-// earlier one did, else after one of its own. It takes mu only to see
-// that the log is open, and runs its Sync outside every lock, so a
-// decision waiting on its sync holds up no other, and Syncs overlap.
+// earlier one did, else after one of its own. It takes mu to see that
+// the log is open, and after a failed Sync to cut the log back, and
+// runs its Sync outside every lock, so a decision waiting on its sync
+// holds up no other, and Syncs overlap.
 func (ds *DurableStore) syncThrough(seq uint64) error {
 	if ds.synced.Load() >= seq {
 		return nil
@@ -479,8 +498,16 @@ func (ds *DurableStore) syncThrough(seq uint64) error {
 		}
 		return fmt.Errorf("%w: sync wal: store closed", ErrWriteFailed)
 	}
-	defer ds.syncs.Done()
-	return ds.syncOn(seq)
+	err := ds.syncOn(seq)
+	// Done before mu: Close and Compact hold mu while they wait syncs
+	// out.
+	ds.syncs.Done()
+	if err != nil {
+		ds.mu.Lock()
+		err = errors.Join(err, ds.dropUnsyncedLocked())
+		ds.mu.Unlock()
+	}
+	return err
 }
 
 // syncOn makes a Sync on one of syncFiles cover entry seq, unless one
@@ -501,7 +528,9 @@ func (ds *DurableStore) syncOn(seq uint64) error {
 // pages that were lost. So no two Syncs share a file description, and
 // the first failure sticks until the store is reopened — it is stored
 // before f is given back, and no Sync after it may cover an entry,
-// whoever wrote it.
+// whoever wrote it: not even one that began before it and succeeded
+// after, for the log is cut back to what the Syncs before the failure
+// covered.
 func (ds *DurableStore) syncFile(f fsx.File, seq uint64) error {
 	if ds.synced.Load() >= seq {
 		return nil
@@ -509,19 +538,51 @@ func (ds *DurableStore) syncFile(f fsx.File, seq uint64) error {
 	if err := ds.syncFailed(); err != nil {
 		return err
 	}
+	// written before walBytes: walBytes is raised first, so the length
+	// read covers entry upto, and it was flushed before the Sync began.
 	upto := ds.written.Load()
+	size := ds.walBytes.Load()
 	if err := f.Sync(); err != nil {
 		return ds.syncFailure(err)
 	}
+	ds.syncMu.Lock()
+	defer ds.syncMu.Unlock()
+	if err := ds.syncFailed(); err != nil {
+		return err
+	}
 	ds.markSynced(upto)
+	ds.syncedBytes = max(ds.syncedBytes, size)
 	return nil
 }
 
 // syncFailure keeps the first failed Sync's error, and returns err's.
 func (ds *DurableStore) syncFailure(err error) error {
 	err = fmt.Errorf("%w: sync wal: %w", ErrWriteFailed, err)
+	ds.syncMu.Lock()
 	ds.syncErr.CompareAndSwap(nil, &err)
+	ds.syncMu.Unlock()
 	return err
+}
+
+// dropUnsyncedLocked cuts the log back, once, to the length the Syncs
+// before the first failure covered, after that failure. What it drops
+// was never acknowledged: an op refused on its failed Sync — a purge,
+// whose replay would take away history the store still holds — and the
+// entries of decisions still waiting on a Sync, which will be refused.
+// Without the cut, a process that died before Close would replay them
+// all at the next open.
+func (ds *DurableStore) dropUnsyncedLocked() error {
+	if ds.dropped || ds.wal == nil {
+		return nil
+	}
+	ds.syncMu.Lock()
+	size := ds.syncedBytes
+	ds.syncMu.Unlock()
+	if err := ds.wal.Truncate(size); err != nil {
+		return fmt.Errorf("%w: cut wal back to its synced length: %w", ErrWriteFailed, err)
+	}
+	ds.dropped = true
+	return nil
 }
 
 // syncFailed returns the first failed Sync's error, or nil.
@@ -620,11 +681,18 @@ func (ds *DurableStore) Compact() error {
 		return fmt.Errorf("%w: %w", ErrWriteFailed, err)
 	}
 	// The snapshot holds every entry written so far, and Save synced it.
+	// No Sync may still be running to raise syncedBytes past the log
+	// this empties.
+	ds.syncs.Wait()
 	ds.markSynced(ds.written.Load())
 	// Snapshot durably installed; the log can be reset.
 	if err := ds.wal.Truncate(0); err != nil {
 		return fmt.Errorf("%w: truncate wal: %w", ErrWriteFailed, err)
 	}
+	ds.walBytes.Store(0)
+	ds.syncMu.Lock()
+	ds.syncedBytes = 0
+	ds.syncMu.Unlock()
 	if _, err := ds.wal.Seek(0, 0); err != nil {
 		return fmt.Errorf("adi: rewind wal: %w", err)
 	}
@@ -649,7 +717,9 @@ func (ds *DurableStore) Close() error {
 	}
 	var serr error
 	if ds.sync {
-		serr = ds.syncOn(ds.written.Load())
+		if serr = ds.syncOn(ds.written.Load()); serr != nil {
+			serr = errors.Join(serr, ds.dropUnsyncedLocked())
+		}
 	}
 	err := ds.wal.Close()
 	ds.wal = nil

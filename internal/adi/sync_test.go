@@ -380,3 +380,91 @@ func TestOverlappingSyncsEachSeeTheError(t *testing.T) {
 		}
 	}
 }
+
+// gatedSyncFS is the real filesystem whose WAL Syncs, once armed, each
+// announce themselves on started and wait there for their verdict: an
+// error to fail with, or nil to go on and sync.
+type gatedSyncFS struct {
+	fsx.FS
+	armed   atomic.Bool
+	started chan chan error
+}
+
+func (g *gatedSyncFS) OpenFile(name string, flag int, perm fs.FileMode) (fsx.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil || filepath.Base(name) != "wal.log" {
+		return f, err
+	}
+	return gatedSyncFile{f, g}, nil
+}
+
+type gatedSyncFile struct {
+	fsx.File
+	fs *gatedSyncFS
+}
+
+func (f gatedSyncFile) Sync() error {
+	if !f.fs.armed.Load() {
+		return f.File.Sync()
+	}
+	verdict := make(chan error)
+	f.fs.started <- verdict
+	if err := <-verdict; err != nil {
+		return err
+	}
+	return f.File.Sync()
+}
+
+// TestSyncAfterAFailureAcknowledgesNothing: two decisions' Syncs run at
+// once. The first fails; the second, begun before that failure, then
+// succeeds. Its decision must still be refused: the failure cut the log
+// back to what the Syncs before it covered, so the second decision's
+// entry is gone from the disk. Reopened without Close, the store holds
+// the one record synced before either.
+func TestSyncAfterAFailureAcknowledgesNothing(t *testing.T) {
+	gfs := &gatedSyncFS{FS: fsx.OS, started: make(chan chan error, 2)}
+	dir := t.TempDir()
+	ds, err := adi.OpenDurableFS(dir, []byte("sync-secret"), true, gfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	if err := ds.Append(tellerRecord("p0")); err != nil {
+		t.Fatal(err)
+	}
+	gfs.armed.Store(true)
+	wait := func(c *waiterCtx) chan error {
+		done := make(chan error, 1)
+		go func() { done <- c.w.Wait() }()
+		return done
+	}
+	first, second := newWaiterCtx(), newWaiterCtx()
+	if err := ds.AppendCtx(first, tellerRecord("p1")); err != nil {
+		t.Fatal(err)
+	}
+	firstDone := wait(first)
+	failing := <-gfs.started
+	if err := ds.AppendCtx(second, tellerRecord("p2")); err != nil {
+		t.Fatal(err)
+	}
+	secondDone := wait(second)
+	succeeding := <-gfs.started
+
+	failing <- errWritebackLost
+	if err := <-firstDone; !errors.Is(err, adi.ErrWriteFailed) {
+		t.Fatalf("wait on the failed Sync = %v, want ErrWriteFailed", err)
+	}
+	succeeding <- nil
+	if err := <-secondDone; !errors.Is(err, adi.ErrWriteFailed) {
+		t.Fatalf("wait on a Sync that succeeded after another failed = %v, want ErrWriteFailed", err)
+	}
+	gfs.armed.Store(false)
+	reopened, err := adi.OpenDurable(dir, []byte("sync-secret"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if n := reopened.Len(); n != 1 {
+		t.Fatalf("reopened with %d records, want the 1 synced before the failure", n)
+	}
+}
