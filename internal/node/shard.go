@@ -260,7 +260,10 @@ func (s *Shard) loadPolicy() (*policy.RBACPolicy, error) {
 func (s *Shard) install(pol *policy.RBACPolicy) (policyID string, err error) {
 	p, err := pdp.New(pdp.Config{
 		Policy: pol, Store: s.store, Trail: s.trail,
-		Observer: func(ev inspect.DecisionEvent) { s.broker.Publish(ev) },
+		// The trail is the only durable copy of the history under
+		// -recover trail without -adi.
+		TrailRecovers: s.cfg.Recover == "trail" && s.cfg.ADI == "",
+		Observer:      func(ev inspect.DecisionEvent) { s.broker.Publish(ev) },
 	})
 	if err != nil {
 		return "", fmt.Errorf("build PDP: %w", err)

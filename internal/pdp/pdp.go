@@ -51,6 +51,13 @@ type Config struct {
 	Store adi.Recorder
 	// Trail, when non-nil, receives an event per decision (§5.2).
 	Trail *audit.Writer
+	// TrailRecovers says the retained ADI is rebuilt from Trail at
+	// start-up (msodd -recover trail without -adi), so a grant the trail
+	// loses is lost history: a grant's entry is synced (AppendSynced)
+	// before the grant is answered, and a grant whose entry fails to be
+	// written or synced fails with adi.ErrWriteFailed instead of
+	// counting in TrailErrors. Denials are appended as without it.
+	TrailRecovers bool
 	// Linker resolves multi-authority identities; optional.
 	Linker *credential.Linker
 	// Clock overrides the time source; defaults to time.Now.
@@ -75,8 +82,10 @@ type PDP struct {
 	engine   *core.Engine
 	store    adi.Recorder
 	trail    *audit.Writer
-	observer func(inspect.DecisionEvent)
-	clock    func() time.Time
+	// trailRecovers is Config.TrailRecovers.
+	trailRecovers bool
+	observer      func(inspect.DecisionEvent)
+	clock         func() time.Time
 	// commitMu makes a store change and its event publication atomic
 	// with respect to other changes, so broker sequence order equals
 	// store commit order: the stream tells the changes in the order they
@@ -130,14 +139,15 @@ func New(cfg Config) (*PDP, error) {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	return &PDP{
-		policyID: cfg.Policy.ID,
-		model:    model,
-		cvs:      credential.NewCVS(cfg.Policy.TrustedRoles(), cfg.Linker),
-		engine:   engine,
-		store:    store,
-		trail:    cfg.Trail,
-		observer: cfg.Observer,
-		clock:    clock,
+		policyID:      cfg.Policy.ID,
+		model:         model,
+		cvs:           credential.NewCVS(cfg.Policy.TrustedRoles(), cfg.Linker),
+		engine:        engine,
+		store:         store,
+		trail:         cfg.Trail,
+		trailRecovers: cfg.TrailRecovers,
+		observer:      cfg.Observer,
+		clock:         clock,
 	}, nil
 }
 
@@ -264,7 +274,7 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 				p.publish(ev, dec)
 			}
 			if trailed {
-				p.appendTrail(ctx, ev)
+				_ = p.appendTrail(ctx, ev, false) // a denial: only counted
 			}
 		}
 		return dec, nil
@@ -273,9 +283,10 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	endMSoD := obsv.StartSpan(ctx, obsv.StageMSoD)
 	// The commit lock spans evaluation (which may commit a record) and
 	// event publication — see the commitMu field comment. The WAL sync
-	// a durable grant waits on (waitSynced) and the audit append stay
-	// outside: durable I/O under the lock would gate every decision's
-	// latency on disk, and the trail has its own ordering.
+	// a durable grant waits on (waitSynced) and the audit append (with
+	// the trail's sync of a grant, under TrailRecovers) stay outside:
+	// durable I/O under the lock would gate every decision's latency on
+	// disk, and the trail has its own ordering.
 	if observed {
 		p.commitMu.Lock()
 	}
@@ -315,7 +326,9 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 		}
 	}
 	if trailed {
-		p.appendTrail(ctx, ev)
+		if err := p.appendTrail(ctx, ev, dec.Allowed); err != nil {
+			return Decision{}, err
+		}
 	}
 	return dec, nil
 }
@@ -441,13 +454,23 @@ func (p *PDP) publish(ev audit.Event, dec Decision) {
 }
 
 // appendTrail writes the decision to the audit trail (the caller has
-// checked there is one). Trail write failures must not flip an access
-// decision; the PDP surfaces them via the event error counter instead
-// (a production system would fail-stop; the paper does not specify).
-func (p *PDP) appendTrail(ctx context.Context, ev audit.Event) {
+// checked there is one). A trail write failure does not flip an access
+// decision; the PDP counts it in TrailErrors instead (the paper does
+// not specify) — except for a grant under TrailRecovers, whose entry is
+// the only durable copy of its records: its entry is synced, and a
+// failure fails the grant with adi.ErrWriteFailed, which latches a
+// shard's read-only mode as a failed WAL write does.
+func (p *PDP) appendTrail(ctx context.Context, ev audit.Event, granted bool) error {
 	endAudit := obsv.StartSpan(ctx, obsv.StageAudit)
+	defer endAudit.End()
+	if p.trailRecovers && granted {
+		if _, err := p.trail.AppendSynced(ctx, ev); err != nil {
+			return fmt.Errorf("%w: audit trail: %w", adi.ErrWriteFailed, err)
+		}
+		return nil
+	}
 	if _, err := p.trail.AppendCtx(ctx, ev); err != nil {
 		p.trailErrs.Add(1)
 	}
-	endAudit.End()
+	return nil
 }

@@ -1,10 +1,14 @@
 package pdp
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"msod/internal/adi"
 	"msod/internal/audit"
+	"msod/internal/fault"
+	"msod/internal/fsx"
 	"msod/internal/policy"
 )
 
@@ -141,5 +145,58 @@ func TestRecoverWindow(t *testing.T) {
 	}
 	if stats.Records != 2 || store.Len() != 2 {
 		t.Fatalf("windowed recovery: stats=%+v len=%d", stats, store.Len())
+	}
+}
+
+// TestTrailRecoversSyncsGrants: with TrailRecovers, a grant's trail
+// entry is synced before Decide returns, and a grant whose entry fails
+// to sync fails with adi.ErrWriteFailed and is not counted as a trail
+// error. A denial's entry is not synced, and its failure is counted as
+// without TrailRecovers, which keeps its counted, unsynced trail.
+func TestTrailRecoversSyncsGrants(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, recovers := range []bool{false, true} {
+		ffs := fault.NewFS(fsx.OS, 3)
+		w, err := audit.NewWriterFS(t.TempDir(), []byte("trail-key"), 0, ffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(Config{Policy: pol, Trail: w, TrailRecovers: recovers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant := bankReq("alice", "Teller", "HandleCash", "till", "York", "2006")
+		before := ffs.Ops()
+		if dec, err := p.Decide(grant); err != nil || !dec.Allowed {
+			t.Fatalf("recovers %v: grant = %+v, %v", recovers, dec, err)
+		}
+		if ops, want := ffs.Ops()-before, map[bool]int{false: 1, true: 2}[recovers]; ops != want {
+			t.Fatalf("recovers %v: a grant took %d filesystem operations, want %d (write, and a sync when the trail recovers)", recovers, ops, want)
+		}
+		before = ffs.Ops()
+		if dec, err := p.Decide(bankReq("alice", "Auditor", "Audit", "ledger", "York", "2006")); err != nil || dec.Allowed {
+			t.Fatalf("recovers %v: denial = %+v, %v", recovers, dec, err)
+		}
+		if ops := ffs.Ops() - before; ops != 1 {
+			t.Fatalf("recovers %v: a denial took %d filesystem operations, want its write alone", recovers, ops)
+		}
+
+		// The next grant's write fails.
+		ffs.InjectAt(ffs.Ops()+1, fault.EIO)
+		dec, err := p.Decide(bankReq("bob", "Teller", "HandleCash", "till", "Leeds", "2006"))
+		if recovers {
+			if !errors.Is(err, adi.ErrWriteFailed) {
+				t.Fatalf("grant whose trail write failed = %+v, %v; want adi.ErrWriteFailed", dec, err)
+			}
+			if n := p.TrailErrors(); n != 0 {
+				t.Fatalf("%d trail errors counted for a grant that failed instead", n)
+			}
+		} else if err != nil || !dec.Allowed || p.TrailErrors() != 1 {
+			t.Fatalf("without TrailRecovers: grant = %+v, %v with %d trail errors; want granted, 1 counted", dec, err, p.TrailErrors())
+		}
+		w.Close()
 	}
 }
