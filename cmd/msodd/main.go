@@ -62,15 +62,13 @@ func parseFlags(args []string) (node.Config, error) {
 	fs.IntVar(&c.MaxInflight, "max-inflight", 0, "shed decision/management requests beyond this many in flight (0 = unbounded)")
 	fs.DurationVar(&c.ShedRetryAfter, "shed-retry-after", time.Second, "Retry-After hint on shed (503) responses")
 	fs.BoolVar(&c.Handoff, "handoff", false, "trust an msodgw gateway with the retained ADI: serve the resharding handoff endpoints (the import endpoint replaces per-user history) and close the context instances its requests name in the Msod-Close header")
-	fs.DurationVar(&c.SlowLog, "slowlog", 0, "log decisions slower than this (0 disables; 1ns logs every decision)")
+	fs.DurationVar(&c.SlowLog, "slowlog", 0, "log decisions that take this long or longer, and keep their span trees for /v1/traces (0 disables; 1ns logs every decision)")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (empty disables; binds loopback unless -pprof-allow-remote)")
 	fs.BoolVar(&c.PprofAllowRemote, "pprof-allow-remote", false, "allow -pprof to bind a non-loopback address (profiling endpoints expose process internals)")
 	fs.DurationVar(&c.SentinelInterval, "sentinel-interval", 0, "audit-chain sentinel check interval (0 disables; needs -trail)")
 	fs.BoolVar(&c.SentinelFailClosed, "sentinel-fail-closed", false, "refuse decisions once the sentinel detects audit-chain tampering")
-	fs.IntVar(&c.ExplainCapacity, "explain-capacity", 0, "decision provenance records retained for /v1/explain (0 = 1024 default; negative disables explain)")
-	fs.IntVar(&c.TraceCapacity, "trace-capacity", 0, "tail-sampled span trees retained for /v1/traces (0 = 1024 default; negative disables trace retention)")
+	fs.IntVar(&c.ExplainCapacity, "explain-capacity", 0, "decisions retained for /v1/explain, and with them their kept span trees for /v1/traces (0 = 1024 default; negative disables both)")
 	fs.IntVar(&c.TraceSample, "trace-sample", 0, "keep a deterministic 1-in-N sample of fast grants' span trees (0 keeps none; refusals, errors and slow decisions are always kept)")
-	fs.DurationVar(&c.TraceSlowThreshold, "trace-slow-threshold", 0, "always keep span trees of decisions slower than this (0 disables the slow criterion)")
 	fs.DurationVar(&c.SLOLatencyP99, "slo-latency-p99", 0, "declared per-decision latency objective; enables the msod_slo_* metric families (0 disables the SLO layer)")
 	fs.Float64Var(&c.SLOGoal, "slo-goal", 0.999, "declared good-request target fraction for the SLO layer")
 	fs.DurationVar(&c.SLOWindow, "slo-window", time.Hour, "rolling error-budget window for the SLO layer (fast burn-rate window is 1/12 of this)")

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"msod/internal/explain"
 	"msod/internal/server"
@@ -22,8 +21,8 @@ func (g *Gateway) handleExplain(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, server.ExplainPath)
-	if id == "" || strings.Contains(id, "/") {
+	id, ok := server.LookupID(r, server.ExplainPath)
+	if !ok {
 		errorJSON(w, http.StatusBadRequest, "request ID required: GET "+server.ExplainPath+"{requestID}")
 		return
 	}

@@ -42,6 +42,26 @@ func TestGatewayExplainFanout(t *testing.T) {
 	}
 }
 
+// TestGatewayExplainRequestIDWithSlash: the gateway reads a request ID
+// holding a "/" (sent as %2F) whole and asks the shards for it; a raw
+// "/" after the prefix names no ID.
+func TestGatewayExplainRequestIDWithSlash(t *testing.T) {
+	_, gts, shards := newTestCluster(t, 3, Config{})
+	shards[2].explainID = "po/7"
+	rec, err := server.NewClient(gts.URL, nil).Explain("po/7")
+	if err != nil || rec.RequestID != "po/7" {
+		t.Fatalf("explain po/7 through the gateway = %+v, %v", rec, err)
+	}
+	resp, err := http.Get(gts.URL + server.ExplainPath + "po/7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("raw slash status = %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestGatewayExplainFailsClosed: with any shard down the record may be
 // unreachable, so the gateway refuses to claim absence.
 func TestGatewayExplainFailsClosed(t *testing.T) {

@@ -26,8 +26,8 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, server.TracesPath)
-	if id == "" || strings.Contains(id, "/") {
+	id, ok := server.LookupID(r, server.TracesPath)
+	if !ok {
 		errorJSON(w, http.StatusBadRequest, "trace ID required: GET "+server.TracesPath+"{traceID}")
 		return
 	}

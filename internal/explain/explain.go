@@ -8,11 +8,13 @@
 // answerable from the request alone; this package answers it without
 // replaying the audit trail by hand.
 //
+// The shard keeps one record per decision (Ring): the description, the
+// engine's rule values and, when the tail sampler keeps it, the span
+// tree, served as a Record by request ID and as a trace by trace ID.
 // The hot path stays cheap three ways: the engine hands over the values
 // it holds and renders nothing (core.Explainer), the entries holding
-// them are pooled and reused when they rotate out of the retention
-// ring (ring.Keyed), and the text of a Record is rendered only when
-// GET /v1/explain serves it.
+// them are pooled and reused when they rotate out of the ring, and the
+// text of a Record is rendered only when GET /v1/explain serves it.
 package explain
 
 import (
@@ -20,13 +22,16 @@ import (
 	"time"
 
 	"msod/internal/core"
+	"msod/internal/obsv"
 )
 
 // Outcomes as they appear in explain records (matching the audit
-// trail's effect vocabulary).
+// trail's effect vocabulary), and the outcome of a request that errored
+// instead of being decided, which has no explain record.
 const (
 	OutcomeGrant = "grant"
 	OutcomeDeny  = "deny"
+	OutcomeError = "error"
 )
 
 // Constraint kinds.
@@ -68,7 +73,7 @@ type RuleEval struct {
 }
 
 // Record is the provenance of one decision, served at
-// /v1/explain/{requestID}: Recorder.Get renders it from the retained
+// /v1/explain/{requestID}: Ring.Get renders it from the retained
 // Entry, so ring rotation can never mutate a served answer.
 type Record struct {
 	// RequestID keys the record: the idempotency ID the gateway minted
@@ -139,7 +144,8 @@ func (r *Record) finalize() {
 // the decision log line each render their view of it.
 type Decision struct {
 	// RequestID keys the explain record (empty on an advisory, which
-	// has none); TraceID correlates every view of the decision.
+	// has none); TraceID keys the retained trace and correlates every
+	// view of the decision.
 	RequestID, TraceID string
 	// Time is when the PDP began evaluating, Elapsed how long it took.
 	Time    time.Time
@@ -150,29 +156,33 @@ type Decision struct {
 	User                       string
 	Roles                      []string
 	Operation, Target, Context string
-	// Outcome is OutcomeGrant, OutcomeDeny or "error"; Reason is the
-	// denial or the error.
+	// Outcome is OutcomeGrant, OutcomeDeny or OutcomeError; Reason is
+	// the denial or the error.
 	Outcome, Phase, Reason            string
 	MatchedPolicies, Recorded, Purged int
 	Advisory                          bool
 	Terminated                        []string // the answer's Closed
 }
 
-// Entry is one explained decision as the ring keeps it: the shard's
-// Decision and the rules the engine consulted, as the engine's own
-// values (it is the core.Explainer the engine hands them to). Nothing
-// is rendered until Get serves it as a Record.
+// Entry is one decision as the ring keeps it: the shard's Decision,
+// the rules the engine consulted, as the engine's own values (it is the
+// core.Explainer the engine hands them to), and the span tree when the
+// tail sampler kept it. Nothing is rendered until a lookup serves it.
 type Entry struct {
 	Decision
 	rules []core.RuleEval
+	// SampledFor is the reason the tail sampler kept Spans ("" when it
+	// kept none); a lookup by trace ID reads both.
+	SampledFor string
+	Spans      []obsv.Span
 }
 
 // Rule implements core.Explainer.
 func (e *Entry) Rule(ev core.RuleEval) { e.rules = append(e.rules, ev) }
 
-// reset clears the entry for reuse, keeping its rules' backing array so
-// a pooled entry stops allocating once warm.
-func (e *Entry) reset() { *e = Entry{rules: e.rules[:0]} }
+// reset clears the entry for reuse, keeping its rules' and spans'
+// backing arrays so a pooled entry stops allocating once warm.
+func (e *Entry) reset() { *e = Entry{rules: e.rules[:0], Spans: e.Spans[:0]} }
 
 // record renders the entry as served, governing rule included. The
 // record shares no slice with the entry, so it stays valid after the

@@ -311,17 +311,6 @@ func (b *Broker) Close() {
 	}
 }
 
-// Recent returns up to n of the most recent retained events matching
-// the filter, oldest first.
-func (b *Broker) Recent(f Filter, n int) []DecisionEvent {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if n <= 0 || n > b.ring.Len() {
-		n = b.ring.Len()
-	}
-	return b.recentLocked(f, n)
-}
-
 // recentLocked collects the newest n matches and returns them oldest
 // first. The caller holds mu.
 func (b *Broker) recentLocked(f Filter, n int) []DecisionEvent {

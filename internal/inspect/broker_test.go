@@ -31,14 +31,16 @@ func TestBrokerRingOverwritesOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Publish(ev(fmt.Sprintf("u%d", i), OutcomeGrant, "P=1"))
 	}
-	recent := b.Recent(Filter{}, 100)
+	sub := b.Subscribe(Filter{}, 100)
+	defer b.Unsubscribe(sub)
+	recent := drain(t, sub)
 	if len(recent) != 4 {
-		t.Fatalf("Recent returned %d events, want capacity 4", len(recent))
+		t.Fatalf("Subscribe replayed %d events, want capacity 4", len(recent))
 	}
 	// Oldest-first, only the newest four survive.
-	for i, e := range recent {
-		if want := fmt.Sprintf("u%d", 6+i); e.User != want {
-			t.Errorf("recent[%d].User = %q, want %q", i, e.User, want)
+	for i, user := range recent {
+		if want := fmt.Sprintf("u%d", 6+i); user != want {
+			t.Errorf("replayed[%d] = %q, want %q", i, user, want)
 		}
 	}
 }
@@ -243,34 +245,41 @@ func TestBrokerDroppedAccounting(t *testing.T) {
 	}
 }
 
-// TestBrokerRecentMatchesSubscribeReplay: Recent(f, n) and the replayed
-// prefix of Subscribe(f, n) are two views of the same ring — they must
-// agree event-for-event, including under a filter that skips ring slots.
-func TestBrokerRecentMatchesSubscribeReplay(t *testing.T) {
+// TestBrokerSubscribeReplaysNewestMatches: Subscribe(f, n) replays the
+// newest n retained events matching f, oldest first, under a filter
+// that skips ring slots: alice's events are every third one published.
+func TestBrokerSubscribeReplaysNewestMatches(t *testing.T) {
 	b := NewBroker(16)
+	var alice []uint64 // the sequence numbers of alice's events
 	for i := 0; i < 12; i++ {
 		user := "other"
 		if i%3 == 0 {
 			user = "alice"
 		}
-		b.Publish(ev(user, OutcomeGrant, "P=1"))
+		if seq := b.Publish(ev(user, OutcomeGrant, "P=1")); user == "alice" {
+			alice = append(alice, seq)
+		}
 	}
 	f, err := NewFilter("alice", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 4, 100} {
-		recent := b.Recent(f, n)
+		want := alice[max(0, len(alice)-n):]
 		sub := b.Subscribe(f, n)
-		replayed := drain(t, sub)
-		b.Unsubscribe(sub)
-		if len(recent) != len(replayed) {
-			t.Fatalf("n=%d: Recent %d events, Subscribe replayed %d", n, len(recent), len(replayed))
-		}
-		for i := range recent {
-			if recent[i].User != replayed[i] {
-				t.Errorf("n=%d event %d: Recent %q vs replay %q", n, i, recent[i].User, replayed[i])
+		var got []uint64
+	queued:
+		for {
+			select {
+			case e := <-sub.Events():
+				got = append(got, e.Seq)
+			default:
+				break queued
 			}
+		}
+		b.Unsubscribe(sub)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("n=%d: replayed sequence numbers %v, want %v", n, got, want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"msod/internal/adi"
@@ -46,9 +45,7 @@ type Config struct {
 	SentinelInterval   time.Duration // -sentinel-interval (0 disables)
 	SentinelFailClosed bool          // -sentinel-fail-closed
 	ExplainCapacity    int           // -explain-capacity
-	TraceCapacity      int           // -trace-capacity
 	TraceSample        int           // -trace-sample
-	TraceSlowThreshold time.Duration // -trace-slow-threshold
 	SLOLatencyP99      time.Duration // -slo-latency-p99 (0 disables the SLO layer)
 	SLOGoal            float64       // -slo-goal
 	SLOWindow          time.Duration // -slo-window
@@ -81,15 +78,13 @@ func (c Config) Validate() error {
 }
 
 // Shard is what msodd serves: the HTTP surface of one PDP over its
-// retained ADI, trail and telemetry. Reload swaps the PDP under a live
-// handler.
+// retained ADI, trail and telemetry. Reload swaps the PDP under the
+// live server.
 type Shard struct {
 	cfg    Config
 	logger *slog.Logger
 
-	// cur is read on every request, so a reload swaps it atomically.
-	cur    atomic.Pointer[server.Server]
-	opts   []server.Option
+	srv    *server.Server
 	store  adi.Recorder
 	trail  *audit.Writer
 	broker *inspect.Broker
@@ -150,6 +145,7 @@ func (s *Shard) build(pol *policy.RBACPolicy) error {
 		s.closers = append(s.closers, w.Close)
 	}
 	s.broker = inspect.NewBroker(0)
+	opts := s.serverOptions()
 	if cfg.SentinelInterval > 0 {
 		if cfg.Trail == "" || len(trailKey) == 0 {
 			return errors.New("-sentinel-interval needs -trail and -trail-key-file")
@@ -162,16 +158,16 @@ func (s *Shard) build(pol *policy.RBACPolicy) error {
 		}
 		sent.Start()
 		s.closers = append(s.closers, func() error { sent.Stop(); return nil })
-		s.opts = append(s.opts, server.WithSentinel(sent, cfg.SentinelFailClosed))
+		opts = append(opts, server.WithSentinel(sent, cfg.SentinelFailClosed))
 		infof(s.logger, "audit-chain sentinel checking every %s (fail-closed=%v)",
 			cfg.SentinelInterval, cfg.SentinelFailClosed)
 	}
-	s.opts = append(s.opts, s.serverOptions()...)
-	id, err := s.install(pol)
+	p, err := s.newPDP(pol)
 	if err != nil {
 		return err
 	}
-	infof(s.logger, "policy %q loaded", id)
+	s.srv = server.New(p, opts...)
+	infof(s.logger, "policy %q loaded", p.PolicyID())
 	return nil
 }
 
@@ -255,9 +251,9 @@ func (s *Shard) loadPolicy() (*policy.RBACPolicy, error) {
 	return pol, nil
 }
 
-// install builds a PDP from pol over the shard's retained ADI, trail
-// and broker, and swaps it in under the live handler.
-func (s *Shard) install(pol *policy.RBACPolicy) (policyID string, err error) {
+// newPDP builds a PDP from pol over the shard's retained ADI, trail and
+// broker.
+func (s *Shard) newPDP(pol *policy.RBACPolicy) (*pdp.PDP, error) {
 	p, err := pdp.New(pdp.Config{
 		Policy: pol, Store: s.store, Trail: s.trail,
 		// The trail is the only durable copy of the history under
@@ -266,15 +262,15 @@ func (s *Shard) install(pol *policy.RBACPolicy) (policyID string, err error) {
 		Observer:      func(ev inspect.DecisionEvent) { s.broker.Publish(ev) },
 	})
 	if err != nil {
-		return "", fmt.Errorf("build PDP: %w", err)
+		return nil, fmt.Errorf("build PDP: %w", err)
 	}
-	s.cur.Store(server.New(p, s.opts...))
-	return p.PolicyID(), nil
+	return p, nil
 }
 
-// serverOptions are the server options of the first build and every
-// reload; the telemetry they hold is built once, so retained traces and
-// the error-budget window survive a reload.
+// serverOptions are the options of the shard's one server, which a
+// reload keeps: the idempotency cache, the decision ring, the applied
+// opens and closes, the counters and the error-budget window survive
+// it.
 func (s *Shard) serverOptions() []server.Option {
 	cfg := s.cfg
 	opts := []server.Option{server.WithEventBroker(s.broker)}
@@ -284,13 +280,10 @@ func (s *Shard) serverOptions() []server.Option {
 	if cfg.ExplainCapacity != 0 {
 		opts = append(opts, server.WithExplainCapacity(cfg.ExplainCapacity))
 	}
-	if cfg.TraceCapacity >= 0 {
-		opts = append(opts, server.WithTraceStore(trace.NewStore(trace.Config{
-			Capacity:      cfg.TraceCapacity,
-			SampleEvery:   cfg.TraceSample,
-			SlowThreshold: cfg.TraceSlowThreshold,
-		})))
-	}
+	// Every decision the slow log names keeps its span tree.
+	opts = append(opts, server.WithTraceStore(trace.NewStore(trace.Config{
+		SampleEvery: cfg.TraceSample, SlowThreshold: cfg.SlowLog,
+	})))
 	if cfg.SLOLatencyP99 > 0 {
 		opts = append(opts, server.WithSLO(obsv.NewSLO(obsv.SLOConfig{
 			Goal: cfg.SLOGoal, Latency: cfg.SLOLatencyP99, Window: cfg.SLOWindow,
@@ -328,17 +321,18 @@ func (s *Shard) Reload() error {
 	if err != nil {
 		return err
 	}
-	id, err := s.install(pol)
+	p, err := s.newPDP(pol)
 	if err != nil {
 		return err
 	}
-	infof(s.logger, "policy %q reloaded", id)
+	s.srv.SetPDP(p)
+	infof(s.logger, "policy %q reloaded", p.PolicyID())
 	return nil
 }
 
 // ServeHTTP serves the shard's endpoints.
 func (s *Shard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.cur.Load().ServeHTTP(w, r)
+	s.srv.ServeHTTP(w, r)
 }
 
 // Store is the shard's retained ADI.

@@ -53,7 +53,7 @@ func TestOneDecisionOneDescription(t *testing.T) {
 	srv := New(p,
 		WithEventBroker(broker),
 		WithExplainCapacity(8),
-		WithTraceStore(trace.NewStore(trace.Config{Capacity: 8, SampleEvery: 1})),
+		WithTraceStore(trace.NewStore(trace.Config{SampleEvery: 1})),
 		WithDecisionLog(obsv.NewLogger(&log, "msodd"), 0))
 
 	req := DecisionRequest{Credentials: []credential.Credential{cred}, User: "mallory",
@@ -72,14 +72,14 @@ func TestOneDecisionOneDescription(t *testing.T) {
 		t.Errorf("answer names %q, want %q", resp.User, user)
 	}
 
-	x, ok := srv.Explain().Get(resp.RequestID)
+	x, ok := srv.decisions.Get(resp.RequestID)
 	if !ok {
 		t.Fatal("no explain record")
 	}
 	if x.User != user || x.Context != ctx {
 		t.Errorf("explain record names %q in %q, want %q in %q", x.User, x.Context, user, ctx)
 	}
-	tr, ok := srv.Traces().Get(resp.TraceID)
+	tr, ok := srv.traceRecord(resp.TraceID)
 	if !ok {
 		t.Fatal("no retained trace")
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"net/url"
 	"strings"
 	"sync/atomic"
 
@@ -13,16 +14,18 @@ import (
 // (GET /v1/explain/{requestID}): the resolved subject, the policies
 // and MSoD rules evaluated with their k-of-m counter state before and
 // after the decision, and the exact constraint that produced the
-// grant or refusal. Records live in a bounded in-memory ring — old
-// decisions rotate out, and a shard only holds records for decisions
-// it executed itself, which is why the gateway fans an explain query
-// out across the cluster.
+// grant or refusal. Records live in the shard's bounded decision ring
+// — old decisions rotate out, and a shard only holds records for
+// decisions it executed itself, which is why the gateway fans an
+// explain query out across the cluster.
 const ExplainPath = "/v1/explain/"
 
-// WithExplainCapacity sizes the per-shard explain ring: how many
-// recent decisions stay queryable at /v1/explain/{requestID}. Zero
-// keeps the default (explain.DefaultCapacity); negative disables
-// explain recording entirely, removing its (small) per-decision cost.
+// WithExplainCapacity sizes the per-shard decision ring: how many
+// recent decisions stay queryable at /v1/explain/{requestID}, and for
+// as long their span trees at /v1/traces/{traceID}. Zero keeps the
+// default (explain.DefaultCapacity); negative disables the ring, and
+// with it both lookups and the tail sampler, removing its (small)
+// per-decision cost.
 func WithExplainCapacity(n int) Option {
 	return func(s *Server) { s.explainCap = n }
 }
@@ -35,11 +38,7 @@ func WithSLO(slo *obsv.SLO) Option {
 	return func(s *Server) { s.slo = slo }
 }
 
-// Explain exposes the server's explain recorder (nil when disabled) —
-// for the embedding daemon and tests; HTTP callers use ExplainPath.
-func (s *Server) Explain() *explain.Recorder { return s.explain }
-
-// explainLookup serves ExplainPath from the explain ring.
+// explainLookup serves ExplainPath from the decision ring.
 func (s *Server) explainLookup() http.Handler {
 	l := ringLookup[explain.Record]{
 		path:    ExplainPath,
@@ -48,18 +47,31 @@ func (s *Server) explainLookup() http.Handler {
 		miss:    [2]string{"no explain record for request ID ", " on this shard (rotated out, or decided elsewhere)"},
 		queries: &s.metrics.explainQueries, misses: &s.metrics.explainMisses,
 	}
-	if s.explain != nil {
-		l.get = s.explain.Get
+	if s.decisions != nil {
+		l.get = s.decisions.Get
 	}
 	return l
 }
 
-// ringLookup is GET path{id} over a keyed ring of per-decision records
-// (explain records, trace trees), counting every lookup and miss.
+// LookupID reads the ID a GET of prefix{id} names: the rest of the path
+// as the caller sent it, unescaped, so an ID holding a "/" (sent as
+// %2F) is read whole. It reports false for a path whose rest is empty
+// or holds a "/" of its own.
+func LookupID(r *http.Request, prefix string) (string, bool) {
+	rest, ok := strings.CutPrefix(r.URL.EscapedPath(), prefix)
+	if !ok || rest == "" || strings.Contains(rest, "/") {
+		return "", false
+	}
+	id, err := url.PathUnescape(rest)
+	return id, err == nil
+}
+
+// ringLookup is GET path{id} over the decision ring (explain records,
+// trace trees), counting every lookup and miss.
 type ringLookup[R any] struct {
 	path  string
 	usage string    // the 400 for a path without an ID
-	off   string    // the 404 when the server keeps no such ring (get nil)
+	off   string    // the 404 when the server keeps no ring (get nil)
 	miss  [2]string // the 404 for a miss is miss[0] + id + miss[1]
 	get   func(id string) (R, bool)
 
@@ -75,8 +87,8 @@ func (l ringLookup[R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{l.off})
 		return
 	}
-	id := strings.TrimPrefix(r.URL.Path, l.path)
-	if id == "" || strings.Contains(id, "/") {
+	id, ok := LookupID(r, l.path)
+	if !ok {
 		writeJSON(w, http.StatusBadRequest, errorResponse{l.usage})
 		return
 	}

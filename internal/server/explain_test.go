@@ -1,6 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +15,7 @@ import (
 	"msod/internal/obsv"
 	"msod/internal/pdp"
 	"msod/internal/policy"
+	"msod/internal/trace"
 )
 
 // startExplainServer is startServer with explain/SLO options applied.
@@ -269,5 +274,118 @@ func TestMetricsDialectNegotiation(t *testing.T) {
 	if !strings.Contains(om, "msod_decision_duration_seconds_bucket") ||
 		!strings.Contains(om, `# {trace_id="`) {
 		t.Fatal("OpenMetrics dialect lost the duration exemplar")
+	}
+}
+
+// TestExplainRequestIDWithSlash: a request ID is the caller's text, so
+// one holding a "/" is answered and explained: the client sends it
+// escaped (%2F) and the shard reads it from the path as sent. A raw
+// "/" after the prefix names no ID.
+func TestExplainRequestIDWithSlash(t *testing.T) {
+	ts := startExplainServer(t)
+	c := NewClient(ts.URL, nil)
+	resp, err := c.Decision(DecisionRequest{
+		User: "c1", Roles: []string{"Clerk"},
+		Operation: "prepareCheck", Target: "http://www.myTaxOffice.com/Check",
+		Context: "TaxOffice=Leeds, taxRefundProcess=p1", RequestID: "po/7",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.RequestID != "po/7" {
+		t.Fatalf("answer requestID %q", resp.RequestID)
+	}
+	rec, err := c.Explain("po/7")
+	if err != nil || rec.RequestID != "po/7" || rec.TraceID != resp.TraceID {
+		t.Fatalf("explain po/7 = %+v, %v", rec, err)
+	}
+	raw, err := http.Get(ts.URL + ExplainPath + "po/7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw.Body.Close()
+	if raw.StatusCode != http.StatusBadRequest {
+		t.Fatalf("raw slash status = %d, want 400", raw.StatusCode)
+	}
+}
+
+// TestDecisionRingRetention pins which lookup finds which record of the
+// one decision ring: an errored decision's trace is served while
+// /v1/explain has no record of it, an advisory's trace is found by
+// trace ID only, and once as many newer records as the ring holds are
+// filed, both lookups miss an evicted record.
+func TestDecisionRingRetention(t *testing.T) {
+	const capacity = 4
+	ts := startExplainServer(t, WithExplainCapacity(capacity), WithTraceStore(trace.NewStore(trace.Config{SampleEvery: 1})))
+	c := NewClient(ts.URL, nil)
+	notFound := func(err error) bool {
+		var apiErr *APIError
+		return errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound
+	}
+	step := func(user, period, rid string) DecisionRequest {
+		return DecisionRequest{User: user, Roles: []string{"Clerk"},
+			Operation: "prepareCheck", Target: "http://www.myTaxOffice.com/Check",
+			Context: "TaxOffice=Leeds, taxRefundProcess=" + period, RequestID: rid}
+	}
+
+	// An errored decision (no subject): 400, its trace kept, no record.
+	traceID := obsv.NewTraceID()
+	body, _ := json.Marshal(DecisionRequest{Roles: []string{"Clerk"}, Operation: "prepareCheck",
+		Target: "http://www.myTaxOffice.com/Check", Context: "TaxOffice=Leeds, taxRefundProcess=p0", RequestID: "r-err"})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+DecisionPath, bytes.NewReader(body))
+	req.Header.Set(obsv.TraceparentHeader, traceID.Traceparent())
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("subject-less decision = %d, want 400", resp.StatusCode)
+	}
+	if tr, err := c.Trace(string(traceID)); err != nil || tr.Outcome != "error" || tr.RequestID != "r-err" {
+		t.Fatalf("errored decision's trace = %+v, %v", tr, err)
+	}
+	if _, err := c.Explain("r-err"); !notFound(err) {
+		t.Fatalf("errored decision explained: %v", err)
+	}
+
+	// An advisory: its trace is kept under its trace ID alone.
+	adv, err := c.Advice(step("c1", "p1", ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := c.Trace(adv.TraceID); err != nil || !tr.Advisory || tr.RequestID != "" {
+		t.Fatalf("advisory's trace = %+v, %v", tr, err)
+	}
+	if _, err := c.Explain(adv.TraceID); !notFound(err) {
+		t.Fatalf("advisory explained under its trace ID: %v", err)
+	}
+
+	// A decision, then as many newer ones as the ring holds.
+	first, err := c.Decision(step("c2", "p2", "r-first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Explain("r-first"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Trace(first.TraceID); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < capacity; i++ {
+		if _, err := c.Decision(step(fmt.Sprintf("u%d", i), fmt.Sprintf("q%d", i), fmt.Sprintf("r-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Explain("r-first"); !notFound(err) {
+		t.Fatalf("evicted decision still explained: %v", err)
+	}
+	if _, err := c.Trace(first.TraceID); !notFound(err) {
+		t.Fatalf("evicted decision's trace still served: %v", err)
+	}
+	for _, id := range []string{string(traceID), adv.TraceID} {
+		if _, err := c.Trace(id); !notFound(err) {
+			t.Fatalf("trace %s outlived the records filed after it: %v", id, err)
+		}
 	}
 }

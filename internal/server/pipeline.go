@@ -46,7 +46,7 @@ type decisionCall struct {
 	status int
 	resp   DecisionResponse
 	// d is the one description of the decision (describe) that the
-	// explain ring, the trace store and the decision log render.
+	// decision ring's two lookups and the decision log render.
 	d explain.Decision
 }
 
@@ -221,8 +221,8 @@ func (c *decisionContext) Value(key any) any {
 func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(context.Context, pdp.Request) (pdp.Decision, error)) {
 	c.dc = &decisionContext{Context: ctx}
 	c.dc.trace.Init(c.TraceID)
-	if !c.advisory && s.explain != nil {
-		c.dc.xrec = s.explain.Begin()
+	if !c.advisory && s.decisions != nil {
+		c.dc.xrec = s.decisions.Begin()
 	}
 	start := time.Now()
 	dec, err := pdpDecide(c.dc, c.Request)
@@ -262,7 +262,7 @@ func (c *decisionCall) describe(start time.Time, elapsed time.Duration) {
 	}
 	switch {
 	case c.err != nil:
-		c.d.User, c.d.Outcome, c.d.Reason = c.Wire.User, "error", c.err.Error()
+		c.d.User, c.d.Outcome, c.d.Reason = c.Wire.User, explain.OutcomeError, c.err.Error()
 	case r.Allowed:
 		c.d.Outcome = explain.OutcomeGrant
 	}
@@ -270,26 +270,15 @@ func (c *decisionCall) describe(start time.Time, elapsed time.Duration) {
 
 // publish shows one decided request — error or answer — to every sink,
 // in the one order they are fed: the latency and stage histograms, the
-// explain ring, the trace store, the SLO, the counters, the slow log.
-// The rings and the log line render c.d; none builds a description of
-// its own.
+// tail sampler and the decision ring, the SLO, the counters, the slow
+// log. The ring's lookups and the log line render c.d; none builds a
+// description of its own.
 func (s *Server) publish(ctx context.Context, c *decisionCall) {
 	d := &c.d
 	spans := c.dc.trace.AppendSpans(make([]obsv.Span, 0, 8)) // on the stack
 	s.metrics.duration.ObserveExemplar(d.Elapsed, d.TraceID)
 	s.metrics.observeStages(spans)
-	switch x := c.dc.xrec; {
-	case x == nil:
-	case c.err != nil:
-		// Nothing to explain: the pooled entry goes back unpublished.
-		s.explain.Discard(x)
-	default:
-		s.explain.Commit(x, d)
-	}
-	// Errored decisions are always retained by the tail sampler — they
-	// are exactly what an operator holding the trace ID from the error
-	// log investigates.
-	s.recordTrace(c, spans)
+	s.file(c, spans)
 	s.score(c.status, d.Elapsed)
 	if c.err != nil {
 		s.metrics.requestErrors.Add(1)

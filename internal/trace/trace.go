@@ -1,12 +1,12 @@
-// Package trace is the per-process span store behind GET
-// /v1/traces/{traceID}: after a decision completes, the server keeps
-// its full span tree if the decision was refused, errored, or slow —
-// the events an operator holding a trace ID from an exemplar, an
-// audit record, or msodctl tail actually investigates — plus a
-// deterministic 1-in-N sample of fast grants for baseline comparison.
-// Sampled trees live in a bounded ring keyed by trace ID with pooled
-// records (internal/ring, as internal/explain's are): old traces
-// rotate out, and a shard only holds traces for decisions it executed
+// Package trace is the tail sampler behind GET /v1/traces/{traceID}:
+// after a decision completes, the server keeps its full span tree if
+// the decision was refused, errored, or slow — the events an operator
+// holding a trace ID from an exemplar, an audit record, or msodctl tail
+// actually investigates — plus a deterministic 1-in-N sample of fast
+// grants for baseline comparison. A kept tree is held by the decision's
+// record in the shard's one decision ring (explain.Ring), filed under
+// its trace ID, and served as a Record rendered from it; it rotates out
+// with that record. A shard only holds traces for decisions it executed
 // itself, which is why the gateway fans a trace query out across the
 // cluster and merges the span sets it gets back.
 package trace
@@ -18,18 +18,13 @@ import (
 
 	"msod/internal/explain"
 	"msod/internal/obsv"
-	"msod/internal/ring"
 )
-
-// DefaultCapacity is the ring size used when Config.Capacity is
-// non-positive.
-const DefaultCapacity = 1024
 
 // Retention reasons, the label values of msod_trace_sampled_total.
 const (
 	ReasonRefusal = "refusal" // decision was denied
 	ReasonError   = "error"   // pipeline errored before answering
-	ReasonSlow    = "slow"    // exceeded the slow threshold
+	ReasonSlow    = "slow"    // took the slow threshold or longer
 	ReasonSampled = "sampled" // fast grant kept by the 1-in-N sampler
 )
 
@@ -67,26 +62,19 @@ type Record struct {
 	Spans          []Span    `json:"spans"`
 }
 
-// reset clears the record for reuse, keeping backing arrays.
-func (r *Record) reset() { *r = Record{Shards: r.Shards[:0], Spans: r.Spans[:0]} }
-
-// clone deep-copies the record so it stays valid after the pooled
-// original rotates out and is reused.
-func (r *Record) clone() Record {
-	out := *r
-	out.Shards = append([]string(nil), r.Shards...)
-	out.Spans = append([]Span(nil), r.Spans...)
-	return out
-}
-
-// Describe fills a reset record from the shard's one description of
-// the decision, the reason the sampler kept it, and its span tree. The
-// record names no request ID for an advisory.
-func (r *Record) Describe(d *explain.Decision, sampledFor string, spans []obsv.Span) {
-	r.TraceID, r.RequestID, r.Time, r.SampledFor = d.TraceID, d.RequestID, d.Time, sampledFor
-	r.User, r.Operation, r.Target, r.Context = d.User, d.Operation, d.Target, d.Context
-	r.Outcome, r.Reason, r.Advisory, r.ElapsedSeconds = d.Outcome, d.Reason, d.Advisory, d.Elapsed.Seconds()
-	r.SetSpans(spans)
+// NewRecord renders a retained decision as GET /v1/traces serves it:
+// the shard's description of the decision, the reason the sampler kept
+// it and its span tree. The record shares no slice with the entry. It
+// names no request ID for an advisory.
+func NewRecord(e *explain.Entry) Record {
+	d := &e.Decision
+	r := Record{
+		TraceID: d.TraceID, RequestID: d.RequestID, Time: d.Time, SampledFor: e.SampledFor,
+		User: d.User, Operation: d.Operation, Target: d.Target, Context: d.Context,
+		Outcome: d.Outcome, Reason: d.Reason, Advisory: d.Advisory, ElapsedSeconds: d.Elapsed.Seconds(),
+	}
+	r.SetSpans(e.Spans)
+	return r
 }
 
 // SetSpans converts a completed obsv span set into the record's wire
@@ -104,50 +92,31 @@ func (r *Record) SetSpans(spans []obsv.Span) {
 	}
 }
 
-// Config sizes the store and sets its tail-sampling policy.
+// Config sets the tail-sampling policy.
 type Config struct {
-	// Capacity bounds the ring; non-positive means DefaultCapacity.
-	Capacity int
 	// SampleEvery keeps a deterministic 1-in-N sample of fast grants
 	// (hash of the trace ID, so the kept set is independent of
 	// arrival order and concurrency). Zero or negative keeps none:
 	// only refusals, errors and slow decisions are retained.
 	SampleEvery int
-	// SlowThreshold retains any decision slower than this regardless
-	// of outcome. Zero disables the slow criterion.
+	// SlowThreshold retains any decision that takes this long or
+	// longer, regardless of outcome — msodd's -slowlog, so every
+	// decision the slow log names has its tree kept. Zero disables the
+	// slow criterion.
 	SlowThreshold time.Duration
 }
 
-// keyed is the pooled ring of records under a Store: Begin, Discard,
-// Get, Len, Capacity and Evicted are its methods (see ring.Keyed).
-type keyed = ring.Keyed[Record, Record]
-
-// Store retains sampled span trees in a fixed ring keyed by trace ID,
-// handing out pooled records for the hot path: Begin takes a record
-// from the pool, the server fills it, Commit files it in the ring, and
-// the record a commit evicts returns to the pool. Safe for concurrent
-// use; a record handed out by Begin must not be shared across
-// goroutines until committed.
+// Store is the tail sampler: it decides which span trees the shard
+// keeps and counts its decisions. Safe for concurrent use.
 type Store struct {
-	*keyed
 	cfg Config
 
-	spans   atomic.Int64    // spans currently held across the ring
 	sampled [4]atomic.Int64 // per-reason keep decisions, indexed as Reasons
 	dropped atomic.Int64    // fast grants the sampler let go
 }
 
-// NewStore returns a store with the given policy.
-func NewStore(cfg Config) *Store {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	st := &Store{cfg: cfg}
-	st.keyed = ring.NewKeyed(cfg.Capacity,
-		func(r *Record) string { return r.TraceID }, (*Record).reset, (*Record).clone,
-		func(old *Record) { st.spans.Add(-int64(len(old.Spans))) })
-	return st
-}
+// NewStore returns a sampler with the given policy.
+func NewStore(cfg Config) *Store { return &Store{cfg: cfg} }
 
 // Sample is the tail-sampling decision, taken after the decision
 // completes: refusals and errors are always kept, slow decisions are
@@ -164,7 +133,7 @@ func (st *Store) Sample(traceID string, refused, errored bool, elapsed time.Dura
 	case refused:
 		st.sampled[0].Add(1)
 		return ReasonRefusal, true
-	case st.cfg.SlowThreshold > 0 && elapsed > st.cfg.SlowThreshold:
+	case st.cfg.SlowThreshold > 0 && elapsed >= st.cfg.SlowThreshold:
 		st.sampled[2].Add(1)
 		return ReasonSlow, true
 	case st.cfg.SampleEvery > 0 && hashID(traceID)%uint64(st.cfg.SampleEvery) == 0:
@@ -183,22 +152,6 @@ func hashID(id string) uint64 {
 	h.Write([]byte(id))
 	return h.Sum64()
 }
-
-// Commit files the record in the ring under its TraceID. The caller
-// must not touch the record afterwards: once filed it may be served,
-// evicted and reused at any time. Committing a duplicate TraceID
-// retains both ring slots but the newer record wins lookups.
-func (st *Store) Commit(rec *Record) {
-	if rec == nil {
-		return
-	}
-	st.spans.Add(int64(len(rec.Spans)))
-	st.keyed.Commit(rec)
-}
-
-// SpanCount reports how many spans the retained traces hold in total
-// — the msod_trace_store_spans gauge.
-func (st *Store) SpanCount() int { return int(st.spans.Load()) }
 
 // SampledTotal reports how many keep decisions the sampler has taken
 // for the given reason (one of Reasons; unknown reasons report zero).
