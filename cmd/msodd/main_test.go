@@ -16,9 +16,12 @@ func TestParseFlags(t *testing.T) {
 	// -adi always syncs every mutation: there is no knob to ack a grant
 	// before it is durable, and no sealed snapshot that nothing writes.
 	// Nor is there a read-replica mode: only the owner's PDP answers.
+	// A kept span tree lives in its decision's record, which
+	// -explain-capacity sizes, and -slowlog is the slow threshold.
 	for _, args := range [][]string{{"-nonsense"}, {"-adi-sync"},
 		{"-snapshot", "adi.sealed"}, {"-snapshot-secret-file", "secret"},
-		{"-replica-of", "http://owner"}, {"-max-staleness", "1s"}} {
+		{"-replica-of", "http://owner"}, {"-max-staleness", "1s"},
+		{"-trace-capacity", "8"}, {"-trace-slow-threshold", "1s"}} {
 		if _, err := parseFlags(append([]string{"-policy", "p.xml"}, args...)); err == nil {
 			t.Errorf("%q accepted", args)
 		}
