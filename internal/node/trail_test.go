@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"msod/internal/fault"
@@ -172,5 +173,42 @@ func TestTrailShardFailedSyncAnswers503(t *testing.T) {
 	}
 	if code, _ := serveDecision(t, sh, "carol", "Auditor", "2007"); code != http.StatusServiceUnavailable {
 		t.Fatalf("the next decision: %d, want 503 from the read-only latch", code)
+	}
+}
+
+// TestTrailShardRestartsOverALongEntry: one denied decision whose
+// target is 300,000 '<' characters becomes a trail line of about
+// 1.8 MB once each '<' is escaped. A shard built on the same
+// directories must still open the trail and serve.
+func TestTrailShardRestartsOverALongEntry(t *testing.T) {
+	cfg := trailShardConfig(t, nil)
+	sh, err := NewShard(cfg, quiet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 300 KB body: the PEP sends each '<' as one byte.
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(server.DecisionRequest{User: "mallory", Roles: []string{"Teller"},
+		Operation: "HandleCash", Target: strings.Repeat("<", 300_000), Context: "Branch=York, Period=2006"}); err != nil {
+		t.Fatal(err)
+	}
+	w := httptest.NewRecorder()
+	sh.ServeHTTP(w, httptest.NewRequest(http.MethodPost, server.DecisionPath, &body))
+	var resp server.DecisionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil || resp.Allowed {
+		t.Fatalf("the long target: %d, allowed %v, %v; want a denial", w.Code, resp.Allowed, err)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := NewShard(cfg, quiet)
+	if err != nil {
+		t.Fatalf("restart over a trail holding the long entry: %v", err)
+	}
+	defer back.Close()
+	if code, ok := serveDecision(t, back, "alice", "Teller", "2006"); code != http.StatusOK || !ok {
+		t.Fatalf("after the restart alice's Teller request: %d, allowed %v", code, ok)
 	}
 }
