@@ -57,7 +57,9 @@ benchmark-check:
 # A short fuzz pass over every fuzz target, FUZZTIME each (seeds always
 # run under `make test`). FuzzAppendWALEntry and FuzzAppendEvent hold the
 # hand-written WAL and trail lines to json.Marshal's bytes,
-# FuzzCredentialPayload the signed credential payload; FuzzEvaluate
+# FuzzCredentialPayload the signed credential payload; FuzzTrailWalk
+# holds a trail walk advanced while edited segments grow to one
+# from-genesis Verify (count and error class); FuzzEvaluate
 # is differential too: the reference model (internal/refmodel) sees every
 # request the engine evaluates, and the effect and the retained-record
 # count must agree after each.
@@ -73,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzPolicyCheck$$' -fuzztime=$(FUZZTIME) ./internal/policycheck
 	$(GO) test -run '^$$' -fuzz='^FuzzAppendWALEntry$$' -fuzztime=$(FUZZTIME) ./internal/adi
 	$(GO) test -run '^$$' -fuzz='^FuzzAppendEvent$$' -fuzztime=$(FUZZTIME) ./internal/audit
+	$(GO) test -run '^$$' -fuzz='^FuzzTrailWalk$$' -fuzztime=$(FUZZTIME) ./internal/audit
 	$(GO) test -run '^$$' -fuzz='^FuzzCredentialPayload$$' -fuzztime=$(FUZZTIME) ./internal/credential
 
 # Full fault-injection torture: power-loss crash-recovery schedules

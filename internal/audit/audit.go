@@ -111,13 +111,6 @@ func appendEvent(dst []byte, ev *Event) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// decode parses the line's event.
-func (e *entry) decode() (Event, error) {
-	var ev Event
-	err := json.Unmarshal(e.Event, &ev)
-	return ev, err
-}
-
 // appendEntry appends the on-disk line of an entry to dst, given the
 // event's own JSON and its chain MAC: byte for byte what json.Marshal
 // of struct{Event Event "event"; MAC string "mac"} gives, plus the
@@ -166,8 +159,4 @@ func chainMAC(h hash.Hash, prevMAC, payload, sum []byte) []byte {
 // two trails with different keys cannot be spliced.
 func genesisMAC(h hash.Hash) []byte {
 	return chainMAC(h, nil, []byte("msod-audit-genesis"), nil)
-}
-
-func decodeMAC(s string) ([]byte, error) {
-	return hex.DecodeString(s)
 }

@@ -1,7 +1,6 @@
 package audit
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"fmt"
@@ -64,8 +63,9 @@ func NewWriter(dir string, key []byte, segmentSize int) (*Writer, error) {
 // through fs so fault tests can fail or tear it, while verification
 // reads stay on the real filesystem they share with the Reader.
 func NewWriterFS(dir string, key []byte, segmentSize int, fs fsx.FS) (*Writer, error) {
-	if len(key) == 0 {
-		return nil, fmt.Errorf("audit: empty trail key")
+	v, err := NewIncrementalVerifier(dir, key)
+	if err != nil {
+		return nil, err
 	}
 	if segmentSize <= 0 {
 		segmentSize = DefaultSegmentSize
@@ -73,43 +73,27 @@ func NewWriterFS(dir string, key []byte, segmentSize int, fs fsx.FS) (*Writer, e
 	if err := fs.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("audit: create trail dir: %w", err)
 	}
-	w := &Writer{dir: dir, segSize: segmentSize, fs: fs, chain: newChain(key)}
-	w.lastMAC = genesisMAC(w.chain)
-
-	segs, err := Segments(dir)
-	if err != nil {
+	// Resume: the chain seed of segment k is the last MAC of segment k-1,
+	// so a walk from genesis finds the chain head (the shard_durable
+	// workload's audit.verify_ms measures the cost).
+	if _, err := v.Advance(); err != nil {
 		return nil, err
 	}
-	if len(segs) > 0 {
-		// Resume: verify the newest segment to find the chain head. The
-		// chain seed of segment k is the last MAC of segment k-1, so full
-		// resumption verifies from genesis; we verify all segments to
-		// guarantee a consistent restart (the shard_durable workload's
-		// audit.verify_ms measures the cost).
-		r := &Reader{dir: dir, key: key}
-		events, tail, torn, err := r.verifyAllDetail()
-		if err != nil {
-			return nil, err
+	if torn := v.torn; torn.seg != "" {
+		// A crash tore the final entry mid-write. The chain up to the
+		// last complete entry verified, so drop the partial bytes and
+		// resume from there (the paper's §5.2 reconstruction point).
+		if err := fs.Truncate(filepath.Join(dir, torn.seg), torn.off); err != nil {
+			return nil, fmt.Errorf("audit: discard torn entry in %s: %w", torn.seg, err)
 		}
-		if torn != nil {
-			// A crash tore the final entry mid-write. The chain up to the
-			// last complete entry verified, so drop the partial bytes and
-			// resume from there (the paper's §5.2 reconstruction point).
-			path := filepath.Join(dir, torn.seg)
-			if err := fs.Truncate(path, torn.off); err != nil {
-				return nil, fmt.Errorf("audit: discard torn entry in %s: %w", torn.seg, err)
-			}
-		}
-		copy(w.lastMAC, tail)
-		if n := len(events); n > 0 {
-			w.seq = events[n-1].Seq
-		}
-		w.segIdx = segmentIndex(segs[len(segs)-1])
-		n, err := countLines(filepath.Join(dir, segs[len(segs)-1]))
-		if err != nil {
-			return nil, err
-		}
-		w.inSeg = n
+	}
+	w := &Writer{dir: dir, segSize: segmentSize, fs: fs, chain: v.chain,
+		seq: v.lastSeq, lastMAC: v.lastMAC, segIdx: v.newest}
+	if v.newest == v.segIdx {
+		// The newest segment holds the last entry: fill it up. A newer one
+		// without a complete entry is left, and the next append opens a
+		// segment after it.
+		w.inSeg = v.inSeg
 	}
 	return w, nil
 }
@@ -282,21 +266,4 @@ func Segments(dir string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-func countLines(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("audit: open segment: %w", err)
-	}
-	defer f.Close()
-	n := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			n++
-		}
-	}
-	return n, sc.Err()
 }
