@@ -131,7 +131,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"Decision provenance records currently queryable at /v1/explain/{requestID}.",
 			float64(explained))
 		obsv.WriteCounter(w, "msod_explain_evicted_total",
-			"Provenance records rotated out of the bounded explain ring.", s.decisions.Evicted())
+			"Decision records the bounded decision ring evicted, explained, errored and advisory alike.", s.decisions.Evicted())
 		obsv.WriteCounter(w, "msod_explain_queries_total",
 			"/v1/explain lookups served.", s.metrics.explainQueries.Load())
 		obsv.WriteCounter(w, "msod_explain_misses_total",
