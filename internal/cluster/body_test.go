@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -158,4 +160,49 @@ func gatewayCounter(t *testing.T, gtsURL, name string) string {
 	}
 	t.Fatalf("gateway metrics missing %s", name)
 	return ""
+}
+
+// longTargetDenial is the raw body of an RBAC denial whose target is
+// 300,000 '<': a 300 KB request, an event line of megabytes once '<' is
+// escaped.
+func longTargetDenial(user string) []byte {
+	return []byte(`{"user":"` + user + `","roles":["Teller"],"operation":"HandleCash","target":"` +
+		strings.Repeat("<", 300_000) + `","context":"Branch=York, Period=p1"}`)
+}
+
+// TestGatewayLongRequestTakesNoShardDown: one request may make a shard
+// write an answer past the gateway's 1 MiB read cap — a grant echoes its
+// user, and a user of 300,000 '<' comes back escaped to about 1.8 MB.
+// That answer is refused with a 502 and is no shard failure: it is not
+// retried, and the shard stays Up for its other users. An RBAC denial
+// of a target as long is answered in a few bytes: its reason does not
+// copy the target.
+func TestGatewayLongRequestTakesNoShardDown(t *testing.T) {
+	gw, c, _ := newCloseCluster(t, 3, Config{}, nil)
+	ctx := context.Background()
+	huge := strings.Repeat("<", 300_000)
+	owner, _ := gw.ShardFor(huge)
+	user := userOn(t, gw, owner, "teller", 0)
+
+	answer, err := c.PostRaw(ctx, server.DecisionPath, "", longTargetDenial(user))
+	if err != nil || len(answer) >= 4<<10 || !strings.Contains(string(answer), `"allowed":false`) {
+		t.Fatalf("the long-target request = %d bytes %.200s, %v; want a denial under 4 KiB", len(answer), answer, err)
+	}
+	grant := []byte(`{"user":"` + huge + `","roles":["Teller"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`)
+	_, err = c.PostRaw(ctx, server.DecisionPath, "", grant)
+	var apiErr *server.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
+		t.Fatalf("the huge-user grant = %v, want a 502", err)
+	}
+	if !gw.Checker().Up(owner) {
+		t.Fatalf("shard %s is %+v after one oversized answer, want Up", owner, gw.Checker().Statuses()[owner])
+	}
+	if got := gw.metrics.retries.Load(); got != 0 {
+		t.Errorf("%d retries, want the oversized answer never asked for again", got)
+	}
+	ok, err := c.Decision(server.DecisionRequest{User: user, Roles: []string{"Teller"},
+		Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
+	if err != nil || !ok.Allowed {
+		t.Fatalf("the next ordinary decision on shard %s = %+v, %v; want a grant", owner, ok, err)
+	}
 }

@@ -1,0 +1,89 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"msod/internal/inspect"
+	"msod/internal/pdp"
+	"msod/internal/server"
+)
+
+// TestGatewayFollowsPastALongEvent: one shard's stream carries an event
+// line of megabytes; the gateway's fan-in still delivers the event that
+// shard publishes after it.
+func TestGatewayFollowsPastALongEvent(t *testing.T) {
+	gw, c, _ := newCloseCluster(t, 3, Config{}, nil)
+	user := userOn(t, gw, "a", "teller", 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.PostRaw(ctx, server.DecisionPath, "", longTargetDenial(user)); err != nil {
+		t.Fatalf("the long denial: %v", err)
+	}
+	ok, err := c.Decision(server.DecisionRequest{User: user, Roles: []string{"Teller"},
+		Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
+	if err != nil || !ok.Allowed {
+		t.Fatalf("the ordinary decision = %+v, %v; want a grant", ok, err)
+	}
+
+	errDone := errors.New("done")
+	var seen int
+	err = c.FollowEvents(ctx, server.FollowEventsOptions{Replay: 10}, func(ev inspect.DecisionEvent) error {
+		seen++
+		if ev.User == user && ev.Effect == inspect.OutcomeGrant {
+			if ev.Shard != "a" {
+				t.Errorf("the grant's event names shard %q, want a", ev.Shard)
+			}
+			return errDone
+		}
+		return nil
+	})
+	if !errors.Is(err, errDone) {
+		t.Fatalf("the gateway's stream = %v after %d events, want the ordinary decision's event", err, seen)
+	}
+}
+
+// TestGatewayEventStreamRefusalIsNoShardFailure: a shard built without
+// an event broker answers its /v1/events with 404. That is a verdict,
+// not a failure: a subscriber on the gateway's stream, which follows
+// that shard, does not take it Down.
+func TestGatewayEventStreamRefusalIsNoShardFailure(t *testing.T) {
+	p, err := pdp.New(pdp.Config{Policy: closesPolicy(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := httptest.NewServer(server.New(p))
+	t.Cleanup(shard.Close)
+	gw, err := New(Config{Shards: []Shard{{ID: "a", BaseURL: shard.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.Checker().CheckNow()
+	gts := httptest.NewServer(gw)
+	t.Cleanup(func() {
+		gts.Close()
+		gw.Close()
+	})
+	if !gw.Checker().Up("a") {
+		t.Fatalf("shard a starts %+v, want Up", gw.Checker().Statuses()["a"])
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- server.NewClient(gts.URL, nil).FollowEvents(ctx, server.FollowEventsOptions{},
+			func(inspect.DecisionEvent) error { return nil })
+	}()
+	time.Sleep(2500 * time.Millisecond)
+	up, st := gw.Checker().Up("a"), gw.Checker().Statuses()["a"]
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("the gateway's stream ended with %v, want it open until cancelled", err)
+	}
+	if !up {
+		t.Fatalf("shard a is %+v after 2.5 s of a subscriber on the gateway's stream, want Up", st)
+	}
+}
