@@ -39,11 +39,12 @@ func cmdTail(args []string) error {
 	defer stop()
 	client := server.NewClient(*srv, nil)
 	enc := json.NewEncoder(os.Stdout)
-	// FollowEvents reconnects dropped streams with sequence resume, so
-	// a server restart or network blip no longer silently skips the
-	// events published while the tail was down. Only an unrecoverable
-	// gap (events rotated past the server's retained ring) ends the
-	// command, with an explanation rather than a quiet hole.
+	// FollowEvents reconnects after a drop or a 5xx answer with
+	// sequence resume, so a server restart or network blip does not
+	// silently skip the events published while the tail was down. Only
+	// an unrecoverable gap (events rotated past the server's retained
+	// ring) or a 4xx refusal ends the command, the gap with an
+	// explanation rather than a quiet hole.
 	err := client.FollowEvents(ctx, server.FollowEventsOptions{
 		User: *user, Context: *ctxPat, Outcome: *outcome, Replay: *replay,
 	}, func(ev inspect.DecisionEvent) error {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -121,10 +120,9 @@ func (g *Gateway) handleStateContext(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// handleEvents fans in every live shard's /v1/events stream, stamping
-// each event with shard="<id>" before re-emitting it on one merged SSE
-// stream. Shards that drop (or come up later) are re-dialled in the
-// background for as long as the client stays connected.
+// handleEvents fans in every tracked shard's /v1/events stream,
+// stamping each event with shard="<id>" before re-emitting it on one
+// merged SSE stream for as long as the client stays connected.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET required")
@@ -137,12 +135,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		errorJSON(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	opts := server.FollowEventsOptions{
-		User:             q.Get("user"),
-		Context:          q.Get("context"),
-		Outcome:          q.Get("outcome"),
-		ReconnectBackoff: eventsReconnectBackoff,
-	}
+	opts := server.FollowEventsOptions{User: q.Get("user"), Context: q.Get("context"), Outcome: q.Get("outcome")}
 	if v := q.Get("replay"); v != "" {
 		replay, err := strconv.Atoi(v)
 		if err != nil || replay < 0 {
@@ -151,74 +144,28 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Replay = replay
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		errorJSON(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ctx := r.Context()
 	events := make(chan inspect.DecisionEvent, eventsFanInBuffer)
 	for _, shard := range g.shards(tracked) {
-		go g.tailShard(ctx, shard, opts, events)
+		go g.tailShard(r.Context(), shard, opts, events)
 	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev := <-events:
-			payload, err := json.Marshal(ev)
-			if err != nil {
-				continue
-			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", payload); err != nil {
-				return
-			}
-			flusher.Flush()
-		case <-heartbeat.C:
-			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	}
+	server.ServeEvents(w, r, events)
 }
 
-// tailShard keeps one shard's event stream flowing into out until the
-// consumer's context ends. FollowEvents reconnects transport drops
-// internally with sequence resume, so a shard restart or network blip
-// does not lose the events published while the tail was down. The
-// last sequence seen here carries across outer retries too (a
-// deliberate shard refusal ends FollowEvents entirely); only a resume
-// gap — events rotated past the owner's ring, or the shard restarted
-// its broker — drops the cursor, because the history is genuinely gone
-// and rejoining live beats never rejoining.
+// tailShard follows one shard's event stream into out, each event
+// stamped with the shard's ID, until the consumer's context ends.
+// FollowEvents is the one resume cursor: it rides out drops, restarts
+// and 5xx answers, a Down shard included. When it returns all the same
+// — a resume gap, or a refusal such as a shard run without an event
+// broker — the shard is followed again live after a pause. A refused
+// stream is the shard's verdict, as on the routed path, so it never
+// counts as a shard failure.
 func (g *Gateway) tailShard(ctx context.Context, shard string, opts server.FollowEventsOptions, out chan<- inspect.DecisionEvent) {
-	for ctx.Err() == nil {
-		if !g.checker.Up(shard) {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(eventsReconnectBackoff):
-			}
-			continue
-		}
+	for {
 		c, ok := g.client(shard)
 		if !ok {
 			return
 		}
-		err := c.FollowEvents(ctx, opts, func(ev inspect.DecisionEvent) error {
-			if ev.Seq > 0 {
-				opts.Resume = true
-				opts.ResumeAfter = ev.Seq
-			}
+		_ = c.FollowEvents(ctx, opts, func(ev inspect.DecisionEvent) error {
 			ev.Shard = shard
 			select {
 			case out <- ev:
@@ -227,26 +174,11 @@ func (g *Gateway) tailShard(ctx context.Context, shard string, opts server.Follo
 				return ctx.Err()
 			}
 		})
-		if ctx.Err() != nil {
-			return
-		}
-		switch {
-		case errors.Is(err, server.ErrEventGap):
-			// The resume point rotated out of the shard's ring (or the
-			// shard restarted): the missed events are unrecoverable, so
-			// rejoin live rather than stay disconnected.
-			opts.Resume = false
-			opts.ResumeAfter = 0
-		case err != nil:
-			g.checker.ReportFailure(shard, err)
-		}
-		// Replay is a first-connection courtesy only; an outer retry
-		// re-replaying history would duplicate events already delivered.
+		// Replay is a first-connection courtesy only: replaying again
+		// would duplicate events already delivered.
 		opts.Replay = 0
-		select {
-		case <-ctx.Done():
+		if !sleepContext(ctx, eventsReconnectBackoff) {
 			return
-		case <-time.After(eventsReconnectBackoff):
 		}
 	}
 }

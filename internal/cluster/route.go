@@ -277,6 +277,15 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 			writeAnswer(w, answer)
 			return
 		}
+		if errors.Is(err, server.ErrAnswerTooLarge) {
+			// The shard answered, only past what the gateway reads: asking
+			// again gets the same answer, and the shard has not failed. A
+			// grant it committed stays, deny-safe, as for a withheld
+			// misrouted answer.
+			g.refuse(w, traceID, key, shard, http.StatusBadGateway, 0, "answer withheld: past the read limit",
+				fmt.Sprintf("shard %s answered past the gateway's read limit (%v); withholding the answer", shard, err))
+			return
+		}
 		var apiErr *server.APIError
 		if errors.As(err, &apiErr) {
 			// The shard answered deliberately (bad context, no subject,

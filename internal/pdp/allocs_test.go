@@ -80,14 +80,15 @@ func TestDecideAllocs(t *testing.T) {
 			budget: map[string]float64{"bare": 4, "observed": 6},
 		},
 		{
-			// Decision.Reason, one concatenation (1). The engine never
-			// runs. It was 4 while the subject was copied (1) and the
-			// reason was Sprintf's: the permission boxed (1), its text
-			// (1), the sentence (1). Observed: + event 2.
+			// Nothing: the reason is a constant and the engine never
+			// runs. It was 1 while the reason was a concatenation
+			// naming the permission (1), 4 while the subject was copied
+			// (1) and the reason was Sprintf's: the permission boxed (1),
+			// its text (1), the sentence (1). Observed: + event 2.
 			name:    "RBAC deny",
 			request: func(i int) Request { return bankReq("alice", "Teller", "Audit", "ledger", "York", period(i)) },
 			allowed: false, phase: PhaseRBAC,
-			budget: map[string]float64{"bare": 1, "observed": 3},
+			budget: map[string]float64{"bare": 0, "observed": 2},
 		},
 		{
 			// An advisory builds what the decision would —

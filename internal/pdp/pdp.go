@@ -204,6 +204,12 @@ const (
 	PhaseGranted Phase = "granted"
 )
 
+// rbacDenial is the reason of every PhaseRBAC denial. It names no
+// operation or target: those stay in their own fields of the event, the
+// explain record and the slow-log line, and copied into the reason as
+// well, a long escaped target would swell every answer to its request.
+const rbacDenial = "no activated role grants the requested permission"
+
 // Decision is the PDP's answer.
 type Decision struct {
 	// Allowed is the final effect.
@@ -265,7 +271,7 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	endRBAC.End()
 	if !permitted {
 		dec.Phase = PhaseRBAC
-		dec.Reason = "no activated role grants " + string(perm.Operation) + "@" + string(perm.Object)
+		dec.Reason = rbacDenial
 		// RBAC denials never touch the store, so they need no commit
 		// ordering: publish and append directly.
 		if observed || trailed {

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"msod/internal/bctx"
@@ -402,85 +401,72 @@ func (c *Client) ContextStateCtx(ctx context.Context, pattern string) (inspect.C
 // Returned wrapped; test with errors.Is.
 var ErrEventGap = errors.New("server: event stream gap: resume point no longer retained")
 
-// defaultStreamBackoff is the reconnect pause FollowEvents uses when
-// the options leave it zero.
-const defaultStreamBackoff = 500 * time.Millisecond
+// followPause is how long FollowEvents waits before it dials again.
+const followPause = 500 * time.Millisecond
 
-// FollowEventsOptions configure a resumable event stream.
+// FollowEventsOptions configure a followed event stream.
 type FollowEventsOptions struct {
 	// User, Context, Outcome become the server-side filter parameters.
 	User    string
 	Context string
 	Outcome string
 	// Replay asks for up to that many recent retained events on the
-	// first connection; ignored when Resume is set.
+	// first connection; a reconnection resumes after the last event
+	// delivered instead.
 	Replay int
-	// Resume starts the stream just after sequence number ResumeAfter
-	// instead of live: the server replays every retained event with a
-	// greater seq first, or the call fails with ErrEventGap when that
-	// span is no longer fully retained. ResumeAfter 0 with Resume set
-	// means "from the oldest retained event".
-	Resume      bool
-	ResumeAfter uint64
-	// ReconnectBackoff is the pause between reconnect attempts
-	// (default 500ms).
-	ReconnectBackoff time.Duration
-	// OnHeartbeat, when non-nil, is called on every sign of life from
-	// the server — connection established, keep-alive comment, event
-	// received — so a consumer with a staleness bound can track last
-	// contact without parsing events.
-	OnHeartbeat func()
 }
 
 // FollowEvents subscribes to the server's decision event stream and
 // calls fn for each event. The client's request timeout deliberately
 // does not apply — the stream is long-lived; bound it with the context.
-// It survives broken connections: after a transport failure or
-// server-side close it reconnects (waiting ReconnectBackoff between
-// attempts) and resumes just after the last sequence number it
-// delivered, so no event is lost or duplicated across reconnects. It
-// returns when the context is cancelled (ctx.Err()), fn returns an
-// error (that error), the resume span has left the server's ring
-// (ErrEventGap, wrapped), or the server rejects the stream outright
-// (*APIError — e.g. events not enabled, or a bad filter).
+// It is the stream's one resume cursor: after a transport failure, a
+// clean close or a 5xx answer it waits followPause, dials again and
+// resumes just after the last sequence number it delivered
+// (Last-Event-ID), so no event is lost or delivered twice. Each line is
+// read whole, however long. It returns only when the context ends
+// (ctx.Err()), fn returns an error (that error), the resume span has
+// left the server's ring (ErrEventGap, wrapped), or the server refuses
+// the stream with a 4xx (*APIError — e.g. events not enabled, or a bad
+// filter).
 func (c *Client) FollowEvents(ctx context.Context, opts FollowEventsOptions, fn func(inspect.DecisionEvent) error) error {
-	backoff := opts.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = defaultStreamBackoff
-	}
-	st := &streamState{last: opts.ResumeAfter, resuming: opts.Resume}
-	first := true
-	for {
-		q := eventsQuery(opts.User, opts.Context, opts.Outcome)
-		var resume *uint64
-		switch {
-		case st.resuming:
-			after := st.last
-			resume = &after
-		case first && opts.Replay > 0:
-			q.Set("replay", strconv.Itoa(opts.Replay))
+	q := url.Values{}
+	for name, v := range map[string]string{"user": opts.User, "context": opts.Context, "outcome": opts.Outcome} {
+		if v != "" {
+			q.Set(name, v)
 		}
-		err := c.streamOnce(ctx, q, resume, st, opts.OnHeartbeat, fn)
-		first = false
+	}
+	live := c.base + EventsPath
+	if len(q) > 0 {
+		live += "?" + q.Encode()
+	}
+	target := live
+	if opts.Replay > 0 {
+		q.Set("replay", strconv.Itoa(opts.Replay))
+		target = c.base + EventsPath + "?" + q.Encode()
+	}
+	var last uint64 // the last sequence number delivered; 0: none yet
+	var fnErr error
+	for {
+		err := c.streamOnce(ctx, target, last, func(ev inspect.DecisionEvent) error {
+			if ev.Seq > 0 {
+				last = ev.Seq
+			}
+			fnErr = fn(ev)
+			return fnErr
+		})
 		var apiErr *APIError
 		switch {
 		case ctx.Err() != nil:
 			return ctx.Err()
-		case err == nil:
-			// Server closed the stream cleanly (e.g. shutting down):
-			// reconnect and resume.
-		case errors.As(err, &apiErr):
-			if apiErr.Status == http.StatusGone {
-				return fmt.Errorf("%w: %v", ErrEventGap, apiErr)
-			}
-			// Any other deliberate refusal (stream not enabled, bad
-			// filter) will not heal by retrying.
-			return err
-		case isCallbackError(err):
-			return unwrapCallback(err)
+		case fnErr != nil:
+			return fnErr
+		case errors.As(err, &apiErr) && apiErr.Status == http.StatusGone:
+			return fmt.Errorf("%w: %v", ErrEventGap, apiErr)
+		case errors.As(err, &apiErr) && apiErr.Status < http.StatusInternalServerError:
+			return err // a refusal that retrying will not heal
 		}
-		// Transport failure or clean close: wait and reconnect.
-		t := time.NewTimer(backoff)
+		target = live
+		t := time.NewTimer(followPause)
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -490,67 +476,17 @@ func (c *Client) FollowEvents(ctx context.Context, opts FollowEventsOptions, fn 
 	}
 }
 
-// callbackError marks an error as originating from the caller's fn, so
-// FollowEvents can tell "consumer wants out" from "connection broke".
-type callbackError struct{ err error }
-
-func (e callbackError) Error() string { return e.err.Error() }
-func (e callbackError) Unwrap() error { return e.err }
-
-func isCallbackError(err error) bool {
-	var cb callbackError
-	return errors.As(err, &cb)
-}
-
-// unwrapCallback returns the caller's original error when err is a
-// callbackError, err otherwise.
-func unwrapCallback(err error) error {
-	var cb callbackError
-	if errors.As(err, &cb) {
-		return cb.err
-	}
-	return err
-}
-
-// streamState carries resume progress across reconnects.
-type streamState struct {
-	// last is the last sequence number delivered (or the caller's
-	// starting point); resuming says whether it is meaningful.
-	last     uint64
-	resuming bool
-}
-
-// eventsQuery builds the /v1/events filter parameters.
-func eventsQuery(user, context, outcome string) url.Values {
-	q := url.Values{}
-	if user != "" {
-		q.Set("user", user)
-	}
-	if context != "" {
-		q.Set("context", context)
-	}
-	if outcome != "" {
-		q.Set("outcome", outcome)
-	}
-	return q
-}
-
-// streamOnce makes one connection to /v1/events and pumps it until it
-// ends. resume, when non-nil, is sent as the Last-Event-ID header; st
-// records the last delivered sequence number; fn errors come back
-// wrapped as callbackError.
-func (c *Client) streamOnce(ctx context.Context, q url.Values, resume *uint64, st *streamState, onHeartbeat func(), fn func(inspect.DecisionEvent) error) error {
-	target := c.base + EventsPath
-	if len(q) > 0 {
-		target += "?" + q.Encode()
-	}
+// streamOnce makes one connection to target and hands deliver each
+// event until the stream ends or deliver fails. after, when non-zero, is
+// sent as the Last-Event-ID header.
+func (c *Client) streamOnce(ctx context.Context, target string, after uint64, deliver func(inspect.DecisionEvent) error) error {
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		return fmt.Errorf("server: events: %w", err)
 	}
 	httpReq.Header.Set("Accept", "text/event-stream")
-	if resume != nil {
-		httpReq.Header.Set(LastEventIDHeader, strconv.FormatUint(*resume, 10))
+	if after > 0 {
+		httpReq.Header.Set(LastEventIDHeader, strconv.FormatUint(after, 10))
 	}
 	httpResp, err := c.send(httpReq, false)
 	if err != nil {
@@ -560,42 +496,26 @@ func (c *Client) streamOnce(ctx context.Context, q url.Values, resume *uint64, s
 	if httpResp.StatusCode != http.StatusOK {
 		return newAPIError(EventsPath, httpResp)
 	}
-	if onHeartbeat != nil {
-		onHeartbeat()
-	}
-	sc := bufio.NewScanner(httpResp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "data: "):
-			var ev inspect.DecisionEvent
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
-				return fmt.Errorf("server: events decode: %w", err)
-			}
-			if ev.Seq > 0 {
-				st.last, st.resuming = ev.Seq, true
-			}
-			if onHeartbeat != nil {
-				onHeartbeat()
-			}
-			if err := fn(ev); err != nil {
-				return callbackError{err}
-			}
-		case strings.HasPrefix(line, ":"):
-			// Keep-alive comment: a sign of life, not an event.
-			if onHeartbeat != nil {
-				onHeartbeat()
-			}
-		default:
-			// "id:" lines duplicate the payload's seq; blank separators
-			// and unknown fields are skipped per the SSE contract.
+	br := bufio.NewReader(httpResp.Body)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err != nil {
+			return err // io.EOF on a clean close; a line cut short is no event
+		}
+		// "id:" lines repeat the payload's seq; keep-alive comments and
+		// blank separators carry nothing.
+		data, ok := bytes.CutPrefix(line, []byte("data: "))
+		if !ok {
+			continue
+		}
+		var ev inspect.DecisionEvent
+		if err := json.Unmarshal(data, &ev); err != nil {
+			return fmt.Errorf("server: events decode: %w", err)
+		}
+		if err := deliver(ev); err != nil {
+			return err
 		}
 	}
-	if err := sc.Err(); err != nil && ctx.Err() == nil {
-		return fmt.Errorf("server: events: %w", err)
-	}
-	return ctx.Err()
 }
 
 // Explain fetches the provenance record of a past decision by its
@@ -739,13 +659,13 @@ func (c *Client) postOnce(parent context.Context, path, traceparent string, body
 	var answer []byte
 	switch n := httpResp.ContentLength; {
 	case n > maxBodyBytes:
-		err = errAnswerTooLarge
+		err = ErrAnswerTooLarge
 	case n >= 0:
 		answer = make([]byte, n)
 		_, err = io.ReadFull(httpResp.Body, answer)
 	default: // chunked: the length is known only by reading
 		if answer, err = io.ReadAll(io.LimitReader(httpResp.Body, maxBodyBytes+1)); err == nil && len(answer) > maxBodyBytes {
-			err = errAnswerTooLarge
+			err = ErrAnswerTooLarge
 		}
 	}
 	if err != nil {
@@ -754,5 +674,6 @@ func (c *Client) postOnce(parent context.Context, path, traceparent string, body
 	return answer, nil
 }
 
-// errAnswerTooLarge is an answer postOnce will not read whole.
-var errAnswerTooLarge = fmt.Errorf("answer exceeds the %d-byte limit", maxBodyBytes)
+// ErrAnswerTooLarge reports an answer longer than maxBodyBytes, which
+// postOnce will not read whole. Returned wrapped; test with errors.Is.
+var ErrAnswerTooLarge = fmt.Errorf("answer exceeds the %d-byte limit", maxBodyBytes)

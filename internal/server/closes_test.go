@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -206,22 +205,6 @@ func carry(t *testing.T, ts *httptest.Server, header string) {
 func TestShardAppliesCarriedCloses(t *testing.T) {
 	ts, p := startHandoffServer(t)
 	c := NewClient(ts.URL, nil)
-	var mu sync.Mutex
-	var purges []inspect.DecisionEvent
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	streaming := make(chan struct{})
-	go func() {
-		_ = c.FollowEvents(ctx, FollowEventsOptions{Outcome: inspect.OutcomePurge, OnHeartbeat: sync.OnceFunc(func() { close(streaming) })},
-			func(ev inspect.DecisionEvent) error {
-				mu.Lock()
-				purges = append(purges, ev)
-				mu.Unlock()
-				return nil
-			})
-	}()
-	<-streaming
-
 	prepare(t, c, "c1", "p1")
 	if r := approveIn(t, c, "m1", closesInstance); !r.Allowed || r.Recorded != 1 {
 		t.Fatalf("approve in the running instance = %+v", r)
@@ -259,21 +242,25 @@ func TestShardAppliesCarriedCloses(t *testing.T) {
 	}
 
 	// Three closes applied, a fourth skipped as a duplicate: four events
-	// would mean the duplicate purged too. The stream is in order, so the
-	// third event's arrival says the first two are in.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		mu.Lock()
-		n := len(purges)
-		mu.Unlock()
-		if n >= 3 {
-			break
+	// would mean the duplicate purged too. A last close of an instance
+	// never opened marks the end of the replayed purges.
+	const marker = "TaxOffice=Leeds, taxRefundProcess=marker"
+	last, _ := EncodeClose("last-step-4", []string{marker})
+	carry(t, ts, last)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var purges []inspect.DecisionEvent
+	errDone := errors.New("done")
+	err := c.FollowEvents(ctx, FollowEventsOptions{Outcome: inspect.OutcomePurge, Replay: 10}, func(ev inspect.DecisionEvent) error {
+		if ev.Context == marker {
+			return errDone
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d purge events after 5s, want 3", n)
-		}
+		purges = append(purges, ev)
+		return nil
+	})
+	if !errors.Is(err, errDone) {
+		t.Fatalf("following the purges = %v after %d, want them all replayed", err, len(purges))
 	}
-	mu.Lock()
-	defer mu.Unlock()
 	if len(purges) != 3 {
 		t.Fatalf("%d purge events, want 3 (p1, never-opened, p1 again; none for the duplicate): %+v", len(purges), purges)
 	}
@@ -390,8 +377,9 @@ func TestClientCarriesOutbox(t *testing.T) {
 		{"event stream", func() error {
 			sctx, cancel := context.WithCancel(ctx)
 			defer cancel()
-			err := c.FollowEvents(sctx, FollowEventsOptions{OnHeartbeat: cancel}, func(inspect.DecisionEvent) error { return nil })
-			if errors.Is(err, context.Canceled) {
+			errDone := errors.New("done")
+			err := c.FollowEvents(sctx, FollowEventsOptions{Replay: 1}, func(inspect.DecisionEvent) error { return errDone })
+			if errors.Is(err, errDone) {
 				return nil
 			}
 			return err

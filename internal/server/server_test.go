@@ -334,7 +334,7 @@ func TestResponseRolesAreTheSubjects(t *testing.T) {
 		{
 			name: "no roles member",
 			body: `{"user":"carol","operation":"HandleCash","target":"till","context":"Branch=York, Period=p4"}`,
-			want: `{"allowed":false,"phase":"rbac","reason":"no activated role grants HandleCash@till","user":"carol","traceID":"` + traceID + `"}`,
+			want: `{"allowed":false,"phase":"rbac","reason":"no activated role grants the requested permission","user":"carol","traceID":"` + traceID + `"}`,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
