@@ -1,6 +1,9 @@
 package bctx
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // MatchInstance reports whether the concrete context instance inst falls
 // within the scope of the (possibly wildcarded) policy context pattern:
@@ -64,9 +67,10 @@ func Bind(pattern, inst Name) (Name, error) {
 // not once per policy). ok reports whether inst falls within pattern;
 // bound is then pattern with its "!" components bound to inst.
 //
-// Names are immutable, so two bindings need no new name: a pattern
-// without "!" is its own binding, and a pattern of inst's length
-// without "*" binds to inst itself. Only the mixed case allocates.
+// Names are immutable, so most bindings need no new name: a pattern
+// without "!" is its own binding, and a pattern without "*" binds to
+// inst itself, or to the prefix of inst's components it spans. Only a
+// "!" beside a "*" (Mixed) allocates.
 func MatchBind(pattern, inst Name) (bound Name, ok bool) {
 	if !matchPrefix(pattern, inst) {
 		return Name{}, false
@@ -76,11 +80,13 @@ func MatchBind(pattern, inst Name) (bound Name, ok bool) {
 		perInstance = perInstance || pc.Value == PerInstance
 		anyInstance = anyInstance || pc.Value == AnyInstance
 	}
-	switch {
+	switch n := len(pattern.components); {
 	case !perInstance:
 		return pattern, true
-	case !anyInstance && len(pattern.components) == len(inst.components):
-		return inst, true
+	case !anyInstance:
+		// Every component of the binding is inst's: the matched types
+		// and concrete values, and the values "!" takes.
+		return Name{components: inst.components[:n:n]}, true
 	}
 	components := make([]Component, len(pattern.components))
 	for i, pc := range pattern.components {
@@ -90,6 +96,33 @@ func MatchBind(pattern, inst Name) (bound Name, ok bool) {
 		components[i] = pc
 	}
 	return Name{components: components}, true
+}
+
+// Mixed reports whether pattern has a "!" beside a "*": the one shape
+// MatchBind builds a new name for, whatever the instance.
+func Mixed(pattern Name) bool {
+	return pattern.HasPerInstance() && slices.ContainsFunc(pattern.components,
+		func(c Component) bool { return c.Value == AnyInstance })
+}
+
+// IsBinding reports whether bound is, component for component, the name
+// MatchBind(pattern, inst) binds for an inst that falls within pattern:
+// pattern with each "!" value replaced by inst's value at its position.
+// It allocates nothing, so a caller that keeps the names it has bound
+// can tell when one serves a new request.
+func IsBinding(bound, pattern, inst Name) bool {
+	if len(bound.components) != len(pattern.components) || len(inst.components) < len(pattern.components) {
+		return false
+	}
+	for i, pc := range pattern.components {
+		if pc.Value == PerInstance {
+			pc.Value = inst.components[i].Value
+		}
+		if bound.components[i] != pc {
+			return false
+		}
+	}
+	return true
 }
 
 // Subsumes reports whether pattern a's scope includes pattern b's scope

@@ -137,6 +137,57 @@ func TestQuickBindStabilises(t *testing.T) {
 	}
 }
 
+// Property: MatchBind binds each "!" to the instance's value at its
+// position and keeps every other component, and IsBinding holds exactly
+// for that name: the one bound from the same instance, or any equal
+// one, and never the binding of another instance with other "!" values.
+func TestQuickIsBinding(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	f := func() bool {
+		pattern := genName(r, 4, true)
+		inst, other := genName(r, 6, false), genName(r, 6, false)
+		bound, ok := MatchBind(pattern, inst)
+		if !ok {
+			return true // vacuous
+		}
+		want := pattern.Components()
+		for i := range want {
+			if want[i].Value == PerInstance {
+				want[i].Value = inst.At(i).Value
+			}
+		}
+		if !bound.Equal(MustName(want...)) || !IsBinding(bound, pattern, inst) || !IsBinding(MustName(want...), pattern, inst) {
+			t.Logf("MatchBind(%q, %q) = %q, want %q", pattern, inst, bound, MustName(want...))
+			return false
+		}
+		if otherBound, ok := MatchBind(pattern, other); ok && IsBinding(bound, pattern, other) != otherBound.Equal(bound) {
+			t.Logf("IsBinding(%q, %q, %q) disagrees with the binding %q", bound, pattern, other, otherBound)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMixed: a "!" beside a "*" is the one shape binding builds a name
+// for.
+func TestMixed(t *testing.T) {
+	for pattern, want := range map[string]bool{
+		"Branch=*, Period=!":    true,
+		"Period=!, Branch=*":    true,
+		"Branch=!, Period=!":    false,
+		"Branch=York, Period=!": false,
+		"Branch=*, Period=*":    false,
+		"":                      false,
+	} {
+		if got := Mixed(MustParse(pattern)); got != want {
+			t.Errorf("Mixed(%q) = %v, want %v", pattern, got, want)
+		}
+	}
+}
+
 // Property: Subsumes is consistent with MatchInstance — if a subsumes b
 // and an instance matches b, it matches a.
 func TestQuickSubsumesConsistent(t *testing.T) {

@@ -254,15 +254,21 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ctx := func(i int) string { return fmt.Sprintf("Branch=York, Period=p%d", i) }
+	// Every row's requests are in one period, as a bank's are: its name,
+	// "Branch=*, Period=p", is bound once and found in the engine's
+	// names table by every later request. "MMER opening grant" opens a
+	// period of its own each time, and builds its name.
+	ctx := func(int) string { return "Branch=York, Period=p" }
 	teller := func(user string, i int) DecisionRequest {
 		return DecisionRequest{User: user, Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 	}
 	return []serveCase{
 		{
 			// 7 + the engine's decision moved to the heap as
-			// Decision.MSoD (1), and the engine's one: the bound name
-			// (1). It was 13 / 10 while the trace, the context carrying
+			// Decision.MSoD (1); the engine allocates nothing. It was
+			// 11 / 9 while every request built its bound name (1) — every
+			// row of the table but "MMER opening grant" and "RBAC deny"
+			// went down 1 with it — 13 / 10 while the trace, the context carrying
 			// it and the one carrying the explain entry were three
 			// values (every row's default and all-on went down 2, bare
 			// 1), 18 / 15 while the request's five strings and
@@ -276,7 +282,20 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 11, "bare": 9, "all-on": 11},
+			budget: map[string]float64{"default": 10, "bare": 8, "all-on": 10},
+		},
+		{
+			// 7 + Decision.MSoD (1) and the engine's three for an opening
+			// grant: the bound name, which nothing bound before (1), and
+			// the store's new instance and the list of its unique Period
+			// value (2). Default: + event 2.
+			name: "MMER opening grant",
+			request: func(i int) DecisionRequest {
+				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till",
+					Context: fmt.Sprintf("Branch=York, Period=p%d", i)}
+			},
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 13, "bare": 11, "all-on": 13},
 		},
 		{
 			// The same under a requestID and a traceparent, as every
@@ -295,7 +314,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			routed:  true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 11, "bare": 9, "all-on": 11},
+			budget: map[string]float64{"default": 10, "bare": 8, "all-on": 10},
 		},
 		{
 			// The same on a shard behind a gateway, the request carrying
@@ -305,12 +324,12 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			handoff: true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 11, "bare": 9, "all-on": 11},
+			budget: map[string]float64{"default": 10, "bare": 8, "all-on": 10},
 		},
 		{
 			// The same, the request carrying one close — of another
 			// period, which holds nothing on this shard. On top of the
-			// grant's 11 / 9: the closed instance's name parsed (1), the
+			// grant's 10 / 8: the closed instance's name parsed (1), the
 			// event's reason (1), and the last step's requestID cloned
 			// out of the header for the applied ring (1); default adds
 			// the instance's text in the purge event (1).
@@ -323,12 +342,12 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 15, "bare": 12, "all-on": 15},
+			budget: map[string]float64{"default": 14, "bare": 11, "all-on": 14},
 		},
 		{
 			// The same, the request carrying one activation — of another
 			// period, not running on this shard. On top of the grant's
-			// 11 / 9: the instance's name parsed (1), the encoded
+			// 10 / 8: the instance's name parsed (1), the encoded
 			// activation adi.OpActivate hands Append (1), the
 			// instance-table entry and its slot in a component list (2),
 			// and the first step's requestID cloned out of the header for
@@ -345,13 +364,13 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 17, "bare": 14, "all-on": 17},
+			budget: map[string]float64{"default": 16, "bare": 13, "all-on": 16},
 		},
 		{
-			// 7 + Decision.MSoD (1), the bound name (1), the Denial (1)
-			// and its one text (1): Denial.Error, which the answer and
-			// the trail carry as the reason, with Denial.Reason its
-			// tail. It was 20 / 17 while the request's strings and the
+			// 7 + Decision.MSoD (1), the Denial (1) and its one text
+			// (1): Denial.Error, which the answer and the trail carry as
+			// the reason, with Denial.Reason its tail. It was 13 / 11
+			// with the bound name (1), 20 / 17 while the request's strings and the
 			// trace ID were apart, 25 / 22 while the roles were copied and
 			// converted back (2) and Denial.Error rendered the policy
 			// context's text, the bound context's and the sentence
@@ -362,7 +381,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "msod",
-			budget: map[string]float64{"default": 13, "bare": 11, "all-on": 13},
+			budget: map[string]float64{"default": 12, "bare": 10, "all-on": 12},
 		},
 		{
 			// 7: the reason is a constant. It was 10 / 8 while the reason
@@ -398,8 +417,8 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			// credential that passes. It added 6 while json.Marshal
 			// re-marshalled the payload for the Ed25519 check
 			// (credential boxed, two time texts, the result: 4) and
-			// every call made the map (1). Then Decision.MSoD (1) and
-			// the engine's one, the bound name. It was 23 / 20 with the
+			// every call made the map (1). Then Decision.MSoD (1). It
+			// was 14 / 12 with the bound name (1), 23 / 20 with the
 			// request's strings and the trace ID apart, 36 / 33 through
 			// encoding/json and json.Marshal, 38 / 35 with the engine's
 			// record slice and the store's Roles copy (2). Default: +
@@ -410,7 +429,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 14, "bare": 12, "all-on": 14},
+			budget: map[string]float64{"default": 13, "bare": 11, "all-on": 13},
 		},
 	}, soa
 }
