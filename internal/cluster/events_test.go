@@ -3,7 +3,10 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,5 +88,35 @@ func TestGatewayEventStreamRefusalIsNoShardFailure(t *testing.T) {
 	}
 	if !up {
 		t.Fatalf("shard a is %+v after 2.5 s of a subscriber on the gateway's stream, want Up", st)
+	}
+}
+
+// TestGatewayEventStreamRefusesAResume: the gateway's merged stream
+// keeps no sequence of its own, so a follower reconnecting with
+// Last-Event-ID cannot be resumed there. The gateway answers 410 — which
+// FollowEvents reports as ErrEventGap and msodctl tail explains — rather
+// than rejoining the follower live, silently past the events published
+// while it was away.
+func TestGatewayEventStreamRefusesAResume(t *testing.T) {
+	gw, c, _ := newCloseCluster(t, 1, Config{}, nil)
+	for i := range 3 {
+		dec, err := c.Decision(server.DecisionRequest{User: fmt.Sprint("teller", i), Roles: []string{"Teller"},
+			Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
+		if err != nil || !dec.Allowed {
+			t.Fatalf("decision %d = %+v, %v; want a grant", i, dec, err)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	r := httptest.NewRequest(http.MethodGet, server.EventsPath, nil).WithContext(ctx)
+	r.Header.Set(server.LastEventIDHeader, "1")
+	w := httptest.NewRecorder()
+	gw.ServeHTTP(w, r)
+	if w.Code != http.StatusGone {
+		t.Fatalf("a resume from seq 1 answered %d with %d events in 2 s, want 410", w.Code, strings.Count(w.Body.String(), "data:"))
+	}
+	if !strings.Contains(w.Body.String(), "resume") {
+		t.Errorf("the 410's body %q does not say the stream cannot resume", w.Body.String())
 	}
 }
