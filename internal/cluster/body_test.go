@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"msod/internal/obsv"
 	"msod/internal/server"
 )
 
@@ -204,5 +205,33 @@ func TestGatewayLongRequestTakesNoShardDown(t *testing.T) {
 		Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
 	if err != nil || !ok.Allowed {
 		t.Fatalf("the next ordinary decision on shard %s = %+v, %v; want a grant", owner, ok, err)
+	}
+}
+
+// TestRefusalLogsABoundedKey: the 502 for a grant whose user is 300,000
+// '<' logs one "refused" line, and that line carries a prefix of the
+// routing key and its length, not the key: under 1 KB, where the whole
+// key made it as long as the request.
+func TestRefusalLogsABoundedKey(t *testing.T) {
+	logBuf := &syncBuffer{}
+	_, c, _ := newCloseCluster(t, 1, Config{Logger: obsv.NewLogger(logBuf, "msodgw")}, nil)
+	huge := strings.Repeat("<", 300_000)
+	grant := []byte(`{"user":"` + huge + `","roles":["Teller"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`)
+	_, err := c.PostRaw(context.Background(), server.DecisionPath, "", grant)
+	var apiErr *server.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
+		t.Fatalf("the huge-user grant = %v, want a 502", err)
+	}
+	var refused []string
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		if strings.Contains(line, `"msg":"refused"`) {
+			refused = append(refused, line)
+		}
+	}
+	if len(refused) != 1 {
+		t.Fatalf("%d refused lines, want 1", len(refused))
+	}
+	if line := refused[0]; len(line) >= 1<<10 || !strings.Contains(line, `"userBytes":300000`) {
+		t.Fatalf("the refused line is %d bytes: %.300s; want under 1 KB, naming the key's length", len(line), line)
 	}
 }
