@@ -10,6 +10,7 @@ import (
 	mrand "math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"msod/internal/obsv"
@@ -357,19 +358,29 @@ func (g *Gateway) logDecision(traceID obsv.TraceID, resp server.AnswerPeek, shar
 		slog.Float64("seconds", elapsed.Seconds()))
 }
 
+// logKeyBytes bounds the prefix of a routing key a refused line logs.
+const logKeyBytes = 128
+
 // refuse writes a refusal routeDecision itself produced — a fail-closed
 // 503 (counted in msodgw_unavailable_total) or a withheld misrouted
 // answer (502) — with the Retry-After hint when one is given, and logs
 // it as a warning: these are operational events regardless of any
-// slow-log threshold.
+// slow-log threshold. The line carries the routing key's first
+// logKeyBytes bytes and its length: the key is as long as the request
+// body allows, and a refused line must not be.
 func (g *Gateway) refuse(w http.ResponseWriter, traceID obsv.TraceID, key, shard string, status int, retryAfter time.Duration, reason, msg string) {
 	if status == http.StatusServiceUnavailable {
 		g.metrics.unavailable.Add(1)
 	}
 	if g.cfg.Logger != nil {
+		prefix := key
+		if len(prefix) > logKeyBytes {
+			prefix = strings.ToValidUTF8(prefix[:logKeyBytes], "")
+		}
 		g.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "refused",
 			slog.String("traceID", string(traceID)),
-			slog.String("user", key),
+			slog.String("user", prefix),
+			slog.Int("userBytes", len(key)),
 			slog.String("shard", shard),
 			slog.String("reason", reason))
 	}
