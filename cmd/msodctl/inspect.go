@@ -43,8 +43,9 @@ func cmdTail(args []string) error {
 	// sequence resume, so a server restart or network blip does not
 	// silently skip the events published while the tail was down. Only
 	// an unrecoverable gap (events rotated past the server's retained
-	// ring) or a 4xx refusal ends the command, the gap with an
-	// explanation rather than a quiet hole.
+	// ring, or a gateway, whose merged stream cannot resume) or a 4xx
+	// refusal ends the command, the gap with an explanation rather than
+	// a quiet hole.
 	err := client.FollowEvents(ctx, server.FollowEventsOptions{
 		User: *user, Context: *ctxPat, Outcome: *outcome, Replay: *replay,
 	}, func(ev inspect.DecisionEvent) error {
@@ -58,7 +59,7 @@ func cmdTail(args []string) error {
 	case errors.Is(err, context.Canceled):
 		return nil // interrupted: a clean exit for a follow command
 	case errors.Is(err, server.ErrEventGap):
-		return fmt.Errorf("tail: the stream could not resume where it left off — events were dropped while disconnected and have rotated out of the server's retained ring: %w (re-run tail to rejoin live)", err)
+		return fmt.Errorf("tail: the stream could not resume where it left off — the events published while disconnected have rotated out of the server's retained ring, or the server is a gateway, which cannot replay them: %w (re-run tail to rejoin live)", err)
 	}
 	return err
 }

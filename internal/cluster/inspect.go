@@ -122,10 +122,18 @@ func (g *Gateway) handleStateContext(w http.ResponseWriter, r *http.Request) {
 
 // handleEvents fans in every tracked shard's /v1/events stream,
 // stamping each event with shard="<id>" before re-emitting it on one
-// merged SSE stream for as long as the client stays connected.
+// merged SSE stream for as long as the client stays connected. The
+// merged stream has no sequence of its own to resume from, so a
+// request carrying Last-Event-ID is answered 410, as a shard answers a
+// resume point its ring no longer holds: the follower learns of the gap
+// (server.ErrEventGap) instead of rejoining live past it.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		errorJSON(w, http.StatusMethodNotAllowed, "GET required")
+		return
+	}
+	if r.Header.Get(server.LastEventIDHeader) != "" {
+		errorJSON(w, http.StatusGone, "the gateway's merged event stream cannot resume from "+server.LastEventIDHeader+"; follow it again live")
 		return
 	}
 	q := r.URL.Query()

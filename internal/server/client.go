@@ -396,7 +396,8 @@ func (c *Client) ContextStateCtx(ctx context.Context, pattern string) (inspect.C
 
 // ErrEventGap reports that a resumed event stream cannot be continued
 // without loss: the events after the resume point have left the
-// server's ring buffer (or the server restarted and renumbered).
+// server's ring buffer (or the server restarted and renumbered), or the
+// server is a gateway, whose merged stream cannot be resumed at all.
 // A consumer can only restart live, knowing events were missed.
 // Returned wrapped; test with errors.Is.
 var ErrEventGap = errors.New("server: event stream gap: resume point no longer retained")
@@ -424,8 +425,8 @@ type FollowEventsOptions struct {
 // resumes just after the last sequence number it delivered
 // (Last-Event-ID), so no event is lost or delivered twice. Each line is
 // read whole, however long. It returns only when the context ends
-// (ctx.Err()), fn returns an error (that error), the resume span has
-// left the server's ring (ErrEventGap, wrapped), or the server refuses
+// (ctx.Err()), fn returns an error (that error), the server cannot
+// resume (ErrEventGap, wrapped: a 410), or the server refuses
 // the stream with a 4xx (*APIError — e.g. events not enabled, or a bad
 // filter).
 func (c *Client) FollowEvents(ctx context.Context, opts FollowEventsOptions, fn func(inspect.DecisionEvent) error) error {
