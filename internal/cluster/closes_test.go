@@ -26,12 +26,20 @@ import (
 // closesPolicyXML is the two policies internal/workload's generators
 // exercise (workload.BankPolicy, workload.TaxPolicy) with the target
 // access policy their requests need, and the two management purges.
+// bank.example (bankSOA) may assign the four workflow roles, so a
+// request can carry its subject as credentials.
 const closesPolicyXML = `
 <RBACPolicy id="closes-1">
   <RoleList>
     <Role value="Teller"/><Role value="Auditor"/><Role value="Clerk"/><Role value="Manager"/>
     <Role value="RetainedADIController"/>
   </RoleList>
+  <RoleAssignmentPolicy>
+    <Assignment soa="bank.example" role="Teller"/>
+    <Assignment soa="bank.example" role="Auditor"/>
+    <Assignment soa="bank.example" role="Clerk"/>
+    <Assignment soa="bank.example" role="Manager"/>
+  </RoleAssignmentPolicy>
   <TargetAccessPolicy>
     <Grant role="RetainedADIController" operation="purgeUser" target="msod:retainedADI"/>
     <Grant role="RetainedADIController" operation="purgeBefore" target="msod:retainedADI"/>
@@ -91,6 +99,9 @@ func newCloseShard(t *testing.T, id string) *closeShard {
 	p, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: sh.store,
 		Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) }})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrustAuthority(bankSOA); err != nil {
 		t.Fatal(err)
 	}
 	sh.srv = server.New(p, server.WithHandoff(), server.WithEventBroker(broker))
