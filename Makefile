@@ -100,7 +100,9 @@ chaos:
 # Elastic membership smoke: the join/drain/remove lifecycle and
 # context-activation unit suite (the activation carried to each peer,
 # a FirstStep acked with a peer Down, a gateway restarted with
-# activations pending, the re-activation after a user or age purge), the
+# activations pending, the re-activation after a user or age purge), a
+# request steered to a shard its credentials' holder does not own (421
+# before anything commits, so no false grant follows), the
 # shard's handoff import and release (an import releases before it
 # records, so the instances it empties keep running), the check that
 # every out-of-band store change goes through pdp.PDP.Apply, the
@@ -108,7 +110,7 @@ chaos:
 # 60-seed reshard torture (random join/drain/crash schedules checked
 # against the reference model as the shadow).
 elastic:
-	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics|Purge|FirstStepWithPeerDown|GatewayRestart)|TestActivation|TestJoinSeeds' ./internal/cluster
+	$(GO) test -race -count=1 -run 'TestCluster(Join|Drain|Concurrent|Admission|Topology|Status|Metrics|Purge|FirstStepWithPeerDown|GatewayRestart|Steered)|TestActivation|TestJoinSeeds' ./internal/cluster
 	$(GO) test -race -count=1 -run 'TestHandoff' ./internal/server
 	$(GO) test -race -count=1 -run 'TestStoreMutatedOnlyThroughOneEntry' .
 	$(GO) test -race -count=1 -run 'TestElastic' ./internal/integration

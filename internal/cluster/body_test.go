@@ -235,3 +235,31 @@ func TestRefusalLogsABoundedKey(t *testing.T) {
 		t.Fatalf("the refused line is %d bytes: %.300s; want under 1 KB, naming the key's length", len(line), line)
 	}
 }
+
+// TestDecisionLogsABoundedUser: a granted decision whose user is 300,000
+// '<', answered by a shard that spells it unescaped (so the answer is
+// under the read limit and forwarded), logs one "decision" line under
+// 1 KB at a zero threshold.
+func TestDecisionLogsABoundedUser(t *testing.T) {
+	logBuf := &syncBuffer{}
+	_, gts, shards := newRecordingCluster(t, 1, Config{Logger: obsv.NewLogger(logBuf, "msodgw")})
+	huge := strings.Repeat("<", 300_000)
+	shards[0].script(func(string, int) (int, string, bool) {
+		return http.StatusOK, `{"allowed":true,"phase":"granted","user":"` + huge + `"}`, false
+	})
+	if status, _ := post(t, gts.URL+server.DecisionPath, `{"user":"`+huge+`","operation":"HandleCash","target":"till","context":"P=1"}`); status != http.StatusOK {
+		t.Fatalf("the huge-user grant answered %d, want 200", status)
+	}
+	var decisions []string
+	for _, line := range strings.Split(logBuf.String(), "\n") {
+		if strings.Contains(line, `"msg":"decision"`) {
+			decisions = append(decisions, line)
+		}
+	}
+	if len(decisions) != 1 {
+		t.Fatalf("%d decision lines, want 1", len(decisions))
+	}
+	if line := decisions[0]; len(line) >= 1<<10 || !strings.Contains(line, `"userBytes":300000`) {
+		t.Fatalf("the decision line is %d bytes: %.300s; want under 1 KB, naming the user's length", len(line), line)
+	}
+}

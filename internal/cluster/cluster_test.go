@@ -63,15 +63,7 @@ func newStubShard(t *testing.T, policy string) *stubShard {
 		}
 		resolved := s.echoUser
 		if resolved == "" {
-			resolved = req.User
-		}
-		if resolved == "" {
-			for _, c := range req.Credentials {
-				if c.Holder != "" {
-					resolved = c.Holder
-					break
-				}
-			}
+			resolved = req.RoutingSubject()
 		}
 		json.NewEncoder(w).Encode(server.DecisionResponse{Allowed: true, Phase: "granted", User: resolved, Closed: s.closed})
 	}

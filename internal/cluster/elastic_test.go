@@ -61,15 +61,7 @@ func newElasticStub(t *testing.T, policy string) *elasticStub {
 			if delay > 0 {
 				time.Sleep(delay)
 			}
-			user := req.User
-			if user == "" {
-				for _, c := range req.Credentials {
-					if c.Holder != "" {
-						user = c.Holder
-						break
-					}
-				}
-			}
+			user := req.RoutingSubject()
 			if record {
 				s.mu.Lock()
 				s.records[user] = append(s.records[user], server.SnapshotRecord{
@@ -375,9 +367,10 @@ func TestClusterJoinMovesOwnershipLive(t *testing.T) {
 }
 
 // TestClusterJoinRefusesInTransitUsers: during the streaming window a
-// moving user's decision is refused 503 + Retry-After, and a
-// credential-bearing request routed to a donor is refused too — but an
-// advisory for an unaffected user still flows.
+// moving user's decision is refused 503 + Retry-After, whether it names
+// the user or carries a credential the user holds — but a
+// credential-bearing decision for a user who stays on the donor, and an
+// advisory for an unaffected user, still flow.
 func TestClusterJoinRefusesInTransitUsers(t *testing.T) {
 	gw, gts, _ := newElasticCluster(t, 2, Config{})
 	users := seedUsers(t, gts, 60)
@@ -423,16 +416,26 @@ func TestClusterJoinRefusesInTransitUsers(t *testing.T) {
 	}
 	dr.Body.Close()
 
-	// A credential-bearing request routed to the donor is refused: the
-	// resolved subject is unknowable before the shard commits.
-	cr := postJSON(t, gts.URL+server.DecisionPath, server.DecisionRequest{
-		Credentials: []credential.Credential{{Holder: stayingUser}},
-		Operation:   "op", Target: "t", Context: "P=1",
-	})
-	if cr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("donor credential decision status %d, want 503", cr.StatusCode)
+	// A credential-bearing decision is routed on its holder: the moving
+	// user's fails closed like the user's own, and the staying user's is
+	// decided on the donor (a shard run -handoff refuses one that
+	// resolves to another subject, so it cannot commit for the mover).
+	for _, tc := range []struct {
+		holder string
+		want   int
+	}{{movingUser, http.StatusServiceUnavailable}, {stayingUser, http.StatusOK}} {
+		cr := postJSON(t, gts.URL+server.DecisionPath, server.DecisionRequest{
+			Credentials: []credential.Credential{{Holder: tc.holder}},
+			Operation:   "op", Target: "t", Context: "P=1",
+		})
+		cr.Body.Close()
+		if cr.StatusCode != tc.want {
+			t.Fatalf("credential decision held by %s: status %d, want %d", tc.holder, cr.StatusCode, tc.want)
+		}
+		if tc.want == http.StatusServiceUnavailable && cr.Header.Get("Retry-After") == "" {
+			t.Errorf("in-transit credential refusal has no Retry-After")
+		}
 	}
-	cr.Body.Close()
 
 	// An advisory for the in-transit user is withheld at answer time
 	// (after release its donor history may be mid-purge), but an

@@ -140,12 +140,9 @@ type Gateway struct {
 	traffic sync.RWMutex
 
 	// hmu guards the handoff window state below. transit marks the
-	// users whose history is in motion (decisions refuse fail-closed);
-	// handoffDonors marks the shards losing users (credential-bearing
-	// decisions on them refuse — the resolved subject is unpredictable).
+	// users whose history is in motion (decisions refuse fail-closed).
 	hmu            sync.Mutex
 	transit        map[string]bool
-	handoffDonors  map[string]bool
 	currentHandoff *HandoffStatus
 	lastHandoff    *HandoffStatus
 

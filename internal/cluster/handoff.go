@@ -372,25 +372,20 @@ func (g *Gateway) donorUsers(ctx context.Context, donor string) ([]string, error
 }
 
 // quiesce opens the fail-closed window: it marks the moving users as
-// in transit (their decisions refuse with 503 + Retry-After) and the
-// plan's donors as handoff donors (credential-bearing decisions on
-// them refuse too — the shard's CVS resolves the canonical subject
-// itself, so a credentialed request routed anywhere near a donor could
-// commit history for a user mid-move). It then takes the traffic
-// barrier write lock once: every routed request admitted before the
-// marks went up holds the read lock for its full duration, so when the
-// write lock is acquired, nothing admitted pre-mark is still running —
-// no commit for a moving user can land on a donor after the export
-// snapshot is taken.
+// in transit (their decisions refuse with 503 + Retry-After). A request
+// routed on a user who stays cannot commit for a moving one: a shard
+// run -handoff refuses, before anything is evaluated, one that resolves
+// to another subject than it was routed on (421). It then takes the
+// traffic barrier write lock once: every routed request admitted before
+// the marks went up holds the read lock for its full duration, so when
+// the write lock is acquired, nothing admitted pre-mark is still
+// running — no commit for a moving user can land on a donor after the
+// export snapshot is taken.
 func (g *Gateway) quiesce(plan *handoffPlan) {
 	g.hmu.Lock()
 	g.transit = make(map[string]bool, len(plan.target))
 	for u := range plan.target {
 		g.transit[u] = true
-	}
-	g.handoffDonors = make(map[string]bool, len(plan.moves))
-	for d := range plan.moves {
-		g.handoffDonors[d] = true
 	}
 	g.hmu.Unlock()
 	g.traffic.Lock()
@@ -403,31 +398,13 @@ func (g *Gateway) quiesce(plan *handoffPlan) {
 func (g *Gateway) clearQuiesce() {
 	g.hmu.Lock()
 	g.transit = nil
-	g.handoffDonors = nil
 	g.hmu.Unlock()
 }
 
-// transitRefusal reports whether a decision must refuse fail-closed
-// under the handoff window: its routing key is in transit, or it
-// carries credentials and is routed to a donor (the resolved subject
-// is unpredictable until the CVS runs, and by then the commit would
-// already be on the donor — after its subtree export).
-func (g *Gateway) transitRefusal(key, shard string, hasCredentials bool) (string, bool) {
-	g.hmu.Lock()
-	defer g.hmu.Unlock()
-	if g.transit[key] {
-		return fmt.Sprintf("user %q is mid-handoff (retained history in transit between shards); refusing rather than deciding on partial history", key), true
-	}
-	if hasCredentials && g.handoffDonors[shard] {
-		return fmt.Sprintf("shard %s is a resharding donor and the request carries credentials (resolved subject unknown until validated); refusing during the handoff window", shard), true
-	}
-	return "", false
-}
-
-// resolvedInTransit reports whether the subject a shard resolved is a
-// user currently mid-handoff — the answer must be withheld even though
-// the request's routing key was not marked.
-func (g *Gateway) resolvedInTransit(user string) bool {
+// inTransit reports whether user's history is mid-handoff: a decision
+// routed on it refuses fail-closed, and an answer whose resolved
+// subject it is is withheld.
+func (g *Gateway) inTransit(user string) bool {
 	g.hmu.Lock()
 	defer g.hmu.Unlock()
 	return g.transit[user]

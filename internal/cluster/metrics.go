@@ -231,7 +231,7 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msod_handoff_started_total", "Membership handoffs started (join and drain).", g.metrics.handoffStarted.Load())
 	obsv.WriteCounter(w, "msod_handoff_completed_total", "Membership handoffs completed through cutover.", g.metrics.handoffCompleted.Load())
 	obsv.WriteCounter(w, "msod_handoff_failed_total", "Membership handoffs aborted before cutover (donor stays authoritative).", g.metrics.handoffFailed.Load())
-	obsv.WriteCounter(w, "msod_handoff_refusals_total", "Decisions refused fail-closed during a handoff window (in-transit users, donor credentials, withheld answers).", g.metrics.handoffRefusals.Load())
+	obsv.WriteCounter(w, "msod_handoff_refusals_total", "Decisions refused fail-closed during a handoff window (in-transit users, withheld answers).", g.metrics.handoffRefusals.Load())
 	obsv.WriteCounter(w, "msod_handoff_users_moved_total", "Users whose retained-ADI history was streamed to a new owner.", g.metrics.handoffUsersMoved.Load())
 	obsv.WriteCounter(w, "msodgw_ctx_activation_fanouts_total", "FirstStep grants that started a context instance: its activation is queued for every peer shard, to ride the next request sent to it, or the grant is withheld.", g.metrics.activationFanouts.Load())
 	obsv.WriteCounter(w, "msodgw_ctx_activation_withheld_total", "FirstStep grants withheld fail-closed because the activation could not be queued for a peer shard: its outbox is full of activations it has not acknowledged, or the activation has no requestID or is too large to carry.", g.metrics.activationWithheld.Load())

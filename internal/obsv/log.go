@@ -7,12 +7,38 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strings"
 )
 
 // NewLogger builds the JSON structured logger both daemons use: one
 // object per line on w, every record carrying the component name.
 func NewLogger(w io.Writer, component string) *slog.Logger {
 	return slog.New(slog.NewJSONHandler(w, nil)).With(slog.String("component", component))
+}
+
+// PrefixBytes bounds a string a request supplies — a user, a target, a
+// context, an error that quotes one — where a log line or an error
+// message carries it: whole, it is as long as the request body allows,
+// and so would the line be.
+const PrefixBytes = 128
+
+// Prefix returns s's first PrefixBytes bytes as valid UTF-8: s itself
+// when it is no longer.
+func Prefix(s string) string {
+	if len(s) <= PrefixBytes {
+		return s
+	}
+	return strings.ToValidUTF8(s[:PrefixBytes], "")
+}
+
+// AppendBounded appends the attribute key with Prefix(s) and, when that
+// cut s, key+"Bytes" with s's length.
+func AppendBounded(attrs []slog.Attr, key, s string) []slog.Attr {
+	attrs = append(attrs, slog.String(key, Prefix(s)))
+	if len(s) > PrefixBytes {
+		attrs = append(attrs, slog.Int(key+"Bytes", len(s)))
+	}
+	return attrs
 }
 
 // SpanAttrs renders a trace's span breakdown (AppendSpans) as one slog

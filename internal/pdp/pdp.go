@@ -40,6 +40,9 @@ var (
 	// when its valid credentials name distinct users
 	// (credential.ErrDistinctUsers, which it wraps too).
 	ErrNoSubject = errors.New("pdp: request has no subject")
+	// ErrMisrouted is returned, before anything is evaluated, when a
+	// request's Routed subject is not the one it resolves to.
+	ErrMisrouted = errors.New("pdp: request misrouted")
 )
 
 // Config assembles a PDP.
@@ -179,6 +182,11 @@ type Request struct {
 	// Roles are the activated roles (ignored when Credentials are
 	// present).
 	Roles []rbac.RoleName
+	// Routed, when non-empty, is the subject the request was routed on
+	// (a cluster shard's server.DecisionRequest.RoutingSubject): a
+	// request that resolves to another subject fails with ErrMisrouted,
+	// so a shard decides only for the users routed to it.
+	Routed rbac.UserID
 	// Operation and Target are the access request ADI.
 	Operation rbac.Operation
 	Target    rbac.Object
@@ -387,8 +395,9 @@ func (p *PDP) AdviseCtx(ctx context.Context, req Request) (Decision, error) {
 
 // subject resolves the request's initiator: CVS-validated credentials
 // take precedence; otherwise the pre-validated user/roles are used as
-// they are.
+// they are. A subject other than req.Routed is refused.
 func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
+	user, roles := req.User, req.Roles
 	if len(req.Credentials) > 0 {
 		v, err := p.cvs.Validate(req.Credentials, p.clock())
 		if errors.Is(err, credential.ErrDistinctUsers) {
@@ -400,12 +409,16 @@ func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
 		if v.User == "" {
 			return "", nil, fmt.Errorf("%w: no valid credentials", ErrNoSubject)
 		}
-		return v.User, v.Roles, nil
+		user, roles = v.User, v.Roles
 	}
-	if req.User == "" {
+	if user == "" {
 		return "", nil, ErrNoSubject
 	}
-	return req.User, req.Roles, nil
+	if req.Routed != "" && req.Routed != user {
+		return "", nil, fmt.Errorf("%w: routed on %q, resolves to %q; send it under that user",
+			ErrMisrouted, obsv.Prefix(string(req.Routed)), obsv.Prefix(string(user)))
+	}
+	return user, roles, nil
 }
 
 // event builds the audit record for a decision, stamping the context's

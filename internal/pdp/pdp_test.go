@@ -173,6 +173,49 @@ func TestDecideWithCredentials(t *testing.T) {
 	}
 }
 
+// TestRoutedSubjectIsHeld: a request that resolves to a subject other
+// than the one it was routed on fails with ErrMisrouted, as a decision
+// and as an advisory, before anything is evaluated: no record, no event.
+// One that resolves to its routed subject is decided as without it.
+func TestRoutedSubjectIsHeld(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events int
+	p, err := New(Config{Policy: pol, Observer: func(inspect.DecisionEvent) { events++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := credential.NewAuthority("hr.bank.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrustAuthority(hr); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	cred, err := hr.IssueRole("alice", "Teller", now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Credentials: []credential.Credential{cred}, User: "bob", Routed: "bob",
+		Operation: "HandleCash", Target: "till", Context: bctx.MustParse("Branch=York, Period=2006")}
+	if _, err := p.Decide(req); !errors.Is(err, ErrMisrouted) {
+		t.Errorf("steered decision: %v, want ErrMisrouted", err)
+	}
+	if _, err := p.Advise(req); !errors.Is(err, ErrMisrouted) {
+		t.Errorf("steered advisory: %v, want ErrMisrouted", err)
+	}
+	if n := p.Store().Len(); n != 0 || events != 0 {
+		t.Fatalf("%d records and %d events after steered requests, want none", n, events)
+	}
+	req.User, req.Routed = "", "alice"
+	if dec, err := p.Decide(req); err != nil || !dec.Allowed {
+		t.Fatalf("routed on its own holder: %+v, %v; want a grant", dec, err)
+	}
+}
+
 func TestDecideNoSubject(t *testing.T) {
 	p := bankPDP(t)
 	_, err := p.Decide(Request{Operation: "HandleCash", Target: "till",

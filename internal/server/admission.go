@@ -100,14 +100,17 @@ func (s *Server) release() {
 }
 
 // failureStatus is the status a PDP error is answered with: 400 for a
-// request that names no subject; 503 for a failed durable write, which
-// also latches read-only mode — the request committed nothing (a store
-// write is atomic) and the gate refuses the ones after it; otherwise
-// the handler's fallback.
+// request that names no subject; 421 for one that resolves to a subject
+// other than the one it was routed on; 503 for a failed durable write,
+// which also latches read-only mode — the request committed nothing (a
+// store write is atomic) and the gate refuses the ones after it;
+// otherwise the handler's fallback.
 func (s *Server) failureStatus(err error, fallback int) int {
 	switch {
 	case errors.Is(err, pdp.ErrNoSubject):
 		return http.StatusBadRequest
+	case errors.Is(err, pdp.ErrMisrouted):
+		return http.StatusMisdirectedRequest
 	case s.noteWriteFailure(err):
 		return http.StatusServiceUnavailable
 	}

@@ -70,10 +70,12 @@ type HandoffReleaseResponse struct {
 	Purged int `json:"purged"`
 }
 
-// WithHandoff enables the resharding handoff surface. Off by default:
-// import and release rewrite retained-ADI subtrees on the authority of
-// the gateway alone, so only shards deliberately deployed behind one
-// should expose them.
+// WithHandoff makes the server a cluster shard: it enables the
+// resharding handoff surface and holds each decision to the subject it
+// was routed on (a request that resolves to another answers 421 before
+// anything is evaluated). Off by default: import and release rewrite
+// retained-ADI subtrees on the authority of the gateway alone, so only
+// shards deliberately deployed behind one should expose them.
 func WithHandoff() Option {
 	return func(s *Server) { s.handoff = true }
 }

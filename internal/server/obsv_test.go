@@ -277,3 +277,27 @@ func TestServedSpanTree(t *testing.T) {
 		})
 	}
 }
+
+// TestDecisionLogBoundsTheRequest: a decision whose target is 300,000
+// '<' logs one line under 1 KB, carrying a prefix of the target and its
+// length: whole, the target would make the line as long as the request.
+func TestDecisionLogBoundsTheRequest(t *testing.T) {
+	c, buf := startObservedServer(t)
+	huge := strings.Repeat("<", 300_000)
+	body := []byte(`{"user":"c1","roles":["Clerk"],"operation":"prepareCheck","target":"` + huge + `","context":"TaxOffice=Leeds, taxRefundProcess=p1"}`)
+	if _, err := c.PostRaw(context.Background(), DecisionPath, "", body); err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, `"msg":"decision"`) {
+			lines = append(lines, line)
+		}
+	}
+	if len(lines) != 1 {
+		t.Fatalf("%d decision lines, want 1", len(lines))
+	}
+	if line := lines[0]; len(line) >= 1<<10 || !strings.Contains(line, `"targetBytes":300000`) {
+		t.Fatalf("the decision line is %d bytes: %.300s; want under 1 KB, naming the target's length", len(line), line)
+	}
+}

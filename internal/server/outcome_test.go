@@ -53,9 +53,10 @@ type outcomeRow struct {
 	name string
 	// durable puts the retained ADI on a fault-injecting filesystem;
 	// sentinel adds an audit trail and a fail-closed sentinel over it;
-	// limit is the admission limit (0: unbounded).
-	durable, sentinel bool
-	limit             int
+	// limit is the admission limit (0: unbounded); shard serves it
+	// WithHandoff, as a cluster shard.
+	durable, sentinel, shard bool
+	limit                    int
 	// setup brings the server into the row's starting state; the sinks
 	// are snapshotted after it.
 	setup    func(e *outcomeEnv)
@@ -145,6 +146,10 @@ func TestDecisionOutcomes(t *testing.T) {
 		twoCreds = append(twoCreds, c)
 	}
 	twoUsers, err := json.Marshal(DecisionRequest{Credentials: twoCreds, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steered, err := json.Marshal(DecisionRequest{User: "bob", Credentials: twoCreds[:1], Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,6 +266,23 @@ func TestDecisionOutcomes(t *testing.T) {
 			setup:  func(e *outcomeEnv) { e.trust(soa) },
 			body:   string(twoUsers),
 			status: http.StatusBadRequest,
+			counters: served(map[string]int64{
+				"msod_request_errors_total":                1,
+				`msod_trace_sampled_total{reason="error"}`: 1,
+			}),
+			handed:   true,
+			traced:   tracedAs{SampledFor: trace.ReasonError, Outcome: "error", RequestID: outcomeTraceID},
+			logLevel: "WARN", logMsg: "decision error", logSpans: []string{"cvs"},
+		},
+		{
+			// A cluster shard decides only for the subject it was routed
+			// on: bob's request carrying alice's credential is refused
+			// before RBAC and the engine run, a caller's error, unscored.
+			name:   "decide error 421 (steered subject)",
+			shard:  true,
+			setup:  func(e *outcomeEnv) { e.trust(soa) },
+			body:   string(steered),
+			status: http.StatusMisdirectedRequest,
 			counters: served(map[string]int64{
 				"msod_request_errors_total":                1,
 				`msod_trace_sampled_total{reason="error"}`: 1,
@@ -435,6 +457,9 @@ func newOutcomeEnv(t *testing.T, row outcomeRow) *outcomeEnv {
 	}
 	if row.limit > 0 {
 		opts = append(opts, WithAdmissionLimit(row.limit, time.Second))
+	}
+	if row.shard {
+		opts = append(opts, WithHandoff())
 	}
 	e.pdp, err = pdp.New(cfg)
 	if err != nil {

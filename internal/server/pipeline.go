@@ -151,6 +151,10 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		writeJSON(w, status, errorResponse{err.Error()})
 		return
 	}
+	// A cluster shard decides only for the subject it was routed on.
+	if s.handoff {
+		c.Request.Routed = rbac.UserID(c.Wire.RoutingSubject())
+	}
 	// answer is the response once the decision committed: one heap copy
 	// that the encoder and, under a RequestID, the idempotency cache
 	// share.
@@ -288,16 +292,18 @@ func (s *Server) publish(ctx context.Context, c *decisionCall) {
 	if !s.slowLogEnabled(d.Elapsed) {
 		return
 	}
+	// The request's strings go in bounded (obsv.AppendBounded): whole,
+	// they would make the line as long as the request.
 	level, msg := slog.LevelInfo, "decision"
-	attrs := append(make([]slog.Attr, 0, 10), slog.String("traceID", d.TraceID), slog.String("user", d.User))
+	attrs := obsv.AppendBounded(append(make([]slog.Attr, 0, 14), slog.String("traceID", d.TraceID)), "user", d.User)
 	if c.err != nil {
 		level, msg = slog.LevelWarn, "decision error"
-		attrs = append(attrs, slog.Bool("advisory", d.Advisory), slog.String("error", d.Reason))
+		attrs = obsv.AppendBounded(append(attrs, slog.Bool("advisory", d.Advisory)), "error", d.Reason)
 	} else {
+		attrs = obsv.AppendBounded(attrs, "operation", d.Operation)
+		attrs = obsv.AppendBounded(attrs, "target", d.Target)
+		attrs = obsv.AppendBounded(attrs, "context", d.Context)
 		attrs = append(attrs,
-			slog.String("operation", d.Operation),
-			slog.String("target", d.Target),
-			slog.String("context", d.Context),
 			slog.Bool("allowed", c.resp.Allowed),
 			slog.String("phase", d.Phase),
 			slog.Bool("advisory", d.Advisory))

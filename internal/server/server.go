@@ -56,6 +56,21 @@ type DecisionRequest struct {
 	RequestID string `json:"requestID,omitempty"`
 }
 
+// RoutingSubject is the user the request is about, as a gateway routes
+// it and a cluster shard holds its PDP to (pdp.Request.Routed): the
+// user, else the first non-empty credential holder, else empty.
+func (r *DecisionRequest) RoutingSubject() string {
+	if r.User != "" {
+		return r.User
+	}
+	for i := range r.Credentials {
+		if h := r.Credentials[i].Holder; h != "" {
+			return h
+		}
+	}
+	return ""
+}
+
 // DecisionResponse is the wire form of a decision.
 type DecisionResponse struct {
 	Allowed bool     `json:"allowed"`

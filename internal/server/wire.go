@@ -578,14 +578,12 @@ func (t *texts) gather(req *DecisionRequest, traceID bool) obsv.TraceID {
 // RequestPeek is what the gateway needs of a decision request it is
 // about to forward as the bytes it was given.
 type RequestPeek struct {
-	// Subject is the routing key: the user, else the first non-empty
-	// credential holder, else empty. A hint — the shard's CVS resolves
-	// the canonical subject, and the gateway checks the answer.
+	// Subject is the routing key: the decoded request's RoutingSubject.
+	// A cluster shard refuses a request whose credentials resolve to
+	// another subject (421), and the gateway checks the answer.
 	Subject string
-	// HasCredentials says whether the decoded request would carry any
-	// credential; RequestID is the requestID it would carry.
-	HasCredentials bool
-	RequestID      string
+	// RequestID is the requestID the decoded request would carry.
+	RequestID string
 
 	end   int  // offset of the body's closing brace
 	empty bool // the object has no members
@@ -637,7 +635,6 @@ func PeekDecisionRequest(body []byte) (RequestPeek, error) {
 	peek := RequestPeek{Subject: user, RequestID: requestID, end: ms.end, empty: ms.n == 0}
 	if creds != nil {
 		if holder, ok := credentialHolder(creds); ok {
-			peek.HasCredentials = true
 			if peek.Subject == "" {
 				peek.Subject = string(holder)
 			}
@@ -647,7 +644,6 @@ func PeekDecisionRequest(body []byte) (RequestPeek, error) {
 			return RequestPeek{}, err
 		}
 	}
-	peek.HasCredentials = len(holders) > 0
 	for i := 0; peek.Subject == "" && i < len(holders); i++ {
 		peek.Subject = holders[i].Holder
 	}

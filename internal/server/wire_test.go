@@ -281,7 +281,7 @@ func textStart(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringDa
 
 // checkPeek holds the gateway's peek to the decoder on one body: every
 // body the shard would decode is peeked, and says what the decoded
-// request says.
+// request says — its subject by RoutingSubject, the one rule.
 func checkPeek(t testing.TB, body []byte) {
 	t.Helper()
 	var req DecisionRequest
@@ -292,12 +292,8 @@ func checkPeek(t testing.TB, body []byte) {
 	if err != nil {
 		t.Fatalf("%q: decodes, but the peek says %v", body, err)
 	}
-	subject := req.User
-	for i := 0; subject == "" && i < len(req.Credentials); i++ {
-		subject = req.Credentials[i].Holder
-	}
-	if peek.Subject != subject || peek.HasCredentials != (len(req.Credentials) > 0) || peek.RequestID != req.RequestID {
-		t.Fatalf("%q: peeked %+v; decoded subject %q, %d credentials, requestID %q", body, peek, subject, len(req.Credentials), req.RequestID)
+	if subject := req.RoutingSubject(); peek.Subject != subject || peek.RequestID != req.RequestID {
+		t.Fatalf("%q: peeked %+v; decoded subject %q, requestID %q", body, peek, subject, req.RequestID)
 	}
 }
 
