@@ -63,8 +63,8 @@ func main() {
 			verdict = "GRANT"
 		}
 		fmt.Printf("%s  %-5s as %-7s %-11s in %q", verdict, user, role, op, ctx)
-		if dec.Reason != "" {
-			fmt.Printf("\n       └─ %s", dec.Reason)
+		if reason := dec.Reason(); reason != "" {
+			fmt.Printf("\n       └─ %s", reason)
 		}
 		fmt.Println()
 	}

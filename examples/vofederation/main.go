@@ -124,8 +124,8 @@ func main() {
 			verdict = "GRANT"
 		}
 		fmt.Printf("%s  user=%-6s roles=%v — %s\n", verdict, dec.User, dec.Roles, gloss)
-		if dec.Reason != "" {
-			fmt.Printf("       └─ %s\n", dec.Reason)
+		if reason := dec.Reason(); reason != "" {
+			fmt.Printf("       └─ %s\n", reason)
 		}
 	}
 

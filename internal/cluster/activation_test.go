@@ -391,7 +391,7 @@ func TestClusterChaoticTransportKeepsCarriedActivations(t *testing.T) {
 			continue
 		}
 		if got.Allowed && !want.Allowed {
-			wrong = append(wrong, fmt.Sprintf("%s by %s in %s (%s)", req.Operation, req.User, req.Context, want.Reason))
+			wrong = append(wrong, fmt.Sprintf("%s by %s in %s (%s)", req.Operation, req.User, req.Context, want.Reason()))
 		}
 		if got.Allowed {
 			granted++

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -171,29 +172,48 @@ func longTargetDenial(user string) []byte {
 		strings.Repeat("<", 300_000) + `","context":"Branch=York, Period=p1"}`)
 }
 
+// oversizedGrant is the raw body of a Teller grant whose answer is past
+// the gateway's 1 MiB read cap though its request is under it: its user
+// is 350,000 bytes of invalid UTF-8, each decoded, and echoed, as the
+// 3-byte U+FFFD. It returns the user the shard decides for, the key
+// the gateway routes on.
+func oversizedGrant() (body []byte, user string) {
+	return []byte(`{"user":"` + strings.Repeat("\xff", 350_000) +
+			`","roles":["Teller"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`),
+		strings.Repeat("\uFFFD", 350_000)
+}
+
 // TestGatewayLongRequestTakesNoShardDown: one request may make a shard
 // write an answer past the gateway's 1 MiB read cap — a grant echoes its
-// user, and a user of 300,000 '<' comes back escaped to about 1.8 MB.
-// That answer is refused with a 502 and is no shard failure: it is not
-// retried, and the shard stays Up for its other users. An RBAC denial
-// of a target as long is answered in a few bytes: its reason does not
-// copy the target.
+// user, and oversizedGrant's comes back three times as long. That
+// answer is refused with a 502 and is no shard failure: it is not
+// retried, and the shard stays Up for its other users. A grant whose
+// user is 300,000 '<' is answered as granted ('<' is one byte on the
+// wire), and an RBAC denial of a target as long is answered in a few
+// bytes: its reason does not copy the target.
 func TestGatewayLongRequestTakesNoShardDown(t *testing.T) {
 	gw, c, _ := newCloseCluster(t, 3, Config{}, nil)
 	ctx := context.Background()
 	huge := strings.Repeat("<", 300_000)
-	owner, _ := gw.ShardFor(huge)
-	user := userOn(t, gw, owner, "teller", 0)
+	hugeOwner, _ := gw.ShardFor(huge)
+	user := userOn(t, gw, hugeOwner, "teller", 0)
 
 	answer, err := c.PostRaw(ctx, server.DecisionPath, "", longTargetDenial(user))
 	if err != nil || len(answer) >= 4<<10 || !strings.Contains(string(answer), `"allowed":false`) {
 		t.Fatalf("the long-target request = %d bytes %.200s, %v; want a denial under 4 KiB", len(answer), answer, err)
 	}
 	grant := []byte(`{"user":"` + huge + `","roles":["Teller"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`)
-	_, err = c.PostRaw(ctx, server.DecisionPath, "", grant)
+	answer, err = c.PostRaw(ctx, server.DecisionPath, "", grant)
+	if err != nil || !strings.Contains(string(answer), `"allowed":true`) {
+		t.Fatalf("the huge-user grant = %d bytes %.200s, %v; want it granted", len(answer), answer, err)
+	}
+
+	oversized, key := oversizedGrant()
+	owner, _ := gw.ShardFor(key)
+	_, err = c.PostRaw(ctx, server.DecisionPath, "", oversized)
 	var apiErr *server.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
-		t.Fatalf("the huge-user grant = %v, want a 502", err)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway || !strings.Contains(apiErr.Message, "past the gateway's read limit") {
+		t.Fatalf("the oversized grant = %.300v, want a 502 for its answer's size", err)
 	}
 	if !gw.Checker().Up(owner) {
 		t.Fatalf("shard %s is %+v after one oversized answer, want Up", owner, gw.Checker().Statuses()[owner])
@@ -201,26 +221,25 @@ func TestGatewayLongRequestTakesNoShardDown(t *testing.T) {
 	if got := gw.metrics.retries.Load(); got != 0 {
 		t.Errorf("%d retries, want the oversized answer never asked for again", got)
 	}
-	ok, err := c.Decision(server.DecisionRequest{User: user, Roles: []string{"Teller"},
+	ok, err := c.Decision(server.DecisionRequest{User: userOn(t, gw, owner, "teller", 0), Roles: []string{"Teller"},
 		Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})
 	if err != nil || !ok.Allowed {
 		t.Fatalf("the next ordinary decision on shard %s = %+v, %v; want a grant", owner, ok, err)
 	}
 }
 
-// TestRefusalLogsABoundedKey: the 502 for a grant whose user is 300,000
-// '<' logs one "refused" line, and that line carries a prefix of the
-// routing key and its length, not the key: under 1 KB, where the whole
-// key made it as long as the request.
+// TestRefusalLogsABoundedKey: the 502 for oversizedGrant logs one
+// "refused" line, and that line carries a prefix of the routing key and
+// its length, not the key: under 1 KB, where the whole key made it as
+// long as the request.
 func TestRefusalLogsABoundedKey(t *testing.T) {
 	logBuf := &syncBuffer{}
 	_, c, _ := newCloseCluster(t, 1, Config{Logger: obsv.NewLogger(logBuf, "msodgw")}, nil)
-	huge := strings.Repeat("<", 300_000)
-	grant := []byte(`{"user":"` + huge + `","roles":["Teller"],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p1"}`)
+	grant, key := oversizedGrant()
 	_, err := c.PostRaw(context.Background(), server.DecisionPath, "", grant)
 	var apiErr *server.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
-		t.Fatalf("the huge-user grant = %v, want a 502", err)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway || !strings.Contains(apiErr.Message, "past the gateway's read limit") {
+		t.Fatalf("the oversized grant = %.300v, want a 502 for its answer's size", err)
 	}
 	var refused []string
 	for _, line := range strings.Split(logBuf.String(), "\n") {
@@ -231,7 +250,7 @@ func TestRefusalLogsABoundedKey(t *testing.T) {
 	if len(refused) != 1 {
 		t.Fatalf("%d refused lines, want 1", len(refused))
 	}
-	if line := refused[0]; len(line) >= 1<<10 || !strings.Contains(line, `"userBytes":300000`) {
+	if line := refused[0]; len(line) >= 1<<10 || !strings.Contains(line, fmt.Sprintf(`"userBytes":%d`, len(key))) {
 		t.Fatalf("the refused line is %d bytes: %.300s; want under 1 KB, naming the key's length", len(line), line)
 	}
 }

@@ -292,7 +292,7 @@ func TestClusterRetainedADIEqualsOnePDP(t *testing.T) {
 		}
 		if got.Allowed != want.Allowed || got.Phase != string(want.Phase) {
 			t.Fatalf("request %d (%s by %s in %s): cluster says allowed=%v phase=%s, one PDP says allowed=%v phase=%s (%s)",
-				i, req.Operation, req.User, req.Context, got.Allowed, got.Phase, want.Allowed, want.Phase, want.Reason)
+				i, req.Operation, req.User, req.Context, got.Allowed, got.Phase, want.Allowed, want.Phase, want.Reason())
 		}
 		if len(got.Closed) > 0 {
 			lastSteps++
@@ -587,7 +587,7 @@ func falseGrants(t *testing.T, c *server.Client, shadow *pdp.PDP, probes []serve
 			t.Fatalf("probe %+v: shadow: %v", probe, err)
 		}
 		if got.Allowed && !want.Allowed {
-			out = append(out, fmt.Sprintf("%s by %s in %s (%s)", probe.Operation, probe.User, probe.Context, want.Reason))
+			out = append(out, fmt.Sprintf("%s by %s in %s (%s)", probe.Operation, probe.User, probe.Context, want.Reason()))
 		}
 	}
 	return out

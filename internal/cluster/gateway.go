@@ -356,13 +356,15 @@ func (g *Gateway) decodePOST(w http.ResponseWriter, r *http.Request, v any) bool
 
 // errorJSON mirrors the server's errorResponse shape.
 func errorJSON(w http.ResponseWriter, status int, msg string) {
-	server.SetJSONContentType(w.Header())
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// writeJSON answers as the shards do: without HTML escaping, so a '<'
+// a message quotes stays one byte.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	server.SetJSONContentType(w.Header())
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
 }

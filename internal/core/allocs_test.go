@@ -141,29 +141,30 @@ func TestEvaluateAllocs(t *testing.T) {
 			want:    Grant, budget: 1, slots: oneSlot,
 		},
 		{
-			// Returned: the Denial (1) and its one text (1), formatted
-			// after the lock is released: Error returns it, and Reason is
-			// its tail. The denial keeps the bound name alice's grant
-			// bound. It was 3 with the bound name (1).
+			// Returned: the Denial (1), made after the lock is released.
+			// It is values: Error renders its text only when called. The
+			// denial keeps the bound name alice's grant bound. It was 2
+			// while the engine wrote every denial's text (1), 3 with the
+			// bound name (1).
 			name: "MMER deny", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "Leeds", period(i)) },
-			want:    Deny, budget: 2, slots: ownSlot, runs: slotRuns,
+			want:    Deny, budget: 1, slots: ownSlot, runs: slotRuns,
 		},
 		{
 			// Built: the bound name (1), its slot taken. Returned: the
-			// Denial (1) and its one text (1).
+			// Denial (1). It was 3 with the denial's text (1).
 			name: "MMER deny, slot taken", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "Leeds", period(i)) },
-			want:    Deny, budget: 3, slots: oneSlot,
+			want:    Deny, budget: 2, slots: oneSlot,
 		},
 		{
-			// Returned: the Denial (1) and its one text (1).
+			// Returned: the Denial (1). It was 2 with its text (1).
 			name: "MMEP deny", policies: taxPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
@@ -172,7 +173,7 @@ func TestEvaluateAllocs(t *testing.T) {
 			request: func(i int) Request {
 				return taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", period(i))
 			},
-			want: Deny, budget: 2,
+			want: Deny, budget: 1,
 		},
 		{
 			// Returned: Decision.Closed() (1), what a cluster's other
@@ -314,34 +315,31 @@ func mustEvaluate(t testing.TB, e *Engine, req Request, want Effect) {
 	}
 }
 
-// TestDenialTextIsFmtText pins the hand-built denial strings (they are
-// on the wire and in the HMAC trail) to the fmt verbs they replaced,
-// over operands that need quoting.
+// TestDenialTextIsFmtText pins Denial.Error, written by hand, to the fmt
+// verbs it replaced, over operands that need quoting: context values
+// bound under "!", and the policies' own context text.
 func TestDenialTextIsFmtText(t *testing.T) {
-	for _, user := range []rbac.UserID{"alice", `a "quoted" user`, "tab\tnew\nline", "ünï©ode", "bad\xffutf8",
-		"a user ID far longer than the sixty-four bytes of stack scratch the quoting helper starts with"} {
+	for _, value := range []string{"2006", `a "quoted" value`, "tab\tnew\nline", "ünï©ode", "bad\xffutf8",
+		"a context value far longer than the sixty-four bytes of stack scratch the quoting helper starts with"} {
 		e, _ := newEngine(t, append(bankPolicies(), taxPolicies()...))
 
-		req := bankReq(string(user), "Teller", "HandleCash", "York", "2006")
-		mustEvaluate(t, e, req, Grant)
-		req = bankReq(string(user), "Auditor", "Audit", `Le"eds`, "2006")
+		mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", value), Grant)
+		req := bankReq("alice", "Auditor", "Audit", `Le"eds`, value)
 		req.Roles = []rbac.RoleName{"Clerk", "Auditor"}
 		dec, err := e.Evaluate(req)
 		if err != nil || dec.Effect != Deny {
 			t.Fatalf("MMER: %v, %v", dec.Effect, err)
 		}
-		checkDenialText(t, dec.Denial, fmt.Sprintf("user %q activating %v already holds %d conflicting role(s) in this context (forbidden cardinality %d)",
-			user, []rbac.RoleName{"Auditor"}, 1, 2))
+		checkDenialText(t, dec.Denial, "MMER[0]", "Branch=*, Period="+value, "holds 1 conflicting role(s)")
 
-		mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", "p1"), Grant)
-		req = taxReq(string(user), "Manager", "approve/disapproveCheck", checkTarget, "Leeds", "p1")
+		mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, value, "p1"), Grant)
+		req = taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, value, "p1")
 		mustEvaluate(t, e, req, Grant)
 		dec, err = e.Evaluate(req)
 		if err != nil || dec.Effect != Deny {
 			t.Fatalf("MMEP: %v, %v", dec.Effect, err)
 		}
-		checkDenialText(t, dec.Denial, fmt.Sprintf("user %q requesting %v already exercised %d conflicting privilege(s) in this context (forbidden cardinality %d)",
-			user, rbac.Permission{Operation: req.Operation, Object: req.Target}, 1, 2))
+		checkDenialText(t, dec.Denial, "MMEP[1]", "TaxOffice="+value+", taxRefundProcess=p1", "exercised 1 conflicting privilege(s)")
 	}
 
 	// Context types and values that need quoting — a '"', a tab,
@@ -371,44 +369,63 @@ func TestDenialTextIsFmtText(t *testing.T) {
 	if err != nil || dec.Effect != Deny {
 		t.Fatalf("MMER over quoted contexts: %v, %v", dec.Effect, err)
 	}
-	checkDenialText(t, dec.Denial, fmt.Sprintf("user %q activating %v already holds %d conflicting role(s) in this context (forbidden cardinality %d)",
-		"u", []rbac.RoleName{"Auditor"}, 1, 2))
+	checkDenialText(t, dec.Denial, "MMER[0]", "Re\"gion=tab\there, Br\tanch=*, P\xffériod="+long, "holds 1 conflicting role(s)")
 
 	mmep := func(op string) Request {
 		return Request{User: "u", Roles: []rbac.RoleName{"Clerk"}, Operation: rbac.Operation(op), Target: "check",
 			Context: bctx.MustParse("Öff\"ice=" + long + ", pro\tcess=p\t1")}
 	}
 	mustEvaluate(t, e, mmep("prepare"), Grant)
-	req := mmep("approve")
-	dec, err = e.Evaluate(req)
+	dec, err = e.Evaluate(mmep("approve"))
 	if err != nil || dec.Effect != Deny {
 		t.Fatalf("MMEP over quoted contexts: %v, %v", dec.Effect, err)
 	}
-	checkDenialText(t, dec.Denial, fmt.Sprintf("user %q requesting %v already exercised %d conflicting privilege(s) in this context (forbidden cardinality %d)",
-		"u", rbac.Permission{Operation: req.Operation, Object: req.Target}, 1, 2))
+	checkDenialText(t, dec.Denial, "MMEP[0]", "Öff\"ice="+long+", pro\tcess=*", "exercised 1 conflicting privilege(s)")
 }
 
-// checkDenialText holds an engine-built denial to its fmt text, and a
-// Denial built from the same fields — one with no text written by the
-// engine — to the same Error.
-func checkDenialText(t *testing.T, d *Denial, reason string) {
+// checkDenialText holds an engine-built denial to its fields — every
+// case is 1 held of a forbidden cardinality of 2 — and its Error to the
+// fmt text of them, whose count of what is held is counted.
+func checkDenialText(t *testing.T, d *Denial, rule, bound, counted string) {
 	t.Helper()
-	if d.Reason != reason {
-		t.Errorf("Reason = %q, want %q", d.Reason, reason)
+	if d.Rule != rule || d.BoundContext.String() != bound || d.Held != 1 || d.Cardinality != 2 {
+		t.Errorf("denial %s bound %q, %d of %d; want %s bound %q, 1 of 2",
+			d.Rule, d.BoundContext, d.Held, d.Cardinality, rule, bound)
 	}
-	want := fmt.Sprintf("msod: denied by %s of policy %q (bound %q): %s", d.Rule, d.PolicyContext, d.BoundContext, d.Reason)
+	want := fmt.Sprintf("msod: denied by %s of policy %q (bound %q): the user already %s in this context (forbidden cardinality %d)",
+		d.Rule, d.PolicyContext, d.BoundContext, counted, d.Cardinality)
 	if got := d.Error(); got != want {
 		t.Errorf("Error() = %q, want %q", got, want)
 	}
-	literal := Denial{
-		PolicyContext: d.PolicyContext,
-		BoundContext:  d.BoundContext,
-		Rule:          d.Rule,
-		Held:          d.Held,
-		Cardinality:   d.Cardinality,
-		Reason:        d.Reason,
+}
+
+// TestDenialTextIsBoundedByItsContexts: a denial's text names the rule,
+// the two contexts and k against m, and nothing else of the request, so
+// a user and a target of 300,000 '<' each leave it under 1 KB. It
+// quoted the user (and, under MMEP, the operation and target) while the
+// engine wrote it.
+func TestDenialTextIsBoundedByItsContexts(t *testing.T) {
+	huge := strings.Repeat("<", 300_000)
+	e, _ := newEngine(t, []Policy{{
+		Context: bctx.MustParse("Branch=*, Period=!"),
+		MMER:    []MMERRule{{Roles: []rbac.RoleName{"Teller", "Auditor"}, Cardinality: 2}},
+		MMEP: []MMEPRule{{Privileges: []rbac.Permission{
+			{Operation: "prepare", Object: rbac.Object(huge)}, {Operation: "approve", Object: rbac.Object(huge)},
+		}, Cardinality: 2}},
+	}})
+	req := func(role, op string) Request {
+		return Request{User: rbac.UserID(huge), Roles: []rbac.RoleName{rbac.RoleName(role)},
+			Operation: rbac.Operation(op), Target: rbac.Object(huge), Context: bctx.MustParse("Branch=York, Period=p1")}
 	}
-	if got := literal.Error(); got != want {
-		t.Errorf("a literal Denial's Error() = %q, want %q", got, want)
+	mustEvaluate(t, e, req("Teller", "prepare"), Grant)
+	for _, denied := range []Request{req("Auditor", "count"), req("Teller", "approve")} {
+		dec, err := e.Evaluate(denied)
+		if err != nil || dec.Effect != Deny {
+			t.Fatalf("%s as %v: %v, %v; want a denial", denied.Operation, denied.Roles, dec.Effect, err)
+		}
+		if text := dec.Denial.Error(); len(text) >= 1<<10 || strings.Contains(text, "<") {
+			t.Errorf("%s as %v: a %d-byte denial text %.200q; want under 1 KB, quoting no user or target",
+				denied.Operation, denied.Roles, len(text), text)
+		}
 	}
 }

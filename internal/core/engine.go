@@ -78,7 +78,9 @@ func (e Effect) String() string {
 	return "deny"
 }
 
-// Denial explains which constraint denied a request.
+// Denial explains which constraint denied a request. It is values: the
+// engine builds no text for it, and Error renders it only when someone
+// reads it.
 type Denial struct {
 	// PolicyContext is the policy's (unbound) business context.
 	PolicyContext bctx.Name
@@ -86,6 +88,7 @@ type Denial struct {
 	// instance — the scope in which the conflict was found.
 	BoundContext bctx.Name
 	// Rule identifies the violated constraint: "MMER[i]" or "MMEP[i]".
+	// Its kind says what Held counts.
 	Rule string
 	// Held is the conflict count the algorithm found in the retained
 	// history (conflicting roles already held, or conflicting privilege
@@ -93,53 +96,44 @@ type Denial struct {
 	Held int
 	// Cardinality is the rule's forbidden cardinality m.
 	Cardinality int
-	// Reason is a human-readable explanation.
-	Reason string
-	// text is what Error returns when the engine built the denial: it
-	// wrote the whole text once, and Reason is its tail. A Denial built
-	// elsewhere has none, and Error renders it from the fields.
-	text string
 }
 
-// Error renders the denial; Denial satisfies error so PEPs can surface it.
+// Error renders the denial, in one allocation unless quoting lengthens
+// a context; Denial satisfies error so PEPs can surface it. The text
+// names the rule, both contexts and k against m, and nothing else of
+// the request: the user, roles, operation and target are the caller's
+// already, and quoting them would make the text as long as the request.
 func (d *Denial) Error() string {
-	if d.text != "" {
-		return d.text
+	verb, counted := "holds ", " conflicting role(s)"
+	if strings.HasPrefix(d.Rule, "MMEP") {
+		verb, counted = "exercised ", " conflicting privilege(s)"
 	}
-	policy := d.PolicyContext.String()
 	var t text
-	t.Grow(deniedLen + len(d.Rule) + len(policy) + nameLen(d.BoundContext) + len(d.Reason))
-	t.denied(d.Rule, policy, d.BoundContext)
-	t.WriteString(d.Reason)
+	t.Grow(len(deniedText) + len(d.Rule) + nameLen(d.PolicyContext) + nameLen(d.BoundContext) +
+		len(verb) + intLen(d.Held) + len(counted) + intLen(d.Cardinality))
+	t.WriteString("msod: denied by ")
+	t.WriteString(d.Rule)
+	t.WriteString(" of policy ")
+	t.quoteName(d.PolicyContext)
+	t.WriteString(" (bound ")
+	t.quoteName(d.BoundContext)
+	t.WriteString("): the user already ")
+	t.WriteString(verb)
+	t.int(d.Held)
+	t.WriteString(counted)
+	t.WriteString(" in this context (forbidden cardinality ")
+	t.int(d.Cardinality)
+	t.WriteByte(')')
 	return t.String()
 }
 
-// deniedLen is the length of the text denied writes around its operands.
-const deniedLen = len("msod: denied by  of policy \"\" (bound \"\"): ")
+// deniedText is what Error writes around its operands.
+const deniedText = "msod: denied by  of policy \"\" (bound \"\"): the user already  in this context (forbidden cardinality )"
 
-// text builds the denial strings, which are on the wire and in the
-// audit trail of every refused request, in one buffer: quote, quoteName
-// and int write what fmt's %q and %d would, without boxing the operands
-// or rendering a name first.
+// text builds a denial's Error in one buffer: quoteName and int write
+// what fmt's %q and %d would, without boxing the operands or rendering a
+// name first.
 type text struct{ strings.Builder }
-
-// denied writes Error's text up to the sentence: the rule, the policy's
-// context text quoted and the bound name quoted.
-func (t *text) denied(rule, policy string, bound bctx.Name) {
-	t.WriteString("msod: denied by ")
-	t.WriteString(rule)
-	t.WriteString(" of policy ")
-	t.quote(policy)
-	t.WriteString(" (bound ")
-	t.quoteName(bound)
-	t.WriteString("): ")
-}
-
-func (t *text) quote(s string) {
-	t.WriteByte('"')
-	t.escape(s)
-	t.WriteByte('"')
-}
 
 // quoteName writes n's text quoted, one component at a time: a name's
 // separators are ASCII, so quoting the pieces is quoting the whole.
@@ -180,6 +174,12 @@ func nameLen(n bctx.Name) int {
 func (t *text) int(n int) {
 	var buf [20]byte
 	t.Write(strconv.AppendInt(buf[:0], int64(n), 10))
+}
+
+// intLen is the length of n's decimal text.
+func intLen(n int) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], int64(n), 10))
 }
 
 // Decision is the result of evaluating a request against the MSoD policy
@@ -479,6 +479,12 @@ type matched struct {
 	bound bctx.Name
 }
 
+// denial is the Denial of one of m's rules: held conflicts found
+// against the rule's forbidden cardinality.
+func (m *matched) denial(rule string, held, cardinality int) Denial {
+	return Denial{PolicyContext: m.Context, BoundContext: m.bound, Rule: rule, Held: held, Cardinality: cardinality}
+}
+
 // action is the deferred store mutation of one matched policy, applied
 // in policy order only if the overall result is Grant: a purge of the
 // bound context, or an append of the records recs[from:to] of the
@@ -488,62 +494,6 @@ type action struct {
 	bound     bctx.Name
 	from, to  int
 	activates bool // the request is the granted first step of a FirstStep-gated policy
-}
-
-// refusal is the constraint that denied a request, as the locked part
-// of an evaluation found it; the denial's text is formatted from it
-// once the lock is released.
-type refusal struct {
-	denied      bool
-	in          matched
-	rule        string
-	mmer        *MMERRule // the violated MMER rule, nil for an MMEP one
-	held        int
-	cardinality int
-}
-
-func (r refusal) denial(req Request) *Denial {
-	var t text
-	t.Grow(deniedLen + len(r.rule) + len(r.in.context) + nameLen(r.in.bound) +
-		128 + len(req.User) + len(req.Operation) + len(req.Target))
-	t.denied(r.rule, r.in.context, r.in.bound)
-	head := t.Len()
-	t.WriteString("user ")
-	t.quote(string(req.User))
-	if r.mmer != nil {
-		t.WriteString(" activating [")
-		sep := ""
-		for _, role := range r.mmer.Roles {
-			if containsRole(req.Roles, role) {
-				t.WriteString(sep)
-				t.WriteString(string(role))
-				sep = " "
-			}
-		}
-		t.WriteString("] already holds ")
-		t.int(r.held)
-		t.WriteString(" conflicting role(s) in this context (forbidden cardinality ")
-	} else {
-		t.WriteString(" requesting ")
-		t.WriteString(string(req.Operation))
-		t.WriteByte('@')
-		t.WriteString(string(req.Target))
-		t.WriteString(" already exercised ")
-		t.int(r.held)
-		t.WriteString(" conflicting privilege(s) in this context (forbidden cardinality ")
-	}
-	t.int(r.cardinality)
-	t.WriteByte(')')
-	all := t.String()
-	return &Denial{
-		PolicyContext: r.in.Context,
-		BoundContext:  r.in.bound,
-		Rule:          r.rule,
-		Held:          r.held,
-		Cardinality:   r.cardinality,
-		Reason:        all[head:],
-		text:          all,
-	}
 }
 
 // Evaluate runs the §4.2 enforcement algorithm. The request must already
@@ -632,8 +582,9 @@ func (e *Engine) evaluate(ctx context.Context, req Request, commit bool) (Decisi
 	if err != nil {
 		return Decision{}, err
 	}
-	if refused.denied {
-		dec.Denial = refused.denial(req)
+	if refused.Rule != "" {
+		d := refused // the one allocation of a denial, made once the lock is released
+		dec.Denial = &d
 	}
 	return dec, nil
 }
@@ -690,7 +641,10 @@ func (e *Engine) slot(pr *program, inst bctx.Name) uint64 {
 // decide runs steps 3–7 for every matched policy and then the commit
 // phase, all under the engine lock: what one request reads of the
 // retained ADI cannot change before what it decides to write is written.
-func (e *Engine) decide(ctx context.Context, req Request, matches []matched, commit bool) (Decision, refusal, error) {
+// A denial comes back as the refusing constraint's Denial, by value
+// (its Rule is empty for a grant), so nothing is allocated for it under
+// the lock.
+func (e *Engine) decide(ctx context.Context, req Request, matches []matched, commit bool) (Decision, Denial, error) {
 	// tr is resolved once; all per-policy and store span bookkeeping is
 	// skipped when the request is untraced. xr is the decision's
 	// explanation sink (nil when the request is not being explained —
@@ -718,9 +672,9 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 			tr.CloseSpan(span)
 		}
 		if err != nil {
-			return Decision{}, refusal{}, err
+			return Decision{}, Denial{}, err
 		}
-		if refused.denied {
+		if refused.Rule != "" {
 			// Deny exits immediately; no retained-ADI mutation at all.
 			return Decision{Effect: Deny, MatchedPolicies: i + 1}, refused, nil
 		}
@@ -741,7 +695,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 			if commit {
 				n, err := e.store.PurgeContext(act.bound)
 				if err != nil {
-					return Decision{}, refusal{}, fmt.Errorf("core: purge %q: %w", act.bound, err)
+					return Decision{}, Denial{}, fmt.Errorf("core: purge %q: %w", act.bound, err)
 				}
 				dec.Purged += n
 				dec.closed(act.bound)
@@ -759,7 +713,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 				err = e.store.Append(recs...)
 			}
 			if err != nil {
-				return Decision{}, refusal{}, fmt.Errorf("core: record decision: %w", err)
+				return Decision{}, Denial{}, fmt.Errorf("core: record decision: %w", err)
 			}
 		}
 		dec.Recorded += len(recs)
@@ -767,7 +721,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 			dec.started(act.bound)
 		}
 	}
-	return dec, refusal{}, nil
+	return dec, Denial{}, nil
 }
 
 // dropRecords empties the commit buffer, zeroing the records a decision
@@ -782,7 +736,7 @@ func (e *Engine) dropRecords() {
 // records it appends to the commit buffer, or the refusing constraint.
 // When xr is non-nil, every consulted constraint is handed to it with
 // its k-of-m counter state before and after.
-func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Explainer) (action, refusal, error) {
+func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Explainer) (action, Denial, error) {
 	// Step 7 precheck: a granted last step terminates the context
 	// instance — the §4.2 text orders this after the constraint checks,
 	// and the PERMIS implementation (§5.2) flushes on recording the
@@ -793,7 +747,7 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 	// Step 3: has this bound context instance any retained history?
 	active, err := e.store.ContextActive(m.bound)
 	if err != nil {
-		return action{}, refusal{}, fmt.Errorf("core: context query: %w", err)
+		return action{}, Denial{}, fmt.Errorf("core: context query: %w", err)
 	}
 
 	if !active {
@@ -802,12 +756,12 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 		// first operation invoked inside the context).
 		if m.FirstStep != nil && !m.FirstStep.matches(req.Operation, req.Target) {
 			// Context has not started: MSoD does not yet apply.
-			return action{}, refusal{}, nil
+			return action{}, Denial{}, nil
 		}
 		if isLast {
 			// First operation is also the last step: the instance
 			// terminates immediately; nothing to retain.
-			return action{purge: true, bound: m.bound}, refusal{}, nil
+			return action{purge: true, bound: m.bound}, Denial{}, nil
 		}
 		if xr != nil {
 			// The opening record seeds the k-of-m counters that
@@ -826,7 +780,7 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 			from:      from,
 			to:        len(e.recs),
 			activates: m.FirstStep != nil,
-		}, refusal{}, nil
+		}, Denial{}, nil
 	}
 
 	// Step 5: MMER constraints.
@@ -843,7 +797,7 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 			}
 			ok, err := e.store.UserHasRole(req.User, m.bound, role)
 			if err != nil {
-				return action{}, refusal{}, fmt.Errorf("core: role history query: %w", err)
+				return action{}, Denial{}, fmt.Errorf("core: role history query: %w", err)
 			}
 			if ok {
 				count++
@@ -863,7 +817,7 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 			})
 		}
 		if denied {
-			return action{}, refusal{denied: true, in: *m, rule: m.mmer[i], mmer: rule, held: count, cardinality: rule.Cardinality}, nil
+			return action{}, m.denial(m.mmer[i], count, rule.Cardinality), nil
 		}
 	}
 
@@ -893,7 +847,7 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 			}
 			n, err := e.store.CountUserPrivilege(req.User, m.bound, pos.priv, nPos)
 			if err != nil {
-				return action{}, refusal{}, fmt.Errorf("core: privilege history query: %w", err)
+				return action{}, Denial{}, fmt.Errorf("core: privilege history query: %w", err)
 			}
 			count += n
 		}
@@ -909,14 +863,14 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 			})
 		}
 		if denied {
-			return action{}, refusal{denied: true, in: *m, rule: rule.name, held: count, cardinality: rule.cardinality}, nil
+			return action{}, m.denial(rule.name, count, rule.cardinality), nil
 		}
 	}
 
 	// Step 7: a granted last step terminates the bound context instance;
 	// otherwise the records are retained.
 	if isLast {
-		return action{purge: true, bound: m.bound}, refusal{}, nil
+		return action{purge: true, bound: m.bound}, Denial{}, nil
 	}
 	// The first step, granted in an instance that is running here, is
 	// reported like the one that started it (see Decision.Activated).
@@ -938,7 +892,7 @@ func (e *Engine) evaluatePolicy(m *matched, req Request, now time.Time, xr Expla
 		}
 	}
 	act.to = len(e.recs)
-	return act, refusal{}, nil
+	return act, Denial{}, nil
 }
 
 // activated counts the rule's roles the request activates (nr).

@@ -516,10 +516,13 @@ func TestDenialError(t *testing.T) {
 	grant(t, e, bankReq("alice", "Teller", "HandleCash", "York", "2006"))
 	dec := deny(t, e, bankReq("alice", "Auditor", "Audit", "York", "2006"))
 	msg := dec.Denial.Error()
-	for _, want := range []string{"MMER[0]", "Branch=*, Period=!", "alice"} {
+	for _, want := range []string{"MMER[0]", "Branch=*, Period=!", "Branch=*, Period=2006"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("denial message %q missing %q", msg, want)
 		}
+	}
+	if strings.Contains(msg, "alice") {
+		t.Errorf("denial message %q names the user", msg)
 	}
 	if Grant.String() != "grant" || Deny.String() != "deny" {
 		t.Error("Effect.String broken")

@@ -25,8 +25,9 @@ import (
 // with neither observer nor trail; "observed" has both, and then every
 // decision also pays the event (2: Roles as []string, the request
 // context's text — built once, shared by the stream event and the trail
-// entry). The trail append itself allocates nothing (TestAppendAllocs);
-// it was 3 while encoding/json marshalled the entry.
+// entry), and an MSoD denial the event's reason (1). The trail append
+// itself allocates nothing (TestAppendAllocs); it was 3 while
+// encoding/json marshalled the entry.
 //
 // The rows' requests are in one period, as a bank's are: its name,
 // "Branch=*, Period=p", is bound once and found in the engine's names
@@ -40,21 +41,146 @@ func TestDecideAllocs(t *testing.T) {
 		t.Skip("the race detector changes allocation counts")
 	}
 	const allocRuns = 200
-	period := func(int) string { return "p" }
+	for _, tc := range decideCases() {
+		for _, kind := range decideKinds {
+			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				p := newDecideRig(t, kind).pdp(t)
+				decide := tc.decide(p)
+				reqs := tc.requests(t, p, allocRuns+1)
+				ctx := context.Background()
+				i := 0
+				got := testing.AllocsPerRun(allocRuns, func() {
+					dec, err := decide(ctx, reqs[i])
+					tc.check(t, dec, err)
+					i++
+				})
+				if got != tc.budget[kind] {
+					t.Errorf("%v allocations per decision, budget %v (lower it too when the path loses one)", got, tc.budget[kind])
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkDecide decides each of TestDecideAllocs' rows, bare and
+// observed, so -benchmem reports the bytes of a PDP decision beside the
+// allocations the test pins. Every batch of requests is decided by a
+// PDP of its own, built and prepared outside the timer, so the retained
+// ADI stays the size a batch makes it; the observed PDPs share one
+// trail.
+func BenchmarkDecide(b *testing.B) {
+	const batch = 256
+	for _, tc := range decideCases() {
+		for _, kind := range decideKinds {
+			b.Run(tc.name+"/"+kind, func(b *testing.B) {
+				rig := newDecideRig(b, kind)
+				ctx := context.Background()
+				var decide func(context.Context, Request) (Decision, error)
+				var reqs []Request
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					if len(reqs) == 0 {
+						b.StopTimer()
+						p := rig.pdp(b)
+						decide, reqs = tc.decide(p), tc.requests(b, p, batch)
+						b.StartTimer()
+					}
+					dec, err := decide(ctx, reqs[0])
+					tc.check(b, dec, err)
+					reqs = reqs[1:]
+				}
+			})
+		}
+	}
+}
+
+// decideKinds are the PDPs a row is decided by: "bare" has neither
+// observer nor trail, "observed" both.
+var decideKinds = []string{"bare", "observed"}
+
+// decideCase is one row of TestDecideAllocs.
+type decideCase struct {
+	name    string
+	advise  bool
+	prepare func(tb testing.TB, p *PDP, i int) // brings instance i into the starting state
+	request func(i int) Request
+	allowed bool
+	phase   Phase
+	budget  map[string]float64
+}
+
+// requests prepares instances 0..n-1 on p and returns their requests.
+func (tc decideCase) requests(tb testing.TB, p *PDP, n int) []Request {
+	reqs := make([]Request, 0, n)
+	for i := range n {
+		if tc.prepare != nil {
+			tc.prepare(tb, p, i)
+		}
+		reqs = append(reqs, tc.request(i))
+	}
+	return reqs
+}
+
+// check fails tb unless a decision is the row's.
+func (tc decideCase) check(tb testing.TB, dec Decision, err error) {
+	tb.Helper()
+	if err != nil || dec.Allowed != tc.allowed || dec.Phase != tc.phase {
+		tb.Fatalf("%+v, %v; want allowed=%v phase=%s", dec, err, tc.allowed, tc.phase)
+	}
+}
+
+// decide is the entry the row decides through on p.
+func (tc decideCase) decide(p *PDP) func(context.Context, Request) (Decision, error) {
+	if tc.advise {
+		return p.AdviseCtx
+	}
+	return p.DecideCtx
+}
+
+// decideRig builds the PDPs of one kind over the bank policy: "bare"
+// has neither observer nor trail; "observed" has an observer feeding a
+// broker, and one trail that every PDP it builds appends to.
+type decideRig struct {
+	pol      *policy.RBACPolicy
+	observed bool
+	trail    *audit.Writer
+}
+
+func newDecideRig(tb testing.TB, kind string) decideRig {
+	tb.Helper()
 	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	rig := decideRig{pol: pol, observed: kind == "observed"}
+	if rig.observed {
+		if rig.trail, err = audit.NewWriter(tb.TempDir(), []byte("allocs-key"), 0); err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { rig.trail.Close() })
+	}
+	return rig
+}
 
-	for _, tc := range []struct {
-		name    string
-		advise  bool
-		prepare func(p *PDP, i int) // brings instance i into the starting state
-		request func(i int) Request
-		allowed bool
-		phase   Phase
-		budget  map[string]float64
-	}{
+func (rig decideRig) pdp(tb testing.TB) *PDP {
+	tb.Helper()
+	cfg := Config{Policy: rig.pol}
+	if rig.observed {
+		broker := inspect.NewBroker(32)
+		cfg.Trail = rig.trail
+		cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
+	}
+	p, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// decideCases are TestDecideAllocs' rows.
+func decideCases() []decideCase {
+	period := func(int) string { return "p" }
+	return []decideCase{
 		{
 			// The engine's decision moved to the heap as Decision.MSoD
 			// (1); a recorded grant under MMER allocates nothing in the
@@ -63,8 +189,8 @@ func TestDecideAllocs(t *testing.T) {
 			// the store (1) and the store copied the record's one role
 			// (1). Observed: + event 2.
 			name: "grant",
-			prepare: func(p *PDP, i int) {
-				mustDecide(t, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
+			prepare: func(tb testing.TB, p *PDP, i int) {
+				mustDecide(tb, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
@@ -83,20 +209,22 @@ func TestDecideAllocs(t *testing.T) {
 			budget: map[string]float64{"bare": 4, "observed": 6},
 		},
 		{
-			// Decision.MSoD (1) and the engine's two for an MMER
-			// denial: the Denial and its one text (2), which is
-			// Denial.Error and, as its tail, Denial.Reason; so
-			// Decision.Reason costs nothing. It was 4 while every request
+			// Decision.MSoD (1) and the engine's one for an MMER
+			// denial: the Denial (1), which is values. Bare, nothing
+			// renders it: Decision.Reason() would, when called.
+			// Observed: + event 2, + the denial's text (1), rendered once
+			// for the event and kept for Reason(). It was 3 / 5 while the
+			// engine wrote every denial's text (1), 4 while every request
 			// built its bound name (1), 8 while the subject was copied
 			// (1) and Denial.Error rendered the two context texts and the
-			// sentence again (3). Observed: + event 2.
+			// sentence again (3).
 			name: "MSoD deny",
-			prepare: func(p *PDP, i int) {
-				mustDecide(t, p, bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)), true)
+			prepare: func(tb testing.TB, p *PDP, i int) {
+				mustDecide(tb, p, bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "ledger", "Leeds", period(i)) },
 			allowed: false, phase: PhaseMSoD,
-			budget: map[string]float64{"bare": 3, "observed": 5},
+			budget: map[string]float64{"bare": 2, "observed": 5},
 		},
 		{
 			// Nothing: the reason is a constant and the engine never
@@ -118,60 +246,17 @@ func TestDecideAllocs(t *testing.T) {
 			// the same.
 			name:   "advisory grant",
 			advise: true,
-			prepare: func(p *PDP, i int) {
-				mustDecide(t, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
+			prepare: func(tb testing.TB, p *PDP, i int) {
+				mustDecide(tb, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
 			budget: map[string]float64{"bare": 1, "observed": 1},
 		},
-	} {
-		for _, kind := range []string{"bare", "observed"} {
-			t.Run(tc.name+"/"+kind, func(t *testing.T) {
-				cfg := Config{Policy: pol}
-				if kind == "observed" {
-					trail, err := audit.NewWriter(t.TempDir(), []byte("allocs-key"), 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer trail.Close()
-					broker := inspect.NewBroker(32)
-					cfg.Trail = trail
-					cfg.Observer = func(ev inspect.DecisionEvent) { broker.Publish(ev) }
-				}
-				p, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				decide := p.DecideCtx
-				if tc.advise {
-					decide = p.AdviseCtx
-				}
-				reqs := make([]Request, allocRuns+1)
-				for i := range reqs {
-					if tc.prepare != nil {
-						tc.prepare(p, i)
-					}
-					reqs[i] = tc.request(i)
-				}
-				ctx := context.Background()
-				i := 0
-				got := testing.AllocsPerRun(allocRuns, func() {
-					dec, err := decide(ctx, reqs[i])
-					if err != nil || dec.Allowed != tc.allowed || dec.Phase != tc.phase {
-						t.Fatalf("request %d: %+v, %v; want allowed=%v phase=%s", i, dec, err, tc.allowed, tc.phase)
-					}
-					i++
-				})
-				if got != tc.budget[kind] {
-					t.Errorf("%v allocations per decision, budget %v (lower it too when the path loses one)", got, tc.budget[kind])
-				}
-			})
-		}
 	}
 }
 
-func mustDecide(t *testing.T, p *PDP, req Request, allowed bool) {
+func mustDecide(t testing.TB, p *PDP, req Request, allowed bool) {
 	t.Helper()
 	dec, err := p.Decide(req)
 	if err != nil || dec.Allowed != allowed {

@@ -224,8 +224,6 @@ type Decision struct {
 	Allowed bool
 	// Phase identifies the granting/denying stage.
 	Phase Phase
-	// Reason is a human-readable explanation for denials.
-	Reason string
 	// User and Roles are the validated subject used for the decision.
 	// Roles is the request's own slice when the subject came from
 	// Request.Roles (the CVS's when from credentials): the decision does
@@ -234,6 +232,21 @@ type Decision struct {
 	Roles []rbac.RoleName
 	// MSoD carries the engine's decision details when MSoD ran.
 	MSoD *core.Decision
+	// reason is the denial's text when it is written already: the RBAC
+	// constant, or an MSoD denial rendered for the stream event.
+	reason string
+}
+
+// Reason explains a denial in words ("" for a grant): the RBAC
+// constant, or the MSoD denial's text (core.Denial.Error). An MSoD
+// denial is rendered here, on each call, unless the PDP rendered it for
+// its observer already; a PDP with no observer renders nothing that is
+// not asked for.
+func (d Decision) Reason() string {
+	if d.reason == "" && d.MSoD != nil && d.MSoD.Denial != nil {
+		return d.MSoD.Denial.Error()
+	}
+	return d.reason
 }
 
 // Decide evaluates one access request: CVS → RBAC → MSoD → audit.
@@ -279,7 +292,7 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	endRBAC.End()
 	if !permitted {
 		dec.Phase = PhaseRBAC
-		dec.Reason = rbacDenial
+		dec.reason = rbacDenial
 		// RBAC denials never touch the store, so they need no commit
 		// ordering: publish and append directly.
 		if observed || trailed {
@@ -320,7 +333,10 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	dec.MSoD = &mdec
 	if mdec.Effect == core.Deny {
 		dec.Phase = PhaseMSoD
-		dec.Reason = mdec.Denial.Error()
+		if observed {
+			// Rendered once, for the stream event; Reason returns it.
+			dec.reason = mdec.Denial.Error()
+		}
 	} else {
 		dec.Allowed = true
 		dec.Phase = PhaseGranted
@@ -459,7 +475,7 @@ func (p *PDP) publish(ev audit.Event, dec Decision) {
 	}
 	if !dec.Allowed {
 		out.Stage = string(dec.Phase)
-		out.Reason = dec.Reason
+		out.Reason = dec.Reason()
 		if dec.MSoD != nil && dec.MSoD.Denial != nil {
 			// Surface the refusing constraint's identity and k-of-m state
 			// inline, mirroring the explain record's governing rule.

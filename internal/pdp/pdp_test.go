@@ -105,8 +105,8 @@ func TestDecidePipeline(t *testing.T) {
 	if dec.Allowed || dec.Phase != PhaseMSoD {
 		t.Fatalf("decision = %+v", dec)
 	}
-	if !strings.Contains(dec.Reason, "MMER") {
-		t.Errorf("reason = %q", dec.Reason)
+	if !strings.Contains(dec.Reason(), "MMER") {
+		t.Errorf("reason = %q", dec.Reason())
 	}
 }
 

@@ -86,7 +86,7 @@ func TestRestartCycle(t *testing.T) {
 		}
 		if dec.Allowed != c.want {
 			t.Errorf("recovered PDP: %s %s -> %v, want %v (%s)",
-				c.req.User, c.req.Operation, dec.Allowed, c.want, dec.Reason)
+				c.req.User, c.req.Operation, dec.Allowed, c.want, dec.Reason())
 		}
 	}
 }

@@ -74,7 +74,7 @@ func (e *Enforcer) Do(op rbac.Operation, target rbac.Object) error {
 		return err
 	}
 	if !dec.Allowed {
-		return fmt.Errorf("%w: %s on %s (%s): %s", ErrDenied, op, target, dec.Phase, dec.Reason)
+		return fmt.Errorf("%w: %s on %s (%s): %s", ErrDenied, op, target, dec.Phase, dec.Reason())
 	}
 	return nil
 }
@@ -160,7 +160,7 @@ func (mw *Middleware) Wrap(next http.Handler) http.Handler {
 				mw.OnDeny(w, r, dec)
 				return
 			}
-			http.Error(w, "forbidden: "+dec.Reason, http.StatusForbidden)
+			http.Error(w, "forbidden: "+dec.Reason(), http.StatusForbidden)
 			return
 		}
 		next.ServeHTTP(w, r)

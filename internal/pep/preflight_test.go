@@ -45,7 +45,7 @@ func TestPreflightFromOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Allowed != ownerDec.Allowed || dec.Allowed || dec.Reason != ownerDec.Reason {
+	if dec.Allowed != ownerDec.Allowed || dec.Allowed || dec.Reason() != ownerDec.Reason() {
 		t.Errorf("preflight = %+v, owner advisory = %+v, want both the same MMER denial", dec, ownerDec)
 	}
 	// A preflight the policy allows records nothing either.

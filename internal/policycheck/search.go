@@ -2,6 +2,7 @@ package policycheck
 
 import (
 	"fmt"
+	"strings"
 
 	"msod/internal/adi"
 	"msod/internal/bctx"
@@ -117,6 +118,7 @@ type searcher struct {
 	best       int
 	stuck      simStep
 	lastDenial *core.Denial
+	lastTry    choice // the request lastDenial refused
 
 	inconclusive bool
 	evalErr      error
@@ -168,7 +170,7 @@ func (c *checker) search(i int) {
 	detail := ""
 	if s.lastDenial != nil {
 		d := s.lastDenial
-		detail = fmt.Sprintf("; every schedule is denied by %s (forbidden cardinality %d), e.g. %s", d.Rule, d.Cardinality, d.Reason)
+		detail = fmt.Sprintf("; every schedule is denied by %s (forbidden cardinality %d), e.g. %s", d.Rule, d.Cardinality, s.example(s.lastTry, d))
 	}
 	if s.stuck.isLast && s.best == len(steps)-1 {
 		c.report(policy.Error, where, CheckUnfinishable,
@@ -221,7 +223,7 @@ func (s *searcher) dfs(depth int) bool {
 				}
 				if dec.Effect != core.Grant {
 					if depth > s.best || s.best < 0 {
-						s.best, s.stuck, s.lastDenial = depth, s.steps[i], dec.Denial
+						s.best, s.stuck, s.lastDenial, s.lastTry = depth, s.steps[i], dec.Denial, choice{i, u, role}
 					}
 					continue
 				}
@@ -283,6 +285,19 @@ func (s *searcher) request(ch choice) core.Request {
 		Target:    s.steps[ch.step].perm.Object,
 		Context:   s.inst,
 	}
+}
+
+// example says in words what the simulated request ch tried and why d
+// refused it. The denial's own text names no user or request: the
+// example names the simulated ones.
+func (s *searcher) example(ch choice, d *core.Denial) string {
+	req := s.request(ch)
+	if strings.HasPrefix(d.Rule, "MMEP") {
+		return fmt.Sprintf("user %q requesting %s@%s already exercised %d conflicting privilege(s) in this context (forbidden cardinality %d)",
+			req.User, req.Operation, req.Target, d.Held, d.Cardinality)
+	}
+	return fmt.Sprintf("user %q activating %v already holds %d conflicting role(s) in this context (forbidden cardinality %d)",
+		req.User, req.Roles, d.Held, d.Cardinality)
 }
 
 func (s *searcher) push(step, user int, role rbac.RoleName) {

@@ -368,8 +368,11 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 		},
 		{
 			// 7 + Decision.MSoD (1), the Denial (1) and its one text
-			// (1): Denial.Error, which the answer and the trail carry as
-			// the reason, with Denial.Reason its tail. It was 13 / 11
+			// (1): Denial.Error, rendered once per decision — for the
+			// stream event where there is an observer, which
+			// Decision.Reason() then returns for the answer, else by
+			// Reason() itself. Its engine-built text, which quoted the
+			// user, was the same one allocation. It was 13 / 11
 			// with the bound name (1), 20 / 17 while the request's strings and the
 			// trace ID were apart, 25 / 22 while the roles were copied and
 			// converted back (2) and Denial.Error rendered the policy

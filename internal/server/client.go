@@ -52,12 +52,18 @@ func (e *APIError) Error() string {
 
 // newAPIError builds the typed error for a non-2xx response, decoding
 // the errorResponse body (no more than maxBodyBytes of it) and the
-// Retry-After header (whole seconds).
+// Retry-After header (whole seconds). A body cut at the limit, which
+// cannot decode, is named in the Message rather than passed on as no
+// message at all; one that is no errorResponse leaves it empty.
 func newAPIError(path string, resp *http.Response) *APIError {
 	apiErr := &APIError{Path: path, Status: resp.StatusCode}
 	var e errorResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&e); err == nil {
+	body := &io.LimitedReader{R: resp.Body, N: maxBodyBytes}
+	switch err := json.NewDecoder(body).Decode(&e); {
+	case err == nil:
 		apiErr.Message = e.Error
+	case body.N == 0:
+		apiErr.Message = fmt.Sprintf("error answer past the %d-byte read limit", maxBodyBytes)
 	}
 	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
 		apiErr.RetryAfter = time.Duration(secs) * time.Second

@@ -148,7 +148,7 @@ func TestClientReusesASoonerCallerDeadline(t *testing.T) {
 // TestClientBoundsWhatItReads: a 200 answer longer than maxBodyBytes —
 // chunked, so no Content-Length announces it — is a failed exchange,
 // never a verdict; an error answer's body is decoded no further than
-// the limit.
+// the limit, and its message says so (it was silently empty).
 func TestClientBoundsWhatItReads(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == AdvicePath {
@@ -170,7 +170,7 @@ func TestClientBoundsWhatItReads(t *testing.T) {
 	}
 
 	_, err = c.PostRaw(context.Background(), AdvicePath, "", []byte(`{}`))
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Message != "" {
-		t.Fatalf("an oversized error body = %v; want a 400 *APIError without its message", err)
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Message != "error answer past the 1048576-byte read limit" {
+		t.Fatalf("an oversized error body = %v; want a 400 *APIError whose message names the read limit", err)
 	}
 }

@@ -69,7 +69,9 @@ func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (
 	}
 	ctx, err := bctx.Parse(c.Wire.Context)
 	if err != nil {
-		return http.StatusBadRequest, fmt.Errorf("context: %v", err)
+		// bctx's error quotes the offending text, as long as the
+		// request allows: the answer carries a bounded prefix of it.
+		return http.StatusBadRequest, fmt.Errorf("context: %s", obsv.Prefix(err.Error()))
 	}
 	c.Request = pdp.Request{
 		Credentials: c.Wire.Credentials,
@@ -94,7 +96,7 @@ func (c *decisionCall) response(dec pdp.Decision) DecisionResponse {
 	resp := DecisionResponse{
 		Allowed: dec.Allowed,
 		Phase:   string(dec.Phase),
-		Reason:  dec.Reason,
+		Reason:  dec.Reason(),
 		User:    string(dec.User),
 		Roles:   c.Wire.Roles,
 		TraceID: string(c.TraceID),

@@ -411,10 +411,15 @@ var jsonContentType = [1]string{"application/json"}
 // SetJSONContentType marks h as carrying JSON, with the shared value.
 func SetJSONContentType(h http.Header) { h["Content-Type"] = jsonContentType[:1:1] }
 
+// writeJSON answers status with v as JSON. HTML escaping is off: a
+// '<', '>' or '&' an answer echoes from its request is one byte on the
+// wire, as in the request, not the six of \u003c.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	SetJSONContentType(w.Header())
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
 }
 
 func toRoles(in []string) []rbac.RoleName {
