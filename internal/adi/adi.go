@@ -91,9 +91,13 @@ func (r Record) Validate() error {
 	return nil
 }
 
-// Recorder is the query/update surface the MSoD engine needs from a
-// retained-ADI implementation.
+// Recorder is the whole surface of a retained-ADI implementation: the
+// queries and updates of the MSoD engine, the context-aware append its
+// commit path takes, and the read-only browse surface the shard's
+// introspection and a handoff read.
 type Recorder interface {
+	CtxAppender
+	Browser
 	// Append stores granted-decision records. It is atomic: either all
 	// records are stored or none. It keeps nothing of the caller's: recs
 	// and the Roles slices remain the caller's, who may share or reuse
@@ -130,12 +134,10 @@ type Recorder interface {
 	Len() int
 }
 
-// CtxAppender is the optional context-aware extension of Recorder: a
-// store that implements it gets the decision's context (and so its
-// Tracer and SyncWaiter) on the commit path, letting it record
-// sub-spans like the durable WAL round trip and leave its sync to the
-// decision. The engine type-asserts once and falls back to plain Append
-// for stores that don't.
+// CtxAppender is the context-aware append of a Recorder: the engine's
+// commit path hands the store the decision's context (and so its
+// Tracer and SyncWaiter), letting a store record sub-spans like the
+// durable WAL round trip and leave its sync to the decision.
 type CtxAppender interface {
 	AppendCtx(ctx context.Context, recs ...Record) error
 }
@@ -312,6 +314,10 @@ func reuse[T any](free []T) ([]T, T) {
 	free[last] = zero
 	return free[:last], x
 }
+
+// AppendCtx implements Recorder: an in-memory append has no span of its
+// own and nothing to sync.
+func (s *Store) AppendCtx(_ context.Context, recs ...Record) error { return s.Append(recs...) }
 
 // Append implements Recorder.
 func (s *Store) Append(recs ...Record) error {

@@ -1,6 +1,7 @@
 package adi
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -160,17 +161,30 @@ func TestStoreContextIndexAfterUserPurges(t *testing.T) {
 }
 
 func TestAppendAtomicOnInvalid(t *testing.T) {
-	for name, s := range stores() {
+	opens := map[string]func(*testing.T) Recorder{
+		"indexed": func(*testing.T) Recorder { return NewStore() },
+		"durable": func(t *testing.T) Recorder { return openDurable(t, t.TempDir()) },
+	}
+	appends := map[string]func(Recorder, ...Record) error{
+		"Append":    Recorder.Append,
+		"AppendCtx": func(s Recorder, recs ...Record) error { return s.AppendCtx(context.Background(), recs...) },
+	}
+	for name, open := range opens {
 		t.Run(name, func(t *testing.T) {
-			err := s.Append(
-				rec("alice", "Teller", "op", "t", "Branch=York"),
-				rec("", "Teller", "op", "t", "Branch=York"), // invalid
-			)
-			if err == nil {
-				t.Fatal("expected validation error")
-			}
-			if s.Len() != 0 {
-				t.Errorf("partial append: Len = %d", s.Len())
+			for how, appendTo := range appends {
+				t.Run(how, func(t *testing.T) {
+					s := open(t)
+					err := appendTo(s,
+						rec("alice", "Teller", "op", "t", "Branch=York"),
+						rec("", "Teller", "op", "t", "Branch=York"), // invalid
+					)
+					if err == nil {
+						t.Fatal("expected validation error")
+					}
+					if s.Len() != 0 {
+						t.Errorf("partial append: Len = %d", s.Len())
+					}
+				})
 			}
 		})
 	}

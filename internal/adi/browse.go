@@ -8,10 +8,9 @@ import (
 )
 
 // Browser is the read-only introspection surface of a retained-ADI
-// store: enough to enumerate who holds history in which context
-// instances without exposing any mutation path. Both store
-// implementations (Store, DurableStore) satisfy it; internal/inspect
-// builds the /v1/state API on top.
+// store, part of every Recorder: enough to enumerate who holds history
+// in which context instances without exposing any mutation path.
+// internal/inspect builds the /v1/state API on top.
 type Browser interface {
 	// UserRecords returns copies of the user's records whose context
 	// instance falls within pattern, in insertion order. Their Roles are
@@ -23,11 +22,6 @@ type Browser interface {
 	// UserIDs returns the distinct users with retained records, sorted.
 	UserIDs() []rbac.UserID
 }
-
-var (
-	_ Browser = (*Store)(nil)
-	_ Browser = (*DurableStore)(nil)
-)
 
 // Instances implements Browser from the instance table, so it never
 // scans records.
@@ -67,13 +61,12 @@ func (ds *DurableStore) Instances() []bctx.Name { return ds.mem.Instances() }
 // UserIDs implements Browser.
 func (ds *DurableStore) UserIDs() []rbac.UserID { return ds.mem.UserIDs() }
 
-// BrowserFor returns the introspection surface of a store, if it has
-// one (the store implements Browser itself). The second return is false
-// for stores with no read-only browse surface.
-func BrowserFor(store Recorder) (Browser, bool) {
-	b, ok := store.(Browser)
-	return b, ok
-}
+// BrowserFor returns the store's browse surface, which every Recorder
+// has; the second return is always true. Its one caller is the
+// benchmark module's store wrapper (benchmark/wrap.go), which the
+// repository does not edit until the benchmark builds its shard through
+// internal/node (ROADMAP 10(b)).
+func BrowserFor(store Recorder) (Browser, bool) { return store, true }
 
 func sortInstances(names []bctx.Name) {
 	sort.Slice(names, func(i, j int) bool { return names[i].Key() < names[j].Key() })

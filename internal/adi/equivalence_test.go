@@ -31,11 +31,10 @@ var (
 	eqEpoch = time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
 )
 
-// mutableStore is what the equivalence properties drive: the engine's
-// surface, the browse surface and the snapshot dump.
+// mutableStore is what the equivalence properties drive: the store's
+// whole surface and the snapshot dump.
 type mutableStore interface {
 	Recorder
-	Browser
 	All() []Record
 }
 

@@ -109,11 +109,7 @@ func purge(store Recorder, op Op) (int, error) {
 // the user held records in: those it left empty start running on their
 // own, the others are open already and stay as they are.
 func release(store Recorder, op Op) (Effect, error) {
-	b, ok := store.(Browser)
-	if !ok {
-		return Effect{}, fmt.Errorf("%w: %T cannot list what %q held", ErrUnsupported, store, op.User)
-	}
-	held := b.UserRecords(op.User, bctx.Universal)
+	held := store.UserRecords(op.User, bctx.Universal)
 	n, err := purge(store, Op{Kind: OpPurgeUser, User: op.User})
 	eff := Effect{Removed: n}
 	if err != nil {

@@ -8,19 +8,13 @@ import (
 
 // Auditerr enforces the replayability half of the paper's §5.2/§6
 // contract: the retained ADI must be exactly reconstructible from the
-// audit trail, so no error (or ok) result from an audit-trail append,
-// retained-ADI persistence call, or browser construction may be
-// silently discarded. A dropped audit error is a decision the trail
-// cannot replay; a dropped BrowserFor ok silently disables the
-// introspection surface (the bug this analyzer was born from:
-// internal/server/server.go's `s.browser, _ = adi.BrowserFor(...)`).
+// audit trail, so no error result from an audit-trail append or
+// retained-ADI persistence call may be silently discarded. A dropped
+// audit error is a decision the trail cannot replay.
 type Auditerr struct {
 	// AuditPackages are the module-relative package paths whose
 	// functions' trailing error results must never be discarded.
 	AuditPackages []string
-	// MustCheckOK maps function names whose trailing bool result is a
-	// degradation signal that must be checked (adi.BrowserFor).
-	MustCheckOK map[string]bool
 }
 
 // DefaultAuditPackages are the trail and retained-ADI packages of this
@@ -29,7 +23,7 @@ var DefaultAuditPackages = []string{"internal/audit", "internal/adi"}
 
 func (*Auditerr) Name() string { return "auditerr" }
 func (*Auditerr) Doc() string {
-	return "no discarded error/ok result from audit-trail appends, retained-ADI persistence, or browser construction"
+	return "no discarded error result from audit-trail appends or retained-ADI persistence"
 }
 
 // Applies runs module-wide: a discard is a bug wherever it happens.
@@ -73,8 +67,7 @@ func (a *Auditerr) checkAssign(pass *Pass, as *ast.AssignStmt) {
 			last := as.Lhs[results.Len()-1]
 			if id, ok := last.(*ast.Ident); ok && id.Name == "_" {
 				pass.Reportf(as.Pos(),
-					"%s result of %s is discarded with _; %s",
-					lastResultKind(fn), calleeName(fn), a.why(fn))
+					"error result of %s is discarded with _; %s", calleeName(fn), auditerrWhy)
 			}
 			return
 		}
@@ -91,8 +84,7 @@ func (a *Auditerr) checkAssign(pass *Pass, as *ast.AssignStmt) {
 		}
 		if id, ok := as.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
 			pass.Reportf(as.Pos(),
-				"%s result of %s is discarded with _; %s",
-				lastResultKind(fn), calleeName(fn), a.why(fn))
+				"error result of %s is discarded with _; %s", calleeName(fn), auditerrWhy)
 		}
 	}
 }
@@ -108,13 +100,11 @@ func (a *Auditerr) checkDropped(pass *Pass, call *ast.CallExpr, how string) {
 		return
 	}
 	pass.Reportf(call.Pos(),
-		"%s result of %s is dropped (%s); %s",
-		lastResultKind(fn), calleeName(fn), how, a.why(fn))
+		"error result of %s is dropped (%s); %s", calleeName(fn), how, auditerrWhy)
 }
 
 // guardedCallee resolves a call to a guarded function: one defined in
-// an audit/ADI package whose final result is an error, or a MustCheckOK
-// function whose final result is a bool.
+// an audit/ADI package whose final result is an error.
 func (a *Auditerr) guardedCallee(pass *Pass, call *ast.CallExpr) *types.Func {
 	fn := pass.CalleeFunc(call)
 	if fn == nil || fn.Pkg() == nil {
@@ -127,21 +117,10 @@ func (a *Auditerr) guardedCallee(pass *Pass, call *ast.CallExpr) *types.Func {
 	if !ok || sig.Results().Len() == 0 {
 		return nil
 	}
-	last := sig.Results().At(sig.Results().Len() - 1).Type()
-	if isErrorType(last) {
-		return fn
+	if !isErrorType(sig.Results().At(sig.Results().Len() - 1).Type()) {
+		return nil
 	}
-	if basic, ok := last.Underlying().(*types.Basic); ok && basic.Kind() == types.Bool && a.mustCheckOK(fn.Name()) {
-		return fn
-	}
-	return nil
-}
-
-func (a *Auditerr) mustCheckOK(name string) bool {
-	if a.MustCheckOK != nil {
-		return a.MustCheckOK[name]
-	}
-	return name == "BrowserFor"
+	return fn
 }
 
 // inGuardedPackage matches the callee's package path against the
@@ -160,22 +139,8 @@ func (a *Auditerr) inGuardedPackage(path string) bool {
 	return false
 }
 
-func (a *Auditerr) why(fn *types.Func) string {
-	if lastResultKind(fn) == "ok" {
-		return "an unchecked ok silently disables the browse/introspection surface — check it and surface the degradation"
-	}
-	return "a dropped audit/ADI error breaks trail replayability — handle it or count it"
-}
-
-// lastResultKind names the guarded trailing result ("error" or "ok").
-func lastResultKind(fn *types.Func) string {
-	sig := fn.Type().(*types.Signature)
-	last := sig.Results().At(sig.Results().Len() - 1).Type()
-	if isErrorType(last) {
-		return "error"
-	}
-	return "ok"
-}
+// auditerrWhy ends every auditerr finding.
+const auditerrWhy = "a dropped audit/ADI error breaks trail replayability — handle it or count it"
 
 // calleeName renders pkg.Func or pkg.Type.Method for messages.
 func calleeName(fn *types.Func) string {

@@ -5,7 +5,7 @@ package adi
 // Browser mimics the read-only browse surface.
 type Browser struct{}
 
-// BrowserFor mimics the must-check-ok constructor.
+// BrowserFor mimics a lookup whose trailing result is a bool.
 func BrowserFor(store any) (*Browser, bool) { return nil, false }
 
 // Save mimics guarded ADI persistence.

@@ -1,5 +1,5 @@
-// Package server seeds the discarded-BrowserFor-ok bug and the
-// metricname violations.
+// Package server seeds the metricname violations, beside a discarded
+// bool that auditerr does not flag.
 package server
 
 import (
@@ -12,7 +12,7 @@ import (
 // Server mimics the HTTP facade.
 type Server struct{ b *adi.Browser }
 
-// New discards the must-check ok: the seeded introspection bug.
+// New discards a bool result of the ADI package: auditerr guards errors only.
 func New() *Server {
 	s := &Server{}
 	s.b, _ = adi.BrowserFor(nil)

@@ -1,11 +1,5 @@
 // Package adi is the clean fixture's retained-ADI stand-in.
 package adi
 
-// Browser mimics the read-only browse surface.
-type Browser struct{}
-
-// BrowserFor mimics the must-check-ok constructor.
-func BrowserFor(store any) (*Browser, bool) { return &Browser{}, true }
-
 // Save mimics guarded ADI persistence.
 func Save(recs []string) error { return nil }

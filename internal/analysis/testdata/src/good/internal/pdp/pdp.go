@@ -41,14 +41,5 @@ func Flush(w *audit.Writer) error {
 	if err := w.Append("rec"); err != nil {
 		return err
 	}
-	if _, ok := adi.BrowserFor(nil); !ok {
-		return errDegraded
-	}
 	return adi.Save(nil)
 }
-
-type sentinelError string
-
-func (e sentinelError) Error() string { return string(e) }
-
-const errDegraded = sentinelError("browse surface unavailable")

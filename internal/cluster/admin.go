@@ -110,7 +110,7 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	g.mu.RUnlock()
 	current, last := g.handoffSnapshot()
-	writeJSON(w, http.StatusOK, ClusterStatusResponse{
+	server.WriteJSON(w, http.StatusOK, ClusterStatusResponse{
 		RingVersion: fmt.Sprintf("%016x", version),
 		Epoch:       g.epoch.Load(),
 		Members:     members,
@@ -183,7 +183,7 @@ func (g *Gateway) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 	g.persistTopologyLogged()
 	g.startHandoff(HandoffJoin, req.ID)
 	hs.Phase = PhasePlanning
-	writeJSON(w, http.StatusAccepted, ClusterChangeResponse{
+	server.WriteJSON(w, http.StatusAccepted, ClusterChangeResponse{
 		Shard: req.ID, State: ShardSyncing.String(), Handoff: &hs,
 	})
 }
@@ -224,7 +224,7 @@ func (g *Gateway) handleClusterDrain(w http.ResponseWriter, r *http.Request) {
 	g.mu.Unlock()
 	g.persistTopologyLogged()
 	g.startHandoff(HandoffDrain, req.ID)
-	writeJSON(w, http.StatusAccepted, ClusterChangeResponse{
+	server.WriteJSON(w, http.StatusAccepted, ClusterChangeResponse{
 		Shard: req.ID, State: ShardDraining.String(), Handoff: &hs,
 	})
 }
@@ -264,7 +264,7 @@ func (g *Gateway) handleClusterRemove(w http.ResponseWriter, r *http.Request) {
 	g.checker.Remove(req.ID)
 	g.breaker.Remove(req.ID)
 	g.persistTopologyLogged()
-	writeJSON(w, http.StatusOK, ClusterChangeResponse{Shard: req.ID, State: "removed"})
+	server.WriteJSON(w, http.StatusOK, ClusterChangeResponse{Shard: req.ID, State: "removed"})
 }
 
 // admitShard adds a new shard to the topology in the joining state

@@ -39,6 +39,6 @@ func (g *Gateway) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// exists; misses (404) from the others are expected.
 	if len(hits) > 0 {
 		w.Header().Set("X-Msod-Shard", hits[0].shard)
-		writeJSON(w, http.StatusOK, hits[0].val)
+		server.WriteJSON(w, http.StatusOK, hits[0].val)
 	}
 }

@@ -356,15 +356,5 @@ func (g *Gateway) decodePOST(w http.ResponseWriter, r *http.Request, v any) bool
 
 // errorJSON mirrors the server's errorResponse shape.
 func errorJSON(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// writeJSON answers as the shards do: without HTML escaping, so a '<'
-// a message quotes stays one byte.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	server.SetJSONContentType(w.Header())
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	server.WriteJSON(w, status, map[string]string{"error": msg})
 }

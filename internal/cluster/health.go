@@ -5,6 +5,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"msod/internal/server"
 )
 
 // State is a shard's availability as the gateway sees it.
@@ -243,7 +245,7 @@ func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if active, _ := g.handoffActive(); active && overall == "ok" {
 		overall = "rebalancing"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": overall,
 		"role":   "gateway",
 		"shards": shards,

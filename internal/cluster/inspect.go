@@ -59,7 +59,7 @@ func (g *Gateway) handleStateUser(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("X-Msod-Shard", shard)
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleStateContext fans /v1/state/contexts/{bc} out to every
@@ -117,7 +117,7 @@ func (g *Gateway) handleStateContext(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.Strings(merged.Instances)
 	sort.Slice(merged.Users, func(i, j int) bool { return merged.Users[i].User < merged.Users[j].User })
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleEvents fans in every tracked shard's /v1/events stream,

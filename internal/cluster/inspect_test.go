@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"msod/internal/adi"
 	"msod/internal/audit"
 	"msod/internal/core"
 	"msod/internal/inspect"
@@ -465,11 +464,7 @@ func TestClusterStateConsistentWithTrailReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		browser, ok := adi.BrowserFor(store)
-		if !ok {
-			t.Fatal("replayed store not browsable")
-		}
-		replayed := inspect.NewInspector(eng, browser, nil).UserState(rbac.UserID(u))
+		replayed := inspect.NewInspector(eng, store, nil).UserState(rbac.UserID(u))
 
 		live, err := c.UserState(u)
 		if err != nil {

@@ -112,7 +112,7 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 		// some of it; without re-activation the first would grant its
 		// users' steps in it unrecorded.
 		if err := g.syncActivations(r.Context(), shards); err != nil {
-			writeJSON(w, http.StatusBadGateway, managementErrorResponse{
+			server.WriteJSON(w, http.StatusBadGateway, managementErrorResponse{
 				Error:  fmt.Sprintf("purge applied on all %d shards, but re-activating the instances still running failed (%v); repeat the purge", len(results), err),
 				Shards: outcomes,
 			})
@@ -120,7 +120,7 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if failed == 0 {
-		writeJSON(w, http.StatusOK, agg)
+		server.WriteJSON(w, http.StatusOK, agg)
 		return
 	}
 	status := http.StatusBadGateway
@@ -133,5 +133,5 @@ func (g *Gateway) handleManagement(w http.ResponseWriter, r *http.Request) {
 		status = uniformStatus
 		msg = fmt.Sprintf("all %d shards refused (%s)", len(results), firstErr)
 	}
-	writeJSON(w, status, managementErrorResponse{Error: msg, Shards: outcomes})
+	server.WriteJSON(w, status, managementErrorResponse{Error: msg, Shards: outcomes})
 }

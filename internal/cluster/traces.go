@@ -43,7 +43,7 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if len(hits) > 0 {
 		assembled := assembleTrace(hits)
 		w.Header().Set("X-Msod-Shard", strings.Join(assembled.Shards, ","))
-		writeJSON(w, http.StatusOK, assembled)
+		server.WriteJSON(w, http.StatusOK, assembled)
 	}
 }
 

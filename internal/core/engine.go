@@ -317,7 +317,6 @@ type Engine struct {
 	candidates map[string][]*program
 	universal  []*program
 	store      adi.Recorder
-	ctxStore   adi.CtxAppender // non-nil when store supports ctx-aware appends
 	now        func() time.Time
 	expand     func([]rbac.RoleName) []rbac.RoleName
 	// recs is the commit buffer: the records a decision's grant would
@@ -391,9 +390,6 @@ func NewEngine(store adi.Recorder, policies []Policy, opts ...Option) (*Engine, 
 			}
 		}
 	}
-	// Resolved once here so the commit path pays no per-decision
-	// type assertion.
-	e.ctxStore, _ = store.(adi.CtxAppender)
 	for _, o := range opts {
 		o(e)
 	}
@@ -704,15 +700,7 @@ func (e *Engine) decide(ctx context.Context, req Request, matches []matched, com
 		}
 		recs := e.recs[act.from:act.to]
 		if commit && len(recs) > 0 {
-			var err error
-			if e.ctxStore != nil {
-				// Context-aware stores (the durable ADI) record the
-				// WAL round trip as a sub-span of the store stage.
-				err = e.ctxStore.AppendCtx(ctx, recs...)
-			} else {
-				err = e.store.Append(recs...)
-			}
-			if err != nil {
+			if err := e.store.AppendCtx(ctx, recs...); err != nil {
 				return Decision{}, Denial{}, fmt.Errorf("core: record decision: %w", err)
 			}
 		}

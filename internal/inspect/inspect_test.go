@@ -73,11 +73,7 @@ func grant(t *testing.T, eng *core.Engine, user, role, op, target, ctx string) {
 func newTestInspector(t *testing.T) (*Inspector, *core.Engine) {
 	t.Helper()
 	eng, store := newTaxLikeEngine(t)
-	browser, ok := adi.BrowserFor(store)
-	if !ok {
-		t.Fatal("Store does not support browsing")
-	}
-	return NewInspector(eng, browser, nil), eng
+	return NewInspector(eng, store, nil), eng
 }
 
 func findConstraint(t *testing.T, cons []ConstraintProgress, rule string) ConstraintProgress {
@@ -195,9 +191,8 @@ func TestSummaryNearLimitRisesAndFalls(t *testing.T) {
 
 func TestLastTraceIDFromBroker(t *testing.T) {
 	eng, store := newTaxLikeEngine(t)
-	browser, _ := adi.BrowserFor(store)
 	broker := NewBroker(8)
-	in := NewInspector(eng, browser, broker)
+	in := NewInspector(eng, store, broker)
 
 	grant(t, eng, "alice", "A", "x", "o", "Project=p1")
 	e := ev("alice", OutcomeGrant, "Project=p1")
@@ -233,11 +228,7 @@ func TestBrowserConsistencyAcrossStores(t *testing.T) {
 				t.Fatal(err)
 			}
 			grant(t, eng, "alice", "A", "x", "o", "Project=p1")
-			browser, ok := adi.BrowserFor(store)
-			if !ok {
-				t.Fatalf("%s does not support browsing", name)
-			}
-			in := NewInspector(eng, browser, nil)
+			in := NewInspector(eng, store, nil)
 			c := findConstraint(t, in.UserState("alice").Constraints, "MMER[0]")
 			if c.K != 1 || c.M != 2 || !c.NearLimit {
 				t.Errorf("%s: progress = %+v, want 1/2 near-limit", name, c)

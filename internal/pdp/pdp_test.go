@@ -378,7 +378,7 @@ func TestRetainedHistoryOwnsItsRoles(t *testing.T) {
 	}
 	check := func(t *testing.T, store adi.Recorder) {
 		t.Helper()
-		recs := store.(adi.Browser).UserRecords("alice", bctx.Universal)
+		recs := store.UserRecords("alice", bctx.Universal)
 		if len(recs) != 1 || len(recs[0].Roles) != 1 || recs[0].Roles[0] != "Teller" {
 			t.Fatalf("alice's retained history = %+v, want one record with roles [Teller]", recs)
 		}

@@ -5,9 +5,9 @@
 // current business context instance, which §4.1 makes the PEP's job to
 // identify — submit them to a PDP, and enforce the answer.
 //
-// Two deployment shapes are covered: an in-process Enforcer around any
-// Decider (a *pdp.PDP or a remote server.Client), and an http.Handler
-// middleware protecting web resources.
+// Two deployment shapes are covered: an in-process Enforcer around a
+// Decider, which *pdp.PDP satisfies, and Middleware, which guards
+// http.Handlers with one.
 package pep
 
 import (
@@ -26,7 +26,7 @@ import (
 var ErrDenied = errors.New("pep: access denied")
 
 // Decider abstracts the PDP the PEP submits requests to; *pdp.PDP
-// satisfies it directly, and RemoteDecider adapts a server.Client.
+// satisfies it.
 type Decider interface {
 	Decide(req pdp.Request) (pdp.Decision, error)
 }

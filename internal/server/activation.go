@@ -40,43 +40,38 @@ type ActivationResponse struct {
 func (s *Server) handleActivation(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		browser := s.backend.Load().browser
-		if browser == nil {
-			writeJSON(w, http.StatusNotFound, errorResponse{"activation listing needs state introspection (store exposes no browse surface)"})
-			return
-		}
 		resp := ActivationResponse{Contexts: []string{}}
-		for _, inst := range browser.Instances() {
+		for _, inst := range s.backend.Load().pdp.Store().Instances() {
 			resp.Contexts = append(resp.Contexts, inst.String())
 		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteJSON(w, http.StatusOK, resp)
 	case http.MethodPost:
 		if !s.gate(w, gateTampered|gateReadOnly) {
 			return
 		}
 		var req ActivationRequest
 		if status, err := decodeBody(w, r, &req); err != nil {
-			writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
+			WriteJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
 			return
 		}
 		if len(req.Contexts) == 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"activation requires at least one context instance"})
+			WriteJSON(w, http.StatusBadRequest, errorResponse{"activation requires at least one context instance"})
 			return
 		}
 		ops := make([]adi.Op, 0, len(req.Contexts))
 		for _, c := range req.Contexts {
 			bound, err := bctx.Parse(c)
 			if err != nil {
-				writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context %q: %v", c, err)})
+				WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context %q: %v", c, err)})
 				return
 			}
 			ops = append(ops, adi.Op{Kind: adi.OpActivate, Bound: bound})
 		}
 		if eff, ok := s.applyOps(w, "activation", "started on another shard", ops); ok {
-			writeJSON(w, http.StatusOK, ActivationResponse{Contexts: req.Contexts, Added: eff.Activated})
+			WriteJSON(w, http.StatusOK, ActivationResponse{Contexts: req.Contexts, Added: eff.Activated})
 		}
 	default:
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET or POST required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET or POST required"})
 	}
 }
 

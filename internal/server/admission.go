@@ -74,14 +74,14 @@ func (s *Server) gate(w http.ResponseWriter, checks gateCheck) bool {
 	case full:
 		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.shedRetryAfter/time.Second)))
-		writeJSON(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			errorResponse{"server at capacity; request shed, retry after the hinted delay"})
 	case checks&gateTampered != 0 && s.sentinel != nil && s.sentinelFailClosed && s.sentinel.Tampered():
 		s.metrics.sentinelRefusals.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			errorResponse{"audit chain tamper detected; refusing decisions (fail-closed)"})
 	case checks&gateReadOnly != 0 && s.degraded.Load():
-		writeJSON(w, http.StatusServiceUnavailable,
+		WriteJSON(w, http.StatusServiceUnavailable,
 			errorResponse{"PDP degraded to read-only: a durable retained-ADI write failed; decisions and management are refused until the store is repaired and the daemon restarted (advisories and introspection still served)"})
 	default:
 		return true
@@ -140,10 +140,10 @@ func (s *Server) applyOps(w http.ResponseWriter, what, reason string, ops []adi.
 	case err == nil:
 		return eff, true
 	case errors.Is(err, adi.ErrUnsupported):
-		writeJSON(w, http.StatusNotImplemented, errorResponse{fmt.Sprintf("%s unsupported: %v", what, err)})
+		WriteJSON(w, http.StatusNotImplemented, errorResponse{fmt.Sprintf("%s unsupported: %v", what, err)})
 	default:
 		s.noteWriteFailure(err)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("%s failed: %v", what, err)})
+		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{fmt.Sprintf("%s failed: %v", what, err)})
 	}
 	return eff, false
 }

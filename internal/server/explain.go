@@ -80,24 +80,24 @@ type ringLookup[R any] struct {
 
 func (l ringLookup[R]) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
 		return
 	}
 	if l.get == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{l.off})
+		WriteJSON(w, http.StatusNotFound, errorResponse{l.off})
 		return
 	}
 	id, ok := LookupID(r, l.path)
 	if !ok {
-		writeJSON(w, http.StatusBadRequest, errorResponse{l.usage})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{l.usage})
 		return
 	}
 	l.queries.Add(1)
 	rec, ok := l.get(id)
 	if !ok {
 		l.misses.Add(1)
-		writeJSON(w, http.StatusNotFound, errorResponse{l.miss[0] + id + l.miss[1]})
+		WriteJSON(w, http.StatusNotFound, errorResponse{l.miss[0] + id + l.miss[1]})
 		return
 	}
-	writeJSON(w, http.StatusOK, rec)
+	WriteJSON(w, http.StatusOK, rec)
 }

@@ -85,7 +85,7 @@ func (s *Server) refuseHandoffDisabled(w http.ResponseWriter) bool {
 	if s.handoff {
 		return false
 	}
-	writeJSON(w, http.StatusForbidden,
+	WriteJSON(w, http.StatusForbidden,
 		errorResponse{"handoff surface disabled: run the shard with -handoff to allow resharding imports"})
 	return true
 }
@@ -95,25 +95,21 @@ func (s *Server) refuseHandoffDisabled(w http.ResponseWriter) bool {
 // export, and a shard that refuses exports should say so here already.
 func (s *Server) handleHandoffUsers(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
 		return
 	}
 	if s.refuseHandoffDisabled(w) {
 		return
 	}
-	be := s.backend.Load()
-	if be.browser == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"handoff needs state introspection (store exposes no browse surface)"})
-		return
-	}
 	if !s.gate(w, gateTampered) {
 		return
 	}
-	resp := HandoffUsersResponse{Policy: be.pdp.PolicyID(), Users: []string{}}
-	for _, u := range be.browser.UserIDs() {
+	p := s.backend.Load().pdp
+	resp := HandoffUsersResponse{Policy: p.PolicyID(), Users: []string{}}
+	for _, u := range p.Store().UserIDs() {
 		resp.Users = append(resp.Users, string(u))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHandoffImport loads a subtree-scoped snapshot with per-user
@@ -122,7 +118,7 @@ func (s *Server) handleHandoffUsers(w http.ResponseWriter, r *http.Request) {
 // read-only shard is 503, an unscoped or out-of-scope snapshot is 400.
 func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
 		return
 	}
 	if s.refuseHandoffDisabled(w) {
@@ -133,16 +129,16 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	}
 	var snap ReplicaSnapshot
 	if err := json.NewDecoder(r.Body).Decode(&snap); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode: %v", err)})
 		return
 	}
 	if policy := s.backend.Load().pdp.PolicyID(); snap.Policy != policy {
-		writeJSON(w, http.StatusConflict, errorResponse{fmt.Sprintf(
+		WriteJSON(w, http.StatusConflict, errorResponse{fmt.Sprintf(
 			"policy mismatch: snapshot from policy %q, this shard runs %q — importing history across policies corrupts MSoD state", snap.Policy, policy)})
 		return
 	}
 	if len(snap.Users) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"import requires an explicitly user-scoped snapshot (Users non-empty)"})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{"import requires an explicitly user-scoped snapshot (Users non-empty)"})
 		return
 	}
 	// Replace: release every in-scope user first, so records from a
@@ -159,13 +155,13 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	for _, sr := range snap.Records {
 		rec, err := sr.ADIRecord()
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("record context %q: %v", sr.Context, err)})
+			WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("record context %q: %v", sr.Context, err)})
 			return
 		}
 		if !scope[rec.User] {
 			// A record outside the declared scope would be appended without
 			// the replace purge — a retry could then double it.
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
+			WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf(
 				"record for user %q outside the snapshot's declared scope", rec.User)})
 			return
 		}
@@ -182,13 +178,13 @@ func (s *Server) handleHandoffImport(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.handoffImports.Add(1)
 	s.metrics.handoffRecordsIn.Add(int64(len(recs)))
-	writeJSON(w, http.StatusOK, HandoffImportResponse{Users: len(snap.Users), Records: len(recs), Replaced: eff.Removed})
+	WriteJSON(w, http.StatusOK, HandoffImportResponse{Users: len(snap.Users), Records: len(recs), Replaced: eff.Removed})
 }
 
 // handleHandoffRelease releases moved users on the donor after cutover.
 func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
 		return
 	}
 	if s.refuseHandoffDisabled(w) {
@@ -199,11 +195,11 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 	}
 	var req HandoffReleaseRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("decode: %v", err)})
 		return
 	}
 	if len(req.Users) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"release requires at least one user"})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{"release requires at least one user"})
 		return
 	}
 	ops := make([]adi.Op, len(req.Users))
@@ -215,7 +211,7 @@ func (s *Server) handleHandoffRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.handoffReleases.Add(1)
-	writeJSON(w, http.StatusOK, HandoffReleaseResponse{Users: len(req.Users), Purged: eff.Removed})
+	WriteJSON(w, http.StatusOK, HandoffReleaseResponse{Users: len(req.Users), Purged: eff.Removed})
 }
 
 // HandoffUsers fetches a donor's retained-ADI user list.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -65,45 +66,43 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	raw := strings.TrimPrefix(r.URL.Path, StateContextsPath)
 	switch {
 	case r.Method != http.MethodGet:
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
-	case in == nil:
-		writeJSON(w, http.StatusNotFound, errorResponse{"state introspection not available"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
 	case byUser && user == "":
-		writeJSON(w, http.StatusBadRequest, errorResponse{"user ID required: GET " + StateUsersPath + "{user}"})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{"user ID required: GET " + StateUsersPath + "{user}"})
 	case byUser:
-		writeJSON(w, http.StatusOK, in.UserState(rbac.UserID(user)))
+		WriteJSON(w, http.StatusOK, in.UserState(rbac.UserID(user)))
 	case raw == "":
-		writeJSON(w, http.StatusBadRequest, errorResponse{"context pattern required: GET " + StateContextsPath + "{bc}"})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{"context pattern required: GET " + StateContextsPath + "{bc}"})
 	default:
 		pattern, err := bctx.Parse(raw)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context: %v", err)})
+			WriteJSON(w, http.StatusBadRequest, errorResponse{fmt.Sprintf("context: %v", err)})
 			return
 		}
-		writeJSON(w, http.StatusOK, in.ContextState(pattern))
+		WriteJSON(w, http.StatusOK, in.ContextState(pattern))
 	}
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
 		return
 	}
 	if s.broker == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"event stream not enabled"})
+		WriteJSON(w, http.StatusNotFound, errorResponse{"event stream not enabled"})
 		return
 	}
 	q := r.URL.Query()
 	filter, err := inspect.NewFilter(q.Get("user"), q.Get("context"), q.Get("outcome"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
 		return
 	}
 	replay := 0
 	if v := q.Get("replay"); v != "" {
 		replay, err = strconv.Atoi(v)
 		if err != nil || replay < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{"replay must be a non-negative integer"})
+			WriteJSON(w, http.StatusBadRequest, errorResponse{"replay must be a non-negative integer"})
 			return
 		}
 	}
@@ -111,7 +110,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if raw := r.Header.Get(LastEventIDHeader); raw != "" {
 		after, perr := strconv.ParseUint(raw, 10, 64)
 		if perr != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{LastEventIDHeader + " must be a sequence number"})
+			WriteJSON(w, http.StatusBadRequest, errorResponse{LastEventIDHeader + " must be a sequence number"})
 			return
 		}
 		sub, err = s.broker.SubscribeFrom(filter, after)
@@ -120,7 +119,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			// the broker restarted): 410 Gone, not an empty stream — the
 			// client must know its history has a hole it cannot stream
 			// over.
-			writeJSON(w, http.StatusGone, errorResponse{err.Error()})
+			WriteJSON(w, http.StatusGone, errorResponse{err.Error()})
 			return
 		}
 	} else {
@@ -138,7 +137,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func ServeEvents(w http.ResponseWriter, r *http.Request, events <-chan inspect.DecisionEvent) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{"streaming unsupported"})
+		WriteJSON(w, http.StatusInternalServerError, errorResponse{"streaming unsupported"})
 		return
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -168,16 +167,19 @@ func ServeEvents(w http.ResponseWriter, r *http.Request, events <-chan inspect.D
 // writeSSE emits one event in SSE framing. The "id:" line carries the
 // broker sequence number so standard SSE resume (Last-Event-ID)
 // works; the gateway fan-in, which merges streams with unrelated
-// sequence spaces, strips it.
+// sequence spaces, strips it. As in WriteJSON, HTML escaping is off: a
+// '<', '>' or '&' of the request is one byte of the event, not six.
 func writeSSE(w http.ResponseWriter, ev inspect.DecisionEvent) error {
-	payload, err := json.Marshal(ev)
-	if err != nil {
+	var payload bytes.Buffer
+	enc := json.NewEncoder(&payload)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(ev); err != nil { // ends payload with a newline
 		return err
 	}
 	if ev.Seq > 0 && ev.Shard == "" {
-		_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, payload)
+		_, err := fmt.Fprintf(w, "id: %d\ndata: %s\n", ev.Seq, payload.Bytes())
 		return err
 	}
-	_, err = fmt.Fprintf(w, "data: %s\n\n", payload)
+	_, err := fmt.Fprintf(w, "data: %s\n", payload.Bytes())
 	return err
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +235,46 @@ func TestFollowEventsReadsAnEventOfAnyLength(t *testing.T) {
 	}
 }
 
+// An event's user, target and context reach /v1/events with their
+// bytes as sent, not HTML-escaped, and FollowEvents reads them back.
+func TestEventsStreamWritesMarkupAsSent(t *testing.T) {
+	ts, broker := startInspectServer(t)
+	want := inspect.DecisionEvent{
+		Time: time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC),
+		User: "a<b&c>", Roles: []string{"Clerk"}, Operation: "prepareCheck",
+		Target: "<t>", Context: "TaxOffice=<&>, taxRefundProcess=p1", Effect: inspect.OutcomeGrant,
+	}
+	want.Seq = broker.Publish(want)
+
+	resp, err := http.Get(ts.URL + EventsPath + "?replay=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := bufio.NewReader(resp.Body)
+	line, err := frames.ReadString('\n')
+	for err == nil && !strings.HasPrefix(line, "data: ") {
+		line, err = frames.ReadString('\n')
+	}
+	resp.Body.Close()
+	for _, member := range []string{`"user":"a<b&c>"`, `"target":"<t>"`, `"ctx":"TaxOffice=<&>, taxRefundProcess=p1"`} {
+		if !strings.Contains(line, member) {
+			t.Errorf("the event's frame %q (read error %v) does not carry %s", line, err, member)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var got inspect.DecisionEvent
+	errDone := errors.New("done")
+	err = NewClient(ts.URL, nil).FollowEvents(ctx, FollowEventsOptions{Replay: 1}, func(ev inspect.DecisionEvent) error {
+		got = ev
+		return errDone
+	})
+	if !errors.Is(err, errDone) || !reflect.DeepEqual(got, want) {
+		t.Errorf("FollowEvents = %v with %+v, want %+v", err, got, want)
+	}
+}
+
 // TestEventsStreamResume: /v1/events honours Last-Event-ID — the
 // stream restarts just after the client's last seen sequence number,
 // each event carries its "id:" line, and a resume point that has left
@@ -371,7 +413,7 @@ func TestFollowEventsSurfacesGap(t *testing.T) {
 			sseEvent(t, w, 7)
 			return // dropped; the client will reconnect with Last-Event-ID: 7
 		}
-		writeJSON(w, http.StatusGone, errorResponse{"resume after seq 7 is no longer retained"})
+		WriteJSON(w, http.StatusGone, errorResponse{"resume after seq 7 is no longer retained"})
 	}))
 	defer ts.Close()
 
@@ -401,7 +443,7 @@ func TestFollowEventsRetriesA5xx(t *testing.T) {
 			sseEvent(t, w, 1)
 			sseEvent(t, w, 2)
 		case 2:
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{"restarting"})
+			WriteJSON(w, http.StatusServiceUnavailable, errorResponse{"restarting"})
 		default:
 			w.Header().Set("Content-Type", "text/event-stream")
 			w.WriteHeader(http.StatusOK)

@@ -156,15 +156,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.slo.WriteMetrics(w)
 	obsv.WriteGauge(w, "msod_adi_records", "Live retained-ADI records.", float64(be.pdp.Store().Len()))
-	if be.inspector != nil {
-		sum := be.inspector.Summary()
-		obsv.WriteGauge(w, "msod_context_instances_open",
-			"Distinct business context instances with retained-ADI records.", float64(sum.InstancesOpen))
-		obsv.WriteGauge(w, "msod_constraints_tracked",
-			"(user, policy, bound context, rule) tuples with at least one consumed role/privilege.", float64(sum.ConstraintsTracked))
-		obsv.WriteGauge(w, "msod_constraints_near_limit",
-			"Tracked constraint tuples at k == m-1: the next conflicting activation is denied.", float64(sum.ConstraintsNearLimit))
-	}
+	sum := be.inspector.Summary()
+	obsv.WriteGauge(w, "msod_context_instances_open",
+		"Distinct business context instances with retained-ADI records.", float64(sum.InstancesOpen))
+	obsv.WriteGauge(w, "msod_constraints_tracked",
+		"(user, policy, bound context, rule) tuples with at least one consumed role/privilege.", float64(sum.ConstraintsTracked))
+	obsv.WriteGauge(w, "msod_constraints_near_limit",
+		"Tracked constraint tuples at k == m-1: the next conflicting activation is denied.", float64(sum.ConstraintsNearLimit))
 	obsv.WriteCounter(w, "msod_handoff_imports_total",
 		"Resharding handoff imports applied (per-user replace of retained-ADI subtrees).",
 		s.metrics.handoffImports.Load())
@@ -180,12 +178,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obsv.WriteCounter(w, "msod_shed_total",
 		"Requests shed by admission control with 503 + Retry-After (server at its in-flight cap).",
 		s.metrics.shed.Load())
-	degraded := 0.0
-	if be.browser == nil {
-		degraded = 1
-	}
-	obsv.WriteGauge(w, "msod_introspection_degraded",
-		"1 when the PDP store exposes no browse surface (no /v1/state, no context gauges).", degraded)
 	readonly := 0.0
 	if s.degraded.Load() {
 		readonly = 1

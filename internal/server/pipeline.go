@@ -129,7 +129,7 @@ func boundNames(bounds []bctx.Name) []string {
 
 func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide func(context.Context, pdp.Request) (pdp.Decision, error), advisory bool) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
 		return
 	}
 	// gate. Fail-closed on a tampered trail: a history that no longer
@@ -150,7 +150,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	c := decisionCall{advisory: advisory}
 	if status, err := readDecisionCall(w, r, &c); err != nil {
 		s.metrics.requestErrors.Add(1)
-		writeJSON(w, status, errorResponse{err.Error()})
+		WriteJSON(w, status, errorResponse{err.Error()})
 		return
 	}
 	// A cluster shard decides only for the subject it was routed on.
@@ -171,7 +171,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 			// a served request for the SLO.
 			s.metrics.idempotentReplays.Add(1)
 			s.score(http.StatusOK, 0)
-			writeJSON(w, http.StatusOK, cached)
+			WriteJSON(w, http.StatusOK, cached)
 			return
 		}
 		// The claim is resolved on every way out, a panic in decide
@@ -188,10 +188,10 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	}
 	s.publish(r.Context(), &c)
 	if c.err != nil { // respond
-		writeJSON(w, c.status, errorResponse{c.err.Error()})
+		WriteJSON(w, c.status, errorResponse{c.err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, answer)
+	WriteJSON(w, http.StatusOK, answer)
 }
 
 // decisionContext is the context a decision runs under: the request's,

@@ -15,7 +15,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"msod/internal/adi"
 	"msod/internal/credential"
 	"msod/internal/explain"
 	"msod/internal/inspect"
@@ -194,14 +193,10 @@ type Server struct {
 	applied appliedEntries
 }
 
-// backend is the PDP a server decides with and the read surface of its
-// retained ADI: the store's browser, which backs /v1/state, and the
-// inspector over both. Both are nil when the store exposes no browse
-// surface, which msod_introspection_degraded exports so the operator
-// sees the loss instead of silently missing series.
+// backend is the PDP a server decides with and the inspector over its
+// engine and retained ADI, which backs /v1/state.
 type backend struct {
 	pdp       *pdp.PDP
-	browser   adi.Browser
 	inspector *inspect.Inspector
 }
 
@@ -266,17 +261,7 @@ func New(p *pdp.PDP, opts ...Option) *Server {
 // served stays, so a retry of a decision answered before the swap
 // replays that answer.
 func (s *Server) SetPDP(p *pdp.PDP) {
-	b := &backend{pdp: p}
-	// Every store shipped with the repo exposes the read-only browse
-	// surface, so introspection is on by default; a custom Recorder
-	// without it loses /v1/state — surfaced, not silent.
-	if browser, ok := adi.BrowserFor(p.Store()); ok {
-		b.browser = browser
-		b.inspector = inspect.NewInspector(p.Engine(), browser, s.broker)
-	} else if s.log != nil {
-		s.log.Warn("introspection degraded: PDP store exposes no browse surface; /v1/state and context gauges disabled")
-	}
-	s.backend.Store(b)
+	s.backend.Store(&backend{pdp: p, inspector: inspect.NewInspector(p.Engine(), p.Store(), s.broker)})
 }
 
 // ServeHTTP implements http.Handler. The opens and closes a gateway's
@@ -301,7 +286,7 @@ func (s *Server) handleAdvice(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleManagement(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"POST required"})
 		return
 	}
 	// Management mutates the retained ADI (purges), so it shares the
@@ -312,7 +297,7 @@ func (s *Server) handleManagement(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	var wire ManagementWireRequest
 	if status, err := decodeBody(w, r, &wire); err != nil {
-		writeJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
+		WriteJSON(w, status, errorResponse{fmt.Sprintf("decode: %v", err)})
 		return
 	}
 	req := pdp.ManagementRequest{
@@ -329,10 +314,10 @@ func (s *Server) handleManagement(w http.ResponseWriter, r *http.Request) {
 	res, err := s.backend.Load().pdp.Manage(req)
 	s.metrics.managementOps.Add(1)
 	if err != nil {
-		writeJSON(w, s.failureStatus(err, http.StatusForbidden), errorResponse{err.Error()})
+		WriteJSON(w, s.failureStatus(err, http.StatusForbidden), errorResponse{err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, ManagementWireResponse{Removed: res.Removed, Records: res.Records})
+	WriteJSON(w, http.StatusOK, ManagementWireResponse{Removed: res.Removed, Records: res.Records})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -351,7 +336,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		// with the gate on is by construction running a verified policy.
 		body["policyVerification"] = "verified"
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // maxBodyBytes bounds every JSON body this package reads whole: the
@@ -411,10 +396,11 @@ var jsonContentType = [1]string{"application/json"}
 // SetJSONContentType marks h as carrying JSON, with the shared value.
 func SetJSONContentType(h http.Header) { h["Content-Type"] = jsonContentType[:1:1] }
 
-// writeJSON answers status with v as JSON. HTML escaping is off: a
-// '<', '>' or '&' an answer echoes from its request is one byte on the
-// wire, as in the request, not the six of \u003c.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as JSON, for the shard and the
+// gateway alike. HTML escaping is off: a '<', '>' or '&' an answer
+// echoes from its request is one byte on the wire, as in the request,
+// not the six of \u003c.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	SetJSONContentType(w.Header())
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)

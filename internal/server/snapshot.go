@@ -57,18 +57,16 @@ func (sr SnapshotRecord) ADIRecord() (adi.Record, error) {
 	}, nil
 }
 
-// ReplicaSnapshot is the named users' retained ADI paired with the
-// broker sequence number it is consistent with.
+// ReplicaSnapshot is the named users' retained ADI, as one commit left
+// it.
 type ReplicaSnapshot struct {
 	// Policy is the donor's policy ID; a recipient refuses to import
 	// history kept under a different policy.
 	Policy string `json:"policy"`
-	// Seq is the last event sequence number reflected in Records.
-	Seq uint64 `json:"seq"`
 	// Users is the scope of the dump: Records holds exactly these users'
 	// retained ADI (some may have no records at all).
 	Users []string `json:"users,omitempty"`
-	// Records is the users' retained ADI at Seq.
+	// Records is the users' retained ADI.
 	Records []SnapshotRecord `json:"records"`
 }
 
@@ -88,23 +86,17 @@ func parseUsersParam(v string) []string {
 }
 
 // handleReplicaSnapshot dumps the named users' retained ADI under the
-// PDP's commit lock, so the captured broker sequence number and store
-// contents are consistent with each other — no decision can commit
-// between the two reads. Decisions block for the duration of the dump,
-// which is scoped to the users a handoff moves.
+// PDP's commit lock, so no decision commits between the reads of two
+// users. Decisions block for the duration of the dump, which is scoped
+// to the users a handoff moves.
 func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
-		return
-	}
-	be := s.backend.Load()
-	if be.browser == nil || s.broker == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{"snapshots need state introspection and an event broker"})
+		WriteJSON(w, http.StatusMethodNotAllowed, errorResponse{"GET required"})
 		return
 	}
 	users := parseUsersParam(r.URL.Query().Get("users"))
 	if users == nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"users required: GET " + ReplicaSnapshotPath + "?users=u1,u2"})
+		WriteJSON(w, http.StatusBadRequest, errorResponse{"users required: GET " + ReplicaSnapshotPath + "?users=u1,u2"})
 		return
 	}
 	if !s.gate(w, gateTampered) {
@@ -112,16 +104,16 @@ func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, r *http.Request) {
 		// cannot vouch for.
 		return
 	}
-	snap := ReplicaSnapshot{Policy: be.pdp.PolicyID(), Users: users}
+	p := s.backend.Load().pdp
+	snap := ReplicaSnapshot{Policy: p.PolicyID(), Users: users}
 	var recs []adi.Record
-	be.pdp.WithCommitLock(func() {
-		snap.Seq = s.broker.Seq()
+	p.WithCommitLock(func() {
 		for _, u := range users { // users with no records contribute nothing
-			recs = append(recs, be.browser.UserRecords(rbac.UserID(u), bctx.Universal)...)
+			recs = append(recs, p.Store().UserRecords(rbac.UserID(u), bctx.Universal)...)
 		}
 	})
 	for _, rec := range recs {
 		snap.Records = append(snap.Records, NewSnapshotRecord(rec))
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
