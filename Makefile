@@ -57,12 +57,13 @@ benchmark-check:
 # A short fuzz pass over every fuzz target, FUZZTIME each (seeds always
 # run under `make test`). FuzzAppendWALEntry and FuzzAppendEvent hold the
 # hand-written WAL and trail lines to json.Marshal's bytes,
-# FuzzCredentialPayload the signed credential payload; FuzzTrailWalk
-# holds a trail walk advanced while edited segments grow to one
-# from-genesis Verify (count and error class); FuzzEvaluate
-# is differential too: the reference model (internal/refmodel) sees every
-# request the engine evaluates, and the effect and the retained-record
-# count must agree after each.
+# FuzzCredentialPayload the signed credential payload,
+# FuzzIdempotentReplay a replayed answer to the first answer's bytes
+# (WriteJSON's); FuzzTrailWalk holds a trail walk advanced while edited
+# segments grow to one from-genesis Verify (count and error class);
+# FuzzEvaluate is differential too: the reference model
+# (internal/refmodel) sees every request the engine evaluates, and the
+# effect and the retained-record count must agree after each.
 FUZZTIME ?= 30s
 
 fuzz:
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzParseMSoDPolicySet$$' -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz='^FuzzParseRBACPolicy$$' -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeDecisionRequest$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz='^FuzzIdempotentReplay$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz='^FuzzEvaluate$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz='^FuzzPolicyCheck$$' -fuzztime=$(FUZZTIME) ./internal/policycheck
 	$(GO) test -run '^$$' -fuzz='^FuzzAppendWALEntry$$' -fuzztime=$(FUZZTIME) ./internal/adi

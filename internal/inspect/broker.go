@@ -337,10 +337,3 @@ func (b *Broker) LastMatch(match func(DecisionEvent) bool) (DecisionEvent, bool)
 	}
 	return DecisionEvent{}, false
 }
-
-// Seq returns the last published sequence number.
-func (b *Broker) Seq() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.seq
-}

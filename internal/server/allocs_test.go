@@ -90,9 +90,8 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 //	            spans inline and the explain entry (1). It was 4 while
 //	            the Trace (1) and the context value carrying it (1) were
 //	            apart
-//	respond 1   the response on the heap for the encoder (1), which
-//	            under a requestID is also what the idempotency cache
-//	            keeps. Its Roles are the decoded ones, and the PDP's
+//	respond 1   the response on the heap for the encoder (1). Its
+//	            Roles are the decoded ones, and the PDP's
 //	            Decision.Roles is the request's slice, so neither the
 //	            subject nor the answer converts roles again. The
 //	            Content-Type value is shared, and the latency exemplar is
@@ -303,18 +302,21 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			// joins the one string in place of the trace ID, which is
 			// not minted: the traceparent's is a substring of the header.
 			// It was 18 / 15 while the five strings and the requestID
-			// were each their own. Claiming the requestID costs
-			// nothing: the cache keeps the one response the encoder is
-			// handed, and its map and eviction ring are at their steady
-			// size. It was 26 while the claim was an entry and a channel
-			// (2) beside the response boxed for the encoder, and the
-			// Content-Type value was built per answer (1).
+			// were each their own. Claiming the requestID costs the
+			// packed entry the cache keeps (1): the requestID and the
+			// answer in one string of its own, so that the cache keeps
+			// none of the request's text; its map and eviction ring are
+			// at their steady size. It was 10 / 8 while the cache kept
+			// the response the encoder is handed, and with it the
+			// request's one string, 26 while the claim was an entry and
+			// a channel (2) beside the response boxed for the encoder,
+			// and the Content-Type value was built per answer (1).
 			name:    "MMER grant under a requestID",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			routed:  true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 10, "bare": 8, "all-on": 10},
+			budget: map[string]float64{"default": 11, "bare": 9, "all-on": 11},
 		},
 		{
 			// The same on a shard behind a gateway, the request carrying

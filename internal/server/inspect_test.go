@@ -324,7 +324,7 @@ func TestEventsStreamResume(t *testing.T) {
 	// A resume point ahead of the broker (a previous incarnation's seq)
 	// is a 410: the client must resync, not stream over the hole.
 	req3, _ := http.NewRequest(http.MethodGet, ts.URL+EventsPath, nil)
-	req3.Header.Set(LastEventIDHeader, fmt.Sprintf("%d", broker.Seq()+100))
+	req3.Header.Set(LastEventIDHeader, fmt.Sprintf("%d", lastSeq(broker)+100))
 	resp3, err := http.DefaultClient.Do(req3)
 	if err != nil {
 		t.Fatal(err)

@@ -356,7 +356,7 @@ func TestDecisionOutcomes(t *testing.T) {
 			if row.setup != nil {
 				row.setup(e)
 			}
-			before, events := e.scrape(), e.broker.Seq()
+			before, events := e.scrape(), lastSeq(e.broker)
 			e.log.Reset()
 			e.handed = nil
 
@@ -382,7 +382,7 @@ func TestDecisionOutcomes(t *testing.T) {
 			if !reflect.DeepEqual(moved, row.counters) {
 				t.Errorf("series moved:\n got %v\nwant %v", moved, row.counters)
 			}
-			if got := e.broker.Seq() - events; got != row.events {
+			if got := lastSeq(e.broker) - events; got != row.events {
 				t.Errorf("%d events published, want %d", got, row.events)
 			}
 			for _, key := range []string{outcomeRID, outcomeTraceID} {
@@ -590,4 +590,11 @@ func (e *outcomeEnv) decisionLogLine() (level, msg string, spans []string) {
 		sort.Strings(spans)
 	}
 	return level, msg, spans
+}
+
+// lastSeq is the sequence number of the last event b published, as the
+// newest retained event carries it; 0 before the first.
+func lastSeq(b *inspect.Broker) uint64 {
+	ev, _ := b.LastMatch(func(inspect.DecisionEvent) bool { return true })
+	return ev.Seq
 }

@@ -157,21 +157,25 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	if s.handoff {
 		c.Request.Routed = rbac.UserID(c.Wire.RoutingSubject())
 	}
-	// answer is the response once the decision committed: one heap copy
-	// that the encoder and, under a RequestID, the idempotency cache
-	// share.
-	var answer *DecisionResponse
 	// claim. A duplicate RequestID replays the committed response rather
 	// than re-deciding — re-execution would double-record ADI history
 	// and re-run last-step purges.
-	if id := c.Wire.RequestID; !advisory && id != "" {
+	var id string
+	if !advisory {
+		id = c.Wire.RequestID
+	}
+	// packed is the committed response as the idempotency cache keeps
+	// it: built before the cache's lock is taken, and owning its text.
+	var packed string
+	if id != "" {
 		if cached, replay := s.idem.begin(id); replay {
 			// A replay serves the committed execution's response (and its
 			// explain record stays the queryable one); it still counts as
 			// a served request for the SLO.
 			s.metrics.idempotentReplays.Add(1)
 			s.score(http.StatusOK, 0)
-			WriteJSON(w, http.StatusOK, cached)
+			resp := unpackAnswer(cached, len(id))
+			WriteJSON(w, http.StatusOK, &resp)
 			return
 		}
 		// The claim is resolved on every way out, a panic in decide
@@ -179,19 +183,19 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		// entry left in flight is never evicted and would hang every
 		// retry under the same ID. Without a committed response,
 		// resolving releases the ID so a retry re-executes.
-		defer func() { s.idem.finish(id, answer) }()
+		defer func() { s.idem.finish(id, packed) }()
 	}
 	s.decide(r.Context(), &c, decide)
-	if c.err == nil {
-		answer = new(DecisionResponse)
-		*answer = c.resp
+	if c.err == nil && id != "" {
+		packed = packAnswer(id, &c.resp)
 	}
 	s.publish(r.Context(), &c)
 	if c.err != nil { // respond
 		WriteJSON(w, c.status, errorResponse{c.err.Error()})
 		return
 	}
-	WriteJSON(w, http.StatusOK, answer)
+	answer := c.resp
+	WriteJSON(w, http.StatusOK, &answer)
 }
 
 // decisionContext is the context a decision runs under: the request's,

@@ -153,8 +153,12 @@ func TestParkedGrantSyncBlocksNoOtherDecision(t *testing.T) {
 	idemEntry := func() (*DecisionResponse, bool) {
 		srv.idem.mu.Lock()
 		defer srv.idem.mu.Unlock()
-		resp, ok := srv.idem.entries["alice-1"]
-		return resp, ok
+		packed, ok := srv.idem.entries["alice-1"]
+		if packed == "" {
+			return nil, ok
+		}
+		resp := unpackAnswer(packed, len("alice-1"))
+		return &resp, ok
 	}
 	if resp, ok := idemEntry(); !ok || resp != nil {
 		t.Fatalf("alice's idempotency entry before her sync returned: %+v (present %v), want in flight", resp, ok)
