@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"msod/internal/bctx"
 	"msod/internal/race"
@@ -15,6 +15,15 @@ import (
 // TestEvaluateAllocs holds an evaluation to what it returns or retains.
 // Every case names each allocation left; a budget that has to rise means
 // the hot path grew one, and the reason belongs next to the number.
+//
+// Every evaluation returns one object (1), its Decision sized to its
+// shape (Decision.box): a denial's Denial and a grant's started or
+// closed names live in it. It is the allocation the PDP made when it
+// copied the Decision to the heap for pdp.Decision.MSoD, so a grant row
+// that names it is one more than it was here and one less in pdp's
+// TestDecideAllocs; a denial, a first step and a last step returned
+// their Denial or their names' slice (1) here before, in that object
+// now.
 //
 // Each case runs allocRuns+1 requests, every one in a context instance
 // of its own (Period or process i) that prepare has put into the state
@@ -47,34 +56,36 @@ func TestEvaluateAllocs(t *testing.T) {
 		slots    slotUse
 	}{
 		{
-			// Step 1 finds no candidate policy for the first component
-			// type: no lock, no store call, nothing built.
+			// Returned: the Decision (1). Step 1 finds no candidate
+			// policy for the first component type: no lock, no store
+			// call, nothing built.
 			name: "unmatched context", policies: both,
 			request: func(i int) Request {
 				r := bankReq("alice", "Teller", "HandleCash", "York", period(i))
 				r.Context = bctx.MustParse("Dept=d1, Project=" + period(i))
 				return r
 			},
-			want: Grant, budget: 0,
+			want: Grant, budget: 1,
 		},
 		{
-			// Returned: nothing. Built: the bound name "Branch=*,
-			// Period=p" (1), which nothing bound before. Retained by the
-			// store: the new instance (1), the list of its unique Period
-			// value (1). The record goes to Append from the engine's
-			// commit buffer, and its one role is the store's shared
-			// "Teller" slice: it was 5 with a one-record slice (1) and a
-			// Roles copy (1).
+			// Returned: the Decision (1). Built: the bound name
+			// "Branch=*, Period=p" (1), which nothing bound before.
+			// Retained by the store: the new instance (1), the list of
+			// its unique Period value (1). The record goes to Append
+			// from the engine's commit buffer, and its one role is the
+			// store's shared "Teller" slice: it was 5 with a one-record
+			// slice (1) and a Roles copy (1).
 			name: "opening grant", policies: bankPolicies(),
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 3,
+			want:    Grant, budget: 4,
 		},
 		{
 			// "TaxOffice=!, taxRefundProcess=!" binds to the request's
-			// own name (0). Returned: Decision.Activated() (1).
-			// Retained: the instance (1), the list of its unique
-			// process value (1). It was 5 with the record slice (1) and
-			// the Roles copy (1).
+			// own name (0). Returned: the Decision with Activated()'s
+			// one name beside it (1); the name's slice was an
+			// allocation of its own. Retained: the instance (1), the
+			// list of its unique process value (1). It was 5 with the
+			// record slice (1) and the Roles copy (1).
 			name: "opening grant, first step", policies: taxPolicies(),
 			request: func(i int) Request {
 				return taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i))
@@ -82,32 +93,32 @@ func TestEvaluateAllocs(t *testing.T) {
 			want: Grant, budget: 3,
 		},
 		{
-			// Nothing: the bound name is the one the opener's grant
-			// bound, still in its slot. It was 1 while every request
-			// built its bound name (1), 3 with the record slice (1) and
-			// the store's copy of the record's one-role slice, the
-			// rule's own (1); the store now gives the record its shared
-			// "Teller" slice.
+			// Returned: the Decision (1). The bound name is the one the
+			// opener's grant bound, still in its slot. It was 1 while
+			// every request built its bound name (1), 3 with the record
+			// slice (1) and the store's copy of the record's one-role
+			// slice, the rule's own (1); the store now gives the record
+			// its shared "Teller" slice.
 			name: "recorded grant under MMER", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 0, slots: ownSlot, runs: slotRuns,
+			want:    Grant, budget: 1, slots: ownSlot, runs: slotRuns,
 		},
 		{
-			// Built: the bound name (1), another period's name in its
-			// slot.
+			// Returned: the Decision (1). Built: the bound name (1),
+			// another period's name in its slot.
 			name: "recorded grant under MMER, slot taken", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 1, slots: oneSlot,
+			want:    Grant, budget: 2, slots: oneSlot,
 		},
 		{
-			// Nothing. It was 2 with the record slice (1) and the Roles
-			// copy (1).
+			// Returned: the Decision (1). It was 2 with the record
+			// slice (1) and the Roles copy (1).
 			name: "recorded grant under MMEP", policies: taxPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
@@ -115,37 +126,40 @@ func TestEvaluateAllocs(t *testing.T) {
 			request: func(i int) Request {
 				return taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", period(i))
 			},
-			want: Grant, budget: 0,
+			want: Grant, budget: 1,
 		},
 		{
-			// Two policies record: the MMEP one over "Branch=York,
-			// Period=p", which binds to the request's own name (0), and
-			// the MMER one over "Branch=*, Period=p", whose name the
-			// opener bound (0). The commit buffer holds both actions'
-			// records, one each, and each goes to Append as its slice of
-			// the buffer. It was 1 with the bound name (1).
+			// Returned: the Decision (1). Two policies record: the MMEP
+			// one over "Branch=York, Period=p", which binds to the
+			// request's own name (0), and the MMER one over "Branch=*,
+			// Period=p", whose name the opener bound (0). The commit
+			// buffer holds both actions' records, one each, and each
+			// goes to Append as its slice of the buffer. It was 1 with
+			// the bound name (1).
 			name: "recorded grant under two policies", policies: cashPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 0, slots: ownSlot, runs: slotRuns,
+			want:    Grant, budget: 1, slots: ownSlot, runs: slotRuns,
 		},
 		{
-			// Built: the MMER policy's bound name (1), its slot taken.
+			// Returned: the Decision (1). Built: the MMER policy's
+			// bound name (1), its slot taken.
 			name: "recorded grant under two policies, slot taken", policies: cashPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 1, slots: oneSlot,
+			want:    Grant, budget: 2, slots: oneSlot,
 		},
 		{
-			// Returned: the Denial (1), made after the lock is released.
-			// It is values: Error renders its text only when called. The
-			// denial keeps the bound name alice's grant bound. It was 2
-			// while the engine wrote every denial's text (1), 3 with the
-			// bound name (1).
+			// Returned: the Decision with its Denial beside it (1), made
+			// after the lock is released; the Denial was an allocation
+			// of its own. It is values: Error renders its text only
+			// when called. The denial keeps the bound name alice's grant
+			// bound. It was 2 while the engine wrote every denial's text
+			// (1), 3 with the bound name (1).
 			name: "MMER deny", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
@@ -155,7 +169,8 @@ func TestEvaluateAllocs(t *testing.T) {
 		},
 		{
 			// Built: the bound name (1), its slot taken. Returned: the
-			// Denial (1). It was 3 with the denial's text (1).
+			// Decision with its Denial (1). It was 3 with the denial's
+			// text (1).
 			name: "MMER deny, slot taken", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
@@ -164,7 +179,8 @@ func TestEvaluateAllocs(t *testing.T) {
 			want:    Deny, budget: 2, slots: oneSlot,
 		},
 		{
-			// Returned: the Denial (1). It was 2 with its text (1).
+			// Returned: the Decision with its Denial (1). It was 2 with
+			// its text (1).
 			name: "MMEP deny", policies: taxPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
@@ -176,10 +192,11 @@ func TestEvaluateAllocs(t *testing.T) {
 			want: Deny, budget: 1,
 		},
 		{
-			// Returned: Decision.Closed() (1), what a cluster's other
-			// nodes are told to close, the period's name the grants
-			// bound. The purge itself allocates nothing. It was 2 with
-			// the bound name (1).
+			// Returned: the Decision with Closed()'s one name beside it
+			// (1), what a cluster's other nodes are told to close, the
+			// period's name the grants bound; the name's slice was an
+			// allocation of its own. The purge itself allocates
+			// nothing. It was 2 with the bound name (1).
 			name: "last-step purge", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
@@ -189,8 +206,8 @@ func TestEvaluateAllocs(t *testing.T) {
 			want:    Grant, budget: 1, slots: ownSlot, runs: slotRuns,
 		},
 		{
-			// Built: the bound name (1), its slot taken. Returned:
-			// Decision.Closed() (1).
+			// Built: the bound name (1), its slot taken. Returned: the
+			// Decision with Closed()'s name (1).
 			name: "last-step purge, slot taken", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("alice", "Teller", "HandleCash", "York", period(i)), Grant)
@@ -200,8 +217,9 @@ func TestEvaluateAllocs(t *testing.T) {
 			want:    Grant, budget: 2, slots: oneSlot,
 		},
 		{
-			// Built: the bound name (1), which nothing bound before.
-			// Retained: nothing the store does not hold already, where "opening grant" retains 2, because
+			// Returned: the Decision (1). Built: the bound name (1),
+			// which nothing bound before. Retained: nothing the store
+			// does not hold already, where "opening grant" retains 2, because
 			// last steps closed as many instances first: the instance,
 			// the list of its Period value and alice's emptied bucket are
 			// ones those purges freed. The store keeps 64 of each, so
@@ -219,7 +237,7 @@ func TestEvaluateAllocs(t *testing.T) {
 				}
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 1, runs: churnRuns,
+			want:    Grant, budget: 2, runs: churnRuns,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,16 +313,61 @@ func ownSlots(t *testing.T, e *Engine, n int) func(int) string {
 	return func(i int) string { return periods[i] }
 }
 
-// TestDecisionSize: pdp.Decision.MSoD points at a heap copy of every
-// Decision, so its size class is paid once per decision on every
-// deployment shape. 64 bytes is a class of its own; one more field is
-// the 96-byte class, which measured +5% alloc_bytes_per_decision on the
-// in-process workload. The instances a grant started and the ones it
-// terminated therefore share one slice (Activated, Closed).
+// TestDecisionSize: an evaluation's one allocation is its Decision
+// sized to the decision's shape (Decision.box), and each shape's size
+// class is no larger than the allocations it replaced: the 64-byte
+// Decision the PDP copied to the heap for pdp.Decision.MSoD, and beside
+// it the 80-byte Denial, or the slice append grew for the bound names
+// (24 bytes for one name, then 48 for two). A 64-byte Decision would put
+// the one-name shape in the 96-byte class, 8 bytes past the two
+// allocations it replaced: that is why Recorded and Purged are 32 bits.
 func TestDecisionSize(t *testing.T) {
-	if got := unsafe.Sizeof(Decision{}); got != 64 {
-		t.Fatalf("Decision is %d bytes, want exactly 64", got)
+	if race.Enabled {
+		t.Skip("the race detector changes allocation counts")
 	}
+	names := []bctx.Name{bctx.MustParse("A=1"), bctx.MustParse("A=1, B=2")}
+	for _, tc := range []struct {
+		name     string
+		refused  Denial
+		bounds   []bctx.Name
+		replaces []uint64 // the size classes of the allocations it replaced
+	}{
+		{name: "plain grant", replaces: []uint64{64}},
+		{name: "denial", refused: Denial{Rule: "MMER[0]"}, replaces: []uint64{64, 80}},
+		{name: "one name", bounds: names[:1], replaces: []uint64{64, 24}},
+		{name: "two names", bounds: names, replaces: []uint64{64, 24, 48}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs, bytes := allocsAndBytes(func() { sink = Decision{}.box(tc.refused, tc.bounds) })
+			var replaced uint64
+			for _, class := range tc.replaces {
+				replaced += class
+			}
+			if allocs != 1 || bytes > replaced {
+				t.Errorf("%d allocations of %d bytes; want one of at most %d (%v)", allocs, bytes, replaced, tc.replaces)
+			}
+			t.Logf("one allocation of %d bytes, where %v were", bytes, tc.replaces)
+		})
+	}
+}
+
+// sink keeps what TestDecisionSize boxes on the heap.
+var sink *Decision
+
+// allocsAndBytes is what one call of f allocates, as testing.AllocsPerRun
+// measures it: the mean over 100 calls, on one P. Bytes are size
+// classes, not the sizes asked for.
+func allocsAndBytes(f func()) (allocs, bytes uint64) {
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
 }
 
 func mustEvaluate(t testing.TB, e *Engine, req Request, want Effect) {

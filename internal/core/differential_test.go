@@ -170,7 +170,7 @@ func applyModel(m *refmodel.Model, op adi.Op) (adi.Effect, error) {
 // sameDecision compares the engine's decision with the model's: the
 // effect, the denying rule, its bound context and count, what a grant
 // recorded and purged, and the instances it started and closed.
-func sameDecision(got Decision, want refmodel.Decision) error {
+func sameDecision(got *Decision, want refmodel.Decision) error {
 	if (got.Effect == Grant) != want.Grant {
 		return fmt.Errorf("engine %v (%v), model grant %v (%s)", got.Effect, got.Denial, want.Grant, want.Rule)
 	}
@@ -178,7 +178,7 @@ func sameDecision(got Decision, want refmodel.Decision) error {
 		return fmt.Errorf("engine denied by %s in %q holding %d, model by %s in %q holding %d",
 			d.Rule, d.BoundContext, d.Held, want.Rule, want.Bound, want.Held)
 	}
-	if got.Recorded != want.Recorded || got.Purged != want.Purged ||
+	if int(got.Recorded) != want.Recorded || int(got.Purged) != want.Purged ||
 		!slices.EqualFunc(got.Activated(), want.Activated, bctx.Name.Equal) ||
 		!slices.EqualFunc(got.Closed(), want.Closed, bctx.Name.Equal) {
 		return fmt.Errorf("engine recorded %d, purged %d, activated %v, closed %v; model %d, %d, %v, %v",

@@ -32,7 +32,7 @@ func hierModel(t *testing.T) *rbac.Model {
 func TestHierarchyAwareMMER(t *testing.T) {
 	model := hierModel(t)
 
-	run := func(opts ...Option) (first, second Decision) {
+	run := func(opts ...Option) (first, second *Decision) {
 		e, err := NewEngine(adi.NewStore(), bankPolicies(), opts...)
 		if err != nil {
 			t.Fatal(err)

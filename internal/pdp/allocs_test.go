@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"msod/internal/audit"
+	"msod/internal/bctx"
 	"msod/internal/inspect"
 	"msod/internal/policy"
 	"msod/internal/race"
+	"msod/internal/rbac"
 )
 
 // TestDecideAllocs is the budget of PDP.DecideCtx and PDP.AdviseCtx
@@ -29,10 +31,16 @@ import (
 // itself allocates nothing (TestAppendAllocs); it was 3 while
 // encoding/json marshalled the entry.
 //
-// The rows' requests are in one period, as a bank's are: its name,
+// The bank rows' requests are in one period, as a bank's are: its name,
 // "Branch=*, Period=p", is bound once and found in the engine's names
 // table by every later request. "opening grant" opens a period of its
-// own each time, and builds its name.
+// own each time, and builds its name. The tax rows decide a process's
+// first and last steps, the only decisions that return Activated or
+// Closed names.
+//
+// Every row that reaches the engine pays its decision (1): the one
+// object the engine returns, sized to its shape, with a denial's Denial
+// or a grant's started or closed names inside it.
 //
 // Budgets are exact; a change that moves one edits the table and names
 // the allocation.
@@ -44,7 +52,7 @@ func TestDecideAllocs(t *testing.T) {
 	for _, tc := range decideCases() {
 		for _, kind := range decideKinds {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
-				p := newDecideRig(t, kind).pdp(t)
+				p := newDecideRig(t, kind, tc.policy).pdp(t)
 				decide := tc.decide(p)
 				reqs := tc.requests(t, p, allocRuns+1)
 				ctx := context.Background()
@@ -73,7 +81,7 @@ func BenchmarkDecide(b *testing.B) {
 	for _, tc := range decideCases() {
 		for _, kind := range decideKinds {
 			b.Run(tc.name+"/"+kind, func(b *testing.B) {
-				rig := newDecideRig(b, kind)
+				rig := newDecideRig(b, kind, tc.policy)
 				ctx := context.Background()
 				var decide func(context.Context, Request) (Decision, error)
 				var reqs []Request
@@ -101,6 +109,7 @@ var decideKinds = []string{"bare", "observed"}
 // decideCase is one row of TestDecideAllocs.
 type decideCase struct {
 	name    string
+	policy  string // the PDP's policy XML: bankPolicyXML when empty
 	advise  bool
 	prepare func(tb testing.TB, p *PDP, i int) // brings instance i into the starting state
 	request func(i int) Request
@@ -137,8 +146,8 @@ func (tc decideCase) decide(p *PDP) func(context.Context, Request) (Decision, er
 	return p.DecideCtx
 }
 
-// decideRig builds the PDPs of one kind over the bank policy: "bare"
-// has neither observer nor trail; "observed" has an observer feeding a
+// decideRig builds the PDPs of one kind over one policy: "bare" has
+// neither observer nor trail; "observed" has an observer feeding a
 // broker, and one trail that every PDP it builds appends to.
 type decideRig struct {
 	pol      *policy.RBACPolicy
@@ -146,9 +155,12 @@ type decideRig struct {
 	trail    *audit.Writer
 }
 
-func newDecideRig(tb testing.TB, kind string) decideRig {
+func newDecideRig(tb testing.TB, kind, policyXML string) decideRig {
 	tb.Helper()
-	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if policyXML == "" {
+		policyXML = bankPolicyXML
+	}
+	pol, err := policy.ParseRBACPolicy([]byte(policyXML))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -182,12 +194,13 @@ func decideCases() []decideCase {
 	period := func(int) string { return "p" }
 	return []decideCase{
 		{
-			// The engine's decision moved to the heap as Decision.MSoD
-			// (1); a recorded grant under MMER allocates nothing in the
-			// engine. It was 2 / 4 while every request built its bound
-			// name (1), 4 / 6 while the engine built a record slice for
-			// the store (1) and the store copied the record's one role
-			// (1). Observed: + event 2.
+			// The engine's decision (1), the one object it returns,
+			// which Decision.MSoD keeps (the PDP copied it to the heap
+			// before); a recorded grant under MMER allocates nothing
+			// else in the engine. It was 2 / 4 while every request
+			// built its bound name (1), 4 / 6 while the engine built a
+			// record slice for the store (1) and the store copied the
+			// record's one role (1). Observed: + event 2.
 			name: "grant",
 			prepare: func(tb testing.TB, p *PDP, i int) {
 				mustDecide(tb, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
@@ -197,7 +210,7 @@ func decideCases() []decideCase {
 			budget: map[string]float64{"bare": 1, "observed": 3},
 		},
 		{
-			// Decision.MSoD (1) and the engine's three for an opening
+			// The engine's decision (1) and its three for an opening
 			// grant: the bound name, which nothing bound before (1), and
 			// the store's new instance and the list of its unique Period
 			// value (2). Observed: + event 2.
@@ -209,14 +222,16 @@ func decideCases() []decideCase {
 			budget: map[string]float64{"bare": 4, "observed": 6},
 		},
 		{
-			// Decision.MSoD (1) and the engine's one for an MMER
-			// denial: the Denial (1), which is values. Bare, nothing
-			// renders it: Decision.Reason() would, when called.
-			// Observed: + event 2, + the denial's text (1), rendered once
-			// for the event and kept for Reason(). It was 3 / 5 while the
-			// engine wrote every denial's text (1), 4 while every request
-			// built its bound name (1), 8 while the subject was copied
-			// (1) and Denial.Error rendered the two context texts and the
+			// The engine's decision with its Denial beside it (1),
+			// which is values. Bare, nothing renders it:
+			// Decision.Reason() would, when called. Observed: + event
+			// 2, + the denial's text (1), rendered once for the event
+			// and kept for Reason(). It was 2 / 5 while the PDP copied
+			// the engine's decision to the heap (1) and the engine
+			// returned the Denial apart (1), 3 / 5 while the engine
+			// wrote every denial's text (1), 4 while every request built
+			// its bound name (1), 8 while the subject was copied (1) and
+			// Denial.Error rendered the two context texts and the
 			// sentence again (3).
 			name: "MSoD deny",
 			prepare: func(tb testing.TB, p *PDP, i int) {
@@ -224,7 +239,7 @@ func decideCases() []decideCase {
 			},
 			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "ledger", "Leeds", period(i)) },
 			allowed: false, phase: PhaseMSoD,
-			budget: map[string]float64{"bare": 2, "observed": 5},
+			budget: map[string]float64{"bare": 1, "observed": 4},
 		},
 		{
 			// Nothing: the reason is a constant and the engine never
@@ -238,8 +253,44 @@ func decideCases() []decideCase {
 			budget: map[string]float64{"bare": 0, "observed": 2},
 		},
 		{
-			// An advisory builds what the decision would —
-			// Decision.MSoD (1) — and counts the records in the engine's
+			// A tax process's first step, each in a process of its
+			// own, as gateway_tax's shards open one on 1 decision in 5.
+			// The engine's decision with Activated()'s one name beside
+			// it (1) — "TaxOffice=!, taxRefundProcess=!" binds to the
+			// request's own name — and the store's new instance and
+			// the list of its unique process value (2). It was 4 / 6
+			// while the PDP copied the engine's decision to the heap (1)
+			// beside the name's slice (1). Observed: + event 2.
+			name:   "FirstStep grant",
+			policy: taxPolicyXML,
+			request: func(i int) Request {
+				return taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", fmt.Sprint("t", i))
+			},
+			allowed: true, phase: PhaseGranted,
+			budget: map[string]float64{"bare": 3, "observed": 5},
+		},
+		{
+			// The process's last step, by another clerk, after its
+			// first step opened it: the engine's decision with
+			// Closed()'s one name beside it (1). The purge allocates
+			// nothing: the store keeps what it frees for the next
+			// first step. It was 2 / 4 while the PDP copied the
+			// engine's decision to the heap (1) beside the name's slice
+			// (1). Observed: + event 2.
+			name:   "LastStep grant",
+			policy: taxPolicyXML,
+			prepare: func(tb testing.TB, p *PDP, i int) {
+				mustDecide(tb, p, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", fmt.Sprint("t", i)), true)
+			},
+			request: func(i int) Request {
+				return taxReq("c2", "Clerk", "confirmCheck", auditTarget, "Leeds", fmt.Sprint("t", i))
+			},
+			allowed: true, phase: PhaseGranted,
+			budget: map[string]float64{"bare": 1, "observed": 3},
+		},
+		{
+			// An advisory builds what the decision would — the engine's
+			// decision (1) — and counts the records in the engine's
 			// commit buffer; it was 2 while every request built its bound
 			// name (1), 3 while the records were a slice of their own
 			// (1). It publishes and appends nothing, so both columns are
@@ -261,5 +312,42 @@ func mustDecide(t testing.TB, p *PDP, req Request, allowed bool) {
 	dec, err := p.Decide(req)
 	if err != nil || dec.Allowed != allowed {
 		t.Fatalf("Decide(%+v) = %+v, %v; want allowed=%v", req, dec, err, allowed)
+	}
+}
+
+// taxPolicyXML is the paper's tax refund process (§3): a FirstStep that
+// opens each process and a LastStep that closes it.
+const taxPolicyXML = `
+<RBACPolicy id="tax-1">
+  <RoleList><Role value="Clerk"/><Role value="Manager"/></RoleList>
+  <TargetAccessPolicy>
+    <Grant role="Clerk" operation="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
+    <Grant role="Clerk" operation="confirmCheck" target="http://secret.location.com/audit"/>
+    <Grant role="Manager" operation="approve/disapproveCheck" target="http://www.myTaxOffice.com/Check"/>
+  </TargetAccessPolicy>
+  <MSoDPolicySet>
+    <MSoDPolicy BusinessContext="TaxOffice=!, taxRefundProcess=!">
+      <FirstStep operation="prepareCheck" targetURI="http://www.myTaxOffice.com/Check"/>
+      <LastStep operation="confirmCheck" targetURI="http://secret.location.com/audit"/>
+      <MMEP ForbiddenCardinality="2">
+        <Operation value="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
+        <Operation value="confirmCheck" target="http://secret.location.com/audit"/>
+      </MMEP>
+    </MSoDPolicy>
+  </MSoDPolicySet>
+</RBACPolicy>`
+
+const (
+	checkTarget = "http://www.myTaxOffice.com/Check"
+	auditTarget = "http://secret.location.com/audit"
+)
+
+func taxReq(user, role, op, target, office, process string) Request {
+	return Request{
+		User:      rbac.UserID(user),
+		Roles:     []rbac.RoleName{rbac.RoleName(role)},
+		Operation: rbac.Operation(op),
+		Target:    rbac.Object(target),
+		Context:   bctx.MustParse("TaxOffice=" + office + ", taxRefundProcess=" + process),
 	}
 }

@@ -230,7 +230,8 @@ type Decision struct {
 	// not copy it, and the retained ADI keeps a copy of its own.
 	User  rbac.UserID
 	Roles []rbac.RoleName
-	// MSoD carries the engine's decision details when MSoD ran.
+	// MSoD is the engine's decision when MSoD ran: the one object the
+	// engine returns, kept, not copied.
 	MSoD *core.Decision
 	// reason is the denial's text when it is written already: the RBAC
 	// constant, or an MSoD denial rendered for the stream event.
@@ -317,11 +318,10 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	if observed {
 		p.commitMu.Lock()
 	}
-	var mdec core.Decision
 	if commit {
-		mdec, err = p.engine.EvaluateCtx(ctx, msodReq)
+		dec.MSoD, err = p.engine.EvaluateCtx(ctx, msodReq)
 	} else {
-		mdec, err = p.engine.PeekCtx(ctx, msodReq)
+		dec.MSoD, err = p.engine.PeekCtx(ctx, msodReq)
 	}
 	if err != nil {
 		if observed {
@@ -330,12 +330,11 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 		endMSoD.End()
 		return Decision{}, err
 	}
-	dec.MSoD = &mdec
-	if mdec.Effect == core.Deny {
+	if dec.MSoD.Effect == core.Deny {
 		dec.Phase = PhaseMSoD
 		if observed {
 			// Rendered once, for the stream event; Reason returns it.
-			dec.reason = mdec.Denial.Error()
+			dec.reason = dec.MSoD.Denial.Error()
 		}
 	} else {
 		dec.Allowed = true
@@ -470,8 +469,8 @@ func (p *PDP) publish(ev audit.Event, dec Decision) {
 		MatchedPolicies: ev.MatchedPolicies,
 	}
 	if dec.MSoD != nil {
-		out.Recorded = dec.MSoD.Recorded
-		out.Purged = dec.MSoD.Purged
+		out.Recorded = int(dec.MSoD.Recorded)
+		out.Purged = int(dec.MSoD.Purged)
 	}
 	if !dec.Allowed {
 		out.Stage = string(dec.Phase)

@@ -247,11 +247,11 @@ func (s *searcher) dfs(depth int) bool {
 // fresh engine and store, returning the candidate's decision. Replaying
 // from scratch keeps the engine and store free of rollback hooks; at
 // the search's bounded depths the cost is negligible.
-func (s *searcher) try(step, user int, role rbac.RoleName) (core.Decision, bool) {
+func (s *searcher) try(step, user int, role rbac.RoleName) (*core.Decision, bool) {
 	need := len(s.choices) + 1
 	if s.budget < need {
 		s.inconclusive = true
-		return core.Decision{}, false
+		return nil, false
 	}
 	s.budget -= need
 	var opts []core.Option
@@ -261,18 +261,18 @@ func (s *searcher) try(step, user int, role rbac.RoleName) (core.Decision, bool)
 	eng, err := core.NewEngine(adi.NewStore(), s.c.compiled, opts...)
 	if err != nil {
 		s.inconclusive, s.evalErr = true, err
-		return core.Decision{}, false
+		return nil, false
 	}
 	for _, ch := range s.choices {
 		if _, err := eng.Evaluate(s.request(ch)); err != nil {
 			s.inconclusive, s.evalErr = true, err
-			return core.Decision{}, false
+			return nil, false
 		}
 	}
 	dec, err := eng.Evaluate(s.request(choice{step, user, role}))
 	if err != nil {
 		s.inconclusive, s.evalErr = true, err
-		return core.Decision{}, false
+		return nil, false
 	}
 	return dec, true
 }

@@ -219,6 +219,7 @@ func BenchmarkServeDecision(b *testing.B) {
 // serveCase is one row of TestServeDecisionAllocs.
 type serveCase struct {
 	name    string
+	policy  string                       // the shard's policy XML: bankPolicyXML when empty
 	prepare func(i int) *DecisionRequest // served first, to bring instance i into the starting state
 	request func(i int) DecisionRequest
 	// handoff serves the case on a shard run with -handoff, as every
@@ -261,10 +262,16 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 	teller := func(user string, i int) DecisionRequest {
 		return DecisionRequest{User: user, Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 	}
+	// A tax process's steps are each in a process of their own.
+	taxStep := func(user, role, op, target string, i int) DecisionRequest {
+		return DecisionRequest{User: user, Roles: []string{role}, Operation: op, Target: target,
+			Context: fmt.Sprintf("TaxOffice=Leeds, taxRefundProcess=t%d", i)}
+	}
 	return []serveCase{
 		{
-			// 7 + the engine's decision moved to the heap as
-			// Decision.MSoD (1); the engine allocates nothing. It was
+			// 7 + the engine's decision (1), the one object it returns,
+			// which Decision.MSoD keeps (the PDP copied it to the heap
+			// before); the engine allocates nothing else. It was
 			// 11 / 9 while every request built its bound name (1) — every
 			// row of the table but "MMER opening grant" and "RBAC deny"
 			// went down 1 with it — 13 / 10 while the trace, the context carrying
@@ -284,7 +291,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			budget: map[string]float64{"default": 10, "bare": 8, "all-on": 10},
 		},
 		{
-			// 7 + Decision.MSoD (1) and the engine's three for an opening
+			// 7 + the engine's decision (1) and its three for an opening
 			// grant: the bound name, which nothing bound before (1), and
 			// the store's new instance and the list of its unique Period
 			// value (2). Default: + event 2.
@@ -369,12 +376,15 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			budget: map[string]float64{"default": 16, "bare": 13, "all-on": 16},
 		},
 		{
-			// 7 + Decision.MSoD (1), the Denial (1) and its one text
-			// (1): Denial.Error, rendered once per decision — for the
+			// 7 + the engine's decision with its Denial beside it (1)
+			// and the denial's one text (1): Denial.Error, rendered once
+			// per decision — for the
 			// stream event where there is an observer, which
 			// Decision.Reason() then returns for the answer, else by
 			// Reason() itself. Its engine-built text, which quoted the
-			// user, was the same one allocation. It was 13 / 11
+			// user, was the same one allocation. It was 12 / 10 while
+			// Decision.MSoD was the PDP's heap copy of the engine's
+			// decision (1) and the Denial apart (1), 13 / 11
 			// with the bound name (1), 20 / 17 while the request's strings and the
 			// trace ID were apart, 25 / 22 while the roles were copied and
 			// converted back (2) and Denial.Error rendered the policy
@@ -386,7 +396,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return DecisionRequest{User: "alice", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: ctx(i)}
 			},
 			allowed: false, phase: "msod",
-			budget: map[string]float64{"default": 12, "bare": 10, "all-on": 12},
+			budget: map[string]float64{"default": 11, "bare": 9, "all-on": 11},
 		},
 		{
 			// 7: the reason is a constant. It was 10 / 8 while the reason
@@ -401,6 +411,44 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			},
 			allowed: false, phase: "rbac",
 			budget: map[string]float64{"default": 9, "bare": 7, "all-on": 9},
+		},
+		{
+			// A tax process's first step, each in a process of its
+			// own, as gateway_tax's shards open one on 1 decision in 5.
+			// 7 + the engine's decision with Activated()'s one name
+			// beside it (1), the store's new instance and the list of
+			// its unique process value (2), and the answer's Activated:
+			// the slice (1) and the name's text (1). It was 15 / 13
+			// while Decision.MSoD was the PDP's heap copy of the
+			// engine's decision (1) beside the name's slice (1).
+			// Default: + event 2.
+			name:   "FirstStep grant",
+			policy: taxPolicyXML,
+			request: func(i int) DecisionRequest {
+				return taxStep("c1", "Clerk", "prepareCheck", "http://www.myTaxOffice.com/Check", i)
+			},
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 14, "bare": 12, "all-on": 14},
+		},
+		{
+			// The process's last step, by another clerk, after its
+			// first step opened it. 7 + the engine's decision with
+			// Closed()'s one name beside it (1), and the answer's
+			// Closed: the slice (1) and the name's text (1). The purge
+			// allocates nothing. It was 13 / 11 while Decision.MSoD was
+			// the PDP's heap copy (1) beside the name's slice (1).
+			// Default: + event 2.
+			name:   "LastStep grant",
+			policy: taxPolicyXML,
+			prepare: func(i int) *DecisionRequest {
+				r := taxStep("c1", "Clerk", "prepareCheck", "http://www.myTaxOffice.com/Check", i)
+				return &r
+			},
+			request: func(i int) DecisionRequest {
+				return taxStep("c2", "Clerk", "confirmCheck", "http://secret.location.com/audit", i)
+			},
+			allowed: true, phase: "granted",
+			budget: map[string]float64{"default": 12, "bare": 10, "all-on": 12},
 		},
 		{
 			// No user or roles in the body but one signed credential, so
@@ -422,7 +470,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			// credential that passes. It added 6 while json.Marshal
 			// re-marshalled the payload for the Ed25519 check
 			// (credential boxed, two time texts, the result: 4) and
-			// every call made the map (1). Then Decision.MSoD (1). It
+			// every call made the map (1). Then the engine's decision (1). It
 			// was 14 / 12 with the bound name (1), 23 / 20 with the
 			// request's strings and the trace ID apart, 36 / 33 through
 			// encoding/json and json.Marshal, 38 / 35 with the engine's
@@ -449,7 +497,11 @@ type serveFixture struct {
 }
 
 func newServeFixture(tb testing.TB, tc serveCase, kind string, soa *credential.Authority) *serveFixture {
-	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	policyXML := tc.policy
+	if policyXML == "" {
+		policyXML = bankPolicyXML
+	}
+	pol, err := policy.ParseRBACPolicy([]byte(policyXML))
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -105,8 +105,8 @@ func (c *decisionCall) response(dec pdp.Decision) DecisionResponse {
 		resp.Roles = fromRoles(dec.Roles)
 	}
 	if dec.MSoD != nil {
-		resp.Recorded = dec.MSoD.Recorded
-		resp.Purged = dec.MSoD.Purged
+		resp.Recorded = int(dec.MSoD.Recorded)
+		resp.Purged = int(dec.MSoD.Purged)
 		resp.MatchedPolicies = dec.MSoD.MatchedPolicies
 		resp.Activated = boundNames(dec.MSoD.Activated())
 		resp.Closed = boundNames(dec.MSoD.Closed())
