@@ -26,10 +26,11 @@ test-race:
 # front of it, ring lookup included (cluster). `make test` runs them too; this target is the quick check
 # after touching any of them. It also pins the bytes that hand-built
 # text saves allocations on (TestDenialTextIsFmtText: a denial's text is
-# fmt's), the 64-byte Decision the PDP copies to the heap
-# (TestDecisionSize) and the shard's one per-decision context in its
-# 384-byte size class (TestDecisionContextSize). Never under -race: the
-# detector allocates, and the tests skip themselves there.
+# fmt's), the one object an evaluation returns, each of its shapes in a
+# size class no larger than what it replaced (TestDecisionSize), and the
+# shard's one per-decision context in its 384-byte size class
+# (TestDecisionContextSize). Never under -race: the detector allocates,
+# and the tests skip themselves there.
 allocs:
 	$(GO) test -run 'Allocs|^TestDenialTextIsFmtText$$|^TestDecisionSize$$|^TestDecisionContextSize$$' ./internal/core ./internal/adi ./internal/bctx ./internal/rbac \
 		./internal/obsv ./internal/audit ./internal/credential ./internal/pdp ./internal/server ./internal/cluster
