@@ -54,6 +54,14 @@ func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request, path stri
 	if !ok {
 		return
 	}
+	// A grant's opens and closes are carried to the other shards under
+	// its requestID (§5e): one too long to carry is refused before a
+	// shard can commit a step the others would never hear of.
+	if path == server.DecisionPath && !server.RequestIDFits(peek.RequestID) {
+		g.metrics.badRequests.Add(1)
+		errorJSON(w, http.StatusBadRequest, fmt.Sprintf("requestID of %d bytes is too long to carry to the other shards", len(peek.RequestID)))
+		return
+	}
 	g.routeDecision(w, r, body, peek, traceparent, path)
 }
 

@@ -137,14 +137,34 @@ func isOpen(entry string) bool { return strings.HasPrefix(entry, "|") }
 func appendEscaped(b []byte, s string, spaces bool) []byte {
 	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '%' || c == ';' || c == '|' || c < 0x20 || c >= 0x7f || (spaces && c == ' '):
+		if c := s[i]; escaped(c, spaces) {
 			b = append(b, '%', hex[c>>4], hex[c&0xf])
-		default:
+		} else {
 			b = append(b, c)
 		}
 	}
 	return b
+}
+
+// escaped reports whether appendEscaped writes c as %XX.
+func escaped(c byte, spaces bool) bool {
+	return c == '%' || c == ';' || c == '|' || c < 0x20 || c >= 0x7f || (spaces && c == ' ')
+}
+
+// RequestIDFits reports whether an open or close under requestID fits
+// one entry (entryMax) beside the shortest instance an entry can name,
+// "T=v": its escaped text, the open's leading '|' and the separator. A
+// gateway refuses a recording request under any other requestID before
+// a shard sees it, since the shard would commit a step the gateway
+// could then not carry to the others.
+func RequestIDFits(requestID string) bool {
+	n := len("|") + len("|") + len("T=v") + len(requestID)
+	for i := 0; i < len(requestID); i++ {
+		if escaped(requestID[i], true) {
+			n += len("XX")
+		}
+	}
+	return n <= entryMax
 }
 
 // unescape undoes appendEscaped. A field without an escape — every

@@ -628,3 +628,18 @@ func TestOutboxNeverDropsAnActivation(t *testing.T) {
 		t.Fatalf("after the acknowledgement: %d pending, want room again", o.Pending())
 	}
 }
+
+// TestRequestIDFitsIsTheShortestEntry: RequestIDFits accepts exactly the
+// requestIDs under which an open of one shortest instance encodes, at
+// the bound and across it, with and without escaped bytes.
+func TestRequestIDFitsIsTheShortestEntry(t *testing.T) {
+	for _, unit := range []string{"r", "%", " ", "\xff"} {
+		for n := 1; n <= entryMax; n++ {
+			id := strings.Repeat(unit, n)
+			_, ok := EncodeActivation(id, []string{"T=v"})
+			if RequestIDFits(id) != ok {
+				t.Fatalf("RequestIDFits of %d × %q = %v; the open encodes: %v", n, unit, !ok, ok)
+			}
+		}
+	}
+}
