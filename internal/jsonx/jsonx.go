@@ -4,18 +4,19 @@
 // audit trail's event. The encoding is the log format, so it is
 // encoding/json's to the byte — its string escaping with HTML escaping
 // on (Marshal's default), and time.Time.MarshalJSON's text and errors —
-// and the fuzz targets of its callers compare the two. It imports
+// and the fuzz targets of its callers compare the two. The shard's
+// decision answer is written through WriteEscaped with HTML escaping
+// off, as an Encoder after SetEscapeHTML(false) writes it. It imports
 // nothing from this module, so any layer may use it.
 package jsonx
 
 import (
 	"errors"
 	"fmt"
+	"io"
 	"time"
 	"unicode/utf8"
 )
-
-const hex = "0123456789abcdef"
 
 // AppendString appends s as a JSON string: quoted and escaped.
 func AppendString(dst []byte, s string) []byte {
@@ -34,56 +35,81 @@ func AppendString(dst []byte, s string) []byte {
 // '<', '>' and '&' are written \u003c, \u003e and \u0026; an invalid
 // UTF-8 byte is written \ufffd; U+2028 and U+2029 are escaped.
 func AppendEscaped(dst []byte, s string) []byte {
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if safe(b) {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
-			}
-			i++
-			start = i
-			continue
+	for {
+		at, esc, size := escape(s, true)
+		dst = append(dst, s[:at]...)
+		if size == 0 {
+			return dst
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case c == utf8.RuneError && size == 1:
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-		case c == '\u2028' || c == '\u2029':
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
-		default:
-			i += size
-			continue
-		}
-		i += size
-		start = i
+		dst = append(dst, esc...)
+		s = s[at+size:]
 	}
-	return append(dst, s[start:]...)
 }
 
-// safe reports whether an ASCII byte is written as itself.
-func safe(b byte) bool {
-	return b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+// WriteEscaped writes the escaped body of s without the quotes to w, as
+// AppendEscaped appends it, in pieces: the runs of s written as
+// themselves, and each escape, a constant string. With html false '<',
+// '>' and '&' are written as themselves, as by an encoding/json Encoder
+// after SetEscapeHTML(false). It allocates nothing; an error of w ends
+// the writing and is returned.
+func WriteEscaped(w io.StringWriter, s string, html bool) error {
+	for {
+		at, esc, size := escape(s, html)
+		if at > 0 {
+			if _, err := w.WriteString(s[:at]); err != nil {
+				return err
+			}
+		}
+		if size == 0 {
+			return nil
+		}
+		if _, err := w.WriteString(esc); err != nil {
+			return err
+		}
+		s = s[at+size:]
+	}
 }
+
+// escape finds the first byte of s that is not written as itself. It
+// returns its index, the escape written in its place and the length of
+// what the escape replaces: one byte, or the three of U+2028 and
+// U+2029; len(s), "" and 0 when every byte is written as itself.
+func escape(s string, html bool) (at int, esc string, size int) {
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if esc := asciiEscapes[b]; esc != "" && (html || !htmlByte(b)) {
+				return i, esc, 1
+			}
+			i++
+			continue
+		}
+		c, n := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && n == 1:
+			return i, `\ufffd`, 1
+		case c == '\u2028':
+			return i, `\u2028`, n
+		case c == '\u2029':
+			return i, `\u2029`, n
+		}
+		i += n
+	}
+	return len(s), "", 0
+}
+
+// asciiEscapes is the escape of each ASCII byte that is not written as
+// itself under HTML escaping, and "" for one that is.
+var asciiEscapes = [utf8.RuneSelf]string{
+	`\u0000`, `\u0001`, `\u0002`, `\u0003`, `\u0004`, `\u0005`, `\u0006`, `\u0007`,
+	`\b`, `\t`, `\n`, `\u000b`, `\f`, `\r`, `\u000e`, `\u000f`,
+	`\u0010`, `\u0011`, `\u0012`, `\u0013`, `\u0014`, `\u0015`, `\u0016`, `\u0017`,
+	`\u0018`, `\u0019`, `\u001a`, `\u001b`, `\u001c`, `\u001d`, `\u001e`, `\u001f`,
+	'"': `\"`, '\\': `\\`, '<': `\u003c`, '>': `\u003e`, '&': `\u0026`,
+}
+
+// htmlByte reports whether b is escaped only under HTML escaping.
+func htmlByte(b byte) bool { return b == '<' || b == '>' || b == '&' }
 
 // AppendTime appends t as time.Time.MarshalJSON writes it: the quoted
 // RFC 3339 text with nanoseconds. A time RFC 3339 cannot spell — a year

@@ -31,6 +31,39 @@ func TestAppendStringMatchesMarshal(t *testing.T) {
 	}
 }
 
+// TestWriteEscapedMatchesEncoder: WriteEscaped writes what AppendEscaped
+// appends with HTML escaping on, and what an Encoder writes after
+// SetEscapeHTML(false) with it off, for the inputs of
+// TestAppendStringMatchesMarshal.
+func TestWriteEscapedMatchesEncoder(t *testing.T) {
+	inputs := []string{
+		"", "plain", `<script>&amp;</script>`, `say "hi" \ back`, "\b\f\n\r\t\x00\x1f\x7f",
+		"\xe2\x80\xa8", "\xe2\x80\xa9", "\xef\xbf\xbd", "\xe6\x97", "\xf0\x9f\x98\x80", "bad\xff\xfeutf8",
+		"\xed\xa0\x80", "a\xe2\x80\xa8b<c>d&e\"f\\g\x01h\xffi",
+	}
+	for b := 0; b < 256; b++ {
+		inputs = append(inputs, string([]byte{byte(b)}), "x"+string([]byte{byte(b)})+"y")
+	}
+	for _, s := range inputs {
+		var on, off bytes.Buffer
+		if WriteEscaped(&on, s, true) != nil || WriteEscaped(&off, s, false) != nil {
+			t.Fatal("a bytes.Buffer failed a write")
+		}
+		if want := AppendEscaped(nil, s); !bytes.Equal(on.Bytes(), want) {
+			t.Errorf("WriteEscaped(%q, html) = %s, AppendEscaped %s", s, on.Bytes(), want)
+		}
+		var enc bytes.Buffer
+		e := json.NewEncoder(&enc)
+		e.SetEscapeHTML(false)
+		if err := e.Encode(s); err != nil {
+			t.Fatal(err)
+		}
+		if want := enc.Bytes(); `"`+off.String()+"\"\n" != string(want) {
+			t.Errorf("WriteEscaped(%q) = %s, the Encoder %s", s, off.Bytes(), want)
+		}
+	}
+}
+
 // TestAppendEscapedInPieces: a string split at its ASCII bytes escapes
 // piece by piece to what it escapes to whole — what a caller writing a
 // context name component by component relies on.
