@@ -70,7 +70,10 @@ func eventRequest(ev Event) (core.Request, error) {
 }
 
 // NewEvent builds a trail event from an engine request and decision.
-func NewEvent(req core.Request, dec core.Decision, at time.Time) Event {
+// Its Context is the request context's canonical text: spelled, the
+// text the caller parsed it from, when that is it already, which costs
+// no allocation (bctx.Name.Spelled); rendered otherwise.
+func NewEvent(req core.Request, spelled string, dec core.Decision, at time.Time) Event {
 	roles := make([]string, len(req.Roles))
 	for i, r := range req.Roles {
 		roles[i] = string(r)
@@ -85,7 +88,7 @@ func NewEvent(req core.Request, dec core.Decision, at time.Time) Event {
 		Roles:           roles,
 		Operation:       string(req.Operation),
 		Target:          string(req.Target),
-		Context:         req.Context.String(),
+		Context:         req.Context.Spelled(spelled),
 		Effect:          effect,
 		MatchedPolicies: dec.MatchedPolicies,
 	}

@@ -45,7 +45,7 @@ func runAndLog(t *testing.T, w *Writer, eng *core.Engine, reqs []core.Request) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Append(NewEvent(r, *dec, at)); err != nil {
+		if _, err := w.Append(NewEvent(r, "", *dec, at)); err != nil {
 			t.Fatal(err)
 		}
 		at = at.Add(time.Minute)

@@ -25,9 +25,12 @@ import (
 // (TestRetainedHistoryOwnsItsRoles). It was 1 more on every decision
 // while the PDP copied the roles into the Decision. "bare" is a PDP
 // with neither observer nor trail; "observed" has both, and then every
-// decision also pays the event (2: Roles as []string, the request
-// context's text — built once, shared by the stream event and the trail
-// entry), and an MSoD denial the event's reason (1). The trail append
+// decision also pays the event (1: Roles as []string), and an MSoD
+// denial the event's reason (1). The event's context text, shared by the
+// stream event and the trail entry, is the request's ContextText, which
+// every row spells canonically, as the shard's requests do; it was 1
+// more while the event rendered it, and a caller without the text pays
+// that still. The trail append
 // itself allocates nothing (TestAppendAllocs); it was 3 while
 // encoding/json marshalled the entry.
 //
@@ -200,32 +203,32 @@ func decideCases() []decideCase {
 			// else in the engine. It was 2 / 4 while every request
 			// built its bound name (1), 4 / 6 while the engine built a
 			// record slice for the store (1) and the store copied the
-			// record's one role (1). Observed: + event 2.
+			// record's one role (1). Observed: + event 1.
 			name: "grant",
 			prepare: func(tb testing.TB, p *PDP, i int) {
 				mustDecide(tb, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 1, "observed": 3},
+			budget: map[string]float64{"bare": 1, "observed": 2},
 		},
 		{
 			// The engine's decision (1) and its three for an opening
 			// grant: the bound name, which nothing bound before (1), and
 			// the store's new instance and the list of its unique Period
-			// value (2). Observed: + event 2.
+			// value (2). Observed: + event 1.
 			name: "opening grant",
 			request: func(i int) Request {
 				return bankReq("alice", "Teller", "HandleCash", "till", "York", fmt.Sprint("p", i))
 			},
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 4, "observed": 6},
+			budget: map[string]float64{"bare": 4, "observed": 5},
 		},
 		{
 			// The engine's decision with its Denial beside it (1),
 			// which is values. Bare, nothing renders it:
 			// Decision.Reason() would, when called. Observed: + event
-			// 2, + the denial's text (1), rendered once for the event
+			// 1, + the denial's text (1), rendered once for the event
 			// and kept for Reason(). It was 2 / 5 while the PDP copied
 			// the engine's decision to the heap (1) and the engine
 			// returned the Denial apart (1), 3 / 5 while the engine
@@ -239,18 +242,18 @@ func decideCases() []decideCase {
 			},
 			request: func(i int) Request { return bankReq("alice", "Auditor", "Audit", "ledger", "Leeds", period(i)) },
 			allowed: false, phase: PhaseMSoD,
-			budget: map[string]float64{"bare": 1, "observed": 4},
+			budget: map[string]float64{"bare": 1, "observed": 3},
 		},
 		{
 			// Nothing: the reason is a constant and the engine never
 			// runs. It was 1 while the reason was a concatenation
 			// naming the permission (1), 4 while the subject was copied
 			// (1) and the reason was Sprintf's: the permission boxed (1),
-			// its text (1), the sentence (1). Observed: + event 2.
+			// its text (1), the sentence (1). Observed: + event 1.
 			name:    "RBAC deny",
 			request: func(i int) Request { return bankReq("alice", "Teller", "Audit", "ledger", "York", period(i)) },
 			allowed: false, phase: PhaseRBAC,
-			budget: map[string]float64{"bare": 0, "observed": 2},
+			budget: map[string]float64{"bare": 0, "observed": 1},
 		},
 		{
 			// A tax process's first step, each in a process of its
@@ -260,14 +263,14 @@ func decideCases() []decideCase {
 			// request's own name — and the store's new instance and
 			// the list of its unique process value (2). It was 4 / 6
 			// while the PDP copied the engine's decision to the heap (1)
-			// beside the name's slice (1). Observed: + event 2.
+			// beside the name's slice (1). Observed: + event 1.
 			name:   "FirstStep grant",
 			policy: taxPolicyXML,
 			request: func(i int) Request {
 				return taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", fmt.Sprint("t", i))
 			},
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 3, "observed": 5},
+			budget: map[string]float64{"bare": 3, "observed": 4},
 		},
 		{
 			// The process's last step, by another clerk, after its
@@ -276,7 +279,7 @@ func decideCases() []decideCase {
 			// nothing: the store keeps what it frees for the next
 			// first step. It was 2 / 4 while the PDP copied the
 			// engine's decision to the heap (1) beside the name's slice
-			// (1). Observed: + event 2.
+			// (1). Observed: + event 1.
 			name:   "LastStep grant",
 			policy: taxPolicyXML,
 			prepare: func(tb testing.TB, p *PDP, i int) {
@@ -286,7 +289,7 @@ func decideCases() []decideCase {
 				return taxReq("c2", "Clerk", "confirmCheck", auditTarget, "Leeds", fmt.Sprint("t", i))
 			},
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 1, "observed": 3},
+			budget: map[string]float64{"bare": 1, "observed": 2},
 		},
 		{
 			// An advisory builds what the decision would — the engine's
@@ -343,11 +346,13 @@ const (
 )
 
 func taxReq(user, role, op, target, office, process string) Request {
+	text := "TaxOffice=" + office + ", taxRefundProcess=" + process
 	return Request{
-		User:      rbac.UserID(user),
-		Roles:     []rbac.RoleName{rbac.RoleName(role)},
-		Operation: rbac.Operation(op),
-		Target:    rbac.Object(target),
-		Context:   bctx.MustParse("TaxOffice=" + office + ", taxRefundProcess=" + process),
+		User:        rbac.UserID(user),
+		Roles:       []rbac.RoleName{rbac.RoleName(role)},
+		Operation:   rbac.Operation(op),
+		Target:      rbac.Object(target),
+		Context:     bctx.MustParse(text),
+		ContextText: text,
 	}
 }

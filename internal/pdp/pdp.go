@@ -190,8 +190,12 @@ type Request struct {
 	// Operation and Target are the access request ADI.
 	Operation rbac.Operation
 	Target    rbac.Object
-	// Context is the business context instance of the request.
-	Context bctx.Name
+	// Context is the business context instance of the request, and
+	// ContextText the text the caller parsed it from, if any: the events
+	// of the decision carry Context's canonical text, which is
+	// ContextText, at no allocation, when the caller spelled it so.
+	Context     bctx.Name
+	ContextText string
 	// Environment is opaque contextual information, logged but not
 	// evaluated (time-of-day style conditions are outside the paper's
 	// scope).
@@ -297,7 +301,7 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 		// RBAC denials never touch the store, so they need no commit
 		// ordering: publish and append directly.
 		if observed || trailed {
-			ev := p.event(ctx, msodReq, dec)
+			ev := p.event(ctx, msodReq, req.ContextText, dec)
 			if observed {
 				p.publish(ev, dec)
 			}
@@ -342,7 +346,7 @@ func (p *PDP) run(ctx context.Context, req Request, commit bool) (Decision, erro
 	}
 	var ev audit.Event
 	if observed || trailed {
-		ev = p.event(ctx, msodReq, dec)
+		ev = p.event(ctx, msodReq, req.ContextText, dec)
 	}
 	if observed {
 		p.publish(ev, dec)
@@ -437,8 +441,9 @@ func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
 }
 
 // event builds the audit record for a decision, stamping the context's
-// trace ID so the durable record and the live event stream correlate.
-func (p *PDP) event(ctx context.Context, req core.Request, dec Decision) audit.Event {
+// trace ID so the durable record and the live event stream correlate;
+// spelled is the request's ContextText.
+func (p *PDP) event(ctx context.Context, req core.Request, spelled string, dec Decision) audit.Event {
 	var cd core.Decision
 	if dec.MSoD != nil {
 		cd = *dec.MSoD
@@ -446,7 +451,7 @@ func (p *PDP) event(ctx context.Context, req core.Request, dec Decision) audit.E
 	if !dec.Allowed {
 		cd.Effect = core.Deny
 	}
-	ev := audit.NewEvent(req, cd, p.clock())
+	ev := audit.NewEvent(req, spelled, cd, p.clock())
 	ev.TraceID = string(obsv.TraceIDFrom(ctx))
 	return ev
 }

@@ -2,6 +2,7 @@ package pdp
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -59,13 +60,43 @@ func bankPDP(t *testing.T) *PDP {
 	return p
 }
 
+// bankReq builds a request as the shard does, with the context's text
+// beside its name.
 func bankReq(user, role, op, target, branch, period string) Request {
+	text := "Branch=" + branch + ", Period=" + period
 	return Request{
-		User:      rbac.UserID(user),
-		Roles:     []rbac.RoleName{rbac.RoleName(role)},
-		Operation: rbac.Operation(op),
-		Target:    rbac.Object(target),
-		Context:   bctx.MustParse("Branch=" + branch + ", Period=" + period),
+		User:        rbac.UserID(user),
+		Roles:       []rbac.RoleName{rbac.RoleName(role)},
+		Operation:   rbac.Operation(op),
+		Target:      rbac.Object(target),
+		Context:     bctx.MustParse(text),
+		ContextText: text,
+	}
+}
+
+// TestEventContextIsCanonical: the events of a decision carry the
+// request context's canonical text, whether the caller spelled it so,
+// spelled it otherwise, or gave no text.
+func TestEventContextIsCanonical(t *testing.T) {
+	var got []string
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{Policy: pol, Observer: func(ev inspect.DecisionEvent) { got = append(got, ev.Context) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const canonical = "Branch=York, Period=p"
+	for _, text := range []string{canonical, " Branch = York ,Period=p ", ""} {
+		req := bankReq("alice", "Teller", "HandleCash", "till", "York", "p")
+		req.ContextText = text
+		if _, err := p.Decide(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []string{canonical, canonical, canonical}; !slices.Equal(got, want) {
+		t.Fatalf("event contexts %q, want %q", got, want)
 	}
 }
 
