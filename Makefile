@@ -60,7 +60,8 @@ benchmark-check:
 # hand-written WAL and trail lines to json.Marshal's bytes,
 # FuzzCredentialPayload the signed credential payload,
 # FuzzIdempotentReplay a replayed answer to the first answer's bytes
-# (WriteJSON's); FuzzTrailWalk holds a trail walk advanced while edited
+# and both to WriteJSON's, FuzzAnswerWriter the shard's answer writer
+# (jsonx with HTML escaping off) to WriteJSON's; FuzzTrailWalk holds a trail walk advanced while edited
 # segments grow to one from-genesis Verify (count and error class);
 # FuzzEvaluate is differential too: the reference model
 # (internal/refmodel) sees every request the engine evaluates, and the
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz='^FuzzParseRBACPolicy$$' -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run '^$$' -fuzz='^FuzzDecodeDecisionRequest$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz='^FuzzIdempotentReplay$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz='^FuzzAnswerWriter$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz='^FuzzEvaluate$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz='^FuzzPolicyCheck$$' -fuzztime=$(FUZZTIME) ./internal/policycheck
 	$(GO) test -run '^$$' -fuzz='^FuzzAppendWALEntry$$' -fuzztime=$(FUZZTIME) ./internal/adi

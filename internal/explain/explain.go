@@ -21,8 +21,10 @@ import (
 	"slices"
 	"time"
 
+	"msod/internal/bctx"
 	"msod/internal/core"
 	"msod/internal/obsv"
+	"msod/internal/rbac"
 )
 
 // Outcomes as they appear in explain records (matching the audit
@@ -123,6 +125,19 @@ type Record struct {
 	Governing *RuleEval `json:"governing,omitempty"`
 }
 
+// texts renders a list of a Decision for its Record: nil when it is
+// empty, so the member is omitted.
+func texts[T any](list []T, text func(T) string) []string {
+	if len(list) == 0 {
+		return nil
+	}
+	out := make([]string, len(list))
+	for i, v := range list {
+		out[i] = text(v)
+	}
+	return out
+}
+
 // finalize derives Governing, a copy, from the rendered rule
 // evaluations.
 func (r *Record) finalize() {
@@ -154,14 +169,14 @@ type Decision struct {
 	// claim when it resolved none); Context is the instance in its
 	// canonical spelling.
 	User                       string
-	Roles                      []string
+	Roles                      []rbac.RoleName
 	Operation, Target, Context string
 	// Outcome is OutcomeGrant, OutcomeDeny or OutcomeError; Reason is
 	// the denial or the error.
 	Outcome, Phase, Reason            string
 	MatchedPolicies, Recorded, Purged int
 	Advisory                          bool
-	Terminated                        []string // the answer's Closed
+	Terminated                        []bctx.Name // the answer's Closed
 }
 
 // Entry is one decision as the ring keeps it: the shard's Decision,
@@ -191,8 +206,9 @@ func (e *Entry) record() Record {
 	d := &e.Decision
 	r := Record{
 		RequestID: d.RequestID, TraceID: d.TraceID, Time: d.Time,
-		User: d.User, Roles: slices.Clone(d.Roles), Terminated: slices.Clone(d.Terminated),
-		Operation: d.Operation, Target: d.Target, Context: d.Context,
+		User: d.User, Roles: texts(d.Roles, func(r rbac.RoleName) string { return string(r) }),
+		Terminated: texts(d.Terminated, bctx.Name.String),
+		Operation:  d.Operation, Target: d.Target, Context: d.Context,
 		Outcome: d.Outcome, Phase: d.Phase, Reason: d.Reason,
 		MatchedPolicies: d.MatchedPolicies, Recorded: d.Recorded, Purged: d.Purged,
 		ElapsedSeconds: d.Elapsed.Seconds(),

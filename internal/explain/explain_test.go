@@ -21,7 +21,7 @@ func TestRecorderRoundtrip(t *testing.T) {
 		Roles: []rbac.RoleName{"Auditor", "Clerk", "Teller"}, K: 0, KAfter: 2, M: 2})
 	rec.Rule(core.RuleEval{Policy: "P=!", Bound: bctx.MustParse("P=1"), Rule: "MMEP[0]",
 		Privilege: rbac.Permission{Operation: "op", Object: "t"}, K: 1, KAfter: 1, M: 2, Denied: true})
-	rc.Commit(rec, &Decision{RequestID: "req-1", User: "alice", Terminated: []string{"P=1"}})
+	rc.Commit(rec, &Decision{RequestID: "req-1", User: "alice", Terminated: []bctx.Name{bctx.MustParse("P=1")}})
 
 	got, ok := rc.Get("req-1")
 	if !ok {
@@ -206,7 +206,7 @@ func TestGetReturnsDeepCopy(t *testing.T) {
 	rc := NewRing(4)
 	rec := rc.Begin()
 	rec.Rule(core.RuleEval{Rule: "MMEP[0]", M: 2, Privilege: rbac.Permission{Operation: "prepareCheck", Object: "check"}})
-	rc.Commit(rec, &Decision{RequestID: "req-1", Roles: []string{"Clerk"}, Terminated: []string{"P=1"}})
+	rc.Commit(rec, &Decision{RequestID: "req-1", Roles: []rbac.RoleName{"Clerk"}, Terminated: []bctx.Name{bctx.MustParse("P=1")}})
 
 	a, _ := rc.Get("req-1")
 	a.Roles[0] = "CLOBBERED"

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"msod/internal/bctx"
 	"msod/internal/obsv"
+	"msod/internal/rbac"
 )
 
 // filed is what the model of TestRingAgainstModel keeps of a commit
@@ -120,10 +122,13 @@ func TestServedCopySurvivesRecycling(t *testing.T) {
 		if got.RequestID != "k"+got.User || len(got.Roles) != 3 || len(got.Terminated) != 1 {
 			return fmt.Errorf("foreign content: %+v", got)
 		}
-		for _, role := range append(got.Roles, got.Terminated...) {
+		for _, role := range got.Roles {
 			if role != got.User {
 				return fmt.Errorf("foreign slices: %+v", got)
 			}
+		}
+		if got.Terminated[0] != "P="+got.User {
+			return fmt.Errorf("foreign slices: %+v", got)
 		}
 		return nil
 	}
@@ -139,7 +144,7 @@ func TestServedCopySurvivesRecycling(t *testing.T) {
 				e := rc.Begin()
 				e.Keep("sampled", []obsv.Span{{Name: val}})
 				rc.Commit(e, &Decision{RequestID: "k" + val, TraceID: "k" + val, User: val,
-					Roles: []string{val, val, val}, Terminated: []string{val}})
+					Roles: []rbac.RoleName{rbac.RoleName(val), rbac.RoleName(val), rbac.RoleName(val)}, Terminated: []bctx.Name{bctx.MustParse("P=" + val)}})
 				if got, ok := rc.Get("k" + val); ok {
 					held = append(held, got)
 				}

@@ -17,8 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"msod/internal/bctx"
 	"msod/internal/pdp"
 	"msod/internal/policy"
+	"msod/internal/rbac"
 )
 
 // TestDecisionIdempotentReplay: the same RequestID decides once; the
@@ -187,8 +189,8 @@ func TestIdemCacheOwnership(t *testing.T) {
 	if _, replay := c.begin("a"); replay {
 		t.Fatal("released ID replayed")
 	}
-	c.finish("a", packAnswer("a", &DecisionResponse{User: "a"}))
-	if packed, replay := c.begin("a"); !replay || unpackAnswer(packed, 1).User != "a" {
+	c.finish("a", packAnswer("a", &answer{user: "a"}))
+	if packed, replay := c.begin("a"); !replay || replayed(t, packed, 1).User != "a" {
 		t.Fatalf("committed ID begin = %q, %v", packed, replay)
 	}
 	// Two more commits evict "a" (max 2, FIFO).
@@ -196,15 +198,29 @@ func TestIdemCacheOwnership(t *testing.T) {
 		if _, replay := c.begin(id); replay {
 			t.Fatalf("fresh ID %q replayed", id)
 		}
-		c.finish(id, packAnswer(id, &DecisionResponse{User: id}))
+		c.finish(id, packAnswer(id, &answer{user: id}))
 	}
 	if _, replay := c.begin("a"); replay {
 		t.Fatal("evicted ID still replayed")
 	}
 	c.finish("a", "")
-	if packed, replay := c.begin("c"); !replay || unpackAnswer(packed, 1).User != "c" {
+	if packed, replay := c.begin("c"); !replay || replayed(t, packed, 1).User != "c" {
 		t.Fatalf("retained ID begin = %q, %v", packed, replay)
 	}
+}
+
+// replayed is the answer a replay of packed, packed under its first
+// idLen bytes, writes, as the client decodes it.
+func replayed(t *testing.T, packed string, idLen int) DecisionResponse {
+	t.Helper()
+	w := httptest.NewRecorder()
+	a := packedAnswer(packed, idLen)
+	writeAnswer(w, &a)
+	var resp DecisionResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("replay of %q: %v", packed, err)
+	}
+	return resp
 }
 
 // TestClientHealthStatusBeforeBody: a non-2xx health answer yields a
@@ -367,10 +383,14 @@ func TestIdempotencyCacheKeepsNoRequestText(t *testing.T) {
 }
 
 // FuzzIdempotentReplay: a replay answers what the first answer did.
-// For any response and ID, WriteJSON of the response the cache packs
-// and unpacks writes the bytes WriteJSON of the response itself wrote.
-// A list argument is split at NUL and its first element dropped, so ""
-// is a nil list and a string without NUL an empty one.
+// For any answer and ID, writeAnswer of what the cache packs writes the
+// bytes writeAnswer of the answer itself wrote, which are WriteJSON's of
+// the DecisionResponse of the same values. A list argument is split at
+// NUL and its first element dropped, so "" is a nil list and a string
+// without NUL an empty one. The roles are the texts as they are; an
+// activated or closed text is the bound name it parses to, else a name
+// of one component whose value it is, else the universal context
+// (fuzzName), and the DecisionResponse lists the name's text.
 func FuzzIdempotentReplay(f *testing.F) {
 	const trace = "0af7651916cd43dd8448eb211c80319c"
 	add := func(id string, allowed bool, phase, reason, user, roles, activated, closed string, recorded, purged, matched int, traceID, requestID string) {
@@ -403,25 +423,59 @@ func FuzzIdempotentReplay(f *testing.F) {
 		}
 		return strings.Split(s, "\x00")[1:]
 	}
-	encode := func(resp *DecisionResponse) []byte {
-		w := httptest.NewRecorder()
-		WriteJSON(w, http.StatusOK, resp)
-		return w.Body.Bytes()
+	names := func(s string) ([]bctx.Name, []string) {
+		var names []bctx.Name
+		var text []string
+		for _, t := range list(s) {
+			n := fuzzName(t)
+			names, text = append(names, n), append(text, n.String())
+		}
+		return names, text
 	}
 	f.Fuzz(func(t *testing.T, id string, allowed bool, phase, reason, user, roles, activated, closed string, recorded, purged, matched int, traceID, requestID string) {
+		a := answer{
+			allowed: allowed, phase: phase, reason: reason, user: user,
+			recorded: recorded, purged: purged, matched: matched,
+			traceID: traceID, requestID: requestID,
+		}
 		resp := DecisionResponse{
-			Allowed: allowed, Phase: phase, Reason: reason, User: user,
-			Roles: list(roles), Activated: list(activated), Closed: list(closed),
+			Allowed: allowed, Phase: phase, Reason: reason, User: user, Roles: list(roles),
 			Recorded: recorded, Purged: purged, MatchedPolicies: matched,
 			TraceID: traceID, RequestID: requestID,
 		}
-		packed := packAnswer(id, &resp)
+		for _, r := range resp.Roles {
+			a.roles.roles = append(a.roles.roles, rbac.RoleName(r))
+		}
+		a.activated.names, resp.Activated = names(activated)
+		a.closed.names, resp.Closed = names(closed)
+		packed := packAnswer(id, &a)
 		if !strings.HasPrefix(packed, id) {
 			t.Fatalf("packed %q does not start with its ID %q", packed, id)
 		}
-		replayed := unpackAnswer(packed, len(id))
-		if want, got := encode(&resp), encode(&replayed); !bytes.Equal(got, want) {
-			t.Fatalf("replayed %s\nfirst    %s", got, want)
+		replay := packedAnswer(packed, len(id))
+		want := httptest.NewRecorder()
+		WriteJSON(want, http.StatusOK, &resp)
+		first, again := httptest.NewRecorder(), httptest.NewRecorder()
+		writeAnswer(first, &a)
+		writeAnswer(again, &replay)
+		if !bytes.Equal(first.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("first answer %s\nencoder      %s", first.Body.Bytes(), want.Body.Bytes())
+		}
+		if !bytes.Equal(again.Body.Bytes(), first.Body.Bytes()) {
+			t.Fatalf("replayed %s\nfirst    %s", again.Body.Bytes(), first.Body.Bytes())
 		}
 	})
+}
+
+// fuzzName is a bound name for a fuzzed text: the name it parses to,
+// else a name of one component whose value it is, else the universal
+// context.
+func fuzzName(s string) bctx.Name {
+	if n, err := bctx.Parse(s); err == nil {
+		return n
+	}
+	if n, err := bctx.NewName(bctx.Component{Type: "T", Value: s}); err == nil {
+		return n
+	}
+	return bctx.Universal
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"msod/internal/obsv"
+	"msod/internal/pdp"
 	"msod/internal/trace"
 )
 
@@ -71,23 +72,25 @@ func (m *metrics) init() {
 		obsv.Stages...)
 }
 
-// observe updates the counters from one decision response.
-func (m *metrics) observe(resp DecisionResponse, advisory bool) {
+// observe updates the counters from one decision.
+func (m *metrics) observe(dec *pdp.Decision, advisory bool) {
 	if advisory {
 		m.advisories.Add(1)
 		return
 	}
 	m.decisions.Add(1)
 	switch {
-	case resp.Allowed:
+	case dec.Allowed:
 		m.grants.Add(1)
-	case resp.Phase == "msod":
+	case dec.Phase == pdp.PhaseMSoD:
 		m.deniedMSoD.Add(1)
 	default:
 		m.deniedRBAC.Add(1)
 	}
-	m.recordsWritten.Add(int64(resp.Recorded))
-	m.recordsPurged.Add(int64(resp.Purged))
+	if dec.MSoD != nil {
+		m.recordsWritten.Add(int64(dec.MSoD.Recorded))
+		m.recordsPurged.Add(int64(dec.MSoD.Purged))
+	}
 }
 
 // observeStages feeds the per-stage histograms from a completed

@@ -41,10 +41,10 @@ type decisionCall struct {
 	// and the explain entry the engine fills.
 	dc *decisionContext
 	// The outcome: either err with the status it is answered with, or
-	// resp.
+	// the PDP's decision.
 	err    error
 	status int
-	resp   DecisionResponse
+	dec    pdp.Decision
 	// d is the one description of the decision (describe) that the
 	// decision ring's two lookups and the decision log render.
 	d explain.Decision
@@ -80,6 +80,7 @@ func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (
 		Operation:   rbac.Operation(c.Wire.Operation),
 		Target:      rbac.Object(c.Wire.Target),
 		Context:     ctx,
+		ContextText: c.Wire.Context,
 		Environment: c.Wire.Environment,
 	}
 	if traced {
@@ -88,43 +89,25 @@ func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (
 	return 0, nil
 }
 
-// response is the wire form of the PDP's decision on this call. The
-// RequestID is the caller's to set: only an explained decision has one.
-// A subject from the body answers the roles decoded from it, which are
-// the ones the PDP decided on; one from credentials answers the CVS's.
-func (c *decisionCall) response(dec pdp.Decision) DecisionResponse {
-	resp := DecisionResponse{
-		Allowed: dec.Allowed,
-		Phase:   string(dec.Phase),
-		Reason:  dec.Reason(),
-		User:    string(dec.User),
-		Roles:   c.Wire.Roles,
-		TraceID: string(c.TraceID),
+// answer is the 200 answer to this call, as views: the PDP's decision
+// with the subject it resolved (the request's user and roles, or the
+// CVS's), the denial's text describe rendered, the engine's bound
+// names, the trace ID, and the request ID of a decision the ring
+// explains.
+func (c *decisionCall) answer() answer {
+	dec := &c.dec
+	a := answer{
+		allowed: dec.Allowed, phase: c.d.Phase, reason: c.d.Reason, user: c.d.User,
+		roles: answerList{roles: dec.Roles}, traceID: c.d.TraceID,
 	}
-	if len(c.Request.Credentials) > 0 {
-		resp.Roles = fromRoles(dec.Roles)
+	if c.dc.xrec != nil {
+		a.requestID = c.d.RequestID
 	}
-	if dec.MSoD != nil {
-		resp.Recorded = int(dec.MSoD.Recorded)
-		resp.Purged = int(dec.MSoD.Purged)
-		resp.MatchedPolicies = dec.MSoD.MatchedPolicies
-		resp.Activated = boundNames(dec.MSoD.Activated())
-		resp.Closed = boundNames(dec.MSoD.Closed())
+	if m := dec.MSoD; m != nil {
+		a.recorded, a.purged, a.matched = int(m.Recorded), int(m.Purged), m.MatchedPolicies
+		a.activated.names, a.closed.names = m.Activated(), m.Closed()
 	}
-	return resp
-}
-
-// boundNames renders bound context instances for the wire; none is nil,
-// so the member is omitted.
-func boundNames(bounds []bctx.Name) []string {
-	if len(bounds) == 0 {
-		return nil
-	}
-	out := make([]string, len(bounds))
-	for i, bound := range bounds {
-		out[i] = bound.String()
-	}
-	return out
+	return a
 }
 
 func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide func(context.Context, pdp.Request) (pdp.Decision, error), advisory bool) {
@@ -164,18 +147,19 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	if !advisory {
 		id = c.Wire.RequestID
 	}
-	// packed is the committed response as the idempotency cache keeps
-	// it: built before the cache's lock is taken, and owning its text.
+	// packed is the committed answer as the idempotency cache keeps it:
+	// built before the cache's lock is taken, and owning its text.
 	var packed string
 	if id != "" {
 		if cached, replay := s.idem.begin(id); replay {
-			// A replay serves the committed execution's response (and its
-			// explain record stays the queryable one); it still counts as
-			// a served request for the SLO.
+			// A replay serves the committed execution's answer, written
+			// by the writer of the first (and its explain record stays
+			// the queryable one); it still counts as a served request for
+			// the SLO.
 			s.metrics.idempotentReplays.Add(1)
 			s.score(http.StatusOK, 0)
-			resp := unpackAnswer(cached, len(id))
-			WriteJSON(w, http.StatusOK, &resp)
+			a := packedAnswer(cached, len(id))
+			writeAnswer(w, &a)
 			return
 		}
 		// The claim is resolved on every way out, a panic in decide
@@ -186,16 +170,18 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		defer func() { s.idem.finish(id, packed) }()
 	}
 	s.decide(r.Context(), &c, decide)
-	if c.err == nil && id != "" {
-		packed = packAnswer(id, &c.resp)
+	var a answer
+	if c.err == nil {
+		if a = c.answer(); id != "" {
+			packed = packAnswer(id, &a)
+		}
 	}
 	s.publish(r.Context(), &c)
 	if c.err != nil { // respond
 		WriteJSON(w, c.status, errorResponse{c.err.Error()})
 		return
 	}
-	answer := c.resp
-	WriteJSON(w, http.StatusOK, &answer)
+	writeAnswer(w, &a)
 }
 
 // decisionContext is the context a decision runs under: the request's,
@@ -226,8 +212,8 @@ func (c *decisionContext) Value(key any) any {
 }
 
 // decide runs the PDP under the request's trace and explain entry and
-// leaves the outcome in c: the answer, or the error and its status; and
-// the description of either.
+// leaves the outcome in c: the decision, or the error and its status;
+// and the description of either.
 func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(context.Context, pdp.Request) (pdp.Decision, error)) {
 	c.dc = &decisionContext{Context: ctx}
 	c.dc.trace.Init(c.TraceID)
@@ -240,30 +226,30 @@ func (s *Server) decide(ctx context.Context, c *decisionCall, pdpDecide func(con
 	if c.err = err; err != nil {
 		c.status = s.failureStatus(err, http.StatusInternalServerError)
 	} else {
-		c.status, c.resp = http.StatusOK, c.response(dec)
+		c.status, c.dec = http.StatusOK, dec
 	}
 	c.describe(start, elapsed)
-	if c.dc.xrec != nil && err == nil {
-		c.resp.RequestID = c.d.RequestID
-	}
 }
 
 // describe fills c.d, the decision's one description: the subject the
 // PDP resolved (the claim when it resolved none), the context in its
-// canonical spelling, and the outcome. The request ID keys the
-// decision's provenance: the caller's idempotency RequestID when one
-// was sent, the trace ID otherwise — echoed in the response, so the
-// caller (or msodctl) can fetch GET /v1/explain/{requestID}. An
-// advisory has none.
+// canonical spelling, and the outcome; an MSoD denial's text is
+// rendered here, once. The request ID keys the decision's provenance:
+// the caller's idempotency RequestID when one was sent, the trace ID
+// otherwise — echoed in the answer, so the caller (or msodctl) can
+// fetch GET /v1/explain/{requestID}. An advisory has none.
 func (c *decisionCall) describe(start time.Time, elapsed time.Duration) {
-	r := &c.resp
+	dec := &c.dec
 	c.d = explain.Decision{
 		TraceID: string(c.TraceID), Time: start, Elapsed: elapsed,
-		User: r.User, Roles: r.Roles,
-		Operation: c.Wire.Operation, Target: c.Wire.Target, Context: c.Request.Context.Spelled(c.Wire.Context),
-		Outcome: explain.OutcomeDeny, Phase: r.Phase, Reason: r.Reason,
-		MatchedPolicies: r.MatchedPolicies, Recorded: r.Recorded, Purged: r.Purged,
-		Advisory: c.advisory, Terminated: r.Closed,
+		User: string(dec.User), Roles: dec.Roles,
+		Operation: c.Wire.Operation, Target: c.Wire.Target, Context: c.Request.Context.Spelled(c.Request.ContextText),
+		Outcome: explain.OutcomeDeny, Phase: string(dec.Phase), Reason: dec.Reason(),
+		Advisory: c.advisory,
+	}
+	if m := dec.MSoD; m != nil {
+		c.d.MatchedPolicies, c.d.Recorded, c.d.Purged = m.MatchedPolicies, int(m.Recorded), int(m.Purged)
+		c.d.Terminated = m.Closed()
 	}
 	if !c.advisory {
 		if c.d.RequestID = c.Wire.RequestID; c.d.RequestID == "" {
@@ -273,7 +259,7 @@ func (c *decisionCall) describe(start time.Time, elapsed time.Duration) {
 	switch {
 	case c.err != nil:
 		c.d.User, c.d.Outcome, c.d.Reason = c.Wire.User, explain.OutcomeError, c.err.Error()
-	case r.Allowed:
+	case dec.Allowed:
 		c.d.Outcome = explain.OutcomeGrant
 	}
 }
@@ -293,7 +279,7 @@ func (s *Server) publish(ctx context.Context, c *decisionCall) {
 	if c.err != nil {
 		s.metrics.requestErrors.Add(1)
 	} else {
-		s.metrics.observe(c.resp, c.advisory)
+		s.metrics.observe(&c.dec, c.advisory)
 	}
 	if !s.slowLogEnabled(d.Elapsed) {
 		return
@@ -310,7 +296,7 @@ func (s *Server) publish(ctx context.Context, c *decisionCall) {
 		attrs = obsv.AppendBounded(attrs, "target", d.Target)
 		attrs = obsv.AppendBounded(attrs, "context", d.Context)
 		attrs = append(attrs,
-			slog.Bool("allowed", c.resp.Allowed),
+			slog.Bool("allowed", c.dec.Allowed),
 			slog.String("phase", d.Phase),
 			slog.Bool("advisory", d.Advisory))
 	}

@@ -157,7 +157,7 @@ func TestParkedGrantSyncBlocksNoOtherDecision(t *testing.T) {
 		if packed == "" {
 			return nil, ok
 		}
-		resp := unpackAnswer(packed, len("alice-1"))
+		resp := replayed(t, packed, len("alice-1"))
 		return &resp, ok
 	}
 	if resp, ok := idemEntry(); !ok || resp != nil {

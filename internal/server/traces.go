@@ -66,7 +66,7 @@ func (s *Server) file(c *decisionCall, spans []obsv.Span) {
 	if s.traces != nil {
 		// Errored decisions are always kept — they are exactly what an
 		// operator holding the trace ID from the error log investigates.
-		if reason, keep := s.traces.Sample(c.d.TraceID, c.err == nil && !c.resp.Allowed, c.err != nil, c.d.Elapsed); keep {
+		if reason, keep := s.traces.Sample(c.d.TraceID, c.err == nil && !c.dec.Allowed, c.err != nil, c.d.Elapsed); keep {
 			if x == nil {
 				x = s.decisions.Begin()
 			}
