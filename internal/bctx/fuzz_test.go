@@ -30,6 +30,9 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if n.TextLen() != len(n.String()) {
+			t.Fatalf("TextLen of %q = %d", n.String(), n.TextLen())
+		}
 		// Canonical round trip.
 		n2, err := Parse(n.String())
 		if err != nil {

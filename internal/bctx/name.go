@@ -165,12 +165,8 @@ func (n Name) String() string {
 	if len(n.components) == 0 {
 		return ""
 	}
-	size := 2 * (len(n.components) - 1)
-	for _, c := range n.components {
-		size += len(c.Type) + 1 + len(c.Value)
-	}
 	var b strings.Builder
-	b.Grow(size)
+	b.Grow(n.TextLen())
 	for i, c := range n.components {
 		if i > 0 {
 			b.WriteString(", ")
@@ -180,6 +176,19 @@ func (n Name) String() string {
 		b.WriteString(c.Value)
 	}
 	return b.String()
+}
+
+// TextLen is the length of the name's text (String), counted without
+// building it.
+func (n Name) TextLen() int {
+	if len(n.components) == 0 {
+		return 0
+	}
+	size := 2 * (len(n.components) - 1)
+	for _, c := range n.components {
+		size += len(c.Type) + len("=") + len(c.Value)
+	}
+	return size
 }
 
 // Spelled returns the name's canonical text (String), reusing s — the

@@ -70,7 +70,9 @@ func (r *DecisionRequest) RoutingSubject() string {
 	return ""
 }
 
-// DecisionResponse is the wire form of a decision.
+// DecisionResponse is the wire form of a decision, the type a client
+// decodes an answer into. The shard does not build one: writeAnswer
+// writes these members from the decision itself.
 type DecisionResponse struct {
 	Allowed bool     `json:"allowed"`
 	Phase   string   `json:"phase"`
@@ -396,10 +398,11 @@ var jsonContentType = [1]string{"application/json"}
 // SetJSONContentType marks h as carrying JSON, with the shared value.
 func SetJSONContentType(h http.Header) { h["Content-Type"] = jsonContentType[:1:1] }
 
-// WriteJSON answers status with v as JSON, for the shard and the
-// gateway alike. HTML escaping is off: a '<', '>' or '&' an answer
-// echoes from its request is one byte on the wire, as in the request,
-// not the six of \u003c.
+// WriteJSON answers status with v as JSON, for the shard's errors and
+// its endpoints other than a decision's 200 (writeAnswer), and for the
+// gateway. HTML escaping is off: a '<', '>' or '&' an answer echoes
+// from its request is one byte on the wire, as in the request, not the
+// six of \u003c.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	SetJSONContentType(w.Header())
 	w.WriteHeader(status)
