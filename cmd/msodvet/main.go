@@ -2,8 +2,10 @@
 // proves the MSoD fail-closed and determinism invariants at compile
 // time: no error-dominated branch may grant, no audit/ADI error may be
 // discarded, decision-path packages must use the injected clock, metric
-// families must be literal and registered exactly once, and no audit
-// append / broadcast / HTTP call may run under a store mutex.
+// families must be literal and registered exactly once, no audit
+// append / broadcast / HTTP call may run under a store mutex, and
+// nothing outside the engine may write through its read-only
+// *core.Decision.
 //
 // Usage:
 //

@@ -12,5 +12,6 @@ func DefaultAnalyzers() []Analyzer {
 		&Ctxflow{Packages: DefaultCtxflowPackages},
 		&Metricname{},
 		&Lockspan{},
+		&Decisionro{},
 	}
 }

@@ -56,7 +56,7 @@ func TestBadFixtureGolden(t *testing.T) {
 
 	// The corpus must exercise every analyzer, or a regression in one
 	// of them could silently empty its section of the golden file.
-	for _, name := range []string{"failclosed", "auditerr", "clockuse", "ctxflow", "metricname", "lockspan", "ignore"} {
+	for _, name := range []string{"failclosed", "auditerr", "clockuse", "ctxflow", "metricname", "lockspan", "decisionro", "ignore"} {
 		found := false
 		for _, f := range res.Findings {
 			if f.Analyzer == name {

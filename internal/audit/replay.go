@@ -33,35 +33,55 @@ type ReplayStats struct {
 // The store should be empty; records already present are treated as
 // pre-existing history.
 func Replay(events []Event, policies []core.Policy, store adi.Recorder) (ReplayStats, error) {
-	// The engine clock tracks the event being replayed so rebuilt records
-	// carry their historical timestamps.
-	var evTime time.Time
-	eng, err := core.NewEngine(store, policies, core.WithClock(func() time.Time { return evTime }))
+	r, err := newReplayer(policies, store)
 	if err != nil {
 		return ReplayStats{}, err
 	}
 	stats := ReplayStats{Events: len(events)}
 	for _, ev := range events {
-		if ev.Effect != EffectGrant || ev.MatchedPolicies == 0 {
-			continue
-		}
-		req, err := eventRequest(ev)
-		if err != nil {
+		dec, err := r.replay(ev)
+		switch {
+		case err != nil:
 			return stats, fmt.Errorf("audit: replay seq %d: %w", ev.Seq, err)
-		}
-		evTime = ev.Time
-		dec, err := eng.Evaluate(req)
-		if err != nil {
-			return stats, fmt.Errorf("audit: replay seq %d: %w", ev.Seq, err)
-		}
-		if dec.Effect == core.Deny {
+		case dec == nil:
+		case dec.Effect == core.Deny:
 			stats.Diverged++
-			continue
+		default:
+			stats.Replayed++
 		}
-		stats.Replayed++
 	}
 	stats.Records = store.Len()
 	return stats, nil
+}
+
+// replayer re-evaluates logged grants on an engine whose clock reads
+// the time of the event being replayed, so rebuilt records carry their
+// historical timestamps.
+type replayer struct {
+	eng *core.Engine
+	now time.Time
+}
+
+func newReplayer(policies []core.Policy, store adi.Recorder) (*replayer, error) {
+	r := &replayer{}
+	eng, err := core.NewEngine(store, policies, core.WithClock(func() time.Time { return r.now }))
+	r.eng = eng
+	return r, err
+}
+
+// replay re-evaluates ev when it is a granted MSoD-relevant decision,
+// returning the engine's read-only decision, and skips it (nil)
+// otherwise.
+func (r *replayer) replay(ev Event) (*core.Decision, error) {
+	if ev.Effect != EffectGrant || ev.MatchedPolicies == 0 {
+		return nil, nil
+	}
+	req, err := eventRequest(ev)
+	if err != nil {
+		return nil, err
+	}
+	r.now = ev.Time
+	return r.eng.Evaluate(req)
 }
 
 // eventRequest converts a logged event back into an engine request.

@@ -16,14 +16,14 @@ import (
 // Every case names each allocation left; a budget that has to rise means
 // the hot path grew one, and the reason belongs next to the number.
 //
-// Every evaluation returns one object (1), its Decision sized to its
-// shape (Decision.box): a denial's Denial and a grant's started or
-// closed names live in it. It is the allocation the PDP made when it
-// copied the Decision to the heap for pdp.Decision.MSoD, so a grant row
-// that names it is one more than it was here and one less in pdp's
-// TestDecideAllocs; a denial, a first step and a last step returned
-// their Denial or their names' slice (1) here before, in that object
-// now.
+// A plain grant returns a shared entry of the engine's table of
+// read-only grants (0; Decision.box), where it returned a Decision of
+// its own (1). Every other evaluation returns one object (1), its
+// Decision sized to its shape: a denial's Denial and a grant's started
+// or closed names live in it. It is the allocation the PDP made when it
+// copied the Decision to the heap for pdp.Decision.MSoD; a denial, a
+// first step and a last step returned their Denial or their names'
+// slice (1) here before, in that object now.
 //
 // Each case runs allocRuns+1 requests, every one in a context instance
 // of its own (Period or process i) that prepare has put into the state
@@ -56,28 +56,30 @@ func TestEvaluateAllocs(t *testing.T) {
 		slots    slotUse
 	}{
 		{
-			// Returned: the Decision (1). Step 1 finds no candidate
-			// policy for the first component type: no lock, no store
-			// call, nothing built.
+			// Returned: the shared zero-count grant (0; it was the
+			// Decision, 1). Step 1 finds no candidate policy for the
+			// first component type: no lock, no store call, nothing
+			// built.
 			name: "unmatched context", policies: both,
 			request: func(i int) Request {
 				r := bankReq("alice", "Teller", "HandleCash", "York", period(i))
 				r.Context = bctx.MustParse("Dept=d1, Project=" + period(i))
 				return r
 			},
-			want: Grant, budget: 1,
+			want: Grant, budget: 0,
 		},
 		{
-			// Returned: the Decision (1). Built: the bound name
-			// "Branch=*, Period=p" (1), which nothing bound before.
-			// Retained by the store: the new instance (1), the list of
-			// its unique Period value (1). The record goes to Append
-			// from the engine's commit buffer, and its one role is the
-			// store's shared "Teller" slice: it was 5 with a one-record
-			// slice (1) and a Roles copy (1).
+			// Returned: a shared grant (0; it was the Decision, 1).
+			// Built: the bound name "Branch=*, Period=p" (1), which
+			// nothing bound before. Retained by the store: the new
+			// instance (1), the list of its unique Period value (1).
+			// The record goes to Append from the engine's commit
+			// buffer, and its one role is the store's shared "Teller"
+			// slice: it was 5 with a one-record slice (1) and a Roles
+			// copy (1).
 			name: "opening grant", policies: bankPolicies(),
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 4,
+			want:    Grant, budget: 3,
 		},
 		{
 			// "TaxOffice=!, taxRefundProcess=!" binds to the request's
@@ -93,32 +95,33 @@ func TestEvaluateAllocs(t *testing.T) {
 			want: Grant, budget: 3,
 		},
 		{
-			// Returned: the Decision (1). The bound name is the one the
-			// opener's grant bound, still in its slot. It was 1 while
-			// every request built its bound name (1), 3 with the record
-			// slice (1) and the store's copy of the record's one-role
-			// slice, the rule's own (1); the store now gives the record
-			// its shared "Teller" slice.
+			// Returned: a shared grant (0; it was the Decision, 1). The
+			// bound name is the one the opener's grant bound, still in
+			// its slot. It was 1 while every request built its bound
+			// name (1), 3 with the record slice (1) and the store's
+			// copy of the record's one-role slice, the rule's own (1);
+			// the store now gives the record its shared "Teller" slice.
 			name: "recorded grant under MMER", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 1, slots: ownSlot, runs: slotRuns,
+			want:    Grant, budget: 0, slots: ownSlot, runs: slotRuns,
 		},
 		{
-			// Returned: the Decision (1). Built: the bound name (1),
-			// another period's name in its slot.
+			// Returned: a shared grant (0; it was the Decision, 1).
+			// Built: the bound name (1), another period's name in its
+			// slot.
 			name: "recorded grant under MMER, slot taken", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 2, slots: oneSlot,
+			want:    Grant, budget: 1, slots: oneSlot,
 		},
 		{
-			// Returned: the Decision (1). It was 2 with the record
-			// slice (1) and the Roles copy (1).
+			// Returned: a shared grant (0; it was the Decision, 1). It
+			// was 2 with the record slice (1) and the Roles copy (1).
 			name: "recorded grant under MMEP", policies: taxPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, taxReq("c1", "Clerk", "prepareCheck", checkTarget, "Leeds", period(i)), Grant)
@@ -126,32 +129,32 @@ func TestEvaluateAllocs(t *testing.T) {
 			request: func(i int) Request {
 				return taxReq("m1", "Manager", "approve/disapproveCheck", checkTarget, "Leeds", period(i))
 			},
-			want: Grant, budget: 1,
+			want: Grant, budget: 0,
 		},
 		{
-			// Returned: the Decision (1). Two policies record: the MMEP
-			// one over "Branch=York, Period=p", which binds to the
-			// request's own name (0), and the MMER one over "Branch=*,
-			// Period=p", whose name the opener bound (0). The commit
-			// buffer holds both actions' records, one each, and each
-			// goes to Append as its slice of the buffer. It was 1 with
-			// the bound name (1).
+			// Returned: a shared grant (0; it was the Decision, 1). Two
+			// policies record: the MMEP one over "Branch=York,
+			// Period=p", which binds to the request's own name (0), and
+			// the MMER one over "Branch=*, Period=p", whose name the
+			// opener bound (0). The commit buffer holds both actions'
+			// records, one each, and each goes to Append as its slice
+			// of the buffer. It was 1 with the bound name (1).
 			name: "recorded grant under two policies", policies: cashPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 1, slots: ownSlot, runs: slotRuns,
+			want:    Grant, budget: 0, slots: ownSlot, runs: slotRuns,
 		},
 		{
-			// Returned: the Decision (1). Built: the MMER policy's
-			// bound name (1), its slot taken.
+			// Returned: a shared grant (0; it was the Decision, 1).
+			// Built: the MMER policy's bound name (1), its slot taken.
 			name: "recorded grant under two policies, slot taken", policies: cashPolicies(),
 			prepare: func(e *Engine, i int) {
 				mustEvaluate(t, e, bankReq("opener", "Teller", "HandleCash", "York", period(i)), Grant)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 2, slots: oneSlot,
+			want:    Grant, budget: 1, slots: oneSlot,
 		},
 		{
 			// Returned: the Decision with its Denial beside it (1), made
@@ -217,13 +220,14 @@ func TestEvaluateAllocs(t *testing.T) {
 			want:    Grant, budget: 2, slots: oneSlot,
 		},
 		{
-			// Returned: the Decision (1). Built: the bound name (1),
-			// which nothing bound before. Retained: nothing the store
-			// does not hold already, where "opening grant" retains 2, because
-			// last steps closed as many instances first: the instance,
-			// the list of its Period value and alice's emptied bucket are
-			// ones those purges freed. The store keeps 64 of each, so
-			// the row runs fewer requests than that.
+			// Returned: a shared grant (0; it was the Decision, 1).
+			// Built: the bound name (1), which nothing bound before.
+			// Retained: nothing the store does not hold already, where
+			// "opening grant" retains 2, because last steps closed as
+			// many instances first: the instance, the list of its
+			// Period value and alice's emptied bucket are ones those
+			// purges freed. The store keeps 64 of each, so the row runs
+			// fewer requests than that.
 			name: "opening grant after a last step closed the previous instance", policies: bankPolicies(),
 			prepare: func(e *Engine, i int) {
 				if i > 0 {
@@ -237,7 +241,7 @@ func TestEvaluateAllocs(t *testing.T) {
 				}
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "York", period(i)) },
-			want:    Grant, budget: 2, runs: churnRuns,
+			want:    Grant, budget: 1, runs: churnRuns,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -313,14 +317,16 @@ func ownSlots(t *testing.T, e *Engine, n int) func(int) string {
 	return func(i int) string { return periods[i] }
 }
 
-// TestDecisionSize: an evaluation's one allocation is its Decision
-// sized to the decision's shape (Decision.box), and each shape's size
-// class is no larger than the allocations it replaced: the 64-byte
-// Decision the PDP copied to the heap for pdp.Decision.MSoD, and beside
-// it the 80-byte Denial, or the slice append grew for the bound names
-// (24 bytes for one name, then 48 for two). A 64-byte Decision would put
-// the one-name shape in the 96-byte class, 8 bytes past the two
-// allocations it replaced: that is why Recorded and Purged are 32 bits.
+// TestDecisionSize: a plain grant is a shared entry of the engine's
+// table (Decision.box), no allocation; any other evaluation's one
+// allocation is its Decision sized to the decision's shape, and each
+// shape's size class is no larger than the allocations it replaced: the
+// 64-byte Decision the PDP copied to the heap for pdp.Decision.MSoD, and
+// beside it the 80-byte Denial, or the slice append grew for the bound
+// names (24 bytes for one name, then 48 for two). A 64-byte Decision
+// would put the one-name shape in the 96-byte class, 8 bytes past the
+// two allocations it replaced: that is why Recorded and Purged are 32
+// bits.
 func TestDecisionSize(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes allocation counts")
@@ -332,13 +338,19 @@ func TestDecisionSize(t *testing.T) {
 		bounds   []bctx.Name
 		replaces []uint64 // the size classes of the allocations it replaced
 	}{
-		{name: "plain grant", replaces: []uint64{64}},
+		{name: "plain grant"}, // the table's zero-count entry, shared
 		{name: "denial", refused: Denial{Rule: "MMER[0]"}, replaces: []uint64{64, 80}},
 		{name: "one name", bounds: names[:1], replaces: []uint64{64, 24}},
 		{name: "two names", bounds: names, replaces: []uint64{64, 24, 48}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			allocs, bytes := allocsAndBytes(func() { sink = Decision{}.box(tc.refused, tc.bounds) })
+			if tc.replaces == nil {
+				if allocs != 0 || sink != &plainGrants[0][0] {
+					t.Errorf("%d allocations of %d bytes, %p; want none, the shared %p", allocs, bytes, sink, &plainGrants[0][0])
+				}
+				return
+			}
 			var replaced uint64
 			for _, class := range tc.replaces {
 				replaced += class

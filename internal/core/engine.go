@@ -185,15 +185,23 @@ func intLen(n int) int {
 }
 
 // Decision is the result of evaluating a request against the MSoD policy
-// set, and the one object an evaluation returns: its one allocation,
-// sized to the decision's shape (see box). A plain grant is the
-// Decision alone, 56 bytes. A denial is the Decision with its Denial
-// beside it, which Denial points at; a grant that started or closed
-// instances is the Decision with an array of exactly their names beside
-// it, which bounds slices. Each shape is held to a size class no larger
-// than the separate allocations it replaced (TestDecisionSize): that is
-// why Effect is a byte, Recorded and Purged are 32 bits, and the started
-// and terminated instances share one slice.
+// set, and the one object an evaluation returns. It is read-only: the
+// engine may hand the same object to many callers, so a caller that
+// wants to change one copies it first (msodvet's decisionro analyzer
+// flags a write through a *Decision outside this package).
+//
+// A plain grant — one that started and closed nothing, purged nothing,
+// and whose counts are within plainGrants' bounds — is an entry of that
+// table, shared by every evaluation with the same counts: no allocation.
+// Every other decision is its one allocation, sized to its shape (see
+// box). A plain grant outside the table is the Decision alone, 56 bytes.
+// A denial is the Decision with its Denial beside it, which Denial
+// points at; a grant that started or closed instances is the Decision
+// with an array of exactly their names beside it, which bounds slices.
+// Each shape is held to a size class no larger than the separate
+// allocations it replaced (TestDecisionSize): that is why Effect is a
+// byte, Recorded and Purged are 32 bits, and the started and terminated
+// instances share one slice.
 type Decision struct {
 	Effect Effect
 	// split divides bounds: the instances the grant started come first,
@@ -244,16 +252,43 @@ func (d *Decision) Closed() []bctx.Name {
 	return d.bounds[d.split:len(d.bounds):len(d.bounds)]
 }
 
-// box is a decision's one allocation, made once the engine lock is
-// released: d with refused beside it when it is a denial (its Rule is
-// empty for a grant), or with an array of exactly the names in bounds
-// (started, then closed; d.split divides them) when the grant started
-// or closed one or two instances. Nothing in it is shared with another
-// decision. A grant naming three or more instances takes the general
-// path: a copy of its names beside the Decision, two allocations here,
-// and past four names the growth of decide's buffer under the lock
-// before them.
+// plainGrantPolicies and plainGrantRecords bound the plain grants
+// plainGrants holds: matched policies 0 to 3, records 0 to 3. A grant
+// records one record per active role an MMER rule lists and one per
+// MMEP rule that lists the privilege. A request of the bank or the tax
+// policy set matches one policy and records one or two, and an
+// unmatched context records nothing, so the routine grants of both are
+// in the table, with room for a request that matches a few more
+// policies. A grant past either bound is boxed as any other decision.
+const plainGrantPolicies, plainGrantRecords = 4, 4
+
+// plainGrants is the table of read-only plain grants, indexed by
+// MatchedPolicies and Recorded: about 1 KB, shared by every engine.
+var plainGrants = func() (t [plainGrantPolicies][plainGrantRecords]Decision) {
+	for m := range t {
+		for r := range t[m] {
+			t[m][r] = Decision{Effect: Grant, MatchedPolicies: m, Recorded: int32(r)}
+		}
+	}
+	return t
+}()
+
+// box is a decision as the engine returns it, once the engine lock is
+// released. A plain grant within plainGrants' bounds is that table's
+// entry: no allocation, shared with every other such grant. Every other
+// decision is one allocation: d with refused beside it when it is a
+// denial (its Rule is empty for a grant), or with an array of exactly
+// the names in bounds (started, then closed; d.split divides them) when
+// the grant started or closed one or two instances. Nothing in it is
+// shared with another decision. A grant naming three or more instances
+// takes the general path: a copy of its names beside the Decision, two
+// allocations here, and past four names the growth of decide's buffer
+// under the lock before them.
 func (d Decision) box(refused Denial, bounds []bctx.Name) *Decision {
+	if d.Effect == Grant && refused.Rule == "" && len(bounds) == 0 && d.Purged == 0 &&
+		uint(d.MatchedPolicies) < plainGrantPolicies && uint32(d.Recorded) < plainGrantRecords {
+		return &plainGrants[d.MatchedPolicies][d.Recorded]
+	}
 	if refused.Rule != "" {
 		o := &struct {
 			Decision
@@ -545,8 +580,8 @@ type action struct {
 // Evaluate runs the §4.2 enforcement algorithm. The request must already
 // have passed the ordinary RBAC check. On Grant, the retained ADI is
 // updated (new records and/or last-step purges); on Deny, the store is
-// untouched. The Decision is the evaluation's one allocation, the
-// caller's own.
+// untouched. The Decision is read-only: the engine may hand the same
+// object to many callers (see Decision).
 func (e *Engine) Evaluate(req Request) (*Decision, error) {
 	return e.evaluate(context.Background(), req, true)
 }
@@ -555,7 +590,7 @@ func (e *Engine) Evaluate(req Request) (*Decision, error) {
 // a Tracer, the engine records one span per matched policy and a
 // SpanStore span around the retained-ADI commit phase; when it holds
 // an Explainer, every consulted constraint. Untraced contexts pay a
-// single nil check.
+// single nil check. Its Decision is read-only, as Evaluate's.
 func (e *Engine) EvaluateCtx(ctx context.Context, req Request) (*Decision, error) {
 	return e.evaluate(ctx, req, true)
 }
@@ -568,12 +603,14 @@ func (e *Engine) EvaluateCtx(ctx context.Context, req Request) (*Decision, error
 //
 // Note the TOCTOU caveat inherent to any advisory answer: a Grant from
 // Peek can become Deny by the time Evaluate runs if conflicting history
-// lands in between.
+// lands in between. The Decision is read-only, as Evaluate's: a plain
+// grant is the same shared object an evaluation returns.
 func (e *Engine) Peek(req Request) (*Decision, error) {
 	return e.evaluate(context.Background(), req, false)
 }
 
-// PeekCtx is Peek carrying a context (see EvaluateCtx).
+// PeekCtx is Peek carrying a context (see EvaluateCtx). Its Decision is
+// read-only, as Peek's.
 func (e *Engine) PeekCtx(ctx context.Context, req Request) (*Decision, error) {
 	return e.evaluate(ctx, req, false)
 }
@@ -623,7 +660,7 @@ func (e *Engine) evaluate(ctx context.Context, req Request, commit bool) (*Decis
 	var buf [4]matched
 	matches := e.selectPolicies(req.Context, buf[:0])
 	if len(matches) == 0 {
-		return new(Decision), nil // a grant
+		return &plainGrants[0][0], nil // a grant
 	}
 	var names [4]bctx.Name // the instances a grant starts and closes; more spill
 	dec, refused, bounds, err := e.decide(ctx, req, matches, commit, names[:0])

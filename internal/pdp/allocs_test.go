@@ -43,7 +43,11 @@ import (
 //
 // Every row that reaches the engine pays its decision (1): the one
 // object the engine returns, sized to its shape, with a denial's Denial
-// or a grant's started or closed names inside it.
+// or a grant's started or closed names inside it. A plain grant, one
+// that starts and closes nothing, pays nothing for it: the engine hands
+// out a read-only entry of its table of plain grants, which
+// Decision.MSoD keeps; it was 1 more while every grant was an object of
+// its own.
 //
 // Budgets are exact; a change that moves one edits the table and names
 // the allocation.
@@ -197,32 +201,33 @@ func decideCases() []decideCase {
 	period := func(int) string { return "p" }
 	return []decideCase{
 		{
-			// The engine's decision (1), the one object it returns,
-			// which Decision.MSoD keeps (the PDP copied it to the heap
-			// before); a recorded grant under MMER allocates nothing
-			// else in the engine. It was 2 / 4 while every request
-			// built its bound name (1), 4 / 6 while the engine built a
-			// record slice for the store (1) and the store copied the
-			// record's one role (1). Observed: + event 1.
+			// Nothing in the engine: its decision is the shared plain
+			// grant, which Decision.MSoD keeps; a recorded grant under
+			// MMER allocates nothing else there. It was 1 / 2 while the
+			// grant was an object of its own (1), 2 / 4 while every
+			// request built its bound name (1), 4 / 6 while the engine
+			// built a record slice for the store (1) and the store
+			// copied the record's one role (1). Observed: + event 1.
 			name: "grant",
 			prepare: func(tb testing.TB, p *PDP, i int) {
 				mustDecide(tb, p, bankReq("opener", "Teller", "HandleCash", "till", "York", period(i)), true)
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 1, "observed": 2},
+			budget: map[string]float64{"bare": 0, "observed": 1},
 		},
 		{
-			// The engine's decision (1) and its three for an opening
-			// grant: the bound name, which nothing bound before (1), and
-			// the store's new instance and the list of its unique Period
-			// value (2). Observed: + event 1.
+			// The engine's three for an opening grant: the bound name,
+			// which nothing bound before (1), and the store's new
+			// instance and the list of its unique Period value (2). Its
+			// decision is the shared plain grant; it was 4 / 5 while
+			// that was an object of its own (1). Observed: + event 1.
 			name: "opening grant",
 			request: func(i int) Request {
 				return bankReq("alice", "Teller", "HandleCash", "till", "York", fmt.Sprint("p", i))
 			},
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 4, "observed": 5},
+			budget: map[string]float64{"bare": 3, "observed": 4},
 		},
 		{
 			// The engine's decision with its Denial beside it (1),
@@ -292,12 +297,13 @@ func decideCases() []decideCase {
 			budget: map[string]float64{"bare": 1, "observed": 2},
 		},
 		{
-			// An advisory builds what the decision would — the engine's
-			// decision (1) — and counts the records in the engine's
-			// commit buffer; it was 2 while every request built its bound
-			// name (1), 3 while the records were a slice of their own
-			// (1). It publishes and appends nothing, so both columns are
-			// the same.
+			// An advisory builds what the decision would — nothing: its
+			// decision is the shared plain grant an evaluation returns —
+			// and counts the records in the engine's commit buffer; it
+			// was 1 while the grant was an object of its own (1), 2
+			// while every request built its bound name (1), 3 while the
+			// records were a slice of their own (1). It publishes and
+			// appends nothing, so both columns are the same.
 			name:   "advisory grant",
 			advise: true,
 			prepare: func(tb testing.TB, p *PDP, i int) {
@@ -305,7 +311,7 @@ func decideCases() []decideCase {
 			},
 			request: func(i int) Request { return bankReq("alice", "Teller", "HandleCash", "till", "York", period(i)) },
 			allowed: true, phase: PhaseGranted,
-			budget: map[string]float64{"bare": 1, "observed": 1},
+			budget: map[string]float64{"bare": 0, "observed": 0},
 		},
 	}
 }

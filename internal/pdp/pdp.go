@@ -234,8 +234,9 @@ type Decision struct {
 	// not copy it, and the retained ADI keeps a copy of its own.
 	User  rbac.UserID
 	Roles []rbac.RoleName
-	// MSoD is the engine's decision when MSoD ran: the one object the
-	// engine returns, kept, not copied.
+	// MSoD is the engine's decision when MSoD ran: the object the
+	// engine returns, kept, not copied. It is read-only: a plain grant
+	// is shared with every other of its counts (core.Decision).
 	MSoD *core.Decision
 	// reason is the denial's text when it is written already: the RBAC
 	// constant, or an MSoD denial rendered for the stream event.
@@ -442,7 +443,8 @@ func (p *PDP) subject(req Request) (rbac.UserID, []rbac.RoleName, error) {
 
 // event builds the audit record for a decision, stamping the context's
 // trace ID so the durable record and the live event stream correlate;
-// spelled is the request's ContextText.
+// spelled is the request's ContextText. It copies the engine's
+// read-only decision before it sets the effect.
 func (p *PDP) event(ctx context.Context, req core.Request, spelled string, dec Decision) audit.Event {
 	var cd core.Decision
 	if dec.MSoD != nil {

@@ -87,11 +87,12 @@ func (w *memoryWriter) WriteHeader(status int)            { w.status = status }
 //	            DecisionRequest moved to the heap for Unmarshal (1), the
 //	            decodeState (1), its parse stack at depth 1 and 2 (2), its
 //	            error context and field stack (2)
-//	request 3   the parsed context name (1), Roles as []rbac.RoleName (1),
-//	            the decision's context, which holds the trace with its
-//	            spans inline and the explain entry (1). It was 4 while
-//	            the Trace (1) and the context value carrying it (1) were
-//	            apart
+//	request 3   the parsed context name (1) and Roles as []rbac.RoleName
+//	            (1), made after the idempotency claim (the parse stage),
+//	            so a replay pays neither; the decision's context, which
+//	            holds the trace with its spans inline and the explain
+//	            entry (1). It was 4 while the Trace (1) and the context
+//	            value carrying it (1) were apart
 //	respond 0   writeAnswer writes the answer in pieces through the
 //	            writer's WriteString, from the PDP's decision, the
 //	            engine's bound names and the request's strings: nothing
@@ -111,7 +112,11 @@ func (w *memoryWriter) WriteHeader(status int)            { w.status = status }
 //	            []string (1)
 //
 // and, per case, what the PDP allocates (internal/core/allocs_test.go
-// names the engine's share) and what the default telemetry adds:
+// names the engine's share) and what the default telemetry adds. A
+// grant that starts and closes no instance costs the engine nothing:
+// its decision is a read-only entry of the engine's table of plain
+// grants, which pdp.Decision.MSoD keeps; every such row was 1 more
+// while that decision was an object of its own.
 //
 //	explain 0   the entry rides in the decision's context. The engine
 //	            hands each rule over as the values it holds and the
@@ -283,13 +288,15 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 	}
 	return []serveCase{
 		{
-			// 6 + the engine's decision (1), the one object it returns,
-			// which Decision.MSoD keeps (the PDP copied it to the heap
-			// before); the engine allocates nothing else. It was 10 / 8
-			// while the response was boxed for the encoder (1) and the
-			// event rendered the context (default 1), 11 / 9 while every request built its bound name (1) — every
-			// row of the table but "MMER opening grant" and "RBAC deny"
-			// went down 1 with it — 13 / 10 while the trace, the context carrying
+			// 6, and nothing of the engine: its decision is the shared
+			// plain grant, which Decision.MSoD keeps, and it allocates
+			// nothing else. It was 8 / 7 while that decision was an
+			// object of its own (1), 10 / 8 while the response was
+			// boxed for the encoder (1) and the event rendered the
+			// context (default 1), 11 / 9 while every request built its
+			// bound name (1) — every row of the table but "MMER opening
+			// grant" and "RBAC deny" went down 1 with it — 13 / 10
+			// while the trace, the context carrying
 			// it and the one carrying the explain entry were three
 			// values (every row's default and all-on went down 2, bare
 			// 1), 18 / 15 while the request's five strings and
@@ -303,20 +310,21 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 8, "bare": 7, "all-on": 8},
+			budget: map[string]float64{"default": 7, "bare": 6, "all-on": 7},
 		},
 		{
-			// 6 + the engine's decision (1) and its three for an opening
-			// grant: the bound name, which nothing bound before (1), and
-			// the store's new instance and the list of its unique Period
-			// value (2). Default: + event 1.
+			// 6 + the engine's three for an opening grant: the bound
+			// name, which nothing bound before (1), and the store's new
+			// instance and the list of its unique Period value (2). It
+			// was 11 / 10 with the engine's decision (1), now the shared
+			// plain grant. Default: + event 1.
 			name: "MMER opening grant",
 			request: func(i int) DecisionRequest {
 				return DecisionRequest{User: "alice", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till",
 					Context: fmt.Sprintf("Branch=York, Period=p%d", i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 11, "bare": 10, "all-on": 11},
+			budget: map[string]float64{"default": 10, "bare": 9, "all-on": 10},
 		},
 		{
 			// The same under a requestID and a traceparent, as every
@@ -328,7 +336,8 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			// packed entry the cache keeps (1): the requestID and the
 			// answer in one string of its own, so that the cache keeps
 			// none of the request's text; its map and eviction ring are
-			// at their steady size. It was 11 / 9 while the response was
+			// at their steady size. It was 9 / 8 with the engine's
+			// decision (1), now the shared plain grant, 11 / 9 while the response was
 			// boxed for the encoder (1) and the event rendered the
 			// context (default 1), 10 / 8 while the cache kept
 			// the response the encoder is handed, and with it the
@@ -340,23 +349,25 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			routed:  true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 9, "bare": 8, "all-on": 9},
+			budget: map[string]float64{"default": 8, "bare": 7, "all-on": 8},
 		},
 		{
 			// A retry of that grant under its requestID, answered from the
-			// idempotency cache: decode 3 and the context parse and Roles
-			// conversion of request (2), and nothing else. writeAnswer
-			// writes the replay from the packed string, as it wrote the
-			// first answer from the decision. It was 9 while the packed
-			// answer was unpacked into a DecisionResponse: the Roles list
-			// (1), the raw trace ID rendered by hex.EncodeToString (2)
-			// and the response boxed for the encoder (1).
+			// idempotency cache: decode 3, and nothing else. The claim
+			// comes before the parse stage, so the replay parses no
+			// context and converts no roles; it was 5 while it did both
+			// (2). writeAnswer writes the replay from the packed string,
+			// as it wrote the first answer from the decision. It was 9
+			// while the packed answer was unpacked into a
+			// DecisionResponse: the Roles list (1), the raw trace ID
+			// rendered by hex.EncodeToString (2) and the response boxed
+			// for the encoder (1).
 			name:    "idempotent replay",
 			prepare: func(i int) *DecisionRequest { r := teller("opener", i); return &r },
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			routed:  true, replay: true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 5, "bare": 5, "all-on": 5},
+			budget: map[string]float64{"default": 3, "bare": 3, "all-on": 3},
 		},
 		{
 			// The same on a shard behind a gateway, the request carrying
@@ -366,12 +377,12 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			request: func(i int) DecisionRequest { return teller("alice", i) },
 			handoff: true,
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 8, "bare": 7, "all-on": 8},
+			budget: map[string]float64{"default": 7, "bare": 6, "all-on": 7},
 		},
 		{
 			// The same, the request carrying one close — of another
 			// period, which holds nothing on this shard. On top of the
-			// grant's 8 / 7: the closed instance's name parsed (1), the
+			// grant's 7 / 6: the closed instance's name parsed (1), the
 			// event's reason (1), and the last step's requestID cloned
 			// out of the header for the applied ring (1); default adds
 			// the instance's text in the purge event (1).
@@ -384,12 +395,12 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 12, "bare": 10, "all-on": 12},
+			budget: map[string]float64{"default": 11, "bare": 9, "all-on": 11},
 		},
 		{
 			// The same, the request carrying one activation — of another
 			// period, not running on this shard. On top of the grant's
-			// 8 / 7: the instance's name parsed (1), the encoded
+			// 7 / 6: the instance's name parsed (1), the encoded
 			// activation adi.OpActivate hands Append (1), the
 			// instance-table entry and its slot in a component list (2),
 			// and the first step's requestID cloned out of the header for
@@ -406,7 +417,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return entry
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 14, "bare": 12, "all-on": 14},
+			budget: map[string]float64{"default": 13, "bare": 11, "all-on": 13},
 		},
 		{
 			// 6 + the engine's decision with its Denial beside it (1)
@@ -515,8 +526,10 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			// credential that passes. It added 6 while json.Marshal
 			// re-marshalled the payload for the Ed25519 check
 			// (credential boxed, two time texts, the result: 4) and
-			// every call made the map (1). Then the engine's decision (1). It
-			// was 14 / 12 with the bound name (1), 23 / 20 with the
+			// every call made the map (1). Then nothing of the engine:
+			// its decision is the shared plain grant. It was 10 / 9 while
+			// that decision was an object of its own (1), 14 / 12 with
+			// the bound name (1), 23 / 20 with the
 			// request's strings and the trace ID apart, 36 / 33 through
 			// encoding/json and json.Marshal, 38 / 35 with the engine's
 			// record slice and the store's Roles copy (2), 13 / 11 with
@@ -528,7 +541,7 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 				return DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: ctx(i)}
 			},
 			allowed: true, phase: "granted",
-			budget: map[string]float64{"default": 10, "bare": 9, "all-on": 10},
+			budget: map[string]float64{"default": 9, "bare": 8, "all-on": 9},
 		},
 	}, soa
 }

@@ -326,6 +326,60 @@ func TestDecisionPanicReleasesRequestID(t *testing.T) {
 	}
 }
 
+// TestMalformedContextReleasesRequestID: the claim comes before the
+// context is parsed, so a request whose context does not parse holds
+// its RequestID while it is refused. The 400 must release it: a
+// corrected retry under the same ID executes, and once that commits, a
+// retry under the ID is replayed before its context is read, as any
+// replay is.
+func TestMalformedContextReleasesRequestID(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(taxPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pdp.New(pdp.Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p)
+	serve := func(context string) (int, []byte) {
+		body, err := json.Marshal(DecisionRequest{
+			User: "c1", Roles: []string{"Clerk"},
+			Operation: "prepareCheck", Target: "http://www.myTaxOffice.com/Check",
+			Context: context, RequestID: "fix-me",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.serveDecision(w, httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body)), p.DecideCtx, false)
+		return w.Code, w.Body.Bytes()
+	}
+	const malformed, corrected = "TaxOffice=Leeds, taxRefundProcess", "TaxOffice=Leeds, taxRefundProcess=p1"
+	if _, err := bctx.Parse(malformed); err == nil {
+		t.Fatalf("%q parses", malformed)
+	}
+	before := len(s.idem.entries)
+	if code, body := serve(malformed); code != http.StatusBadRequest || !strings.Contains(string(body), "context: ") {
+		t.Fatalf("malformed context = %d %s; want a 400 naming the context", code, body)
+	}
+	if n := len(s.idem.entries); n != before {
+		t.Fatalf("idempotency cache holds %d entries after the 400, want %d", n, before)
+	}
+
+	code, first := serve(corrected)
+	var resp DecisionResponse
+	if err := json.Unmarshal(first, &resp); err != nil || code != http.StatusOK || !resp.Allowed || resp.Recorded != 1 {
+		t.Fatalf("corrected retry = %d %s (%v); want a grant recording 1", code, first, err)
+	}
+	if code, replayed := serve(malformed); code != http.StatusOK || !bytes.Equal(replayed, first) {
+		t.Fatalf("a retry of the committed ID = %d %s; want the committed answer %s", code, replayed, first)
+	}
+	if n := p.Store().Len(); n != 1 {
+		t.Fatalf("retained ADI has %d records, want the corrected retry's 1", n)
+	}
+}
+
 // TestIdempotencyCacheKeepsNoRequestText: what the idempotency cache
 // keeps of a committed answer is the answer, not the request it came
 // from. A shard with the decision ring off and no event broker serves

@@ -18,7 +18,7 @@ import (
 
 // The shard's decision pipeline: POST /v1/decision and /v1/advice run
 //
-//	gate → read → claim → decide → publish → respond
+//	gate → read → claim → parse → decide → publish → respond
 //
 // over one per-request value, in serveDecision. DESIGN.md § "The
 // shard's decision pipeline" has the why of the order.
@@ -28,7 +28,8 @@ import (
 type decisionCall struct {
 	// Wire is the request as decoded.
 	Wire DecisionRequest
-	// Request is Wire as the PDP takes it: context parsed, roles typed.
+	// Request is Wire as the PDP takes it: context parsed, roles typed
+	// (parse).
 	Request pdp.Request
 	// TraceID is the caller's traceparent trace ID (the gateway's, or a
 	// PEP's own), or one minted here: every request is traced, so the
@@ -51,12 +52,11 @@ type decisionCall struct {
 }
 
 // readDecisionCall is the read stage: the trace ID, the bounded body
-// (ReadBody), the wire decode with its trailing-bytes check
+// (ReadBody) and the wire decode with its trailing-bytes check
 // (DecodeDecisionRequest; a trace ID minted for a request without a
-// traceparent ends the string its text is decoded into), the context
-// parse and the role conversion. A failure comes with the status and
-// the message to answer: 413 past the body cap, 400 for anything else
-// wrong with what the caller sent.
+// traceparent ends the string its text is decoded into). A failure
+// comes with the status and the message to answer: 413 past the body
+// cap, 400 for anything else wrong with the bytes the caller sent.
 func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (int, error) {
 	traceID, traced := obsv.ParseTraceparent(r.Header.Get(obsv.TraceparentHeader))
 	body, status, err := ReadBody(w, r, 0)
@@ -67,11 +67,21 @@ func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (
 	if err != nil {
 		return status, fmt.Errorf("decode: %v", err)
 	}
+	if traced {
+		c.TraceID = traceID
+	}
+	return 0, nil
+}
+
+// parse is the parse stage, after the claim, so that a replay pays for
+// none of it: the context parse and the role conversion, into Request.
+// A failure is answered 400.
+func (c *decisionCall) parse() error {
 	ctx, err := bctx.Parse(c.Wire.Context)
 	if err != nil {
 		// bctx's error quotes the offending text, as long as the
 		// request allows: the answer carries a bounded prefix of it.
-		return http.StatusBadRequest, fmt.Errorf("context: %s", obsv.Prefix(err.Error()))
+		return fmt.Errorf("context: %s", obsv.Prefix(err.Error()))
 	}
 	c.Request = pdp.Request{
 		Credentials: c.Wire.Credentials,
@@ -83,10 +93,7 @@ func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (
 		ContextText: c.Wire.Context,
 		Environment: c.Wire.Environment,
 	}
-	if traced {
-		c.TraceID = traceID
-	}
-	return 0, nil
+	return nil
 }
 
 // answer is the 200 answer to this call, as views: the PDP's decision
@@ -132,13 +139,8 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	// read. What is wrong with the caller's bytes is counted, not scored.
 	c := decisionCall{advisory: advisory}
 	if status, err := readDecisionCall(w, r, &c); err != nil {
-		s.metrics.requestErrors.Add(1)
-		WriteJSON(w, status, errorResponse{err.Error()})
+		s.refuseRequest(w, status, err)
 		return
-	}
-	// A cluster shard decides only for the subject it was routed on.
-	if s.handoff {
-		c.Request.Routed = rbac.UserID(c.Wire.RoutingSubject())
 	}
 	// claim. A duplicate RequestID replays the committed response rather
 	// than re-deciding — re-execution would double-record ADI history
@@ -169,6 +171,17 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		// resolving releases the ID so a retry re-executes.
 		defer func() { s.idem.finish(id, packed) }()
 	}
+	// parse. A malformed context is the caller's error, as the read's
+	// are; under a claimed ID, finish releases the claim with nothing
+	// committed, so a corrected retry under that ID executes.
+	if err := c.parse(); err != nil {
+		s.refuseRequest(w, http.StatusBadRequest, err)
+		return
+	}
+	// A cluster shard decides only for the subject it was routed on.
+	if s.handoff {
+		c.Request.Routed = rbac.UserID(c.Wire.RoutingSubject())
+	}
 	s.decide(r.Context(), &c, decide)
 	var a answer
 	if c.err == nil {
@@ -182,6 +195,13 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		return
 	}
 	writeAnswer(w, &a)
+}
+
+// refuseRequest answers what is wrong with what the caller sent:
+// counted, not scored.
+func (s *Server) refuseRequest(w http.ResponseWriter, status int, err error) {
+	s.metrics.requestErrors.Add(1)
+	WriteJSON(w, status, errorResponse{err.Error()})
 }
 
 // decisionContext is the context a decision runs under: the request's,

@@ -88,7 +88,9 @@ func NewContextHierarchy() *ContextHierarchy { return bctx.NewHierarchy() }
 
 // MSoD engine types (the paper's contribution).
 type (
-	// Engine evaluates the §4.2 enforcement algorithm.
+	// Engine evaluates the §4.2 enforcement algorithm. The *Decision
+	// its Evaluate, EvaluateCtx, Peek and PeekCtx return is read-only:
+	// the engine may hand the same object to many callers.
 	Engine = core.Engine
 	// EnginePolicy is one compiled MSoD policy.
 	EnginePolicy = core.Policy
