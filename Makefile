@@ -88,9 +88,10 @@ fuzz:
 # times over, for more interleavings), chaotic transport (with carried activations and closes), overload
 # shedding, degraded read-only mode, the idempotency cache's waiters
 # (ten times over), and, twenty times each, the exemplar slots and the
-# trace's span bookkeeping under concurrent writers, and the engine's
+# trace's span bookkeeping under concurrent writers, the engine's
 # commit buffer, which every decision reuses, under concurrent
-# decisions, advisories and ops.
+# decisions, advisories and ops, and the engine's shared plain grants
+# and denials under concurrent deciders of two engines.
 chaos:
 	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=3 -run 'TestConcurrentCrashTorture' ./internal/fault
@@ -100,7 +101,7 @@ chaos:
 	$(GO) test -race -count=20 -run 'TestClusterPEPHangUpAfterFirstStep' ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestObserveExemplarConcurrent' ./internal/obsv
 	$(GO) test -race -count=20 -run '^(TestTraceEndFromOtherGoroutines|TestTraceMatchesReferenceOnScripts)$$' ./internal/obsv
-	$(GO) test -race -count=20 -run 'TestConcurrentCommitBuffer' ./internal/core
+	$(GO) test -race -count=20 -run 'TestConcurrentCommitBuffer|TestPlainGrantsAreShared|TestDenialsAreShared' ./internal/core
 
 # Elastic membership smoke: the join/drain/remove lifecycle and
 # context-activation unit suite (the activation carried to each peer,

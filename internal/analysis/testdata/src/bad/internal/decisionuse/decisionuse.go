@@ -32,3 +32,14 @@ func Copy(dec *core.Decision, pd Decision) core.Decision {
 	pd.MSoD = &c
 	return c
 }
+
+// Unmark writes through the engine's shared denial, kept apart from the
+// decision it lives in, in every way the analyzer flags.
+func Unmark(dec *core.Decision, denials []*core.Denial) *string {
+	d := dec.Denial
+	d.Rule = "rewritten"
+	d.Rule += "!"
+	*d = core.Denial{}
+	denials[0].Rule = "rewritten"
+	return &d.Rule
+}

@@ -26,3 +26,13 @@ func Event(pd Decision) core.Decision {
 func Repoint(pd *Decision, other *core.Decision) {
 	pd.MSoD = other
 }
+
+// Reword copies the engine's denial before it changes it, and
+// re-points a pointer to the copy: nothing written through one.
+func Reword(pd Decision) core.Denial {
+	d := *pd.MSoD.Denial
+	d.Rule = "reworded"
+	denial := pd.MSoD.Denial
+	denial = &d
+	return *denial
+}

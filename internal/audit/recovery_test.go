@@ -75,7 +75,7 @@ func recoverFromEachPath(t *testing.T, policies []core.Policy, n int) []adi.Reco
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Append(NewEvent(req, "", *dec, at)); err != nil {
+		if _, err := w.Append(NewEvent(req, "", nil, *dec, at)); err != nil {
 			t.Fatal(err)
 		}
 		if i == n/2 {

@@ -24,7 +24,7 @@ func (e *Engine) match(inst bctx.Name, out []matched) []matched {
 	defer e.mu.Unlock()
 	for i := range out {
 		if out[i].names != nil {
-			out[i].bound = e.bind(out[i].program, inst)
+			out[i].bound = e.bind(out[i].program, inst).name
 		}
 	}
 	return out
@@ -144,8 +144,8 @@ func TestCollidingBindingsAreNeverStale(t *testing.T) {
 				t.Fatalf("step %d: %+v: the decision carries %q, MatchBind binds %q", step, req, n, bound)
 			}
 		}
-		if !bctx.IsBinding(pr.names[0], pr.Context, req.Context) {
-			t.Fatalf("step %d: the slot holds %q after a request bound to %q", step, pr.names[0], bound)
+		if !bctx.IsBinding(pr.names[0].name, pr.Context, req.Context) {
+			t.Fatalf("step %d: the slot holds %q after a request bound to %q", step, pr.names[0].name, bound)
 		}
 		effects[got.Effect]++
 		closed += len(got.Closed())

@@ -60,13 +60,14 @@ func bankPDP(t *testing.T) *PDP {
 	return p
 }
 
-// bankReq builds a request as the shard does, with the context's text
-// beside its name.
+// bankReq builds a request as the shard does, with the context's and
+// the roles' text beside their names.
 func bankReq(user, role, op, target, branch, period string) Request {
 	text := "Branch=" + branch + ", Period=" + period
 	return Request{
 		User:        rbac.UserID(user),
 		Roles:       []rbac.RoleName{rbac.RoleName(role)},
+		RoleText:    []string{role},
 		Operation:   rbac.Operation(op),
 		Target:      rbac.Object(target),
 		Context:     bctx.MustParse(text),
@@ -97,6 +98,55 @@ func TestEventContextIsCanonical(t *testing.T) {
 	}
 	if want := []string{canonical, canonical, canonical}; !slices.Equal(got, want) {
 		t.Fatalf("event contexts %q, want %q", got, want)
+	}
+}
+
+// TestEventRolesAreTheRequests: the events of a decision whose subject
+// is the request's Roles carry its RoleText itself when that spells
+// them, and a conversion when it does not or is absent; a subject of
+// credentials carries the CVS's roles whatever RoleText says.
+func TestEventRolesAreTheRequests(t *testing.T) {
+	var got [][]string
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{Policy: pol, Observer: func(ev inspect.DecisionEvent) { got = append(got, ev.Roles) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := credential.NewAuthority("hr.bank.example")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TrustAuthority(hr); err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	cred, err := hr.IssueRole("alice", "Teller", now.Add(-time.Hour), now.Add(time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spelled := bankReq("alice", "Teller", "HandleCash", "till", "York", "p")
+	misspelled := bankReq("alice", "Teller", "HandleCash", "till", "York", "p")
+	misspelled.RoleText = []string{"teller"}
+	absent := bankReq("alice", "Teller", "HandleCash", "till", "York", "p")
+	absent.RoleText = nil
+	credentialed := bankReq("", "Auditor", "HandleCash", "till", "York", "p")
+	credentialed.Credentials = []credential.Credential{cred}
+	for _, req := range []Request{spelled, misspelled, absent, credentialed} {
+		if _, err := p.Decide(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, roles := range got {
+		if !slices.Equal(roles, []string{"Teller"}) {
+			t.Errorf("event %d carries roles %q; want [Teller]", i, roles)
+		}
+	}
+	if len(got) != 4 || &got[0][0] != &spelled.RoleText[0] || &got[1][0] == &misspelled.RoleText[0] ||
+		&got[3][0] == &credentialed.RoleText[0] {
+		t.Errorf("events carry %q; want the spelled request's RoleText itself, and no other's", got)
 	}
 }
 

@@ -74,8 +74,10 @@ func readDecisionCall(w http.ResponseWriter, r *http.Request, c *decisionCall) (
 }
 
 // parse is the parse stage, after the claim, so that a replay pays for
-// none of it: the context parse and the role conversion, into Request.
-// A failure is answered 400.
+// none of it: the context parse and the role conversion, into Request,
+// which carries the wire's context and roles as their text too
+// (ContextText, RoleText) for the decision's events. A failure is
+// answered 400.
 func (c *decisionCall) parse() error {
 	ctx, err := bctx.Parse(c.Wire.Context)
 	if err != nil {
@@ -87,6 +89,7 @@ func (c *decisionCall) parse() error {
 		Credentials: c.Wire.Credentials,
 		User:        rbac.UserID(c.Wire.User),
 		Roles:       toRoles(c.Wire.Roles),
+		RoleText:    c.Wire.Roles,
 		Operation:   rbac.Operation(c.Wire.Operation),
 		Target:      rbac.Object(c.Wire.Target),
 		Context:     ctx,

@@ -89,8 +89,10 @@ func NewContextHierarchy() *ContextHierarchy { return bctx.NewHierarchy() }
 // MSoD engine types (the paper's contribution).
 type (
 	// Engine evaluates the §4.2 enforcement algorithm. The *Decision
-	// its Evaluate, EvaluateCtx, Peek and PeekCtx return is read-only:
-	// the engine may hand the same object to many callers.
+	// its Evaluate, EvaluateCtx, Peek and PeekCtx return, and the
+	// *Denial in it, are read-only: the engine may hand the same object
+	// to many callers (a plain grant, or a denial repeated in its bound
+	// instance), so a caller copies one before it changes it.
 	Engine = core.Engine
 	// EnginePolicy is one compiled MSoD policy.
 	EnginePolicy = core.Policy
