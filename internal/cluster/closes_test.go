@@ -75,7 +75,8 @@ const closesPolicyXML = `
   </MSoDPolicySet>
 </RBACPolicy>`
 
-// closeShard is one real PDP served the way `msodd -handoff` serves it.
+// closeShard is one real PDP served the way msodd serves it (under
+// opts; `msodd -handoff` is server.WithHandoff).
 type closeShard struct {
 	id    string
 	store *adi.Store
@@ -92,7 +93,7 @@ func closesPolicy(t *testing.T) *policy.RBACPolicy {
 	return pol
 }
 
-func newCloseShard(t *testing.T, id string) *closeShard {
+func newCloseShard(t *testing.T, id string, opts ...server.Option) *closeShard {
 	t.Helper()
 	sh := &closeShard{id: id, store: adi.NewStore()}
 	broker := inspect.NewBroker(64)
@@ -104,7 +105,7 @@ func newCloseShard(t *testing.T, id string) *closeShard {
 	if err := p.TrustAuthority(bankSOA); err != nil {
 		t.Fatal(err)
 	}
-	sh.srv = server.New(p, server.WithHandoff(), server.WithEventBroker(broker))
+	sh.srv = server.New(p, append(opts, server.WithEventBroker(broker))...)
 	sh.ts = httptest.NewServer(sh.srv)
 	t.Cleanup(sh.ts.Close)
 	return sh
@@ -116,9 +117,15 @@ func newCloseShard(t *testing.T, id string) *closeShard {
 // with gw.Checker().CheckNow(), one health-probe round.
 func newCloseCluster(t *testing.T, n int, cfg Config, transport http.RoundTripper) (*Gateway, *server.Client, []*closeShard) {
 	t.Helper()
+	return newCloseClusterOf(t, n, cfg, transport, server.WithHandoff())
+}
+
+// newCloseClusterOf is newCloseCluster over shards served under opts.
+func newCloseClusterOf(t *testing.T, n int, cfg Config, transport http.RoundTripper, opts ...server.Option) (*Gateway, *server.Client, []*closeShard) {
+	t.Helper()
 	shards := make([]*closeShard, n)
 	for i := range shards {
-		shards[i] = newCloseShard(t, string(rune('a'+i)))
+		shards[i] = newCloseShard(t, string(rune('a'+i)), opts...)
 		cfg.Shards = append(cfg.Shards, Shard{ID: shards[i].id, BaseURL: shards[i].ts.URL})
 	}
 	cfg.HTTPClient = &http.Client{Transport: transport}
@@ -717,7 +724,7 @@ func (h *hooked) RoundTrip(r *http.Request) (*http.Response, error) {
 // join admits a fresh real shard under id and waits for the handoff.
 func join(t *testing.T, gw *Gateway, id string) *closeShard {
 	t.Helper()
-	sh := newCloseShard(t, id)
+	sh := newCloseShard(t, id, server.WithHandoff())
 	gts := httptest.NewServer(gw)
 	defer gts.Close()
 	resp := postJSON(t, gts.URL+ClusterJoinPath, ClusterMemberRequest{ID: id, URL: sh.ts.URL})

@@ -634,9 +634,9 @@ func TestNewConfigValidation(t *testing.T) {
 	}
 }
 
-// TestGatewayWithholdsMisroutedAnswer: when the shard's CVS resolves
-// the subject to a user another shard owns — a forged leading
-// credential or an unlinked alias steered routing — the answer is
+// TestGatewayWithholdsMisroutedAnswer: when a shard answers for a
+// subject other than the one the request was routed on — a shard of an
+// older release that does not refuse it with a 421 — the answer is
 // withheld (502), never forwarded as a grant.
 func TestGatewayWithholdsMisroutedAnswer(t *testing.T) {
 	gw, gts, shards := newTestCluster(t, 2, Config{})
@@ -665,8 +665,8 @@ func TestGatewayWithholdsMisroutedAnswer(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
 		t.Fatalf("misrouted decision = %v, want withheld 502", err)
 	}
-	if !strings.Contains(apiErr.Message, userOn1) || !strings.Contains(apiErr.Message, "shard01") {
-		t.Errorf("502 message %q does not name the resolved subject and its owner", apiErr.Message)
+	if !strings.Contains(apiErr.Message, userOn1) || !strings.Contains(apiErr.Message, keyOn0) || strings.Contains(apiErr.Message, "shard01") {
+		t.Errorf("502 message %q does not name the resolved subject and the routing key, or names another owner", apiErr.Message)
 	}
 	// The advisory path applies the same guard.
 	_, err = c.Advice(server.DecisionRequest{User: keyOn0, Operation: "op", Target: "t", Context: "P=1"})

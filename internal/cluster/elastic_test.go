@@ -397,6 +397,15 @@ func TestClusterJoinRefusesInTransitUsers(t *testing.T) {
 	if movingUser == "" || stayingUser == "" {
 		t.Fatalf("topology gave no moving/staying pair (moving=%q staying=%q)", movingUser, stayingUser)
 	}
+	// A user with no history moves too: the next ring, not the donors'
+	// user lists, says who is in transit.
+	var firstSeen string
+	for i := 0; firstSeen == ""; i++ {
+		u := fmt.Sprintf("fresh%04d", i)
+		if owner, _ := next.Lookup(u); owner == "shard02" {
+			firstSeen = u
+		}
+	}
 
 	resp := postJSON(t, gts.URL+ClusterJoinPath, ClusterMemberRequest{ID: "shard02", URL: joiner.ts.URL})
 	if resp.StatusCode != http.StatusAccepted {
@@ -405,20 +414,23 @@ func TestClusterJoinRefusesInTransitUsers(t *testing.T) {
 	resp.Body.Close()
 	waitPhase(t, gw, PhaseStreaming)
 
-	// A decision for the in-transit user fails closed with a retry hint.
-	dr := postJSON(t, gts.URL+server.DecisionPath,
-		server.DecisionRequest{User: movingUser, Operation: "op", Target: "t", Context: "P=1"})
-	if dr.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("in-transit decision status %d, want 503", dr.StatusCode)
+	// A decision for an in-transit user — one with history, or one first
+	// seen in the window — fails closed with a retry hint.
+	for _, u := range []string{movingUser, firstSeen} {
+		dr := postJSON(t, gts.URL+server.DecisionPath,
+			server.DecisionRequest{User: u, Operation: "op", Target: "t", Context: "P=1"})
+		if dr.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("in-transit decision for %s: status %d, want 503", u, dr.StatusCode)
+		}
+		if dr.Header.Get("Retry-After") == "" {
+			t.Errorf("in-transit refusal for %s has no Retry-After", u)
+		}
+		dr.Body.Close()
 	}
-	if dr.Header.Get("Retry-After") == "" {
-		t.Error("in-transit refusal has no Retry-After")
-	}
-	dr.Body.Close()
 
 	// A credential-bearing decision is routed on its holder: the moving
 	// user's fails closed like the user's own, and the staying user's is
-	// decided on the donor (a shard run -handoff refuses one that
+	// decided on the donor (every shard refuses one that
 	// resolves to another subject, so it cannot commit for the mover).
 	for _, tc := range []struct {
 		holder string
@@ -437,9 +449,9 @@ func TestClusterJoinRefusesInTransitUsers(t *testing.T) {
 		}
 	}
 
-	// An advisory for the in-transit user is withheld at answer time
-	// (after release its donor history may be mid-purge), but an
-	// unaffected user's advisory keeps flowing through the window.
+	// An advisory for the in-transit user is refused before it is sent
+	// (its donor's history may be mid-copy, or mid-purge after release),
+	// but an unaffected user's advisory keeps flowing through the window.
 	ar := postJSON(t, gts.URL+server.AdvicePath,
 		server.DecisionRequest{User: movingUser, Operation: "op", Target: "t", Context: "P=1"})
 	if ar.StatusCode != http.StatusServiceUnavailable {

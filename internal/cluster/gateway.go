@@ -135,14 +135,16 @@ type Gateway struct {
 
 	// traffic is the quiesce barrier: every routed request holds the
 	// read lock for its full duration; the handoff coordinator takes
-	// the write lock once, after raising the transit marks, to prove
-	// every pre-mark request has finished before it exports history.
+	// the write lock once, after opening the window, to prove every
+	// request admitted before it has finished before it lists and
+	// exports history.
 	traffic sync.RWMutex
 
-	// hmu guards the handoff window state below. transit marks the
-	// users whose history is in motion (decisions refuse fail-closed).
+	// hmu guards the handoff window state below. next is the ring the
+	// open window's handoff moves to, nil when none is open: a key it
+	// gives another owner is in transit (requests refuse fail-closed).
 	hmu            sync.Mutex
-	transit        map[string]bool
+	next           *Ring
 	currentHandoff *HandoffStatus
 	lastHandoff    *HandoffStatus
 

@@ -13,9 +13,9 @@ import (
 
 // Handoff phases, in order. A handoff is the only way ring membership
 // changes while the cluster serves: it moves exactly the users whose
-// ownership the membership change reassigns, and the users in motion
-// are refused fail-closed — never answered from partial history —
-// between quiesce and cutover.
+// ownership the membership change reassigns, and every key whose owner
+// it changes, with history or without, is refused fail-closed — never
+// answered from partial history — between quiesce and cutover.
 const (
 	PhasePlanning  = "planning"
 	PhaseQuiescing = "quiescing"
@@ -46,16 +46,21 @@ type HandoffStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// handoffPlan is the computed ownership delta: which users leave which
-// donor, and where each goes.
+// handoffPlan is the computed ownership delta: the next ring, and which
+// users leave which donor for their owner on it.
 type handoffPlan struct {
+	next *Ring
 	// moves maps donor shard -> the users leaving it, sorted.
 	moves map[string][]string
-	// target maps each moving user to its next owner.
-	target map[string]string
 }
 
-func (p *handoffPlan) users() int { return len(p.target) }
+func (p *handoffPlan) users() int {
+	n := 0
+	for _, us := range p.moves {
+		n += len(us)
+	}
+	return n
+}
 
 // donors returns the shards losing users, sorted.
 func (p *handoffPlan) donors() []string {
@@ -210,19 +215,13 @@ func (g *Gateway) logHandoff(level slog.Level, kind, shard, msg string, err erro
 // unreachable (it owns nothing) and will be replaced wholesale by the
 // next attempt's imports.
 func (g *Gateway) runJoin(ctx context.Context, joiner string) error {
-	plan, err := g.planJoin(ctx, joiner)
+	next := g.ring.Clone()
+	next.Add(joiner)
+	plan, err := g.plan(ctx, next, g.ring.Members())
 	if err != nil {
 		g.setShardState(joiner, ShardJoining)
 		return fmt.Errorf("plan: %w", err)
 	}
-	g.hmu.Lock()
-	if g.currentHandoff != nil {
-		g.currentHandoff.Users = plan.users()
-	}
-	g.hmu.Unlock()
-
-	g.setHandoffPhase(PhaseQuiescing)
-	g.quiesce(plan)
 
 	g.setHandoffPhase(PhaseStreaming)
 	if err := g.stream(ctx, plan); err != nil {
@@ -265,20 +264,14 @@ func (g *Gateway) runJoin(ctx context.Context, joiner string) error {
 // authoritative — a failure anywhere before cutover returns it to
 // "active" with nothing lost.
 func (g *Gateway) runDrain(ctx context.Context, leaver string) error {
-	plan, err := g.planDrain(ctx, leaver)
+	next := g.ring.Clone()
+	next.Remove(leaver)
+	plan, err := g.plan(ctx, next, []string{leaver})
 	if err != nil {
 		g.setShardState(leaver, ShardActive)
 		g.persistTopologyLogged()
 		return fmt.Errorf("plan: %w", err)
 	}
-	g.hmu.Lock()
-	if g.currentHandoff != nil {
-		g.currentHandoff.Users = plan.users()
-	}
-	g.hmu.Unlock()
-
-	g.setHandoffPhase(PhaseQuiescing)
-	g.quiesce(plan)
 
 	g.setHandoffPhase(PhaseStreaming)
 	if err := g.stream(ctx, plan); err != nil {
@@ -302,18 +295,20 @@ func (g *Gateway) runDrain(ctx context.Context, leaver string) error {
 	return nil
 }
 
-// planJoin computes which users the joiner takes over: for every
-// current member, the users it owns today whose next-ring owner is the
-// joiner. Users listed by a shard that is NOT their ring owner are
-// stale leftovers of an earlier release failure — deny-safe copies,
-// never a source of truth — and are skipped so a user can never be
-// imported from two donors (the second import's replace semantics
-// would otherwise let a stale subset overwrite full history).
-func (g *Gateway) planJoin(ctx context.Context, joiner string) (*handoffPlan, error) {
-	next := g.ring.Clone()
-	next.Add(joiner)
-	plan := &handoffPlan{moves: make(map[string][]string), target: make(map[string]string)}
-	for _, donor := range g.ring.Members() {
+// plan opens the handoff window for the next ring, then lists who it
+// moves: the users each donor owns today whose owner on next is another
+// shard. The window comes first, so a user first seen while the donors
+// list theirs is refused rather than missed. Users listed by a shard
+// that is NOT their ring owner are stale leftovers of an earlier release
+// failure — deny-safe copies, never a source of truth — and are skipped
+// so a user can never be imported from two donors (the second import's
+// replace semantics would otherwise let a stale subset overwrite full
+// history).
+func (g *Gateway) plan(ctx context.Context, next *Ring, donors []string) (*handoffPlan, error) {
+	g.setHandoffPhase(PhaseQuiescing)
+	g.quiesce(next)
+	plan := &handoffPlan{next: next, moves: make(map[string][]string)}
+	for _, donor := range donors {
 		users, err := g.donorUsers(ctx, donor)
 		if err != nil {
 			return nil, err
@@ -322,39 +317,16 @@ func (g *Gateway) planJoin(ctx context.Context, joiner string) (*handoffPlan, er
 			if owner, ok := g.ring.Lookup(u); !ok || owner != donor {
 				continue // stale copy on a non-owner
 			}
-			if t, ok := next.Lookup(u); ok && t == joiner {
+			if to, _ := next.Lookup(u); to != donor {
 				plan.moves[donor] = append(plan.moves[donor], u)
-				plan.target[u] = joiner
 			}
 		}
 	}
-	return plan, nil
-}
-
-// planDrain computes where the leaver's users go: each of its owned
-// users maps to its owner on the ring without the leaver.
-func (g *Gateway) planDrain(ctx context.Context, leaver string) (*handoffPlan, error) {
-	next := g.ring.Clone()
-	next.Remove(leaver)
-	if next.Size() == 0 {
-		return nil, fmt.Errorf("draining %s would empty the ring", leaver)
+	g.hmu.Lock()
+	if g.currentHandoff != nil {
+		g.currentHandoff.Users = plan.users()
 	}
-	plan := &handoffPlan{moves: make(map[string][]string), target: make(map[string]string)}
-	users, err := g.donorUsers(ctx, leaver)
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range users {
-		if owner, ok := g.ring.Lookup(u); !ok || owner != leaver {
-			continue // stale copy: another shard is authoritative
-		}
-		t, ok := next.Lookup(u)
-		if !ok {
-			return nil, fmt.Errorf("no next owner for user %q", u)
-		}
-		plan.moves[leaver] = append(plan.moves[leaver], u)
-		plan.target[u] = t
-	}
+	g.hmu.Unlock()
 	return plan, nil
 }
 
@@ -371,43 +343,49 @@ func (g *Gateway) donorUsers(ctx context.Context, donor string) ([]string, error
 	return resp.Users, nil
 }
 
-// quiesce opens the fail-closed window: it marks the moving users as
-// in transit (their decisions refuse with 503 + Retry-After). A request
-// routed on a user who stays cannot commit for a moving one: a shard
-// run -handoff refuses, before anything is evaluated, one that resolves
-// to another subject than it was routed on (421). It then takes the
-// traffic barrier write lock once: every routed request admitted before
-// the marks went up holds the read lock for its full duration, so when
-// the write lock is acquired, nothing admitted pre-mark is still
-// running — no commit for a moving user can land on a donor after the
-// export snapshot is taken.
-func (g *Gateway) quiesce(plan *handoffPlan) {
+// quiesce opens the fail-closed window: while it is open every key
+// whose owner the next ring changes is in transit, whether or not it has
+// history, and its decisions and advisories refuse with 503 +
+// Retry-After before they are sent. A request routed on a key that stays
+// cannot commit for a moving one: every shard refuses, before anything
+// is evaluated, one that resolves to another subject than it was routed
+// on (421). It then takes the traffic barrier write lock once: every
+// routed request admitted before the window opened holds the read lock
+// for its full duration, so when the write lock is acquired, nothing
+// admitted before it is still running — no commit for a moving key can
+// land on a donor after the donors list their users or export them.
+func (g *Gateway) quiesce(next *Ring) {
 	g.hmu.Lock()
-	g.transit = make(map[string]bool, len(plan.target))
-	for u := range plan.target {
-		g.transit[u] = true
-	}
+	g.next = next
 	g.hmu.Unlock()
 	g.traffic.Lock()
 	//lint:ignore SA2001 the empty critical section IS the barrier:
-	// acquiring the write lock proves every pre-mark reader finished.
+	// acquiring the write lock proves every pre-window reader finished.
 	g.traffic.Unlock()
 }
 
 // clearQuiesce closes the fail-closed window.
 func (g *Gateway) clearQuiesce() {
 	g.hmu.Lock()
-	g.transit = nil
+	g.next = nil
 	g.hmu.Unlock()
 }
 
-// inTransit reports whether user's history is mid-handoff: a decision
-// routed on it refuses fail-closed, and an answer whose resolved
-// subject it is is withheld.
-func (g *Gateway) inTransit(user string) bool {
+// inTransit reports whether a handoff window is open and its next ring
+// gives key another owner than the ring routes it to. It reads the
+// window before the ring: a request that finds no window open and then
+// looks up its owner either meets the ring a finished handoff left, or
+// holds the traffic barrier that the next handoff waits on.
+func (g *Gateway) inTransit(key string) bool {
 	g.hmu.Lock()
-	defer g.hmu.Unlock()
-	return g.transit[user]
+	next := g.next
+	g.hmu.Unlock()
+	if next == nil {
+		return false
+	}
+	owner, _ := g.ring.Lookup(key)
+	to, _ := next.Lookup(key)
+	return owner != to
 }
 
 // stream copies every moving user's retained-ADI subtree from its
@@ -428,7 +406,8 @@ func (g *Gateway) stream(ctx context.Context, plan *handoffPlan) error {
 	for _, donor := range plan.donors() {
 		groups := make(map[string][]string)
 		for _, u := range plan.moves[donor] {
-			groups[plan.target[u]] = append(groups[plan.target[u]], u)
+			to, _ := plan.next.Lookup(u)
+			groups[to] = append(groups[to], u)
 		}
 		targets := make([]string, 0, len(groups))
 		for t := range groups {

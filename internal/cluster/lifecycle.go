@@ -16,8 +16,8 @@ import "fmt"
 //	    owns nothing, receives nothing. A failed join handoff returns
 //	    here; the join can be retried or the shard removed.
 //	  - syncing: a handoff is streaming retained-ADI subtrees into the
-//	    shard. Still owns nothing; decisions for the in-transit users
-//	    refuse fail-closed at the gateway.
+//	    shard. Still owns nothing; decisions for the keys the next ring
+//	    gives it refuse fail-closed at the gateway.
 //	  - active: in the ring, authoritative for its key ranges.
 //	  - draining: still in the ring and still authoritative — a draining
 //	    shard finishes its in-flight decisions — but its users are in

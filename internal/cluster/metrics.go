@@ -19,12 +19,12 @@ type gwMetrics struct {
 	routed      atomic.Int64 // decision/advice requests routed to a shard
 	unavailable atomic.Int64 // requests failed closed (503)
 	retries     atomic.Int64 // same-shard transport retries
-	misrouted   atomic.Int64 // answers withheld: resolved subject owned by another shard
+	misrouted   atomic.Int64 // answers withheld: resolved subject not the routing key
 	broken      atomic.Int64 // requests refused by an open circuit breaker
 	badRequests atomic.Int64
 	// Handoff lifecycle counters (see handoff.go): handoffRefusals are
-	// the fail-closed 503s for in-transit users and credential-bearing
-	// requests on donors during the handoff window.
+	// the fail-closed 503s during the handoff window, for keys whose
+	// owner the handoff changes (and for management requests).
 	handoffStarted    atomic.Int64
 	handoffCompleted  atomic.Int64
 	handoffFailed     atomic.Int64
@@ -193,7 +193,7 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msodgw_routed_total", "Decision/advice requests routed to their owning shard.", g.metrics.routed.Load())
 	obsv.WriteCounter(w, "msodgw_unavailable_total", "Requests failed closed (503) because the owning shard could not answer.", g.metrics.unavailable.Load())
 	obsv.WriteCounter(w, "msodgw_retries_total", "Same-shard transport retries.", g.metrics.retries.Load())
-	obsv.WriteCounter(w, "msodgw_misrouted_total", "Answers withheld because the shard resolved a subject another shard owns.", g.metrics.misrouted.Load())
+	obsv.WriteCounter(w, "msodgw_misrouted_total", "Answers withheld because the shard resolved a subject other than the routing key.", g.metrics.misrouted.Load())
 	obsv.WriteCounter(w, "msodgw_bad_requests_total", "Requests rejected before routing (bad input, no subject).", g.metrics.badRequests.Load())
 	obsv.WriteCounter(w, "msodgw_breaker_refused_total", "Requests refused by an open circuit breaker (also counted in msodgw_unavailable_total).", g.metrics.broken.Load())
 	fmt.Fprintf(w, "# HELP msodgw_shard_up Shard availability (1 up, 0 down).\n# TYPE msodgw_shard_up gauge\n")
@@ -231,7 +231,7 @@ func (g *Gateway) writeOwnMetrics(w io.Writer) {
 	obsv.WriteCounter(w, "msod_handoff_started_total", "Membership handoffs started (join and drain).", g.metrics.handoffStarted.Load())
 	obsv.WriteCounter(w, "msod_handoff_completed_total", "Membership handoffs completed through cutover.", g.metrics.handoffCompleted.Load())
 	obsv.WriteCounter(w, "msod_handoff_failed_total", "Membership handoffs aborted before cutover (donor stays authoritative).", g.metrics.handoffFailed.Load())
-	obsv.WriteCounter(w, "msod_handoff_refusals_total", "Decisions refused fail-closed during a handoff window (in-transit users, withheld answers).", g.metrics.handoffRefusals.Load())
+	obsv.WriteCounter(w, "msod_handoff_refusals_total", "Decisions refused fail-closed during a handoff window (keys whose owner the handoff changes).", g.metrics.handoffRefusals.Load())
 	obsv.WriteCounter(w, "msod_handoff_users_moved_total", "Users whose retained-ADI history was streamed to a new owner.", g.metrics.handoffUsersMoved.Load())
 	obsv.WriteCounter(w, "msodgw_ctx_activation_fanouts_total", "FirstStep grants that started a context instance: its activation is queued for every peer shard, to ride the next request sent to it, or the grant is withheld.", g.metrics.activationFanouts.Load())
 	obsv.WriteCounter(w, "msodgw_ctx_activation_withheld_total", "FirstStep grants withheld fail-closed because the activation could not be queued for a peer shard: its outbox is full of activations it has not acknowledged, or the activation has no requestID or is too large to carry.", g.metrics.activationWithheld.Load())

@@ -50,7 +50,7 @@ type Ring struct {
 	vnodes  int
 	members map[string]bool
 	points  []point // sorted by (hash, shard)
-	version uint64  // hash of vnodes and the sorted members; see Version
+	version uint64  // hash of vnodes and the sorted members; see Snapshot
 }
 
 // NewRing builds an empty ring with the given number of virtual nodes
@@ -185,24 +185,14 @@ func (r *Ring) Members() []string {
 	return r.membersLocked()
 }
 
-// Version is a stable hash of the member set: two rings route
-// identically if and only if they hold the same members and vnode
-// count, and such rings always report the same version. It is computed
-// from the sorted member list under the membership lock — never from
-// Go's randomized map order — so concurrent Add/Remove on one gateway
-// cannot make its version diverge from another gateway that converged
-// on the same membership.
-func (r *Ring) Version() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
-}
-
 // Snapshot returns the sorted member list and the version hash in one
-// atomic read. Callers that fetch Members() and Version() separately
-// can interleave with a concurrent Add/Remove and pair a member list
-// with another membership's hash; status endpoints and the handoff
-// coordinator use Snapshot so the pair is always consistent.
+// atomic read, so the pair is always consistent. The version is a
+// stable hash of the member set: two rings route identically if and
+// only if they hold the same members and vnode count, and such rings
+// always report the same version. It is computed from the sorted member
+// list under the membership lock — never from Go's randomized map order
+// — so concurrent Add/Remove on one gateway cannot make its version
+// diverge from another gateway that converged on the same membership.
 func (r *Ring) Snapshot() ([]string, uint64) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -27,14 +27,16 @@ import (
 // are (see admitRouted); it reads of either only what routing needs.
 // Two guards make the routing trustworthy:
 //
-//   - Ownership echo-check: the routing key is the request's
-//     server.DecisionRequest.RoutingSubject, and a shard run -handoff
-//     refuses with a 421, before it evaluates anything, a request whose
-//     credentials resolve to another subject; the 421 is forwarded like
-//     any shard refusal. Against a shard that does not, the resolved
-//     subject in the response is checked: one the routed shard does not
-//     own withholds the answer with a 502, and queues none of its
-//     closes (enqueueLifecycle runs where writeAnswer does).
+//   - One routing rule, applied before the send: the routing key is the
+//     request's server.DecisionRequest.RoutingSubject; while a handoff
+//     window is open, a key whose owner its next ring changes is refused
+//     503 (see inTransit); and every shard refuses with a 421, before it
+//     evaluates anything, a request that resolves to another subject,
+//     which is forwarded like any shard refusal. The answer's resolved
+//     subject is still echo-checked: an answer for another subject can
+//     only come from a shard of an older release, and is withheld with
+//     a 502 that queues none of its opens or closes (enqueueLifecycle
+//     runs where writeAnswer does).
 //
 //   - Idempotent retries: a decision (path server.DecisionPath) that
 //     carries no requestID gets one spliced in before the first send,
@@ -123,10 +125,10 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 	}
 	defer g.admission.release()
 	// The read side of the quiesce barrier: held for the request's full
-	// duration (retries included), so a handoff that has raised its
-	// transit marks can wait out every request admitted before them.
-	// The handoff-window checks below run AFTER this acquisition — a
-	// request that slept on the barrier re-reads the marks it missed.
+	// duration (retries included), so a handoff that has opened its
+	// window can wait out every request admitted before it. The window
+	// check below runs AFTER this acquisition — a request that slept on
+	// the barrier reads the window it missed.
 	g.traffic.RLock()
 	defer g.traffic.RUnlock()
 	// Nothing records before the shards agree on which instances run: the
@@ -140,14 +142,15 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 			return
 		}
 	}
+	// The window is read before the owner: see inTransit.
+	moving := g.inTransit(key)
 	shard, ok := g.ring.Lookup(key)
-	if ok && record && g.inTransit(key) {
+	if ok && moving {
 		g.metrics.handoffRefusals.Add(1)
-		reason := fmt.Sprintf("user %q is mid-handoff (retained history in transit between shards); refusing rather than deciding on partial history", key)
+		reason := fmt.Sprintf("user %q is mid-handoff (its owner is changing and its history is in transit between shards); refusing rather than deciding on partial history", key)
 		g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter, reason, reason)
 		return
 	}
-	ringV0 := g.ring.Version()
 	if !ok {
 		g.refuse(w, traceID, key, "", http.StatusServiceUnavailable, 0, "no shards in ring", "no shards in ring")
 		return
@@ -222,29 +225,16 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 		}
 		if err == nil {
 			g.breaker.Success(shard)
-			// Handoff defense-in-depth: a shard run -handoff refuses a
-			// subject other than the routing key, but one that does not
-			// may resolve another. If THAT user is in transit — or the
-			// ring moved underneath the call — the shard may have
-			// answered from history that is mid-copy, so the answer is
-			// withheld fail-closed. Advisories are withheld too: a
-			// post-cutover release could be purging the donor's copy
-			// while it evaluates. Any record the shard committed stays
-			// deny-safe: the import replaces the donor's copy wholesale,
-			// and a stray copy elsewhere can only add denials.
-			if g.inTransit(resp.User) || g.ring.Version() != ringV0 {
-				g.metrics.handoffRefusals.Add(1)
-				g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, g.cfg.ShedRetryAfter,
-					fmt.Sprintf("answer withheld: resolved subject %q history in handoff transit", resp.User),
-					fmt.Sprintf("user %q history is being moved between shards; withholding the answer rather than serving a partial history, retry after the hinted delay", resp.User))
-				return
-			}
-			if owner, ok := g.ring.Lookup(resp.User); resp.User == "" || !ok || owner != shard {
+			// Every shard of this release refuses a subject other than
+			// the routing key with a 421 before it commits; an answer
+			// for another subject comes from an older one, decided
+			// against another user's history, and is withheld.
+			if resp.User != key {
 				g.metrics.misrouted.Add(1)
 				g.refuse(w, traceID, key, shard, http.StatusBadGateway, 0,
-					fmt.Sprintf("answer withheld: shard resolved subject %q owned by %s", resp.User, owner),
-					fmt.Sprintf("shard %s resolved the subject to %q (owner %s); withholding the answer: routing key %q was not the canonical subject, so the decision was evaluated against the wrong shard's history",
-						shard, resp.User, owner, key))
+					fmt.Sprintf("answer withheld: shard resolved subject %q, routed on %q", obsv.Prefix(resp.User), obsv.Prefix(key)),
+					fmt.Sprintf("shard %s resolved the subject to %q; withholding the answer: the request was routed on %q, so it was evaluated against another user's history",
+						shard, obsv.Prefix(resp.User), obsv.Prefix(key)))
 				return
 			}
 			// A granted FirstStep started its context instances, a granted

@@ -78,9 +78,21 @@ func TestClusterSteeredLastStepIsRefused(t *testing.T) {
 // shard before anything is evaluated, whatever it would have done there
 // — a grant that records, a FirstStep that starts an instance, a
 // LastStep that purges one, an advisory — and leaves that shard's
-// retained ADI as it was and nothing queued for the others.
+// retained ADI as it was and nothing queued for the others. Every shard
+// refuses it, whether or not it is run -handoff.
 func TestClusterSteeredRequestsCommitNothing(t *testing.T) {
-	gw, c, shards := newCloseCluster(t, 3, Config{Retries: -1}, nil)
+	for _, shape := range []struct {
+		name string
+		opts []server.Option
+	}{{"handoff", []server.Option{server.WithHandoff()}}, {"plain", nil}} {
+		t.Run(shape.name, func(t *testing.T) {
+			steeredCommitsNothing(t, shape.opts)
+		})
+	}
+}
+
+func steeredCommitsNothing(t *testing.T, opts []server.Option) {
+	gw, c, shards := newCloseClusterOf(t, 3, Config{Retries: -1}, nil, opts...)
 	aliceShard, _ := gw.ShardFor("alice")
 	var bob string
 	var bobs *closeShard

@@ -117,6 +117,28 @@ var shadowEpoch = time.Date(2006, 7, 1, 12, 0, 0, 0, time.UTC)
 // schedules stopped drawing any.
 var lastStepsAcked atomic.Int64
 
+// The users no step names before the join: the window meets them with
+// no history, and the final probe grid covers them.
+var (
+	firstSeenClerks   = []rbac.UserID{"c4", "c5"}
+	firstSeenManagers = []rbac.UserID{"m3", "m4"}
+)
+
+// withFirstSeen gives one step in three to a first-seen user of its role.
+func withFirstSeen(rng *rand.Rand, steps []tortureStep) []tortureStep {
+	for i := range steps {
+		if rng.Intn(3) != 0 {
+			continue
+		}
+		if steps[i].role == "Clerk" {
+			steps[i].user = firstSeenClerks[rng.Intn(len(firstSeenClerks))]
+		} else {
+			steps[i].user = firstSeenManagers[rng.Intn(len(firstSeenManagers))]
+		}
+	}
+	return steps
+}
+
 // withLastSteps turns one step in every `every` into the LastStep, by a
 // manager, of the instance the step was in.
 func withLastSteps(rng *rand.Rand, steps []tortureStep, every int) []tortureStep {
@@ -315,11 +337,12 @@ func elasticTortureOne(t *testing.T, seed int64) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("join status %d", resp.StatusCode)
 	}
-	// Traffic during the handoff, one step in three a LastStep, each sent
-	// once: the first step that is not acknowledged — its user in transit,
-	// its shard dying — stops the flow, and is where it resumes, under the
-	// same requestID, once the cluster has healed.
-	during := withLastSteps(rng, genWorkload(rng, 16), 3)
+	// Traffic during the handoff, one step in three by a user first seen
+	// here and one in three a LastStep, each sent once: the first step
+	// that is not acknowledged — its user in transit, its shard dying —
+	// stops the flow, and is where it resumes, under the same requestID,
+	// once the cluster has healed.
+	during := withLastSteps(rng, withFirstSeen(rng, genWorkload(rng, 16)), 3)
 	impatient := server.NewClient(gwSrv.URL, nil, server.WithShedRetries(0))
 	resumeAt := 0
 	for ; resumeAt < len(during); resumeAt++ {
@@ -376,7 +399,7 @@ func elasticTortureOne(t *testing.T, seed int64) {
 	// reshard-induced false grant.
 	runSteps("mid-reshard", during, resumeAt)
 	runSteps("post-reshard", steps[40:], 0)
-	for _, probe := range probeSteps() {
+	for _, probe := range append(probeSteps(), probeGrid(firstSeenClerks, firstSeenManagers)...) {
 		vd, verr := c.Advice(wire(probe))
 		if verr != nil {
 			t.Fatalf("probe %+v: %v", probe, verr)

@@ -169,15 +169,20 @@ func genWorkload(rng *rand.Rand, n int) []tortureStep {
 // probeSteps is the full user x operation x instance grid used to
 // compare two PDPs advisory-for-advisory.
 func probeSteps() []tortureStep {
+	return probeGrid([]rbac.UserID{"c0", "c1", "c2", "c3"}, []rbac.UserID{"m0", "m1", "m2"})
+}
+
+// probeGrid is the grid over the given clerks and managers.
+func probeGrid(clerks, managers []rbac.UserID) []tortureStep {
 	var probes []tortureStep
 	for _, inst := range []string{"p0", "p1", "p2", "p3"} {
-		for _, c := range []rbac.UserID{"c0", "c1", "c2", "c3"} {
+		for _, c := range clerks {
 			probes = append(probes, tortureStep{
 				user: c, role: "Clerk",
 				op: "prepareCheck", tgt: "http://www.myTaxOffice.com/Check", inst: inst,
 			})
 		}
-		for _, m := range []rbac.UserID{"m0", "m1", "m2"} {
+		for _, m := range managers {
 			probes = append(probes,
 				tortureStep{user: m, role: "Manager", op: "approveCheck",
 					tgt: "http://www.myTaxOffice.com/Check", inst: inst},

@@ -177,7 +177,8 @@ type Request struct {
 	// User and Roles must be pre-validated by the caller.
 	Credentials []credential.Credential
 	// User is the initiator's stable ID (ignored when Credentials are
-	// present — the CVS derives it).
+	// present — the CVS derives it; a shard sets Routed from it, so
+	// there it must be the credentials' subject when both are given).
 	User rbac.UserID
 	// Roles are the activated roles (ignored when Credentials are
 	// present), and RoleText the text the caller converted them from,
@@ -189,7 +190,7 @@ type Request struct {
 	Roles    []rbac.RoleName
 	RoleText []string
 	// Routed, when non-empty, is the subject the request was routed on
-	// (a cluster shard's server.DecisionRequest.RoutingSubject): a
+	// (a shard's server.DecisionRequest.RoutingSubject): a
 	// request that resolves to another subject fails with ErrMisrouted,
 	// so a shard decides only for the users routed to it.
 	Routed rbac.UserID

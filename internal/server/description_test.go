@@ -17,9 +17,9 @@ import (
 	"msod/internal/trace"
 )
 
-// TestOneDecisionOneDescription sends a credential for alice in a body
-// that also claims "user":"mallory" and spells its context without the
-// canonical space. The CVS resolves alice, so every description of the
+// TestOneDecisionOneDescription sends a credential for alice, with no
+// body user, and spells its context without the canonical space. The
+// CVS resolves alice, so every description of the
 // decision — the answer, the explain record, the retained trace, the
 // stream event and the decision log line — names alice and the
 // canonical context, and explain and trace carry one time.
@@ -56,7 +56,7 @@ func TestOneDecisionOneDescription(t *testing.T) {
 		WithTraceStore(trace.NewStore(trace.Config{SampleEvery: 1})),
 		WithDecisionLog(obsv.NewLogger(&log, "msodd"), 0))
 
-	req := DecisionRequest{Credentials: []credential.Credential{cred}, User: "mallory",
+	req := DecisionRequest{Credentials: []credential.Credential{cred},
 		Operation: "HandleCash", Target: "till", Context: "Branch=York,Period=p1", RequestID: "one-1"}
 	body, err := json.Marshal(req)
 	if err != nil {

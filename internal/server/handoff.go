@@ -71,11 +71,13 @@ type HandoffReleaseResponse struct {
 }
 
 // WithHandoff makes the server a cluster shard: it enables the
-// resharding handoff surface and holds each decision to the subject it
-// was routed on (a request that resolves to another answers 421 before
-// anything is evaluated). Off by default: import and release rewrite
-// retained-ADI subtrees on the authority of the gateway alone, so only
-// shards deliberately deployed behind one should expose them.
+// resharding handoff surface and applies the closes a gateway's
+// requests carry (closes.go). Off by default: import and release
+// rewrite retained-ADI subtrees on the authority of the gateway alone,
+// so only shards deliberately deployed behind one should expose them.
+// Every server, with or without it, holds each decision to its routing
+// subject (a request that resolves to another answers 421 before
+// anything is evaluated).
 func WithHandoff() Option {
 	return func(s *Server) { s.handoff = true }
 }

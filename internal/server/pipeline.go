@@ -88,6 +88,8 @@ func (c *decisionCall) parse() error {
 	c.Request = pdp.Request{
 		Credentials: c.Wire.Credentials,
 		User:        rbac.UserID(c.Wire.User),
+		// A shard decides only for the subject a gateway routes on.
+		Routed:      rbac.UserID(c.Wire.RoutingSubject()),
 		Roles:       toRoles(c.Wire.Roles),
 		RoleText:    c.Wire.Roles,
 		Operation:   rbac.Operation(c.Wire.Operation),
@@ -180,10 +182,6 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	if err := c.parse(); err != nil {
 		s.refuseRequest(w, http.StatusBadRequest, err)
 		return
-	}
-	// A cluster shard decides only for the subject it was routed on.
-	if s.handoff {
-		c.Request.Routed = rbac.UserID(c.Wire.RoutingSubject())
 	}
 	s.decide(r.Context(), &c, decide)
 	var a answer

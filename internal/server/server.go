@@ -39,6 +39,8 @@ const (
 
 // DecisionRequest is the wire form of a decision request.
 type DecisionRequest struct {
+	// User is the initiator. It must be the credentials' subject when
+	// both are given: the shard answers 421 otherwise (RoutingSubject).
 	User        string                  `json:"user,omitempty"`
 	Roles       []string                `json:"roles,omitempty"`
 	Credentials []credential.Credential `json:"credentials,omitempty"`
@@ -56,8 +58,8 @@ type DecisionRequest struct {
 }
 
 // RoutingSubject is the user the request is about, as a gateway routes
-// it and a cluster shard holds its PDP to (pdp.Request.Routed): the
-// user, else the first non-empty credential holder, else empty.
+// it and every shard holds its PDP to (pdp.Request.Routed): the user,
+// else the first non-empty credential holder, else empty.
 func (r *DecisionRequest) RoutingSubject() string {
 	if r.User != "" {
 		return r.User

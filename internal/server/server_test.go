@@ -328,7 +328,7 @@ func TestResponseRolesAreTheSubjects(t *testing.T) {
 		},
 		{
 			name: "credentials, body roles ignored",
-			body: `{"user":"mallory","roles":["Auditor","Teller"],"credentials":[` + string(credJSON) + `],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p3"}`,
+			body: `{"roles":["Auditor","Teller"],"credentials":[` + string(credJSON) + `],"operation":"HandleCash","target":"till","context":"Branch=York, Period=p3"}`,
 			want: `{"allowed":true,"phase":"granted","user":"alice","roles":["Teller"],"recorded":1,"matchedPolicies":1,"traceID":"` + traceID + `"}`,
 		},
 		{
