@@ -98,7 +98,7 @@ chaos:
 	$(GO) test -race -run 'TestAdmission|TestClientRetriesShedRequest|TestDegradedReadOnlyLatch' ./internal/server
 	$(GO) test -race -count=10 -run 'Idem|Idempotency' ./internal/server
 	$(GO) test -race -run 'TestClusterShed|TestClusterChaoticTransport|TestBreaker' ./internal/cluster
-	$(GO) test -race -count=20 -run 'TestClusterPEPHangUpAfterFirstStep' ./internal/cluster
+	$(GO) test -race -count=20 -run 'TestClusterPEPHangUpAfterFirstStep|TestGatewayDecisionsShareADeadline' ./internal/cluster
 	$(GO) test -race -count=20 -run 'TestObserveExemplarConcurrent' ./internal/obsv
 	$(GO) test -race -count=20 -run '^(TestTraceEndFromOtherGoroutines|TestTraceMatchesReferenceOnScripts)$$' ./internal/obsv
 	$(GO) test -race -count=20 -run 'TestConcurrentCommitBuffer|TestPlainGrantsAreShared|TestDenialsAreShared' ./internal/core

@@ -31,13 +31,15 @@ func (w *memoryWriter) WriteHeader(status int)      { w.status = status }
 
 // cannedShards answers the i-th POST it sees with the i-th prepared
 // response, so the shard side of the hop allocates nothing while the
-// gateway is measured, and keeps the last POST's traceparent. A GET —
+// gateway is measured, and keeps the last POST's traceparent and
+// context. A GET —
 // the activation sync before the first decision — is told no instance is
 // running.
 type cannedShards struct {
 	answers     []*http.Response
 	next        int
 	traceparent string
+	ctx         context.Context
 }
 
 func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -46,7 +48,7 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 		return &http.Response{StatusCode: http.StatusOK, Header: http.Header{}, Request: r,
 			Body: io.NopCloser(strings.NewReader(none)), ContentLength: int64(len(none))}, nil
 	}
-	c.traceparent = r.Header.Get(obsv.TraceparentHeader)
+	c.traceparent, c.ctx = r.Header.Get(obsv.TraceparentHeader), r.Context()
 	resp := c.answers[c.next]
 	c.next++
 	resp.Request = r
@@ -60,8 +62,9 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 // into memory. Budgets are exact; a change that moves one edits the
 // table and names the allocation.
 //
-// What a plain decision pays (15), 11 of it context's and net/http's
-// price of one deadline and one POST handed to the RoundTripper
+// What a plain decision pays (10), 6 of it net/http's price of one
+// POST handed to the RoundTripper; the 5 context charged for a deadline
+// of each decision's own left when decisions began to share one
 // (counted with the Go 1.24 toolchain, whose crypto/rand.Read keeps a
 // caller's array on the stack):
 //
@@ -75,16 +78,25 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 //	            built for spans the gateway never records
 //	requestID 0 the ID's random bytes and hex text stay on the stack and
 //	            the splice lands in the body's spare capacity
-//	deadline 5  the decision's one deadline, shared by every attempt: the
-//	            request's context without its cancellation (1), and
+//	deadline 0  the decision's one deadline, shared by every attempt, is
+//	            the gateway's current shared context (decisionContext),
+//	            made about once per Timeout/64 rather than per decision.
+//	            It was 5 while each decision made its own: the request's
+//	            context without its cancellation (1), and
 //	            context.WithTimeout's timerCtx, its timer, the timer's
 //	            callback and the cancel func (4). Hung off the request's
 //	            context itself it cost 7: that context's Done channel (1)
 //	            and its map of children with the map's first group (2) —
 //	            and a PEP that hung up cancelled the decision. The shard
 //	            client's own timeout is no shorter, so under it the
-//	            client sets none; the 4 used to be the client's, paid per
-//	            attempt
+//	            client sets none; the 4 were once the client's, paid per
+//	            attempt. Under a real http.Transport the shared deadline
+//	            saves 3 more, which this canned RoundTripper cannot show:
+//	            the Transport registers each round trip as a child of the
+//	            request's context, which gives that parent its map of
+//	            children, the map's first group and its lazily made Done
+//	            channel — once per decision under a deadline of its own,
+//	            once per shared deadline now
 //	post 6      the Request, copied by WithContext from a template on the
 //	            stack (1); its Header and the Header's first group (2);
 //	            the attempt — the body's reader and the Traceparent value
@@ -117,7 +129,7 @@ func (c *cannedShards) RoundTrip(r *http.Request) (*http.Response, error) {
 //	            holder, which the peek reads by hand with the shard's
 //	            credential reader, its string (1) the only allocation:
 //	            so a credential-bearing decision pays what a plain one
-//	            does, admit 3, deadline 5, post 6, answer 1. It was 9
+//	            does, admit 3, post 6, answer 1. It was 9
 //	            while encoding/json decoded the credentials array into
 //	            holder-only elements: the slice header it decodes
 //	            through, the decodeState, its parse stack three deep,
@@ -169,13 +181,13 @@ func TestRouteDecisionAllocs(t *testing.T) {
 		answer      server.DecisionResponse
 		budget      float64
 	}{
-		{name: "plain decision", request: plain, answer: granted, budget: 15},
-		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 16},
-		{name: "PEP-supplied traceparent", request: plain, traceparent: pepTraceparent, answer: granted, budget: 14},
-		{name: "credential-bearing", answer: granted, budget: 15,
+		{name: "plain decision", request: plain, answer: granted, budget: 10},
+		{name: "PEP-supplied requestID", request: withID, answer: granted, budget: 11},
+		{name: "PEP-supplied traceparent", request: plain, traceparent: pepTraceparent, answer: granted, budget: 9},
+		{name: "credential-bearing", answer: granted, budget: 10,
 			request: server.DecisionRequest{Credentials: []credential.Credential{cred}, Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"}},
-		{name: "answer with activated", request: plain, answer: opened, budget: 20},
-		{name: "answer with closed", request: plain, answer: closed, budget: 20},
+		{name: "answer with activated", request: plain, answer: opened, budget: 15},
+		{name: "answer with closed", request: plain, answer: closed, budget: 15},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body, err := json.Marshal(tc.request)

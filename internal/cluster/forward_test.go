@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -467,4 +468,92 @@ func TestGatewayOneDeadlinePerDecision(t *testing.T) {
 	if n := gw.metrics.retries.Load(); n != 0 {
 		t.Fatalf("msodgw_retries_total = %d, want 0: no retry was sent", n)
 	}
+}
+
+// TestGatewayDecisionsShareADeadline: decisions routed close together
+// reach the shard under one context, whose deadline is between 63/64 of
+// Timeout and all of it after each decision's attempt; a decision routed
+// once that slack has passed gets a new one, and the swap cancels
+// neither; and a PEP that hangs up does not cancel the shared one.
+func TestGatewayDecisionsShareADeadline(t *testing.T) {
+	shards := &cannedShards{}
+	decide := func(gw *Gateway, ctx context.Context) context.Context {
+		t.Helper()
+		shards.answers = append(shards.answers, &http.Response{StatusCode: http.StatusOK, Header: http.Header{},
+			Body: io.NopCloser(strings.NewReader(aliceGranted)), ContentLength: int64(len(aliceGranted))})
+		w := &memoryWriter{header: http.Header{}}
+		gw.ServeHTTP(w, httptest.NewRequest(http.MethodPost, server.DecisionPath, strings.NewReader(aliceAsks)).WithContext(ctx))
+		if w.status != http.StatusOK {
+			t.Fatalf("decision = %d %s, want the shard's grant", w.status, w.body.Bytes())
+		}
+		return shards.ctx
+	}
+	// within routes one decision under the PEP's context pep and checks
+	// the deadline the shard saw against the clock read around it.
+	within := func(gw *Gateway, pep context.Context) context.Context {
+		t.Helper()
+		before := time.Now()
+		ctx := decide(gw, pep)
+		after := time.Now()
+		timeout := gw.cfg.Timeout
+		if at, ok := ctx.Deadline(); !ok || at.Before(before.Add(timeout-timeout/64)) || at.After(after.Add(timeout)) {
+			t.Fatalf("deadline %v (set %v) routed between %v and %v; want within [t0+%v, t0+%v]",
+				at, ok, before, after, timeout-timeout/64, timeout)
+		}
+		return ctx
+	}
+	newGateway := func(timeout time.Duration) *Gateway {
+		gw, err := New(Config{Shards: []Shard{{ID: "s0", BaseURL: "http://s0.invalid"}}, HTTPClient: &http.Client{Transport: shards}, Timeout: timeout})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(gw.Close)
+		return gw
+	}
+
+	// The first decision makes the shared deadline, under a PEP's
+	// context that a hang-up cancels.
+	gw := newGateway(time.Hour)
+	pep, hangUp := context.WithCancel(context.Background())
+	first := within(gw, pep)
+	hangUp()
+	if err := first.Err(); err != nil {
+		t.Fatalf("the PEP hung up and the shared deadline ended: %v", err)
+	}
+	if second := within(gw, context.Background()); second != first {
+		t.Fatal("two decisions routed back to back reached the shard under different contexts")
+	}
+
+	const short = 640 * time.Millisecond // a slack of 10ms
+	gw = newGateway(short)
+	stale := within(gw, context.Background())
+	at, _ := stale.Deadline()
+	time.Sleep(time.Until(at.Add(-(short - short/64))) + time.Millisecond)
+	if fresh := within(gw, context.Background()); fresh == stale {
+		t.Fatal("a decision routed once the slack had passed reused the old deadline")
+	}
+	if err := stale.Err(); err != nil {
+		t.Fatalf("the swap ended the old deadline before its time: %v", err)
+	}
+
+	// Decisions routed at once, while the deadline is swapped under them
+	// (a slack of 1µs), each get one within their bounds.
+	const tiny = 64 * time.Microsecond
+	gw = newGateway(tiny)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				before := time.Now()
+				at, ok := gw.decisionContext().Deadline()
+				if after := time.Now(); !ok || at.Before(before.Add(tiny-tiny/64)) || at.After(after.Add(tiny)) {
+					t.Errorf("deadline %v (set %v) taken between %v and %v", at, ok, before, after)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

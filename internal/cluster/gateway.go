@@ -40,8 +40,9 @@ type Config struct {
 	VirtualNodes int
 	// Timeout bounds every request to a shard (default 5s). For a routed
 	// decision or advisory it is the deadline of all its shard calls
-	// together — retries and their backoff included — counted from the
-	// first attempt.
+	// together — retries and their backoff included — ending between
+	// 63/64 of it and all of it after the first attempt: decisions
+	// routed close together share one deadline.
 	Timeout time.Duration
 	// Retries is how many times a decision is re-sent to the SAME
 	// shard after a transport error (default 2; -1 disables retries).
@@ -164,6 +165,19 @@ type Gateway struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	handoffWG  sync.WaitGroup
+
+	// deadline is the routed decisions' current shared deadline (see
+	// decisionContext); nil until the first routed decision.
+	deadline atomic.Pointer[sharedDeadline]
+}
+
+// sharedDeadline is one deadline context routed decisions share. Its
+// own timer ends it; cancel is kept only so that no CancelFunc is lost,
+// and is never called: Close must not cut short a decision whose
+// answer, and the activations it carries, are still on the way.
+type sharedDeadline struct {
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // New validates the topology and builds a gateway. The checker starts

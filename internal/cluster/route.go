@@ -45,12 +45,14 @@ import (
 //     shard's committed response instead of double-recording ADI
 //     history.
 //
-// A decision's shard calls share one deadline, cfg.Timeout from the
-// first attempt, retries and their backoff included: an attempt that
-// times out leaves no time for another, and a PEP is answered within
-// about that bound whatever Retries is. A PEP that hangs up does not
-// cut them short: the answer, and the activations and closes it
-// carries, still reach the outbox (see routeDecision).
+// A decision's shard calls share one deadline, between 63/64 of
+// cfg.Timeout and all of it from the first attempt, retries and their
+// backoff included: an attempt that times out leaves no time for
+// another, and a PEP is answered within about that bound whatever
+// Retries is. Decisions routed close together share the deadline's
+// context, so none makes a timer of its own. A PEP that hangs up does
+// not cut them short: the answer, and the activations and closes it
+// carries, still reach the outbox (see decisionContext).
 func (g *Gateway) handleRouted(w http.ResponseWriter, r *http.Request, path string) {
 	body, peek, traceparent, ok := g.admitRouted(w, r)
 	if !ok {
@@ -182,20 +184,10 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 		}
 	}
 
-	// The decision's one deadline starts with its first attempt: what it
+	// The decision's one deadline is read at its first attempt: what it
 	// waited for above — the admission pool, the quiesce barrier, the
-	// activation sync — is not charged to it. The shard client's own
-	// timeout is as long, so it adds no timer (Client.reqContext).
-	//
-	// Once admitted, a decision runs to its answer whether or not the PEP
-	// is still connected: the deadline hangs off the request's values, not
-	// its cancellation. A PEP that hangs up after the shard committed a
-	// FirstStep would otherwise abandon the answer, and with it the
-	// activation the peers must be told of — they would grant, unrecorded,
-	// what the started instance forbids — and the abandoned attempt would
-	// be charged to the shard as a transport failure.
-	ctx, cancel := context.WithTimeout(context.WithoutCancel(r.Context()), g.cfg.Timeout)
-	defer cancel()
+	// activation sync — is not charged to it.
+	ctx := g.decisionContext()
 	var lastErr error
 	backoff := g.cfg.RetryBackoff
 	for attempt := 0; attempt <= g.cfg.Retries; attempt++ {
@@ -294,6 +286,38 @@ func (g *Gateway) routeDecision(w http.ResponseWriter, r *http.Request, body []b
 	g.refuse(w, traceID, key, shard, http.StatusServiceUnavailable, 0,
 		fmt.Sprintf("shard unreachable (%v); failing closed", lastErr),
 		fmt.Sprintf("shard %s unreachable (%v); failing closed", shard, lastErr))
+}
+
+// decisionContext returns the deadline a routed decision's shard calls
+// share, every attempt and backoff of the decision included. Decisions
+// routed close together share one context, so a decision makes no timer
+// of its own, and the Transport registers each round trip under a
+// parent whose children map and Done channel already exist. The
+// current one is reused while at least Timeout − Timeout/64 of it is
+// left, and replaced otherwise, so a decision's deadline falls between
+// 63/64 of Timeout and all of it after this call — never later, so the
+// shard client's own timeout, which is Timeout, adds no timer either
+// (Client.reqContext).
+//
+// The context hangs off context.Background, not the request: once
+// admitted, a decision runs to its answer whether or not the PEP is
+// still connected. A PEP that hangs up after the shard committed a
+// FirstStep would otherwise abandon the answer, and with it the
+// activation the peers must be told of — they would grant, unrecorded,
+// what the started instance forbids — and the abandoned attempt would
+// be charged to the shard as a transport failure. Nor does Close cancel
+// it: its own timer ends it.
+func (g *Gateway) decisionContext() context.Context {
+	now := time.Now()
+	if d := g.deadline.Load(); d != nil {
+		if at, _ := d.ctx.Deadline(); at.Sub(now) >= g.cfg.Timeout-g.cfg.Timeout/64 {
+			return d.ctx
+		}
+	}
+	d := &sharedDeadline{}
+	d.ctx, d.cancel = context.WithDeadline(context.Background(), now.Add(g.cfg.Timeout))
+	g.deadline.Store(d)
+	return d.ctx
 }
 
 // writeAnswer forwards a shard's 200 body as it came.

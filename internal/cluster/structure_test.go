@@ -150,3 +150,50 @@ func TestShardRequestsOnlyThroughClient(t *testing.T) {
 		}
 	}
 }
+
+// deadlineHelper is the one function in route.go allowed to make a
+// deadline: the routed decisions' shared one.
+const deadlineHelper = "Gateway.decisionContext"
+
+// TestRoutedDeadlineOnlyInItsHelper fails when route.go calls
+// context.WithTimeout or context.WithDeadline outside deadlineHelper.
+// A routed decision shares the gateway's current deadline; one made per
+// decision costs 8 allocations and a runtime timer each (5 the
+// gateway's, 3 the Transport's: see TestRouteDecisionAllocs).
+func TestRoutedDeadlineOnlyInItsHelper(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "route.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		name := funcName(fn)
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "context" && (sel.Sel.Name == "WithTimeout" || sel.Sel.Name == "WithDeadline") {
+				if name != deadlineHelper {
+					t.Errorf("%s: context.%s in %s; a routed decision's shard calls share the deadline %s returns",
+						fset.Position(call.Pos()), sel.Sel.Name, name, deadlineHelper)
+				} else {
+					found = true
+				}
+			}
+			return true
+		})
+	}
+	if !found {
+		t.Errorf("%s no longer makes the shared deadline in route.go; move the check with it", deadlineHelper)
+	}
+}

@@ -133,9 +133,10 @@ func NewClient(base string, httpClient *http.Client, opts ...ClientOption) *Clie
 // reqContext derives the context bounding one unary request from the
 // caller's context: the shorter of the client's timeout (WithTimeout)
 // and the Timeout of the http.Client it was built over. A caller whose
-// own deadline comes no later — a gateway's one deadline per routed
-// decision, a fan-out's shared one — is bounded by that alone: a second
-// timer would never fire first.
+// own deadline comes no later — the deadline a gateway's routed
+// decisions share, which ends within the gateway's timeout of a
+// decision's first attempt, or a fan-out's — is bounded by that alone:
+// a second timer would never fire first.
 func (c *Client) reqContext(parent context.Context) (context.Context, context.CancelFunc) {
 	d := c.timeout
 	if t := c.http.Timeout; t > 0 && (d <= 0 || t < d) {
