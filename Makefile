@@ -144,7 +144,7 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/msodvet ./...
 	$(GO) run ./cmd/msodvet -policies policies
-	$(GO) test -count=1 -run '^(TestModuleLayers|TestDaemonsLinkOnlyWhatTheyServe|TestDaemonsAssembleThroughNode)$$' .
+	$(GO) test -count=1 -run '^(TestModuleLayers|TestCodeSize|TestDaemonsLinkOnlyWhatTheyServe|TestDaemonsAssembleThroughNode)$$' .
 
 clean:
 	rm -f cover.out

@@ -24,7 +24,7 @@ import (
 
 // activeOn lists the context instances a shard considers running, asked
 // directly rather than through the gateway (so nothing queued rides it).
-func activeOn(t *testing.T, sh *closeShard) []string {
+func activeOn(t *testing.T, sh *testShard) []string {
 	t.Helper()
 	got, err := server.NewClient(sh.ts.URL, nil).ActiveContexts(context.Background())
 	if err != nil {
@@ -62,7 +62,8 @@ func (c *countingPaths) count(key string) int {
 // before that request is served, and only then.
 func TestActivationRidesTheNextRequest(t *testing.T) {
 	net := &countingPaths{}
-	gw, c, shards := newCloseCluster(t, 2, Config{}, net)
+	shards := newShards(t, 2, handoff)
+	gw, _, c := newGateway(t, Config{}, net, urls(shards)...)
 	b := shards[1]
 	clerk := userOn(t, gw, "a", "clerk", 0)
 	resp := mustDecide(t, c, taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""), true)
@@ -91,9 +92,8 @@ func TestActivationRidesTheNextRequest(t *testing.T) {
 // tell the others of. A retry under another ID is the first to record,
 // and records once.
 func TestRequestIDTooLongToCarryIsRefusedBeforeAnyShard(t *testing.T) {
-	gw, _, shards := newCloseCluster(t, 2, Config{Retries: -1}, nil)
-	gts := httptest.NewServer(gw)
-	defer gts.Close()
+	shards := newShards(t, 2, handoff)
+	gw, gts, _ := newGateway(t, Config{Retries: -1}, nil, urls(shards)...)
 	c := server.NewClient(gts.URL, nil, server.WithShedRetries(0))
 	records := func() int {
 		n := 0
@@ -128,9 +128,7 @@ func TestRequestIDTooLongToCarryIsRefusedBeforeAnyShard(t *testing.T) {
 // start nothing still flow. A requestID no activation could carry is
 // refused (400) before the shard decides, and withholds nothing.
 func TestActivationWithheldWhenItCannotBeQueued(t *testing.T) {
-	gw, _, _ := newCloseCluster(t, 2, Config{Retries: -1}, nil)
-	gts := httptest.NewServer(gw)
-	defer gts.Close()
+	gw, gts, _ := newGateway(t, Config{Retries: -1}, nil, urls(newShards(t, 2, handoff))...)
 	c := server.NewClient(gts.URL, nil, server.WithShedRetries(0))
 	clerk := userOn(t, gw, "a", "clerk", 0)
 	withheld := func(req server.DecisionRequest) {
@@ -185,26 +183,19 @@ func TestActivationWithheldWhenItCannotBeQueued(t *testing.T) {
 // union of the members' running instances — both instances with real
 // history and instances only activated.
 func TestJoinSeedsActivations(t *testing.T) {
-	gw, gts, shards := newElasticCluster(t, 2, Config{})
-	seedUsers(t, gts, 20)
-	shards[0].mu.Lock()
-	shards[0].active["P=9"] = true
-	shards[0].mu.Unlock()
+	shards := newShards(t, 2, handoff)
+	gw, _, c := newGateway(t, Config{}, nil, urls(shards)...)
+	seedUsers(t, c, 20)
+	const activated = "TaxOffice=Leeds, taxRefundProcess=p9"
+	if _, err := server.NewClient(shards[0].ts.URL, nil).Activate(context.Background(), []string{activated}); err != nil {
+		t.Fatal(err)
+	}
 
-	joiner := newElasticStub(t, "pol-1")
-	resp := postJSON(t, gts.URL+ClusterJoinPath, ClusterMemberRequest{ID: "shard02", URL: joiner.ts.URL})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("join status %d", resp.StatusCode)
-	}
-	if last := waitHandoff(t, gw); last.Phase != PhaseDone {
-		t.Fatalf("handoff ended %s: %s", last.Phase, last.Error)
-	}
-	joiner.mu.Lock()
-	defer joiner.mu.Unlock()
-	for _, want := range []string{"P=1", "P=9"} {
-		if !joiner.active[want] {
-			t.Errorf("joiner missing activation for %s (has %v)", want, joiner.active)
+	joiner := join(t, gw, "c")
+	got := activeOn(t, joiner)
+	for _, want := range []string{tellerGrant("").Context, activated} {
+		if !slices.Contains(got, want) {
+			t.Errorf("joiner missing activation for %s (has %q)", want, got)
 		}
 	}
 }
@@ -244,7 +235,7 @@ func (s *switchboard) RoundTrip(r *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-func host(sh *closeShard) string { return sh.ts.Listener.Addr().String() }
+func host(sh *testShard) string { return sh.ts.Listener.Addr().String() }
 
 // TestClusterFirstStepWithPeerDown: a FirstStep granted while a peer is
 // Down is acked — its activation waits in the peer's outbox. The peer
@@ -253,7 +244,8 @@ func host(sh *closeShard) string { return sh.ts.Listener.Addr().String() }
 // enough), and then grants exactly what one PDP grants.
 func TestClusterFirstStepWithPeerDown(t *testing.T) {
 	net := &switchboard{}
-	gw, c, shards := newCloseCluster(t, 3, Config{Retries: -1, FailAfter: 1}, net)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{Retries: -1, FailAfter: 1}, net, urls(shards)...)
 	o := newOnePDP(t, c)
 	b := shards[1]
 	clerk, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "b", "mgr", 0)
@@ -296,7 +288,8 @@ func TestClusterFirstStepWithPeerDown(t *testing.T) {
 // a shard cannot be asked — and from then on every decision is the one
 // one PDP makes.
 func TestClusterGatewayRestartWithActivationsPending(t *testing.T) {
-	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{}, nil, urls(shards)...)
 	o := newOnePDP(t, c)
 	clerk, managerB, managerC := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "b", "mgr", 0), userOn(t, gw, "c", "mgr", 0)
 	const processes = 3
@@ -310,24 +303,12 @@ func TestClusterGatewayRestartWithActivationsPending(t *testing.T) {
 
 	net := &switchboard{}
 	net.set(host(shards[2]), true, false)
-	var topo []Shard
-	for _, sh := range shards {
-		topo = append(topo, Shard{ID: sh.id, BaseURL: sh.ts.URL})
-	}
-	next, err := New(Config{Shards: topo, Retries: -1, HTTPClient: &http.Client{Transport: net}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	next, gts, _ := newGateway(t, Config{Retries: -1}, net, urls(shards)...)
 	next.Checker().CheckNow()
-	gts := httptest.NewServer(next)
-	t.Cleanup(func() {
-		gts.Close()
-		next.Close()
-	})
 	o.c = server.NewClient(gts.URL, nil, server.WithShedRetries(0))
 
 	// c cannot be asked which instances it runs: nothing records.
-	_, err = o.c.Decision(taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p0", ""))
+	_, err := o.c.Decision(taxStep(managerB, "Manager", "approve/disapproveCheck", checkTarget, "p0", ""))
 	var apiErr *server.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable || !strings.Contains(apiErr.Message, "not yet synced") {
 		t.Fatalf("a decision before the sync could reach every shard = %v, want 503", err)
@@ -351,7 +332,7 @@ func TestClusterGatewayRestartWithActivationsPending(t *testing.T) {
 // are then all decided.
 func TestBootSyncRunsOnce(t *testing.T) {
 	net := &countingPaths{}
-	gw, c, _ := newCloseCluster(t, 3, Config{}, net)
+	gw, _, c := newGateway(t, Config{}, net, urls(newShards(t, 3, handoff))...)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		manager := userOn(t, gw, "a", "mgr", i)
@@ -404,8 +385,8 @@ func (d *answerDropper) setRate(rate float64) {
 func TestClusterChaoticTransportKeepsCarriedActivations(t *testing.T) {
 	lossy := &answerDropper{rng: rand.New(rand.NewSource(5))}
 	rt := fault.NewRoundTripper(lossy, 3)
-	gw, c, _ := newCloseCluster(t, 3, Config{Retries: 2, RetryBackoff: 1, FailAfter: 1 << 20, BreakerAfter: 1 << 20}, rt)
-	shadow, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: adi.NewStore()})
+	gw, _, c := newGateway(t, Config{Retries: 2, RetryBackoff: 1, FailAfter: 1 << 20, BreakerAfter: 1 << 20}, rt, urls(newShards(t, 3, handoff))...)
+	shadow, err := pdp.New(pdp.Config{Policy: bankTaxPolicy(t), Store: adi.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +490,7 @@ func (h *hangUp) RoundTrip(r *http.Request) (*http.Response, error) {
 // shard's failure: it stays Up with its breaker closed.
 func TestClusterPEPHangUpAfterFirstStep(t *testing.T) {
 	rt := &hangUp{}
-	gw, c, _ := newCloseCluster(t, 2, Config{FailAfter: 1, BreakerAfter: 1}, rt)
+	gw, _, c := newGateway(t, Config{FailAfter: 1, BreakerAfter: 1}, rt, urls(newShards(t, 2, handoff))...)
 	clerk, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "b", "mgr", 0)
 
 	body, err := json.Marshal(taxStep(clerk, "Clerk", "prepareCheck", checkTarget, "p1", ""))

@@ -21,7 +21,7 @@ import (
 // answer was past the gateway's read cap (a 502, for ever) and the
 // denial's about 12 times its request.
 func TestLongUserIsAnsweredAsDecided(t *testing.T) {
-	_, c, _ := newCloseCluster(t, 3, Config{}, nil)
+	_, _, c := newGateway(t, Config{}, nil, urls(newShards(t, 3, handoff))...)
 	ctx := context.Background()
 	huge := strings.Repeat("<", 300_000)
 	request := func(role, op, target string) []byte {
@@ -65,7 +65,8 @@ func TestLongUserIsAnsweredAsDecided(t *testing.T) {
 // and the gateway, which cannot decode an error body past its read
 // limit, answered {"error":""}.
 func TestLongBadContextIsAnsweredBounded(t *testing.T) {
-	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{}, nil, urls(shards)...)
 	owner, _ := gw.ShardFor("alice")
 	body := []byte(`{"user":"alice","roles":["Teller"],"operation":"HandleCash","target":"till","context":"` +
 		strings.Repeat("<", 300_000) + `"}`)

@@ -50,7 +50,8 @@ var bodyReadingPaths = []string{server.DecisionPath, server.AdvicePath, server.M
 // (an advisory: a decision's spliced requestID would count against the
 // shard's own cap).
 func TestGatewayBodyCap(t *testing.T) {
-	_, gts, shards := newRecordingCluster(t, 2, Config{})
+	shards := []*recordingShard{newRecordingShard(t), newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{}, nil, shards[0].ts.URL, shards[1].ts.URL)
 	// Valid JSON all the way, so only the size can be what is refused.
 	oversize := `{"user":"` + strings.Repeat("x", gatewayBodyCap) + `"}`
 	for _, path := range bodyReadingPaths {
@@ -78,7 +79,7 @@ func TestGatewayBodyCap(t *testing.T) {
 	}
 	atCap := `{"user":"` + strings.Repeat("x", gatewayBodyCap-len(`{"user":""}`)) + `"}`
 	if status, text := post(t, gts.URL+server.AdvicePath, atCap); status != http.StatusBadGateway || !strings.Contains(text, "resolved the subject") {
-		// Routed and answered (the stub answers for "alice", so the
+		// Routed and answered (the recording shard answers for "alice", so the
 		// ownership check withholds it): the body was read whole.
 		t.Errorf("advice at the cap: %d %.200s; want it routed", status, text)
 	}
@@ -100,7 +101,8 @@ func TestGatewayBodyCap(t *testing.T) {
 // capped ReadAll path, is routed and — read with no spare capacity —
 // still gets its requestID.
 func TestGatewayChunkedBodyRouted(t *testing.T) {
-	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	shards := []*recordingShard{newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{}, nil, shards[0].ts.URL)
 	const body = `{"user":"alice","operation":"op","target":"t","context":"P=1"}`
 	resp, err := http.Post(gts.URL+server.DecisionPath, "application/json", io.MultiReader(strings.NewReader(body)))
 	if err != nil {
@@ -122,7 +124,8 @@ func TestGatewayChunkedBodyRouted(t *testing.T) {
 // body (a streaming Decoder used to ignore it; forwarded, it would only
 // be refused a hop later).
 func TestGatewayTrailingBytesRejected(t *testing.T) {
-	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	shards := []*recordingShard{newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{}, nil, shards[0].ts.URL)
 	const body = `{"user":"alice","id":"shard09","operation":"op","target":"t","context":"P=1"}`
 	for _, path := range bodyReadingPaths {
 		for _, tail := range []string{`{}`, `x`, "\n" + body} {
@@ -192,7 +195,7 @@ func oversizedGrant() (body []byte, user string) {
 // wire), and an RBAC denial of a target as long is answered in a few
 // bytes: its reason does not copy the target.
 func TestGatewayLongRequestTakesNoShardDown(t *testing.T) {
-	gw, c, _ := newCloseCluster(t, 3, Config{}, nil)
+	gw, _, c := newGateway(t, Config{}, nil, urls(newShards(t, 3, handoff))...)
 	ctx := context.Background()
 	huge := strings.Repeat("<", 300_000)
 	hugeOwner, _ := gw.ShardFor(huge)
@@ -234,7 +237,7 @@ func TestGatewayLongRequestTakesNoShardDown(t *testing.T) {
 // long as the request.
 func TestRefusalLogsABoundedKey(t *testing.T) {
 	logBuf := &syncBuffer{}
-	_, c, _ := newCloseCluster(t, 1, Config{Logger: obsv.NewLogger(logBuf, "msodgw")}, nil)
+	_, _, c := newGateway(t, Config{Logger: obsv.NewLogger(logBuf, "msodgw")}, nil, urls(newShards(t, 1, handoff))...)
 	grant, key := oversizedGrant()
 	_, err := c.PostRaw(context.Background(), server.DecisionPath, "", grant)
 	var apiErr *server.APIError
@@ -261,7 +264,8 @@ func TestRefusalLogsABoundedKey(t *testing.T) {
 // 1 KB at a zero threshold.
 func TestDecisionLogsABoundedUser(t *testing.T) {
 	logBuf := &syncBuffer{}
-	_, gts, shards := newRecordingCluster(t, 1, Config{Logger: obsv.NewLogger(logBuf, "msodgw")})
+	shards := []*recordingShard{newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{Logger: obsv.NewLogger(logBuf, "msodgw")}, nil, shards[0].ts.URL)
 	huge := strings.Repeat("<", 300_000)
 	shards[0].script(func(string, int) (int, string, bool) {
 		return http.StatusOK, `{"allowed":true,"phase":"granted","user":"` + huge + `"}`, false

@@ -6,44 +6,13 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"msod/internal/fault"
-	"msod/internal/pdp"
-	"msod/internal/policy"
 	"msod/internal/server"
 )
-
-// newAdmissionCluster wires one real PDP shard, admission-limited to a
-// single in-flight request, behind a gateway on a clean transport.
-func newAdmissionCluster(t *testing.T) (gwURL, shardURL string) {
-	t.Helper()
-	pol, err := policy.ParseRBACPolicy([]byte(tracePolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := pdp.New(pdp.Config{Policy: pol})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := httptest.NewServer(server.New(p, server.WithAdmissionLimit(1, time.Second)))
-	t.Cleanup(shard.Close)
-	gw, err := New(Config{
-		Shards:    []Shard{{ID: "a", BaseURL: shard.URL}},
-		Retries:   -1,
-		FailAfter: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
-	return gts.URL, shard.URL
-}
 
 // occupyShardSlot claims the shard's single admission slot with a
 // request whose body never completes; the returned conn releases it.
@@ -77,9 +46,11 @@ func chaosReq(user string) server.DecisionRequest {
 // PEP client with its default shed-retry budget transparently waits
 // the hint out.
 func TestClusterShedEndToEnd(t *testing.T) {
-	gwURL, shardURL := newAdmissionCluster(t)
+	shard := newShard(t, "a", shardSpec{opts: []server.Option{server.WithAdmissionLimit(1, time.Second)}})
+	_, gts, _ := newGateway(t, Config{Retries: -1, FailAfter: 1000}, nil, shard.ts.URL)
+	gwURL := gts.URL
 
-	conn := occupyShardSlot(t, shardURL)
+	conn := occupyShardSlot(t, shard.ts.URL)
 	defer conn.Close()
 
 	// An impatient client sees the forwarded shed verdict unchanged.
@@ -125,38 +96,15 @@ func TestClusterShedEndToEnd(t *testing.T) {
 // ~all decisions land; the rest fail closed with an explicit 503 —
 // never a wrong or silently dropped answer.
 func TestClusterChaoticTransport(t *testing.T) {
-	pol, err := policy.ParseRBACPolicy([]byte(tracePolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var topo []Shard
-	for _, id := range []string{"a", "b"} {
-		p, err := pdp.New(pdp.Config{Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(server.New(p))
-		t.Cleanup(ts.Close)
-		topo = append(topo, Shard{ID: id, BaseURL: ts.URL})
-	}
 	rt := fault.NewRoundTripper(nil, 42)
 	rt.InjectRate(0.3, fault.Trip{Kind: fault.TripReset})
-	gw, err := New(Config{
-		Shards:       topo,
+	_, gts, cli := newGateway(t, Config{
 		Retries:      4,
 		RetryBackoff: 2 * time.Millisecond,
 		FailAfter:    1000,
 		BreakerAfter: 1000,
-		HTTPClient:   &http.Client{Transport: rt},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
+	}, rt, urls(newShards(t, 2, shardSpec{}))...)
 
-	cli := server.NewClient(gts.URL, nil)
 	granted, failedClosed := 0, 0
 	for i := 0; i < 40; i++ {
 		user := fmt.Sprintf("u%02d", i)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"sync"
 	"testing"
@@ -15,132 +14,11 @@ import (
 	"msod/internal/bctx"
 	"msod/internal/core"
 	"msod/internal/fault"
-	"msod/internal/inspect"
 	"msod/internal/pdp"
-	"msod/internal/policy"
 	"msod/internal/rbac"
 	"msod/internal/server"
 	"msod/internal/workload"
 )
-
-// closesPolicyXML is the two policies internal/workload's generators
-// exercise (workload.BankPolicy, workload.TaxPolicy) with the target
-// access policy their requests need, and the two management purges.
-// bank.example (bankSOA) may assign the four workflow roles, so a
-// request can carry its subject as credentials.
-const closesPolicyXML = `
-<RBACPolicy id="closes-1">
-  <RoleList>
-    <Role value="Teller"/><Role value="Auditor"/><Role value="Clerk"/><Role value="Manager"/>
-    <Role value="RetainedADIController"/>
-  </RoleList>
-  <RoleAssignmentPolicy>
-    <Assignment soa="bank.example" role="Teller"/>
-    <Assignment soa="bank.example" role="Auditor"/>
-    <Assignment soa="bank.example" role="Clerk"/>
-    <Assignment soa="bank.example" role="Manager"/>
-  </RoleAssignmentPolicy>
-  <TargetAccessPolicy>
-    <Grant role="RetainedADIController" operation="purgeUser" target="msod:retainedADI"/>
-    <Grant role="RetainedADIController" operation="purgeBefore" target="msod:retainedADI"/>
-    <Grant role="Teller" operation="HandleCash" target="till"/>
-    <Grant role="Auditor" operation="Audit" target="ledger"/>
-    <Grant role="Auditor" operation="CommitAudit" target="audit"/>
-    <Grant role="Clerk" operation="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
-    <Grant role="Clerk" operation="confirmCheck" target="http://secret.location.com/audit"/>
-    <Grant role="Manager" operation="approve/disapproveCheck" target="http://www.myTaxOffice.com/Check"/>
-    <Grant role="Manager" operation="combineResults" target="http://secret.location.com/results"/>
-  </TargetAccessPolicy>
-  <MSoDPolicySet>
-    <MSoDPolicy BusinessContext="Branch=*, Period=!">
-      <LastStep operation="CommitAudit" targetURI="audit"/>
-      <MMER ForbiddenCardinality="2">
-        <Role type="e" value="Teller"/>
-        <Role type="e" value="Auditor"/>
-      </MMER>
-    </MSoDPolicy>
-    <MSoDPolicy BusinessContext="TaxOffice=!, taxRefundProcess=!">
-      <FirstStep operation="prepareCheck" targetURI="http://www.myTaxOffice.com/Check"/>
-      <LastStep operation="confirmCheck" targetURI="http://secret.location.com/audit"/>
-      <MMEP ForbiddenCardinality="2">
-        <Operation value="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
-        <Operation value="confirmCheck" target="http://secret.location.com/audit"/>
-      </MMEP>
-      <MMEP ForbiddenCardinality="2">
-        <Operation value="approve/disapproveCheck" target="http://www.myTaxOffice.com/Check"/>
-        <Operation value="approve/disapproveCheck" target="http://www.myTaxOffice.com/Check"/>
-        <Operation value="combineResults" target="http://secret.location.com/results"/>
-      </MMEP>
-    </MSoDPolicy>
-  </MSoDPolicySet>
-</RBACPolicy>`
-
-// closeShard is one real PDP served the way msodd serves it (under
-// opts; `msodd -handoff` is server.WithHandoff).
-type closeShard struct {
-	id    string
-	store *adi.Store
-	srv   *server.Server
-	ts    *httptest.Server
-}
-
-func closesPolicy(t *testing.T) *policy.RBACPolicy {
-	t.Helper()
-	pol, err := policy.ParseRBACPolicy([]byte(closesPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pol
-}
-
-func newCloseShard(t *testing.T, id string, opts ...server.Option) *closeShard {
-	t.Helper()
-	sh := &closeShard{id: id, store: adi.NewStore()}
-	broker := inspect.NewBroker(64)
-	p, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: sh.store,
-		Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.TrustAuthority(bankSOA); err != nil {
-		t.Fatal(err)
-	}
-	sh.srv = server.New(p, append(opts, server.WithEventBroker(broker))...)
-	sh.ts = httptest.NewServer(sh.srv)
-	t.Cleanup(sh.ts.Close)
-	return sh
-}
-
-// newCloseCluster puts n real shards (a, b, c, ...) behind a gateway
-// whose shard traffic goes through transport (nil: the default one).
-// Nothing probes in the background: a test delivers what is pending
-// with gw.Checker().CheckNow(), one health-probe round.
-func newCloseCluster(t *testing.T, n int, cfg Config, transport http.RoundTripper) (*Gateway, *server.Client, []*closeShard) {
-	t.Helper()
-	return newCloseClusterOf(t, n, cfg, transport, server.WithHandoff())
-}
-
-// newCloseClusterOf is newCloseCluster over shards served under opts.
-func newCloseClusterOf(t *testing.T, n int, cfg Config, transport http.RoundTripper, opts ...server.Option) (*Gateway, *server.Client, []*closeShard) {
-	t.Helper()
-	shards := make([]*closeShard, n)
-	for i := range shards {
-		shards[i] = newCloseShard(t, string(rune('a'+i)), opts...)
-		cfg.Shards = append(cfg.Shards, Shard{ID: shards[i].id, BaseURL: shards[i].ts.URL})
-	}
-	cfg.HTTPClient = &http.Client{Transport: transport}
-	gw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.Checker().CheckNow()
-	gts := httptest.NewServer(gw)
-	t.Cleanup(func() {
-		gts.Close()
-		gw.Close()
-	})
-	return gw, server.NewClient(gts.URL, nil), shards
-}
 
 // userOn returns the k-th user named prefix+number that the ring gives
 // to shard.
@@ -263,8 +141,9 @@ func waitUntil(t *testing.T, cond func() bool) {
 // the cluster closes an instance everywhere the paper's single PDP
 // does, and nowhere else.
 func TestClusterRetainedADIEqualsOnePDP(t *testing.T) {
-	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
-	ref, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: adi.NewStore()})
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{}, nil, urls(shards)...)
+	ref, err := pdp.New(pdp.Config{Policy: bankTaxPolicy(t), Store: adi.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +220,7 @@ type onePDP struct {
 }
 
 func newOnePDP(t *testing.T, c *server.Client) *onePDP {
-	ref, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: adi.NewStore()})
+	ref, err := pdp.New(pdp.Config{Policy: bankTaxPolicy(t), Store: adi.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +258,8 @@ func (o *onePDP) manage(req server.ManagementWireRequest) {
 // b: its manager's approval is recorded, and the combine that one PDP
 // refuses after it is refused.
 func TestClusterPurgeBeforeKeepsRunningInstancesActive(t *testing.T) {
-	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{}, nil, urls(shards)...)
 	o := newOnePDP(t, c)
 	clerk, managerA, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "mgr", 0), userOn(t, gw, "b", "mgr", 0)
 
@@ -402,7 +282,8 @@ func TestClusterPurgeBeforeKeepsRunningInstancesActive(t *testing.T) {
 // first step is told of no activation: it has the record), while b holds
 // its manager's approval — one PDP still has p1 running. So must a.
 func TestClusterPurgeUserKeepsRunningInstancesActive(t *testing.T) {
-	gw, c, shards := newCloseCluster(t, 3, Config{}, nil)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{}, nil, urls(shards)...)
 	o := newOnePDP(t, c)
 	clerk, managerA, managerB := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "mgr", 0), userOn(t, gw, "b", "mgr", 0)
 
@@ -424,7 +305,7 @@ func TestClusterPurgeUserKeepsRunningInstancesActive(t *testing.T) {
 // must keep recording its own manager's steps in it: one PDP refuses the
 // combine after the approval.
 func TestClusterJoinReleaseKeepsDonorInstancesActive(t *testing.T) {
-	gw, c, _ := newCloseCluster(t, 2, Config{}, nil)
+	gw, _, c := newGateway(t, Config{}, nil, urls(newShards(t, 2, handoff))...)
 	o := newOnePDP(t, c)
 	var clerks []string
 	for i := 0; i < 40; i++ {
@@ -481,7 +362,8 @@ func (l *answerLoser) RoundTrip(r *http.Request) (*http.Response, error) {
 // recorded after the re-opening survives the late copies.
 func TestClusterCloseAppliedOncePerLastStep(t *testing.T) {
 	net := &answerLoser{}
-	gw, c, shards := newCloseCluster(t, 3, Config{RetryBackoff: 1}, net)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{RetryBackoff: 1}, net, urls(shards)...)
 	opener, closer := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "clerk", 1)
 	reopener, manager := userOn(t, gw, "b", "clerk", 0), userOn(t, gw, "b", "mgr", 0)
 	b := shards[1]
@@ -539,7 +421,8 @@ func TestClusterCloseAppliedOncePerLastStep(t *testing.T) {
 // LastStep — is withheld with a 502. The stray shard has purged its own
 // slice; that must not spread: nothing is queued for the other shards.
 func TestClusterWithheldAnswerQueuesNoClose(t *testing.T) {
-	gw, gts, shards := newTestCluster(t, 3, Config{Retries: -1})
+	shards := []*recordingShard{newRecordingShard(t), newRecordingShard(t), newRecordingShard(t)}
+	gw, _, c := newGateway(t, Config{Retries: -1}, nil, shards[0].ts.URL, shards[1].ts.URL, shards[2].ts.URL)
 	owner, _ := gw.ShardFor("alice")
 	var elsewhere string
 	for _, id := range gw.shards(tracked) {
@@ -547,11 +430,14 @@ func TestClusterWithheldAnswerQueuesNoClose(t *testing.T) {
 			elsewhere = userOn(t, gw, id, "user", 0)
 		}
 	}
-	for _, s := range shards {
-		s.echoUser = elsewhere
-		s.closed = []string{"Branch=*, Period=2006"}
+	lastStep := func(user string) func(string, int) (int, string, bool) {
+		return func(string, int) (int, string, bool) {
+			return http.StatusOK, `{"allowed":true,"phase":"granted","user":"` + user + `","closed":["Branch=*, Period=2006"]}`, false
+		}
 	}
-	c := server.NewClient(gts.URL, nil)
+	for _, s := range shards {
+		s.script(lastStep(elsewhere))
+	}
 	_, err := c.Decision(server.DecisionRequest{User: "alice", Operation: "CommitAudit", Target: "audit", Context: "Branch=York, Period=2006"})
 	var apiErr *server.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadGateway {
@@ -568,7 +454,7 @@ func TestClusterWithheldAnswerQueuesNoClose(t *testing.T) {
 
 	// The same answer for the right user is forwarded, and queues.
 	for _, s := range shards {
-		s.echoUser = ""
+		s.script(lastStep("alice"))
 	}
 	if _, err := c.Decision(server.DecisionRequest{User: "alice", Operation: "CommitAudit", Target: "audit", Context: "Branch=York, Period=2006"}); err != nil {
 		t.Fatal(err)
@@ -609,8 +495,9 @@ func falseGrants(t *testing.T, c *server.Client, shadow *pdp.PDP, probes []serve
 // PDP that saw every acknowledged decision.
 func TestClusterChaoticTransportDropsCarriedCloses(t *testing.T) {
 	rt := fault.NewRoundTripper(nil, 1)
-	gw, c, shards := newCloseCluster(t, 3, Config{Retries: -1, FailAfter: 1000}, rt)
-	shadow, err := pdp.New(pdp.Config{Policy: closesPolicy(t), Store: adi.NewStore()})
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{Retries: -1, FailAfter: 1000}, rt, urls(shards)...)
+	shadow, err := pdp.New(pdp.Config{Policy: bankTaxPolicy(t), Store: adi.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,15 +609,11 @@ func (h *hooked) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // join admits a fresh real shard under id and waits for the handoff.
-func join(t *testing.T, gw *Gateway, id string) *closeShard {
+func join(t *testing.T, gw *Gateway, id string) *testShard {
 	t.Helper()
-	sh := newCloseShard(t, id, server.WithHandoff())
-	gts := httptest.NewServer(gw)
-	defer gts.Close()
-	resp := postJSON(t, gts.URL+ClusterJoinPath, ClusterMemberRequest{ID: id, URL: sh.ts.URL})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("join status %d", resp.StatusCode)
+	sh := newShard(t, id, handoff)
+	if code := member(t, gw, ClusterJoinPath, id, sh.ts.URL); code != http.StatusAccepted {
+		t.Fatalf("join status %d", code)
 	}
 	if last := waitHandoff(t, gw); last.Phase != PhaseDone {
 		t.Fatalf("handoff ended %s: %s", last.Phase, last.Error)
@@ -756,7 +639,8 @@ func openProcess(t *testing.T, c *server.Client, opener string, managers []strin
 // joiner is not handed the records of an instance that has ended.
 func TestClusterJoinCarriesCloses(t *testing.T) {
 	net := &hooked{}
-	gw, c, shards := newCloseCluster(t, 2, Config{}, net)
+	shards := newShards(t, 2, handoff)
+	gw, _, c := newGateway(t, Config{}, net, urls(shards)...)
 	a, b := shards[0], shards[1]
 	opener, closer := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "clerk", 1)
 	var managers []string
@@ -800,7 +684,7 @@ func TestClusterJoinCarriesCloses(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("the join moved no manager; the test needs an export")
 	}
-	for _, sh := range []*closeShard{a, b, joiner} {
+	for _, sh := range []*testShard{a, b, joiner} {
 		for _, rec := range retained(sh.store) {
 			if want := "taxRefundProcess=p2"; rec[len(rec)-len(want):] != want {
 				t.Errorf("shard %s retains %q: p1 ended before the export", sh.id, rec)
@@ -825,7 +709,8 @@ func TestClusterJoinCarriesCloses(t *testing.T) {
 // the import and then be handed the closed instance's records.
 func TestClusterJoinCopyExcludesCloses(t *testing.T) {
 	net := &hooked{}
-	gw, c, shards := newCloseCluster(t, 2, Config{}, net)
+	shards := newShards(t, 2, handoff)
+	gw, _, c := newGateway(t, Config{}, net, urls(shards)...)
 	a, b := shards[0], shards[1]
 	opener, closer := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "clerk", 1)
 	var managers []string
@@ -867,7 +752,7 @@ func TestClusterJoinCopyExcludesCloses(t *testing.T) {
 // While a LastStep closed an instance on one shard only, that was every
 // instance there had ever been; now it is the ones still open.
 func TestJoinSeedsOnlyOpenInstances(t *testing.T) {
-	gw, c, _ := newCloseCluster(t, 2, Config{}, nil)
+	gw, _, c := newGateway(t, Config{}, nil, urls(newShards(t, 2, handoff))...)
 	opener, closer := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "b", "clerk", 0)
 	managers := []string{userOn(t, gw, "a", "mgr", 0), userOn(t, gw, "b", "mgr", 0)}
 	const ended, open = 12, 3
@@ -901,7 +786,8 @@ func TestJoinSeedsOnlyOpenInstances(t *testing.T) {
 // manager approves and then combines in it, which one PDP refuses.
 func TestClusterLostCloseStillReopensEverywhere(t *testing.T) {
 	rt := fault.NewRoundTripper(nil, 1)
-	gw, c, shards := newCloseCluster(t, 3, Config{Retries: -1, FailAfter: 1000}, rt)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{Retries: -1, FailAfter: 1000}, rt, urls(shards)...)
 	opener, closer := userOn(t, gw, "a", "clerk", 0), userOn(t, gw, "a", "clerk", 1)
 	managerA, managerB, reopener := userOn(t, gw, "a", "mgr", 0), userOn(t, gw, "b", "mgr", 0), userOn(t, gw, "b", "clerk", 0)
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"msod/internal/inspect"
-	"msod/internal/pdp"
 	"msod/internal/server"
 )
 
@@ -19,7 +18,7 @@ import (
 // line of megabytes; the gateway's fan-in still delivers the event that
 // shard publishes after it.
 func TestGatewayFollowsPastALongEvent(t *testing.T) {
-	gw, c, _ := newCloseCluster(t, 3, Config{}, nil)
+	gw, _, c := newGateway(t, Config{}, nil, urls(newShards(t, 3, handoff))...)
 	user := userOn(t, gw, "a", "teller", 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -54,22 +53,8 @@ func TestGatewayFollowsPastALongEvent(t *testing.T) {
 // not a failure: a subscriber on the gateway's stream, which follows
 // that shard, does not take it Down.
 func TestGatewayEventStreamRefusalIsNoShardFailure(t *testing.T) {
-	p, err := pdp.New(pdp.Config{Policy: closesPolicy(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := httptest.NewServer(server.New(p))
-	t.Cleanup(shard.Close)
-	gw, err := New(Config{Shards: []Shard{{ID: "a", BaseURL: shard.URL}}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	gw, gts, _ := newGateway(t, Config{}, nil, newShard(t, "a", shardSpec{noEvents: true}).ts.URL)
 	gw.Checker().CheckNow()
-	gts := httptest.NewServer(gw)
-	t.Cleanup(func() {
-		gts.Close()
-		gw.Close()
-	})
 	if !gw.Checker().Up("a") {
 		t.Fatalf("shard a starts %+v, want Up", gw.Checker().Statuses()["a"])
 	}
@@ -98,7 +83,7 @@ func TestGatewayEventStreamRefusalIsNoShardFailure(t *testing.T) {
 // than rejoining the follower live, silently past the events published
 // while it was away.
 func TestGatewayEventStreamRefusesAResume(t *testing.T) {
-	gw, c, _ := newCloseCluster(t, 1, Config{}, nil)
+	gw, _, c := newGateway(t, Config{}, nil, urls(newShards(t, 1, handoff))...)
 	for i := range 3 {
 		dec, err := c.Decision(server.DecisionRequest{User: fmt.Sprint("teller", i), Roles: []string{"Teller"},
 			Operation: "HandleCash", Target: "till", Context: "Branch=York, Period=p1"})

@@ -14,15 +14,16 @@ import (
 // the gateway asks every shard; the one holding the record answers
 // and is named in the X-Msod-Shard header.
 func TestGatewayExplainFanout(t *testing.T) {
-	_, gts, shards := newTestCluster(t, 3, Config{})
-	shards[1].explainID = "req-42"
+	gw, gts, c := newGateway(t, Config{}, nil, urls(newShards(t, 3, shardSpec{}))...)
+	req := tellerGrant(userOn(t, gw, "b", "user", 0))
+	req.RequestID = "req-42"
+	mustDecide(t, c, req, true)
 
-	c := server.NewClient(gts.URL, nil)
 	rec, err := c.Explain("req-42")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.RequestID != "req-42" || rec.User != "c1" || rec.Outcome != "grant" {
+	if rec.RequestID != "req-42" || rec.User != req.User || rec.Outcome != "grant" {
 		t.Fatalf("record through gateway = %+v", rec)
 	}
 	resp, err := http.Get(gts.URL + server.ExplainPath + "req-42")
@@ -31,8 +32,8 @@ func TestGatewayExplainFanout(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get("X-Msod-Shard"); got != "shard01" {
-		t.Fatalf("X-Msod-Shard = %q, want shard01 (the holder)", got)
+	if got := resp.Header.Get("X-Msod-Shard"); got != "b" {
+		t.Fatalf("X-Msod-Shard = %q, want b (the holder)", got)
 	}
 
 	// With every shard answering, a miss everywhere is a confident 404.
@@ -46,9 +47,11 @@ func TestGatewayExplainFanout(t *testing.T) {
 // holding a "/" (sent as %2F) whole and asks the shards for it; a raw
 // "/" after the prefix names no ID.
 func TestGatewayExplainRequestIDWithSlash(t *testing.T) {
-	_, gts, shards := newTestCluster(t, 3, Config{})
-	shards[2].explainID = "po/7"
-	rec, err := server.NewClient(gts.URL, nil).Explain("po/7")
+	gw, gts, c := newGateway(t, Config{}, nil, urls(newShards(t, 3, shardSpec{}))...)
+	req := tellerGrant(userOn(t, gw, "c", "user", 0))
+	req.RequestID = "po/7"
+	mustDecide(t, c, req, true)
+	rec, err := c.Explain("po/7")
 	if err != nil || rec.RequestID != "po/7" {
 		t.Fatalf("explain po/7 through the gateway = %+v, %v", rec, err)
 	}
@@ -65,12 +68,14 @@ func TestGatewayExplainRequestIDWithSlash(t *testing.T) {
 // TestGatewayExplainFailsClosed: with any shard down the record may be
 // unreachable, so the gateway refuses to claim absence.
 func TestGatewayExplainFailsClosed(t *testing.T) {
-	gw, gts, shards := newTestCluster(t, 3, Config{FailAfter: 1})
-	shards[0].explainID = "req-42"
+	shards := newShards(t, 3, shardSpec{})
+	gw, _, c := newGateway(t, Config{FailAfter: 1}, nil, urls(shards)...)
+	req := tellerGrant(userOn(t, gw, "a", "user", 0))
+	req.RequestID = "req-42"
+	mustDecide(t, c, req, true)
 	shards[2].ts.Close()
 	gw.Checker().CheckNow()
 
-	c := server.NewClient(gts.URL, nil)
 	var apiErr *server.APIError
 	_, err := c.Explain("req-42")
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
@@ -86,7 +91,9 @@ func TestGatewayExplainFailsClosed(t *testing.T) {
 // exemplars through the shard-relabelling merge, strips the per-shard
 // EOF markers, and terminates the merged body with exactly one.
 func TestGatewayMetricsOpenMetricsForwarding(t *testing.T) {
-	_, gts, _ := newTestCluster(t, 3, Config{})
+	gw, gts, c := newGateway(t, Config{}, nil, urls(newShards(t, 3, shardSpec{}))...)
+	granted := mustDecide(t, c, tellerGrant("alice"), true)
+	owner, _ := gw.ShardFor("alice")
 
 	req, err := http.NewRequest(http.MethodGet, gts.URL+server.MetricsPath, nil)
 	if err != nil {
@@ -112,9 +119,13 @@ func TestGatewayMetricsOpenMetricsForwarding(t *testing.T) {
 	if !strings.HasSuffix(body, "# EOF\n") {
 		t.Fatalf("body does not terminate with the EOF marker: ...%q", body[max(0, len(body)-40):])
 	}
-	want := `msod_decision_duration_seconds_bucket{le="+Inf",shard="shard01"} 0 # {trace_id="stub-trace"} 0.001`
-	if !strings.Contains(body, want) {
-		t.Fatalf("merged body lost the shard exemplar, want %q:\n%s", want, body)
+	exemplar := false
+	for _, line := range strings.Split(body, "\n") {
+		exemplar = exemplar || strings.HasPrefix(line, "msod_decision_duration_seconds_bucket{") &&
+			strings.Contains(line, `,shard="`+owner+`"} `) && strings.Contains(line, ` # {trace_id="`+granted.TraceID+`"} `)
+	}
+	if !exemplar {
+		t.Fatalf("merged body lost the exemplar of trace %s on shard %s:\n%s", granted.TraceID, owner, body)
 	}
 
 	// The classic scrape of the same gateway stays exemplar-free.

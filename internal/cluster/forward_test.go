@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,9 +18,11 @@ import (
 	"msod/internal/server"
 )
 
-// recordingShard is an httptest shard that keeps the bytes
-// of every body POSTed to it, per path and in order, and answers with
-// whatever its script says — by default a minimal grant for "alice".
+// recordingShard is the one scripted shard, for what a real one never
+// does: it keeps the bytes of every body POSTed to it, per path and in
+// order, and answers with whatever its script says — by default a
+// minimal grant for "alice" — misrouted subjects, malformed or
+// oversized answers and dropped connections included.
 type recordingShard struct {
 	ts *httptest.Server
 
@@ -34,6 +37,12 @@ type recordingShard struct {
 	// answer scripts the n-th (from 0) request to path: a status and a
 	// body, or drop to close the connection without answering.
 	answer func(path string, n int) (status int, body string, drop bool)
+}
+
+// noInstances answers the gateway's activation sync before its first
+// decision the way a shard that has started no context instance does.
+func noInstances(w http.ResponseWriter, _ *http.Request) {
+	json.NewEncoder(w).Encode(server.ActivationResponse{Contexts: []string{}})
 }
 
 const aliceGranted = `{"allowed":true,"phase":"granted","user":"alice"}`
@@ -103,24 +112,6 @@ func (s *recordingShard) sentTraceparents() []string {
 	return append([]string(nil), s.traceparents...)
 }
 
-// newRecordingCluster puts n recording shards behind a gateway.
-func newRecordingCluster(t *testing.T, n int, cfg Config) (*Gateway, *httptest.Server, []*recordingShard) {
-	t.Helper()
-	shards := make([]*recordingShard, n)
-	for i := range shards {
-		shards[i] = newRecordingShard(t)
-		cfg.Shards = append(cfg.Shards, Shard{ID: fmt.Sprintf("shard%02d", i), BaseURL: shards[i].ts.URL})
-	}
-	gw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
-	return gw, gts, shards
-}
-
 // post sends raw bytes to the gateway and returns the status and the
 // raw bytes of the answer.
 func post(t *testing.T, url string, body string) (int, string) {
@@ -150,7 +141,8 @@ var splicedID = regexp.MustCompile(`^,"requestID":"[0-9a-f]{32}"$`)
 // the PEP receives exactly what the shard answered — a member
 // DecisionResponse does not declare and the missing newline included.
 func TestGatewayForwardsThePEPsBytes(t *testing.T) {
-	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	shards := []*recordingShard{newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{}, nil, shards[0].ts.URL)
 	const answer = `{"allowed":true,"phase":"granted","user":"alice","obligations":["log A"],"matchedPolicies":1}`
 	shards[0].script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
 
@@ -183,7 +175,8 @@ func TestGatewayForwardsThePEPsBytes(t *testing.T) {
 // any spelling encoding/json would take for the field — leaves the
 // bytes identical; an empty or null one does not count as supplied.
 func TestGatewayKeepsThePEPsRequestID(t *testing.T) {
-	_, gts, shards := newRecordingCluster(t, 1, Config{})
+	shards := []*recordingShard{newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{}, nil, shards[0].ts.URL)
 	for _, tc := range []struct {
 		member  string
 		spliced bool
@@ -216,7 +209,8 @@ func TestGatewayKeepsThePEPsRequestID(t *testing.T) {
 // decision is the same bytes, so the shard's idempotency cache sees one
 // requestID.
 func TestGatewayRetriesCarryIdenticalBytes(t *testing.T) {
-	_, gts, shards := newRecordingCluster(t, 1, Config{Retries: 2, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
+	shards := []*recordingShard{newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{Retries: 2, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10}, nil, shards[0].ts.URL)
 	shards[0].script(func(_ string, n int) (int, string, bool) { return http.StatusOK, aliceGranted, n < 2 })
 	if status, answer := post(t, gts.URL+server.DecisionPath, aliceAsks); status != http.StatusOK || answer != aliceGranted {
 		t.Fatalf("decision after two dropped attempts = %d %s", status, answer)
@@ -257,7 +251,8 @@ func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
 		if answer == oversized {
 			failure, status, attempts, failures = "limit", http.StatusBadGateway, 1, 0
 		}
-		gw, gts, shards := newRecordingCluster(t, 1, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
+		shards := []*recordingShard{newRecordingShard(t)}
+		gw, gts, _ := newGateway(t, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10}, nil, shards[0].ts.URL)
 		shards[0].script(func(string, int) (int, string, bool) { return http.StatusOK, answer, false })
 		got, text := post(t, gts.URL+server.DecisionPath, aliceAsks)
 		if got != status || !strings.Contains(text, failure) {
@@ -270,7 +265,7 @@ func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
 		if len(bodies) != attempts || !bytes.Equal(bodies[0], bodies[len(bodies)-1]) {
 			t.Errorf("answer %.80q: shard saw %d attempts, want %d identical ones", answer, len(bodies), attempts)
 		}
-		if st := gw.Checker().Statuses()["shard00"]; st.Consecutive != failures || failures > 0 && !strings.Contains(st.LastErr, failure) {
+		if st := gw.Checker().Statuses()["a"]; st.Consecutive != failures || failures > 0 && !strings.Contains(st.LastErr, failure) {
 			t.Errorf("answer %.80q: checker holds %+v, want %d decode failures of the shard", answer, st, failures)
 		}
 	}
@@ -279,7 +274,8 @@ func TestGatewayNeverForwardsAnUnreadableAnswer(t *testing.T) {
 // TestGatewayWithholdsAnswersItCannotAttribute: a well-formed answer
 // that names no user, or a user another shard owns, is still a 502.
 func TestGatewayWithholdsAnswersItCannotAttribute(t *testing.T) {
-	gw, gts, shards := newRecordingCluster(t, 2, Config{})
+	shards := []*recordingShard{newRecordingShard(t), newRecordingShard(t)}
+	gw, gts, _ := newGateway(t, Config{}, nil, shards[0].ts.URL, shards[1].ts.URL)
 	var onOther string
 	owner, _ := gw.ShardFor("alice")
 	for i := 0; onOther == ""; i++ {
@@ -313,7 +309,8 @@ func TestGatewayWithholdsAnswersItCannotAttribute(t *testing.T) {
 // answering in the shard's place sends — leaves it pending and the peer
 // Down; the shard's own acknowledgement settles it.
 func TestGatewayQueuesAFirstStepsActivation(t *testing.T) {
-	gw, gts, shards := newRecordingCluster(t, 2, Config{Retries: -1, FailAfter: 1})
+	shards := []*recordingShard{newRecordingShard(t), newRecordingShard(t)}
+	gw, gts, _ := newGateway(t, Config{Retries: -1, FailAfter: 1}, nil, shards[0].ts.URL, shards[1].ts.URL)
 	const answer = `{"allowed":true,"phase":"granted","user":"alice","recorded":1,"activated":["Branch=York, Period=p1"]}`
 	for _, s := range shards {
 		s.script(func(path string, _ int) (int, string, bool) {
@@ -328,9 +325,9 @@ func TestGatewayQueuesAFirstStepsActivation(t *testing.T) {
 		t.Fatalf("PEP received %d %q, want the shard's bytes", status, got)
 	}
 	owner, _ := gw.ShardFor("alice")
-	peer, peerID := shards[0], "shard00"
-	if owner == "shard00" {
-		peer, peerID = shards[1], "shard01"
+	peer, peerID := shards[0], "a"
+	if owner == "a" {
+		peer, peerID = shards[1], "b"
 	}
 	if posts := peer.received(server.ActivationPath); len(posts) != 0 {
 		t.Fatalf("the peer was posted %q, want no request before the ack", posts)
@@ -390,7 +387,8 @@ func postTraced(t *testing.T, url, body, traceparent string) (int, string) {
 // missing or malformed one is replaced by one the gateway mints, which
 // every attempt of the decision carries.
 func TestGatewayPassesOnThePEPsTraceparent(t *testing.T) {
-	_, gts, shards := newRecordingCluster(t, 1, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
+	shards := []*recordingShard{newRecordingShard(t)}
+	_, gts, _ := newGateway(t, Config{Retries: 1, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10}, nil, shards[0].ts.URL)
 	const pep = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	for _, path := range []string{server.DecisionPath, server.AdvicePath} {
 		if status, answer := postTraced(t, gts.URL+path, aliceAsks, pep); status != http.StatusOK {
@@ -423,45 +421,16 @@ func TestGatewayPassesOnThePEPsTraceparent(t *testing.T) {
 // the retry would start with no time left, so the PEP gets the
 // fail-closed 503 at once.
 func TestGatewayOneDeadlinePerDecision(t *testing.T) {
-	var mu sync.Mutex
-	attempts := 0
-	release := make(chan struct{})
-	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && r.URL.Path == server.ActivationPath {
-			noInstances(w, r)
-			return
-		}
-		if r.URL.Path != server.DecisionPath {
-			return
-		}
-		mu.Lock()
-		attempts++
-		mu.Unlock()
-		io.Copy(io.Discard, r.Body)
-		select { // until the gateway gives up on the attempt
-		case <-r.Context().Done():
-		case <-release:
-		}
-	}))
-	t.Cleanup(stalled.Close)
-	t.Cleanup(func() { close(release) })
-	gw, err := New(Config{Shards: []Shard{{ID: "s0", BaseURL: stalled.URL}}, Timeout: 200 * time.Millisecond,
-		Retries: 2, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
+	shard := newShard(t, "a", shardSpec{})
+	arrived, _ := shard.hold(t, server.DecisionPath) // until the gateway gives up on the attempt
+	gw, gts, _ := newGateway(t, Config{Timeout: 200 * time.Millisecond,
+		Retries: 2, RetryBackoff: time.Millisecond, FailAfter: 10, BreakerAfter: 10}, nil, shard.ts.URL)
 
 	for i := 1; i <= 2; i++ {
 		if status, answer := post(t, gts.URL+server.DecisionPath, aliceAsks); status != http.StatusServiceUnavailable {
 			t.Fatalf("decision %d = %d %s, want the fail-closed 503", i, status, answer)
 		}
-		mu.Lock()
-		n := attempts
-		mu.Unlock()
-		if n != i {
+		if n := len(arrived); n != i {
 			t.Fatalf("shard saw %d attempts after %d decisions, want one each", n, i)
 		}
 	}
@@ -503,11 +472,7 @@ func TestGatewayDecisionsShareADeadline(t *testing.T) {
 		return ctx
 	}
 	newGateway := func(timeout time.Duration) *Gateway {
-		gw, err := New(Config{Shards: []Shard{{ID: "s0", BaseURL: "http://s0.invalid"}}, HTTPClient: &http.Client{Transport: shards}, Timeout: timeout})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(gw.Close)
+		gw, _, _ := newGateway(t, Config{Timeout: timeout}, shards, "http://a.invalid")
 		return gw
 	}
 

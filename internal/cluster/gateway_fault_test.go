@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -14,44 +12,11 @@ import (
 	"msod/internal/server"
 )
 
-// newFaultCluster wires one stub shard behind a gateway whose shard
-// traffic runs through a fault-injecting transport. Retries are
-// disabled and the Checker threshold set high so the breaker — not the
-// retry loop or the health checker — is the mechanism under test. The
-// gateway has run its activation sync, so the next shard request is the
-// first decision's.
-func newFaultCluster(t *testing.T, cooldown time.Duration) (*Gateway, string, *fault.RoundTripper, *stubShard) {
-	t.Helper()
-	rt := fault.NewRoundTripper(nil, 1)
-	shard := newStubShard(t, "pol-1")
-	gw, err := New(Config{
-		Shards:          []Shard{{ID: "shard00", BaseURL: shard.ts.URL}},
-		Retries:         -1,
-		FailAfter:       1000,
-		BreakerAfter:    3,
-		BreakerCooldown: cooldown,
-		HTTPClient:      &http.Client{Transport: rt},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	if err := gw.bootSync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
-	return gw, gts.URL, rt, shard
-}
-
-func decisionReq(user string) server.DecisionRequest {
-	return server.DecisionRequest{
-		User:      user,
-		Roles:     []string{"Teller"},
-		Operation: "open-account",
-		Target:    "acct",
-		Context:   "Branch=York, Period=2006",
-	}
+// breakerConfig disables retries and sets the Checker threshold high,
+// so the breaker — not the retry loop or the health checker — is the
+// mechanism under test.
+func breakerConfig(cooldown time.Duration) Config {
+	return Config{Retries: -1, FailAfter: 1000, BreakerAfter: 3, BreakerCooldown: cooldown}
 }
 
 // TestGatewayBreakerTripsOnResets drives injected connection resets
@@ -59,30 +24,33 @@ func decisionReq(user string) server.DecisionRequest {
 // fail-fast 503 (with Retry-After), the /v1/metrics gauge, and the
 // half-open recovery once the transport heals.
 func TestGatewayBreakerTripsOnResets(t *testing.T) {
-	gw, gts, rt, shard := newFaultCluster(t, 300*time.Millisecond)
+	rt := fault.NewRoundTripper(nil, 1)
+	shard := newShard(t, "a", shardSpec{})
+	gw, gts, _ := newGateway(t, breakerConfig(300*time.Millisecond), rt, shard.ts.URL)
+	bootSynced(t, gw)
 	// The first three decision requests die as connection resets.
 	synced := rt.Requests()
 	for i := 1; i <= 3; i++ {
 		rt.InjectAt(synced+i, fault.Trip{Kind: fault.TripReset})
 	}
 	// Shed retries off: the raw 503s are the thing under test.
-	cli := server.NewClient(gts, nil, server.WithShedRetries(0))
+	cli := server.NewClient(gts.URL, nil, server.WithShedRetries(0))
 
 	for i := 0; i < 3; i++ {
-		_, err := cli.Decision(decisionReq("alice"))
+		_, err := cli.Decision(tellerGrant("alice"))
 		var apiErr *server.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 			t.Fatalf("request %d: err = %v, want transport-failure 503", i, err)
 		}
 	}
-	if st := gw.Breaker().State("shard00"); st != BreakerOpen {
+	if st := gw.Breaker().State("a"); st != BreakerOpen {
 		t.Fatalf("breaker state after 3 resets = %v, want open", st)
 	}
 
 	// Open circuit: refused before the shard is contacted, with a
 	// Retry-After hint.
 	before := rt.Requests()
-	_, err := cli.Decision(decisionReq("alice"))
+	_, err := cli.Decision(tellerGrant("alice"))
 	var apiErr *server.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
 		t.Fatalf("breaker-open err = %v, want 503", err)
@@ -99,8 +67,8 @@ func TestGatewayBreakerTripsOnResets(t *testing.T) {
 
 	// The gauge is observable on the gateway's own scrape (the shard
 	// scrape rides the same faulty-but-healed transport).
-	body := getBody(t, gts+server.MetricsPath)
-	if !strings.Contains(body, `msodgw_breaker_state{shard="shard00"} 2`) {
+	body := getBody(t, gts.URL+server.MetricsPath)
+	if !strings.Contains(body, `msodgw_breaker_state{shard="a"} 2`) {
 		t.Fatalf("metrics missing open breaker gauge:\n%s", body)
 	}
 	if !strings.Contains(body, "msodgw_breaker_refused_total 1") {
@@ -110,18 +78,18 @@ func TestGatewayBreakerTripsOnResets(t *testing.T) {
 	// After the cooldown the next request is the half-open probe; the
 	// transport is healed, so it closes the circuit.
 	time.Sleep(350 * time.Millisecond)
-	resp, err := cli.Decision(decisionReq("alice"))
+	resp, err := cli.Decision(tellerGrant("alice"))
 	if err != nil || !resp.Allowed {
 		t.Fatalf("probe decision after cooldown: %+v, %v", resp, err)
 	}
-	if st := gw.Breaker().State("shard00"); st != BreakerClosed {
+	if st := gw.Breaker().State("a"); st != BreakerClosed {
 		t.Fatalf("breaker state after successful probe = %v, want closed", st)
 	}
-	body = getBody(t, gts+server.MetricsPath)
-	if !strings.Contains(body, `msodgw_breaker_state{shard="shard00"} 0`) {
+	body = getBody(t, gts.URL+server.MetricsPath)
+	if !strings.Contains(body, `msodgw_breaker_state{shard="a"} 0`) {
 		t.Fatalf("metrics missing closed breaker gauge:\n%s", body)
 	}
-	if got := len(shard.drainUsers()); got != 1 {
+	if got := len(shard.users()); got != 1 {
 		t.Fatalf("shard served %d decisions, want exactly the probe", got)
 	}
 }
@@ -135,26 +103,14 @@ func TestGatewayBreakerTripsOnResets(t *testing.T) {
 // are refused as down without reaching the shard.
 func TestGatewayDefaultsMarkDownBeforeBreaker(t *testing.T) {
 	rt := fault.NewRoundTripper(nil, 1)
-	shard := newStubShard(t, "pol-1")
-	gw, err := New(Config{
-		Shards:     []Shard{{ID: "shard00", BaseURL: shard.ts.URL}},
-		HTTPClient: &http.Client{Transport: rt},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	if err := gw.bootSync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
+	gw, gts, _ := newGateway(t, Config{}, rt, newShard(t, "a", shardSpec{}).ts.URL)
+	bootSynced(t, gw)
 	rt.InjectRate(1, fault.Trip{Kind: fault.TripReset})
 	cli := server.NewClient(gts.URL, nil, server.WithShedRetries(0))
 
 	before := rt.Requests()
 	for i, want := range []string{"unreachable", "is down"} {
-		_, err := cli.Decision(decisionReq("alice"))
+		_, err := cli.Decision(tellerGrant("alice"))
 		var apiErr *server.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable ||
 			!strings.Contains(apiErr.Message, want) {
@@ -164,10 +120,10 @@ func TestGatewayDefaultsMarkDownBeforeBreaker(t *testing.T) {
 	if got := rt.Requests() - before; got != 2 {
 		t.Errorf("shard requests = %d, want 2: the first decision's two attempts, none for the second", got)
 	}
-	if gw.Checker().Up("shard00") {
+	if gw.Checker().Up("a") {
 		t.Error("shard still up after two failed attempts")
 	}
-	if st := gw.Breaker().State("shard00"); st != BreakerClosed {
+	if st := gw.Breaker().State("a"); st != BreakerClosed {
 		t.Errorf("breaker = %v, want closed: the checker refuses first", st)
 	}
 }
@@ -177,26 +133,28 @@ func TestGatewayDefaultsMarkDownBeforeBreaker(t *testing.T) {
 // breaker's 503 + Retry-After, waits it out, and transparently gets
 // the decision once the circuit admits its probe.
 func TestClientWaitsOutBreakerRetryAfter(t *testing.T) {
-	gw, gts, rt, _ := newFaultCluster(t, 500*time.Millisecond)
+	rt := fault.NewRoundTripper(nil, 1)
+	gw, gts, _ := newGateway(t, breakerConfig(500*time.Millisecond), rt, newShard(t, "a", shardSpec{}).ts.URL)
+	bootSynced(t, gw)
 	synced := rt.Requests()
 	for i := 1; i <= 3; i++ {
 		rt.InjectAt(synced+i, fault.Trip{Kind: fault.TripReset})
 	}
-	cli := server.NewClient(gts, nil, server.WithShedRetries(0))
+	cli := server.NewClient(gts.URL, nil, server.WithShedRetries(0))
 	for i := 0; i < 3; i++ {
-		if _, err := cli.Decision(decisionReq("alice")); err == nil {
+		if _, err := cli.Decision(tellerGrant("alice")); err == nil {
 			t.Fatal("expected transport-failure 503")
 		}
 	}
-	if st := gw.Breaker().State("shard00"); st != BreakerOpen {
+	if st := gw.Breaker().State("a"); st != BreakerOpen {
 		t.Fatalf("breaker state = %v, want open", st)
 	}
 
 	// Default client: the breaker-open 503 carries Retry-After (floor
 	// 1s > cooldown), so one transparent retry lands as the probe.
-	patient := server.NewClient(gts, nil)
+	patient := server.NewClient(gts.URL, nil)
 	start := time.Now()
-	resp, err := patient.Decision(decisionReq("alice"))
+	resp, err := patient.Decision(tellerGrant("alice"))
 	if err != nil || !resp.Allowed {
 		t.Fatalf("decision through shed retry: %+v, %v", resp, err)
 	}

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,113 +16,9 @@ import (
 	"msod/internal/core"
 	"msod/internal/inspect"
 	"msod/internal/pdp"
-	"msod/internal/policy"
 	"msod/internal/rbac"
 	"msod/internal/server"
 )
-
-// clusterTaxPolicyXML is the paper's tax-refund scenario, shared by all
-// real shards (the cluster requires one policy everywhere).
-const clusterTaxPolicyXML = `
-<RBACPolicy id="tax-cluster">
-  <RoleList>
-    <Role value="Clerk"/>
-    <Role value="Manager"/>
-  </RoleList>
-  <RoleAssignmentPolicy>
-    <Assignment soa="gov.tax.example" role="Clerk"/>
-    <Assignment soa="gov.tax.example" role="Manager"/>
-  </RoleAssignmentPolicy>
-  <TargetAccessPolicy>
-    <Grant role="Clerk" operation="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
-    <Grant role="Clerk" operation="confirmCheck" target="http://secret.location.com/audit"/>
-    <Grant role="Manager" operation="approve/disapproveCheck" target="http://www.myTaxOffice.com/Check"/>
-  </TargetAccessPolicy>
-  <MSoDPolicySet>
-    <MSoDPolicy BusinessContext="TaxOffice=!, taxRefundProcess=!">
-      <FirstStep operation="prepareCheck" targetURI="http://www.myTaxOffice.com/Check"/>
-      <LastStep operation="confirmCheck" targetURI="http://secret.location.com/audit"/>
-      <MMEP ForbiddenCardinality="2">
-        <Operation value="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
-        <Operation value="confirmCheck" target="http://secret.location.com/audit"/>
-      </MMEP>
-    </MSoDPolicy>
-  </MSoDPolicySet>
-</RBACPolicy>`
-
-var clusterTrailKey = []byte("cluster-integration-trail-key")
-
-// inspectShard is a full msodd-equivalent shard: live PDP, audit trail,
-// event broker, and integrity sentinel behind a real server handler.
-type inspectShard struct {
-	id       string
-	ts       *httptest.Server
-	dir      string
-	sentinel *inspect.Sentinel
-	down     atomic.Bool // forces the health probe to answer 503
-}
-
-func newInspectShard(t *testing.T, id string, failClosed bool, interval time.Duration) *inspectShard {
-	t.Helper()
-	rs := &inspectShard{id: id, dir: t.TempDir()}
-	trail, err := audit.NewWriter(rs.dir, clusterTrailKey, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { trail.Close() })
-	pol, err := policy.ParseRBACPolicy([]byte(clusterTaxPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := inspect.NewBroker(64)
-	p, err := pdp.New(pdp.Config{
-		Policy:   pol,
-		Trail:    trail,
-		Observer: func(ev inspect.DecisionEvent) { broker.Publish(ev) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.sentinel, err = inspect.NewSentinel(inspect.SentinelConfig{
-		Dir: rs.dir, Key: clusterTrailKey, Interval: interval,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rs.sentinel.Stop)
-	srv := server.New(p, server.WithEventBroker(broker), server.WithSentinel(rs.sentinel, failClosed))
-	rs.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if rs.down.Load() && r.URL.Path == server.HealthPath {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		srv.ServeHTTP(w, r)
-	}))
-	t.Cleanup(rs.ts.Close)
-	return rs
-}
-
-// newInspectCluster wires n live shards behind a gateway and returns the
-// shard map keyed by shard ID.
-func newInspectCluster(t *testing.T, n int, failClosed bool, interval time.Duration) (*Gateway, *httptest.Server, map[string]*inspectShard) {
-	t.Helper()
-	cfg := Config{FailAfter: 1}
-	byID := make(map[string]*inspectShard, n)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("shard%02d", i)
-		rs := newInspectShard(t, id, failClosed, interval)
-		byID[id] = rs
-		cfg.Shards = append(cfg.Shards, Shard{ID: id, BaseURL: rs.ts.URL})
-	}
-	gw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	gts := httptest.NewServer(gw)
-	t.Cleanup(gts.Close)
-	return gw, gts, byID
-}
 
 func prepare(t *testing.T, c *server.Client, user, bc string) server.DecisionResponse {
 	t.Helper()
@@ -142,18 +36,21 @@ func prepare(t *testing.T, c *server.Client, user, bc string) server.DecisionRes
 	return resp
 }
 
-func ownerOf(t *testing.T, gw *Gateway, shards map[string]*inspectShard, user string) *inspectShard {
+func ownerOf(t *testing.T, gw *Gateway, shards []*testShard, user string) *testShard {
 	t.Helper()
-	id, ok := gw.ShardFor(user)
-	if !ok {
-		t.Fatalf("no shard for %s", user)
+	id, _ := gw.ShardFor(user)
+	for _, sh := range shards {
+		if sh.id == id {
+			return sh
+		}
 	}
-	return shards[id]
+	t.Fatalf("no shard for %s", user)
+	return nil
 }
 
 func TestClusterStateUserRoutedToOwner(t *testing.T) {
-	gw, gts, shards := newInspectCluster(t, 3, false, time.Hour)
-	c := server.NewClient(gts.URL, nil)
+	shards := newShards(t, 3, shardSpec{trail: true})
+	gw, gts, c := newGateway(t, Config{FailAfter: 1}, nil, urls(shards)...)
 	users := []string{"alice", "bob", "carol", "dave"}
 	for i, u := range users {
 		prepare(t, c, u, fmt.Sprintf("TaxOffice=Leeds, taxRefundProcess=p%d", i))
@@ -196,11 +93,11 @@ func TestClusterStateUserRoutedToOwner(t *testing.T) {
 }
 
 func TestClusterStateUserFailsClosedWhenOwnerDown(t *testing.T) {
-	gw, gts, shards := newInspectCluster(t, 3, false, time.Hour)
-	c := server.NewClient(gts.URL, nil)
+	shards := newShards(t, 3, shardSpec{trail: true})
+	gw, _, c := newGateway(t, Config{FailAfter: 1}, nil, urls(shards)...)
 	prepare(t, c, "alice", "TaxOffice=Leeds, taxRefundProcess=p1")
 
-	ownerOf(t, gw, shards, "alice").down.Store(true)
+	ownerOf(t, gw, shards, "alice").setDown(true)
 	gw.Checker().CheckNow()
 
 	_, err := c.UserState("alice")
@@ -211,8 +108,8 @@ func TestClusterStateUserFailsClosedWhenOwnerDown(t *testing.T) {
 }
 
 func TestClusterStateContextMergesAcrossShards(t *testing.T) {
-	gw, gts, shards := newInspectCluster(t, 3, false, time.Hour)
-	c := server.NewClient(gts.URL, nil)
+	shards := newShards(t, 3, shardSpec{trail: true})
+	gw, _, c := newGateway(t, Config{FailAfter: 1}, nil, urls(shards)...)
 	// Enough users to cover several shards; all in ONE context instance.
 	users := []string{"alice", "bob", "carol", "dave", "erin", "frank"}
 	for _, u := range users {
@@ -237,10 +134,7 @@ func TestClusterStateContextMergesAcrossShards(t *testing.T) {
 	}
 
 	// A partial cluster cannot answer a cluster-wide question.
-	for _, rs := range shards {
-		rs.down.Store(true)
-		break
-	}
+	shards[0].setDown(true)
 	gw.Checker().CheckNow()
 	_, err = c.ContextState("TaxOffice=*, taxRefundProcess=*")
 	var apiErr *server.APIError
@@ -254,8 +148,8 @@ func TestClusterStateContextMergesAcrossShards(t *testing.T) {
 // stream, a denial, and the streamed trace ID matching the owning
 // shard's durable audit record.
 func TestClusterTailObservesDenialWithAuditTrace(t *testing.T) {
-	gw, gts, shards := newInspectCluster(t, 3, false, time.Hour)
-	c := server.NewClient(gts.URL, nil)
+	shards := newShards(t, 3, shardSpec{trail: true})
+	gw, _, c := newGateway(t, Config{FailAfter: 1}, nil, urls(shards)...)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -304,7 +198,7 @@ func TestClusterTailObservesDenialWithAuditTrace(t *testing.T) {
 	}
 
 	// The same trace ID is in the owning shard's audit trail.
-	r, err := audit.NewReader(owner.dir, clusterTrailKey)
+	r, err := audit.NewReader(owner.trailDir, trailKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +225,8 @@ func TestClusterTailObservesDenialWithAuditTrace(t *testing.T) {
 // shard then refuses decisions.
 func TestClusterMidRunTamperFailsClosed(t *testing.T) {
 	interval := 25 * time.Millisecond
-	gw, gts, shards := newInspectCluster(t, 3, true, interval)
-	c := server.NewClient(gts.URL, nil)
+	shards := newShards(t, 3, shardSpec{trail: true, sentinel: interval})
+	gw, _, c := newGateway(t, Config{FailAfter: 1}, nil, urls(shards)...)
 	prepare(t, c, "alice", "TaxOffice=Leeds, taxRefundProcess=p1")
 
 	owner := ownerOf(t, gw, shards, "alice")
@@ -349,11 +243,11 @@ func TestClusterMidRunTamperFailsClosed(t *testing.T) {
 	// rewritten before the next pass. The LAST alice record is the
 	// unverified one.
 	prepare(t, c, "alice", "TaxOffice=York, taxRefundProcess=p2")
-	segs, err := audit.Segments(owner.dir)
+	segs, err := audit.Segments(owner.trailDir)
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v", err)
 	}
-	path := filepath.Join(owner.dir, segs[len(segs)-1])
+	path := filepath.Join(owner.trailDir, segs[len(segs)-1])
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -427,8 +321,8 @@ func scrapeShardMetrics(t *testing.T, base string) string {
 // from that shard's audit trail (§5.2 recovery), proving /v1/state
 // reports the same world the durable log records.
 func TestClusterStateConsistentWithTrailReplay(t *testing.T) {
-	gw, gts, shards := newInspectCluster(t, 3, false, time.Hour)
-	c := server.NewClient(gts.URL, nil)
+	shards := newShards(t, 3, shardSpec{trail: true})
+	gw, _, c := newGateway(t, Config{FailAfter: 1}, nil, urls(shards)...)
 	users := []string{"alice", "bob", "carol", "dave", "erin"}
 	for i, u := range users {
 		prepare(t, c, u, fmt.Sprintf("TaxOffice=Leeds, taxRefundProcess=p%d", i%2))
@@ -444,14 +338,11 @@ func TestClusterStateConsistentWithTrailReplay(t *testing.T) {
 		t.Fatalf("frank self-confirm: allowed=%v err=%v", resp.Allowed, err)
 	}
 
-	pol, err := policy.ParseRBACPolicy([]byte(clusterTaxPolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pol := bankTaxPolicy(t)
 	for _, u := range append(users, "frank") {
 		owner := ownerOf(t, gw, shards, u)
 		store, _, err := pdp.Recover(pol, pdp.RecoveryConfig{
-			Mode: pdp.RecoverFromTrail, TrailDir: owner.dir, TrailKey: clusterTrailKey,
+			Mode: pdp.RecoverFromTrail, TrailDir: owner.trailDir, TrailKey: trailKey,
 		})
 		if err != nil {
 			t.Fatalf("replaying %s's trail: %v", owner.id, err)

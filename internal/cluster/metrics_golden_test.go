@@ -45,8 +45,7 @@ func expositionShape(body string) string {
 // dashboard. Regenerate deliberately with `go test -run
 // TestGatewayMetricsExpositionGolden -update ./internal/cluster`.
 func TestGatewayMetricsExpositionGolden(t *testing.T) {
-	gts, _, _ := newRealCluster(t, 3)
-	c := server.NewClient(gts.URL, nil)
+	_, gts, c := newGateway(t, Config{Retries: -1, FailAfter: 1}, nil, urls(newShards(t, 3, shardSpec{trail: true}))...)
 	for _, u := range []string{"u1", "u2", "u3", "u4"} {
 		if _, err := c.Decision(server.DecisionRequest{
 			User: u, Roles: []string{"Clerk"},

@@ -15,26 +15,20 @@ import (
 	"msod/internal/server"
 )
 
-// newScatterCluster puts one httptest shard per handler behind a
-// gateway (FailAfter 1, so a single reported failure marks a shard
-// Down), named s0, s1, … in handler order.
-func newScatterCluster(t *testing.T, handlers ...http.HandlerFunc) (*Gateway, []string) {
+// serve starts one shard per handler and lists their URLs.
+func serve(t *testing.T, handlers ...http.HandlerFunc) []string {
 	t.Helper()
-	cfg := Config{FailAfter: 1, Timeout: 2 * time.Second}
-	ids := make([]string, len(handlers))
+	urls := make([]string, len(handlers))
 	for i, h := range handlers {
 		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
-		ids[i] = fmt.Sprintf("s%d", i)
-		cfg.Shards = append(cfg.Shards, Shard{ID: ids[i], BaseURL: ts.URL})
+		urls[i] = ts.URL
 	}
-	gw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(gw.Close)
-	return gw, ids
+	return urls
 }
+
+// scatterConfig: a single reported failure marks a shard Down.
+var scatterConfig = Config{FailAfter: 1, Timeout: 2 * time.Second}
 
 // dropConnection makes the caller see a transport error.
 func dropConnection(w http.ResponseWriter, _ *http.Request) {
@@ -112,7 +106,8 @@ func TestScatterOrderAndClassification(t *testing.T) {
 	for i, tc := range tests {
 		handlers[i] = tc.handler
 	}
-	gw, ids := newScatterCluster(t, handlers...)
+	gw, _, _ := newGateway(t, scatterConfig, nil, serve(t, handlers...)...)
+	ids := gw.shards(tracked)
 	results := scatter(context.Background(), gw, ids, activeContexts)
 	if len(results) != len(tests) {
 		t.Fatalf("%d results for %d shards", len(results), len(tests))
@@ -142,7 +137,8 @@ func TestScatterOrderAndClassification(t *testing.T) {
 // blamed for it.
 func TestScatterCallerCancellation(t *testing.T) {
 	hang, entered, aborted := hangingShard()
-	gw, ids := newScatterCluster(t, hang, hang)
+	gw, _, _ := newGateway(t, scatterConfig, nil, serve(t, hang, hang)...)
+	ids := gw.shards(tracked)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		<-entered
@@ -178,7 +174,8 @@ func TestFanoutsHonourCallerCancellation(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			hang, entered, aborted := hangingShard()
-			gw, ids := newScatterCluster(t, hang, hang)
+			gw, _, _ := newGateway(t, scatterConfig, nil, serve(t, hang, hang)...)
+			ids := gw.shards(tracked)
 			ctx, cancel := context.WithCancel(context.Background())
 			req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)).WithContext(ctx)
 			done := make(chan struct{})
@@ -203,17 +200,18 @@ func TestFanoutsHonourCallerCancellation(t *testing.T) {
 // msodgw_unavailable_total increment.
 func TestRequireUpRefusals(t *testing.T) {
 	ok := func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "{}") }
-	gw, ids := newScatterCluster(t, ok, ok)
+	gw, _, _ := newGateway(t, scatterConfig, nil, serve(t, ok, ok)...)
+	ids := gw.shards(tracked)
 	gw.Checker().ReportFailure(ids[1], errors.New("probe failed"))
 	for _, tc := range []struct{ name, method, path, body, want string }{
 		{"management", http.MethodPost, server.ManagementPath, "{}",
-			"shard s1 is down; management requires the full cluster (a partial purge would silently keep records)"},
+			"shard b is down; management requires the full cluster (a partial purge would silently keep records)"},
 		{"context state", http.MethodGet, server.StateContextsPath + "P=1", "",
-			"shard s1 is down; context state requires the full cluster (a partial answer would hide that shard's users)"},
+			"shard b is down; context state requires the full cluster (a partial answer would hide that shard's users)"},
 		{"explain", http.MethodGet, server.ExplainPath + "req-1", "",
-			"shard s1 is down; explain requires the full cluster (the record may live on the down shard)"},
+			"shard b is down; explain requires the full cluster (the record may live on the down shard)"},
 		{"traces", http.MethodGet, server.TracesPath + "trace-1", "",
-			"shard s1 is down; trace assembly requires the full cluster (part of the tree may live on the down shard)"},
+			"shard b is down; trace assembly requires the full cluster (part of the tree may live on the down shard)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := gw.metrics.unavailable.Load()

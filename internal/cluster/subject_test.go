@@ -43,10 +43,11 @@ func roleCredential(t *testing.T, holder string, role rbac.RoleName) credential.
 // request too. The cluster must not grant alice's audit against none of
 // her history, purge bob's Teller record with it, and then grant bob.
 func TestClusterSteeredLastStepIsRefused(t *testing.T) {
-	gw, c, shards := newCloseCluster(t, 3, Config{Retries: -1}, nil)
+	shards := newShards(t, 3, handoff)
+	gw, _, c := newGateway(t, Config{Retries: -1}, nil, urls(shards)...)
 	aliceShard, _ := gw.ShardFor("alice")
 	var bob string
-	var bobs *closeShard
+	var bobs *testShard
 	for _, s := range shards {
 		if s.id != aliceShard {
 			bob, bobs = userOn(t, gw, s.id, "bob", 0), s
@@ -83,19 +84,20 @@ func TestClusterSteeredLastStepIsRefused(t *testing.T) {
 func TestClusterSteeredRequestsCommitNothing(t *testing.T) {
 	for _, shape := range []struct {
 		name string
-		opts []server.Option
-	}{{"handoff", []server.Option{server.WithHandoff()}}, {"plain", nil}} {
+		spec shardSpec
+	}{{"handoff", handoff}, {"plain", shardSpec{}}} {
 		t.Run(shape.name, func(t *testing.T) {
-			steeredCommitsNothing(t, shape.opts)
+			steeredCommitsNothing(t, shape.spec)
 		})
 	}
 }
 
-func steeredCommitsNothing(t *testing.T, opts []server.Option) {
-	gw, c, shards := newCloseClusterOf(t, 3, Config{Retries: -1}, nil, opts...)
+func steeredCommitsNothing(t *testing.T, spec shardSpec) {
+	shards := newShards(t, 3, spec)
+	gw, _, c := newGateway(t, Config{Retries: -1}, nil, urls(shards)...)
 	aliceShard, _ := gw.ShardFor("alice")
 	var bob string
-	var bobs *closeShard
+	var bobs *testShard
 	for _, s := range shards {
 		if s.id != aliceShard {
 			bob, bobs = userOn(t, gw, s.id, "bob", 0), s
@@ -148,7 +150,7 @@ func steeredCommitsNothing(t *testing.T, opts []server.Option) {
 // user: it reaches the PEP through the gateway under 1 KB, naming the
 // subject to resend under.
 func TestClusterSteeredAnswerIsBounded(t *testing.T) {
-	gw, _, _ := newCloseCluster(t, 3, Config{Retries: -1}, nil)
+	gw, _, _ := newGateway(t, Config{Retries: -1}, nil, urls(newShards(t, 3, handoff))...)
 	cred, err := json.Marshal(roleCredential(t, "alice", "Teller"))
 	if err != nil {
 		t.Fatal(err)

@@ -1,56 +1,23 @@
 package cluster
 
-// End-to-end observability tests over a cluster of REAL PDP shards
-// (full decision pipeline + durable audit trail), unlike the stub
-// shards in cluster_test.go: they prove one trace ID correlates the
-// gateway's structured log line, the shard's DecisionResponse, and the
-// shard's durable audit record.
+// End-to-end observability tests over shards with a durable audit
+// trail: they prove one trace ID correlates the gateway's structured
+// log line, the shard's DecisionResponse, and the shard's durable audit
+// record.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"io"
-	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"msod/internal/audit"
 	"msod/internal/obsv"
-	"msod/internal/pdp"
-	"msod/internal/policy"
 	"msod/internal/server"
 )
-
-const tracePolicyXML = `
-<RBACPolicy id="trace-1">
-  <RoleList>
-    <Role value="Clerk"/>
-    <Role value="Manager"/>
-  </RoleList>
-  <RoleAssignmentPolicy>
-    <Assignment soa="gov.tax.example" role="Clerk"/>
-    <Assignment soa="gov.tax.example" role="Manager"/>
-  </RoleAssignmentPolicy>
-  <TargetAccessPolicy>
-    <Grant role="Clerk" operation="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
-    <Grant role="Clerk" operation="confirmCheck" target="http://secret.location.com/audit"/>
-  </TargetAccessPolicy>
-  <MSoDPolicySet>
-    <MSoDPolicy BusinessContext="TaxOffice=!, taxRefundProcess=!">
-      <FirstStep operation="prepareCheck" targetURI="http://www.myTaxOffice.com/Check"/>
-      <LastStep operation="confirmCheck" targetURI="http://secret.location.com/audit"/>
-      <MMEP ForbiddenCardinality="2">
-        <Operation value="prepareCheck" target="http://www.myTaxOffice.com/Check"/>
-        <Operation value="confirmCheck" target="http://secret.location.com/audit"/>
-      </MMEP>
-    </MSoDPolicy>
-  </MSoDPolicySet>
-</RBACPolicy>`
-
-var traceTrailKey = []byte("trace-trail-key")
 
 // syncBuffer is a concurrency-safe log sink for the gateway's logger.
 type syncBuffer struct {
@@ -68,60 +35,6 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// realShard is one in-process PDP with a durable audit trail.
-type realShard struct {
-	id       string
-	trailDir string
-	srv      *httptest.Server
-}
-
-// newRealCluster builds n full PDP shards (each with its own audit
-// trail) behind a gateway whose structured log lands in the returned
-// buffer. SlowLog is zero, so every routed decision is logged.
-func newRealCluster(t *testing.T, n int) (*httptest.Server, []*realShard, *syncBuffer) {
-	t.Helper()
-	pol, err := policy.ParseRBACPolicy([]byte(tracePolicyXML))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]*realShard, 0, n)
-	topo := make([]Shard, 0, n)
-	for i := 0; i < n; i++ {
-		id := string(rune('a' + i))
-		trailDir := filepath.Join(t.TempDir(), "trail-"+id)
-		w, err := audit.NewWriter(trailDir, traceTrailKey, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		p, err := pdp.New(pdp.Config{Policy: pol, Trail: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(server.New(p))
-		t.Cleanup(srv.Close)
-		shards = append(shards, &realShard{id: id, trailDir: trailDir, srv: srv})
-		topo = append(topo, Shard{ID: id, BaseURL: srv.URL})
-	}
-	logBuf := &syncBuffer{}
-	gw, err := New(Config{
-		Shards:    topo,
-		Retries:   -1,
-		FailAfter: 1,
-		Logger:    obsv.NewLogger(logBuf, "msodgw"),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw.Checker().CheckNow()
-	gts := httptest.NewServer(gw)
-	t.Cleanup(func() {
-		gts.Close()
-		gw.Close()
-	})
-	return gts, shards, logBuf
 }
 
 // gatewayLogLines decodes every JSON line the gateway logged.
@@ -148,8 +61,9 @@ func gatewayLogLines(t *testing.T, buf *syncBuffer) []map[string]any {
 // wrote — the correlation an operator uses to walk from a slow-log
 // line to the tamper-evident record of what was decided.
 func TestClusterObservabilityTraceCorrelation(t *testing.T) {
-	gts, shards, logBuf := newRealCluster(t, 3)
-	c := server.NewClient(gts.URL, nil)
+	logBuf := &syncBuffer{}
+	shards := newShards(t, 3, shardSpec{trail: true})
+	_, _, c := newGateway(t, Config{Retries: -1, FailAfter: 1, Logger: obsv.NewLogger(logBuf, "msodgw")}, nil, urls(shards)...)
 
 	resp, err := c.Decision(server.DecisionRequest{
 		User: "alice", Roles: []string{"Clerk"},
@@ -184,7 +98,7 @@ func TestClusterObservabilityTraceCorrelation(t *testing.T) {
 	// stamped with the same trace ID.
 	var found int
 	for _, s := range shards {
-		r, err := audit.NewReader(s.trailDir, traceTrailKey)
+		r, err := audit.NewReader(s.trailDir, trailKey)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,8 +124,7 @@ func TestClusterObservabilityTraceCorrelation(t *testing.T) {
 // survives the full PEP → gateway → shard chain: the response echoes
 // the caller's trace ID, not a gateway-minted one.
 func TestClusterTracePropagationFromPEP(t *testing.T) {
-	gts, _, _ := newRealCluster(t, 3)
-	c := server.NewClient(gts.URL, nil)
+	_, _, c := newGateway(t, Config{Retries: -1, FailAfter: 1}, nil, urls(newShards(t, 3, shardSpec{trail: true}))...)
 
 	id := obsv.NewTraceID()
 	if !id.Valid() {
@@ -237,8 +150,8 @@ func TestClusterTracePropagationFromPEP(t *testing.T) {
 // error counter, build info, and uptime — and that the gateway's
 // aggregation carries them shard-labelled.
 func TestClusterObservabilityMetricsFamilies(t *testing.T) {
-	gts, shards, _ := newRealCluster(t, 3)
-	c := server.NewClient(gts.URL, nil)
+	shards := newShards(t, 3, shardSpec{trail: true})
+	_, gts, c := newGateway(t, Config{Retries: -1, FailAfter: 1}, nil, urls(shards)...)
 
 	users := []string{"u1", "u2", "u3", "u4"}
 	for i, u := range users {
@@ -268,7 +181,7 @@ func TestClusterObservabilityMetricsFamilies(t *testing.T) {
 
 	// A shard that served at least one decision has live stage
 	// histograms; every shard exposes the declared families.
-	shardBody := get(shards[0].srv.URL + server.MetricsPath)
+	shardBody := get(shards[0].ts.URL + server.MetricsPath)
 	for _, stage := range []string{"cvs", "rbac", "msod", "store"} {
 		want := `msod_stage_duration_seconds_bucket{stage="` + stage + `"`
 		if !strings.Contains(shardBody, want) {
