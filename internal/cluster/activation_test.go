@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"msod/internal/adi"
 	"msod/internal/fault"
@@ -345,6 +346,25 @@ func TestBootSyncRunsOnce(t *testing.T) {
 	wg.Wait()
 	if n := net.count(http.MethodGet + " " + server.ActivationPath); n != 3 {
 		t.Fatalf("%d shards asked for their running instances, want each of the 3 once", n)
+	}
+}
+
+// TestBootSyncRetriesATransportError: a transport error on one shard's
+// GET /v1/ctx/activation during the sync before the first recording
+// decision is retried as the decision's own hop is, so the decision is
+// answered, not refused with a 503 that sends the PEP away for a second.
+func TestBootSyncRetriesATransportError(t *testing.T) {
+	rt := fault.NewRoundTripper(nil, 1)
+	// Nothing probes: the first request the gateway sends is the sync's.
+	rt.InjectAt(1, fault.Trip{Kind: fault.TripReset})
+	_, gts, _ := newGateway(t, Config{RetryBackoff: time.Millisecond}, rt, urls(newShards(t, 2, shardSpec{}))...)
+	resp, err := server.NewClient(gts.URL, nil, server.WithShedRetries(0)).Decision(chaosReq("u00"))
+	if err != nil || !resp.Allowed {
+		t.Fatalf("the first decision = %+v, %v; want a grant", resp, err)
+	}
+	// Two activation GETs, the reset one again, and the decision.
+	if n := rt.Requests(); n != 4 {
+		t.Fatalf("the gateway sent %d requests, want 4", n)
 	}
 }
 
