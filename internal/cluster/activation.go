@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -54,9 +55,10 @@ import (
 // the first recording decision this gateway routes: the activations the
 // gateway that ran before it had queued but not delivered are in no
 // outbox any more, but each started instance is still running on the
-// shard that granted its FirstStep. Until a sync succeeds every caller
-// gets its error, and the next caller tries again; callers wait for one
-// another rather than sync twice.
+// shard that granted its FirstStep. A shard's request that fails in
+// transport is retried as a decision's is (retried). Until a sync
+// succeeds every caller gets its error, and the next caller tries again;
+// callers wait for one another rather than sync twice.
 func (g *Gateway) bootSync(ctx context.Context) error {
 	g.bootMu.Lock()
 	defer g.bootMu.Unlock()
@@ -86,7 +88,7 @@ func (g *Gateway) syncActivations(ctx context.Context, targets []string) error {
 	defer g.closing.Unlock()
 	union := make(map[string]bool)
 	for _, res := range scatter(ctx, g, g.shards(authoritative), func(ctx context.Context, _ string, c *server.Client) ([]string, error) {
-		return c.ActiveContexts(ctx)
+		return retried(ctx, g, func() ([]string, error) { return c.ActiveContexts(ctx) })
 	}) {
 		if res.err != nil {
 			return fmt.Errorf("shard %s active contexts: %w", res.shard, res.err)
@@ -104,11 +106,30 @@ func (g *Gateway) syncActivations(ctx context.Context, targets []string) error {
 	}
 	sort.Strings(all)
 	for _, res := range scatter(ctx, g, targets, func(ctx context.Context, _ string, c *server.Client) (server.ActivationResponse, error) {
-		return c.Activate(ctx, all)
+		return retried(ctx, g, func() (server.ActivationResponse, error) { return c.Activate(ctx, all) })
 	}) {
 		if res.err != nil {
 			return fmt.Errorf("activate on %s: %w", res.shard, res.err)
 		}
 	}
 	return nil
+}
+
+// retried calls fn under the decision hop's rule (handleRouted): a
+// transport error is tried again, up to Retries times, after a jittered
+// backoff that starts at RetryBackoff and doubles, while ctx lasts; a
+// shard's deliberate answer (*server.APIError) is returned at once. The
+// sync's requests are safe to repeat: a GET, and an activation the shard
+// skips when the instance is active already.
+func retried[T any](ctx context.Context, g *Gateway, fn func() (T, error)) (T, error) {
+	backoff := g.cfg.RetryBackoff
+	for attempt := 0; ; attempt++ {
+		v, err := fn()
+		var apiErr *server.APIError
+		if err == nil || errors.As(err, &apiErr) || attempt == g.cfg.Retries || !sleepContext(ctx, jitterBackoff(backoff)) {
+			return v, err
+		}
+		backoff *= 2
+		g.metrics.retries.Add(1)
+	}
 }

@@ -221,14 +221,15 @@ func bootSynced(t *testing.T, gw *Gateway) {
 }
 
 // faults is the fault middleware in front of a real shard's handler. It
-// logs every decision and advisory that reaches the shard, and it can
-// hold, fail or drop one path's requests, or answer the health probe
-// with a 503.
+// logs every decision and advisory that reaches the shard, counts every
+// request by path, and it can hold, fail or drop one path's requests, or
+// answer the health probe with a 503.
 type faults struct {
 	mu      sync.Mutex
 	rules   map[string]*rule
 	down    bool
 	decided []server.DecisionRequest
+	paths   map[string]int
 }
 
 // rule is what the middleware does to one path's requests.
@@ -321,6 +322,13 @@ func (sh *testShard) users() []string {
 	return out
 }
 
+// arrivals counts the requests to path that reached the shard.
+func (sh *testShard) arrivals(path string) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.paths[path]
+}
+
 // held maps each user the shard retains records of to how many.
 func (sh *testShard) held() map[string]int {
 	out := map[string]int{}
@@ -336,6 +344,10 @@ func (f *faults) wrap(next http.Handler) http.Handler {
 			r.Body = &loggedBody{ReadCloser: r.Body, size: r.ContentLength, f: f}
 		}
 		f.mu.Lock()
+		if f.paths == nil {
+			f.paths = map[string]int{}
+		}
+		f.paths[r.URL.Path]++
 		down := f.down && r.URL.Path == server.HealthPath
 		var release, entered chan struct{}
 		failing, drop := false, false

@@ -169,6 +169,11 @@ type Gateway struct {
 	// deadline is the routed decisions' current shared deadline (see
 	// decisionContext); nil until the first routed decision.
 	deadline atomic.Pointer[sharedDeadline]
+
+	// eventsBackoff is tailShard's pause before it follows a shard's
+	// event stream again: eventsReconnectBackoff, which a test may
+	// shorten before the first follower arrives.
+	eventsBackoff time.Duration
 }
 
 // sharedDeadline is one deadline context routed decisions share. Its
@@ -222,6 +227,8 @@ func New(cfg Config) (*Gateway, error) {
 		clients:   make(map[string]*server.Client, len(cfg.Shards)),
 		states:    make(map[string]ShardState, len(cfg.Shards)),
 		admission: newAdmitPool(cfg.MaxInflight),
+
+		eventsBackoff: eventsReconnectBackoff,
 	}
 	g.baseCtx, g.baseCancel = context.WithCancel(context.Background())
 	ids := make([]string, 0, len(cfg.Shards))

@@ -185,7 +185,7 @@ func (g *Gateway) tailShard(ctx context.Context, shard string, opts server.Follo
 		// Replay is a first-connection courtesy only: replaying again
 		// would duplicate events already delivered.
 		opts.Replay = 0
-		if !sleepContext(ctx, eventsReconnectBackoff) {
+		if !sleepContext(ctx, g.eventsBackoff) {
 			return
 		}
 	}

@@ -358,8 +358,10 @@ func serveCases(tb testing.TB) ([]serveCase, *credential.Authority) {
 			// idempotency cache: decode 3, and nothing else. The claim
 			// comes before the parse stage, so the replay parses no
 			// context and converts no roles; it was 5 while it did both
-			// (2). writeAnswer writes the replay from the packed string,
-			// as it wrote the first answer from the decision. It was 9
+			// (2). The requestID has the gateway's form, so the cache
+			// looks it up by its 16 bytes, which costs nothing, and
+			// writeAnswer writes the replay from the cached entry, as it
+			// wrote the first answer from the decision. It was 9
 			// while the packed answer was unpacked into a
 			// DecisionResponse: the Roles list (1), the raw trace ID
 			// rendered by hex.EncodeToString (2) and the response boxed

@@ -3,10 +3,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -16,6 +18,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"msod/internal/bctx"
 	"msod/internal/pdp"
@@ -185,13 +188,13 @@ func TestIdemCacheOwnership(t *testing.T) {
 		t.Fatal("fresh ID replayed")
 	}
 	// Failure releases the ID: the retry owns execution again.
-	c.finish("a", "")
+	c.finish("a", idemEntry{})
 	if _, replay := c.begin("a"); replay {
 		t.Fatal("released ID replayed")
 	}
 	c.finish("a", packAnswer("a", &answer{user: "a"}))
-	if packed, replay := c.begin("a"); !replay || replayed(t, packed, 1).User != "a" {
-		t.Fatalf("committed ID begin = %q, %v", packed, replay)
+	if e, replay := c.begin("a"); !replay || replayed(t, e, "a").User != "a" {
+		t.Fatalf("committed ID begin = %q, %v", e.packed, replay)
 	}
 	// Two more commits evict "a" (max 2, FIFO).
 	for _, id := range []string{"b", "c"} {
@@ -203,24 +206,44 @@ func TestIdemCacheOwnership(t *testing.T) {
 	if _, replay := c.begin("a"); replay {
 		t.Fatal("evicted ID still replayed")
 	}
-	c.finish("a", "")
-	if packed, replay := c.begin("c"); !replay || replayed(t, packed, 1).User != "c" {
-		t.Fatalf("retained ID begin = %q, %v", packed, replay)
+	c.finish("a", idemEntry{})
+	if e, replay := c.begin("c"); !replay || replayed(t, e, "c").User != "c" {
+		t.Fatalf("retained ID begin = %q, %v", e.packed, replay)
 	}
 }
 
-// replayed is the answer a replay of packed, packed under its first
-// idLen bytes, writes, as the client decodes it.
-func replayed(t *testing.T, packed string, idLen int) DecisionResponse {
+// replayed is the answer a replay of e under id writes, as the client
+// decodes it.
+func replayed(t *testing.T, e idemEntry, id string) DecisionResponse {
 	t.Helper()
 	w := httptest.NewRecorder()
-	a := packedAnswer(packed, idLen)
+	a := e.answer(id)
 	writeAnswer(w, &a)
 	var resp DecisionResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-		t.Fatalf("replay of %q: %v", packed, err)
+		t.Fatalf("replay of %q: %v", e.packed, err)
 	}
 	return resp
+}
+
+// lookup reports whether the cache holds id, and its committed entry,
+// which is empty while id is in flight.
+func (c *idemCache) lookup(id string) (idemEntry, bool) {
+	k := keyOf(id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.slot(&k)
+	if !ok || s == inFlight {
+		return idemEntry{}, ok
+	}
+	return c.at(s), true
+}
+
+// held is how many IDs the cache holds, committed or in flight.
+func (c *idemCache) held() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.minted) + len(c.text)
 }
 
 // TestClientHealthStatusBeforeBody: a non-2xx health answer yields a
@@ -280,7 +303,7 @@ func TestDecisionPanicReleasesRequestID(t *testing.T) {
 	post := func() *http.Request {
 		return httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body))
 	}
-	before := len(s.idem.entries)
+	before := s.idem.held()
 
 	func() {
 		defer func() {
@@ -292,7 +315,7 @@ func TestDecisionPanicReleasesRequestID(t *testing.T) {
 			panic("decide blew up")
 		}, false)
 	}()
-	if n := len(s.idem.entries); n != before {
+	if n := s.idem.held(); n != before {
 		t.Fatalf("idempotency cache holds %d entries after the panic, want %d", n, before)
 	}
 
@@ -359,11 +382,11 @@ func TestMalformedContextReleasesRequestID(t *testing.T) {
 	if _, err := bctx.Parse(malformed); err == nil {
 		t.Fatalf("%q parses", malformed)
 	}
-	before := len(s.idem.entries)
+	before := s.idem.held()
 	if code, body := serve(malformed); code != http.StatusBadRequest || !strings.Contains(string(body), "context: ") {
 		t.Fatalf("malformed context = %d %s; want a 400 naming the context", code, body)
 	}
-	if n := len(s.idem.entries); n != before {
+	if n := s.idem.held(); n != before {
 		t.Fatalf("idempotency cache holds %d entries after the 400, want %d", n, before)
 	}
 
@@ -404,14 +427,7 @@ func TestIdempotencyCacheKeepsNoRequestText(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(p, WithExplainCapacity(-1))
-	live := func() uint64 {
-		var m runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := live()
+	before := liveHeap()
 	for i := 0; i < idemCacheSize; i++ {
 		body, err := json.Marshal(DecisionRequest{
 			User: "alice", Roles: []string{"Teller"}, Operation: "HandleCash", Target: target,
@@ -426,14 +442,216 @@ func TestIdempotencyCacheKeepsNoRequestText(t *testing.T) {
 			t.Fatalf("request %d = %d %s", i, w.Code, w.Body.Bytes())
 		}
 	}
-	grown := int64(live()) - int64(before)
-	if n := len(s.idem.entries); n != idemCacheSize {
+	grown := int64(liveHeap()) - int64(before)
+	if n := s.idem.held(); n != idemCacheSize {
 		t.Fatalf("the cache holds %d answers, want %d", n, idemCacheSize)
 	}
 	if grown >= 8<<20 {
 		t.Fatalf("the live heap grew %.1f MB over %d cached answers, want < 8 MB", float64(grown)/(1<<20), idemCacheSize)
 	}
 	t.Logf("the live heap grew %.2f MB over %d cached answers", float64(grown)/(1<<20), idemCacheSize)
+}
+
+// TestIdemCacheEntryBytes: what the idempotency cache keeps of one
+// committed answer on a shard serving gateway-shaped traffic: each
+// request under its own requestID of the form the gateway mints (32
+// lowercase hex digits) and under a trace ID the shard mints, with the
+// decision ring off and no event broker. 4,096 MMER denials repeated in
+// one bound instance share one reason, which each entry keeps by
+// reference; 4,096 grants that record nothing keep their answers alone.
+// The live heap may grow by at most 160 B per denial and 140 B per
+// grant: the packed answer, its place in the FIFO and in the index. A
+// cache that copies the denial's text into every entry keeps some 340 B
+// of each.
+func TestIdemCacheEntryBytes(t *testing.T) {
+	const period = "Branch=York, Period=2006"
+	for _, tc := range []struct {
+		name    string
+		req     DecisionRequest
+		allowed bool
+		max     float64
+	}{
+		{"MMER denial", DecisionRequest{User: "u0042", Roles: []string{"Auditor"}, Operation: "Audit", Target: "ledger", Context: period}, false, 160},
+		{"grant", DecisionRequest{User: "u0042", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: "Region=North"}, true, 140},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := pdp.New(pdp.Config{Policy: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(p, WithExplainCapacity(-1))
+			serve := func(req DecisionRequest) DecisionResponse {
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body)))
+				var resp DecisionResponse
+				if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || w.Code != http.StatusOK {
+					t.Fatalf("%+v = %d %s", req, w.Code, w.Body.Bytes())
+				}
+				return resp
+			}
+			// u0042's Teller grant binds the instance, and a first denial
+			// renders its shared text; neither is cached.
+			serve(DecisionRequest{User: "u0042", Roles: []string{"Teller"}, Operation: "HandleCash", Target: "till", Context: period})
+			serve(tc.req)
+			records := p.Store().Len()
+			before := liveHeap()
+			for i := 0; i < idemCacheSize; i++ {
+				tc.req.RequestID = fmt.Sprintf("%032x", i+1)
+				if resp := serve(tc.req); resp.Allowed != tc.allowed {
+					t.Fatalf("request %d = %+v", i, resp)
+				}
+			}
+			per := float64(int64(liveHeap())-int64(before)) / idemCacheSize
+			if n := s.idem.held(); n != idemCacheSize {
+				t.Fatalf("the cache holds %d answers, want %d", n, idemCacheSize)
+			}
+			if n := p.Store().Len(); n != records {
+				t.Fatalf("the retained ADI holds %d records, want %d: it grew beside the cache", n, records)
+			}
+			if per > tc.max {
+				t.Fatalf("the live heap grew %.0f B per cached answer, want at most %.0f B", per, tc.max)
+			}
+			t.Logf("the live heap grew %.1f B per cached answer", per)
+		})
+	}
+}
+
+// liveHeap is the heap's live bytes after two collections.
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestIdemCacheReasonByReference: a committed denial keeps the reason
+// its answer held, not a copy of it: two denials repeated in one bound
+// instance keep the instance's one text, two RBAC denials the PDP's one
+// constant, and a replay writes the kept string itself.
+func TestIdemCacheReasonByReference(t *testing.T) {
+	pol, err := policy.ParseRBACPolicy([]byte(bankPolicyXML))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pdp.New(pdp.Config{Policy: pol})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(p)
+	serve := func(id, role, op, target string) {
+		body, err := json.Marshal(DecisionRequest{User: "u1", Roles: []string{role}, Operation: op, Target: target,
+			Context: "Branch=York, Period=2006", RequestID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, DecisionPath, bytes.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s = %d %s", id, w.Code, w.Body.Bytes())
+		}
+	}
+	serve("grant", "Teller", "HandleCash", "till")
+	const minted = "0af7651916cd43dd8448eb211c80319c"
+	for _, pair := range [][2]string{{minted, "msod-2"}, {"rbac-1", "rbac-2"}} {
+		for _, id := range pair {
+			if strings.HasPrefix(id, "rbac") {
+				serve(id, "Auditor", "HandleCash", "till")
+			} else {
+				serve(id, "Auditor", "Audit", "ledger")
+			}
+		}
+		first, ok1 := s.idem.lookup(pair[0])
+		second, ok2 := s.idem.lookup(pair[1])
+		if !ok1 || !ok2 || first.reason == "" || first.reason != second.reason {
+			t.Fatalf("%s and %s keep reasons %q and %q", pair[0], pair[1], first.reason, second.reason)
+		}
+		if unsafe.StringData(first.reason) != unsafe.StringData(second.reason) {
+			t.Errorf("%s and %s keep copies of %q, want the one string", pair[0], pair[1], first.reason)
+		}
+		if a := first.answer(pair[0]); unsafe.StringData(a.reason) != unsafe.StringData(first.reason) {
+			t.Errorf("a replay of %s writes a copy of its reason", pair[0])
+		}
+	}
+}
+
+// TestIdemCacheAgainstModel drives caches of capacity 1 to 4 with seeded
+// random claims, commits and releases, and holds each to a model of a
+// map and a FIFO of the committed IDs: a committed ID is replayed until
+// it is evicted, oldest first, past the capacity; an ID in flight is
+// never evicted; a released one executes again. Every replay must write
+// the bytes its first answer wrote. The IDs hold every trap of the two
+// ways an ID is filed: a gateway-minted ID beside its uppercase
+// spelling, a PEP's 16-byte text ID equal to its bytes, and 31 and 33
+// hex digits.
+func TestIdemCacheAgainstModel(t *testing.T) {
+	const minted = "0af7651916cd43dd8448eb211c80319c"
+	raw, err := hex.DecodeString(minted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{
+		minted, strings.ToUpper(minted), string(raw), minted[:31], minted + "0",
+		"f" + minted[1:], minted[:16], "retry-1", "\xff",
+	}
+	reasons := []string{"", "msod: denied by MMER", "no activated role grants the requested permission"}
+	for capacity := 1; capacity <= 4; capacity++ {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		c := newIdemCache(capacity)
+		first := map[string][]byte{} // a committed ID's first answer
+		var order []string           // the committed IDs, oldest first
+		inFlight := map[string]bool{}
+		for step := 0; step < 5000; step++ {
+			id := ids[rng.Intn(len(ids))]
+			switch {
+			case inFlight[id] && rng.Intn(3) == 0:
+				c.finish(id, idemEntry{})
+				delete(inFlight, id)
+			case inFlight[id]:
+				a := answer{
+					allowed: rng.Intn(2) == 0, phase: "granted", reason: reasons[rng.Intn(len(reasons))],
+					user: fmt.Sprint("u", rng.Intn(100)), recorded: rng.Intn(3), traceID: ids[rng.Intn(len(ids))],
+				}
+				if rng.Intn(4) > 0 {
+					a.requestID = id
+				}
+				w := httptest.NewRecorder()
+				writeAnswer(w, &a)
+				c.finish(id, packAnswer(id, &a))
+				delete(inFlight, id)
+				first[id] = w.Body.Bytes()
+				if order = append(order, id); len(order) > capacity {
+					delete(first, order[0])
+					order = order[1:]
+				}
+			default:
+				e, replay := c.begin(id)
+				if want, committed := first[id]; replay != committed {
+					t.Fatalf("cap %d step %d: begin(%q) replays %v, model %v", capacity, step, id, replay, committed)
+				} else if replay {
+					w := httptest.NewRecorder()
+					a := e.answer(id)
+					writeAnswer(w, &a)
+					if !bytes.Equal(w.Body.Bytes(), want) {
+						t.Fatalf("cap %d step %d: replay of %q\n%s\nfirst answer\n%s", capacity, step, id, w.Body.Bytes(), want)
+					}
+				} else {
+					inFlight[id] = true
+				}
+			}
+			if n, want := c.held(), len(first)+len(inFlight); n != want {
+				t.Fatalf("cap %d step %d: the cache holds %d IDs, model %d", capacity, step, n, want)
+			}
+		}
+	}
 }
 
 // FuzzIdempotentReplay: a replay answers what the first answer did.
@@ -470,6 +688,12 @@ func FuzzIdempotentReplay(f *testing.F) {
 	// Counts past one varint byte, and the extremes of int.
 	add("r12", true, "granted", "", "alice", "\x00Teller", "", "", 128, 1<<40, math.MaxInt, trace, "r12")
 	add("r13", true, "granted", "", "alice", "\x00Teller", "", "", -1, math.MinInt, 300, trace, "r13")
+	// The two ways an ID is filed: a gateway-minted one (32 lowercase hex
+	// digits) by its 16 bytes, and beside it its uppercase spelling, a
+	// 16-byte ID that is not hex, and 31 and 33 hex digits, by their text.
+	for _, id := range []string{trace, strings.ToUpper(trace), "\x0a\xf7\x65\x19\x16\xcd\x43\xdd\x84\x48\xeb\x21\x1c\x80\x31\x9c", trace[:31], trace + "0"} {
+		add(id, false, "msod", "msod: denied by MMER", "alice", "\x00Auditor", "", "", 0, 0, 1, trace, id)
+	}
 
 	list := func(s string) []string {
 		if s == "" {
@@ -502,11 +726,11 @@ func FuzzIdempotentReplay(f *testing.F) {
 		}
 		a.activated.names, resp.Activated = names(activated)
 		a.closed.names, resp.Closed = names(closed)
-		packed := packAnswer(id, &a)
-		if !strings.HasPrefix(packed, id) {
-			t.Fatalf("packed %q does not start with its ID %q", packed, id)
+		e := packAnswer(id, &a)
+		if k := e.key(); k != keyOf(id) {
+			t.Fatalf("packed %q is filed under %+v, want its ID %q", e.packed, k, id)
 		}
-		replay := packedAnswer(packed, len(id))
+		replay := e.answer(id)
 		want := httptest.NewRecorder()
 		WriteJSON(want, http.StatusOK, &resp)
 		first, again := httptest.NewRecorder(), httptest.NewRecorder()

@@ -154,9 +154,9 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	if !advisory {
 		id = c.Wire.RequestID
 	}
-	// packed is the committed answer as the idempotency cache keeps it:
-	// built before the cache's lock is taken, and owning its text.
-	var packed string
+	// committed is the answer as the idempotency cache keeps it: built
+	// before the cache's lock is taken, and owning its text.
+	var committed idemEntry
 	if id != "" {
 		if cached, replay := s.idem.begin(id); replay {
 			// A replay serves the committed execution's answer, written
@@ -165,7 +165,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 			// the SLO.
 			s.metrics.idempotentReplays.Add(1)
 			s.score(http.StatusOK, 0)
-			a := packedAnswer(cached, len(id))
+			a := cached.answer(id)
 			writeAnswer(w, &a)
 			return
 		}
@@ -174,7 +174,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 		// entry left in flight is never evicted and would hang every
 		// retry under the same ID. Without a committed response,
 		// resolving releases the ID so a retry re-executes.
-		defer func() { s.idem.finish(id, packed) }()
+		defer func() { s.idem.finish(id, committed) }()
 	}
 	// parse. A malformed context is the caller's error, as the read's
 	// are; under a claimed ID, finish releases the claim with nothing
@@ -187,7 +187,7 @@ func (s *Server) serveDecision(w http.ResponseWriter, r *http.Request, decide fu
 	var a answer
 	if c.err == nil {
 		if a = c.answer(); id != "" {
-			packed = packAnswer(id, &a)
+			committed = packAnswer(id, &a)
 		}
 	}
 	s.publish(r.Context(), &c)

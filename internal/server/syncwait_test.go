@@ -150,17 +150,15 @@ func TestParkedGrantSyncBlocksNoOtherDecision(t *testing.T) {
 		t.Fatalf("alice answered before her sync returned: %+v", resp)
 	default:
 	}
-	idemEntry := func() (*DecisionResponse, bool) {
-		srv.idem.mu.Lock()
-		defer srv.idem.mu.Unlock()
-		packed, ok := srv.idem.entries["alice-1"]
-		if packed == "" {
+	committed := func() (*DecisionResponse, bool) {
+		e, ok := srv.idem.lookup("alice-1")
+		if e.packed == "" {
 			return nil, ok
 		}
-		resp := replayed(t, packed, len("alice-1"))
+		resp := replayed(t, e, "alice-1")
 		return &resp, ok
 	}
-	if resp, ok := idemEntry(); !ok || resp != nil {
+	if resp, ok := committed(); !ok || resp != nil {
 		t.Fatalf("alice's idempotency entry before her sync returned: %+v (present %v), want in flight", resp, ok)
 	}
 
@@ -173,7 +171,7 @@ func TestParkedGrantSyncBlocksNoOtherDecision(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("alice is not answered after her sync returned")
 	}
-	if resp, ok := idemEntry(); !ok || resp == nil || !resp.Allowed {
+	if resp, ok := committed(); !ok || resp == nil || !resp.Allowed {
 		t.Fatalf("alice's idempotency entry after her sync: %+v (present %v), want her committed grant", resp, ok)
 	}
 }
@@ -230,9 +228,7 @@ func TestFailedGrantSyncAnswers503(t *testing.T) {
 	if n := trail.Seq(); n != trailed {
 		t.Fatalf("trail at seq %d after the failed grant, want %d: it was trailed", n, trailed)
 	}
-	srv.idem.mu.Lock()
-	_, cached := srv.idem.entries["alice-1"]
-	srv.idem.mu.Unlock()
+	_, cached := srv.idem.lookup("alice-1")
 	if cached {
 		t.Fatal("the failed grant left an idempotency entry")
 	}
