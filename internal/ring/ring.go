@@ -1,9 +1,9 @@
 // Package ring holds FIFO, the one fixed-capacity queue that overwrites
 // its oldest element, under every bounded retention structure of the
 // shard: the decision ring (explain.Ring), the event broker's replay
-// ring, and the eviction orders of the idempotency cache and of the
-// applied opens and closes. It imports nothing from this module, so any
-// layer may use it.
+// ring, the idempotency cache's committed entries and the eviction
+// order of the applied opens and closes. It imports nothing from this
+// module, so any layer may use it.
 package ring
 
 // FIFO is a fixed-capacity first-in-first-out ring: once full, every

@@ -13,8 +13,8 @@ import (
 // answer is a 200 answer to POST /v1/decision or /v1/advice as its one
 // writer (writeAnswer) and the idempotency cache (packAnswer) read it:
 // views of the PDP's decision, the request's decoded strings and the
-// trace and request IDs (decisionCall.answer), or of a packed answer
-// (packedAnswer). Nothing in it is a copy. Its members are
+// trace and request IDs (decisionCall.answer), or of a cached entry
+// (idemEntry.answer). Nothing in it is a copy. Its members are
 // DecisionResponse's.
 type answer struct {
 	allowed                   bool
